@@ -30,10 +30,14 @@ type kernelsSection struct {
 	Formats  []kernelRow  `json:"formats"`
 	Batched  []batchedRow `json:"batched,omitempty"`
 	Micro    []microRow   `json:"micro,omitempty"`
+	Ladder   []ladderRow  `json:"ladder,omitempty"`
 	// MicroGeomeanSpeedup is the packed-f64 geomean over dense across
 	// the micro shapes (the enforced >= 2x contract).
-	MicroGeomeanSpeedup float64            `json:"micro_geomean_speedup,omitempty"`
-	Metrics             map[string]float64 `json:"metrics"`
+	MicroGeomeanSpeedup float64 `json:"micro_geomean_speedup,omitempty"`
+	// SparserIsFasterX is pattern's rate at the sparsest ladder rung over
+	// its rate at the densest (the enforced >= 1.5x contract).
+	SparserIsFasterX float64            `json:"sparser_is_faster_x,omitempty"`
+	Metrics          map[string]float64 `json:"metrics"`
 }
 
 type microRow struct {
@@ -44,8 +48,17 @@ type microRow struct {
 	SpeedupX float64 `json:"speedup_x"`
 }
 
+// ladderRow is one rung of the sparsity ladder: pattern vs packed over
+// the same masked weights at one decode step.
+type ladderRow struct {
+	Sparsity        float64 `json:"sparsity"`
+	PatternGFLOPEqS float64 `json:"pattern_gflop_eq_per_s"`
+	PackedGFLOPEqS  float64 `json:"packed_gflop_eq_per_s"`
+}
+
 type kernelRow struct {
 	Format     string  `json:"format"`
+	Batch      int     `json:"batch"`
 	NNZ        int     `json:"nnz"`
 	IndexWords int     `json:"index_words"`
 	USPerOp    float64 `json:"us_per_op"`

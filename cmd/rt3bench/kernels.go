@@ -32,7 +32,8 @@ type kernelBenchSpec struct {
 	seqLen int
 }
 
-// runKernelBench times MulInto for every requested registry format and
+// runKernelBench times MulInto for every requested registry format, at
+// the configured batch and at the two decode shapes (batch 8 and 7), and
 // prints a table of per-call latency and GFLOP-equivalents/sec: the
 // dense-equivalent rate (2*dim*dim*batch flops per call, what the layer
 // replaces) and the effective rate over stored nonzeros (2*NNZ*batch).
@@ -53,10 +54,21 @@ func runKernelBench(formats string, spec kernelBenchSpec) error {
 		}
 	}
 
-	fmt.Printf("kernel MulInto: %dx%d weights, pattern sparsity %.2f (psize %d), batch %d, workers %d\n\n",
-		spec.dim, spec.dim, spec.sparsity, spec.psize, spec.batch, spec.workers)
-	fmt.Printf("%-10s %10s %10s %12s %14s %14s\n",
-		"format", "nnz", "idx_words", "us/op", "GFLOPeq/s", "GFLOPeff/s")
+	// the configured batch, then the decode shapes: one full 8-row step
+	// and the ragged 7-row step continuous batching mostly issues
+	batches := []int{spec.batch}
+	inputs := []*mat.Matrix{x}
+	for _, b := range []int{8, 7} {
+		if b != spec.batch {
+			xb := mat.New(b, spec.dim)
+			xb.Randomize(rng, 1)
+			batches, inputs = append(batches, b), append(inputs, xb)
+		}
+	}
+	fmt.Printf("kernel MulInto: %dx%d weights, pattern sparsity %.2f (psize %d), batch %v, workers %d\n\n",
+		spec.dim, spec.dim, spec.sparsity, spec.psize, batches, spec.workers)
+	fmt.Printf("%-10s %6s %10s %10s %12s %14s %14s\n",
+		"format", "batch", "nnz", "idx_words", "us/op", "GFLOPeq/s", "GFLOPeff/s")
 
 	var section *kernelsSection
 	if jsonRep != nil {
@@ -65,28 +77,31 @@ func runKernelBench(formats string, spec kernelBenchSpec) error {
 		}
 		jsonRep.Kernels = section
 	}
-	denseFlops := 2 * float64(spec.dim) * float64(spec.dim) * float64(spec.batch)
 	for _, name := range names {
 		k, err := kernel.Build(name, w, kernel.Options{Set: set, Workers: spec.workers})
 		if err != nil {
 			return err
 		}
-		dst := mat.New(spec.batch, spec.dim)
-		k.MulInto(dst, x) // warm up buffers and the worker pool
-		perOp := timeKernel(k, dst, x, spec.minTime)
-		effFlops := 2 * float64(k.NNZ()) * float64(spec.batch)
-		fmt.Printf("%-10s %10d %10d %12.2f %14.3f %14.3f\n",
-			name, k.NNZ(), k.IndexWords(),
-			float64(perOp.Nanoseconds())/1e3,
-			denseFlops/perOp.Seconds()/1e9,
-			effFlops/perOp.Seconds()/1e9)
-		if section != nil {
-			section.Formats = append(section.Formats, kernelRow{
-				Format: name, NNZ: k.NNZ(), IndexWords: k.IndexWords(),
-				USPerOp:   float64(perOp.Nanoseconds()) / 1e3,
-				GFLOPEqS:  denseFlops / perOp.Seconds() / 1e9,
-				GFLOPEffS: effFlops / perOp.Seconds() / 1e9,
-			})
+		for bi, batch := range batches {
+			xb := inputs[bi]
+			dst := mat.New(batch, spec.dim)
+			k.MulInto(dst, xb) // warm up buffers and the worker pool
+			perOp := timeKernel(k, dst, xb, spec.minTime)
+			denseFlops := 2 * float64(spec.dim) * float64(spec.dim) * float64(batch)
+			effFlops := 2 * float64(k.NNZ()) * float64(batch)
+			fmt.Printf("%-10s %6d %10d %10d %12.2f %14.3f %14.3f\n",
+				name, batch, k.NNZ(), k.IndexWords(),
+				float64(perOp.Nanoseconds())/1e3,
+				denseFlops/perOp.Seconds()/1e9,
+				effFlops/perOp.Seconds()/1e9)
+			if section != nil {
+				section.Formats = append(section.Formats, kernelRow{
+					Format: name, Batch: batch, NNZ: k.NNZ(), IndexWords: k.IndexWords(),
+					USPerOp:   float64(perOp.Nanoseconds()) / 1e3,
+					GFLOPEqS:  denseFlops / perOp.Seconds() / 1e9,
+					GFLOPEffS: effFlops / perOp.Seconds() / 1e9,
+				})
+			}
 		}
 		if pk, ok := k.(*kernel.ParallelKernel); ok {
 			pk.Close()
@@ -100,6 +115,10 @@ func runKernelBench(formats string, spec kernelBenchSpec) error {
 	}
 	fmt.Println()
 	if err := runMicroKernelBench(spec, section); err != nil {
+		return err
+	}
+	fmt.Println()
+	if err := runSparsityLadderBench(spec, section); err != nil {
 		return err
 	}
 	if section != nil {
@@ -178,6 +197,87 @@ func runMicroKernelBench(spec kernelBenchSpec, section *kernelsSection) error {
 	}
 	fmt.Printf("\nmicro-kernel floor PASS: packed geomean %.2fx >= %.1fx over dense (f32 %.2fx, int8 %.2fx)\n",
 		packed, microKernelFloor, f32, int8)
+	return nil
+}
+
+// ladderSparsities are the pattern sparsities of the three evaluation
+// levels (l6, l4, l3): the ladder a DVFS switch walks.
+var ladderSparsities = []float64{0.3, 0.5, 0.7}
+
+// sparserIsFasterFloor is the enforced speedup of the pattern format at
+// the sparsest rung of the ladder over the densest: the paper's premise
+// that a sparser pattern set is a faster model, which a format that
+// pushes masked weights through dense panels (packed) does not have.
+const sparserIsFasterFloor = 1.5
+
+// runSparsityLadderBench times the serving default (pattern) against
+// the dense packed panels (packed) over the same masked weights, at one
+// decode step of the FFN up-projection (8 x dim x 4*dim), down the
+// sparsity ladder. The two kernels of a rung are timed alternately, best
+// of three each, so a slow spell of the host lands on both. Two floors
+// are enforced: pattern is at least as fast as packed on every rung past
+// the first, and pattern at the last rung is at least
+// sparserIsFasterFloor times pattern at the first.
+func runSparsityLadderBench(spec kernelBenchSpec, section *kernelsSection) error {
+	const batch = 8
+	rng := rand.New(rand.NewSource(45))
+	K, N := spec.dim, 4*spec.dim
+	w := mat.New(K, N)
+	w.Randomize(rng, 1)
+	x := mat.New(batch, K)
+	x.Randomize(rng, 1)
+	dst := mat.New(batch, N)
+	flops := 2 * float64(batch) * float64(K) * float64(N)
+
+	fmt.Printf("sparsity ladder: pattern vs packed over the same masked weights, one decode step (%dx%dx%d, single-threaded)\n\n", batch, K, N)
+	fmt.Printf("%-9s %14s %14s %10s\n", "sparsity", "pattern GF/s", "packed GF/s", "ratio")
+	var patternGF, packedGF []float64
+	for _, sparsity := range ladderSparsities {
+		set := pattern.GenerateSet(w, spec.psize, sparsity, 4, rng)
+		pat, err := kernel.Build("pattern", w, kernel.Options{Set: set})
+		if err != nil {
+			return err
+		}
+		pk, err := kernel.Build("packed", w, kernel.Options{Set: set})
+		if err != nil {
+			return err
+		}
+		pat.MulInto(dst, x) // warm up scratch
+		pk.MulInto(dst, x)
+		bestPat, bestPk := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+		for round := 0; round < 3; round++ {
+			bestPat = min(bestPat, timeKernel(pat, dst, x, spec.minTime))
+			bestPk = min(bestPk, timeKernel(pk, dst, x, spec.minTime))
+		}
+		pg, kg := flops/bestPat.Seconds()/1e9, flops/bestPk.Seconds()/1e9
+		patternGF, packedGF = append(patternGF, pg), append(packedGF, kg)
+		fmt.Printf("%-9.2f %14.3f %14.3f %9.2fx\n", sparsity, pg, kg, pg/kg)
+		if section != nil {
+			section.Ladder = append(section.Ladder, ladderRow{
+				Sparsity: sparsity, PatternGFLOPEqS: pg, PackedGFLOPEqS: kg,
+			})
+		}
+	}
+	fmt.Println()
+	last := len(ladderSparsities) - 1
+	for i := 1; i <= last; i++ {
+		if patternGF[i] < packedGF[i] {
+			return fmt.Errorf("pattern floor FAIL: at sparsity %.2f pattern runs %.2f GFLOP-eq/s, below packed at %.2f",
+				ladderSparsities[i], patternGF[i], packedGF[i])
+		}
+	}
+	fmt.Printf("pattern floor PASS: pattern >= packed GFLOP-eq/s at sparsity %.2f (%.2f vs %.2f) and %.2f (%.2f vs %.2f)\n",
+		ladderSparsities[1], patternGF[1], packedGF[1], ladderSparsities[last], patternGF[last], packedGF[last])
+	gain := patternGF[last] / patternGF[0]
+	if section != nil {
+		section.SparserIsFasterX = gain
+	}
+	if gain < sparserIsFasterFloor {
+		return fmt.Errorf("sparser-is-faster floor FAIL: pattern at sparsity %.2f is %.2fx pattern at %.2f, below the %.1fx floor",
+			ladderSparsities[last], gain, ladderSparsities[0], sparserIsFasterFloor)
+	}
+	fmt.Printf("sparser-is-faster floor PASS: pattern at sparsity %.2f is %.2fx pattern at %.2f (>= %.1fx; packed %.2fx)\n",
+		ladderSparsities[last], gain, ladderSparsities[0], sparserIsFasterFloor, packedGF[last]/packedGF[0])
 	return nil
 }
 

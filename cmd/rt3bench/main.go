@@ -54,7 +54,7 @@ func main() {
 	batch := flag.Int("kernel-batch", 64, "kernels experiment: batch rows per MulInto call")
 	sparsity := flag.Float64("kernel-sparsity", 0.7, "kernels experiment: pattern sparsity")
 	seqs := flag.Int("kernel-seqs", 8, "kernels experiment batched mode: sequences fused per packed call (<=1 disables)")
-	seqLen := flag.Int("kernel-seqlen", 6, "kernels experiment batched mode: rows per sequence (default below the pattern kernel's batched-layout threshold, so the per-sequence arm runs the short-input path real per-request calls take)")
+	seqLen := flag.Int("kernel-seqlen", 6, "kernels experiment batched mode: rows per sequence (default below one 8-lane tile, so the per-sequence arm pays the padded-tile cost real per-request calls take)")
 	decPrompt := flag.Int("decode-prompt", 64, "decode experiment: prompt tokens prefilled per sequence")
 	decGen := flag.Int("decode-gen", 64, "decode experiment: tokens generated per sequence")
 	decBatch := flag.Int("decode-batch", 8, "decode experiment: largest fused decode batch (table sweeps 1/4/this)")

@@ -76,11 +76,13 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
 	"rt3/internal/deploy"
 	"rt3/internal/dvfs"
+	"rt3/internal/kernel"
 	"rt3/internal/obs"
 	"rt3/internal/pattern"
 	"rt3/internal/rtswitch"
@@ -105,7 +107,7 @@ func main() {
 		rpsStart = flag.Float64("rps-start", 200, "arrival rate at the start of the ramp")
 		rpsEnd   = flag.Float64("rps-end", 800, "arrival rate at the end of the ramp")
 		workers  = flag.Int("workers", 2, "worker pool width (model replicas)")
-		format   = flag.String("format", "pattern", "packed execution format from the kernel registry (dense, coo, csr, blockcsr, pattern)")
+		format   = flag.String("format", "pattern", "packed execution format from the kernel registry ("+strings.Join(kernel.Formats(), ", ")+")")
 		kworkers = flag.Int("kernel-workers", 1, "parallel executor width inside each packed kernel")
 		batch    = flag.Int("batch", 8, "max dynamic batch size")
 		maxDelay = flag.Duration("max-delay", 2*time.Millisecond, "batch flush deadline")

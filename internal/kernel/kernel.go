@@ -1,7 +1,9 @@
 // Package kernel is the unified execution API every matrix product in
-// the repo computes through: dense weights, all four sparse formats and
-// the pattern-packed RT3 serving path share one destination-passing
-// interface, one parallel executor and one format registry.
+// the repo computes through: dense weights, the scalar sparse formats,
+// the pattern-packed RT3 serving path (a lane-parallel AVX micro-kernel
+// over the kept weights, see mat.GemmLanes) and the dense packed-panel
+// micro-kernels share one destination-passing interface, one parallel
+// executor and one format registry.
 //
 // # Destination passing
 //
@@ -20,7 +22,7 @@
 // wrapped kernel only needs to tolerate concurrent MulInto calls on
 // disjoint destinations, which every kernel in this repo does: weights
 // are read-only during execution, and any internal per-call scratch
-// (e.g. the pattern kernel's batched-layout buffers) is internally
+// (e.g. the pattern kernel's lane-major copy of x) is internally
 // synchronized. A ParallelKernel itself serializes its own MulInto
 // calls — use one instance per serving replica, not one shared
 // instance.

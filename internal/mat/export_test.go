@@ -1,0 +1,27 @@
+package mat
+
+import "testing"
+
+// LaneWeightsOf packs the nonzeros of w into column streams; shared by
+// the package's internal and external tests.
+func LaneWeightsOf(tb testing.TB, w *Matrix) *LaneWeights {
+	tb.Helper()
+	counts := make([]int32, w.Cols)
+	for i, v := range w.Data {
+		if v != 0 {
+			counts[i%w.Cols]++
+		}
+	}
+	lw, err := NewLaneWeights(w.Rows, w.Cols, counts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	next := make([]int, w.Cols)
+	for i, v := range w.Data {
+		if c := i % w.Cols; v != 0 {
+			lw.Put(c, next[c], i/w.Cols, v)
+			next[c]++
+		}
+	}
+	return lw
+}

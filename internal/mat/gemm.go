@@ -102,6 +102,14 @@ func GemmPanels[F Float](dst *Matrix, x []F, p *Panels[F]) {
 			return
 		}
 	}
+	gemmPanelsGo(dst, x, p)
+}
+
+// gemmPanelsGo is the portable GemmPanels: the row-block nest over the
+// register-blocked Go kernels, which the assembly paths must match bit
+// for bit.
+func gemmPanelsGo[F Float](dst *Matrix, x []F, p *Panels[F]) {
+	M, K, N := dst.Rows, p.K, p.N
 	np := (N + PanelWidth - 1) / PanelWidth
 	for mc := 0; mc < M; mc += gemmMC {
 		m1 := mc + gemmMC

@@ -1,4 +1,4 @@
-//go:build amd64
+//go:build amd64 && !purego
 
 package mat
 
@@ -9,17 +9,18 @@ var hasAVX = cpuHasAVX()
 // cpuHasAVX reports CPUID+XGETBV AVX support (gemm_amd64.s).
 func cpuHasAVX() bool
 
-// kern8x4AVX computes an 8x4 accumulator tile from one packed panel
-// (gemm_amd64.s). Strict VMULPD/VADDPD: bit-identical to kern8x4.
+// kern8x4AVX computes an 8x4 accumulator tile from one packed panel and
+// stores its first rows rows (gemm_amd64.s); a holds at least rows rows.
+// Strict VMULPD/VADDPD: bit-identical to kern8x4.
 //
 //go:noescape
-func kern8x4AVX(bp, a *float64, lda int, c *float64, ldc, k int)
+func kern8x4AVX(bp, a *float64, lda int, c *float64, ldc, k, rows int)
 
 // kern8x4SSE32 is the float32 8x4 tile: float32 accumulation, float64
 // stores, bit-identical to kern8x4[float32] (gemm_amd64.s).
 //
 //go:noescape
-func kern8x4SSE32(bp, a *float32, lda int, c *float64, ldc, k int)
+func kern8x4SSE32(bp, a *float32, lda int, c *float64, ldc, k, rows int)
 
 // kern8x4SSE8 is the int8 8x4 tile over one pair-interleaved panel:
 // PMADDWD into exact int32 accumulators, bit-identical to kern1x4Int8
@@ -29,9 +30,11 @@ func kern8x4SSE32(bp, a *float32, lda int, c *float64, ldc, k int)
 func kern8x4SSE8(bp *int8, a *int16, lda int, c *int32, ldc, kp int)
 
 // gemmAsm64 is the amd64 fast path of GemmPanels[float64]: full-width
-// panels over 8-row blocks run the AVX micro-kernel; row remainders and
-// the right-edge panel fall back to the portable kernels. Returns false
-// (computing nothing) when the CPU lacks AVX.
+// panels run the AVX micro-kernel over 8-row blocks, a last block of 1-7
+// rows included (the tile recomputes row 0 in the missing rows and
+// stores only the real ones, so any M gets tile speed); the right-edge
+// panel falls back to the portable kernels. Returns false (computing
+// nothing) when the CPU lacks AVX.
 func gemmAsm64(dst *Matrix, x []float64, p *Panels[float64]) bool {
 	if !hasAVX {
 		return false
@@ -52,8 +55,8 @@ func gemmAsm64(dst *Matrix, x []float64, p *Panels[float64]) bool {
 			bp := p.Data[pi*K*PanelWidth : (pi+1)*K*PanelWidth]
 			m := mc
 			if nw == PanelWidth && K > 0 {
-				for ; m+8 <= m1; m += 8 {
-					kern8x4AVX(&bp[0], &x[m*K], K, &dst.Data[m*N+j0], N, K)
+				for ; m < m1; m += 8 {
+					kern8x4AVX(&bp[0], &x[m*K], K, &dst.Data[m*N+j0], N, K, min(8, m1-m))
 				}
 			}
 			for ; m+4 <= m1; m += 4 {
@@ -90,8 +93,8 @@ func gemmAsm32(dst *Matrix, x []float32, p *Panels[float32]) bool {
 			bp := p.Data[pi*K*PanelWidth : (pi+1)*K*PanelWidth]
 			m := mc
 			if nw == PanelWidth && K > 0 {
-				for ; m+8 <= m1; m += 8 {
-					kern8x4SSE32(&bp[0], &x[m*K], K, &dst.Data[m*N+j0], N, K)
+				for ; m < m1; m += 8 {
+					kern8x4SSE32(&bp[0], &x[m*K], K, &dst.Data[m*N+j0], N, K, min(8, m1-m))
 				}
 			}
 			for ; m+4 <= m1; m += 4 {

@@ -1,3 +1,5 @@
+//go:build amd64 && !purego
+
 // amd64 micro-kernels for the packed-panel GEMM core (see gemm.go).
 //
 // The float64 kernel uses AVX VMULPD/VADDPD — strict IEEE multiply and
@@ -33,13 +35,32 @@ noavx:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func kern8x4AVX(bp, a *float64, lda int, c *float64, ldc, k int)
+// CLAMPROWS points the row pointers R8..R14 (rows 1..7) of a short
+// block back at row 0 (DX): the tile always computes 8 rows, rows past
+// AX = `rows` recompute row 0 and are never stored.
+#define CLAMPROWS \
+	CMPQ AX, $1; CMOVQLE DX, R8; \
+	CMPQ AX, $2; CMOVQLE DX, R9; \
+	CMPQ AX, $3; CMOVQLE DX, R10; \
+	CMPQ AX, $4; CMOVQLE DX, R11; \
+	CMPQ AX, $5; CMOVQLE DX, R12; \
+	CMPQ AX, $6; CMOVQLE DX, R13; \
+	CMPQ AX, $7; CMOVQLE DX, R14
+
+// STOREROW64 stores one float64 tile row and leaves once AX rows are out.
+#define STOREROW64(y) \
+	VMOVUPD y, (DI); \
+	ADDQ BX, DI; \
+	DECQ AX; \
+	JZ done8x4
+
+// func kern8x4AVX(bp, a *float64, lda int, c *float64, ldc, k, rows int)
 //
 // One 8-row x 4-column accumulator tile: c[r][j] = sum_k a[r*lda+k] *
-// bp[4k+j] for r in 0..8, j in 0..4. bp is one packed K-major panel;
-// lda/ldc are element strides. Eight YMM accumulators, one panel load
-// and eight broadcast-multiply-adds per k step.
-TEXT ·kern8x4AVX(SB), NOSPLIT, $0-48
+// bp[4k+j] for r in 0..rows, j in 0..4, 1 <= rows <= 8. bp is one packed
+// K-major panel; lda/ldc are element strides. Eight YMM accumulators,
+// one panel load and eight broadcast-multiply-adds per k step.
+TEXT ·kern8x4AVX(SB), NOSPLIT, $0-56
 	MOVQ bp+0(FP), SI
 	MOVQ a+8(FP), DX
 	MOVQ lda+16(FP), AX
@@ -57,6 +78,8 @@ TEXT ·kern8x4AVX(SB), NOSPLIT, $0-48
 	LEAQ (R8)(AX*4), R12
 	LEAQ (R9)(AX*4), R13
 	LEAQ (R10)(AX*4), R14
+	MOVQ rows+48(FP), AX
+	CLAMPROWS
 
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
@@ -112,27 +135,39 @@ loop8x4:
 	JLT  loop8x4
 
 store8x4:
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, (DI)(BX*1)
-	LEAQ (DI)(BX*2), DI
-	VMOVUPD Y2, (DI)
-	VMOVUPD Y3, (DI)(BX*1)
-	LEAQ (DI)(BX*2), DI
-	VMOVUPD Y4, (DI)
-	VMOVUPD Y5, (DI)(BX*1)
-	LEAQ (DI)(BX*2), DI
-	VMOVUPD Y6, (DI)
-	VMOVUPD Y7, (DI)(BX*1)
+	STOREROW64(Y0)
+	STOREROW64(Y1)
+	STOREROW64(Y2)
+	STOREROW64(Y3)
+	STOREROW64(Y4)
+	STOREROW64(Y5)
+	STOREROW64(Y6)
+	STOREROW64(Y7)
+
+done8x4:
 	VZEROUPPER
 	RET
 
-// func kern8x4SSE32(bp, a *float32, lda int, c *float64, ldc, k int)
+// STOREROW32 widens one float32 accumulator to a float64 tile row (low
+// pair, then high pair) and leaves once AX rows are out.
+#define STOREROW32(x) \
+	CVTPS2PD x, X9; \
+	MOVUPD X9, (DI); \
+	MOVHLPS x, X9; \
+	CVTPS2PD X9, X9; \
+	MOVUPD X9, 16(DI); \
+	ADDQ BX, DI; \
+	DECQ AX; \
+	JZ done32
+
+// func kern8x4SSE32(bp, a *float32, lda int, c *float64, ldc, k, rows int)
 //
 // Float32 8x4 tile over one packed float32 panel: accumulate in float32
 // (MULPS/ADDPS, ascending k — exactly the scalar float32 kernel's
-// rounding sequence), convert to float64 at store time. Baseline SSE,
-// no feature detection needed on amd64.
-TEXT ·kern8x4SSE32(SB), NOSPLIT, $0-48
+// rounding sequence), convert to float64 at store time; the first rows
+// rows are stored, as in kern8x4AVX. Baseline SSE, no feature detection
+// needed on amd64.
+TEXT ·kern8x4SSE32(SB), NOSPLIT, $0-56
 	MOVQ bp+0(FP), SI
 	MOVQ a+8(FP), DX
 	MOVQ lda+16(FP), AX
@@ -149,6 +184,8 @@ TEXT ·kern8x4SSE32(SB), NOSPLIT, $0-48
 	LEAQ (R8)(AX*4), R12
 	LEAQ (R9)(AX*4), R13
 	LEAQ (R10)(AX*4), R14
+	MOVQ rows+48(FP), AX
+	CLAMPROWS
 
 	XORPS X0, X0
 	XORPS X1, X1
@@ -212,61 +249,16 @@ loop32:
 	JLT  loop32
 
 store32:
-	// each f32 accumulator -> 4 f64: low pair, then high pair
-	CVTPS2PD X0, X9
-	MOVUPD X9, (DI)
-	MOVHLPS X0, X9
-	CVTPS2PD X9, X9
-	MOVUPD X9, 16(DI)
-	ADDQ BX, DI
+	STOREROW32(X0)
+	STOREROW32(X1)
+	STOREROW32(X2)
+	STOREROW32(X3)
+	STOREROW32(X4)
+	STOREROW32(X5)
+	STOREROW32(X6)
+	STOREROW32(X7)
 
-	CVTPS2PD X1, X9
-	MOVUPD X9, (DI)
-	MOVHLPS X1, X9
-	CVTPS2PD X9, X9
-	MOVUPD X9, 16(DI)
-	ADDQ BX, DI
-
-	CVTPS2PD X2, X9
-	MOVUPD X9, (DI)
-	MOVHLPS X2, X9
-	CVTPS2PD X9, X9
-	MOVUPD X9, 16(DI)
-	ADDQ BX, DI
-
-	CVTPS2PD X3, X9
-	MOVUPD X9, (DI)
-	MOVHLPS X3, X9
-	CVTPS2PD X9, X9
-	MOVUPD X9, 16(DI)
-	ADDQ BX, DI
-
-	CVTPS2PD X4, X9
-	MOVUPD X9, (DI)
-	MOVHLPS X4, X9
-	CVTPS2PD X9, X9
-	MOVUPD X9, 16(DI)
-	ADDQ BX, DI
-
-	CVTPS2PD X5, X9
-	MOVUPD X9, (DI)
-	MOVHLPS X5, X9
-	CVTPS2PD X9, X9
-	MOVUPD X9, 16(DI)
-	ADDQ BX, DI
-
-	CVTPS2PD X6, X9
-	MOVUPD X9, (DI)
-	MOVHLPS X6, X9
-	CVTPS2PD X9, X9
-	MOVUPD X9, 16(DI)
-	ADDQ BX, DI
-
-	CVTPS2PD X7, X9
-	MOVUPD X9, (DI)
-	MOVHLPS X7, X9
-	CVTPS2PD X9, X9
-	MOVUPD X9, 16(DI)
+done32:
 	RET
 
 // func kern8x4SSE8(bp *int8, a *int16, lda int, c *int32, ldc, kp int)

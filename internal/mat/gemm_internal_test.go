@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -31,6 +32,95 @@ func TestGemm8AsmMatchesScalar(t *testing.T) {
 		gemm8Rows(ref, s, p, 0, M)
 		if !Equal(got, ref, 0) {
 			t.Fatalf("%v: int8 asm differs from scalar reference", sh)
+		}
+	}
+}
+
+// guarded returns an M x N view over a larger matrix whose 8 rows past
+// M are filled with a sentinel, and a check that a kernel storing a
+// ragged last block wrote none of them.
+func guarded(t *testing.T, M, N int) (*Matrix, func(what string)) {
+	t.Helper()
+	full := New(M+8, N)
+	full.Fill(7)
+	return full.RowSpan(0, M), func(what string) {
+		t.Helper()
+		for _, v := range full.Data[M*N:] {
+			if v != 7 {
+				t.Fatalf("%s: stored past row %d", what, M)
+			}
+		}
+	}
+}
+
+// TestGemmPanelsAsmMatchesPortable pins the float64 and float32
+// assembly tiles to the portable register-blocked kernels bit for bit at
+// every row-block edge — a last block of 1-7 rows runs the same tile
+// with the missing rows clamped, and must store exactly the real ones.
+// (Without the asm paths this compares the portable nest with itself.)
+func TestGemmPanelsAsmMatchesPortable(t *testing.T) {
+	rng := rand.New(rand.NewSource(92))
+	for _, M := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 63, 64, 65, 71} {
+		for _, sh := range [][2]int{{1, 4}, {5, 3}, {33, 17}, {192, 20}} {
+			K, N := sh[0], sh[1]
+			x := New(M, K)
+			x.Randomize(rng, 1)
+			w := New(K, N)
+			w.Randomize(rng, 1)
+
+			p64 := PackPanels[float64](w)
+			what := fmt.Sprintf("%dx%dx%d", M, K, N)
+			got, intact := guarded(t, M, N)
+			want := New(M, N)
+			GemmPanels(got, x.Data, p64)
+			gemmPanelsGo(want, x.Data, p64)
+			intact(what + " f64")
+			if !Equal(got, want, 0) {
+				t.Fatalf("%s: f64 asm differs from portable kernels", what)
+			}
+
+			p32 := PackPanels[float32](w)
+			x32 := make([]float32, len(x.Data))
+			for i, v := range x.Data {
+				x32[i] = float32(v)
+			}
+			got.Fill(7)
+			GemmPanels(got, x32, p32)
+			gemmPanelsGo(want, x32, p32)
+			intact(what + " f32")
+			if !Equal(got, want, 0) {
+				t.Fatalf("%s: f32 asm differs from portable kernels", what)
+			}
+		}
+	}
+}
+
+// TestGemmLanesAsmMatchesPortable pins the AVX lane kernels to
+// laneKernGo bit for bit, through the shared loop nest, at every
+// lane-block edge and with ragged column groups.
+func TestGemmLanesAsmMatchesPortable(t *testing.T) {
+	rng := rand.New(rand.NewSource(93))
+	for _, M := range []int{1, 3, 4, 5, 7, 8, 9, 12, 13, 64, 65, 130} {
+		for _, sh := range [][2]int{{1, 1}, {7, 5}, {33, 18}, {192, 20}} {
+			K, N := sh[0], sh[1]
+			w := New(K, N)
+			w.Randomize(rng, 1)
+			for i := range w.Data {
+				if rng.Intn(2) == 0 {
+					w.Data[i] = 0
+				}
+			}
+			lw := LaneWeightsOf(t, w)
+			x := New(M, K)
+			x.Randomize(rng, 1)
+			got, intact := guarded(t, M, N)
+			want := New(M, N)
+			gemmLanes(got, x, lw, laneAsm)
+			gemmLanes(want, x, lw, false)
+			intact(fmt.Sprintf("%dx%dx%d lanes", M, K, N))
+			if !Equal(got, want, 0) {
+				t.Fatalf("%dx%dx%d: lane asm differs from portable kernel", M, K, N)
+			}
 		}
 	}
 }

@@ -1,12 +1,20 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package mat
 
-// The asm fast paths have no implementation off amd64; GemmPanels and
-// Gemm8 run the portable kernels instead.
+// The asm fast paths have no implementation off amd64 (or under the
+// purego tag, which CI uses to run the portable kernels on an amd64
+// runner); GemmPanels, Gemm8 and GemmLanes run the portable kernels
+// instead.
 
 func gemmAsm64(dst *Matrix, x []float64, p *Panels[float64]) bool { return false }
 
 func gemmAsm32(dst *Matrix, x []float32, p *Panels[float32]) bool { return false }
 
 func gemm8Asm(dst *Matrix, s *int8Scratch, p *PanelsInt8) bool { return false }
+
+const laneAsm = false
+
+func laneKern8AVX(idx *uint16, val *float64, steps int, xt, c *float64, ldc int, cols *int32, rows int) {
+	panic("mat: laneKern8AVX without asm")
+}

@@ -1,0 +1,216 @@
+package mat
+
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
+
+// This file is the sparse twin of the packed-panel GEMM in gemm.go: a
+// lane-parallel micro-kernel whose work is proportional to the stored
+// weights, not to K*N. sparse.Pattern executes through it, which makes
+// it the serving default.
+//
+// # Stream layout
+//
+// The K x N weight matrix is stored column-wise: each output column
+// keeps only its surviving weights, as an ascending-k stream of
+// (k-index, value) pairs. LaneGroup columns form a group and their
+// streams are interleaved step by step — step t of a group holds the
+// t-th stored weight of each of its columns — so the kernel walks one
+// sequential stream while feeding LaneGroup independent add chains (one
+// column's accumulator depends only on that column's previous step).
+// Shorter columns of a group are padded to the longest with (k = K,
+// value 0) entries. Pattern pruning gives the columns of a tile
+// systematically different lengths (10-39% padding with adjacent
+// columns grouped, measured on 8x8 sets at dim 192 / ffn 768), so groups
+// are formed from the columns sorted by length instead: padding all but
+// vanishes, and a group's results are scattered to its columns' places
+// in dst.
+//
+// # Lanes
+//
+// Sparsity leaves nothing contiguous along k or across columns to
+// vectorize over, so the vector dimension is the batch: x is transposed
+// into lane-major scratch xt, xt[k*8+l] = x[l][k], 8 batch rows at a
+// time. Per stored weight the kernel broadcasts the value, multiplies it
+// into the lanes of xt row k and adds the products into the column's
+// accumulator. Lanes past the last batch row repeat it and their results
+// are never stored, so a 1-7 row decode batch costs one padded tile. Row
+// K of xt is all zero: a padding entry contributes 0*0 = +0, and adding
+// +0 never changes an accumulator that started at +0.
+//
+// # Bit identity
+//
+// Every dst element accumulates its column's products in ascending k,
+// each a separately rounded multiply then add (VMULPD/VADDPD on amd64,
+// no FMA) — the same sequence of rounded operations as the naive dense
+// loop over the masked matrix, minus its exact-zero terms, which leave
+// the sum unchanged. Results are therefore bit-identical to masked
+// dense execution; the kernel only reorders work across dst elements.
+
+// LaneGroup is the number of output columns whose streams are
+// interleaved into one group.
+const LaneGroup = 4
+
+// laneWidth is the number of batch rows one xt block holds, one per
+// vector lane: two 4-double AVX registers.
+const laneWidth = 8
+
+// LaneMaxK is the largest supported K: k-indices are stored as uint16
+// and the value K itself marks padding.
+const LaneMaxK = 1<<16 - 1
+
+// LaneWeights is the column-stream form of a sparse K x N weight matrix
+// (see the file comment).
+type LaneWeights struct {
+	K, N int
+	// cols lists the columns longest stream first; group g is
+	// cols[g*LaneGroup:][:LaneGroup], cut short at the end when N is not
+	// a multiple of LaneGroup. slot is its inverse: cols[slot[c]] == c.
+	cols, slot []int32
+	// start[g] is the first step of column group g; it has start[g+1] -
+	// start[g] steps.
+	start []int32
+	// idx and val hold LaneGroup entries per step, column-minor.
+	idx []uint16
+	val []float64
+}
+
+// NewLaneWeights allocates the streams of a K x N matrix whose column c
+// stores counts[c] weights, to be filled by counts[c] calls of Put.
+func NewLaneWeights(k, n int, counts []int32) (*LaneWeights, error) {
+	if k > LaneMaxK {
+		return nil, fmt.Errorf("mat: lane streams support K <= %d, got %d", LaneMaxK, k)
+	}
+	if len(counts) != n {
+		return nil, fmt.Errorf("mat: %d column counts for %d columns", len(counts), n)
+	}
+	groups := (n + LaneGroup - 1) / LaneGroup
+	w := &LaneWeights{
+		K: k, N: n,
+		cols: make([]int32, n), slot: make([]int32, n), start: make([]int32, groups+1),
+	}
+	for c := range w.cols {
+		w.cols[c] = int32(c)
+	}
+	slices.SortStableFunc(w.cols, func(a, b int32) int { return cmp.Compare(counts[b], counts[a]) })
+	for p, c := range w.cols {
+		w.slot[c] = int32(p)
+	}
+	for g := 0; g < groups; g++ {
+		w.start[g+1] = w.start[g] + counts[w.cols[g*LaneGroup]] // the group's longest stream
+	}
+	total := int(w.start[groups]) * LaneGroup
+	w.idx = make([]uint16, total)
+	w.val = make([]float64, total)
+	// pad: the steps a column (or, past column N, the last group's unused
+	// slot) does not fill
+	for s := 0; s < groups*LaneGroup; s++ {
+		g, filled := s/LaneGroup, int32(0)
+		if s < n {
+			filled = counts[w.cols[s]]
+		}
+		for t := w.start[g] + filled; t < w.start[g+1]; t++ {
+			w.idx[int(t)*LaneGroup+s%LaneGroup] = uint16(k)
+		}
+	}
+	return w, nil
+}
+
+// Put stores the i-th weight of column c: value v at row k. Within a
+// column, k must ascend with i.
+func (w *LaneWeights) Put(c, i, k int, v float64) {
+	s := int(w.slot[c])
+	p := (int(w.start[s/LaneGroup])+i)*LaneGroup + s%LaneGroup
+	w.idx[p] = uint16(k)
+	w.val[p] = v
+}
+
+var laneScratches FreeList[[]float64]
+
+func newLaneScratch() []float64 { return nil }
+
+// GemmLanes computes dst = X @ W from the column streams of W, where X
+// is dst.Rows x K. dst must not alias x. Allocation-free in steady
+// state: the lane-major copy of x lives in borrowed scratch.
+func GemmLanes(dst, x *Matrix, w *LaneWeights) {
+	if x.Cols != w.K {
+		panic(fmt.Sprintf("mat: GemmLanes x cols %d != K %d", x.Cols, w.K))
+	}
+	if dst.Rows != x.Rows || dst.Cols != w.N {
+		panic(fmt.Sprintf("mat: GemmLanes dst %dx%d != %dx%d", dst.Rows, dst.Cols, x.Rows, w.N))
+	}
+	gemmLanes(dst, x, w, laneAsm)
+}
+
+// gemmLanes is GemmLanes with the kernel choice explicit, so tests can
+// hold the assembly kernels against the portable one.
+//
+// The nest is row-block outer, column-group inner, with one lane block as
+// the row block: the kernel touches a 64-byte xt row per stored weight at
+// a data-dependent k, so the xt block ((K+1)*64 bytes) is what has to
+// stay in L1, while the weight streams are read sequentially, 10 bytes a
+// weight, and prefetch well from L2. GemmPanels' 64-row blocks measured
+// slower here at every prefill shape (at K=192 their xt is 98 KB).
+func gemmLanes(dst, x *Matrix, w *LaneWeights, asm bool) {
+	M, K, N := x.Rows, w.K, w.N
+	xt := laneScratches.Get(newLaneScratch)
+	xt = Grow(xt, (K+1)*laneWidth)
+	for m := 0; m < M; m += laneWidth {
+		rows := min(laneWidth, M-m)
+		packLanes(xt, x.Data[m*K:(m+rows)*K], K)
+		out := dst.Data[m*N : (m+rows)*N]
+		for g := 0; g+1 < len(w.start); g++ {
+			s0, s1 := int(w.start[g]), int(w.start[g+1])
+			idx, val := w.idx[s0*LaneGroup:s1*LaneGroup], w.val[s0*LaneGroup:s1*LaneGroup]
+			cols := w.cols[g*LaneGroup : min((g+1)*LaneGroup, N)]
+			if asm && len(cols) == LaneGroup && s1 > s0 {
+				laneKern8AVX(&idx[0], &val[0], s1-s0, &xt[0], &out[0], N, &cols[0], rows)
+			} else {
+				laneKernGo(idx, val, xt, out, N, cols)
+			}
+		}
+	}
+	laneScratches.Put(xt)
+}
+
+// packLanes transposes the len(x)/K rows of x (at most laneWidth) into
+// the lane-major block xt, xt[k*laneWidth+l] = x[l][k], and zeroes the
+// padding row K. Lanes past the last row repeat it: their results are
+// never stored, and a repeated row costs no more than a zero one.
+func packLanes(xt, x []float64, K int) {
+	clear(xt[K*laneWidth : (K+1)*laneWidth])
+	if K == 0 {
+		return
+	}
+	last := len(x)/K - 1
+	row := func(l int) []float64 { l = min(l, last); return x[l*K : (l+1)*K] }
+	for l := 0; l < laneWidth; l += 4 {
+		r0, r1, r2, r3 := row(l), row(l+1), row(l+2), row(l+3)
+		for k, v := range r0 {
+			o := xt[k*laneWidth+l:][:4:4]
+			o[0], o[1], o[2], o[3] = v, r1[k], r2[k], r3[k]
+		}
+	}
+}
+
+// laneKernGo is the portable kernel, the loop nest the assembly kernels
+// replicate: one column group against one xt block, scattered into the
+// len(c)/ldc batch rows of c (row stride ldc) at columns cols.
+func laneKernGo(idx []uint16, val []float64, xt []float64, c []float64, ldc int, cols []int32) {
+	var acc [LaneGroup][laneWidth]float64
+	val = val[:len(idx)]
+	for i, k := range idx {
+		v := val[i]
+		a := &acc[i%LaneGroup]
+		for l, xv := range xt[int(k)*laneWidth:][:laneWidth] {
+			a[l] += xv * v
+		}
+	}
+	for r := 0; r < len(c)/ldc; r++ {
+		for j, col := range cols {
+			c[r*ldc+int(col)] = acc[j][r]
+		}
+	}
+}

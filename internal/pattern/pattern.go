@@ -39,6 +39,20 @@ func (p Pattern) Ones() int {
 	return n
 }
 
+// Kept lists the kept (i, j) positions in row-major order, so the kept
+// rows of any one column come up ascending.
+func (p Pattern) Kept() [][2]int {
+	var out [][2]int
+	for i := 0; i < p.Size; i++ {
+		for j := 0; j < p.Size; j++ {
+			if p.Bits[i*p.Size+j] != 0 {
+				out = append(out, [2]int{i, j})
+			}
+		}
+	}
+	return out
+}
+
 // Sparsity returns the fraction of pruned (0) positions.
 func (p Pattern) Sparsity() float64 {
 	if len(p.Bits) == 0 {
@@ -210,34 +224,33 @@ func RandomSet(psize int, sparsity float64, m int, rng *rand.Rand) *Set {
 	return s
 }
 
-// Apply builds a full-size 0/1 mask for w by tiling it with psize blocks
-// and, per block, selecting the pattern of the set that retains the
-// largest l2 norm of the block's weights (the paper's training rule:
-// "choose the pattern with the largest l2-norm for each block").
-// It returns the mask and the chosen pattern index per block (row-major
-// block order) for storage accounting.
-func (s *Set) Apply(w *mat.Matrix) (*mat.Matrix, []int) {
+// Choose tiles w with psize blocks and, per block, selects the pattern
+// of the set that retains the largest l2 norm of the block's weights
+// (the paper's training rule: "choose the pattern with the largest
+// l2-norm for each block"). It returns the chosen pattern index per
+// block, in row-major block order.
+func (s *Set) Choose(w *mat.Matrix) []int {
 	psize := s.PSize()
 	if psize == 0 {
-		panic("pattern: Apply on empty set")
+		panic("pattern: Choose on empty set")
 	}
-	mask := mat.New(w.Rows, w.Cols)
+	// row-major kept offsets: the order the norms below are summed in
+	kept := make([][][2]int, len(s.Patterns))
+	for pi, p := range s.Patterns {
+		kept[pi] = p.Kept()
+	}
 	var choices []int
 	for r := 0; r < w.Rows; r += psize {
 		for c := 0; c < w.Cols; c += psize {
+			interior := r+psize <= w.Rows && c+psize <= w.Cols
 			best, bestNorm := 0, -1.0
-			for pi, p := range s.Patterns {
+			for pi, offs := range kept {
 				var norm float64
-				for i := 0; i < psize; i++ {
-					for j := 0; j < psize; j++ {
-						if p.Bits[i*psize+j] == 0 {
-							continue
-						}
-						rr, cc := r+i, c+j
-						if rr < w.Rows && cc < w.Cols {
-							v := w.At(rr, cc)
-							norm += v * v
-						}
+				for _, o := range offs {
+					rr, cc := r+o[0], c+o[1]
+					if interior || (rr < w.Rows && cc < w.Cols) {
+						v := w.Data[rr*w.Cols+cc]
+						norm += v * v
 					}
 				}
 				if norm > bestNorm {
@@ -246,7 +259,22 @@ func (s *Set) Apply(w *mat.Matrix) (*mat.Matrix, []int) {
 				}
 			}
 			choices = append(choices, best)
-			p := s.Patterns[best]
+		}
+	}
+	return choices
+}
+
+// Apply builds a full-size 0/1 mask for w from the per-block choices of
+// Choose. It returns the mask and the choices, for storage accounting.
+func (s *Set) Apply(w *mat.Matrix) (*mat.Matrix, []int) {
+	choices := s.Choose(w)
+	psize := s.PSize()
+	mask := mat.New(w.Rows, w.Cols)
+	t := 0
+	for r := 0; r < w.Rows; r += psize {
+		for c := 0; c < w.Cols; c += psize {
+			p := s.Patterns[choices[t]]
+			t++
 			for i := 0; i < psize; i++ {
 				for j := 0; j < psize; j++ {
 					rr, cc := r+i, c+j

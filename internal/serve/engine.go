@@ -39,6 +39,10 @@ type Model interface {
 	// reusable packed buffers; the engine copies them at its boundary.
 	ForwardBatch(seqs [][]int) []*mat.Matrix
 	PrunableLinears() []*nn.Linear
+	// UnprunedLinears lists the serving-path linears no level prunes (the
+	// output projection, the classification head). The engine runs them
+	// through a packed kernel too, one that no level switch touches.
+	UnprunedLinears() []*nn.Linear
 	// SetBufferReuse toggles preallocated activation buffers; the engine
 	// turns it on so steady-state forward passes skip per-layer output
 	// allocations (outputs are copied at the engine boundary).
@@ -49,8 +53,8 @@ type Model interface {
 type EngineConfig struct {
 	// Format names the execution format built from the kernel registry
 	// for every (level, layer) pair. Default "pattern" — the RT3 serving
-	// format; any registered format ("coo", "csr", "blockcsr", "dense")
-	// executes the same pattern-masked weights.
+	// format; every registered format (kernel.Formats) executes the same
+	// pattern-masked weights.
 	Format string
 	// KernelWorkers, when > 1, wraps every packed kernel in
 	// kernel.Parallel(k, KernelWorkers) so a single forward pass
@@ -91,6 +95,10 @@ type Engine struct {
 	// shared kernels to its own pool — replicas run forward passes
 	// concurrently, while layers within one replica run sequentially.
 	kernels [][][]kernel.Kernel
+	// unpruned[r][i] is the packed kernel of replica r's i-th unpruned
+	// linear (Model.UnprunedLinears order): level-independent, installed
+	// at construction and lifted only while a dense reference runs.
+	unpruned [][]kernel.Kernel
 	// pools[r] is replica r's worker pool (nil when KernelWorkers <= 1).
 	pools []*kernel.Pool
 
@@ -171,9 +179,11 @@ func NewEngine(bundle *deploy.Bundle, replicas []Model, costs rtswitch.SwitchCos
 // NewEngineConfigured deploys a bundle onto the given model replicas:
 // backbone weights are written into every replica's prunable
 // projections, each level's kernels are built once through the kernel
-// registry, activation-buffer reuse is enabled on every replica, and the
-// first (fastest) level is activated. All replicas must be clones of the
-// same checkpoint.
+// registry, each replica's unpruned linears get a packed dense kernel,
+// activation-buffer reuse is enabled on every replica, and the first
+// (fastest) level is activated. All replicas must be clones of the same
+// checkpoint, and from here on serve only: every linear now reads packed
+// copies of its weights, and Backward refuses to run on them.
 func NewEngineConfigured(bundle *deploy.Bundle, replicas []Model, costs rtswitch.SwitchCostModel, cfg EngineConfig) (*Engine, error) {
 	if len(replicas) == 0 {
 		return nil, fmt.Errorf("serve: need at least one model replica")
@@ -220,7 +230,7 @@ func NewEngineConfigured(bundle *deploy.Bundle, replicas []Model, costs rtswitch
 	}
 	// pack each (level, layer) once and share across replicas: packed
 	// weights are read-only, and any internal per-call scratch a format
-	// keeps (e.g. the Pattern kernel's batched-layout free list) must be
+	// keeps (e.g. the Pattern kernel's lane-major free list) must be
 	// internally synchronized for concurrent MulInto calls. Then wrap per
 	// replica, because kernel.Parallel wrappers carry unsynchronized
 	// per-call state and must not be shared across concurrent callers.
@@ -237,6 +247,7 @@ func NewEngineConfigured(bundle *deploy.Bundle, replicas []Model, costs rtswitch
 		}
 	}
 	e.kernels = make([][][]kernel.Kernel, len(e.replicas))
+	e.unpruned = make([][]kernel.Kernel, len(e.replicas))
 	e.pools = make([]*kernel.Pool, len(e.replicas))
 	for ri := range e.replicas {
 		if e.cfg.KernelWorkers > 1 {
@@ -251,6 +262,19 @@ func NewEngineConfigured(bundle *deploy.Bundle, replicas []Model, costs rtswitch
 				}
 				e.kernels[ri][lvl][j] = k
 			}
+		}
+		// the unpruned linears are the same at every level: pack each
+		// replica's once (float64 panels, bit-identical to the dense
+		// product they replace) and leave them installed — install and
+		// InstallReplicaLevel only ever touch the prunable linears; the
+		// dense references lift them for the length of the reference run
+		for _, l := range e.replicas[ri].UnprunedLinears() {
+			var k kernel.Kernel = kernel.NewPacked(l.W.Value)
+			if e.pools[ri] != nil {
+				k = e.pools[ri].Bind(k)
+			}
+			l.SetKernel(k)
+			e.unpruned[ri] = append(e.unpruned[ri], k)
 		}
 	}
 	e.install(0)
@@ -479,6 +503,38 @@ func (e *Engine) InstallReplicaLevel(replica, level int) error {
 	return nil
 }
 
+// denseReference turns replica 0 into the masked dense reference of level
+// idx: level idx's mask applied to the dense weights of the prunable
+// linears, and every serving kernel removed — the level's and the unpruned
+// linears' packed panels alike, so the reference shares no kernel code
+// with the execution it checks. The returned function restores the dense
+// weights, the active level's kernels and the unpruned linears' kernels.
+func (e *Engine) denseReference(idx int) (restore func()) {
+	m := e.replicas[0]
+	lins := m.PrunableLinears()
+	for j, l := range lins {
+		mask, _ := e.bundle.Sets[idx].Apply(e.weights[j])
+		masked := e.weights[j].Clone()
+		masked.Hadamard(mask)
+		l.W.Value.CopyFrom(masked)
+		l.SetKernel(nil)
+	}
+	unpruned := m.UnprunedLinears()
+	for _, l := range unpruned {
+		l.SetKernel(nil)
+	}
+	return func() {
+		cur := e.recon.Current()
+		for j, l := range lins {
+			l.W.Value.CopyFrom(e.weights[j])
+			l.SetKernel(e.kernels[0][cur][j])
+		}
+		for i, l := range unpruned {
+			l.SetKernel(e.unpruned[0][i])
+		}
+	}
+}
+
 // DenseGenerateSplit greedily decodes the masked dense reference for a
 // split request at level idx: the frozen memory is the encoder over
 // prefix alone, the suffix is teacher-forced through the decoder, and
@@ -497,14 +553,7 @@ func (e *Engine) DenseGenerateSplit(idx int, prefix, suffix []int, maxTokens, eo
 	if err != nil {
 		return nil, err
 	}
-	lins := dm.PrunableLinears()
-	for j, l := range lins {
-		mask, _ := e.bundle.Sets[idx].Apply(e.weights[j])
-		masked := e.weights[j].Clone()
-		masked.Hadamard(mask)
-		l.W.Value.CopyFrom(masked)
-		l.SetKernel(nil)
-	}
+	defer e.denseReference(idx)()
 	st := dm.NewDecodeState()
 	st.Reserve(len(prefix) + len(suffix) + maxTokens)
 	dm.Prefill([]*transformer.DecodeState{st}, [][]int{prefix})
@@ -514,11 +563,6 @@ func (e *Engine) DenseGenerateSplit(idx int, prefix, suffix []int, maxTokens, eo
 	for tokens[len(tokens)-1] != eos && len(tokens) < maxTokens {
 		logits := dm.DecodeStep([]*transformer.DecodeState{st}, []int{tokens[len(tokens)-1]})
 		tokens = append(tokens, logits.ArgmaxRow(0))
-	}
-	cur := e.recon.Current()
-	for j, l := range lins {
-		l.W.Value.CopyFrom(e.weights[j])
-		l.SetKernel(e.kernels[0][cur][j])
 	}
 	return tokens, nil
 }
@@ -592,22 +636,8 @@ func (e *Engine) DenseForward(idx int, ids []int) (*mat.Matrix, error) {
 	if idx < 0 || idx >= e.NumLevels() {
 		return nil, fmt.Errorf("serve: level %d out of range %d", idx, e.NumLevels())
 	}
-	m := e.replicas[0]
-	lins := m.PrunableLinears()
-	for j, l := range lins {
-		mask, _ := e.bundle.Sets[idx].Apply(e.weights[j])
-		masked := e.weights[j].Clone()
-		masked.Hadamard(mask)
-		l.W.Value.CopyFrom(masked)
-		l.SetKernel(nil)
-	}
-	out := m.Forward(ids).Clone()
-	cur := e.recon.Current()
-	for j, l := range lins {
-		l.W.Value.CopyFrom(e.weights[j])
-		l.SetKernel(e.kernels[0][cur][j])
-	}
-	return out, nil
+	defer e.denseReference(idx)()
+	return e.replicas[0].Forward(ids).Clone(), nil
 }
 
 // DenseGenerate greedily decodes up to maxTokens tokens from prompt on
@@ -628,14 +658,7 @@ func (e *Engine) DenseGenerate(idx int, prompt []int, maxTokens, eos int) ([]int
 	if err != nil {
 		return nil, err
 	}
-	lins := dm.PrunableLinears()
-	for j, l := range lins {
-		mask, _ := e.bundle.Sets[idx].Apply(e.weights[j])
-		masked := e.weights[j].Clone()
-		masked.Hadamard(mask)
-		l.W.Value.CopyFrom(masked)
-		l.SetKernel(nil)
-	}
+	defer e.denseReference(idx)()
 	st := dm.NewDecodeState()
 	st.Reserve(len(prompt) + maxTokens)
 	outs := dm.Prefill([]*transformer.DecodeState{st}, [][]int{prompt})
@@ -644,11 +667,6 @@ func (e *Engine) DenseGenerate(idx int, prompt []int, maxTokens, eos int) ([]int
 	for tokens[len(tokens)-1] != eos && len(tokens) < maxTokens {
 		logits := dm.DecodeStep([]*transformer.DecodeState{st}, []int{tokens[len(tokens)-1]})
 		tokens = append(tokens, logits.ArgmaxRow(0))
-	}
-	cur := e.recon.Current()
-	for j, l := range lins {
-		l.W.Value.CopyFrom(e.weights[j])
-		l.SetKernel(e.kernels[0][cur][j])
 	}
 	return tokens, nil
 }

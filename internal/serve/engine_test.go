@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"rt3/internal/kernel"
 	"rt3/internal/mat"
+	"rt3/internal/nn"
 	"rt3/internal/rtswitch"
 	"rt3/internal/serve"
 	"rt3/internal/transformer"
@@ -201,5 +203,133 @@ func TestEngineForwardOutputsIndependent(t *testing.T) {
 	}
 	if !mat.Equal(a, ref, 1e-9) {
 		t.Fatal("retained response no longer matches dense execution")
+	}
+}
+
+// TestEngineUnprunedLinearsKeepPackedKernel: the output projection is
+// level-independent, so the engine packs it once per replica and nothing
+// that repoints the prunable linears — a switch, a rejected switch, an
+// injected switch fault, a per-replica draft install, a dense reference
+// — may drop or replace that kernel. It also has to be exact: logits
+// stay bit-identical to the dense product over the same weights, and
+// Backward keeps refusing to differentiate through a packed layer.
+func TestEngineUnprunedLinearsKeepPackedKernel(t *testing.T) {
+	eng, lms := newLMDeployment(t, 2, "")
+	type held struct {
+		lin *nn.Linear
+		k   kernel.Kernel
+	}
+	var projs []held
+	for _, lm := range lms {
+		k := lm.Proj.Kernel()
+		if _, ok := k.(*kernel.PackedKernel); !ok {
+			t.Fatalf("output projection runs %T, want the packed f64 kernel", k)
+		}
+		projs = append(projs, held{lm.Proj, k})
+	}
+	check := func(when string) {
+		t.Helper()
+		for r, p := range projs {
+			if p.lin.Kernel() != p.k {
+				t.Fatalf("replica %d lost its output-projection kernel after %s", r, when)
+			}
+		}
+	}
+
+	if _, err := eng.SwitchTo(1); err != nil {
+		t.Fatal(err)
+	}
+	check("a switch")
+	if _, err := eng.SwitchTo(eng.NumLevels()); err == nil {
+		t.Fatal("out-of-range switch accepted")
+	}
+	check("a rejected switch")
+	eng.InjectSwitchError(fmt.Errorf("injected"))
+	if _, err := eng.SwitchTo(2); err == nil {
+		t.Fatal("injected switch fault did not surface")
+	}
+	check("a failed switch")
+	if err := eng.InstallReplicaLevel(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.InstallReplicaLevel(1, eng.Level()); err != nil {
+		t.Fatal(err)
+	}
+	check("a per-replica level install")
+	prompt := []int{3, 1, 4, 1, 5}
+	if _, err := eng.DenseGenerate(eng.Level(), prompt, 4, -1); err != nil {
+		t.Fatal(err)
+	}
+	check("a dense reference")
+
+	// exactness: the same forward with the projection forced dense
+	got := eng.Forward(0, prompt)
+	lms[0].Proj.SetKernel(nil)
+	want := eng.Forward(0, prompt)
+	lms[0].Proj.SetKernel(projs[0].k)
+	if !mat.Equal(got, want, 0) {
+		t.Fatal("packed output projection is not bit-identical to the dense product")
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Backward ran through a packed output projection")
+		}
+	}()
+	lms[0].Proj.Backward(mat.New(len(prompt), lms[0].Proj.Out))
+}
+
+// countingKernel counts the products run through the kernel it wraps.
+type countingKernel struct {
+	kernel.Kernel
+	calls int
+}
+
+func (c *countingKernel) MulInto(dst, x *mat.Matrix) {
+	c.calls++
+	c.Kernel.MulInto(dst, x)
+}
+
+// TestDenseReferencesRunUnprunedLinearsDense: the masked dense references
+// are what every served output is checked against, so they must not run
+// the kernels under test — neither the level's kernels on the prunable
+// linears nor the packed panels on the output projection. A spy on the
+// projection sees serving passes and must see none of a reference's; the
+// reference then puts the engine's own packed kernel back.
+func TestDenseReferencesRunUnprunedLinearsDense(t *testing.T) {
+	eng, lms := newLMDeployment(t, 1, "")
+	proj := lms[0].Proj
+	packed := proj.Kernel()
+	prompt := []int{3, 1, 4, 1, 5}
+
+	refs := map[string]func() error{
+		"DenseForward": func() error { _, err := eng.DenseForward(1, prompt); return err },
+		"DenseGenerate": func() error {
+			_, err := eng.DenseGenerate(1, prompt, 4, -1)
+			return err
+		},
+		"DenseGenerateSplit": func() error {
+			_, err := eng.DenseGenerateSplit(1, prompt[:3], prompt[3:], 4, -1)
+			return err
+		},
+	}
+	for name, ref := range refs {
+		spy := &countingKernel{Kernel: packed}
+		proj.SetKernel(spy)
+		eng.Forward(0, prompt)
+		if spy.calls == 0 {
+			t.Fatal("spy on the output projection saw no serving pass")
+		}
+		served := spy.calls
+		if err := ref(); err != nil {
+			t.Fatal(err)
+		}
+		if spy.calls != served {
+			t.Errorf("%s ran the output projection through its serving kernel %d times, want dense", name, spy.calls-served)
+		}
+		if proj.Kernel() != packed {
+			t.Errorf("%s left %T on the output projection, want the engine's packed kernel back", name, proj.Kernel())
+		}
+		proj.SetKernel(packed)
 	}
 }

@@ -9,13 +9,18 @@
 //
 // Every format implements the destination-passing MulInto kernel (zero
 // allocations in steady state) shared with internal/kernel; MulMat is a
-// thin allocating shim kept for convenience and legacy tests.
+// thin allocating shim kept for convenience and legacy tests. COO, CSR
+// and block-CSR execute as scalar Go loops over their own storage;
+// Pattern, the serving default, repacks its kept weights into per-column
+// streams and executes through mat.GemmLanes, the lane-parallel AVX
+// micro-kernel (with a portable twin).
 package sparse
 
 import (
 	"fmt"
 
 	"rt3/internal/mat"
+	"rt3/internal/pattern"
 )
 
 // checkMulShapes validates one X @ W product: x is batch x rows and dst
@@ -268,222 +273,108 @@ func (c *BlockCSR) MulMat(x *mat.Matrix) *mat.Matrix {
 	return y
 }
 
-// Pattern is the PP execution format: the matrix is tiled into
-// psize x psize blocks; each tile stores a pattern id into a small
-// shared dictionary plus the values at the pattern's kept positions, in
-// pattern order. The PatDNN-style regularity: all tiles with the same
-// pattern id run the identical (compiler-unrolled) inner loop.
+// Pattern is the PP execution format. Its storage model is the paper's:
+// the matrix is tiled into psize x psize blocks, each tile stores a
+// pattern id into a small shared dictionary plus the values at the
+// pattern's kept positions — that is what NNZ and IndexWords report.
+// For execution the kept values are repacked once, at build time, into
+// per-column ascending-k streams (mat.LaneWeights) and every product
+// runs through the lane-parallel micro-kernel mat.GemmLanes: work is
+// proportional to the kept weights, and results are bit-identical to
+// dense execution over the masked matrix. The streams index rows with 16
+// bits, so a Pattern holds at most mat.LaneMaxK (65535) input rows.
 type Pattern struct {
 	Rows, Cols, PSize int
-	// Dict[i] lists the kept (r, c) offsets of pattern i within a tile.
-	Dict [][][2]int8
-	// Tiles in row-major tile order.
-	Tiles []patternTile
 
-	// scratch is a free list of transposed execution buffers for the
-	// batched fast path: concurrent MulInto calls (serving replicas share
-	// one packed Pattern read-only) each borrow their own buffers, so
-	// steady-state execution stays allocation-free without sharing
-	// mutable state across goroutines.
-	scratch mat.FreeList[*patternScratch]
-}
-
-// patternScratch holds one caller's transposed x and dst buffers.
-type patternScratch struct {
-	xt, yt []float64
-}
-
-func newPatternScratch() *patternScratch { return new(patternScratch) }
-
-// patternBatchedMinRows is the batch-row threshold above which MulInto
-// switches to the batch-contiguous layout: below it the transpose
-// overhead outweighs the contiguous inner loop, and short inputs stay on
-// the row-outer path.
-const patternBatchedMinRows = 8
-
-type patternTile struct {
-	r0, c0 int
-	id     int32
-	// interior marks tiles lying fully inside the matrix, letting the
-	// hot loop skip per-element bounds checks (edge tiles keep them).
-	interior bool
-	vals     []float64 // len == len(Dict[id]), in dictionary order
+	// nnz and indexWords are the dictionary storage model: every kept
+	// position of every tile, one id per tile plus the dictionary offsets.
+	nnz, indexWords int
+	// w holds the kept weights, the only copy of the values.
+	w *mat.LaneWeights
 }
 
 // NewPattern packs w given the per-tile pattern choices. bits[i] holds
 // pattern i's psize*psize 0/1 mask; choices lists the pattern id of each
-// tile in row-major order (as returned by pattern.Set.Apply).
+// tile in row-major order (as returned by pattern.Set.Choose). It is an
+// error for w to have more than mat.LaneMaxK rows.
 func NewPattern(w *mat.Matrix, psize int, bits [][]uint8, choices []int) (*Pattern, error) {
+	if psize <= 0 {
+		return nil, fmt.Errorf("sparse: pattern size %d", psize)
+	}
 	p := &Pattern{Rows: w.Rows, Cols: w.Cols, PSize: psize}
-	for _, bm := range bits {
+	// dict[i] lists the kept (r, c) offsets of pattern i within a tile,
+	// row-major, so a column's kept rows come up in ascending order.
+	dict := make([][][2]int, len(bits))
+	for id, bm := range bits {
 		if len(bm) != psize*psize {
 			return nil, fmt.Errorf("sparse: pattern bitmap len %d != %d", len(bm), psize*psize)
 		}
-		var offs [][2]int8
-		for i := 0; i < psize; i++ {
-			for j := 0; j < psize; j++ {
-				if bm[i*psize+j] != 0 {
-					offs = append(offs, [2]int8{int8(i), int8(j)})
+		dict[id] = pattern.Pattern{Size: psize, Bits: bm}.Kept()
+		p.indexWords += len(dict[id])
+	}
+	tiles := ((w.Rows + psize - 1) / psize) * ((w.Cols + psize - 1) / psize)
+	if len(choices) != tiles {
+		return nil, fmt.Errorf("sparse: %d choices for %d tiles", len(choices), tiles)
+	}
+	for _, id := range choices {
+		if id < 0 || id >= len(dict) {
+			return nil, fmt.Errorf("sparse: pattern id %d out of dict %d", id, len(dict))
+		}
+		p.nnz += len(dict[id])
+	}
+	p.indexWords += tiles
+
+	// walk visits the in-range kept positions tile by tile, so every
+	// column sees its rows in ascending order: once to size the column
+	// streams, once to fill them.
+	counts := make([]int32, w.Cols)
+	var lw *mat.LaneWeights
+	walk := func(fill bool) {
+		t := 0
+		for r0 := 0; r0 < w.Rows; r0 += psize {
+			for c0 := 0; c0 < w.Cols; c0 += psize {
+				for _, o := range dict[choices[t]] {
+					r, c := r0+o[0], c0+o[1]
+					if r >= w.Rows || c >= w.Cols {
+						continue
+					}
+					if fill {
+						lw.Put(c, int(counts[c]), r, w.Data[r*w.Cols+c])
+					}
+					counts[c]++
 				}
+				t++
 			}
 		}
-		p.Dict = append(p.Dict, offs)
 	}
-	t := 0
-	for r := 0; r < w.Rows; r += psize {
-		for c := 0; c < w.Cols; c += psize {
-			if t >= len(choices) {
-				return nil, fmt.Errorf("sparse: %d choices for %d tiles", len(choices), t+1)
-			}
-			id := choices[t]
-			if id < 0 || id >= len(p.Dict) {
-				return nil, fmt.Errorf("sparse: pattern id %d out of dict %d", id, len(p.Dict))
-			}
-			offs := p.Dict[id]
-			vals := make([]float64, len(offs))
-			for k, o := range offs {
-				rr, cc := r+int(o[0]), c+int(o[1])
-				if rr < w.Rows && cc < w.Cols {
-					vals[k] = w.At(rr, cc)
-				}
-			}
-			p.Tiles = append(p.Tiles, patternTile{
-				r0: r, c0: c, id: int32(id),
-				interior: r+psize <= w.Rows && c+psize <= w.Cols,
-				vals:     vals,
-			})
-			t++
-		}
+	walk(false)
+	lw, err := mat.NewLaneWeights(w.Rows, w.Cols, counts)
+	if err != nil {
+		return nil, fmt.Errorf("sparse: %w", err)
 	}
-	if t != len(choices) {
-		return nil, fmt.Errorf("sparse: %d choices for %d tiles", len(choices), t)
-	}
+	clear(counts)
+	walk(true)
+	p.w = lw
 	return p, nil
 }
 
 // Dims returns the logical (rows, cols) of the stored weight matrix.
 func (p *Pattern) Dims() (rows, cols int) { return p.Rows, p.Cols }
 
-// NNZ returns the stored value count.
-func (p *Pattern) NNZ() int {
-	n := 0
-	for _, t := range p.Tiles {
-		n += len(t.vals)
-	}
-	return n
-}
+// NNZ returns the stored value count of the dictionary storage model:
+// every kept position of every tile.
+func (p *Pattern) NNZ() int { return p.nnz }
 
 // IndexWords returns the stored index words: one id per tile plus the
 // shared dictionary offsets.
-func (p *Pattern) IndexWords() int {
-	n := len(p.Tiles)
-	for _, d := range p.Dict {
-		n += len(d)
-	}
-	return n
-}
+func (p *Pattern) IndexWords() int { return p.indexWords }
 
 // MulInto computes dst = X @ W for X batch x Rows into the pre-allocated
-// batch x Cols destination, allocation-free in steady state.
-//
-// Two execution layouts produce bit-identical results:
-//
-//   - Short inputs run row-outer: for each batch row, walk every tile's
-//     nonzeros. Interior tiles run a bounds-check-free inner loop; edge
-//     tiles (when Rows or Cols is not a multiple of PSize) keep the
-//     per-element clipping.
-//   - Batches of patternBatchedMinRows rows or more (a fused packed
-//     multi-sequence forward) run batch-contiguous: x and dst are
-//     transposed into reusable scratch so the batch dimension becomes
-//     the contiguous inner loop. Each nonzero is decoded once per call
-//     instead of once per row, the packed weight stream is read once per
-//     call instead of once per row, and the inner loop is a contiguous
-//     AXPY over the whole batch — the single-core win that makes fusing
-//     a dynamic batch into one forward pay off.
-//
-// Per destination element both layouts apply the same contributions in
-// the same (tile, nonzero) order, so the choice is invisible to callers.
+// batch x Cols destination, allocation-free in steady state and safe for
+// concurrent calls on disjoint destinations (see mat.GemmLanes).
 func (p *Pattern) MulInto(dst, x *mat.Matrix) {
 	checkMulShapes("Pattern", dst, x, p.Rows, p.Cols)
-	if x.Rows >= patternBatchedMinRows {
-		p.mulIntoBatched(dst, x)
-		return
-	}
-	dst.Zero()
-	for bi := 0; bi < x.Rows; bi++ {
-		xr := x.Row(bi)
-		yr := dst.Row(bi)
-		for ti := range p.Tiles {
-			t := &p.Tiles[ti]
-			offs := p.Dict[t.id]
-			if t.interior {
-				for k, v := range t.vals {
-					if v == 0 {
-						continue
-					}
-					o := offs[k]
-					yr[t.c0+int(o[1])] += xr[t.r0+int(o[0])] * v
-				}
-				continue
-			}
-			for k, v := range t.vals {
-				if v == 0 {
-					continue
-				}
-				r := t.r0 + int(offs[k][0])
-				c := t.c0 + int(offs[k][1])
-				if r < p.Rows && c < p.Cols {
-					yr[c] += xr[r] * v
-				}
-			}
-		}
-	}
-}
-
-// mulIntoBatched is the batch-contiguous layout (see MulInto).
-func (p *Pattern) mulIntoBatched(dst, x *mat.Matrix) {
-	rows := x.Rows
-	s := p.scratch.Get(newPatternScratch)
-	defer p.scratch.Put(s)
-	s.xt = mat.GrowFloats(s.xt, p.Rows*rows)
-	s.yt = mat.GrowFloats(s.yt, p.Cols*rows)
-	xt, yt := s.xt, s.yt
-
-	for b := 0; b < rows; b++ {
-		for r, v := range x.Row(b) {
-			xt[r*rows+b] = v
-		}
-	}
-	for i := range yt {
-		yt[i] = 0
-	}
-
-	for ti := range p.Tiles {
-		t := &p.Tiles[ti]
-		offs := p.Dict[t.id]
-		for k, v := range t.vals {
-			if v == 0 {
-				continue
-			}
-			r := t.r0 + int(offs[k][0])
-			c := t.c0 + int(offs[k][1])
-			if !t.interior && (r >= p.Rows || c >= p.Cols) {
-				continue
-			}
-			xr := xt[r*rows : r*rows+rows]
-			yr := yt[c*rows : c*rows+rows]
-			for b, xv := range xr {
-				yr[b] += xv * v
-			}
-		}
-	}
-
-	for b := 0; b < rows; b++ {
-		dr := dst.Row(b)
-		for c := range dr {
-			dr[c] = yt[c*rows+b]
-		}
-	}
+	mat.GemmLanes(dst, x, p.w)
 }
 
 // MulMat computes Y = X @ W where X is batch x Rows.

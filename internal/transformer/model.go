@@ -136,6 +136,10 @@ func (m *LMModel) PrunableLinears() []*nn.Linear {
 	return out
 }
 
+// UnprunedLinears returns the serving-path linears no level prunes: the
+// output projection.
+func (m *LMModel) UnprunedLinears() []*nn.Linear { return []*nn.Linear{m.Proj} }
+
 // SetBufferReuse toggles preallocated activation buffers through the
 // whole forward stack — every Linear (including the output projection),
 // embedding gather, LayerNorm, GELU, attention head scratch, and the
@@ -309,6 +313,10 @@ func (c *Classifier) PrunableLinears() []*nn.Linear {
 	}
 	return out
 }
+
+// UnprunedLinears returns the serving-path linears no level prunes: the
+// classification head.
+func (c *Classifier) UnprunedLinears() []*nn.Linear { return []*nn.Linear{c.Head} }
 
 // SetBufferReuse toggles preallocated activation buffers through the
 // whole forward stack, including the classification head and the pooled
