@@ -2,6 +2,7 @@ package mat
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -193,5 +194,36 @@ func TestGrow(t *testing.T) {
 	g2 := Grow(s, 16)
 	if len(g2) != 16 {
 		t.Fatalf("Grow len %d", len(g2))
+	}
+}
+
+// TestAttendAsmMatchesPortable pins the AVX kernel of the attention core
+// to vecMatGo bit for bit, through the shared nest, at every block edge:
+// probabilities and context equal, and nothing stored past either.
+func TestAttendAsmMatchesPortable(t *testing.T) {
+	rng := rand.New(rand.NewSource(94))
+	for _, hd := range []int{1, 3, 4, 5, 16, 17, 48, 64} {
+		for _, rows := range []int{1, 2, 7, 15, 16, 17, 31, 32, 33, 100, 208} {
+			ld := AttendPadded(rows) + 16
+			vs := hd + 5
+			q, kT, v := New(1, hd), New(hd, ld), New(rows, vs)
+			q.Randomize(rng, 1)
+			kT.Randomize(rng, 1)
+			v.Randomize(rng, 1)
+			scale := 1 / math.Sqrt(float64(hd))
+			// one guarded matrix per result: row 0 is the result, the
+			// rows behind it the sentinel
+			gotP, pIntact := guarded(t, 1, rows)
+			gotOut, outIntact := guarded(t, 1, hd)
+			wantP, wantOut := New(1, rows), New(1, hd)
+			attend(gotOut.Data, q.Data, kT.Data, ld, v.Data, vs, rows, scale, gotP.Data, laneAsm)
+			attend(wantOut.Data, q.Data, kT.Data, ld, v.Data, vs, rows, scale, wantP.Data, false)
+			what := fmt.Sprintf("head dim %d, %d rows", hd, rows)
+			pIntact(what + " probabilities")
+			outIntact(what + " context")
+			if !Equal(gotP, wantP, 0) || !Equal(gotOut, wantOut, 0) {
+				t.Fatalf("%s: attention asm differs from portable kernel", what)
+			}
+		}
 	}
 }

@@ -4,8 +4,8 @@ package mat
 
 // The asm fast paths have no implementation off amd64 (or under the
 // purego tag, which CI uses to run the portable kernels on an amd64
-// runner); GemmPanels, Gemm8 and GemmLanes run the portable kernels
-// instead.
+// runner); GemmPanels, Gemm8, GemmLanes and Attend run the portable
+// kernels instead.
 
 func gemmAsm64(dst *Matrix, x []float64, p *Panels[float64]) bool { return false }
 
@@ -17,4 +17,8 @@ const laneAsm = false
 
 func laneKern8AVX(idx *uint16, val *float64, steps int, xt, c *float64, ldc int, cols *int32, rows int) {
 	panic("mat: laneKern8AVX without asm")
+}
+
+func vecMat16AVX(dst, a *float64, n int, b *float64, stride, cols int, scale float64) {
+	panic("mat: vecMat16AVX without asm")
 }

@@ -187,12 +187,12 @@ const matMulTile = 32
 
 // MatMulT computes dst = a @ b^T, with dst pre-allocated a.Rows x b.Rows.
 //
-// The loops are tiled over the rows of a and b (the attention score path
-// runs this over per-sequence blocks of long packed batches): each b
-// tile is reused from cache across a whole a tile instead of being
-// re-streamed for every query row. Each dst element is still one full
-// contraction in ascending k order, so results are bit-identical to the
-// untiled triple loop.
+// The loops are tiled over the rows of a and b (the attention backward
+// runs this over per-sequence blocks of long packed batches; the forward
+// scores go through Attend): each b tile is reused from cache across a
+// whole a tile instead of being re-streamed for every row of a. Each dst
+// element is still one full contraction in ascending k order, so results
+// are bit-identical to the untiled triple loop.
 func MatMulT(dst, a, b *Matrix) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MatMulT inner dims %d != %d", a.Cols, b.Cols))
@@ -331,23 +331,7 @@ func (m *Matrix) AddRowVector(v []float64) {
 // SoftmaxRows applies a numerically stable softmax to every row in place.
 func (m *Matrix) SoftmaxRows() {
 	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		maxv := row[0]
-		for _, v := range row[1:] {
-			if v > maxv {
-				maxv = v
-			}
-		}
-		var sum float64
-		for j, v := range row {
-			e := math.Exp(v - maxv)
-			row[j] = e
-			sum += e
-		}
-		inv := 1 / sum
-		for j := range row {
-			row[j] *= inv
-		}
+		softmaxRow(m.Row(i))
 	}
 }
 

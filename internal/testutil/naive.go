@@ -1,6 +1,10 @@
 package testutil
 
-import "rt3/internal/mat"
+import (
+	"math"
+
+	"rt3/internal/mat"
+)
 
 // Naive matrix-product references shared by the mat, kernel, and nn
 // test suites: the exact loops the production kernels replaced. Each
@@ -55,4 +59,45 @@ func NaiveMatMulTA(dst, a, b *mat.Matrix) {
 			}
 		}
 	}
+}
+
+// NaiveAttend is the scalar reference for one head-row of attention
+// over the rows of k and v (both rows x len(q)): each score an
+// ascending-feature dot product then one multiply by scale, the
+// max-subtracted softmax loop of mat.SoftmaxRows (restated here, so the
+// reference shares no code with the core), and each context element an
+// ascending-row sum of p[j]*v[j] with no zero skip. It writes the
+// context into out and returns the probabilities.
+func NaiveAttend(out, q []float64, k, v *mat.Matrix, scale float64) []float64 {
+	p := make([]float64, k.Rows)
+	for j := range p {
+		var s float64
+		for c, qv := range q {
+			s += qv * k.Data[j*k.Cols+c]
+		}
+		p[j] = s * scale
+	}
+	maxv := p[0]
+	for _, s := range p[1:] {
+		if s > maxv {
+			maxv = s
+		}
+	}
+	var sum float64
+	for j, s := range p {
+		p[j] = math.Exp(s - maxv)
+		sum += p[j]
+	}
+	inv := 1 / sum
+	for j := range p {
+		p[j] *= inv
+	}
+	for c := range out {
+		var s float64
+		for j, pv := range p {
+			s += pv * v.Data[j*v.Cols+c]
+		}
+		out[c] = s
+	}
+	return p
 }

@@ -42,13 +42,16 @@ type MultiHeadAttention struct {
 	qOff, kvOff []int
 	causal      bool
 
-	// reusable forward scratch (active when reuse is on)
-	reuse                  bool
-	qh, kh, vh, oh, concat *mat.Matrix
+	// reusable forward scratch (active when reuse is on): the packed
+	// context rows, and one head of the batch's keys in the feature-major
+	// form mat.Attend reads
+	reuse  bool
+	concat *mat.Matrix
+	kT     []float64
 
-	// incremental-decoding scratch (see decode.go): the per-(head,
-	// sequence) score row of a cached decode step, sized to the largest
-	// cache capacity so steady-state steps allocate nothing.
+	// incremental-decoding scratch (see decode.go): the score row of one
+	// cached (head, query row), sized to the largest cache so
+	// steady-state steps allocate nothing.
 	decScores []float64
 }
 
@@ -88,7 +91,7 @@ func (a *MultiHeadAttention) SetBufferReuse(on bool) {
 	a.WO.SetBufferReuse(on)
 	a.reuse = on
 	if !on {
-		a.qh, a.kh, a.vh, a.oh, a.concat = nil, nil, nil, nil, nil
+		a.concat, a.kT = nil, nil
 	}
 }
 
@@ -104,15 +107,30 @@ func (a *MultiHeadAttention) Forward(q, kv *mat.Matrix, causal bool) *mat.Matrix
 // q is (ΣLq x dim) and kv is (ΣLk x dim), with qOff and kvOff the
 // per-sequence row offsets (len n+1, starting at 0 and ending at the
 // respective row counts; sequence s spans rows [off[s], off[s+1])).
-// Attention scores are block-diagonal — sequence s's queries attend
-// only to sequence s's keys — and optionally causal within each block,
-// so the result is bit-identical to running every sequence through
-// Forward alone while the four projections each execute as one fused
-// kernel product over all packed rows.
+// Attention is block-diagonal — sequence s's queries attend only to
+// sequence s's keys — and optionally causal within each block (query
+// row i attends a window of its first i+1 keys), so the result is
+// bit-identical to running every sequence through Forward alone while
+// the four projections each execute as one fused kernel product over
+// all packed rows. A sequence with query rows must have key rows.
+//
+// Every (head, query row) runs mat.Attend, the body the cached decode
+// paths run too: each head of K is transposed once into feature-major
+// scratch, V and the context rows are read and written in place through
+// their row stride.
 func (a *MultiHeadAttention) ForwardBatch(q, kv *mat.Matrix, qOff, kvOff []int, causal bool) *mat.Matrix {
 	nSeq := checkOffsets("q", qOff, q.Rows)
 	if n := checkOffsets("kv", kvOff, kv.Rows); n != nSeq {
 		panic(fmt.Sprintf("transformer: %d query sequences but %d key/value sequences", nSeq, n))
+	}
+	for s := 0; s < nSeq; s++ {
+		lq, lk := qOff[s+1]-qOff[s], kvOff[s+1]-kvOff[s]
+		if causal && lq != lk {
+			panic("transformer: causal attention requires seqQ == seqK")
+		}
+		if lq > 0 && lk == 0 {
+			panic(fmt.Sprintf("transformer: sequence %d has %d query rows and no key rows to attend", s, lq))
+		}
 	}
 	a.causal = causal
 	a.qOff, a.kvOff = qOff, kvOff
@@ -121,14 +139,16 @@ func (a *MultiHeadAttention) ForwardBatch(q, kv *mat.Matrix, qOff, kvOff []int, 
 	a.v = a.WV.Forward(kv)
 
 	concat := mat.EnsureShape(&a.concat, a.reuse, q.Rows, a.Dim)
-	qh := mat.EnsureShape(&a.qh, a.reuse, q.Rows, a.HeadDim)
-	kh := mat.EnsureShape(&a.kh, a.reuse, kv.Rows, a.HeadDim)
-	vh := mat.EnsureShape(&a.vh, a.reuse, kv.Rows, a.HeadDim)
-	oh := mat.EnsureShape(&a.oh, a.reuse, q.Rows, a.HeadDim)
+	// a window starting at any key row may be read one block past its end
+	hd, ld := a.HeadDim, kv.Rows+mat.AttendBlock
+	kT := mat.GrowFloats(a.kT, hd*ld)
+	if a.reuse {
+		a.kT = kT
+	}
 
-	// the score blocks double as the backward cache; with reuse on they
-	// are recycled shape-matched across calls (every element is
-	// rewritten: MatMulT assigns, then scale/mask/softmax), so a
+	// the probability blocks double as the backward cache; with reuse on
+	// they are recycled shape-matched across calls (every element is
+	// rewritten: the window by Attend, the causal remainder cleared), so a
 	// steady-state batch allocates no score matrices either
 	need := a.Heads * nSeq
 	switch {
@@ -141,39 +161,32 @@ func (a *MultiHeadAttention) ForwardBatch(q, kv *mat.Matrix, qOff, kvOff []int, 
 		copy(grown, a.attn[:cap(a.attn)])
 		a.attn = grown
 	}
-	scale := 1 / math.Sqrt(float64(a.HeadDim))
+	scale := 1 / math.Sqrt(float64(hd))
 	for h := 0; h < a.Heads; h++ {
-		a.copyHead(qh, a.q, h)
-		a.copyHead(kh, a.k, h)
-		a.copyHead(vh, a.v, h)
+		ho := h * hd
+		mat.PackKeys(kT, ld, a.k.Data[ho:], a.Dim, kv.Rows, hd)
 		for s := 0; s < nSeq; s++ {
-			q0, q1 := qOff[s], qOff[s+1]
-			k0, k1 := kvOff[s], kvOff[s+1]
-			if causal && q1-q0 != k1-k0 {
-				panic("transformer: causal attention requires seqQ == seqK")
-			}
-			if q0 == q1 {
+			q0, lq := qOff[s], qOff[s+1]-qOff[s]
+			k0, lk := kvOff[s], kvOff[s+1]-kvOff[s]
+			if lq == 0 {
 				continue
 			}
-			scores := a.attn[h*nSeq+s]
-			if scores == nil || scores.Rows != q1-q0 || scores.Cols != k1-k0 {
-				scores = mat.New(q1-q0, k1-k0)
-				a.attn[h*nSeq+s] = scores
+			probs := a.attn[h*nSeq+s]
+			if probs == nil || probs.Rows != lq || probs.Cols != lk {
+				probs = mat.New(lq, lk)
+				a.attn[h*nSeq+s] = probs
 			}
-			mat.MatMulT(scores, qh.RowSpan(q0, q1), kh.RowSpan(k0, k1))
-			scores.Scale(scale)
-			if causal {
-				for i := 0; i < scores.Rows; i++ {
-					row := scores.Row(i)
-					for j := i + 1; j < len(row); j++ {
-						row[j] = math.Inf(-1)
-					}
+			vals := a.v.Data[k0*a.Dim+ho:]
+			for i := 0; i < lq; i++ {
+				p, w := probs.Row(i), lk
+				if causal {
+					w = i + 1
+					clear(p[w:])
 				}
+				r := (q0+i)*a.Dim + ho
+				mat.Attend(concat.Data[r:r+hd], a.q.Data[r:r+hd], kT[k0:], ld, vals, a.Dim, w, scale, p)
 			}
-			scores.SoftmaxRows()
-			mat.MatMul(oh.RowSpan(q0, q1), scores, vh.RowSpan(k0, k1))
 		}
-		a.setHead(concat, oh, h)
 	}
 	return a.WO.Forward(concat)
 }
@@ -260,13 +273,6 @@ func (a *MultiHeadAttention) copyHead(dst, src *mat.Matrix, h int) {
 	hd := a.HeadDim
 	for i := 0; i < src.Rows; i++ {
 		copy(dst.Row(i), src.Row(i)[h*hd:(h+1)*hd])
-	}
-}
-
-func (a *MultiHeadAttention) setHead(dst, src *mat.Matrix, h int) {
-	hd := a.HeadDim
-	for i := 0; i < src.Rows; i++ {
-		copy(dst.Row(i)[h*hd:(h+1)*hd], src.Row(i))
 	}
 }
 

@@ -23,54 +23,63 @@ import (
 // stack over the growing sequence — the reference DecodeFull computes.
 
 // KVCache holds one attention block's projected key/value rows for one
-// sequence: row-major rows x dim slices whose backing storage is grown
-// via mat.GrowFloats, so a cache reserved up front (prompt + max new
-// tokens) appends without ever touching the allocator.
+// sequence. A cache reserved up front (prompt + max new tokens) appends
+// without ever touching the allocator.
+//
+// Keys are stored feature-major, the form mat.Attend reads:
+// k[c*capRows+j] is feature c of key row j, with the row capacity
+// capRows a multiple of mat.AttendBlock, so head h's keys are the block
+// k[h*hd*capRows:] at stride capRows and every score block is 16
+// contiguous floats per feature. Values stay row-major. The layout is
+// private to this file — reserve, appendFloats (under appendRows),
+// truncate and exportSpan are its only readers besides the attend call —
+// and KVSpan, the interchange form everything outside exchanges, is
+// row-major for both.
+//
+// Key columns at and past Rows() — stale rows left by TruncateTo or
+// Reset, the padding up to the block edge — are read by the score kernel
+// as spare lanes and never stored: lanes do not mix, so whatever they
+// hold (NaN included) reaches no result.
 type KVCache struct {
-	k, v []float64
-	dim  int
+	k       []float64 // dim x capRows, feature-major
+	v       []float64 // rows x dim, row-major, capacity capRows rows
+	dim     int
+	rows    int
+	capRows int // multiple of mat.AttendBlock
 }
 
 // Rows returns the number of cached key/value rows.
-func (c *KVCache) Rows() int { return len(c.k) / c.dim }
+func (c *KVCache) Rows() int { return c.rows }
 
-// capRows returns the row capacity of the backing storage.
-func (c *KVCache) capRows() int { return cap(c.k) / c.dim }
-
-// reserve grows the backing storage to hold at least rows rows,
-// preserving cached contents (mat.GrowFloats reallocates without
-// copying, so the copy happens here).
+// reserve grows the backing storage to hold at least rows rows (rounded
+// up to whole score blocks), preserving cached contents: every feature's
+// run of keys moves to its place under the new stride.
 func (c *KVCache) reserve(rows int) {
-	n := rows * c.dim
-	if cap(c.k) >= n {
+	if c.capRows >= rows {
 		return
 	}
-	k := mat.GrowFloats(nil, n)
-	v := mat.GrowFloats(nil, n)
-	copy(k, c.k)
+	grown := mat.AttendPadded(rows)
+	k := make([]float64, c.dim*grown)
+	for f := 0; f < c.dim; f++ {
+		copy(k[f*grown:], c.k[f*c.capRows:][:c.rows])
+	}
+	v := make([]float64, len(c.v), grown*c.dim)
 	copy(v, c.v)
-	c.k, c.v = k[:len(c.k)], v[:len(c.v)]
+	c.k, c.v, c.capRows = k, v, grown
+}
+
+// grow makes room for n more rows, doubling the backing storage when it
+// runs out (an up-front reserve makes this allocation-free).
+func (c *KVCache) grow(n int) {
+	if need := c.rows + n; c.capRows < need {
+		c.reserve(max(need, 2*c.rows))
+	}
 }
 
 // appendRows copies rows [r0, r1) of the packed projections k and v
-// into the cache, doubling the backing storage when it runs out (an
-// up-front reserve makes this allocation-free).
+// into the cache.
 func (c *KVCache) appendRows(k, v *mat.Matrix, r0, r1 int) {
-	need := c.Rows() + (r1 - r0)
-	if c.capRows() < need {
-		double := 2 * c.Rows()
-		if double < need {
-			double = need
-		}
-		c.reserve(double)
-	}
-	for r := r0; r < r1; r++ {
-		n := len(c.k)
-		c.k = c.k[:n+c.dim]
-		c.v = c.v[:n+c.dim]
-		copy(c.k[n:], k.Row(r))
-		copy(c.v[n:], v.Row(r))
-	}
+	c.appendFloats(k.Data[r0*c.dim:r1*c.dim], v.Data[r0*c.dim:r1*c.dim])
 }
 
 // appendFloats copies packed row-major key/value data (len(k) == len(v)
@@ -80,21 +89,16 @@ func (c *KVCache) appendFloats(k, v []float64) {
 	if len(k) != len(v) || len(k)%c.dim != 0 {
 		panic(fmt.Sprintf("transformer: appendFloats with %d/%d floats at dim %d", len(k), len(v), c.dim))
 	}
-	need := c.Rows() + len(k)/c.dim
-	if c.capRows() < need {
-		double := 2 * c.Rows()
-		if double < need {
-			double = need
-		}
-		c.reserve(double)
-	}
-	c.k = append(c.k, k...)
+	n := len(k) / c.dim
+	c.grow(n)
+	mat.PackKeys(c.k[c.rows:], c.capRows, k, c.dim, n, c.dim)
 	c.v = append(c.v, v...)
+	c.rows += n
 }
 
 // truncate drops cached rows beyond rows, keeping capacity.
 func (c *KVCache) truncate(rows int) {
-	c.k = c.k[:rows*c.dim]
+	c.rows = rows
 	c.v = c.v[:rows*c.dim]
 }
 
@@ -200,7 +204,9 @@ func exportSpan(caches []KVCache, r0, r1 int) *KVSpan {
 	sp := &KVSpan{Rows: r1 - r0, Dim: dim}
 	for li := range caches {
 		c := &caches[li]
-		sp.K = append(sp.K, append([]float64(nil), c.k[r0*dim:r1*dim]...))
+		k := make([]float64, (r1-r0)*dim)
+		mat.UnpackKeys(k, dim, c.k[r0:], c.capRows, r1-r0, dim)
+		sp.K = append(sp.K, k)
 		sp.V = append(sp.V, append([]float64(nil), c.v[r0*dim:r1*dim]...))
 	}
 	return sp
@@ -335,7 +341,7 @@ func (m *LMModel) DecodeStep(states []*DecodeState, tokens []int) *mat.Matrix {
 // Linear in the decoder stack issues a single kernel product for the
 // whole chunk batch. Row j of sequence i attends its own cache rows
 // [0, Pos+j] — the same causal window the sequential steps see — through
-// arithmetic shared operation-for-operation with the single-row path, so
+// the attention body the single-row path runs (mat.Attend), so
 // the returned per-sequence logits (views, ForwardBatch aliasing
 // contract) are bit-identical to the stacked DecodeStep logits over the
 // same tokens. This is the speculative verifier (all k+1 draft positions
@@ -515,9 +521,9 @@ func (a *MultiHeadAttention) DecodeStep(x *mat.Matrix, caches []*KVCache, append
 // rows [0, base+j] — base being the cache length before the append — so
 // each row sees exactly the window the equivalent single-token step
 // would; cross-attention passes false and every row attends the whole
-// frozen cache. The score/value arithmetic is attendRowHead, shared with
-// DecodeStep, which is what makes chunked decoding bit-identical to the
-// sequential steps it fuses.
+// frozen cache. The score/value arithmetic is mat.Attend, shared with
+// DecodeStep and the batched path, which is what makes chunked decoding
+// bit-identical to the sequential steps it fuses.
 func (a *MultiHeadAttention) DecodeChunk(x *mat.Matrix, caches []*KVCache, off []int, causal bool) *mat.Matrix {
 	if len(caches) != len(off)-1 {
 		panic(fmt.Sprintf("transformer: DecodeChunk with %d caches for %d sequences", len(caches), len(off)-1))
@@ -537,105 +543,61 @@ func (a *MultiHeadAttention) DecodeChunk(x *mat.Matrix, caches []*KVCache, off [
 
 // decodeAttend computes per-head attention of each sequence's single
 // query row over its cached K/V rows, writing context rows into dst.
-// The arithmetic replicates the batched path operation for operation —
-// full dot products in ascending feature order then one scale multiply
-// (MatMulT + Scale), the SoftmaxRows loop, and ascending-row value
-// accumulation with MatMul's zero skip — so cached scores and context
-// are bit-identical to the block-diagonal batch computation over the
-// same rows.
+// The body is mat.Attend — the one the batched path and chunkAttend run
+// — so cached scores and context are bit-identical to the
+// block-diagonal batch computation over the same rows.
 func (a *MultiHeadAttention) decodeAttend(dst, q *mat.Matrix, caches []*KVCache) {
 	a.growScores(caches)
 	scale := 1 / math.Sqrt(float64(a.HeadDim))
-	hd := a.HeadDim
 	for h := 0; h < a.Heads; h++ {
-		off := h * hd
 		for s, c := range caches {
-			a.attendRowHead(dst.Row(s)[off:off+hd], q.Row(s)[off:off+hd], c, c.Rows(), off, scale)
+			a.attendCached(dst.Row(s), q.Row(s), c, c.rows, h, scale)
 		}
 	}
 }
 
 // chunkAttend computes per-head attention of each sequence's chunk rows
-// over its cache through the same attendRowHead arithmetic as the
-// single-row path, windowing causal rows to [0, base+j] (base = cache
+// over its cache, windowing causal rows to [0, base+j] (base = cache
 // rows before the chunk's append) so row j of a chunk attends exactly
 // what the j-th sequential DecodeStep would.
 func (a *MultiHeadAttention) chunkAttend(dst, q *mat.Matrix, caches []*KVCache, off []int, causal bool) {
 	a.growScores(caches)
 	scale := 1 / math.Sqrt(float64(a.HeadDim))
-	hd := a.HeadDim
 	for h := 0; h < a.Heads; h++ {
-		ho := h * hd
 		for s, c := range caches {
 			n := off[s+1] - off[s]
-			base := c.Rows() - n
+			base := c.rows - n
 			for j := 0; j < n; j++ {
 				r := off[s] + j
-				rows := c.Rows()
+				rows := c.rows
 				if causal {
 					rows = base + j + 1
 				}
-				a.attendRowHead(dst.Row(r)[ho:ho+hd], q.Row(r)[ho:ho+hd], c, rows, ho, scale)
+				a.attendCached(dst.Row(r), q.Row(r), c, rows, h, scale)
 			}
 		}
 	}
 }
 
-// growScores sizes the shared score scratch for the largest cache.
+// growScores sizes the shared score scratch for the largest cache
+// capacity, so a reserved cache growing row by row never regrows it. A
+// cache without rows has nothing to normalise over and is rejected by
+// sequence.
 func (a *MultiHeadAttention) growScores(caches []*KVCache) {
 	maxRows := 0
-	for _, c := range caches {
-		if n := c.capRows(); n > maxRows {
-			maxRows = n
+	for s, c := range caches {
+		if c.rows == 0 {
+			panic(fmt.Sprintf("transformer: sequence %d attends an empty KV cache", s))
 		}
+		maxRows = max(maxRows, c.capRows)
 	}
 	a.decScores = mat.GrowFloats(a.decScores, maxRows)
 }
 
-// attendRowHead is the shared inner loop of cached attention: one head's
-// scores of a single query row over the first rows cached K/V rows, the
-// max-subtracted softmax, and the ascending-row value accumulation with
-// MatMul's zero skip — the exact batched-path operation order, factored
-// out so the single-row (DecodeStep) and chunked (DecodeChunk) paths are
-// bit-identical by construction.
-func (a *MultiHeadAttention) attendRowHead(out, qrow []float64, c *KVCache, rows, off int, scale float64) {
-	hd := len(qrow)
-	scores := a.decScores[:rows]
-	for j := 0; j < rows; j++ {
-		krow := c.k[j*c.dim+off : j*c.dim+off+hd]
-		var sum float64
-		for cc, qv := range qrow {
-			sum += qv * krow[cc]
-		}
-		scores[j] = sum * scale
-	}
-	maxv := scores[0]
-	for _, v := range scores[1:] {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	var sum float64
-	for j, v := range scores {
-		e := math.Exp(v - maxv)
-		scores[j] = e
-		sum += e
-	}
-	inv := 1 / sum
-	for j := range scores {
-		scores[j] *= inv
-	}
-	for cc := range out {
-		out[cc] = 0
-	}
-	for j := 0; j < rows; j++ {
-		sv := scores[j]
-		if sv == 0 {
-			continue
-		}
-		vrow := c.v[j*c.dim+off : j*c.dim+off+hd]
-		for cc, vv := range vrow {
-			out[cc] += sv * vv
-		}
-	}
+// attendCached runs head h of one query row (dst and q are the full
+// dim-wide rows) over the first rows cached K/V rows.
+func (a *MultiHeadAttention) attendCached(dst, q []float64, c *KVCache, rows, h int, scale float64) {
+	hd := a.HeadDim
+	ho := h * hd
+	mat.Attend(dst[ho:ho+hd], q[ho:ho+hd], c.k[ho*c.capRows:], c.capRows, c.v[ho:], c.dim, rows, scale, a.decScores)
 }
