@@ -19,7 +19,6 @@ type jsonReport struct {
 	Autotune *autotuneSection `json:"autotune,omitempty"`
 	Cluster  *clusterSection  `json:"cluster,omitempty"`
 	Chaos    *chaosSection    `json:"chaos,omitempty"`
-	Spec     *specSection     `json:"spec,omitempty"`
 }
 
 type kernelsSection struct {
@@ -173,48 +172,6 @@ type chaosArmRow struct {
 	Rollouts     int64   `json:"rollouts,omitempty"`
 	FaultsFired  int     `json:"faults_fired"`
 	Replayed     int     `json:"replayed"`
-}
-
-type specSection struct {
-	Prompt int            `json:"prompt"`
-	Gen    int            `json:"gen"`
-	Batch  int            `json:"batch"`
-	Sweep  []specSweepRow `json:"sweep"`
-	// Aligned is the aligned-support arm: acceptance pinned at 1 by
-	// construction (the enforced >= 1.5x generated tok/s contract).
-	Aligned *specAlignedRow `json:"aligned"`
-	// Prefix is the shared-prompt radix-cache arm (the enforced
-	// >= 1.3x prefill-rows-avoided contract, a counter ratio).
-	Prefix  *specPrefixRow     `json:"prefix"`
-	Metrics map[string]float64 `json:"metrics"` // cached shared-prompt server's registry
-}
-
-type specSweepRow struct {
-	K              int     `json:"k"`
-	Acceptance     float64 `json:"acceptance"`
-	TokensPerRound float64 `json:"tokens_per_round"`
-	SpecTokS       float64 `json:"spec_tok_per_s"`
-	PlainTokS      float64 `json:"plain_tok_per_s"`
-	Speedup        float64 `json:"speedup"`
-}
-
-type specAlignedRow struct {
-	K              int     `json:"k"`
-	Acceptance     float64 `json:"acceptance"`
-	TokensPerRound float64 `json:"tokens_per_round"`
-	SpecTokS       float64 `json:"spec_tok_per_s"`
-	PlainTokS      float64 `json:"plain_tok_per_s"`
-	Speedup        float64 `json:"speedup"`
-}
-
-type specPrefixRow struct {
-	Requests     int     `json:"requests"`
-	PrefixLen    int     `json:"prefix_len"`
-	SuffixLen    int     `json:"suffix_len"`
-	RowsUncached int64   `json:"rows_uncached"`
-	RowsCached   int64   `json:"rows_cached"`
-	HitRows      int64   `json:"hit_rows"`
-	Savings      float64 `json:"savings"`
 }
 
 // writeJSONReport serializes the collected report to path.

@@ -6,10 +6,9 @@
 //
 //	rt3bench -exp all
 //	rt3bench -exp tab3 -scale small
-//	rt3bench -exp tab1|tab2|tab3|tab4|fig3a|fig3bc|fig4|fig5|kernels|decode|autotune|cluster
+//	rt3bench -exp tab1|tab2|tab3|tab4|fig3a|fig3bc|fig4|fig5|kernels|decode|autotune|cluster|chaos
 //	rt3bench -exp kernels -kernel pattern,dense -workers 4
 //	rt3bench -exp decode -decode-prompt 64 -decode-gen 64 -decode-batch 8
-//	rt3bench -exp spec -spec-gen 48 -spec-batch 4 -spec-k 6
 //	rt3bench -exp autotune -autotune-duration 3s -autotune-rps 300
 //	rt3bench -exp cluster -cluster-nodes 1,2,4 -cluster-rps 700
 //	rt3bench -exp chaos -chaos-nodes 3 -chaos-scale 1
@@ -46,7 +45,7 @@ func parseNodeCounts(s string) ([]int, error) {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("rt3bench: ")
-	exp := flag.String("exp", "all", "experiment: all, tab1, tab2, tab3, tab4, fig3a, fig3bc, fig4, fig5, kernels, decode, autotune, cluster, chaos, spec")
+	exp := flag.String("exp", "all", "experiment: all, tab1, tab2, tab3, tab4, fig3a, fig3bc, fig4, fig5, kernels, decode, autotune, cluster, chaos")
 	scaleFlag := flag.String("scale", "tiny", "model scale: tiny or small")
 	kernels := flag.String("kernel", "all", "kernels experiment: comma-separated registry formats (dense, coo, csr, blockcsr, pattern, packed, f32, int8) or all")
 	workers := flag.Int("workers", 1, "kernels experiment: parallel executor width per kernel")
@@ -79,11 +78,6 @@ func main() {
 	chStep := flag.Duration("chaos-step-floor", time.Millisecond, "chaos experiment: minimum wall time per fused step — long enough that a crash reliably lands mid-generation")
 	chScale := flag.Float64("chaos-scale", 1, "chaos experiment: time scale applied to every trace bucket window (<1 compresses)")
 	chSeed := flag.Int64("chaos-seed", 1, "chaos experiment: rng seed (fault schedules, workloads, and router decisions all replay from it)")
-	spPrompt := flag.Int("spec-prompt", 16, "spec experiment: prompt tokens per sequence")
-	spGen := flag.Int("spec-gen", 48, "spec experiment: tokens generated per sequence")
-	spBatch := flag.Int("spec-batch", 4, "spec experiment: sequences decoded together")
-	spK := flag.Int("spec-k", 6, "spec experiment: draft length of the aligned floor arm (the sweep covers 1..4)")
-	spSeed := flag.Int64("spec-seed", 1, "spec experiment: rng seed (prompts, weights, and pattern supports derive from it)")
 	jsonPath := flag.String("json", "", "write structured results plus a metrics snapshot to this file (kernels, decode, autotune and cluster experiments)")
 	flag.Parse()
 	if *jsonPath != "" {
@@ -238,23 +232,13 @@ func main() {
 		})
 	})
 
-	run("spec", func() error {
-		return runSpecBench(specBenchSpec{
-			prompt: *spPrompt,
-			gen:    *spGen,
-			batch:  *spBatch,
-			k:      *spK,
-			seed:   *spSeed,
-		})
-	})
-
 	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (want all, tab1, tab2, tab3, tab4, fig3a, fig3bc, fig4, fig5, kernels, decode, autotune, cluster, chaos or spec)\n", *exp)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (want all, tab1, tab2, tab3, tab4, fig3a, fig3bc, fig4, fig5, kernels, decode, autotune, cluster or chaos)\n", *exp)
 		os.Exit(2)
 	}
 	if jsonRep != nil {
-		if jsonRep.Kernels == nil && jsonRep.Decode == nil && jsonRep.Autotune == nil && jsonRep.Cluster == nil && jsonRep.Chaos == nil && jsonRep.Spec == nil {
-			log.Fatalf("-json collects kernels, decode, autotune, cluster, chaos and spec results; -exp %s produced none", *exp)
+		if jsonRep.Kernels == nil && jsonRep.Decode == nil && jsonRep.Autotune == nil && jsonRep.Cluster == nil && jsonRep.Chaos == nil {
+			log.Fatalf("-json collects kernels, decode, autotune, cluster and chaos results; -exp %s produced none", *exp)
 		}
 		if err := writeJSONReport(*jsonPath); err != nil {
 			log.Fatalf("-json: %v", err)

@@ -40,9 +40,7 @@ type clusterOpts struct {
 	adminAddr string
 	traceOut  string
 
-	// spec, when non-nil, turns on self-speculative decoding on every
-	// node; prefixCache sizes each node's radix prefix cache in KV rows.
-	spec        *serve.SpecConfig
+	// prefixCache sizes each node's radix prefix cache in KV rows.
 	prefixCache int
 
 	// vocab sizes the LM's token space (48 under -chaos, whose workload
@@ -91,7 +89,6 @@ func runCluster(logger *obs.Logger, drain <-chan struct{}, o clusterOpts) {
 			Generate:        true,
 			MaxGenTokens:    o.genTok,
 			StepFloor:       o.stepFloor,
-			Spec:            o.spec,
 			PrefixCacheRows: o.prefixCache,
 		})
 		nodes[i] = cluster.NewNode(i, srv)
@@ -191,7 +188,7 @@ func runCluster(logger *obs.Logger, drain <-chan struct{}, o clusterOpts) {
 	}
 	fmt.Print(rep)
 	printClusterNodes(r)
-	printClusterSpec(r)
+	printClusterPrefixCache(r)
 	verifyRouterTrace(r)
 	if rep.Failed > 0 || rep.Mismatches > 0 {
 		log.Fatalf("cluster demo failed: %d failed responses, %d dense mismatches", rep.Failed, rep.Mismatches)
@@ -241,7 +238,7 @@ func runClusterChaos(logger *obs.Logger, drain <-chan struct{}, r *cluster.Route
 			f.Seq, f.Event.Kind, target, f.FiredAt.Seconds()*1000, f.Outcome)
 	}
 	printClusterNodes(r)
-	printClusterSpec(r)
+	printClusterPrefixCache(r)
 	if rep.ReplayErr != "" {
 		log.Fatalf("chaos demo failed: decision replay: %s", rep.ReplayErr)
 	}
@@ -319,7 +316,7 @@ func clusterSmoke(r *cluster.Router, o clusterOpts) {
 	fmt.Printf("router: %d dispatches, %d session pins, %d affinity hits, %d re-pins (%.1f%% hit rate)\n",
 		st.Dispatches, st.SessionPins, st.AffinityHits, st.AffinityMisses, st.AffinityHitRate()*100)
 	printClusterNodes(r)
-	printClusterSpec(r)
+	printClusterPrefixCache(r)
 	verifyRouterTrace(r)
 }
 
@@ -334,25 +331,17 @@ func printClusterNodes(r *cluster.Router) {
 	}
 }
 
-// printClusterSpec aggregates the fleet's self-speculative decoding and
-// prefix-cache counters; silent when speculation never ran.
-func printClusterSpec(r *cluster.Router) {
-	var rounds, drafted, accepted, committed int64
+// printClusterPrefixCache aggregates the fleet's prefix-cache counters;
+// silent when no split request ever looked a prefix up.
+func printClusterPrefixCache(r *cluster.Router) {
 	var lookups, hits, hitRows int64
 	for _, nd := range r.Nodes() {
-		ro, d, a, c := nd.Server().SpecStats()
-		rounds, drafted, accepted, committed = rounds+ro, drafted+d, accepted+a, committed+c
 		if st, ok := nd.Server().PrefixCacheStats(); ok {
 			lookups += st.Lookups
 			hits += st.Hits
 			hitRows += st.HitRows
 		}
 	}
-	if rounds == 0 {
-		return
-	}
-	fmt.Printf("speculative decoding (fleet): %d rounds, %d drafted, %d accepted (%.0f%% acceptance), %d committed (%.2f tokens/round)\n",
-		rounds, drafted, accepted, 100*float64(accepted)/float64(drafted), committed, float64(committed)/float64(rounds))
 	if lookups > 0 {
 		fmt.Printf("prefix cache (fleet): %d lookups, %d hits, %d rows served\n",
 			lookups, hits, hitRows)

@@ -124,8 +124,6 @@ func main() {
 		genTok   = flag.Int("gen-tokens", 16, "generation mode: max tokens per request (load mode samples budgets in [max/2, max])")
 		genPrmpt = flag.Int("gen-prompt", 10, "generation mode: max prompt length (load mode samples lengths in [max/2, max])")
 
-		specK       = flag.Int("spec-k", 0, "generation mode: self-speculative decoding with K draft tokens per round (0 disables; output is bit-identical either way)")
-		specDraft   = flag.Int("spec-draft-level", -1, "speculation: bundle level whose kernels draft (-1 picks the sparsest level)")
 		prefixCache = flag.Int("prefix-cache", 0, "generation mode: radix prefix cache capacity in KV rows for split prompts (0 disables, -1 unbounded)")
 
 		clusterN  = flag.Int("cluster", 0, "run N simulated nodes behind the session-affine cluster router (implies -gen)")
@@ -149,12 +147,8 @@ func main() {
 	if *chaosProf != "" && *clusterN == 0 {
 		log.Fatal("-chaos needs a fleet to fault: set -cluster N (N >= 2)")
 	}
-	if (*specK > 0 || *prefixCache != 0) && !*gen && *clusterN == 0 {
-		log.Fatal("-spec-k and -prefix-cache need incremental decoding: set -gen (or -cluster N)")
-	}
-	var specCfg *serve.SpecConfig
-	if *specK > 0 {
-		specCfg = &serve.SpecConfig{DraftLevel: *specDraft, K: *specK, Auto: true}
+	if *prefixCache != 0 && !*gen && *clusterN == 0 {
+		log.Fatal("-prefix-cache needs incremental decoding: set -gen (or -cluster N)")
 	}
 	if *clusterN > 0 {
 		if *autotune {
@@ -201,7 +195,6 @@ func main() {
 			adminAddr: *adminAddr,
 			traceOut:  *traceOut,
 
-			spec:        specCfg,
 			prefixCache: *prefixCache,
 
 			vocab:         vocab,
@@ -256,7 +249,6 @@ func main() {
 		Generate:        *gen,
 		MaxGenTokens:    *genTok,
 		StepFloor:       *stepFloor,
-		Spec:            specCfg,
 		PrefixCacheRows: *prefixCache,
 		OnAutotuneDecision: func(d serve.AutotuneDecision) {
 			sw := "-"
@@ -330,7 +322,7 @@ func main() {
 	fmt.Print(report)
 	printBatchStats(eng)
 	printDecodeStats(eng)
-	printSpecStats(srv)
+	printPrefixCache(srv)
 	printAutotune(srv, *atLog)
 	if report.Switches == 0 && !draining(drain) {
 		log.Fatal("demo expected at least one live level switch; raise -duration or lower -battery-j")
@@ -462,16 +454,9 @@ func printDecodeStats(eng *serve.Engine) {
 		st.CachedRows, float64(st.CachedRows)/float64(st.Tokens), st.States, st.PrefillSeq)
 }
 
-// printSpecStats reports self-speculative decoding and radix prefix
-// cache accounting: each round's fused verify pass replaces up to K+1
-// sequential target steps, and every cached prefix row is a prefill row
-// the server did not recompute.
-func printSpecStats(srv *serve.Server) {
-	rounds, drafted, accepted, committed := srv.SpecStats()
-	if rounds > 0 {
-		fmt.Printf("speculative decoding: %d rounds, %d drafted, %d accepted (%.0f%% acceptance), %d committed (%.2f tokens/round)\n",
-			rounds, drafted, accepted, 100*float64(accepted)/float64(drafted), committed, float64(committed)/float64(rounds))
-	}
+// printPrefixCache reports radix prefix cache accounting: every cached
+// prefix row is a prefill row the server did not recompute.
+func printPrefixCache(srv *serve.Server) {
 	if st, ok := srv.PrefixCacheStats(); ok && st.Lookups > 0 {
 		fmt.Printf("prefix cache: %d lookups, %d hits, %d rows served, %d rows inserted, %d rows evicted (%d resident)\n",
 			st.Lookups, st.Hits, st.HitRows, st.InsertedRows, st.EvictedRows, st.UsedRows)
@@ -628,5 +613,5 @@ func smokeGen(srv *serve.Server, seed int64, maxPrompt, maxTokens int) {
 	n, modelMS, wallMS := srv.Recorder().Switches()
 	fmt.Printf("switches %d  modeled swap cost %.3f ms  kernel install %.3f ms\n", n, modelMS, wallMS)
 	printDecodeStats(eng)
-	printSpecStats(srv)
+	printPrefixCache(srv)
 }

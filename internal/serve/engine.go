@@ -124,7 +124,7 @@ type Engine struct {
 	decSteps       atomic.Int64 // DecodeBatch calls (fused decode steps)
 	decTokens      atomic.Int64 // tokens decoded through DecodeBatch
 	decCachedRows  atomic.Int64 // cache hits: K/V rows read from caches instead of recomputed
-	decChunks      atomic.Int64 // DecodeChunkBatch calls (fused multi-row verify/teacher-force passes)
+	decChunks      atomic.Int64 // DecodeChunkBatch calls (fused multi-row teacher-force passes)
 	decChunkRows   atomic.Int64 // rows executed through DecodeChunkBatch
 }
 
@@ -151,7 +151,7 @@ type DecodeStats struct {
 	Steps       int64 // fused decode steps
 	Tokens      int64 // tokens decoded
 	CachedRows  int64 // prefix rows served from cache, per sequence per step
-	Chunks      int64 // fused multi-row chunk passes (verify / suffix teacher-force)
+	Chunks      int64 // fused multi-row chunk passes (suffix teacher-force)
 	ChunkRows   int64 // rows executed through chunk passes
 }
 
@@ -265,9 +265,9 @@ func NewEngineConfigured(bundle *deploy.Bundle, replicas []Model, costs rtswitch
 		}
 		// the unpruned linears are the same at every level: pack each
 		// replica's once (float64 panels, bit-identical to the dense
-		// product they replace) and leave them installed — install and
-		// InstallReplicaLevel only ever touch the prunable linears; the
-		// dense references lift them for the length of the reference run
+		// product they replace) and leave them installed — install only
+		// ever touches the prunable linears; the dense references lift
+		// them for the length of the reference run
 		for _, l := range e.replicas[ri].UnprunedLinears() {
 			var k kernel.Kernel = kernel.NewPacked(l.W.Value)
 			if e.pools[ri] != nil {
@@ -462,8 +462,7 @@ func (e *Engine) DecodeBatch(replica int, states []*transformer.DecodeState, tok
 // one fused multi-row decode pass on the given replica: chunk row j of
 // sequence s appends its K/V row and attends the cache through that
 // row, so the returned per-sequence logits are bit-identical to feeding
-// the chunk through sequential DecodeBatch steps. This is the
-// speculative verifier (all k+1 positions in one pass) and the split-
+// the chunk through sequential DecodeBatch steps. This is the split-
 // prefill suffix path (teacher-forcing an unshared suffix against a
 // frozen prefix memory).
 func (e *Engine) DecodeChunkBatch(replica int, states []*transformer.DecodeState, chunks [][]int) ([]*mat.Matrix, error) {
@@ -484,23 +483,6 @@ func (e *Engine) DecodeChunkBatch(replica int, states []*transformer.DecodeState
 	e.decChunkRows.Add(int64(rows))
 	e.decCachedRows.Add(cached)
 	return outs, nil
-}
-
-// InstallReplicaLevel points one replica's prunable linears at the
-// packed kernels of the given level without touching the engine's
-// active level — the draft bracket of self-speculative decoding: the
-// worker that owns the replica installs the draft level's kernels,
-// drafts, and restores Level()'s kernels, all under the execution read
-// lock (so no live switch can interleave). Other replicas are
-// unaffected; callers must own the replica.
-func (e *Engine) InstallReplicaLevel(replica, level int) error {
-	if level < 0 || level >= e.NumLevels() {
-		return fmt.Errorf("serve: level %d out of range %d", level, e.NumLevels())
-	}
-	for j, l := range e.replicas[replica].PrunableLinears() {
-		l.SetKernel(e.kernels[replica][level][j])
-	}
-	return nil
 }
 
 // denseReference turns replica 0 into the masked dense reference of level
@@ -539,9 +521,9 @@ func (e *Engine) denseReference(idx int) (restore func()) {
 // split request at level idx: the frozen memory is the encoder over
 // prefix alone, the suffix is teacher-forced through the decoder, and
 // generation continues greedily — the ground truth a served split
-// (prefix-cached or not, speculative or not) generation must match
-// token-for-token. Restores dense weights and packed kernels before
-// returning; callers must hold the engine quiesced.
+// generation (prefix-cached or not) must match token-for-token.
+// Restores dense weights and packed kernels before returning; callers
+// must hold the engine quiesced.
 func (e *Engine) DenseGenerateSplit(idx int, prefix, suffix []int, maxTokens, eos int) ([]int, error) {
 	if idx < 0 || idx >= e.NumLevels() {
 		return nil, fmt.Errorf("serve: level %d out of range %d", idx, e.NumLevels())
@@ -596,7 +578,7 @@ func (e *Engine) RegisterMetrics(reg *obs.Registry) {
 		"Packed prompt rows executed through prefill passes.",
 		func() float64 { return float64(e.decPrefillRows.Load()) })
 	reg.CounterFunc("rt3_decode_chunks_total",
-		"Fused multi-row chunk passes (speculative verify / split-prefill suffix).",
+		"Fused multi-row chunk passes (split-prefill suffix).",
 		func() float64 { return float64(e.decChunks.Load()) })
 	reg.CounterFunc("rt3_decode_chunk_rows_total",
 		"Rows executed through fused chunk passes.",

@@ -209,10 +209,10 @@ func TestEngineForwardOutputsIndependent(t *testing.T) {
 // TestEngineUnprunedLinearsKeepPackedKernel: the output projection is
 // level-independent, so the engine packs it once per replica and nothing
 // that repoints the prunable linears — a switch, a rejected switch, an
-// injected switch fault, a per-replica draft install, a dense reference
-// — may drop or replace that kernel. It also has to be exact: logits
-// stay bit-identical to the dense product over the same weights, and
-// Backward keeps refusing to differentiate through a packed layer.
+// injected switch fault, a dense reference — may drop or replace that
+// kernel. It also has to be exact: logits stay bit-identical to the
+// dense product over the same weights, and Backward keeps refusing to
+// differentiate through a packed layer.
 func TestEngineUnprunedLinearsKeepPackedKernel(t *testing.T) {
 	eng, lms := newLMDeployment(t, 2, "")
 	type held struct {
@@ -249,13 +249,6 @@ func TestEngineUnprunedLinearsKeepPackedKernel(t *testing.T) {
 		t.Fatal("injected switch fault did not surface")
 	}
 	check("a failed switch")
-	if err := eng.InstallReplicaLevel(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.InstallReplicaLevel(1, eng.Level()); err != nil {
-		t.Fatal(err)
-	}
-	check("a per-replica level install")
 	prompt := []int{3, 1, 4, 1, 5}
 	if _, err := eng.DenseGenerate(eng.Level(), prompt, 4, -1); err != nil {
 		t.Fatal(err)

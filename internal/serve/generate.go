@@ -3,8 +3,8 @@ package serve
 import (
 	"time"
 
+	"rt3/internal/mat"
 	"rt3/internal/obs"
-	"rt3/internal/spec"
 	"rt3/internal/transformer"
 )
 
@@ -36,12 +36,6 @@ type GenResponse struct {
 	// admitted in it). DecodeMS accumulates the fused decode steps this
 	// sequence was active in. TotalMS is admission to completion.
 	QueueMS, PrefillMS, DecodeMS, TotalMS float64
-	// SpecRounds/SpecDrafted/SpecAccepted account this request's ride on
-	// self-speculative decoding: draft/verify rounds it participated in,
-	// draft tokens proposed for it, and how many verification accepted.
-	// All zero when the request did not speculate — the output tokens are
-	// identical either way.
-	SpecRounds, SpecDrafted, SpecAccepted int
 	// CachedRows is the number of prefill K/V rows served from the radix
 	// prefix cache instead of being recomputed (split requests only).
 	CachedRows int
@@ -52,18 +46,89 @@ type GenResponse struct {
 // (e.g. on a node that crashed) that the decode worker replays through
 // the KV cache before generating new ones. memLen > 0 marks a split
 // request (prompt[:memLen] is the frozen-memory prefix, eligible for
-// the radix prefix cache); spec opts the request into self-speculative
-// decoding.
+// the radix prefix cache).
 type genReq struct {
 	prompt    []int
 	prefix    []int
 	memLen    int
-	spec      bool
 	maxTokens int
 	eos       int
 	enq       time.Time
 	resp      chan GenResponse
 	tr        *obs.Trace // nil when tracing is disabled
+}
+
+// GenOpts are per-request generation options beyond SubmitGen's.
+type GenOpts struct {
+	// Prefix resumes from already-committed tokens (see SubmitGenResume).
+	Prefix []int
+	// SplitAt, when > 0, declares prompt[:SplitAt] a shared prefix (e.g.
+	// a system prompt): the frozen cross-attention memory is the encoder
+	// over the prefix alone and the suffix is teacher-forced through the
+	// decoder — the split semantics under which decoder K/V rows are
+	// prefix-stable and shareable through the radix prefix cache. Split
+	// and whole-prompt requests condition on different memories, so their
+	// references are DenseGenReferenceSplit and DenseGenReference
+	// respectively. 0 keeps whole-prompt semantics.
+	SplitAt int
+	// MaxTokens <= 0 picks Config.MaxGenTokens; EOS < 0 disables EOS.
+	MaxTokens, EOS int
+}
+
+// SubmitGenOpts admits one generation request with per-request options
+// — prefix-cache-eligible split prompts, resume — and returns its
+// response channel (buffered; exactly one send). See SubmitGen for the
+// base semantics and error cases; a SplitAt that does not cut the
+// prompt into a non-empty prefix and suffix fails with ErrBadSplit.
+func (s *Server) SubmitGenOpts(prompt []int, o GenOpts) (<-chan GenResponse, error) {
+	if !s.cfg.Generate {
+		return nil, ErrNotGenerating
+	}
+	if len(prompt) == 0 {
+		return nil, ErrEmptyRequest
+	}
+	if o.SplitAt < 0 || o.SplitAt >= len(prompt) {
+		return nil, ErrBadSplit
+	}
+	maxTokens := o.MaxTokens
+	if maxTokens <= 0 {
+		maxTokens = s.cfg.MaxGenTokens
+	}
+	eos := o.EOS
+	if eos < 0 {
+		eos = -1
+	}
+	s.stateMu.RLock()
+	defer s.stateMu.RUnlock()
+	if s.stopped {
+		return nil, ErrStopped
+	}
+	if n := len(o.Prefix); n > 0 && (n >= maxTokens || o.Prefix[n-1] == eos) {
+		resp := make(chan GenResponse, 1)
+		resp <- GenResponse{
+			Tokens: append([]int(nil), o.Prefix...),
+			Level:  s.eng.Level(),
+		}
+		return resp, nil
+	}
+	r := &genReq{
+		prompt:    prompt,
+		prefix:    o.Prefix,
+		memLen:    o.SplitAt,
+		maxTokens: maxTokens,
+		eos:       eos,
+		enq:       time.Now(),
+		resp:      make(chan GenResponse, 1),
+	}
+	r.tr = s.tracer.StartAt("generate", r.enq)
+	select {
+	case s.genIn <- r:
+		return r.resp, nil
+	default:
+		s.tracer.Abort(r.tr)
+		s.rec.ObserveDrop()
+		return nil, ErrQueueFull
+	}
 }
 
 // SubmitGen admits one generation request and returns the channel its
@@ -105,14 +170,8 @@ type genSlot struct {
 	tokens []int
 	feed   int
 	steps  int
-	// draft is the draft-level KV state of a speculating slot (recycled
-	// through the same free-list on eviction); seq is its speculation
-	// bookkeeping. Both nil for plain slots. A speculating slot only
-	// enters draft/verify rounds once caught up (feed == len(tokens)-1):
-	// a resumed prefix replays through plain fused steps first, and the
-	// round's own catch-up teacher-forces the draft state.
-	draft      *transformer.DecodeState
-	seq        *spec.Seq
+	// cachedRows counts the prefill K/V rows the radix prefix cache
+	// served at admission (reported as GenResponse.CachedRows).
 	cachedRows int
 	queueMS    float64
 	prefillMS  float64
@@ -142,8 +201,6 @@ func (s *Server) decodeWorker(replica int) {
 	defer s.wg.Done()
 	var (
 		slots    []*genSlot
-		plain    []*genSlot
-		specs    []*genSlot
 		finished []*genSlot
 		free     []*transformer.DecodeState
 		admit    []*genReq
@@ -253,72 +310,206 @@ func (s *Server) decodeWorker(replica int) {
 			slots = append(slots, s.admitGen(replica, level, admit, &free, &finished)...)
 		}
 		if len(slots) > 0 {
-			// partition: speculating slots that are caught up take a
-			// draft/verify round; everything else (plain slots, and
-			// speculating slots still replaying a resumed prefix) takes
-			// one plain fused step
-			plain, specs = plain[:0], specs[:0]
+			tokens = tokens[:0]
+			states = states[:0]
 			for _, sl := range slots {
-				if sl.seq != nil && sl.feed == len(sl.tokens)-1 {
-					specs = append(specs, sl)
+				tokens = append(tokens, sl.tokens[sl.feed])
+				states = append(states, sl.st)
+			}
+			t0 := time.Now()
+			logits, err := s.eng.DecodeBatch(replica, states, tokens)
+			s.simDVFSDelay(level, t0)
+			stepDur := time.Since(t0)
+			stepMS := float64(stepDur.Microseconds()) / 1000
+			batch := float64(len(slots))
+			n := 0
+			for i, sl := range slots {
+				if s.tracer.SampleStep(sl.steps) {
+					sl.req.tr.Add("decode_step", t0, stepDur,
+						"step", float64(sl.steps), "batch", batch)
+				}
+				sl.steps++
+				sl.decodeMS += stepMS
+				if err != nil {
+					free = append(free, sl.st)
+					s.tracer.Abort(sl.req.tr)
+					sl.req.resp <- GenResponse{Err: err}
+					continue
+				}
+				if sl.feed == len(sl.tokens)-1 {
+					sl.tokens = append(sl.tokens, logits.ArgmaxRow(i))
+				}
+				sl.feed++
+				if sl.done() {
+					finished = append(finished, sl)
 				} else {
-					plain = append(plain, sl)
+					slots[n] = sl
+					n++
 				}
 			}
-			slots = slots[:0]
-			if len(plain) > 0 {
-				tokens = tokens[:0]
-				states = states[:0]
-				for _, sl := range plain {
-					tokens = append(tokens, sl.tokens[sl.feed])
-					states = append(states, sl.st)
-				}
-				t0 := time.Now()
-				logits, err := s.eng.DecodeBatch(replica, states, tokens)
-				s.simDVFSDelay(level, t0)
-				stepDur := time.Since(t0)
-				stepMS := float64(stepDur.Microseconds()) / 1000
-				for i, sl := range plain {
-					if s.tracer.SampleStep(sl.steps) {
-						sl.req.tr.Add("decode_step", t0, stepDur,
-							"step", float64(sl.steps), "batch", float64(len(plain)))
-					}
-					sl.steps++
-					sl.decodeMS += stepMS
-					if err != nil {
-						free = append(free, sl.st)
-						if sl.draft != nil {
-							free = append(free, sl.draft)
-						}
-						s.tracer.Abort(sl.req.tr)
-						sl.req.resp <- GenResponse{Err: err}
-						continue
-					}
-					if sl.feed == len(sl.tokens)-1 {
-						sl.tokens = append(sl.tokens, logits.ArgmaxRow(i))
-					}
-					sl.feed++
-					if sl.done() {
-						finished = append(finished, sl)
-					} else {
-						slots = append(slots, sl)
-					}
-				}
-			}
-			if len(specs) > 0 {
-				slots = append(slots, s.stepSpec(replica, level, specs, &finished)...)
-			}
+			slots = slots[:n]
 		}
 		s.execMu.RUnlock()
 
 		for _, sl := range finished {
 			free = append(free, sl.st)
-			if sl.draft != nil {
-				free = append(free, sl.draft)
-			}
 			s.finishGen(sl, level)
 		}
 	}
+}
+
+// admitGen admits a batch of generation requests into fresh decode
+// slots: one fused prefill over whole prompts (classic requests) and
+// uncached prefixes (split requests), one fused chunk teacher-forcing
+// every split request's uncovered suffix, and prefix-cache lookups and
+// inserts at the active level. Called with execMu read-held; returns
+// the started slots (finished ones — resumed prefixes already terminal
+// — are delivered by the caller via the finished list).
+func (s *Server) admitGen(replica, level int, admit []*genReq, free *[]*transformer.DecodeState, finished *[]*genSlot) []*genSlot {
+	type adm struct {
+		r          *genReq
+		st         *transformer.DecodeState
+		tail       []int // uncovered suffix rows to teacher-force (split only)
+		cachedRows int
+		first      int // first generated token (argmax of the admitting pass)
+		needsPre   bool
+		preIdx     int // row in the fused prefill batch
+		tailIdx    int // row in the fused chunk batch
+	}
+
+	dispatch := time.Now()
+	adms := make([]*adm, 0, len(admit))
+	for _, r := range admit {
+		st, err := s.takeState(replica, free)
+		if err != nil {
+			s.tracer.Abort(r.tr)
+			r.resp <- GenResponse{Err: err}
+			continue
+		}
+		st.Reserve(len(r.prompt) + r.maxTokens)
+		a := &adm{r: r, st: st, needsPre: true, preIdx: -1, tailIdx: -1}
+		if r.memLen > 0 {
+			prefix := r.prompt[:r.memLen]
+			suffix := r.prompt[r.memLen:]
+			a.tail = suffix
+			if s.prefixCache != nil {
+				// cap the match one token short: the last suffix row is
+				// always computed live so the chunk yields the first
+				// generated token's logits
+				if h := s.prefixCache.Match(level, prefix, suffix[:len(suffix)-1]); h != nil {
+					h.Load(st)
+					a.cachedRows = h.Rows()
+					a.tail = suffix[h.Matched():]
+					a.needsPre = false
+					h.Release()
+				}
+			}
+		}
+		adms = append(adms, a)
+	}
+	if len(adms) == 0 {
+		return nil
+	}
+
+	// phase 1: one fused prefill over whole prompts and uncached prefixes
+	var pstates []*transformer.DecodeState
+	var pprompts [][]int
+	rows := 0
+	for _, a := range adms {
+		if !a.needsPre {
+			continue
+		}
+		p := a.r.prompt
+		if a.r.memLen > 0 {
+			p = p[:a.r.memLen]
+		}
+		a.preIdx = len(pstates)
+		pstates = append(pstates, a.st)
+		pprompts = append(pprompts, p)
+		rows += len(p)
+	}
+	var err error
+	if len(pstates) > 0 {
+		// the logits are a view into the replica's activation buffers,
+		// valid only until its next forward — harvest whole-prompt first
+		// tokens before phase 2 runs another pass
+		var pouts []*mat.Matrix
+		if pouts, err = s.eng.PrefillBatch(replica, pstates, pprompts); err == nil {
+			for _, a := range adms {
+				if a.preIdx >= 0 && a.r.memLen == 0 {
+					out := pouts[a.preIdx]
+					a.first = out.ArgmaxRow(out.Rows - 1)
+				}
+			}
+		}
+	}
+
+	// phase 2: one fused chunk teacher-forcing every split request's
+	// uncovered suffix against its frozen prefix memory
+	var cstates []*transformer.DecodeState
+	var cchunks [][]int
+	for _, a := range adms {
+		if a.r.memLen == 0 || err != nil {
+			continue
+		}
+		a.tailIdx = len(cstates)
+		cstates = append(cstates, a.st)
+		cchunks = append(cchunks, a.tail)
+		rows += len(a.tail)
+	}
+	if err == nil && len(cstates) > 0 {
+		var couts []*mat.Matrix
+		if couts, err = s.eng.DecodeChunkBatch(replica, cstates, cchunks); err == nil {
+			for _, a := range adms {
+				if a.tailIdx >= 0 {
+					out := couts[a.tailIdx]
+					a.first = out.ArgmaxRow(out.Rows - 1)
+				}
+			}
+			if s.prefixCache != nil {
+				for _, a := range adms {
+					if a.r.memLen > 0 {
+						s.prefixCache.Insert(level, a.r.prompt[:a.r.memLen], a.r.prompt[a.r.memLen:], a.st)
+					}
+				}
+			}
+		}
+	}
+
+	s.simDVFSDelay(level, dispatch)
+	prefillDur := time.Since(dispatch)
+	prefillMS := float64(prefillDur.Microseconds()) / 1000
+	s.rec.ObserveBatch(len(adms), s.cfg.MaxBatch)
+
+	var started []*genSlot
+	for _, a := range adms {
+		r := a.r
+		if err != nil {
+			*free = append(*free, a.st)
+			s.tracer.Abort(r.tr)
+			r.resp <- GenResponse{Err: err}
+			continue
+		}
+		r.tr.Add("queue", r.enq, dispatch.Sub(r.enq), "batch", float64(len(adms)), "", 0)
+		r.tr.Add("prefill", dispatch, prefillDur, "rows", float64(rows), "level", float64(level))
+		sl := &genSlot{
+			req: r, st: a.st,
+			cachedRows: a.cachedRows,
+			queueMS:    float64(dispatch.Sub(r.enq).Microseconds()) / 1000,
+			prefillMS:  prefillMS,
+		}
+		if len(r.prefix) > 0 {
+			sl.tokens = append(sl.tokens, r.prefix...)
+		} else {
+			sl.tokens = append(sl.tokens, a.first)
+		}
+		if sl.done() {
+			*finished = append(*finished, sl)
+		} else {
+			started = append(started, sl)
+		}
+	}
+	return started
 }
 
 // takeState pops a recycled DecodeState off the worker's free-list or
@@ -344,11 +535,6 @@ func (s *Server) finishGen(sl *genSlot, level int) {
 		PrefillMS:  sl.prefillMS,
 		DecodeMS:   sl.decodeMS,
 		TotalMS:    float64(time.Since(sl.req.enq).Microseconds()) / 1000,
-	}
-	if sl.seq != nil {
-		resp.SpecRounds = sl.seq.Rounds
-		resp.SpecDrafted = sl.seq.Drafted
-		resp.SpecAccepted = sl.seq.Accepted
 	}
 	sl.req.resp <- resp
 	sl.req.tr.Add("finish", time.Now(), 0,

@@ -26,8 +26,15 @@ var lmCfg = transformer.Config{
 // and the concrete models (for reference-path access).
 func newLMDeployment(t testing.TB, replicas int, format string) (*serve.Engine, []*transformer.LMModel) {
 	t.Helper()
+	return newLMDeploymentCfg(t, lmCfg, replicas, format)
+}
+
+// newLMDeploymentCfg is newLMDeployment over another topology (e.g. a
+// longer SeqLen for long shared prefixes).
+func newLMDeploymentCfg(t testing.TB, cfg transformer.Config, replicas int, format string) (*serve.Engine, []*transformer.LMModel) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(5))
-	model := transformer.NewLMModel(lmCfg, rng)
+	model := transformer.NewLMModel(cfg, rng)
 	ref := model.PrunableLinears()[0].W.Value
 	var sets []*pattern.Set
 	for _, sp := range sparsities {
@@ -310,6 +317,142 @@ func TestGenerateEOSEviction(t *testing.T) {
 	}
 }
 
+// raggedPrompts builds a ragged prompt batch (distinct lengths, one a
+// single token) so fused admission and fused steps see uneven rows.
+func raggedPrompts(seed int64) [][]int {
+	return [][]int{
+		randSeqs(1, 7, lmCfg.Vocab, seed)[0],
+		randSeqs(1, 1, lmCfg.Vocab, seed+1)[0],
+		randSeqs(1, 9, lmCfg.Vocab, seed+2)[0],
+		randSeqs(1, 4, lmCfg.Vocab, seed+3)[0],
+	}
+}
+
+// decodeCachedSplit is the sequential reference of a split request on
+// the engine's cached path: prefill the prefix alone, teacher-force the
+// suffix one DecodeBatch step per token (what the server fuses into one
+// DecodeChunkBatch), then decode greedily to genLen tokens.
+func decodeCachedSplit(t testing.TB, eng *serve.Engine, replica int, prefix, suffix []int, genLen int) []int {
+	t.Helper()
+	st, err := eng.NewDecodeState(replica)
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := []*transformer.DecodeState{st}
+	if _, err := eng.PrefillBatch(replica, states, [][]int{prefix}); err != nil {
+		t.Fatal(err)
+	}
+	feed := append([]int(nil), suffix...)
+	var stream []int
+	for i := 0; len(stream) < genLen; i++ {
+		logits, err := eng.DecodeBatch(replica, states, feed[i:i+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i >= len(suffix)-1 {
+			tok := logits.ArgmaxRow(0)
+			stream = append(stream, tok)
+			feed = append(feed, tok)
+		}
+	}
+	return stream
+}
+
+// wantTokens fails the test unless got equals want token-for-token.
+func wantTokens(t testing.TB, what string, got, want []int) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d tokens, want %d", what, len(got), len(want))
+	}
+	for j := range got {
+		if got[j] != want[j] {
+			t.Fatalf("%s token %d: got %d, want %d", what, j, got[j], want[j])
+		}
+	}
+}
+
+// TestGenerateBitIdenticalFormatsLevels is the server-level bit-identity
+// matrix: for every registry kernel format and every deployed pruning
+// level, the server's output over a ragged batch — four whole-prompt
+// requests plus one split request, so the fused prefill, the fused
+// suffix chunk and the fused steps all run in every format — must equal
+// the single-sequence cached loop token-for-token, and the masked dense
+// reference too in the exact-arithmetic formats (f32/int8 argmax may
+// legitimately flip near-tied logits against masked dense).
+func TestGenerateBitIdenticalFormatsLevels(t *testing.T) {
+	budgets := []int{6, 3, 8, 5}
+	const splitBudget = 5
+	prefix := randSeqs(1, 5, lmCfg.Vocab, 107)[0]
+	suffix := randSeqs(1, 3, lmCfg.Vocab, 109)[0]
+	for _, format := range kernel.Formats() {
+		format := format
+		t.Run(format, func(t *testing.T) {
+			eng, _ := newLMDeployment(t, 1, format)
+			refEng, _ := newLMDeployment(t, 1, format)
+			srv := serve.New(eng, serve.Config{Generate: true, MaxBatch: 5, QueueCap: 64})
+			srv.Start()
+			defer srv.Stop()
+			exact := format != "f32" && format != "int8"
+
+			prompts := raggedPrompts(101)
+			for lvl := 0; lvl < eng.NumLevels(); lvl++ {
+				if _, err := srv.SwitchTo(lvl); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := refEng.SwitchTo(lvl); err != nil {
+					t.Fatal(err)
+				}
+				chans := make([]<-chan serve.GenResponse, len(prompts))
+				for i := range prompts {
+					ch, err := srv.SubmitGen(prompts[i], budgets[i], -1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					chans[i] = ch
+				}
+				splitCh, err := srv.SubmitGenOpts(append(append([]int(nil), prefix...), suffix...),
+					serve.GenOpts{SplitAt: len(prefix), MaxTokens: splitBudget, EOS: -1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, ch := range chans {
+					resp := <-ch
+					if resp.Err != nil {
+						t.Fatalf("level %d request %d: %v", lvl, i, resp.Err)
+					}
+					what := fmt.Sprintf("level %d request %d", lvl, i)
+					_, want := decodeCached(t, refEng, 0, [][]int{prompts[i]}, budgets[i])
+					wantTokens(t, what+" vs cached loop", resp.Tokens, want[0])
+					if exact {
+						dense, err := srv.DenseGenReference(lvl, prompts[i], budgets[i], -1)
+						if err != nil {
+							t.Fatal(err)
+						}
+						wantTokens(t, what+" vs masked dense", resp.Tokens, dense)
+					}
+				}
+				resp := <-splitCh
+				if resp.Err != nil {
+					t.Fatalf("level %d split request: %v", lvl, resp.Err)
+				}
+				what := fmt.Sprintf("level %d split request", lvl)
+				wantTokens(t, what+" vs cached loop", resp.Tokens,
+					decodeCachedSplit(t, refEng, 0, prefix, suffix, splitBudget))
+				if exact {
+					dense, err := srv.DenseGenReferenceSplit(lvl, prefix, suffix, splitBudget, -1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantTokens(t, what+" vs masked dense", resp.Tokens, dense)
+				}
+			}
+			if st := eng.DecodeStats(); st.Chunks == 0 {
+				t.Fatal("no fused chunk pass ran: the split requests missed DecodeChunkBatch")
+			}
+		})
+	}
+}
+
 // TestGenerateModeErrors pins the admission surface of the two modes:
 // a generation server serves mixed traffic (classification batches ride
 // between decode steps), while SubmitGen on a classification server
@@ -351,6 +494,41 @@ func TestGenerateModeErrors(t *testing.T) {
 		t.Fatalf("SubmitGen on classification server: %v, want ErrNotGenerating", err)
 	}
 	srv.Stop()
+}
+
+// TestSubmitGenOptsSplitAt pins the SplitAt admission rule: it must cut
+// the prompt into a non-empty prefix and suffix, and 0 keeps
+// whole-prompt semantics.
+func TestSubmitGenOptsSplitAt(t *testing.T) {
+	eng, _ := newLMDeployment(t, 1, "pattern")
+	srv := serve.New(eng, serve.Config{Generate: true, MaxBatch: 2, QueueCap: 8})
+	srv.Start()
+	defer srv.Stop()
+	prompt := []int{1, 2, 3}
+	for _, tc := range []struct {
+		splitAt int
+		want    error
+	}{
+		{-1, serve.ErrBadSplit},
+		{0, nil},
+		{1, nil},
+		{2, nil},
+		{3, serve.ErrBadSplit}, // empty suffix
+		{4, serve.ErrBadSplit},
+	} {
+		ch, err := srv.SubmitGenOpts(prompt, serve.GenOpts{SplitAt: tc.splitAt, MaxTokens: 2, EOS: -1})
+		if err != tc.want {
+			t.Fatalf("SplitAt %d: %v, want %v", tc.splitAt, err, tc.want)
+		}
+		if err == nil {
+			if resp := <-ch; resp.Err != nil {
+				t.Fatalf("SplitAt %d: %v", tc.splitAt, resp.Err)
+			}
+		}
+	}
+	if _, err := srv.SubmitGenOpts([]int{1}, serve.GenOpts{SplitAt: 1}); err != serve.ErrBadSplit {
+		t.Fatalf("one-token prompt split at 1: %v, want ErrBadSplit", err)
+	}
 }
 
 // TestMixedModeTraffic drives concurrent classification and generation

@@ -22,7 +22,6 @@ var (
 	ErrCrashed       = errors.New("serve: server crashed")
 	ErrEmptyRequest  = errors.New("serve: empty token sequence")
 	ErrNotGenerating = errors.New("serve: SubmitGen requires Config.Generate")
-	ErrNoSpec        = errors.New("serve: GenOpts.Speculate requires Config.Spec")
 	ErrBadSplit      = errors.New("serve: GenOpts.SplitAt must cut the prompt into non-empty prefix and suffix")
 )
 
@@ -53,13 +52,6 @@ type Config struct {
 	// does not set its own budget (default 32).
 	MaxGenTokens int
 
-	// Spec enables self-speculative decoding for generation requests
-	// (requires Generate): the decode loop drafts SpecConfig.K tokens per
-	// round at a cheap high-sparsity level and verifies them in one fused
-	// target-level chunk — bit-identical output, fewer target passes.
-	// Requests opt in per request (GenOpts.Speculate) unless
-	// SpecConfig.Auto applies it to all of them.
-	Spec *SpecConfig
 	// PrefixCacheRows enables the cross-request radix prefix KV cache for
 	// split generation requests (GenOpts.SplitAt): > 0 bounds the cached
 	// K/V rows (LRU eviction), < 0 is unbounded, 0 disables the cache
@@ -209,9 +201,6 @@ type Server struct {
 	// prefixCache is the cross-request radix prefix KV cache, shared by
 	// every decode worker (nil unless Config.PrefixCacheRows != 0).
 	prefixCache *spec.Radix
-	// speculation accounting across all workers (atomic; exposed as
-	// rt3_spec_* when Config.Spec is set).
-	specRounds, specDrafted, specAccepted, specCommitted atomic.Int64
 
 	batMu   sync.Mutex
 	battery *dvfs.Battery // guarded by batMu
@@ -248,16 +237,6 @@ func New(eng *Engine, cfg Config) *Server {
 	if cfg.Generate && !eng.SupportsDecode() {
 		panic("serve: Config.Generate requires model replicas implementing DecodeModel (e.g. transformer.LMModel)")
 	}
-	if cfg.Spec != nil {
-		if !cfg.Generate {
-			panic("serve: Config.Spec requires Config.Generate")
-		}
-		sc := cfg.Spec.withDefaults(eng.NumLevels())
-		if sc.DraftLevel >= eng.NumLevels() {
-			panic(fmt.Sprintf("serve: Spec.DraftLevel %d out of range %d", sc.DraftLevel, eng.NumLevels()))
-		}
-		cfg.Spec = &sc
-	}
 	reg := obs.NewRegistry()
 	s := &Server{
 		cfg:     cfg,
@@ -281,20 +260,6 @@ func New(eng *Engine, cfg Config) *Server {
 		}
 		s.prefixCache = spec.NewRadix(capRows)
 		s.prefixCache.RegisterMetrics(reg)
-	}
-	if cfg.Spec != nil {
-		reg.CounterFunc("rt3_spec_rounds_total",
-			"Speculative draft/verify rounds.",
-			func() float64 { return float64(s.specRounds.Load()) })
-		reg.CounterFunc("rt3_spec_drafted_total",
-			"Draft tokens proposed by the draft level.",
-			func() float64 { return float64(s.specDrafted.Load()) })
-		reg.CounterFunc("rt3_spec_accepted_total",
-			"Draft tokens accepted by target-level verification.",
-			func() float64 { return float64(s.specAccepted.Load()) })
-		reg.CounterFunc("rt3_spec_committed_total",
-			"Tokens committed by speculative rounds (accepted + corrections/bonuses).",
-			func() float64 { return float64(s.specCommitted.Load()) })
 	}
 	if cfg.Autotune != nil {
 		tuner, err := NewAutotuner(eng.Levels(), cfg.Power, cfg.CyclesPerInference, *cfg.Autotune)
@@ -330,6 +295,15 @@ func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
 // Engine exposes the underlying execution engine.
 func (s *Server) Engine() *Engine { return s.eng }
+
+// PrefixCacheStats snapshots the radix prefix cache counters; ok is
+// false when the cache is disabled.
+func (s *Server) PrefixCacheStats() (st spec.RadixStats, ok bool) {
+	if s.prefixCache == nil {
+		return spec.RadixStats{}, false
+	}
+	return s.prefixCache.Stats(), true
+}
 
 // Start launches the worker pool — the dynamic batcher plus one batch
 // worker per engine replica, or (in Generate mode) one continuous-
@@ -587,6 +561,19 @@ func (s *Server) DenseGenReference(idx int, prompt []int, maxTokens, eos int) ([
 	s.execMu.Lock()
 	defer s.execMu.Unlock()
 	return s.eng.DenseGenerate(idx, prompt, maxTokens, eos)
+}
+
+// DenseGenReferenceSplit greedily decodes the masked dense reference
+// for a split request at level idx on the quiesced engine — the ground
+// truth a split generation (prefix-cached or not) must match
+// token-for-token. maxTokens <= 0 picks Config.MaxGenTokens.
+func (s *Server) DenseGenReferenceSplit(idx int, prefix, suffix []int, maxTokens, eos int) ([]int, error) {
+	if maxTokens <= 0 {
+		maxTokens = s.cfg.MaxGenTokens
+	}
+	s.execMu.Lock()
+	defer s.execMu.Unlock()
+	return s.eng.DenseGenerateSplit(idx, prefix, suffix, maxTokens, eos)
 }
 
 // batcher assembles dynamic batches: flush at MaxBatch or MaxDelay after

@@ -1,3 +1,7 @@
+// Package spec is the prefix KV cache: a radix tree that shares prefill
+// K/V rows across requests with a common system prompt, so a request
+// only computes its unshared suffix. See docs/ARCHITECTURE.md ("Prefix
+// KV cache").
 package spec
 
 import (

@@ -162,7 +162,7 @@ func (st *DecodeState) Reset() {
 // TruncateTo rewinds the state to position pos (0 <= pos <= Pos()),
 // dropping the self-attention rows of later tokens while keeping the
 // frozen cross-attention memory — the rollback primitive for replaying
-// or discarding speculative tokens.
+// a committed stream from an earlier position.
 func (st *DecodeState) TruncateTo(pos int) {
 	if pos < 0 || pos > st.pos {
 		panic(fmt.Sprintf("transformer: TruncateTo(%d) outside [0, %d]", pos, st.pos))
@@ -344,8 +344,7 @@ func (m *LMModel) DecodeStep(states []*DecodeState, tokens []int) *mat.Matrix {
 // the attention body the single-row path runs (mat.Attend), so
 // the returned per-sequence logits (views, ForwardBatch aliasing
 // contract) are bit-identical to the stacked DecodeStep logits over the
-// same tokens. This is the speculative verifier (all k+1 draft positions
-// in one target-level pass) and the prefix-cache suffix replayer; unlike
+// same tokens. This is the prefix-cache suffix replayer; unlike
 // DecodeStep it is also legal at Pos 0 on a state holding a frozen
 // cross-attention memory, where it reproduces the prefill's decoder
 // computation row-for-row.
