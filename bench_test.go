@@ -27,7 +27,6 @@ import (
 	"rt3/internal/rt3"
 	"rt3/internal/rtswitch"
 	"rt3/internal/serve"
-	"rt3/internal/sparse"
 	"rt3/internal/transformer"
 )
 
@@ -378,67 +377,6 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(buf[i:])
-}
-
-// BenchmarkSparseKernels measures the actual packed-format kernels from
-// internal/sparse at 50% block-structured sparsity, grounding the hwsim
-// cost-model ordering (pattern/block beat COO) in executable code.
-func BenchmarkSparseKernels(b *testing.B) {
-	rng := rand.New(rand.NewSource(23))
-	w := mat.New(96, 96)
-	w.Randomize(rng, 1)
-	mask, err := prune.BlockPrune(w, prune.BPConfig{Blocks: 4, Direction: prune.ColumnsInRowBlocks, Percentile: 0.5})
-	if err != nil {
-		b.Fatal(err)
-	}
-	w.Hadamard(mask)
-	x := mat.New(16, 96)
-	x.Randomize(rng, 1)
-
-	set := pattern.RandomSet(8, 0.5, 4, rng)
-	pmask, choices := set.Apply(w)
-	pw := w.Clone()
-	pw.Hadamard(pmask)
-	bits := make([][]uint8, len(set.Patterns))
-	for i, p := range set.Patterns {
-		bits[i] = p.Bits
-	}
-	packed, err := sparse.NewPattern(pw, 8, bits, choices)
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	// destination-passing MulInto keeps the loop allocation-free, so the
-	// numbers compare kernel arithmetic, not allocator behaviour
-	dst := mat.New(16, 96)
-	b.Run("dense", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			mat.MatMul(dst, x, w)
-		}
-	})
-	b.Run("COO", func(b *testing.B) {
-		m := sparse.NewCOO(w)
-		for i := 0; i < b.N; i++ {
-			m.MulInto(dst, x)
-		}
-	})
-	b.Run("CSR", func(b *testing.B) {
-		m := sparse.NewCSR(w)
-		for i := 0; i < b.N; i++ {
-			m.MulInto(dst, x)
-		}
-	})
-	b.Run("blockCSR", func(b *testing.B) {
-		m := sparse.NewBlockCSR(w, 4)
-		for i := 0; i < b.N; i++ {
-			m.MulInto(dst, x)
-		}
-	})
-	b.Run("pattern", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			packed.MulInto(dst, x)
-		}
-	})
 }
 
 // BenchmarkServeThroughput measures batched request throughput through

@@ -141,15 +141,19 @@ var microShapes = [][3]int{{256, 192, 768}, {256, 768, 192}, {8, 192, 768}, {64,
 // the serving matmul throughput, or the bench run fails.
 const microKernelFloor = 2.0
 
-// runMicroKernelBench times the packed micro-kernel formats against the
-// dense baseline at the serving shapes (single-threaded, unmasked
-// weights: this section measures the GEMM core itself, not sparsity)
-// and enforces microKernelFloor on the packed-f64 geomean.
+// runMicroKernelBench times the packed micro-kernel format at each of
+// its precisions against the dense baseline at the serving shapes
+// (single-threaded, unmasked weights: this section measures the GEMM
+// core itself, not sparsity) and enforces microKernelFloor on the
+// packed-f64 geomean.
 func runMicroKernelBench(spec kernelBenchSpec, section *kernelsSection) error {
 	rng := rand.New(rand.NewSource(44))
-	formats := []string{"dense", "packed", "f32", "int8"}
+	arms := []struct{ name, format, precision string }{
+		{"dense", "dense", ""}, {"packed", "packed", ""},
+		{"packed/f32", "packed", "f32"}, {"packed/int8", "packed", "int8"},
+	}
 	fmt.Printf("micro-kernels: packed-panel GEMM vs dense MatMul at serving shapes (single-threaded)\n\n")
-	fmt.Printf("%-14s %-8s %12s %14s %10s\n", "shape", "format", "us/op", "GFLOPeq/s", "speedup")
+	fmt.Printf("%-14s %-11s %12s %14s %10s\n", "shape", "format", "us/op", "GFLOPeq/s", "speedup")
 	logSum := map[string]float64{}
 	for _, sh := range microShapes {
 		M, K, N := sh[0], sh[1], sh[2]
@@ -160,8 +164,8 @@ func runMicroKernelBench(spec kernelBenchSpec, section *kernelsSection) error {
 		flops := 2 * float64(M) * float64(K) * float64(N)
 		shape := fmt.Sprintf("%dx%dx%d", M, K, N)
 		denseUS := 0.0
-		for _, name := range formats {
-			k, err := kernel.Build(name, w, kernel.Options{})
+		for _, arm := range arms {
+			k, err := kernel.Build(arm.format, w, kernel.Options{Precision: arm.precision})
 			if err != nil {
 				return err
 			}
@@ -169,16 +173,16 @@ func runMicroKernelBench(spec kernelBenchSpec, section *kernelsSection) error {
 			k.MulInto(dst, x) // warm up panel and scratch reuse
 			perOp := timeKernel(k, dst, x, spec.minTime)
 			us := float64(perOp.Nanoseconds()) / 1e3
-			if name == "dense" {
+			if arm.name == "dense" {
 				denseUS = us
 			}
 			speedup := denseUS / us
-			logSum[name] += math.Log(speedup)
-			fmt.Printf("%-14s %-8s %12.2f %14.3f %9.2fx\n",
-				shape, name, us, flops/perOp.Seconds()/1e9, speedup)
+			logSum[arm.name] += math.Log(speedup)
+			fmt.Printf("%-14s %-11s %12.2f %14.3f %9.2fx\n",
+				shape, arm.name, us, flops/perOp.Seconds()/1e9, speedup)
 			if section != nil {
 				section.Micro = append(section.Micro, microRow{
-					Shape: shape, Format: name, USPerOp: us,
+					Shape: shape, Format: arm.name, USPerOp: us,
 					GFLOPEqS: flops / perOp.Seconds() / 1e9,
 					SpeedupX: speedup,
 				})
@@ -188,7 +192,7 @@ func runMicroKernelBench(spec kernelBenchSpec, section *kernelsSection) error {
 	geomean := func(name string) float64 {
 		return math.Exp(logSum[name] / float64(len(microShapes)))
 	}
-	packed, f32, int8 := geomean("packed"), geomean("f32"), geomean("int8")
+	packed, f32, int8 := geomean("packed"), geomean("packed/f32"), geomean("packed/int8")
 	if section != nil {
 		section.MicroGeomeanSpeedup = packed
 	}

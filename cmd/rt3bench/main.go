@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"rt3/internal/experiments"
+	"rt3/internal/kernel"
 )
 
 // parseNodeCounts parses the -cluster-nodes list and sorts it ascending
@@ -47,7 +48,7 @@ func main() {
 	log.SetPrefix("rt3bench: ")
 	exp := flag.String("exp", "all", "experiment: all, tab1, tab2, tab3, tab4, fig3a, fig3bc, fig4, fig5, kernels, decode, autotune, cluster, chaos")
 	scaleFlag := flag.String("scale", "tiny", "model scale: tiny or small")
-	kernels := flag.String("kernel", "all", "kernels experiment: comma-separated registry formats (dense, coo, csr, blockcsr, pattern, packed, f32, int8) or all")
+	kernels := flag.String("kernel", "all", "kernels experiment: comma-separated registry formats ("+strings.Join(kernel.Formats(), ", ")+") or all")
 	workers := flag.Int("workers", 1, "kernels experiment: parallel executor width per kernel")
 	dim := flag.Int("kernel-dim", 192, "kernels experiment: square projection size")
 	batch := flag.Int("kernel-batch", 64, "kernels experiment: batch rows per MulInto call")

@@ -1,13 +1,13 @@
 // Kernel formats: the unified execution API end to end.
 //
-// Every matrix product in this repo — dense training, the four sparse
-// formats, the pattern-packed serving path — computes through one
-// destination-passing interface: kernel.Kernel. This example builds a
-// pattern-pruned Transformer projection, constructs every registered
-// execution format over the same masked weights through the kernel
-// registry, verifies they agree with dense execution element for
-// element, and shows the parallel executor scaling a packed kernel
-// across workers.
+// Every matrix product in this repo — dense training, the pattern-packed
+// serving path, the dense packed panels under unpruned layers — computes
+// through one destination-passing interface: kernel.Kernel. This example
+// builds a pattern-pruned Transformer projection, constructs the three
+// registered execution formats (and the two reduced precisions of
+// "packed") over the same masked weights through the kernel registry,
+// verifies they agree with dense execution, and shows the parallel
+// executor scaling a pattern kernel across workers.
 //
 // Run with: go run ./examples/kernel_formats
 package main
@@ -43,40 +43,39 @@ func main() {
 	}
 	want := kernel.Mul(ref, x)
 
-	// Per-format equivalence tolerance: exact-arithmetic formats must hit
-	// the tight default; the reduced-precision micro-kernel formats are
-	// held to their documented quantization/rounding bounds instead.
-	tol := func(name string) float64 {
-		switch name {
-		case "f32":
-			return 1e-3
-		case "int8":
-			return 0.5
-		}
-		return 1e-9
-	}
-
-	// One loop over the registry covers every execution format; the
+	// One loop covers every registered format at f64 — each must match
+	// dense execution exactly — then "packed" at its reduced precisions,
+	// held to their documented rounding/quantization bounds instead. The
 	// destination is allocated once and reused across MulInto calls.
-	fmt.Printf("%-10s %8s %10s %12s  %s\n", "format", "nnz", "idx_words", "us/op", "matches dense")
-	dst := mat.New(batch, dim)
+	type build struct {
+		format, precision string
+		tol               float64
+	}
+	var builds []build
 	for _, name := range kernel.Formats() {
-		k, err := kernel.Build(name, w, kernel.Options{Set: set})
+		builds = append(builds, build{name, "f64", 1e-9})
+	}
+	builds = append(builds, build{"packed", "f32", 1e-3}, build{"packed", "int8", 0.5})
+
+	fmt.Printf("%-10s %-9s %8s %10s %12s  %s\n", "format", "precision", "nnz", "idx_words", "us/op", "matches dense")
+	dst := mat.New(batch, dim)
+	for _, b := range builds {
+		k, err := kernel.Build(b.format, w, kernel.Options{Set: set, Precision: b.precision})
 		if err != nil {
 			log.Fatal(err)
 		}
 		k.MulInto(dst, x)
-		ok := mat.Equal(dst, want, tol(name))
+		ok := mat.Equal(dst, want, b.tol)
 		start := time.Now()
 		const iters = 50
 		for i := 0; i < iters; i++ {
 			k.MulInto(dst, x)
 		}
-		fmt.Printf("%-10s %8d %10d %12.1f  %v\n",
-			name, k.NNZ(), k.IndexWords(),
+		fmt.Printf("%-10s %-9s %8d %10d %12.1f  %v\n",
+			b.format, b.precision, k.NNZ(), k.IndexWords(),
 			float64(time.Since(start).Microseconds())/iters, ok)
 		if !ok {
-			log.Fatalf("%s diverged from dense execution", name)
+			log.Fatalf("%s at %s diverged from dense execution", b.format, b.precision)
 		}
 	}
 

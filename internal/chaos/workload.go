@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -14,6 +15,7 @@ import (
 	"rt3/internal/cluster"
 	"rt3/internal/data"
 	"rt3/internal/mat"
+	"rt3/internal/metrics"
 	"rt3/internal/serve"
 )
 
@@ -369,7 +371,9 @@ arrivals:
 		lats = append(lats, c.wallMS)
 	}
 	report.TokensPerSec = float64(report.GenTokens) / report.Elapsed.Seconds()
-	report.P50MS, report.P95MS, report.P99MS = quantiles(lats)
+	report.P50MS = metrics.Quantile(lats, 0.50)
+	report.P95MS = metrics.Quantile(lats, 0.95)
+	report.P99MS = metrics.Quantile(lats, 0.99)
 
 	if cfg.Verify {
 		nodes := cfg.Router.Nodes()
@@ -393,7 +397,7 @@ arrivals:
 				genRefs[key] = ref
 			}
 			report.Verified++
-			if !equalTokens(g.resp.Tokens, ref) {
+			if !slices.Equal(g.resp.Tokens, ref) {
 				report.Mismatches++
 			}
 		}
@@ -456,27 +460,4 @@ func hashCls(c clsResult) uint64 {
 
 func msSince(t0 time.Time) float64 {
 	return float64(time.Since(t0).Microseconds()) / 1000
-}
-
-// quantiles returns p50/p95/p99 of the sample (zeros when empty).
-func quantiles(v []float64) (p50, p95, p99 float64) {
-	if len(v) == 0 {
-		return 0, 0, 0
-	}
-	sort.Float64s(v)
-	at := func(q float64) float64 { return v[int(q*float64(len(v)-1))] }
-	return at(0.50), at(0.95), at(0.99)
-}
-
-// equalTokens compares two token sequences element-for-element.
-func equalTokens(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -3,11 +3,12 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
+	"rt3/internal/metrics"
 	"rt3/internal/serve"
 )
 
@@ -230,7 +231,9 @@ arrivals:
 		lats = append(lats, res.wallMS)
 	}
 	report.TokensPerSec = float64(report.GenTokens) / report.Elapsed.Seconds()
-	report.P50MS, report.P95MS, report.P99MS = percentiles(lats)
+	report.P50MS = metrics.Quantile(lats, 0.50)
+	report.P95MS = metrics.Quantile(lats, 0.95)
+	report.P99MS = metrics.Quantile(lats, 0.99)
 
 	after := r.Stats()
 	report.Stats = Stats{
@@ -267,36 +270,10 @@ arrivals:
 				refs[key] = ref
 			}
 			report.Verified++
-			if !equalTokens(res.resp.Tokens, ref) {
+			if !slices.Equal(res.resp.Tokens, ref) {
 				report.Mismatches++
 			}
 		}
 	}
 	return report, nil
-}
-
-// percentiles returns p50/p95/p99 of the sample (zeros when empty).
-func percentiles(v []float64) (p50, p95, p99 float64) {
-	if len(v) == 0 {
-		return 0, 0, 0
-	}
-	sort.Float64s(v)
-	at := func(q float64) float64 {
-		i := int(q * float64(len(v)-1))
-		return v[i]
-	}
-	return at(0.50), at(0.95), at(0.99)
-}
-
-// equalTokens compares two token sequences element-for-element.
-func equalTokens(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rt3/internal/deploy"
+	"rt3/internal/kernel"
 	"rt3/internal/mat"
 	"rt3/internal/pattern"
 	"rt3/internal/sparse"
@@ -58,7 +59,7 @@ func TestBundleToExecutablePipeline(t *testing.T) {
 	x.Randomize(rng, 1)
 	want := mat.New(3, 12)
 	mat.MatMul(want, x, masked)
-	if !mat.Equal(packed.MulMat(x), want, 1e-9) {
+	if !mat.Equal(kernel.Mul(packed, x), want, 1e-9) {
 		t.Fatal("deployed pattern execution differs from masked dense execution")
 	}
 

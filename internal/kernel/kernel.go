@@ -1,7 +1,7 @@
 // Package kernel is the unified execution API every matrix product in
-// the repo computes through: dense weights, the scalar sparse formats,
-// the pattern-packed RT3 serving path (a lane-parallel AVX micro-kernel
-// over the kept weights, see mat.GemmLanes) and the dense packed-panel
+// the repo computes through: dense weights (the reference), the
+// pattern-packed RT3 serving path (a lane-parallel AVX micro-kernel over
+// the kept weights, see mat.GemmLanes) and the dense packed-panel
 // micro-kernels share one destination-passing interface, one parallel
 // executor and one format registry.
 //
@@ -29,11 +29,14 @@
 //
 // # Registry
 //
-// The package-level registry maps format names ("dense", "coo", "csr",
-// "blockcsr", "pattern", plus the micro-kernel formats "packed", "f32"
-// and "int8") to constructors so commands and the serving engine select
-// execution formats by flag or config instead of hard-coding types. See
-// Build and Options.
+// The package-level registry maps the three format names — "dense" (the
+// reference every other format is tested against), "pattern" (the
+// serving default on prunable linears) and "packed" (dense panels, what
+// unpruned linears run) — to constructors, so commands and the serving
+// engine select execution formats by flag or config instead of
+// hard-coding types. Options.Precision ("f64", "f32", "int8") is the one
+// precision selector and belongs to "packed"; the other two formats
+// compute in float64 and reject anything else. See Build and Options.
 package kernel
 
 import (
@@ -90,23 +93,21 @@ func (d *DenseKernel) NNZ() int { return d.W.Rows * d.W.Cols }
 // IndexWords implements Kernel: dense storage needs no indices.
 func (d *DenseKernel) IndexWords() int { return 0 }
 
-// checkDst validates a destination against the kernel's output shape.
-func checkDst(k Kernel, dst, x *mat.Matrix) error {
+// checkDst panics unless x and dst fit k's weight shape. Kernels over
+// flat-slice micro-kernels call it themselves: those only see element
+// counts, so a mis-shaped x with the right count would run silently.
+func checkDst(k Kernel, dst, x *mat.Matrix) {
 	in, out := k.Dims()
 	if x.Cols != in {
-		return fmt.Errorf("kernel: x cols %d != in %d", x.Cols, in)
+		panic(fmt.Sprintf("kernel: x cols %d != in %d", x.Cols, in))
 	}
 	if dst.Rows != x.Rows || dst.Cols != out {
-		return fmt.Errorf("kernel: dst %dx%d, want %dx%d", dst.Rows, dst.Cols, x.Rows, out)
+		panic(fmt.Sprintf("kernel: dst %dx%d, want %dx%d", dst.Rows, dst.Cols, x.Rows, out))
 	}
-	return nil
 }
 
-// compile-time checks: every sparse execution format is a Kernel.
+// compile-time checks: the reference and the pattern format are Kernels.
 var (
 	_ Kernel = (*DenseKernel)(nil)
-	_ Kernel = (*sparse.COO)(nil)
-	_ Kernel = (*sparse.CSR)(nil)
-	_ Kernel = (*sparse.BlockCSR)(nil)
 	_ Kernel = (*sparse.Pattern)(nil)
 )

@@ -2,6 +2,8 @@ package kernel_test
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -9,31 +11,57 @@ import (
 	"rt3/internal/kernel"
 	"rt3/internal/mat"
 	"rt3/internal/pattern"
-	"rt3/internal/sparse"
+	"rt3/internal/testutil"
 )
+
+// maskedWeights returns w with the pattern set applied (w itself when
+// there is no set).
+func maskedWeights(w *mat.Matrix, set *pattern.Set) *mat.Matrix {
+	if set == nil {
+		return w
+	}
+	mask, _ := set.Apply(w)
+	mw := w.Clone()
+	mw.Hadamard(mask)
+	return mw
+}
 
 // maskedDense computes the ground truth a registry kernel must match:
 // dense execution over the pattern-masked weights.
 func maskedDense(w *mat.Matrix, set *pattern.Set, x *mat.Matrix) *mat.Matrix {
-	mw := w
-	if set != nil {
-		mask, _ := set.Apply(w)
-		mw = w.Clone()
-		mw.Hadamard(mask)
-	}
-	y := mat.New(x.Rows, mw.Cols)
-	mat.MatMul(y, x, mw)
+	y := mat.New(x.Rows, w.Cols)
+	mat.MatMul(y, x, maskedWeights(w, set))
 	return y
 }
 
-// formatTol is the per-format equivalence tolerance against masked
-// dense execution. Exact-arithmetic formats get the tight default; the
-// reduced-precision micro-kernel formats get the documented bounds
-// (f32: K*eps32-scale rounding; int8: quantization error, see
-// mat.Gemm8 — 0.5 comfortably covers the analytic bound at these
-// unit-scale test shapes).
-func formatTol(name string) float64 {
-	switch name {
+// build is one way to construct a registry kernel: a format and, for
+// "packed", a reduced precision.
+type build struct{ format, precision string }
+
+func (b build) String() string { return strings.TrimSuffix(b.format+"/"+b.precision, "/") }
+
+func (b build) kernel(w *mat.Matrix, opts kernel.Options) (kernel.Kernel, error) {
+	opts.Precision = b.precision
+	return kernel.Build(b.format, w, opts)
+}
+
+// allBuilds is every registered format at f64 plus the reduced
+// precisions of "packed".
+func allBuilds() []build {
+	var bs []build
+	for _, name := range kernel.Formats() {
+		bs = append(bs, build{format: name})
+	}
+	return append(bs, build{"packed", "f32"}, build{"packed", "int8"})
+}
+
+// precisionTol is the per-precision equivalence tolerance against masked
+// dense execution. f64 gets the tight default; the reduced precisions
+// get the documented bounds (f32: K*eps32-scale rounding; int8:
+// quantization error, see mat.Gemm8 — 0.5 comfortably covers the
+// analytic bound at these unit-scale test shapes).
+func precisionTol(precision string) float64 {
+	switch precision {
 	case "f32":
 		return 1e-4
 	case "int8":
@@ -43,20 +71,21 @@ func formatTol(name string) float64 {
 }
 
 // TestRegistryFormatsMatchDense is the unified equivalence property: for
-// every registered execution format, building a kernel over the same
-// pattern-masked weights and running MulInto must equal dense execution
-// element-for-element, including non-multiple-of-psize edge shapes.
+// every registered execution format (and every precision of "packed"),
+// building a kernel over the same pattern-masked weights and running
+// MulInto must equal dense execution element-for-element, including
+// non-multiple-of-psize edge shapes.
 func TestRegistryFormatsMatchDense(t *testing.T) {
-	for _, name := range kernel.Formats() {
-		name := name
-		t.Run(name, func(t *testing.T) {
+	for _, b := range allBuilds() {
+		b := b
+		t.Run(b.String(), func(t *testing.T) {
 			f := func(seed int64) bool {
 				rng := rand.New(rand.NewSource(seed))
 				rows, cols, batch := 4+rng.Intn(13), 4+rng.Intn(13), 1+rng.Intn(6)
 				w := mat.New(rows, cols)
 				w.Randomize(rng, 1)
 				set := pattern.RandomSet(4, 0.5, 3, rng)
-				k, err := kernel.Build(name, w, kernel.Options{Set: set})
+				k, err := b.kernel(w, kernel.Options{Set: set})
 				if err != nil {
 					t.Fatalf("build: %v", err)
 				}
@@ -69,7 +98,7 @@ func TestRegistryFormatsMatchDense(t *testing.T) {
 				want := maskedDense(w, set, x)
 				dst := mat.New(batch, cols)
 				k.MulInto(dst, x)
-				if !mat.Equal(dst, want, formatTol(name)) {
+				if !mat.Equal(dst, want, precisionTol(b.precision)) {
 					return false
 				}
 				// the allocating wrapper must agree with MulInto
@@ -103,24 +132,32 @@ func TestDenseKernelSeesWeightUpdates(t *testing.T) {
 }
 
 // TestStorageAccountingConsistent checks the registry kernels report the
-// same NNZ/IndexWords as the underlying sparse formats.
+// storage models their formats document: the pattern kernel counts every
+// kept position plus one id per tile and the shared dictionary's
+// offsets; the dense layouts store every value and (int8's per-column
+// scale and sum aside) no index.
 func TestStorageAccountingConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	w := mat.New(16, 16)
 	w.Randomize(rng, 1)
 	set := pattern.RandomSet(4, 0.5, 3, rng)
-	mask, _ := set.Apply(w)
-	mw := w.Clone()
-	mw.Hadamard(mask)
-
-	k, err := kernel.Build("coo", w, kernel.Options{Set: set})
-	if err != nil {
-		t.Fatal(err)
+	mask, choices := set.Apply(w)
+	patternIdx := len(choices)
+	for _, p := range set.Patterns {
+		patternIdx += len(p.Kept())
 	}
-	ref := sparse.NewCOO(mw)
-	if k.NNZ() != ref.NNZ() || k.IndexWords() != ref.IndexWords() {
-		t.Fatalf("coo kernel accounting (%d, %d) != sparse (%d, %d)",
-			k.NNZ(), k.IndexWords(), ref.NNZ(), ref.IndexWords())
+	want := map[string][2]int{
+		"dense": {256, 0}, "packed": {256, 0}, "packed/f32": {256, 0}, "packed/int8": {256, 2 * 16},
+		"pattern": {mask.NNZ(), patternIdx},
+	}
+	for _, b := range allBuilds() {
+		k, err := b.kernel(w, kernel.Options{Set: set})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := [2]int{k.NNZ(), k.IndexWords()}; got != want[b.String()] {
+			t.Errorf("%v accounting (nnz, index words) = %v, want %v", b, got, want[b.String()])
+		}
 	}
 }
 
@@ -236,7 +273,7 @@ func TestParallelShapePanics(t *testing.T) {
 
 // TestMulIntoZeroAllocs is the steady-state allocation contract of the
 // whole execution API: after warm-up, MulInto allocates nothing — for
-// every sparse format, the dense kernel, and the parallel executor.
+// every format and precision, serial and under the parallel executor.
 func TestMulIntoZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	w := mat.New(32, 32)
@@ -245,24 +282,22 @@ func TestMulIntoZeroAllocs(t *testing.T) {
 	x := mat.New(32, 32)
 	x.Randomize(rng, 1)
 
+	// serial, then parallel: the executor and any per-call scratch
+	// (pattern layout buffers, f32 conversion, int8 quantization) must
+	// stay allocation-free under concurrent row-partitioned MulInto too.
 	kernels := map[string]kernel.Kernel{}
-	for _, name := range kernel.Formats() {
-		k, err := kernel.Build(name, w, kernel.Options{Set: set})
+	for _, b := range allBuilds() {
+		k, err := b.kernel(w, kernel.Options{Set: set})
 		if err != nil {
 			t.Fatal(err)
 		}
-		kernels[name] = k
-	}
-	// parallel variants: the executor and any per-call scratch (pattern
-	// layout buffers, f32 conversion, int8 quantization) must stay
-	// allocation-free under concurrent row-partitioned MulInto too.
-	for _, name := range []string{"pattern", "packed", "f32", "int8"} {
-		pk, err := kernel.Build(name, w, kernel.Options{Set: set, Workers: 4})
+		kernels[b.String()] = k
+		pk, err := b.kernel(w, kernel.Options{Set: set, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer pk.(*kernel.ParallelKernel).Close()
-		kernels[name+"-parallel"] = pk
+		kernels[b.String()+"-parallel"] = pk
 	}
 
 	for name, k := range kernels {
@@ -285,6 +320,23 @@ func TestRegistryErrors(t *testing.T) {
 	if _, err := kernel.Build("pattern", w, kernel.Options{}); err == nil {
 		t.Fatal("pattern without a set accepted")
 	}
+	// precision belongs to "packed": the f64-only formats must say so
+	// instead of silently serving at full precision
+	set := pattern.RandomSet(4, 0.5, 2, rand.New(rand.NewSource(3)))
+	for _, format := range []string{"dense", "pattern"} {
+		for _, precision := range []string{"f32", "int8", "f16"} {
+			_, err := kernel.Build(format, w, kernel.Options{Set: set, Precision: precision})
+			if err == nil {
+				t.Fatalf("%s accepted precision %q", format, precision)
+			}
+			if !strings.Contains(err.Error(), `"`+format+`"`) || !strings.Contains(err.Error(), precision) {
+				t.Fatalf("%s + %s: error names neither: %v", format, precision, err)
+			}
+		}
+		if _, err := kernel.Build(format, w, kernel.Options{Set: set, Precision: "f64"}); err != nil {
+			t.Fatalf("%s rejected f64: %v", format, err)
+		}
+	}
 }
 
 // TestRegistryNamesAndCustomFormat checks Names ordering and that a
@@ -295,7 +347,7 @@ func TestRegistryNamesAndCustomFormat(t *testing.T) {
 		return kernel.NewDense(w), nil
 	})
 	r.Register("a", func(w *mat.Matrix, _ kernel.Options) (kernel.Kernel, error) {
-		return sparse.NewCSR(w), nil
+		return kernel.NewPacked(w), nil
 	})
 	names := r.Names()
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
@@ -318,8 +370,8 @@ func TestRegistryNamesAndCustomFormat(t *testing.T) {
 	if !mat.Equal(kernel.Mul(ka, x), kernel.Mul(kb, x), 1e-9) {
 		t.Fatal("custom registry formats disagree")
 	}
-	if got := len(kernel.Formats()); got != 8 {
-		t.Fatalf("default registry has %d formats, want 8", got)
+	if got := kernel.Formats(); !slices.Equal(got, []string{"dense", "packed", "pattern"}) {
+		t.Fatalf("default registry formats = %v, want [dense packed pattern]", got)
 	}
 }
 
@@ -356,36 +408,135 @@ func TestPackedBitIdenticalToDense(t *testing.T) {
 	}
 }
 
-// TestPackedPrecisionOption: the "packed" format flips to f32 compute
-// through Options.Precision and rejects unknown precisions.
+// TestPackedPrecisionOption: the "packed" format flips to f32 or int8
+// compute through Options.Precision, within each precision's tolerance
+// of dense, and rejects unknown precisions with the full list.
 func TestPackedPrecisionOption(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	w := mat.New(24, 9)
 	w.Randomize(rng, 1)
 	x := mat.New(5, 24)
 	x.Randomize(rng, 1)
-	f32, err := kernel.Build("packed", w, kernel.Options{Precision: "f32"})
-	if err != nil {
-		t.Fatal(err)
+	want := kernel.Mul(kernel.NewDense(w), x)
+	for _, tc := range []struct {
+		precision string
+		kernel    kernel.Kernel
+	}{
+		{"", (*kernel.PackedKernel)(nil)}, {"f64", (*kernel.PackedKernel)(nil)},
+		{"f32", (*kernel.Packed32Kernel)(nil)}, {"int8", (*kernel.Int8Kernel)(nil)},
+	} {
+		k, err := kernel.Build("packed", w, kernel.Options{Precision: tc.precision})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reflect.TypeOf(k) != reflect.TypeOf(tc.kernel) {
+			t.Errorf("precision %q built %T, want %T", tc.precision, k, tc.kernel)
+		}
+		if tol := precisionTol(tc.precision); !mat.Equal(kernel.Mul(k, x), want, tol) {
+			t.Errorf("precision %q beyond %g of dense", tc.precision, tol)
+		}
 	}
-	named, err := kernel.Build("f32", w, kernel.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// the Precision option and the named format are the same path
-	if !mat.Equal(kernel.Mul(f32, x), kernel.Mul(named, x), 0) {
-		t.Fatal("packed+f32 precision differs from the f32 format")
-	}
-	dense, err := kernel.Build("dense", w, kernel.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mat.Equal(kernel.Mul(f32, x), kernel.Mul(dense, x), 1e-4) {
-		t.Fatal("f32 compute beyond tolerance of dense")
-	}
-	if _, err := kernel.Build("packed", w, kernel.Options{Precision: "f16"}); err == nil {
+	_, err := kernel.Build("packed", w, kernel.Options{Precision: "f16"})
+	if err == nil {
 		t.Fatal("unknown precision accepted")
-	} else if !strings.Contains(err.Error(), "f16") {
-		t.Fatalf("error does not name the precision: %v", err)
 	}
+	for _, name := range []string{"f16", "f64", "f32", "int8"} {
+		if !strings.Contains(err.Error(), `"`+name+`"`) {
+			t.Fatalf("error does not name %q: %v", name, err)
+		}
+	}
+}
+
+// TestMulIntoShapePanics: every format and precision panics on a
+// mis-shaped product instead of computing numbers — including an x whose
+// element count coincides with the valid one, which the flat-slice panel
+// kernels under "packed" cannot tell from a good input on their own.
+func TestMulIntoShapePanics(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	w := mat.New(4, 6)
+	w.Randomize(rng, 1)
+	set := pattern.RandomSet(4, 0.5, 2, rng)
+	for _, b := range allBuilds() {
+		k, err := b.kernel(w, kernel.Options{Set: set})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name   string
+			dst, x [2]int
+		}{
+			{"x 2x8 under dst 4x6: 16 elements, like a valid 4x4", [2]int{4, 6}, [2]int{2, 8}},
+			{"x with the wrong inner dim", [2]int{2, 6}, [2]int{2, 3}},
+			{"dst with the wrong cols", [2]int{2, 5}, [2]int{2, 4}},
+			{"dst with the wrong rows", [2]int{3, 6}, [2]int{2, 4}},
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%v: %s: expected panic", b, tc.name)
+					}
+				}()
+				k.MulInto(mat.New(tc.dst[0], tc.dst[1]), mat.New(tc.x[0], tc.x[1]))
+			}()
+		}
+	}
+}
+
+// FuzzKernelBuild drives kernel.Build over every format and precision
+// at degenerate shapes — 0/1-row and 0/1-col weights, batches 0-17,
+// edges that are not multiples of psize, no set, a random set, an
+// all-kept and a keep-nothing set — and compares each kernel against the
+// naive product over the masked weights: exactly for f64, within the
+// unit-scale bounds for f32 (K*eps32-scale, 1e-4 at these K) and int8
+// (the analytic quantization bound, under 0.02 per k).
+func FuzzKernelBuild(f *testing.F) {
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), int64(1))
+	f.Add(uint8(1), uint8(1), uint8(1), uint8(1), int64(2))
+	f.Add(uint8(0), uint8(5), uint8(3), uint8(6), int64(3))
+	f.Add(uint8(7), uint8(0), uint8(17), uint8(3), int64(4))
+	f.Add(uint8(24), uint8(13), uint8(8), uint8(9), int64(5))
+	f.Add(uint8(9), uint8(24), uint8(9), uint8(2), int64(6))
+	f.Fuzz(func(t *testing.T, rows, cols, batch, mask uint8, seed int64) {
+		K, N, M := int(rows%25), int(cols%25), int(batch%18)
+		rng := rand.New(rand.NewSource(seed))
+		w := mat.New(K, N)
+		w.Randomize(rng, 1)
+		x := mat.New(M, K)
+		x.Randomize(rng, 1)
+		psize := []int{2, 4, 8}[int(mask/4)%3]
+		var set *pattern.Set
+		switch mask % 4 {
+		case 1:
+			set = pattern.RandomSet(psize, 0.5, 3, rng)
+		case 2, 3:
+			p := pattern.NewPattern(psize)
+			for i := range p.Bits {
+				p.Bits[i] = mask % 2 // 2 keeps nothing, 3 keeps everything
+			}
+			set = &pattern.Set{Patterns: []pattern.Pattern{p}}
+		}
+		want := mat.New(M, N)
+		testutil.NaiveMatMul(want, x, maskedWeights(w, set))
+
+		for _, b := range allBuilds() {
+			k, err := b.kernel(w, kernel.Options{Set: set})
+			if b.format == "pattern" && set == nil {
+				if err == nil {
+					t.Fatal("pattern built without a set")
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%v: %v", b, err)
+			}
+			tol := map[string]float64{"f32": 1e-4, "int8": 0.02 * float64(K)}[b.precision]
+			got := mat.New(M, N)
+			got.Fill(1e9)
+			k.MulInto(got, x)
+			if !mat.Equal(got, want, tol) {
+				t.Fatalf("%v, %dx%d weights, batch %d, mask %d: differs from the naive masked product beyond %g",
+					b, K, N, M, mask, tol)
+			}
+		}
+	})
 }

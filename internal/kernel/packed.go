@@ -6,21 +6,18 @@ import (
 	"rt3/internal/mat"
 )
 
-// The packed formats execute through the register-blocked micro-kernel
+// The "packed" format executes through the register-blocked micro-kernel
 // GEMM in internal/mat: weights repack once into panel form at Build
 // time (amortized across every subsequent MulInto, like the pattern
 // kernel's packed weight stream), and the product runs 8x4 accumulator
-// tiles over the panels. Three precisions register by default:
+// tiles over the panels. Options.Precision selects the panel type:
 //
-//	"packed" — float64 panels; bit-identical to dense execution.
-//	"f32"    — float32 panels and float32 accumulation; ~half the
-//	           weight bytes, results within documented tolerance.
-//	"int8"   — quantized panels (per-column weight scale, per-row
-//	           activation affine); quarter weight bytes, exact integer
-//	           contraction, quantization-bounded output error.
-//
-// "packed" also honors Options.Precision, so serving configs can flip
-// a deployed format between f64 and f32 compute without renaming it.
+//	"" or "f64" — float64 panels; bit-identical to dense execution.
+//	"f32"       — float32 panels and float32 accumulation; ~half the
+//	              weight bytes, results within documented tolerance.
+//	"int8"      — quantized panels (per-column weight scale, per-row
+//	              activation affine); quarter weight bytes, exact integer
+//	              contraction, quantization-bounded output error.
 
 // PackedKernel executes dst = X @ W through float64 weight panels.
 type PackedKernel struct {
@@ -36,6 +33,7 @@ func NewPacked(w *mat.Matrix) *PackedKernel {
 
 // MulInto implements Kernel via the micro-kernel GEMM.
 func (k *PackedKernel) MulInto(dst, x *mat.Matrix) {
+	checkDst(k, dst, x)
 	mat.GemmPanels(dst, x.Data[:x.Rows*x.Cols], k.panels)
 }
 
@@ -62,7 +60,10 @@ func NewPacked32(w *mat.Matrix) *Packed32Kernel {
 }
 
 // MulInto implements Kernel via the float32 micro-kernel GEMM.
-func (k *Packed32Kernel) MulInto(dst, x *mat.Matrix) { mat.Gemm32(dst, x, k.panels) }
+func (k *Packed32Kernel) MulInto(dst, x *mat.Matrix) {
+	checkDst(k, dst, x)
+	mat.Gemm32(dst, x, k.panels)
+}
 
 // Dims implements Kernel.
 func (k *Packed32Kernel) Dims() (in, out int) { return k.in, k.out }
@@ -105,12 +106,14 @@ func buildPacked(w *mat.Matrix, opts Options) (Kernel, error) {
 		return NewPacked(masked(w, opts)), nil
 	case "f32":
 		return NewPacked32(masked(w, opts)), nil
+	case "int8":
+		return NewInt8(masked(w, opts)), nil
 	default:
-		return nil, fmt.Errorf("kernel: unknown precision %q (want \"f64\" or \"f32\")", opts.Precision)
+		return nil, fmt.Errorf("kernel: unknown precision %q (want \"f64\", \"f32\" or \"int8\")", opts.Precision)
 	}
 }
 
-// compile-time checks: the packed formats are Kernels.
+// compile-time checks: every precision of "packed" is a Kernel.
 var (
 	_ Kernel = (*PackedKernel)(nil)
 	_ Kernel = (*Packed32Kernel)(nil)

@@ -93,9 +93,7 @@ func (p *Pool) run(slot int) {
 // min(workers, x.Rows/MinRowsPerWorker); below 2 the kernel runs inline
 // on the calling goroutine.
 func (p *Pool) MulInto(k Kernel, dst, x *mat.Matrix) {
-	if err := checkDst(k, dst, x); err != nil {
-		panic(err.Error())
-	}
+	checkDst(k, dst, x)
 	nw := p.workers
 	if byRows := x.Rows / MinRowsPerWorker; byRows < nw {
 		nw = byRows

@@ -5,10 +5,11 @@ import "fmt"
 // This file is the BLAS-grade GEMM core behind the serving hot path:
 // register-blocked micro-kernels over a packed weight-panel format, in
 // float64 and float32 (one generic implementation, instantiated per
-// precision). internal/kernel wraps it in registry formats ("packed",
-// "f32") that pack once at build time and reuse the panels across every
-// MulInto — the same amortization trick sparse.Pattern plays with its
-// packed weight stream. The int8 quantized variant lives in gemm8.go.
+// precision). internal/kernel wraps it in the "packed" registry format
+// (f64 or f32 by Options.Precision), which packs once at build time and
+// reuses the panels across every MulInto — the same amortization trick
+// sparse.Pattern plays with its packed weight stream. The int8 quantized
+// variant lives in gemm8.go.
 //
 // # Panel layout
 //

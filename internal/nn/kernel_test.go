@@ -8,19 +8,13 @@ import (
 	"rt3/internal/kernel"
 	"rt3/internal/mat"
 	"rt3/internal/nn"
-	"rt3/internal/sparse"
 )
 
-// sparseLinear builds a Linear with 50%-sparse weights and returns the
-// layer plus its CSR kernel over the same weights.
+// sparseLinear builds a Linear and a packed kernel over its weights.
 func sparseLinear(t *testing.T, seed int64) (*nn.Linear, kernel.Kernel) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	l := nn.NewLinear("l", 6, 5, rng)
-	for _, i := range rng.Perm(6 * 5)[:6*5/2] {
-		l.W.Value.Data[i] = 0
-	}
-	return l, sparse.NewCSR(l.W.Value)
+	l := nn.NewLinear("l", 6, 5, rand.New(rand.NewSource(seed)))
+	return l, kernel.NewPacked(l.W.Value)
 }
 
 // TestLinearKernelForwardMatchesDense: installing a kernel over the same
@@ -156,9 +150,9 @@ func TestLinearBufferReuse(t *testing.T) {
 	}
 }
 
-// TestLinearMicroKernelFormats installs each packed micro-kernel format
-// into Linear: "packed" (f64) must reproduce dense Forward bit for bit
-// (the bias add is the same code path), the reduced-precision formats
+// TestLinearMicroKernelFormats installs the "packed" micro-kernel format
+// into Linear at each precision: f64 must reproduce dense Forward bit
+// for bit (the bias add is the same code path), the reduced precisions
 // must land within their documented tolerances, and all of them must
 // run the layer's hot path allocation-free with buffer reuse on.
 func TestLinearMicroKernelFormats(t *testing.T) {
@@ -168,21 +162,21 @@ func TestLinearMicroKernelFormats(t *testing.T) {
 	x.Randomize(rng, 1)
 	want := l.Forward(x).Clone()
 	for _, tc := range []struct {
-		format string
-		tol    float64
-	}{{"packed", 0}, {"f32", 1e-4}, {"int8", 0.5}} {
-		k, err := kernel.Build(tc.format, l.W.Value, kernel.Options{})
+		precision string
+		tol       float64
+	}{{"f64", 0}, {"f32", 1e-4}, {"int8", 0.5}} {
+		k, err := kernel.Build("packed", l.W.Value, kernel.Options{Precision: tc.precision})
 		if err != nil {
-			t.Fatalf("%s: %v", tc.format, err)
+			t.Fatalf("%s: %v", tc.precision, err)
 		}
 		l.SetKernel(k)
 		if got := l.Forward(x); !mat.Equal(got, want, tc.tol) {
-			t.Fatalf("%s: Forward beyond tolerance %g of dense", tc.format, tc.tol)
+			t.Fatalf("%s: Forward beyond tolerance %g of dense", tc.precision, tc.tol)
 		}
 		l.SetBufferReuse(true)
 		l.Forward(x) // warm the buffer and kernel scratch
 		if allocs := testing.AllocsPerRun(50, func() { l.Forward(x) }); allocs != 0 {
-			t.Errorf("%s: %v allocs per Forward, want 0", tc.format, allocs)
+			t.Errorf("%s: %v allocs per Forward, want 0", tc.precision, allocs)
 		}
 		l.SetBufferReuse(false)
 		l.SetKernel(nil)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"rt3/internal/kernel"
 	"rt3/internal/mat"
 	"rt3/internal/rtswitch"
 	"rt3/internal/serve"
@@ -30,7 +31,7 @@ func raggedBatches(n, vocab int, seed int64) [][]int {
 // ForwardBatch over a ragged batch must be bit-identical to the
 // per-sequence Forward loop, and match masked dense execution.
 func TestEngineForwardBatchAllFormats(t *testing.T) {
-	for _, format := range []string{"dense", "coo", "csr", "blockcsr", "pattern"} {
+	for _, format := range kernel.Formats() {
 		format := format
 		t.Run(format, func(t *testing.T) {
 			_, bundle := newTestDeployment(t, 1)

@@ -68,7 +68,7 @@ func TestEngineFailedSwitchRestoresKernels(t *testing.T) {
 // non-default registry format: the unified kernel API means any format
 // serves an RT3 level with output identical to masked dense execution.
 func TestEngineAlternateFormats(t *testing.T) {
-	for _, format := range []string{"dense", "coo", "csr", "blockcsr"} {
+	for _, format := range []string{"dense", "packed"} {
 		format := format
 		t.Run(format, func(t *testing.T) {
 			eng, bundle := newTestDeployment(t, 1)

@@ -1,19 +1,17 @@
-// Package sparse implements the sparse weight execution formats that the
-// RT3 deployment story rests on: COO (what irregular pruning forces),
-// CSR, block-CSR (what Level-1 BP enables) and pattern-packed storage
-// (what Level-2 PP enables, after PatDNN-style compiler packing). Each
-// format supports matrix-vector and matrix-matrix products that are
-// verified element-for-element against dense execution in the tests; the
-// benchmark harness uses them to ground the hwsim cost-model ordering in
-// actual kernel behaviour.
+// Package sparse is the pattern execution format: what a device runs
+// after an RT3 level switch. A Pattern is built from a weight matrix and
+// a pattern set (PackSet), keeps the paper's dictionary storage model
+// for its accounting (NNZ, IndexWords: one id per tile plus the shared
+// dictionary) and, for execution, repacks the kept weights once into
+// per-column streams that run through mat.GemmLanes, the lane-parallel
+// AVX micro-kernel (with a portable twin). Products are destination
+// passing (MulInto, zero allocations in steady state), cost work
+// proportional to the kept weights and are bit-identical to dense
+// execution over the masked matrix.
 //
-// Every format implements the destination-passing MulInto kernel (zero
-// allocations in steady state) shared with internal/kernel; MulMat is a
-// thin allocating shim kept for convenience and legacy tests. COO, CSR
-// and block-CSR execute as scalar Go loops over their own storage;
-// Pattern, the serving default, repacks its kept weights into per-column
-// streams and executes through mat.GemmLanes, the lane-parallel AVX
-// micro-kernel (with a portable twin).
+// The storage costs of the formats the paper compares against (COO,
+// block-structured) are an analytic model in internal/prune (CostCOO,
+// CostBlockStructured, CostPattern); they have no execution format here.
 package sparse
 
 import (
@@ -22,256 +20,6 @@ import (
 	"rt3/internal/mat"
 	"rt3/internal/pattern"
 )
-
-// checkMulShapes validates one X @ W product: x is batch x rows and dst
-// is batch x cols, where the format stores a rows x cols weight matrix.
-func checkMulShapes(format string, dst, x *mat.Matrix, rows, cols int) {
-	if x.Cols != rows {
-		panic(fmt.Sprintf("sparse: %s MulInto x cols %d != rows %d", format, x.Cols, rows))
-	}
-	if dst.Rows != x.Rows || dst.Cols != cols {
-		panic(fmt.Sprintf("sparse: %s MulInto dst %dx%d, want %dx%d", format, dst.Rows, dst.Cols, x.Rows, cols))
-	}
-}
-
-// COO stores (row, col, value) triples — the layout the paper's
-// Challenge 1 attributes to irregular pruning, with two index words per
-// nonzero.
-type COO struct {
-	Rows, Cols int
-	RowIdx     []int32
-	ColIdx     []int32
-	Val        []float64
-}
-
-// NewCOO packs the nonzeros of w.
-func NewCOO(w *mat.Matrix) *COO {
-	c := &COO{Rows: w.Rows, Cols: w.Cols}
-	for i := 0; i < w.Rows; i++ {
-		row := w.Row(i)
-		for j, v := range row {
-			if v != 0 {
-				c.RowIdx = append(c.RowIdx, int32(i))
-				c.ColIdx = append(c.ColIdx, int32(j))
-				c.Val = append(c.Val, v)
-			}
-		}
-	}
-	return c
-}
-
-// Dims returns the logical (rows, cols) of the stored weight matrix.
-func (c *COO) Dims() (rows, cols int) { return c.Rows, c.Cols }
-
-// NNZ returns the stored nonzero count.
-func (c *COO) NNZ() int { return len(c.Val) }
-
-// IndexWords returns the number of stored index words (2 per nonzero).
-func (c *COO) IndexWords() int { return 2 * len(c.Val) }
-
-// MulVec computes y (len Cols) = x (len Rows) @ W.
-func (c *COO) MulVec(x []float64) []float64 {
-	if len(x) != c.Rows {
-		panic(fmt.Sprintf("sparse: COO MulVec len %d != rows %d", len(x), c.Rows))
-	}
-	y := make([]float64, c.Cols)
-	for k, v := range c.Val {
-		y[c.ColIdx[k]] += x[c.RowIdx[k]] * v
-	}
-	return y
-}
-
-// MulInto computes dst = X @ W for X batch x Rows into the pre-allocated
-// batch x Cols destination, allocation-free.
-func (c *COO) MulInto(dst, x *mat.Matrix) {
-	checkMulShapes("COO", dst, x, c.Rows, c.Cols)
-	dst.Zero()
-	for b := 0; b < x.Rows; b++ {
-		xr := x.Row(b)
-		yr := dst.Row(b)
-		for k, v := range c.Val {
-			yr[c.ColIdx[k]] += xr[c.RowIdx[k]] * v
-		}
-	}
-}
-
-// MulMat computes Y = X @ W where X is batch x Rows.
-func (c *COO) MulMat(x *mat.Matrix) *mat.Matrix {
-	y := mat.New(x.Rows, c.Cols)
-	c.MulInto(y, x)
-	return y
-}
-
-// CSR is compressed sparse row storage: one column index per nonzero
-// plus a rows+1 pointer array.
-type CSR struct {
-	Rows, Cols int
-	RowPtr     []int32
-	ColIdx     []int32
-	Val        []float64
-}
-
-// NewCSR packs the nonzeros of w row by row.
-func NewCSR(w *mat.Matrix) *CSR {
-	c := &CSR{Rows: w.Rows, Cols: w.Cols, RowPtr: make([]int32, w.Rows+1)}
-	for i := 0; i < w.Rows; i++ {
-		row := w.Row(i)
-		for j, v := range row {
-			if v != 0 {
-				c.ColIdx = append(c.ColIdx, int32(j))
-				c.Val = append(c.Val, v)
-			}
-		}
-		c.RowPtr[i+1] = int32(len(c.Val))
-	}
-	return c
-}
-
-// Dims returns the logical (rows, cols) of the stored weight matrix.
-func (c *CSR) Dims() (rows, cols int) { return c.Rows, c.Cols }
-
-// NNZ returns the stored nonzero count.
-func (c *CSR) NNZ() int { return len(c.Val) }
-
-// IndexWords returns stored index words (1 per nonzero + row pointers).
-func (c *CSR) IndexWords() int { return len(c.ColIdx) + len(c.RowPtr) }
-
-// MulInto computes dst = X @ W for X batch x Rows into the pre-allocated
-// batch x Cols destination, allocation-free.
-func (c *CSR) MulInto(dst, x *mat.Matrix) {
-	checkMulShapes("CSR", dst, x, c.Rows, c.Cols)
-	dst.Zero()
-	for b := 0; b < x.Rows; b++ {
-		xr := x.Row(b)
-		yr := dst.Row(b)
-		for i := 0; i < c.Rows; i++ {
-			xv := xr[i]
-			if xv == 0 {
-				continue
-			}
-			for k := c.RowPtr[i]; k < c.RowPtr[i+1]; k++ {
-				yr[c.ColIdx[k]] += xv * c.Val[k]
-			}
-		}
-	}
-}
-
-// MulMat computes Y = X @ W where X is batch x Rows.
-func (c *CSR) MulMat(x *mat.Matrix) *mat.Matrix {
-	y := mat.New(x.Rows, c.Cols)
-	c.MulInto(y, x)
-	return y
-}
-
-// BlockCSR is the BP execution format: the matrix is split into
-// row-blocks; each block stores the indices of its surviving columns
-// once, plus a dense (blockRows x survivors) value panel. This is what
-// makes BP "compatible with parallel computation": inner loops are
-// dense over the survivor panel.
-type BlockCSR struct {
-	Rows, Cols int
-	BlockRows  int // rows per block (last block may be short)
-	Blocks     []blockPanel
-}
-
-type blockPanel struct {
-	r0, r1 int
-	cols   []int32   // surviving column indices
-	panel  []float64 // (r1-r0) x len(cols), row-major
-}
-
-// NewBlockCSR packs w into numBlocks row-blocks, keeping the columns
-// that are nonzero anywhere within each block.
-func NewBlockCSR(w *mat.Matrix, numBlocks int) *BlockCSR {
-	if numBlocks < 1 {
-		numBlocks = 1
-	}
-	if numBlocks > w.Rows {
-		numBlocks = w.Rows
-	}
-	c := &BlockCSR{Rows: w.Rows, Cols: w.Cols, BlockRows: (w.Rows + numBlocks - 1) / numBlocks}
-	for b := 0; b < numBlocks; b++ {
-		r0 := b * w.Rows / numBlocks
-		r1 := (b + 1) * w.Rows / numBlocks
-		if r0 >= r1 {
-			continue
-		}
-		var cols []int32
-		for j := 0; j < w.Cols; j++ {
-			alive := false
-			for i := r0; i < r1; i++ {
-				if w.At(i, j) != 0 {
-					alive = true
-					break
-				}
-			}
-			if alive {
-				cols = append(cols, int32(j))
-			}
-		}
-		panel := make([]float64, (r1-r0)*len(cols))
-		for i := r0; i < r1; i++ {
-			for k, j := range cols {
-				panel[(i-r0)*len(cols)+k] = w.At(i, int(j))
-			}
-		}
-		c.Blocks = append(c.Blocks, blockPanel{r0: r0, r1: r1, cols: cols, panel: panel})
-	}
-	return c
-}
-
-// Dims returns the logical (rows, cols) of the stored weight matrix.
-func (c *BlockCSR) Dims() (rows, cols int) { return c.Rows, c.Cols }
-
-// NNZ returns the stored value count (the dense survivor panels).
-func (c *BlockCSR) NNZ() int {
-	n := 0
-	for _, b := range c.Blocks {
-		n += len(b.panel)
-	}
-	return n
-}
-
-// IndexWords returns stored index words (one per surviving column per
-// block — the paper's storage argument for BP).
-func (c *BlockCSR) IndexWords() int {
-	n := 0
-	for _, b := range c.Blocks {
-		n += len(b.cols)
-	}
-	return n
-}
-
-// MulInto computes dst = X @ W for X batch x Rows into the pre-allocated
-// batch x Cols destination, allocation-free.
-func (c *BlockCSR) MulInto(dst, x *mat.Matrix) {
-	checkMulShapes("BlockCSR", dst, x, c.Rows, c.Cols)
-	dst.Zero()
-	for bi := 0; bi < x.Rows; bi++ {
-		xr := x.Row(bi)
-		yr := dst.Row(bi)
-		for _, blk := range c.Blocks {
-			nc := len(blk.cols)
-			for i := blk.r0; i < blk.r1; i++ {
-				xv := xr[i]
-				if xv == 0 {
-					continue
-				}
-				panelRow := blk.panel[(i-blk.r0)*nc : (i-blk.r0+1)*nc]
-				for k, v := range panelRow {
-					yr[blk.cols[k]] += xv * v
-				}
-			}
-		}
-	}
-}
-
-// MulMat computes Y = X @ W where X is batch x Rows.
-func (c *BlockCSR) MulMat(x *mat.Matrix) *mat.Matrix {
-	y := mat.New(x.Rows, c.Cols)
-	c.MulInto(y, x)
-	return y
-}
 
 // Pattern is the PP execution format. Its storage model is the paper's:
 // the matrix is tiled into psize x psize blocks, each tile stores a
@@ -371,32 +119,8 @@ func (p *Pattern) IndexWords() int { return p.indexWords }
 
 // MulInto computes dst = X @ W for X batch x Rows into the pre-allocated
 // batch x Cols destination, allocation-free in steady state and safe for
-// concurrent calls on disjoint destinations (see mat.GemmLanes).
+// concurrent calls on disjoint destinations; mat.GemmLanes panics on any
+// other shape.
 func (p *Pattern) MulInto(dst, x *mat.Matrix) {
-	checkMulShapes("Pattern", dst, x, p.Rows, p.Cols)
 	mat.GemmLanes(dst, x, p.w)
 }
-
-// MulMat computes Y = X @ W where X is batch x Rows.
-func (p *Pattern) MulMat(x *mat.Matrix) *mat.Matrix {
-	y := mat.New(x.Rows, p.Cols)
-	p.MulInto(y, x)
-	return y
-}
-
-// Multiplier is the legacy allocating interface of all packed formats;
-// new code should program against kernel.Kernel (destination-passing
-// MulInto) instead.
-type Multiplier interface {
-	MulMat(x *mat.Matrix) *mat.Matrix
-	NNZ() int
-	IndexWords() int
-}
-
-// compile-time interface checks
-var (
-	_ Multiplier = (*COO)(nil)
-	_ Multiplier = (*CSR)(nil)
-	_ Multiplier = (*BlockCSR)(nil)
-	_ Multiplier = (*Pattern)(nil)
-)

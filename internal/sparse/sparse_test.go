@@ -7,20 +7,7 @@ import (
 
 	"rt3/internal/mat"
 	"rt3/internal/pattern"
-	"rt3/internal/prune"
 )
-
-// sparseRandom returns a matrix with the requested sparsity.
-func sparseRandom(rows, cols int, sparsity float64, seed int64) *mat.Matrix {
-	rng := rand.New(rand.NewSource(seed))
-	w := mat.New(rows, cols)
-	w.Randomize(rng, 1)
-	n := int(sparsity * float64(rows*cols))
-	for _, i := range rng.Perm(rows * cols)[:n] {
-		w.Data[i] = 0
-	}
-	return w
-}
 
 func denseMul(x, w *mat.Matrix) *mat.Matrix {
 	y := mat.New(x.Rows, w.Cols)
@@ -28,107 +15,28 @@ func denseMul(x, w *mat.Matrix) *mat.Matrix {
 	return y
 }
 
-// intoMultiplier is the destination-passing surface shared with
-// internal/kernel, used to exercise MulInto alongside MulMat.
-type intoMultiplier interface {
-	Multiplier
-	MulInto(dst, x *mat.Matrix)
-	Dims() (int, int)
+// mulPoisoned runs p.MulInto into a dirty destination: MulInto must
+// fully overwrite it, so a stale value leaking through shows up in the
+// caller's comparison against dense execution.
+func mulPoisoned(p *Pattern, x *mat.Matrix) *mat.Matrix {
+	dst := mat.New(x.Rows, p.Cols)
+	dst.Fill(1e9)
+	p.MulInto(dst, x)
+	return dst
 }
 
-// mulBoth runs both execution paths of m and fails if they disagree:
-// the allocating shim must be a pure wrapper over MulInto, and MulInto
-// must fully overwrite (not accumulate into) a dirty destination.
-func mulBoth(t testing.TB, m intoMultiplier, x *mat.Matrix) *mat.Matrix {
+// packRandom packs a random rows x cols matrix under a random psize-4
+// pattern set.
+func packRandom(t *testing.T, rows, cols int, seed int64) *Pattern {
 	t.Helper()
-	y := m.MulMat(x)
-	_, cols := m.Dims()
-	dst := mat.New(x.Rows, cols)
-	dst.Fill(1e9) // poison: stale values must not leak through
-	m.MulInto(dst, x)
-	if !mat.Equal(dst, y, 0) {
-		t.Fatal("MulInto differs from MulMat")
-	}
-	return y
-}
-
-func TestCOOMatchesDense(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		rows, cols, batch := 2+rng.Intn(10), 2+rng.Intn(10), 1+rng.Intn(4)
-		w := sparseRandom(rows, cols, 0.5, seed)
-		x := mat.New(batch, rows)
-		x.Randomize(rng, 1)
-		return mat.Equal(mulBoth(t, NewCOO(w), x), denseMul(x, w), 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	rng := rand.New(rand.NewSource(seed))
+	w := mat.New(rows, cols)
+	w.Randomize(rng, 1)
+	p, err := PackSet(w, pattern.RandomSet(4, 0.5, 3, rng))
+	if err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestCOOMulVecMatchesMulMat(t *testing.T) {
-	w := sparseRandom(8, 6, 0.4, 1)
-	rng := rand.New(rand.NewSource(2))
-	x := mat.New(1, 8)
-	x.Randomize(rng, 1)
-	c := NewCOO(w)
-	got := c.MulVec(x.Row(0))
-	want := c.MulMat(x)
-	for j, v := range got {
-		if !mat.Equal(mat.FromSlice(1, 1, []float64{v}), mat.FromSlice(1, 1, []float64{want.At(0, j)}), 1e-12) {
-			t.Fatalf("MulVec[%d] = %g, MulMat = %g", j, v, want.At(0, j))
-		}
-	}
-}
-
-func TestCSRMatchesDense(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		rows, cols, batch := 2+rng.Intn(10), 2+rng.Intn(10), 1+rng.Intn(4)
-		w := sparseRandom(rows, cols, 0.7, seed)
-		x := mat.New(batch, rows)
-		x.Randomize(rng, 1)
-		return mat.Equal(mulBoth(t, NewCSR(w), x), denseMul(x, w), 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBlockCSRMatchesDense(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		rows, cols, batch := 4+rng.Intn(12), 4+rng.Intn(12), 1+rng.Intn(4)
-		w := sparseRandom(rows, cols, 0.5, seed)
-		// make it block-structured: BP mask applied
-		mask, err := prune.BlockPrune(w, prune.BPConfig{Blocks: 2, Direction: prune.ColumnsInRowBlocks, Percentile: 0.5})
-		if err != nil {
-			return false
-		}
-		w.Hadamard(mask)
-		x := mat.New(batch, rows)
-		x.Randomize(rng, 1)
-		return mat.Equal(mulBoth(t, NewBlockCSR(w, 2), x), denseMul(x, w), 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBlockCSRIndexEconomy(t *testing.T) {
-	// On a block-structured matrix, BlockCSR must need far fewer index
-	// words than COO — the paper's storage argument for BP.
-	w := sparseRandom(64, 64, 0, 3)
-	mask, _ := prune.BlockPrune(w, prune.BPConfig{Blocks: 4, Direction: prune.ColumnsInRowBlocks, Percentile: 0.5})
-	w.Hadamard(mask)
-	coo := NewCOO(w)
-	blk := NewBlockCSR(w, 4)
-	if blk.IndexWords()*10 > coo.IndexWords() {
-		t.Fatalf("BlockCSR %d index words vs COO %d: economy lost", blk.IndexWords(), coo.IndexWords())
-	}
-	if blk.NNZ() != coo.NNZ() {
-		t.Fatalf("value counts differ: %d vs %d", blk.NNZ(), coo.NNZ())
-	}
+	return p
 }
 
 func TestPatternMatchesDense(t *testing.T) {
@@ -152,7 +60,7 @@ func TestPatternMatchesDense(t *testing.T) {
 		}
 		x := mat.New(batch, rows)
 		x.Randomize(rng, 1)
-		return mat.Equal(mulBoth(t, pk, x), denseMul(x, masked), 1e-9)
+		return mat.Equal(mulPoisoned(pk, x), denseMul(x, masked), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -177,7 +85,7 @@ func TestPatternHandlesEdgeTiles(t *testing.T) {
 	}
 	x := mat.New(2, 7)
 	x.Randomize(rng, 1)
-	if !mat.Equal(mulBoth(t, pk, x), denseMul(x, masked), 1e-9) {
+	if !mat.Equal(mulPoisoned(pk, x), denseMul(x, masked), 1e-9) {
 		t.Fatal("edge-tile execution differs from dense")
 	}
 }
@@ -199,67 +107,63 @@ func TestPatternValidation(t *testing.T) {
 	}
 }
 
-func TestIndexWordAccountingMatchesPruneCosts(t *testing.T) {
-	// The executable formats and the analytic storage model must agree
-	// on the COO index count (the contract hwsim relies on).
-	w := sparseRandom(32, 32, 0.6, 5)
-	coo := NewCOO(w)
-	maskLike := w.Clone() // nonzero layout equals the mask
-	cost := prune.CostCOO(maskLike)
-	if coo.IndexWords() != cost.Indices {
-		t.Fatalf("COO index words %d != analytic %d", coo.IndexWords(), cost.Indices)
-	}
-	if coo.NNZ() != cost.Values {
-		t.Fatalf("COO values %d != analytic %d", coo.NNZ(), cost.Values)
-	}
+// mustPanic runs f and fails the test unless it panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s: expected panic", what)
+		}
+	}()
+	f()
 }
 
 func TestShapePanics(t *testing.T) {
-	w := sparseRandom(4, 4, 0.5, 6)
-	x := mat.New(1, 3) // wrong inner dim
-	for name, m := range map[string]Multiplier{
-		"COO": NewCOO(w), "CSR": NewCSR(w), "BlockCSR": NewBlockCSR(w, 2),
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
-				}
-			}()
-			m.MulMat(x)
-		}()
-	}
+	p := packRandom(t, 4, 6, 6)
+	mustPanic(t, "x with the wrong inner dim", func() { p.MulInto(mat.New(1, 6), mat.New(1, 3)) })
+	// same element count as a valid 2x4 input, wrong shape
+	mustPanic(t, "x transposed", func() { p.MulInto(mat.New(4, 6), mat.New(4, 2)) })
 }
 
 func TestMulIntoDstShapePanics(t *testing.T) {
-	w := sparseRandom(4, 4, 0.5, 6)
-	for name, m := range map[string]intoMultiplier{
-		"COO": NewCOO(w), "CSR": NewCSR(w), "BlockCSR": NewBlockCSR(w, 2),
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic on wrong dst shape", name)
-				}
-			}()
-			m.MulInto(mat.New(2, 3), mat.New(2, 4))
-		}()
-	}
+	p := packRandom(t, 4, 6, 6)
+	x := mat.New(2, 4)
+	mustPanic(t, "dst with the wrong cols", func() { p.MulInto(mat.New(2, 5), x) })
+	mustPanic(t, "dst with the wrong rows", func() { p.MulInto(mat.New(3, 6), x) })
+	// same element count as the valid 2x6 destination, wrong shape
+	mustPanic(t, "dst transposed", func() { p.MulInto(mat.New(6, 2), x) })
 }
 
+// TestEmptyMatrix: all-zero weights keep their kept positions (the
+// storage model counts positions, not values) and multiply to exact
+// zeros; a set that keeps nothing stores nothing and still overwrites
+// the destination.
 func TestEmptyMatrix(t *testing.T) {
-	w := mat.New(4, 4) // all zeros
 	x := mat.New(2, 4)
 	x.Fill(1)
-	for name, m := range map[string]Multiplier{
-		"COO": NewCOO(w), "CSR": NewCSR(w), "BlockCSR": NewBlockCSR(w, 2),
-	} {
-		y := m.MulMat(x)
-		if y.NNZ() != 0 {
-			t.Errorf("%s: zero matrix produced nonzero output", name)
-		}
-		if m.NNZ() != 0 {
-			t.Errorf("%s: zero matrix stores %d values", name, m.NNZ())
-		}
+	rng := rand.New(rand.NewSource(7))
+	zeros, err := PackSet(mat.New(4, 4), pattern.RandomSet(4, 0.5, 3, rng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zeros.NNZ() == 0 {
+		t.Error("zero-valued weights under a half-kept set store no positions")
+	}
+	if y := mulPoisoned(zeros, x); y.NNZ() != 0 {
+		t.Error("zero matrix produced nonzero output")
+	}
+
+	w := mat.New(4, 4)
+	w.Fill(3)
+	keepNone := &pattern.Set{Patterns: []pattern.Pattern{{Size: 4, Bits: make([]uint8, 16)}}}
+	empty, err := PackSet(w, keepNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if empty.NNZ() != 0 {
+		t.Errorf("keep-nothing set stores %d values", empty.NNZ())
+	}
+	if y := mulPoisoned(empty, x); y.NNZ() != 0 {
+		t.Error("keep-nothing set produced nonzero output")
 	}
 }

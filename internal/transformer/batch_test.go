@@ -6,6 +6,7 @@ import (
 
 	"rt3/internal/mat"
 	"rt3/internal/nn"
+	"rt3/internal/pattern"
 	"rt3/internal/sparse"
 	"rt3/internal/transformer"
 )
@@ -279,17 +280,16 @@ func TestBatchedForwardWithPackedKernels(t *testing.T) {
 	}
 }
 
-// installSparseKernels prunes every prunable linear to 50% and installs
-// a CSR kernel over the masked weights (deterministic per seed), on
-// both models identically.
+// installSparseKernels installs a pattern kernel at 50% sparsity on every
+// prunable linear (deterministic per seed), on both models identically.
 func installSparseKernels(t *testing.T, m interface{ PrunableLinears() []*nn.Linear }, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	for _, l := range m.PrunableLinears() {
-		w := l.W.Value
-		for _, i := range rng.Perm(len(w.Data))[:len(w.Data)/2] {
-			w.Data[i] = 0
+		k, err := sparse.PackSet(l.W.Value, pattern.RandomSet(4, 0.5, 3, rng))
+		if err != nil {
+			t.Fatal(err)
 		}
-		l.SetKernel(sparse.NewCSR(w))
+		l.SetKernel(k)
 	}
 }
