@@ -25,7 +25,6 @@ type kernelsSection struct {
 	Dim      int          `json:"dim"`
 	Batch    int          `json:"batch"`
 	Sparsity float64      `json:"sparsity"`
-	Workers  int          `json:"workers"`
 	Formats  []kernelRow  `json:"formats"`
 	Batched  []batchedRow `json:"batched,omitempty"`
 	Micro    []microRow   `json:"micro,omitempty"`

@@ -21,7 +21,6 @@ type kernelBenchSpec struct {
 	batch    int
 	psize    int
 	sparsity float64
-	workers  int
 	minTime  time.Duration
 
 	// batched mode: when seqs > 1, a second table compares one fused
@@ -65,27 +64,25 @@ func runKernelBench(formats string, spec kernelBenchSpec) error {
 			batches, inputs = append(batches, b), append(inputs, xb)
 		}
 	}
-	fmt.Printf("kernel MulInto: %dx%d weights, pattern sparsity %.2f (psize %d), batch %v, workers %d\n\n",
-		spec.dim, spec.dim, spec.sparsity, spec.psize, batches, spec.workers)
+	fmt.Printf("kernel MulInto: %dx%d weights, pattern sparsity %.2f (psize %d), batch %v\n\n",
+		spec.dim, spec.dim, spec.sparsity, spec.psize, batches)
 	fmt.Printf("%-10s %6s %10s %10s %12s %14s %14s\n",
 		"format", "batch", "nnz", "idx_words", "us/op", "GFLOPeq/s", "GFLOPeff/s")
 
 	var section *kernelsSection
 	if jsonRep != nil {
-		section = &kernelsSection{
-			Dim: spec.dim, Batch: spec.batch, Sparsity: spec.sparsity, Workers: spec.workers,
-		}
+		section = &kernelsSection{Dim: spec.dim, Batch: spec.batch, Sparsity: spec.sparsity}
 		jsonRep.Kernels = section
 	}
 	for _, name := range names {
-		k, err := kernel.Build(name, w, kernel.Options{Set: set, Workers: spec.workers})
+		k, err := kernel.Build(name, w, kernel.Options{Set: set})
 		if err != nil {
 			return err
 		}
 		for bi, batch := range batches {
 			xb := inputs[bi]
 			dst := mat.New(batch, spec.dim)
-			k.MulInto(dst, xb) // warm up buffers and the worker pool
+			k.MulInto(dst, xb) // warm up buffers
 			perOp := timeKernel(k, dst, xb, spec.minTime)
 			denseFlops := 2 * float64(spec.dim) * float64(spec.dim) * float64(batch)
 			effFlops := 2 * float64(k.NNZ()) * float64(batch)
@@ -102,9 +99,6 @@ func runKernelBench(formats string, spec kernelBenchSpec) error {
 					GFLOPEffS: effFlops / perOp.Seconds() / 1e9,
 				})
 			}
-		}
-		if pk, ok := k.(*kernel.ParallelKernel); ok {
-			pk.Close()
 		}
 	}
 	if spec.seqs > 1 {
@@ -299,12 +293,12 @@ func runBatchedKernelBench(names []string, w *mat.Matrix, set *pattern.Set, spec
 		spec.seqs, spec.seqLen)
 	fmt.Printf("%-10s %12s %12s %10s\n", "format", "fused_us", "perseq_us", "speedup")
 	for _, name := range names {
-		k, err := kernel.Build(name, w, kernel.Options{Set: set, Workers: spec.workers})
+		k, err := kernel.Build(name, w, kernel.Options{Set: set})
 		if err != nil {
 			return err
 		}
 		dst := mat.New(rows, spec.dim)
-		k.MulInto(dst, x) // warm up buffers and the worker pool
+		k.MulInto(dst, x) // warm up buffers
 
 		fused := timeKernel(k, dst, x, spec.minTime)
 		perSeq := timeKernelFn(func() {
@@ -325,9 +319,6 @@ func runBatchedKernelBench(names []string, w *mat.Matrix, set *pattern.Set, spec
 				PerSeqUS: float64(perSeq.Nanoseconds()) / 1e3,
 				Speedup:  float64(perSeq) / float64(fused),
 			})
-		}
-		if pk, ok := k.(*kernel.ParallelKernel); ok {
-			pk.Close()
 		}
 	}
 	return nil

@@ -7,7 +7,7 @@
 //	rt3bench -exp all
 //	rt3bench -exp tab3 -scale small
 //	rt3bench -exp tab1|tab2|tab3|tab4|fig3a|fig3bc|fig4|fig5|kernels|decode|autotune|cluster|chaos
-//	rt3bench -exp kernels -kernel pattern,dense -workers 4
+//	rt3bench -exp kernels -kernel pattern,dense
 //	rt3bench -exp decode -decode-prompt 64 -decode-gen 64 -decode-batch 8
 //	rt3bench -exp autotune -autotune-duration 3s -autotune-rps 300
 //	rt3bench -exp cluster -cluster-nodes 1,2,4 -cluster-rps 700
@@ -49,7 +49,6 @@ func main() {
 	exp := flag.String("exp", "all", "experiment: all, tab1, tab2, tab3, tab4, fig3a, fig3bc, fig4, fig5, kernels, decode, autotune, cluster, chaos")
 	scaleFlag := flag.String("scale", "tiny", "model scale: tiny or small")
 	kernels := flag.String("kernel", "all", "kernels experiment: comma-separated registry formats ("+strings.Join(kernel.Formats(), ", ")+") or all")
-	workers := flag.Int("workers", 1, "kernels experiment: parallel executor width per kernel")
 	dim := flag.Int("kernel-dim", 192, "kernels experiment: square projection size")
 	batch := flag.Int("kernel-batch", 64, "kernels experiment: batch rows per MulInto call")
 	sparsity := flag.Float64("kernel-sparsity", 0.7, "kernels experiment: pattern sparsity")
@@ -179,7 +178,6 @@ func main() {
 			batch:    *batch,
 			psize:    8,
 			sparsity: *sparsity,
-			workers:  *workers,
 			minTime:  50 * time.Millisecond,
 			seqs:     *seqs,
 			seqLen:   *seqLen,

@@ -27,7 +27,6 @@ type clusterOpts struct {
 	sessions  int
 	workers   int
 	format    string
-	kworkers  int
 	batch     int
 	maxDelay  time.Duration
 	stepFloor time.Duration
@@ -72,10 +71,7 @@ func runCluster(logger *obs.Logger, drain <-chan struct{}, o clusterOpts) {
 		// same seed on every node: identical weights and pattern sets,
 		// which is what makes cross-node failover replay and shared dense
 		// references meaningful
-		eng, nBytes, b := buildDeployment(o.seed, o.workers, true, o.vocab, serve.EngineConfig{
-			Format:        o.format,
-			KernelWorkers: o.kworkers,
-		})
+		eng, nBytes, b := buildDeployment(o.seed, o.workers, true, o.vocab, serve.EngineConfig{Format: o.format})
 		defer eng.Close()
 		if i == 0 {
 			bundle, bundleBytes = b, nBytes

@@ -108,7 +108,6 @@ func main() {
 		rpsEnd   = flag.Float64("rps-end", 800, "arrival rate at the end of the ramp")
 		workers  = flag.Int("workers", 2, "worker pool width (model replicas)")
 		format   = flag.String("format", "pattern", "packed execution format from the kernel registry ("+strings.Join(kernel.Formats(), ", ")+")")
-		kworkers = flag.Int("kernel-workers", 1, "parallel executor width inside each packed kernel")
 		batch    = flag.Int("batch", 8, "max dynamic batch size")
 		maxDelay = flag.Duration("max-delay", 2*time.Millisecond, "batch flush deadline")
 		policyN  = flag.String("policy", "governor", "level policy for -load: governor or rl")
@@ -182,7 +181,6 @@ func main() {
 			sessions:  *sessions,
 			workers:   *workers,
 			format:    *format,
-			kworkers:  *kworkers,
 			batch:     *batch,
 			maxDelay:  *maxDelay,
 			stepFloor: *stepFloor,
@@ -205,18 +203,15 @@ func main() {
 		return
 	}
 
-	eng, bundleBytes, bundle := buildDeployment(*seed, *workers, *gen, 24, serve.EngineConfig{
-		Format:        *format,
-		KernelWorkers: *kworkers,
-	})
+	eng, bundleBytes, bundle := buildDeployment(*seed, *workers, *gen, 24, serve.EngineConfig{Format: *format})
 	defer eng.Close()
 	printDeployment(bundle, bundleBytes)
 	mode := "classification"
 	if *gen {
 		mode = "incremental decoding"
 	}
-	logger.Infof("execution: %s kernels, %d replica(s), %d worker(s) per kernel, %s mode",
-		eng.Format(), eng.Replicas(), *kworkers, mode)
+	logger.Infof("execution: %s kernels, %d replica(s), %s mode",
+		eng.Format(), eng.Replicas(), mode)
 
 	// smoke mode switches levels manually; only the load demo wants a
 	// policy (or the closed-loop controller) fighting for the level
@@ -382,7 +377,7 @@ func printBatchStats(eng *serve.Engine) {
 // buildDeployment constructs the model — the DistilBERT-style
 // classifier, or the encoder-decoder LM in generation mode — serializes
 // its bundle, and deploys it onto cloned worker replicas with the
-// requested kernel format and intra-kernel parallelism.
+// requested kernel format.
 func buildDeployment(seed int64, workers int, gen bool, vocab int, cfg serve.EngineConfig) (*serve.Engine, int, *deploy.Bundle) {
 	rng := rand.New(rand.NewSource(seed))
 	var model serve.Model

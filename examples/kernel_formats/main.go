@@ -6,8 +6,9 @@
 // builds a pattern-pruned Transformer projection, constructs the three
 // registered execution formats (and the two reduced precisions of
 // "packed") over the same masked weights through the kernel registry,
-// verifies they agree with dense execution, and shows the parallel
-// executor scaling a pattern kernel across workers.
+// verifies they agree with dense execution, and shows a large pattern
+// product using every core from beneath MulInto (mat.Fork) while a
+// decode-sized one stays on the calling goroutine.
 //
 // Run with: go run ./examples/kernel_formats
 package main
@@ -16,6 +17,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"runtime"
 	"time"
 
 	"rt3/internal/kernel"
@@ -79,26 +81,36 @@ func main() {
 		}
 	}
 
-	// The parallel executor row-partitions the batch across a worker
-	// pool; results stay bit-identical to serial execution.
-	packed, err := kernel.Build("pattern", w, kernel.Options{Set: set})
+	// Fan-out happens inside the kernel bodies, above a fixed work
+	// threshold: the same MulInto call runs a 1024-row batch on every
+	// core and an 8-row decode step inline, with identical bits either
+	// way. GOMAXPROCS(1) is the serial reference.
+	pat, err := kernel.Build("pattern", w, kernel.Options{Set: set})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println()
-	for _, workers := range []int{1, 2, 4} {
-		par := kernel.Parallel(packed, workers)
-		par.MulInto(dst, x) // warm the pool
-		start := time.Now()
-		const iters = 50
-		for i := 0; i < iters; i++ {
-			par.MulInto(dst, x)
+	procs := runtime.GOMAXPROCS(0)
+	for _, rows := range []int{8, 1024} {
+		xb := mat.New(rows, dim)
+		xb.Randomize(rng, 1)
+		serial, forked := mat.New(rows, dim), mat.New(rows, dim)
+		timeMul := func(dst *mat.Matrix) float64 {
+			pat.MulInto(dst, xb) // warm the scratch (and wake the helpers once)
+			start := time.Now()
+			const iters = 50
+			for i := 0; i < iters; i++ {
+				pat.MulInto(dst, xb)
+			}
+			return float64(time.Since(start).Microseconds()) / iters
 		}
-		fmt.Printf("pattern workers=%d: %8.1f us/op  bit-identical %v\n",
-			workers, float64(time.Since(start).Microseconds())/iters,
-			mat.Equal(dst, want, 1e-9))
-		if pk, ok := par.(*kernel.ParallelKernel); ok {
-			pk.Close()
-		}
+		runtime.GOMAXPROCS(1)
+		one := timeMul(serial)
+		runtime.GOMAXPROCS(procs)
+		before, _ := mat.ForkStats()
+		all := timeMul(forked)
+		after, _ := mat.ForkStats()
+		fmt.Printf("pattern %4d rows: %8.1f us/op on 1 core, %8.1f us/op on %d (%d regions fanned out)  bit-identical %v\n",
+			rows, one, all, procs, after-before, mat.Equal(serial, forked, 0))
 	}
 }

@@ -11,10 +11,10 @@ import (
 )
 
 // BenchmarkKernelMulInto measures the unified execution API on one
-// Transformer-projection-shaped product: dense baseline vs pattern-packed
-// kernels at 1/4/8 workers, across serving-relevant batch sizes. The
-// parallel rows only beat workers=1 on multi-core hardware; ns/op is per
-// MulInto call.
+// Transformer-projection-shaped product: dense baseline vs the
+// pattern-packed kernel, across serving-relevant batch sizes; run with
+// -cpu 1,2 to hold the mat.Fork fan-out of the larger batches against
+// inline execution. ns/op is per MulInto call.
 func BenchmarkKernelMulInto(b *testing.B) {
 	const dim = 192
 	rng := rand.New(rand.NewSource(29))
@@ -22,34 +22,21 @@ func BenchmarkKernelMulInto(b *testing.B) {
 	w.Randomize(rng, 1)
 	set := pattern.GenerateSet(w, 8, 0.7, 4, rng)
 
-	for _, batch := range []int{8, 32, 64} {
+	for _, batch := range []int{8, 64, 512} {
 		x := mat.New(batch, dim)
 		x.Randomize(rng, 1)
 		dst := mat.New(batch, dim)
-
-		dense, err := kernel.Build("dense", w, kernel.Options{Set: set})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("dense/batch%d", batch), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				dense.MulInto(dst, x)
-			}
-		})
-		for _, workers := range []int{1, 4, 8} {
-			k, err := kernel.Build("pattern", w, kernel.Options{Set: set, Workers: workers})
+		for _, format := range []string{"dense", "pattern"} {
+			k, err := kernel.Build(format, w, kernel.Options{Set: set})
 			if err != nil {
 				b.Fatal(err)
 			}
-			k.MulInto(dst, x) // warm the pool before timing
-			b.Run(fmt.Sprintf("pattern/batch%d/workers%d", batch, workers), func(b *testing.B) {
+			k.MulInto(dst, x) // warm the scratch before timing
+			b.Run(fmt.Sprintf("%s/batch%d", format, batch), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					k.MulInto(dst, x)
 				}
 			})
-			if pk, ok := k.(*kernel.ParallelKernel); ok {
-				pk.Close()
-			}
 		}
 	}
 }

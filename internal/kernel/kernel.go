@@ -2,8 +2,8 @@
 // the repo computes through: dense weights (the reference), the
 // pattern-packed RT3 serving path (a lane-parallel AVX micro-kernel over
 // the kept weights, see mat.GemmLanes) and the dense packed-panel
-// micro-kernels share one destination-passing interface, one parallel
-// executor and one format registry.
+// micro-kernels share one destination-passing interface and one format
+// registry.
 //
 // # Destination passing
 //
@@ -16,16 +16,16 @@
 //
 // # Parallelism contract
 //
-// Parallel(k, workers) wraps any kernel in a size-aware executor that
-// row-partitions the batch across a reusable worker pool. Because rows
-// of dst are disjoint slices, workers never write the same memory; the
-// wrapped kernel only needs to tolerate concurrent MulInto calls on
+// Large products use every core from inside: mat.GemmLanes and
+// mat.GemmPanels split their row blocks across the process-wide
+// fork-join executor (mat.Fork), beneath MulInto. A kernel — and a
+// format registered around one, such as a timing wrapper — therefore
+// sees one MulInto per product, on the calling goroutine. Kernels are
+// still shared by concurrent callers (serving replicas run the same
+// packed weights), so MulInto must tolerate concurrent calls on
 // disjoint destinations, which every kernel in this repo does: weights
-// are read-only during execution, and any internal per-call scratch
-// (e.g. the pattern kernel's lane-major copy of x) is internally
-// synchronized. A ParallelKernel itself serializes its own MulInto
-// calls — use one instance per serving replica, not one shared
-// instance.
+// are read-only during execution, and per-call scratch is borrowed from
+// a synchronized free list.
 //
 // # Registry
 //

@@ -161,150 +161,74 @@ func TestStorageAccountingConsistent(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSerial sweeps worker counts and awkward batch
-// shapes: the parallel executor must be bit-identical to serial
-// execution (row partitioning never splits a row's dot products).
-func TestParallelMatchesSerial(t *testing.T) {
+// TestForkMatchesInline: every build is bit-identical whether its
+// MulInto fans out across the mat.Fork helpers or runs inline
+// (GOMAXPROCS 1), at batch sizes on both sides of the fork threshold and
+// around the 8-row lane and 64-row panel block edges.
+func TestForkMatchesInline(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	w := mat.New(24, 17)
+	w := mat.New(192, 192)
 	w.Randomize(rng, 1)
-	set := pattern.RandomSet(4, 0.5, 3, rng)
-	serial, err := kernel.Build("pattern", w, kernel.Options{Set: set})
-	if err != nil {
-		t.Fatal(err)
+	set := pattern.RandomSet(8, 0.5, 3, rng)
+	type run struct {
+		b       build
+		k       kernel.Kernel
+		x, want *mat.Matrix
 	}
-	for _, workers := range []int{2, 3, 4, 8} {
-		par := kernel.Parallel(serial, workers)
-		pk := par.(*kernel.ParallelKernel)
-		for _, batch := range []int{1, 2, 3, 7, 8, 31, 32, 64, 65} {
-			x := mat.New(batch, 24)
-			x.Randomize(rng, 1)
-			want := mat.New(batch, 17)
-			serial.MulInto(want, x)
-			got := mat.New(batch, 17)
-			par.MulInto(got, x)
-			if !mat.Equal(got, want, 0) {
-				t.Fatalf("workers=%d batch=%d: parallel differs from serial", workers, batch)
-			}
-		}
-		if in, out := par.Dims(); in != 24 || out != 17 {
-			t.Fatalf("parallel Dims %dx%d", in, out)
-		}
-		if par.NNZ() != serial.NNZ() || par.IndexWords() != serial.IndexWords() {
-			t.Fatal("parallel wrapper changed storage accounting")
-		}
-		pk.Close()
-		pk.Close() // idempotent
-	}
-}
-
-// TestParallelConstruction pins the wrapper rules: workers <= 1 is the
-// identity, and re-wrapping does not nest pools.
-func TestParallelConstruction(t *testing.T) {
-	w := mat.New(8, 8)
-	k := kernel.NewDense(w)
-	if got := kernel.Parallel(k, 1); got != kernel.Kernel(k) {
-		t.Fatal("workers=1 should return the kernel unchanged")
-	}
-	p := kernel.Parallel(k, 2).(*kernel.ParallelKernel)
-	defer p.Close()
-	rewrapped := kernel.Parallel(p, 4).(*kernel.ParallelKernel)
-	defer rewrapped.Close()
-	if rewrapped.Inner() != kernel.Kernel(k) {
-		t.Fatal("re-wrapping nested parallel executors")
-	}
-	if rewrapped.Workers() != 4 {
-		t.Fatalf("workers = %d, want 4", rewrapped.Workers())
-	}
-}
-
-// TestPoolBindSharesWorkers: a serving replica binds every layer's
-// kernel to one pool; sequential execution through shared workers must
-// equal serial execution for each bound kernel.
-func TestPoolBindSharesWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	pool := kernel.NewPool(3)
-	defer pool.Close()
-	if pool.Workers() != 3 {
-		t.Fatalf("Workers = %d", pool.Workers())
-	}
-	var bases []kernel.Kernel
-	var bound []kernel.Kernel
-	for i := 0; i < 4; i++ {
-		w := mat.New(12, 5+i)
-		w.Randomize(rng, 1)
-		base := kernel.NewDense(w)
-		bases = append(bases, base)
-		bound = append(bound, pool.Bind(base))
-	}
-	x := mat.New(16, 12)
-	x.Randomize(rng, 1)
-	for i, bk := range bound {
-		want := kernel.Mul(bases[i], x)
-		got := mat.New(16, 5+i)
-		bk.MulInto(got, x)
-		if !mat.Equal(got, want, 0) {
-			t.Fatalf("bound kernel %d differs from serial", i)
-		}
-	}
-	// binding an already-bound kernel re-binds the inner, not the wrapper
-	rebound := pool.Bind(bound[0]).(*kernel.ParallelKernel)
-	if rebound.Inner() != bases[0] {
-		t.Fatal("Bind nested a ParallelKernel")
-	}
-}
-
-// TestParallelShapePanics: the executor validates the full destination
-// before fanning out.
-func TestParallelShapePanics(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	w := mat.New(8, 8)
-	w.Randomize(rng, 1)
-	p := kernel.Parallel(kernel.NewDense(w), 2).(*kernel.ParallelKernel)
-	defer p.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on bad dst shape")
-		}
-	}()
-	x := mat.New(16, 8)
-	p.MulInto(mat.New(16, 7), x)
-}
-
-// TestMulIntoZeroAllocs is the steady-state allocation contract of the
-// whole execution API: after warm-up, MulInto allocates nothing — for
-// every format and precision, serial and under the parallel executor.
-func TestMulIntoZeroAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	w := mat.New(32, 32)
-	w.Randomize(rng, 1)
-	set := pattern.RandomSet(4, 0.6, 3, rng)
-	x := mat.New(32, 32)
-	x.Randomize(rng, 1)
-
-	// serial, then parallel: the executor and any per-call scratch
-	// (pattern layout buffers, f32 conversion, int8 quantization) must
-	// stay allocation-free under concurrent row-partitioned MulInto too.
-	kernels := map[string]kernel.Kernel{}
+	var runs []run
+	testutil.Procs(t, 1)
 	for _, b := range allBuilds() {
 		k, err := b.kernel(w, kernel.Options{Set: set})
 		if err != nil {
 			t.Fatal(err)
 		}
-		kernels[b.String()] = k
-		pk, err := b.kernel(w, kernel.Options{Set: set, Workers: 4})
+		for _, batch := range []int{1, 7, 9, 64, 65, 257, 513} {
+			x := mat.New(batch, 192)
+			x.Randomize(rng, 1)
+			want := mat.New(batch, 192)
+			k.MulInto(want, x)
+			runs = append(runs, run{b, k, x, want})
+		}
+	}
+	testutil.Procs(t, 4)
+	for _, r := range runs {
+		got := mat.New(r.x.Rows, 192)
+		before, _ := mat.ForkStats()
+		r.k.MulInto(got, r.x)
+		after, _ := mat.ForkStats()
+		if !mat.Equal(got, r.want, 0) {
+			t.Fatalf("%v batch %d: forked MulInto differs from inline", r.b, r.x.Rows)
+		}
+		// dense (mat.MatMul) and int8 (mat.Gemm8) have no fork body
+		if forks := r.b.format != "dense" && r.b.precision != "int8"; forks && (after > before) != (r.x.Rows >= 257) {
+			t.Errorf("%v batch %d: fanned out = %v", r.b, r.x.Rows, after > before)
+		}
+	}
+}
+
+// TestMulIntoZeroAllocs is the steady-state allocation contract of the
+// whole execution API: after warm-up, MulInto allocates nothing — for
+// every format and precision, at a batch that runs inline and at one
+// that fans out across the mat.Fork helpers (fork bodies and per-span
+// scratch are borrowed from free lists, not allocated per region).
+func TestMulIntoZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	w := mat.New(192, 192)
+	w.Randomize(rng, 1)
+	set := pattern.RandomSet(8, 0.6, 3, rng)
+	testutil.Procs(t, 4)
+	for _, b := range allBuilds() {
+		k, err := b.kernel(w, kernel.Options{Set: set})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer pk.(*kernel.ParallelKernel).Close()
-		kernels[b.String()+"-parallel"] = pk
-	}
-
-	for name, k := range kernels {
-		dst := mat.New(32, 32)
-		k.MulInto(dst, x) // warm up worker pools and runtime internals
-		if allocs := testing.AllocsPerRun(50, func() { k.MulInto(dst, x) }); allocs != 0 {
-			t.Errorf("%s: %v allocs per MulInto, want 0", name, allocs)
+		for _, batch := range []int{32, 257} {
+			x := mat.New(batch, 192)
+			x.Randomize(rng, 1)
+			dst := mat.New(batch, 192)
+			if allocs := testutil.AllocsPerRun(10, func() { k.MulInto(dst, x) }); allocs != 0 {
+				t.Errorf("%v batch %d: %v allocs per MulInto, want 0", b, batch, allocs)
+			}
 		}
 	}
 }
@@ -358,11 +282,10 @@ func TestRegistryNamesAndCustomFormat(t *testing.T) {
 	w.Randomize(rng, 1)
 	x := mat.New(3, 6)
 	x.Randomize(rng, 1)
-	ka, err := r.Build("a", w, kernel.Options{Workers: 2})
+	ka, err := r.Build("a", w, kernel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ka.(*kernel.ParallelKernel).Close()
 	kb, err := r.Build("b", w, kernel.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -3,31 +3,25 @@ package kernel
 import (
 	"sync/atomic"
 
+	"rt3/internal/mat"
 	"rt3/internal/obs"
 )
 
-// Package-level execution counters. They are plain atomics — the
-// parallel fan-out path runs inside every fused forward pass, so it
-// bumps counters lock-free and allocation-free; RegisterMetrics exposes
-// them to interested registries as read-callbacks.
-var (
-	buildsTotal        atomic.Int64 // kernels constructed through a Registry
-	parallelDispatches atomic.Int64 // pool fan-outs (MulInto calls split across workers)
-	parallelRows       atomic.Int64 // rows executed through pool fan-outs
-)
+// buildsTotal counts kernels constructed through a Registry.
+var buildsTotal atomic.Int64
 
-// RegisterMetrics exposes the kernel package's cumulative execution
-// counters on an obs registry. Counters are process-global (kernels are
-// built and pooled per process, not per server), so register them on at
-// most one registry per exposition endpoint.
+// RegisterMetrics exposes the process-global execution counters of the
+// kernel layer on an obs registry: kernels built through the format
+// registry, and the fork-join executor under them (mat.Fork). Register
+// them on at most one registry per exposition endpoint.
 func RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("rt3_kernel_builds_total",
 		"Kernels constructed through the format registry.",
 		func() float64 { return float64(buildsTotal.Load()) })
-	reg.CounterFunc("rt3_kernel_parallel_dispatches_total",
-		"Pool fan-outs: kernel products split across workers.",
-		func() float64 { return float64(parallelDispatches.Load()) })
-	reg.CounterFunc("rt3_kernel_parallel_rows_total",
-		"Packed rows executed through pool fan-outs.",
-		func() float64 { return float64(parallelRows.Load()) })
+	reg.CounterFunc("rt3_mat_parallel_regions_total",
+		"Parallel regions (kernel products, attention, GELU) fanned out to the mat.Fork helpers.",
+		func() float64 { regions, _ := mat.ForkStats(); return float64(regions) })
+	reg.CounterFunc("rt3_mat_parallel_inline_busy_total",
+		"Parallel regions run inline because the helpers were serving another caller.",
+		func() float64 { _, busy := mat.ForkStats(); return float64(busy) })
 }

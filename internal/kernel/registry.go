@@ -17,8 +17,6 @@ type Options struct {
 	// format can serve an RT3 level. Required by the "pattern" format
 	// (which packs the masked survivors natively).
 	Set *pattern.Set
-	// Workers, when > 1, wraps the built kernel in Parallel(k, Workers).
-	Workers int
 	// Precision selects the compute precision of the "packed" format:
 	// "" or "f64" (bit-identical to dense), "f32" or "int8". "dense" and
 	// "pattern" compute in float64 only and fail to build with any other
@@ -47,8 +45,7 @@ func (r *Registry) Register(name string, b Builder) {
 	r.builders[name] = b
 }
 
-// Build constructs a kernel of the named format over w. When
-// opts.Workers > 1 the kernel is wrapped in the parallel executor.
+// Build constructs a kernel of the named format over w.
 func (r *Registry) Build(name string, w *mat.Matrix, opts Options) (Kernel, error) {
 	r.mu.RLock()
 	b, ok := r.builders[name]
@@ -61,7 +58,7 @@ func (r *Registry) Build(name string, w *mat.Matrix, opts Options) (Kernel, erro
 		return nil, err
 	}
 	buildsTotal.Add(1)
-	return Parallel(k, opts.Workers), nil
+	return k, nil
 }
 
 // Names returns the registered format names, sorted.

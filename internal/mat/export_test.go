@@ -25,3 +25,15 @@ func LaneWeightsOf(tb testing.TB, w *Matrix) *LaneWeights {
 	}
 	return lw
 }
+
+// ForkHelpers returns how many helper goroutines Fork has started.
+func ForkHelpers() int {
+	forker.mu.Lock()
+	defer forker.mu.Unlock()
+	return forker.helpers
+}
+
+// Steps returns the number of interleaved stream steps, padding
+// included: GemmLanes counts Steps()*LaneGroup stored weights of work
+// per batch row.
+func (w *LaneWeights) Steps() int { return len(w.val) / LaneGroup }

@@ -54,6 +54,8 @@ const gemmMC = 64
 type Panels[F Float] struct {
 	K, N int
 	Data []F
+
+	jobs FreeList[*panelJob[F]] // reusable Fork bodies of GemmPanels calls
 }
 
 // PackPanels packs w (K x N, float64 row-major) into weight panels of
@@ -84,7 +86,8 @@ func PackPanels[F Float](w *Matrix) *Panels[F] {
 // GemmPanels computes dst = X @ W from the packed panels of W, where X
 // is dst.Rows x K in precision F (row-major, contiguous) and dst is the
 // float64 destination. Accumulation runs in F; results are converted to
-// float64 at store time. dst must not alias x's backing array.
+// float64 at store time. dst must not alias x's backing array. Large
+// batches split by whole gemmMC-row blocks across the Fork helpers.
 func GemmPanels[F Float](dst *Matrix, x []F, p *Panels[F]) {
 	M, K, N := dst.Rows, p.K, p.N
 	if len(x) != M*K {
@@ -93,30 +96,34 @@ func GemmPanels[F Float](dst *Matrix, x []F, p *Panels[F]) {
 	if dst.Cols != N {
 		panic(fmt.Sprintf("mat: GemmPanels dst cols %d != N %d", dst.Cols, N))
 	}
-	if p64, ok := any(p).(*Panels[float64]); ok {
-		if gemmAsm64(dst, any(x).([]float64), p64) {
-			return
-		}
-	}
-	if p32, ok := any(p).(*Panels[float32]); ok {
-		if gemmAsm32(dst, any(x).([]float32), p32) {
-			return
-		}
-	}
-	gemmPanelsGo(dst, x, p)
+	forkJob(&p.jobs, (M+gemmMC-1)/gemmMC, M*K*N, panelJob[F]{dst, x, p})
 }
 
-// gemmPanelsGo is the portable GemmPanels: the row-block nest over the
-// register-blocked Go kernels, which the assembly paths must match bit
-// for bit.
-func gemmPanelsGo[F Float](dst *Matrix, x []F, p *Panels[F]) {
-	M, K, N := dst.Rows, p.K, p.N
+// panelJob is one GemmPanels call as a Fork body; a unit is one row
+// block of gemmMC rows.
+type panelJob[F Float] struct {
+	dst *Matrix
+	x   []F
+	p   *Panels[F]
+}
+
+func (j *panelJob[F]) Range(b0, b1 int) {
+	gemmPanelRows(j.dst, j.x, j.p, b0*gemmMC, min(b1*gemmMC, j.dst.Rows), asmTile[F]())
+}
+
+// gemmPanelRows is GemmPanels over rows [r0, r1), r0 a multiple of
+// gemmMC, with the kernel choice explicit so tests can hold the assembly
+// tile against the portable ones. tile, when non-nil, computes an 8x4
+// accumulator tile from one full-width panel and stores its first rows
+// rows, bit for bit what kern8x4 stores; it takes a last block of 1-7
+// rows too (the missing rows recompute row 0 and are not stored), so any
+// M gets tile speed. The right-edge panel, and everything when tile is
+// nil, runs the portable register-blocked kernels.
+func gemmPanelRows[F Float](dst *Matrix, x []F, p *Panels[F], r0, r1 int, tile func(bp, a *F, lda int, c *float64, ldc, k, rows int)) {
+	K, N := p.K, p.N
 	np := (N + PanelWidth - 1) / PanelWidth
-	for mc := 0; mc < M; mc += gemmMC {
-		m1 := mc + gemmMC
-		if m1 > M {
-			m1 = M
-		}
+	for mc := r0; mc < r1; mc += gemmMC {
+		m1 := min(mc+gemmMC, r1)
 		for pi := 0; pi < np; pi++ {
 			j0 := pi * PanelWidth
 			nw := N - j0
@@ -125,6 +132,11 @@ func gemmPanelsGo[F Float](dst *Matrix, x []F, p *Panels[F]) {
 			}
 			bp := p.Data[pi*K*PanelWidth : (pi+1)*K*PanelWidth]
 			m := mc
+			if tile != nil && nw == PanelWidth && K > 0 {
+				for ; m < m1; m += 8 {
+					tile(&bp[0], &x[m*K], K, &dst.Data[m*N+j0], N, K, min(8, m1-m))
+				}
+			}
 			for ; m+8 <= m1; m += 8 {
 				kern8x4(bp,
 					x[(m+0)*K:(m+1)*K], x[(m+1)*K:(m+2)*K], x[(m+2)*K:(m+3)*K], x[(m+3)*K:(m+4)*K],

@@ -29,86 +29,21 @@ func kern8x4SSE32(bp, a *float32, lda int, c *float64, ldc, k, rows int)
 //go:noescape
 func kern8x4SSE8(bp *int8, a *int16, lda int, c *int32, ldc, kp int)
 
-// gemmAsm64 is the amd64 fast path of GemmPanels[float64]: full-width
-// panels run the AVX micro-kernel over 8-row blocks, a last block of 1-7
-// rows included (the tile recomputes row 0 in the missing rows and
-// stores only the real ones, so any M gets tile speed); the right-edge
-// panel falls back to the portable kernels. Returns false (computing
-// nothing) when the CPU lacks AVX.
-func gemmAsm64(dst *Matrix, x []float64, p *Panels[float64]) bool {
-	if !hasAVX {
-		return false
+// asmTile returns the 8x4 tile kernel of precision F for gemmPanelRows:
+// the AVX kernel for float64 when the CPU has AVX, the SSE kernel for
+// float32 (baseline, no gate), nil otherwise.
+func asmTile[F Float]() func(bp, a *F, lda int, c *float64, ldc, k, rows int) {
+	var tile any
+	switch any(F(0)).(type) {
+	case float64:
+		if hasAVX {
+			tile = kern8x4AVX
+		}
+	case float32:
+		tile = kern8x4SSE32
 	}
-	M, K, N := dst.Rows, p.K, p.N
-	np := (N + PanelWidth - 1) / PanelWidth
-	for mc := 0; mc < M; mc += gemmMC {
-		m1 := mc + gemmMC
-		if m1 > M {
-			m1 = M
-		}
-		for pi := 0; pi < np; pi++ {
-			j0 := pi * PanelWidth
-			nw := N - j0
-			if nw > PanelWidth {
-				nw = PanelWidth
-			}
-			bp := p.Data[pi*K*PanelWidth : (pi+1)*K*PanelWidth]
-			m := mc
-			if nw == PanelWidth && K > 0 {
-				for ; m < m1; m += 8 {
-					kern8x4AVX(&bp[0], &x[m*K], K, &dst.Data[m*N+j0], N, K, min(8, m1-m))
-				}
-			}
-			for ; m+4 <= m1; m += 4 {
-				kern4x4(bp,
-					x[(m+0)*K:(m+1)*K], x[(m+1)*K:(m+2)*K], x[(m+2)*K:(m+3)*K], x[(m+3)*K:(m+4)*K],
-					dst.Data[(m+0)*N+j0:(m+0)*N+j0+nw], dst.Data[(m+1)*N+j0:(m+1)*N+j0+nw],
-					dst.Data[(m+2)*N+j0:(m+2)*N+j0+nw], dst.Data[(m+3)*N+j0:(m+3)*N+j0+nw])
-			}
-			for ; m < m1; m++ {
-				kern1x4(bp, x[m*K:(m+1)*K], dst.Data[m*N+j0:m*N+j0+nw])
-			}
-		}
-	}
-	return true
-}
-
-// gemmAsm32 is the amd64 fast path of GemmPanels[float32]; baseline SSE
-// needs no feature gate, so it always runs. Same block structure as
-// gemmAsm64 with the portable float32 kernels covering remainders.
-func gemmAsm32(dst *Matrix, x []float32, p *Panels[float32]) bool {
-	M, K, N := dst.Rows, p.K, p.N
-	np := (N + PanelWidth - 1) / PanelWidth
-	for mc := 0; mc < M; mc += gemmMC {
-		m1 := mc + gemmMC
-		if m1 > M {
-			m1 = M
-		}
-		for pi := 0; pi < np; pi++ {
-			j0 := pi * PanelWidth
-			nw := N - j0
-			if nw > PanelWidth {
-				nw = PanelWidth
-			}
-			bp := p.Data[pi*K*PanelWidth : (pi+1)*K*PanelWidth]
-			m := mc
-			if nw == PanelWidth && K > 0 {
-				for ; m < m1; m += 8 {
-					kern8x4SSE32(&bp[0], &x[m*K], K, &dst.Data[m*N+j0], N, K, min(8, m1-m))
-				}
-			}
-			for ; m+4 <= m1; m += 4 {
-				kern4x4(bp,
-					x[(m+0)*K:(m+1)*K], x[(m+1)*K:(m+2)*K], x[(m+2)*K:(m+3)*K], x[(m+3)*K:(m+4)*K],
-					dst.Data[(m+0)*N+j0:(m+0)*N+j0+nw], dst.Data[(m+1)*N+j0:(m+1)*N+j0+nw],
-					dst.Data[(m+2)*N+j0:(m+2)*N+j0+nw], dst.Data[(m+3)*N+j0:(m+3)*N+j0+nw])
-			}
-			for ; m < m1; m++ {
-				kern1x4(bp, x[m*K:(m+1)*K], dst.Data[m*N+j0:m*N+j0+nw])
-			}
-		}
-	}
-	return true
+	t, _ := tile.(func(bp, a *F, lda int, c *float64, ldc, k, rows int))
+	return t
 }
 
 // gemm8Asm is the amd64 int8 path: 8-row blocks run the PMADDWD kernel

@@ -7,9 +7,7 @@ package mat
 // runner); GemmPanels, Gemm8, GemmLanes and Attend run the portable
 // kernels instead.
 
-func gemmAsm64(dst *Matrix, x []float64, p *Panels[float64]) bool { return false }
-
-func gemmAsm32(dst *Matrix, x []float32, p *Panels[float32]) bool { return false }
+func asmTile[F Float]() func(bp, a *F, lda int, c *float64, ldc, k, rows int) { return nil }
 
 func gemm8Asm(dst *Matrix, s *int8Scratch, p *PanelsInt8) bool { return false }
 

@@ -133,7 +133,8 @@ func newLaneScratch() []float64 { return nil }
 
 // GemmLanes computes dst = X @ W from the column streams of W, where X
 // is dst.Rows x K. dst must not alias x. Allocation-free in steady
-// state: the lane-major copy of x lives in borrowed scratch.
+// state: the lane-major copy of x lives in borrowed scratch. Large
+// batches split by whole lane blocks across the Fork helpers.
 func GemmLanes(dst, x *Matrix, w *LaneWeights) {
 	if x.Cols != w.K {
 		panic(fmt.Sprintf("mat: GemmLanes x cols %d != K %d", x.Cols, w.K))
@@ -144,8 +145,23 @@ func GemmLanes(dst, x *Matrix, w *LaneWeights) {
 	gemmLanes(dst, x, w, laneAsm)
 }
 
+// laneJob is one gemmLanes call as a Fork body; a unit is one lane
+// block of laneWidth rows.
+type laneJob struct {
+	dst, x *Matrix
+	w      *LaneWeights
+	asm    bool
+}
+
+var laneJobs FreeList[*laneJob]
+
 // gemmLanes is GemmLanes with the kernel choice explicit, so tests can
 // hold the assembly kernels against the portable one.
+func gemmLanes(dst, x *Matrix, w *LaneWeights, asm bool) {
+	forkJob(&laneJobs, (x.Rows+laneWidth-1)/laneWidth, x.Rows*len(w.val), laneJob{dst, x, w, asm})
+}
+
+// Range runs lane blocks [b0, b1) with one borrowed xt block.
 //
 // The nest is row-block outer, column-group inner, with one lane block as
 // the row block: the kernel touches a 64-byte xt row per stored weight at
@@ -153,19 +169,20 @@ func GemmLanes(dst, x *Matrix, w *LaneWeights) {
 // stay in L1, while the weight streams are read sequentially, 10 bytes a
 // weight, and prefetch well from L2. GemmPanels' 64-row blocks measured
 // slower here at every prefill shape (at K=192 their xt is 98 KB).
-func gemmLanes(dst, x *Matrix, w *LaneWeights, asm bool) {
-	M, K, N := x.Rows, w.K, w.N
+func (j *laneJob) Range(b0, b1 int) {
+	dst, x, w := j.dst, j.x, j.w
+	K, N := w.K, w.N
 	xt := laneScratches.Get(newLaneScratch)
 	xt = Grow(xt, (K+1)*laneWidth)
-	for m := 0; m < M; m += laneWidth {
-		rows := min(laneWidth, M-m)
+	for m, m1 := b0*laneWidth, min(b1*laneWidth, x.Rows); m < m1; m += laneWidth {
+		rows := min(laneWidth, m1-m)
 		packLanes(xt, x.Data[m*K:(m+rows)*K], K)
 		out := dst.Data[m*N : (m+rows)*N]
 		for g := 0; g+1 < len(w.start); g++ {
 			s0, s1 := int(w.start[g]), int(w.start[g+1])
 			idx, val := w.idx[s0*LaneGroup:s1*LaneGroup], w.val[s0*LaneGroup:s1*LaneGroup]
 			cols := w.cols[g*LaneGroup : min((g+1)*LaneGroup, N)]
-			if asm && len(cols) == LaneGroup && s1 > s0 {
+			if j.asm && len(cols) == LaneGroup && s1 > s0 {
 				laneKern8AVX(&idx[0], &val[0], s1-s0, &xt[0], &out[0], N, &cols[0], rows)
 			} else {
 				laneKernGo(idx, val, xt, out, N, cols)

@@ -73,12 +73,27 @@ func TestGemmLanesZeroAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("%v allocs per GemmLanes pair, want 0", allocs)
 	}
+
+	// a batch that fans out: the fork body and every span's xt block are
+	// borrowed, on the helpers too
+	testutil.Procs(t, 4)
+	_, big := sparseWeights(t, rng, 192, 192, 0.3)
+	x520 := mat.New(520, 192)
+	x520.Randomize(rng, 1)
+	dst520 := mat.New(520, 192)
+	before, _ := mat.ForkStats()
+	allocs := testutil.AllocsPerRun(50, func() { mat.GemmLanes(dst520, x520, big) })
+	if after, _ := mat.ForkStats(); after-before < 50 {
+		t.Fatalf("%d of 51 GemmLanes calls over 520 rows fanned out", after-before)
+	}
+	if allocs != 0 {
+		t.Fatalf("%v allocs per fanned-out GemmLanes, want 0", allocs)
+	}
 }
 
-// TestGemmLanesSharedConcurrent: serving replicas and kernel.Parallel
-// workers share one read-only LaneWeights; 8 goroutines running it at
-// different batch sizes must each borrow private scratch. Run under
-// -race in CI.
+// TestGemmLanesSharedConcurrent: serving replicas share one read-only
+// LaneWeights; 8 goroutines running it at different batch sizes must
+// each borrow private scratch. Run under -race in CI.
 func TestGemmLanesSharedConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(104))
 	w, lw := sparseWeights(t, rng, 33, 18, 0.5)

@@ -3,10 +3,10 @@ package mat
 import "sync"
 
 // FreeList is a small concurrency-safe free list of reusable values:
-// scratch buffers that hot paths borrow per call and return on exit, so
-// steady-state compute stays allocation-free even when kernel.Parallel
-// drives several workers through the same kernel at once. The zero
-// value is ready to use.
+// scratch buffers and Fork bodies that hot paths borrow per call (or per
+// span of a fanned-out region) and return on exit, so steady-state
+// compute stays allocation-free even when serving replicas and the Fork
+// helpers run the same kernel at once. The zero value is ready to use.
 type FreeList[T any] struct {
 	mu   sync.Mutex
 	free []T

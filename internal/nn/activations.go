@@ -62,15 +62,31 @@ func (g *GELU) SetBufferReuse(on bool) {
 }
 
 // Forward applies gelu(x) = 0.5x(1 + tanh(sqrt(2/pi)(x + 0.044715 x^3))).
+// Large batches split by row span across the mat.Fork helpers.
 func (g *GELU) Forward(x *mat.Matrix) *mat.Matrix {
 	xc := mat.EnsureShape(&g.x, g.reuse, x.Rows, x.Cols)
 	xc.CopyFrom(x)
 	g.x = xc
 	y := mat.EnsureShape(&g.out, g.reuse, x.Rows, x.Cols)
-	for i, v := range x.Data {
-		y.Data[i] = 0.5 * v * (1 + math.Tanh(geluC*(v+geluC3*v*v*v)))
+	g.out = y
+	mat.Fork(x.Rows, len(x.Data)*mat.WorkExp, (*geluRows)(g))
+	if !g.reuse {
+		g.out = nil
 	}
 	return y
+}
+
+// geluRows is a GELU forward as a mat.Fork body: rows [lo, hi) of g.x
+// into g.out.
+type geluRows GELU
+
+func (g *geluRows) Range(lo, hi int) {
+	c := g.x.Cols
+	x := g.x.Data[lo*c : hi*c]
+	y := g.out.Data[lo*c : hi*c][:len(x)]
+	for i, v := range x {
+		y[i] = 0.5 * v * (1 + math.Tanh(geluC*(v+geluC3*v*v*v)))
+	}
 }
 
 // Backward applies the analytic derivative of the tanh approximation.

@@ -8,6 +8,7 @@ import (
 	"rt3/internal/kernel"
 	"rt3/internal/mat"
 	"rt3/internal/nn"
+	"rt3/internal/testutil"
 )
 
 // sparseLinear builds a Linear and a packed kernel over its weights.
@@ -41,19 +42,34 @@ func TestLinearKernelForwardMatchesDense(t *testing.T) {
 	}
 }
 
-// TestLinearKernelParallelForward runs the same check through the
-// parallel executor, the serving configuration for wide batches.
+// TestLinearKernelParallelForward runs the same check at a batch wide
+// enough for the packed product to fan out across the mat.Fork helpers
+// (256 rows) and at one that is not: Forward is bit-identical to its
+// inline run (GOMAXPROCS 1) and matches the dense forward.
 func TestLinearKernelParallelForward(t *testing.T) {
-	l, k := sparseLinear(t, 23)
+	l := nn.NewLinear("l", 96, 384, rand.New(rand.NewSource(23)))
 	rng := rand.New(rand.NewSource(24))
-	x := mat.New(16, 6)
-	x.Randomize(rng, 1)
-	want := l.Forward(x).Clone()
-	p := kernel.Parallel(k, 4)
-	defer p.(*kernel.ParallelKernel).Close()
-	l.SetKernel(p)
-	if !mat.Equal(l.Forward(x), want, 1e-12) {
-		t.Fatal("parallel kernel forward differs from dense forward")
+	for _, rows := range []int{16, 256} {
+		x := mat.New(rows, 96)
+		x.Randomize(rng, 1)
+		l.SetKernel(nil)
+		dense := l.Forward(x).Clone()
+		l.SetKernel(kernel.NewPacked(l.W.Value))
+		testutil.Procs(t, 1)
+		inline := l.Forward(x).Clone()
+		testutil.Procs(t, 4)
+		before, _ := mat.ForkStats()
+		forked := l.Forward(x)
+		after, _ := mat.ForkStats()
+		if !mat.Equal(forked, inline, 0) {
+			t.Fatalf("%d rows: forked kernel forward differs from inline", rows)
+		}
+		if !mat.Equal(forked, dense, 1e-12) {
+			t.Fatalf("%d rows: kernel forward differs from dense forward", rows)
+		}
+		if want := map[int]int64{16: 0, 256: 1}[rows]; after-before != want {
+			t.Errorf("%d rows: %d regions fanned out, want %d", rows, after-before, want)
+		}
 	}
 }
 

@@ -56,20 +56,11 @@ type EngineConfig struct {
 	// format; every registered format (kernel.Formats) executes the same
 	// pattern-masked weights.
 	Format string
-	// KernelWorkers, when > 1, wraps every packed kernel in
-	// kernel.Parallel(k, KernelWorkers) so a single forward pass
-	// row-partitions its batch across cores. Default 1: within-replica
-	// execution stays single-threaded and the worker pool parallelizes
-	// across replicas instead.
-	KernelWorkers int
 }
 
 func (c EngineConfig) withDefaults() EngineConfig {
 	if c.Format == "" {
 		c.Format = "pattern"
-	}
-	if c.KernelWorkers < 1 {
-		c.KernelWorkers = 1
 	}
 	return c
 }
@@ -88,19 +79,15 @@ type Engine struct {
 	// weights[j] is the dense backbone matrix feeding prunable linear j
 	// (same order as Model.PrunableLinears).
 	weights []*mat.Matrix
-	// kernels[r][level][j] is the execution kernel replica r installs for
-	// linear j at level, built from the kernel registry per EngineConfig.
-	// The packed storage is shared across replicas (read-only), but a
-	// parallel executor carries per-call state, so each replica binds the
-	// shared kernels to its own pool — replicas run forward passes
-	// concurrently, while layers within one replica run sequentially.
-	kernels [][][]kernel.Kernel
+	// kernels[level][j] is the execution kernel every replica installs
+	// for linear j at level, built from the kernel registry per
+	// EngineConfig. Packed weights are read-only, so replicas share them
+	// and run forward passes concurrently.
+	kernels [][]kernel.Kernel
 	// unpruned[r][i] is the packed kernel of replica r's i-th unpruned
 	// linear (Model.UnprunedLinears order): level-independent, installed
 	// at construction and lifted only while a dense reference runs.
 	unpruned [][]kernel.Kernel
-	// pools[r] is replica r's worker pool (nil when KernelWorkers <= 1).
-	pools []*kernel.Pool
 
 	// level mirrors recon.Current() for lock-free reads: monitoring code
 	// may call Level concurrently with a switch.
@@ -170,8 +157,8 @@ func (e *Engine) BatchStats() (batches, seqs, rows int64) {
 func (e *Engine) PrunableLinearCount() int { return len(e.weights) }
 
 // NewEngine deploys a bundle onto the given model replicas with the
-// default configuration (pattern-packed kernels, no intra-kernel
-// parallelism). See NewEngineConfigured.
+// default configuration (pattern-packed kernels). See
+// NewEngineConfigured.
 func NewEngine(bundle *deploy.Bundle, replicas []Model, costs rtswitch.SwitchCostModel) (*Engine, error) {
 	return NewEngineConfigured(bundle, replicas, costs, EngineConfig{})
 }
@@ -231,48 +218,28 @@ func NewEngineConfigured(bundle *deploy.Bundle, replicas []Model, costs rtswitch
 	// pack each (level, layer) once and share across replicas: packed
 	// weights are read-only, and any internal per-call scratch a format
 	// keeps (e.g. the Pattern kernel's lane-major free list) must be
-	// internally synchronized for concurrent MulInto calls. Then wrap per
-	// replica, because kernel.Parallel wrappers carry unsynchronized
-	// per-call state and must not be shared across concurrent callers.
-	packed := make([][]kernel.Kernel, len(bundle.Sets))
+	// internally synchronized for concurrent MulInto calls.
+	e.kernels = make([][]kernel.Kernel, len(bundle.Sets))
 	for lvl, set := range bundle.Sets {
-		packed[lvl] = make([]kernel.Kernel, len(e.weights))
+		e.kernels[lvl] = make([]kernel.Kernel, len(e.weights))
 		for j, w := range e.weights {
 			k, err := kernel.Build(e.cfg.Format, w, kernel.Options{Set: set})
 			if err != nil {
 				return nil, fmt.Errorf("serve: building %s kernel for level %s weight %s: %w",
 					e.cfg.Format, bundle.LevelNames[lvl], lins[j].W.Name, err)
 			}
-			packed[lvl][j] = k
+			e.kernels[lvl][j] = k
 		}
 	}
-	e.kernels = make([][][]kernel.Kernel, len(e.replicas))
+	// the unpruned linears are the same at every level: pack each
+	// replica's once (float64 panels, bit-identical to the dense product
+	// they replace) and leave them installed — install only ever touches
+	// the prunable linears; the dense references lift them for the length
+	// of the reference run
 	e.unpruned = make([][]kernel.Kernel, len(e.replicas))
-	e.pools = make([]*kernel.Pool, len(e.replicas))
-	for ri := range e.replicas {
-		if e.cfg.KernelWorkers > 1 {
-			e.pools[ri] = kernel.NewPool(e.cfg.KernelWorkers)
-		}
-		e.kernels[ri] = make([][]kernel.Kernel, len(packed))
-		for lvl := range packed {
-			e.kernels[ri][lvl] = make([]kernel.Kernel, len(packed[lvl]))
-			for j, k := range packed[lvl] {
-				if e.pools[ri] != nil {
-					k = e.pools[ri].Bind(k)
-				}
-				e.kernels[ri][lvl][j] = k
-			}
-		}
-		// the unpruned linears are the same at every level: pack each
-		// replica's once (float64 panels, bit-identical to the dense
-		// product they replace) and leave them installed — install only
-		// ever touches the prunable linears; the dense references lift
-		// them for the length of the reference run
-		for _, l := range e.replicas[ri].UnprunedLinears() {
-			var k kernel.Kernel = kernel.NewPacked(l.W.Value)
-			if e.pools[ri] != nil {
-				k = e.pools[ri].Bind(k)
-			}
+	for ri, r := range e.replicas {
+		for _, l := range r.UnprunedLinears() {
+			k := kernel.NewPacked(l.W.Value)
 			l.SetKernel(k)
 			e.unpruned[ri] = append(e.unpruned[ri], k)
 		}
@@ -281,23 +248,17 @@ func NewEngineConfigured(bundle *deploy.Bundle, replicas []Model, costs rtswitch
 	return e, nil
 }
 
-// Close releases the per-replica parallel worker pools (a no-op for
-// KernelWorkers <= 1). The engine must be quiesced; Forward must not be
-// called afterwards.
-func (e *Engine) Close() {
-	for _, p := range e.pools {
-		if p != nil {
-			p.Close()
-		}
-	}
-}
+// Close releases nothing: the engine owns no goroutines (large passes
+// borrow the process-wide mat.Fork helpers). It stays so that callers
+// can pair it with NewEngine.
+func (e *Engine) Close() {}
 
 // install points every replica's prunable linears at its packed kernels
 // of the given level. Callers must ensure no forward pass is in flight.
 func (e *Engine) install(level int) {
-	for ri, r := range e.replicas {
+	for _, r := range e.replicas {
 		for j, l := range r.PrunableLinears() {
-			l.SetKernel(e.kernels[ri][level][j])
+			l.SetKernel(e.kernels[level][j])
 		}
 	}
 }
@@ -509,7 +470,7 @@ func (e *Engine) denseReference(idx int) (restore func()) {
 		cur := e.recon.Current()
 		for j, l := range lins {
 			l.W.Value.CopyFrom(e.weights[j])
-			l.SetKernel(e.kernels[0][cur][j])
+			l.SetKernel(e.kernels[cur][j])
 		}
 		for i, l := range unpruned {
 			l.SetKernel(e.unpruned[0][i])

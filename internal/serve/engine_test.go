@@ -3,13 +3,16 @@ package serve_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"rt3/internal/kernel"
 	"rt3/internal/mat"
 	"rt3/internal/nn"
+	"rt3/internal/pattern"
 	"rt3/internal/rtswitch"
 	"rt3/internal/serve"
+	"rt3/internal/testutil"
 	"rt3/internal/transformer"
 )
 
@@ -100,65 +103,145 @@ func TestEngineAlternateFormats(t *testing.T) {
 	}
 }
 
-// TestEngineKernelWorkers checks intra-kernel parallelism end to end:
-// a KernelWorkers > 1 engine must produce identical outputs.
-func TestEngineKernelWorkers(t *testing.T) {
-	eng, bundle := newTestDeployment(t, 1)
-	par, err := serve.NewEngineConfigured(bundle, []serve.Model{newTestModel()},
-		rtswitch.DefaultSwitchCostModel(), serve.EngineConfig{KernelWorkers: 2})
+// wideDeployment deploys a classifier wide enough (dim 96, ffn 384) for
+// a 256-row batch to fan its FFN products, GELU and attention out
+// across the mat.Fork helpers, in the given kernel format on the given
+// number of replicas; wideBatch is such a batch.
+func wideDeployment(t *testing.T, format string, replicas int) *serve.Engine {
+	t.Helper()
+	rng := rand.New(rand.NewSource(5))
+	model := transformer.NewClassifier(transformer.Config{
+		Vocab: 24, Dim: 96, Heads: 4, FFHidden: 384, EncLayers: 1, SeqLen: 64, Classes: 3,
+	}, rng)
+	ref := model.PrunableLinears()[0].W.Value
+	var sets []*pattern.Set
+	for _, sp := range sparsities {
+		sets = append(sets, pattern.GenerateSet(ref, 8, sp, 3, rng))
+	}
+	var ms []serve.Model
+	for i := 0; i < replicas; i++ {
+		ms = append(ms, model.Clone())
+	}
+	eng, err := serve.NewEngineConfigured(serve.BundleFromModel(model, sets, levelNames), ms,
+		rtswitch.DefaultSwitchCostModel(), serve.EngineConfig{Format: format})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer par.Close()
-	seqs := randSeqs(4, 10, 24, 47)
+	return eng
+}
+
+func wideBatch(seed int64) [][]int { return randSeqs(4, 64, 24, seed) }
+
+// TestEngineForkMatchesInline checks intra-pass parallelism end to end:
+// at every level, a 256-row fused batch that fans out across the
+// mat.Fork helpers is bit-identical to its inline run (GOMAXPROCS 1).
+func TestEngineForkMatchesInline(t *testing.T) {
+	eng := wideDeployment(t, "", 1)
+	defer eng.Close()
+	seqs := wideBatch(47)
 	for lvl := 0; lvl < eng.NumLevels(); lvl++ {
 		if _, err := eng.SwitchTo(lvl); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := par.SwitchTo(lvl); err != nil {
-			t.Fatal(err)
+		testutil.Procs(t, 1)
+		want := eng.ForwardBatch(0, seqs)
+		testutil.Procs(t, 4)
+		before, _ := mat.ForkStats()
+		got := eng.ForwardBatch(0, seqs)
+		if after, _ := mat.ForkStats(); after == before {
+			t.Fatalf("level %d: a 256-row batch fanned nothing out", lvl)
 		}
-		for _, ids := range seqs {
-			if !mat.Equal(par.Forward(0, ids), eng.Forward(0, ids), 1e-12) {
-				t.Fatalf("level %d: parallel-kernel engine differs", lvl)
+		for i := range want {
+			if !mat.Equal(got[i], want[i], 0) {
+				t.Fatalf("level %d sequence %d: forked batch differs from inline", lvl, i)
 			}
 		}
 	}
 }
 
-// TestEngineKernelWorkersConcurrentReplicas is the regression test for
-// the shared-wrapper race: with KernelWorkers > 1 every replica must own
-// its own parallel executor (the wrapper carries per-call state), so
-// concurrent forward passes on different replicas — exactly what the
-// server's worker pool does — stay correct. Run under -race in CI.
-func TestEngineKernelWorkersConcurrentReplicas(t *testing.T) {
-	_, bundle := newTestDeployment(t, 1)
-	eng, err := serve.NewEngineConfigured(bundle,
-		[]serve.Model{newTestModel(), newTestModel()},
-		rtswitch.DefaultSwitchCostModel(), serve.EngineConfig{KernelWorkers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+// wrapLog is what every kernel of the "test-logging" format writes on
+// each MulInto, unsynchronized — the way the benchmark's timing shim
+// appends its spans.
+type wrapLog struct {
+	calls int
+	gids  map[string]bool // calling goroutines, by stack header
+}
+
+type loggingKernel struct {
+	kernel.Kernel
+	log *wrapLog
+}
+
+func (k *loggingKernel) MulInto(dst, x *mat.Matrix) {
+	k.log.calls++
+	var buf [32]byte
+	k.log.gids[string(buf[:runtime.Stack(buf[:], false)])] = true // "goroutine N [running]:..."
+	k.Kernel.MulInto(dst, x)
+}
+
+// TestEngineWrapperFormatSingleCaller is the regression test for the
+// wrapper race: fan-out happens beneath Kernel.MulInto, so a registered
+// format that wraps another kernel sees exactly one call per product of
+// a fused batch, all from the goroutine that called ForwardBatch — even
+// when the batch is large enough to use every core. (The row pool this
+// replaced split the batch outside the kernel and called the wrapper
+// once per worker, concurrently.) Run under -race in CI.
+func TestEngineWrapperFormatSingleCaller(t *testing.T) {
+	log := &wrapLog{gids: map[string]bool{}}
+	kernel.Register("test-logging", func(w *mat.Matrix, opts kernel.Options) (kernel.Kernel, error) {
+		k, err := kernel.Build("pattern", w, opts)
+		return &loggingKernel{Kernel: k, log: log}, err
+	})
+	// the registry has no unregister: leave a plain alias behind for the
+	// tests that deploy every kernel.Formats() entry
+	t.Cleanup(func() {
+		kernel.Register("test-logging", func(w *mat.Matrix, opts kernel.Options) (kernel.Kernel, error) {
+			return kernel.Build("pattern", w, opts)
+		})
+	})
+	testutil.Procs(t, 4)
+	eng := wideDeployment(t, "test-logging", 1)
 	defer eng.Close()
-	seqs := randSeqs(2, 10, 24, 59)
-	refs := make([]*mat.Matrix, len(seqs))
-	for i, ids := range seqs {
-		var err error
-		refs[i], err = eng.DenseForward(0, ids)
-		if err != nil {
-			t.Fatal(err)
-		}
+	before, _ := mat.ForkStats()
+	eng.ForwardBatch(0, wideBatch(53))
+	if after, _ := mat.ForkStats(); after == before {
+		t.Fatal("a 256-row batch fanned nothing out: the test no longer reaches the executor")
 	}
-	const rounds = 50
+	if products := eng.PrunableLinearCount(); log.calls != products {
+		t.Fatalf("wrapper saw %d MulInto calls for %d products", log.calls, products)
+	}
+	if len(log.gids) != 1 {
+		t.Fatalf("wrapper was called from %d goroutines: %v", len(log.gids), log.gids)
+	}
+}
+
+// TestEngineConcurrentReplicasShareExecutor: two replicas run 256-row
+// batches at the same time, which is what the server's worker pool
+// does. They share the packed kernels and the one set of mat.Fork
+// helpers — whichever replica holds the helpers fans out, the other
+// runs inline — and every output equals the inline reference. Run under
+// -race in CI.
+func TestEngineConcurrentReplicasShareExecutor(t *testing.T) {
+	eng := wideDeployment(t, "", 2)
+	defer eng.Close()
+	seqs := [][][]int{wideBatch(59), wideBatch(61)}
+	refs := make([][]*mat.Matrix, 2)
+	testutil.Procs(t, 1)
+	for r := range refs {
+		refs[r] = eng.ForwardBatch(r, seqs[r])
+	}
+	testutil.Procs(t, 4)
+	regions, busy := mat.ForkStats()
+	const rounds = 20
 	errc := make(chan error, 2)
 	for r := 0; r < 2; r++ {
-		r := r
 		go func() {
 			for i := 0; i < rounds; i++ {
-				got := eng.Forward(r, seqs[r])
-				if !mat.Equal(got, refs[r], 1e-9) {
-					errc <- fmt.Errorf("replica %d round %d: output corrupted", r, i)
-					return
+				for s, got := range eng.ForwardBatch(r, seqs[r]) {
+					if !mat.Equal(got, refs[r][s], 0) {
+						errc <- fmt.Errorf("replica %d round %d sequence %d: output differs from inline", r, i, s)
+						return
+					}
 				}
 			}
 			errc <- nil
@@ -168,6 +251,9 @@ func TestEngineKernelWorkersConcurrentReplicas(t *testing.T) {
 		if err := <-errc; err != nil {
 			t.Fatal(err)
 		}
+	}
+	if r, b := mat.ForkStats(); r == regions {
+		t.Fatalf("no region fanned out across %d concurrent batches (%d ran inline-busy)", 2*rounds, b-busy)
 	}
 }
 

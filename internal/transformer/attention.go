@@ -42,12 +42,10 @@ type MultiHeadAttention struct {
 	qOff, kvOff []int
 	causal      bool
 
-	// reusable forward scratch (active when reuse is on): the packed
-	// context rows, and one head of the batch's keys in the feature-major
-	// form mat.Attend reads
+	// the packed context rows of the forward in flight, kept across
+	// calls when reuse is on
 	reuse  bool
 	concat *mat.Matrix
-	kT     []float64
 
 	// incremental-decoding scratch (see decode.go): the score row of one
 	// cached (head, query row), sized to the largest cache so
@@ -91,7 +89,7 @@ func (a *MultiHeadAttention) SetBufferReuse(on bool) {
 	a.WO.SetBufferReuse(on)
 	a.reuse = on
 	if !on {
-		a.concat, a.kT = nil, nil
+		a.concat = nil
 	}
 }
 
@@ -117,12 +115,15 @@ func (a *MultiHeadAttention) Forward(q, kv *mat.Matrix, causal bool) *mat.Matrix
 // Every (head, query row) runs mat.Attend, the body the cached decode
 // paths run too: each head of K is transposed once into feature-major
 // scratch, V and the context rows are read and written in place through
-// their row stride.
+// their row stride. Heads are independent — each writes its own columns
+// of the context rows and its own probability blocks — so a large batch
+// splits by head across the mat.Fork helpers.
 func (a *MultiHeadAttention) ForwardBatch(q, kv *mat.Matrix, qOff, kvOff []int, causal bool) *mat.Matrix {
 	nSeq := checkOffsets("q", qOff, q.Rows)
 	if n := checkOffsets("kv", kvOff, kv.Rows); n != nSeq {
 		panic(fmt.Sprintf("transformer: %d query sequences but %d key/value sequences", nSeq, n))
 	}
+	pairs := 0 // (query row, key row) pairs one head attends
 	for s := 0; s < nSeq; s++ {
 		lq, lk := qOff[s+1]-qOff[s], kvOff[s+1]-kvOff[s]
 		if causal && lq != lk {
@@ -131,20 +132,19 @@ func (a *MultiHeadAttention) ForwardBatch(q, kv *mat.Matrix, qOff, kvOff []int, 
 		if lq > 0 && lk == 0 {
 			panic(fmt.Sprintf("transformer: sequence %d has %d query rows and no key rows to attend", s, lq))
 		}
+		if causal {
+			pairs += lq * (lq + 1) / 2
+		} else {
+			pairs += lq * lk
+		}
 	}
 	a.causal = causal
 	a.qOff, a.kvOff = qOff, kvOff
 	a.q = a.WQ.Forward(q)
 	a.k = a.WK.Forward(kv)
 	a.v = a.WV.Forward(kv)
-
 	concat := mat.EnsureShape(&a.concat, a.reuse, q.Rows, a.Dim)
-	// a window starting at any key row may be read one block past its end
-	hd, ld := a.HeadDim, kv.Rows+mat.AttendBlock
-	kT := mat.GrowFloats(a.kT, hd*ld)
-	if a.reuse {
-		a.kT = kT
-	}
+	a.concat = concat
 
 	// the probability blocks double as the backward cache; with reuse on
 	// they are recycled shape-matched across calls (every element is
@@ -161,13 +161,37 @@ func (a *MultiHeadAttention) ForwardBatch(q, kv *mat.Matrix, qOff, kvOff []int, 
 		copy(grown, a.attn[:cap(a.attn)])
 		a.attn = grown
 	}
+	// per pair: a score and a value product over the head's features, and
+	// one exp
+	mat.Fork(a.Heads, a.Heads*pairs*(2*a.HeadDim+mat.WorkExp), (*attendHeads)(a))
+	if !a.reuse {
+		a.concat = nil
+	}
+	return a.WO.Forward(concat)
+}
+
+// keyScratches lends each span of heads the feature-major key block
+// mat.Attend reads.
+var keyScratches mat.FreeList[[]float64]
+
+func newKeyScratch() []float64 { return nil }
+
+// attendHeads is the attention of a ForwardBatch as a mat.Fork body:
+// heads [h0, h1) of the projected a.q, a.k, a.v into a.concat and a.attn.
+type attendHeads MultiHeadAttention
+
+func (a *attendHeads) Range(h0, h1 int) {
+	nSeq := len(a.qOff) - 1
+	// a window starting at any key row may be read one block past its end
+	hd, ld := a.HeadDim, a.k.Rows+mat.AttendBlock
+	kT := mat.GrowFloats(keyScratches.Get(newKeyScratch), hd*ld)
 	scale := 1 / math.Sqrt(float64(hd))
-	for h := 0; h < a.Heads; h++ {
+	for h := h0; h < h1; h++ {
 		ho := h * hd
-		mat.PackKeys(kT, ld, a.k.Data[ho:], a.Dim, kv.Rows, hd)
+		mat.PackKeys(kT, ld, a.k.Data[ho:], a.Dim, a.k.Rows, hd)
 		for s := 0; s < nSeq; s++ {
-			q0, lq := qOff[s], qOff[s+1]-qOff[s]
-			k0, lk := kvOff[s], kvOff[s+1]-kvOff[s]
+			q0, lq := a.qOff[s], a.qOff[s+1]-a.qOff[s]
+			k0, lk := a.kvOff[s], a.kvOff[s+1]-a.kvOff[s]
 			if lq == 0 {
 				continue
 			}
@@ -179,16 +203,16 @@ func (a *MultiHeadAttention) ForwardBatch(q, kv *mat.Matrix, qOff, kvOff []int, 
 			vals := a.v.Data[k0*a.Dim+ho:]
 			for i := 0; i < lq; i++ {
 				p, w := probs.Row(i), lk
-				if causal {
+				if a.causal {
 					w = i + 1
 					clear(p[w:])
 				}
 				r := (q0+i)*a.Dim + ho
-				mat.Attend(concat.Data[r:r+hd], a.q.Data[r:r+hd], kT[k0:], ld, vals, a.Dim, w, scale, p)
+				mat.Attend(a.concat.Data[r:r+hd], a.q.Data[r:r+hd], kT[k0:], ld, vals, a.Dim, w, scale, p)
 			}
 		}
 	}
-	return a.WO.Forward(concat)
+	keyScratches.Put(kT)
 }
 
 // Backward propagates the upstream gradient, accumulating parameter

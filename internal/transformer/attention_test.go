@@ -79,6 +79,63 @@ func TestForwardBatchMatchesNaiveAttention(t *testing.T) {
 	}
 }
 
+// TestForwardBatchForkMatchesInline: a batch large enough to split by
+// head across the mat.Fork helpers gives the bits of its inline run
+// (GOMAXPROCS 1) — the output and, through Backward, every probability
+// block — for causal self- and ragged cross-attention, with 1, 3 and 4
+// heads, with and without buffer reuse; one head, or a batch under the
+// fork threshold, stays on the calling goroutine.
+func TestForwardBatchForkMatchesInline(t *testing.T) {
+	const dim = 48
+	for _, heads := range []int{1, 3, 4} {
+		for _, causal := range []bool{true, false} {
+			for _, size := range []struct {
+				qLens, kvLens []int
+				above         bool // of the fork threshold, at 3 and 4 heads
+			}{
+				{[]int{5, 1, 17}, []int{2, 9, 30}, false},
+				{[]int{70, 33, 1, 90, 0, 61}, []int{64, 17, 40, 75, 3, 96}, true},
+			} {
+				rng := rand.New(rand.NewSource(int64(155 + heads)))
+				a := transformer.NewMultiHeadAttention("attn", dim, heads, rng)
+				qOff := offsetsOf(size.qLens)
+				x := mat.New(qOff[len(qOff)-1], dim)
+				x.Randomize(rng, 1)
+				mem, kvOff := x, qOff
+				if !causal {
+					kvOff = offsetsOf(size.kvLens)
+					mem = mat.New(kvOff[len(kvOff)-1], dim)
+					mem.Randomize(rng, 1)
+				}
+				dy := mat.New(x.Rows, dim)
+				dy.Randomize(rng, 1)
+				what := fmt.Sprintf("%d heads, causal %v, %d rows", heads, causal, x.Rows)
+				for _, reuse := range []bool{false, true} {
+					a.SetBufferReuse(reuse)
+					testutil.Procs(t, 1)
+					want := a.ForwardBatch(x, mem, qOff, kvOff, causal).Clone()
+					wantQ, wantKV := a.Backward(dy)
+					testutil.Procs(t, 4)
+					before, _ := mat.ForkStats()
+					got := a.ForwardBatch(x, mem, qOff, kvOff, causal)
+					after, _ := mat.ForkStats()
+					if !mat.Equal(got, want, 0) {
+						t.Fatalf("%s, reuse %v: forked ForwardBatch differs from inline", what, reuse)
+					}
+					if gotQ, gotKV := a.Backward(dy); !mat.Equal(gotQ, wantQ, 0) || !mat.Equal(gotKV, wantKV, 0) {
+						t.Fatalf("%s, reuse %v: probability blocks of the forked pass differ from inline", what, reuse)
+					}
+					// the three projections stay under the threshold at
+					// these sizes: any region is the attention itself
+					if fanned := after > before; fanned != (size.above && heads > 1) {
+						t.Errorf("%s: fanned out = %v", what, fanned)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestForwardBatchRejectsKeylessSequence: a sequence with query rows and
 // no key rows has nothing to normalise over; it is rejected by name
 // instead of dying on an index inside the softmax.
@@ -120,6 +177,21 @@ func TestForwardBatchSteadyStateZeroAllocs(t *testing.T) {
 		a.ForwardBatch(small, small, offSmall, offSmall, true)
 	}); allocs != 0 {
 		t.Fatalf("%v allocs per steady-state ForwardBatch after a shape change, want 0", allocs)
+	}
+
+	// a batch whose heads fan out: each span of heads borrows its key
+	// scratch, on the helpers too
+	testutil.Procs(t, 4)
+	wide := mat.New(400, 16)
+	wide.Randomize(rng, 1)
+	offWide := []int{0, 150, 400}
+	before, _ := mat.ForkStats()
+	allocs := testutil.AllocsPerRun(20, func() { a.ForwardBatch(wide, wide, offWide, offWide, true) })
+	if after, _ := mat.ForkStats(); after-before < 20 {
+		t.Fatalf("%d of 21 ForwardBatch calls over 400 rows fanned out", after-before)
+	}
+	if allocs != 0 {
+		t.Fatalf("%v allocs per fanned-out ForwardBatch, want 0", allocs)
 	}
 }
 
