@@ -22,13 +22,16 @@ type jsonReport struct {
 }
 
 type kernelsSection struct {
-	Dim      int          `json:"dim"`
-	Batch    int          `json:"batch"`
-	Sparsity float64      `json:"sparsity"`
-	Formats  []kernelRow  `json:"formats"`
-	Batched  []batchedRow `json:"batched,omitempty"`
-	Micro    []microRow   `json:"micro,omitempty"`
-	Ladder   []ladderRow  `json:"ladder,omitempty"`
+	Dim      int     `json:"dim"`
+	Batch    int     `json:"batch"`
+	Sparsity float64 `json:"sparsity"`
+	// GOMAXPROCS is the parallelism every packed and pattern row ran at
+	// (their products split across the mat.Fork helpers).
+	GOMAXPROCS int          `json:"gomaxprocs"`
+	Formats    []kernelRow  `json:"formats"`
+	Batched    []batchedRow `json:"batched,omitempty"`
+	Micro      []microRow   `json:"micro,omitempty"`
+	Ladder     []ladderRow  `json:"ladder,omitempty"`
 	// MicroGeomeanSpeedup is the packed-f64 geomean over dense across
 	// the micro shapes (the enforced >= 2x contract).
 	MicroGeomeanSpeedup float64 `json:"micro_geomean_speedup,omitempty"`

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"time"
 
@@ -36,6 +37,9 @@ type kernelBenchSpec struct {
 // prints a table of per-call latency and GFLOP-equivalents/sec: the
 // dense-equivalent rate (2*dim*dim*batch flops per call, what the layer
 // replaces) and the effective rate over stored nonzeros (2*NNZ*batch).
+// Every packed and pattern product down to a decode step's rows fans out
+// across the mat.Fork helpers, so all sections' rates depend on
+// GOMAXPROCS: the header prints it and -json records it.
 func runKernelBench(formats string, spec kernelBenchSpec) error {
 	rng := rand.New(rand.NewSource(42))
 	w := mat.New(spec.dim, spec.dim)
@@ -64,14 +68,15 @@ func runKernelBench(formats string, spec kernelBenchSpec) error {
 			batches, inputs = append(batches, b), append(inputs, xb)
 		}
 	}
-	fmt.Printf("kernel MulInto: %dx%d weights, pattern sparsity %.2f (psize %d), batch %v\n\n",
-		spec.dim, spec.dim, spec.sparsity, spec.psize, batches)
+	procs := runtime.GOMAXPROCS(0)
+	fmt.Printf("kernel MulInto: %dx%d weights, pattern sparsity %.2f (psize %d), batch %v, GOMAXPROCS %d\n\n",
+		spec.dim, spec.dim, spec.sparsity, spec.psize, batches, procs)
 	fmt.Printf("%-10s %6s %10s %10s %12s %14s %14s\n",
 		"format", "batch", "nnz", "idx_words", "us/op", "GFLOPeq/s", "GFLOPeff/s")
 
 	var section *kernelsSection
 	if jsonRep != nil {
-		section = &kernelsSection{Dim: spec.dim, Batch: spec.batch, Sparsity: spec.sparsity}
+		section = &kernelsSection{Dim: spec.dim, Batch: spec.batch, Sparsity: spec.sparsity, GOMAXPROCS: procs}
 		jsonRep.Kernels = section
 	}
 	for _, name := range names {
@@ -137,16 +142,15 @@ const microKernelFloor = 2.0
 
 // runMicroKernelBench times the packed micro-kernel format at each of
 // its precisions against the dense baseline at the serving shapes
-// (single-threaded, unmasked weights: this section measures the GEMM
-// core itself, not sparsity) and enforces microKernelFloor on the
-// packed-f64 geomean.
+// (unmasked weights: this section measures the GEMM core itself, not
+// sparsity) and enforces microKernelFloor on the packed-f64 geomean.
 func runMicroKernelBench(spec kernelBenchSpec, section *kernelsSection) error {
 	rng := rand.New(rand.NewSource(44))
 	arms := []struct{ name, format, precision string }{
 		{"dense", "dense", ""}, {"packed", "packed", ""},
 		{"packed/f32", "packed", "f32"}, {"packed/int8", "packed", "int8"},
 	}
-	fmt.Printf("micro-kernels: packed-panel GEMM vs dense MatMul at serving shapes (single-threaded)\n\n")
+	fmt.Printf("micro-kernels: packed-panel GEMM vs dense MatMul at serving shapes\n\n")
 	fmt.Printf("%-14s %-11s %12s %14s %10s\n", "shape", "format", "us/op", "GFLOPeq/s", "speedup")
 	logSum := map[string]float64{}
 	for _, sh := range microShapes {
@@ -227,7 +231,7 @@ func runSparsityLadderBench(spec kernelBenchSpec, section *kernelsSection) error
 	dst := mat.New(batch, N)
 	flops := 2 * float64(batch) * float64(K) * float64(N)
 
-	fmt.Printf("sparsity ladder: pattern vs packed over the same masked weights, one decode step (%dx%dx%d, single-threaded)\n\n", batch, K, N)
+	fmt.Printf("sparsity ladder: pattern vs packed over the same masked weights, one decode step (%dx%dx%d)\n\n", batch, K, N)
 	fmt.Printf("%-9s %14s %14s %10s\n", "sparsity", "pattern GF/s", "packed GF/s", "ratio")
 	var patternGF, packedGF []float64
 	for _, sparsity := range ladderSparsities {

@@ -107,9 +107,9 @@ func main() {
 		runtime.GOMAXPROCS(1)
 		one := timeMul(serial)
 		runtime.GOMAXPROCS(procs)
-		before, _ := mat.ForkStats()
+		before := mat.ForkStats().Regions
 		all := timeMul(forked)
-		after, _ := mat.ForkStats()
+		after := mat.ForkStats().Regions
 		fmt.Printf("pattern %4d rows: %8.1f us/op on 1 core, %8.1f us/op on %d (%d regions fanned out)  bit-identical %v\n",
 			rows, one, all, procs, after-before, mat.Equal(serial, forked, 0))
 	}

@@ -16,9 +16,10 @@
 //
 // # Parallelism contract
 //
-// Large products use every core from inside: mat.GemmLanes and
-// mat.GemmPanels split their row blocks across the process-wide
-// fork-join executor (mat.Fork), beneath MulInto. A kernel — and a
+// Products use every core from inside: mat.GemmLanes and mat.GemmPanels
+// split their row blocks — or, for the single block of a decode step,
+// their column partitions — across the process-wide fork-join executor
+// (mat.Fork), beneath MulInto. A kernel — and a
 // format registered around one, such as a timing wrapper — therefore
 // sees one MulInto per product, on the calling goroutine. Kernels are
 // still shared by concurrent callers (serving replicas run the same

@@ -163,8 +163,8 @@ func TestStorageAccountingConsistent(t *testing.T) {
 
 // TestForkMatchesInline: every build is bit-identical whether its
 // MulInto fans out across the mat.Fork helpers or runs inline
-// (GOMAXPROCS 1), at batch sizes on both sides of the fork threshold and
-// around the 8-row lane and 64-row panel block edges.
+// (GOMAXPROCS 1), at decode-step batches (one block, split by column
+// partition) and around the 8-row lane and 64-row panel block edges.
 func TestForkMatchesInline(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	w := mat.New(192, 192)
@@ -193,14 +193,16 @@ func TestForkMatchesInline(t *testing.T) {
 	testutil.Procs(t, 4)
 	for _, r := range runs {
 		got := mat.New(r.x.Rows, 192)
-		before, _ := mat.ForkStats()
+		before := mat.ForkStats().Regions
 		r.k.MulInto(got, r.x)
-		after, _ := mat.ForkStats()
+		after := mat.ForkStats().Regions
 		if !mat.Equal(got, r.want, 0) {
 			t.Fatalf("%v batch %d: forked MulInto differs from inline", r.b, r.x.Rows)
 		}
-		// dense (mat.MatMul) and int8 (mat.Gemm8) have no fork body
-		if forks := r.b.format != "dense" && r.b.precision != "int8"; forks && (after > before) != (r.x.Rows >= 257) {
+		// dense (mat.MatMul) and int8 (mat.Gemm8) have no fork body; the
+		// others split every one of these batches, by column partition up
+		// to one lane or panel block and by row block beyond
+		if forks := r.b.format != "dense" && r.b.precision != "int8"; (after > before) != forks {
 			t.Errorf("%v batch %d: fanned out = %v", r.b, r.x.Rows, after > before)
 		}
 	}
@@ -208,9 +210,10 @@ func TestForkMatchesInline(t *testing.T) {
 
 // TestMulIntoZeroAllocs is the steady-state allocation contract of the
 // whole execution API: after warm-up, MulInto allocates nothing — for
-// every format and precision, at a batch that runs inline and at one
-// that fans out across the mat.Fork helpers (fork bodies and per-span
-// scratch are borrowed from free lists, not allocated per region).
+// every format and precision, at a decode step's single block (split by
+// column partition), at several lane blocks inside one panel block and
+// at a batch split by row block (fork bodies and scratch are borrowed
+// from free lists, not allocated per region).
 func TestMulIntoZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	w := mat.New(192, 192)
@@ -222,7 +225,7 @@ func TestMulIntoZeroAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, batch := range []int{32, 257} {
+		for _, batch := range []int{7, 32, 257} {
 			x := mat.New(batch, 192)
 			x.Randomize(rng, 1)
 			dst := mat.New(batch, 192)

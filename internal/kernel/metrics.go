@@ -20,8 +20,14 @@ func RegisterMetrics(reg *obs.Registry) {
 		func() float64 { return float64(buildsTotal.Load()) })
 	reg.CounterFunc("rt3_mat_parallel_regions_total",
 		"Parallel regions (kernel products, attention, GELU) fanned out to the mat.Fork helpers.",
-		func() float64 { regions, _ := mat.ForkStats(); return float64(regions) })
+		func() float64 { return float64(mat.ForkStats().Regions) })
 	reg.CounterFunc("rt3_mat_parallel_inline_busy_total",
 		"Parallel regions run inline because the helpers were serving another caller.",
-		func() float64 { _, busy := mat.ForkStats(); return float64(busy) })
+		func() float64 { return float64(mat.ForkStats().InlineBusy) })
+	reg.CounterFunc("rt3_mat_parallel_helped_total",
+		"Fanned-out regions a helper ran a span of; well below regions_total, the host is not granting a second core.",
+		func() float64 { return float64(mat.ForkStats().Helped) })
+	reg.CounterFunc("rt3_mat_parallel_wakes_total",
+		"Helpers woken from the parking lot: regions that arrived after the executor had gone idle.",
+		func() float64 { return float64(mat.ForkStats().Wakes) })
 }

@@ -37,3 +37,12 @@ func ForkHelpers() int {
 // included: GemmLanes counts Steps()*LaneGroup stored weights of work
 // per batch row.
 func (w *LaneWeights) Steps() int { return len(w.val) / LaneGroup }
+
+// ForkParked returns how many helpers are blocked in the parking lot.
+func ForkParked() int { return int(forker.parked.Load()) }
+
+// ForkSpin is the helpers' spin budget.
+const ForkSpin = forkSpin
+
+// Cols returns the columns in stream order, LaneGroup to a group.
+func (w *LaneWeights) Cols() []int32 { return w.cols }

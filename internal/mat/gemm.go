@@ -86,8 +86,10 @@ func PackPanels[F Float](w *Matrix) *Panels[F] {
 // GemmPanels computes dst = X @ W from the packed panels of W, where X
 // is dst.Rows x K in precision F (row-major, contiguous) and dst is the
 // float64 destination. Accumulation runs in F; results are converted to
-// float64 at store time. dst must not alias x's backing array. Large
-// batches split by whole gemmMC-row blocks across the Fork helpers.
+// float64 at store time. dst must not alias x's backing array. Batches
+// of several gemmMC-row blocks split by block across the Fork helpers, a
+// single block (a decode step's logits) by column partition. A last
+// block of 1-7 rows costs a full tile, so work counts whole tiles.
 func GemmPanels[F Float](dst *Matrix, x []F, p *Panels[F]) {
 	M, K, N := dst.Rows, p.K, p.N
 	if len(x) != M*K {
@@ -96,35 +98,47 @@ func GemmPanels[F Float](dst *Matrix, x []F, p *Panels[F]) {
 	if dst.Cols != N {
 		panic(fmt.Sprintf("mat: GemmPanels dst cols %d != N %d", dst.Cols, N))
 	}
-	forkJob(&p.jobs, (M+gemmMC-1)/gemmMC, M*K*N, panelJob[F]{dst, x, p})
+	n, cols := (M+gemmMC-1)/gemmMC, false
+	if n == 1 {
+		n, cols = (N+LanePartition-1)/LanePartition, true
+	}
+	forkJob(&p.jobs, n, (M+7)/8*8*K*N, panelJob[F]{dst, x, p, cols})
 }
 
-// panelJob is one GemmPanels call as a Fork body; a unit is one row
-// block of gemmMC rows.
+// panelJob is one GemmPanels call as a Fork body. A unit is one row
+// block of gemmMC rows, or, when cols is set, one partition of
+// LanePartition columns of the only row block: whole cache lines of
+// every dst row, as in GemmLanes.
 type panelJob[F Float] struct {
-	dst *Matrix
-	x   []F
-	p   *Panels[F]
+	dst  *Matrix
+	x    []F
+	p    *Panels[F]
+	cols bool
 }
 
-func (j *panelJob[F]) Range(b0, b1 int) {
-	gemmPanelRows(j.dst, j.x, j.p, b0*gemmMC, min(b1*gemmMC, j.dst.Rows), asmTile[F]())
+func (j *panelJob[F]) Range(lo, hi int) {
+	const part = LanePartition / PanelWidth
+	rows, np := j.dst.Rows, (j.p.N+PanelWidth-1)/PanelWidth
+	if j.cols {
+		gemmPanelRows(j.dst, j.x, j.p, 0, rows, lo*part, min(hi*part, np), asmTile[F]())
+		return
+	}
+	gemmPanelRows(j.dst, j.x, j.p, lo*gemmMC, min(hi*gemmMC, rows), 0, np, asmTile[F]())
 }
 
 // gemmPanelRows is GemmPanels over rows [r0, r1), r0 a multiple of
-// gemmMC, with the kernel choice explicit so tests can hold the assembly
-// tile against the portable ones. tile, when non-nil, computes an 8x4
-// accumulator tile from one full-width panel and stores its first rows
-// rows, bit for bit what kern8x4 stores; it takes a last block of 1-7
+// gemmMC, and panels [p0, p1), with the kernel choice explicit so tests
+// can hold the assembly tile against the portable ones. tile, when
+// non-nil, computes an 8x4 accumulator tile from one full-width panel and
+// stores its first rows rows, bit for bit what kern8x4 stores; it takes a last block of 1-7
 // rows too (the missing rows recompute row 0 and are not stored), so any
 // M gets tile speed. The right-edge panel, and everything when tile is
 // nil, runs the portable register-blocked kernels.
-func gemmPanelRows[F Float](dst *Matrix, x []F, p *Panels[F], r0, r1 int, tile func(bp, a *F, lda int, c *float64, ldc, k, rows int)) {
+func gemmPanelRows[F Float](dst *Matrix, x []F, p *Panels[F], r0, r1, p0, p1 int, tile func(bp, a *F, lda int, c *float64, ldc, k, rows int)) {
 	K, N := p.K, p.N
-	np := (N + PanelWidth - 1) / PanelWidth
 	for mc := r0; mc < r1; mc += gemmMC {
 		m1 := min(mc+gemmMC, r1)
-		for pi := 0; pi < np; pi++ {
+		for pi := p0; pi < p1; pi++ {
 			j0 := pi * PanelWidth
 			nw := N - j0
 			if nw > PanelWidth {

@@ -74,7 +74,7 @@ func TestGemmPanelsAsmMatchesPortable(t *testing.T) {
 			got, intact := guarded(t, M, N)
 			want := New(M, N)
 			GemmPanels(got, x.Data, p64)
-			gemmPanelRows(want, x.Data, p64, 0, M, nil)
+			gemmPanelRows(want, x.Data, p64, 0, M, 0, (N+PanelWidth-1)/PanelWidth, nil)
 			intact(what + " f64")
 			if !Equal(got, want, 0) {
 				t.Fatalf("%s: f64 asm differs from portable kernels", what)
@@ -87,7 +87,7 @@ func TestGemmPanelsAsmMatchesPortable(t *testing.T) {
 			}
 			got.Fill(7)
 			GemmPanels(got, x32, p32)
-			gemmPanelRows(want, x32, p32, 0, M, nil)
+			gemmPanelRows(want, x32, p32, 0, M, 0, (N+PanelWidth-1)/PanelWidth, nil)
 			intact(what + " f32")
 			if !Equal(got, want, 0) {
 				t.Fatalf("%s: f32 asm differs from portable kernels", what)

@@ -20,3 +20,5 @@ func laneKern8AVX(idx *uint16, val *float64, steps int, xt, c *float64, ldc int,
 func vecMat16AVX(dst, a *float64, n int, b *float64, stride, cols int, scale float64) {
 	panic("mat: vecMat16AVX without asm")
 }
+
+func spinPause() {}

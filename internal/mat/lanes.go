@@ -24,9 +24,23 @@ import (
 // value 0) entries. Pattern pruning gives the columns of a tile
 // systematically different lengths (10-39% padding with adjacent
 // columns grouped, measured on 8x8 sets at dim 192 / ffn 768), so groups
-// are formed from the columns sorted by length instead: padding all but
+// are formed from columns sorted by length instead: padding all but
 // vanishes, and a group's results are scattered to its columns' places
 // in dst.
+//
+// # Partitions
+//
+// The sort runs inside aligned partitions of LanePartition columns, not
+// over all N: a partition's groups then write exactly the partition's
+// columns, whole 64-byte lines of every dst row. A decode step is one
+// lane block, so there is no second row block to hand to a second core;
+// its product splits by partition instead (see gemmLanes), and two cores
+// writing disjoint cache lines is what makes that split pay: with
+// globally sorted groups, whose four columns land anywhere in the row,
+// the same split measured 1.35x where partitions give 1.5-1.75x
+// (8x192->768, both cores warm). Sorting 32 columns instead of all of
+// them stores 1-4% more entries on the 8x8 pattern sets (16 columns:
+// 3-16%; TestLanePartitionLayout).
 //
 // # Lanes
 //
@@ -53,6 +67,11 @@ import (
 // interleaved into one group.
 const LaneGroup = 4
 
+// LanePartition is the number of adjacent output columns that are
+// sorted and grouped together: four cache lines of a dst row, the unit a
+// single-block product splits by.
+const LanePartition = 32
+
 // laneWidth is the number of batch rows one xt block holds, one per
 // vector lane: two 4-double AVX registers.
 const laneWidth = 8
@@ -65,9 +84,9 @@ const LaneMaxK = 1<<16 - 1
 // (see the file comment).
 type LaneWeights struct {
 	K, N int
-	// cols lists the columns longest stream first; group g is
-	// cols[g*LaneGroup:][:LaneGroup], cut short at the end when N is not
-	// a multiple of LaneGroup. slot is its inverse: cols[slot[c]] == c.
+	// cols lists each partition's columns longest stream first; group g
+	// is cols[g*LaneGroup:][:LaneGroup], cut short at the end when N is
+	// not a multiple of LaneGroup. slot is its inverse: cols[slot[c]] == c.
 	cols, slot []int32
 	// start[g] is the first step of column group g; it has start[g+1] -
 	// start[g] steps.
@@ -94,7 +113,9 @@ func NewLaneWeights(k, n int, counts []int32) (*LaneWeights, error) {
 	for c := range w.cols {
 		w.cols[c] = int32(c)
 	}
-	slices.SortStableFunc(w.cols, func(a, b int32) int { return cmp.Compare(counts[b], counts[a]) })
+	for p := 0; p < n; p += LanePartition {
+		slices.SortStableFunc(w.cols[p:min(p+LanePartition, n)], func(a, b int32) int { return cmp.Compare(counts[b], counts[a]) })
+	}
 	for p, c := range w.cols {
 		w.slot[c] = int32(p)
 	}
@@ -133,8 +154,9 @@ func newLaneScratch() []float64 { return nil }
 
 // GemmLanes computes dst = X @ W from the column streams of W, where X
 // is dst.Rows x K. dst must not alias x. Allocation-free in steady
-// state: the lane-major copy of x lives in borrowed scratch. Large
-// batches split by whole lane blocks across the Fork helpers.
+// state: the lane-major copy of x lives in borrowed scratch. Batches of
+// several lane blocks split by block across the Fork helpers, a single
+// block (a decode step) by column partition.
 func GemmLanes(dst, x *Matrix, w *LaneWeights) {
 	if x.Cols != w.K {
 		panic(fmt.Sprintf("mat: GemmLanes x cols %d != K %d", x.Cols, w.K))
@@ -145,23 +167,37 @@ func GemmLanes(dst, x *Matrix, w *LaneWeights) {
 	gemmLanes(dst, x, w, laneAsm)
 }
 
-// laneJob is one gemmLanes call as a Fork body; a unit is one lane
-// block of laneWidth rows.
+// laneJob is one gemmLanes call as a Fork body. With several lane blocks
+// a unit is one block of laneWidth rows, packed into an xt block the span
+// borrows; with one, xt is that block, packed by the caller, and a unit
+// is one column partition.
 type laneJob struct {
 	dst, x *Matrix
 	w      *LaneWeights
 	asm    bool
+	xt     []float64
 }
 
 var laneJobs FreeList[*laneJob]
 
 // gemmLanes is GemmLanes with the kernel choice explicit, so tests can
-// hold the assembly kernels against the portable one.
+// hold the assembly kernels against the portable one. A last block of
+// 1-7 rows costs a full tile, so work counts whole blocks.
 func gemmLanes(dst, x *Matrix, w *LaneWeights, asm bool) {
-	forkJob(&laneJobs, (x.Rows+laneWidth-1)/laneWidth, x.Rows*len(w.val), laneJob{dst, x, w, asm})
+	blocks := (x.Rows + laneWidth - 1) / laneWidth
+	work := blocks * laneWidth * len(w.val)
+	if blocks != 1 {
+		forkJob(&laneJobs, blocks, work, laneJob{dst, x, w, asm, nil})
+		return
+	}
+	xt := Grow(laneScratches.Get(newLaneScratch), (w.K+1)*laneWidth)
+	packLanes(xt, x.Data, w.K)
+	forkJob(&laneJobs, (w.N+LanePartition-1)/LanePartition, work, laneJob{dst, x, w, asm, xt})
+	laneScratches.Put(xt)
 }
 
-// Range runs lane blocks [b0, b1) with one borrowed xt block.
+// Range runs column partitions [lo, hi) of the one packed block, or lane
+// blocks [lo, hi) with one borrowed xt block.
 //
 // The nest is row-block outer, column-group inner, with one lane block as
 // the row block: the kernel touches a 64-byte xt row per stored weight at
@@ -169,27 +205,37 @@ func gemmLanes(dst, x *Matrix, w *LaneWeights, asm bool) {
 // stay in L1, while the weight streams are read sequentially, 10 bytes a
 // weight, and prefetch well from L2. GemmPanels' 64-row blocks measured
 // slower here at every prefill shape (at K=192 their xt is 98 KB).
-func (j *laneJob) Range(b0, b1 int) {
-	dst, x, w := j.dst, j.x, j.w
+func (j *laneJob) Range(lo, hi int) {
+	const partGroups = LanePartition / LaneGroup
+	x, w := j.x, j.w
 	K, N := w.K, w.N
-	xt := laneScratches.Get(newLaneScratch)
-	xt = Grow(xt, (K+1)*laneWidth)
-	for m, m1 := b0*laneWidth, min(b1*laneWidth, x.Rows); m < m1; m += laneWidth {
+	if j.xt != nil {
+		j.groups(j.xt, j.dst.Data, x.Rows, lo*partGroups, min(hi*partGroups, len(w.start)-1))
+		return
+	}
+	xt := Grow(laneScratches.Get(newLaneScratch), (K+1)*laneWidth)
+	for m, m1 := lo*laneWidth, min(hi*laneWidth, x.Rows); m < m1; m += laneWidth {
 		rows := min(laneWidth, m1-m)
 		packLanes(xt, x.Data[m*K:(m+rows)*K], K)
-		out := dst.Data[m*N : (m+rows)*N]
-		for g := 0; g+1 < len(w.start); g++ {
-			s0, s1 := int(w.start[g]), int(w.start[g+1])
-			idx, val := w.idx[s0*LaneGroup:s1*LaneGroup], w.val[s0*LaneGroup:s1*LaneGroup]
-			cols := w.cols[g*LaneGroup : min((g+1)*LaneGroup, N)]
-			if j.asm && len(cols) == LaneGroup && s1 > s0 {
-				laneKern8AVX(&idx[0], &val[0], s1-s0, &xt[0], &out[0], N, &cols[0], rows)
-			} else {
-				laneKernGo(idx, val, xt, out, N, cols)
-			}
-		}
+		j.groups(xt, j.dst.Data[m*N:(m+rows)*N], rows, 0, len(w.start)-1)
 	}
 	laneScratches.Put(xt)
+}
+
+// groups runs column groups [g0, g1) against one xt block into the rows
+// batch rows of out.
+func (j *laneJob) groups(xt, out []float64, rows, g0, g1 int) {
+	w, N := j.w, j.w.N
+	for g := g0; g < g1; g++ {
+		s0, s1 := int(w.start[g]), int(w.start[g+1])
+		idx, val := w.idx[s0*LaneGroup:s1*LaneGroup], w.val[s0*LaneGroup:s1*LaneGroup]
+		cols := w.cols[g*LaneGroup : min((g+1)*LaneGroup, N)]
+		if j.asm && len(cols) == LaneGroup && s1 > s0 {
+			laneKern8AVX(&idx[0], &val[0], s1-s0, &xt[0], &out[0], N, &cols[0], rows)
+		} else {
+			laneKernGo(idx, val, xt, out, N, cols)
+		}
+	}
 }
 
 // packLanes transposes the len(x)/K rows of x (at most laneWidth) into

@@ -6,23 +6,24 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"rt3/internal/mat"
 	"rt3/internal/testutil"
 )
 
-// forkRows are batch sizes on both sides of every block edge a split can
-// fall on (8-row lane blocks, 64-row panel blocks) and of the fork
-// threshold of the 192x192 products below.
-var forkRows = []int{7, 8, 9, 63, 64, 65, 255, 256, 257, 513}
+// forkRows are the batch sizes of a decode step (one lane or panel
+// block, split by column partition) and both sides of every block edge a
+// row split can fall on (8-row lane blocks, 64-row panel blocks).
+var forkRows = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 255, 256, 257, 513}
 
 // TestForkGemmMatchesInline is the bit-identity sweep of the kernels
 // that split across the Fork helpers: GemmLanes and GemmPanels (f64 and
 // f32) give the bits of their inline run (GOMAXPROCS 1) at every batch
-// size and sparsity, and fan out exactly when M x stored weights reaches
-// ForkMinWork.
+// size and sparsity, at the three serving shapes and at 24x12 (one
+// ragged partition, under the threshold at one block), and fan out
+// exactly when they have two units and their work reaches ForkMinWork.
 func TestForkGemmMatchesInline(t *testing.T) {
-	const K, N = 192, 192
 	rng := rand.New(rand.NewSource(201))
 	type run struct {
 		what    string
@@ -32,36 +33,57 @@ func TestForkGemmMatchesInline(t *testing.T) {
 	}
 	var runs []run
 	testutil.Procs(t, 1)
-	for _, sparsity := range []float64{0, 0.3, 0.7} {
-		w, lw := sparseWeights(t, rng, K, N, sparsity)
-		p64, p32 := mat.PackPanels[float64](w), mat.PackPanels[float32](w)
-		for _, k := range []struct {
-			name   string
-			mul    func(dst, x *mat.Matrix)
-			stored int // per batch row, what the kernel's work estimate counts
-		}{
-			{"lanes", func(dst, x *mat.Matrix) { mat.GemmLanes(dst, x, lw) }, lw.Steps() * mat.LaneGroup},
-			{"panels/f64", func(dst, x *mat.Matrix) { mat.GemmPanels(dst, x.Data, p64) }, K * N},
-			{"panels/f32", func(dst, x *mat.Matrix) { mat.Gemm32(dst, x, p32) }, K * N},
-		} {
-			for _, M := range forkRows {
-				x := mat.New(M, K)
-				x.Randomize(rng, 1)
-				want := mat.New(M, N)
-				k.mul(want, x)
-				runs = append(runs, run{
-					fmt.Sprintf("%s s%.1f M=%d", k.name, sparsity, M), k.mul, x, want, M*k.stored >= mat.ForkMinWork,
-				})
+	for _, shape := range [][2]int{{192, 192}, {192, 768}, {768, 192}, {24, 12}} {
+		K, N := shape[0], shape[1]
+		for _, sparsity := range []float64{0, 0.3, 0.7} {
+			w, lw := sparseWeights(t, rng, K, N, sparsity)
+			p64, p32 := mat.PackPanels[float64](w), mat.PackPanels[float32](w)
+			// a kernel's units at M rows and the work it counts per unit row
+			laneUnits := func(M int) (int, int) {
+				if M <= 8 {
+					return (N + mat.LanePartition - 1) / mat.LanePartition, 8 * lw.Steps() * mat.LaneGroup
+				}
+				return (M + 7) / 8, (M + 7) / 8 * 8 * lw.Steps() * mat.LaneGroup
+			}
+			panelUnits := func(M int) (int, int) {
+				if M <= 64 {
+					return (N + mat.LanePartition - 1) / mat.LanePartition, (M + 7) / 8 * 8 * K * N
+				}
+				return (M + 63) / 64, (M + 7) / 8 * 8 * K * N
+			}
+			for _, k := range []struct {
+				name  string
+				mul   func(dst, x *mat.Matrix)
+				units func(M int) (n, work int)
+			}{
+				{"lanes", func(dst, x *mat.Matrix) { mat.GemmLanes(dst, x, lw) }, laneUnits},
+				{"panels/f64", func(dst, x *mat.Matrix) { mat.GemmPanels(dst, x.Data, p64) }, panelUnits},
+				{"panels/f32", func(dst, x *mat.Matrix) { mat.Gemm32(dst, x, p32) }, panelUnits},
+			} {
+				for _, M := range forkRows {
+					if M > 65 && K*N > 192*192 {
+						continue // the large row splits are covered at 192x192
+					}
+					x := mat.New(M, K)
+					x.Randomize(rng, 1)
+					want := mat.New(M, N)
+					k.mul(want, x)
+					n, work := k.units(M)
+					runs = append(runs, run{
+						fmt.Sprintf("%s %dx%d s%.1f M=%d", k.name, K, N, sparsity, M), k.mul, x, want,
+						n >= 2 && work >= mat.ForkMinWork,
+					})
+				}
 			}
 		}
 	}
 	testutil.Procs(t, 4)
 	forked := 0
 	for _, r := range runs {
-		got, intact := guardedRows(t, r.x.Rows, N)
-		before, _ := mat.ForkStats()
+		got, intact := guardedRows(t, r.x.Rows, r.want.Cols)
+		before := mat.ForkStats().Regions
 		r.mul(got, r.x)
-		after, _ := mat.ForkStats()
+		after := mat.ForkStats().Regions
 		intact(r.what)
 		if !mat.Equal(got, r.want, 0) {
 			t.Fatalf("%s: forked product differs from inline", r.what)
@@ -103,9 +125,14 @@ type countBody struct {
 	started chan struct{} // closed by hold's first Range
 	hold    chan struct{} // when non-nil, every Range waits for it
 	once    atomic.Bool
+	dead    atomic.Bool  // set once Fork returned: no Range may follow
+	late    atomic.Int32 // Range calls that did
 }
 
 func (b *countBody) Range(lo, hi int) {
+	if b.dead.Load() {
+		b.late.Add(1)
+	}
 	if b.hold != nil {
 		if b.once.CompareAndSwap(false, true) {
 			close(b.started)
@@ -114,6 +141,21 @@ func (b *countBody) Range(lo, hi int) {
 	}
 	for i := lo; i < hi; i++ {
 		b.ran[i].Add(1)
+	}
+}
+
+// took requires that the region's units [0, n) ran once and no other
+// unit ran since the last call, and zeroes the counts.
+func (b *countBody) took(t *testing.T, region, n int) {
+	t.Helper()
+	for i := range b.ran {
+		want := int32(0)
+		if i < n {
+			want = 1
+		}
+		if got := b.ran[i].Swap(0); got != want {
+			t.Fatalf("region %d of %d units: unit %d ran %d times", region, n, i, got)
+		}
 	}
 }
 
@@ -140,12 +182,12 @@ func TestForkBusyRunsInline(t *testing.T) {
 	}()
 	<-first.started // the first region is fanned out and parked inside its body
 
-	regions, busy := mat.ForkStats()
+	before := mat.ForkStats()
 	second := &countBody{ran: make([]atomic.Int32, 64)}
 	mat.Fork(len(second.ran), mat.ForkMinWork, second)
 	second.check(t, "region issued while the helpers were busy")
-	if r, b := mat.ForkStats(); r != regions || b != busy+1 {
-		t.Fatalf("busy region: regions %d -> %d, inline_busy %d -> %d; want +0, +1", regions, r, busy, b)
+	if after := mat.ForkStats(); after.Regions != before.Regions || after.InlineBusy != before.InlineBusy+1 {
+		t.Fatalf("busy region: %+v -> %+v; want regions +0, inline_busy +1", before, after)
 	}
 
 	close(first.hold)
@@ -156,8 +198,8 @@ func TestForkBusyRunsInline(t *testing.T) {
 	third := &countBody{ran: make([]atomic.Int32, 64)}
 	mat.Fork(len(third.ran), mat.ForkMinWork, third)
 	third.check(t, "region after the helpers came back")
-	if r, _ := mat.ForkStats(); r != regions+1 {
-		t.Fatalf("region after release did not fan out: regions %d -> %d", regions, r)
+	if r := mat.ForkStats().Regions; r != before.Regions+1 {
+		t.Fatalf("region after release did not fan out: regions %d -> %d", before.Regions, r)
 	}
 }
 
@@ -177,7 +219,7 @@ func TestForkConcurrentCallers(t *testing.T) {
 		mat.GemmLanes(wants[c], xs[c], lw)
 	}
 	testutil.Procs(t, 4)
-	regions, busy := mat.ForkStats()
+	before := mat.ForkStats()
 	errc := make(chan error, callers)
 	for c := 0; c < callers; c++ {
 		go func() {
@@ -197,8 +239,10 @@ func TestForkConcurrentCallers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if r, b := mat.ForkStats(); (r-regions)+(b-busy) != callers*100 || r == regions {
-		t.Fatalf("%d regions fanned out and %d ran inline-busy over %d calls", r-regions, b-busy, callers*100)
+	after := mat.ForkStats()
+	regions, busy := after.Regions-before.Regions, after.InlineBusy-before.InlineBusy
+	if regions+busy != callers*100 || regions == 0 {
+		t.Fatalf("%d regions fanned out and %d ran inline-busy over %d calls", regions, busy, callers*100)
 	}
 }
 
@@ -214,7 +258,7 @@ func TestForkLifecycle(t *testing.T) {
 		b.check(t, fmt.Sprintf("Fork(%d, %d) at GOMAXPROCS %d", n, work, runtime.GOMAXPROCS(0)))
 	}
 	helpers := mat.ForkHelpers()
-	regions, busy := mat.ForkStats()
+	before := mat.ForkStats()
 
 	testutil.Procs(t, 1)
 	run(64, mat.ForkMinWork)
@@ -225,8 +269,8 @@ func TestForkLifecycle(t *testing.T) {
 	if h := mat.ForkHelpers(); h != helpers {
 		t.Fatalf("inline regions started helpers: %d -> %d", helpers, h)
 	}
-	if r, b := mat.ForkStats(); r != regions || b != busy {
-		t.Fatalf("inline regions counted: regions %d -> %d, inline_busy %d -> %d", regions, r, busy, b)
+	if after := mat.ForkStats(); after != before {
+		t.Fatalf("inline regions counted: %+v -> %+v", before, after)
 	}
 
 	run(64, mat.ForkMinWork)
@@ -234,7 +278,76 @@ func TestForkLifecycle(t *testing.T) {
 	if h := mat.ForkHelpers(); h != max(helpers, 2) {
 		t.Fatalf("%d helpers at GOMAXPROCS 3 (was %d), want %d", h, helpers, max(helpers, 2))
 	}
-	if r, _ := mat.ForkStats(); r != regions+2 {
-		t.Fatalf("regions %d -> %d, want +2", regions, r)
+	if r := mat.ForkStats().Regions; r != before.Regions+2 {
+		t.Fatalf("regions %d -> %d, want +2", before.Regions, r)
+	}
+}
+
+// TestForkStress is the protocol under the load a decode step puts on
+// it: 100k back-to-back regions of 2-64 tiny units. Every unit runs
+// exactly once, and no helper, however late it arrives, calls Range on a
+// body whose Fork has returned: each body is poisoned on return and
+// re-armed only when its turn comes round again, so a straggler shows
+// either as a late call or as a unit run twice. CI runs it under -race
+// at -cpu 1,2,4.
+func TestForkStress(t *testing.T) {
+	regions := 100_000
+	if testing.Short() {
+		regions = 20_000
+	}
+	bodies := make([]*countBody, 4)
+	for i := range bodies {
+		bodies[i] = &countBody{ran: make([]atomic.Int32, 64)}
+		bodies[i].dead.Store(true)
+	}
+	rng := rand.New(rand.NewSource(204))
+	before := mat.ForkStats()
+	for r := 0; r < regions; r++ {
+		b, n := bodies[r%len(bodies)], 2+rng.Intn(63)
+		b.dead.Store(false)
+		mat.Fork(n, mat.ForkMinWork, b)
+		b.dead.Store(true)
+		b.took(t, r, n)
+	}
+	for i, b := range bodies {
+		if n := b.late.Load(); n != 0 {
+			t.Fatalf("body %d: %d Range calls after its Fork returned", i, n)
+		}
+	}
+	after := mat.ForkStats()
+	t.Logf("GOMAXPROCS %d: %d regions, %d helped, %d wakes", runtime.GOMAXPROCS(0),
+		after.Regions-before.Regions, after.Helped-before.Helped, after.Wakes-before.Wakes)
+	if fanned := after.Regions - before.Regions; fanned != int64(regions) && runtime.GOMAXPROCS(0) > 1 {
+		t.Fatalf("%d of %d regions fanned out", fanned, regions)
+	}
+}
+
+// TestForkCallerFinishesAlone: a caller never waits for a helper to
+// arrive. With the other P hogged by a goroutine that does not yield, the
+// helpers run only when the runtime preempts the hog (every 10 ms), and
+// 2000 regions still finish in the time the caller needs to run them
+// itself — a dispatch that waited for its helpers would take 20 s.
+func TestForkCallerFinishesAlone(t *testing.T) {
+	testutil.Procs(t, 2)
+	var stop, spinning atomic.Bool
+	hogged := make(chan struct{})
+	go func() {
+		defer close(hogged)
+		for !stop.Load() {
+			spinning.Store(true)
+		}
+	}()
+	defer func() { stop.Store(true); <-hogged }()
+	for !spinning.Load() {
+		runtime.Gosched()
+	}
+	b := &countBody{ran: make([]atomic.Int32, 64)}
+	start := time.Now()
+	for r := 0; r < 2000; r++ {
+		mat.Fork(len(b.ran), mat.ForkMinWork, b)
+		b.took(t, r, len(b.ran))
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("2000 regions beside a hogged P took %v: the caller waited for its helpers", d)
 	}
 }

@@ -62,7 +62,8 @@ func (g *GELU) SetBufferReuse(on bool) {
 }
 
 // Forward applies gelu(x) = 0.5x(1 + tanh(sqrt(2/pi)(x + 0.044715 x^3))).
-// Large batches split by row span across the mat.Fork helpers.
+// Batches from a decode step's 8 x 768 up split by row span across the
+// mat.Fork helpers.
 func (g *GELU) Forward(x *mat.Matrix) *mat.Matrix {
 	xc := mat.EnsureShape(&g.x, g.reuse, x.Rows, x.Cols)
 	xc.CopyFrom(x)

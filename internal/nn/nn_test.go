@@ -308,25 +308,26 @@ func TestGlobalSparsity(t *testing.T) {
 
 // TestGELUForkMatchesInline: GELU splits large batches by row span
 // across the mat.Fork helpers; every row count around its fork threshold
-// (64 columns: 384 rows) gives the bits of the inline run (GOMAXPROCS 1)
-// — the output and, through Backward, the cached input — with and
-// without buffer reuse, and only the rows past the threshold fan out.
+// (64 columns: 8 rows, a decode step) gives the bits of the inline run
+// (GOMAXPROCS 1) — the output and, through Backward, the cached input —
+// with and without buffer reuse, and only the rows past the threshold fan
+// out.
 func TestGELUForkMatchesInline(t *testing.T) {
-	const cols, threshold = 64, 384
+	const cols, threshold = 64, 8
 	rng := rand.New(rand.NewSource(31))
 	gelu := &nn.GELU{}
 	for _, reuse := range []bool{false, true} {
 		gelu.SetBufferReuse(reuse)
-		for _, rows := range []int{1, 7, threshold - 1, threshold, threshold + 1, 3001} {
+		for _, rows := range []int{1, 2, threshold - 1, threshold, threshold + 1, 384, 3001} {
 			x := mat.New(rows, cols)
 			x.Randomize(rng, 3)
 			testutil.Procs(t, 1)
 			inline := gelu.Forward(x).Clone()
 			inlineGrad := gelu.Backward(x)
 			testutil.Procs(t, 4)
-			before, _ := mat.ForkStats()
+			before := mat.ForkStats().Regions
 			forked := gelu.Forward(x)
-			after, _ := mat.ForkStats()
+			after := mat.ForkStats().Regions
 			if !mat.Equal(forked, inline, 0) || !mat.Equal(gelu.Backward(x), inlineGrad, 0) {
 				t.Fatalf("reuse=%v %d rows: forked forward differs from inline", reuse, rows)
 			}

@@ -248,7 +248,7 @@ func NewEngineConfigured(bundle *deploy.Bundle, replicas []Model, costs rtswitch
 	return e, nil
 }
 
-// Close releases nothing: the engine owns no goroutines (large passes
+// Close releases nothing: the engine owns no goroutines (its passes
 // borrow the process-wide mat.Fork helpers). It stays so that callers
 // can pair it with NewEngine.
 func (e *Engine) Close() {}

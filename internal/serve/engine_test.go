@@ -146,9 +146,9 @@ func TestEngineForkMatchesInline(t *testing.T) {
 		testutil.Procs(t, 1)
 		want := eng.ForwardBatch(0, seqs)
 		testutil.Procs(t, 4)
-		before, _ := mat.ForkStats()
+		before := mat.ForkStats().Regions
 		got := eng.ForwardBatch(0, seqs)
-		if after, _ := mat.ForkStats(); after == before {
+		if after := mat.ForkStats().Regions; after == before {
 			t.Fatalf("level %d: a 256-row batch fanned nothing out", lvl)
 		}
 		for i := range want {
@@ -202,9 +202,9 @@ func TestEngineWrapperFormatSingleCaller(t *testing.T) {
 	testutil.Procs(t, 4)
 	eng := wideDeployment(t, "test-logging", 1)
 	defer eng.Close()
-	before, _ := mat.ForkStats()
+	before := mat.ForkStats().Regions
 	eng.ForwardBatch(0, wideBatch(53))
-	if after, _ := mat.ForkStats(); after == before {
+	if after := mat.ForkStats().Regions; after == before {
 		t.Fatal("a 256-row batch fanned nothing out: the test no longer reaches the executor")
 	}
 	if products := eng.PrunableLinearCount(); log.calls != products {
@@ -231,7 +231,7 @@ func TestEngineConcurrentReplicasShareExecutor(t *testing.T) {
 		refs[r] = eng.ForwardBatch(r, seqs[r])
 	}
 	testutil.Procs(t, 4)
-	regions, busy := mat.ForkStats()
+	before := mat.ForkStats()
 	const rounds = 20
 	errc := make(chan error, 2)
 	for r := 0; r < 2; r++ {
@@ -252,8 +252,8 @@ func TestEngineConcurrentReplicasShareExecutor(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if r, b := mat.ForkStats(); r == regions {
-		t.Fatalf("no region fanned out across %d concurrent batches (%d ran inline-busy)", 2*rounds, b-busy)
+	if after := mat.ForkStats(); after.Regions == before.Regions {
+		t.Fatalf("no region fanned out across %d concurrent batches (%d ran inline-busy)", 2*rounds, after.InlineBusy-before.InlineBusy)
 	}
 }
 

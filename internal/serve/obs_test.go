@@ -133,6 +133,8 @@ func TestServerMetricsExposition(t *testing.T) {
 		"rt3_kernel_builds_total",
 		"rt3_mat_parallel_regions_total",
 		"rt3_mat_parallel_inline_busy_total",
+		"rt3_mat_parallel_helped_total",
+		"rt3_mat_parallel_wakes_total",
 	} {
 		if !strings.Contains(text, series) {
 			t.Errorf("exposition missing %s:\n%s", series, text)

@@ -47,10 +47,9 @@ type MultiHeadAttention struct {
 	reuse  bool
 	concat *mat.Matrix
 
-	// incremental-decoding scratch (see decode.go): the score row of one
-	// cached (head, query row), sized to the largest cache so
-	// steady-state steps allocate nothing.
-	decScores []float64
+	// the cached attention of the DecodeStep or DecodeChunk in flight (see
+	// decode.go): a fork body must live on the heap, so it lives here
+	cached cachedAttend
 }
 
 // NewMultiHeadAttention creates an H-head attention block over dim

@@ -282,7 +282,7 @@ func TestBatchedForwardWithPackedKernels(t *testing.T) {
 
 // installSparseKernels installs a pattern kernel at 50% sparsity on every
 // prunable linear (deterministic per seed), on both models identically.
-func installSparseKernels(t *testing.T, m interface{ PrunableLinears() []*nn.Linear }, seed int64) {
+func installSparseKernels(t testing.TB, m interface{ PrunableLinears() []*nn.Linear }, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	for _, l := range m.PrunableLinears() {

@@ -508,7 +508,7 @@ func (a *MultiHeadAttention) DecodeStep(x *mat.Matrix, caches []*KVCache, append
 		}
 	}
 	concat := mat.EnsureShape(&a.concat, a.reuse, x.Rows, a.Dim)
-	a.decodeAttend(concat, q, caches)
+	a.attendCached(concat, q, caches, nil, false)
 	return a.WO.Forward(concat)
 }
 
@@ -536,67 +536,85 @@ func (a *MultiHeadAttention) DecodeChunk(x *mat.Matrix, caches []*KVCache, off [
 		}
 	}
 	concat := mat.EnsureShape(&a.concat, a.reuse, x.Rows, a.Dim)
-	a.chunkAttend(concat, q, caches, off, causal)
+	a.attendCached(concat, q, caches, off, causal)
 	return a.WO.Forward(concat)
 }
 
-// decodeAttend computes per-head attention of each sequence's single
-// query row over its cached K/V rows, writing context rows into dst.
-// The body is mat.Attend — the one the batched path and chunkAttend run
-// — so cached scores and context are bit-identical to the
-// block-diagonal batch computation over the same rows.
-func (a *MultiHeadAttention) decodeAttend(dst, q *mat.Matrix, caches []*KVCache) {
-	a.growScores(caches)
-	scale := 1 / math.Sqrt(float64(a.HeadDim))
-	for h := 0; h < a.Heads; h++ {
-		for s, c := range caches {
-			a.attendCached(dst.Row(s), q.Row(s), c, c.rows, h, scale)
-		}
-	}
+// cachedAttend is the attention of a DecodeStep or DecodeChunk as a
+// mat.Fork body: sequences [s0, s1), each query row of theirs over its
+// own KV cache into its own row of dst. A sequence's rows are dst rows
+// [off[s], off[s+1]), or the single row s when off is nil (a step, whose
+// new row attends the whole cache it was just appended to); a causal
+// chunk row j attends cache rows [0, base+j], base being the cache length
+// before the chunk's append — the window the j-th sequential step would
+// see. The body is mat.Attend — the one the batched path runs — so
+// cached scores and context are bit-identical to the block-diagonal
+// batch computation over the same rows.
+type cachedAttend struct {
+	heads, headDim int
+	dst, q         *mat.Matrix
+	caches         []*KVCache
+	off            []int
+	causal         bool
 }
 
-// chunkAttend computes per-head attention of each sequence's chunk rows
-// over its cache, windowing causal rows to [0, base+j] (base = cache
-// rows before the chunk's append) so row j of a chunk attends exactly
-// what the j-th sequential DecodeStep would.
-func (a *MultiHeadAttention) chunkAttend(dst, q *mat.Matrix, caches []*KVCache, off []int, causal bool) {
-	a.growScores(caches)
-	scale := 1 / math.Sqrt(float64(a.HeadDim))
-	for h := 0; h < a.Heads; h++ {
-		for s, c := range caches {
-			n := off[s+1] - off[s]
-			base := c.rows - n
-			for j := 0; j < n; j++ {
-				r := off[s] + j
-				rows := c.rows
-				if causal {
-					rows = base + j + 1
+// rows returns the first dst row of sequence s and how many it has.
+func (j *cachedAttend) rows(s int) (r0, n int) {
+	if j.off == nil {
+		return s, 1
+	}
+	return j.off[s], j.off[s+1] - j.off[s]
+}
+
+// scoreScratches lends each span of sequences the score row of one
+// (head, query row).
+var scoreScratches mat.FreeList[[]float64]
+
+func (j *cachedAttend) Range(s0, s1 int) {
+	maxRows := 0
+	for _, c := range j.caches[s0:s1] {
+		maxRows = max(maxRows, c.capRows)
+	}
+	// sized by capacity, so a reserved cache growing row by row never
+	// regrows it
+	scores := mat.GrowFloats(scoreScratches.Get(newKeyScratch), maxRows)
+	hd := j.headDim
+	scale := 1 / math.Sqrt(float64(hd))
+	for s := s0; s < s1; s++ {
+		c := j.caches[s]
+		r0, n := j.rows(s)
+		base := c.rows - n
+		for h := 0; h < j.heads; h++ {
+			ho := h * hd
+			for i := 0; i < n; i++ {
+				window := c.rows
+				if j.causal {
+					window = base + i + 1
 				}
-				a.attendCached(dst.Row(r), q.Row(r), c, rows, h, scale)
+				dst, q := j.dst.Row(r0+i), j.q.Row(r0+i)
+				mat.Attend(dst[ho:ho+hd], q[ho:ho+hd], c.k[ho*c.capRows:], c.capRows, c.v[ho:], c.dim, window, scale, scores)
 			}
 		}
 	}
+	scoreScratches.Put(scores)
 }
 
-// growScores sizes the shared score scratch for the largest cache
-// capacity, so a reserved cache growing row by row never regrows it. A
-// cache without rows has nothing to normalise over and is rejected by
-// sequence.
-func (a *MultiHeadAttention) growScores(caches []*KVCache) {
-	maxRows := 0
+// attendCached runs the block's heads over every sequence's cache,
+// split by sequence across the mat.Fork helpers; see cachedAttend for
+// off and causal. A cache without rows has nothing to normalise over and
+// is rejected by sequence.
+func (a *MultiHeadAttention) attendCached(dst, q *mat.Matrix, caches []*KVCache, off []int, causal bool) {
+	a.cached = cachedAttend{a.Heads, a.HeadDim, dst, q, caches, off, causal}
+	pairs := 0 // (query row, key row) pairs one head attends
 	for s, c := range caches {
 		if c.rows == 0 {
 			panic(fmt.Sprintf("transformer: sequence %d attends an empty KV cache", s))
 		}
-		maxRows = max(maxRows, c.capRows)
+		_, n := a.cached.rows(s)
+		pairs += n * c.rows
+		if causal {
+			pairs -= n * (n - 1) / 2
+		}
 	}
-	a.decScores = mat.GrowFloats(a.decScores, maxRows)
-}
-
-// attendCached runs head h of one query row (dst and q are the full
-// dim-wide rows) over the first rows cached K/V rows.
-func (a *MultiHeadAttention) attendCached(dst, q []float64, c *KVCache, rows, h int, scale float64) {
-	hd := a.HeadDim
-	ho := h * hd
-	mat.Attend(dst[ho:ho+hd], q[ho:ho+hd], c.k[ho*c.capRows:], c.capRows, c.v[ho:], c.dim, rows, scale, a.decScores)
+	mat.Fork(len(caches), a.Heads*pairs*(2*a.HeadDim+mat.WorkExp), &a.cached)
 }

@@ -4,7 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"rt3/internal/kernel"
 	"rt3/internal/mat"
+	"rt3/internal/testutil"
 	"rt3/internal/transformer"
 )
 
@@ -208,8 +210,22 @@ func TestDecodeTruncateReplay(t *testing.T) {
 // allocates nothing (the step is truncated away after each run so the
 // measured state never grows past its reservation).
 func TestDecodeStepAllocationFree(t *testing.T) {
-	prompts := raggedSeqs(decodeCfg.Vocab, []int{6, 3, 5, 4, 6, 2, 7, 5}, 31)
-	m := newDecodeModel(t, true)
+	t.Run("inline", func(t *testing.T) {
+		decodeStepAllocationFree(t, newDecodeModel(t, true), raggedSeqs(decodeCfg.Vocab, []int{6, 3, 5, 4, 6, 2, 7, 5}, 31))
+	})
+	// every region fanned out: fork bodies, the lane block and each span's
+	// score row are borrowed, on the helpers too
+	t.Run("forked", func(t *testing.T) {
+		testutil.Procs(t, 4)
+		before := mat.ForkStats().Regions
+		decodeStepAllocationFree(t, newWideDecodeModel(t), raggedSeqs(wideCfg.Vocab, widePrompts, 31))
+		if mat.ForkStats().Regions == before {
+			t.Fatal("no region of the wide model's steps fanned out")
+		}
+	})
+}
+
+func decodeStepAllocationFree(t *testing.T, m *transformer.LMModel, prompts [][]int) {
 	states := make([]*transformer.DecodeState, len(prompts))
 	tokens := make([]int, len(prompts))
 	for i := range states {
@@ -227,7 +243,7 @@ func TestDecodeStepAllocationFree(t *testing.T) {
 	for _, st := range states {
 		st.TruncateTo(st.Pos() - 1)
 	}
-	allocs := testing.AllocsPerRun(100, func() {
+	allocs := testutil.AllocsPerRun(100, func() {
 		m.DecodeStep(states, tokens)
 		for _, st := range states {
 			st.TruncateTo(st.Pos() - 1)
@@ -273,6 +289,90 @@ func TestPositionalEncodingCached(t *testing.T) {
 		}
 		if got := a.At(0, j); got != want {
 			t.Fatalf("pe[0][%d] = %g, want %g", j, got, want)
+		}
+	}
+}
+
+// wideCfg is a decode topology wide enough that every region of a step
+// over widePrompts — the pattern products, the cached attentions, GELU,
+// the packed logits — reaches the fork threshold.
+var (
+	wideCfg     = transformer.Config{Vocab: 64, Dim: 128, Heads: 4, FFHidden: 256, EncLayers: 1, DecLayers: 2, SeqLen: 64}
+	widePrompts = []int{9, 14, 20, 11, 25, 7, 16, 13}
+)
+
+// newWideDecodeModel builds the wideCfg model as the engine serves it:
+// buffer reuse on, pattern kernels on the prunable linears, packed panels
+// on the output projection.
+func newWideDecodeModel(t testing.TB) *transformer.LMModel {
+	t.Helper()
+	m := transformer.NewLMModel(wideCfg, rand.New(rand.NewSource(43)))
+	m.SetBufferReuse(true)
+	installSparseKernels(t, m, 47)
+	m.Proj.SetKernel(kernel.NewPacked(m.Proj.W.Value))
+	return m
+}
+
+// TestDecodeStepForkMatchesInline: a decode step is one lane block, so
+// its products split by column partition, its cached attention by
+// sequence and its GELU by row across the mat.Fork helpers. Steps and a
+// ragged chunk replay over ragged caches, on a model wide enough for
+// every one of those regions to fan out, give at GOMAXPROCS 4 the logits
+// and the exported K/V rows of GOMAXPROCS 1, bit for bit.
+func TestDecodeStepForkMatchesInline(t *testing.T) {
+	prompts := raggedSeqs(wideCfg.Vocab, widePrompts, 41)
+	chunkLens := []int{3, 1, 4, 2, 1, 5, 2, 3}
+	const steps = 4
+	type result struct {
+		logits      []*mat.Matrix
+		self, cross []*transformer.KVSpan
+		regions     int64
+	}
+	run := func(procs int) result {
+		testutil.Procs(t, procs)
+		m := newWideDecodeModel(t)
+		states, outs := prefillStates(m, prompts)
+		tokens := make([]int, len(prompts))
+		for i := range tokens {
+			tokens[i] = greedyRow(outs[i])
+		}
+		var res result
+		before := mat.ForkStats().Regions
+		for s := 0; s < steps; s++ {
+			logits := m.DecodeStep(states, tokens)
+			res.logits = append(res.logits, logits.Clone())
+			for i := range tokens {
+				tokens[i] = logits.ArgmaxRow(i)
+			}
+		}
+		chunks := make([][]int, len(prompts))
+		for i := range chunks {
+			chunks[i] = chunkTokens(i, chunkLens[i])
+		}
+		for _, logits := range m.DecodeChunk(states, chunks) {
+			res.logits = append(res.logits, logits.Clone())
+		}
+		res.regions = mat.ForkStats().Regions - before
+		for _, st := range states {
+			res.self = append(res.self, st.ExportSelf(0, st.Pos()))
+			res.cross = append(res.cross, st.ExportCross())
+		}
+		return res
+	}
+	want, got := run(1), run(4)
+	// per decoder layer: six 128-wide projections, two FFN products, two
+	// cached attentions and one GELU; and the logits
+	if perPass := int64(2*11 + 1); want.regions != 0 || got.regions < (steps+1)*perPass {
+		t.Fatalf("%d regions fanned out at GOMAXPROCS 1 and %d at 4; want 0 and at least %d", want.regions, got.regions, (steps+1)*perPass)
+	}
+	for i := range want.logits {
+		if !mat.Equal(got.logits[i], want.logits[i], 0) {
+			t.Fatalf("logits %d (steps, then one chunk per sequence) differ from the inline run", i)
+		}
+	}
+	for i := range prompts {
+		if !got.self[i].Equal(want.self[i]) || !got.cross[i].Equal(want.cross[i]) {
+			t.Fatalf("sequence %d: exported K/V rows differ from the inline run", i)
 		}
 	}
 }
