@@ -1,9 +1,6 @@
 package mat
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // This file is the attention core: one head-row of scaled dot-product
 // attention, shared by the batched forward (prefill, classifier, the
@@ -36,14 +33,18 @@ import (
 //
 // Every score is one ascending-feature sum of separately rounded
 // products (VMULPD then VADDPD on amd64, no FMA) followed by one
-// multiply by scale; the softmax is the scalar SoftmaxRows loop; every
-// context element is one ascending-key-row sum. That is MatMulT + Scale
-// + SoftmaxRows + MatMul element for element, with one difference:
-// MatMul skips a row whose probability is exactly 0 (exp underflow),
-// the core adds its 0*v products. For finite v those are ±0 and leave
-// the sum unchanged; a non-finite v under a zero probability now yields
-// NaN where the skip hid it — values are finite activations, and hiding
-// an Inf was never a contract.
+// multiply by scale; the softmax is Softmax (exp.go): the maximum, the
+// repository's Exp of every score minus it — a vector kernel with a
+// portable twin, equal at tolerance 0 — their ascending sum and one
+// multiply by its reciprocal; every context element is one
+// ascending-key-row sum. The naive reference (testutil.NaiveAttend)
+// restates all three, the polynomial of Exp included, and the core
+// equals it bit for bit. Against MatMulT + Scale + SoftmaxRows + MatMul
+// there is one difference: MatMul skips a row whose probability is
+// exactly 0 (exp underflow), the core adds its 0*v products. For finite
+// v those are ±0 and leave the sum unchanged; a non-finite v under a
+// zero probability now yields NaN where the skip hid it — values are
+// finite activations, and hiding an Inf was never a contract.
 
 // AttendBlock is the number of key rows (or output columns) the kernel
 // sums side by side; key storage is padded to a multiple of it.
@@ -74,7 +75,7 @@ func attend(out, q, kT []float64, ld int, v []float64, vs, rows int, scale float
 	}
 	p = p[:rows]
 	vecMat(p, q, kT, ld, scale, true, asm)
-	softmaxRow(p)
+	softmax(p, p, asm && tailAsm)
 	vecMat(out, p, v, vs, 1, false, asm)
 }
 
@@ -116,27 +117,6 @@ func vecMatGo(dst, a, b []float64, stride int, scale float64) {
 		for l, s := range acc[:w] {
 			dst[j0+l] = s * scale
 		}
-	}
-}
-
-// softmaxRow applies the numerically stable softmax to one non-empty
-// row in place.
-func softmaxRow(row []float64) {
-	maxv := row[0]
-	for _, v := range row[1:] {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	var sum float64
-	for j, v := range row {
-		e := math.Exp(v - maxv)
-		row[j] = e
-		sum += e
-	}
-	inv := 1 / sum
-	for j := range row {
-		row[j] *= inv
 	}
 }
 

@@ -4,8 +4,8 @@ package mat
 
 // The asm fast paths have no implementation off amd64 (or under the
 // purego tag, which CI uses to run the portable kernels on an amd64
-// runner); GemmPanels, Gemm8, GemmLanes and Attend run the portable
-// kernels instead.
+// runner); GemmPanels, Gemm8, GemmLanes, Attend and the vector math of
+// exp.go run the portable kernels instead.
 
 func asmTile[F Float]() func(bp, a *F, lda int, c *float64, ldc, k, rows int) { return nil }
 
@@ -19,6 +19,18 @@ func laneKern8AVX(idx *uint16, val *float64, steps int, xt, c *float64, ldc int,
 
 func vecMat16AVX(dst, a *float64, n int, b *float64, stride, cols int, scale float64) {
 	panic("mat: vecMat16AVX without asm")
+}
+
+const tailAsm = false
+
+func expSub8AVX(dst, src *float64, n int, shift float64, tab *float64) {
+	panic("mat: expSub8AVX without asm")
+}
+
+func gelu8AVX(dst, src *float64, n int, tab *float64) { panic("mat: gelu8AVX without asm") }
+
+func normRow16AVX(out, xhat, x, res, gamma, beta *float64, n int, eps float64) float64 {
+	panic("mat: normRow16AVX without asm")
 }
 
 func spinPause() {}

@@ -328,10 +328,10 @@ func (m *Matrix) AddRowVector(v []float64) {
 	}
 }
 
-// SoftmaxRows applies a numerically stable softmax to every row in place.
+// SoftmaxRows applies Softmax to every row in place.
 func (m *Matrix) SoftmaxRows() {
 	for i := 0; i < m.Rows; i++ {
-		softmaxRow(m.Row(i))
+		Softmax(m.Row(i), m.Row(i))
 	}
 }
 

@@ -12,10 +12,11 @@ import (
 // Fork, that the bodies themselves call — GemmLanes over row blocks or,
 // for the single lane block of a decode step, over column partitions,
 // GemmPanels over row blocks, attention over heads (batched) or
-// sequences (cached), GELU over row spans. Fan-out therefore happens
-// beneath kernel.Kernel.MulInto: whatever wraps a kernel sees one call
-// per product, on the calling goroutine. docs/ARCHITECTURE.md, "Parallel
-// execution", has the callers and the measurements behind the constants.
+// sequences (cached), GELU and the residual + layer norm over row spans.
+// Fan-out therefore happens beneath kernel.Kernel.MulInto: whatever
+// wraps a kernel sees one call per product, on the calling goroutine.
+// docs/ARCHITECTURE.md, "Parallel execution", has the callers and the
+// measurements behind the constants.
 //
 // A region is n independent units; Fork only decides which goroutine
 // runs which span of them. Every body computes a dst element entirely
@@ -60,8 +61,14 @@ type Ranger interface {
 // above it.
 const ForkMinWork = 1 << 16
 
-// WorkExp is the work of one math.Exp or math.Tanh call (about 10 ns).
-const WorkExp = 128
+// WorkExp is the work of one element that goes through Exp: 3 to 4 ns
+// for a GELU activation or a softmax entry with its share of the max,
+// sum and scale passes (BenchmarkTail in internal/nn).
+const WorkExp = 32
+
+// WorkNorm is the work of one element of a residual + layer-norm row
+// (mat.NormRow, 0.7 to 0.8 ns).
+const WorkNorm = 8
 
 // forkChunks is how many spans a region is cut into per participating
 // goroutine. Spans are claimed one at a time, so a helper that arrives

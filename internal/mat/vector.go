@@ -24,30 +24,6 @@ func L2(v []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// Softmax writes a numerically stable softmax of src into dst (they may
-// alias). It panics if the lengths differ.
-func Softmax(dst, src []float64) {
-	if len(dst) != len(src) {
-		panic("mat: Softmax length mismatch")
-	}
-	maxv := src[0]
-	for _, v := range src[1:] {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	var sum float64
-	for i, v := range src {
-		e := math.Exp(v - maxv)
-		dst[i] = e
-		sum += e
-	}
-	inv := 1 / sum
-	for i := range dst {
-		dst[i] *= inv
-	}
-}
-
 // Argmax returns the index of the largest element of v (first on ties).
 func Argmax(v []float64) int {
 	best, bv := 0, v[0]

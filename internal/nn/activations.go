@@ -1,7 +1,7 @@
 package nn
 
 import (
-	"math"
+	"fmt"
 
 	"rt3/internal/mat"
 )
@@ -35,7 +35,8 @@ func (r *ReLU) Backward(dy *mat.Matrix) *mat.Matrix {
 }
 
 // GELU is the Gaussian-error linear unit using the tanh approximation,
-// matching the activation used in BERT-family models.
+// matching the activation used in BERT-family models, computed in its
+// sigmoid form on the repository's exp (mat.GELU).
 type GELU struct {
 	x *mat.Matrix
 
@@ -45,11 +46,6 @@ type GELU struct {
 
 // Params implements Module (GELU has none).
 func (g *GELU) Params() []*Parameter { return nil }
-
-const (
-	geluC  = 0.7978845608028654 // sqrt(2/pi)
-	geluC3 = 0.044715
-)
 
 // SetBufferReuse toggles preallocated output and input-cache buffers
 // (see Linear.SetBufferReuse for the aliasing contract).
@@ -61,9 +57,9 @@ func (g *GELU) SetBufferReuse(on bool) {
 	}
 }
 
-// Forward applies gelu(x) = 0.5x(1 + tanh(sqrt(2/pi)(x + 0.044715 x^3))).
-// Batches from a decode step's 8 x 768 up split by row span across the
-// mat.Fork helpers.
+// Forward applies gelu(x) = 0.5x(1 + tanh(sqrt(2/pi)(x + 0.044715 x^3)))
+// as x / (1 + exp(-2u)), the same function (see mat.GELU). Batches from
+// gelu's fork threshold up split by row span across the mat.Fork helpers.
 func (g *GELU) Forward(x *mat.Matrix) *mat.Matrix {
 	xc := mat.EnsureShape(&g.x, g.reuse, x.Rows, x.Cols)
 	xc.CopyFrom(x)
@@ -83,20 +79,18 @@ type geluRows GELU
 
 func (g *geluRows) Range(lo, hi int) {
 	c := g.x.Cols
-	x := g.x.Data[lo*c : hi*c]
-	y := g.out.Data[lo*c : hi*c][:len(x)]
-	for i, v := range x {
-		y[i] = 0.5 * v * (1 + math.Tanh(geluC*(v+geluC3*v*v*v)))
-	}
+	mat.GELU(g.out.Data[lo*c:hi*c], g.x.Data[lo*c:hi*c])
 }
 
-// Backward applies the analytic derivative of the tanh approximation.
+// Backward applies the analytic derivative of the tanh approximation,
+// with tanh u taken from the exp Forward runs on (tanh u = 2/(1 +
+// exp(-2u)) - 1), so it differentiates exactly the function Forward
+// computes.
 func (g *GELU) Backward(dy *mat.Matrix) *mat.Matrix {
 	dx := mat.New(dy.Rows, dy.Cols)
 	for i, v := range g.x.Data {
-		u := geluC * (v + geluC3*v*v*v)
-		t := math.Tanh(u)
-		du := geluC * (1 + 3*geluC3*v*v)
+		t := 2/(1+mat.GELUExp(v)) - 1
+		du := mat.GELUScale * (1 + 3*mat.GELUCubic*v*v)
 		d := 0.5*(1+t) + 0.5*v*(1-t*t)*du
 		dx.Data[i] = dy.Data[i] * d
 	}
@@ -114,8 +108,9 @@ type LayerNorm struct {
 	xhat   *mat.Matrix
 	invStd []float64
 
-	out   *mat.Matrix
-	reuse bool
+	in, res *mat.Matrix // the operands of the forward pass in flight
+	out     *mat.Matrix
+	reuse   bool
 }
 
 // NewLayerNorm creates a LayerNorm over dim features (gamma=1, beta=0).
@@ -145,25 +140,41 @@ func (ln *LayerNorm) SetBufferReuse(on bool) {
 }
 
 // Forward normalizes each row of x.
-func (ln *LayerNorm) Forward(x *mat.Matrix) *mat.Matrix {
+func (ln *LayerNorm) Forward(x *mat.Matrix) *mat.Matrix { return ln.ForwardResidual(x, nil) }
+
+// ForwardResidual normalizes each row of x + res (of x when res is nil)
+// without forming the sum as a matrix: the residual add, both reductions
+// and the scale and shift are one row kernel (mat.NormRow). x and res
+// are left as they were.
+func (ln *LayerNorm) ForwardResidual(x, res *mat.Matrix) *mat.Matrix {
+	if res != nil && (res.Rows != x.Rows || res.Cols != x.Cols) {
+		panic(fmt.Sprintf("nn: LayerNorm residual %dx%d on input %dx%d", res.Rows, res.Cols, x.Rows, x.Cols))
+	}
 	y := mat.EnsureShape(&ln.out, ln.reuse, x.Rows, x.Cols)
+	ln.out = y
 	ln.xhat = mat.EnsureShape(&ln.xhat, ln.reuse, x.Rows, x.Cols)
 	ln.invStd = reusableFloats(&ln.invStd, ln.reuse, x.Rows)
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		mean := mat.Mean(row)
-		variance := mat.Variance(row)
-		inv := 1 / math.Sqrt(variance+ln.Eps)
-		ln.invStd[i] = inv
-		xh := ln.xhat.Row(i)
-		out := y.Row(i)
-		for j, v := range row {
-			h := (v - mean) * inv
-			xh[j] = h
-			out[j] = h*ln.Gamma.Value.Data[j] + ln.Beta.Value.Data[j]
-		}
+	ln.in, ln.res = x, res
+	mat.Fork(x.Rows, len(x.Data)*mat.WorkNorm, (*normRows)(ln))
+	ln.in, ln.res = nil, nil
+	if !ln.reuse {
+		ln.out = nil
 	}
 	return y
+}
+
+// normRows is a LayerNorm forward as a mat.Fork body: rows [lo, hi) of
+// ln.in (+ ln.res) into ln.out, ln.xhat and ln.invStd.
+type normRows LayerNorm
+
+func (ln *normRows) Range(lo, hi int) {
+	var r []float64
+	for i := lo; i < hi; i++ {
+		if ln.res != nil {
+			r = ln.res.Row(i)
+		}
+		ln.invStd[i] = mat.NormRow(ln.out.Row(i), ln.xhat.Row(i), ln.in.Row(i), r, ln.Gamma.Value.Data, ln.Beta.Value.Data, ln.Eps)
+	}
 }
 
 // Backward computes gradients for gamma, beta and the input.

@@ -306,29 +306,26 @@ func TestGlobalSparsity(t *testing.T) {
 	}
 }
 
-// TestGELUForkMatchesInline: GELU splits large batches by row span
-// across the mat.Fork helpers; every row count around its fork threshold
-// (64 columns: 8 rows, a decode step) gives the bits of the inline run
-// (GOMAXPROCS 1) — the output and, through Backward, the cached input —
-// with and without buffer reuse, and only the rows past the threshold fan
-// out.
-func TestGELUForkMatchesInline(t *testing.T) {
-	const cols, threshold = 64, 8
+// forkMatchesInline drives a row-wise module that splits large batches
+// by row span across the mat.Fork helpers: every row count around its
+// fork threshold gives the bits of the inline run (GOMAXPROCS 1) — the
+// output and, through Backward, what Forward cached for it — with and
+// without buffer reuse, and only the rows from the threshold up fan out.
+func forkMatchesInline(t *testing.T, cols, threshold int, setReuse func(bool), forward func(x *mat.Matrix) *mat.Matrix, backward func(dy *mat.Matrix) *mat.Matrix) {
 	rng := rand.New(rand.NewSource(31))
-	gelu := &nn.GELU{}
 	for _, reuse := range []bool{false, true} {
-		gelu.SetBufferReuse(reuse)
+		setReuse(reuse)
 		for _, rows := range []int{1, 2, threshold - 1, threshold, threshold + 1, 384, 3001} {
 			x := mat.New(rows, cols)
 			x.Randomize(rng, 3)
 			testutil.Procs(t, 1)
-			inline := gelu.Forward(x).Clone()
-			inlineGrad := gelu.Backward(x)
+			inline := forward(x).Clone()
+			inlineGrad := backward(x)
 			testutil.Procs(t, 4)
 			before := mat.ForkStats().Regions
-			forked := gelu.Forward(x)
+			forked := forward(x)
 			after := mat.ForkStats().Regions
-			if !mat.Equal(forked, inline, 0) || !mat.Equal(gelu.Backward(x), inlineGrad, 0) {
+			if !mat.Equal(forked, inline, 0) || !mat.Equal(backward(x), inlineGrad, 0) {
 				t.Fatalf("reuse=%v %d rows: forked forward differs from inline", reuse, rows)
 			}
 			if fanned := after > before; fanned != (rows >= threshold) {
@@ -336,4 +333,26 @@ func TestGELUForkMatchesInline(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGELUForkMatchesInline: GELU fans out from 2048 elements (64
+// columns: 32 rows; a decode step's 8 x 768 is three times that).
+func TestGELUForkMatchesInline(t *testing.T) {
+	gelu := &nn.GELU{}
+	forkMatchesInline(t, 64, 32, gelu.SetBufferReuse, gelu.Forward, gelu.Backward)
+}
+
+// TestLayerNormForkMatchesInline: the residual + layer norm fans out from
+// 8192 elements (64 columns: 128 rows; a decode step's 8 x 192 stays
+// inline, a 256-row prefill splits).
+func TestLayerNormForkMatchesInline(t *testing.T) {
+	const cols = 64
+	rng := rand.New(rand.NewSource(32))
+	ln := nn.NewLayerNorm("ln", cols)
+	ln.Gamma.Value.Randomize(rng, 2)
+	ln.Beta.Value.Randomize(rng, 1)
+	res := mat.New(3001, cols)
+	res.Randomize(rng, 3)
+	forward := func(x *mat.Matrix) *mat.Matrix { return ln.ForwardResidual(x, res.RowSpan(0, x.Rows)) }
+	forkMatchesInline(t, cols, 128, ln.SetBufferReuse, forward, ln.Backward)
 }

@@ -427,16 +427,13 @@ func (d *DecoderLayer) DecodeStep(x *mat.Matrix, states []*DecodeState, li int) 
 		d.decCross = append(d.decCross, &st.cross[li])
 	}
 	a := d.SelfAttn.DecodeStep(x, d.decSelf, true)
-	a.Add(x)
-	h1 := d.LN1.Forward(a)
+	h1 := d.LN1.ForwardResidual(a, x)
 
 	c := d.CrossAttn.DecodeStep(h1, d.decCross, false)
-	c.Add(h1)
-	h2 := d.LN2.Forward(c)
+	h2 := d.LN2.ForwardResidual(c, h1)
 
 	f := d.FF.Forward(h2)
-	f.Add(h2)
-	return d.LN3.Forward(f)
+	return d.LN3.ForwardResidual(f, h2)
 }
 
 // DecodeChunk runs the block on a packed run of new token rows per
@@ -451,16 +448,13 @@ func (d *DecoderLayer) DecodeChunk(x *mat.Matrix, states []*DecodeState, li int,
 		d.decCross = append(d.decCross, &st.cross[li])
 	}
 	a := d.SelfAttn.DecodeChunk(x, d.decSelf, off, true)
-	a.Add(x)
-	h1 := d.LN1.Forward(a)
+	h1 := d.LN1.ForwardResidual(a, x)
 
 	c := d.CrossAttn.DecodeChunk(h1, d.decCross, off, false)
-	c.Add(h1)
-	h2 := d.LN2.Forward(c)
+	h2 := d.LN2.ForwardResidual(c, h1)
 
 	f := d.FF.Forward(h2)
-	f.Add(h2)
-	return d.LN3.Forward(f)
+	return d.LN3.ForwardResidual(f, h2)
 }
 
 // harvestKV copies the projected K/V rows of the block's last

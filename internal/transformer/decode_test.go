@@ -298,7 +298,7 @@ func TestPositionalEncodingCached(t *testing.T) {
 // the packed logits — reaches the fork threshold.
 var (
 	wideCfg     = transformer.Config{Vocab: 64, Dim: 128, Heads: 4, FFHidden: 256, EncLayers: 1, DecLayers: 2, SeqLen: 64}
-	widePrompts = []int{9, 14, 20, 11, 25, 7, 16, 13}
+	widePrompts = []int{18, 28, 40, 22, 50, 14, 32, 26}
 )
 
 // newWideDecodeModel builds the wideCfg model as the engine serves it:

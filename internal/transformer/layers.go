@@ -96,11 +96,9 @@ func (e *EncoderLayer) Forward(x *mat.Matrix) *mat.Matrix {
 // packed rows.
 func (e *EncoderLayer) ForwardBatch(x *mat.Matrix, off []int) *mat.Matrix {
 	a := e.Attn.ForwardBatch(x, x, off, off, false)
-	a.Add(x)
-	h := e.LN1.Forward(a)
+	h := e.LN1.ForwardResidual(a, x)
 	f := e.FF.Forward(h)
-	f.Add(h)
-	return e.LN2.Forward(f)
+	return e.LN2.ForwardResidual(f, h)
 }
 
 // Backward propagates through the block and returns dL/dx.
@@ -176,16 +174,13 @@ func (d *DecoderLayer) Forward(x, memory *mat.Matrix) *mat.Matrix {
 // decoder rows with its memory rows).
 func (d *DecoderLayer) ForwardBatch(x, memory *mat.Matrix, xOff, memOff []int) *mat.Matrix {
 	a := d.SelfAttn.ForwardBatch(x, x, xOff, xOff, true)
-	a.Add(x)
-	h1 := d.LN1.Forward(a)
+	h1 := d.LN1.ForwardResidual(a, x)
 
 	c := d.CrossAttn.ForwardBatch(h1, memory, xOff, memOff, false)
-	c.Add(h1)
-	h2 := d.LN2.Forward(c)
+	h2 := d.LN2.ForwardResidual(c, h1)
 
 	f := d.FF.Forward(h2)
-	f.Add(h2)
-	return d.LN3.Forward(f)
+	return d.LN3.ForwardResidual(f, h2)
 }
 
 // Backward propagates, returning (dL/dx, dL/dmemory).
