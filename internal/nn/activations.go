@@ -47,8 +47,8 @@ type GELU struct {
 // Params implements Module (GELU has none).
 func (g *GELU) Params() []*Parameter { return nil }
 
-// SetBufferReuse toggles preallocated output and input-cache buffers
-// (see Linear.SetBufferReuse for the aliasing contract).
+// SetBufferReuse toggles the preallocated output buffer (see
+// Linear.SetBufferReuse for the aliasing contract).
 func (g *GELU) SetBufferReuse(on bool) {
 	g.reuse = on
 	if !on {
@@ -60,10 +60,9 @@ func (g *GELU) SetBufferReuse(on bool) {
 // Forward applies gelu(x) = 0.5x(1 + tanh(sqrt(2/pi)(x + 0.044715 x^3)))
 // as x / (1 + exp(-2u)), the same function (see mat.GELU). Batches from
 // gelu's fork threshold up split by row span across the mat.Fork helpers.
+// The input is kept by reference for Backward, as Linear keeps its own.
 func (g *GELU) Forward(x *mat.Matrix) *mat.Matrix {
-	xc := mat.EnsureShape(&g.x, g.reuse, x.Rows, x.Cols)
-	xc.CopyFrom(x)
-	g.x = xc
+	g.x = x
 	y := mat.EnsureShape(&g.out, g.reuse, x.Rows, x.Cols)
 	g.out = y
 	mat.Fork(x.Rows, len(x.Data)*mat.WorkExp, (*geluRows)(g))

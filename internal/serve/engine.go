@@ -116,8 +116,9 @@ type Engine struct {
 }
 
 // DecodeModel is the incremental-decoding surface of a Model: prompt
-// prefill seeding per-sequence KV caches, and one-token-per-sequence
-// decode steps against them. transformer.LMModel satisfies it.
+// prefill seeding per-sequence KV caches (returning one row of logits
+// per sequence, its last position's), and one-token-per-sequence decode
+// steps against them. transformer.LMModel satisfies it.
 type DecodeModel interface {
 	Model
 	NewDecodeState() *transformer.DecodeState
@@ -374,12 +375,15 @@ func (e *Engine) NewDecodeState(replica int) (*transformer.DecodeState, error) {
 }
 
 // PrefillBatch runs the prompt phase for a batch of new sequences on
-// the given replica: one fused packed forward pass (exactly
-// ForwardBatch) that also seeds each DecodeState's per-layer KV caches.
-// Unlike ForwardBatch, the returned logits are views valid only until
-// the replica's next forward — the decode loop consumes the last row
-// (the first generated token's distribution) immediately, keeping the
-// steady-state path allocation-free.
+// the given replica: one fused packed pass that seeds each DecodeState's
+// per-layer KV caches and returns, per sequence, the one row decoding
+// reads — the 1 x vocab logits of the prompt's last position (the first
+// generated token's distribution), bit-identical to ForwardBatch's last
+// row; the top decoder layer and the output projection run on those rows
+// alone (transformer.LMModel.Prefill). Unlike ForwardBatch, the returned
+// logits are views valid only until the replica's next forward — the
+// decode loop consumes them immediately, keeping the steady-state path
+// allocation-free.
 func (e *Engine) PrefillBatch(replica int, states []*transformer.DecodeState, prompts [][]int) ([]*mat.Matrix, error) {
 	dm, err := e.decodeModel(replica)
 	if err != nil {

@@ -38,7 +38,7 @@ type MultiHeadAttention struct {
 
 	// forward caches for the backward pass
 	q, k, v     *mat.Matrix
-	attn        []*mat.Matrix // softmax scores, one Lqᵢ x Lkᵢ block per (head, sequence)
+	attn        []*mat.Matrix // softmax scores, one Lqᵢ x Lkᵢ block per (head, sequence); nil after a reusing forward
 	qOff, kvOff []int
 	causal      bool
 
@@ -117,6 +117,11 @@ func (a *MultiHeadAttention) Forward(q, kv *mat.Matrix, causal bool) *mat.Matrix
 // their row stride. Heads are independent — each writes its own columns
 // of the context rows and its own probability blocks — so a large batch
 // splits by head across the mat.Fork helpers.
+//
+// The probability blocks are the backward cache, so only a training-mode
+// forward keeps them. With buffer reuse on — the serving path — each span
+// of heads attends through one borrowed score row, as the cached decode
+// paths do, no block is allocated or cleared, and Backward panics.
 func (a *MultiHeadAttention) ForwardBatch(q, kv *mat.Matrix, qOff, kvOff []int, causal bool) *mat.Matrix {
 	nSeq := checkOffsets("q", qOff, q.Rows)
 	if n := checkOffsets("kv", kvOff, kv.Rows); n != nSeq {
@@ -145,20 +150,9 @@ func (a *MultiHeadAttention) ForwardBatch(q, kv *mat.Matrix, qOff, kvOff []int, 
 	concat := mat.EnsureShape(&a.concat, a.reuse, q.Rows, a.Dim)
 	a.concat = concat
 
-	// the probability blocks double as the backward cache; with reuse on
-	// they are recycled shape-matched across calls (every element is
-	// rewritten: the window by Attend, the causal remainder cleared), so a
-	// steady-state batch allocates no score matrices either
-	need := a.Heads * nSeq
-	switch {
-	case !a.reuse:
-		a.attn = make([]*mat.Matrix, need)
-	case cap(a.attn) >= need:
-		a.attn = a.attn[:need]
-	default:
-		grown := make([]*mat.Matrix, need)
-		copy(grown, a.attn[:cap(a.attn)])
-		a.attn = grown
+	a.attn = nil
+	if !a.reuse {
+		a.attn = make([]*mat.Matrix, a.Heads*nSeq)
 	}
 	// per pair: a score and a value product over the head's features, and
 	// one exp
@@ -176,7 +170,8 @@ var keyScratches mat.FreeList[[]float64]
 func newKeyScratch() []float64 { return nil }
 
 // attendHeads is the attention of a ForwardBatch as a mat.Fork body:
-// heads [h0, h1) of the projected a.q, a.k, a.v into a.concat and a.attn.
+// heads [h0, h1) of the projected a.q, a.k, a.v into a.concat, and into
+// a.attn when the forward keeps probability blocks.
 type attendHeads MultiHeadAttention
 
 func (a *attendHeads) Range(h0, h1 int) {
@@ -184,6 +179,10 @@ func (a *attendHeads) Range(h0, h1 int) {
 	// a window starting at any key row may be read one block past its end
 	hd, ld := a.HeadDim, a.k.Rows+mat.AttendBlock
 	kT := mat.GrowFloats(keyScratches.Get(newKeyScratch), hd*ld)
+	var scores []float64 // the one score row of a forward that keeps no blocks
+	if a.attn == nil {
+		scores = mat.GrowFloats(scoreScratches.Get(newKeyScratch), a.k.Rows)
+	}
 	scale := 1 / math.Sqrt(float64(hd))
 	for h := h0; h < h1; h++ {
 		ho := h * hd
@@ -194,17 +193,19 @@ func (a *attendHeads) Range(h0, h1 int) {
 			if lq == 0 {
 				continue
 			}
-			probs := a.attn[h*nSeq+s]
-			if probs == nil || probs.Rows != lq || probs.Cols != lk {
+			var probs *mat.Matrix // zeroed: a causal row's future stays 0
+			if a.attn != nil {
 				probs = mat.New(lq, lk)
 				a.attn[h*nSeq+s] = probs
 			}
 			vals := a.v.Data[k0*a.Dim+ho:]
 			for i := 0; i < lq; i++ {
-				p, w := probs.Row(i), lk
+				p, w := scores, lk
+				if probs != nil {
+					p = probs.Row(i)
+				}
 				if a.causal {
 					w = i + 1
-					clear(p[w:])
 				}
 				r := (q0+i)*a.Dim + ho
 				mat.Attend(a.concat.Data[r:r+hd], a.q.Data[r:r+hd], kT[k0:], ld, vals, a.Dim, w, scale, p)
@@ -212,14 +213,21 @@ func (a *attendHeads) Range(h0, h1 int) {
 		}
 	}
 	keyScratches.Put(kT)
+	if a.attn == nil {
+		scoreScratches.Put(scores)
+	}
 }
 
 // Backward propagates the upstream gradient, accumulating parameter
 // gradients, and returns (dQin, dKVin) with the packed shapes of the
 // last forward call. For self-attention the caller must sum both into
 // the single input gradient. The computation decomposes per sequence
-// over the cached offsets, so it supports batched forwards too.
+// over the cached offsets, so it supports batched forwards too. It reads
+// the probability blocks of a forward that ran with buffer reuse off.
 func (a *MultiHeadAttention) Backward(dy *mat.Matrix) (dq, dkv *mat.Matrix) {
+	if a.attn == nil {
+		panic("transformer: MultiHeadAttention.Backward without probability blocks: no forward ran, or it ran with buffer reuse on (the serving mode, which keeps none); call SetBufferReuse(false) before training")
+	}
 	dconcat := a.WO.Backward(dy)
 	nSeq := len(a.qOff) - 1
 

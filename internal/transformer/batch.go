@@ -66,3 +66,13 @@ func splitRows(packed *mat.Matrix, off []int) []*mat.Matrix {
 	}
 	return out
 }
+
+// rowViews returns every row of a packed output as its own 1 x cols view:
+// splitRows for one-row sequences.
+func rowViews(packed *mat.Matrix) []*mat.Matrix {
+	out := make([]*mat.Matrix, packed.Rows)
+	for s := range out {
+		out[s] = packed.RowSpan(s, s+1)
+	}
+	return out
+}

@@ -274,19 +274,26 @@ func (st *DecodeState) LoadKV(cross *KVSpan, selfSpans ...*KVSpan) {
 }
 
 // Prefill runs the prompt phase of incremental decoding: one packed
-// forward pass over the prompts — the exact ForwardBatch computation —
-// that additionally seeds each sequence's DecodeState with every
-// decoder layer's projected self-attention K/V rows and the frozen
-// cross-attention K/V of the prompt's encoder memory. States are reset
-// first, so recycled states can be passed directly. Returns the
-// per-sequence logits (views, per the ForwardBatch aliasing contract);
-// the last row of each is the first generated token's distribution.
+// forward pass over the prompts that seeds each sequence's DecodeState
+// with every decoder layer's projected self-attention K/V rows and the
+// frozen cross-attention K/V of the prompt's encoder memory, and computes
+// the one thing decoding reads from it — the logits of each prompt's last
+// row (see forwardPacked). States are reset first, so recycled states can
+// be passed directly. Returns one 1 x vocab view per sequence (valid
+// until the model's next forward), the first generated token's
+// distribution: bit-identical to the last row ForwardBatch returns for
+// that prompt. An empty prompt is rejected by index.
 func (m *LMModel) Prefill(states []*DecodeState, prompts [][]int) []*mat.Matrix {
 	if len(m.Dec) == 0 {
 		panic("transformer: Prefill requires at least one decoder layer")
 	}
 	if len(states) != len(prompts) {
 		panic(fmt.Sprintf("transformer: Prefill with %d states for %d prompts", len(states), len(prompts)))
+	}
+	for i, p := range prompts {
+		if len(p) == 0 {
+			panic(fmt.Sprintf("transformer: Prefill prompt %d is empty", i))
+		}
 	}
 	for _, st := range states {
 		st.Reset()
@@ -405,14 +412,22 @@ func (m *LMModel) DecodeFull(seqs [][]int, memory *mat.Matrix, memOff []int) []*
 		panic("transformer: DecodeFull requires at least one decoder layer")
 	}
 	m.refFlat, m.refOff = packIDs(seqs, m.refFlat, m.refOff)
-	x := m.Embed.Forward(m.refFlat)
-	addPositional(x, m.refOff, m.Pos)
-	d := mat.EnsureShape(&m.decIn, m.reuse, x.Rows, x.Cols)
-	d.CopyFrom(x)
+	d := m.Embed.Forward(m.refFlat)
+	addPositional(d, m.refOff, m.Pos)
 	for _, dec := range m.Dec {
 		d = dec.ForwardBatch(d, memory, m.refOff, memOff)
 	}
 	return splitRows(m.Proj.Forward(d), m.refOff)
+}
+
+// bind points the block's cache lists at decoder layer li of states.
+func (d *DecoderLayer) bind(states []*DecodeState, li int) {
+	d.decSelf = d.decSelf[:0]
+	d.decCross = d.decCross[:0]
+	for _, st := range states {
+		d.decSelf = append(d.decSelf, &st.self[li])
+		d.decCross = append(d.decCross, &st.cross[li])
+	}
 }
 
 // DecodeStep runs the block on one new token row per sequence (x is
@@ -420,13 +435,14 @@ func (m *LMModel) DecodeFull(seqs [][]int, memory *mat.Matrix, memOff []int) []*
 // layer li: causal self-attention appends the new K/V row and attends
 // the whole cache; cross-attention attends the frozen prompt memory.
 func (d *DecoderLayer) DecodeStep(x *mat.Matrix, states []*DecodeState, li int) *mat.Matrix {
-	d.decSelf = d.decSelf[:0]
-	d.decCross = d.decCross[:0]
-	for _, st := range states {
-		d.decSelf = append(d.decSelf, &st.self[li])
-		d.decCross = append(d.decCross, &st.cross[li])
-	}
-	a := d.SelfAttn.DecodeStep(x, d.decSelf, true)
+	d.bind(states, li)
+	return d.step(x, true)
+}
+
+// step is the block over one row per bound sequence; appendSelf is false
+// when the rows' own self-attention K/V are already the caches' last rows.
+func (d *DecoderLayer) step(x *mat.Matrix, appendSelf bool) *mat.Matrix {
+	a := d.SelfAttn.DecodeStep(x, d.decSelf, appendSelf)
 	h1 := d.LN1.ForwardResidual(a, x)
 
 	c := d.CrossAttn.DecodeStep(h1, d.decCross, false)
@@ -436,17 +452,31 @@ func (d *DecoderLayer) DecodeStep(x *mat.Matrix, states []*DecodeState, li int) 
 	return d.LN3.ForwardResidual(f, h2)
 }
 
+// prefillLast is the top decoder layer of a prefill, which computes only
+// what decoding reads: the self-attention K/V of every row of x and the
+// cross-attention K/V of every memory row go straight into the caches of
+// decoder layer li (off pairs sequence s's rows of both), and the rest of
+// the block — Q, both attentions, the out-projections, the FFN, the layer
+// norms — runs as the cached step on each sequence's last row, gathered
+// into last (n x dim). The causal window of a sequence's last row is its
+// whole cache, so the returned n x dim rows are bit-identical to those
+// rows of ForwardBatch.
+func (d *DecoderLayer) prefillLast(x, memory *mat.Matrix, off []int, states []*DecodeState, li int, last *mat.Matrix) *mat.Matrix {
+	d.bind(states, li)
+	d.SelfAttn.appendKV(x, d.decSelf, off)
+	d.CrossAttn.appendKV(memory, d.decCross, off)
+	for s := range states {
+		copy(last.Row(s), x.Row(off[s+1]-1))
+	}
+	return d.step(last, false)
+}
+
 // DecodeChunk runs the block on a packed run of new token rows per
 // sequence (sequence s owns x rows [off[s], off[s+1])), extending the
 // caches of decoder layer li exactly as the equivalent DecodeStep
 // sequence would.
 func (d *DecoderLayer) DecodeChunk(x *mat.Matrix, states []*DecodeState, li int, off []int) *mat.Matrix {
-	d.decSelf = d.decSelf[:0]
-	d.decCross = d.decCross[:0]
-	for _, st := range states {
-		d.decSelf = append(d.decSelf, &st.self[li])
-		d.decCross = append(d.decCross, &st.cross[li])
-	}
+	d.bind(states, li)
 	a := d.SelfAttn.DecodeChunk(x, d.decSelf, off, true)
 	h1 := d.LN1.ForwardResidual(a, x)
 
@@ -461,22 +491,34 @@ func (d *DecoderLayer) DecodeChunk(x *mat.Matrix, states []*DecodeState, li int,
 // ForwardBatch call (a prefill) into the per-sequence caches of decoder
 // layer li.
 func (d *DecoderLayer) harvestKV(states []*DecodeState, li int) {
-	d.SelfAttn.harvestKV(states, li, false)
-	d.CrossAttn.harvestKV(states, li, true)
+	d.bind(states, li)
+	d.SelfAttn.harvestKV(d.decSelf)
+	d.CrossAttn.harvestKV(d.decCross)
 }
 
 // harvestKV appends the last ForwardBatch call's projected key/value
-// rows into each sequence's cache (sequence s owns packed rows
+// rows to each sequence's cache (sequence s owns packed rows
 // [kvOff[s], kvOff[s+1])). Must run before the block's Linears execute
 // again: with buffer reuse on, the projections live in reusable
 // buffers.
-func (a *MultiHeadAttention) harvestKV(states []*DecodeState, li int, cross bool) {
-	for s := 0; s+1 < len(a.kvOff); s++ {
-		c := &states[s].self[li]
-		if cross {
-			c = &states[s].cross[li]
-		}
+func (a *MultiHeadAttention) harvestKV(caches []*KVCache) {
+	for s, c := range caches {
 		c.appendRows(a.k, a.v, a.kvOff[s], a.kvOff[s+1])
+	}
+}
+
+// appendKV projects kv through WK and WV — one fused kernel product each
+// over all its packed rows — and appends sequence s's rows
+// [off[s], off[s+1]) to caches[s]: row s when off is nil, a step.
+func (a *MultiHeadAttention) appendKV(kv *mat.Matrix, caches []*KVCache, off []int) {
+	k := a.WK.Forward(kv)
+	v := a.WV.Forward(kv)
+	for s, c := range caches {
+		r0, r1 := s, s+1
+		if off != nil {
+			r0, r1 = off[s], off[s+1]
+		}
+		c.appendRows(k, v, r0, r1)
 	}
 }
 
@@ -487,7 +529,8 @@ func (a *MultiHeadAttention) harvestKV(states []*DecodeState, li int, cross bool
 // cache — causal masking degenerates to "attend to own cache only".
 // When appendKV is set (causal self-attention) the new K/V rows are
 // appended to the caches before attending, so the new token sees
-// itself; cross-attention passes false and reads the frozen caches.
+// itself; cross-attention passes false and reads the frozen caches, and
+// so does a prefill's top layer, whose rows are already cached.
 // Returns the B x dim context rows through WO.
 func (a *MultiHeadAttention) DecodeStep(x *mat.Matrix, caches []*KVCache, appendKV bool) *mat.Matrix {
 	if len(caches) != x.Rows {
@@ -495,11 +538,7 @@ func (a *MultiHeadAttention) DecodeStep(x *mat.Matrix, caches []*KVCache, append
 	}
 	q := a.WQ.Forward(x)
 	if appendKV {
-		k := a.WK.Forward(x)
-		v := a.WV.Forward(x)
-		for s, c := range caches {
-			c.appendRows(k, v, s, s+1)
-		}
+		a.appendKV(x, caches, nil)
 	}
 	concat := mat.EnsureShape(&a.concat, a.reuse, x.Rows, a.Dim)
 	a.attendCached(concat, q, caches, nil, false)
@@ -523,11 +562,7 @@ func (a *MultiHeadAttention) DecodeChunk(x *mat.Matrix, caches []*KVCache, off [
 	}
 	q := a.WQ.Forward(x)
 	if causal {
-		k := a.WK.Forward(x)
-		v := a.WV.Forward(x)
-		for s, c := range caches {
-			c.appendRows(k, v, off[s], off[s+1])
-		}
+		a.appendKV(x, caches, off)
 	}
 	concat := mat.EnsureShape(&a.concat, a.reuse, x.Rows, a.Dim)
 	a.attendCached(concat, q, caches, off, causal)

@@ -20,12 +20,8 @@ func chunkTokens(seq, n int) []int {
 
 // prefillStates builds and prefills one state per prompt.
 func prefillStates(m *transformer.LMModel, prompts [][]int) ([]*transformer.DecodeState, []*mat.Matrix) {
-	states := make([]*transformer.DecodeState, len(prompts))
-	for i := range states {
-		states[i] = m.NewDecodeState()
-	}
-	outs := m.Prefill(states, prompts)
-	return states, outs
+	states := newStates(m, len(prompts))
+	return states, m.Prefill(states, prompts)
 }
 
 // TestDecodeChunkBitIdenticalToSteps pins the fused verifier primitive:
@@ -98,7 +94,8 @@ func TestDecodeChunkBitIdenticalToSteps(t *testing.T) {
 // coverage gap: rewinding a state all the way to position 0 keeps the
 // frozen cross-attention memory, and replaying the whole prompt through
 // DecodeChunk reproduces the prefill's decoder computation bit for bit —
-// logits, cache rows, and continued decoding all match a fresh prefill.
+// the last row's logits (the one row a prefill returns), cache rows, and
+// continued decoding all match a fresh prefill.
 func TestDecodeTruncateToZeroChunkMatchesPrefill(t *testing.T) {
 	prompts := raggedSeqs(decodeCfg.Vocab, []int{6, 4}, 41)
 	m := newDecodeModel(t, true)
@@ -117,7 +114,7 @@ func TestDecodeTruncateToZeroChunkMatchesPrefill(t *testing.T) {
 	}
 	got := m.DecodeChunk(states, prompts)
 	for i := range prompts {
-		if !mat.Equal(got[i], want[i], 0) {
+		if !mat.Equal(lastRow(got[i]), want[i], 0) {
 			t.Fatalf("seq %d: chunk replay from pos 0 differs from prefill logits", i)
 		}
 		if self := states[i].ExportSelf(0, states[i].Pos()); !self.Equal(wantSelf[i]) {

@@ -1,7 +1,10 @@
 package transformer_test
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"rt3/internal/kernel"
@@ -28,28 +31,174 @@ func newDecodeModel(t testing.TB, reuse bool) *transformer.LMModel {
 // greedyRow returns the argmax of the last row of logits.
 func greedyRow(logits *mat.Matrix) int { return logits.ArgmaxRow(logits.Rows - 1) }
 
-// TestPrefillMatchesForwardBatch pins the prompt phase: Prefill is the
-// exact ForwardBatch computation (same logits, bit for bit), plus the
-// cache side effect.
-func TestPrefillMatchesForwardBatch(t *testing.T) {
-	prompts := raggedSeqs(decodeCfg.Vocab, []int{6, 1, 9, 3}, 11)
-	ref := newDecodeModel(t, false)
-	want := ref.ForwardBatch(prompts)
+// lastRow returns the last row of logits as a 1 x vocab view.
+func lastRow(logits *mat.Matrix) *mat.Matrix { return logits.RowSpan(logits.Rows-1, logits.Rows) }
 
-	m := newDecodeModel(t, true)
-	states := make([]*transformer.DecodeState, len(prompts))
+// newStates builds n empty decode states for m.
+func newStates(m *transformer.LMModel, n int) []*transformer.DecodeState {
+	states := make([]*transformer.DecodeState, n)
 	for i := range states {
 		states[i] = m.NewDecodeState()
 	}
-	got := m.Prefill(states, prompts)
-	for i := range prompts {
-		if !mat.Equal(got[i], want[i], 0) {
-			t.Fatalf("prompt %d: prefill logits differ from ForwardBatch", i)
-		}
-		if states[i].Pos() != len(prompts[i]) {
-			t.Fatalf("prompt %d: state pos %d, want %d", i, states[i].Pos(), len(prompts[i]))
+	return states
+}
+
+// TestPrefillMatchesForwardBatch pins the prompt phase at tol 0: Prefill
+// returns, per prompt, the one row decoding reads — the last row of
+// ForwardBatch's logits — and leaves in every decoder layer's caches the
+// self K/V rows the chunk path (DecodeChunk from position 0, which runs
+// every layer over every row) rebuilds and the cross K/V of the frozen
+// encoder memory. Ragged prompts, a one-token prompt (all of whose rows
+// are last rows) among them, with and without buffer reuse, alone and in
+// a batch of nine.
+func TestPrefillMatchesForwardBatch(t *testing.T) {
+	for _, lens := range [][]int{{1}, {7}, {6, 1, 9, 3}, {5, 1, 12, 3, 8, 1, 2, 11, 4}} {
+		for _, reuse := range []bool{false, true} {
+			what := fmt.Sprintf("lens %v, reuse %v", lens, reuse)
+			prompts := raggedSeqs(decodeCfg.Vocab, lens, 11)
+			want := newDecodeModel(t, false).ForwardBatch(prompts)
+
+			m := newDecodeModel(t, reuse)
+			states := newStates(m, len(prompts))
+			got := m.Prefill(states, prompts)
+			if len(got) != len(prompts) {
+				t.Fatalf("%s: %d outputs for %d prompts", what, len(got), len(prompts))
+			}
+			for i := range prompts {
+				if got[i].Rows != 1 || !mat.Equal(got[i], lastRow(want[i]), 0) {
+					t.Fatalf("%s, prompt %d: prefill's row differs from ForwardBatch's last row", what, i)
+				}
+				if states[i].Pos() != len(prompts[i]) {
+					t.Fatalf("%s, prompt %d: state pos %d, want %d", what, i, states[i].Pos(), len(prompts[i]))
+				}
+			}
+
+			// self K/V through the chunk path, cross K/V as each layer's
+			// WK/WV over the encoder memory: neither runs prefillLast
+			rebuilt := newStates(m, len(prompts))
+			for i, st := range rebuilt {
+				st.LoadKV(states[i].ExportCross())
+			}
+			m.DecodeChunk(rebuilt, prompts)
+			for i, st := range states {
+				if !st.ExportSelf(0, st.Pos()).Equal(rebuilt[i].ExportSelf(0, rebuilt[i].Pos())) {
+					t.Fatalf("%s, prompt %d: self K/V differ from the chunk path's", what, i)
+				}
+			}
+			ref := newDecodeModel(t, false)
+			memory, memOff := ref.EncodeBatch(prompts)
+			for li, dec := range ref.Dec {
+				k, v := dec.CrossAttn.WK.Forward(memory), dec.CrossAttn.WV.Forward(memory)
+				for i, st := range states {
+					cross, r0, r1 := st.ExportCross(), memOff[i], memOff[i+1]
+					if !slices.Equal(cross.K[li], k.RowSpan(r0, r1).Data) || !slices.Equal(cross.V[li], v.RowSpan(r0, r1).Data) {
+						t.Fatalf("%s, layer %d, prompt %d: cross K/V differ from WK/WV over the encoder memory", what, li, i)
+					}
+				}
+			}
 		}
 	}
+}
+
+// TestPrefillRejectsEmptyPrompt: an empty prompt has no last row; it is
+// rejected by index before any state is touched, not by the decode step
+// that would follow.
+func TestPrefillRejectsEmptyPrompt(t *testing.T) {
+	m := newDecodeModel(t, true)
+	states := newStates(m, 2)
+	m.Prefill(states, [][]int{{3, 4}, {5}})
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.HasPrefix(msg, "transformer: Prefill") || !strings.Contains(msg, "prompt 1") {
+			t.Fatalf("empty prompt 1: got panic %q", msg)
+		}
+		if states[0].Pos() != 2 || states[1].Pos() != 1 {
+			t.Fatalf("states at %d, %d after a rejected prefill, want 2, 1", states[0].Pos(), states[1].Pos())
+		}
+	}()
+	m.Prefill(states, [][]int{{3}, {}})
+}
+
+// TestPrefillForkMatchesInline: a prefill wide enough that the lane
+// kernels, the batched attention of the lower layers and the top layer's
+// cached attention over each sequence's last row all fan out gives the
+// bits of its inline run (GOMAXPROCS 1): logits and every cached row.
+func TestPrefillForkMatchesInline(t *testing.T) {
+	cfg := transformer.Config{Vocab: 64, Dim: 64, Heads: 4, FFHidden: 128, EncLayers: 1, DecLayers: 2, SeqLen: 128}
+	prompts := raggedSeqs(cfg.Vocab, []int{120, 97, 1, 128, 64, 110, 33, 128}, 14)
+	run := func(procs int) (outs []*mat.Matrix, states []*transformer.DecodeState, regions int64) {
+		testutil.Procs(t, procs)
+		m := transformer.NewLMModel(cfg, rand.New(rand.NewSource(15)))
+		m.SetBufferReuse(true)
+		states = newStates(m, len(prompts))
+		before := mat.ForkStats().Regions
+		outs = m.Prefill(states, prompts)
+		regions = mat.ForkStats().Regions - before
+		for i := range outs {
+			outs[i] = outs[i].Clone()
+		}
+		return outs, states, regions
+	}
+	want, wantStates, inline := run(1)
+	got, gotStates, forked := run(2)
+	if inline != 0 || forked == 0 {
+		t.Fatalf("regions fanned out: %d at GOMAXPROCS 1, %d at 2", inline, forked)
+	}
+	for i := range prompts {
+		if !mat.Equal(got[i], want[i], 0) {
+			t.Fatalf("prompt %d: forked prefill logits differ from inline", i)
+		}
+		a, b := gotStates[i], wantStates[i]
+		if !a.ExportSelf(0, a.Pos()).Equal(b.ExportSelf(0, b.Pos())) || !a.ExportCross().Equal(b.ExportCross()) {
+			t.Fatalf("prompt %d: forked prefill K/V differ from inline", i)
+		}
+	}
+}
+
+// TestPrefillSteadyStateAllocs: a serving-mode prefill keeps no
+// probability blocks, so alternating two prompt-length sets on reserved
+// states allocates, after warm-up, only the views it returns: no buffer
+// of it is sized by a shape it cannot re-slice.
+func TestPrefillSteadyStateAllocs(t *testing.T) {
+	m := newDecodeModel(t, true)
+	sets := [][][]int{
+		raggedSeqs(decodeCfg.Vocab, []int{9, 2, 7}, 16),
+		raggedSeqs(decodeCfg.Vocab, []int{3, 11, 5}, 17),
+	}
+	states := newStates(m, 3)
+	for _, st := range states {
+		st.Reserve(decodeCfg.SeqLen)
+	}
+	for i := 0; i < 4; i++ {
+		m.Prefill(states, sets[i%2])
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		m.Prefill(states, sets[i%2])
+		i++
+	})
+	// the slice of views and one header per sequence
+	if want := float64(1 + len(states)); allocs > want {
+		t.Fatalf("%v allocs per steady-state prefill across shape changes, want <= %v", allocs, want)
+	}
+}
+
+// TestBackwardAfterReusingForwardPanics: a buffer-reusing forward is the
+// serving mode and keeps no probability blocks, so Backward after it is
+// refused by name instead of differentiating stale ones.
+func TestBackwardAfterReusingForwardPanics(t *testing.T) {
+	a := transformer.NewMultiHeadAttention("attn", 8, 2, rand.New(rand.NewSource(18)))
+	x, off := mat.New(5, 8), []int{0, 2, 5}
+	a.ForwardBatch(x, x, off, off, true)
+	a.Backward(mat.New(5, 8)) // training mode: fine
+	a.SetBufferReuse(true)
+	a.ForwardBatch(x, x, off, off, true)
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "Backward") || !strings.Contains(msg, "buffer reuse") {
+			t.Fatalf("Backward after a reusing forward: got panic %q", msg)
+		}
+	}()
+	a.Backward(mat.New(5, 8))
 }
 
 // TestDecodeStepBitIdenticalToFullRecompute is the tentpole invariant:

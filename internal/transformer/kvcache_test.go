@@ -343,3 +343,40 @@ func FuzzKVCacheLayout(f *testing.F) {
 		runKVCacheScript(t, script)
 	})
 }
+
+// TestForwardLeavesEmbeddingBufferUntouched: both stacks read the one
+// embedded + positional buffer (the decoder gets no copy of it), which
+// holds because no layer writes its input in place. After a full
+// forward, a prefill and a DecodeFull the reused gather buffer is bit-
+// equal to the embedding it was filled with.
+func TestForwardLeavesEmbeddingBufferUntouched(t *testing.T) {
+	m := kvTestModel(true)
+	seqs := [][]int{kvTestPrompt(9), kvTestPrompt(1), kvTestPrompt(14)}
+	flat, off := packIDs(seqs, nil, nil)
+	want := kvTestModel(false).Embed.Forward(flat)
+	addPositional(want, off, m.Pos)
+	buf := m.Embed.Forward(flat) // the buffer every later gather of this shape refills
+	check := func(pass string) {
+		t.Helper()
+		if got := m.Embed.Forward(flat); got != buf {
+			t.Fatalf("%s: the gather buffer was replaced, the test observes nothing", pass)
+		}
+	}
+	m.ForwardBatch(seqs)
+	if !mat.Equal(buf, want, 0) {
+		t.Fatal("ForwardBatch wrote the embedding buffer")
+	}
+	check("ForwardBatch")
+	states := []*DecodeState{m.NewDecodeState(), m.NewDecodeState(), m.NewDecodeState()}
+	m.Prefill(states, seqs)
+	if !mat.Equal(buf, want, 0) {
+		t.Fatal("Prefill wrote the embedding buffer")
+	}
+	check("Prefill")
+	memory, memOff := kvTestModel(false).EncodeBatch(seqs)
+	m.DecodeFull(seqs, memory, memOff)
+	if !mat.Equal(buf, want, 0) {
+		t.Fatal("DecodeFull wrote the embedding buffer")
+	}
+	check("DecodeFull")
+}

@@ -71,10 +71,11 @@ type LMModel struct {
 	nparams []*nn.Parameter
 
 	// packed-batch state: the offsets of the last forward (consumed by
-	// Backward) and reusable batch buffers (active when reuse is on).
+	// Backward) and reusable batch buffers (active when reuse is on):
+	// last holds each prompt's last row under a prefill's top layer.
 	off   []int
 	flat  []int
-	decIn *mat.Matrix
+	last  *mat.Matrix
 	reuse bool
 
 	// incremental-decoding scratch (see decode.go): the one-token-per-
@@ -159,7 +160,7 @@ func (m *LMModel) SetBufferReuse(on bool) {
 	m.Proj.SetBufferReuse(on)
 	m.reuse = on
 	if !on {
-		m.decIn = nil
+		m.last = nil
 	}
 }
 
@@ -194,10 +195,16 @@ func (m *LMModel) ForwardBatch(seqs [][]int) []*mat.Matrix {
 }
 
 // forwardPacked is the shared packed forward pass behind ForwardBatch
-// and Prefill: when states is non-nil (one per sequence), every decoder
-// layer's projected key/value rows are harvested into the per-sequence
-// KV caches as the pass runs, so the prefill that seeds a decode cache
-// is the exact same computation as a plain forward.
+// and Prefill. Without states it is the full computation: every layer
+// over every packed row, logits for all of them. With states (one per
+// sequence) it is a prefill, which computes what decoding reads: the
+// encoder and the lower decoder layers run over every row — each feeds
+// K/V rows of the layer above — with their K/V harvested into the
+// per-sequence caches as the pass runs; the top decoder layer caches K/V
+// for every row but runs the rest of the block, and the output
+// projection after it, on each sequence's last row alone
+// (DecoderLayer.prefillLast), and one 1 x vocab view per sequence is
+// returned.
 func (m *LMModel) forwardPacked(seqs [][]int, states []*DecodeState) []*mat.Matrix {
 	m.flat, m.off = packIDs(seqs, m.flat, m.off)
 	x := m.Embed.Forward(m.flat)
@@ -206,16 +213,18 @@ func (m *LMModel) forwardPacked(seqs [][]int, states []*DecodeState) []*mat.Matr
 	for _, e := range m.Enc {
 		h = e.ForwardBatch(h, m.off)
 	}
-	memory := h
-	d := memory
+	memory, d := h, h
 	if len(m.Dec) > 0 {
-		d = mat.EnsureShape(&m.decIn, m.reuse, x.Rows, x.Cols)
-		d.CopyFrom(x)
-		for li, dec := range m.Dec {
-			d = dec.ForwardBatch(d, memory, m.off, m.off)
-			if states != nil {
-				dec.harvestKV(states, li)
-			}
+		d = x // no layer writes its input, so both stacks read the one buffer
+	}
+	for li, dec := range m.Dec {
+		if states != nil && li == len(m.Dec)-1 {
+			last := mat.EnsureShape(&m.last, m.reuse, len(seqs), x.Cols)
+			return rowViews(m.Proj.Forward(dec.prefillLast(d, memory, m.off, states, li, last)))
+		}
+		d = dec.ForwardBatch(d, memory, m.off, m.off)
+		if states != nil {
+			dec.harvestKV(states, li)
 		}
 	}
 	return splitRows(m.Proj.Forward(d), m.off)
@@ -392,12 +401,7 @@ func (c *Classifier) ForwardBatch(seqs [][]int) []*mat.Matrix {
 			row[j] *= inv
 		}
 	}
-	out := c.Head.Forward(pooled)
-	views := make([]*mat.Matrix, len(seqs))
-	for s := range views {
-		views[s] = out.RowSpan(s, s+1)
-	}
-	return views
+	return rowViews(c.Head.Forward(pooled))
 }
 
 // Backward propagates the upstream gradient (one row per sequence of
