@@ -25,6 +25,9 @@ type kernelsSection struct {
 	Dim      int     `json:"dim"`
 	Batch    int     `json:"batch"`
 	Sparsity float64 `json:"sparsity"`
+	// LaneISA is the twin of the lane kernel the pattern rows ran (avx512,
+	// avx or go): a floor read on one says nothing about another.
+	LaneISA string `json:"lane_isa"`
 	// GOMAXPROCS is the parallelism every packed and pattern row ran at
 	// (their products split across the mat.Fork helpers).
 	GOMAXPROCS int          `json:"gomaxprocs"`

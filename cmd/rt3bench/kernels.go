@@ -69,14 +69,14 @@ func runKernelBench(formats string, spec kernelBenchSpec) error {
 		}
 	}
 	procs := runtime.GOMAXPROCS(0)
-	fmt.Printf("kernel MulInto: %dx%d weights, pattern sparsity %.2f (psize %d), batch %v, GOMAXPROCS %d\n\n",
-		spec.dim, spec.dim, spec.sparsity, spec.psize, batches, procs)
+	fmt.Printf("kernel MulInto: %dx%d weights, pattern sparsity %.2f (psize %d), batch %v, GOMAXPROCS %d, lane ISA %s\n\n",
+		spec.dim, spec.dim, spec.sparsity, spec.psize, batches, procs, mat.LaneISA())
 	fmt.Printf("%-10s %6s %10s %10s %12s %14s %14s\n",
 		"format", "batch", "nnz", "idx_words", "us/op", "GFLOPeq/s", "GFLOPeff/s")
 
 	var section *kernelsSection
 	if jsonRep != nil {
-		section = &kernelsSection{Dim: spec.dim, Batch: spec.batch, Sparsity: spec.sparsity, GOMAXPROCS: procs}
+		section = &kernelsSection{Dim: spec.dim, Batch: spec.batch, Sparsity: spec.sparsity, GOMAXPROCS: procs, LaneISA: mat.LaneISA()}
 		jsonRep.Kernels = section
 	}
 	for _, name := range names {

@@ -12,8 +12,9 @@ var buildsTotal atomic.Int64
 
 // RegisterMetrics exposes the process-global execution counters of the
 // kernel layer on an obs registry: kernels built through the format
-// registry, and the fork-join executor under them (mat.Fork). Register
-// them on at most one registry per exposition endpoint.
+// registry, the fork-join executor under them (mat.Fork) and which twin
+// of the lane kernel the host selected. Register them on at most one
+// registry per exposition endpoint.
 func RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("rt3_kernel_builds_total",
 		"Kernels constructed through the format registry.",
@@ -30,4 +31,7 @@ func RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("rt3_mat_parallel_wakes_total",
 		"Helpers woken from the parking lot: regions that arrived after the executor had gone idle.",
 		func() float64 { return float64(mat.ForkStats().Wakes) })
+	reg.GaugeFunc("rt3_mat_lane_isa",
+		"Always 1; isa names the kernel twin mat.GemmLanes runs on this host (avx512, avx or go).",
+		func() float64 { return 1 }, obs.L("isa", mat.LaneISA()))
 }

@@ -3,13 +3,9 @@
 package mat
 
 // tailAsm gates the kernels of exp_amd64.s, whose exponent add needs
-// AVX2's 256-bit integer shift and add; other hosts run the portable
-// loops of exp.go.
-var tailAsm = hasAVX && cpuHasAVX2()
-
-// cpuHasAVX2 reports CPUID leaf 7 AVX2 support (exp_amd64.s); the OS
-// half of the check is hasAVX's.
-func cpuHasAVX2() bool
+// AVX2's 256-bit integer shift and add (CPUID leaf 7 bit 5; the OS half
+// of the check is hasAVX's); other hosts run the portable loops of exp.go.
+var tailAsm = hasAVX && cpuid7EBX()&(1<<5) != 0
 
 // expSub8AVX computes dst[i] = Exp(src[i] - shift) for i < n, n a
 // positive multiple of expBlock; tab is &expTab[0]. dst may be src.

@@ -12,18 +12,6 @@
 
 #include "textflag.h"
 
-// func cpuHasAVX2() bool
-//
-// CPUID leaf 7 subleaf 0: EBX bit 5.
-TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
-	MOVL $7, AX
-	MOVL $0, CX
-	CPUID
-	SHRL $5, BX
-	ANDL $1, BX
-	MOVB BX, ret+0(FP)
-	RET
-
 // HORNER is one step p = p*r + c of both chains: c at byte offset off of
 // the table (R8), p in Y4/Y5, r in Y6/Y7.
 #define HORNER(off) \

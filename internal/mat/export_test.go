@@ -46,3 +46,7 @@ const ForkSpin = forkSpin
 
 // Cols returns the columns in stream order, LaneGroup to a group.
 func (w *LaneWeights) Cols() []int32 { return w.cols }
+
+// LaneBlockRows returns the rows of the blocks GemmLanes splits a
+// product into on this host: 16 where the ZMM kernels run, else 8.
+func LaneBlockRows() int { return laneHost.width }

@@ -35,6 +35,35 @@ noavx:
 	MOVB $0, ret+0(FP)
 	RET
 
+// func cpuid7EBX() uint32
+//
+// CPUID leaf 7 subleaf 0 EBX, the extended feature bits (5 = AVX2, 16 =
+// AVX512F); 0 when leaf 0 reports a maximum leaf below 7, where leaf 7
+// would return the data of the highest leaf instead.
+TEXT ·cpuid7EBX(SB), NOSPLIT, $0-4
+	MOVL $0, AX
+	CPUID
+	MOVL $0, BX
+	CMPL AX, $7
+	JLT  done
+	MOVL $7, AX
+	MOVL $0, CX
+	CPUID
+
+done:
+	MOVL BX, ret+0(FP)
+	RET
+
+// func xcr0() uint32
+//
+// XGETBV XCR0, low half: the register states the OS saves. Faults
+// without OSXSAVE, which hasAVX has checked.
+TEXT ·xcr0(SB), NOSPLIT, $0-4
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, ret+0(FP)
+	RET
+
 // CLAMPROWS points the row pointers R8..R14 (rows 1..7) of a short
 // block back at row 0 (DX): the tile always computes 8 rows, rows past
 // AX = `rows` recompute row 0 and are never stored.

@@ -37,12 +37,12 @@ func TestGemm8AsmMatchesScalar(t *testing.T) {
 	}
 }
 
-// guarded returns an M x N view over a larger matrix whose 8 rows past
+// guarded returns an M x N view over a larger matrix whose 16 rows past
 // M are filled with a sentinel, and a check that a kernel storing a
 // ragged last block wrote none of them.
 func guarded(t *testing.T, M, N int) (*Matrix, func(what string)) {
 	t.Helper()
-	full := New(M+8, N)
+	full := New(M+16, N)
 	full.Fill(7)
 	return full.RowSpan(0, M), func(what string) {
 		t.Helper()
@@ -96,33 +96,84 @@ func TestGemmPanelsAsmMatchesPortable(t *testing.T) {
 	}
 }
 
-// TestGemmLanesAsmMatchesPortable pins the AVX lane kernels to
-// laneKernGo bit for bit, through the shared loop nest, at every
-// lane-block edge and with ragged column groups.
+// TestGemmLanesAsmMatchesPortable holds every kernel twin of GemmLanes —
+// the portable body over 16-lane blocks, the AVX kernel and, where the
+// host has AVX-512F, both ZMM kernels (laneKern16Z under blocks of 9-16
+// rows, laneKern8Z under narrower ones) — to the portable body over
+// 8-lane blocks bit for bit, through the shared loop nest: every
+// lane-block edge of both widths, one block split by partition and many,
+// ragged column groups, empty and full streams. x is the head of a
+// matrix whose further rows hold NaN and Inf, so a kernel that packed or
+// stored a row past the last would show it. A twin the host cannot run
+// is an explicit SKIP.
 func TestGemmLanesAsmMatchesPortable(t *testing.T) {
-	rng := rand.New(rand.NewSource(93))
-	for _, M := range []int{1, 3, 4, 5, 7, 8, 9, 12, 13, 64, 65, 130} {
-		for _, sh := range [][2]int{{1, 1}, {7, 5}, {33, 18}, {192, 20}} {
-			K, N := sh[0], sh[1]
-			w := New(K, N)
-			w.Randomize(rng, 1)
-			for i := range w.Data {
-				if rng.Intn(2) == 0 {
-					w.Data[i] = 0
+	t.Logf("GemmLanes runs the %q twin on this host", LaneISA())
+	rows := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 15, 16, 17, 24, 31, 32, 33, 40, 64, 65, 130, 250}
+	depths := []int{1, 5, 33, 192, 768}
+	poison := [...]float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	if testing.Short() {
+		rows, depths = rows[:len(rows)-1], depths[:len(depths)-1]
+	}
+	for _, twin := range []struct {
+		name string
+		kern laneKern
+		has  bool
+		need string
+	}{
+		{"go16", laneKern{false, 2 * laneWidth}, true, ""},
+		{"avx", laneKern{true, laneWidth}, laneAsm, "AVX"},
+		{"avx512", laneKern{true, 2 * laneWidth}, cpuHasAVX512F, "AVX-512F"},
+	} {
+		t.Run(twin.name, func(t *testing.T) {
+			if !twin.has {
+				t.Skipf("this host (or build) has no %s", twin.need)
+			}
+			rng := rand.New(rand.NewSource(93))
+			for _, K := range depths {
+				for _, N := range []int{1, 3, 33, 192} {
+					for _, sparsity := range []float64{0, 0.3, 0.7, 1} {
+						w := New(K, N)
+						w.Randomize(rng, 1)
+						for i := range w.Data {
+							if rng.Float64() < sparsity {
+								w.Data[i] = 0
+							}
+						}
+						lw := LaneWeightsOf(t, w)
+						for _, M := range rows {
+							full := New(M+2*laneWidth, K)
+							full.Randomize(rng, 1)
+							for i := range full.Data[M*K:] {
+								full.Data[M*K+i] = poison[i%len(poison)]
+							}
+							x := full.RowSpan(0, M)
+							what := fmt.Sprintf("%s %dx%dx%d s%.1f", twin.name, M, K, N, sparsity)
+							got, intact := guarded(t, M, N)
+							want := New(M, N)
+							gemmLanes(got, x, lw, twin.kern)
+							gemmLanes(want, x, lw, laneKern{false, laneWidth})
+							intact(what)
+							if !Equal(got, want, 0) {
+								t.Fatalf("%s: differs from the portable 8-lane kernel", what)
+							}
+						}
+					}
 				}
 			}
-			lw := LaneWeightsOf(t, w)
-			x := New(M, K)
-			x.Randomize(rng, 1)
-			got, intact := guarded(t, M, N)
-			want := New(M, N)
-			gemmLanes(got, x, lw, laneAsm)
-			gemmLanes(want, x, lw, false)
-			intact(fmt.Sprintf("%dx%dx%d lanes", M, K, N))
-			if !Equal(got, want, 0) {
-				t.Fatalf("%dx%dx%d: lane asm differs from portable kernel", M, K, N)
-			}
-		}
+		})
+	}
+}
+
+// TestLaneGate: the ZMM kernels are only ever chosen on top of the AVX
+// gate (under purego both are constant false), and the name a scrape
+// reads is the twin GemmLanes runs.
+func TestLaneGate(t *testing.T) {
+	if cpuHasAVX512F && !laneAsm {
+		t.Fatal("cpuHasAVX512F without hasAVX")
+	}
+	want := map[laneKern]string{{false, laneWidth}: "go", {true, laneWidth}: "avx", {true, 2 * laneWidth}: "avx512"}[laneHost]
+	if want == "" || LaneISA() != want {
+		t.Fatalf("laneHost %+v reported as %q", laneHost, LaneISA())
 	}
 }
 

@@ -17,6 +17,16 @@ func laneKern8AVX(idx *uint16, val *float64, steps int, xt, c *float64, ldc int,
 	panic("mat: laneKern8AVX without asm")
 }
 
+const cpuHasAVX512F = false
+
+func laneKern16Z(idx *uint16, val *float64, steps int, xt, c *float64, ldc int, cols *int32, rows int) {
+	panic("mat: laneKern16Z without asm")
+}
+
+func laneKern8Z(idx *uint16, val *float64, steps int, xt, c *float64, ldc int, cols *int32, rows int) {
+	panic("mat: laneKern8Z without asm")
+}
+
 func vecMat16AVX(dst, a *float64, n int, b *float64, stride, cols int, scale float64) {
 	panic("mat: vecMat16AVX without asm")
 }

@@ -46,8 +46,10 @@ import (
 //
 // Sparsity leaves nothing contiguous along k or across columns to
 // vectorize over, so the vector dimension is the batch: x is transposed
-// into lane-major scratch xt, xt[k*8+l] = x[l][k], 8 batch rows at a
-// time. Per stored weight the kernel broadcasts the value, multiplies it
+// into lane-major scratch xt, xt[k*L+l] = x[l][k], L batch rows at a
+// time: 8, or 16 for a block of 9-16 rows where the kernel has 512-bit
+// registers, so that every index and value load feeds twice the rows.
+// Per stored weight the kernel broadcasts the value, multiplies it
 // into the lanes of xt row k and adds the products into the column's
 // accumulator. Lanes past the last batch row repeat it and their results
 // are never stored, so a 1-7 row decode batch costs one padded tile. Row
@@ -61,7 +63,7 @@ import (
 // no FMA) — the same sequence of rounded operations as the naive dense
 // loop over the masked matrix, minus its exact-zero terms, which leave
 // the sum unchanged. Results are therefore bit-identical to masked
-// dense execution; the kernel only reorders work across dst elements.
+// dense execution; kernel and lane count only reorder work across dst.
 
 // LaneGroup is the number of output columns whose streams are
 // interleaved into one group.
@@ -72,9 +74,32 @@ const LaneGroup = 4
 // single-block product splits by.
 const LanePartition = 32
 
-// laneWidth is the number of batch rows one xt block holds, one per
-// vector lane: two 4-double AVX registers.
+// laneWidth is the number of batch rows a narrow xt block holds, one
+// per vector lane; a wide block holds twice as many.
 const laneWidth = 8
+
+// laneKern is a choice of kernel twin — all compute the same bits: the
+// assembly kernels or laneKernGo, over row blocks of width rows (8, or
+// 16 for the ZMM kernels and their portable reference in tests).
+type laneKern struct {
+	asm   bool
+	width int
+}
+
+// laneHost is the twin GemmLanes runs on this host, laneISA its name.
+var laneHost, laneISA = func() (laneKern, string) {
+	switch {
+	case cpuHasAVX512F:
+		return laneKern{true, 2 * laneWidth}, "avx512"
+	case laneAsm:
+		return laneKern{true, laneWidth}, "avx"
+	}
+	return laneKern{false, laneWidth}, "go"
+}()
+
+// LaneISA names the twin GemmLanes runs ("avx512", "avx" or "go"), for
+// metrics and benchmark records.
+func LaneISA() string { return laneISA }
 
 // LaneMaxK is the largest supported K: k-indices are stored as uint16
 // and the value K itself marks padding.
@@ -155,7 +180,7 @@ func newLaneScratch() []float64 { return nil }
 // GemmLanes computes dst = X @ W from the column streams of W, where X
 // is dst.Rows x K. dst must not alias x. Allocation-free in steady
 // state: the lane-major copy of x lives in borrowed scratch. Batches of
-// several lane blocks split by block across the Fork helpers, a single
+// several row blocks split by block across the Fork helpers, a single
 // block (a decode step) by column partition.
 func GemmLanes(dst, x *Matrix, w *LaneWeights) {
 	if x.Cols != w.K {
@@ -164,110 +189,120 @@ func GemmLanes(dst, x *Matrix, w *LaneWeights) {
 	if dst.Rows != x.Rows || dst.Cols != w.N {
 		panic(fmt.Sprintf("mat: GemmLanes dst %dx%d != %dx%d", dst.Rows, dst.Cols, x.Rows, w.N))
 	}
-	gemmLanes(dst, x, w, laneAsm)
+	gemmLanes(dst, x, w, laneHost)
 }
 
-// laneJob is one gemmLanes call as a Fork body. With several lane blocks
-// a unit is one block of laneWidth rows, packed into an xt block the span
-// borrows; with one, xt is that block, packed by the caller, and a unit
-// is one column partition.
+// laneJob is one gemmLanes call as a Fork body. With several row blocks
+// a unit is one block of kern.width rows, packed into an xt block the
+// span borrows; with one, xt is that block, packed by the caller, and a
+// unit is one column partition.
 type laneJob struct {
 	dst, x *Matrix
 	w      *LaneWeights
-	asm    bool
+	kern   laneKern
 	xt     []float64
 }
 
 var laneJobs FreeList[*laneJob]
 
+// laneCount is the lanes a block of rows batch rows runs at: whole
+// 8-lane tiles, so only a block of more than 8 rows runs wide.
+func laneCount(rows int) int { return (rows + laneWidth - 1) / laneWidth * laneWidth }
+
 // gemmLanes is GemmLanes with the kernel choice explicit, so tests can
-// hold the assembly kernels against the portable one. A last block of
-// 1-7 rows costs a full tile, so work counts whole blocks.
-func gemmLanes(dst, x *Matrix, w *LaneWeights, asm bool) {
-	blocks := (x.Rows + laneWidth - 1) / laneWidth
-	work := blocks * laneWidth * len(w.val)
-	if blocks != 1 {
-		forkJob(&laneJobs, blocks, work, laneJob{dst, x, w, asm, nil})
+// hold the twins against each other. A last tile of 1-7 rows costs a
+// full one, so work counts whole tiles.
+func gemmLanes(dst, x *Matrix, w *LaneWeights, kern laneKern) {
+	padded := laneCount(x.Rows)
+	work := padded * len(w.val)
+	if blocks := (x.Rows + kern.width - 1) / kern.width; blocks != 1 {
+		forkJob(&laneJobs, blocks, work, laneJob{dst, x, w, kern, nil})
 		return
 	}
-	xt := Grow(laneScratches.Get(newLaneScratch), (w.K+1)*laneWidth)
-	packLanes(xt, x.Data, w.K)
-	forkJob(&laneJobs, (w.N+LanePartition-1)/LanePartition, work, laneJob{dst, x, w, asm, xt})
+	xt := Grow(laneScratches.Get(newLaneScratch), (w.K+1)*padded)
+	packLanes(xt, x.Data, w.K, padded)
+	forkJob(&laneJobs, (w.N+LanePartition-1)/LanePartition, work, laneJob{dst, x, w, kern, xt})
 	laneScratches.Put(xt)
 }
 
-// Range runs column partitions [lo, hi) of the one packed block, or lane
+// Range runs column partitions [lo, hi) of the one packed block, or row
 // blocks [lo, hi) with one borrowed xt block.
 //
 // The nest is row-block outer, column-group inner, with one lane block as
-// the row block: the kernel touches a 64-byte xt row per stored weight at
-// a data-dependent k, so the xt block ((K+1)*64 bytes) is what has to
+// the row block: the kernel touches one xt row (64 or 128 bytes) per
+// stored weight at a data-dependent k, so the xt block is what has to
 // stay in L1, while the weight streams are read sequentially, 10 bytes a
 // weight, and prefetch well from L2. GemmPanels' 64-row blocks measured
 // slower here at every prefill shape (at K=192 their xt is 98 KB).
 func (j *laneJob) Range(lo, hi int) {
 	const partGroups = LanePartition / LaneGroup
-	x, w := j.x, j.w
+	x, w, width := j.x, j.w, j.kern.width
 	K, N := w.K, w.N
 	if j.xt != nil {
 		j.groups(j.xt, j.dst.Data, x.Rows, lo*partGroups, min(hi*partGroups, len(w.start)-1))
 		return
 	}
-	xt := Grow(laneScratches.Get(newLaneScratch), (K+1)*laneWidth)
-	for m, m1 := lo*laneWidth, min(hi*laneWidth, x.Rows); m < m1; m += laneWidth {
-		rows := min(laneWidth, m1-m)
-		packLanes(xt, x.Data[m*K:(m+rows)*K], K)
+	xt := Grow(laneScratches.Get(newLaneScratch), (K+1)*width)
+	for m, m1 := lo*width, min(hi*width, x.Rows); m < m1; m += width {
+		rows := min(width, m1-m)
+		packLanes(xt, x.Data[m*K:(m+rows)*K], K, laneCount(rows))
 		j.groups(xt, j.dst.Data[m*N:(m+rows)*N], rows, 0, len(w.start)-1)
 	}
 	laneScratches.Put(xt)
 }
 
-// groups runs column groups [g0, g1) against one xt block into the rows
-// batch rows of out.
+// groups runs column groups [g0, g1) against one xt block of
+// laneCount(rows) lanes into the rows batch rows of out.
 func (j *laneJob) groups(xt, out []float64, rows, g0, g1 int) {
-	w, N := j.w, j.w.N
+	w, N, lanes := j.w, j.w.N, laneCount(rows)
 	for g := g0; g < g1; g++ {
 		s0, s1 := int(w.start[g]), int(w.start[g+1])
 		idx, val := w.idx[s0*LaneGroup:s1*LaneGroup], w.val[s0*LaneGroup:s1*LaneGroup]
 		cols := w.cols[g*LaneGroup : min((g+1)*LaneGroup, N)]
-		if j.asm && len(cols) == LaneGroup && s1 > s0 {
+		switch {
+		case !j.kern.asm || len(cols) != LaneGroup || s1 == s0:
+			laneKernGo(idx, val, xt, out, N, cols, lanes)
+		case j.kern.width == laneWidth:
 			laneKern8AVX(&idx[0], &val[0], s1-s0, &xt[0], &out[0], N, &cols[0], rows)
-		} else {
-			laneKernGo(idx, val, xt, out, N, cols)
+		case lanes == laneWidth:
+			laneKern8Z(&idx[0], &val[0], s1-s0, &xt[0], &out[0], N, &cols[0], rows)
+		default:
+			laneKern16Z(&idx[0], &val[0], s1-s0, &xt[0], &out[0], N, &cols[0], rows)
 		}
 	}
 }
 
-// packLanes transposes the len(x)/K rows of x (at most laneWidth) into
-// the lane-major block xt, xt[k*laneWidth+l] = x[l][k], and zeroes the
-// padding row K. Lanes past the last row repeat it: their results are
-// never stored, and a repeated row costs no more than a zero one.
-func packLanes(xt, x []float64, K int) {
-	clear(xt[K*laneWidth : (K+1)*laneWidth])
+// packLanes transposes the len(x)/K rows of x (at most lanes) into the
+// lane-major block xt, xt[k*lanes+l] = x[l][k], and zeroes the padding
+// row K. Lanes past the last row repeat it: their results are never
+// stored, and a repeated row costs no more than a zero one.
+func packLanes(xt, x []float64, K, lanes int) {
+	clear(xt[K*lanes : (K+1)*lanes])
 	if K == 0 {
 		return
 	}
 	last := len(x)/K - 1
 	row := func(l int) []float64 { l = min(l, last); return x[l*K : (l+1)*K] }
-	for l := 0; l < laneWidth; l += 4 {
+	for l := 0; l < lanes; l += 4 {
 		r0, r1, r2, r3 := row(l), row(l+1), row(l+2), row(l+3)
 		for k, v := range r0 {
-			o := xt[k*laneWidth+l:][:4:4]
+			o := xt[k*lanes+l:][:4:4]
 			o[0], o[1], o[2], o[3] = v, r1[k], r2[k], r3[k]
 		}
 	}
 }
 
 // laneKernGo is the portable kernel, the loop nest the assembly kernels
-// replicate: one column group against one xt block, scattered into the
-// len(c)/ldc batch rows of c (row stride ldc) at columns cols.
-func laneKernGo(idx []uint16, val []float64, xt []float64, c []float64, ldc int, cols []int32) {
-	var acc [LaneGroup][laneWidth]float64
+// replicate: one column group against one xt block of lanes lanes, into
+// the len(c)/ldc batch rows of c (row stride ldc) at columns cols.
+func laneKernGo(idx []uint16, val []float64, xt []float64, c []float64, ldc int, cols []int32, lanes int) {
+	var acc [LaneGroup][2 * laneWidth]float64
 	val = val[:len(idx)]
 	for i, k := range idx {
 		v := val[i]
-		a := &acc[i%LaneGroup]
-		for l, xv := range xt[int(k)*laneWidth:][:laneWidth] {
+		xs := xt[int(k)*lanes:][:lanes]
+		a := acc[i%LaneGroup][:len(xs)]
+		for l, xv := range xs {
 			a[l] += xv * v
 		}
 	}

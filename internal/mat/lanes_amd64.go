@@ -12,3 +12,13 @@ var laneAsm = hasAVX
 //
 //go:noescape
 func laneKern8AVX(idx *uint16, val *float64, steps int, xt, c *float64, ldc int, cols *int32, rows int)
+
+// laneKern16Z is laneKern8AVX over a 16-lane xt block (rows <= 16),
+// laneKern8Z over the same 8-lane block in one ZMM register per column;
+// both need cpuHasAVX512F.
+//
+//go:noescape
+func laneKern16Z(idx *uint16, val *float64, steps int, xt, c *float64, ldc int, cols *int32, rows int)
+
+//go:noescape
+func laneKern8Z(idx *uint16, val *float64, steps int, xt, c *float64, ldc int, cols *int32, rows int)

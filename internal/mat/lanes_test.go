@@ -61,21 +61,25 @@ func TestGemmLanesBitIdenticalSweep(t *testing.T) {
 
 // TestGemmLanesZeroAllocs: the lane-major scratch comes from a free
 // list, so steady-state calls allocate nothing, also when the batch size
-// alternates between a padded decode tile and a multi-block prefill.
+// alternates between a padded decode tile (3 rows: one narrow block), a
+// chunk of 12 (one wide block split by partition where the ZMM kernels
+// run, two narrow blocks elsewhere) and a multi-block prefill of 130.
 func TestGemmLanesZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(102))
 	_, lw := sparseWeights(t, rng, 40, 24, 0.5)
-	x7 := mat.New(7, 40)
-	x7.Randomize(rng, 1)
-	x70 := mat.New(70, 40)
-	x70.Randomize(rng, 1)
-	dst7, dst70 := mat.New(7, 24), mat.New(70, 24)
-	mat.GemmLanes(dst70, x70, lw) // grow the scratch to the largest batch
+	var xs, dsts []*mat.Matrix
+	for _, M := range []int{130, 3, 12} {
+		x := mat.New(M, 40)
+		x.Randomize(rng, 1)
+		xs, dsts = append(xs, x), append(dsts, mat.New(M, 24))
+	}
+	mat.GemmLanes(dsts[0], xs[0], lw) // grow the scratch to the largest batch
 	if allocs := testing.AllocsPerRun(50, func() {
-		mat.GemmLanes(dst7, x7, lw)
-		mat.GemmLanes(dst70, x70, lw)
+		for i, x := range xs {
+			mat.GemmLanes(dsts[i], x, lw)
+		}
 	}); allocs != 0 {
-		t.Fatalf("%v allocs per GemmLanes pair, want 0", allocs)
+		t.Fatalf("%v allocs per round of GemmLanes calls, want 0", allocs)
 	}
 
 	// batches that fan out, by row block and (one block) by column
@@ -83,7 +87,7 @@ func TestGemmLanesZeroAllocs(t *testing.T) {
 	// borrowed, on the helpers too
 	testutil.Procs(t, 4)
 	_, big := sparseWeights(t, rng, 192, 192, 0.3)
-	for _, M := range []int{520, 8, 3} {
+	for _, M := range []int{520, 12, 8, 3} {
 		x := mat.New(M, 192)
 		x.Randomize(rng, 1)
 		dst := mat.New(M, 192)

@@ -121,6 +121,9 @@ func (m *Matrix) String() string {
 // count that shrinks and grows again (a dynamic batch's packed row
 // count varying per flush, or prefill and decode steps alternating on
 // one replica) re-slices the same storage instead of reallocating.
+// A buffer that outgrows its storage takes 1.5x the rows asked for: a
+// model's buffers all outgrow at once, and an exact fit left the whole
+// activation set (40-55 MB) as garbage at every new largest batch.
 // Off, it always allocates fresh. Reused buffers are not zeroed —
 // callers must overwrite every element — and the returned header is
 // resized in place, so earlier views into it follow the usual
@@ -130,10 +133,12 @@ func EnsureShape(buf **Matrix, reuse bool, rows, cols int) *Matrix {
 		return New(rows, cols)
 	}
 	b := *buf
-	if b == nil || b.Cols != cols || cap(b.Data) < rows*cols {
-		*buf = New(rows, cols)
-		return *buf
+	if b == nil || b.Cols != cols {
+		b = New(rows, cols)
+	} else if cap(b.Data) < rows*cols {
+		b = New(rows+rows/2, cols)
 	}
+	*buf = b
 	b.Rows = rows
 	b.Data = b.Data[:rows*cols]
 	return b
@@ -315,15 +320,29 @@ func (m *Matrix) AddScaled(other *Matrix, s float64) {
 	}
 }
 
-// AddRowVector adds vector v (length Cols) to every row of m.
+// AddRowVector adds vector v (length Cols) to every row of m: the bias
+// pass after every product. Batches from WorkBias's threshold up split
+// by row span across the Fork helpers.
 func (m *Matrix) AddRowVector(v []float64) {
 	if len(v) != m.Cols {
 		panic(fmt.Sprintf("mat: AddRowVector len %d != cols %d", len(v), m.Cols))
 	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, x := range v {
-			row[j] += x
+	forkJob(&biasJobs, m.Rows, len(m.Data)*WorkBias, biasJob{m, v})
+}
+
+// biasJob is one AddRowVector call as a Fork body, by row.
+type biasJob struct {
+	m *Matrix
+	v []float64
+}
+
+var biasJobs FreeList[*biasJob]
+
+func (j *biasJob) Range(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		row := j.m.Row(i)
+		for k, x := range j.v {
+			row[k] += x
 		}
 	}
 }

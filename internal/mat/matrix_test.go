@@ -63,6 +63,37 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
+// A reused buffer is sized exactly the first time and whenever its width
+// changes, outgrows its storage with half as many rows to spare, and
+// otherwise re-slices: a slowly rising row count reallocates once.
+func TestEnsureShapeGrowth(t *testing.T) {
+	var buf *Matrix
+	m := EnsureShape(&buf, true, 100, 6)
+	if m != buf || m.Rows != 100 || len(m.Data) != 600 || cap(m.Data) != 600 {
+		t.Fatalf("first use: %dx%d len %d cap %d", m.Rows, m.Cols, len(m.Data), cap(m.Data))
+	}
+	m = EnsureShape(&buf, true, 104, 6)
+	if m != buf || m.Rows != 104 || len(m.Data) != 624 || cap(m.Data) != 156*6 {
+		t.Fatalf("outgrown: %dx%d len %d cap %d", m.Rows, m.Cols, len(m.Data), cap(m.Data))
+	}
+	for _, v := range m.Data[:cap(m.Data)] {
+		if v != 0 {
+			t.Fatal("fresh storage not zeroed")
+		}
+	}
+	for _, rows := range []int{110, 3, 156} {
+		if got := EnsureShape(&buf, true, rows, 6); got != m || got.Rows != rows || len(got.Data) != rows*6 {
+			t.Fatalf("%d rows: reallocated or mis-sliced (%dx%d len %d)", rows, got.Rows, got.Cols, len(got.Data))
+		}
+	}
+	if m = EnsureShape(&buf, true, 8, 4); cap(m.Data) != 32 {
+		t.Fatalf("new width: cap %d, want an exact fit", cap(m.Data))
+	}
+	if fresh := EnsureShape(&buf, false, 8, 4); fresh == buf {
+		t.Fatal("reuse off returned the buffer")
+	}
+}
+
 func TestMatMulKnown(t *testing.T) {
 	a := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	b := FromSlice(3, 2, []float64{7, 8, 9, 10, 11, 12})

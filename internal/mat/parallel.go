@@ -70,6 +70,11 @@ const WorkExp = 32
 // (mat.NormRow, 0.7 to 0.8 ns).
 const WorkNorm = 8
 
+// WorkBias is the work of one element of a bias add (AddRowVector): 0.4
+// ns inline, but half the rows sit in the other core's cache either
+// way, and the split first pays (1.2-1.4x) at about 20 µs of it.
+const WorkBias = 2
+
 // forkChunks is how many spans a region is cut into per participating
 // goroutine. Spans are claimed one at a time, so a helper that arrives
 // late, or shares its core, takes fewer of them instead of making the

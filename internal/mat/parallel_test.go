@@ -14,8 +14,11 @@ import (
 
 // forkRows are the batch sizes of a decode step (one lane or panel
 // block, split by column partition) and both sides of every block edge a
-// row split can fall on (8-row lane blocks, 64-row panel blocks).
-var forkRows = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 255, 256, 257, 513}
+// row split can fall on (8- or 16-row lane blocks — 12 rows are one wide
+// block split by partition where the ZMM kernels run and two narrow ones
+// elsewhere, 40 rows end in a narrow last block either way — and 64-row
+// panel blocks).
+var forkRows = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 17, 40, 63, 64, 65, 255, 256, 257, 513}
 
 // TestForkGemmMatchesInline is the bit-identity sweep of the kernels
 // that split across the Fork helpers: GemmLanes and GemmPanels (f64 and
@@ -40,10 +43,11 @@ func TestForkGemmMatchesInline(t *testing.T) {
 			p64, p32 := mat.PackPanels[float64](w), mat.PackPanels[float32](w)
 			// a kernel's units at M rows and the work it counts per unit row
 			laneUnits := func(M int) (int, int) {
-				if M <= 8 {
-					return (N + mat.LanePartition - 1) / mat.LanePartition, 8 * lw.Steps() * mat.LaneGroup
+				work := (M + 7) / 8 * 8 * lw.Steps() * mat.LaneGroup
+				if width := mat.LaneBlockRows(); M > width {
+					return (M + width - 1) / width, work
 				}
-				return (M + 7) / 8, (M + 7) / 8 * 8 * lw.Steps() * mat.LaneGroup
+				return (N + mat.LanePartition - 1) / mat.LanePartition, work
 			}
 			panelUnits := func(M int) (int, int) {
 				if M <= 64 {

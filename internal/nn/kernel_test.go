@@ -46,11 +46,12 @@ func TestLinearKernelForwardMatchesDense(t *testing.T) {
 // packed product fans out across the mat.Fork helpers, by column
 // partition (16 rows, one panel block) and by row block (256 rows):
 // Forward is bit-identical to its inline run (GOMAXPROCS 1) and matches
-// the dense forward.
+// the dense forward. At 256 rows the bias add is a second region.
 func TestLinearKernelParallelForward(t *testing.T) {
 	l := nn.NewLinear("l", 96, 384, rand.New(rand.NewSource(23)))
 	rng := rand.New(rand.NewSource(24))
-	for _, rows := range []int{16, 256} {
+	for _, c := range [][2]int{{16, 1}, {256, 2}} {
+		rows, regions := c[0], int64(c[1])
 		x := mat.New(rows, 96)
 		x.Randomize(rng, 1)
 		l.SetKernel(nil)
@@ -68,8 +69,8 @@ func TestLinearKernelParallelForward(t *testing.T) {
 		if !mat.Equal(forked, dense, 1e-12) {
 			t.Fatalf("%d rows: kernel forward differs from dense forward", rows)
 		}
-		if after-before != 1 {
-			t.Errorf("%d rows: %d regions fanned out, want 1", rows, after-before)
+		if after-before != regions {
+			t.Errorf("%d rows: %d regions fanned out, want %d", rows, after-before, regions)
 		}
 	}
 }

@@ -342,6 +342,23 @@ func TestGELUForkMatchesInline(t *testing.T) {
 	forkMatchesInline(t, 64, 32, gelu.SetBufferReuse, gelu.Forward, gelu.Backward)
 }
 
+// TestBiasForkMatchesInline: the bias add after every product
+// (Matrix.AddRowVector) fans out from 32768 elements (64 columns: 512
+// rows; a decode step's 8 x 768 stays inline, a prefill splits from 43
+// rows of 768 or 171 of 192). It has no state: "backward" is the
+// identity.
+func TestBiasForkMatchesInline(t *testing.T) {
+	const cols = 64
+	bias := mat.New(1, cols)
+	bias.Randomize(rand.New(rand.NewSource(36)), 1)
+	forward := func(x *mat.Matrix) *mat.Matrix {
+		y := x.Clone()
+		y.AddRowVector(bias.Data)
+		return y
+	}
+	forkMatchesInline(t, cols, mat.ForkMinWork/mat.WorkBias/cols, func(bool) {}, forward, func(dy *mat.Matrix) *mat.Matrix { return dy })
+}
+
 // TestLayerNormForkMatchesInline: the residual + layer norm fans out from
 // 8192 elements (64 columns: 128 rows; a decode step's 8 x 192 stays
 // inline, a 256-row prefill splits).

@@ -86,8 +86,8 @@ func TestLayerNormResidualMatchesNaive(t *testing.T) {
 // BenchmarkTail times the scalar tail of a step at the shapes the
 // reference deployment runs — the softmax of one attention row, GELU
 // over a decode step's and a prefill's FFN activations, residual + layer
-// norm over the same — inline (GOMAXPROCS 1) and forked (2). It is where
-// mat.WorkExp and the decision not to fork the layer norm come from
+// norm and the bias add over the same — inline (GOMAXPROCS 1) and forked
+// (2). It is where mat.WorkExp, mat.WorkNorm and mat.WorkBias come from
 // (docs/ARCHITECTURE.md, "Parallel execution"). Besides the mean it
 // reports the minimum over single calls, the figure to read on a noisy
 // host, and its cost per element.
@@ -119,6 +119,10 @@ func BenchmarkTail(b *testing.B) {
 		ln.SetBufferReuse(true)
 		x, res := randMat(rows, 192), randMat(rows, 192)
 		cases = append(cases, tailCase{fmt.Sprintf("residual+ln/%dx192", rows), len(x.Data), func() { ln.ForwardResidual(x, res) }})
+	}
+	for _, shape := range [][2]int{{8, 768}, {256, 768}, {256, 192}} {
+		y, bias := randMat(shape[0], shape[1]), randMat(1, shape[1]).Data
+		cases = append(cases, tailCase{fmt.Sprintf("bias/%dx%d", shape[0], shape[1]), len(y.Data), func() { y.AddRowVector(bias) }})
 	}
 	for _, c := range cases {
 		for _, procs := range []int{1, 2} {

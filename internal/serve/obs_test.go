@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"rt3/internal/mat"
 	"rt3/internal/obs"
 	"rt3/internal/serve"
 	"rt3/internal/transformer"
@@ -135,6 +136,7 @@ func TestServerMetricsExposition(t *testing.T) {
 		"rt3_mat_parallel_inline_busy_total",
 		"rt3_mat_parallel_helped_total",
 		"rt3_mat_parallel_wakes_total",
+		`rt3_mat_lane_isa{isa="` + mat.LaneISA() + `"} 1`,
 	} {
 		if !strings.Contains(text, series) {
 			t.Errorf("exposition missing %s:\n%s", series, text)
