@@ -12,10 +12,8 @@
 package bench
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"rt3/internal/deploy"
 	"rt3/internal/dvfs"
@@ -25,8 +23,6 @@ import (
 	"rt3/internal/pattern"
 	"rt3/internal/prune"
 	"rt3/internal/rt3"
-	"rt3/internal/rtswitch"
-	"rt3/internal/serve"
 	"rt3/internal/transformer"
 )
 
@@ -377,235 +373,6 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(buf[i:])
-}
-
-// BenchmarkServeThroughput measures batched request throughput through
-// the full serving path (queue -> dynamic batcher -> worker pool ->
-// packed kernels) at each deployed V/F level — the perf baseline for
-// future serving-path PRs. ns/op is per completed request.
-func BenchmarkServeThroughput(b *testing.B) {
-	rng := rand.New(rand.NewSource(25))
-	model := transformer.NewClassifier(transformer.Config{
-		Vocab: 24, Dim: 16, Heads: 2, FFHidden: 32, EncLayers: 2, SeqLen: 10, Classes: 3,
-	}, rng)
-	ref := model.PrunableLinears()[0].W.Value
-	var sets []*pattern.Set
-	for _, sp := range []float64{0.3, 0.5, 0.7} {
-		sets = append(sets, pattern.GenerateSet(ref, 4, sp, 3, rng))
-	}
-	bundle := serve.BundleFromModel(model, sets, []string{"l6", "l4", "l3"})
-	eng, err := serve.NewEngine(bundle,
-		[]serve.Model{model.Clone(), model.Clone()}, rtswitch.DefaultSwitchCostModel())
-	if err != nil {
-		b.Fatal(err)
-	}
-	seq := make([]int, 10)
-	for i := range seq {
-		seq[i] = rng.Intn(24)
-	}
-	for lvl := 0; lvl < eng.NumLevels(); lvl++ {
-		lvl := lvl
-		b.Run(eng.LevelName(lvl), func(b *testing.B) {
-			// a fresh server per sub-benchmark keeps the latency recorder
-			// from accumulating across runs and skewing later levels
-			s := serve.New(eng, serve.Config{MaxBatch: 8, MaxDelay: time.Millisecond, QueueCap: 1024})
-			s.Start()
-			defer s.Stop()
-			if _, err := s.SwitchTo(lvl); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			const wave = 256
-			chans := make([]<-chan serve.Response, 0, wave)
-			for done := 0; done < b.N; {
-				n := wave
-				if b.N-done < n {
-					n = b.N - done
-				}
-				chans = chans[:0]
-				for i := 0; i < n; i++ {
-					ch, err := s.Submit(seq)
-					if err != nil {
-						b.Fatal(err)
-					}
-					chans = append(chans, ch)
-				}
-				for _, ch := range chans {
-					<-ch
-				}
-				done += n
-			}
-		})
-	}
-}
-
-// BenchmarkBatchedForward measures the tentpole of batched serving:
-// Engine.ForwardBatch fusing a dynamic batch into one packed forward
-// (one kernel product over ΣL rows per layer) versus the per-sequence
-// Engine.Forward loop the worker used to run, on the pattern format at
-// batch sizes 1/4/8/16. ns/op is per batch; the us/seq metric divides
-// by the batch size. Outputs are verified bit-identical before timing.
-func BenchmarkBatchedForward(b *testing.B) {
-	const (
-		vocab  = 32
-		seqLen = 6
-	)
-	rng := rand.New(rand.NewSource(26))
-	model := transformer.NewClassifier(transformer.Config{
-		Vocab: vocab, Dim: 128, Heads: 4, FFHidden: 256, EncLayers: 2, SeqLen: seqLen, Classes: 3,
-	}, rng)
-	ref := model.PrunableLinears()[0].W.Value
-	sets := []*pattern.Set{pattern.GenerateSet(ref, 8, 0.5, 4, rng)}
-	bundle := serve.BundleFromModel(model, sets, []string{"l6"})
-	eng, err := serve.NewEngineConfigured(bundle, []serve.Model{model.Clone()},
-		rtswitch.DefaultSwitchCostModel(), serve.EngineConfig{Format: "pattern"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, batch := range []int{1, 4, 8, 16} {
-		batch := batch
-		seqs := make([][]int, batch)
-		for i := range seqs {
-			seqs[i] = make([]int, seqLen)
-			for j := range seqs[i] {
-				seqs[i][j] = rng.Intn(vocab)
-			}
-		}
-		// fused and per-sequence execution must agree bit for bit
-		outs := eng.ForwardBatch(0, seqs)
-		for i, ids := range seqs {
-			if !mat.Equal(outs[i], eng.Forward(0, ids), 0) {
-				b.Fatalf("batch %d seq %d: fused output differs from per-sequence loop", batch, i)
-			}
-		}
-		b.Run(fmt.Sprintf("n%d/fused", batch), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				eng.ForwardBatch(0, seqs)
-			}
-			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*batch), "us/seq")
-		})
-		b.Run(fmt.Sprintf("n%d/perseq", batch), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, ids := range seqs {
-					eng.Forward(0, ids)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*batch), "us/seq")
-		})
-	}
-}
-
-// BenchmarkDecodeThroughput measures the incremental-decoding tentpole:
-// generating tokens through the KV-cached DecodeBatch path (one fused
-// single-row step per token) versus full recomputation (the decoder
-// stack re-run over the whole growing prefix per token against the
-// frozen prompt memory), at prompt 64 / gen 64 / batch 8 on the pattern
-// format. Both arms replay identical greedy token streams (verified
-// before timing), ns/op is one full 63-step generation pass, and the
-// tok/s metric is generated-token throughput. The cached arm reports
-// allocations: with reserved caches a steady-state decode step
-// allocates nothing, so allocs/op stays 0 across the whole pass.
-func BenchmarkDecodeThroughput(b *testing.B) {
-	const (
-		promptLen = 64
-		genLen    = 64
-		batch     = 8
-	)
-	cfg := transformer.Config{
-		Vocab: 96, Dim: 64, Heads: 4, FFHidden: 128,
-		EncLayers: 2, DecLayers: 1, SeqLen: promptLen + genLen,
-	}
-	rng := rand.New(rand.NewSource(27))
-	model := transformer.NewLMModel(cfg, rng)
-	ref := model.PrunableLinears()[0].W.Value
-	sets := []*pattern.Set{pattern.GenerateSet(ref, 8, 0.5, 4, rng)}
-	bundle := serve.BundleFromModel(model, sets, []string{"l6"})
-	replica := model.Clone()
-	eng, err := serve.NewEngineConfigured(bundle, []serve.Model{replica},
-		rtswitch.DefaultSwitchCostModel(), serve.EngineConfig{Format: "pattern"})
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	prompts := make([][]int, batch)
-	for i := range prompts {
-		prompts[i] = make([]int, promptLen)
-		for j := range prompts[i] {
-			prompts[i][j] = rng.Intn(cfg.Vocab)
-		}
-	}
-	states := make([]*transformer.DecodeState, batch)
-	for i := range states {
-		st, err := eng.NewDecodeState(0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		st.Reserve(promptLen + genLen)
-		states[i] = st
-	}
-	outs, err := eng.PrefillBatch(0, states, prompts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tokens := make([]int, batch)
-	streams := make([][]int, batch)
-	for i := range prompts {
-		tokens[i] = outs[i].ArgmaxRow(outs[i].Rows - 1)
-		streams[i] = append(streams[i], tokens[i])
-	}
-	for s := 1; s < genLen; s++ {
-		logits, err := eng.DecodeBatch(0, states, tokens)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := range prompts {
-			tokens[i] = logits.ArgmaxRow(i)
-			streams[i] = append(streams[i], tokens[i])
-		}
-	}
-	memory, memOff := replica.EncodeBatch(prompts)
-	prefixes := make([][][]int, genLen)
-	for s := 0; s < genLen; s++ {
-		prefixes[s] = make([][]int, batch)
-		for i := range prompts {
-			prefixes[s][i] = append(append([]int(nil), prompts[i]...), streams[i][:s+1]...)
-		}
-	}
-	// full recompute must reproduce the cached streams bit for bit
-	for s := 0; s+1 < genLen; s++ {
-		refs := replica.DecodeFull(prefixes[s], memory, memOff)
-		for i := range prompts {
-			if got := refs[i].ArgmaxRow(refs[i].Rows - 1); got != streams[i][s+1] {
-				b.Fatalf("step %d seq %d: recompute diverged from cached stream", s, i)
-			}
-		}
-	}
-	tokPerOp := float64(batch * (genLen - 1))
-
-	b.Run("cached", func(b *testing.B) {
-		b.ReportAllocs()
-		for n := 0; n < b.N; n++ {
-			for i := range states {
-				states[i].TruncateTo(promptLen)
-				tokens[i] = streams[i][0]
-			}
-			for s := 1; s < genLen; s++ {
-				logits, _ := eng.DecodeBatch(0, states, tokens)
-				for i := range prompts {
-					tokens[i] = logits.ArgmaxRow(i)
-				}
-			}
-		}
-		b.ReportMetric(tokPerOp*float64(b.N)/b.Elapsed().Seconds(), "tok/s")
-	})
-	b.Run("recompute", func(b *testing.B) {
-		for n := 0; n < b.N; n++ {
-			for s := 0; s+1 < genLen; s++ {
-				replica.DecodeFull(prefixes[s], memory, memOff)
-			}
-		}
-		b.ReportMetric(tokPerOp*float64(b.N)/b.Elapsed().Seconds(), "tok/s")
-	})
 }
 
 // BenchmarkDeployBundle measures serializing and re-loading a deployment

@@ -8,6 +8,7 @@ import (
 	"rt3/internal/deploy"
 	"rt3/internal/dvfs"
 	"rt3/internal/hwsim"
+	"rt3/internal/loadgen"
 	"rt3/internal/pattern"
 	"rt3/internal/rtswitch"
 	"rt3/internal/serve"
@@ -36,7 +37,8 @@ const autotuneCycles = 2e6
 // autotuneArm is one scored contender.
 type autotuneArm struct {
 	name      string
-	report    *serve.LoadReport
+	report    *loadgen.Report
+	served    serve.Summary // the arm's recorder once its load drained
 	score     float64
 	relEnergy float64
 	trace     serve.AutotuneTrace
@@ -76,16 +78,16 @@ func runAutotuneBench(spec autotuneBenchSpec) error {
 	arms = append(arms, rlArm)
 
 	for i := range arms {
-		arms[i].score, arms[i].relEnergy = autotuneScore(arms[i].report, costs, spec)
+		arms[i].score, arms[i].relEnergy = autotuneScore(arms[i], costs, spec)
 	}
 
 	fmt.Printf("%-14s %9s %7s %8s %8s %8s %9s %6s %8s %8s\n",
 		"arm", "completed", "dropped", "p50_ms", "p95_ms", "p99_ms", "battery%", "relE", "switches", "reward")
 	for _, a := range arms {
 		fmt.Printf("%-14s %9d %7d %8.2f %8.2f %8.2f %8.0f%% %6.2f %8d %8.3f\n",
-			a.name, a.report.Completed, a.report.Dropped,
-			a.report.Overall.P50MS, a.report.Overall.P95MS, a.report.Overall.P99MS,
-			a.report.BatteryFraction*100, a.relEnergy, a.report.Switches, a.score)
+			a.name, a.report.Completed(), a.report.Shed,
+			a.served.Overall.P50MS, a.served.Overall.P95MS, a.served.Overall.P99MS,
+			a.served.BatteryFraction*100, a.relEnergy, a.served.Switches, a.score)
 	}
 	fmt.Printf("\nreward = (p95 <= %.0fms ? +1 : -1) + 0.8*(1-relE)*(1-battery+0.2) - dropped/offered\n", spec.targetMS)
 
@@ -94,14 +96,14 @@ func runAutotuneBench(spec autotuneBenchSpec) error {
 		for _, a := range arms {
 			section.Arms = append(section.Arms, autotuneRow{
 				Arm:             a.name,
-				Completed:       a.report.Completed,
-				Dropped:         a.report.Dropped,
-				P50MS:           a.report.Overall.P50MS,
-				P95MS:           a.report.Overall.P95MS,
-				P99MS:           a.report.Overall.P99MS,
-				BatteryFraction: a.report.BatteryFraction,
+				Completed:       a.report.Completed(),
+				Dropped:         a.report.Shed,
+				P50MS:           a.served.Overall.P50MS,
+				P95MS:           a.served.Overall.P95MS,
+				P99MS:           a.served.Overall.P99MS,
+				BatteryFraction: a.served.BatteryFraction,
 				RelEnergy:       a.relEnergy,
-				Switches:        a.report.Switches,
+				Switches:        a.served.Switches,
 				Reward:          a.score,
 			})
 		}
@@ -223,15 +225,17 @@ func runAutotuneArm(spec autotuneBenchSpec, name string, static int, buildPol fu
 			return autotuneArm{}, err
 		}
 	}
-	report, err := serve.RunLoad(srv, serve.LoadSpec{
-		Duration: spec.duration, StartRPS: spec.rps, EndRPS: spec.rps,
-		BurstPeriod: spec.burstPeriod, BurstFactor: spec.burstFactor,
-		SeqLen: 10, Vocab: 24, Seed: spec.seed,
+	report, err := loadgen.Run(loadgen.Keyless(srv), loadgen.Spec{
+		Duration:         spec.duration,
+		Rate:             loadgen.SquareWave(loadgen.Ramp(spec.rps, spec.rps, spec.duration), spec.burstPeriod, spec.burstFactor),
+		Seed:             spec.seed,
+		ClassifyFraction: 1,
+		Pool:             loadgen.TokenPool(spec.seed, 10, 24),
 	})
 	if err != nil {
 		return autotuneArm{}, fmt.Errorf("%s: %w", name, err)
 	}
-	arm := autotuneArm{name: name, report: report}
+	arm := autotuneArm{name: name, report: report, served: srv.Summary()}
 	if tr, ok := srv.AutotuneTrace(); ok {
 		arm.trace = tr
 	}
@@ -246,13 +250,13 @@ func runAutotuneArm(spec autotuneBenchSpec, name string, static int, buildPol fu
 // p99, so two tail requests of host jitter cannot flip a verdict), the
 // online reward's energy bonus on the run's request-weighted relative
 // energy and final charge, minus the dropped fraction.
-func autotuneScore(rep *serve.LoadReport, costs []hwsim.LevelCost, spec autotuneBenchSpec) (score, relEnergy float64) {
+func autotuneScore(arm autotuneArm, costs []hwsim.LevelCost, spec autotuneBenchSpec) (score, relEnergy float64) {
 	byName := map[string]float64{}
 	for _, c := range costs {
 		byName[c.Level.Name] = c.RelEnergy
 	}
 	var wsum, n float64
-	for _, ls := range rep.Levels {
+	for _, ls := range arm.served.Levels {
 		wsum += byName[ls.Level] * float64(ls.Count)
 		n += float64(ls.Count)
 	}
@@ -261,12 +265,12 @@ func autotuneScore(rep *serve.LoadReport, costs []hwsim.LevelCost, spec autotune
 		relEnergy = wsum / n
 	}
 	score = 1.0
-	if rep.Overall.P95MS > spec.targetMS {
+	if arm.served.Overall.P95MS > spec.targetMS {
 		score = -1
 	}
-	score += 0.8 * (1 - relEnergy) * (1 - rep.BatteryFraction + 0.2)
-	if rep.Offered > 0 {
-		score -= float64(rep.Dropped) / float64(rep.Offered)
+	score += 0.8 * (1 - relEnergy) * (1 - arm.served.BatteryFraction + 0.2)
+	if arm.report.Offered > 0 {
+		score -= float64(arm.report.Shed) / float64(arm.report.Offered)
 	}
 	return score, relEnergy
 }

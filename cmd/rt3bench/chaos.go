@@ -2,15 +2,11 @@ package main
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
 	"time"
 
 	"rt3/internal/chaos"
 	"rt3/internal/cluster"
-	"rt3/internal/deploy"
-	"rt3/internal/pattern"
-	"rt3/internal/rtswitch"
 	"rt3/internal/serve"
 	"rt3/internal/transformer"
 )
@@ -133,7 +129,7 @@ func runChaosArm(spec chaosBenchSpec, profile, trace string, seed int64) (chaosA
 		Spec:      ts,
 		Seed:      seed,
 		TimeScale: spec.scale,
-		Verify:    true, // VerifyNode 0 — schedules never fault the reference node
+		Verify:    true, // on node 0, which schedules never fault
 	}.Run()
 	if err != nil {
 		return chaosArm{}, fmt.Errorf("%s x %s: %w", profile, trace, err)
@@ -306,53 +302,16 @@ var chaosModelCfg = transformer.Config{
 }
 
 // buildChaosRouter stands up the resilient fleet the chaos contract
-// assumes: identical seed-built weights on every node (shared dense
-// references, replayable failover), batteries (the collapse fault needs
-// a target), retries with backoff, and per-node breakers.
+// assumes: batteries (the collapse fault needs a target), retries with
+// backoff, and per-node breakers.
 func buildChaosRouter(spec chaosBenchSpec) (*cluster.Router, func(), error) {
-	nodes := make([]*cluster.Node, spec.nodes)
-	var closers []func()
-	cleanup := func() {
-		for _, c := range closers {
-			c()
-		}
-	}
-	for i := range nodes {
-		rng := rand.New(rand.NewSource(spec.seed))
-		lm := transformer.NewLMModel(chaosModelCfg, rng)
-		ref := lm.PrunableLinears()[0].W.Value
-		var sets []*pattern.Set
-		for _, sp := range clusterSparsities {
-			sets = append(sets, pattern.GenerateSet(ref, 4, sp, 3, rng))
-		}
-		data, err := serve.BundleFromModel(lm, sets, clusterLevelNames).Encode()
-		if err != nil {
-			cleanup()
-			return nil, nil, err
-		}
-		bundle, err := deploy.Decode(data)
-		if err != nil {
-			cleanup()
-			return nil, nil, err
-		}
-		eng, err := serve.NewEngine(bundle, []serve.Model{lm.Clone()}, rtswitch.DefaultSwitchCostModel())
-		if err != nil {
-			cleanup()
-			return nil, nil, err
-		}
-		closers = append(closers, eng.Close)
-		srv := serve.New(eng, serve.Config{
-			MaxBatch: 8, QueueCap: 256, Generate: true, MaxGenTokens: 32,
-			StepFloor: spec.stepFloor, BatteryJ: 200,
-		})
-		nodes[i] = cluster.NewNode(i, srv)
-	}
-	r := cluster.New(nodes, cluster.Config{
+	return buildFleet(chaosModelCfg, spec.seed, spec.nodes, serve.Config{
+		MaxBatch: 8, QueueCap: 256, Generate: true, MaxGenTokens: 32,
+		StepFloor: spec.stepFloor, BatteryJ: 200,
+	}, cluster.Config{
 		Seed:         spec.seed,
 		MaxRetries:   200,
 		RetryBackoff: 500 * time.Microsecond,
 		Breaker:      cluster.BreakerConfig{Enabled: true, Threshold: 5, Cooldown: 5 * time.Millisecond},
 	})
-	r.Start()
-	return r, cleanup, nil
 }

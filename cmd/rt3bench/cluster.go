@@ -7,6 +7,7 @@ import (
 
 	"rt3/internal/cluster"
 	"rt3/internal/deploy"
+	"rt3/internal/loadgen"
 	"rt3/internal/pattern"
 	"rt3/internal/rtswitch"
 	"rt3/internal/serve"
@@ -34,7 +35,8 @@ type clusterBenchSpec struct {
 // clusterArm is one scored scaling contender.
 type clusterArm struct {
 	nodes     int
-	report    *cluster.LoadReport
+	report    *loadgen.Report
+	stats     cluster.Stats // the arm's fresh router after the run
 	decisions int
 	metrics   map[string]float64 // cluster registry snapshot, -json runs only
 }
@@ -70,9 +72,9 @@ func runClusterBench(spec clusterBenchSpec) error {
 		"nodes", "offered", "completed", "dropped", "failed", "tok_per_s", "p50_ms", "p99_ms", "affinity", "decisions")
 	for _, a := range arms {
 		fmt.Printf("%-6d %8d %10d %8d %7d %10.0f %8.2f %8.2f %8.1f%% %10d\n",
-			a.nodes, a.report.Offered, a.report.Completed, a.report.Dropped, a.report.Failed,
+			a.nodes, a.report.Offered, a.report.Completed(), a.report.Shed, a.report.Failed,
 			a.report.TokensPerSec, a.report.P50MS, a.report.P99MS,
-			a.report.AffinityHitRate*100, a.decisions)
+			a.stats.AffinityHitRate()*100, a.decisions)
 	}
 
 	first, last := arms[0], arms[len(arms)-1]
@@ -105,13 +107,13 @@ func runClusterBench(spec clusterBenchSpec) error {
 			section.Scaling = append(section.Scaling, clusterArmRow{
 				Nodes:        a.nodes,
 				Offered:      a.report.Offered,
-				Completed:    a.report.Completed,
-				Dropped:      a.report.Dropped,
+				Completed:    a.report.Completed(),
+				Dropped:      a.report.Shed,
 				Failed:       a.report.Failed,
 				TokensPerSec: a.report.TokensPerSec,
 				P50MS:        a.report.P50MS,
 				P99MS:        a.report.P99MS,
-				AffinityRate: a.report.AffinityHitRate,
+				AffinityRate: a.stats.AffinityHitRate(),
 				Decisions:    a.decisions,
 			})
 		}
@@ -123,9 +125,9 @@ func runClusterBench(spec clusterBenchSpec) error {
 		if a.report.Failed > 0 {
 			return fmt.Errorf("%d-node arm delivered %d failed responses", a.nodes, a.report.Failed)
 		}
-		if a.report.AffinityHitRate < clusterAffinityFloor {
+		if a.stats.AffinityHitRate() < clusterAffinityFloor {
 			return fmt.Errorf("%d-node arm affinity hit rate %.1f%% fell below %.0f%%",
-				a.nodes, a.report.AffinityHitRate*100, clusterAffinityFloor*100)
+				a.nodes, a.stats.AffinityHitRate()*100, clusterAffinityFloor*100)
 		}
 	}
 	if len(arms) > 1 && spec.stepFloor > 0 && speedup < clusterScaleFloor {
@@ -145,16 +147,11 @@ var (
 	clusterSparsities = []float64{0.3, 0.5, 0.7}
 )
 
-// buildClusterRouter stands up n generation nodes — identical weights
-// and pattern sets, every node built from the same seed, which is what
-// makes cross-node failover replay and shared dense references valid —
-// behind a router using the spec's policy and seed. stepFloor pins each
-// node's per-step wall time (the capacity knob).
-func buildClusterRouter(spec clusterBenchSpec, n int, stepFloor time.Duration) (*cluster.Router, func(), error) {
-	pol, err := cluster.NewPolicy(spec.policy)
-	if err != nil {
-		return nil, nil, err
-	}
+// buildFleet stands up n generation nodes of the given model shape —
+// identical weights and pattern sets, every node built from the same
+// seed, which is what makes cross-node failover replay and shared dense
+// references valid — behind a started router.
+func buildFleet(model transformer.Config, seed int64, n int, srvCfg serve.Config, rcfg cluster.Config) (*cluster.Router, func(), error) {
 	nodes := make([]*cluster.Node, n)
 	var closers []func()
 	cleanup := func() {
@@ -163,8 +160,8 @@ func buildClusterRouter(spec clusterBenchSpec, n int, stepFloor time.Duration) (
 		}
 	}
 	for i := range nodes {
-		rng := rand.New(rand.NewSource(spec.seed))
-		lm := transformer.NewLMModel(clusterModelCfg, rng)
+		rng := rand.New(rand.NewSource(seed))
+		lm := transformer.NewLMModel(model, rng)
 		ref := lm.PrunableLinears()[0].W.Value
 		var sets []*pattern.Set
 		for _, sp := range clusterSparsities {
@@ -186,30 +183,40 @@ func buildClusterRouter(spec clusterBenchSpec, n int, stepFloor time.Duration) (
 			return nil, nil, err
 		}
 		closers = append(closers, eng.Close)
-		srv := serve.New(eng, serve.Config{
-			MaxBatch: 8, MaxDelay: 500 * time.Microsecond, QueueCap: 8192,
-			Generate: true, MaxGenTokens: 32, StepFloor: stepFloor,
-		})
-		nodes[i] = cluster.NewNode(i, srv)
+		nodes[i] = cluster.NewNode(i, serve.New(eng, srvCfg))
 	}
-	r := cluster.New(nodes, cluster.Config{Policy: pol, Seed: spec.seed})
+	r := cluster.New(nodes, rcfg)
 	r.Start()
 	return r, cleanup, nil
 }
 
-// clusterLoadSpec is the shared session-tagged profile; every phase
-// varies only duration/rate around it so the arms stay comparable.
-func clusterLoadSpec(spec clusterBenchSpec) cluster.LoadSpec {
-	return cluster.LoadSpec{
-		Duration:    spec.duration,
-		RPS:         spec.rps,
-		BurstPeriod: spec.burstPeriod,
-		BurstFactor: spec.burstFactor,
-		Sessions:    spec.sessions,
-		PromptMin:   4, PromptMax: 8,
+// buildClusterRouter is the cluster bench's fleet: the spec's policy and
+// seed, with stepFloor pinning each node's per-step wall time (the
+// capacity knob).
+func buildClusterRouter(spec clusterBenchSpec, n int, stepFloor time.Duration) (*cluster.Router, func(), error) {
+	pol, err := cluster.NewPolicy(spec.policy)
+	if err != nil {
+		return nil, nil, err
+	}
+	return buildFleet(clusterModelCfg, spec.seed, n, serve.Config{
+		MaxBatch: 8, MaxDelay: 500 * time.Microsecond, QueueCap: 8192,
+		Generate: true, MaxGenTokens: 32, StepFloor: stepFloor,
+	}, cluster.Config{Policy: pol, Seed: spec.seed})
+}
+
+// clusterLoad is the shared session-tagged profile at the given base
+// rate; every phase varies only the rate (and verification) around it so
+// the arms stay comparable.
+func clusterLoad(spec clusterBenchSpec, rps float64, verify *serve.Server) loadgen.Spec {
+	return loadgen.Spec{
+		Duration:  spec.duration,
+		Rate:      loadgen.SquareWave(loadgen.Ramp(rps, rps, spec.duration), spec.burstPeriod, spec.burstFactor),
+		Seed:      spec.seed,
+		Sessions:  spec.sessions,
+		PromptMin: 4, PromptMax: 8,
 		OutMin: 6, OutMax: 10,
-		Vocab: clusterModelCfg.Vocab,
-		Seed:  spec.seed,
+		Vocab:  clusterModelCfg.Vocab,
+		Verify: verify,
 	}
 }
 
@@ -222,7 +229,7 @@ func runClusterArm(spec clusterBenchSpec, n int) (clusterArm, error) {
 	}
 	defer cleanup()
 	defer r.Stop()
-	rep, err := cluster.RunLoad(r, clusterLoadSpec(spec))
+	rep, err := loadgen.Run(r, clusterLoad(spec, spec.rps, nil))
 	if err != nil {
 		return clusterArm{}, fmt.Errorf("%d nodes: %w", n, err)
 	}
@@ -230,7 +237,7 @@ func runClusterArm(spec clusterBenchSpec, n int) (clusterArm, error) {
 	if err != nil {
 		return clusterArm{}, err
 	}
-	arm := clusterArm{nodes: n, report: rep, decisions: decisions}
+	arm := clusterArm{nodes: n, report: rep, stats: r.Stats(), decisions: decisions}
 	if jsonRep != nil {
 		arm.metrics = r.Metrics().Snapshot()
 	}
@@ -256,13 +263,12 @@ func runClusterRollout(spec clusterBenchSpec, n int) (*clusterPhaseRow, error) {
 		time.Sleep(spec.duration / 3)
 		rolloutDone <- r.RolloutSwitch(level)
 	}()
-	ls := clusterLoadSpec(spec)
-	ls.RPS = spec.rps / 2 // headroom: one node is always draining
-	ls.Verify = true
-	rep, err := cluster.RunLoad(r, ls)
+	// half the rate for headroom: one node is always draining
+	rep, err := loadgen.Run(r, clusterLoad(spec, spec.rps/2, r.Nodes()[0].Server()))
 	if err != nil {
 		return nil, fmt.Errorf("rollout phase: %w", err)
 	}
+	st := r.Stats()
 	if err := <-rolloutDone; err != nil {
 		return nil, fmt.Errorf("rollout phase: %w", err)
 	}
@@ -271,7 +277,7 @@ func runClusterRollout(spec clusterBenchSpec, n int) (*clusterPhaseRow, error) {
 	}
 
 	fmt.Printf("rollout: fleet of %d switched to the slowest level under load — %d completed, %d failed, %d dense-verified, %d mismatches, %.1f%% affinity\n",
-		n, rep.Completed, rep.Failed, rep.Verified, rep.Mismatches, rep.AffinityHitRate*100)
+		n, rep.Completed(), rep.Failed, rep.Verified, rep.Mismatches, st.AffinityHitRate()*100)
 	switch {
 	case rep.Failed > 0:
 		return nil, fmt.Errorf("rollout phase delivered %d failed responses (zero-downtime contract)", rep.Failed)
@@ -279,8 +285,8 @@ func runClusterRollout(spec clusterBenchSpec, n int) (*clusterPhaseRow, error) {
 		return nil, fmt.Errorf("rollout phase had %d dense mismatches", rep.Mismatches)
 	case rep.Verified == 0:
 		return nil, fmt.Errorf("rollout phase verified nothing")
-	case rep.Stats.Rollouts != 1:
-		return nil, fmt.Errorf("rollout phase recorded %d rollouts, want 1", rep.Stats.Rollouts)
+	case st.Rollouts != 1:
+		return nil, fmt.Errorf("rollout phase recorded %d rollouts, want 1", st.Rollouts)
 	}
 	for _, nd := range r.Nodes() {
 		if got := nd.Server().Engine().Level(); got != level {
@@ -288,9 +294,9 @@ func runClusterRollout(spec clusterBenchSpec, n int) (*clusterPhaseRow, error) {
 		}
 	}
 	return &clusterPhaseRow{
-		Nodes: n, Completed: rep.Completed, Failed: rep.Failed,
-		Rollouts: rep.Stats.Rollouts, Verified: rep.Verified, Mismatches: rep.Mismatches,
-		AffinityRate: rep.AffinityHitRate,
+		Nodes: n, Completed: rep.Completed(), Failed: rep.Failed,
+		Rollouts: st.Rollouts, Verified: rep.Verified, Mismatches: rep.Mismatches,
+		AffinityRate: st.AffinityHitRate(),
 	}, nil
 }
 
@@ -316,23 +322,23 @@ func runClusterFailover(spec clusterBenchSpec) (*clusterPhaseRow, error) {
 		time.Sleep(spec.duration * 2 / 5)
 		_ = r.Crash(1)
 	}()
-	ls := clusterLoadSpec(spec)
-	ls.RPS = spec.rps / 4 // the survivor must absorb the whole fleet's load
-	ls.Verify = true      // VerifyNode 0 — the survivor
-	rep, err := cluster.RunLoad(r, ls)
+	// a quarter of the rate: the survivor (node 0, whose engine also
+	// computes the references) must absorb the whole fleet's load
+	rep, err := loadgen.Run(r, clusterLoad(spec, spec.rps/4, r.Nodes()[0].Server()))
 	if err != nil {
 		return nil, fmt.Errorf("failover phase: %w", err)
 	}
+	st := r.Stats()
 	if _, err := replayClusterTrace(r, "failover phase"); err != nil {
 		return nil, err
 	}
 
 	fmt.Printf("failover: node 1 of 2 crashed mid-run — %d failovers replayed, %d completed, %d failed, %d dense-verified, %d mismatches\n",
-		rep.Stats.Failovers, rep.Completed, rep.Failed, rep.Verified, rep.Mismatches)
+		st.Failovers, rep.Completed(), rep.Failed, rep.Verified, rep.Mismatches)
 	switch {
 	case rep.Failed > 0:
 		return nil, fmt.Errorf("failover phase delivered %d failed responses", rep.Failed)
-	case rep.Stats.Failovers == 0:
+	case st.Failovers == 0:
 		return nil, fmt.Errorf("failover phase recorded no failovers — the crash missed all in-flight work")
 	case rep.Mismatches > 0:
 		return nil, fmt.Errorf("failover phase had %d dense mismatches — truncate-replay diverged", rep.Mismatches)
@@ -340,9 +346,9 @@ func runClusterFailover(spec clusterBenchSpec) (*clusterPhaseRow, error) {
 		return nil, fmt.Errorf("failover phase verified nothing")
 	}
 	return &clusterPhaseRow{
-		Nodes: 2, Completed: rep.Completed, Failed: rep.Failed,
-		Failovers: rep.Stats.Failovers, Verified: rep.Verified, Mismatches: rep.Mismatches,
-		AffinityRate: rep.AffinityHitRate,
+		Nodes: 2, Completed: rep.Completed(), Failed: rep.Failed,
+		Failovers: st.Failovers, Verified: rep.Verified, Mismatches: rep.Mismatches,
+		AffinityRate: st.AffinityHitRate(),
 	}, nil
 }
 

@@ -11,11 +11,10 @@ import (
 var jsonRep *jsonReport
 
 // jsonReport is the -json output shape: one section per structured
-// experiment (kernels, decode, autotune, cluster), each carrying its
+// experiment (kernels, autotune, cluster, chaos), each carrying its
 // result rows plus a snapshot of the obs instruments the run touched.
 type jsonReport struct {
 	Kernels  *kernelsSection  `json:"kernels,omitempty"`
-	Decode   *decodeSection   `json:"decode,omitempty"`
 	Autotune *autotuneSection `json:"autotune,omitempty"`
 	Cluster  *clusterSection  `json:"cluster,omitempty"`
 	Chaos    *chaosSection    `json:"chaos,omitempty"`
@@ -75,22 +74,6 @@ type batchedRow struct {
 	FusedUS  float64 `json:"fused_us"`
 	PerSeqUS float64 `json:"perseq_us"`
 	Speedup  float64 `json:"speedup"`
-}
-
-type decodeSection struct {
-	Prompt   int                `json:"prompt"`
-	Gen      int                `json:"gen"`
-	Sparsity float64            `json:"sparsity"`
-	Rows     []decodeRow        `json:"rows"`
-	Metrics  map[string]float64 `json:"metrics"`
-}
-
-type decodeRow struct {
-	Batch           int     `json:"batch"`
-	CachedTokS      float64 `json:"cached_tok_per_s"`
-	RecomputeTokS   float64 `json:"recompute_tok_per_s"`
-	Speedup         float64 `json:"speedup"`
-	CacheRowsPerTok float64 `json:"cache_rows_per_tok"`
 }
 
 type autotuneSection struct {

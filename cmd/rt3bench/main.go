@@ -6,9 +6,8 @@
 //
 //	rt3bench -exp all
 //	rt3bench -exp tab3 -scale small
-//	rt3bench -exp tab1|tab2|tab3|tab4|fig3a|fig3bc|fig4|fig5|kernels|decode|autotune|cluster|chaos
+//	rt3bench -exp tab1|tab2|tab3|tab4|fig3a|fig3bc|fig4|fig5|kernels|autotune|cluster|chaos
 //	rt3bench -exp kernels -kernel pattern,dense
-//	rt3bench -exp decode -decode-prompt 64 -decode-gen 64 -decode-batch 8
 //	rt3bench -exp autotune -autotune-duration 3s -autotune-rps 300
 //	rt3bench -exp cluster -cluster-nodes 1,2,4 -cluster-rps 700
 //	rt3bench -exp chaos -chaos-nodes 3 -chaos-scale 1
@@ -46,7 +45,7 @@ func parseNodeCounts(s string) ([]int, error) {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("rt3bench: ")
-	exp := flag.String("exp", "all", "experiment: all, tab1, tab2, tab3, tab4, fig3a, fig3bc, fig4, fig5, kernels, decode, autotune, cluster, chaos")
+	exp := flag.String("exp", "all", "experiment: all, tab1, tab2, tab3, tab4, fig3a, fig3bc, fig4, fig5, kernels, autotune, cluster, chaos")
 	scaleFlag := flag.String("scale", "tiny", "model scale: tiny or small")
 	kernels := flag.String("kernel", "all", "kernels experiment: comma-separated registry formats ("+strings.Join(kernel.Formats(), ", ")+") or all")
 	dim := flag.Int("kernel-dim", 192, "kernels experiment: square projection size")
@@ -54,10 +53,6 @@ func main() {
 	sparsity := flag.Float64("kernel-sparsity", 0.7, "kernels experiment: pattern sparsity")
 	seqs := flag.Int("kernel-seqs", 8, "kernels experiment batched mode: sequences fused per packed call (<=1 disables)")
 	seqLen := flag.Int("kernel-seqlen", 6, "kernels experiment batched mode: rows per sequence (default below one 8-lane tile, so the per-sequence arm pays the padded-tile cost real per-request calls take)")
-	decPrompt := flag.Int("decode-prompt", 64, "decode experiment: prompt tokens prefilled per sequence")
-	decGen := flag.Int("decode-gen", 64, "decode experiment: tokens generated per sequence")
-	decBatch := flag.Int("decode-batch", 8, "decode experiment: largest fused decode batch (table sweeps 1/4/this)")
-	decSparsity := flag.Float64("decode-sparsity", 0.5, "decode experiment: pattern sparsity")
 	atDuration := flag.Duration("autotune-duration", 2*time.Second, "autotune experiment: load duration per arm")
 	atRPS := flag.Float64("autotune-rps", 600, "autotune experiment: base arrival rate (bursts multiply it)")
 	atBurst := flag.Float64("autotune-burst", 4, "autotune experiment: burst rate multiplier")
@@ -78,7 +73,7 @@ func main() {
 	chStep := flag.Duration("chaos-step-floor", time.Millisecond, "chaos experiment: minimum wall time per fused step — long enough that a crash reliably lands mid-generation")
 	chScale := flag.Float64("chaos-scale", 1, "chaos experiment: time scale applied to every trace bucket window (<1 compresses)")
 	chSeed := flag.Int64("chaos-seed", 1, "chaos experiment: rng seed (fault schedules, workloads, and router decisions all replay from it)")
-	jsonPath := flag.String("json", "", "write structured results plus a metrics snapshot to this file (kernels, decode, autotune and cluster experiments)")
+	jsonPath := flag.String("json", "", "write structured results plus a metrics snapshot to this file (kernels, autotune, cluster and chaos experiments)")
 	flag.Parse()
 	if *jsonPath != "" {
 		jsonRep = &jsonReport{}
@@ -183,14 +178,6 @@ func main() {
 			seqLen:   *seqLen,
 		})
 	})
-	run("decode", func() error {
-		return runDecodeBench(decodeBenchSpec{
-			prompt:   *decPrompt,
-			gen:      *decGen,
-			batch:    *decBatch,
-			sparsity: *decSparsity,
-		})
-	})
 	run("autotune", func() error {
 		return runAutotuneBench(autotuneBenchSpec{
 			duration:    *atDuration,
@@ -232,12 +219,12 @@ func main() {
 	})
 
 	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (want all, tab1, tab2, tab3, tab4, fig3a, fig3bc, fig4, fig5, kernels, decode, autotune, cluster or chaos)\n", *exp)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (want all, tab1, tab2, tab3, tab4, fig3a, fig3bc, fig4, fig5, kernels, autotune, cluster or chaos)\n", *exp)
 		os.Exit(2)
 	}
 	if jsonRep != nil {
-		if jsonRep.Kernels == nil && jsonRep.Decode == nil && jsonRep.Autotune == nil && jsonRep.Cluster == nil && jsonRep.Chaos == nil {
-			log.Fatalf("-json collects kernels, decode, autotune, cluster and chaos results; -exp %s produced none", *exp)
+		if jsonRep.Kernels == nil && jsonRep.Autotune == nil && jsonRep.Cluster == nil && jsonRep.Chaos == nil {
+			log.Fatalf("-json collects kernels, autotune, cluster and chaos results; -exp %s produced none", *exp)
 		}
 		if err := writeJSONReport(*jsonPath); err != nil {
 			log.Fatalf("-json: %v", err)

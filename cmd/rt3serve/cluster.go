@@ -13,6 +13,7 @@ import (
 	"rt3/internal/chaos"
 	"rt3/internal/cluster"
 	"rt3/internal/deploy"
+	"rt3/internal/loadgen"
 	"rt3/internal/obs"
 	"rt3/internal/serve"
 )
@@ -161,28 +162,32 @@ func runCluster(logger *obs.Logger, drain <-chan struct{}, o clusterOpts) {
 	}
 
 	logger.Infof("replaying %.0f req/s (3x bursts) over %s across %d sessions", o.rps, o.duration, o.sessions)
-	rep, err := cluster.RunLoad(r, cluster.LoadSpec{
-		Duration:    o.duration,
-		RPS:         o.rps,
-		BurstPeriod: 400 * time.Millisecond,
-		BurstFactor: 3,
-		Sessions:    o.sessions,
-		PromptMin:   (o.genPrmpt + 1) / 2,
-		PromptMax:   o.genPrmpt,
-		OutMin:      (o.genTok + 1) / 2,
-		OutMax:      o.genTok,
-		Vocab:       24,
-		Seed:        o.seed,
-		Cancel:      drain,
-		Verify:      o.verify,
-	})
+	spec := loadgen.Spec{
+		Duration:  o.duration,
+		Rate:      loadgen.SquareWave(loadgen.Ramp(o.rps, o.rps, o.duration), 400*time.Millisecond, 3),
+		Seed:      o.seed,
+		Cancel:    drain,
+		Sessions:  o.sessions,
+		PromptMin: (o.genPrmpt + 1) / 2,
+		PromptMax: o.genPrmpt,
+		OutMin:    (o.genTok + 1) / 2,
+		OutMax:    o.genTok,
+		Vocab:     24,
+	}
+	if o.verify {
+		spec.Verify = nodes[0].Server()
+	}
+	rep, err := loadgen.Run(r, spec)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if err := <-rolloutDone; err != nil {
 		log.Fatal(err)
 	}
+	st := r.Stats()
 	fmt.Print(rep)
+	fmt.Printf("affinity: %.1f%% hit rate (%d hits, %d re-pins, %d pins)  failovers %d  rollouts %d\n",
+		st.AffinityHitRate()*100, st.AffinityHits, st.AffinityMisses, st.SessionPins, st.Failovers, st.Rollouts)
 	printClusterNodes(r)
 	printClusterPrefixCache(r)
 	verifyRouterTrace(r)
@@ -215,7 +220,6 @@ func runClusterChaos(logger *obs.Logger, drain <-chan struct{}, r *cluster.Route
 		Schedule: sched,
 		Spec:     spec,
 		Seed:     o.seed,
-		Vocab:    o.vocab,
 		Verify:   o.verify,
 		Cancel:   drain,
 		Metrics:  r.Metrics(),

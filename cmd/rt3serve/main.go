@@ -7,8 +7,10 @@
 // battery (-load), reporting per-level p50/p95/p99 latency, throughput,
 // live switch count and total reconfiguration overhead. In
 // classification mode every response is verified against masked dense
-// execution (-verify, on by default; generation mode has no per-response
-// dense reference and skips it).
+// execution (-verify, on by default; a generation here may span a live
+// level switch, which has no single-level dense reference, so generation
+// mode skips it). Every -load mode offers its traffic through the one
+// open-loop driver, internal/loadgen.
 //
 // With -gen the deployment becomes the encoder-decoder LM and the
 // server runs KV-cached incremental decoding with continuous batching:
@@ -83,6 +85,7 @@ import (
 	"rt3/internal/deploy"
 	"rt3/internal/dvfs"
 	"rt3/internal/kernel"
+	"rt3/internal/loadgen"
 	"rt3/internal/obs"
 	"rt3/internal/pattern"
 	"rt3/internal/rtswitch"
@@ -296,40 +299,45 @@ func main() {
 	}
 	logger.Infof("replaying %.0f->%.0f req/s over %s (policy %s, battery %.2f J)",
 		*rpsStart, *rpsEnd, *duration, controller, *batteryJ)
-	report, err := serve.RunLoad(srv, serve.LoadSpec{
-		Duration:     *duration,
-		StartRPS:     *rpsStart,
-		EndRPS:       *rpsEnd,
-		SeqLen:       10,
-		Vocab:        24,
-		Seed:         *seed,
-		Cancel:       drain,
-		Verify:       *verify && !*gen,
-		Gen:          *gen,
-		GenPromptMin: (*genPrmpt + 1) / 2,
-		GenPromptMax: *genPrmpt,
-		GenOutMin:    (*genTok + 1) / 2,
-		GenOutMax:    *genTok,
-	})
+	spec := loadgen.Spec{
+		Duration: *duration,
+		Rate:     loadgen.Ramp(*rpsStart, *rpsEnd, *duration),
+		Seed:     *seed,
+		Cancel:   drain,
+	}
+	if *gen {
+		spec.Sessions = 32
+		spec.PromptMin, spec.PromptMax = (*genPrmpt+1)/2, *genPrmpt
+		spec.OutMin, spec.OutMax = (*genTok+1)/2, *genTok
+		spec.Vocab = 24
+	} else {
+		spec.ClassifyFraction = 1
+		spec.Pool = loadgen.TokenPool(*seed, 10, 24)
+		if *verify {
+			spec.Verify = srv
+		}
+	}
+	report, err := loadgen.Run(loadgen.Keyless(srv), spec)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(report)
+	sum := srv.Summary()
+	fmt.Printf("%s%s", report, sum)
 	printBatchStats(eng)
 	printDecodeStats(eng)
 	printPrefixCache(srv)
 	printAutotune(srv, *atLog)
-	if report.Switches == 0 && !draining(drain) {
+	if sum.Switches == 0 && !draining(drain) {
 		log.Fatal("demo expected at least one live level switch; raise -duration or lower -battery-j")
 	}
-	if report.Dropped > 0 || report.Mismatches > 0 {
-		log.Fatalf("demo failed: %d dropped, %d incorrect", report.Dropped, report.Mismatches)
+	if report.Shed > 0 || report.Failed > 0 || report.Mismatches > 0 {
+		log.Fatalf("demo failed: %d shed, %d failed, %d incorrect", report.Shed, report.Failed, report.Mismatches)
 	}
 }
 
 // installDrainHandler arms graceful shutdown: the first SIGINT/SIGTERM
-// closes the returned channel, which stops the load generators from
-// admitting new arrivals while in-flight work runs to completion, so the
+// closes the returned channel, which stops the load driver from
+// offering new arrivals while in-flight work runs to completion, so the
 // normal exit path still prints reports and flushes -trace-out. The
 // admin /readyz probe fails from that moment on. A second signal falls
 // back to the runtime default (hard kill).
@@ -563,10 +571,7 @@ func smoke(srv *serve.Server, seed int64) {
 			<-ch
 		}
 	}
-	fmt.Print(serve.FormatLevelStats(srv.Recorder().Snapshot()))
-	n, modelMS, wallMS := srv.Recorder().Switches()
-	fmt.Printf("switches %d  modeled swap cost %.3f ms  kernel install %.3f ms\n", n, modelMS, wallMS)
-	fmt.Printf("mean batch %.1f  fill %.0f%%\n", srv.Recorder().MeanBatch(), srv.Recorder().FillRatio()*100)
+	fmt.Print(srv.Summary())
 	printBatchStats(eng)
 }
 
@@ -604,9 +609,7 @@ func smokeGen(srv *serve.Server, seed int64, maxPrompt, maxTokens int) {
 			}
 		}
 	}
-	fmt.Print(serve.FormatLevelStats(srv.Recorder().Snapshot()))
-	n, modelMS, wallMS := srv.Recorder().Switches()
-	fmt.Printf("switches %d  modeled swap cost %.3f ms  kernel install %.3f ms\n", n, modelMS, wallMS)
+	fmt.Print(srv.Summary())
 	printDecodeStats(eng)
 	printPrefixCache(srv)
 }

@@ -22,8 +22,8 @@ import (
 	"rt3/internal/cluster"
 	"rt3/internal/dvfs"
 	"rt3/internal/hwsim"
+	"rt3/internal/loadgen"
 	"rt3/internal/obs"
-	"rt3/internal/serve"
 )
 
 // FaultKind names one category of injected fault.
@@ -341,21 +341,13 @@ func (in *Injector) firePulse(seq, n int) {
 			switch {
 			case resp.Err == nil:
 				in.chaffDone.Add(1)
-			case shedErr(resp.Err):
+			case loadgen.IsShed(resp.Err):
 				in.chaffShed.Add(1)
 			default:
 				in.chaffFail.Add(1)
 			}
 		}()
 	}
-}
-
-// shedErr classifies an error as bounded load-shedding (accounted,
-// acceptable under chaos) rather than a lost response.
-func shedErr(err error) bool {
-	return errors.Is(err, serve.ErrQueueFull) ||
-		errors.Is(err, cluster.ErrNoReadyNodes) ||
-		errors.Is(err, cluster.ErrDeadlineExceeded)
 }
 
 func (in *Injector) node(id int) (*cluster.Node, error) {

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"rt3/internal/cluster"
+	"rt3/internal/loadgen"
 	"rt3/internal/obs"
 )
 
@@ -16,13 +17,15 @@ type Scenario struct {
 	Schedule *Schedule
 	Spec     *TraceSpec
 	Seed     int64
-	// Vocab, TimeScale, Verify, VerifyNode, Cancel pass through to the
-	// workload; Cancel also stops the injector from firing further events.
-	Vocab      int
-	TimeScale  float64
-	Verify     bool
-	VerifyNode int
-	Cancel     <-chan struct{}
+	// TimeScale stretches (>1) or compresses (<1) every bucket window
+	// (default 1).
+	TimeScale float64
+	// Verify dense-checks every completed response on node 0's engine,
+	// which no schedule faults.
+	Verify bool
+	// Cancel ends the workload's arrival phase early and stops the
+	// injector from firing further events.
+	Cancel <-chan struct{}
 	// Metrics, when non-nil, receives the injector's rt3_chaos_*
 	// instruments before the run starts (rt3serve points this at the
 	// router registry its admin endpoint already serves).
@@ -32,7 +35,8 @@ type Scenario struct {
 // ScenarioReport bundles everything one chaos run produced.
 type ScenarioReport struct {
 	Profile  string          `json:"profile"`
-	Workload *WorkloadReport `json:"workload"`
+	Trace    string          `json:"trace"`
+	Workload *loadgen.Report `json:"workload"`
 	Injector *InjectorTrace  `json:"injector"`
 	Stats    cluster.Stats   `json:"stats"`
 	// Replayed is the number of router decisions that re-executed
@@ -49,8 +53,7 @@ func (r *ScenarioReport) String() string {
 		fmt.Fprintf(&b, "  chaff %d offered / %d completed / %d shed / %d failed",
 			r.Injector.ChaffOffered, r.Injector.ChaffCompleted, r.Injector.ChaffShed, r.Injector.ChaffFailed)
 	}
-	b.WriteByte('\n')
-	b.WriteString(r.Workload.String())
+	fmt.Fprintf(&b, "\ntrace %s: %s", r.Trace, r.Workload)
 	fmt.Fprintf(&b, "router: %d failovers  %d retries  %d deadline-exceeded  %d breaker trips  %d drops  %d rollouts\n",
 		r.Stats.Failovers, r.Stats.Retries, r.Stats.DeadlineExceeded, r.Stats.BreakerTrips, r.Stats.Drops, r.Stats.Rollouts)
 	if r.ReplayErr != "" {
@@ -71,6 +74,15 @@ func (sc Scenario) Run() (*ScenarioReport, error) {
 	if sc.Router == nil || sc.Schedule == nil || sc.Spec == nil {
 		return nil, fmt.Errorf("chaos: scenario needs a router, a schedule, and a trace spec")
 	}
+	scale := sc.TimeScale
+	if scale <= 0 {
+		scale = 1
+	}
+	spec := sc.Spec.Spec(sc.Seed, scale)
+	spec.Cancel = sc.Cancel
+	if sc.Verify {
+		spec.Verify = sc.Router.Nodes()[0].Server()
+	}
 	before := sc.Router.Stats()
 	inj := NewInjector(sc.Router, sc.Schedule)
 	if sc.Metrics != nil {
@@ -86,39 +98,19 @@ func (sc Scenario) Run() (*ScenarioReport, error) {
 		defer close(injDone)
 		inj.Run(done)
 	}()
-	wl, err := RunWorkload(WorkloadConfig{
-		Router:     sc.Router,
-		Spec:       sc.Spec,
-		Seed:       sc.Seed,
-		Vocab:      sc.Vocab,
-		TimeScale:  sc.TimeScale,
-		Verify:     sc.Verify,
-		VerifyNode: sc.VerifyNode,
-		Cancel:     sc.Cancel,
-	})
+	wl, err := loadgen.Run(sc.Router, spec)
 	close(done)
 	<-injDone
 	if err != nil {
 		return nil, err
 	}
 
-	after := sc.Router.Stats()
 	rep := &ScenarioReport{
 		Profile:  sc.Schedule.Profile,
+		Trace:    sc.Spec.Name,
 		Workload: wl,
 		Injector: inj.Trace(),
-		Stats: cluster.Stats{
-			Dispatches:       after.Dispatches - before.Dispatches,
-			AffinityHits:     after.AffinityHits - before.AffinityHits,
-			AffinityMisses:   after.AffinityMisses - before.AffinityMisses,
-			SessionPins:      after.SessionPins - before.SessionPins,
-			Failovers:        after.Failovers - before.Failovers,
-			Drops:            after.Drops - before.Drops,
-			Rollouts:         after.Rollouts - before.Rollouts,
-			Retries:          after.Retries - before.Retries,
-			DeadlineExceeded: after.DeadlineExceeded - before.DeadlineExceeded,
-			BreakerTrips:     after.BreakerTrips - before.BreakerTrips,
-		},
+		Stats:    sc.Router.Stats().Sub(before),
 	}
 	n, rerr := cluster.Replay(sc.Router.Trace())
 	rep.Replayed = n

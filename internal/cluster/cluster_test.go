@@ -2,12 +2,14 @@ package cluster_test
 
 import (
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"rt3/internal/cluster"
 	"rt3/internal/deploy"
+	"rt3/internal/loadgen"
 	"rt3/internal/pattern"
 	"rt3/internal/rtswitch"
 	"rt3/internal/serve"
@@ -297,6 +299,32 @@ func TestFailoverBitIdentical(t *testing.T) {
 	}
 }
 
+// TestStatsSub: the delta covers every counter — a field added to Stats
+// and forgotten in Sub fails here.
+func TestStatsSub(t *testing.T) {
+	var now, prev cluster.Stats
+	nv, pv := reflect.ValueOf(&now).Elem(), reflect.ValueOf(&prev).Elem()
+	for i := 0; i < nv.NumField(); i++ {
+		nv.Field(i).SetInt(int64(100 + 3*i))
+		pv.Field(i).SetInt(int64(2 * i))
+	}
+	dv := reflect.ValueOf(now.Sub(prev))
+	for i := 0; i < dv.NumField(); i++ {
+		if got, want := dv.Field(i).Int(), int64(100+i); got != want {
+			t.Errorf("%s: delta %d, want %d", dv.Type().Field(i).Name, got, want)
+		}
+	}
+}
+
+// sessionLoad is a flat session-tagged generation profile for the load
+// driver: prompts of 4..12 tokens, budgets of 4..8.
+func sessionLoad(d time.Duration, rps float64, sessions int, seed int64) loadgen.Spec {
+	return loadgen.Spec{
+		Duration: d, Rate: loadgen.Ramp(rps, rps, d), Seed: seed,
+		Sessions: sessions, PromptMin: 4, PromptMax: 12, OutMin: 4, OutMax: 8, Vocab: lmCfg.Vocab,
+	}
+}
+
 // TestRolloutZeroDowntime drives load through a rollout sweep: every
 // response must complete (zero failed) and dense-verify at the level it
 // was served on, while every node ends at the target level.
@@ -308,13 +336,13 @@ func TestRolloutZeroDowntime(t *testing.T) {
 		time.Sleep(150 * time.Millisecond)
 		rolloutErr <- r.RolloutSwitch(2)
 	}()
-	rep, err := cluster.RunLoad(r, cluster.LoadSpec{
-		Duration: 600 * time.Millisecond, RPS: 150, Sessions: 24,
-		OutMin: 4, OutMax: 8, Seed: 5, Verify: true,
-	})
+	spec := sessionLoad(600*time.Millisecond, 150, 24, 5)
+	spec.Verify = r.Nodes()[0].Server()
+	rep, err := loadgen.Run(r, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := r.Stats()
 	if err := <-rolloutErr; err != nil {
 		t.Fatal(err)
 	}
@@ -324,8 +352,8 @@ func TestRolloutZeroDowntime(t *testing.T) {
 	if rep.Verified == 0 || rep.Mismatches != 0 {
 		t.Fatalf("verified %d mismatches %d, want >0 verified and 0 mismatches", rep.Verified, rep.Mismatches)
 	}
-	if rep.Stats.Rollouts != 1 {
-		t.Fatalf("rollouts %d, want 1", rep.Stats.Rollouts)
+	if st.Rollouts != 1 {
+		t.Fatalf("rollouts %d, want 1", st.Rollouts)
 	}
 	for _, nd := range r.Nodes() {
 		if lvl := nd.Server().Engine().Level(); lvl != 2 {
@@ -335,8 +363,8 @@ func TestRolloutZeroDowntime(t *testing.T) {
 			t.Fatalf("node %d not back in rotation after rollout", nd.ID)
 		}
 	}
-	if rep.AffinityHitRate < 0.95 {
-		t.Fatalf("affinity hit rate %.3f under rollout, want >= 0.95", rep.AffinityHitRate)
+	if st.AffinityHitRate() < 0.95 {
+		t.Fatalf("affinity hit rate %.3f under rollout, want >= 0.95", st.AffinityHitRate())
 	}
 }
 
@@ -351,9 +379,7 @@ func TestTraceReplay(t *testing.T) {
 		}
 		r := newCluster(t, 3, serve.Config{QueueCap: 1024},
 			cluster.Config{Policy: pol, Seed: 17})
-		if _, err := cluster.RunLoad(r, cluster.LoadSpec{
-			Duration: 150 * time.Millisecond, RPS: 200, Sessions: 16, Seed: 17,
-		}); err != nil {
+		if _, err := loadgen.Run(r, sessionLoad(150*time.Millisecond, 200, 16, 17)); err != nil {
 			t.Fatal(err)
 		}
 		tr := r.Trace()

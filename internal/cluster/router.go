@@ -111,6 +111,22 @@ func (s Stats) AffinityHitRate() float64 {
 	return float64(s.AffinityHits) / float64(s.AffinityHits+s.AffinityMisses)
 }
 
+// Sub returns the counters accumulated since the earlier snapshot prev —
+// the delta a run on an already-used router is reported by.
+func (s Stats) Sub(prev Stats) Stats {
+	s.Dispatches -= prev.Dispatches
+	s.AffinityHits -= prev.AffinityHits
+	s.AffinityMisses -= prev.AffinityMisses
+	s.SessionPins -= prev.SessionPins
+	s.Failovers -= prev.Failovers
+	s.Drops -= prev.Drops
+	s.Rollouts -= prev.Rollouts
+	s.Retries -= prev.Retries
+	s.DeadlineExceeded -= prev.DeadlineExceeded
+	s.BreakerTrips -= prev.BreakerTrips
+	return s
+}
+
 // Router fronts a set of nodes: Submit and SubmitGen route requests via
 // the configured policy with session affinity for generations, watch
 // for crashed responses and fail them over (truncate-replay through

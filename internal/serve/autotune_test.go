@@ -8,6 +8,7 @@ import (
 
 	"rt3/internal/dvfs"
 	"rt3/internal/hwsim"
+	"rt3/internal/loadgen"
 	"rt3/internal/serve"
 )
 
@@ -181,17 +182,16 @@ func TestAutotuneServerLiveTrace(t *testing.T) {
 	srv.Start()
 	defer srv.Stop()
 
-	report, err := serve.RunLoad(srv, serve.LoadSpec{
+	report, err := loadgen.Run(loadgen.Keyless(srv), loadgen.Spec{
 		Duration: 250 * time.Millisecond,
-		StartRPS: 300, EndRPS: 900,
-		BurstPeriod: 60 * time.Millisecond, BurstFactor: 3,
-		SeqLen: 10, Vocab: 24, Seed: 8, Verify: true,
+		Rate:     loadgen.SquareWave(loadgen.Ramp(300, 900, 250*time.Millisecond), 60*time.Millisecond, 3),
+		Seed:     8, ClassifyFraction: 1, Pool: loadgen.TokenPool(8, 10, 24), Verify: srv,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Mismatches != 0 {
-		t.Fatalf("%d responses mismatched dense execution across live switches", report.Mismatches)
+	if report.Verified == 0 || report.Mismatches != 0 {
+		t.Fatalf("%d of %d responses mismatched dense execution across live switches", report.Mismatches, report.Verified)
 	}
 	tr, ok := srv.AutotuneTrace()
 	if !ok || len(tr.Decisions) == 0 {
@@ -206,7 +206,7 @@ func TestAutotuneServerLiveTrace(t *testing.T) {
 	if applied == 0 {
 		t.Fatal("closed loop never applied a switch under a 0.9-epsilon policy")
 	}
-	if report.Switches == 0 {
+	if srv.Summary().Switches == 0 {
 		t.Fatal("recorder saw no switches")
 	}
 	if _, err := serve.ReplayTrace(eng.Levels(), dvfs.DefaultPowerModel(), 2e6, atCfg, tr); err != nil {

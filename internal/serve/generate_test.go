@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"rt3/internal/kernel"
+	"rt3/internal/loadgen"
 	"rt3/internal/mat"
 	"rt3/internal/pattern"
 	"rt3/internal/rtswitch"
@@ -616,32 +617,31 @@ func TestLoadGenGenerationMode(t *testing.T) {
 	srv.Start()
 	defer srv.Stop()
 
-	report, err := serve.RunLoad(srv, serve.LoadSpec{
+	report, err := loadgen.Run(loadgen.Keyless(srv), loadgen.Spec{
 		Duration: 150 * time.Millisecond,
-		StartRPS: 150, EndRPS: 300,
-		Vocab:        lmCfg.Vocab,
-		Gen:          true,
-		GenPromptMin: 2, GenPromptMax: 8,
-		GenOutMin: 2, GenOutMax: 10,
+		Rate:     loadgen.Ramp(150, 300, 150*time.Millisecond),
+		Sessions: 32, Vocab: lmCfg.Vocab,
+		PromptMin: 2, PromptMax: 8,
+		OutMin: 2, OutMax: 10,
 		Seed: 89,
+		// no policy moves the level, so no generation spans a switch and
+		// every stream has a dense reference
+		Verify: srv,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Completed == 0 || report.GenTokens == 0 {
-		t.Fatalf("no generation traffic completed: %+v", report)
+	if report.GenCompleted == 0 || report.GenCompleted != report.Offered {
+		t.Fatalf("generation traffic did not all complete: %+v", report)
 	}
-	if report.TokensPerSec <= 0 || report.MeanGenLen < 1 {
+	if report.TokensPerSec <= 0 || report.GenTokens < report.GenCompleted {
 		t.Fatalf("generation throughput not reported: %+v", report)
+	}
+	if report.Verified != report.GenCompleted || report.Mismatches != 0 {
+		t.Fatalf("dense-verified %d of %d generations, %d mismatches", report.Verified, report.GenCompleted, report.Mismatches)
 	}
 	st := eng.DecodeStats()
 	if st.Prefills == 0 || st.Steps == 0 || st.CachedRows == 0 {
 		t.Fatalf("decode counters not advancing: %+v", st)
-	}
-	// verify mode is classification-only
-	if _, err := serve.RunLoad(srv, serve.LoadSpec{
-		Duration: 10 * time.Millisecond, Gen: true, Verify: true,
-	}); err == nil {
-		t.Fatal("Gen+Verify accepted")
 	}
 }

@@ -323,14 +323,47 @@ func (r *Recorder) Overall() LevelStats {
 	}
 }
 
-// FormatLevelStats renders the per-level digest as an aligned table.
-func FormatLevelStats(stats []LevelStats) string {
+// Summary is what a server's recorder saw up to one instant — what a
+// demo or a bench arm prints and scores after its load has drained.
+type Summary struct {
+	Levels []LevelStats
+	// Overall pools every request regardless of level (Level == "all").
+	Overall LevelStats
+
+	Switches      int
+	SwitchModelMS float64 // modeled pattern-swap cost, cumulative
+	SwitchWallMS  float64 // measured kernel-install time, cumulative
+
+	MeanBatch, FillRatio float64
+	BatteryFraction      float64
+}
+
+// Summary snapshots the recorder and the battery.
+func (s *Server) Summary() Summary {
+	sum := Summary{
+		Levels:          s.rec.Snapshot(),
+		Overall:         s.rec.Overall(),
+		MeanBatch:       s.rec.MeanBatch(),
+		FillRatio:       s.rec.FillRatio(),
+		BatteryFraction: s.BatteryFraction(),
+	}
+	sum.Switches, sum.SwitchModelMS, sum.SwitchWallMS = s.rec.Switches()
+	return sum
+}
+
+// String renders the summary in the repo's table style: the per-level
+// digest as an aligned table, then the switching and batching totals.
+func (s Summary) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-6s %8s %10s %10s %10s %10s %10s %10s\n",
 		"level", "requests", "mean_ms", "queue_ms", "exec_ms", "p50_ms", "p95_ms", "p99_ms")
-	for _, s := range stats {
+	for _, l := range s.Levels {
 		fmt.Fprintf(&b, "%-6s %8d %10.3f %10.3f %10.3f %10.3f %10.3f %10.3f\n",
-			s.Level, s.Count, s.MeanMS, s.MeanQueueMS, s.MeanExecMS, s.P50MS, s.P95MS, s.P99MS)
+			l.Level, l.Count, l.MeanMS, l.MeanQueueMS, l.MeanExecMS, l.P50MS, l.P95MS, l.P99MS)
 	}
+	fmt.Fprintf(&b, "switches %d  modeled swap cost %.3f ms  kernel install %.3f ms\n",
+		s.Switches, s.SwitchModelMS, s.SwitchWallMS)
+	fmt.Fprintf(&b, "mean batch %.1f  fill %.0f%%  battery %.0f%%\n",
+		s.MeanBatch, s.FillRatio*100, s.BatteryFraction*100)
 	return b.String()
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"rt3/internal/loadgen"
 	"rt3/internal/serve"
 )
 
@@ -161,8 +162,9 @@ func TestDenseGenerateMatchesPacked(t *testing.T) {
 	}
 }
 
-// TestLoadCancelStopsArrivals checks LoadSpec.Cancel ends the arrival
-// phase early while still delivering a normal report.
+// TestLoadCancelStopsArrivals checks the load driver's Cancel ends the
+// arrival phase early against a real server while still delivering a
+// normal report.
 func TestLoadCancelStopsArrivals(t *testing.T) {
 	eng, _ := newTestDeployment(t, 1)
 	srv := serve.New(eng, serve.Config{})
@@ -174,9 +176,9 @@ func TestLoadCancelStopsArrivals(t *testing.T) {
 		close(cancel)
 	}()
 	t0 := time.Now()
-	rep, err := serve.RunLoad(srv, serve.LoadSpec{
-		Duration: 10 * time.Second, StartRPS: 200, Cancel: cancel,
-		SeqLen: 6, Vocab: lmCfg.Vocab, Seed: 1,
+	rep, err := loadgen.Run(loadgen.Keyless(srv), loadgen.Spec{
+		Duration: 10 * time.Second, Rate: loadgen.Ramp(200, 200, time.Second), Cancel: cancel,
+		ClassifyFraction: 1, Pool: loadgen.TokenPool(1, 6, lmCfg.Vocab), Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +186,7 @@ func TestLoadCancelStopsArrivals(t *testing.T) {
 	if took := time.Since(t0); took > 3*time.Second {
 		t.Fatalf("canceled run took %s, want well under the 10s duration", took)
 	}
-	if rep.Offered == 0 || rep.Completed == 0 {
-		t.Fatalf("canceled run: offered %d completed %d, want > 0", rep.Offered, rep.Completed)
+	if rep.Offered == 0 || rep.Completed() != rep.Offered {
+		t.Fatalf("canceled run: offered %d completed %d, want > 0 and all awaited", rep.Offered, rep.Completed())
 	}
 }

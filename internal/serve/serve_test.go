@@ -7,6 +7,7 @@ import (
 
 	"rt3/internal/deploy"
 	"rt3/internal/dvfs"
+	"rt3/internal/loadgen"
 	"rt3/internal/mat"
 	"rt3/internal/pattern"
 	"rt3/internal/rtswitch"
@@ -317,10 +318,10 @@ func TestRLPolicyLearnsEnergySaving(t *testing.T) {
 	}
 }
 
-// TestRunLoadWithGovernor replays an open-loop ramp against a server
+// TestLoadWithGovernor replays an open-loop ramp against a server
 // whose simulated battery drains under load: the governor must perform
 // live switches and every response must verify against dense execution.
-func TestRunLoadWithGovernor(t *testing.T) {
+func TestLoadWithGovernor(t *testing.T) {
 	eng, _ := newTestDeployment(t, 2)
 	s := serve.New(eng, serve.Config{
 		MaxBatch:    4,
@@ -333,35 +334,68 @@ func TestRunLoadWithGovernor(t *testing.T) {
 	s.Start()
 	defer s.Stop()
 
-	report, err := serve.RunLoad(s, serve.LoadSpec{
-		Duration: 300 * time.Millisecond,
-		StartRPS: 300,
-		EndRPS:   800,
-		SeqLen:   10,
-		Vocab:    24,
-		Seed:     17,
-		Verify:   true,
-	})
+	spec := loadgen.Spec{
+		Duration:         300 * time.Millisecond,
+		Rate:             loadgen.Ramp(300, 800, 300*time.Millisecond),
+		Seed:             17,
+		ClassifyFraction: 1,
+		Pool:             loadgen.TokenPool(17, 10, 24),
+		Verify:           s,
+	}
+	report, err := loadgen.Run(loadgen.Keyless(s), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Dropped != 0 {
-		t.Fatalf("%d dropped", report.Dropped)
+	if report.Shed != 0 || report.Failed != 0 {
+		t.Fatalf("%d shed, %d failed", report.Shed, report.Failed)
 	}
-	if report.Completed != report.Offered {
-		t.Fatalf("completed %d != offered %d", report.Completed, report.Offered)
+	if report.Completed() != report.Offered {
+		t.Fatalf("completed %d != offered %d", report.Completed(), report.Offered)
 	}
-	if report.Switches < 1 {
-		t.Fatal("no live switch under battery drain")
-	}
-	if report.Mismatches != 0 {
+	if report.Verified != report.Offered || report.Mismatches != 0 {
 		t.Fatalf("%d of %d verified responses mismatched dense execution", report.Mismatches, report.Verified)
 	}
-	if len(report.Levels) < 2 {
-		t.Fatalf("only %d levels served traffic", len(report.Levels))
+	sum := s.Summary()
+	if sum.Switches < 1 {
+		t.Fatal("no live switch under battery drain")
 	}
-	if report.BatteryFraction >= 1 {
-		t.Fatal("battery did not drain")
+	if len(sum.Levels) < 2 {
+		t.Fatalf("only %d levels served traffic", len(sum.Levels))
 	}
-	_ = report.String()
+	if sum.Overall.Count != report.Offered || sum.BatteryFraction >= 1 {
+		t.Fatalf("recorder saw %d of %d requests, battery at %.2f", sum.Overall.Count, report.Offered, sum.BatteryFraction)
+	}
+	_, _ = report.String(), sum.String()
+
+	// the re-check is not vacuous: the same traffic through a target that
+	// perturbs one logit of every answer mismatches every time
+	spec.Duration = 40 * time.Millisecond
+	report, err = loadgen.Run(tampering{loadgen.Keyless(s)}, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Verified == 0 || report.Mismatches != report.Verified {
+		t.Fatalf("tampered run: %d of %d verified responses flagged", report.Mismatches, report.Verified)
+	}
+}
+
+// tampering nudges the first logit of every classification on its way
+// back from the wrapped target.
+type tampering struct{ loadgen.Submitter }
+
+func (t tampering) Submit(key uint64, tokens []int) (<-chan serve.Response, error) {
+	ch, err := t.Submitter.Submit(key, tokens)
+	if err != nil {
+		return nil, err
+	}
+	out := make(chan serve.Response, 1)
+	go func() {
+		r := <-ch
+		if r.Err == nil {
+			r.Out = r.Out.Clone()
+			r.Out.Data[0] += 1e-6
+		}
+		out <- r
+	}()
+	return out, nil
 }
