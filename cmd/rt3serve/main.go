@@ -22,12 +22,12 @@
 // [max/2, max].
 //
 // With -autotune (requires -load) the level is driven by the closed-loop
-// RL/DVFS controller instead of a -policy: every -autotune-every tick it
-// converts the live telemetry window into the controller's state space,
-// picks a level epsilon-greedily, learns online from the observed
-// reward, and prints its decision log after the run. Works in both
-// classification and generation mode — in the latter, switches land
-// mid-generation at decode-step granularity.
+// RL/DVFS controller instead of the battery governor: every
+// -autotune-every tick it converts the live telemetry window into the
+// controller's state space, picks a level epsilon-greedily, learns
+// online from the observed reward, and prints its decision log after
+// the run. Works in both classification and generation mode — in the
+// latter, switches land mid-generation at decode-step granularity.
 //
 // With -cluster N the deployment is replicated onto N simulated
 // in-process nodes behind the session-affine cluster router (generation
@@ -57,7 +57,6 @@
 //
 //	rt3serve
 //	rt3serve -load
-//	rt3serve -load -policy rl -duration 3s -rps-start 200 -rps-end 900
 //	rt3serve -load -autotune
 //	rt3serve -gen
 //	rt3serve -gen -load -gen-tokens 24 -rps-start 100 -rps-end 400
@@ -83,7 +82,6 @@ import (
 	"time"
 
 	"rt3/internal/deploy"
-	"rt3/internal/dvfs"
 	"rt3/internal/kernel"
 	"rt3/internal/loadgen"
 	"rt3/internal/obs"
@@ -113,8 +111,7 @@ func main() {
 		format   = flag.String("format", "pattern", "packed execution format from the kernel registry ("+strings.Join(kernel.Formats(), ", ")+")")
 		batch    = flag.Int("batch", 8, "max dynamic batch size")
 		maxDelay = flag.Duration("max-delay", 2*time.Millisecond, "batch flush deadline")
-		policyN  = flag.String("policy", "governor", "level policy for -load: governor or rl")
-		autotune = flag.Bool("autotune", false, "closed-loop RL/DVFS controller: drive live level switches from the telemetry window, learning online (requires -load; supersedes -policy)")
+		autotune = flag.Bool("autotune", false, "closed-loop RL/DVFS controller: drive live level switches from the telemetry window, learning online (requires -load; replaces the battery governor)")
 		atEvery  = flag.Duration("autotune-every", 10*time.Millisecond, "autotune control tick period")
 		atLog    = flag.Int("autotune-log", 12, "autotune: decision-log tail length printed after the run")
 		simDVFS  = flag.Bool("sim-dvfs", false, "stretch execution to the active level's modeled frequency (f_fastest/f_level), so slower levels show real latency pressure")
@@ -227,11 +224,7 @@ func main() {
 		if *autotune {
 			atCfg = &serve.AutotuneConfig{Every: *atEvery, Seed: *seed}
 		} else {
-			var err error
-			pol, err = buildPolicy(*policyN, eng, *seed)
-			if err != nil {
-				log.Fatal(err)
-			}
+			pol = serve.NewGovernorPolicy(eng.Levels(), 64)
 		}
 	}
 	srv := serve.New(eng, serve.Config{
@@ -293,7 +286,7 @@ func main() {
 		return
 	}
 
-	controller := *policyN
+	controller := "governor"
 	if *autotune {
 		controller = "closed-loop autotune"
 	}
@@ -537,18 +530,6 @@ func writeTraceFile(logger *obs.Logger, srv *serve.Server, path string) {
 		return
 	}
 	logger.Infof("wrote %d request traces to %s", srv.Tracer().Len(), path)
-}
-
-// buildPolicy resolves the -policy flag.
-func buildPolicy(name string, eng *serve.Engine, seed int64) (serve.Policy, error) {
-	switch name {
-	case "governor":
-		return serve.NewGovernorPolicy(eng.Levels(), 64), nil
-	case "rl":
-		return serve.NewRLPolicy(eng.Levels(), dvfs.DefaultPowerModel(), seed)
-	default:
-		return nil, fmt.Errorf("unknown policy %q (want governor or rl)", name)
-	}
 }
 
 // smoke sends a few requests through each level and prints the digests.

@@ -4,11 +4,10 @@
 // serving path, the dense packed panels under unpruned layers — computes
 // through one destination-passing interface: kernel.Kernel. This example
 // builds a pattern-pruned Transformer projection, constructs the three
-// registered execution formats (and the two reduced precisions of
-// "packed") over the same masked weights through the kernel registry,
-// verifies they agree with dense execution, and shows a large pattern
-// product using every core from beneath MulInto (mat.Fork) while a
-// decode-sized one stays on the calling goroutine.
+// registered execution formats over the same masked weights through the
+// kernel registry, verifies they agree with dense execution, and shows a
+// large pattern product using every core from beneath MulInto (mat.Fork)
+// while a decode-sized one stays on the calling goroutine.
 //
 // Run with: go run ./examples/kernel_formats
 package main
@@ -45,39 +44,28 @@ func main() {
 	}
 	want := kernel.Mul(ref, x)
 
-	// One loop covers every registered format at f64 — each must match
-	// dense execution exactly — then "packed" at its reduced precisions,
-	// held to their documented rounding/quantization bounds instead. The
-	// destination is allocated once and reused across MulInto calls.
-	type build struct {
-		format, precision string
-		tol               float64
-	}
-	var builds []build
-	for _, name := range kernel.Formats() {
-		builds = append(builds, build{name, "f64", 1e-9})
-	}
-	builds = append(builds, build{"packed", "f32", 1e-3}, build{"packed", "int8", 0.5})
-
-	fmt.Printf("%-10s %-9s %8s %10s %12s  %s\n", "format", "precision", "nnz", "idx_words", "us/op", "matches dense")
+	// One loop covers every registered format: each must match dense
+	// execution exactly. The destination is allocated once and reused
+	// across MulInto calls.
+	fmt.Printf("%-10s %8s %10s %12s  %s\n", "format", "nnz", "idx_words", "us/op", "matches dense")
 	dst := mat.New(batch, dim)
-	for _, b := range builds {
-		k, err := kernel.Build(b.format, w, kernel.Options{Set: set, Precision: b.precision})
+	for _, format := range kernel.Formats() {
+		k, err := kernel.Build(format, w, kernel.Options{Set: set})
 		if err != nil {
 			log.Fatal(err)
 		}
 		k.MulInto(dst, x)
-		ok := mat.Equal(dst, want, b.tol)
+		ok := mat.Equal(dst, want, 0)
 		start := time.Now()
 		const iters = 50
 		for i := 0; i < iters; i++ {
 			k.MulInto(dst, x)
 		}
-		fmt.Printf("%-10s %-9s %8d %10d %12.1f  %v\n",
-			b.format, b.precision, k.NNZ(), k.IndexWords(),
+		fmt.Printf("%-10s %8d %10d %12.1f  %v\n",
+			format, k.NNZ(), k.IndexWords(),
 			float64(time.Since(start).Microseconds())/iters, ok)
 		if !ok {
-			log.Fatalf("%s at %s diverged from dense execution", b.format, b.precision)
+			log.Fatalf("%s diverged from dense execution", format)
 		}
 	}
 

@@ -112,8 +112,22 @@ func (b *Bundle) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// Read deserializes a bundle written by WriteTo.
+// Read deserializes a bundle written by WriteTo from all of r: the
+// input grows as bytes arrive and is then decoded as one piece, so no
+// length field inside it sizes an allocation.
 func Read(r io.Reader) (*Bundle, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("deploy: %w", err)
+	}
+	return Decode(data)
+}
+
+// Decode parses bundle bytes. Every variable-length field is checked
+// against the bytes left before it is allocated, so a corrupt length
+// costs an error, never memory beyond a multiple of len(data).
+func Decode(data []byte) (*Bundle, error) {
+	r := bytes.NewReader(data)
 	var hdr [4]uint32
 	if err := binary.Read(r, binary.LittleEndian, &hdr); err != nil {
 		return nil, fmt.Errorf("deploy: header: %w", err)
@@ -141,11 +155,16 @@ func Read(r io.Reader) (*Bundle, error) {
 		if dims[0] > maxCount || dims[1] > maxCount {
 			return nil, fmt.Errorf("deploy: implausible dims %dx%d", dims[0], dims[1])
 		}
-		data := make([]float64, int(dims[0])*int(dims[1]))
-		if err := binary.Read(r, binary.LittleEndian, data); err != nil {
+		n := int(dims[0]) * int(dims[1])
+		if n > r.Len()/8 {
+			return nil, fmt.Errorf("deploy: weight %q is %dx%d but %d bytes are left", name, dims[0], dims[1], r.Len())
+		}
+		// one call per matrix, as in WriteTo
+		vals := make([]float64, n)
+		if err := binary.Read(r, binary.LittleEndian, vals); err != nil {
 			return nil, err
 		}
-		b.Weights = append(b.Weights, WeightMatrix{Name: name, Rows: int(dims[0]), Cols: int(dims[1]), Data: data})
+		b.Weights = append(b.Weights, WeightMatrix{Name: name, Rows: int(dims[0]), Cols: int(dims[1]), Data: vals})
 	}
 	for i := uint32(0); i < hdr[3]; i++ {
 		level, err := readString(r)
@@ -172,6 +191,9 @@ func Read(r io.Reader) (*Bundle, error) {
 			if psize == 0 || psize > 4096 {
 				return nil, fmt.Errorf("deploy: implausible psize %d", psize)
 			}
+			if int(psize*psize) > r.Len() {
+				return nil, fmt.Errorf("deploy: pattern of size %d but %d bytes are left", psize, r.Len())
+			}
 			p := pattern.NewPattern(int(psize))
 			if _, err := io.ReadFull(r, p.Bits); err != nil {
 				return nil, err
@@ -180,6 +202,9 @@ func Read(r io.Reader) (*Bundle, error) {
 		}
 		b.Sets = append(b.Sets, set)
 		b.LevelNames = append(b.LevelNames, level)
+	}
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("deploy: %d bytes after the last set", r.Len())
 	}
 	return b, b.Validate()
 }
@@ -191,11 +216,6 @@ func (b *Bundle) Encode() ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// Decode parses bundle bytes.
-func Decode(data []byte) (*Bundle, error) {
-	return Read(bytes.NewReader(data))
 }
 
 // WeightByName returns the backbone matrix with the given parameter name.
@@ -243,10 +263,13 @@ func writeString(w io.Writer, s string) error {
 	return err
 }
 
-func readString(r io.Reader) (string, error) {
+func readString(r *bytes.Reader) (string, error) {
 	var n uint16
 	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
 		return "", err
+	}
+	if int(n) > r.Len() {
+		return "", fmt.Errorf("deploy: string of %d bytes but %d are left", n, r.Len())
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {

@@ -2,7 +2,9 @@ package deploy
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -89,11 +91,25 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// hugeDims is a 27-byte input with a valid header and one weight named
+// "w" whose dims claim 2^40 values: decoding it must cost an error, not
+// the 8 TB allocation its length fields ask for.
+func hugeDims() []byte {
+	var buf bytes.Buffer
+	for _, v := range []any{
+		[]uint32{magic, version, 1, 1}, uint16(1), []byte("w"), []uint32{1 << 20, 1 << 20},
+	} {
+		_ = binary.Write(&buf, binary.LittleEndian, v) // a bytes.Buffer write cannot fail
+	}
+	return buf.Bytes()
+}
+
 func TestDecodeRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		{1, 2, 3},
 		bytes.Repeat([]byte{0xff}, 64),
+		hugeDims(),
 	}
 	for i, c := range cases {
 		if _, err := Decode(c); err == nil {
@@ -131,6 +147,45 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
+}
+
+// FuzzDecodeBundle: Decode never panics on arbitrary bytes, allocates
+// no more than a multiple of its input (a length field never sizes an
+// allocation the input cannot fill), and whatever it accepts re-encodes
+// to exactly the bytes it was given.
+func FuzzDecodeBundle(f *testing.F) {
+	valid, err := sampleBundle(8).Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	for _, cut := range []int{0, 15, 16, 27, len(valid) / 2, len(valid) - 1} {
+		f.Add(valid[:cut])
+	}
+	f.Add(append(append([]byte{}, valid...), 0))
+	f.Add(hugeDims())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b, err := Decode(data)
+		runtime.ReadMemStats(&after)
+		// binary.Read stages each field in a buffer of its own, so a
+		// bundle of many one-byte patterns costs tens of bytes per input
+		// byte; the constant covers the test process's own background
+		if got, budget := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+64<<10); got > budget {
+			t.Fatalf("Decode of %d bytes allocated %d, budget %d", len(data), got, budget)
+		}
+		if err != nil {
+			return
+		}
+		enc, err := b.Encode()
+		if err != nil {
+			t.Fatalf("accepted bundle does not re-encode: %v", err)
+		}
+		if !bytes.Equal(enc, data) {
+			t.Fatalf("accepted bundle re-encodes to %d bytes that differ from its %d input bytes", len(enc), len(data))
+		}
+	})
 }
 
 func TestSetBytesTiny(t *testing.T) {

@@ -35,9 +35,8 @@
 // serving default on prunable linears) and "packed" (dense panels, what
 // unpruned linears run) — to constructors, so commands and the serving
 // engine select execution formats by flag or config instead of
-// hard-coding types. Options.Precision ("f64", "f32", "int8") is the one
-// precision selector and belongs to "packed"; the other two formats
-// compute in float64 and reject anything else. See Build and Options.
+// hard-coding types. Every format computes in float64. See Build and
+// Options.
 package kernel
 
 import (

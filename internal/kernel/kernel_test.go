@@ -2,7 +2,6 @@ package kernel_test
 
 import (
 	"math/rand"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -34,58 +33,20 @@ func maskedDense(w *mat.Matrix, set *pattern.Set, x *mat.Matrix) *mat.Matrix {
 	return y
 }
 
-// build is one way to construct a registry kernel: a format and, for
-// "packed", a reduced precision.
-type build struct{ format, precision string }
-
-func (b build) String() string { return strings.TrimSuffix(b.format+"/"+b.precision, "/") }
-
-func (b build) kernel(w *mat.Matrix, opts kernel.Options) (kernel.Kernel, error) {
-	opts.Precision = b.precision
-	return kernel.Build(b.format, w, opts)
-}
-
-// allBuilds is every registered format at f64 plus the reduced
-// precisions of "packed".
-func allBuilds() []build {
-	var bs []build
-	for _, name := range kernel.Formats() {
-		bs = append(bs, build{format: name})
-	}
-	return append(bs, build{"packed", "f32"}, build{"packed", "int8"})
-}
-
-// precisionTol is the per-precision equivalence tolerance against masked
-// dense execution. f64 gets the tight default; the reduced precisions
-// get the documented bounds (f32: K*eps32-scale rounding; int8:
-// quantization error, see mat.Gemm8 — 0.5 comfortably covers the
-// analytic bound at these unit-scale test shapes).
-func precisionTol(precision string) float64 {
-	switch precision {
-	case "f32":
-		return 1e-4
-	case "int8":
-		return 0.5
-	}
-	return 1e-9
-}
-
 // TestRegistryFormatsMatchDense is the unified equivalence property: for
-// every registered execution format (and every precision of "packed"),
-// building a kernel over the same pattern-masked weights and running
+// every registered execution format, building a kernel over the same pattern-masked weights and running
 // MulInto must equal dense execution element-for-element, including
 // non-multiple-of-psize edge shapes.
 func TestRegistryFormatsMatchDense(t *testing.T) {
-	for _, b := range allBuilds() {
-		b := b
-		t.Run(b.String(), func(t *testing.T) {
+	for _, format := range kernel.Formats() {
+		t.Run(format, func(t *testing.T) {
 			f := func(seed int64) bool {
 				rng := rand.New(rand.NewSource(seed))
 				rows, cols, batch := 4+rng.Intn(13), 4+rng.Intn(13), 1+rng.Intn(6)
 				w := mat.New(rows, cols)
 				w.Randomize(rng, 1)
 				set := pattern.RandomSet(4, 0.5, 3, rng)
-				k, err := b.kernel(w, kernel.Options{Set: set})
+				k, err := kernel.Build(format, w, kernel.Options{Set: set})
 				if err != nil {
 					t.Fatalf("build: %v", err)
 				}
@@ -98,7 +59,7 @@ func TestRegistryFormatsMatchDense(t *testing.T) {
 				want := maskedDense(w, set, x)
 				dst := mat.New(batch, cols)
 				k.MulInto(dst, x)
-				if !mat.Equal(dst, want, precisionTol(b.precision)) {
+				if !mat.Equal(dst, want, 1e-9) {
 					return false
 				}
 				// the allocating wrapper must agree with MulInto
@@ -134,8 +95,7 @@ func TestDenseKernelSeesWeightUpdates(t *testing.T) {
 // TestStorageAccountingConsistent checks the registry kernels report the
 // storage models their formats document: the pattern kernel counts every
 // kept position plus one id per tile and the shared dictionary's
-// offsets; the dense layouts store every value and (int8's per-column
-// scale and sum aside) no index.
+// offsets; the dense layouts store every value and no index.
 func TestStorageAccountingConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	w := mat.New(16, 16)
@@ -147,21 +107,20 @@ func TestStorageAccountingConsistent(t *testing.T) {
 		patternIdx += len(p.Kept())
 	}
 	want := map[string][2]int{
-		"dense": {256, 0}, "packed": {256, 0}, "packed/f32": {256, 0}, "packed/int8": {256, 2 * 16},
-		"pattern": {mask.NNZ(), patternIdx},
+		"dense": {256, 0}, "packed": {256, 0}, "pattern": {mask.NNZ(), patternIdx},
 	}
-	for _, b := range allBuilds() {
-		k, err := b.kernel(w, kernel.Options{Set: set})
+	for _, format := range kernel.Formats() {
+		k, err := kernel.Build(format, w, kernel.Options{Set: set})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := [2]int{k.NNZ(), k.IndexWords()}; got != want[b.String()] {
-			t.Errorf("%v accounting (nnz, index words) = %v, want %v", b, got, want[b.String()])
+		if got := [2]int{k.NNZ(), k.IndexWords()}; got != want[format] {
+			t.Errorf("%s accounting (nnz, index words) = %v, want %v", format, got, want[format])
 		}
 	}
 }
 
-// TestForkMatchesInline: every build is bit-identical whether its
+// TestForkMatchesInline: every format is bit-identical whether its
 // MulInto fans out across the mat.Fork helpers or runs inline
 // (GOMAXPROCS 1), at decode-step batches (one block, split by column
 // partition) and around the 8-row lane and 64-row panel block edges.
@@ -171,14 +130,14 @@ func TestForkMatchesInline(t *testing.T) {
 	w.Randomize(rng, 1)
 	set := pattern.RandomSet(8, 0.5, 3, rng)
 	type run struct {
-		b       build
+		format  string
 		k       kernel.Kernel
 		x, want *mat.Matrix
 	}
 	var runs []run
 	testutil.Procs(t, 1)
-	for _, b := range allBuilds() {
-		k, err := b.kernel(w, kernel.Options{Set: set})
+	for _, format := range kernel.Formats() {
+		k, err := kernel.Build(format, w, kernel.Options{Set: set})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +146,7 @@ func TestForkMatchesInline(t *testing.T) {
 			x.Randomize(rng, 1)
 			want := mat.New(batch, 192)
 			k.MulInto(want, x)
-			runs = append(runs, run{b, k, x, want})
+			runs = append(runs, run{format, k, x, want})
 		}
 	}
 	testutil.Procs(t, 4)
@@ -197,31 +156,31 @@ func TestForkMatchesInline(t *testing.T) {
 		r.k.MulInto(got, r.x)
 		after := mat.ForkStats().Regions
 		if !mat.Equal(got, r.want, 0) {
-			t.Fatalf("%v batch %d: forked MulInto differs from inline", r.b, r.x.Rows)
+			t.Fatalf("%s batch %d: forked MulInto differs from inline", r.format, r.x.Rows)
 		}
-		// dense (mat.MatMul) and int8 (mat.Gemm8) have no fork body; the
-		// others split every one of these batches, by column partition up
-		// to one lane or panel block and by row block beyond
-		if forks := r.b.format != "dense" && r.b.precision != "int8"; (after > before) != forks {
-			t.Errorf("%v batch %d: fanned out = %v", r.b, r.x.Rows, after > before)
+		// dense (mat.MatMul) has no fork body; the others split every one
+		// of these batches, by column partition up to one lane or panel
+		// block and by row block beyond
+		if forks := r.format != "dense"; (after > before) != forks {
+			t.Errorf("%s batch %d: fanned out = %v", r.format, r.x.Rows, after > before)
 		}
 	}
 }
 
 // TestMulIntoZeroAllocs is the steady-state allocation contract of the
 // whole execution API: after warm-up, MulInto allocates nothing — for
-// every format and precision, at a decode step's single block (split by
-// column partition), at several lane blocks inside one panel block and
-// at a batch split by row block (fork bodies and scratch are borrowed
-// from free lists, not allocated per region).
+// every format, at a decode step's single block (split by column
+// partition), at several lane blocks inside one panel block and at a
+// batch split by row block (fork bodies and scratch are borrowed from
+// free lists, not allocated per region).
 func TestMulIntoZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	w := mat.New(192, 192)
 	w.Randomize(rng, 1)
 	set := pattern.RandomSet(8, 0.6, 3, rng)
 	testutil.Procs(t, 4)
-	for _, b := range allBuilds() {
-		k, err := b.kernel(w, kernel.Options{Set: set})
+	for _, format := range kernel.Formats() {
+		k, err := kernel.Build(format, w, kernel.Options{Set: set})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +189,7 @@ func TestMulIntoZeroAllocs(t *testing.T) {
 			x.Randomize(rng, 1)
 			dst := mat.New(batch, 192)
 			if allocs := testutil.AllocsPerRun(50, func() { k.MulInto(dst, x) }); allocs != 0 {
-				t.Errorf("%v batch %d: %v allocs per MulInto, want 0", b, batch, allocs)
+				t.Errorf("%s batch %d: %v allocs per MulInto, want 0", format, batch, allocs)
 			}
 		}
 	}
@@ -246,23 +205,6 @@ func TestRegistryErrors(t *testing.T) {
 	}
 	if _, err := kernel.Build("pattern", w, kernel.Options{}); err == nil {
 		t.Fatal("pattern without a set accepted")
-	}
-	// precision belongs to "packed": the f64-only formats must say so
-	// instead of silently serving at full precision
-	set := pattern.RandomSet(4, 0.5, 2, rand.New(rand.NewSource(3)))
-	for _, format := range []string{"dense", "pattern"} {
-		for _, precision := range []string{"f32", "int8", "f16"} {
-			_, err := kernel.Build(format, w, kernel.Options{Set: set, Precision: precision})
-			if err == nil {
-				t.Fatalf("%s accepted precision %q", format, precision)
-			}
-			if !strings.Contains(err.Error(), `"`+format+`"`) || !strings.Contains(err.Error(), precision) {
-				t.Fatalf("%s + %s: error names neither: %v", format, precision, err)
-			}
-		}
-		if _, err := kernel.Build(format, w, kernel.Options{Set: set, Precision: "f64"}); err != nil {
-			t.Fatalf("%s rejected f64: %v", format, err)
-		}
 	}
 }
 
@@ -301,7 +243,7 @@ func TestRegistryNamesAndCustomFormat(t *testing.T) {
 	}
 }
 
-// TestPackedBitIdenticalToDense pins the headline property of the f64
+// TestPackedBitIdenticalToDense pins the headline property of the
 // micro-kernel path: "packed" must reproduce dense execution bit for
 // bit, masked or not — register blocking reorders work across output
 // elements, never within one element's ascending-k sum.
@@ -334,46 +276,7 @@ func TestPackedBitIdenticalToDense(t *testing.T) {
 	}
 }
 
-// TestPackedPrecisionOption: the "packed" format flips to f32 or int8
-// compute through Options.Precision, within each precision's tolerance
-// of dense, and rejects unknown precisions with the full list.
-func TestPackedPrecisionOption(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	w := mat.New(24, 9)
-	w.Randomize(rng, 1)
-	x := mat.New(5, 24)
-	x.Randomize(rng, 1)
-	want := kernel.Mul(kernel.NewDense(w), x)
-	for _, tc := range []struct {
-		precision string
-		kernel    kernel.Kernel
-	}{
-		{"", (*kernel.PackedKernel)(nil)}, {"f64", (*kernel.PackedKernel)(nil)},
-		{"f32", (*kernel.Packed32Kernel)(nil)}, {"int8", (*kernel.Int8Kernel)(nil)},
-	} {
-		k, err := kernel.Build("packed", w, kernel.Options{Precision: tc.precision})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if reflect.TypeOf(k) != reflect.TypeOf(tc.kernel) {
-			t.Errorf("precision %q built %T, want %T", tc.precision, k, tc.kernel)
-		}
-		if tol := precisionTol(tc.precision); !mat.Equal(kernel.Mul(k, x), want, tol) {
-			t.Errorf("precision %q beyond %g of dense", tc.precision, tol)
-		}
-	}
-	_, err := kernel.Build("packed", w, kernel.Options{Precision: "f16"})
-	if err == nil {
-		t.Fatal("unknown precision accepted")
-	}
-	for _, name := range []string{"f16", "f64", "f32", "int8"} {
-		if !strings.Contains(err.Error(), `"`+name+`"`) {
-			t.Fatalf("error does not name %q: %v", name, err)
-		}
-	}
-}
-
-// TestMulIntoShapePanics: every format and precision panics on a
+// TestMulIntoShapePanics: every format panics on a
 // mis-shaped product instead of computing numbers — including an x whose
 // element count coincides with the valid one, which the flat-slice panel
 // kernels under "packed" cannot tell from a good input on their own.
@@ -382,8 +285,8 @@ func TestMulIntoShapePanics(t *testing.T) {
 	w := mat.New(4, 6)
 	w.Randomize(rng, 1)
 	set := pattern.RandomSet(4, 0.5, 2, rng)
-	for _, b := range allBuilds() {
-		k, err := b.kernel(w, kernel.Options{Set: set})
+	for _, format := range kernel.Formats() {
+		k, err := kernel.Build(format, w, kernel.Options{Set: set})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -399,7 +302,7 @@ func TestMulIntoShapePanics(t *testing.T) {
 			func() {
 				defer func() {
 					if recover() == nil {
-						t.Errorf("%v: %s: expected panic", b, tc.name)
+						t.Errorf("%s: %s: expected panic", format, tc.name)
 					}
 				}()
 				k.MulInto(mat.New(tc.dst[0], tc.dst[1]), mat.New(tc.x[0], tc.x[1]))
@@ -408,13 +311,11 @@ func TestMulIntoShapePanics(t *testing.T) {
 	}
 }
 
-// FuzzKernelBuild drives kernel.Build over every format and precision
-// at degenerate shapes — 0/1-row and 0/1-col weights, batches 0-17,
-// edges that are not multiples of psize, no set, a random set, an
-// all-kept and a keep-nothing set — and compares each kernel against the
-// naive product over the masked weights: exactly for f64, within the
-// unit-scale bounds for f32 (K*eps32-scale, 1e-4 at these K) and int8
-// (the analytic quantization bound, under 0.02 per k).
+// FuzzKernelBuild drives kernel.Build over every format at degenerate
+// shapes — 0/1-row and 0/1-col weights, batches 0-17, edges that are not
+// multiples of psize, no set, a random set, an all-kept and a
+// keep-nothing set — and compares each kernel against the naive product
+// over the masked weights, exactly.
 func FuzzKernelBuild(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), int64(1))
 	f.Add(uint8(1), uint8(1), uint8(1), uint8(1), int64(2))
@@ -444,24 +345,23 @@ func FuzzKernelBuild(f *testing.F) {
 		want := mat.New(M, N)
 		testutil.NaiveMatMul(want, x, maskedWeights(w, set))
 
-		for _, b := range allBuilds() {
-			k, err := b.kernel(w, kernel.Options{Set: set})
-			if b.format == "pattern" && set == nil {
+		for _, format := range kernel.Formats() {
+			k, err := kernel.Build(format, w, kernel.Options{Set: set})
+			if format == "pattern" && set == nil {
 				if err == nil {
 					t.Fatal("pattern built without a set")
 				}
 				continue
 			}
 			if err != nil {
-				t.Fatalf("%v: %v", b, err)
+				t.Fatalf("%s: %v", format, err)
 			}
-			tol := map[string]float64{"f32": 1e-4, "int8": 0.02 * float64(K)}[b.precision]
 			got := mat.New(M, N)
 			got.Fill(1e9)
 			k.MulInto(got, x)
-			if !mat.Equal(got, want, tol) {
-				t.Fatalf("%v, %dx%d weights, batch %d, mask %d: differs from the naive masked product beyond %g",
-					b, K, N, M, mask, tol)
+			if !mat.Equal(got, want, 0) {
+				t.Fatalf("%s, %dx%d weights, batch %d, mask %d: differs from the naive masked product",
+					format, K, N, M, mask)
 			}
 		}
 	})

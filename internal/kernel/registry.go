@@ -17,11 +17,6 @@ type Options struct {
 	// format can serve an RT3 level. Required by the "pattern" format
 	// (which packs the masked survivors natively).
 	Set *pattern.Set
-	// Precision selects the compute precision of the "packed" format:
-	// "" or "f64" (bit-identical to dense), "f32" or "int8". "dense" and
-	// "pattern" compute in float64 only and fail to build with any other
-	// value.
-	Precision string
 }
 
 // Builder constructs a kernel over the dense weight matrix w.
@@ -84,35 +79,21 @@ func masked(w *mat.Matrix, opts Options) *mat.Matrix {
 	return mw
 }
 
-// f64Only rejects a reduced Options.Precision for a format that computes
-// in float64 only.
-func f64Only(format string, opts Options) error {
-	if opts.Precision != "" && opts.Precision != "f64" {
-		return fmt.Errorf("kernel: format %q computes in f64 only, got precision %q (precision is an option of \"packed\")",
-			format, opts.Precision)
-	}
-	return nil
-}
-
 // defaultRegistry holds the built-in execution formats.
 var defaultRegistry = func() *Registry {
 	r := NewRegistry()
 	r.Register("dense", func(w *mat.Matrix, opts Options) (Kernel, error) {
-		if err := f64Only("dense", opts); err != nil {
-			return nil, err
-		}
 		return NewDense(masked(w, opts)), nil
 	})
 	r.Register("pattern", func(w *mat.Matrix, opts Options) (Kernel, error) {
-		if err := f64Only("pattern", opts); err != nil {
-			return nil, err
-		}
 		if opts.Set == nil {
 			return nil, fmt.Errorf("kernel: format \"pattern\" requires Options.Set")
 		}
 		return sparse.PackSet(w, opts.Set)
 	})
-	r.Register("packed", buildPacked)
+	r.Register("packed", func(w *mat.Matrix, opts Options) (Kernel, error) {
+		return NewPacked(masked(w, opts)), nil
+	})
 	return r
 }()
 

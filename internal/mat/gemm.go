@@ -3,13 +3,11 @@ package mat
 import "fmt"
 
 // This file is the BLAS-grade GEMM core behind the serving hot path:
-// register-blocked micro-kernels over a packed weight-panel format, in
-// float64 and float32 (one generic implementation, instantiated per
-// precision). internal/kernel wraps it in the "packed" registry format
-// (f64 or f32 by Options.Precision), which packs once at build time and
-// reuses the panels across every MulInto — the same amortization trick
-// sparse.Pattern plays with its packed weight stream. The int8 quantized
-// variant lives in gemm8.go.
+// register-blocked float64 micro-kernels over a packed weight-panel
+// format. internal/kernel wraps it in the "packed" registry format,
+// which packs once at build time and reuses the panels across every
+// MulInto — the same amortization trick sparse.Pattern plays with its
+// packed weight stream.
 //
 // # Panel layout
 //
@@ -32,13 +30,10 @@ import "fmt"
 // where the >=2x over the cache-tiled scalar kernels comes from.
 //
 // Each dst element still accumulates its contraction in ascending k
-// order, so the float64 path is bit-identical to the naive triple loop —
+// order, so the product is bit-identical to the naive triple loop —
 // the property every packed-vs-dense equivalence test in this repo keys
 // on. Register blocking reorders work across dst elements, never within
 // one element's sum.
-
-// Float constrains the GEMM core's compute precisions.
-type Float interface{ ~float32 | ~float64 }
 
 // PanelWidth is the packed-panel column width: the register-blocked
 // micro-kernels compute PanelWidth output columns per accumulator tile.
@@ -51,21 +46,20 @@ const gemmMC = 64
 // Panels is the packed weight-panel form of a K x N weight matrix (see
 // the package comment above): ceil(N/PanelWidth) panels of K*PanelWidth
 // values each, K-major within a panel, zero-padded at the right edge.
-type Panels[F Float] struct {
+type Panels struct {
 	K, N int
-	Data []F
+	Data []float64
 
-	jobs FreeList[*panelJob[F]] // reusable Fork bodies of GemmPanels calls
+	jobs FreeList[*panelJob] // reusable Fork bodies of GemmPanels calls
 }
 
-// PackPanels packs w (K x N, float64 row-major) into weight panels of
-// precision F. Packing is one-time work amortized across every
-// subsequent GemmPanels call — do it at kernel build time, not per
-// product.
-func PackPanels[F Float](w *Matrix) *Panels[F] {
+// PackPanels packs w (K x N, row-major) into weight panels. Packing is
+// one-time work amortized across every subsequent GemmPanels call — do
+// it at kernel build time, not per product.
+func PackPanels(w *Matrix) *Panels {
 	K, N := w.Rows, w.Cols
 	np := (N + PanelWidth - 1) / PanelWidth
-	p := &Panels[F]{K: K, N: N, Data: make([]F, np*K*PanelWidth)}
+	p := &Panels{K: K, N: N, Data: make([]float64, np*K*PanelWidth)}
 	for pi := 0; pi < np; pi++ {
 		j0 := pi * PanelWidth
 		nw := N - j0
@@ -76,7 +70,7 @@ func PackPanels[F Float](w *Matrix) *Panels[F] {
 		for k := 0; k < K; k++ {
 			row := w.Data[k*N : k*N+N]
 			for j := 0; j < nw; j++ {
-				p.Data[base+k*PanelWidth+j] = F(row[j0+j])
+				p.Data[base+k*PanelWidth+j] = row[j0+j]
 			}
 		}
 	}
@@ -84,13 +78,12 @@ func PackPanels[F Float](w *Matrix) *Panels[F] {
 }
 
 // GemmPanels computes dst = X @ W from the packed panels of W, where X
-// is dst.Rows x K in precision F (row-major, contiguous) and dst is the
-// float64 destination. Accumulation runs in F; results are converted to
-// float64 at store time. dst must not alias x's backing array. Batches
-// of several gemmMC-row blocks split by block across the Fork helpers, a
-// single block (a decode step's logits) by column partition. A last
-// block of 1-7 rows costs a full tile, so work counts whole tiles.
-func GemmPanels[F Float](dst *Matrix, x []F, p *Panels[F]) {
+// is dst.Rows x K (row-major, contiguous). dst must not alias x's
+// backing array. Batches of several gemmMC-row blocks split by block
+// across the Fork helpers, a single block (a decode step's logits) by
+// column partition. A last block of 1-7 rows costs a full tile, so work
+// counts whole tiles.
+func GemmPanels(dst *Matrix, x []float64, p *Panels) {
 	M, K, N := dst.Rows, p.K, p.N
 	if len(x) != M*K {
 		panic(fmt.Sprintf("mat: GemmPanels x len %d != %d*%d", len(x), M, K))
@@ -102,39 +95,39 @@ func GemmPanels[F Float](dst *Matrix, x []F, p *Panels[F]) {
 	if n == 1 {
 		n, cols = (N+LanePartition-1)/LanePartition, true
 	}
-	forkJob(&p.jobs, n, (M+7)/8*8*K*N, panelJob[F]{dst, x, p, cols})
+	forkJob(&p.jobs, n, (M+7)/8*8*K*N, panelJob{dst, x, p, cols})
 }
 
 // panelJob is one GemmPanels call as a Fork body. A unit is one row
 // block of gemmMC rows, or, when cols is set, one partition of
 // LanePartition columns of the only row block: whole cache lines of
 // every dst row, as in GemmLanes.
-type panelJob[F Float] struct {
+type panelJob struct {
 	dst  *Matrix
-	x    []F
-	p    *Panels[F]
+	x    []float64
+	p    *Panels
 	cols bool
 }
 
-func (j *panelJob[F]) Range(lo, hi int) {
+func (j *panelJob) Range(lo, hi int) {
 	const part = LanePartition / PanelWidth
 	rows, np := j.dst.Rows, (j.p.N+PanelWidth-1)/PanelWidth
 	if j.cols {
-		gemmPanelRows(j.dst, j.x, j.p, 0, rows, lo*part, min(hi*part, np), asmTile[F]())
+		gemmPanelRows(j.dst, j.x, j.p, 0, rows, lo*part, min(hi*part, np), hasAVX)
 		return
 	}
-	gemmPanelRows(j.dst, j.x, j.p, lo*gemmMC, min(hi*gemmMC, rows), 0, np, asmTile[F]())
+	gemmPanelRows(j.dst, j.x, j.p, lo*gemmMC, min(hi*gemmMC, rows), 0, np, hasAVX)
 }
 
 // gemmPanelRows is GemmPanels over rows [r0, r1), r0 a multiple of
 // gemmMC, and panels [p0, p1), with the kernel choice explicit so tests
-// can hold the assembly tile against the portable ones. tile, when
-// non-nil, computes an 8x4 accumulator tile from one full-width panel and
-// stores its first rows rows, bit for bit what kern8x4 stores; it takes a last block of 1-7
-// rows too (the missing rows recompute row 0 and are not stored), so any
-// M gets tile speed. The right-edge panel, and everything when tile is
-// nil, runs the portable register-blocked kernels.
-func gemmPanelRows[F Float](dst *Matrix, x []F, p *Panels[F], r0, r1, p0, p1 int, tile func(bp, a *F, lda int, c *float64, ldc, k, rows int)) {
+// can hold the assembly tile against the portable ones. With asm set,
+// kern8x4AVX computes an 8x4 accumulator tile from one full-width panel
+// and stores its first rows rows, bit for bit what kern8x4 stores; it
+// takes a last block of 1-7 rows too (the missing rows recompute row 0
+// and are not stored), so any M gets tile speed. The right-edge panel,
+// and everything without asm, runs the portable register-blocked kernels.
+func gemmPanelRows(dst *Matrix, x []float64, p *Panels, r0, r1, p0, p1 int, asm bool) {
 	K, N := p.K, p.N
 	for mc := r0; mc < r1; mc += gemmMC {
 		m1 := min(mc+gemmMC, r1)
@@ -146,9 +139,9 @@ func gemmPanelRows[F Float](dst *Matrix, x []F, p *Panels[F], r0, r1, p0, p1 int
 			}
 			bp := p.Data[pi*K*PanelWidth : (pi+1)*K*PanelWidth]
 			m := mc
-			if tile != nil && nw == PanelWidth && K > 0 {
+			if asm && nw == PanelWidth && K > 0 {
 				for ; m < m1; m += 8 {
-					tile(&bp[0], &x[m*K], K, &dst.Data[m*N+j0], N, K, min(8, m1-m))
+					kern8x4AVX(&bp[0], &x[m*K], K, &dst.Data[m*N+j0], N, K, min(8, m1-m))
 				}
 			}
 			for ; m+8 <= m1; m += 8 {
@@ -173,35 +166,17 @@ func gemmPanelRows[F Float](dst *Matrix, x []F, p *Panels[F], r0, r1, p0, p1 int
 	}
 }
 
-var f32Scratches FreeList[[]float32]
-
-func newF32Scratch() []float32 { return nil }
-
-// Gemm32 computes dst = X @ W through float32 panels from a float64
-// activation matrix, converting x into borrowed float32 scratch. The
-// entire contraction runs in float32; only the stores widen back.
-func Gemm32(dst, x *Matrix, p *Panels[float32]) {
-	n := x.Rows * x.Cols
-	s := f32Scratches.Get(newF32Scratch)
-	s = Grow(s, n)
-	for i, v := range x.Data[:n] {
-		s[i] = float32(v)
-	}
-	GemmPanels(dst, s, p)
-	f32Scratches.Put(s)
-}
-
 // kern8x4 computes an 8-row x 4-column accumulator tile: 32 registers of
 // partial sums over the shared k loop, 12 loads per 32 FMAs.
-func kern8x4[F Float](bp []F, a0, a1, a2, a3, a4, a5, a6, a7 []F, c0, c1, c2, c3, c4, c5, c6, c7 []float64) {
+func kern8x4(bp, a0, a1, a2, a3, a4, a5, a6, a7, c0, c1, c2, c3, c4, c5, c6, c7 []float64) {
 	K := len(a0)
 	a1, a2, a3 = a1[:K], a2[:K], a3[:K]
 	a4, a5, a6, a7 = a4[:K], a5[:K], a6[:K], a7[:K]
 	bp = bp[: 4*K : 4*K]
-	var s00, s01, s02, s03, s10, s11, s12, s13 F
-	var s20, s21, s22, s23, s30, s31, s32, s33 F
-	var s40, s41, s42, s43, s50, s51, s52, s53 F
-	var s60, s61, s62, s63, s70, s71, s72, s73 F
+	var s00, s01, s02, s03, s10, s11, s12, s13 float64
+	var s20, s21, s22, s23, s30, s31, s32, s33 float64
+	var s40, s41, s42, s43, s50, s51, s52, s53 float64
+	var s60, s61, s62, s63, s70, s71, s72, s73 float64
 	for k := 0; k < K; k++ {
 		bi := 4 * k
 		b0, b1, b2, b3 := bp[bi], bp[bi+1], bp[bi+2], bp[bi+3]
@@ -246,25 +221,25 @@ func kern8x4[F Float](bp []F, a0, a1, a2, a3, a4, a5, a6, a7 []F, c0, c1, c2, c3
 		s72 += av * b2
 		s73 += av * b3
 	}
-	store4(c0, float64(s00), float64(s01), float64(s02), float64(s03))
-	store4(c1, float64(s10), float64(s11), float64(s12), float64(s13))
-	store4(c2, float64(s20), float64(s21), float64(s22), float64(s23))
-	store4(c3, float64(s30), float64(s31), float64(s32), float64(s33))
-	store4(c4, float64(s40), float64(s41), float64(s42), float64(s43))
-	store4(c5, float64(s50), float64(s51), float64(s52), float64(s53))
-	store4(c6, float64(s60), float64(s61), float64(s62), float64(s63))
-	store4(c7, float64(s70), float64(s71), float64(s72), float64(s73))
+	store4(c0, s00, s01, s02, s03)
+	store4(c1, s10, s11, s12, s13)
+	store4(c2, s20, s21, s22, s23)
+	store4(c3, s30, s31, s32, s33)
+	store4(c4, s40, s41, s42, s43)
+	store4(c5, s50, s51, s52, s53)
+	store4(c6, s60, s61, s62, s63)
+	store4(c7, s70, s71, s72, s73)
 }
 
 // kern4x4 computes a 4-row x 4-column accumulator tile.
-func kern4x4[F Float](bp []F, a0, a1, a2, a3 []F, c0, c1, c2, c3 []float64) {
+func kern4x4(bp, a0, a1, a2, a3, c0, c1, c2, c3 []float64) {
 	K := len(a0)
 	a1, a2, a3 = a1[:K], a2[:K], a3[:K]
 	bp = bp[: 4*K : 4*K]
-	var s00, s01, s02, s03 F
-	var s10, s11, s12, s13 F
-	var s20, s21, s22, s23 F
-	var s30, s31, s32, s33 F
+	var s00, s01, s02, s03 float64
+	var s10, s11, s12, s13 float64
+	var s20, s21, s22, s23 float64
+	var s30, s31, s32, s33 float64
 	for k := 0; k < K; k++ {
 		bi := 4 * k
 		b0, b1, b2, b3 := bp[bi], bp[bi+1], bp[bi+2], bp[bi+3]
@@ -289,17 +264,17 @@ func kern4x4[F Float](bp []F, a0, a1, a2, a3 []F, c0, c1, c2, c3 []float64) {
 		s32 += av * b2
 		s33 += av * b3
 	}
-	store4(c0, float64(s00), float64(s01), float64(s02), float64(s03))
-	store4(c1, float64(s10), float64(s11), float64(s12), float64(s13))
-	store4(c2, float64(s20), float64(s21), float64(s22), float64(s23))
-	store4(c3, float64(s30), float64(s31), float64(s32), float64(s33))
+	store4(c0, s00, s01, s02, s03)
+	store4(c1, s10, s11, s12, s13)
+	store4(c2, s20, s21, s22, s23)
+	store4(c3, s30, s31, s32, s33)
 }
 
 // kern1x4 is the row-remainder kernel: one row x 4 columns.
-func kern1x4[F Float](bp []F, a0 []F, c0 []float64) {
+func kern1x4(bp, a0, c0 []float64) {
 	K := len(a0)
 	bp = bp[: 4*K : 4*K]
-	var s0, s1, s2, s3 F
+	var s0, s1, s2, s3 float64
 	for k := 0; k < K; k++ {
 		bi := 4 * k
 		av := a0[k]
@@ -308,7 +283,7 @@ func kern1x4[F Float](bp []F, a0 []F, c0 []float64) {
 		s2 += av * bp[bi+2]
 		s3 += av * bp[bi+3]
 	}
-	store4(c0, float64(s0), float64(s1), float64(s2), float64(s3))
+	store4(c0, s0, s1, s2, s3)
 }
 
 // store4 writes up to 4 accumulators into the (possibly narrow) edge of

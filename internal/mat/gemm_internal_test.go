@@ -7,36 +7,6 @@ import (
 	"testing"
 )
 
-// TestGemm8AsmMatchesScalar pins the SIMD int8 path to the scalar
-// reference kernel bit for bit: both run exact int32 arithmetic over
-// the same quantized values, so any divergence is a packing or kernel
-// bug, never rounding. (On platforms without the asm path this
-// compares the scalar path with itself, which is fine.)
-func TestGemm8AsmMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(91))
-	for _, sh := range [][3]int{{1, 1, 1}, {7, 5, 3}, {9, 33, 17}, {16, 32, 8}, {33, 17, 9}, {64, 192, 192}} {
-		M, K, N := sh[0], sh[1], sh[2]
-		x := New(M, K)
-		x.Randomize(rng, 1)
-		w := New(K, N)
-		w.Randomize(rng, 1)
-		p := PackPanels8(w)
-		got := New(M, N)
-		Gemm8(got, x, p)
-
-		kp := (K + 1) / 2
-		s := &int8Scratch{q: make([]int16, M*kp*2), scale: make([]float64, M), zp: make([]int32, M)}
-		for r := 0; r < M; r++ {
-			s.scale[r], s.zp[r] = quantizeRowInt8(x.Data[r*K:(r+1)*K], s.q[r*kp*2:(r+1)*kp*2])
-		}
-		ref := New(M, N)
-		gemm8Rows(ref, s, p, 0, M)
-		if !Equal(got, ref, 0) {
-			t.Fatalf("%v: int8 asm differs from scalar reference", sh)
-		}
-	}
-}
-
 // guarded returns an M x N view over a larger matrix whose 16 rows past
 // M are filled with a sentinel, and a check that a kernel storing a
 // ragged last block wrote none of them.
@@ -54,11 +24,11 @@ func guarded(t *testing.T, M, N int) (*Matrix, func(what string)) {
 	}
 }
 
-// TestGemmPanelsAsmMatchesPortable pins the float64 and float32
-// assembly tiles to the portable register-blocked kernels bit for bit at
-// every row-block edge — a last block of 1-7 rows runs the same tile
-// with the missing rows clamped, and must store exactly the real ones.
-// (Without the asm paths this compares the portable nest with itself.)
+// TestGemmPanelsAsmMatchesPortable pins the assembly tile to the
+// portable register-blocked kernels bit for bit at every row-block edge
+// — a last block of 1-7 rows runs the same tile with the missing rows
+// clamped, and must store exactly the real ones. (Without the asm path
+// this compares the portable nest with itself.)
 func TestGemmPanelsAsmMatchesPortable(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	for _, M := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 63, 64, 65, 71} {
@@ -69,28 +39,15 @@ func TestGemmPanelsAsmMatchesPortable(t *testing.T) {
 			w := New(K, N)
 			w.Randomize(rng, 1)
 
-			p64 := PackPanels[float64](w)
+			p := PackPanels(w)
 			what := fmt.Sprintf("%dx%dx%d", M, K, N)
 			got, intact := guarded(t, M, N)
 			want := New(M, N)
-			GemmPanels(got, x.Data, p64)
-			gemmPanelRows(want, x.Data, p64, 0, M, 0, (N+PanelWidth-1)/PanelWidth, nil)
-			intact(what + " f64")
+			GemmPanels(got, x.Data, p)
+			gemmPanelRows(want, x.Data, p, 0, M, 0, (N+PanelWidth-1)/PanelWidth, false)
+			intact(what)
 			if !Equal(got, want, 0) {
-				t.Fatalf("%s: f64 asm differs from portable kernels", what)
-			}
-
-			p32 := PackPanels[float32](w)
-			x32 := make([]float32, len(x.Data))
-			for i, v := range x.Data {
-				x32[i] = float32(v)
-			}
-			got.Fill(7)
-			GemmPanels(got, x32, p32)
-			gemmPanelRows(want, x32, p32, 0, M, 0, (N+PanelWidth-1)/PanelWidth, nil)
-			intact(what + " f32")
-			if !Equal(got, want, 0) {
-				t.Fatalf("%s: f32 asm differs from portable kernels", what)
+				t.Fatalf("%s: asm differs from portable kernels", what)
 			}
 		}
 	}
@@ -177,49 +134,12 @@ func TestLaneGate(t *testing.T) {
 	}
 }
 
-// TestQuantizeRowInt8 checks the affine quantizer's invariants: exact
-// zeros, in-range codes, padding cleared, and round-trip error within
-// one scale step.
-func TestQuantizeRowInt8(t *testing.T) {
-	row := []float64{0, 0.5, -1.25, 3, 0, -2}
-	q := make([]int16, 8) // padded to an even k-pair count
-	q[6], q[7] = 99, 99
-	scale, zp := quantizeRowInt8(row, q)
-	if q[6] != 0 || q[7] != 0 {
-		t.Fatalf("padding not cleared: %v", q)
-	}
-	for k, v := range row {
-		if q[k] < -128 || q[k] > 127 {
-			t.Fatalf("code %d out of int8 range", q[k])
-		}
-		back := scale * float64(int32(q[k])-zp)
-		if diff := back - v; diff > scale || diff < -scale {
-			t.Fatalf("round-trip error %g exceeds scale %g at %d", diff, scale, k)
-		}
-		if v == 0 && back != 0 {
-			t.Fatalf("zero did not quantize exactly: %g", back)
-		}
-	}
-	// all-zero row: scale falls back to 1 and codes sit at the zero point
-	zrow := []float64{0, 0, 0}
-	zq := make([]int16, 4)
-	zscale, zzp := quantizeRowInt8(zrow, zq)
-	if zscale != 1 {
-		t.Fatalf("zero-row scale %g", zscale)
-	}
-	for k := range zrow {
-		if int32(zq[k]) != zzp {
-			t.Fatalf("zero-row code %d != zero point %d", zq[k], zzp)
-		}
-	}
-}
-
 // TestFreeListReuse: Get returns what Put stored before minting fresh
 // values, and the zero value is usable.
 func TestFreeListReuse(t *testing.T) {
-	var fl FreeList[[]float32]
+	var fl FreeList[[]float64]
 	fresh := 0
-	mint := func() []float32 { fresh++; return make([]float32, 4) }
+	mint := func() []float64 { fresh++; return make([]float64, 4) }
 	a := fl.Get(mint)
 	fl.Put(a)
 	b := fl.Get(mint)
@@ -235,16 +155,16 @@ func TestFreeListReuse(t *testing.T) {
 	}
 }
 
-// TestGrow: reuse under capacity, reallocate beyond it.
+// TestGrow: GrowFloats reuses under capacity, reallocates beyond it.
 func TestGrow(t *testing.T) {
-	s := make([]int16, 2, 8)
-	g := Grow(s, 6)
+	s := make([]float64, 2, 8)
+	g := GrowFloats(s, 6)
 	if len(g) != 6 || &g[0] != &s[0] {
-		t.Fatal("Grow reallocated under capacity")
+		t.Fatal("GrowFloats reallocated under capacity")
 	}
-	g2 := Grow(s, 16)
+	g2 := GrowFloats(s, 16)
 	if len(g2) != 16 {
-		t.Fatalf("Grow len %d", len(g2))
+		t.Fatalf("GrowFloats len %d", len(g2))
 	}
 }
 

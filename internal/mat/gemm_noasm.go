@@ -4,12 +4,14 @@ package mat
 
 // The asm fast paths have no implementation off amd64 (or under the
 // purego tag, which CI uses to run the portable kernels on an amd64
-// runner); GemmPanels, Gemm8, GemmLanes, Attend and the vector math of
-// exp.go run the portable kernels instead.
+// runner); GemmPanels, GemmLanes, Attend and the vector math of exp.go
+// run the portable kernels instead.
 
-func asmTile[F Float]() func(bp, a *F, lda int, c *float64, ldc, k, rows int) { return nil }
+const hasAVX = false
 
-func gemm8Asm(dst *Matrix, s *int8Scratch, p *PanelsInt8) bool { return false }
+func kern8x4AVX(bp, a *float64, lda int, c *float64, ldc, k, rows int) {
+	panic("mat: kern8x4AVX without asm")
+}
 
 const laneAsm = false
 

@@ -2,7 +2,6 @@ package mat_test
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -37,7 +36,7 @@ func TestGemmPanelsBitIdenticalSweep(t *testing.T) {
 				want := mat.New(M, N)
 				testutil.NaiveMatMul(want, x, w)
 				got := mat.New(M, N)
-				mat.GemmPanels(got, x.Data, mat.PackPanels[float64](w))
+				mat.GemmPanels(got, x.Data, mat.PackPanels(w))
 				if !mat.Equal(got, want, 0) {
 					t.Fatalf("%dx%dx%d: packed f64 differs from naive loop", M, K, N)
 				}
@@ -59,125 +58,15 @@ func TestGemmPanelsMatchesMatMulServing(t *testing.T) {
 		want := mat.New(M, N)
 		mat.MatMul(want, x, w)
 		got := mat.New(M, N)
-		mat.GemmPanels(got, x.Data, mat.PackPanels[float64](w))
+		mat.GemmPanels(got, x.Data, mat.PackPanels(w))
 		if !mat.Equal(got, want, 0) {
 			t.Fatalf("%v: packed f64 differs from MatMul", sh)
 		}
 	}
 }
 
-// TestGemm32Sweep checks the float32 path against the naive float64
-// loop within the documented tolerance: the contraction runs in f32, so
-// per-element error grows like K * eps32 * |x||w| — 1e-3 covers every
-// sweep and serving shape at unit-scale data with wide margin.
-func TestGemm32Sweep(t *testing.T) {
-	rng := rand.New(rand.NewSource(83))
-	shapes := [][3]int{}
-	for _, d := range sweepDims {
-		shapes = append(shapes, [3]int{d, 17, 9}, [3]int{5, d, 7}, [3]int{3, 33, d})
-	}
-	shapes = append(shapes, servingShapes...)
-	for _, sh := range shapes {
-		M, K, N := sh[0], sh[1], sh[2]
-		x := mat.New(M, K)
-		x.Randomize(rng, 1)
-		w := mat.New(K, N)
-		w.Randomize(rng, 1)
-		want := mat.New(M, N)
-		testutil.NaiveMatMul(want, x, w)
-		got := mat.New(M, N)
-		mat.Gemm32(got, x, mat.PackPanels[float32](w))
-		if !mat.Equal(got, want, 1e-3) {
-			t.Fatalf("%v: f32 beyond tolerance", sh)
-		}
-	}
-}
-
-// TestGemm8Sweep checks the int8 path against an analytic per-element
-// error bound derived from the quantization scales: with x̂, ŵ the
-// dequantized values, |x̂-x| <= sx (rounding plus zero-point clamp) and
-// |ŵ-w| <= sw, so |ŷ-y| <= Σ_k sx·(|w|+sw) + |x|·sw. The integer
-// contraction itself is exact, so this bound is the whole error.
-func TestGemm8Sweep(t *testing.T) {
-	rng := rand.New(rand.NewSource(84))
-	shapes := [][3]int{}
-	for _, d := range sweepDims {
-		shapes = append(shapes, [3]int{d, 17, 9}, [3]int{5, d, 7}, [3]int{3, 33, d})
-	}
-	shapes = append(shapes, servingShapes...)
-	for _, sh := range shapes {
-		M, K, N := sh[0], sh[1], sh[2]
-		x := mat.New(M, K)
-		x.Randomize(rng, 1)
-		w := mat.New(K, N)
-		w.Randomize(rng, 1)
-		want := mat.New(M, N)
-		testutil.NaiveMatMul(want, x, w)
-		got := mat.New(M, N)
-		mat.Gemm8(got, x, mat.PackPanels8(w))
-		// per-column weight scale, per-row activation scale (the same
-		// formulas the implementation documents)
-		sw := make([]float64, N)
-		for j := 0; j < N; j++ {
-			maxAbs := 0.0
-			for k := 0; k < K; k++ {
-				if v := math.Abs(w.Data[k*N+j]); v > maxAbs {
-					maxAbs = v
-				}
-			}
-			sw[j] = maxAbs / 127
-			if sw[j] == 0 {
-				sw[j] = 1
-			}
-		}
-		for r := 0; r < M; r++ {
-			row := x.Data[r*K : (r+1)*K]
-			lo, hi := 0.0, 0.0
-			for _, v := range row {
-				lo, hi = math.Min(lo, v), math.Max(hi, v)
-			}
-			sx := (hi - lo) / 255
-			if sx == 0 {
-				sx = 1
-			}
-			for j := 0; j < N; j++ {
-				bound := 1e-12
-				for k := 0; k < K; k++ {
-					bound += sx*(math.Abs(w.Data[k*N+j])+sw[j]) + math.Abs(row[k])*sw[j]
-				}
-				diff := math.Abs(got.At(r, j) - want.At(r, j))
-				if diff > bound {
-					t.Fatalf("%v [%d,%d]: int8 error %g exceeds analytic bound %g", sh, r, j, diff, bound)
-				}
-			}
-		}
-	}
-}
-
-// TestGemm8ExactZeroRows: all-zero activation rows must come out as
-// exact zeros — the affine range always spans zero, so sparsity in the
-// activations survives quantization.
-func TestGemm8ExactZeroRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(85))
-	x := mat.New(6, 33)
-	x.Randomize(rng, 1)
-	for k := 0; k < 33; k++ {
-		x.Set(2, k, 0)
-		x.Set(5, k, 0)
-	}
-	w := mat.New(33, 17)
-	w.Randomize(rng, 1)
-	dst := mat.New(6, 17)
-	mat.Gemm8(dst, x, mat.PackPanels8(w))
-	for j := 0; j < 17; j++ {
-		if dst.At(2, j) != 0 || dst.At(5, j) != 0 {
-			t.Fatalf("zero row produced nonzero output at col %d", j)
-		}
-	}
-}
-
-// TestGemmZeroAllocSteadyState: after warm-up, every precision's hot
-// path must be allocation-free — scratch comes from free lists.
+// TestGemmZeroAllocSteadyState: after warm-up, the hot path must be
+// allocation-free — Fork bodies come from a free list.
 func TestGemmZeroAllocSteadyState(t *testing.T) {
 	rng := rand.New(rand.NewSource(86))
 	x := mat.New(16, 48)
@@ -185,22 +74,14 @@ func TestGemmZeroAllocSteadyState(t *testing.T) {
 	w := mat.New(48, 24)
 	w.Randomize(rng, 1)
 	dst := mat.New(16, 24)
-	p64 := mat.PackPanels[float64](w)
-	p32 := mat.PackPanels[float32](w)
-	p8 := mat.PackPanels8(w)
-	for name, fn := range map[string]func(){
-		"f64":  func() { mat.GemmPanels(dst, x.Data, p64) },
-		"f32":  func() { mat.Gemm32(dst, x, p32) },
-		"int8": func() { mat.Gemm8(dst, x, p8) },
-	} {
-		if n := testing.AllocsPerRun(50, fn); n != 0 {
-			t.Errorf("%s: %v allocs per call in steady state", name, n)
-		}
+	p := mat.PackPanels(w)
+	if n := testing.AllocsPerRun(50, func() { mat.GemmPanels(dst, x.Data, p) }); n != 0 {
+		t.Errorf("%v allocs per call in steady state", n)
 	}
 }
 
-// BenchmarkGemmPanels compares the packed micro-kernel precisions
-// against the dense MatMul baseline at the serving shapes.
+// BenchmarkGemmPanels compares the packed micro-kernel against the dense
+// MatMul baseline at the serving shapes.
 func BenchmarkGemmPanels(b *testing.B) {
 	rng := rand.New(rand.NewSource(87))
 	for _, sh := range servingShapes {
@@ -210,9 +91,7 @@ func BenchmarkGemmPanels(b *testing.B) {
 		w := mat.New(K, N)
 		w.Randomize(rng, 1)
 		dst := mat.New(M, N)
-		p64 := mat.PackPanels[float64](w)
-		p32 := mat.PackPanels[float32](w)
-		p8 := mat.PackPanels8(w)
+		p := mat.PackPanels(w)
 		name := fmt.Sprintf("%dx%dx%d", M, K, N)
 		b.Run(name+"/matmul", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -221,17 +100,7 @@ func BenchmarkGemmPanels(b *testing.B) {
 		})
 		b.Run(name+"/packed", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				mat.GemmPanels(dst, x.Data, p64)
-			}
-		})
-		b.Run(name+"/f32", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				mat.Gemm32(dst, x, p32)
-			}
-		})
-		b.Run(name+"/int8", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				mat.Gemm8(dst, x, p8)
+				mat.GemmPanels(dst, x.Data, p)
 			}
 		})
 	}

@@ -219,7 +219,7 @@ func gemmLanes(dst, x *Matrix, w *LaneWeights, kern laneKern) {
 		forkJob(&laneJobs, blocks, work, laneJob{dst, x, w, kern, nil})
 		return
 	}
-	xt := Grow(laneScratches.Get(newLaneScratch), (w.K+1)*padded)
+	xt := GrowFloats(laneScratches.Get(newLaneScratch), (w.K+1)*padded)
 	packLanes(xt, x.Data, w.K, padded)
 	forkJob(&laneJobs, (w.N+LanePartition-1)/LanePartition, work, laneJob{dst, x, w, kern, xt})
 	laneScratches.Put(xt)
@@ -242,7 +242,7 @@ func (j *laneJob) Range(lo, hi int) {
 		j.groups(j.xt, j.dst.Data, x.Rows, lo*partGroups, min(hi*partGroups, len(w.start)-1))
 		return
 	}
-	xt := Grow(laneScratches.Get(newLaneScratch), (K+1)*width)
+	xt := GrowFloats(laneScratches.Get(newLaneScratch), (K+1)*width)
 	for m, m1 := lo*width, min(hi*width, x.Rows); m < m1; m += width {
 		rows := min(width, m1-m)
 		packLanes(xt, x.Data[m*K:(m+rows)*K], K, laneCount(rows))

@@ -225,7 +225,7 @@ func BenchmarkGemmLanes(b *testing.B) {
 			b.ReportMetric(2*float64(M*K*N)*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflop-eq/s")
 		}
 		w, _ := sparseWeights(b, rng, K, N, 0)
-		p := mat.PackPanels[float64](w)
+		p := mat.PackPanels(w)
 		b.Run(fmt.Sprintf("panels/%dx%dx%d", M, K, N), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				mat.GemmPanels(dst, x.Data, p)

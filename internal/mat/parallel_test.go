@@ -21,11 +21,11 @@ import (
 var forkRows = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 17, 40, 63, 64, 65, 255, 256, 257, 513}
 
 // TestForkGemmMatchesInline is the bit-identity sweep of the kernels
-// that split across the Fork helpers: GemmLanes and GemmPanels (f64 and
-// f32) give the bits of their inline run (GOMAXPROCS 1) at every batch
-// size and sparsity, at the three serving shapes and at 24x12 (one
-// ragged partition, under the threshold at one block), and fan out
-// exactly when they have two units and their work reaches ForkMinWork.
+// that split across the Fork helpers: GemmLanes and GemmPanels give the
+// bits of their inline run (GOMAXPROCS 1) at every batch size and
+// sparsity, at the three serving shapes and at 24x12 (one ragged
+// partition, under the threshold at one block), and fan out exactly
+// when they have two units and their work reaches ForkMinWork.
 func TestForkGemmMatchesInline(t *testing.T) {
 	rng := rand.New(rand.NewSource(201))
 	type run struct {
@@ -40,7 +40,7 @@ func TestForkGemmMatchesInline(t *testing.T) {
 		K, N := shape[0], shape[1]
 		for _, sparsity := range []float64{0, 0.3, 0.7} {
 			w, lw := sparseWeights(t, rng, K, N, sparsity)
-			p64, p32 := mat.PackPanels[float64](w), mat.PackPanels[float32](w)
+			p := mat.PackPanels(w)
 			// a kernel's units at M rows and the work it counts per unit row
 			laneUnits := func(M int) (int, int) {
 				work := (M + 7) / 8 * 8 * lw.Steps() * mat.LaneGroup
@@ -61,8 +61,7 @@ func TestForkGemmMatchesInline(t *testing.T) {
 				units func(M int) (n, work int)
 			}{
 				{"lanes", func(dst, x *mat.Matrix) { mat.GemmLanes(dst, x, lw) }, laneUnits},
-				{"panels/f64", func(dst, x *mat.Matrix) { mat.GemmPanels(dst, x.Data, p64) }, panelUnits},
-				{"panels/f32", func(dst, x *mat.Matrix) { mat.Gemm32(dst, x, p32) }, panelUnits},
+				{"panels", func(dst, x *mat.Matrix) { mat.GemmPanels(dst, x.Data, p) }, panelUnits},
 			} {
 				for _, M := range forkRows {
 					if M > 65 && K*N > 192*192 {

@@ -35,12 +35,3 @@ func (f *FreeList[T]) Put(v T) {
 	f.free = append(f.free, v)
 	f.mu.Unlock()
 }
-
-// Grow returns s resized to length n, reallocating only when capacity
-// is insufficient. Contents are unspecified; callers overwrite.
-func Grow[E any](s []E, n int) []E {
-	if cap(s) < n {
-		return make([]E, n)
-	}
-	return s[:n]
-}

@@ -3,11 +3,12 @@
 // forward passes through packed sparse kernels and can be
 // hot-reconfigured — swapping the active pattern set and V/F level in
 // place, with in-flight batches drained first and the switch cost
-// charged through the rtswitch cost model. A policy hook (battery
-// governor or RL controller) drives level selection from observed queue
-// depth and simulated battery state, exercising the paper's core claim
-// (cheap pattern-set swaps enable live reconfiguration) under load
-// rather than in a scripted battery simulation.
+// charged through the rtswitch cost model. A policy hook (the battery
+// governor) or the closed-loop RL/DVFS autotuner drives level selection
+// from observed queue depth, latency and simulated battery state,
+// exercising the paper's core claim (cheap pattern-set swaps enable live
+// reconfiguration) under load rather than in a scripted battery
+// simulation.
 package serve
 
 import (
@@ -43,6 +44,10 @@ type Model interface {
 	// output projection, the classification head). The engine runs them
 	// through a packed kernel too, one that no level switch touches.
 	UnprunedLinears() []*nn.Linear
+	// VocabSize bounds the token ids the model accepts, [0, VocabSize());
+	// the server rejects anything else at admission, because the model
+	// panics on it.
+	VocabSize() int
 	// SetBufferReuse toggles preallocated activation buffers; the engine
 	// turns it on so steady-state forward passes skip per-layer output
 	// allocations (outputs are copied at the engine boundary).
@@ -279,6 +284,10 @@ func (e *Engine) LevelName(i int) string { return e.bundle.LevelNames[i] }
 
 // Levels returns the resolved V/F operating points, bundle order.
 func (e *Engine) Levels() []dvfs.Level { return e.recon.Levels }
+
+// VocabSize bounds the token ids the deployed model accepts:
+// [0, VocabSize()).
+func (e *Engine) VocabSize() int { return e.replicas[0].VocabSize() }
 
 // Replicas returns the worker-pool width.
 func (e *Engine) Replicas() int { return len(e.replicas) }

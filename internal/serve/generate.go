@@ -79,7 +79,8 @@ type GenOpts struct {
 // — prefix-cache-eligible split prompts, resume — and returns its
 // response channel (buffered; exactly one send). See SubmitGen for the
 // base semantics and error cases; a SplitAt that does not cut the
-// prompt into a non-empty prefix and suffix fails with ErrBadSplit.
+// prompt into a non-empty prefix and suffix fails with ErrBadSplit, and
+// ErrBadToken covers the resume prefix as well as the prompt.
 func (s *Server) SubmitGenOpts(prompt []int, o GenOpts) (<-chan GenResponse, error) {
 	if !s.cfg.Generate {
 		return nil, ErrNotGenerating
@@ -89,6 +90,11 @@ func (s *Server) SubmitGenOpts(prompt []int, o GenOpts) (<-chan GenResponse, err
 	}
 	if o.SplitAt < 0 || o.SplitAt >= len(prompt) {
 		return nil, ErrBadSplit
+	}
+	for _, ids := range [][]int{prompt, o.Prefix} {
+		if err := s.checkTokens(ids); err != nil {
+			return nil, err
+		}
 	}
 	maxTokens := o.MaxTokens
 	if maxTokens <= 0 {
@@ -135,8 +141,9 @@ func (s *Server) SubmitGenOpts(prompt []int, o GenOpts) (<-chan GenResponse, err
 // response will arrive on (buffered; exactly one send). maxTokens <= 0
 // picks Config.MaxGenTokens; eos < 0 disables EOS detection. It fails
 // fast with ErrNotGenerating on a server without Generate mode,
-// ErrEmptyRequest for an empty prompt, ErrQueueFull at capacity, and
-// ErrStopped after Stop.
+// ErrEmptyRequest for an empty prompt, ErrBadToken for an id outside
+// the model's vocabulary, ErrQueueFull at capacity, and ErrStopped after
+// Stop.
 func (s *Server) SubmitGen(prompt []int, maxTokens, eos int) (<-chan GenResponse, error) {
 	return s.SubmitGenOpts(prompt, GenOpts{MaxTokens: maxTokens, EOS: eos})
 }

@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -523,6 +524,64 @@ func TestSubmitGenOptsSplitAt(t *testing.T) {
 	}
 	if _, err := srv.SubmitGenOpts([]int{1}, serve.GenOpts{SplitAt: 1}); err != serve.ErrBadSplit {
 		t.Fatalf("one-token prompt split at 1: %v, want ErrBadSplit", err)
+	}
+}
+
+// TestSubmitRejectsBadTokens: a token id outside [0, vocab) is refused
+// at admission with ErrBadToken on every entry point — the model would
+// panic on it inside a worker goroutine and take the process down — and
+// the server answers a good request afterwards.
+func TestSubmitRejectsBadTokens(t *testing.T) {
+	eng, _ := newLMDeployment(t, 1, "pattern")
+	gen := serve.New(eng, serve.Config{Generate: true, MaxBatch: 2, QueueCap: 8})
+	gen.Start()
+	defer gen.Stop()
+	cls, _ := newTestDeployment(t, 1)
+	srv := serve.New(cls, serve.Config{QueueCap: 8})
+	srv.Start()
+	defer srv.Stop()
+
+	vocab := lmCfg.Vocab // newTestDeployment's classifier has the same
+	for _, tc := range []struct {
+		name   string
+		submit func() error
+	}{
+		{"classification, id == vocab", func() error { _, err := srv.Submit([]int{1, vocab}); return err }},
+		{"classification, negative id", func() error { _, err := srv.Submit([]int{-1, 2}); return err }},
+		{"classification on the generation server", func() error { _, err := gen.Submit([]int{1, 2, 9999}); return err }},
+		{"generation prompt", func() error { _, err := gen.SubmitGen([]int{1, 2, 9999}, 4, -1); return err }},
+		{"split prompt, bad prefix token", func() error {
+			_, err := gen.SubmitGenOpts([]int{vocab, 2, 3}, serve.GenOpts{SplitAt: 1, MaxTokens: 2, EOS: -1})
+			return err
+		}},
+		{"split prompt, bad suffix token", func() error {
+			_, err := gen.SubmitGenOpts([]int{1, 2, -7}, serve.GenOpts{SplitAt: 1, MaxTokens: 2, EOS: -1})
+			return err
+		}},
+		{"resume prefix", func() error { _, err := gen.SubmitGenResume([]int{1, 2}, []int{3, vocab}, 6, -1); return err }},
+		{"resume prefix that already spends the budget", func() error {
+			_, err := gen.SubmitGenResume([]int{1, 2}, []int{3, vocab}, 2, -1)
+			return err
+		}},
+	} {
+		if err := tc.submit(); !errors.Is(err, serve.ErrBadToken) {
+			t.Errorf("%s: %v, want ErrBadToken", tc.name, err)
+		}
+	}
+
+	ch, err := srv.Submit([]int{1, vocab - 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp := <-ch; resp.Err != nil {
+		t.Fatalf("classification after the rejections: %v", resp.Err)
+	}
+	gch, err := gen.SubmitGenResume([]int{0, vocab - 1}, []int{3}, 4, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp := <-gch; resp.Err != nil || len(resp.Tokens) != 4 {
+		t.Fatalf("generation after the rejections: %d tokens, err %v", len(resp.Tokens), resp.Err)
 	}
 }
 

@@ -1,12 +1,6 @@
 package serve
 
-import (
-	"fmt"
-	"math/rand"
-
-	"rt3/internal/dvfs"
-	"rt3/internal/rl"
-)
+import "rt3/internal/dvfs"
 
 // Policy decides which V/F level the server should run at next. Decide
 // is called from the server's policy loop, never concurrently.
@@ -38,75 +32,4 @@ func (p *GovernorPolicy) Decide(s Status) int {
 		idx--
 	}
 	return idx
-}
-
-// RLPolicy learns the level online with the paper's REINFORCE machinery:
-// the rl.Controller's set head picks one of the deployed levels each
-// tick, and the realized Status one tick later is folded back as reward —
-// positive when the latency objective holds, plus an energy bonus for
-// running cheap levels that grows as the battery drains.
-type RLPolicy struct {
-	// EnergyWeight scales the low-power bonus (default 0.8).
-	EnergyWeight float64
-
-	ctrl      *rl.Controller
-	base      *rl.Baseline
-	rng       *rand.Rand
-	relPower  []float64 // per level, relative to the fastest
-	numLevels int
-	lastEp    *rl.Episode
-	lastLevel int
-}
-
-// NewRLPolicy builds an online level policy over the deployed levels
-// (fastest first) using the given power model for the energy bonus.
-func NewRLPolicy(levels []dvfs.Level, power dvfs.PowerModel, seed int64) (*RLPolicy, error) {
-	if len(levels) == 0 {
-		return nil, fmt.Errorf("serve: RLPolicy needs at least one level")
-	}
-	rng := rand.New(rand.NewSource(seed))
-	ctrl, err := rl.NewController(rl.Config{
-		Hidden: 8, NumSets: len(levels), NumPatterns: 1, Levels: 1, K: 1, LR: 0.1,
-	}, rng)
-	if err != nil {
-		return nil, err
-	}
-	p := &RLPolicy{
-		EnergyWeight: 0.8,
-		ctrl:         ctrl,
-		base:         rl.NewBaseline(0.7),
-		rng:          rng,
-		numLevels:    len(levels),
-	}
-	p0 := power.Power(levels[0])
-	for _, l := range levels {
-		p.relPower = append(p.relPower, power.Power(l)/p0)
-	}
-	return p, nil
-}
-
-// Decide implements Policy: it first reinforces the previous decision
-// with the reward implied by the observed Status, then samples the next
-// level from the set head.
-func (p *RLPolicy) Decide(s Status) int {
-	if p.lastEp != nil {
-		adv := p.base.Update(p.reward(s))
-		p.ctrl.Reinforce(p.lastEp, adv)
-	}
-	ep := p.ctrl.SampleSet(p.rng)
-	p.lastEp = ep
-	p.lastLevel = ep.SetChoices[0] % p.numLevels
-	return p.lastLevel
-}
-
-// reward scores the previous decision from the Status it produced.
-func (p *RLPolicy) reward(s Status) float64 {
-	r := 1.0
-	if s.TargetMS > 0 && s.RecentP95MS > s.TargetMS {
-		r = -1
-	}
-	// running below peak power earns a bonus that matters more as the
-	// battery drains (0.2 keeps a mild preference even on full charge)
-	r += p.EnergyWeight * (1 - p.relPower[p.lastLevel]) * (1 - s.BatteryFraction + 0.2)
-	return r
 }

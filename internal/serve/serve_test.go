@@ -292,32 +292,6 @@ func TestGovernorPolicyDecisions(t *testing.T) {
 	}
 }
 
-// TestRLPolicyLearnsEnergySaving drives the REINFORCE policy with a
-// drained battery and a met latency target: the energy bonus must teach
-// it to prefer the low-power level.
-func TestRLPolicyLearnsEnergySaving(t *testing.T) {
-	levels := []dvfs.Level{dvfs.OdroidXU3Levels[5], dvfs.OdroidXU3Levels[3], dvfs.OdroidXU3Levels[2]}
-	p, err := serve.NewRLPolicy(levels, dvfs.DefaultPowerModel(), 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := serve.Status{BatteryFraction: 0.1, RecentP95MS: 1, TargetMS: 10, NumLevels: 3}
-	counts := make([]int, 3)
-	const steps = 500
-	for i := 0; i < steps; i++ {
-		lvl := p.Decide(st)
-		if lvl < 0 || lvl > 2 {
-			t.Fatalf("level %d out of range", lvl)
-		}
-		if i >= steps/2 {
-			counts[lvl]++
-		}
-	}
-	if counts[2] <= counts[0] {
-		t.Fatalf("policy did not learn energy saving: counts %v", counts)
-	}
-}
-
 // TestLoadWithGovernor replays an open-loop ramp against a server
 // whose simulated battery drains under load: the governor must perform
 // live switches and every response must verify against dense execution.

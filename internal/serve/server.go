@@ -23,6 +23,7 @@ var (
 	ErrEmptyRequest  = errors.New("serve: empty token sequence")
 	ErrNotGenerating = errors.New("serve: SubmitGen requires Config.Generate")
 	ErrBadSplit      = errors.New("serve: GenOpts.SplitAt must cut the prompt into non-empty prefix and suffix")
+	ErrBadToken      = errors.New("serve: token id outside the model's vocabulary")
 )
 
 // Config tunes the server. Zero values pick the documented defaults.
@@ -342,13 +343,17 @@ func (s *Server) Start() {
 // Submit admits one request and returns the channel its response will
 // arrive on (buffered; exactly one send). It fails fast with
 // ErrEmptyRequest for a zero-length sequence (the packed batch forward
-// has no representation for it), ErrQueueFull when the queue is at
-// capacity, and ErrStopped after Stop. In Generate mode the request is
-// served by the decode loops between fused decode steps (mixed
-// classify+generate traffic in one queue).
+// has no representation for it), ErrBadToken for an id outside the
+// model's vocabulary, ErrQueueFull when the queue is at capacity, and
+// ErrStopped after Stop. In Generate mode the request is served by the
+// decode loops between fused decode steps (mixed classify+generate
+// traffic in one queue).
 func (s *Server) Submit(ids []int) (<-chan Response, error) {
 	if len(ids) == 0 {
 		return nil, ErrEmptyRequest
+	}
+	if err := s.checkTokens(ids); err != nil {
+		return nil, err
 	}
 	s.stateMu.RLock()
 	defer s.stateMu.RUnlock()
@@ -365,6 +370,19 @@ func (s *Server) Submit(ids []int) (<-chan Response, error) {
 		s.rec.ObserveDrop()
 		return nil, ErrQueueFull
 	}
+}
+
+// checkTokens returns ErrBadToken unless every id indexes the model's
+// embedding table: the model panics on any other, inside a worker
+// goroutine, which would take every in-flight request down with it.
+func (s *Server) checkTokens(ids []int) error {
+	vocab := s.eng.VocabSize()
+	for _, id := range ids {
+		if id < 0 || id >= vocab {
+			return fmt.Errorf("%w: id %d, vocabulary %d", ErrBadToken, id, vocab)
+		}
+	}
+	return nil
 }
 
 // Stop closes admission, drains every queued request through the

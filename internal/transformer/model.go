@@ -141,6 +141,10 @@ func (m *LMModel) PrunableLinears() []*nn.Linear {
 // output projection.
 func (m *LMModel) UnprunedLinears() []*nn.Linear { return []*nn.Linear{m.Proj} }
 
+// VocabSize returns the size of the embedding table: every entry point
+// panics on a token id outside [0, VocabSize()).
+func (m *LMModel) VocabSize() int { return m.Embed.Vocab }
+
 // SetBufferReuse toggles preallocated activation buffers through the
 // whole forward stack — every Linear (including the output projection),
 // embedding gather, LayerNorm, GELU, attention head scratch, and the
@@ -326,6 +330,10 @@ func (c *Classifier) PrunableLinears() []*nn.Linear {
 // UnprunedLinears returns the serving-path linears no level prunes: the
 // classification head.
 func (c *Classifier) UnprunedLinears() []*nn.Linear { return []*nn.Linear{c.Head} }
+
+// VocabSize returns the size of the embedding table: Forward panics on
+// a token id outside [0, VocabSize()).
+func (c *Classifier) VocabSize() int { return c.Embed.Vocab }
 
 // SetBufferReuse toggles preallocated activation buffers through the
 // whole forward stack, including the classification head and the pooled
