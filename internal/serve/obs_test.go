@@ -155,6 +155,49 @@ func TestServerMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestPrefixCacheMetricsExposition scrapes a generation server whose
+// prefix cache is smaller than one prefix: the whole rt3_prefix_* family
+// renders as valid exposition, every insert is refused before a row is
+// copied, and the refusals are visible as a counter.
+func TestPrefixCacheMetricsExposition(t *testing.T) {
+	eng, _ := newLMDeployment(t, 1, "pattern")
+	srv := serve.New(eng, serve.Config{
+		Generate: true, MaxBatch: 4, QueueCap: 64,
+		PrefixCacheRows: 3,
+	})
+	srv.Start()
+	prefix := randSeqs(1, 5, lmCfg.Vocab, 701)[0]
+	for _, suffix := range randSeqs(3, 3, lmCfg.Vocab, 709) {
+		if resp := splitGenDense(t, srv, eng.Level(), prefix, suffix, 4); resp.CachedRows != 0 {
+			t.Fatalf("%d cached rows from a cache that holds no prefix", resp.CachedRows)
+		}
+	}
+	srv.Stop()
+
+	var buf bytes.Buffer
+	if err := srv.Metrics().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.ValidateExposition(buf.Bytes()); err != nil {
+		t.Fatalf("exposition invalid: %v\n%s", err, buf.String())
+	}
+	snap := srv.Metrics().Snapshot()
+	for series, want := range map[string]float64{
+		"rt3_prefix_lookups_total":           3,
+		"rt3_prefix_hits_total":              0,
+		"rt3_prefix_hit_rows_total":          0,
+		"rt3_prefix_inserted_rows_total":     0,
+		"rt3_prefix_evicted_rows_total":      0,
+		"rt3_prefix_root_evictions_total":    0,
+		"rt3_prefix_admission_rejects_total": 3,
+		"rt3_prefix_cache_rows":              0,
+	} {
+		if got, ok := snap[series]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", series, got, ok, want)
+		}
+	}
+}
+
 // TestGenServerTraceSpans runs generations through the continuous-
 // batching server and asserts the retained request traces carry the
 // queue/prefill/decode_step/finish span sequence, export as JSONL, and

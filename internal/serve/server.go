@@ -55,7 +55,7 @@ type Config struct {
 
 	// PrefixCacheRows enables the cross-request radix prefix KV cache for
 	// split generation requests (GenOpts.SplitAt): > 0 bounds the cached
-	// K/V rows (LRU eviction), < 0 is unbounded, 0 disables the cache
+	// K/V rows (coldest evicted first), < 0 is unbounded, 0 disables the cache
 	// (split requests still compute prefix+suffix, just without sharing).
 	PrefixCacheRows int
 

@@ -2,7 +2,10 @@ package spec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -23,11 +26,28 @@ func newRadixModel(t testing.TB) *transformer.LMModel {
 	return m
 }
 
-// radixPrefixes are the shared system prompts of the property workload.
+// radixPrefixes are the shared system prompts: the first scriptPrefixes
+// drive the property workload, the six 7-token ones after them are the
+// prompts of the retention tests (tracePrefix).
 var radixPrefixes = [][]int{
 	{3, 1, 4},
 	{2, 7, 1, 8},
+	{0, 5, 9, 2, 6, 5, 3},
+	{1, 11, 8, 9, 7, 9, 3},
+	{4, 6, 2, 6, 4, 3, 3},
+	{10, 3, 2, 7, 9, 5, 0},
+	{6, 8, 4, 1, 9, 7, 1},
+	{9, 3, 9, 9, 3, 7, 5},
 }
+
+const (
+	scriptPrefixes = 2
+	tracePrefixLen = 7
+)
+
+// tracePrefix maps a retention test's prompt number to its index in
+// radixPrefixes.
+func tracePrefix(k int) int { return scriptPrefixes + k }
 
 // splitPrefill computes a split prefill the way the server does: the
 // prefix alone through Prefill (frozen memory = encoder(prefix)), the
@@ -189,7 +209,7 @@ func runRadixScript(t *testing.T, script []byte) {
 	for len(script) >= 8 {
 		op, script2 := script[:8], script[8:]
 		script = script2
-		pi := int(op[2]) % len(radixPrefixes)
+		pi := int(op[2]) % scriptPrefixes
 		slen := 1 + int(op[3])%5
 		suffix := make([]int, slen)
 		for j := range suffix {
@@ -201,12 +221,10 @@ func runRadixScript(t *testing.T, script []byte) {
 		case 0, 1: // insert
 			st := fresh.state(pi, suffix)
 			r.Insert(level, radixPrefixes[pi], suffix, st)
-			if cov := trieCoverage(r, level, radixPrefixes[pi], suffix); cov != len(suffix) {
-				// eviction may drop the tail immediately under pressure;
-				// anything cached must still be a prefix
-				if cov < 0 || cov > len(suffix) {
-					t.Fatalf("post-insert coverage %d for %d suffix tokens", cov, len(suffix))
-				}
+			// admission may refuse a cold root (-1) or the tail under
+			// pressure; anything cached must still be a prefix
+			if cov := trieCoverage(r, level, radixPrefixes[pi], suffix); cov > len(suffix) {
+				t.Fatalf("post-insert coverage %d for %d suffix tokens", cov, len(suffix))
 			}
 		case 2: // match, verify, release
 			want := trieCoverage(r, level, radixPrefixes[pi], suffix)
@@ -217,6 +235,17 @@ func runRadixScript(t *testing.T, script []byte) {
 			if h != nil {
 				if h.Matched() != want {
 					t.Fatalf("matched %d, independent walk says %d", h.Matched(), want)
+				}
+				verifyHit(t, m, h, fresh, pi, suffix)
+				h.Release()
+				// counts never decide what a match returns: halve every
+				// one of them and the same lookup covers the same rows
+				r.mu.Lock()
+				r.age()
+				r.mu.Unlock()
+				h = r.Match(level, radixPrefixes[pi], suffix)
+				if h == nil || h.Matched() != want {
+					t.Fatalf("after aging the counts the lookup changed: %v, want %d matched", h, want)
 				}
 				verifyHit(t, m, h, fresh, pi, suffix)
 				h.Release()
@@ -369,7 +398,7 @@ func TestRadixConcurrentStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var pool []entry
 	for i := 0; i < 12; i++ {
-		pi := i % len(radixPrefixes)
+		pi := i % scriptPrefixes
 		suffix := make([]int, 1+rng.Intn(5))
 		for j := range suffix {
 			suffix[j] = rng.Intn(radixCfg.Vocab)
@@ -424,4 +453,267 @@ func TestRadixConcurrentStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkRadixInvariants(t, r, false)
+}
+
+// retention drives a bounded cache the way Server.admitGen does and
+// verifies every hit against a fresh prefill.
+type retention struct {
+	t     *testing.T
+	m     *transformer.LMModel
+	r     *Radix
+	fresh *freshKV
+}
+
+func newRetention(t *testing.T, capRows int) *retention {
+	m := newRadixModel(t)
+	return &retention{t: t, m: m, r: NewRadix(capRows),
+		fresh: &freshKV{m: m, cache: map[string]*transformer.DecodeState{}}}
+}
+
+// lookup is one split request for prompt k: match one suffix token short
+// (the last row is always computed live), then insert what the request
+// computed. It reports whether the prompt's rows were cached.
+func (c *retention) lookup(level, k int, suffix []int) bool {
+	c.t.Helper()
+	pi := tracePrefix(k)
+	probe := suffix
+	if len(probe) > 0 {
+		probe = probe[:len(probe)-1]
+	}
+	h := c.r.Match(level, radixPrefixes[pi], probe)
+	if h != nil {
+		if want := trieCoverage(c.r, level, radixPrefixes[pi], probe); h.Matched() != want {
+			c.t.Fatalf("matched %d, independent walk says %d", h.Matched(), want)
+		}
+		verifyHit(c.t, c.m, h, c.fresh, pi, probe)
+		h.Release()
+	}
+	c.r.Insert(level, radixPrefixes[pi], suffix, c.fresh.state(pi, suffix))
+	checkRadixInvariants(c.t, c.r, false)
+	if used := c.r.UsedRows(); used > c.r.capRows {
+		c.t.Fatalf("cache holds %d rows over the %d budget", used, c.r.capRows)
+	}
+	return h != nil
+}
+
+// resident lists the prompts among the first n that have a root at level.
+func (c *retention) resident(level, n int) []int {
+	var ks []int
+	for k := 0; k < n; k++ {
+		if trieCoverage(c.r, level, radixPrefixes[tracePrefix(k)], nil) >= 0 {
+			ks = append(ks, k)
+		}
+	}
+	return ks
+}
+
+// weightedTrace is the benchmark's shared_prefix key order (weighted in
+// bench/workload.go): n picks over k prompts, prompt i taken in
+// proportion to 1/(i+1), each prompt's arrivals evenly spaced.
+func weightedTrace(k, n int) []int {
+	var total float64
+	for i := 0; i < k; i++ {
+		total += 1 / float64(i+1)
+	}
+	type slot struct {
+		at    float64
+		index int
+	}
+	var slots []slot
+	var acc float64
+	for i := 0; i < k; i++ {
+		acc += float64(n) / float64(i+1) / total
+		c := int(math.Round(acc)) - len(slots)
+		for j := 0; j < c; j++ {
+			slots = append(slots, slot{at: (float64(j) + 0.5) / float64(c), index: i})
+		}
+	}
+	sort.SliceStable(slots, func(a, b int) bool { return slots[a].at < slots[b].at })
+	out := make([]int, len(slots))
+	for i, s := range slots {
+		out[i] = s.index
+	}
+	return out
+}
+
+// TestRadixKeepsHotPrefixes replays the benchmark-shaped trace — six
+// prompts at weights 1/(k+1), evenly spaced, each request with its own
+// 2-token suffix — through a budget of four roots plus three suffix
+// leaves. The heat order keeps the hot prompts and turns the rare ones
+// away: 167 of 208 lookups hit (keeping the top four from their second
+// arrival on would hit 173). Recency alone lets the rare prompts and
+// the one-off leaves push hot roots out again and again: 99 of 208 on
+// this same trace at PR 23.
+func TestRadixKeepsHotPrefixes(t *testing.T) {
+	c := newRetention(t, 4*tracePrefixLen+3*2)
+	rng := rand.New(rand.NewSource(5))
+	trace := weightedTrace(6, 208)
+	hits := 0
+	for _, k := range trace {
+		if c.lookup(0, k, []int{rng.Intn(radixCfg.Vocab), rng.Intn(radixCfg.Vocab)}) {
+			hits++
+		}
+	}
+	st := c.r.Stats()
+	t.Logf("%d of %d lookups hit; %+v", hits, len(trace), st)
+	if min := int(math.Ceil(0.78 * float64(len(trace)))); hits < min {
+		t.Fatalf("%d of %d lookups hit, want >= %d", hits, len(trace), min)
+	}
+	if st.Evictions == 0 || st.AdmissionRejects == 0 {
+		t.Fatalf("the trace neither evicted nor refused anything: %+v", st)
+	}
+}
+
+// TestRadixEqualHeatIsLRU pins the tie-break: under a uniform round-
+// robin over five prompts and four root slots no prompt is ever hotter
+// than another, so every lookup misses and every insert evicts the
+// least recently used root — the victim sequence recorded at PR 23.
+func TestRadixEqualHeatIsLRU(t *testing.T) {
+	c := newRetention(t, 4*tracePrefixLen)
+	want := []int{0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 0}
+	var victims []int
+	for i := 0; i < 20; i++ {
+		before := c.resident(0, 5)
+		if c.lookup(0, i%5, nil) {
+			t.Fatalf("lookup %d hit; round-robin over one slot too few never does", i)
+		}
+		after := c.resident(0, 5)
+		for _, k := range before {
+			if !slices.Contains(after, k) {
+				victims = append(victims, k)
+			}
+		}
+	}
+	if !slices.Equal(victims, want) {
+		t.Fatalf("victims %v, want the LRU order %v", victims, want)
+	}
+	if st := c.r.Stats(); st.RootEvictions != int64(len(want)) || st.AdmissionRejects != 0 {
+		t.Fatalf("%+v, want %d root evictions and no refusal", st, len(want))
+	}
+}
+
+// TestRadixPopularityShift pins the halving: after ten and a half
+// windows on prompts 0 and 1 the traffic moves to 2 and 3, which must
+// both be resident within two windows (their ghost counts climb while
+// the old roots' halve; without aging the old counts would take ten
+// windows to match). Until then their inserts are refused, not copied
+// and evicted.
+func TestRadixPopularityShift(t *testing.T) {
+	const slots = 2
+	c := newRetention(t, slots*tracePrefixLen)
+	window := heatWindow * slots // lookups between halvings
+	for i := 0; i < 10*window+window/2; i++ {
+		c.lookup(0, i%2, nil)
+	}
+	if got := c.resident(0, 4); !slices.Equal(got, []int{0, 1}) {
+		t.Fatalf("resident %v after the first phase, want [0 1]", got)
+	}
+	inserted := c.r.Stats().InsertedRows
+	shifted := -1
+	for i := 0; i < 2*window && shifted < 0; i++ {
+		c.lookup(0, 2+i%2, nil)
+		if slices.Equal(c.resident(0, 4), []int{2, 3}) {
+			shifted = i + 1
+		}
+	}
+	st := c.r.Stats()
+	t.Logf("new hot set resident after %d lookups (window %d); %+v", shifted, window, st)
+	if shifted < 0 {
+		t.Fatalf("prompts 2 and 3 not resident %d lookups after the shift: %v", 2*window, c.resident(0, 4))
+	}
+	if st.AdmissionRejects == 0 || st.InsertedRows != inserted+2*tracePrefixLen {
+		t.Fatalf("%+v: the shift must copy each new root once and refuse it before", st)
+	}
+}
+
+// TestRadixGhostTableBounded floods the cache with 10 000 one-off
+// prompts: the ghost table stays within 2*heatWindow counts per root
+// the budget can hold, and a resident hot prompt keeps hitting.
+func TestRadixGhostTableBounded(t *testing.T) {
+	const slots = 2
+	c := newRetention(t, slots*tracePrefixLen)
+	for i := 0; i < 8; i++ {
+		c.lookup(0, 0, nil)
+	}
+	bound := 2 * heatWindow * slots
+	peak := 0
+	oneOff := make([]int, tracePrefixLen)
+	for i := 0; i < 10000; i++ {
+		for j, v := 0, i; j < len(oneOff); j, v = j+1, v/radixCfg.Vocab {
+			oneOff[j] = v % radixCfg.Vocab
+		}
+		oneOff[len(oneOff)-1] = radixCfg.Vocab // never one of radixPrefixes
+		if c.r.Match(0, oneOff, nil) != nil {
+			t.Fatalf("one-off prompt %d hit", i)
+		}
+		if i%8 == 0 && !c.lookup(0, 0, nil) {
+			t.Fatalf("the hot prompt missed during the flood (one-off %d)", i)
+		}
+		c.r.mu.Lock()
+		peak = max(peak, len(c.r.ghosts))
+		c.r.mu.Unlock()
+	}
+	t.Logf("ghost table peaked at %d counts, bound %d", peak, bound)
+	if peak > bound {
+		t.Fatalf("ghost table reached %d counts, bound %d", peak, bound)
+	}
+}
+
+// TestRadixLevelSwitch pins the level rule: ghost counts ignore the
+// level, so a prompt hot at level 0 is admitted on its first miss at
+// level 1 — here over its own level-0 copy, the coldest root — while a
+// cold prompt at level 1 is refused and the hot rows stay.
+func TestRadixLevelSwitch(t *testing.T) {
+	c := newRetention(t, 2*tracePrefixLen)
+	for i := 0; i < 6; i++ {
+		c.lookup(0, 0, nil)
+	}
+	for i := 0; i < 8; i++ {
+		c.lookup(0, 1, nil)
+	}
+	if c.lookup(1, 0, nil) {
+		t.Fatal("level 1 lookup hit level 0 rows")
+	}
+	if l0, l1 := c.resident(0, 3), c.resident(1, 3); !slices.Equal(l0, []int{1}) || !slices.Equal(l1, []int{0}) {
+		t.Fatalf("after the hot prompt's first miss at level 1: level 0 holds %v, level 1 %v; want [1] and [0]", l0, l1)
+	}
+	if !c.lookup(1, 0, nil) {
+		t.Fatal("the hot prompt's second lookup at level 1 missed")
+	}
+	rejects := c.r.Stats().AdmissionRejects
+	if c.lookup(1, 2, nil) {
+		t.Fatal("a prompt never inserted hit")
+	}
+	if l0, l1 := c.resident(0, 3), c.resident(1, 3); !slices.Equal(l0, []int{1}) || !slices.Equal(l1, []int{0}) {
+		t.Fatalf("a cold prompt at level 1 displaced hot rows: level 0 holds %v, level 1 %v", l0, l1)
+	}
+	if got := c.r.Stats().AdmissionRejects; got != rejects+1 {
+		t.Fatalf("%d admission rejects, want %d", got, rejects+1)
+	}
+}
+
+// TestRadixAdmissionBeforeExport is the regression test of the insert
+// that copied rows it could not keep: with a budget below one prefix
+// every Insert used to export the root, the cross span and the suffix
+// leaf and evict all three in the same call. Now it copies nothing; a
+// budget that holds the root but not the leaf copies the root alone.
+func TestRadixAdmissionBeforeExport(t *testing.T) {
+	for _, tc := range []struct {
+		capRows, wantRows int
+		wantRejects       int64
+	}{
+		{tracePrefixLen - 2, 0, 3},              // the root never fits
+		{tracePrefixLen + 1, tracePrefixLen, 3}, // the root fits, no 2-row leaf does
+	} {
+		c := newRetention(t, tc.capRows)
+		for i := 0; i < 3; i++ {
+			c.lookup(0, 0, []int{i, i + 1})
+		}
+		st := c.r.Stats()
+		if st.InsertedRows != int64(tc.wantRows) || st.UsedRows != tc.wantRows ||
+			st.Evictions != 0 || st.AdmissionRejects != tc.wantRejects {
+			t.Fatalf("budget %d: %+v, want %d rows inserted and held, no eviction, %d refusals",
+				tc.capRows, st, tc.wantRows, tc.wantRejects)
+		}
+	}
 }
