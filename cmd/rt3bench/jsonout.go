@@ -27,36 +27,24 @@ type kernelsSection struct {
 	// LaneISA is the twin of the lane kernel the pattern rows ran (avx512,
 	// avx or go): a floor read on one says nothing about another.
 	LaneISA string `json:"lane_isa"`
-	// GOMAXPROCS is the parallelism every packed and pattern row ran at
-	// (their products split across the mat.Fork helpers).
+	// GOMAXPROCS is the parallelism every pattern row ran at (its
+	// products split across the mat.Fork helpers).
 	GOMAXPROCS int          `json:"gomaxprocs"`
 	Formats    []kernelRow  `json:"formats"`
 	Batched    []batchedRow `json:"batched,omitempty"`
-	Micro      []microRow   `json:"micro,omitempty"`
 	Ladder     []ladderRow  `json:"ladder,omitempty"`
-	// MicroGeomeanSpeedup is the packed-f64 geomean over dense across
-	// the micro shapes (the enforced >= 2x contract).
-	MicroGeomeanSpeedup float64 `json:"micro_geomean_speedup,omitempty"`
 	// SparserIsFasterX is pattern's rate at the sparsest ladder rung over
 	// its rate at the densest (the enforced >= 1.5x contract).
 	SparserIsFasterX float64            `json:"sparser_is_faster_x,omitempty"`
 	Metrics          map[string]float64 `json:"metrics"`
 }
 
-type microRow struct {
-	Shape    string  `json:"shape"` // MxKxN
-	Format   string  `json:"format"`
-	USPerOp  float64 `json:"us_per_op"`
-	GFLOPEqS float64 `json:"gflop_eq_per_s"`
-	SpeedupX float64 `json:"speedup_x"`
-}
-
-// ladderRow is one rung of the sparsity ladder: pattern vs packed over
+// ladderRow is one rung of the sparsity ladder: pattern vs dense over
 // the same masked weights at one decode step.
 type ladderRow struct {
 	Sparsity        float64 `json:"sparsity"`
 	PatternGFLOPEqS float64 `json:"pattern_gflop_eq_per_s"`
-	PackedGFLOPEqS  float64 `json:"packed_gflop_eq_per_s"`
+	DenseGFLOPEqS   float64 `json:"dense_gflop_eq_per_s"`
 }
 
 type kernelRow struct {

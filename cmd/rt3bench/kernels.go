@@ -37,9 +37,9 @@ type kernelBenchSpec struct {
 // prints a table of per-call latency and GFLOP-equivalents/sec: the
 // dense-equivalent rate (2*dim*dim*batch flops per call, what the layer
 // replaces) and the effective rate over stored nonzeros (2*NNZ*batch).
-// Every packed and pattern product down to a decode step's rows fans out
-// across the mat.Fork helpers, so all sections' rates depend on
-// GOMAXPROCS: the header prints it and -json records it.
+// Every pattern product down to a decode step's rows fans out across the
+// mat.Fork helpers, so all sections' rates depend on GOMAXPROCS: the
+// header prints it and -json records it.
 func runKernelBench(formats string, spec kernelBenchSpec) error {
 	rng := rand.New(rand.NewSource(42))
 	w := mat.New(spec.dim, spec.dim)
@@ -113,10 +113,6 @@ func runKernelBench(formats string, spec kernelBenchSpec) error {
 		}
 	}
 	fmt.Println()
-	if err := runMicroKernelBench(spec, section); err != nil {
-		return err
-	}
-	fmt.Println()
 	if err := runSparsityLadderBench(spec, section); err != nil {
 		return err
 	}
@@ -128,72 +124,6 @@ func runKernelBench(formats string, spec kernelBenchSpec) error {
 	return nil
 }
 
-// microShapes are the serving block-FC shapes (batch x in x out at
-// dim=192, ffn=768) the micro-kernel section sweeps: prefill and
-// gradient-sized wide products, a decode-sized short batch, and a
-// square attention projection.
-var microShapes = [][3]int{{256, 192, 768}, {256, 768, 192}, {8, 192, 768}, {64, 192, 192}}
-
-// microKernelFloor is the enforced geomean speedup of the packed
-// micro-kernel format over dense MatMul execution across microShapes:
-// register blocking plus one-time panel packing must at least double
-// the serving matmul throughput, or the bench run fails.
-const microKernelFloor = 2.0
-
-// runMicroKernelBench times the packed micro-kernel format against the
-// dense baseline at the serving shapes (unmasked weights: this section
-// measures the GEMM core itself, not sparsity) and enforces
-// microKernelFloor on the geomean.
-func runMicroKernelBench(spec kernelBenchSpec, section *kernelsSection) error {
-	rng := rand.New(rand.NewSource(44))
-	fmt.Printf("micro-kernels: packed-panel GEMM vs dense MatMul at serving shapes\n\n")
-	fmt.Printf("%-14s %-11s %12s %14s %10s\n", "shape", "format", "us/op", "GFLOPeq/s", "speedup")
-	logSum := 0.0
-	for _, sh := range microShapes {
-		M, K, N := sh[0], sh[1], sh[2]
-		w := mat.New(K, N)
-		w.Randomize(rng, 1)
-		x := mat.New(M, K)
-		x.Randomize(rng, 1)
-		flops := 2 * float64(M) * float64(K) * float64(N)
-		shape := fmt.Sprintf("%dx%dx%d", M, K, N)
-		denseUS := 0.0
-		for _, format := range []string{"dense", "packed"} {
-			k, err := kernel.Build(format, w, kernel.Options{})
-			if err != nil {
-				return err
-			}
-			dst := mat.New(M, N)
-			k.MulInto(dst, x) // warm up panel and scratch reuse
-			perOp := timeKernel(k, dst, x, spec.minTime)
-			us := float64(perOp.Nanoseconds()) / 1e3
-			if format == "dense" {
-				denseUS = us
-			}
-			speedup := denseUS / us
-			logSum += math.Log(speedup) // the dense rows add log 1
-			fmt.Printf("%-14s %-11s %12.2f %14.3f %9.2fx\n",
-				shape, format, us, flops/perOp.Seconds()/1e9, speedup)
-			if section != nil {
-				section.Micro = append(section.Micro, microRow{
-					Shape: shape, Format: format, USPerOp: us,
-					GFLOPEqS: flops / perOp.Seconds() / 1e9,
-					SpeedupX: speedup,
-				})
-			}
-		}
-	}
-	packed := math.Exp(logSum / float64(len(microShapes)))
-	if section != nil {
-		section.MicroGeomeanSpeedup = packed
-	}
-	if packed < microKernelFloor {
-		return fmt.Errorf("micro-kernel floor FAIL: packed geomean %.2fx over dense fell below the %.1fx floor", packed, microKernelFloor)
-	}
-	fmt.Printf("\nmicro-kernel floor PASS: packed geomean %.2fx >= %.1fx over dense\n", packed, microKernelFloor)
-	return nil
-}
-
 // ladderSparsities are the pattern sparsities of the three evaluation
 // levels (l6, l4, l3): the ladder a DVFS switch walks.
 var ladderSparsities = []float64{0.3, 0.5, 0.7}
@@ -201,15 +131,15 @@ var ladderSparsities = []float64{0.3, 0.5, 0.7}
 // sparserIsFasterFloor is the enforced speedup of the pattern format at
 // the sparsest rung of the ladder over the densest: the paper's premise
 // that a sparser pattern set is a faster model, which a format that
-// pushes masked weights through dense panels (packed) does not have.
+// pushes masked weights through a dense product does not have.
 const sparserIsFasterFloor = 1.5
 
 // runSparsityLadderBench times the serving default (pattern) against
-// the dense packed panels (packed) over the same masked weights, at one
+// the dense reference (dense) over the same masked weights, at one
 // decode step of the FFN up-projection (8 x dim x 4*dim), down the
 // sparsity ladder. The two kernels of a rung are timed alternately, best
 // of three each, so a slow spell of the host lands on both. Two floors
-// are enforced: pattern is at least as fast as packed on every rung past
+// are enforced: pattern is at least as fast as dense on every rung past
 // the first, and pattern at the last rung is at least
 // sparserIsFasterFloor times pattern at the first.
 func runSparsityLadderBench(spec kernelBenchSpec, section *kernelsSection) error {
@@ -223,45 +153,44 @@ func runSparsityLadderBench(spec kernelBenchSpec, section *kernelsSection) error
 	dst := mat.New(batch, N)
 	flops := 2 * float64(batch) * float64(K) * float64(N)
 
-	fmt.Printf("sparsity ladder: pattern vs packed over the same masked weights, one decode step (%dx%dx%d)\n\n", batch, K, N)
-	fmt.Printf("%-9s %14s %14s %10s\n", "sparsity", "pattern GF/s", "packed GF/s", "ratio")
-	var patternGF, packedGF []float64
+	fmt.Printf("sparsity ladder: pattern vs dense over the same masked weights, one decode step (%dx%dx%d)\n\n", batch, K, N)
+	fmt.Printf("%-9s %14s %14s %10s\n", "sparsity", "pattern GF/s", "dense GF/s", "ratio")
+	var patternGF, denseGF []float64
 	for _, sparsity := range ladderSparsities {
 		set := pattern.GenerateSet(w, spec.psize, sparsity, 4, rng)
 		pat, err := kernel.Build("pattern", w, kernel.Options{Set: set})
 		if err != nil {
 			return err
 		}
-		pk, err := kernel.Build("packed", w, kernel.Options{Set: set})
+		dense, err := kernel.Build("dense", w, kernel.Options{Set: set})
 		if err != nil {
 			return err
 		}
 		pat.MulInto(dst, x) // warm up scratch
-		pk.MulInto(dst, x)
-		bestPat, bestPk := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+		bestPat, bestDense := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
 		for round := 0; round < 3; round++ {
 			bestPat = min(bestPat, timeKernel(pat, dst, x, spec.minTime))
-			bestPk = min(bestPk, timeKernel(pk, dst, x, spec.minTime))
+			bestDense = min(bestDense, timeKernel(dense, dst, x, spec.minTime))
 		}
-		pg, kg := flops/bestPat.Seconds()/1e9, flops/bestPk.Seconds()/1e9
-		patternGF, packedGF = append(patternGF, pg), append(packedGF, kg)
-		fmt.Printf("%-9.2f %14.3f %14.3f %9.2fx\n", sparsity, pg, kg, pg/kg)
+		pg, dg := flops/bestPat.Seconds()/1e9, flops/bestDense.Seconds()/1e9
+		patternGF, denseGF = append(patternGF, pg), append(denseGF, dg)
+		fmt.Printf("%-9.2f %14.3f %14.3f %9.2fx\n", sparsity, pg, dg, pg/dg)
 		if section != nil {
 			section.Ladder = append(section.Ladder, ladderRow{
-				Sparsity: sparsity, PatternGFLOPEqS: pg, PackedGFLOPEqS: kg,
+				Sparsity: sparsity, PatternGFLOPEqS: pg, DenseGFLOPEqS: dg,
 			})
 		}
 	}
 	fmt.Println()
 	last := len(ladderSparsities) - 1
 	for i := 1; i <= last; i++ {
-		if patternGF[i] < packedGF[i] {
-			return fmt.Errorf("pattern floor FAIL: at sparsity %.2f pattern runs %.2f GFLOP-eq/s, below packed at %.2f",
-				ladderSparsities[i], patternGF[i], packedGF[i])
+		if patternGF[i] < denseGF[i] {
+			return fmt.Errorf("pattern floor FAIL: at sparsity %.2f pattern runs %.2f GFLOP-eq/s, below dense at %.2f",
+				ladderSparsities[i], patternGF[i], denseGF[i])
 		}
 	}
-	fmt.Printf("pattern floor PASS: pattern >= packed GFLOP-eq/s at sparsity %.2f (%.2f vs %.2f) and %.2f (%.2f vs %.2f)\n",
-		ladderSparsities[1], patternGF[1], packedGF[1], ladderSparsities[last], patternGF[last], packedGF[last])
+	fmt.Printf("pattern floor PASS: pattern >= dense GFLOP-eq/s at sparsity %.2f (%.2f vs %.2f) and %.2f (%.2f vs %.2f)\n",
+		ladderSparsities[1], patternGF[1], denseGF[1], ladderSparsities[last], patternGF[last], denseGF[last])
 	gain := patternGF[last] / patternGF[0]
 	if section != nil {
 		section.SparserIsFasterX = gain
@@ -270,8 +199,8 @@ func runSparsityLadderBench(spec kernelBenchSpec, section *kernelsSection) error
 		return fmt.Errorf("sparser-is-faster floor FAIL: pattern at sparsity %.2f is %.2fx pattern at %.2f, below the %.1fx floor",
 			ladderSparsities[last], gain, ladderSparsities[0], sparserIsFasterFloor)
 	}
-	fmt.Printf("sparser-is-faster floor PASS: pattern at sparsity %.2f is %.2fx pattern at %.2f (>= %.1fx; packed %.2fx)\n",
-		ladderSparsities[last], gain, ladderSparsities[0], sparserIsFasterFloor, packedGF[last]/packedGF[0])
+	fmt.Printf("sparser-is-faster floor PASS: pattern at sparsity %.2f is %.2fx pattern at %.2f (>= %.1fx; dense %.2fx)\n",
+		ladderSparsities[last], gain, ladderSparsities[0], sparserIsFasterFloor, denseGF[last]/denseGF[0])
 	return nil
 }
 

@@ -1,11 +1,12 @@
 // Kernel formats: the unified execution API end to end.
 //
 // Every matrix product in this repo — dense training, the pattern-packed
-// serving path, the dense packed panels under unpruned layers — computes
-// through one destination-passing interface: kernel.Kernel. This example
-// builds a pattern-pruned Transformer projection, constructs the three
-// registered execution formats over the same masked weights through the
-// kernel registry, verifies they agree with dense execution, and shows a
+// serving path (pruned linears over their kept weights, the unpruned ones
+// with every weight kept) — computes through one destination-passing
+// interface: kernel.Kernel. This example builds a pattern-pruned
+// Transformer projection, constructs both registered execution formats
+// over the same masked weights through the kernel registry, verifies they
+// agree with dense execution bit for bit, and shows a
 // large pattern product using every core from beneath MulInto (mat.Fork)
 // while a decode-sized one stays on the calling goroutine.
 //

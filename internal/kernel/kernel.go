@@ -1,9 +1,9 @@
 // Package kernel is the unified execution API every matrix product in
-// the repo computes through: dense weights (the reference), the
+// the repo computes through: dense weights (the reference) and the
 // pattern-packed RT3 serving path (a lane-parallel AVX micro-kernel over
-// the kept weights, see mat.GemmLanes) and the dense packed-panel
-// micro-kernels share one destination-passing interface and one format
-// registry.
+// the kept weights, see mat.GemmLanes, which also runs the unpruned
+// linears with every weight kept) share one destination-passing
+// interface and one format registry.
 //
 // # Destination passing
 //
@@ -16,10 +16,10 @@
 //
 // # Parallelism contract
 //
-// Products use every core from inside: mat.GemmLanes and mat.GemmPanels
-// split their row blocks — or, for the single block of a decode step,
-// their column partitions — across the process-wide fork-join executor
-// (mat.Fork), beneath MulInto. A kernel — and a
+// Products use every core from inside: mat.GemmLanes splits its row
+// blocks — or, for the single block of a decode step, its column
+// partitions — across the process-wide fork-join executor (mat.Fork),
+// beneath MulInto. A kernel — and a
 // format registered around one, such as a timing wrapper — therefore
 // sees one MulInto per product, on the calling goroutine. Kernels are
 // still shared by concurrent callers (serving replicas run the same
@@ -30,18 +30,16 @@
 //
 // # Registry
 //
-// The package-level registry maps the three format names — "dense" (the
-// reference every other format is tested against), "pattern" (the
-// serving default on prunable linears) and "packed" (dense panels, what
-// unpruned linears run) — to constructors, so commands and the serving
-// engine select execution formats by flag or config instead of
-// hard-coding types. Every format computes in float64. See Build and
-// Options.
+// The package-level registry maps the two format names — "dense" (the
+// reference every other format is tested against) and "pattern" (the
+// serving default: every served linear, pruned or not) — to
+// constructors, so commands and the serving engine select execution
+// formats by flag or config instead of hard-coding types. Every format
+// computes in float64 with one rounding definition, a fused multiply-add
+// per weight in ascending k (see mat.MatMul). See Build and Options.
 package kernel
 
 import (
-	"fmt"
-
 	"rt3/internal/mat"
 	"rt3/internal/sparse"
 )
@@ -92,19 +90,6 @@ func (d *DenseKernel) NNZ() int { return d.W.Rows * d.W.Cols }
 
 // IndexWords implements Kernel: dense storage needs no indices.
 func (d *DenseKernel) IndexWords() int { return 0 }
-
-// checkDst panics unless x and dst fit k's weight shape. Kernels over
-// flat-slice micro-kernels call it themselves: those only see element
-// counts, so a mis-shaped x with the right count would run silently.
-func checkDst(k Kernel, dst, x *mat.Matrix) {
-	in, out := k.Dims()
-	if x.Cols != in {
-		panic(fmt.Sprintf("kernel: x cols %d != in %d", x.Cols, in))
-	}
-	if dst.Rows != x.Rows || dst.Cols != out {
-		panic(fmt.Sprintf("kernel: dst %dx%d, want %dx%d", dst.Rows, dst.Cols, x.Rows, out))
-	}
-}
 
 // compile-time checks: the reference and the pattern format are Kernels.
 var (

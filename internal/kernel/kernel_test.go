@@ -1,6 +1,7 @@
 package kernel_test
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -95,7 +96,7 @@ func TestDenseKernelSeesWeightUpdates(t *testing.T) {
 // TestStorageAccountingConsistent checks the registry kernels report the
 // storage models their formats document: the pattern kernel counts every
 // kept position plus one id per tile and the shared dictionary's
-// offsets; the dense layouts store every value and no index.
+// offsets; the dense layout stores every value and no index.
 func TestStorageAccountingConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	w := mat.New(16, 16)
@@ -107,7 +108,7 @@ func TestStorageAccountingConsistent(t *testing.T) {
 		patternIdx += len(p.Kept())
 	}
 	want := map[string][2]int{
-		"dense": {256, 0}, "packed": {256, 0}, "pattern": {mask.NNZ(), patternIdx},
+		"dense": {256, 0}, "pattern": {mask.NNZ(), patternIdx},
 	}
 	for _, format := range kernel.Formats() {
 		k, err := kernel.Build(format, w, kernel.Options{Set: set})
@@ -123,7 +124,7 @@ func TestStorageAccountingConsistent(t *testing.T) {
 // TestForkMatchesInline: every format is bit-identical whether its
 // MulInto fans out across the mat.Fork helpers or runs inline
 // (GOMAXPROCS 1), at decode-step batches (one block, split by column
-// partition) and around the 8-row lane and 64-row panel block edges.
+// partition) and around the 8- and 16-row lane block edges.
 func TestForkMatchesInline(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	w := mat.New(192, 192)
@@ -158,9 +159,9 @@ func TestForkMatchesInline(t *testing.T) {
 		if !mat.Equal(got, r.want, 0) {
 			t.Fatalf("%s batch %d: forked MulInto differs from inline", r.format, r.x.Rows)
 		}
-		// dense (mat.MatMul) has no fork body; the others split every one
-		// of these batches, by column partition up to one lane or panel
-		// block and by row block beyond
+		// dense (mat.MatMul) has no fork body; pattern splits every one of
+		// these batches, by column partition up to one lane block and by
+		// row block beyond
 		if forks := r.format != "dense"; (after > before) != forks {
 			t.Errorf("%s batch %d: fanned out = %v", r.format, r.x.Rows, after > before)
 		}
@@ -170,8 +171,7 @@ func TestForkMatchesInline(t *testing.T) {
 // TestMulIntoZeroAllocs is the steady-state allocation contract of the
 // whole execution API: after warm-up, MulInto allocates nothing — for
 // every format, at a decode step's single block (split by column
-// partition), at several lane blocks inside one panel block and at a
-// batch split by row block (fork bodies and scratch are borrowed from
+// partition), at a few lane blocks and at a batch of many (fork bodies and scratch are borrowed from
 // free lists, not allocated per region).
 func TestMulIntoZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -203,8 +203,9 @@ func TestRegistryErrors(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "nope") {
 		t.Fatalf("error does not name the format: %v", err)
 	}
-	if _, err := kernel.Build("pattern", w, kernel.Options{}); err == nil {
-		t.Fatal("pattern without a set accepted")
+	// no set is not an error: it keeps every weight
+	if k, err := kernel.Build("pattern", w, kernel.Options{}); err != nil || k.NNZ() != 16 {
+		t.Fatalf("pattern without a set: %v", err)
 	}
 }
 
@@ -216,7 +217,7 @@ func TestRegistryNamesAndCustomFormat(t *testing.T) {
 		return kernel.NewDense(w), nil
 	})
 	r.Register("a", func(w *mat.Matrix, _ kernel.Options) (kernel.Kernel, error) {
-		return kernel.NewPacked(w), nil
+		return kernel.Build("pattern", w, kernel.Options{})
 	})
 	names := r.Names()
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
@@ -238,15 +239,15 @@ func TestRegistryNamesAndCustomFormat(t *testing.T) {
 	if !mat.Equal(kernel.Mul(ka, x), kernel.Mul(kb, x), 1e-9) {
 		t.Fatal("custom registry formats disagree")
 	}
-	if got := kernel.Formats(); !slices.Equal(got, []string{"dense", "packed", "pattern"}) {
-		t.Fatalf("default registry formats = %v, want [dense packed pattern]", got)
+	if got := kernel.Formats(); !slices.Equal(got, []string{"dense", "pattern"}) {
+		t.Fatalf("default registry formats = %v, want [dense pattern]", got)
 	}
 }
 
-// TestPackedBitIdenticalToDense pins the headline property of the
-// micro-kernel path: "packed" must reproduce dense execution bit for
-// bit, masked or not — register blocking reorders work across output
-// elements, never within one element's ascending-k sum.
+// TestPackedBitIdenticalToDense: the pattern format with no set — the
+// packed kernel the unpruned linears run — keeps every weight and
+// reproduces dense execution bit for bit, as it does under a set, at
+// batches around the lane block edges.
 func TestPackedBitIdenticalToDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, withSet := range []bool{false, true} {
@@ -260,26 +261,60 @@ func TestPackedBitIdenticalToDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		packed, err := kernel.Build("packed", w, opts)
+		pat, err := kernel.Build("pattern", w, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, batch := range []int{1, 7, 8, 9, 64} {
+		if !withSet && pat.NNZ() != 48*33 {
+			t.Fatalf("pattern without a set stores %d weights, want all %d", pat.NNZ(), 48*33)
+		}
+		for _, batch := range []int{1, 7, 8, 9, 16, 17, 64} {
 			x := mat.New(batch, 48)
 			x.Randomize(rng, 1)
 			want := kernel.Mul(dense, x)
-			got := kernel.Mul(packed, x)
+			got := kernel.Mul(pat, x)
 			if !mat.Equal(got, want, 0) {
-				t.Fatalf("set=%v batch=%d: packed differs from dense", withSet, batch)
+				t.Fatalf("set=%v batch=%d: pattern differs from dense", withSet, batch)
 			}
 		}
 	}
 }
 
-// TestMulIntoShapePanics: every format panics on a
-// mis-shaped product instead of computing numbers — including an x whose
-// element count coincides with the valid one, which the flat-slice panel
-// kernels under "packed" cannot tell from a good input on their own.
+// TestProductsFuse: both formats fuse each product into its sum. On x =
+// (1, 1+2^-27) and w = (-1, 1-2^-27) the fused sum is exactly -2^-54
+// where mul-then-add gives 0; every format must return it, by bits, at a
+// decode step's 8 rows and a wide block's 16, on the host's lane twin.
+func TestProductsFuse(t *testing.T) {
+	e := math.Ldexp(1, -27)
+	want := math.Float64bits(-math.Ldexp(1, -54))
+	w := mat.New(2, mat.LaneGroup) // whole column groups, so the assembly twins run
+	for c := 0; c < mat.LaneGroup; c++ {
+		w.Set(0, c, -1)
+		w.Set(1, c, 1-e)
+	}
+	for _, format := range kernel.Formats() {
+		k, err := kernel.Build(format, w, kernel.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rows := range []int{8, 16} {
+			x := mat.New(rows, 2)
+			for r := 0; r < rows; r++ {
+				x.Set(r, 0, 1)
+				x.Set(r, 1, 1+e)
+			}
+			for i, v := range kernel.Mul(k, x).Data {
+				if math.Float64bits(v) != want {
+					t.Fatalf("%s, %d rows: element %d is %g, want -2^-54: the product did not fuse", format, rows, i, v)
+				}
+			}
+		}
+	}
+}
+
+// TestMulIntoShapePanics: every format panics on a mis-shaped product
+// instead of computing numbers — including an x whose element count
+// coincides with the valid one.
 func TestMulIntoShapePanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	w := mat.New(4, 6)
@@ -313,9 +348,9 @@ func TestMulIntoShapePanics(t *testing.T) {
 
 // FuzzKernelBuild drives kernel.Build over every format at degenerate
 // shapes — 0/1-row and 0/1-col weights, batches 0-17, edges that are not
-// multiples of psize, no set, a random set, an all-kept and a
-// keep-nothing set — and compares each kernel against the naive product
-// over the masked weights, exactly.
+// multiples of psize, no set (every weight kept), a random set, an
+// all-kept and a keep-nothing set — and compares each kernel against the
+// naive product over the masked weights, exactly.
 func FuzzKernelBuild(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), int64(1))
 	f.Add(uint8(1), uint8(1), uint8(1), uint8(1), int64(2))
@@ -347,12 +382,6 @@ func FuzzKernelBuild(f *testing.F) {
 
 		for _, format := range kernel.Formats() {
 			k, err := kernel.Build(format, w, kernel.Options{Set: set})
-			if format == "pattern" && set == nil {
-				if err == nil {
-					t.Fatal("pattern built without a set")
-				}
-				continue
-			}
 			if err != nil {
 				t.Fatalf("%s: %v", format, err)
 			}

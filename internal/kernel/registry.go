@@ -14,8 +14,9 @@ import (
 type Options struct {
 	// Set, when non-nil, is applied to the weights before packing: every
 	// format then executes the pattern-masked matrix, so any registry
-	// format can serve an RT3 level. Required by the "pattern" format
-	// (which packs the masked survivors natively).
+	// format can serve an RT3 level ("pattern" packs the masked survivors
+	// natively). A nil Set keeps every weight: that is how the linears no
+	// level prunes are built.
 	Set *pattern.Set
 }
 
@@ -86,13 +87,7 @@ var defaultRegistry = func() *Registry {
 		return NewDense(masked(w, opts)), nil
 	})
 	r.Register("pattern", func(w *mat.Matrix, opts Options) (Kernel, error) {
-		if opts.Set == nil {
-			return nil, fmt.Errorf("kernel: format \"pattern\" requires Options.Set")
-		}
 		return sparse.PackSet(w, opts.Set)
-	})
-	r.Register("packed", func(w *mat.Matrix, opts Options) (Kernel, error) {
-		return NewPacked(masked(w, opts)), nil
 	})
 	return r
 }()

@@ -62,7 +62,7 @@ func AttendPadded(rows int) int { return (rows + AttendBlock - 1) / AttendBlock 
 // at row stride vs. On return p[:rows] holds the probabilities.
 // Allocation-free.
 func Attend(out, q, kT []float64, ld int, v []float64, vs, rows int, scale float64, p []float64) {
-	attend(out, q, kT, ld, v, vs, rows, scale, p, laneAsm)
+	attend(out, q, kT, ld, v, vs, rows, scale, p, hasAVX)
 }
 
 // attend is Attend with the kernel choice explicit, so tests can hold
@@ -104,14 +104,16 @@ func vecMat(dst, a, b []float64, stride int, scale float64, padded, asm bool) {
 
 // vecMatGo is the portable kernel, the loop nest the assembly kernel
 // replicates: AttendBlock columns at a time, one accumulator per column.
-// It reads only the len(dst) real columns.
+// It reads only the len(dst) real columns. The attention core stays
+// unfused (VMULPD then VADDPD): the conversion keeps a port that fuses
+// x*y + z on its own (arm64 and others) to the same rounding.
 func vecMatGo(dst, a, b []float64, stride int, scale float64) {
 	for j0 := 0; j0 < len(dst); j0 += AttendBlock {
 		var acc [AttendBlock]float64
 		w := min(AttendBlock, len(dst)-j0)
 		for i, av := range a {
 			for l, bv := range b[i*stride+j0:][:w] {
-				acc[l] += av * bv
+				acc[l] += float64(av * bv)
 			}
 		}
 		for l, s := range acc[:w] {

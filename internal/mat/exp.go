@@ -19,7 +19,8 @@ import (
 // twins of the portable loops on amd64 (exp_amd64.s) and the portable
 // loops everywhere else; the twins execute the same operations in the
 // same order with every product and sum separately rounded, so they
-// agree at tolerance 0, exactly as laneKern8AVX does with laneKernGo.
+// agree at tolerance 0, exactly as the lane kernels, which fuse, do with
+// laneKernGo.
 //
 // # No fusion
 //

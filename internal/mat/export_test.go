@@ -47,6 +47,13 @@ const ForkSpin = forkSpin
 // Cols returns the columns in stream order, LaneGroup to a group.
 func (w *LaneWeights) Cols() []int32 { return w.cols }
 
+// GemmLanesTwin is GemmLanes on a chosen twin: the assembly kernels
+// (asm) or laneKernGo, over blocks of width rows (8, or 16 for the ZMM
+// kernels and their portable reference).
+func GemmLanesTwin(dst, x *Matrix, w *LaneWeights, asm bool, width int) {
+	gemmLanes(dst, x, w, laneKern{asm, width})
+}
+
 // LaneBlockRows returns the rows of the blocks GemmLanes splits a
 // product into on this host: 16 where the ZMM kernels run, else 8.
 func LaneBlockRows() int { return laneHost.width }

@@ -24,35 +24,6 @@ func guarded(t *testing.T, M, N int) (*Matrix, func(what string)) {
 	}
 }
 
-// TestGemmPanelsAsmMatchesPortable pins the assembly tile to the
-// portable register-blocked kernels bit for bit at every row-block edge
-// — a last block of 1-7 rows runs the same tile with the missing rows
-// clamped, and must store exactly the real ones. (Without the asm path
-// this compares the portable nest with itself.)
-func TestGemmPanelsAsmMatchesPortable(t *testing.T) {
-	rng := rand.New(rand.NewSource(92))
-	for _, M := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 63, 64, 65, 71} {
-		for _, sh := range [][2]int{{1, 4}, {5, 3}, {33, 17}, {192, 20}} {
-			K, N := sh[0], sh[1]
-			x := New(M, K)
-			x.Randomize(rng, 1)
-			w := New(K, N)
-			w.Randomize(rng, 1)
-
-			p := PackPanels(w)
-			what := fmt.Sprintf("%dx%dx%d", M, K, N)
-			got, intact := guarded(t, M, N)
-			want := New(M, N)
-			GemmPanels(got, x.Data, p)
-			gemmPanelRows(want, x.Data, p, 0, M, 0, (N+PanelWidth-1)/PanelWidth, false)
-			intact(what)
-			if !Equal(got, want, 0) {
-				t.Fatalf("%s: asm differs from portable kernels", what)
-			}
-		}
-	}
-}
-
 // TestGemmLanesAsmMatchesPortable holds every kernel twin of GemmLanes —
 // the portable body over 16-lane blocks, the AVX kernel and, where the
 // host has AVX-512F, both ZMM kernels (laneKern16Z under blocks of 9-16
@@ -78,8 +49,8 @@ func TestGemmLanesAsmMatchesPortable(t *testing.T) {
 		need string
 	}{
 		{"go16", laneKern{false, 2 * laneWidth}, true, ""},
-		{"avx", laneKern{true, laneWidth}, laneAsm, "AVX"},
-		{"avx512", laneKern{true, 2 * laneWidth}, cpuHasAVX512F, "AVX-512F"},
+		{"avx", laneKern{true, laneWidth}, laneHost.asm, "AVX with FMA3"},
+		{"avx512", laneKern{true, 2 * laneWidth}, laneHost.width == 2*laneWidth, "AVX-512F with FMA3"},
 	} {
 		t.Run(twin.name, func(t *testing.T) {
 			if !twin.has {
@@ -121,16 +92,37 @@ func TestGemmLanesAsmMatchesPortable(t *testing.T) {
 	}
 }
 
-// TestLaneGate: the ZMM kernels are only ever chosen on top of the AVX
-// gate (under purego both are constant false), and the name a scrape
-// reads is the twin GemmLanes runs.
+// TestLaneGate holds the lane gate to its table: every assembly twin
+// fuses, so none runs without FMA3, nor without the OS saving its
+// registers; AVX-512F with ZMM state runs the ZMM kernels. The host's own
+// twin is the gate applied to what its CPUID reports (all zero under
+// purego), and the name a scrape reads is that twin.
 func TestLaneGate(t *testing.T) {
-	if cpuHasAVX512F && !laneAsm {
-		t.Fatal("cpuHasAVX512F without hasAVX")
+	t.Logf("CPUID: AVX %v, FMA3 %v, AVX-512F %v, XCR0 %#x; GemmLanes runs the %q twin",
+		hostCPU.avx, hostCPU.fma, hostCPU.avx512f, hostCPU.xcr0, LaneISA())
+	const ymm, zmm = 0x6, 0xE6 // XCR0: XMM|YMM, and opmask|ZMM_Hi256|Hi16_ZMM on top
+	kerns := map[string]laneKern{"go": {false, laneWidth}, "avx": {true, laneWidth}, "avx512": {true, 2 * laneWidth}}
+	for _, tc := range []struct {
+		what string
+		f    cpuFeatures
+		want string
+	}{
+		{"no features (purego, other arches)", cpuFeatures{}, "go"},
+		{"AVX without FMA3", cpuFeatures{avx: true, xcr0: ymm}, "go"},
+		{"AVX and FMA3", cpuFeatures{avx: true, fma: true, xcr0: ymm}, "avx"},
+		{"AVX and FMA3, YMM state not saved", cpuFeatures{avx: true, fma: true, xcr0: 0x2}, "go"},
+		{"AVX-512F and FMA3, ZMM state not saved", cpuFeatures{avx: true, fma: true, avx512f: true, xcr0: ymm}, "avx"},
+		{"AVX-512F and FMA3 with ZMM state", cpuFeatures{avx: true, fma: true, avx512f: true, avx2: true, xcr0: zmm}, "avx512"},
+		{"AVX-512F with ZMM state, FMA3 clear", cpuFeatures{avx: true, avx512f: true, xcr0: zmm}, "go"},
+		{"FMA3 without AVX", cpuFeatures{fma: true, avx512f: true, xcr0: zmm}, "go"},
+	} {
+		kern, name := laneGate(tc.f)
+		if name != tc.want || kern != kerns[tc.want] {
+			t.Errorf("%s: gate picks %q %+v, want %q %+v", tc.what, name, kern, tc.want, kerns[tc.want])
+		}
 	}
-	want := map[laneKern]string{{false, laneWidth}: "go", {true, laneWidth}: "avx", {true, 2 * laneWidth}: "avx512"}[laneHost]
-	if want == "" || LaneISA() != want {
-		t.Fatalf("laneHost %+v reported as %q", laneHost, LaneISA())
+	if kern, name := laneGate(hostCPU); kern != laneHost || name != LaneISA() {
+		t.Fatalf("host runs %+v reported as %q, the gate picks %+v %q", laneHost, LaneISA(), kern, name)
 	}
 }
 
@@ -187,7 +179,7 @@ func TestAttendAsmMatchesPortable(t *testing.T) {
 			gotP, pIntact := guarded(t, 1, rows)
 			gotOut, outIntact := guarded(t, 1, hd)
 			wantP, wantOut := New(1, rows), New(1, hd)
-			attend(gotOut.Data, q.Data, kT.Data, ld, v.Data, vs, rows, scale, gotP.Data, laneAsm)
+			attend(gotOut.Data, q.Data, kT.Data, ld, v.Data, vs, rows, scale, gotP.Data, hasAVX)
 			attend(wantOut.Data, q.Data, kT.Data, ld, v.Data, vs, rows, scale, wantP.Data, false)
 			what := fmt.Sprintf("head dim %d, %d rows", hd, rows)
 			pIntact(what + " probabilities")

@@ -3,13 +3,15 @@ package mat
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 )
 
-// This file is the sparse twin of the packed-panel GEMM in gemm.go: a
+// This file is the product kernel every served linear runs: a
 // lane-parallel micro-kernel whose work is proportional to the stored
-// weights, not to K*N. sparse.Pattern executes through it, which makes
-// it the serving default.
+// weights, not to K*N. sparse.Pattern executes through it — a pruned
+// linear over its level's kept weights, an unpruned one (the output
+// projection, the classifier head) with every weight kept.
 //
 // # Stream layout
 //
@@ -49,21 +51,27 @@ import (
 // into lane-major scratch xt, xt[k*L+l] = x[l][k], L batch rows at a
 // time: 8, or 16 for a block of 9-16 rows where the kernel has 512-bit
 // registers, so that every index and value load feeds twice the rows.
-// Per stored weight the kernel broadcasts the value, multiplies it
-// into the lanes of xt row k and adds the products into the column's
-// accumulator. Lanes past the last batch row repeat it and their results
-// are never stored, so a 1-7 row decode batch costs one padded tile. Row
-// K of xt is all zero: a padding entry contributes 0*0 = +0, and adding
-// +0 never changes an accumulator that started at +0.
+// Per stored weight the kernel broadcasts the value and fuses its
+// products with the lanes of xt row k into the column's accumulator, one
+// multiply-add per lane. Lanes past the last batch row repeat it and
+// their results are never stored, so a 1-7 row decode batch costs one
+// padded tile. Row K of xt is all zero: a padding entry is fma(0, 0, s),
+// which is s for every s but -0 (that becomes +0, see below).
 //
 // # Bit identity
 //
-// Every dst element accumulates its column's products in ascending k,
-// each a separately rounded multiply then add (VMULPD/VADDPD on amd64,
-// no FMA) — the same sequence of rounded operations as the naive dense
-// loop over the masked matrix, minus its exact-zero terms, which leave
-// the sum unchanged. Results are therefore bit-identical to masked
-// dense execution; kernel and lane count only reorder work across dst.
+// Every served product has one rounding definition: each dst element
+// accumulates s = fma(x, w, s) over its column's weights in ascending k,
+// one rounding per weight (VFMADD231PD on amd64, math.FMA in laneKernGo).
+// The dense reference MatMul, and the naive loops the tests hold every
+// kernel to, accumulate the same way, so they run the same sequence of
+// roundings plus the masked matrix's zero-weight terms, and fma(x, ±0,
+// s) is s for finite x and nonzero s. Results are therefore
+// bit-identical to masked dense execution; kernel and lane count only
+// reorder work across dst. The one thing not promised is the sign of a
+// zero result: a product that underflows below 2^-1075 leaves -0, which
+// a later zero-weight or padding term turns into +0 on one side and not
+// the other, so zeros compare equal but may differ in sign.
 
 // LaneGroup is the number of output columns whose streams are
 // interleaved into one group.
@@ -85,17 +93,6 @@ type laneKern struct {
 	asm   bool
 	width int
 }
-
-// laneHost is the twin GemmLanes runs on this host, laneISA its name.
-var laneHost, laneISA = func() (laneKern, string) {
-	switch {
-	case cpuHasAVX512F:
-		return laneKern{true, 2 * laneWidth}, "avx512"
-	case laneAsm:
-		return laneKern{true, laneWidth}, "avx"
-	}
-	return laneKern{false, laneWidth}, "go"
-}()
 
 // LaneISA names the twin GemmLanes runs ("avx512", "avx" or "go"), for
 // metrics and benchmark records.
@@ -232,8 +229,8 @@ func gemmLanes(dst, x *Matrix, w *LaneWeights, kern laneKern) {
 // the row block: the kernel touches one xt row (64 or 128 bytes) per
 // stored weight at a data-dependent k, so the xt block is what has to
 // stay in L1, while the weight streams are read sequentially, 10 bytes a
-// weight, and prefetch well from L2. GemmPanels' 64-row blocks measured
-// slower here at every prefill shape (at K=192 their xt is 98 KB).
+// weight, and prefetch well from L2. 64-row blocks measured slower here
+// at every prefill shape (at K=192 their xt is 98 KB).
 func (j *laneJob) Range(lo, hi int) {
 	const partGroups = LanePartition / LaneGroup
 	x, w, width := j.x, j.w, j.kern.width
@@ -293,8 +290,9 @@ func packLanes(xt, x []float64, K, lanes int) {
 }
 
 // laneKernGo is the portable kernel, the loop nest the assembly kernels
-// replicate: one column group against one xt block of lanes lanes, into
-// the len(c)/ldc batch rows of c (row stride ldc) at columns cols.
+// replicate, one math.FMA per weight and lane: one column group against
+// one xt block of lanes lanes, into the len(c)/ldc batch rows of c (row
+// stride ldc) at columns cols.
 func laneKernGo(idx []uint16, val []float64, xt []float64, c []float64, ldc int, cols []int32, lanes int) {
 	var acc [LaneGroup][2 * laneWidth]float64
 	val = val[:len(idx)]
@@ -303,7 +301,7 @@ func laneKernGo(idx []uint16, val []float64, xt []float64, c []float64, ldc int,
 		xs := xt[int(k)*lanes:][:lanes]
 		a := acc[i%LaneGroup][:len(xs)]
 		for l, xv := range xs {
-			a[l] += xv * v
+			a[l] = math.FMA(xv, v, a[l])
 		}
 	}
 	for r := 0; r < len(c)/ldc; r++ {

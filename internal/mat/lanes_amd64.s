@@ -3,13 +3,21 @@
 // amd64 kernels for the lane-parallel sparse GEMM (see lanes.go).
 //
 // One call runs one column group against one lane-major xt block. Per
-// stored weight: load its k-index, broadcast its value, VMULPD it into
-// the lanes of xt row k, VADDPD the products into the column's
-// accumulator. Strict multiply then add, ascending k per column — the
-// rounding sequence of the scalar reference, so results are
-// bit-identical to it. The four columns of a step feed four independent
-// accumulator chains. Separate loads with register-register multiplies
-// measured faster here than memory-operand multiplies.
+// stored weight: load its k-index, load xt row k, and VFMADD231PD the
+// broadcast value with it into the column's accumulator — one fused
+// multiply-add per register, one rounding per weight, ascending k per
+// column: the rounding sequence of math.FMA in laneKernGo, so results
+// are bit-identical to it. The four columns of a step feed four
+// independent accumulator chains.
+//
+// Operand forms, re-measured for FMA (interleaved in one process,
+// GOMAXPROCS 1, median call, 192->768, 768->192 and 192->192 at sparsity
+// 0.3 and 0.7, Sapphire Rapids): with two registers per xt row, loading
+// both halves and one register broadcast feeding two register FMAs is
+// within 3% of taking xt as the FMA's memory operand and 4-12% faster
+// than two broadcast-operand FMAs. With one ZMM per xt row the
+// broadcast-operand form (VFMADD231PD.BCST, four instructions per
+// weight) measured 0-8% faster than the other two, which agree within 2%.
 //
 // The three kernels are one loop at three register shapes: two YMM per
 // xt row (AVX, 8 lanes), two ZMM (AVX-512F, 16 lanes: every index and
@@ -20,29 +28,26 @@
 
 // LANE2 consumes one stored weight of column j against an xt row of two
 // registers, half bytes each (row stride 1<<sh bytes): broadcast into b,
-// products in t0/t1, accumulators lo (first half of the lanes) and hi.
+// accumulators lo (first half of the lanes) and hi.
 #define LANE2(j, sh, half, b, t0, t1, lo, hi) \
 	MOVWLZX (2*j)(SI), R8; \
 	SHLQ $sh, R8; \
 	VBROADCASTSD (8*j)(DI), b; \
 	VMOVUPD (DX)(R8*1), t0; \
 	VMOVUPD half(DX)(R8*1), t1; \
-	VMULPD t0, b, t0; \
-	VMULPD t1, b, t1; \
-	VADDPD t0, lo, lo; \
-	VADDPD t1, hi, hi
+	VFMADD231PD t0, b, lo; \
+	VFMADD231PD t1, b, hi
 
 #define LANE8(j, lo, hi) LANE2(j, 6, 32, Y8, Y9, Y10, lo, hi)
 #define LANE16Z(j, lo, hi) LANE2(j, 7, 64, Z8, Z9, Z10, lo, hi)
 
-// LANE8Z is LANE8 with the 8 lanes in one register.
+// LANE8Z is LANE8 with the 8 lanes in one register, the value broadcast
+// by the FMA from its memory operand.
 #define LANE8Z(j, acc) \
 	MOVWLZX (2*j)(SI), R8; \
 	SHLQ $6, R8; \
-	VBROADCASTSD (8*j)(DI), Z8; \
 	VMOVUPD (DX)(R8*1), Z9; \
-	VMULPD Z9, Z8, Z9; \
-	VADDPD Z9, acc, acc
+	VFMADD231PD.BCST (8*j)(DI), Z9, acc
 
 // ENTER loads the stream arguments every kernel walks: idx in SI, val in
 // DI, steps in CX, xt in DX.
@@ -163,7 +168,7 @@ loop:
 // func laneKern8Z(idx *uint16, val *float64, steps int, xt, c *float64, ldc int, cols *int32, rows int)
 //
 // laneKern8AVX with one ZMM per column: the same 8-lane xt block, half
-// the multiplies and adds per weight. Z0 .. Z3 accumulate columns 0..3.
+// the multiply-adds per weight. Z0 .. Z3 accumulate columns 0..3.
 TEXT ·laneKern8Z(SB), NOSPLIT, $256-64
 	ENTER
 	VPXORQ Z0, Z0, Z0

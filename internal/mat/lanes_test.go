@@ -29,8 +29,7 @@ func sparseWeights(tb testing.TB, rng *rand.Rand, K, N int, sparsity float64) (*
 
 // laneRows are the batch sizes around every lane-block edge: 1-9 rows
 // (one padded 4- or 8-lane tile, then a second block), both sides of 16
-// and 32, a full gemmMC row block and one past it, and two row blocks
-// plus a 2-row tail.
+// and 32, 64 and 65 rows, and 130: many blocks plus a 2-row tail.
 var laneRows = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 65, 130}
 
 // TestGemmLanesBitIdenticalSweep: the lane kernel must equal the naive
@@ -55,6 +54,44 @@ func TestGemmLanesBitIdenticalSweep(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestGemmLanesMatchesMatMulServing pins the lane kernel at density 1 —
+// what the unpruned linears run — to the production MatMul, the dense
+// reference, at the serving shapes (batch x in x out at dim 192, ffn 768,
+// vocab 512), bit for bit.
+func TestGemmLanesMatchesMatMulServing(t *testing.T) {
+	rng := rand.New(rand.NewSource(82))
+	for _, sh := range [][3]int{{256, 192, 768}, {256, 768, 192}, {8, 192, 768}, {64, 192, 192}, {8, 192, 512}, {130, 192, 512}} {
+		M, K, N := sh[0], sh[1], sh[2]
+		w, lw := sparseWeights(t, rng, K, N, 0)
+		x := mat.New(M, K)
+		x.Randomize(rng, 1)
+		want := mat.New(M, N)
+		mat.MatMul(want, x, w)
+		got := mat.New(M, N)
+		mat.GemmLanes(got, x, lw)
+		if !mat.Equal(got, want, 0) {
+			t.Fatalf("%v: lanes at density 1 differ from MatMul", sh)
+		}
+	}
+}
+
+// TestGemmZeroAllocSteadyState: the product of an unpruned linear —
+// every weight kept — allocates nothing after warm-up either, at a
+// decode step and at a prefill batch.
+func TestGemmZeroAllocSteadyState(t *testing.T) {
+	rng := rand.New(rand.NewSource(86))
+	_, lw := sparseWeights(t, rng, 48, 24, 0)
+	for _, M := range []int{7, 40} {
+		x := mat.New(M, 48)
+		x.Randomize(rng, 1)
+		dst := mat.New(M, 24)
+		mat.GemmLanes(dst, x, lw)
+		if n := testing.AllocsPerRun(50, func() { mat.GemmLanes(dst, x, lw) }); n != 0 {
+			t.Errorf("%d rows: %v allocs per call in steady state", M, n)
 		}
 	}
 }
@@ -202,8 +239,8 @@ func TestNewLaneWeightsRejects(t *testing.T) {
 
 // BenchmarkGemmLanes is a rough guide only (this host is noisy; the
 // enforced comparison is rt3bench -exp kernels): the lane kernel down
-// the sparsity ladder at a full, a ragged and a half-empty decode step
-// and at a prefill block, beside the dense panels over the same shape.
+// the sparsity ladder from density 1 (what the unpruned linears run) at a
+// full, a ragged and a half-empty decode step and at a prefill block.
 //
 // The step/ rows are what the fork constants were set from
 // (docs/ARCHITECTURE.md, "Parallel execution"): 8- and 3-row products at
@@ -224,15 +261,7 @@ func BenchmarkGemmLanes(b *testing.B) {
 		gflops := func(b *testing.B) {
 			b.ReportMetric(2*float64(M*K*N)*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflop-eq/s")
 		}
-		w, _ := sparseWeights(b, rng, K, N, 0)
-		p := mat.PackPanels(w)
-		b.Run(fmt.Sprintf("panels/%dx%dx%d", M, K, N), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				mat.GemmPanels(dst, x.Data, p)
-			}
-			gflops(b)
-		})
-		for _, sparsity := range []float64{0.3, 0.5, 0.7} {
+		for _, sparsity := range []float64{0, 0.3, 0.5, 0.7} {
 			_, lw := sparseWeights(b, rng, K, N, sparsity)
 			b.Run(fmt.Sprintf("lanes/%dx%dx%d/s%.1f", M, K, N, sparsity), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

@@ -154,7 +154,11 @@ func GrowFloats(buf []float64, n int) []float64 {
 }
 
 // MatMul computes dst = a @ b. dst must be pre-allocated with shape
-// a.Rows x b.Cols and must not alias a or b.
+// a.Rows x b.Cols and must not alias a or b. Each dst element
+// accumulates s = fma(a[i][k], b[k][j], s) in ascending k: the rounding
+// definition of every served product (see lanes.go, "Bit identity"), so
+// the dense reference and the kernels agree bit for bit. A zero of a
+// contributes no term.
 func MatMul(dst, a, b *Matrix) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: MatMul inner dims %d != %d", a.Cols, b.Rows))
@@ -175,7 +179,7 @@ func MatMul(dst, a, b *Matrix) {
 			}
 			bk := b.Data[k*n : (k+1)*n]
 			for j, bv := range bk {
-				di[j] += av * bv
+				di[j] = math.FMA(av, bv, di[j])
 			}
 		}
 	}
@@ -197,7 +201,8 @@ const matMulTile = 32
 // scores go through Attend): each b tile is reused from cache across a
 // whole a tile instead of being re-streamed for every row of a. Each dst
 // element is still one full contraction in ascending k order, so results
-// are bit-identical to the untiled triple loop.
+// are bit-identical to the untiled triple loop. Its products stay
+// separately rounded (the conversion forbids fusing them on any port).
 func MatMulT(dst, a, b *Matrix) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MatMulT inner dims %d != %d", a.Cols, b.Cols))
@@ -222,7 +227,7 @@ func MatMulT(dst, a, b *Matrix) {
 					bj := b.Data[j*b.Cols : (j+1)*b.Cols]
 					var s float64
 					for k, av := range ai {
-						s += av * bj[k]
+						s += float64(av * bj[k])
 					}
 					di[j] = s
 				}
@@ -239,7 +244,8 @@ func MatMulT(dst, a, b *Matrix) {
 // cached instead of the whole dst being re-streamed for every batch
 // row. Tiles are processed in ascending row order and each dst element
 // accumulates its terms in ascending r order, so results are
-// bit-identical to the untiled loop.
+// bit-identical to the untiled loop; its products stay separately
+// rounded, like MatMulT's.
 func MatMulTA(dst, a, b *Matrix) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("mat: MatMulTA inner dims %d != %d", a.Rows, b.Rows))
@@ -263,7 +269,7 @@ func MatMulTA(dst, a, b *Matrix) {
 				}
 				br := b.Data[r*n : (r+1)*n]
 				for j, bv := range br {
-					di[j] += av * bv
+					di[j] += float64(av * bv)
 				}
 			}
 		}
@@ -436,13 +442,19 @@ func (m *Matrix) ArgmaxRow(i int) int {
 }
 
 // Equal reports whether the two matrices have the same shape and their
-// elements differ by at most tol.
+// elements differ by at most tol. A NaN equals only a NaN; an infinity
+// equals only the same infinity.
 func Equal(a, b *Matrix, tol float64) bool {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		return false
 	}
 	for i, v := range a.Data {
-		if math.Abs(v-b.Data[i]) > tol {
+		u := b.Data[i]
+		if math.IsNaN(v) || math.IsNaN(u) {
+			if !math.IsNaN(v) || !math.IsNaN(u) {
+				return false
+			}
+		} else if math.Abs(v-u) > tol {
 			return false
 		}
 	}

@@ -311,6 +311,40 @@ func TestEqualShapes(t *testing.T) {
 	}
 }
 
+// TestEqualNonFinite: a NaN equals only a NaN, at any tolerance (a NaN
+// on one side used to compare equal, since NaN - x > tol is false); an
+// infinity equals only the same infinity; -0 equals +0.
+func TestEqualNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		a, b float64
+		tol  float64
+		want bool
+	}{
+		{nan, 1, 0, false},
+		{1, nan, 0, false},
+		{nan, 1, math.Inf(1), false},
+		{nan, inf, 0, false},
+		{nan, nan, 0, true},
+		{nan, -nan, 0, true},
+		{inf, inf, 0, true},
+		{inf, -inf, 0, false},
+		{inf, 1e308, 0, false},
+		{-inf, -inf, 0, true},
+		{math.Copysign(0, -1), 0, 0, true},
+		{1, 1 + 1e-12, 1e-9, true},
+		{1, 1 + 1e-12, 0, false},
+	} {
+		a, b := FromSlice(1, 2, []float64{0, tc.a}), FromSlice(1, 2, []float64{0, tc.b})
+		if got := Equal(a, b, tc.tol); got != tc.want {
+			t.Errorf("Equal(%v, %v, tol %v) = %v, want %v", tc.a, tc.b, tc.tol, got, tc.want)
+		}
+		if got := Equal(b, a, tc.tol); got != tc.want {
+			t.Errorf("Equal(%v, %v, tol %v) = %v, want %v", tc.b, tc.a, tc.tol, got, tc.want)
+		}
+	}
+}
+
 func TestCopyFromPanicsOnShape(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -11,7 +11,7 @@ import (
 // worth splitting: GOMAXPROCS-1 helper goroutines and a parallel-for,
 // Fork, that the bodies themselves call — GemmLanes over row blocks or,
 // for the single lane block of a decode step, over column partitions,
-// GemmPanels over row blocks, attention over heads (batched) or
+// attention over heads (batched) or
 // sequences (cached), GELU and the residual + layer norm over row spans.
 // Fan-out therefore happens beneath kernel.Kernel.MulInto: whatever
 // wraps a kernel sees one call per product, on the calling goroutine.

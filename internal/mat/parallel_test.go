@@ -12,20 +12,20 @@ import (
 	"rt3/internal/testutil"
 )
 
-// forkRows are the batch sizes of a decode step (one lane or panel
-// block, split by column partition) and both sides of every block edge a
-// row split can fall on (8- or 16-row lane blocks — 12 rows are one wide
-// block split by partition where the ZMM kernels run and two narrow ones
-// elsewhere, 40 rows end in a narrow last block either way — and 64-row
-// panel blocks).
+// forkRows are the batch sizes of a decode step (one lane block, split by
+// column partition) and both sides of every block edge a row split can
+// fall on (8- or 16-row lane blocks — 12 rows are one wide block split by
+// partition where the ZMM kernels run and two narrow ones elsewhere, 40
+// rows end in a narrow last block either way), up to 513 rows.
 var forkRows = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 17, 40, 63, 64, 65, 255, 256, 257, 513}
 
-// TestForkGemmMatchesInline is the bit-identity sweep of the kernels
-// that split across the Fork helpers: GemmLanes and GemmPanels give the
-// bits of their inline run (GOMAXPROCS 1) at every batch size and
-// sparsity, at the three serving shapes and at 24x12 (one ragged
-// partition, under the threshold at one block), and fan out exactly
-// when they have two units and their work reaches ForkMinWork.
+// TestForkGemmMatchesInline is the bit-identity sweep of the product
+// kernel that splits across the Fork helpers: GemmLanes gives the bits
+// of its inline run (GOMAXPROCS 1) at every batch size and
+// sparsity (density 1 included), at the three serving shapes and at
+// 24x12 (one ragged partition, under the threshold at one block), and
+// fans out exactly when it has two units and its work reaches
+// ForkMinWork.
 func TestForkGemmMatchesInline(t *testing.T) {
 	rng := rand.New(rand.NewSource(201))
 	type run struct {
@@ -39,44 +39,25 @@ func TestForkGemmMatchesInline(t *testing.T) {
 	for _, shape := range [][2]int{{192, 192}, {192, 768}, {768, 192}, {24, 12}} {
 		K, N := shape[0], shape[1]
 		for _, sparsity := range []float64{0, 0.3, 0.7} {
-			w, lw := sparseWeights(t, rng, K, N, sparsity)
-			p := mat.PackPanels(w)
-			// a kernel's units at M rows and the work it counts per unit row
-			laneUnits := func(M int) (int, int) {
-				work := (M + 7) / 8 * 8 * lw.Steps() * mat.LaneGroup
+			_, lw := sparseWeights(t, rng, K, N, sparsity)
+			mul := func(dst, x *mat.Matrix) { mat.GemmLanes(dst, x, lw) }
+			for _, M := range forkRows {
+				if M > 65 && K*N > 192*192 {
+					continue // the large row splits are covered at 192x192
+				}
+				x := mat.New(M, K)
+				x.Randomize(rng, 1)
+				want := mat.New(M, N)
+				mul(want, x)
+				// the kernel's units at M rows and the work it counts
+				n, work := (N+mat.LanePartition-1)/mat.LanePartition, (M+7)/8*8*lw.Steps()*mat.LaneGroup
 				if width := mat.LaneBlockRows(); M > width {
-					return (M + width - 1) / width, work
+					n = (M + width - 1) / width
 				}
-				return (N + mat.LanePartition - 1) / mat.LanePartition, work
-			}
-			panelUnits := func(M int) (int, int) {
-				if M <= 64 {
-					return (N + mat.LanePartition - 1) / mat.LanePartition, (M + 7) / 8 * 8 * K * N
-				}
-				return (M + 63) / 64, (M + 7) / 8 * 8 * K * N
-			}
-			for _, k := range []struct {
-				name  string
-				mul   func(dst, x *mat.Matrix)
-				units func(M int) (n, work int)
-			}{
-				{"lanes", func(dst, x *mat.Matrix) { mat.GemmLanes(dst, x, lw) }, laneUnits},
-				{"panels", func(dst, x *mat.Matrix) { mat.GemmPanels(dst, x.Data, p) }, panelUnits},
-			} {
-				for _, M := range forkRows {
-					if M > 65 && K*N > 192*192 {
-						continue // the large row splits are covered at 192x192
-					}
-					x := mat.New(M, K)
-					x.Randomize(rng, 1)
-					want := mat.New(M, N)
-					k.mul(want, x)
-					n, work := k.units(M)
-					runs = append(runs, run{
-						fmt.Sprintf("%s %dx%d s%.1f M=%d", k.name, K, N, sparsity, M), k.mul, x, want,
-						n >= 2 && work >= mat.ForkMinWork,
-					})
-				}
+				runs = append(runs, run{
+					fmt.Sprintf("lanes %dx%d s%.1f M=%d", K, N, sparsity, M), mul, x, want,
+					n >= 2 && work >= mat.ForkMinWork,
+				})
 			}
 		}
 	}

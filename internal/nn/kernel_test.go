@@ -11,11 +11,23 @@ import (
 	"rt3/internal/testutil"
 )
 
-// sparseLinear builds a Linear and a packed kernel over its weights.
+// sparseLinear builds a Linear and a packed kernel over its weights: the
+// pattern format with every weight kept.
 func sparseLinear(t *testing.T, seed int64) (*nn.Linear, kernel.Kernel) {
 	t.Helper()
 	l := nn.NewLinear("l", 6, 5, rand.New(rand.NewSource(seed)))
-	return l, kernel.NewPacked(l.W.Value)
+	return l, allKept(t, l.W.Value)
+}
+
+// allKept builds the pattern kernel that keeps every weight of w, what
+// the engine installs on the linears no level prunes.
+func allKept(t *testing.T, w *mat.Matrix) kernel.Kernel {
+	t.Helper()
+	k, err := kernel.Build("pattern", w, kernel.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
 }
 
 // TestLinearKernelForwardMatchesDense: installing a kernel over the same
@@ -44,7 +56,7 @@ func TestLinearKernelForwardMatchesDense(t *testing.T) {
 
 // TestLinearKernelParallelForward runs the same check at batches the
 // packed product fans out across the mat.Fork helpers, by column
-// partition (16 rows, one panel block) and by row block (256 rows):
+// partition or lane block (16 rows) and by row block (256 rows):
 // Forward is bit-identical to its inline run (GOMAXPROCS 1) and matches
 // the dense forward. At 256 rows the bias add is a second region.
 func TestLinearKernelParallelForward(t *testing.T) {
@@ -56,7 +68,7 @@ func TestLinearKernelParallelForward(t *testing.T) {
 		x.Randomize(rng, 1)
 		l.SetKernel(nil)
 		dense := l.Forward(x).Clone()
-		l.SetKernel(kernel.NewPacked(l.W.Value))
+		l.SetKernel(allKept(t, l.W.Value))
 		testutil.Procs(t, 1)
 		inline := l.Forward(x).Clone()
 		testutil.Procs(t, 4)
@@ -168,21 +180,18 @@ func TestLinearBufferReuse(t *testing.T) {
 	}
 }
 
-// TestLinearMicroKernelFormats installs the "packed" micro-kernel format
-// into Linear: it must reproduce dense Forward bit for bit (the bias add
-// is the same code path) and run the layer's hot path allocation-free
-// with buffer reuse on.
+// TestLinearMicroKernelFormats installs the lane micro-kernel with every
+// weight kept (the "pattern" format with no set) into Linear: it must
+// reproduce dense Forward bit for bit (the bias add is the same code
+// path) and run the layer's hot path allocation-free with buffer reuse
+// on.
 func TestLinearMicroKernelFormats(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	l := nn.NewLinear("l", 12, 9, rng)
 	x := mat.New(8, 12)
 	x.Randomize(rng, 1)
 	want := l.Forward(x).Clone()
-	k, err := kernel.Build("packed", l.W.Value, kernel.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.SetKernel(k)
+	l.SetKernel(allKept(t, l.W.Value))
 	if got := l.Forward(x); !mat.Equal(got, want, 0) {
 		t.Fatal("packed Forward differs from dense")
 	}

@@ -42,7 +42,8 @@ type Model interface {
 	PrunableLinears() []*nn.Linear
 	// UnprunedLinears lists the serving-path linears no level prunes (the
 	// output projection, the classification head). The engine runs them
-	// through a packed kernel too, one that no level switch touches.
+	// through the pattern kernel too, with every weight kept, and no level
+	// switch touches it.
 	UnprunedLinears() []*nn.Linear
 	// VocabSize bounds the token ids the model accepts, [0, VocabSize());
 	// the server rejects anything else at admission, because the model
@@ -89,9 +90,10 @@ type Engine struct {
 	// EngineConfig. Packed weights are read-only, so replicas share them
 	// and run forward passes concurrently.
 	kernels [][]kernel.Kernel
-	// unpruned[r][i] is the packed kernel of replica r's i-th unpruned
-	// linear (Model.UnprunedLinears order): level-independent, installed
-	// at construction and lifted only while a dense reference runs.
+	// unpruned[r][i] is the all-kept pattern kernel of replica r's i-th
+	// unpruned linear (Model.UnprunedLinears order): level-independent,
+	// installed at construction and lifted only while a dense reference
+	// runs.
 	unpruned [][]kernel.Kernel
 
 	// level mirrors recon.Current() for lock-free reads: monitoring code
@@ -172,8 +174,9 @@ func NewEngine(bundle *deploy.Bundle, replicas []Model, costs rtswitch.SwitchCos
 // NewEngineConfigured deploys a bundle onto the given model replicas:
 // backbone weights are written into every replica's prunable
 // projections, each level's kernels are built once through the kernel
-// registry, each replica's unpruned linears get a packed dense kernel,
-// activation-buffer reuse is enabled on every replica, and the first
+// registry, each replica's unpruned linears get a pattern kernel that
+// keeps every weight, activation-buffer reuse is enabled on every
+// replica, and the first
 // (fastest) level is activated. All replicas must be clones of the same
 // checkpoint, and from here on serve only: every linear now reads packed
 // copies of its weights, and Backward refuses to run on them.
@@ -238,14 +241,17 @@ func NewEngineConfigured(bundle *deploy.Bundle, replicas []Model, costs rtswitch
 		}
 	}
 	// the unpruned linears are the same at every level: pack each
-	// replica's once (float64 panels, bit-identical to the dense product
-	// they replace) and leave them installed — install only ever touches
-	// the prunable linears; the dense references lift them for the length
-	// of the reference run
+	// replica's once (the pattern kernel with no set keeps every weight,
+	// bit-identical to the dense product it replaces) and leave them
+	// installed — install only ever touches the prunable linears; the
+	// dense references lift them for the length of the reference run
 	e.unpruned = make([][]kernel.Kernel, len(e.replicas))
 	for ri, r := range e.replicas {
 		for _, l := range r.UnprunedLinears() {
-			k := kernel.NewPacked(l.W.Value)
+			k, err := kernel.Build("pattern", l.W.Value, kernel.Options{})
+			if err != nil {
+				return nil, fmt.Errorf("serve: building the kernel of unpruned linear %s: %w", l.W.Name, err)
+			}
 			l.SetKernel(k)
 			e.unpruned[ri] = append(e.unpruned[ri], k)
 		}
@@ -462,7 +468,7 @@ func (e *Engine) DecodeChunkBatch(replica int, states []*transformer.DecodeState
 // denseReference turns replica 0 into the masked dense reference of level
 // idx: level idx's mask applied to the dense weights of the prunable
 // linears, and every serving kernel removed — the level's and the unpruned
-// linears' packed panels alike, so the reference shares no kernel code
+// linears' all-kept kernels alike, so the reference shares no kernel code
 // with the execution it checks. The returned function restores the dense
 // weights, the active level's kernels and the unpruned linears' kernels.
 func (e *Engine) denseReference(idx int) (restore func()) {

@@ -12,6 +12,7 @@ import (
 	"rt3/internal/pattern"
 	"rt3/internal/rtswitch"
 	"rt3/internal/serve"
+	"rt3/internal/sparse"
 	"rt3/internal/testutil"
 	"rt3/internal/transformer"
 )
@@ -67,11 +68,11 @@ func TestEngineFailedSwitchRestoresKernels(t *testing.T) {
 	}
 }
 
-// TestEngineAlternateFormats deploys the same bundle through every
+// TestEngineAlternateFormats deploys the same bundle through the
 // non-default registry format: the unified kernel API means any format
 // serves an RT3 level with output identical to masked dense execution.
 func TestEngineAlternateFormats(t *testing.T) {
-	for _, format := range []string{"dense", "packed"} {
+	for _, format := range []string{"dense"} {
 		format := format
 		t.Run(format, func(t *testing.T) {
 			eng, bundle := newTestDeployment(t, 1)
@@ -293,12 +294,13 @@ func TestEngineForwardOutputsIndependent(t *testing.T) {
 }
 
 // TestEngineUnprunedLinearsKeepPackedKernel: the output projection is
-// level-independent, so the engine packs it once per replica and nothing
-// that repoints the prunable linears — a switch, a rejected switch, an
-// injected switch fault, a dense reference — may drop or replace that
-// kernel. It also has to be exact: logits stay bit-identical to the
-// dense product over the same weights, and Backward keeps refusing to
-// differentiate through a packed layer.
+// level-independent, so the engine packs it once per replica — the
+// pattern kernel with every weight kept — and nothing that repoints the
+// prunable linears — a switch, a rejected switch, an injected switch
+// fault, a dense reference — may drop or replace that kernel. It also
+// has to be exact: logits stay bit-identical to the dense product over
+// the same weights, and Backward keeps refusing to differentiate through
+// a packed layer.
 func TestEngineUnprunedLinearsKeepPackedKernel(t *testing.T) {
 	eng, lms := newLMDeployment(t, 2, "")
 	type held struct {
@@ -308,8 +310,8 @@ func TestEngineUnprunedLinearsKeepPackedKernel(t *testing.T) {
 	var projs []held
 	for _, lm := range lms {
 		k := lm.Proj.Kernel()
-		if _, ok := k.(*kernel.PackedKernel); !ok {
-			t.Fatalf("output projection runs %T, want the packed f64 kernel", k)
+		if _, ok := k.(*sparse.Pattern); !ok || k.NNZ() != lm.Proj.In*lm.Proj.Out {
+			t.Fatalf("output projection runs %T, want the pattern kernel with every weight kept", k)
 		}
 		projs = append(projs, held{lm.Proj, k})
 	}
@@ -372,7 +374,7 @@ func (c *countingKernel) MulInto(dst, x *mat.Matrix) {
 // TestDenseReferencesRunUnprunedLinearsDense: the masked dense references
 // are what every served output is checked against, so they must not run
 // the kernels under test — neither the level's kernels on the prunable
-// linears nor the packed panels on the output projection. A spy on the
+// linears nor the all-kept kernel on the output projection. A spy on the
 // projection sees serving passes and must see none of a reference's; the
 // reference then puts the engine's own packed kernel back.
 func TestDenseReferencesRunUnprunedLinearsDense(t *testing.T) {

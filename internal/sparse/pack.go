@@ -10,7 +10,14 @@ import (
 // returned kernel computes exactly what dense execution over the masked
 // weights would — the object a device runs after an RT3 level switch. Like
 // NewPattern it rejects a w of more than mat.LaneMaxK (65535) rows.
+//
+// A nil set keeps every weight — one 1x1 pattern with its bit set,
+// chosen by every tile — which is how the linears no level prunes run
+// the same kernel as the pruned ones.
 func PackSet(w *mat.Matrix, s *pattern.Set) (*Pattern, error) {
+	if s == nil {
+		return NewPattern(w, 1, [][]uint8{{1}}, make([]int, w.Rows*w.Cols))
+	}
 	choices := s.Choose(w)
 	bits := make([][]uint8, len(s.Patterns))
 	for i, p := range s.Patterns {

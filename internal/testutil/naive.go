@@ -9,9 +9,13 @@ import (
 // Naive matrix-product references shared by the mat, kernel, and nn
 // test suites: the exact loops the production kernels replaced. Each
 // accumulates every dst element in ascending-k order, the property the
-// bit-identity tests key on — keep them boring.
+// bit-identity tests key on — keep them boring. NaiveMatMul fuses each
+// product into its sum, as every served product does; the others keep
+// their products separately rounded, spelled float64(a*b) so that no
+// port fuses them on its own.
 
-// NaiveMatMul is the untiled reference for dst = a @ b.
+// NaiveMatMul is the untiled reference for dst = a @ b: s = fma(a[i][k],
+// b[k][j], s) in ascending k, with no zero skip.
 func NaiveMatMul(dst, a, b *mat.Matrix) {
 	n := b.Cols
 	for i := 0; i < a.Rows; i++ {
@@ -19,7 +23,7 @@ func NaiveMatMul(dst, a, b *mat.Matrix) {
 		for j := 0; j < n; j++ {
 			var s float64
 			for k, av := range ai {
-				s += av * b.Data[k*n+j]
+				s = math.FMA(av, b.Data[k*n+j], s)
 			}
 			dst.Data[i*n+j] = s
 		}
@@ -34,7 +38,7 @@ func NaiveMatMulT(dst, a, b *mat.Matrix) {
 			bj := b.Data[j*b.Cols : (j+1)*b.Cols]
 			var s float64
 			for k, av := range ai {
-				s += av * bj[k]
+				s += float64(av * bj[k])
 			}
 			dst.Data[i*dst.Cols+j] = s
 		}
@@ -55,7 +59,7 @@ func NaiveMatMulTA(dst, a, b *mat.Matrix) {
 			}
 			di := dst.Data[i*n : (i+1)*n]
 			for j, bv := range br {
-				di[j] += av * bv
+				di[j] += float64(av * bv)
 			}
 		}
 	}
@@ -142,7 +146,7 @@ func NaiveAttend(out, q []float64, k, v *mat.Matrix, scale float64) []float64 {
 	for j := range p {
 		var s float64
 		for c, qv := range q {
-			s += qv * k.Data[j*k.Cols+c]
+			s += float64(qv * k.Data[j*k.Cols+c])
 		}
 		p[j] = s * scale
 	}
@@ -164,7 +168,7 @@ func NaiveAttend(out, q []float64, k, v *mat.Matrix, scale float64) []float64 {
 	for c := range out {
 		var s float64
 		for j, pv := range p {
-			s += pv * v.Data[j*v.Cols+c]
+			s += float64(pv * v.Data[j*v.Cols+c])
 		}
 		out[c] = s
 	}

@@ -451,14 +451,18 @@ var (
 )
 
 // newWideDecodeModel builds the wideCfg model as the engine serves it:
-// buffer reuse on, pattern kernels on the prunable linears, packed panels
-// on the output projection.
+// buffer reuse on, pattern kernels on the prunable linears and one that
+// keeps every weight on the output projection.
 func newWideDecodeModel(t testing.TB) *transformer.LMModel {
 	t.Helper()
 	m := transformer.NewLMModel(wideCfg, rand.New(rand.NewSource(43)))
 	m.SetBufferReuse(true)
 	installSparseKernels(t, m, 47)
-	m.Proj.SetKernel(kernel.NewPacked(m.Proj.W.Value))
+	proj, err := kernel.Build("pattern", m.Proj.W.Value, kernel.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Proj.SetKernel(proj)
 	return m
 }
 
