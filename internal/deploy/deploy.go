@@ -7,7 +7,6 @@
 package deploy
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -20,6 +19,13 @@ import (
 const (
 	magic   = 0x52543342 // "RT3B"
 	version = 1
+)
+
+// maxCount bounds every count and matrix dimension, and maxPSize every
+// pattern size, that Decode accepts (and so Validate lets Encode write).
+const (
+	maxCount = 1 << 20
+	maxPSize = 4096
 )
 
 // Bundle is an RT3 deployment artifact.
@@ -40,7 +46,9 @@ type WeightMatrix struct {
 	Data       []float64
 }
 
-// Validate reports structural errors.
+// Validate reports structural errors: everything that would make the
+// bundle fail to encode, or encode to bytes Decode rejects, or build no
+// kernels (a set whose patterns disagree on their size).
 func (b *Bundle) Validate() error {
 	if len(b.Sets) != len(b.LevelNames) {
 		return fmt.Errorf("deploy: %d sets vs %d level names", len(b.Sets), len(b.LevelNames))
@@ -49,67 +57,91 @@ func (b *Bundle) Validate() error {
 		return fmt.Errorf("deploy: bundle has no pattern sets")
 	}
 	for i, w := range b.Weights {
+		if w.Rows < 0 || w.Cols < 0 || w.Rows > maxCount || w.Cols > maxCount {
+			return fmt.Errorf("deploy: weight %d has implausible dims %dx%d", i, w.Rows, w.Cols)
+		}
 		if len(w.Data) != w.Rows*w.Cols {
 			return fmt.Errorf("deploy: weight %d data len %d != %dx%d", i, len(w.Data), w.Rows, w.Cols)
+		}
+		if err := checkString(w.Name); err != nil {
+			return err
 		}
 	}
 	for i, s := range b.Sets {
 		if len(s.Patterns) == 0 {
 			return fmt.Errorf("deploy: set %d empty", i)
 		}
+		if err := checkString(b.LevelNames[i]); err != nil {
+			return err
+		}
+		psize := s.Patterns[0].Size
+		for k, p := range s.Patterns {
+			if p.Size != psize {
+				return fmt.Errorf("deploy: set %d pattern %d has size %d, pattern 0 has %d", i, k, p.Size, psize)
+			}
+			if p.Size <= 0 || p.Size > maxPSize || len(p.Bits) != p.Size*p.Size {
+				return fmt.Errorf("deploy: set %d pattern %d of size %d has %d bits", i, k, p.Size, len(p.Bits))
+			}
+		}
 	}
 	return nil
 }
 
-// WriteTo serializes the bundle. The layout is:
+// Encode serializes the bundle. The layout is:
 //
 //	header: magic u32 | version u32 | nWeights u32 | nSets u32
 //	weights: per matrix, name | rows u32 | cols u32 | float64 values
 //	sets: per set, level name | sparsity f64 | nPatterns u32 |
 //	      per pattern: psize u32 | psize^2 bytes
-func (b *Bundle) WriteTo(w io.Writer) (int64, error) {
+//
+// All integers and floats are little-endian; a name is a u16 length and
+// its bytes. The output is sized exactly before the first field is
+// appended, so it is allocated once.
+func (b *Bundle) Encode() ([]byte, error) {
 	if err := b.Validate(); err != nil {
-		return 0, err
+		return nil, err
 	}
-	cw := &countWriter{w: w}
-	for _, v := range []uint32{magic, version, uint32(len(b.Weights)), uint32(len(b.Sets))} {
-		if err := binary.Write(cw, binary.LittleEndian, v); err != nil {
-			return cw.n, err
-		}
-	}
+	n := 16
 	for _, m := range b.Weights {
-		if err := writeString(cw, m.Name); err != nil {
-			return cw.n, err
-		}
-		if err := binary.Write(cw, binary.LittleEndian, []uint32{uint32(m.Rows), uint32(m.Cols)}); err != nil {
-			return cw.n, err
-		}
-		// one call per matrix: a call per value boxed 16 MB of floats one
-		// by one and was most of a deployment's set-up time
-		if err := binary.Write(cw, binary.LittleEndian, m.Data); err != nil {
-			return cw.n, err
+		n += 2 + len(m.Name) + 8 + 8*len(m.Data)
+	}
+	for i := range b.Sets {
+		n += b.setBytes(i)
+	}
+	le := binary.LittleEndian
+	buf := make([]byte, 0, n)
+	buf = le.AppendUint32(buf, magic)
+	buf = le.AppendUint32(buf, version)
+	buf = le.AppendUint32(buf, uint32(len(b.Weights)))
+	buf = le.AppendUint32(buf, uint32(len(b.Sets)))
+	for _, m := range b.Weights {
+		buf = appendString(buf, m.Name)
+		buf = le.AppendUint32(buf, uint32(m.Rows))
+		buf = le.AppendUint32(buf, uint32(m.Cols))
+		for _, v := range m.Data {
+			buf = le.AppendUint64(buf, math.Float64bits(v))
 		}
 	}
 	for i, s := range b.Sets {
-		if err := writeString(cw, b.LevelNames[i]); err != nil {
-			return cw.n, err
-		}
-		if err := binary.Write(cw, binary.LittleEndian, math.Float64bits(s.Sparsity)); err != nil {
-			return cw.n, err
-		}
-		if err := binary.Write(cw, binary.LittleEndian, uint32(len(s.Patterns))); err != nil {
-			return cw.n, err
-		}
+		buf = appendString(buf, b.LevelNames[i])
+		buf = le.AppendUint64(buf, math.Float64bits(s.Sparsity))
+		buf = le.AppendUint32(buf, uint32(len(s.Patterns)))
 		for _, p := range s.Patterns {
-			if err := binary.Write(cw, binary.LittleEndian, uint32(p.Size)); err != nil {
-				return cw.n, err
-			}
-			if _, err := cw.Write(p.Bits); err != nil {
-				return cw.n, err
-			}
+			buf = le.AppendUint32(buf, uint32(p.Size))
+			buf = append(buf, p.Bits...)
 		}
 	}
-	return cw.n, nil
+	return buf, nil
+}
+
+// WriteTo writes the bytes of Encode to w.
+func (b *Bundle) WriteTo(w io.Writer) (int64, error) {
+	data, err := b.Encode()
+	if err != nil {
+		return 0, err
+	}
+	n, err := w.Write(data)
+	return int64(n), err
 }
 
 // Read deserializes a bundle written by WriteTo from all of r: the
@@ -125,12 +157,17 @@ func Read(r io.Reader) (*Bundle, error) {
 
 // Decode parses bundle bytes. Every variable-length field is checked
 // against the bytes left before it is allocated, so a corrupt length
-// costs an error, never memory beyond a multiple of len(data).
+// costs an error, never memory beyond a multiple of len(data). Values
+// are read straight from data, with no staging copy.
 func Decode(data []byte) (*Bundle, error) {
-	r := bytes.NewReader(data)
+	r := &reader{data: data}
 	var hdr [4]uint32
-	if err := binary.Read(r, binary.LittleEndian, &hdr); err != nil {
-		return nil, fmt.Errorf("deploy: header: %w", err)
+	for i := range hdr {
+		v, err := r.uint32()
+		if err != nil {
+			return nil, fmt.Errorf("deploy: header: %w", err)
+		}
+		hdr[i] = v
 	}
 	if hdr[0] != magic {
 		return nil, fmt.Errorf("deploy: bad magic %#x", hdr[0])
@@ -138,45 +175,48 @@ func Decode(data []byte) (*Bundle, error) {
 	if hdr[1] != version {
 		return nil, fmt.Errorf("deploy: unsupported version %d", hdr[1])
 	}
-	const maxCount = 1 << 20
 	if hdr[2] > maxCount || hdr[3] > maxCount {
 		return nil, fmt.Errorf("deploy: implausible counts %d/%d", hdr[2], hdr[3])
 	}
 	b := &Bundle{}
 	for i := uint32(0); i < hdr[2]; i++ {
-		name, err := readString(r)
+		name, err := r.string()
 		if err != nil {
 			return nil, err
 		}
-		var dims [2]uint32
-		if err := binary.Read(r, binary.LittleEndian, &dims); err != nil {
+		rows, err := r.uint32()
+		if err != nil {
 			return nil, err
 		}
-		if dims[0] > maxCount || dims[1] > maxCount {
-			return nil, fmt.Errorf("deploy: implausible dims %dx%d", dims[0], dims[1])
+		cols, err := r.uint32()
+		if err != nil {
+			return nil, err
 		}
-		n := int(dims[0]) * int(dims[1])
-		if n > r.Len()/8 {
-			return nil, fmt.Errorf("deploy: weight %q is %dx%d but %d bytes are left", name, dims[0], dims[1], r.Len())
+		if rows > maxCount || cols > maxCount {
+			return nil, fmt.Errorf("deploy: implausible dims %dx%d", rows, cols)
 		}
-		// one call per matrix, as in WriteTo
+		n := int(rows) * int(cols)
+		if n > r.len()/8 {
+			return nil, fmt.Errorf("deploy: weight %q is %dx%d but %d bytes are left", name, rows, cols, r.len())
+		}
+		src := r.next(8 * n)
 		vals := make([]float64, n)
-		if err := binary.Read(r, binary.LittleEndian, vals); err != nil {
-			return nil, err
+		for k := range vals {
+			vals[k] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*k : 8*k+8]))
 		}
-		b.Weights = append(b.Weights, WeightMatrix{Name: name, Rows: int(dims[0]), Cols: int(dims[1]), Data: vals})
+		b.Weights = append(b.Weights, WeightMatrix{Name: name, Rows: int(rows), Cols: int(cols), Data: vals})
 	}
 	for i := uint32(0); i < hdr[3]; i++ {
-		level, err := readString(r)
+		level, err := r.string()
 		if err != nil {
 			return nil, err
 		}
-		var spBits uint64
-		if err := binary.Read(r, binary.LittleEndian, &spBits); err != nil {
+		spBits, err := r.uint64()
+		if err != nil {
 			return nil, err
 		}
-		var nPat uint32
-		if err := binary.Read(r, binary.LittleEndian, &nPat); err != nil {
+		nPat, err := r.uint32()
+		if err != nil {
 			return nil, err
 		}
 		if nPat > maxCount {
@@ -184,38 +224,27 @@ func Decode(data []byte) (*Bundle, error) {
 		}
 		set := &pattern.Set{Sparsity: math.Float64frombits(spBits)}
 		for k := uint32(0); k < nPat; k++ {
-			var psize uint32
-			if err := binary.Read(r, binary.LittleEndian, &psize); err != nil {
+			psize, err := r.uint32()
+			if err != nil {
 				return nil, err
 			}
-			if psize == 0 || psize > 4096 {
+			if psize == 0 || psize > maxPSize {
 				return nil, fmt.Errorf("deploy: implausible psize %d", psize)
 			}
-			if int(psize*psize) > r.Len() {
-				return nil, fmt.Errorf("deploy: pattern of size %d but %d bytes are left", psize, r.Len())
+			if int(psize*psize) > r.len() {
+				return nil, fmt.Errorf("deploy: pattern of size %d but %d bytes are left", psize, r.len())
 			}
 			p := pattern.NewPattern(int(psize))
-			if _, err := io.ReadFull(r, p.Bits); err != nil {
-				return nil, err
-			}
+			copy(p.Bits, r.next(len(p.Bits)))
 			set.Patterns = append(set.Patterns, p)
 		}
 		b.Sets = append(b.Sets, set)
 		b.LevelNames = append(b.LevelNames, level)
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("deploy: %d bytes after the last set", r.Len())
+	if r.len() != 0 {
+		return nil, fmt.Errorf("deploy: %d bytes after the last set", r.len())
 	}
 	return b, b.Validate()
-}
-
-// Encode is a convenience wrapper returning the bundle bytes.
-func (b *Bundle) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := b.WriteTo(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 // WeightByName returns the backbone matrix with the given parameter name.
@@ -234,46 +263,70 @@ func (b *Bundle) SetBytes(i int) (int, error) {
 	if i < 0 || i >= len(b.Sets) {
 		return 0, fmt.Errorf("deploy: set %d out of range %d", i, len(b.Sets))
 	}
-	n := 2 + len(b.LevelNames[i]) + 8 + 4 // name + sparsity + count
+	return b.setBytes(i), nil
+}
+
+// setBytes is the encoded size of set i: name, sparsity, count and
+// every pattern's size and bits.
+func (b *Bundle) setBytes(i int) int {
+	n := 2 + len(b.LevelNames[i]) + 8 + 4
 	for _, p := range b.Sets[i].Patterns {
 		n += 4 + len(p.Bits)
 	}
-	return n, nil
+	return n
 }
 
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-func writeString(w io.Writer, s string) error {
+// checkString rejects a name too long for its u16 length.
+func checkString(s string) error {
 	if len(s) > math.MaxUint16 {
 		return fmt.Errorf("deploy: string too long (%d)", len(s))
 	}
-	if err := binary.Write(w, binary.LittleEndian, uint16(len(s))); err != nil {
-		return err
-	}
-	_, err := w.Write([]byte(s))
-	return err
+	return nil
 }
 
-func readString(r *bytes.Reader) (string, error) {
-	var n uint16
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return "", err
+func appendString(buf []byte, s string) []byte {
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
+	return append(buf, s...)
+}
+
+// reader walks the bytes of a bundle; a fixed-size field cut short by
+// the end of the input is io.ErrUnexpectedEOF.
+type reader struct {
+	data []byte
+	off  int
+}
+
+func (r *reader) len() int { return len(r.data) - r.off }
+
+// next returns the following n bytes, which the caller has checked are
+// there.
+func (r *reader) next(n int) []byte {
+	p := r.data[r.off : r.off+n]
+	r.off += n
+	return p
+}
+
+func (r *reader) uint32() (uint32, error) {
+	if r.len() < 4 {
+		return 0, io.ErrUnexpectedEOF
 	}
-	if int(n) > r.Len() {
-		return "", fmt.Errorf("deploy: string of %d bytes but %d are left", n, r.Len())
+	return binary.LittleEndian.Uint32(r.next(4)), nil
+}
+
+func (r *reader) uint64() (uint64, error) {
+	if r.len() < 8 {
+		return 0, io.ErrUnexpectedEOF
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
+	return binary.LittleEndian.Uint64(r.next(8)), nil
+}
+
+func (r *reader) string() (string, error) {
+	if r.len() < 2 {
+		return "", io.ErrUnexpectedEOF
 	}
-	return string(buf), nil
+	n := int(binary.LittleEndian.Uint16(r.next(2)))
+	if n > r.len() {
+		return "", fmt.Errorf("deploy: string of %d bytes but %d are left", n, r.len())
+	}
+	return string(r.next(n)), nil
 }

@@ -91,6 +91,36 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsUnusableSets: a pattern whose bits do not fill its
+// size, and a set whose patterns disagree on their size, are rejected
+// before anything is written; unchecked, the first encodes to bytes
+// Decode refuses and the second fails only at engine build.
+func TestValidateRejectsUnusableSets(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(b *Bundle)
+	}{
+		{"bits short of size*size", func(b *Bundle) { p := &b.Sets[0].Patterns[1]; p.Bits = p.Bits[:len(p.Bits)-1] }},
+		{"bits past size*size", func(b *Bundle) { p := &b.Sets[1].Patterns[0]; p.Bits = append(p.Bits, 1) }},
+		{"mixed pattern sizes", func(b *Bundle) { b.Sets[1].Patterns[1] = pattern.NewPattern(3) }},
+		{"size zero", func(b *Bundle) { b.Sets[0].Patterns = []pattern.Pattern{pattern.NewPattern(0)} }},
+	}
+	for _, c := range cases {
+		b := sampleBundle(9)
+		c.mutate(b)
+		if err := b.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted it", c.name)
+		}
+		if _, err := b.Encode(); err == nil {
+			t.Errorf("%s: Encode accepted it", c.name)
+		}
+		var buf bytes.Buffer
+		if n, err := b.WriteTo(&buf); err == nil || n != 0 || buf.Len() != 0 {
+			t.Errorf("%s: WriteTo wrote %d bytes (err %v)", c.name, buf.Len(), err)
+		}
+	}
+}
+
 // hugeDims is a 27-byte input with a valid header and one weight named
 // "w" whose dims claim 2^40 values: decoding it must cost an error, not
 // the 8 TB allocation its length fields ask for.

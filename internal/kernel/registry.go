@@ -20,7 +20,11 @@ type Options struct {
 	Set *pattern.Set
 }
 
-// Builder constructs a kernel over the dense weight matrix w.
+// Builder constructs a kernel over the dense weight matrix w. The
+// serving engine calls builders one at a time, from its own goroutine,
+// so a builder may keep unsynchronized state across calls (the
+// benchmark's timing wrapper appends to its records); parallelism, if a
+// build wants it, belongs inside the builder.
 type Builder func(w *mat.Matrix, opts Options) (Kernel, error)
 
 // Registry maps format names to kernel builders.
@@ -95,7 +99,8 @@ var defaultRegistry = func() *Registry {
 // Default returns the package-level registry of built-in formats.
 func Default() *Registry { return defaultRegistry }
 
-// Register installs a builder in the default registry.
+// Register installs a builder in the default registry. The engine calls
+// it one build at a time from its own goroutine (see Builder).
 func Register(name string, b Builder) { defaultRegistry.Register(name, b) }
 
 // Build constructs a kernel from the default registry.

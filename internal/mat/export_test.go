@@ -16,11 +16,11 @@ func LaneWeightsOf(tb testing.TB, w *Matrix) *LaneWeights {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	next := make([]int, w.Cols)
+	cur := lw.Cursors()
 	for i, v := range w.Data {
 		if c := i % w.Cols; v != 0 {
-			lw.Put(c, next[c], i/w.Cols, v)
-			next[c]++
+			lw.Store(cur[c], i/w.Cols, v)
+			cur[c] += LaneGroup
 		}
 	}
 	return lw

@@ -119,7 +119,7 @@ type LaneWeights struct {
 }
 
 // NewLaneWeights allocates the streams of a K x N matrix whose column c
-// stores counts[c] weights, to be filled by counts[c] calls of Put.
+// stores counts[c] weights, to be filled through Cursors and Store.
 func NewLaneWeights(k, n int, counts []int32) (*LaneWeights, error) {
 	if k > LaneMaxK {
 		return nil, fmt.Errorf("mat: lane streams support K <= %d, got %d", LaneMaxK, k)
@@ -161,13 +161,31 @@ func NewLaneWeights(k, n int, counts []int32) (*LaneWeights, error) {
 	return w, nil
 }
 
-// Put stores the i-th weight of column c: value v at row k. Within a
-// column, k must ascend with i.
-func (w *LaneWeights) Put(c, i, k int, v float64) {
-	s := int(w.slot[c])
-	p := (int(w.start[s/LaneGroup])+i)*LaneGroup + s%LaneGroup
+// Cursors returns each column's stream position of its first weight:
+// column c's i-th weight (k ascending with i) goes to position
+// Cursors()[c] + i*LaneGroup, so a filler that walks the weights in
+// that order advances one cursor per column by LaneGroup.
+func (w *LaneWeights) Cursors() []int {
+	cur := make([]int, w.N)
+	for c, s := range w.slot {
+		cur[c] = int(w.start[s/LaneGroup])*LaneGroup + int(s%LaneGroup)
+	}
+	return cur
+}
+
+// Store writes value v at row k to stream position p (see Cursors).
+func (w *LaneWeights) Store(p, k int, v float64) {
 	w.idx[p] = uint16(k)
 	w.val[p] = v
+}
+
+// Equal reports whether w and o are the same streams: the same column
+// order and steps, and the same entries, values compared by their bits.
+func (w *LaneWeights) Equal(o *LaneWeights) bool {
+	return w.K == o.K && w.N == o.N &&
+		slices.Equal(w.cols, o.cols) && slices.Equal(w.slot, o.slot) &&
+		slices.Equal(w.start, o.start) && slices.Equal(w.idx, o.idx) &&
+		slices.EqualFunc(w.val, o.val, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) })
 }
 
 var laneScratches FreeList[[]float64]

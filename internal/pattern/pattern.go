@@ -224,44 +224,109 @@ func RandomSet(psize int, sparsity float64, m int, rng *rand.Rand) *Set {
 	return s
 }
 
+// chooseLanes is the number of adjacent interior tiles Choose scores
+// side by side: each pattern's norm is one sequential sum per tile, and
+// running the sums of several tiles in one loop lets them overlap.
+const chooseLanes = 8
+
 // Choose tiles w with psize blocks and, per block, selects the pattern
 // of the set that retains the largest l2 norm of the block's weights
 // (the paper's training rule: "choose the pattern with the largest
 // l2-norm for each block"). It returns the chosen pattern index per
-// block, in row-major block order.
+// block, in row-major block order. A norm sums the squares of the kept
+// weights in row-major order within the block, and ties go to the
+// lower index.
 func (s *Set) Choose(w *mat.Matrix) []int {
 	psize := s.PSize()
 	if psize == 0 {
 		panic("pattern: Choose on empty set")
 	}
-	// row-major kept offsets: the order the norms below are summed in
-	kept := make([][][2]int, len(s.Patterns))
+	// kept[pi] lists pattern pi's kept positions in row-major order, as
+	// offsets into the squares of a run of chooseLanes tiles (psize rows
+	// of chooseLanes*psize weights): the order every norm is summed in
+	span := chooseLanes * psize
+	kept := make([][]int, len(s.Patterns))
 	for pi, p := range s.Patterns {
-		kept[pi] = p.Kept()
+		for o, b := range p.Bits {
+			if b != 0 {
+				kept[pi] = append(kept[pi], o/psize*span+o%psize)
+			}
+		}
 	}
-	var choices []int
-	for r := 0; r < w.Rows; r += psize {
-		for c := 0; c < w.Cols; c += psize {
-			interior := r+psize <= w.Rows && c+psize <= w.Cols
-			best, bestNorm := 0, -1.0
-			for pi, offs := range kept {
-				var norm float64
-				for _, o := range offs {
-					rr, cc := r+o[0], c+o[1]
-					if interior || (rr < w.Rows && cc < w.Cols) {
-						v := w.Data[rr*w.Cols+cc]
-						norm += v * v
-					}
-				}
-				if norm > bestNorm {
-					bestNorm = norm
-					best = pi
+	tileCols := (w.Cols + psize - 1) / psize
+	choices := make([]int, ((w.Rows+psize-1)/psize)*tileCols)
+	full := w.Cols / psize // tiles of a band that end inside w
+	sq := make([]float64, psize*span)
+	for r, t := 0, 0; r < w.Rows; r, t = r+psize, t+tileCols {
+		if r+psize > w.Rows {
+			for tc := range tileCols {
+				choices[t+tc] = s.chooseEdge(w, r, tc*psize)
+			}
+			continue
+		}
+		for tc := 0; tc < full; tc += chooseLanes {
+			// square the run's weights once; a run cut short by the
+			// edge of w leaves stale squares in lanes it never reads
+			n := min(chooseLanes, full-tc)
+			for i := 0; i < psize; i++ {
+				row := w.Data[(r+i)*w.Cols+tc*psize:][:n*psize]
+				dst := sq[i*span:][:len(row)]
+				for j, v := range row {
+					dst[j] = float64(v * v)
 				}
 			}
-			choices = append(choices, best)
+			var best [chooseLanes]int
+			bestNorm := [chooseLanes]float64{-1, -1, -1, -1, -1, -1, -1, -1}
+			for pi, offs := range kept {
+				var n0, n1, n2, n3, n4, n5, n6, n7 float64
+				for _, o := range offs {
+					q := sq[o:][:7*psize+1]
+					n0 += q[0]
+					n1 += q[psize]
+					n2 += q[2*psize]
+					n3 += q[3*psize]
+					n4 += q[4*psize]
+					n5 += q[5*psize]
+					n6 += q[6*psize]
+					n7 += q[7*psize]
+				}
+				for l, norm := range [chooseLanes]float64{n0, n1, n2, n3, n4, n5, n6, n7} {
+					if norm > bestNorm[l] {
+						bestNorm[l] = norm
+						best[l] = pi
+					}
+				}
+			}
+			copy(choices[t+tc:], best[:n])
+		}
+		if full < tileCols {
+			choices[t+full] = s.chooseEdge(w, r, full*psize)
 		}
 	}
 	return choices
+}
+
+// chooseEdge is Choose for a tile at (r, c) that runs past the bottom
+// or right edge of w: positions outside w count for nothing.
+func (s *Set) chooseEdge(w *mat.Matrix, r, c int) int {
+	psize := s.PSize()
+	best, bestNorm := 0, -1.0
+	for pi, p := range s.Patterns {
+		var norm float64
+		for i := 0; i < psize && r+i < w.Rows; i++ {
+			for j := 0; j < psize && c+j < w.Cols; j++ {
+				if p.Bits[i*psize+j] != 0 {
+					v := w.Data[(r+i)*w.Cols+c+j]
+					norm += float64(v * v)
+				}
+			}
+		}
+		if norm > bestNorm {
+			bestNorm = norm
+			best = pi
+		}
+	}
+	return best
 }
 
 // Apply builds a full-size 0/1 mask for w from the per-block choices of

@@ -14,6 +14,7 @@ package serve
 import (
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"rt3/internal/deploy"
 	"rt3/internal/dvfs"
@@ -95,6 +96,8 @@ type Engine struct {
 	// installed at construction and lifted only while a dense reference
 	// runs.
 	unpruned [][]kernel.Kernel
+	// buildSeconds is the wall time NewEngineConfigured took.
+	buildSeconds float64
 
 	// level mirrors recon.Current() for lock-free reads: monitoring code
 	// may call Level concurrently with a switch.
@@ -181,6 +184,7 @@ func NewEngine(bundle *deploy.Bundle, replicas []Model, costs rtswitch.SwitchCos
 // checkpoint, and from here on serve only: every linear now reads packed
 // copies of its weights, and Backward refuses to run on them.
 func NewEngineConfigured(bundle *deploy.Bundle, replicas []Model, costs rtswitch.SwitchCostModel, cfg EngineConfig) (*Engine, error) {
+	t0 := time.Now()
 	if len(replicas) == 0 {
 		return nil, fmt.Errorf("serve: need at least one model replica")
 	}
@@ -227,11 +231,15 @@ func NewEngineConfigured(bundle *deploy.Bundle, replicas []Model, costs rtswitch
 	// pack each (level, layer) once and share across replicas: packed
 	// weights are read-only, and any internal per-call scratch a format
 	// keeps (e.g. the Pattern kernel's lane-major free list) must be
-	// internally synchronized for concurrent MulInto calls.
+	// internally synchronized for concurrent MulInto calls. Weight-outer,
+	// so one matrix stays in cache across its levels' builds; one at a
+	// time, on this goroutine (the kernel.Builder contract).
 	e.kernels = make([][]kernel.Kernel, len(bundle.Sets))
-	for lvl, set := range bundle.Sets {
+	for lvl := range bundle.Sets {
 		e.kernels[lvl] = make([]kernel.Kernel, len(e.weights))
-		for j, w := range e.weights {
+	}
+	for j, w := range e.weights {
+		for lvl, set := range bundle.Sets {
 			k, err := kernel.Build(e.cfg.Format, w, kernel.Options{Set: set})
 			if err != nil {
 				return nil, fmt.Errorf("serve: building %s kernel for level %s weight %s: %w",
@@ -257,6 +265,7 @@ func NewEngineConfigured(bundle *deploy.Bundle, replicas []Model, costs rtswitch
 		}
 	}
 	e.install(0)
+	e.buildSeconds = time.Since(t0).Seconds()
 	return e, nil
 }
 
@@ -536,6 +545,9 @@ func (e *Engine) DenseGenerateSplit(idx int, prefix, suffix []int, maxTokens, eo
 // so scrapers see a stable series set, and the reconfigurator's switch
 // accounting rides along.
 func (e *Engine) RegisterMetrics(reg *obs.Registry) {
+	reg.GaugeFunc("rt3_engine_build_seconds",
+		"Wall time of the engine build: every level's kernels and the unpruned linears'.",
+		func() float64 { return e.buildSeconds })
 	reg.CounterFunc("rt3_fused_batches_total",
 		"Fused packed forward passes (ForwardBatch calls).",
 		func() float64 { return float64(e.batchCount.Load()) })

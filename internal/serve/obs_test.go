@@ -132,6 +132,7 @@ func TestServerMetricsExposition(t *testing.T) {
 		"rt3_queue_depth",
 		"rt3_traces_finished_total",
 		"rt3_kernel_builds_total",
+		"rt3_engine_build_seconds",
 		"rt3_mat_parallel_regions_total",
 		"rt3_mat_parallel_inline_busy_total",
 		"rt3_mat_parallel_helped_total",
@@ -152,6 +153,10 @@ func TestServerMetricsExposition(t *testing.T) {
 	}
 	if snap["rt3_switches_total"] != 1 {
 		t.Fatalf("rt3_switches_total = %v, want 1", snap["rt3_switches_total"])
+	}
+	// the build is timed once, and a switch does not rebuild
+	if b := snap["rt3_engine_build_seconds"]; !(b > 0 && b < 60) {
+		t.Fatalf("rt3_engine_build_seconds = %v, want the build's wall time", b)
 	}
 }
 

@@ -72,36 +72,55 @@ func NewPattern(w *mat.Matrix, psize int, bits [][]uint8, choices []int) (*Patte
 	}
 	p.indexWords += tiles
 
-	// walk visits the in-range kept positions tile by tile, so every
-	// column sees its rows in ascending order: once to size the column
-	// streams, once to fill them.
+	// count: an interior tile adds its pattern's per-column kept counts,
+	// a tile cut short by the bottom edge counts its in-range positions
+	colKept := make([][]int32, len(dict))
+	for id, offs := range dict {
+		colKept[id] = make([]int32, psize)
+		for _, o := range offs {
+			colKept[id][o[1]]++
+		}
+	}
 	counts := make([]int32, w.Cols)
-	var lw *mat.LaneWeights
-	walk := func(fill bool) {
-		t := 0
-		for r0 := 0; r0 < w.Rows; r0 += psize {
-			for c0 := 0; c0 < w.Cols; c0 += psize {
-				for _, o := range dict[choices[t]] {
-					r, c := r0+o[0], c0+o[1]
-					if r >= w.Rows || c >= w.Cols {
-						continue
-					}
-					if fill {
-						lw.Put(c, int(counts[c]), r, w.Data[r*w.Cols+c])
-					}
-					counts[c]++
+	t := 0
+	for r0 := 0; r0 < w.Rows; r0 += psize {
+		for c0 := 0; c0 < w.Cols; c0 += psize {
+			id := choices[t]
+			t++
+			if r0+psize <= w.Rows {
+				for j, n := range counts[c0:min(c0+psize, w.Cols)] {
+					counts[c0+j] = n + colKept[id][j]
 				}
-				t++
+				continue
+			}
+			for _, o := range dict[id] {
+				if r0+o[0] < w.Rows && c0+o[1] < w.Cols {
+					counts[c0+o[1]]++
+				}
 			}
 		}
 	}
-	walk(false)
 	lw, err := mat.NewLaneWeights(w.Rows, w.Cols, counts)
 	if err != nil {
 		return nil, fmt.Errorf("sparse: %w", err)
 	}
-	clear(counts)
-	walk(true)
+	// fill: tile by tile, so every column sees its rows in ascending
+	// order, each through its own cursor
+	cur := lw.Cursors()
+	t = 0
+	for r0 := 0; r0 < w.Rows; r0 += psize {
+		for c0 := 0; c0 < w.Cols; c0 += psize {
+			for _, o := range dict[choices[t]] {
+				r, c := r0+o[0], c0+o[1]
+				if r >= w.Rows || c >= w.Cols {
+					continue
+				}
+				lw.Store(cur[c], r, w.Data[r*w.Cols+c])
+				cur[c] += mat.LaneGroup
+			}
+			t++
+		}
+	}
 	p.w = lw
 	return p, nil
 }
