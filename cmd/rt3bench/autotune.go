@@ -55,7 +55,7 @@ func runAutotuneBench(spec autotuneBenchSpec) error {
 		return err
 	}
 
-	atCfg := serve.AutotuneConfig{Every: 10 * time.Millisecond, Seed: spec.seed}
+	atCfg := serve.AutotuneConfig{Seed: spec.seed}
 	var arms []autotuneArm
 	for i := range levels {
 		arm, err := runAutotuneArm(spec, "static-"+levels[i].Name, i, nil, nil)
@@ -113,7 +113,7 @@ func runAutotuneBench(spec autotuneBenchSpec) error {
 
 	// the closed loop must be auditable: replay the recorded trace
 	// through a fresh controller and require identical decisions
-	replayed, err := serve.ReplayTrace(levels, dvfs.DefaultPowerModel(), autotuneCycles, atCfg, rlArm.trace)
+	replayed, err := serve.ReplayTrace(levels, dvfs.DefaultPowerModel(), autotuneCycles, rlArm.trace)
 	if err != nil {
 		return fmt.Errorf("autotune trace replay: %w", err)
 	}
@@ -208,9 +208,8 @@ func runAutotuneArm(spec autotuneBenchSpec, name string, static int, buildPol fu
 	defer eng.Close()
 
 	cfg := serve.Config{
-		MaxBatch: 8, MaxDelay: 2 * time.Millisecond, QueueCap: 4096,
+		MaxBatch: 8, QueueCap: 4096,
 		TargetMS: spec.targetMS, BatteryJ: spec.batteryJ, SimDVFS: true,
-		PolicyEvery:        10 * time.Millisecond,
 		CyclesPerInference: autotuneCycles,
 		Autotune:           at,
 	}

@@ -199,7 +199,7 @@ func buildClusterRouter(spec clusterBenchSpec, n int, stepFloor time.Duration) (
 		return nil, nil, err
 	}
 	return buildFleet(clusterModelCfg, spec.seed, n, serve.Config{
-		MaxBatch: 8, MaxDelay: 500 * time.Microsecond, QueueCap: 8192,
+		MaxBatch: 8, QueueCap: 8192,
 		Generate: true, MaxGenTokens: 32, StepFloor: stepFloor,
 	}, cluster.Config{Policy: pol, Seed: spec.seed})
 }

@@ -29,7 +29,6 @@ type clusterOpts struct {
 	workers   int
 	format    string
 	batch     int
-	maxDelay  time.Duration
 	stepFloor time.Duration
 	simDVFS   bool
 	batteryJ  float64
@@ -79,7 +78,6 @@ func runCluster(logger *obs.Logger, drain <-chan struct{}, o clusterOpts) {
 		}
 		srv := serve.New(eng, serve.Config{
 			MaxBatch:        o.batch,
-			MaxDelay:        o.maxDelay,
 			QueueCap:        8192,
 			SimDVFS:         o.simDVFS,
 			BatteryJ:        o.batteryJ,

@@ -22,8 +22,8 @@
 // [max/2, max].
 //
 // With -autotune (requires -load) the level is driven by the closed-loop
-// RL/DVFS controller instead of the battery governor: every
-// -autotune-every tick it converts the live telemetry window into the
+// RL/DVFS controller instead of the battery governor: every 10ms
+// control tick it converts the live telemetry window into the
 // controller's state space, picks a level epsilon-greedily, learns
 // online from the observed reward, and prints its decision log after
 // the run. Works in both classification and generation mode — in the
@@ -109,10 +109,8 @@ func main() {
 		rpsEnd   = flag.Float64("rps-end", 800, "arrival rate at the end of the ramp")
 		workers  = flag.Int("workers", 2, "worker pool width (model replicas)")
 		format   = flag.String("format", "pattern", "packed execution format from the kernel registry ("+strings.Join(kernel.Formats(), ", ")+")")
-		batch    = flag.Int("batch", 8, "max dynamic batch size")
-		maxDelay = flag.Duration("max-delay", 2*time.Millisecond, "batch flush deadline")
+		batch    = flag.Int("batch", 8, "max requests per fused step (classification batch, decode slots)")
 		autotune = flag.Bool("autotune", false, "closed-loop RL/DVFS controller: drive live level switches from the telemetry window, learning online (requires -load; replaces the battery governor)")
-		atEvery  = flag.Duration("autotune-every", 10*time.Millisecond, "autotune control tick period")
 		atLog    = flag.Int("autotune-log", 12, "autotune: decision-log tail length printed after the run")
 		simDVFS  = flag.Bool("sim-dvfs", false, "stretch execution to the active level's modeled frequency (f_fastest/f_level), so slower levels show real latency pressure")
 		batteryJ = flag.Float64("battery-j", 0.25, "simulated battery capacity in joules (0 disables)")
@@ -182,7 +180,6 @@ func main() {
 			workers:   *workers,
 			format:    *format,
 			batch:     *batch,
-			maxDelay:  *maxDelay,
 			stepFloor: *stepFloor,
 			simDVFS:   *simDVFS,
 			batteryJ:  clusterBattery,
@@ -222,17 +219,15 @@ func main() {
 	}
 	if *load {
 		if *autotune {
-			atCfg = &serve.AutotuneConfig{Every: *atEvery, Seed: *seed}
+			atCfg = &serve.AutotuneConfig{Seed: *seed}
 		} else {
 			pol = serve.NewGovernorPolicy(eng.Levels(), 64)
 		}
 	}
 	srv := serve.New(eng, serve.Config{
 		MaxBatch:        *batch,
-		MaxDelay:        *maxDelay,
 		QueueCap:        4096,
 		Policy:          pol,
-		PolicyEvery:     10 * time.Millisecond,
 		Autotune:        atCfg,
 		TargetMS:        *targetMS,
 		SimDVFS:         *simDVFS,

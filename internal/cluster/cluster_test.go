@@ -242,10 +242,10 @@ func TestDrainRestoreRepins(t *testing.T) {
 // uninterrupted run), with no response-forwarding goroutine leaked.
 func TestFailoverBitIdentical(t *testing.T) {
 	before := runtime.NumGoroutine()
-	srvCfg := serve.Config{QueueCap: 64, StepFloor: 2 * time.Millisecond}
+	const budget = 48
+	srvCfg := serve.Config{QueueCap: 64, MaxGenTokens: budget, StepFloor: 2 * time.Millisecond}
 	r := newCluster(t, 2, srvCfg, cluster.Config{Seed: 3})
 	prompt := []int{2, 7, 1, 8, 2, 8}
-	const budget = 48
 
 	ch, err := r.SubmitGen(11, prompt, budget, -1)
 	if err != nil {

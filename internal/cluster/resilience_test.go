@@ -114,6 +114,36 @@ func TestNodeTransitionMatrix(t *testing.T) {
 	}
 }
 
+// TestRouterRejectsBadBudget: a budget above the nodes' MaxGenTokens is
+// the request's fault, not the fleet's. The router returns
+// serve.ErrBadBudget synchronously, without a retry even when retries
+// are configured, and every node stays in rotation and keeps serving.
+func TestRouterRejectsBadBudget(t *testing.T) {
+	r := newCluster(t, 2, serve.Config{QueueCap: 8},
+		cluster.Config{Seed: 4, MaxRetries: 50, RetryBackoff: time.Millisecond})
+	prompt := []int{1, 2, 3}
+	for _, budget := range []int{33, 1 << 40} {
+		if _, err := r.SubmitGen(7, prompt, budget, -1); !errors.Is(err, serve.ErrBadBudget) {
+			t.Fatalf("budget %d: %v, want ErrBadBudget", budget, err)
+		}
+	}
+	if st := r.Stats(); st.Retries != 0 || st.Dispatches != 0 {
+		t.Fatalf("rejected budgets cost %d retries and %d dispatches, want 0 and 0", st.Retries, st.Dispatches)
+	}
+	for _, nd := range r.Nodes() {
+		if !nd.Ready() || nd.Server().Stopped() {
+			t.Fatalf("node %d left rotation after a rejected budget", nd.ID)
+		}
+	}
+	ch, err := r.SubmitGen(7, prompt, 32, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp := <-ch; resp.Err != nil || len(resp.Tokens) != 32 {
+		t.Fatalf("budget at the cap after the rejections: %d tokens, err %v", len(resp.Tokens), resp.Err)
+	}
+}
+
 // TestRouterRetriesAbsorbOverload: with backoff retries enabled, a
 // burst larger than the only node's queue completes in full — admission
 // failures turn into seeded-backoff retries instead of drops, and every

@@ -111,9 +111,10 @@ type OnlineRewardInput struct {
 	RelEnergy float64
 	// BatteryFraction is the state of charge in [0, 1].
 	BatteryFraction float64
-	// EnergyWeight scales the low-power bonus (default 0.8 when 0).
-	EnergyWeight float64
 }
+
+// lowPowerWeight is w_e, the scale of OnlineReward's low-power bonus.
+const lowPowerWeight = 0.8
 
 // OnlineRewardResult breaks the online reward into its parts for the
 // decision trace.
@@ -136,17 +137,13 @@ type OnlineRewardResult struct {
 // violating window scores -1 with no energy offset, so the policy can
 // never trade a deadline for charge.
 func OnlineReward(in OnlineRewardInput) OnlineRewardResult {
-	w := in.EnergyWeight
-	if w == 0 {
-		w = 0.8
-	}
 	res := OnlineRewardResult{TimingMet: true}
 	if in.Samples > 0 && in.TargetMS > 0 && in.P99MS > in.TargetMS {
 		res.TimingMet = false
 		res.Reward = -1
 		return res
 	}
-	res.EnergyBonus = w * (1 - in.RelEnergy) * (1 - in.BatteryFraction + 0.2)
+	res.EnergyBonus = lowPowerWeight * (1 - in.RelEnergy) * (1 - in.BatteryFraction + 0.2)
 	res.Reward = res.EnergyBonus
 	if in.Samples > 0 && in.TargetMS > 0 {
 		res.Reward++

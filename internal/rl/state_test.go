@@ -119,18 +119,18 @@ func TestSampleSetFromFallback(t *testing.T) {
 
 func TestOnlineReward(t *testing.T) {
 	// violation dominates: no energy offset
-	r := OnlineReward(OnlineRewardInput{Samples: 10, P99MS: 30, TargetMS: 20, RelEnergy: 0.5, BatteryFraction: 0, EnergyWeight: 0.8})
+	r := OnlineReward(OnlineRewardInput{Samples: 10, P99MS: 30, TargetMS: 20, RelEnergy: 0.5, BatteryFraction: 0})
 	if r.TimingMet || r.Reward != -1 {
 		t.Fatalf("violating window: %+v, want reward -1", r)
 	}
 	// holding the target earns 1 + energy bonus
-	r = OnlineReward(OnlineRewardInput{Samples: 10, P99MS: 10, TargetMS: 20, RelEnergy: 0.5, BatteryFraction: 0.5, EnergyWeight: 0.8})
+	r = OnlineReward(OnlineRewardInput{Samples: 10, P99MS: 10, TargetMS: 20, RelEnergy: 0.5, BatteryFraction: 0.5})
 	want := 1 + 0.8*0.5*0.7
 	if !r.TimingMet || !closeTo(r.Reward, want) {
 		t.Fatalf("holding window: reward %g, want %g", r.Reward, want)
 	}
 	// empty window: no latency evidence, energy shaping only
-	r = OnlineReward(OnlineRewardInput{Samples: 0, TargetMS: 20, RelEnergy: 0.5, BatteryFraction: 1, EnergyWeight: 0.8})
+	r = OnlineReward(OnlineRewardInput{Samples: 0, TargetMS: 20, RelEnergy: 0.5, BatteryFraction: 1})
 	if !closeTo(r.Reward, 0.8*0.5*0.2) || !r.TimingMet {
 		t.Fatalf("empty window: %+v", r)
 	}

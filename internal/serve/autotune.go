@@ -12,75 +12,38 @@ import (
 	"rt3/internal/rl"
 )
 
-// AutotuneConfig tunes the closed-loop runtime controller. Zero values
-// pick the documented defaults; the zero struct is a working
-// configuration (online learning on, default state space, seed 0).
-type AutotuneConfig struct {
-	// Every is the control tick period (default 10ms): each tick samples
-	// the telemetry window, queries the policy, and applies a switch.
-	Every time.Duration
-	// Epsilon is the initial exploration rate of the epsilon-greedy loop
-	// (default 0.3); EpsilonDecay multiplies it every tick (default
-	// 0.995) down to EpsilonMin (default 0.02).
-	Epsilon, EpsilonDecay, EpsilonMin float64
-	// Frozen disables online learning: the policy is queried but never
-	// reinforced (replay and A/B runs want fixed weights). Default
-	// false — the controller learns from the live reward.
-	Frozen bool
-	// LR is the REINFORCE learning rate (default 0.05).
-	LR float64
-	// BaselineDecay is the EMA reward-baseline decay (default 0.7).
-	BaselineDecay float64
-	// EnergyWeight scales the online reward's low-power bonus
-	// (default 0.8).
-	EnergyWeight float64
-	// Hidden is the controller RNN width (default 8).
-	Hidden int
-	// Space quantizes telemetry into the controller's context states;
-	// the zero value selects rl.DefaultStateSpace.
-	Space rl.StateSpace
-	// Seed seeds the controller weights and the exploration stream; the
-	// decision trace is a deterministic function of (config, seed,
-	// telemetry sequence).
-	Seed int64
-	// TraceCap bounds retained decisions (default 65536). Once ticks are
-	// dropped the trace is no longer replayable — AutotuneTrace.Dropped
-	// records how many were lost.
-	TraceCap int
-}
+// The closed-loop controller's learning constants.
+const (
+	// epsilonStart is the initial exploration rate of the epsilon-greedy
+	// choice; every tick multiplies it by epsilonDecay, down to
+	// epsilonMin.
+	epsilonStart = 0.3
+	epsilonDecay = 0.995
+	epsilonMin   = 0.02
+	// learnRate is the REINFORCE learning rate; the controller learns
+	// online from every tick's reward.
+	learnRate = 0.05
+	// baselineDecay is the EMA reward-baseline decay.
+	baselineDecay = 0.7
+	// ctrlHidden is the controller RNN width.
+	ctrlHidden = 8
+	// traceCap bounds retained decisions. Once ticks are dropped the
+	// trace is no longer replayable — AutotuneTrace.Dropped records how
+	// many were lost.
+	traceCap = 65536
+)
 
-func (c AutotuneConfig) withDefaults() AutotuneConfig {
-	if c.Every <= 0 {
-		c.Every = 10 * time.Millisecond
-	}
-	if c.Epsilon <= 0 {
-		c.Epsilon = 0.3
-	}
-	if c.EpsilonDecay <= 0 {
-		c.EpsilonDecay = 0.995
-	}
-	if c.EpsilonMin <= 0 {
-		c.EpsilonMin = 0.02
-	}
-	if c.LR <= 0 {
-		c.LR = 0.05
-	}
-	if c.BaselineDecay <= 0 {
-		c.BaselineDecay = 0.7
-	}
-	if c.EnergyWeight <= 0 {
-		c.EnergyWeight = 0.8
-	}
-	if c.Hidden <= 0 {
-		c.Hidden = 8
-	}
-	if c.Space == (rl.StateSpace{}) {
-		c.Space = rl.DefaultStateSpace()
-	}
-	if c.TraceCap <= 0 {
-		c.TraceCap = 65536
-	}
-	return c
+// AutotuneConfig configures the closed-loop runtime controller. Only the
+// seed varies; the rest is fixed: a 10ms control tick, exploration rate
+// 0.3 decaying by 0.995 per tick down to 0.02, online REINFORCE at
+// learning rate 0.05 against an EMA reward baseline of decay 0.7, an
+// 8-wide controller RNN over rl.DefaultStateSpace, the online reward's
+// energy weight 0.8, and a trace of up to 65536 decisions.
+type AutotuneConfig struct {
+	// Seed seeds the controller weights and the exploration stream; the
+	// decision trace is a deterministic function of (seed, telemetry
+	// sequence).
+	Seed int64
 }
 
 // Telemetry is one sampled snapshot of the live serving signals the
@@ -137,7 +100,7 @@ func (d AutotuneDecision) SameAs(o AutotuneDecision) bool {
 type AutotuneTrace struct {
 	Seed      int64
 	Decisions []AutotuneDecision
-	// Dropped counts decisions evicted by TraceCap; a trace with
+	// Dropped counts decisions evicted past the trace cap; a trace with
 	// Dropped > 0 is not replayable (the learning history is incomplete).
 	Dropped int
 }
@@ -146,13 +109,13 @@ type AutotuneTrace struct {
 // sampled serving telemetry into the RL state space, queries the
 // rl.Controller policy epsilon-greedily each control tick, credits the
 // previous decision with the reward the observed window implies
-// (rl.OnlineReward), and — unless frozen — folds that reward back into
-// the policy with a REINFORCE update. It never touches the clock or the
-// server: the live loop samples telemetry and applies switches, tests
-// drive Step directly with synthetic windows.
+// (rl.OnlineReward), and folds that reward back into the policy with a
+// REINFORCE update. It never touches the clock or the server: the live
+// loop samples telemetry and applies switches, tests drive Step directly
+// with synthetic windows.
 type Autotuner struct {
 	mu    sync.Mutex
-	cfg   AutotuneConfig
+	seed  int64
 	costs []hwsim.LevelCost
 	ctrl  *rl.Controller
 	base  *rl.Baseline
@@ -163,8 +126,9 @@ type Autotuner struct {
 	prev      *rl.Episode // last decision's episode, pending its reward
 	prevLevel int
 
-	trace   []AutotuneDecision
-	dropped int
+	trace    []AutotuneDecision
+	traceCap int
+	dropped  int
 
 	// cumulative run accounting (guarded by mu), exposed via
 	// RegisterMetrics so the controller is observable live.
@@ -184,32 +148,32 @@ func NewAutotuner(levels []dvfs.Level, power dvfs.PowerModel, cyclesPerInference
 	if cyclesPerInference <= 0 {
 		return nil, fmt.Errorf("serve: autotuner needs positive cyclesPerInference, got %g", cyclesPerInference)
 	}
-	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	ctrl, err := rl.NewController(rl.Config{
-		Hidden:  cfg.Hidden,
+		Hidden:  ctrlHidden,
 		NumSets: len(levels), NumPatterns: 1, Levels: 1, K: 1,
-		LR:     cfg.LR,
-		States: cfg.Space.States(),
+		LR:     learnRate,
+		States: rl.DefaultStateSpace().States(),
 	}, rng)
 	if err != nil {
 		return nil, err
 	}
 	return &Autotuner{
-		cfg:   cfg,
-		costs: hwsim.LevelCosts(levels, power, cyclesPerInference),
-		ctrl:  ctrl,
-		base:  rl.NewBaseline(cfg.BaselineDecay),
-		rng:   rng,
-		eps:   cfg.Epsilon,
+		seed:     cfg.Seed,
+		costs:    hwsim.LevelCosts(levels, power, cyclesPerInference),
+		ctrl:     ctrl,
+		base:     rl.NewBaseline(baselineDecay),
+		rng:      rng,
+		eps:      epsilonStart,
+		traceCap: traceCap,
 	}, nil
 }
 
 // Step runs one control tick on a telemetry snapshot and returns the
 // decision: first the previous decision is credited with the reward the
-// observed window implies (and, unless frozen, reinforced), then the
-// window is quantized into the controller's state and the next level is
-// chosen epsilon-greedily. Deterministic given the construction
+// observed window implies (and reinforced), then the window is quantized
+// into the controller's state and the next level is chosen
+// epsilon-greedily. Deterministic given the construction
 // arguments and the telemetry sequence — no clock, no global state.
 func (a *Autotuner) Step(tel Telemetry) AutotuneDecision {
 	a.mu.Lock()
@@ -233,7 +197,6 @@ func (a *Autotuner) Step(tel Telemetry) AutotuneDecision {
 			TargetMS:        tel.TargetMS,
 			RelEnergy:       a.costs[ranAt].RelEnergy,
 			BatteryFraction: tel.BatteryFraction,
-			EnergyWeight:    a.cfg.EnergyWeight,
 		})
 		dec.Reward = rr.Reward
 		dec.TimingMet = rr.TimingMet
@@ -241,9 +204,7 @@ func (a *Autotuner) Step(tel Telemetry) AutotuneDecision {
 		if !rr.TimingMet {
 			a.violations++
 		}
-		if !a.cfg.Frozen {
-			a.ctrl.Reinforce(a.prev, a.base.Update(rr.Reward))
-		}
+		a.ctrl.Reinforce(a.prev, a.base.Update(rr.Reward))
 	}
 
 	// 2. quantize the window into the controller's context state
@@ -251,7 +212,7 @@ func (a *Autotuner) Step(tel Telemetry) AutotuneDecision {
 	if tel.TargetMS > 0 && tel.Window.Samples > 0 {
 		ratio = tel.Window.P99MS / tel.TargetMS
 	}
-	dec.State = a.cfg.Space.Encode(ratio, tel.BatteryFraction, tel.Window.FillRatio)
+	dec.State = rl.DefaultStateSpace().Encode(ratio, tel.BatteryFraction, tel.Window.FillRatio)
 
 	// 3. epsilon-greedy level choice conditioned on that state
 	dec.Epsilon = a.eps
@@ -263,14 +224,14 @@ func (a *Autotuner) Step(tel Telemetry) AutotuneDecision {
 	} else {
 		ep = a.ctrl.GreedySetFrom(dec.State)
 	}
-	if a.eps *= a.cfg.EpsilonDecay; a.eps < a.cfg.EpsilonMin {
-		a.eps = a.cfg.EpsilonMin
+	if a.eps *= epsilonDecay; a.eps < epsilonMin {
+		a.eps = epsilonMin
 	}
 	a.prev = ep
 	a.prevLevel = ep.SetChoices[0] % len(a.costs)
 	dec.Level = a.prevLevel
 
-	if len(a.trace) >= a.cfg.TraceCap {
+	if len(a.trace) >= a.traceCap {
 		a.trace = a.trace[1:]
 		a.dropped++
 	}
@@ -323,7 +284,7 @@ func (a *Autotuner) Trace() AutotuneTrace {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return AutotuneTrace{
-		Seed:      a.cfg.Seed,
+		Seed:      a.seed,
 		Decisions: append([]AutotuneDecision(nil), a.trace...),
 		Dropped:   a.dropped,
 	}
@@ -336,21 +297,23 @@ func (a *Autotuner) LevelCosts() []hwsim.LevelCost {
 }
 
 // ReplayTrace re-runs a recorded decision trace through a fresh
-// controller built with the same configuration and the trace's seed,
-// feeding each recorded telemetry snapshot back through Step, and
-// verifies every replayed decision matches the recorded one. It returns
-// the replayed decisions; a mismatch (or an unreplayable truncated
-// trace) is an error. This is the audit path: any run's level choices
-// can be reproduced and inspected offline, without wall-clock time or a
-// live server.
-func ReplayTrace(levels []dvfs.Level, power dvfs.PowerModel, cyclesPerInference float64, cfg AutotuneConfig, tr AutotuneTrace) ([]AutotuneDecision, error) {
+// controller built from the trace's seed, starting at the exploration
+// rate its first decision records, feeding each recorded telemetry
+// snapshot back through Step, and verifies every replayed decision
+// matches the recorded one. It returns the replayed decisions; a
+// mismatch (or an unreplayable truncated trace) is an error. This is the
+// audit path: any run's level choices can be reproduced and inspected
+// offline, without wall-clock time or a live server.
+func ReplayTrace(levels []dvfs.Level, power dvfs.PowerModel, cyclesPerInference float64, tr AutotuneTrace) ([]AutotuneDecision, error) {
 	if tr.Dropped > 0 {
-		return nil, fmt.Errorf("serve: trace dropped %d decisions (TraceCap exceeded); not replayable", tr.Dropped)
+		return nil, fmt.Errorf("serve: trace dropped %d decisions (trace cap exceeded); not replayable", tr.Dropped)
 	}
-	cfg.Seed = tr.Seed
-	a, err := NewAutotuner(levels, power, cyclesPerInference, cfg)
+	a, err := NewAutotuner(levels, power, cyclesPerInference, AutotuneConfig{Seed: tr.Seed})
 	if err != nil {
 		return nil, err
+	}
+	if len(tr.Decisions) > 0 {
+		a.eps = tr.Decisions[0].Epsilon
 	}
 	out := make([]AutotuneDecision, 0, len(tr.Decisions))
 	for i, rec := range tr.Decisions {
@@ -364,15 +327,19 @@ func ReplayTrace(levels []dvfs.Level, power dvfs.PowerModel, cyclesPerInference 
 	return out, nil
 }
 
-// autotuneLoop is the server's closed control loop: every Autotune.Every
-// it samples live telemetry (sliding latency/fill window, queue depth,
-// battery charge, throughput deltas), runs one controller Step, and
-// applies the decision as a guarded live switch through the same drain
-// path every reconfiguration takes — so in generation mode a switch
-// lands at decode-step granularity, mid-generation.
-func (s *Server) autotuneLoop() {
+// controlEvery is the tick of the server's one level-selection loop.
+const controlEvery = 10 * time.Millisecond
+
+// controlLoop is the server's level-selection loop: every controlEvery
+// it steps the closed-loop autotuner when one is configured — sampling
+// live telemetry (sliding latency/fill window, queue depth, battery
+// charge, throughput deltas) — and otherwise asks Config.Policy. A
+// differing level is applied as a guarded live switch through the same
+// drain path every reconfiguration takes, so it lands at step
+// granularity, mid-generation.
+func (s *Server) controlLoop() {
 	defer s.wg.Done()
-	ticker := time.NewTicker(s.cfg.Autotune.Every)
+	ticker := time.NewTicker(controlEvery)
 	defer ticker.Stop()
 	prevDone, prevTok := s.rec.Counters()
 	last := time.Now()
@@ -381,38 +348,45 @@ func (s *Server) autotuneLoop() {
 		case <-s.done:
 			return
 		case <-ticker.C:
-			now := time.Now()
-			dt := now.Sub(last).Seconds()
-			last = now
-			done, tok := s.rec.Counters()
-			tel := Telemetry{
-				Window:          s.rec.RecentStats(),
-				QueueDepth:      len(s.in) + len(s.genIn),
-				BatteryFraction: s.BatteryFraction(),
-				Level:           s.eng.Level(),
-				TargetMS:        s.cfg.TargetMS,
+		}
+		st := s.Status()
+		if s.tuner == nil {
+			if want := s.cfg.Policy.Decide(st); want != st.Level {
+				s.SwitchTo(want) // a rejected switch keeps the level; the next tick asks again
 			}
-			if dt > 0 {
-				tel.CompletedPerSec = float64(done-prevDone) / dt
-				tel.TokensPerSec = float64(tok-prevTok) / dt
+			continue
+		}
+		now := time.Now()
+		dt := now.Sub(last).Seconds()
+		last = now
+		done, tok := s.rec.Counters()
+		tel := Telemetry{
+			Window:          s.rec.RecentStats(),
+			QueueDepth:      st.QueueDepth,
+			BatteryFraction: st.BatteryFraction,
+			Level:           st.Level,
+			TargetMS:        s.cfg.TargetMS,
+		}
+		if dt > 0 {
+			tel.CompletedPerSec = float64(done-prevDone) / dt
+			tel.TokensPerSec = float64(tok-prevTok) / dt
+		}
+		prevDone, prevTok = done, tok
+		dec := s.tuner.Step(tel)
+		if dec.Level != tel.Level {
+			// a rejected switch (the engine validates and rolls back)
+			// leaves Switched false in the trace, and the next tick's
+			// Telemetry.Level shows the level the server actually
+			// kept — Step credits reward against that, never against
+			// the unapplied request.
+			if cost, err := s.SwitchTo(dec.Level); err == nil {
+				s.tuner.markApplied(dec.Tick, cost)
+				s.tracer.NoteAutotuneTick(int64(dec.Tick))
+				dec.Switched, dec.SwitchCostMS = true, cost
 			}
-			prevDone, prevTok = done, tok
-			dec := s.tuner.Step(tel)
-			if dec.Level != tel.Level {
-				// a rejected switch (the engine validates and rolls
-				// back) leaves Switched false in the trace, and the
-				// next tick's Telemetry.Level shows the level the
-				// server actually kept — Step credits reward against
-				// that, never against the unapplied request.
-				if cost, err := s.SwitchTo(dec.Level); err == nil {
-					s.tuner.markApplied(dec.Tick, cost)
-					s.tracer.NoteAutotuneTick(int64(dec.Tick))
-					dec.Switched, dec.SwitchCostMS = true, cost
-				}
-			}
-			if s.cfg.OnAutotuneDecision != nil {
-				s.cfg.OnAutotuneDecision(dec)
-			}
+		}
+		if s.cfg.OnAutotuneDecision != nil {
+			s.cfg.OnAutotuneDecision(dec)
 		}
 	}
 }

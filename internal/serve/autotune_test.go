@@ -47,12 +47,11 @@ func simTelemetry(costs []hwsim.LevelCost, level int, battery, targetMS float64)
 
 // TestAutotunerTraceReplay pins the auditability contract: feeding the
 // recorded telemetry back through a fresh controller with the same
-// configuration and seed reproduces every decision exactly.
+// seed reproduces every decision exactly.
 func TestAutotunerTraceReplay(t *testing.T) {
 	levels := autotuneLevels(t)
 	power := dvfs.DefaultPowerModel()
-	cfg := serve.AutotuneConfig{Seed: 11}
-	at, err := serve.NewAutotuner(levels, power, 2e6, cfg)
+	at, err := serve.NewAutotuner(levels, power, 2e6, serve.AutotuneConfig{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +70,7 @@ func TestAutotunerTraceReplay(t *testing.T) {
 		t.Fatalf("trace has %d decisions, want 300", len(tr.Decisions))
 	}
 
-	replayed, err := serve.ReplayTrace(levels, power, 2e6, cfg, tr)
+	replayed, err := serve.ReplayTrace(levels, power, 2e6, tr)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -82,16 +81,17 @@ func TestAutotunerTraceReplay(t *testing.T) {
 	}
 }
 
-// TestAutotunerTraceCapTruncationNotReplayable: once TraceCap evicts
-// decisions the learning history is incomplete and replay must refuse.
+// TestAutotunerTraceCapTruncationNotReplayable: once the trace cap
+// evicts decisions the learning history is incomplete and replay must
+// refuse.
 func TestAutotunerTraceCapTruncationNotReplayable(t *testing.T) {
 	levels := autotuneLevels(t)
 	power := dvfs.DefaultPowerModel()
-	cfg := serve.AutotuneConfig{Seed: 3, TraceCap: 16}
-	at, err := serve.NewAutotuner(levels, power, 2e6, cfg)
+	at, err := serve.NewAutotuner(levels, power, 2e6, serve.AutotuneConfig{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	serve.SetAutotuneTraceCap(at, 16)
 	costs := at.LevelCosts()
 	for i := 0; i < 40; i++ {
 		at.Step(simTelemetry(costs, 0, 1, 15))
@@ -100,7 +100,7 @@ func TestAutotunerTraceCapTruncationNotReplayable(t *testing.T) {
 	if tr.Dropped != 24 || len(tr.Decisions) != 16 {
 		t.Fatalf("Dropped=%d len=%d, want 24/16", tr.Dropped, len(tr.Decisions))
 	}
-	if _, err := serve.ReplayTrace(levels, power, 2e6, cfg, tr); err == nil {
+	if _, err := serve.ReplayTrace(levels, power, 2e6, tr); err == nil {
 		t.Fatal("truncated trace replayed without error")
 	}
 }
@@ -170,15 +170,11 @@ func TestAutotunerBeatsWorstStaticLevel(t *testing.T) {
 func TestAutotuneServerLiveTrace(t *testing.T) {
 	eng, _ := newTestDeployment(t, 2)
 	defer eng.Close()
-	atCfg := serve.AutotuneConfig{
-		Every:   2 * time.Millisecond,
-		Epsilon: 0.9, // switch-happy: this test is about drains, not learning
-		Seed:    5,
-	}
 	srv := serve.New(eng, serve.Config{
-		MaxBatch: 4, MaxDelay: time.Millisecond, QueueCap: 1024,
-		TargetMS: 20, BatteryJ: 0.05, Autotune: &atCfg,
+		MaxBatch: 4, QueueCap: 1024,
+		TargetMS: 20, BatteryJ: 0.05, Autotune: &serve.AutotuneConfig{Seed: 5},
 	})
+	serve.SetAutotuneEpsilon(srv.Autotuner(), 0.9) // switch-happy: this test is about drains, not learning
 	srv.Start()
 	defer srv.Stop()
 
@@ -209,7 +205,7 @@ func TestAutotuneServerLiveTrace(t *testing.T) {
 	if srv.Summary().Switches == 0 {
 		t.Fatal("recorder saw no switches")
 	}
-	if _, err := serve.ReplayTrace(eng.Levels(), dvfs.DefaultPowerModel(), 2e6, atCfg, tr); err != nil {
+	if _, err := serve.ReplayTrace(eng.Levels(), dvfs.DefaultPowerModel(), 2e6, tr); err != nil {
 		t.Fatalf("live trace replay: %v", err)
 	}
 }
@@ -219,11 +215,11 @@ func TestAutotuneServerLiveTrace(t *testing.T) {
 func TestAutotuneGenerateMode(t *testing.T) {
 	eng, _ := newLMDeployment(t, 1, "pattern")
 	defer eng.Close()
-	atCfg := serve.AutotuneConfig{Every: time.Millisecond, Epsilon: 0.9, Seed: 4}
 	srv := serve.New(eng, serve.Config{
 		Generate: true, MaxBatch: 4, QueueCap: 256,
-		MaxGenTokens: 12, TargetMS: 20, BatteryJ: 0.05, Autotune: &atCfg,
+		MaxGenTokens: 12, TargetMS: 20, BatteryJ: 0.05, Autotune: &serve.AutotuneConfig{Seed: 4},
 	})
+	serve.SetAutotuneEpsilon(srv.Autotuner(), 0.9)
 	srv.Start()
 	defer srv.Stop()
 

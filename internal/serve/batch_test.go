@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"rt3/internal/kernel"
 	"rt3/internal/mat"
@@ -169,8 +168,7 @@ func TestSubmitRejectsEmptySequence(t *testing.T) {
 // recorded separately, and the batch fill ratio observable.
 func TestServerBatchedResponses(t *testing.T) {
 	eng, _ := newTestDeployment(t, 1)
-	s := serve.New(eng, serve.Config{MaxBatch: 4, MaxDelay: 200 * time.Millisecond})
-	s.Start()
+	s := serve.New(eng, serve.Config{MaxBatch: 4})
 	defer s.Stop()
 
 	seqs := raggedBatches(4, 24, 73)
@@ -182,6 +180,7 @@ func TestServerBatchedResponses(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// queued before Start: the loop's first pass takes exactly MaxBatch
 	var chans []<-chan serve.Response
 	for _, ids := range seqs {
 		ch, err := s.Submit(ids)
@@ -190,6 +189,7 @@ func TestServerBatchedResponses(t *testing.T) {
 		}
 		chans = append(chans, ch)
 	}
+	s.Start()
 	for i, ch := range chans {
 		resp := <-ch
 		if resp.BatchSize != 4 {
@@ -223,7 +223,7 @@ func TestServerBatchedResponses(t *testing.T) {
 		t.Fatalf("mean total %g != queue %g + exec %g", stats[0].MeanMS, stats[0].MeanQueueMS, stats[0].MeanExecMS)
 	}
 
-	// a lone deadline-flushed request halves the fill ratio (1 of 4 + 4 of 4)
+	// a lone request rides a batch of 1: 5 requests over 8 capacity
 	ch, err := s.Submit(seqs[0])
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"time"
 
 	"rt3/internal/mat"
@@ -43,7 +44,7 @@ type GenResponse struct {
 
 // genReq is one queued generation request. A non-empty prefix marks a
 // resumed generation: tokens already committed by a previous attempt
-// (e.g. on a node that crashed) that the decode worker replays through
+// (e.g. on a node that crashed) that the worker replays through
 // the KV cache before generating new ones. memLen > 0 marks a split
 // request (prompt[:memLen] is the frozen-memory prefix, eligible for
 // the radix prefix cache).
@@ -71,8 +72,22 @@ type GenOpts struct {
 	// references are DenseGenReferenceSplit and DenseGenReference
 	// respectively. 0 keeps whole-prompt semantics.
 	SplitAt int
-	// MaxTokens <= 0 picks Config.MaxGenTokens; EOS < 0 disables EOS.
+	// MaxTokens <= 0 picks Config.MaxGenTokens, and above it fails with
+	// ErrBadBudget; EOS < 0 disables EOS.
 	MaxTokens, EOS int
+}
+
+// genBudget resolves a request's token budget against
+// Config.MaxGenTokens: <= 0 picks the cap, above it is ErrBadBudget.
+// The cap bounds what admission reserves for a sequence's KV cache.
+func (s *Server) genBudget(maxTokens int) (int, error) {
+	switch {
+	case maxTokens <= 0:
+		return s.cfg.MaxGenTokens, nil
+	case maxTokens > s.cfg.MaxGenTokens:
+		return 0, fmt.Errorf("%w: %d > %d", ErrBadBudget, maxTokens, s.cfg.MaxGenTokens)
+	}
+	return maxTokens, nil
 }
 
 // SubmitGenOpts admits one generation request with per-request options
@@ -96,9 +111,9 @@ func (s *Server) SubmitGenOpts(prompt []int, o GenOpts) (<-chan GenResponse, err
 			return nil, err
 		}
 	}
-	maxTokens := o.MaxTokens
-	if maxTokens <= 0 {
-		maxTokens = s.cfg.MaxGenTokens
+	maxTokens, err := s.genBudget(o.MaxTokens)
+	if err != nil {
+		return nil, err
 	}
 	eos := o.EOS
 	if eos < 0 {
@@ -142,7 +157,8 @@ func (s *Server) SubmitGenOpts(prompt []int, o GenOpts) (<-chan GenResponse, err
 // picks Config.MaxGenTokens; eos < 0 disables EOS detection. It fails
 // fast with ErrNotGenerating on a server without Generate mode,
 // ErrEmptyRequest for an empty prompt, ErrBadToken for an id outside
-// the model's vocabulary, ErrQueueFull at capacity, and ErrStopped after
+// the model's vocabulary, ErrBadBudget for a maxTokens above
+// Config.MaxGenTokens, ErrQueueFull at capacity, and ErrStopped after
 // Stop.
 func (s *Server) SubmitGen(prompt []int, maxTokens, eos int) (<-chan GenResponse, error) {
 	return s.SubmitGenOpts(prompt, GenOpts{MaxTokens: maxTokens, EOS: eos})
@@ -166,7 +182,7 @@ func (s *Server) SubmitGenResume(prompt, prefix []int, maxTokens, eos int) (<-ch
 	return s.SubmitGenOpts(prompt, GenOpts{Prefix: prefix, MaxTokens: maxTokens, EOS: eos})
 }
 
-// genSlot is one active sequence in a decode worker's step loop. feed
+// genSlot is one active sequence in a worker's step loop. feed
 // indexes the token the next fused step feeds: it trails len(tokens)-1
 // while a resumed prefix is being replayed through the cache (produced
 // logits are discarded — the tokens are already committed) and sticks to
@@ -191,7 +207,7 @@ func (sl *genSlot) done() bool {
 	return last == sl.req.eos || len(sl.tokens) >= sl.req.maxTokens
 }
 
-// decodeWorker is the continuous-batching step loop owning one engine
+// worker is the continuous-batching step loop owning one engine
 // replica: every iteration it admits queued requests into free decode
 // slots (prefilling them as one fused packed pass), advances all active
 // sequences by one fused decode step, and evicts sequences that hit EOS
@@ -202,9 +218,8 @@ func (sl *genSlot) done() bool {
 // as one fused forward pass between decode steps (mixed traffic, one
 // level per iteration). The execMu read lock spans one admission +
 // classification batch + step, so a live pattern-set/V/F switch drains
-// in-flight work at step granularity, exactly as it drains batches in
-// classification mode.
-func (s *Server) decodeWorker(replica int) {
+// in-flight work at step granularity.
+func (s *Server) worker(replica int) {
 	defer s.wg.Done()
 	var (
 		slots    []*genSlot

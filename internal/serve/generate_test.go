@@ -239,7 +239,7 @@ func TestGenerateConcurrentReplicas(t *testing.T) {
 // deadlocks or drops.
 func TestGenerateLiveSwitch(t *testing.T) {
 	eng, _ := newLMDeployment(t, 1, "pattern")
-	srv := serve.New(eng, serve.Config{Generate: true, MaxBatch: 4, QueueCap: 64})
+	srv := serve.New(eng, serve.Config{Generate: true, MaxBatch: 4, QueueCap: 64, MaxGenTokens: 40})
 	srv.Start()
 	defer srv.Stop()
 
@@ -582,6 +582,60 @@ func TestSubmitRejectsBadTokens(t *testing.T) {
 	}
 	if resp := <-gch; resp.Err != nil || len(resp.Tokens) != 4 {
 		t.Fatalf("generation after the rejections: %d tokens, err %v", len(resp.Tokens), resp.Err)
+	}
+}
+
+// TestSubmitRejectsBadBudget checks Config.MaxGenTokens is the
+// per-request cap: no budget picks it, the cap itself is served, and a
+// budget above it fails at admission with ErrBadBudget — before any KV
+// cache is sized for it — as do the dense references. A resumed prefix
+// counts toward the budget, and the server keeps serving afterwards.
+func TestSubmitRejectsBadBudget(t *testing.T) {
+	const maxGen = 6
+	eng, _ := newLMDeployment(t, 1, "pattern")
+	srv := serve.New(eng, serve.Config{Generate: true, MaxBatch: 2, QueueCap: 8, MaxGenTokens: maxGen})
+	srv.Start()
+	defer srv.Stop()
+	prompt := []int{1, 2, 3}
+
+	for _, tc := range []struct {
+		budget int
+		prefix []int
+		want   int // tokens served; 0 wants ErrBadBudget
+	}{
+		{budget: 0, want: maxGen},
+		{budget: maxGen, want: maxGen},
+		{budget: maxGen, prefix: []int{4, 5}, want: maxGen},
+		{budget: maxGen + 1},
+		{budget: maxGen + 1, prefix: []int{4, 5}},
+		{budget: 1 << 40},
+		{budget: 2, want: 2},
+	} {
+		ch, err := srv.SubmitGenResume(prompt, tc.prefix, tc.budget, -1)
+		if tc.want == 0 {
+			if !errors.Is(err, serve.ErrBadBudget) {
+				t.Errorf("budget %d, prefix %v: %v, want ErrBadBudget", tc.budget, tc.prefix, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("budget %d, prefix %v: %v", tc.budget, tc.prefix, err)
+		}
+		if resp := <-ch; resp.Err != nil || len(resp.Tokens) != tc.want {
+			t.Fatalf("budget %d, prefix %v: %d tokens, err %v; want %d", tc.budget, tc.prefix, len(resp.Tokens), resp.Err, tc.want)
+		}
+	}
+	if _, err := srv.SubmitGenOpts(prompt, serve.GenOpts{SplitAt: 1, MaxTokens: maxGen + 1, EOS: -1}); !errors.Is(err, serve.ErrBadBudget) {
+		t.Errorf("split request over the cap: %v, want ErrBadBudget", err)
+	}
+	if _, err := srv.DenseGenReference(0, prompt, 1<<40, -1); !errors.Is(err, serve.ErrBadBudget) {
+		t.Errorf("DenseGenReference over the cap: %v, want ErrBadBudget", err)
+	}
+	if _, err := srv.DenseGenReferenceSplit(0, prompt[:1], prompt[1:], maxGen+1, -1); !errors.Is(err, serve.ErrBadBudget) {
+		t.Errorf("DenseGenReferenceSplit over the cap: %v, want ErrBadBudget", err)
+	}
+	if ref, err := srv.DenseGenReference(0, prompt, 0, -1); err != nil || len(ref) != maxGen {
+		t.Errorf("DenseGenReference at the default: %d tokens, err %v; want %d", len(ref), err, maxGen)
 	}
 }
 

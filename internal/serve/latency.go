@@ -23,9 +23,8 @@ type LevelStats struct {
 	P50MS  float64
 	P95MS  float64
 	P99MS  float64
-	// MeanQueueMS is mean admission-to-dispatch wait (the dynamic
-	// batcher's cost); MeanExecMS is mean packed-forward execution time.
-	// MeanMS = MeanQueueMS + MeanExecMS.
+	// MeanQueueMS is mean admission-to-dispatch wait; MeanExecMS is mean
+	// packed-forward execution time. MeanMS = MeanQueueMS + MeanExecMS.
 	MeanQueueMS float64
 	MeanExecMS  float64
 }
@@ -180,13 +179,6 @@ func (r *Recorder) ObserveSwitch(modelMS, wallMS float64) {
 	r.switchStall.Observe(wallMS)
 }
 
-// RecentP95 returns the p95 latency of the sliding window (0 when empty).
-func (r *Recorder) RecentP95() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.recent.Quantile(0.95)
-}
-
 // WindowStats digests the sliding telemetry window: latency quantiles of
 // the most recent completions, split into queue-wait and execution
 // components, plus the recent batch fill ratio. An empty window (no
@@ -250,10 +242,9 @@ func (r *Recorder) MeanBatch() float64 {
 
 // FillRatio returns dispatched requests over dispatched batch capacity
 // (mean batch size / MaxBatch), in [0, 1]; 0 when nothing dispatched.
-// Low fill means deadline flushes dominate: the packed forwards run
-// shorter than the configured fusion width, so padding/fragmentation
-// waste — capacity the batcher reserved but never filled — is visible
-// directly instead of hiding inside the latency numbers.
+// Low fill means the packed forwards run shorter than the configured
+// fusion width, so the unused capacity is visible directly instead of
+// hiding inside the latency numbers.
 func (r *Recorder) FillRatio() float64 {
 	if c := r.batchCap.Value(); c > 0 {
 		return r.batchReqs.Value() / c

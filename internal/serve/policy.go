@@ -3,7 +3,7 @@ package serve
 import "rt3/internal/dvfs"
 
 // Policy decides which V/F level the server should run at next. Decide
-// is called from the server's policy loop, never concurrently.
+// is called from the server's control loop, never concurrently.
 type Policy interface {
 	Decide(s Status) int
 }

@@ -84,10 +84,10 @@ func TestSubmitGenResumeTerminalPrefix(t *testing.T) {
 // resumes elsewhere.
 func TestKillDeliversPartial(t *testing.T) {
 	eng, _ := newLMDeployment(t, 1, "pattern")
-	srv := serve.New(eng, serve.Config{Generate: true, StepFloor: 2 * time.Millisecond})
+	const budget = 64
+	srv := serve.New(eng, serve.Config{Generate: true, MaxGenTokens: budget, StepFloor: 2 * time.Millisecond})
 	srv.Start()
 	prompt := []int{2, 7, 1, 8}
-	const budget = 64
 
 	ch, err := srv.SubmitGen(prompt, budget, -1)
 	if err != nil {

@@ -125,7 +125,6 @@ func TestServerHotSwapMidTraffic(t *testing.T) {
 	eng, _ := newTestDeployment(t, 2)
 	s := serve.New(eng, serve.Config{
 		MaxBatch: 4,
-		MaxDelay: 500 * time.Microsecond,
 		QueueCap: 1024,
 	})
 	s.Start()
@@ -194,46 +193,31 @@ func TestServerHotSwapMidTraffic(t *testing.T) {
 	}
 }
 
-// TestDynamicBatching checks both flush paths: a full batch flushes on
-// size well before the deadline; a lone request flushes at the deadline.
+// TestDynamicBatching checks the step loop's batch bound: requests
+// queued before Start ride the first pass together, MaxBatch at a time.
 func TestDynamicBatching(t *testing.T) {
-	// the deadline is deliberately huge relative to service time so the
-	// batch-size assertions, not wall-clock luck, decide the outcome
-	const deadline = 150 * time.Millisecond
 	eng, _ := newTestDeployment(t, 1)
-	s := serve.New(eng, serve.Config{MaxBatch: 4, MaxDelay: deadline})
-	s.Start()
+	s := serve.New(eng, serve.Config{MaxBatch: 4})
 	defer s.Stop()
 
 	seq := randSeqs(1, 10, 24, 9)[0]
 	var chans []<-chan serve.Response
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 6; i++ {
 		ch, err := s.Submit(seq)
 		if err != nil {
 			t.Fatal(err)
 		}
 		chans = append(chans, ch)
 	}
+	s.Start()
 	for i, ch := range chans {
-		resp := <-ch
-		if resp.BatchSize != 4 {
-			t.Fatalf("response %d rode batch of %d, want 4", i, resp.BatchSize)
+		want := 4
+		if i >= 4 {
+			want = 2
 		}
-		if resp.TotalMS > 100 {
-			t.Fatalf("full batch waited for the deadline (%.1f ms)", resp.TotalMS)
+		if resp := <-ch; resp.BatchSize != want {
+			t.Fatalf("response %d rode batch of %d, want %d", i, resp.BatchSize, want)
 		}
-	}
-
-	ch, err := s.Submit(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp := <-ch
-	if resp.BatchSize != 1 {
-		t.Fatalf("lone request rode batch of %d", resp.BatchSize)
-	}
-	if resp.TotalMS < 100 {
-		t.Fatalf("lone request flushed after %.1f ms, want ~%v (deadline flush)", resp.TotalMS, deadline)
 	}
 }
 
@@ -298,12 +282,10 @@ func TestGovernorPolicyDecisions(t *testing.T) {
 func TestLoadWithGovernor(t *testing.T) {
 	eng, _ := newTestDeployment(t, 2)
 	s := serve.New(eng, serve.Config{
-		MaxBatch:    4,
-		MaxDelay:    time.Millisecond,
-		QueueCap:    4096,
-		Policy:      serve.NewGovernorPolicy(eng.Levels(), 0),
-		PolicyEvery: 5 * time.Millisecond,
-		BatteryJ:    0.05,
+		MaxBatch: 4,
+		QueueCap: 4096,
+		Policy:   serve.NewGovernorPolicy(eng.Levels(), 0),
+		BatteryJ: 0.05,
 	})
 	s.Start()
 	defer s.Stop()

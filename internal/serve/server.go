@@ -24,33 +24,32 @@ var (
 	ErrNotGenerating = errors.New("serve: SubmitGen requires Config.Generate")
 	ErrBadSplit      = errors.New("serve: GenOpts.SplitAt must cut the prompt into non-empty prefix and suffix")
 	ErrBadToken      = errors.New("serve: token id outside the model's vocabulary")
+	ErrBadBudget     = errors.New("serve: token budget above Config.MaxGenTokens")
 )
 
 // Config tunes the server. Zero values pick the documented defaults.
 type Config struct {
-	// MaxBatch flushes the pending batch when this many requests are
-	// waiting (default 8).
+	// MaxBatch bounds one step of a replica's loop (default 8): at most
+	// this many classification requests ride one fused forward pass, and
+	// at most this many generations hold decode slots at once.
 	MaxBatch int
-	// MaxDelay flushes a non-empty batch after this long even if short
-	// (default 2ms) — the latency/throughput knob of dynamic batching.
-	MaxDelay time.Duration
 	// QueueCap bounds admitted-but-unserved requests (default 1024);
 	// Submit fails fast with ErrQueueFull beyond it.
 	QueueCap int
 
-	// Generate switches the worker pool from batched classification to
-	// continuous-batching incremental decoding: each worker runs a
-	// KV-cached step loop on its replica, admitting queued generation
-	// requests into up to MaxBatch decode slots every step (prefill as
-	// one fused packed pass, then one token per fused step) and evicting
-	// on EOS or token budget. Requires replicas implementing DecodeModel
-	// (e.g. transformer.LMModel). Submit still works — the step loop
-	// serves mixed traffic, executing queued classification batches as
-	// fused forward passes between decode steps — so one queue carries
-	// classify+generate workloads.
+	// Generate admits generation requests (SubmitGen and friends, which
+	// fail with ErrNotGenerating without it) and requires replicas
+	// implementing DecodeModel (e.g. transformer.LMModel); New panics on
+	// an engine without decode. Every server runs the same per-replica
+	// step loop: each pass admits queued generations into free decode
+	// slots (prefill as one fused packed pass, then one token per fused
+	// step), evicts on EOS or token budget, and executes up to MaxBatch
+	// queued classification requests as one fused forward pass, so one
+	// loop carries classify+generate traffic.
 	Generate bool
-	// MaxGenTokens caps generated tokens per request when the request
-	// does not set its own budget (default 32).
+	// MaxGenTokens is the per-request token budget: a request that sets
+	// no budget gets it, and one that asks for more fails at admission
+	// with ErrBadBudget (default 32). A resumed prefix counts toward it.
 	MaxGenTokens int
 
 	// PrefixCacheRows enables the cross-request radix prefix KV cache for
@@ -59,16 +58,14 @@ type Config struct {
 	// (split requests still compute prefix+suffix, just without sharing).
 	PrefixCacheRows int
 
-	// Policy, when set, is consulted every PolicyEvery (default 20ms)
-	// with the current Status; a differing decision triggers a live
-	// level switch.
-	Policy      Policy
-	PolicyEvery time.Duration
-	// TargetMS is the latency objective surfaced to the policy.
+	// Policy, when set, is consulted every control tick (10ms) with the
+	// current Status; a differing decision triggers a live level switch.
+	Policy Policy
+	// TargetMS is the latency objective the autotuner's reward reads.
 	TargetMS float64
 
 	// Autotune, when set, runs the closed-loop RL/DVFS controller
-	// instead of the Policy loop: every control tick it samples the
+	// instead of the Policy: every control tick it samples the
 	// sliding telemetry window, quantizes it into the rl state space,
 	// queries the controller policy epsilon-greedily, learns online from
 	// the observed reward, and drives hot pattern-set/V/F switches
@@ -84,7 +81,7 @@ type Config struct {
 	// exported via Server.Tracer (JSONL or Chrome trace_event).
 	Trace obs.TracerConfig
 
-	// OnAutotuneDecision, when set, is invoked from the autotune loop
+	// OnAutotuneDecision, when set, is invoked from the control loop
 	// after every control tick with the decision as applied (Switched and
 	// SwitchCostMS filled in). Callers use it to stream decision lines
 	// through a logger; the callback runs on the control loop goroutine
@@ -127,14 +124,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 8
 	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 2 * time.Millisecond
-	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 1024
-	}
-	if c.PolicyEvery <= 0 {
-		c.PolicyEvery = 20 * time.Millisecond
 	}
 	if c.MaxGenTokens <= 0 {
 		c.MaxGenTokens = 32
@@ -157,11 +148,10 @@ type Response struct {
 	Out *mat.Matrix
 	// Level is the V/F level index the request executed at.
 	Level int
-	// QueueMS is time from admission to batch dispatch — the dynamic
-	// batcher's wait, per request. ExecMS is the packed forward pass's
-	// execution time, shared by every request in the batch (the batch
-	// runs as one fused forward). TotalMS = QueueMS + ExecMS, admission
-	// to completion.
+	// QueueMS is time from admission to batch dispatch, per request.
+	// ExecMS is the packed forward pass's execution time, shared by every
+	// request in the batch (the batch runs as one fused forward).
+	// TotalMS = QueueMS + ExecMS, admission to completion.
 	QueueMS, ExecMS, TotalMS float64
 	// BatchSize is the size of the batch the request rode in.
 	BatchSize int
@@ -177,20 +167,15 @@ type request struct {
 // Status is the server state snapshot handed to the level policy.
 type Status struct {
 	Level           int
-	NumLevels       int
 	QueueDepth      int
-	QueueCap        int
 	BatteryFraction float64 // 1 when energy accounting is disabled
-	RecentP95MS     float64
-	TargetMS        float64
 }
 
-// Server is the batched, reconfiguration-aware inference frontend: a
-// bounded request queue feeds a dynamic batcher (flush on size or
-// deadline); a worker pool — one worker per engine replica — executes
-// batches through the packed kernels; SwitchTo drains in-flight batches,
-// swaps the active pattern set and V/F level on the engine, and charges
-// the modeled reconfiguration cost.
+// Server is the batched, reconfiguration-aware inference frontend:
+// bounded request queues feed one step loop per engine replica, which
+// executes fused batches through the packed kernels; SwitchTo drains
+// in-flight steps, swaps the active pattern set and V/F level on the
+// engine, and charges the modeled reconfiguration cost.
 type Server struct {
 	cfg    Config
 	eng    *Engine
@@ -200,7 +185,7 @@ type Server struct {
 	tuner  *Autotuner  // non-nil when Config.Autotune is set
 
 	// prefixCache is the cross-request radix prefix KV cache, shared by
-	// every decode worker (nil unless Config.PrefixCacheRows != 0).
+	// every worker (nil unless Config.PrefixCacheRows != 0).
 	prefixCache *spec.Radix
 
 	batMu   sync.Mutex
@@ -212,11 +197,10 @@ type Server struct {
 	// unset).
 	slowdown atomic.Uint64
 
-	in      chan *request
-	genIn   chan *genReq
-	batches chan []*request
+	in    chan *request
+	genIn chan *genReq
 
-	// execMu is read-held by workers for the duration of one batch and
+	// execMu is read-held by workers for the duration of one step and
 	// write-held across a switch: taking the write lock IS the drain.
 	execMu sync.RWMutex
 
@@ -240,16 +224,15 @@ func New(eng *Engine, cfg Config) *Server {
 	}
 	reg := obs.NewRegistry()
 	s := &Server{
-		cfg:     cfg,
-		eng:     eng,
-		rec:     NewRecorderOn(reg, eng.bundle.LevelNames),
-		reg:     reg,
-		tracer:  obs.NewTracer(cfg.Trace),
-		in:      make(chan *request, cfg.QueueCap),
-		genIn:   make(chan *genReq, cfg.QueueCap),
-		batches: make(chan []*request, eng.Replicas()),
-		done:    make(chan struct{}),
-		kill:    make(chan struct{}),
+		cfg:    cfg,
+		eng:    eng,
+		rec:    NewRecorderOn(reg, eng.bundle.LevelNames),
+		reg:    reg,
+		tracer: obs.NewTracer(cfg.Trace),
+		in:     make(chan *request, cfg.QueueCap),
+		genIn:  make(chan *genReq, cfg.QueueCap),
+		done:   make(chan struct{}),
+		kill:   make(chan struct{}),
 	}
 	if cfg.BatteryJ > 0 {
 		s.battery = dvfs.NewBattery(cfg.BatteryJ)
@@ -268,8 +251,6 @@ func New(eng *Engine, cfg Config) *Server {
 			panic("serve: " + err.Error())
 		}
 		s.tuner = tuner
-		ac := tuner.cfg // defaults resolved once, the loop reads them
-		s.cfg.Autotune = &ac
 		tuner.RegisterMetrics(reg)
 	}
 	eng.RegisterMetrics(reg)
@@ -306,10 +287,8 @@ func (s *Server) PrefixCacheStats() (st spec.RadixStats, ok bool) {
 	return s.prefixCache.Stats(), true
 }
 
-// Start launches the worker pool — the dynamic batcher plus one batch
-// worker per engine replica, or (in Generate mode) one continuous-
-// batching decode loop per replica — and, when configured, the
-// closed-loop autotuner or the policy loop.
+// Start launches one step loop per engine replica and, when a policy or
+// the closed-loop autotuner is configured, the control loop.
 func (s *Server) Start() {
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
@@ -317,26 +296,13 @@ func (s *Server) Start() {
 		return
 	}
 	s.started = true
-	if s.cfg.Generate {
-		for i := 0; i < s.eng.Replicas(); i++ {
-			s.wg.Add(1)
-			go s.decodeWorker(i)
-		}
-	} else {
+	for i := 0; i < s.eng.Replicas(); i++ {
 		s.wg.Add(1)
-		go s.batcher()
-		for i := 0; i < s.eng.Replicas(); i++ {
-			s.wg.Add(1)
-			go s.worker(i)
-		}
+		go s.worker(i)
 	}
-	switch {
-	case s.tuner != nil:
+	if s.tuner != nil || s.cfg.Policy != nil {
 		s.wg.Add(1)
-		go s.autotuneLoop()
-	case s.cfg.Policy != nil:
-		s.wg.Add(1)
-		go s.policyLoop()
+		go s.controlLoop()
 	}
 }
 
@@ -345,9 +311,8 @@ func (s *Server) Start() {
 // ErrEmptyRequest for a zero-length sequence (the packed batch forward
 // has no representation for it), ErrBadToken for an id outside the
 // model's vocabulary, ErrQueueFull when the queue is at capacity, and
-// ErrStopped after Stop. In Generate mode the request is served by the
-// decode loops between fused decode steps (mixed classify+generate
-// traffic in one queue).
+// ErrStopped after Stop. The step loops serve it between fused decode
+// steps (mixed classify+generate traffic).
 func (s *Server) Submit(ids []int) (<-chan Response, error) {
 	if len(ids) == 0 {
 		return nil, ErrEmptyRequest
@@ -386,35 +351,11 @@ func (s *Server) checkTokens(ids []int) error {
 }
 
 // Stop closes admission, drains every queued request through the
-// workers — in Generate mode queued and in-flight generations run to
-// completion — and blocks until all goroutines exit. Pending responses
-// are delivered; on a server that was never started, queued requests
-// receive a response with Err == ErrStopped instead of an answer.
-func (s *Server) Stop() {
-	s.stateMu.Lock()
-	if s.stopped {
-		s.stateMu.Unlock()
-		return
-	}
-	s.stopped = true
-	started := s.started
-	close(s.in)
-	close(s.genIn)
-	close(s.done)
-	s.stateMu.Unlock()
-	if started {
-		s.wg.Wait()
-		return
-	}
-	for r := range s.in {
-		s.tracer.Abort(r.tr)
-		r.resp <- Response{Err: ErrStopped}
-	}
-	for r := range s.genIn {
-		s.tracer.Abort(r.tr)
-		r.resp <- GenResponse{Err: ErrStopped}
-	}
-}
+// workers — queued and in-flight generations run to completion — and
+// blocks until all goroutines exit. Pending responses are delivered; on
+// a server that was never started, queued requests receive a response
+// with Err == ErrStopped instead of an answer.
+func (s *Server) Stop() { s.shutdown(false) }
 
 // Kill simulates a node crash: admission closes immediately and, unlike
 // Stop, in-flight work is abandoned rather than finished. Queued
@@ -424,7 +365,10 @@ func (s *Server) Stop() {
 // replays onto another node via SubmitGenResume (truncate-replay).
 // Every response channel still receives exactly one send, and all
 // goroutines exit before Kill returns.
-func (s *Server) Kill() {
+func (s *Server) Kill() { s.shutdown(true) }
+
+// shutdown is the body of Stop (crash false) and Kill (crash true).
+func (s *Server) shutdown(crash bool) {
 	s.stateMu.Lock()
 	if s.stopped {
 		s.stateMu.Unlock()
@@ -432,7 +376,11 @@ func (s *Server) Kill() {
 	}
 	s.stopped = true
 	started := s.started
-	close(s.kill)
+	err := ErrStopped
+	if crash {
+		err = ErrCrashed
+		close(s.kill)
+	}
 	close(s.in)
 	close(s.genIn)
 	close(s.done)
@@ -443,16 +391,16 @@ func (s *Server) Kill() {
 	}
 	for r := range s.in {
 		s.tracer.Abort(r.tr)
-		r.resp <- Response{Err: ErrCrashed}
+		r.resp <- Response{Err: err}
 	}
 	for r := range s.genIn {
 		s.tracer.Abort(r.tr)
-		r.resp <- GenResponse{Err: ErrCrashed}
+		r.resp <- GenResponse{Err: err}
 	}
 }
 
 // killed reports whether Kill has been called (workers poll it at
-// batch/step boundaries — a crash aborts between fused executions, never
+// step boundaries — a crash aborts between fused executions, never
 // inside one).
 func (s *Server) killed() bool {
 	select {
@@ -474,15 +422,10 @@ func (s *Server) Stopped() bool {
 
 // Status snapshots the signals a level policy decides on.
 func (s *Server) Status() Status {
-	frac := s.BatteryFraction()
 	return Status{
 		Level:           s.eng.Level(),
-		NumLevels:       s.eng.NumLevels(),
 		QueueDepth:      len(s.in) + len(s.genIn),
-		QueueCap:        s.cfg.QueueCap,
-		BatteryFraction: frac,
-		RecentP95MS:     s.rec.RecentP95(),
-		TargetMS:        s.cfg.TargetMS,
+		BatteryFraction: s.BatteryFraction(),
 	}
 }
 
@@ -535,7 +478,7 @@ func (s *Server) Slowdown() float64 {
 }
 
 // SwitchTo performs a guarded live reconfiguration to level idx: it
-// blocks new batch execution, waits for in-flight batches to drain,
+// blocks new step execution, waits for in-flight steps to drain,
 // swaps the engine's pattern set, and records the modeled swap cost plus
 // the measured kernel-install time. Requests keep queuing throughout —
 // none are dropped by a switch.
@@ -570,11 +513,13 @@ func (s *Server) DenseReference(idx int, ids []int) (*mat.Matrix, error) {
 // DenseGenReference greedily decodes the masked dense reference
 // generation for level idx on the quiesced engine — the ground truth a
 // generation served entirely at that level must match token-for-token.
-// maxTokens <= 0 picks Config.MaxGenTokens, mirroring SubmitGen, so the
-// reference sees the budget the served request actually ran under.
+// maxTokens follows SubmitGen (<= 0 picks Config.MaxGenTokens, above it
+// fails with ErrBadBudget), so the reference sees the budget the served
+// request actually ran under.
 func (s *Server) DenseGenReference(idx int, prompt []int, maxTokens, eos int) ([]int, error) {
-	if maxTokens <= 0 {
-		maxTokens = s.cfg.MaxGenTokens
+	maxTokens, err := s.genBudget(maxTokens)
+	if err != nil {
+		return nil, err
 	}
 	s.execMu.Lock()
 	defer s.execMu.Unlock()
@@ -584,86 +529,21 @@ func (s *Server) DenseGenReference(idx int, prompt []int, maxTokens, eos int) ([
 // DenseGenReferenceSplit greedily decodes the masked dense reference
 // for a split request at level idx on the quiesced engine — the ground
 // truth a split generation (prefix-cached or not) must match
-// token-for-token. maxTokens <= 0 picks Config.MaxGenTokens.
+// token-for-token. maxTokens follows SubmitGen.
 func (s *Server) DenseGenReferenceSplit(idx int, prefix, suffix []int, maxTokens, eos int) ([]int, error) {
-	if maxTokens <= 0 {
-		maxTokens = s.cfg.MaxGenTokens
+	maxTokens, err := s.genBudget(maxTokens)
+	if err != nil {
+		return nil, err
 	}
 	s.execMu.Lock()
 	defer s.execMu.Unlock()
 	return s.eng.DenseGenerateSplit(idx, prefix, suffix, maxTokens, eos)
 }
 
-// batcher assembles dynamic batches: flush at MaxBatch or MaxDelay after
-// the first request, whichever comes first.
-func (s *Server) batcher() {
-	defer s.wg.Done()
-	defer close(s.batches)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	var batch []*request
-	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		s.batches <- batch
-		batch = nil
-	}
-	for {
-		select {
-		case r, ok := <-s.in:
-			if !ok {
-				flush()
-				return
-			}
-			batch = append(batch, r)
-			if len(batch) == 1 {
-				timer.Reset(s.cfg.MaxDelay)
-			}
-			if len(batch) >= s.cfg.MaxBatch {
-				if !timer.Stop() {
-					select {
-					case <-timer.C:
-					default:
-					}
-				}
-				flush()
-			}
-		case <-timer.C:
-			flush()
-		}
-	}
-}
-
-// worker executes batches on its private model replica, dispatching the
-// whole dynamic batch as one packed forward pass through
-// Engine.ForwardBatch and splitting the outputs back per request. The
-// read lock spans the whole batch so a reconfiguration can only happen
-// between batches — requests within one batch all run at one level.
-func (s *Server) worker(replica int) {
-	defer s.wg.Done()
-	var ids [][]int
-	for batch := range s.batches {
-		if s.killed() {
-			for _, r := range batch {
-				s.tracer.Abort(r.tr)
-				r.resp <- Response{Err: ErrCrashed}
-			}
-			continue
-		}
-		s.execMu.RLock()
-		s.classifyBatch(replica, s.eng.Level(), batch, &ids)
-		s.execMu.RUnlock()
-	}
-}
-
 // classifyBatch executes one classification batch as a single fused
-// forward pass and delivers the per-request responses — the shared core
-// of the classification workers and the decode loops' mixed-traffic
-// path (where it runs between fused decode steps). Called with execMu
-// read-held; ids is the caller's reusable scratch.
+// forward pass and delivers the per-request responses (the step loop
+// runs it between fused decode steps). Called with execMu read-held; ids
+// is the caller's reusable scratch.
 func (s *Server) classifyBatch(replica, level int, batch []*request, ids *[][]int) {
 	*ids = (*ids)[:0]
 	for _, r := range batch {
@@ -739,26 +619,5 @@ func (s *Server) drainEnergy(level, n int) {
 	defer s.batMu.Unlock()
 	if !s.battery.Drain(e) {
 		s.battery.Remaining = 0
-	}
-}
-
-// policyLoop periodically asks the policy for a level and applies it.
-func (s *Server) policyLoop() {
-	defer s.wg.Done()
-	ticker := time.NewTicker(s.cfg.PolicyEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.done:
-			return
-		case <-ticker.C:
-			st := s.Status()
-			want := s.cfg.Policy.Decide(st)
-			if want != st.Level {
-				if _, err := s.SwitchTo(want); err != nil {
-					continue
-				}
-			}
-		}
 	}
 }
