@@ -2,7 +2,9 @@ package main
 
 import (
 	"fmt"
-	"reflect"
+	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"rt3/internal/chaos"
@@ -11,288 +13,32 @@ import (
 	"rt3/internal/transformer"
 )
 
-// chaosBenchSpec shapes the chaos-replay benchmark: every fault profile
-// is fired against every builtin workload trace on a fresh fleet, then a
-// determinism arm runs the same level-stable scenario twice from one
-// seed and requires identical fault schedules, router decisions, and
-// response sets.
-type chaosBenchSpec struct {
-	nodes     int
-	stepFloor time.Duration
-	scale     float64 // time scale applied to every trace bucket window
-	seed      int64
-}
+// The chaos-replay benchmark fires every fault profile against every
+// builtin workload trace on a fresh chaosNodes fleet (faults never
+// target node 0, the dense-verify reference), each fused step taking at
+// least chaosStepFloor so a crash reliably lands mid-generation and every
+// trace bucket window scaled by chaosScale. A determinism double run then
+// replays one level-stable scenario twice from one seed.
+const (
+	chaosNodes     = 3
+	chaosStepFloor = time.Millisecond
+	chaosScale     = 1.0
+
+	// chaosP99InflationFloor bounds how far faults may inflate tail
+	// latency over the fault-free baseline on the same trace.
+	chaosP99InflationFloor = 25.0
+
+	// The double run: this profile against this trace, from the
+	// experiment's seed plus chaosDeterminismSeedOffset.
+	chaosDeterminismProfile    = "crash"
+	chaosDeterminismTrace      = "diurnal"
+	chaosDeterminismSeedOffset = 100
+)
 
 // chaosProfiles is the benchmark matrix's fault axis: a fault-free
 // baseline (the p99 reference), the two single-fault profiles with the
 // sharpest recovery stories, a resource fault, and the full gauntlet.
 var chaosProfiles = []string{"none", "crash", "rollout", "collapse", "all"}
-
-// Chaos floors, enforced after the matrix: no response the cluster
-// accepted may be lost, every completed response must dense-verify,
-// every decision trace must replay bit-identically, the crash arms must
-// actually exercise failover, and faults may inflate tail latency only
-// so far over the fault-free baseline on the same trace.
-const chaosP99InflationFloor = 25.0
-
-// chaosArm is one scored profile x trace cell.
-type chaosArm struct {
-	profile string
-	trace   string
-	report  *chaos.ScenarioReport
-	metrics map[string]float64 // router registry snapshot, -json runs only
-}
-
-// runChaosBench runs the full matrix plus the determinism double-run,
-// prints the table, and fails when a floor is missed.
-func runChaosBench(spec chaosBenchSpec) error {
-	traces := chaos.BuiltinTraces()
-	fmt.Printf("chaos matrix: %d-node fleet, step floor %s, time scale %.2g, seed %d; profiles %v over traces %v\n\n",
-		spec.nodes, spec.stepFloor, spec.scale, spec.seed, chaosProfiles, traces)
-
-	var arms []chaosArm
-	for _, trace := range traces {
-		for _, profile := range chaosProfiles {
-			arm, err := runChaosArm(spec, profile, trace, spec.seed)
-			if err != nil {
-				return err
-			}
-			arms = append(arms, arm)
-		}
-	}
-
-	fmt.Printf("%-9s %-11s %8s %10s %6s %7s %10s %8s %8s %9s %10s %9s %9s\n",
-		"profile", "trace", "offered", "completed", "shed", "failed", "tok_per_s", "p50_ms", "p99_ms", "verified", "failovers", "retries", "replayed")
-	for _, a := range arms {
-		wl, st := a.report.Workload, a.report.Stats
-		fmt.Printf("%-9s %-11s %8d %10d %6d %7d %10.0f %8.2f %8.2f %9d %10d %9d %9d\n",
-			a.profile, a.trace, wl.Offered, wl.Completed(), wl.Shed, wl.Failed,
-			wl.TokensPerSec, wl.P50MS, wl.P99MS, wl.Verified, st.Failovers, st.Retries, a.report.Replayed)
-	}
-	fmt.Println()
-
-	det, err := runChaosDeterminism(spec)
-	if err != nil {
-		return err
-	}
-
-	if jsonRep != nil {
-		section := &chaosSection{
-			Nodes:       spec.nodes,
-			StepFloorMS: float64(spec.stepFloor.Microseconds()) / 1000,
-			Scale:       spec.scale,
-			Determinism: det,
-		}
-		for _, a := range arms {
-			wl, st := a.report.Workload, a.report.Stats
-			section.Arms = append(section.Arms, chaosArmRow{
-				Profile: a.profile, Trace: a.trace,
-				Offered: wl.Offered, Completed: wl.Completed(),
-				Shed: wl.Shed, Failed: wl.Failed,
-				TokensPerSec: wl.TokensPerSec, P50MS: wl.P50MS, P99MS: wl.P99MS,
-				Verified: wl.Verified, Mismatches: wl.Mismatches,
-				Failovers: st.Failovers, Retries: st.Retries,
-				BreakerTrips: st.BreakerTrips, Rollouts: st.Rollouts,
-				FaultsFired: len(a.report.Injector.Fired), Replayed: a.report.Replayed,
-			})
-			if a.metrics != nil {
-				section.Metrics = a.metrics // last arm's router registry wins
-			}
-		}
-		jsonRep.Chaos = section
-	}
-
-	return enforceChaosFloors(arms, traces, det)
-}
-
-// runChaosArm fires one profile against one trace on a fresh fleet with
-// full dense verification and replay-checks the decision trace.
-func runChaosArm(spec chaosBenchSpec, profile, trace string, seed int64) (chaosArm, error) {
-	r, cleanup, err := buildChaosRouter(spec)
-	if err != nil {
-		return chaosArm{}, err
-	}
-	defer cleanup()
-	defer r.Stop()
-
-	ts, err := chaos.LoadBuiltinTrace(trace)
-	if err != nil {
-		return chaosArm{}, err
-	}
-	sched, err := chaos.NewSchedule(profile, spec.nodes, time.Duration(float64(ts.Duration())*spec.scale), seed)
-	if err != nil {
-		return chaosArm{}, err
-	}
-	rep, err := chaos.Scenario{
-		Router:    r,
-		Schedule:  sched,
-		Spec:      ts,
-		Seed:      seed,
-		TimeScale: spec.scale,
-		Verify:    true, // on node 0, which schedules never fault
-	}.Run()
-	if err != nil {
-		return chaosArm{}, fmt.Errorf("%s x %s: %w", profile, trace, err)
-	}
-	arm := chaosArm{profile: profile, trace: trace, report: rep}
-	if jsonRep != nil {
-		arm.metrics = r.Metrics().Snapshot()
-	}
-	return arm, nil
-}
-
-// chaosDeterminism is the double-run result: two fresh fleets, one seed,
-// one level-stable crash schedule — everything observable must agree.
-type chaosDeterminism struct {
-	Seed         int64  `json:"seed"`
-	Profile      string `json:"profile"`
-	Trace        string `json:"trace"`
-	Offered      int    `json:"offered"`
-	Completed    int    `json:"completed"`
-	ResponseHash string `json:"response_hash"`
-}
-
-// runChaosDeterminism replays crash x diurnal twice from the same seed on
-// two fresh fleets and requires identical fault schedules, fired-event
-// sequences, offered counts, and response-set hashes (which needs zero
-// shed, so the comparison covers every response).
-func runChaosDeterminism(spec chaosBenchSpec) (*chaosDeterminism, error) {
-	const profile, trace = "crash", "diurnal"
-	seed := spec.seed + 100
-	a, err := runChaosArm(spec, profile, trace, seed)
-	if err != nil {
-		return nil, fmt.Errorf("determinism run 1: %w", err)
-	}
-	b, err := runChaosArm(spec, profile, trace, seed)
-	if err != nil {
-		return nil, fmt.Errorf("determinism run 2: %w", err)
-	}
-	for _, arm := range []chaosArm{a, b} {
-		if err := checkChaosArmFloors(arm); err != nil {
-			return nil, fmt.Errorf("determinism: %w", err)
-		}
-		if arm.report.Workload.Shed != 0 {
-			return nil, fmt.Errorf("determinism run shed %d requests; the response-set comparison needs zero shed", arm.report.Workload.Shed)
-		}
-	}
-	if fa, fb := firedKeys(a.report), firedKeys(b.report); !reflect.DeepEqual(fa, fb) {
-		return nil, fmt.Errorf("determinism: fault schedules diverged:\n%v\n%v", fa, fb)
-	}
-	wa, wb := a.report.Workload, b.report.Workload
-	if wa.Offered != wb.Offered {
-		return nil, fmt.Errorf("determinism: offered %d vs %d — the arrival sequence is not a pure function of the seed", wa.Offered, wb.Offered)
-	}
-	if wa.ResponseHash != wb.ResponseHash {
-		return nil, fmt.Errorf("determinism: response hashes differ (%016x vs %016x)", wa.ResponseHash, wb.ResponseHash)
-	}
-	fmt.Printf("determinism: %s x %s ran twice from seed %d on fresh fleets — identical fault schedule (%d events), %d offered, response hash %016x both runs\n\n",
-		profile, trace, seed, len(a.report.Injector.Fired), wa.Offered, wa.ResponseHash)
-	return &chaosDeterminism{
-		Seed: seed, Profile: profile, Trace: trace,
-		Offered: wa.Offered, Completed: wa.Completed(),
-		ResponseHash: fmt.Sprintf("%016x", wa.ResponseHash),
-	}, nil
-}
-
-// firedKeys reduces an injector trace to its deterministic identity:
-// what fired, in what order, against whom, with what outcome. FiredAt is
-// wall time and excluded.
-func firedKeys(rep *chaos.ScenarioReport) []string {
-	var keys []string
-	for _, f := range rep.Injector.Fired {
-		keys = append(keys, fmt.Sprintf("%d:%s:node%d:%g:%s", f.Seq, f.Event.Kind, f.Event.Node, f.Event.Param, f.Outcome))
-	}
-	return keys
-}
-
-// checkChaosArmFloors enforces the per-arm invariants every cell of the
-// matrix must hold regardless of profile.
-func checkChaosArmFloors(a chaosArm) error {
-	rep := a.report
-	wl := rep.Workload
-	switch {
-	case wl.Failed != 0:
-		return fmt.Errorf("%s x %s delivered %d failed responses", a.profile, a.trace, wl.Failed)
-	case wl.Verified != wl.Completed():
-		return fmt.Errorf("%s x %s dense-verified %d of %d completed responses", a.profile, a.trace, wl.Verified, wl.Completed())
-	case wl.Mismatches != 0:
-		return fmt.Errorf("%s x %s had %d dense mismatches", a.profile, a.trace, wl.Mismatches)
-	case wl.Completed() == 0:
-		return fmt.Errorf("%s x %s completed nothing", a.profile, a.trace)
-	case rep.ReplayErr != "":
-		return fmt.Errorf("%s x %s decision replay failed: %s", a.profile, a.trace, rep.ReplayErr)
-	case rep.Injector.ChaffFailed != 0:
-		return fmt.Errorf("%s x %s lost %d chaff responses", a.profile, a.trace, rep.Injector.ChaffFailed)
-	}
-	for _, f := range rep.Injector.Fired {
-		if len(f.Outcome) >= 10 && f.Outcome[:10] == "UNEXPECTED" {
-			return fmt.Errorf("%s x %s fault %d: %s", a.profile, a.trace, f.Seq, f.Outcome)
-		}
-	}
-	return nil
-}
-
-// enforceChaosFloors checks every arm, the crash arms' failover
-// requirement, the rollout arms' rollout requirement, and the per-trace
-// p99 inflation bound, printing one PASS line per floor (the CI smoke
-// job greps the first).
-func enforceChaosFloors(arms []chaosArm, traces []string, det *chaosDeterminism) error {
-	totalVerified := 0
-	for _, a := range arms {
-		if err := checkChaosArmFloors(a); err != nil {
-			return err
-		}
-		totalVerified += a.report.Workload.Verified
-	}
-
-	var crashFailovers, rolloutCount int64
-	for _, a := range arms {
-		switch a.profile {
-		case "crash", "all":
-			crashFailovers += a.report.Stats.Failovers
-		}
-		switch a.profile {
-		case "rollout", "all":
-			rolloutCount += a.report.Stats.Rollouts
-		}
-	}
-	if crashFailovers == 0 {
-		return fmt.Errorf("crash arms recorded no failovers — every crash missed all in-flight work")
-	}
-	if rolloutCount == 0 {
-		return fmt.Errorf("rollout arms recorded no rollouts")
-	}
-
-	for _, trace := range traces {
-		var baseline, worst float64
-		worstProfile := ""
-		for _, a := range arms {
-			if a.trace != trace {
-				continue
-			}
-			if a.profile == "none" {
-				baseline = a.report.Workload.P99MS
-			} else if a.report.Workload.P99MS > worst {
-				worst, worstProfile = a.report.Workload.P99MS, a.profile
-			}
-		}
-		if baseline <= 0 {
-			return fmt.Errorf("trace %s has no fault-free p99 baseline", trace)
-		}
-		if worst > baseline*chaosP99InflationFloor {
-			return fmt.Errorf("trace %s: %s p99 %.2fms is %.1fx the fault-free %.2fms, above the %.0fx bound",
-				trace, worstProfile, worst, worst/baseline, baseline, chaosP99InflationFloor)
-		}
-	}
-
-	fmt.Printf("chaos floor PASS: zero failed responses across %d arms\n", len(arms))
-	fmt.Printf("chaos floor PASS: 100%% dense-verified (%d responses, 0 mismatches)\n", totalVerified)
-	fmt.Printf("chaos floor PASS: deterministic replay — identical fault schedule and response set (hash %s) across two seed-%d runs\n",
-		det.ResponseHash, det.Seed)
-	fmt.Printf("chaos floor PASS: crash arms replayed %d failovers, rollout arms completed %d rollouts, p99 inflation within %.0fx\n",
-		crashFailovers, rolloutCount, chaosP99InflationFloor)
-	return nil
-}
 
 // chaosModelCfg sizes the deployment for the mixed chaos workload: the
 // GLUE vocabulary (48 tokens — clusterModelCfg's 24 cannot embed GLUE
@@ -301,17 +47,233 @@ var chaosModelCfg = transformer.Config{
 	Vocab: 48, Dim: 16, Heads: 2, FFHidden: 32, EncLayers: 2, DecLayers: 1, SeqLen: 16,
 }
 
-// buildChaosRouter stands up the resilient fleet the chaos contract
-// assumes: batteries (the collapse fault needs a target), retries with
-// backoff, and per-node breakers.
-func buildChaosRouter(spec chaosBenchSpec) (*cluster.Router, func(), error) {
-	return buildFleet(chaosModelCfg, spec.seed, spec.nodes, serve.Config{
+type chaosSection struct {
+	Nodes       int           `json:"nodes"`
+	StepFloorMS float64       `json:"step_floor_ms"`
+	Scale       float64       `json:"scale"`
+	Seed        int64         `json:"seed"`
+	Arms        []chaosArmRow `json:"arms"`
+	// Determinism holds the double run's two arms: same seed, fresh
+	// fleets, and (the enforced replay contract) an identical fault
+	// schedule and response-set hash.
+	Determinism []chaosArmRow      `json:"determinism"`
+	Metrics     map[string]float64 `json:"metrics"` // last matrix arm's rt3_cluster_*/rt3_router_*/rt3_breaker_* registry
+}
+
+type chaosArmRow struct {
+	Profile      string  `json:"profile"`
+	Trace        string  `json:"trace"`
+	Offered      int     `json:"offered"`
+	Completed    int     `json:"completed"`
+	Shed         int     `json:"shed"`
+	Failed       int     `json:"failed"`
+	TokensPerSec float64 `json:"tok_per_s"`
+	P50MS        float64 `json:"p50_ms"`
+	P99MS        float64 `json:"p99_ms"`
+	Verified     int     `json:"verified"`
+	Mismatches   int     `json:"mismatches"`
+	Failovers    int64   `json:"failovers"`
+	Retries      int64   `json:"retries"`
+	BreakerTrips int64   `json:"breaker_trips"`
+	Rollouts     int64   `json:"rollouts"`
+	FaultsFired  int     `json:"faults_fired"`
+	// Unexpected counts fired faults whose outcome reads UNEXPECTED.
+	Unexpected  int `json:"unexpected"`
+	ChaffFailed int `json:"chaff_failed"`
+	// Replayed counts router decisions re-picked bit-identically; a
+	// failed replay leaves its reason in ReplayErr.
+	Replayed     int    `json:"replayed"`
+	ReplayErr    string `json:"replay_err,omitempty"`
+	ResponseHash string `json:"response_hash"`
+	// Fired is the fault trace's deterministic identity: what fired, in
+	// what order, against whom, with what outcome (wall time excluded).
+	Fired []string `json:"-"`
+}
+
+// runChaos runs the full matrix plus the determinism double run.
+func runChaos(seed int64) (*chaosSection, error) {
+	traces := chaos.BuiltinTraces()
+	fmt.Printf("chaos matrix: %d-node fleet, step floor %s, time scale %.2g, seed %d; profiles %v over traces %v\n\n",
+		chaosNodes, chaosStepFloor, chaosScale, seed, chaosProfiles, traces)
+	s := &chaosSection{
+		Nodes: chaosNodes, StepFloorMS: float64(chaosStepFloor.Microseconds()) / 1000, Scale: chaosScale, Seed: seed,
+	}
+	for _, trace := range traces {
+		for _, profile := range chaosProfiles {
+			row, metrics, err := runChaosArm(seed, profile, trace, seed)
+			if err != nil {
+				return nil, err
+			}
+			s.Arms, s.Metrics = append(s.Arms, row), metrics
+		}
+	}
+	printRows(os.Stdout, s.Arms)
+	for range 2 {
+		row, _, err := runChaosArm(seed, chaosDeterminismProfile, chaosDeterminismTrace, seed+chaosDeterminismSeedOffset)
+		if err != nil {
+			return nil, fmt.Errorf("determinism run: %w", err)
+		}
+		s.Determinism = append(s.Determinism, row)
+	}
+	fmt.Println("determinism: the same scenario twice on fresh fleets")
+	printRows(os.Stdout, s.Determinism)
+	return s, nil
+}
+
+// runChaosArm fires one profile against one trace, scheduled and driven
+// from runSeed, on a fresh fleet built from seed, with full dense
+// verification, and replay-checks the decision trace. It returns the
+// arm's row and the fleet's router registry.
+func runChaosArm(seed int64, profile, trace string, runSeed int64) (chaosArmRow, map[string]float64, error) {
+	r, err := buildFleet(chaosModelCfg, seed, chaosNodes, serve.Config{
 		MaxBatch: 8, QueueCap: 256, Generate: true, MaxGenTokens: 32,
-		StepFloor: spec.stepFloor, BatteryJ: 200,
+		StepFloor: chaosStepFloor, BatteryJ: 200, // the collapse fault needs a battery to drain
 	}, cluster.Config{
-		Seed:         spec.seed,
+		Seed:         seed,
 		MaxRetries:   200,
 		RetryBackoff: 500 * time.Microsecond,
 		Breaker:      cluster.BreakerConfig{Enabled: true, Threshold: 5, Cooldown: 5 * time.Millisecond},
 	})
+	if err != nil {
+		return chaosArmRow{}, nil, err
+	}
+	defer r.Stop()
+
+	ts, err := chaos.LoadBuiltinTrace(trace)
+	if err != nil {
+		return chaosArmRow{}, nil, err
+	}
+	sched, err := chaos.NewSchedule(profile, chaosNodes, time.Duration(float64(ts.Duration())*chaosScale), runSeed)
+	if err != nil {
+		return chaosArmRow{}, nil, err
+	}
+	rep, err := chaos.Scenario{
+		Router:    r,
+		Schedule:  sched,
+		Spec:      ts,
+		Seed:      runSeed,
+		TimeScale: chaosScale,
+		Verify:    true, // on node 0, which schedules never fault
+	}.Run()
+	if err != nil {
+		return chaosArmRow{}, nil, fmt.Errorf("%s x %s: %w", profile, trace, err)
+	}
+	wl, st := rep.Workload, rep.Stats
+	row := chaosArmRow{
+		Profile: profile, Trace: trace,
+		Offered: wl.Offered, Completed: wl.Completed(), Shed: wl.Shed, Failed: wl.Failed,
+		TokensPerSec: wl.TokensPerSec, P50MS: wl.P50MS, P99MS: wl.P99MS,
+		Verified: wl.Verified, Mismatches: wl.Mismatches,
+		Failovers: st.Failovers, Retries: st.Retries, BreakerTrips: st.BreakerTrips, Rollouts: st.Rollouts,
+		FaultsFired: len(rep.Injector.Fired), ChaffFailed: rep.Injector.ChaffFailed,
+		Replayed: rep.Replayed, ReplayErr: rep.ReplayErr,
+		ResponseHash: fmt.Sprintf("%016x", wl.ResponseHash),
+	}
+	for _, f := range rep.Injector.Fired {
+		if strings.HasPrefix(f.Outcome, "UNEXPECTED") {
+			row.Unexpected++
+		}
+		row.Fired = append(row.Fired, fmt.Sprintf("%d:%s:node%d:%g:%s", f.Seq, f.Event.Kind, f.Event.Node, f.Event.Param, f.Outcome))
+	}
+	return row, r.Metrics().Snapshot(), nil
+}
+
+// check holds one arm to the invariants every cell of the matrix must
+// meet regardless of profile.
+func (a chaosArmRow) check() error {
+	cell := a.Profile + " x " + a.Trace
+	switch {
+	case a.Failed != 0:
+		return fmt.Errorf("%s delivered %d failed responses", cell, a.Failed)
+	case a.Verified != a.Completed:
+		return fmt.Errorf("%s dense-verified %d of %d completed responses", cell, a.Verified, a.Completed)
+	case a.Mismatches != 0:
+		return fmt.Errorf("%s had %d dense mismatches", cell, a.Mismatches)
+	case a.Completed == 0:
+		return fmt.Errorf("%s completed nothing", cell)
+	case a.ReplayErr != "":
+		return fmt.Errorf("%s decision replay failed: %s", cell, a.ReplayErr)
+	case a.ChaffFailed != 0:
+		return fmt.Errorf("%s lost %d chaff responses", cell, a.ChaffFailed)
+	case a.Unexpected != 0:
+		return fmt.Errorf("%s fired %d fault(s) with an UNEXPECTED outcome", cell, a.Unexpected)
+	}
+	return nil
+}
+
+// floors checks every arm, the double run's agreement (which needs zero
+// shed, so the comparison covers every response), the crash arms'
+// failovers, the rollout arms' rollouts, and the per-trace p99 inflation
+// bound, and returns one PASS line per floor (CI greps the first and the
+// third).
+func (s *chaosSection) floors() ([]string, error) {
+	totalVerified := 0
+	for _, a := range s.Arms {
+		if err := a.check(); err != nil {
+			return nil, err
+		}
+		totalVerified += a.Verified
+	}
+	if len(s.Determinism) != 2 {
+		return nil, fmt.Errorf("determinism: %d runs, want 2", len(s.Determinism))
+	}
+	a, b := s.Determinism[0], s.Determinism[1]
+	for _, run := range s.Determinism {
+		if err := run.check(); err != nil {
+			return nil, fmt.Errorf("determinism: %w", err)
+		}
+		if run.Shed != 0 {
+			return nil, fmt.Errorf("determinism run shed %d requests; the response-set comparison needs zero shed", run.Shed)
+		}
+	}
+	switch {
+	case !slices.Equal(a.Fired, b.Fired):
+		return nil, fmt.Errorf("determinism: fault schedules diverged:\n%v\n%v", a.Fired, b.Fired)
+	case a.Offered != b.Offered:
+		return nil, fmt.Errorf("determinism: offered %d vs %d — the arrival sequence is not a pure function of the seed", a.Offered, b.Offered)
+	case a.ResponseHash != b.ResponseHash:
+		return nil, fmt.Errorf("determinism: response hashes differ (%s vs %s)", a.ResponseHash, b.ResponseHash)
+	}
+
+	var failovers, rollouts int64
+	for _, a := range s.Arms {
+		if a.Profile == "crash" || a.Profile == "all" {
+			failovers += a.Failovers
+		}
+		if a.Profile == "rollout" || a.Profile == "all" {
+			rollouts += a.Rollouts
+		}
+	}
+	if failovers == 0 {
+		return nil, fmt.Errorf("crash arms recorded no failovers — every crash missed all in-flight work")
+	}
+	if rollouts == 0 {
+		return nil, fmt.Errorf("rollout arms recorded no rollouts")
+	}
+
+	baseline := map[string]float64{}
+	for _, a := range s.Arms {
+		if a.Profile == "none" {
+			baseline[a.Trace] = a.P99MS
+		}
+	}
+	for _, a := range s.Arms {
+		base := baseline[a.Trace]
+		if base <= 0 {
+			return nil, fmt.Errorf("trace %s has no fault-free p99 baseline", a.Trace)
+		}
+		if a.P99MS > base*chaosP99InflationFloor {
+			return nil, fmt.Errorf("trace %s: %s p99 %.2fms is %.1fx the fault-free %.2fms, above the %.0fx bound",
+				a.Trace, a.Profile, a.P99MS, a.P99MS/base, base, chaosP99InflationFloor)
+		}
+	}
+
+	return []string{
+		fmt.Sprintf("chaos floor PASS: zero failed responses across %d arms", len(s.Arms)),
+		fmt.Sprintf("chaos floor PASS: 100%% dense-verified (%d responses, 0 mismatches)", totalVerified),
+		fmt.Sprintf("chaos floor PASS: deterministic replay — identical fault schedule and response set (hash %s) across two seed-%d runs",
+			a.ResponseHash, s.Seed+chaosDeterminismSeedOffset),
+		fmt.Sprintf("chaos floor PASS: crash arms replayed %d failovers, rollout arms completed %d rollouts, p99 inflation within %.0fx",
+			failovers, rollouts, chaosP99InflationFloor),
+	}, nil
 }

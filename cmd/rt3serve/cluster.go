@@ -12,7 +12,6 @@ import (
 
 	"rt3/internal/chaos"
 	"rt3/internal/cluster"
-	"rt3/internal/deploy"
 	"rt3/internal/loadgen"
 	"rt3/internal/obs"
 	"rt3/internal/serve"
@@ -65,18 +64,17 @@ func runCluster(logger *obs.Logger, drain <-chan struct{}, o clusterOpts) {
 	}
 
 	nodes := make([]*cluster.Node, o.nodes)
-	var bundle *deploy.Bundle
-	var bundleBytes int
+	var first *serve.Deployment
 	for i := range nodes {
 		// same seed on every node: identical weights and pattern sets,
 		// which is what makes cross-node failover replay and shared dense
 		// references meaningful
-		eng, nBytes, b := buildDeployment(o.seed, o.workers, true, o.vocab, serve.EngineConfig{Format: o.format})
-		defer eng.Close()
+		d := buildDeployment(o.seed, o.workers, true, o.vocab, serve.EngineConfig{Format: o.format})
+		defer d.Engine.Close()
 		if i == 0 {
-			bundle, bundleBytes = b, nBytes
+			first = d
 		}
-		srv := serve.New(eng, serve.Config{
+		srv := serve.New(d.Engine, serve.Config{
 			MaxBatch:        o.batch,
 			QueueCap:        8192,
 			SimDVFS:         o.simDVFS,
@@ -88,7 +86,7 @@ func runCluster(logger *obs.Logger, drain <-chan struct{}, o clusterOpts) {
 		})
 		nodes[i] = cluster.NewNode(i, srv)
 	}
-	printDeployment(bundle, bundleBytes)
+	printDeployment(first)
 
 	rcfg := cluster.Config{Policy: pol, Seed: o.seed}
 	if o.chaos != "" {

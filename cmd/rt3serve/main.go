@@ -81,11 +81,9 @@ import (
 	"syscall"
 	"time"
 
-	"rt3/internal/deploy"
 	"rt3/internal/kernel"
 	"rt3/internal/loadgen"
 	"rt3/internal/obs"
-	"rt3/internal/pattern"
 	"rt3/internal/rtswitch"
 	"rt3/internal/serve"
 	"rt3/internal/transformer"
@@ -138,6 +136,13 @@ func main() {
 		verbose   = flag.Bool("v", false, "debug logging, including live autotune decision lines")
 	)
 	flag.Parse()
+	// checked before any deployment is built, for every mode that reads them
+	if *genPrmpt < 1 {
+		log.Fatalf("-gen-prompt %d: a prompt needs at least one token", *genPrmpt)
+	}
+	if *genTok < 1 {
+		log.Fatalf("-gen-tokens %d: a generation needs a budget of at least one token", *genTok)
+	}
 	logger := obs.NewLogger(os.Stderr, "rt3serve: ", obs.LevelFromFlags(*quiet, *verbose))
 	drain := installDrainHandler(logger)
 
@@ -200,9 +205,10 @@ func main() {
 		return
 	}
 
-	eng, bundleBytes, bundle := buildDeployment(*seed, *workers, *gen, 24, serve.EngineConfig{Format: *format})
+	d := buildDeployment(*seed, *workers, *gen, 24, serve.EngineConfig{Format: *format})
+	eng := d.Engine
 	defer eng.Close()
-	printDeployment(bundle, bundleBytes)
+	printDeployment(d)
 	mode := "classification"
 	if *gen {
 		mode = "incremental decoding"
@@ -370,53 +376,37 @@ func printBatchStats(eng *serve.Engine) {
 		fused, perSeq, perSeq-fused, float64(perSeq)/float64(fused))
 }
 
-// buildDeployment constructs the model — the DistilBERT-style
-// classifier, or the encoder-decoder LM in generation mode — serializes
-// its bundle, and deploys it onto cloned worker replicas with the
-// requested kernel format.
-func buildDeployment(seed int64, workers int, gen bool, vocab int, cfg serve.EngineConfig) (*serve.Engine, int, *deploy.Bundle) {
-	rng := rand.New(rand.NewSource(seed))
-	var model serve.Model
-	var clone func() serve.Model
+// buildDeployment deploys the DistilBERT-style classifier, or the
+// encoder-decoder LM in generation mode, onto cloned worker replicas
+// with the requested kernel format.
+func buildDeployment(seed int64, workers int, gen bool, vocab int, cfg serve.EngineConfig) *serve.Deployment {
+	spec := serve.DeploySpec{Seed: seed, Levels: evalLevelNames, Sparsities: evalSparsities, PSize: 4, Patterns: 3}
+	var d *serve.Deployment
+	var err error
 	if gen {
-		lm := transformer.NewLMModel(transformer.Config{
-			Vocab: vocab, Dim: 16, Heads: 2, FFHidden: 32, EncLayers: 2, DecLayers: 1, SeqLen: 16,
-		}, rng)
-		model, clone = lm, func() serve.Model { return lm.Clone() }
+		d, err = serve.Deploy(spec, func(rng *rand.Rand) *transformer.LMModel {
+			return transformer.NewLMModel(transformer.Config{
+				Vocab: vocab, Dim: 16, Heads: 2, FFHidden: 32, EncLayers: 2, DecLayers: 1, SeqLen: 16,
+			}, rng)
+		}, workers, cfg)
 	} else {
-		cl := transformer.NewClassifier(transformer.Config{
-			Vocab: vocab, Dim: 16, Heads: 2, FFHidden: 32, EncLayers: 2, SeqLen: 10, Classes: 3,
-		}, rng)
-		model, clone = cl, func() serve.Model { return cl.Clone() }
+		d, err = serve.Deploy(spec, func(rng *rand.Rand) *transformer.Classifier {
+			return transformer.NewClassifier(transformer.Config{
+				Vocab: vocab, Dim: 16, Heads: 2, FFHidden: 32, EncLayers: 2, SeqLen: 10, Classes: 3,
+			}, rng)
+		}, workers, cfg)
 	}
-	ref := model.PrunableLinears()[0].W.Value
-	var sets []*pattern.Set
-	for _, sp := range evalSparsities {
-		sets = append(sets, pattern.GenerateSet(ref, 4, sp, 3, rng))
-	}
-	data, err := serve.BundleFromModel(model, sets, evalLevelNames).Encode()
 	if err != nil {
 		log.Fatal(err)
 	}
-	loaded, err := deploy.Decode(data)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var replicas []serve.Model
-	for i := 0; i < workers; i++ {
-		replicas = append(replicas, clone())
-	}
-	eng, err := serve.NewEngineConfigured(loaded, replicas, rtswitch.DefaultSwitchCostModel(), cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return eng, len(data), loaded
+	return d
 }
 
 // printDeployment echoes the paper's deployment story: the switchable
 // section is tiny next to the artifact, so a live level switch costs
 // milliseconds where a model reload costs seconds.
-func printDeployment(b *deploy.Bundle, bundleBytes int) {
+func printDeployment(d *serve.Deployment) {
+	b, bundleBytes := d.Bundle, d.Bytes
 	costs := rtswitch.DefaultSwitchCostModel()
 	fmt.Printf("bundle: %d weights, %d levels, %d bytes total\n", len(b.Weights), len(b.Sets), bundleBytes)
 	for i, name := range b.LevelNames {
@@ -554,12 +544,6 @@ func smoke(srv *serve.Server, seed int64) {
 // smokeGen runs a few generations through each level and prints the
 // latency digests plus the decode-cache accounting.
 func smokeGen(srv *serve.Server, seed int64, maxPrompt, maxTokens int) {
-	if maxPrompt < 1 {
-		maxPrompt = 1
-	}
-	if maxTokens < 1 {
-		maxTokens = 1
-	}
 	rng := rand.New(rand.NewSource(seed + 1))
 	eng := srv.Engine()
 	for lvl := 0; lvl < eng.NumLevels(); lvl++ {

@@ -8,10 +8,7 @@ import (
 	"time"
 
 	"rt3/internal/cluster"
-	"rt3/internal/deploy"
 	"rt3/internal/loadgen"
-	"rt3/internal/pattern"
-	"rt3/internal/rtswitch"
 	"rt3/internal/serve"
 	"rt3/internal/transformer"
 )
@@ -30,28 +27,14 @@ var (
 // bit-identical failover.
 func newLMServer(t testing.TB, cfg serve.Config) *serve.Server {
 	t.Helper()
-	rng := rand.New(rand.NewSource(7))
-	model := transformer.NewLMModel(lmCfg, rng)
-	ref := model.PrunableLinears()[0].W.Value
-	var sets []*pattern.Set
-	for _, sp := range sparsities {
-		sets = append(sets, pattern.GenerateSet(ref, 4, sp, 3, rng))
-	}
-	data, err := serve.BundleFromModel(model, sets, levelNames).Encode()
+	d, err := serve.Deploy(serve.DeploySpec{Seed: 7, Levels: levelNames, Sparsities: sparsities, PSize: 4, Patterns: 3},
+		func(rng *rand.Rand) *transformer.LMModel { return transformer.NewLMModel(lmCfg, rng) }, 1, serve.EngineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bundle, err := deploy.Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := serve.NewEngine(bundle, []serve.Model{model.Clone()}, rtswitch.DefaultSwitchCostModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(eng.Close)
+	t.Cleanup(d.Engine.Close)
 	cfg.Generate = true
-	return serve.New(eng, cfg)
+	return serve.New(d.Engine, cfg)
 }
 
 // newCluster builds and starts an n-node router; every node is an

@@ -13,6 +13,7 @@ package serve
 
 import (
 	"fmt"
+	"math/rand"
 	"sync/atomic"
 	"time"
 
@@ -658,4 +659,56 @@ func BundleFromModel(m Model, sets []*pattern.Set, levelNames []string) *deploy.
 		})
 	}
 	return b
+}
+
+// DeploySpec is how Deploy draws a deployment from one seed.
+type DeploySpec struct {
+	Seed       int64
+	Levels     []string  // level names, fastest first
+	Sparsities []float64 // one pattern set's sparsity per level
+	PSize      int       // pattern block size
+	Patterns   int       // candidate patterns per set
+}
+
+// Deployment is what Deploy stood up.
+type Deployment struct {
+	Engine   *Engine
+	Replicas []Model        // the engine's replicas, clones of the drawn model
+	Bundle   *deploy.Bundle // as decoded from its wire encoding
+	Bytes    int            // length of that encoding
+}
+
+// Deploy stands up a deployment from one seed. newModel draws the model
+// from a rand seeded with spec.Seed; the same rand then draws one pattern
+// set per level over the model's first prunable matrix. The bundle of the
+// model and those sets goes through Encode and deploy.Decode, as it would
+// on its way to a device, and the engine installs the decoded bundle on
+// `replicas` clones of the model. Every deployment outside the benchmark
+// comes from here; the benchmark times these stages one by one.
+func Deploy[M interface {
+	Model
+	Clone() M
+}](spec DeploySpec, newModel func(*rand.Rand) M, replicas int, cfg EngineConfig) (*Deployment, error) {
+	rng := rand.New(rand.NewSource(spec.Seed))
+	model := newModel(rng)
+	ref := model.PrunableLinears()[0].W.Value
+	sets := make([]*pattern.Set, len(spec.Sparsities))
+	for i, sp := range spec.Sparsities {
+		sets[i] = pattern.GenerateSet(ref, spec.PSize, sp, spec.Patterns, rng)
+	}
+	data, err := BundleFromModel(model, sets, spec.Levels).Encode()
+	if err != nil {
+		return nil, fmt.Errorf("serve: encode bundle: %w", err)
+	}
+	d := &Deployment{Bytes: len(data)}
+	if d.Bundle, err = deploy.Decode(data); err != nil {
+		return nil, fmt.Errorf("serve: decode bundle: %w", err)
+	}
+	for range replicas {
+		d.Replicas = append(d.Replicas, model.Clone())
+	}
+	if d.Engine, err = NewEngineConfigured(d.Bundle, d.Replicas, rtswitch.DefaultSwitchCostModel(), cfg); err != nil {
+		return nil, err
+	}
+	return d, nil
 }

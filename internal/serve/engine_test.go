@@ -9,7 +9,6 @@ import (
 	"rt3/internal/kernel"
 	"rt3/internal/mat"
 	"rt3/internal/nn"
-	"rt3/internal/pattern"
 	"rt3/internal/rtswitch"
 	"rt3/internal/serve"
 	"rt3/internal/sparse"
@@ -110,25 +109,15 @@ func TestEngineAlternateFormats(t *testing.T) {
 // number of replicas; wideBatch is such a batch.
 func wideDeployment(t *testing.T, format string, replicas int) *serve.Engine {
 	t.Helper()
-	rng := rand.New(rand.NewSource(5))
-	model := transformer.NewClassifier(transformer.Config{
-		Vocab: 24, Dim: 96, Heads: 4, FFHidden: 384, EncLayers: 1, SeqLen: 64, Classes: 3,
-	}, rng)
-	ref := model.PrunableLinears()[0].W.Value
-	var sets []*pattern.Set
-	for _, sp := range sparsities {
-		sets = append(sets, pattern.GenerateSet(ref, 8, sp, 3, rng))
-	}
-	var ms []serve.Model
-	for i := 0; i < replicas; i++ {
-		ms = append(ms, model.Clone())
-	}
-	eng, err := serve.NewEngineConfigured(serve.BundleFromModel(model, sets, levelNames), ms,
-		rtswitch.DefaultSwitchCostModel(), serve.EngineConfig{Format: format})
+	d, err := serve.Deploy(testSpec(5, 8), func(rng *rand.Rand) *transformer.Classifier {
+		return transformer.NewClassifier(transformer.Config{
+			Vocab: 24, Dim: 96, Heads: 4, FFHidden: 384, EncLayers: 1, SeqLen: 64, Classes: 3,
+		}, rng)
+	}, replicas, serve.EngineConfig{Format: format})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng
+	return d.Engine
 }
 
 func wideBatch(seed int64) [][]int { return randSeqs(4, 64, 24, seed) }

@@ -10,8 +10,6 @@ import (
 	"rt3/internal/kernel"
 	"rt3/internal/loadgen"
 	"rt3/internal/mat"
-	"rt3/internal/pattern"
-	"rt3/internal/rtswitch"
 	"rt3/internal/serve"
 	"rt3/internal/transformer"
 )
@@ -35,26 +33,17 @@ func newLMDeployment(t testing.TB, replicas int, format string) (*serve.Engine, 
 // longer SeqLen for long shared prefixes).
 func newLMDeploymentCfg(t testing.TB, cfg transformer.Config, replicas int, format string) (*serve.Engine, []*transformer.LMModel) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(5))
-	model := transformer.NewLMModel(cfg, rng)
-	ref := model.PrunableLinears()[0].W.Value
-	var sets []*pattern.Set
-	for _, sp := range sparsities {
-		sets = append(sets, pattern.GenerateSet(ref, 4, sp, 3, rng))
-	}
-	bundle := serve.BundleFromModel(model, sets, levelNames)
-	lms := make([]*transformer.LMModel, replicas)
-	ms := make([]serve.Model, replicas)
-	for i := range lms {
-		lms[i] = model.Clone()
-		ms[i] = lms[i]
-	}
-	eng, err := serve.NewEngineConfigured(bundle, ms, rtswitch.DefaultSwitchCostModel(),
-		serve.EngineConfig{Format: format})
+	d, err := serve.Deploy(testSpec(5, 4), func(rng *rand.Rand) *transformer.LMModel {
+		return transformer.NewLMModel(cfg, rng)
+	}, replicas, serve.EngineConfig{Format: format})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng, lms
+	lms := make([]*transformer.LMModel, replicas)
+	for i, m := range d.Replicas {
+		lms[i] = m.(*transformer.LMModel)
+	}
+	return d.Engine, lms
 }
 
 // decodeCached generates genLen tokens for the prompts through the

@@ -5,9 +5,6 @@ import (
 	"testing"
 
 	"rt3/internal/data"
-	"rt3/internal/deploy"
-	"rt3/internal/pattern"
-	"rt3/internal/rtswitch"
 	"rt3/internal/serve"
 	"rt3/internal/transformer"
 )
@@ -16,28 +13,15 @@ import (
 // vocabulary (48 tokens, seq len 16) with the given output head width.
 func newGLUEDeployment(t testing.TB, classes int) *serve.Engine {
 	t.Helper()
-	rng := rand.New(rand.NewSource(11))
-	model := transformer.NewClassifier(transformer.Config{
-		Vocab: 48, Dim: 8, Heads: 2, FFHidden: 16, EncLayers: 2, SeqLen: 16, Classes: classes,
-	}, rng)
-	ref := model.PrunableLinears()[0].W.Value
-	var sets []*pattern.Set
-	for _, sp := range sparsities {
-		sets = append(sets, pattern.GenerateSet(ref, 4, sp, 3, rng))
-	}
-	enc, err := serve.BundleFromModel(model, sets, levelNames).Encode()
+	d, err := serve.Deploy(testSpec(11, 4), func(rng *rand.Rand) *transformer.Classifier {
+		return transformer.NewClassifier(transformer.Config{
+			Vocab: 48, Dim: 8, Heads: 2, FFHidden: 16, EncLayers: 2, SeqLen: 16, Classes: classes,
+		}, rng)
+	}, 1, serve.EngineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := deploy.Decode(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := serve.NewEngine(loaded, []serve.Model{model.Clone()}, rtswitch.DefaultSwitchCostModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng
+	return d.Engine
 }
 
 // TestRunTaskClassification serves an SST-2 eval split end-to-end

@@ -9,7 +9,6 @@ import (
 	"rt3/internal/dvfs"
 	"rt3/internal/loadgen"
 	"rt3/internal/mat"
-	"rt3/internal/pattern"
 	"rt3/internal/rtswitch"
 	"rt3/internal/serve"
 	"rt3/internal/transformer"
@@ -27,32 +26,21 @@ var (
 // onto the requested number of cloned replicas.
 func newTestDeployment(t testing.TB, replicas int) (*serve.Engine, *deploy.Bundle) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(3))
-	model := transformer.NewClassifier(transformer.Config{
-		Vocab: 24, Dim: 8, Heads: 2, FFHidden: 16, EncLayers: 2, SeqLen: 10, Classes: 3,
-	}, rng)
-	ref := model.PrunableLinears()[0].W.Value
-	var sets []*pattern.Set
-	for _, sp := range sparsities {
-		sets = append(sets, pattern.GenerateSet(ref, 4, sp, 3, rng))
-	}
-	data, err := serve.BundleFromModel(model, sets, levelNames).Encode()
+	d, err := serve.Deploy(testSpec(3, 4), func(rng *rand.Rand) *transformer.Classifier {
+		return transformer.NewClassifier(transformer.Config{
+			Vocab: 24, Dim: 8, Heads: 2, FFHidden: 16, EncLayers: 2, SeqLen: 10, Classes: 3,
+		}, rng)
+	}, replicas, serve.EngineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := deploy.Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ms []serve.Model
-	for i := 0; i < replicas; i++ {
-		ms = append(ms, model.Clone())
-	}
-	eng, err := serve.NewEngine(loaded, ms, rtswitch.DefaultSwitchCostModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng, loaded
+	return d.Engine, d.Bundle
+}
+
+// testSpec is the three-level test deployment drawn from seed, with
+// three candidate psize x psize patterns per level.
+func testSpec(seed int64, psize int) serve.DeploySpec {
+	return serve.DeploySpec{Seed: seed, Levels: levelNames, Sparsities: sparsities, PSize: psize, Patterns: 3}
 }
 
 func randSeqs(n, seqLen, vocab int, seed int64) [][]int {

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"rt3/internal/deploy"
-	"rt3/internal/pattern"
 	"rt3/internal/rtswitch"
 	"rt3/internal/serve"
 	"rt3/internal/transformer"
@@ -39,18 +38,18 @@ const (
 	refBundleSHA256 = "9866effb3bf6f8e6838cd737766d3148c0022c88f300c1b2bed1b440e4d97684"
 )
 
-// referenceBundle builds the reference model and its bundle the way a
-// deployment does: model init, then one pattern set per level generated
-// from the first prunable matrix.
-func referenceBundle() (*transformer.LMModel, *deploy.Bundle) {
-	rng := rand.New(rand.NewSource(refSeed))
-	model := transformer.NewLMModel(refConfig, rng)
-	ref := model.PrunableLinears()[0].W.Value
-	sets := make([]*pattern.Set, len(refSparsity))
-	for i, sp := range refSparsity {
-		sets[i] = pattern.GenerateSet(ref, refPSize, sp, refPatterns, rng)
+// referenceBundle deploys the reference model through serve.Deploy and
+// returns the deployment's replica and decoded bundle.
+func referenceBundle() (serve.Model, *deploy.Bundle) {
+	d, err := serve.Deploy(serve.DeploySpec{
+		Seed: refSeed, Levels: refLevels, Sparsities: refSparsity, PSize: refPSize, Patterns: refPatterns,
+	}, func(rng *rand.Rand) *transformer.LMModel {
+		return transformer.NewLMModel(refConfig, rng)
+	}, 1, serve.EngineConfig{})
+	if err != nil {
+		panic(err)
 	}
-	return model, serve.BundleFromModel(model, sets, refLevels)
+	return d.Replicas[0], d.Bundle
 }
 
 // TestReferenceBundleBytes pins the encoder's output byte for byte, and
