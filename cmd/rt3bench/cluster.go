@@ -254,8 +254,22 @@ func runClusterFailover(seed int64) (clusterPhaseRow, error) {
 	}
 	defer r.Stop()
 
+	// crash node 1 at the first poll from 2/5 of the run on that finds a
+	// generation in flight there, so the crash always has work to fail
+	// over
+	done := make(chan struct{})
+	defer close(done)
 	go func() {
 		time.Sleep(clusterDuration * 2 / 5)
+		poll := time.NewTicker(time.Millisecond)
+		defer poll.Stop()
+		for r.Nodes()[1].Inflight() == 0 {
+			select {
+			case <-done:
+				return
+			case <-poll.C:
+			}
+		}
 		_ = r.Crash(1)
 	}()
 	// a quarter of the rate: the survivor (node 0, whose engine also

@@ -92,11 +92,11 @@ type Engine struct {
 	// EngineConfig. Packed weights are read-only, so replicas share them
 	// and run forward passes concurrently.
 	kernels [][]kernel.Kernel
-	// unpruned[r][i] is the all-kept pattern kernel of replica r's i-th
-	// unpruned linear (Model.UnprunedLinears order): level-independent,
-	// installed at construction and lifted only while a dense reference
-	// runs.
-	unpruned [][]kernel.Kernel
+	// unpruned[i] is the all-kept pattern kernel every replica installs
+	// for its i-th unpruned linear (Model.UnprunedLinears order):
+	// level-independent, installed at construction and lifted only while
+	// a dense reference runs.
+	unpruned []kernel.Kernel
 	// buildSeconds is the wall time NewEngineConfigured took.
 	buildSeconds float64
 
@@ -178,12 +178,12 @@ func NewEngine(bundle *deploy.Bundle, replicas []Model, costs rtswitch.SwitchCos
 // NewEngineConfigured deploys a bundle onto the given model replicas:
 // backbone weights are written into every replica's prunable
 // projections, each level's kernels are built once through the kernel
-// registry, each replica's unpruned linears get a pattern kernel that
-// keeps every weight, activation-buffer reuse is enabled on every
-// replica, and the first
-// (fastest) level is activated. All replicas must be clones of the same
-// checkpoint, and from here on serve only: every linear now reads packed
-// copies of its weights, and Backward refuses to run on them.
+// registry, each unpruned linear gets one pattern kernel that keeps every
+// weight, shared by every replica, activation-buffer reuse is enabled on
+// every replica, and the first (fastest) level is activated. All
+// replicas must be clones of the same checkpoint, and from here on serve
+// only: every linear now reads packed copies of its weights, and
+// Backward refuses to run on them.
 func NewEngineConfigured(bundle *deploy.Bundle, replicas []Model, costs rtswitch.SwitchCostModel, cfg EngineConfig) (*Engine, error) {
 	t0 := time.Now()
 	if len(replicas) == 0 {
@@ -249,20 +249,23 @@ func NewEngineConfigured(bundle *deploy.Bundle, replicas []Model, costs rtswitch
 			e.kernels[lvl][j] = k
 		}
 	}
-	// the unpruned linears are the same at every level: pack each
-	// replica's once (the pattern kernel with no set keeps every weight,
-	// bit-identical to the dense product it replaces) and leave them
-	// installed — install only ever touches the prunable linears; the
-	// dense references lift them for the length of the reference run
-	e.unpruned = make([][]kernel.Kernel, len(e.replicas))
-	for ri, r := range e.replicas {
-		for _, l := range r.UnprunedLinears() {
-			k, err := kernel.Build("pattern", l.W.Value, kernel.Options{})
-			if err != nil {
-				return nil, fmt.Errorf("serve: building the kernel of unpruned linear %s: %w", l.W.Name, err)
-			}
-			l.SetKernel(k)
-			e.unpruned[ri] = append(e.unpruned[ri], k)
+	// the unpruned linears are the same at every level and, the replicas
+	// being clones of one checkpoint, on every replica: pack each once
+	// (the pattern kernel with no set keeps every weight, bit-identical to
+	// the dense product it replaces), share it like the level kernels and
+	// leave it installed — install only ever touches the prunable
+	// linears; the dense references lift it for the length of the
+	// reference run
+	for _, l := range replicas[0].UnprunedLinears() {
+		k, err := kernel.Build("pattern", l.W.Value, kernel.Options{})
+		if err != nil {
+			return nil, fmt.Errorf("serve: building the kernel of unpruned linear %s: %w", l.W.Name, err)
+		}
+		e.unpruned = append(e.unpruned, k)
+	}
+	for _, r := range e.replicas {
+		for i, l := range r.UnprunedLinears() {
+			l.SetKernel(e.unpruned[i])
 		}
 	}
 	e.install(0)
@@ -502,7 +505,7 @@ func (e *Engine) denseReference(idx int) (restore func()) {
 			l.SetKernel(e.kernels[cur][j])
 		}
 		for i, l := range unpruned {
-			l.SetKernel(e.unpruned[0][i])
+			l.SetKernel(e.unpruned[i])
 		}
 	}
 }

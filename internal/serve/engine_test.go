@@ -283,7 +283,7 @@ func TestEngineForwardOutputsIndependent(t *testing.T) {
 }
 
 // TestEngineUnprunedLinearsKeepPackedKernel: the output projection is
-// level-independent, so the engine packs it once per replica — the
+// level-independent, so the engine packs it once for every replica — the
 // pattern kernel with every weight kept — and nothing that repoints the
 // prunable linears — a switch, a rejected switch, an injected switch
 // fault, a dense reference — may drop or replace that kernel. It also

@@ -545,8 +545,9 @@ func (s *Server) takeState(replica int, free *[]*transformer.DecodeState) (*tran
 	return s.eng.NewDecodeState(replica)
 }
 
-// finishGen delivers one completed generation, records its latency
-// split, and charges the modeled energy of its generated tokens.
+// finishGen records one completed generation's latency split, charges
+// the modeled energy of its generated tokens and then delivers it, so a
+// client that holds its response finds it traced and recorded.
 func (s *Server) finishGen(sl *genSlot, level int) {
 	resp := GenResponse{
 		Tokens:     sl.tokens,
@@ -558,11 +559,11 @@ func (s *Server) finishGen(sl *genSlot, level int) {
 		DecodeMS:   sl.decodeMS,
 		TotalMS:    float64(time.Since(sl.req.enq).Microseconds()) / 1000,
 	}
-	sl.req.resp <- resp
 	sl.req.tr.Add("finish", time.Now(), 0,
 		"tokens", float64(len(sl.tokens)), "steps", float64(sl.steps))
 	s.tracer.Finish(sl.req.tr)
 	s.rec.Observe(level, sl.queueMS, sl.prefillMS+sl.decodeMS)
 	s.rec.ObserveTokens(len(sl.tokens))
 	s.drainEnergy(level, len(sl.tokens))
+	sl.req.resp <- resp
 }

@@ -124,14 +124,16 @@ func (r *Recorder) Metrics() *obs.Registry { return r.reg }
 // time it rode in. Their sum enters the latency quantiles.
 func (r *Recorder) Observe(level int, queueMS, execMS float64) {
 	totalMS := queueMS + execMS
+	// the sums under the lock Snapshot reads them under, so its means
+	// divide them by the count of the same requests
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.reqs[level].Inc()
 	r.queueSum[level].Add(queueMS)
 	r.execSum[level].Add(execMS)
 	r.latencyH.Observe(totalMS)
 	r.queueH.Observe(queueMS)
 	r.execH.Observe(execMS)
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.perLevel[level] = append(r.perLevel[level], totalMS)
 	r.recent.Push(totalMS)
 	r.recentQueue.Push(queueMS)

@@ -559,6 +559,14 @@ func (s *Server) classifyBatch(replica, level int, batch []*request, ids *[][]in
 	s.rec.ObserveBatch(len(batch), s.cfg.MaxBatch)
 	for i, r := range batch {
 		queueMS := float64(dispatch.Sub(r.enq).Microseconds()) / 1000
+		r.tr.Add("queue", r.enq, dispatch.Sub(r.enq), "batch", float64(len(batch)), "", 0)
+		r.tr.Add("batch_form", dispatch, 0, "fill", fill, "fused_gemms", gemms)
+		r.tr.Add("exec", dispatch, done.Sub(dispatch), "level", float64(level), "batch", float64(len(batch)))
+		s.tracer.Finish(r.tr)
+		s.rec.Observe(level, queueMS, execMS)
+		s.drainEnergy(level, 1)
+		// delivered last: a client that holds its response finds it
+		// traced and recorded
 		r.resp <- Response{
 			Out:       outs[i],
 			Level:     level,
@@ -567,12 +575,6 @@ func (s *Server) classifyBatch(replica, level int, batch []*request, ids *[][]in
 			TotalMS:   queueMS + execMS,
 			BatchSize: len(batch),
 		}
-		r.tr.Add("queue", r.enq, dispatch.Sub(r.enq), "batch", float64(len(batch)), "", 0)
-		r.tr.Add("batch_form", dispatch, 0, "fill", fill, "fused_gemms", gemms)
-		r.tr.Add("exec", dispatch, done.Sub(dispatch), "level", float64(level), "batch", float64(len(batch)))
-		s.tracer.Finish(r.tr)
-		s.rec.Observe(level, queueMS, execMS)
-		s.drainEnergy(level, 1)
 	}
 }
 

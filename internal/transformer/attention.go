@@ -47,8 +47,8 @@ type MultiHeadAttention struct {
 	reuse  bool
 	concat *mat.Matrix
 
-	// the cached attention of the DecodeStep or DecodeChunk in flight (see
-	// decode.go): a fork body must live on the heap, so it lives here
+	// the cached attention of the decoder pass in flight (see decode.go):
+	// a fork body must live on the heap, so it lives here
 	cached cachedAttend
 }
 
@@ -111,8 +111,8 @@ func (a *MultiHeadAttention) Forward(q, kv *mat.Matrix, causal bool) *mat.Matrix
 // the four projections each execute as one fused kernel product over
 // all packed rows. A sequence with query rows must have key rows.
 //
-// Every (head, query row) runs mat.Attend, the body the cached decode
-// paths run too: each head of K is transposed once into feature-major
+// Every (head, query row) runs mat.Attend, the body the cached decoder
+// pass runs too: each head of K is transposed once into feature-major
 // scratch, V and the context rows are read and written in place through
 // their row stride. Heads are independent — each writes its own columns
 // of the context rows and its own probability blocks — so a large batch
@@ -120,8 +120,8 @@ func (a *MultiHeadAttention) Forward(q, kv *mat.Matrix, causal bool) *mat.Matrix
 //
 // The probability blocks are the backward cache, so only a training-mode
 // forward keeps them. With buffer reuse on — the serving path — each span
-// of heads attends through one borrowed score row, as the cached decode
-// paths do, no block is allocated or cleared, and Backward panics.
+// of heads attends through one borrowed score row, as the cached decoder
+// pass does, no block is allocated or cleared, and Backward panics.
 func (a *MultiHeadAttention) ForwardBatch(q, kv *mat.Matrix, qOff, kvOff []int, causal bool) *mat.Matrix {
 	nSeq := checkOffsets("q", qOff, q.Rows)
 	if n := checkOffsets("kv", kvOff, kv.Rows); n != nSeq {

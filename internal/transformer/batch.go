@@ -41,15 +41,19 @@ func packIDs(seqs [][]int, flat []int, off []int) ([]int, []int) {
 	return flat, off
 }
 
-// addPositional adds the sinusoidal position table to a packed batch,
-// restarting positions at every sequence boundary (position i within a
-// sequence gets pos row i mod the table length, exactly as the
-// single-sequence path does).
-func addPositional(x *mat.Matrix, off []int, pos *mat.Matrix) {
+// addPositional adds the sinusoidal position table to a packed batch:
+// row j of sequence s gets position states[s].Pos()+j, or j when states
+// is nil (restarting at every sequence boundary, exactly as the
+// single-sequence path does), mod the table length.
+func addPositional(x *mat.Matrix, off []int, pos *mat.Matrix, states []*DecodeState) {
 	for s := 0; s+1 < len(off); s++ {
+		start := 0
+		if states != nil {
+			start = states[s].pos
+		}
 		for i := off[s]; i < off[s+1]; i++ {
 			row := x.Row(i)
-			pe := pos.Row((i - off[s]) % pos.Rows)
+			pe := pos.Row((start + i - off[s]) % pos.Rows)
 			for j := range row {
 				row[j] += pe[j]
 			}

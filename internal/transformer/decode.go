@@ -273,16 +273,17 @@ func (st *DecodeState) LoadKV(cross *KVSpan, selfSpans ...*KVSpan) {
 	st.pos = total
 }
 
-// Prefill runs the prompt phase of incremental decoding: one packed
-// forward pass over the prompts that seeds each sequence's DecodeState
-// with every decoder layer's projected self-attention K/V rows and the
-// frozen cross-attention K/V of the prompt's encoder memory, and computes
-// the one thing decoding reads from it — the logits of each prompt's last
-// row (see forwardPacked). States are reset first, so recycled states can
-// be passed directly. Returns one 1 x vocab view per sequence (valid
-// until the model's next forward), the first generated token's
-// distribution: bit-identical to the last row ForwardBatch returns for
-// that prompt. An empty prompt is rejected by index.
+// Prefill runs the prompt phase of incremental decoding: the prompts
+// are embedded and run through the encoder stack once, every decoder
+// layer's cross-attention K/V of that frozen memory go straight into the
+// states, and the decoder pass DecodeChunk runs, here from position 0,
+// fills every layer's self-attention K/V and computes the one thing
+// decoding reads — the logits of each prompt's last row (see decode). States are
+// reset first, so recycled states can be passed directly. Returns one
+// 1 x vocab view per sequence (valid until the model's next forward), the
+// first generated token's distribution: bit-identical to the last row
+// ForwardBatch returns for that prompt. An empty prompt is rejected by
+// index.
 func (m *LMModel) Prefill(states []*DecodeState, prompts [][]int) []*mat.Matrix {
 	if len(m.Dec) == 0 {
 		panic("transformer: Prefill requires at least one decoder layer")
@@ -298,16 +299,18 @@ func (m *LMModel) Prefill(states []*DecodeState, prompts [][]int) []*mat.Matrix 
 	for _, st := range states {
 		st.Reset()
 	}
-	outs := m.forwardPacked(prompts, states)
-	for i, st := range states {
-		st.pos = len(prompts[i])
+	x, memory := m.encode(prompts)
+	for li, dec := range m.Dec {
+		dec.bind(states, li)
+		dec.CrossAttn.appendKV(memory, dec.decCross, m.off)
 	}
-	return outs
+	return rowViews(m.decode(x, states, m.off, true))
 }
 
 // DecodeStep advances every sequence by one token: tokens[i] is the
 // token just emitted for states[i] (initially the argmax of the
-// prefill's last row). The batch's single new rows are packed into one
+// prefill's last row). It is the decoder pass of DecodeChunk over
+// one-token chunks: the batch's single new rows are packed into one
 // B x d_model matrix, so every Linear in the decoder stack still issues
 // one fused kernel product per layer, while attention reads the
 // per-sequence caches. Returns the packed B x vocab logits (row i
@@ -318,27 +321,16 @@ func (m *LMModel) DecodeStep(states []*DecodeState, tokens []int) *mat.Matrix {
 	if len(states) == 0 || len(states) != len(tokens) {
 		panic(fmt.Sprintf("transformer: DecodeStep with %d states for %d tokens", len(states), len(tokens)))
 	}
-	m.stepIDs = append(m.stepIDs[:0], tokens...)
-	x := m.Embed.Forward(m.stepIDs)
-	for i, st := range states {
+	for _, st := range states {
 		if st.pos == 0 {
 			panic("transformer: DecodeStep before Prefill")
 		}
-		row := x.Row(i)
-		pe := m.Pos.Row(st.pos % m.Pos.Rows)
-		for j := range row {
-			row[j] += pe[j]
-		}
 	}
-	d := x
-	for li, dec := range m.Dec {
-		d = dec.DecodeStep(d, states, li)
-	}
-	logits := m.Proj.Forward(d)
-	for _, st := range states {
-		st.pos++
-	}
-	return logits
+	m.chunkFlat = append(m.chunkFlat[:0], tokens...)
+	off := m.identity(len(states))
+	x := m.Embed.Forward(m.chunkFlat)
+	addPositional(x, off, m.Pos, states)
+	return m.decode(x, states, off, false)
 }
 
 // DecodeChunk advances every sequence by a run of tokens in one fused
@@ -348,40 +340,65 @@ func (m *LMModel) DecodeStep(states []*DecodeState, tokens []int) *mat.Matrix {
 // Linear in the decoder stack issues a single kernel product for the
 // whole chunk batch. Row j of sequence i attends its own cache rows
 // [0, Pos+j] — the same causal window the sequential steps see — through
-// the attention body the single-row path runs (mat.Attend), so
-// the returned per-sequence logits (views, ForwardBatch aliasing
-// contract) are bit-identical to the stacked DecodeStep logits over the
-// same tokens. This is the prefix-cache suffix replayer; unlike
-// DecodeStep it is also legal at Pos 0 on a state holding a frozen
-// cross-attention memory, where it reproduces the prefill's decoder
-// computation row-for-row.
+// the one attention body every path runs (mat.Attend), so the returned
+// per-sequence logits (views, ForwardBatch aliasing contract) are
+// bit-identical to the stacked DecodeStep logits over the same tokens.
+// This is the prefix-cache suffix replayer; unlike DecodeStep it is also
+// legal at Pos 0 on a state holding a frozen cross-attention memory,
+// where it reproduces the prefill's decoder computation row-for-row.
 func (m *LMModel) DecodeChunk(states []*DecodeState, chunks [][]int) []*mat.Matrix {
 	if len(states) == 0 || len(states) != len(chunks) {
 		panic(fmt.Sprintf("transformer: DecodeChunk with %d states for %d chunks", len(states), len(chunks)))
 	}
-	m.chunkFlat, m.chunkOff = packIDs(chunks, m.chunkFlat, m.chunkOff)
-	x := m.Embed.Forward(m.chunkFlat)
-	for s, st := range states {
+	for _, st := range states {
 		if st.cross[0].Rows() == 0 {
 			panic("transformer: DecodeChunk before Prefill (no frozen memory)")
 		}
-		for j := range chunks[s] {
-			row := x.Row(m.chunkOff[s] + j)
-			pe := m.Pos.Row((st.pos + j) % m.Pos.Rows)
-			for i := range row {
-				row[i] += pe[i]
-			}
-		}
 	}
-	d := x
+	m.chunkFlat, m.chunkOff = packIDs(chunks, m.chunkFlat, m.chunkOff)
+	x := m.Embed.Forward(m.chunkFlat)
+	addPositional(x, m.chunkOff, m.Pos, states)
+	return splitRows(m.decode(x, states, m.chunkOff, false), m.chunkOff)
+}
+
+// decode is the one decoder pass behind Prefill, DecodeStep and
+// DecodeChunk. x packs each sequence's new rows, embedded at its next
+// positions (sequence s owns rows [off[s], off[s+1])). Every layer
+// appends the self-attention K/V of all of them to the states' caches;
+// the layers below the top run the rest of the block over all of them
+// too, since each feeds K/V rows of the layer above. The top layer runs
+// the rest of the block, and the output projection after it, on the rows
+// the caller reads: each sequence's last row when last is set (a
+// prefill, whose other rows nobody reads), every row otherwise. The
+// causal window of a last row is its whole cache, so its result is the
+// one the all-rows pass computes. Advances every state past its rows and
+// returns the logits of the rows run.
+func (m *LMModel) decode(x *mat.Matrix, states []*DecodeState, off []int, last bool) *mat.Matrix {
+	top := len(m.Dec) - 1
 	for li, dec := range m.Dec {
-		d = dec.DecodeChunk(d, states, li, m.chunkOff)
+		dec.bind(states, li)
+		dec.SelfAttn.appendKV(x, dec.decSelf, off)
+		if last && li == top {
+			rows := mat.EnsureShape(&m.last, m.reuse, len(states), x.Cols)
+			for s := range states {
+				copy(rows.Row(s), x.Row(off[s+1]-1))
+			}
+			x, off = rows, m.identity(len(states))
+		}
+		x = dec.decode(x, off)
 	}
-	logits := m.Proj.Forward(d)
-	for s, st := range states {
-		st.pos += len(chunks[s])
+	for _, st := range states {
+		st.pos = st.self[0].Rows()
 	}
-	return splitRows(logits, m.chunkOff)
+	return m.Proj.Forward(x)
+}
+
+// identity returns the offsets of n one-row sequences: 0, 1, ..., n.
+func (m *LMModel) identity(n int) []int {
+	for len(m.ident) <= n {
+		m.ident = append(m.ident, len(m.ident))
+	}
+	return m.ident[:n+1]
 }
 
 // EncodeBatch runs the embedding and encoder stack over the packed
@@ -389,14 +406,8 @@ func (m *LMModel) DecodeChunk(states []*DecodeState, chunks [][]int) []*mat.Matr
 // plus its offsets table — the frozen memory that Prefill computes
 // internally, exposed for the full-recompute reference path.
 func (m *LMModel) EncodeBatch(prompts [][]int) (*mat.Matrix, []int) {
-	m.flat, m.off = packIDs(prompts, m.flat, m.off)
-	x := m.Embed.Forward(m.flat)
-	addPositional(x, m.off, m.Pos)
-	h := x
-	for _, e := range m.Enc {
-		h = e.ForwardBatch(h, m.off)
-	}
-	return h.Clone(), append([]int(nil), m.off...)
+	_, memory := m.encode(prompts)
+	return memory.Clone(), append([]int(nil), m.off...)
 }
 
 // DecodeFull is the O(L²)-per-token full-recompute reference for the
@@ -413,7 +424,7 @@ func (m *LMModel) DecodeFull(seqs [][]int, memory *mat.Matrix, memOff []int) []*
 	}
 	m.refFlat, m.refOff = packIDs(seqs, m.refFlat, m.refOff)
 	d := m.Embed.Forward(m.refFlat)
-	addPositional(d, m.refOff, m.Pos)
+	addPositional(d, m.refOff, m.Pos, nil)
 	for _, dec := range m.Dec {
 		d = dec.ForwardBatch(d, memory, m.refOff, memOff)
 	}
@@ -430,155 +441,73 @@ func (d *DecoderLayer) bind(states []*DecodeState, li int) {
 	}
 }
 
-// DecodeStep runs the block on one new token row per sequence (x is
-// B x dim), reading and extending the per-sequence caches of decoder
-// layer li: causal self-attention appends the new K/V row and attends
-// the whole cache; cross-attention attends the frozen prompt memory.
-func (d *DecoderLayer) DecodeStep(x *mat.Matrix, states []*DecodeState, li int) *mat.Matrix {
-	d.bind(states, li)
-	return d.step(x, true)
-}
-
-// step is the block over one row per bound sequence; appendSelf is false
-// when the rows' own self-attention K/V are already the caches' last rows.
-func (d *DecoderLayer) step(x *mat.Matrix, appendSelf bool) *mat.Matrix {
-	a := d.SelfAttn.DecodeStep(x, d.decSelf, appendSelf)
+// decode runs the block on x's packed rows against the caches bind
+// pointed it at (sequence s owns rows [off[s], off[s+1])), whose
+// self-attention K/V are already the last rows of its self cache: row j
+// of a sequence attends the causal window the j-th sequential step would
+// see, and the whole frozen memory.
+func (d *DecoderLayer) decode(x *mat.Matrix, off []int) *mat.Matrix {
+	a := d.SelfAttn.attendCached(x, d.decSelf, off, true)
 	h1 := d.LN1.ForwardResidual(a, x)
 
-	c := d.CrossAttn.DecodeStep(h1, d.decCross, false)
+	c := d.CrossAttn.attendCached(h1, d.decCross, off, false)
 	h2 := d.LN2.ForwardResidual(c, h1)
 
 	f := d.FF.Forward(h2)
 	return d.LN3.ForwardResidual(f, h2)
-}
-
-// prefillLast is the top decoder layer of a prefill, which computes only
-// what decoding reads: the self-attention K/V of every row of x and the
-// cross-attention K/V of every memory row go straight into the caches of
-// decoder layer li (off pairs sequence s's rows of both), and the rest of
-// the block — Q, both attentions, the out-projections, the FFN, the layer
-// norms — runs as the cached step on each sequence's last row, gathered
-// into last (n x dim). The causal window of a sequence's last row is its
-// whole cache, so the returned n x dim rows are bit-identical to those
-// rows of ForwardBatch.
-func (d *DecoderLayer) prefillLast(x, memory *mat.Matrix, off []int, states []*DecodeState, li int, last *mat.Matrix) *mat.Matrix {
-	d.bind(states, li)
-	d.SelfAttn.appendKV(x, d.decSelf, off)
-	d.CrossAttn.appendKV(memory, d.decCross, off)
-	for s := range states {
-		copy(last.Row(s), x.Row(off[s+1]-1))
-	}
-	return d.step(last, false)
-}
-
-// DecodeChunk runs the block on a packed run of new token rows per
-// sequence (sequence s owns x rows [off[s], off[s+1])), extending the
-// caches of decoder layer li exactly as the equivalent DecodeStep
-// sequence would.
-func (d *DecoderLayer) DecodeChunk(x *mat.Matrix, states []*DecodeState, li int, off []int) *mat.Matrix {
-	d.bind(states, li)
-	a := d.SelfAttn.DecodeChunk(x, d.decSelf, off, true)
-	h1 := d.LN1.ForwardResidual(a, x)
-
-	c := d.CrossAttn.DecodeChunk(h1, d.decCross, off, false)
-	h2 := d.LN2.ForwardResidual(c, h1)
-
-	f := d.FF.Forward(h2)
-	return d.LN3.ForwardResidual(f, h2)
-}
-
-// harvestKV copies the projected K/V rows of the block's last
-// ForwardBatch call (a prefill) into the per-sequence caches of decoder
-// layer li.
-func (d *DecoderLayer) harvestKV(states []*DecodeState, li int) {
-	d.bind(states, li)
-	d.SelfAttn.harvestKV(d.decSelf)
-	d.CrossAttn.harvestKV(d.decCross)
-}
-
-// harvestKV appends the last ForwardBatch call's projected key/value
-// rows to each sequence's cache (sequence s owns packed rows
-// [kvOff[s], kvOff[s+1])). Must run before the block's Linears execute
-// again: with buffer reuse on, the projections live in reusable
-// buffers.
-func (a *MultiHeadAttention) harvestKV(caches []*KVCache) {
-	for s, c := range caches {
-		c.appendRows(a.k, a.v, a.kvOff[s], a.kvOff[s+1])
-	}
 }
 
 // appendKV projects kv through WK and WV — one fused kernel product each
 // over all its packed rows — and appends sequence s's rows
-// [off[s], off[s+1]) to caches[s]: row s when off is nil, a step.
+// [off[s], off[s+1]) to caches[s].
 func (a *MultiHeadAttention) appendKV(kv *mat.Matrix, caches []*KVCache, off []int) {
 	k := a.WK.Forward(kv)
 	v := a.WV.Forward(kv)
 	for s, c := range caches {
-		r0, r1 := s, s+1
-		if off != nil {
-			r0, r1 = off[s], off[s+1]
-		}
-		c.appendRows(k, v, r0, r1)
+		c.appendRows(k, v, off[s], off[s+1])
 	}
 }
 
-// DecodeStep is the cached variant of ForwardBatch: x packs one new
-// query row per sequence (B x dim), so WQ (and, for self-attention, WK
-// and WV) still execute as one fused kernel product over the whole
-// batch, while the score/value work per sequence touches only its own
-// cache — causal masking degenerates to "attend to own cache only".
-// When appendKV is set (causal self-attention) the new K/V rows are
-// appended to the caches before attending, so the new token sees
-// itself; cross-attention passes false and reads the frozen caches, and
-// so does a prefill's top layer, whose rows are already cached.
-// Returns the B x dim context rows through WO.
-func (a *MultiHeadAttention) DecodeStep(x *mat.Matrix, caches []*KVCache, appendKV bool) *mat.Matrix {
-	if len(caches) != x.Rows {
-		panic(fmt.Sprintf("transformer: DecodeStep with %d caches for %d rows", len(caches), x.Rows))
-	}
-	q := a.WQ.Forward(x)
-	if appendKV {
-		a.appendKV(x, caches, nil)
-	}
-	concat := mat.EnsureShape(&a.concat, a.reuse, x.Rows, a.Dim)
-	a.attendCached(concat, q, caches, nil, false)
-	return a.WO.Forward(concat)
-}
-
-// DecodeChunk is the multi-row variant of DecodeStep: x packs a run of
-// new query rows per sequence (sequence s owns rows [off[s], off[s+1])),
-// so the projections still execute as one fused kernel product over all
-// Σk packed rows. When causal is set (self-attention) the chunk's K/V
-// rows are appended first and row j of a sequence attends only cache
-// rows [0, base+j] — base being the cache length before the append — so
-// each row sees exactly the window the equivalent single-token step
-// would; cross-attention passes false and every row attends the whole
-// frozen cache. The score/value arithmetic is mat.Attend, shared with
-// DecodeStep and the batched path, which is what makes chunked decoding
-// bit-identical to the sequential steps it fuses.
-func (a *MultiHeadAttention) DecodeChunk(x *mat.Matrix, caches []*KVCache, off []int, causal bool) *mat.Matrix {
+// attendCached is the cached variant of ForwardBatch: x packs query rows
+// per sequence (sequence s owns rows [off[s], off[s+1])), so WQ and WO
+// still execute as one fused kernel product over all packed rows, while
+// the score/value work of a sequence touches only its own cache. When
+// causal is set (self-attention) the rows are the cache's last ones and
+// row j of a sequence attends only cache rows [0, base+j], base being
+// the cache length before them — the window the equivalent single-token
+// step would see; cross-attention passes false and every row attends the
+// whole frozen cache. The arithmetic is mat.Attend, the body of the
+// batched path too, which is what makes every cached pass bit-identical
+// to the block-diagonal batch computation over the same rows. Returns the
+// context rows through WO. A cache without rows has nothing to normalise
+// over and is rejected by sequence.
+func (a *MultiHeadAttention) attendCached(x *mat.Matrix, caches []*KVCache, off []int, causal bool) *mat.Matrix {
 	if len(caches) != len(off)-1 {
-		panic(fmt.Sprintf("transformer: DecodeChunk with %d caches for %d sequences", len(caches), len(off)-1))
+		panic(fmt.Sprintf("transformer: cached attention with %d caches for %d sequences", len(caches), len(off)-1))
 	}
 	q := a.WQ.Forward(x)
-	if causal {
-		a.appendKV(x, caches, off)
-	}
 	concat := mat.EnsureShape(&a.concat, a.reuse, x.Rows, a.Dim)
-	a.attendCached(concat, q, caches, off, causal)
+	a.cached = cachedAttend{a.Heads, a.HeadDim, concat, q, caches, off, causal}
+	pairs := 0 // (query row, key row) pairs one head attends
+	for s, c := range caches {
+		if c.rows == 0 {
+			panic(fmt.Sprintf("transformer: sequence %d attends an empty KV cache", s))
+		}
+		n := off[s+1] - off[s]
+		pairs += n * c.rows
+		if causal {
+			pairs -= n * (n - 1) / 2
+		}
+	}
+	mat.Fork(len(caches)*a.Heads, a.Heads*pairs*(2*a.HeadDim+mat.WorkExp), &a.cached)
 	return a.WO.Forward(concat)
 }
 
-// cachedAttend is the attention of a DecodeStep or DecodeChunk as a
-// mat.Fork body: sequences [s0, s1), each query row of theirs over its
-// own KV cache into its own row of dst. A sequence's rows are dst rows
-// [off[s], off[s+1]), or the single row s when off is nil (a step, whose
-// new row attends the whole cache it was just appended to); a causal
-// chunk row j attends cache rows [0, base+j], base being the cache length
-// before the chunk's append — the window the j-th sequential step would
-// see. The body is mat.Attend — the one the batched path runs — so
-// cached scores and context are bit-identical to the block-diagonal
-// batch computation over the same rows.
+// cachedAttend is attendCached's attention as a mat.Fork body over
+// (sequence, head) pairs, pair p being head p%heads of sequence
+// p/heads: each query row of the sequence over its own KV cache into the
+// head's columns of its own row of dst. Splitting by pair, not by
+// sequence, keeps a one-prompt prefill's attention spread across heads.
 type cachedAttend struct {
 	heads, headDim int
 	dst, q         *mat.Matrix
@@ -587,21 +516,13 @@ type cachedAttend struct {
 	causal         bool
 }
 
-// rows returns the first dst row of sequence s and how many it has.
-func (j *cachedAttend) rows(s int) (r0, n int) {
-	if j.off == nil {
-		return s, 1
-	}
-	return j.off[s], j.off[s+1] - j.off[s]
-}
-
-// scoreScratches lends each span of sequences the score row of one
+// scoreScratches lends each span of pairs the score row of one
 // (head, query row).
 var scoreScratches mat.FreeList[[]float64]
 
-func (j *cachedAttend) Range(s0, s1 int) {
+func (j *cachedAttend) Range(p0, p1 int) {
 	maxRows := 0
-	for _, c := range j.caches[s0:s1] {
+	for _, c := range j.caches[p0/j.heads : (p1-1)/j.heads+1] {
 		maxRows = max(maxRows, c.capRows)
 	}
 	// sized by capacity, so a reserved cache growing row by row never
@@ -609,41 +530,18 @@ func (j *cachedAttend) Range(s0, s1 int) {
 	scores := mat.GrowFloats(scoreScratches.Get(newKeyScratch), maxRows)
 	hd := j.headDim
 	scale := 1 / math.Sqrt(float64(hd))
-	for s := s0; s < s1; s++ {
-		c := j.caches[s]
-		r0, n := j.rows(s)
-		base := c.rows - n
-		for h := 0; h < j.heads; h++ {
-			ho := h * hd
-			for i := 0; i < n; i++ {
-				window := c.rows
-				if j.causal {
-					window = base + i + 1
-				}
-				dst, q := j.dst.Row(r0+i), j.q.Row(r0+i)
-				mat.Attend(dst[ho:ho+hd], q[ho:ho+hd], c.k[ho*c.capRows:], c.capRows, c.v[ho:], c.dim, window, scale, scores)
+	for p := p0; p < p1; p++ {
+		s, ho := p/j.heads, p%j.heads*hd
+		c, r0, r1 := j.caches[s], j.off[s], j.off[s+1]
+		base := c.rows - (r1 - r0)
+		for r := r0; r < r1; r++ {
+			window := c.rows
+			if j.causal {
+				window = base + r - r0 + 1
 			}
+			dst, q := j.dst.Row(r), j.q.Row(r)
+			mat.Attend(dst[ho:ho+hd], q[ho:ho+hd], c.k[ho*c.capRows:], c.capRows, c.v[ho:], c.dim, window, scale, scores)
 		}
 	}
 	scoreScratches.Put(scores)
-}
-
-// attendCached runs the block's heads over every sequence's cache,
-// split by sequence across the mat.Fork helpers; see cachedAttend for
-// off and causal. A cache without rows has nothing to normalise over and
-// is rejected by sequence.
-func (a *MultiHeadAttention) attendCached(dst, q *mat.Matrix, caches []*KVCache, off []int, causal bool) {
-	a.cached = cachedAttend{a.Heads, a.HeadDim, dst, q, caches, off, causal}
-	pairs := 0 // (query row, key row) pairs one head attends
-	for s, c := range caches {
-		if c.rows == 0 {
-			panic(fmt.Sprintf("transformer: sequence %d attends an empty KV cache", s))
-		}
-		_, n := a.cached.rows(s)
-		pairs += n * c.rows
-		if causal {
-			pairs -= n * (n - 1) / 2
-		}
-	}
-	mat.Fork(len(caches), a.Heads*pairs*(2*a.HeadDim+mat.WorkExp), &a.cached)
 }

@@ -73,8 +73,8 @@ func TestPrefillMatchesForwardBatch(t *testing.T) {
 				}
 			}
 
-			// self K/V through the chunk path, cross K/V as each layer's
-			// WK/WV over the encoder memory: neither runs prefillLast
+			// self K/V through the chunk path over every row, cross K/V as
+			// each layer's WK/WV over the encoder memory
 			rebuilt := newStates(m, len(prompts))
 			for i, st := range rebuilt {
 				st.LoadKV(states[i].ExportCross())
@@ -120,37 +120,40 @@ func TestPrefillRejectsEmptyPrompt(t *testing.T) {
 }
 
 // TestPrefillForkMatchesInline: a prefill wide enough that the lane
-// kernels, the batched attention of the lower layers and the top layer's
-// cached attention over each sequence's last row all fan out gives the
-// bits of its inline run (GOMAXPROCS 1): logits and every cached row.
+// kernels and the cached attention of every decoder layer fan out gives
+// the bits of its inline run (GOMAXPROCS 1): logits and every cached row.
+// Eight ragged prompts, and one 128-token prompt, whose decoder attention
+// can fan out only across heads.
 func TestPrefillForkMatchesInline(t *testing.T) {
 	cfg := transformer.Config{Vocab: 64, Dim: 64, Heads: 4, FFHidden: 128, EncLayers: 1, DecLayers: 2, SeqLen: 128}
-	prompts := raggedSeqs(cfg.Vocab, []int{120, 97, 1, 128, 64, 110, 33, 128}, 14)
-	run := func(procs int) (outs []*mat.Matrix, states []*transformer.DecodeState, regions int64) {
-		testutil.Procs(t, procs)
-		m := transformer.NewLMModel(cfg, rand.New(rand.NewSource(15)))
-		m.SetBufferReuse(true)
-		states = newStates(m, len(prompts))
-		before := mat.ForkStats().Regions
-		outs = m.Prefill(states, prompts)
-		regions = mat.ForkStats().Regions - before
-		for i := range outs {
-			outs[i] = outs[i].Clone()
+	for _, lens := range [][]int{{120, 97, 1, 128, 64, 110, 33, 128}, {128}} {
+		prompts := raggedSeqs(cfg.Vocab, lens, 14)
+		run := func(procs int) (outs []*mat.Matrix, states []*transformer.DecodeState, regions int64) {
+			testutil.Procs(t, procs)
+			m := transformer.NewLMModel(cfg, rand.New(rand.NewSource(15)))
+			m.SetBufferReuse(true)
+			states = newStates(m, len(prompts))
+			before := mat.ForkStats().Regions
+			outs = m.Prefill(states, prompts)
+			regions = mat.ForkStats().Regions - before
+			for i := range outs {
+				outs[i] = outs[i].Clone()
+			}
+			return outs, states, regions
 		}
-		return outs, states, regions
-	}
-	want, wantStates, inline := run(1)
-	got, gotStates, forked := run(2)
-	if inline != 0 || forked == 0 {
-		t.Fatalf("regions fanned out: %d at GOMAXPROCS 1, %d at 2", inline, forked)
-	}
-	for i := range prompts {
-		if !mat.Equal(got[i], want[i], 0) {
-			t.Fatalf("prompt %d: forked prefill logits differ from inline", i)
+		want, wantStates, inline := run(1)
+		got, gotStates, forked := run(2)
+		if inline != 0 || forked == 0 {
+			t.Fatalf("lens %v: regions fanned out: %d at GOMAXPROCS 1, %d at 2", lens, inline, forked)
 		}
-		a, b := gotStates[i], wantStates[i]
-		if !a.ExportSelf(0, a.Pos()).Equal(b.ExportSelf(0, b.Pos())) || !a.ExportCross().Equal(b.ExportCross()) {
-			t.Fatalf("prompt %d: forked prefill K/V differ from inline", i)
+		for i := range prompts {
+			if !mat.Equal(got[i], want[i], 0) {
+				t.Fatalf("lens %v, prompt %d: forked prefill logits differ from inline", lens, i)
+			}
+			a, b := gotStates[i], wantStates[i]
+			if !a.ExportSelf(0, a.Pos()).Equal(b.ExportSelf(0, b.Pos())) || !a.ExportCross().Equal(b.ExportCross()) {
+				t.Fatalf("lens %v, prompt %d: forked prefill K/V differ from inline", lens, i)
+			}
 		}
 	}
 }

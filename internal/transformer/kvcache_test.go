@@ -237,7 +237,7 @@ func TestAttendEmptyCacheRejected(t *testing.T) {
 			t.Fatalf("empty cache for sequence 1: got panic %q", msg)
 		}
 	}()
-	a.DecodeStep(mat.New(2, 8), []*KVCache{full, {dim: 8}}, false)
+	a.attendCached(mat.New(2, 8), []*KVCache{full, {dim: 8}}, []int{0, 1, 2}, false)
 }
 
 // TestDecodeStepsIntoReservedCacheAllocationFree: a reserved cache that
@@ -354,7 +354,7 @@ func TestForwardLeavesEmbeddingBufferUntouched(t *testing.T) {
 	seqs := [][]int{kvTestPrompt(9), kvTestPrompt(1), kvTestPrompt(14)}
 	flat, off := packIDs(seqs, nil, nil)
 	want := kvTestModel(false).Embed.Forward(flat)
-	addPositional(want, off, m.Pos)
+	addPositional(want, off, m.Pos, nil)
 	buf := m.Embed.Forward(flat) // the buffer every later gather of this shape refills
 	check := func(pass string) {
 		t.Helper()

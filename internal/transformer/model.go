@@ -78,12 +78,12 @@ type LMModel struct {
 	last  *mat.Matrix
 	reuse bool
 
-	// incremental-decoding scratch (see decode.go): the one-token-per-
-	// sequence id batch of DecodeStep, DecodeChunk's packing, and the
-	// reference path's packing.
-	stepIDs   []int
+	// incremental-decoding scratch (see decode.go): the packing of
+	// DecodeStep and DecodeChunk, the offsets of one-row sequences, and
+	// the reference path's packing.
 	chunkOff  []int
 	chunkFlat []int
+	ident     []int
 	refOff    []int
 	refFlat   []int
 }
@@ -195,43 +195,29 @@ func (m *LMModel) Forward(ids []int) *mat.Matrix {
 // the next forward pass when buffer reuse is on (the serving engine
 // copies at its boundary), and independent of each other otherwise.
 func (m *LMModel) ForwardBatch(seqs [][]int) []*mat.Matrix {
-	return m.forwardPacked(seqs, nil)
-}
-
-// forwardPacked is the shared packed forward pass behind ForwardBatch
-// and Prefill. Without states it is the full computation: every layer
-// over every packed row, logits for all of them. With states (one per
-// sequence) it is a prefill, which computes what decoding reads: the
-// encoder and the lower decoder layers run over every row — each feeds
-// K/V rows of the layer above — with their K/V harvested into the
-// per-sequence caches as the pass runs; the top decoder layer caches K/V
-// for every row but runs the rest of the block, and the output
-// projection after it, on each sequence's last row alone
-// (DecoderLayer.prefillLast), and one 1 x vocab view per sequence is
-// returned.
-func (m *LMModel) forwardPacked(seqs [][]int, states []*DecodeState) []*mat.Matrix {
-	m.flat, m.off = packIDs(seqs, m.flat, m.off)
-	x := m.Embed.Forward(m.flat)
-	addPositional(x, m.off, m.Pos)
-	h := x
-	for _, e := range m.Enc {
-		h = e.ForwardBatch(h, m.off)
+	d, memory := m.encode(seqs)
+	if len(m.Dec) == 0 {
+		d = memory
 	}
-	memory, d := h, h
-	if len(m.Dec) > 0 {
-		d = x // no layer writes its input, so both stacks read the one buffer
-	}
-	for li, dec := range m.Dec {
-		if states != nil && li == len(m.Dec)-1 {
-			last := mat.EnsureShape(&m.last, m.reuse, len(seqs), x.Cols)
-			return rowViews(m.Proj.Forward(dec.prefillLast(d, memory, m.off, states, li, last)))
-		}
+	for _, dec := range m.Dec {
 		d = dec.ForwardBatch(d, memory, m.off, m.off)
-		if states != nil {
-			dec.harvestKV(states, li)
-		}
 	}
 	return splitRows(m.Proj.Forward(d), m.off)
+}
+
+// encode packs seqs into m.flat and m.off, embeds them at positions from
+// 0 and runs the encoder stack over them: x is the embedded input, which
+// the decoder stack reads too (no layer writes its input, so both stacks
+// read the one buffer), and memory the encoder's output.
+func (m *LMModel) encode(seqs [][]int) (x, memory *mat.Matrix) {
+	m.flat, m.off = packIDs(seqs, m.flat, m.off)
+	x = m.Embed.Forward(m.flat)
+	addPositional(x, m.off, m.Pos, nil)
+	memory = x
+	for _, e := range m.Enc {
+		memory = e.ForwardBatch(memory, m.off)
+	}
+	return x, memory
 }
 
 // Backward propagates dlogits through the whole model, accumulating
@@ -389,7 +375,7 @@ func (c *Classifier) Forward(ids []int) *mat.Matrix {
 func (c *Classifier) ForwardBatch(seqs [][]int) []*mat.Matrix {
 	c.flat, c.off = packIDs(seqs, c.flat, c.off)
 	x := c.Embed.Forward(c.flat)
-	addPositional(x, c.off, c.Pos)
+	addPositional(x, c.off, c.Pos, nil)
 	h := x
 	for _, e := range c.Enc {
 		h = e.ForwardBatch(h, c.off)
