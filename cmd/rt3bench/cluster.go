@@ -242,7 +242,7 @@ func runClusterRollout(seed int64, n int) (clusterPhaseRow, error) {
 }
 
 // runClusterFailover crashes one of two nodes mid-load: its in-flight
-// generations must fail over to the survivor via truncate-replay and
+// generations must resume on the survivor from their committed tokens and
 // every delivered stream must still dense-verify — the bit-identical
 // recovery contract.
 func runClusterFailover(seed int64) (clusterPhaseRow, error) {

@@ -5,9 +5,9 @@
 // session key, least-loaded, power-of-two-choices). Session affinity
 // pins a generation stream's KV cache to one node; per-node health plus
 // drain/restore enables zero-downtime pattern-set rollouts; and a node
-// crash fails in-flight generations over to healthy nodes via
-// truncate-replay (the committed token prefix is re-submitted through
-// serve.SubmitGenResume). Router decisions are recorded in a seeded
+// crash fails in-flight generations over to healthy nodes (the committed
+// tokens are re-submitted through serve.SubmitGenResume, which
+// teacher-forces them as one chunk). Router decisions are recorded in a seeded
 // trace replayable like the autotune decision trace.
 package cluster
 

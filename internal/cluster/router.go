@@ -129,10 +129,11 @@ func (s Stats) Sub(prev Stats) Stats {
 
 // Router fronts a set of nodes: Submit and SubmitGen route requests via
 // the configured policy with session affinity for generations, watch
-// for crashed responses and fail them over (truncate-replay through
-// serve.SubmitGenResume), and record every policy decision in a
-// replayable trace. Drain/Restore and RolloutSwitch run zero-downtime
-// maintenance; the rt3_cluster_* metric families live on Metrics().
+// for crashed responses and fail them over (a generation resumes from
+// its committed tokens through serve.SubmitGenResume), and record every
+// policy decision in a replayable trace. Drain/Restore and RolloutSwitch
+// run zero-downtime maintenance; the rt3_cluster_* metric families live
+// on Metrics().
 type Router struct {
 	nodes []*Node
 	cfg   Config
@@ -263,24 +264,15 @@ func (r *Router) Metrics() *obs.Registry { return r.reg }
 // where their KV/prefix locality is), otherwise a policy pick that
 // becomes the new pin. The returned channel delivers exactly one
 // response; a node crash mid-generation is handled inside — the
-// committed prefix fails over to a healthy node via truncate-replay and
-// the caller only ever sees the completed stream (or an error after
-// FailoverRetries unlucky attempts). With MaxRetries > 0, retryable
-// admission failures are absorbed too: the request backs off and
-// re-dispatches asynchronously instead of failing synchronously.
-// maxTokens and eos follow serve.SubmitGen conventions.
+// committed tokens fail over to a healthy node, which teacher-forces
+// them as one chunk and decodes on, and the caller only ever sees the
+// completed stream (or an error after FailoverRetries unlucky attempts).
+// With MaxRetries > 0, retryable admission failures are absorbed too:
+// the request backs off and re-dispatches asynchronously instead of
+// failing synchronously. maxTokens and eos follow serve.SubmitGen
+// conventions.
 func (r *Router) SubmitGen(key uint64, prompt []int, maxTokens, eos int) (<-chan serve.GenResponse, error) {
-	nd, ch, err := r.dispatchGen(key, prompt, nil, maxTokens, eos, DecisionRoute)
-	if err != nil && (r.cfg.MaxRetries <= 0 || !retryable(err)) {
-		if errors.Is(err, serve.ErrQueueFull) {
-			r.drops.Add(1)
-		}
-		return nil, err
-	}
-	out := make(chan serve.GenResponse, 1)
-	r.wg.Add(1)
-	go r.awaitGen(out, key, prompt, maxTokens, eos, nd, ch, err, time.Now())
-	return out, nil
+	return submit[serve.GenResponse](r, key, &genJob{prompt: prompt, maxTokens: maxTokens, eos: eos})
 }
 
 // Submit routes one classification request. No session pin is involved
@@ -288,16 +280,81 @@ func (r *Router) SubmitGen(key uint64, prompt []int, maxTokens, eos int) (<-chan
 // request, and a crashed response is transparently re-dispatched whole.
 // Backoff retries apply as in SubmitGen.
 func (r *Router) Submit(key uint64, ids []int) (<-chan serve.Response, error) {
-	nd, ch, err := r.dispatch(key, ids, DecisionRoute)
+	return submit[serve.Response](r, key, clsJob(ids))
+}
+
+// job is one routed request whose responses have type T. One dispatch
+// and one await loop serve both request kinds; they differ only in the
+// session pin, how a crashed response becomes the next dispatch, and how
+// an error becomes a response.
+type job[T any] interface {
+	// pins reports whether the job keeps its key's session pin.
+	pins() bool
+	// admit offers the job to one node.
+	admit(*serve.Server) (<-chan T, error)
+	// resume reports whether resp is a crash's and, if so, readies the
+	// next admit to continue from it.
+	resume(r *Router, resp T) bool
+	// fail makes the caller's response of err.
+	fail(err error) T
+}
+
+// genJob is a generation. After a crash it resumes from the tokens the
+// crashed node committed.
+type genJob struct {
+	prompt, committed []int
+	maxTokens, eos    int
+}
+
+func (g *genJob) pins() bool { return true }
+
+func (g *genJob) admit(srv *serve.Server) (<-chan serve.GenResponse, error) {
+	return srv.SubmitGenResume(g.prompt, g.committed, g.maxTokens, g.eos)
+}
+
+func (g *genJob) resume(r *Router, resp serve.GenResponse) bool {
+	if !errors.Is(resp.Err, serve.ErrCrashed) {
+		return false
+	}
+	r.replayTokens.Observe(float64(len(resp.Tokens)))
+	g.committed = resp.Tokens
+	return true
+}
+
+func (g *genJob) fail(err error) serve.GenResponse {
+	return serve.GenResponse{Err: err, Tokens: g.committed}
+}
+
+// clsJob is a classification request's token ids.
+type clsJob []int
+
+func (clsJob) pins() bool { return false }
+
+func (c clsJob) admit(srv *serve.Server) (<-chan serve.Response, error) { return srv.Submit(c) }
+
+func (clsJob) resume(_ *Router, resp serve.Response) bool {
+	return errors.Is(resp.Err, serve.ErrCrashed)
+}
+
+func (clsJob) fail(err error) serve.Response { return serve.Response{Err: err} }
+
+// submit dispatches j and forwards its response. A dispatch error fails
+// synchronously unless backoff retries may absorb it. submit, dispatch
+// and await take the job's concrete type J, not a job[T] value: an
+// interface-typed parameter of a generic function makes the linker keep
+// every method reachable from the types in job[T]'s method signatures
+// (*Router, *serve.Server), which moves the layout of unrelated code.
+func submit[T any, J job[T]](r *Router, key uint64, j J) (<-chan T, error) {
+	nd, ch, err := dispatch[T](r, key, j, DecisionRoute)
 	if err != nil && (r.cfg.MaxRetries <= 0 || !retryable(err)) {
 		if errors.Is(err, serve.ErrQueueFull) {
 			r.drops.Add(1)
 		}
 		return nil, err
 	}
-	out := make(chan serve.Response, 1)
+	out := make(chan T, 1)
 	r.wg.Add(1)
-	go r.await(out, key, ids, nd, ch, err, time.Now())
+	go await[T](r, key, j, out, nd, ch, err, time.Now())
 	return out, nil
 }
 
@@ -323,19 +380,19 @@ func (r *Router) backoff(n int) time.Duration {
 	return time.Duration(d * j)
 }
 
-// dispatchGen resolves and performs one generation admission under the
-// router lock: affinity first, then policy picks with refusing nodes
-// excluded, each pick recorded in the trace. Every successful dispatch
-// increments the node's in-flight accounting before the lock releases,
-// so a drain starting afterwards sees it.
-func (r *Router) dispatchGen(key uint64, prompt, prefix []int, maxTokens, eos int, kind string) (*Node, <-chan serve.GenResponse, error) {
+// dispatch resolves and performs one admission of j under the router
+// lock: a generation's session pin first, then policy picks with
+// refusing nodes excluded, each pick recorded in the trace. Every
+// successful dispatch increments the node's in-flight accounting before
+// the lock releases, so a drain starting afterwards sees it.
+func dispatch[T any, J job[T]](r *Router, key uint64, j J, kind string) (*Node, <-chan T, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 
-	if id, ok := r.sessions[key]; ok {
+	if id, ok := r.sessions[key]; ok && j.pins() {
 		nd := r.nodes[id]
 		if nd.Ready() && r.breakerAllow(id, time.Now()) {
-			ch, err := nd.srv.SubmitGenResume(prompt, prefix, maxTokens, eos)
+			ch, err := j.admit(nd.srv)
 			switch {
 			case err == nil:
 				r.affinityHits.Add(1)
@@ -360,7 +417,7 @@ func (r *Router) dispatchGen(key uint64, prompt, prefix []int, maxTokens, eos in
 		if kind == DecisionRoute {
 			kind = DecisionRepin
 		}
-	} else if kind == DecisionRoute {
+	} else if j.pins() && kind == DecisionRoute {
 		r.sessionPins.Add(1)
 	}
 
@@ -377,10 +434,12 @@ func (r *Router) dispatchGen(key uint64, prompt, prefix []int, maxTokens, eos in
 		id := r.pol.Pick(key, ready, loads, r.rng)
 		r.record(kind, key, ready, loads, id)
 		nd := r.nodes[id]
-		ch, err := nd.srv.SubmitGenResume(prompt, prefix, maxTokens, eos)
+		ch, err := j.admit(nd.srv)
 		switch {
 		case err == nil:
-			r.sessions[key] = id
+			if j.pins() {
+				r.sessions[key] = id
+			}
 			r.breakerSuccess(id)
 			r.commit(nd)
 			return nd, ch, nil
@@ -389,42 +448,6 @@ func (r *Router) dispatchGen(key uint64, prompt, prefix []int, maxTokens, eos in
 			sawFull = true
 		case nd.srv.Stopped():
 			// crashed between the ready check and admission
-			r.breakerFailure(id, time.Now())
-		default:
-			return nil, nil, err
-		}
-		excluded[id] = true
-	}
-}
-
-// dispatch is dispatchGen's classification twin: no session state, same
-// pick/record/exclude loop.
-func (r *Router) dispatch(key uint64, ids []int, kind string) (*Node, <-chan serve.Response, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	excluded := make(map[int]bool)
-	sawFull := false
-	for {
-		ready, loads := r.readySet(excluded)
-		if len(ready) == 0 {
-			if sawFull {
-				return nil, nil, serve.ErrQueueFull
-			}
-			return nil, nil, ErrNoReadyNodes
-		}
-		id := r.pol.Pick(key, ready, loads, r.rng)
-		r.record(kind, key, ready, loads, id)
-		nd := r.nodes[id]
-		ch, err := nd.srv.Submit(ids)
-		switch {
-		case err == nil:
-			r.breakerSuccess(id)
-			r.commit(nd)
-			return nd, ch, nil
-		case errors.Is(err, serve.ErrQueueFull):
-			r.breakerFailure(id, time.Now())
-			sawFull = true
-		case nd.srv.Stopped():
 			r.breakerFailure(id, time.Now())
 		default:
 			return nil, nil, err
@@ -464,70 +487,14 @@ func (r *Router) commit(nd *Node) {
 	r.dispatches.Add(1)
 }
 
-// awaitGen forwards one generation's response, intercepting crashes and
-// retryable admission failures. Crashed partial responses are re-
-// submitted as a resume prefix on a healthy node (the crashed node's KV
-// cache is rebuilt there by teacher-forced replay — truncate-replay);
-// queue-full and no-ready-node dispatch errors back off exponentially
-// with jitter and re-pick (recorded as DecisionRetry) while MaxRetries
-// and the request deadline allow. All transparently to the caller;
-// exactly one send on out.
-func (r *Router) awaitGen(out chan<- serve.GenResponse, key uint64, prompt []int, maxTokens, eos int, nd *Node, ch <-chan serve.GenResponse, dispatchErr error, enq time.Time) {
-	defer r.wg.Done()
-	var prefix []int
-	failovers, retries := 0, 0
-	for {
-		if dispatchErr != nil {
-			if !retryable(dispatchErr) || retries >= r.cfg.MaxRetries {
-				if errors.Is(dispatchErr, serve.ErrQueueFull) {
-					r.drops.Add(1)
-				}
-				if failovers > 0 {
-					dispatchErr = fmt.Errorf("cluster: failover: %w", dispatchErr)
-				}
-				out <- serve.GenResponse{Err: dispatchErr, Tokens: prefix}
-				return
-			}
-			retries++
-			wait := r.backoff(retries)
-			if dl := r.cfg.RequestTimeout; dl > 0 && time.Since(enq)+wait > dl {
-				r.deadlines.Add(1)
-				out <- serve.GenResponse{
-					Err:    fmt.Errorf("%w (key %d after %d retries: %v)", ErrDeadlineExceeded, key, retries-1, dispatchErr),
-					Tokens: prefix,
-				}
-				return
-			}
-			r.retries.Add(1)
-			time.Sleep(wait)
-			nd, ch, dispatchErr = r.dispatchGen(key, prompt, prefix, maxTokens, eos, DecisionRetry)
-			continue
-		}
-		resp := <-ch
-		nd.inflight.Add(-1)
-		if errors.Is(resp.Err, serve.ErrCrashed) && failovers < r.cfg.FailoverRetries {
-			failovers++
-			r.failovers.Add(1)
-			r.replayTokens.Observe(float64(len(resp.Tokens)))
-			r.noteCrash(nd.ID)
-			prefix = resp.Tokens
-			nd, ch, dispatchErr = r.dispatchGen(key, prompt, prefix, maxTokens, eos, DecisionFailover)
-			if dispatchErr != nil && (r.cfg.MaxRetries <= 0 || !retryable(dispatchErr)) {
-				resp.Err = fmt.Errorf("cluster: failover: %w", dispatchErr)
-				out <- resp
-				return
-			}
-			continue
-		}
-		out <- resp
-		return
-	}
-}
-
-// await is awaitGen's classification twin: a crashed request is simply
-// re-dispatched whole (nothing partial to replay), with the same
-// backoff-retry and deadline handling.
-func (r *Router) await(out chan<- serve.Response, key uint64, ids []int, nd *Node, ch <-chan serve.Response, dispatchErr error, enq time.Time) {
+// await forwards one request's response, intercepting crashes and
+// retryable admission failures. A crashed response fails over to a
+// healthy node — a generation resumes there from its committed tokens,
+// teacher-forced as one chunk; queue-full and no-ready-node dispatch
+// errors back off exponentially with jitter and re-pick (recorded as
+// DecisionRetry) while MaxRetries and the request deadline allow. All
+// transparently to the caller; exactly one send on out.
+func await[T any, J job[T]](r *Router, key uint64, j J, out chan<- T, nd *Node, ch <-chan T, dispatchErr error, enq time.Time) {
 	defer r.wg.Done()
 	failovers, retries := 0, 0
 	for {
@@ -539,33 +506,28 @@ func (r *Router) await(out chan<- serve.Response, key uint64, ids []int, nd *Nod
 				if failovers > 0 {
 					dispatchErr = fmt.Errorf("cluster: failover: %w", dispatchErr)
 				}
-				out <- serve.Response{Err: dispatchErr}
+				out <- j.fail(dispatchErr)
 				return
 			}
 			retries++
 			wait := r.backoff(retries)
 			if dl := r.cfg.RequestTimeout; dl > 0 && time.Since(enq)+wait > dl {
 				r.deadlines.Add(1)
-				out <- serve.Response{Err: fmt.Errorf("%w (key %d after %d retries: %v)", ErrDeadlineExceeded, key, retries-1, dispatchErr)}
+				out <- j.fail(fmt.Errorf("%w (key %d after %d retries: %v)", ErrDeadlineExceeded, key, retries-1, dispatchErr))
 				return
 			}
 			r.retries.Add(1)
 			time.Sleep(wait)
-			nd, ch, dispatchErr = r.dispatch(key, ids, DecisionRetry)
+			nd, ch, dispatchErr = dispatch[T](r, key, j, DecisionRetry)
 			continue
 		}
 		resp := <-ch
 		nd.inflight.Add(-1)
-		if errors.Is(resp.Err, serve.ErrCrashed) && failovers < r.cfg.FailoverRetries {
+		if failovers < r.cfg.FailoverRetries && j.resume(r, resp) {
 			failovers++
 			r.failovers.Add(1)
 			r.noteCrash(nd.ID)
-			nd, ch, dispatchErr = r.dispatch(key, ids, DecisionFailover)
-			if dispatchErr != nil && (r.cfg.MaxRetries <= 0 || !retryable(dispatchErr)) {
-				resp.Err = fmt.Errorf("cluster: failover: %w", dispatchErr)
-				out <- resp
-				return
-			}
+			nd, ch, dispatchErr = dispatch[T](r, key, j, DecisionFailover)
 			continue
 		}
 		out <- resp
@@ -616,7 +578,7 @@ func (r *Router) Restore(id int) error {
 }
 
 // Crash kills node id mid-flight (simulated failure). Its in-flight
-// generations surface as crashed responses that the await loops fail
+// generations surface as crashed responses that the await loop fails
 // over to the surviving nodes. Errors when the node is already down.
 func (r *Router) Crash(id int) error {
 	nd, err := r.node(id)
@@ -724,7 +686,7 @@ func (r *Router) registerMetrics() {
 		"Circuit-breaker opens (closed or half-open to open).",
 		func() float64 { return float64(r.breakerTrips.Load()) })
 	r.replayTokens = reg.Histogram("rt3_cluster_failover_replay_tokens",
-		"Committed tokens replayed per generation failover.", obs.HistogramOpts{MinDecade: 0, Decades: 4, PerDecade: 9})
+		"Committed tokens re-fed as one chunk per generation failover.", obs.HistogramOpts{MinDecade: 0, Decades: 4, PerDecade: 9})
 	r.drainMS = reg.Histogram("rt3_cluster_drain_ms",
 		"Wall time to quiesce one node for maintenance.", obs.HistogramOpts{})
 	for _, nd := range r.nodes {

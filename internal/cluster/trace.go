@@ -17,7 +17,7 @@ const (
 	// policy chose a replacement — an affinity miss.
 	DecisionRepin = "repin"
 	// DecisionFailover is a crash recovery: the policy chose the node a
-	// partially generated stream resumes on via truncate-replay.
+	// partially generated stream resumes on from its committed tokens.
 	DecisionFailover = "failover"
 	// DecisionRetry is a backoff re-dispatch: an earlier admission
 	// attempt failed retryably (queue full everywhere, or no ready node)

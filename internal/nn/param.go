@@ -102,15 +102,6 @@ func ApplyMasks(params []*Parameter) {
 	}
 }
 
-// TotalWeights sums the dense sizes of params.
-func TotalWeights(params []*Parameter) int {
-	n := 0
-	for _, p := range params {
-		n += p.NumWeights()
-	}
-	return n
-}
-
 // GlobalSparsity returns the overall fraction of zero weights across
 // params (0 when params is empty).
 func GlobalSparsity(params []*Parameter) float64 {

@@ -61,14 +61,6 @@ func (t *Trace) Add(name string, start time.Time, d time.Duration, k1 string, v1
 	})
 }
 
-// Age returns the offset of now relative to the trace anchor.
-func (t *Trace) Age(now time.Time) time.Duration {
-	if t == nil {
-		return 0
-	}
-	return now.Sub(t.start)
-}
-
 // TracerConfig controls trace capture. The zero value enables tracing
 // with the defaults below; set Disabled to turn capture off entirely
 // (Start then returns nil and every downstream Add/Finish is a no-op).

@@ -182,20 +182,6 @@ func RandomBlockPrune(w *mat.Matrix, cfg BPConfig, rng *rand.Rand) (*mat.Matrix,
 	return mask, nil
 }
 
-// PercentileForSparsity returns the BPConfig percentile that yields
-// approximately the requested overall sparsity (fraction of zeros).
-// Because BP removes whole groups, achievable sparsities are quantized;
-// the returned percentile is the closest not-exceeding choice.
-func PercentileForSparsity(target float64) float64 {
-	if target < 0 {
-		return 0
-	}
-	if target > 0.95 {
-		return 0.95
-	}
-	return target
-}
-
 // BothDirectionsPrune applies the paper's generalization "it can be
 // generalized to apply row pruning or both row and column pruning":
 // column pruning within row-blocks intersected with row pruning within

@@ -123,27 +123,6 @@ func (g *GroupLasso) ShrinkSmallGroups(w *mat.Matrix, thresh float64) int {
 	return n
 }
 
-// EffectiveSparsity is a convenience wrapper returning the fraction of
-// zeros a mask induces.
-func EffectiveSparsity(mask *mat.Matrix) float64 {
-	return mask.Sparsity()
-}
-
-// MaskSparsity returns the sparsity of applying mask to a dense matrix,
-// i.e. the fraction of zero entries in the mask itself.
-func MaskSparsity(mask *mat.Matrix) float64 {
-	if len(mask.Data) == 0 {
-		return 0
-	}
-	zeros := 0
-	for _, v := range mask.Data {
-		if v == 0 {
-			zeros++
-		}
-	}
-	return float64(zeros) / float64(len(mask.Data))
-}
-
 // CompressionRatio converts a sparsity fraction into the paper's
 // "x-fold compression" convention (e.g. 0.5 sparsity -> 2x).
 func CompressionRatio(sparsity float64) float64 {

@@ -168,13 +168,6 @@ func (e *Engine) BatchStats() (batches, seqs, rows int64) {
 // is excluded).
 func (e *Engine) PrunableLinearCount() int { return len(e.weights) }
 
-// NewEngine deploys a bundle onto the given model replicas with the
-// default configuration (pattern-packed kernels). See
-// NewEngineConfigured.
-func NewEngine(bundle *deploy.Bundle, replicas []Model, costs rtswitch.SwitchCostModel) (*Engine, error) {
-	return NewEngineConfigured(bundle, replicas, costs, EngineConfig{})
-}
-
 // NewEngineConfigured deploys a bundle onto the given model replicas:
 // backbone weights are written into every replica's prunable
 // projections, each level's kernels are built once through the kernel
@@ -275,7 +268,7 @@ func NewEngineConfigured(bundle *deploy.Bundle, replicas []Model, costs rtswitch
 
 // Close releases nothing: the engine owns no goroutines (its passes
 // borrow the process-wide mat.Fork helpers). It stays so that callers
-// can pair it with NewEngine.
+// can pair it with NewEngineConfigured or Deploy.
 func (e *Engine) Close() {}
 
 // install points every replica's prunable linears at its packed kernels
@@ -329,9 +322,6 @@ func (e *Engine) SwitchTo(idx int) (float64, error) {
 	e.level.Store(int32(idx))
 	return cost, nil
 }
-
-// SwitchStats returns the cumulative switch count and modeled time.
-func (e *Engine) SwitchStats() (int, float64) { return e.recon.Stats() }
 
 // InjectSwitchError arms a one-shot fault on the reconfigurator: the
 // next level change fails before mutating any state, so the engine
@@ -510,38 +500,6 @@ func (e *Engine) denseReference(idx int) (restore func()) {
 	}
 }
 
-// DenseGenerateSplit greedily decodes the masked dense reference for a
-// split request at level idx: the frozen memory is the encoder over
-// prefix alone, the suffix is teacher-forced through the decoder, and
-// generation continues greedily — the ground truth a served split
-// generation (prefix-cached or not) must match token-for-token.
-// Restores dense weights and packed kernels before returning; callers
-// must hold the engine quiesced.
-func (e *Engine) DenseGenerateSplit(idx int, prefix, suffix []int, maxTokens, eos int) ([]int, error) {
-	if idx < 0 || idx >= e.NumLevels() {
-		return nil, fmt.Errorf("serve: level %d out of range %d", idx, e.NumLevels())
-	}
-	if len(prefix) == 0 || len(suffix) == 0 || maxTokens <= 0 {
-		return nil, fmt.Errorf("serve: DenseGenerateSplit needs non-empty prefix and suffix and a positive token budget")
-	}
-	dm, err := e.decodeModel(0)
-	if err != nil {
-		return nil, err
-	}
-	defer e.denseReference(idx)()
-	st := dm.NewDecodeState()
-	st.Reserve(len(prefix) + len(suffix) + maxTokens)
-	dm.Prefill([]*transformer.DecodeState{st}, [][]int{prefix})
-	outs := dm.DecodeChunk([]*transformer.DecodeState{st}, [][]int{suffix})
-	out := outs[0]
-	tokens := []int{out.ArgmaxRow(out.Rows - 1)}
-	for tokens[len(tokens)-1] != eos && len(tokens) < maxTokens {
-		logits := dm.DecodeStep([]*transformer.DecodeState{st}, []int{tokens[len(tokens)-1]})
-		tokens = append(tokens, logits.ArgmaxRow(0))
-	}
-	return tokens, nil
-}
-
 // RegisterMetrics exposes the engine's hot-path execution counters on
 // an obs registry as read-callbacks: the atomics the workers bump stay
 // plain atomics, and the registry reads them at gather time. The decode
@@ -618,19 +576,23 @@ func (e *Engine) DenseForward(idx int, ids []int) (*mat.Matrix, error) {
 	return e.replicas[0].Forward(ids).Clone(), nil
 }
 
-// DenseGenerate greedily decodes up to maxTokens tokens from prompt on
-// replica 0 with level idx's mask applied to dense weights and the
-// packed kernels bypassed — the ground truth a generation served
-// entirely at that level must match token-for-token (greedy decoding
-// makes the reference deterministic). It restores the dense weights and
-// the active level's packed kernels before returning. Callers must hold
-// the engine quiesced (the server exposes this as DenseGenReference).
-func (e *Engine) DenseGenerate(idx int, prompt []int, maxTokens, eos int) ([]int, error) {
+// DenseGenerate greedily decodes up to maxTokens tokens on replica 0
+// with level idx's mask applied to dense weights and the packed kernels
+// bypassed — the ground truth a generation served entirely at that level
+// must match token-for-token (greedy decoding makes the reference
+// deterministic). The frozen memory is the encoder over prefix; a
+// non-empty suffix is teacher-forced through the decoder after it (a
+// split request, prefix-cached or not), and an empty one makes prefix
+// the whole prompt. It restores the dense weights and the active level's
+// packed kernels before returning. Callers must hold the engine quiesced
+// (the server exposes this as DenseGenReference and
+// DenseGenReferenceSplit).
+func (e *Engine) DenseGenerate(idx int, prefix, suffix []int, maxTokens, eos int) ([]int, error) {
 	if idx < 0 || idx >= e.NumLevels() {
 		return nil, fmt.Errorf("serve: level %d out of range %d", idx, e.NumLevels())
 	}
-	if len(prompt) == 0 || maxTokens <= 0 {
-		return nil, fmt.Errorf("serve: DenseGenerate needs a non-empty prompt and a positive token budget")
+	if len(prefix) == 0 || maxTokens <= 0 {
+		return nil, fmt.Errorf("serve: DenseGenerate needs a non-empty prefix and a positive token budget")
 	}
 	dm, err := e.decodeModel(0)
 	if err != nil {
@@ -638,13 +600,15 @@ func (e *Engine) DenseGenerate(idx int, prompt []int, maxTokens, eos int) ([]int
 	}
 	defer e.denseReference(idx)()
 	st := dm.NewDecodeState()
-	st.Reserve(len(prompt) + maxTokens)
-	outs := dm.Prefill([]*transformer.DecodeState{st}, [][]int{prompt})
-	out := outs[0]
+	st.Reserve(len(prefix) + len(suffix) + maxTokens)
+	sts := []*transformer.DecodeState{st}
+	out := dm.Prefill(sts, [][]int{prefix})[0]
+	if len(suffix) > 0 {
+		out = dm.DecodeChunk(sts, [][]int{suffix})[0]
+	}
 	tokens := []int{out.ArgmaxRow(out.Rows - 1)}
 	for tokens[len(tokens)-1] != eos && len(tokens) < maxTokens {
-		logits := dm.DecodeStep([]*transformer.DecodeState{st}, []int{tokens[len(tokens)-1]})
-		tokens = append(tokens, logits.ArgmaxRow(0))
+		tokens = append(tokens, dm.DecodeStep(sts, tokens[len(tokens)-1:]).ArgmaxRow(0))
 	}
 	return tokens, nil
 }

@@ -327,7 +327,7 @@ func TestEngineUnprunedLinearsKeepPackedKernel(t *testing.T) {
 	}
 	check("a failed switch")
 	prompt := []int{3, 1, 4, 1, 5}
-	if _, err := eng.DenseGenerate(eng.Level(), prompt, 4, -1); err != nil {
+	if _, err := eng.DenseGenerate(eng.Level(), prompt, nil, 4, -1); err != nil {
 		t.Fatal(err)
 	}
 	check("a dense reference")
@@ -375,11 +375,11 @@ func TestDenseReferencesRunUnprunedLinearsDense(t *testing.T) {
 	refs := map[string]func() error{
 		"DenseForward": func() error { _, err := eng.DenseForward(1, prompt); return err },
 		"DenseGenerate": func() error {
-			_, err := eng.DenseGenerate(1, prompt, 4, -1)
+			_, err := eng.DenseGenerate(1, prompt, nil, 4, -1)
 			return err
 		},
-		"DenseGenerateSplit": func() error {
-			_, err := eng.DenseGenerateSplit(1, prompt[:3], prompt[3:], 4, -1)
+		"DenseGenerate split": func() error {
+			_, err := eng.DenseGenerate(1, prompt[:3], prompt[3:], 4, -1)
 			return err
 		},
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"rt3/internal/mat"
@@ -19,7 +20,7 @@ type GenResponse struct {
 	// the remaining fields zero.
 	Err error
 	// Tokens holds the generated tokens (the prompt excluded; a resumed
-	// request's replayed prefix included). When an EOS token was
+	// request's committed prefix included). When an EOS token was
 	// requested and produced it is the final entry.
 	Tokens []int
 	// Level is the V/F level active when the generation completed. A
@@ -27,10 +28,9 @@ type GenResponse struct {
 	// cache and continues on the new level's kernels, exactly as queued
 	// batch requests span switches today.
 	Level int
-	// Steps is the number of fused decode steps the sequence rode in —
-	// len(Tokens)-1 for a fresh generation (the first token comes from
-	// the prefill pass); a resumed generation additionally rides one
-	// replay step per prefix token fed back through the cache.
+	// Steps is the number of fused decode steps the sequence rode in
+	// after admission: len(Tokens)-1, less a resumed request's prefix.
+	// The first token after the prefix comes from the admitting pass.
 	Steps int
 	// QueueMS is admission-to-prefill-dispatch wait. PrefillMS is the
 	// fused prompt pass's execution time (shared by every sequence
@@ -42,16 +42,16 @@ type GenResponse struct {
 	CachedRows int
 }
 
-// genReq is one queued generation request. A non-empty prefix marks a
-// resumed generation: tokens already committed by a previous attempt
-// (e.g. on a node that crashed) that the worker replays through
-// the KV cache before generating new ones. memLen > 0 marks a split
-// request (prompt[:memLen] is the frozen-memory prefix, eligible for
-// the radix prefix cache).
+// genReq is one queued generation request, admitted as a memory plus a
+// tail. The memory is what the frozen encoder memory is built over: the
+// prompt, or its split prefix. The tail is teacher-forced through the
+// decoder after it: the split suffix, then the tokens a resumed
+// generation already committed (e.g. on a node that crashed). A split
+// request (split > 0) is eligible for the radix prefix cache.
 type genReq struct {
-	prompt    []int
-	prefix    []int
-	memLen    int
+	memory    []int
+	tail      []int
+	split     int // length of the split suffix heading tail
 	maxTokens int
 	eos       int
 	enq       time.Time
@@ -94,8 +94,9 @@ func (s *Server) genBudget(maxTokens int) (int, error) {
 // — prefix-cache-eligible split prompts, resume — and returns its
 // response channel (buffered; exactly one send). See SubmitGen for the
 // base semantics and error cases; a SplitAt that does not cut the
-// prompt into a non-empty prefix and suffix fails with ErrBadSplit, and
-// ErrBadToken covers the resume prefix as well as the prompt.
+// prompt into a non-empty prefix and suffix fails with ErrBadSplit,
+// ErrBadToken covers the resume prefix as well as the prompt, and a
+// resume prefix longer than the budget fails with ErrBadBudget.
 func (s *Server) SubmitGenOpts(prompt []int, o GenOpts) (<-chan GenResponse, error) {
 	if !s.cfg.Generate {
 		return nil, ErrNotGenerating
@@ -115,6 +116,9 @@ func (s *Server) SubmitGenOpts(prompt []int, o GenOpts) (<-chan GenResponse, err
 	if err != nil {
 		return nil, err
 	}
+	if len(o.Prefix) > maxTokens {
+		return nil, fmt.Errorf("%w: resuming %d tokens > %d", ErrBadBudget, len(o.Prefix), maxTokens)
+	}
 	eos := o.EOS
 	if eos < 0 {
 		eos = -1
@@ -124,7 +128,7 @@ func (s *Server) SubmitGenOpts(prompt []int, o GenOpts) (<-chan GenResponse, err
 	if s.stopped {
 		return nil, ErrStopped
 	}
-	if n := len(o.Prefix); n > 0 && (n >= maxTokens || o.Prefix[n-1] == eos) {
+	if n := len(o.Prefix); n > 0 && (n == maxTokens || o.Prefix[n-1] == eos) {
 		resp := make(chan GenResponse, 1)
 		resp <- GenResponse{
 			Tokens: append([]int(nil), o.Prefix...),
@@ -133,13 +137,17 @@ func (s *Server) SubmitGenOpts(prompt []int, o GenOpts) (<-chan GenResponse, err
 		return resp, nil
 	}
 	r := &genReq{
-		prompt:    prompt,
-		prefix:    o.Prefix,
-		memLen:    o.SplitAt,
+		memory:    prompt,
+		tail:      o.Prefix,
 		maxTokens: maxTokens,
 		eos:       eos,
 		enq:       time.Now(),
 		resp:      make(chan GenResponse, 1),
+	}
+	if o.SplitAt > 0 {
+		// Clip makes the append copy: never write into the caller's prompt
+		r.memory, r.split = prompt[:o.SplitAt], len(prompt)-o.SplitAt
+		r.tail = append(slices.Clip(prompt[o.SplitAt:]), o.Prefix...)
 	}
 	r.tr = s.tracer.StartAt("generate", r.enq)
 	select {
@@ -168,30 +176,26 @@ func (s *Server) SubmitGen(prompt []int, maxTokens, eos int) (<-chan GenResponse
 // committed token prefix — the failover path of a cluster router: when a
 // node crashes mid-generation its partial GenResponse carries the tokens
 // generated so far, and re-submitting them here on a healthy node
-// continues the stream without discarding them. The worker re-prefills
-// the prompt (rebuilding the frozen encoder memory) and replays the
-// prefix through fused decode steps — teacher-forcing the recorded
-// tokens, so the rebuilt KV cache is bit-identical to the crashed node's
-// at the same level (the truncate-replay equivalence DecodeState
-// TruncateTo pins) — then decodes on. The response's Tokens include the
-// prefix; maxTokens still bounds the total generated tokens, prefix
-// included. A prefix that already ends the generation (EOS or budget)
-// completes immediately without touching a worker. A nil prefix is
-// exactly SubmitGen.
+// continues the stream without discarding them. Admission rebuilds the
+// frozen encoder memory and teacher-forces the prefix through the
+// decoder as one chunk, after any split suffix — the chunk's last row
+// yields the next token, and the rebuilt KV cache is bit-identical
+// to the crashed node's at the same level (DecodeChunk equals sequential
+// decode steps) — then decodes on. The response's Tokens include the
+// prefix; maxTokens bounds the total generated tokens, prefix included,
+// so a prefix longer than it fails with ErrBadBudget. A prefix that
+// already ends the generation (EOS or budget) completes immediately
+// without touching a worker. A nil prefix is exactly SubmitGen.
 func (s *Server) SubmitGenResume(prompt, prefix []int, maxTokens, eos int) (<-chan GenResponse, error) {
 	return s.SubmitGenOpts(prompt, GenOpts{Prefix: prefix, MaxTokens: maxTokens, EOS: eos})
 }
 
-// genSlot is one active sequence in a worker's step loop. feed
-// indexes the token the next fused step feeds: it trails len(tokens)-1
-// while a resumed prefix is being replayed through the cache (produced
-// logits are discarded — the tokens are already committed) and sticks to
-// the last token once caught up, when every step appends its argmax.
+// genSlot is one active sequence in a worker's step loop: every fused
+// step feeds its last token and appends the argmax.
 type genSlot struct {
 	req    *genReq
 	st     *transformer.DecodeState
 	tokens []int
-	feed   int
 	steps  int
 	// cachedRows counts the prefill K/V rows the radix prefix cache
 	// served at admission (reported as GenResponse.CachedRows).
@@ -335,7 +339,7 @@ func (s *Server) worker(replica int) {
 			tokens = tokens[:0]
 			states = states[:0]
 			for _, sl := range slots {
-				tokens = append(tokens, sl.tokens[sl.feed])
+				tokens = append(tokens, sl.tokens[len(sl.tokens)-1])
 				states = append(states, sl.st)
 			}
 			t0 := time.Now()
@@ -358,10 +362,7 @@ func (s *Server) worker(replica int) {
 					sl.req.resp <- GenResponse{Err: err}
 					continue
 				}
-				if sl.feed == len(sl.tokens)-1 {
-					sl.tokens = append(sl.tokens, logits.ArgmaxRow(i))
-				}
-				sl.feed++
+				sl.tokens = append(sl.tokens, logits.ArgmaxRow(i))
 				if sl.done() {
 					finished = append(finished, sl)
 				} else {
@@ -381,22 +382,21 @@ func (s *Server) worker(replica int) {
 }
 
 // admitGen admits a batch of generation requests into fresh decode
-// slots: one fused prefill over whole prompts (classic requests) and
-// uncached prefixes (split requests), one fused chunk teacher-forcing
-// every split request's uncovered suffix, and prefix-cache lookups and
-// inserts at the active level. Called with execMu read-held; returns
-// the started slots (finished ones — resumed prefixes already terminal
-// — are delivered by the caller via the finished list).
+// slots at the active level: one fused prefill over the memories the
+// prefix cache missed, then one fused chunk teacher-forcing every
+// non-empty tail, with prefix-cache lookups before and inserts after.
+// Each request's first token is the last row of whichever pass ended it.
+// Called with execMu read-held; returns the started slots (ones the
+// first token already finishes are delivered by the caller via the
+// finished list).
 func (s *Server) admitGen(replica, level int, admit []*genReq, free *[]*transformer.DecodeState, finished *[]*genSlot) []*genSlot {
 	type adm struct {
 		r          *genReq
 		st         *transformer.DecodeState
-		tail       []int // uncovered suffix rows to teacher-force (split only)
+		memory     []int // prefilled; nil when the prefix cache served it
+		tail       []int // the request's tail past its cached rows
 		cachedRows int
-		first      int // first generated token (argmax of the admitting pass)
-		needsPre   bool
-		preIdx     int // row in the fused prefill batch
-		tailIdx    int // row in the fused chunk batch
+		first      int // first token: argmax of the ending pass's last row
 	}
 
 	dispatch := time.Now()
@@ -408,23 +408,16 @@ func (s *Server) admitGen(replica, level int, admit []*genReq, free *[]*transfor
 			r.resp <- GenResponse{Err: err}
 			continue
 		}
-		st.Reserve(len(r.prompt) + r.maxTokens)
-		a := &adm{r: r, st: st, needsPre: true, preIdx: -1, tailIdx: -1}
-		if r.memLen > 0 {
-			prefix := r.prompt[:r.memLen]
-			suffix := r.prompt[r.memLen:]
-			a.tail = suffix
-			if s.prefixCache != nil {
-				// cap the match one token short: the last suffix row is
-				// always computed live so the chunk yields the first
-				// generated token's logits
-				if h := s.prefixCache.Match(level, prefix, suffix[:len(suffix)-1]); h != nil {
-					h.Load(st)
-					a.cachedRows = h.Rows()
-					a.tail = suffix[h.Matched():]
-					a.needsPre = false
-					h.Release()
-				}
+		st.Reserve(len(r.memory) + r.split + r.maxTokens)
+		a := &adm{r: r, st: st, memory: r.memory, tail: r.tail}
+		if r.split > 0 && s.prefixCache != nil {
+			// cap the match one token short of the suffix: the chunk
+			// always has a row left to compute
+			if h := s.prefixCache.Match(level, r.memory, r.tail[:r.split-1]); h != nil {
+				h.Load(st)
+				a.cachedRows = h.Rows()
+				a.memory, a.tail = nil, r.tail[h.Matched():]
+				h.Release()
 			}
 		}
 		adms = append(adms, a)
@@ -433,65 +426,49 @@ func (s *Server) admitGen(replica, level int, admit []*genReq, free *[]*transfor
 		return nil
 	}
 
-	// phase 1: one fused prefill over whole prompts and uncached prefixes
-	var pstates []*transformer.DecodeState
-	var pprompts [][]int
+	// phase 1: one fused prefill over the memories the cache missed. The
+	// logits are views into the replica's activation buffers, valid only
+	// until its next forward: take the first tokens the prefill ends now
+	var states []*transformer.DecodeState
+	var seqs [][]int
+	var ended []*adm
 	rows := 0
 	for _, a := range adms {
-		if !a.needsPre {
-			continue
+		if a.memory != nil {
+			states, seqs, ended = append(states, a.st), append(seqs, a.memory), append(ended, a)
+			rows += len(a.memory)
 		}
-		p := a.r.prompt
-		if a.r.memLen > 0 {
-			p = p[:a.r.memLen]
-		}
-		a.preIdx = len(pstates)
-		pstates = append(pstates, a.st)
-		pprompts = append(pprompts, p)
-		rows += len(p)
 	}
+	var outs []*mat.Matrix
 	var err error
-	if len(pstates) > 0 {
-		// the logits are a view into the replica's activation buffers,
-		// valid only until its next forward — harvest whole-prompt first
-		// tokens before phase 2 runs another pass
-		var pouts []*mat.Matrix
-		if pouts, err = s.eng.PrefillBatch(replica, pstates, pprompts); err == nil {
-			for _, a := range adms {
-				if a.preIdx >= 0 && a.r.memLen == 0 {
-					out := pouts[a.preIdx]
-					a.first = out.ArgmaxRow(out.Rows - 1)
+	if len(states) > 0 {
+		if outs, err = s.eng.PrefillBatch(replica, states, seqs); err == nil {
+			for i, a := range ended {
+				if len(a.tail) == 0 {
+					a.first = outs[i].ArgmaxRow(outs[i].Rows - 1)
 				}
 			}
 		}
 	}
 
-	// phase 2: one fused chunk teacher-forcing every split request's
-	// uncovered suffix against its frozen prefix memory
-	var cstates []*transformer.DecodeState
-	var cchunks [][]int
+	// phase 2: one fused chunk teacher-forcing every non-empty tail — the
+	// split suffixes, then the resumed tokens — against its memory
+	states, seqs, ended = states[:0], seqs[:0], ended[:0]
 	for _, a := range adms {
-		if a.r.memLen == 0 || err != nil {
-			continue
+		if len(a.tail) > 0 {
+			states, seqs, ended = append(states, a.st), append(seqs, a.tail), append(ended, a)
+			rows += len(a.tail)
 		}
-		a.tailIdx = len(cstates)
-		cstates = append(cstates, a.st)
-		cchunks = append(cchunks, a.tail)
-		rows += len(a.tail)
 	}
-	if err == nil && len(cstates) > 0 {
-		var couts []*mat.Matrix
-		if couts, err = s.eng.DecodeChunkBatch(replica, cstates, cchunks); err == nil {
-			for _, a := range adms {
-				if a.tailIdx >= 0 {
-					out := couts[a.tailIdx]
-					a.first = out.ArgmaxRow(out.Rows - 1)
-				}
+	if err == nil && len(states) > 0 {
+		if outs, err = s.eng.DecodeChunkBatch(replica, states, seqs); err == nil {
+			for i, a := range ended {
+				a.first = outs[i].ArgmaxRow(outs[i].Rows - 1)
 			}
 			if s.prefixCache != nil {
 				for _, a := range adms {
-					if a.r.memLen > 0 {
-						s.prefixCache.Insert(level, a.r.prompt[:a.r.memLen], a.r.prompt[a.r.memLen:], a.st)
+					if a.r.split > 0 {
+						s.prefixCache.Insert(level, a.r.memory, a.r.tail[:a.r.split], a.st)
 					}
 				}
 			}
@@ -516,14 +493,11 @@ func (s *Server) admitGen(replica, level int, admit []*genReq, free *[]*transfor
 		r.tr.Add("prefill", dispatch, prefillDur, "rows", float64(rows), "level", float64(level))
 		sl := &genSlot{
 			req: r, st: a.st,
+			// the resumed tokens, then the first new one
+			tokens:     append(slices.Clip(r.tail[r.split:]), a.first),
 			cachedRows: a.cachedRows,
 			queueMS:    float64(dispatch.Sub(r.enq).Microseconds()) / 1000,
 			prefillMS:  prefillMS,
-		}
-		if len(r.prefix) > 0 {
-			sl.tokens = append(sl.tokens, r.prefix...)
-		} else {
-			sl.tokens = append(sl.tokens, a.first)
 		}
 		if sl.done() {
 			*finished = append(*finished, sl)

@@ -599,6 +599,7 @@ func TestSubmitRejectsBadBudget(t *testing.T) {
 		{budget: maxGen + 1, prefix: []int{4, 5}},
 		{budget: 1 << 40},
 		{budget: 2, want: 2},
+		{budget: 2, prefix: []int{4, 5, 6}},
 	} {
 		ch, err := srv.SubmitGenResume(prompt, tc.prefix, tc.budget, -1)
 		if tc.want == 0 {

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -47,6 +48,53 @@ func TestSubmitGenResumeEquivalence(t *testing.T) {
 			if resp.Tokens[i] != full[i] {
 				t.Fatalf("resume from %d diverged at token %d: %d vs %d", k, i, resp.Tokens[i], full[i])
 			}
+		}
+	}
+}
+
+// TestResumeAdmitsAsOneChunk pins how a resumed generation is admitted:
+// the committed tokens are teacher-forced as one chunk after the
+// prompt's prefill, the chunk's last row yields the next token, and only
+// the tokens after it ride decode steps — which GenResponse.Steps counts.
+func TestResumeAdmitsAsOneChunk(t *testing.T) {
+	eng, _ := newLMDeployment(t, 1, "pattern")
+	srv := serve.New(eng, serve.Config{Generate: true})
+	srv.Start()
+	defer srv.Stop()
+	prompt := []int{3, 1, 4, 1, 5}
+	const budget = 16
+
+	ch, err := srv.SubmitGen(prompt, budget, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := (<-ch).Tokens
+	if len(full) != budget {
+		t.Fatalf("uninterrupted run produced %d tokens, want %d", len(full), budget)
+	}
+
+	for _, k := range []int{1, 7, budget - 1} {
+		before := eng.DecodeStats()
+		ch, err := srv.SubmitGenResume(prompt, full[:k], budget, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := <-ch
+		after := eng.DecodeStats()
+		if resp.Err != nil {
+			t.Fatalf("resume from %d tokens: %v", k, resp.Err)
+		}
+		if resp.Steps != budget-k-1 {
+			t.Errorf("resume from %d: %d steps, want %d", k, resp.Steps, budget-k-1)
+		}
+		if chunks, rows := after.Chunks-before.Chunks, after.ChunkRows-before.ChunkRows; chunks != 1 || rows != int64(k) {
+			t.Errorf("resume from %d: %d chunks of %d rows, want 1 of %d", k, chunks, rows, k)
+		}
+		if steps := after.Steps - before.Steps; steps != int64(budget-k-1) {
+			t.Errorf("resume from %d: %d decode steps ran, want %d", k, steps, budget-k-1)
+		}
+		if !slices.Equal(resp.Tokens, full) {
+			t.Errorf("resume from %d: tokens %v, want the uninterrupted %v", k, resp.Tokens, full)
 		}
 	}
 }

@@ -362,7 +362,7 @@ func (s *Server) Stop() { s.shutdown(false) }
 // requests receive ErrCrashed; in-flight generations are aborted at the
 // next fused-step boundary, their responses carrying ErrCrashed plus the
 // tokens generated so far — the committed prefix a cluster router
-// replays onto another node via SubmitGenResume (truncate-replay).
+// resumes on another node via SubmitGenResume.
 // Every response channel still receives exactly one send, and all
 // goroutines exit before Kill returns.
 func (s *Server) Kill() { s.shutdown(true) }
@@ -517,13 +517,7 @@ func (s *Server) DenseReference(idx int, ids []int) (*mat.Matrix, error) {
 // fails with ErrBadBudget), so the reference sees the budget the served
 // request actually ran under.
 func (s *Server) DenseGenReference(idx int, prompt []int, maxTokens, eos int) ([]int, error) {
-	maxTokens, err := s.genBudget(maxTokens)
-	if err != nil {
-		return nil, err
-	}
-	s.execMu.Lock()
-	defer s.execMu.Unlock()
-	return s.eng.DenseGenerate(idx, prompt, maxTokens, eos)
+	return s.denseGenerate(idx, prompt, nil, maxTokens, eos)
 }
 
 // DenseGenReferenceSplit greedily decodes the masked dense reference
@@ -531,13 +525,19 @@ func (s *Server) DenseGenReference(idx int, prompt []int, maxTokens, eos int) ([
 // truth a split generation (prefix-cached or not) must match
 // token-for-token. maxTokens follows SubmitGen.
 func (s *Server) DenseGenReferenceSplit(idx int, prefix, suffix []int, maxTokens, eos int) ([]int, error) {
+	return s.denseGenerate(idx, prefix, suffix, maxTokens, eos)
+}
+
+// denseGenerate resolves the budget and runs Engine.DenseGenerate with
+// the engine quiesced.
+func (s *Server) denseGenerate(idx int, prefix, suffix []int, maxTokens, eos int) ([]int, error) {
 	maxTokens, err := s.genBudget(maxTokens)
 	if err != nil {
 		return nil, err
 	}
 	s.execMu.Lock()
 	defer s.execMu.Unlock()
-	return s.eng.DenseGenerateSplit(idx, prefix, suffix, maxTokens, eos)
+	return s.eng.DenseGenerate(idx, prefix, suffix, maxTokens, eos)
 }
 
 // classifyBatch executes one classification batch as a single fused

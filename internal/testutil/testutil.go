@@ -50,11 +50,3 @@ func Close(a, b, tol float64) bool {
 	scale := math.Max(math.Abs(a), math.Abs(b))
 	return diff <= tol*(1+scale)
 }
-
-// AssertClose fails the test when a and b differ beyond tol.
-func AssertClose(t *testing.T, name string, a, b, tol float64) {
-	t.Helper()
-	if !Close(a, b, tol) {
-		t.Errorf("%s: %.6g != %.6g (tol %g)", name, a, b, tol)
-	}
-}
