@@ -47,6 +47,9 @@ type Model interface {
 	// through the pattern kernel too, with every weight kept, and no level
 	// switch touches it.
 	UnprunedLinears() []*nn.Linear
+	// Params lists every parameter; the engine drops their gradients,
+	// since a replica only serves.
+	Params() []*nn.Parameter
 	// VocabSize bounds the token ids the model accepts, [0, VocabSize());
 	// the server rejects anything else at admission, because the model
 	// panics on it.
@@ -73,11 +76,12 @@ func (c EngineConfig) withDefaults() EngineConfig {
 	return c
 }
 
-// Engine owns a deployed bundle at run time: the shared dense backbone,
-// one pre-built kernel set per V/F level, and one model replica per
-// worker (replicas share the read-only packed kernels but keep private
-// layer caches and activation buffers, so workers can run forward passes
-// concurrently).
+// Engine owns a deployed bundle at run time: the dense backbone, one
+// pre-built kernel set per V/F level, and one model replica per worker.
+// The backbone is in memory once: every replica's prunable weights are
+// the bundle's matrices, and replicas share the read-only packed kernels
+// but keep private layer caches and activation buffers, so workers can
+// run forward passes concurrently.
 type Engine struct {
 	bundle *deploy.Bundle
 	recon  *rtswitch.Reconfigurator
@@ -97,8 +101,11 @@ type Engine struct {
 	// level-independent, installed at construction and lifted only while
 	// a dense reference runs.
 	unpruned []kernel.Kernel
-	// buildSeconds is the wall time NewEngineConfigured took.
+	// buildSeconds is the wall time NewEngineConfigured took;
+	// levelBuild[level] is the part of it spent building that level's
+	// kernels.
 	buildSeconds float64
+	levelBuild   []time.Duration
 
 	// level mirrors recon.Current() for lock-free reads: monitoring code
 	// may call Level concurrently with a switch.
@@ -169,13 +176,14 @@ func (e *Engine) BatchStats() (batches, seqs, rows int64) {
 func (e *Engine) PrunableLinearCount() int { return len(e.weights) }
 
 // NewEngineConfigured deploys a bundle onto the given model replicas:
-// backbone weights are written into every replica's prunable
-// projections, each level's kernels are built once through the kernel
-// registry, each unpruned linear gets one pattern kernel that keeps every
-// weight, shared by every replica, activation-buffer reuse is enabled on
-// every replica, and the first (fastest) level is activated. All
-// replicas must be clones of the same checkpoint, and from here on serve
-// only: every linear now reads packed copies of its weights, and
+// every replica's prunable projections point at the bundle's backbone
+// matrices (one copy in memory, never written), every replica parameter
+// drops its gradient, each level's kernels are built once through the
+// kernel registry, each unpruned linear gets one pattern kernel that
+// keeps every weight, shared by every replica, activation-buffer reuse is
+// enabled on every replica, and the first (fastest) level is activated.
+// All replicas must be clones of the same checkpoint, and from here on
+// serve only: every linear now reads packed copies of its weights, and
 // Backward refuses to run on them.
 func NewEngineConfigured(bundle *deploy.Bundle, replicas []Model, costs rtswitch.SwitchCostModel, cfg EngineConfig) (*Engine, error) {
 	t0 := time.Now()
@@ -218,7 +226,10 @@ func NewEngineConfigured(bundle *deploy.Bundle, replicas []Model, costs rtswitch
 			if l.W.Name != lins[j].W.Name {
 				return nil, fmt.Errorf("serve: replica %d linear %d is %s, want %s", ri, j, l.W.Name, lins[j].W.Name)
 			}
-			l.W.Value.CopyFrom(e.weights[j])
+			l.W.Value = e.weights[j]
+		}
+		for _, p := range r.Params() {
+			p.Grad = nil
 		}
 		r.SetBufferReuse(true)
 	}
@@ -229,12 +240,15 @@ func NewEngineConfigured(bundle *deploy.Bundle, replicas []Model, costs rtswitch
 	// so one matrix stays in cache across its levels' builds; one at a
 	// time, on this goroutine (the kernel.Builder contract).
 	e.kernels = make([][]kernel.Kernel, len(bundle.Sets))
+	e.levelBuild = make([]time.Duration, len(bundle.Sets))
 	for lvl := range bundle.Sets {
 		e.kernels[lvl] = make([]kernel.Kernel, len(e.weights))
 	}
 	for j, w := range e.weights {
 		for lvl, set := range bundle.Sets {
+			tb := time.Now()
 			k, err := kernel.Build(e.cfg.Format, w, kernel.Options{Set: set})
+			e.levelBuild[lvl] += time.Since(tb)
 			if err != nil {
 				return nil, fmt.Errorf("serve: building %s kernel for level %s weight %s: %w",
 					e.cfg.Format, bundle.LevelNames[lvl], lins[j].W.Name, err)
@@ -469,11 +483,13 @@ func (e *Engine) DecodeChunkBatch(replica int, states []*transformer.DecodeState
 }
 
 // denseReference turns replica 0 into the masked dense reference of level
-// idx: level idx's mask applied to the dense weights of the prunable
-// linears, and every serving kernel removed — the level's and the unpruned
-// linears' all-kept kernels alike, so the reference shares no kernel code
-// with the execution it checks. The returned function restores the dense
-// weights, the active level's kernels and the unpruned linears' kernels.
+// idx: each prunable linear points at a masked clone of its backbone
+// matrix (the backbone itself is shared and never written), and every
+// serving kernel is removed — the level's and the unpruned linears'
+// all-kept kernels alike, so the reference shares no kernel code with the
+// execution it checks. The returned function points the linears back at
+// the backbone and restores the active level's kernels and the unpruned
+// linears' kernels.
 func (e *Engine) denseReference(idx int) (restore func()) {
 	m := e.replicas[0]
 	lins := m.PrunableLinears()
@@ -481,7 +497,7 @@ func (e *Engine) denseReference(idx int) (restore func()) {
 		mask, _ := e.bundle.Sets[idx].Apply(e.weights[j])
 		masked := e.weights[j].Clone()
 		masked.Hadamard(mask)
-		l.W.Value.CopyFrom(masked)
+		l.W.Value = masked
 		l.SetKernel(nil)
 	}
 	unpruned := m.UnprunedLinears()
@@ -491,7 +507,7 @@ func (e *Engine) denseReference(idx int) (restore func()) {
 	return func() {
 		cur := e.recon.Current()
 		for j, l := range lins {
-			l.W.Value.CopyFrom(e.weights[j])
+			l.W.Value = e.weights[j]
 			l.SetKernel(e.kernels[cur][j])
 		}
 		for i, l := range unpruned {
@@ -510,6 +526,11 @@ func (e *Engine) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("rt3_engine_build_seconds",
 		"Wall time of the engine build: every level's kernels and the unpruned linears'.",
 		func() float64 { return e.buildSeconds })
+	for lvl := range e.levelBuild {
+		reg.GaugeFunc("rt3_level_build_seconds",
+			"Wall time of the engine build spent on one level's kernels.",
+			func() float64 { return e.levelBuild[lvl].Seconds() }, obs.L("level", e.LevelName(lvl)))
+	}
 	reg.CounterFunc("rt3_fused_batches_total",
 		"Fused packed forward passes (ForwardBatch calls).",
 		func() float64 { return float64(e.batchCount.Load()) })
@@ -640,7 +661,7 @@ type DeploySpec struct {
 // Deployment is what Deploy stood up.
 type Deployment struct {
 	Engine   *Engine
-	Replicas []Model        // the engine's replicas, clones of the drawn model
+	Replicas []Model        // the engine's replicas: the drawn model, then clones of it
 	Bundle   *deploy.Bundle // as decoded from its wire encoding
 	Bytes    int            // length of that encoding
 }
@@ -650,8 +671,9 @@ type Deployment struct {
 // set per level over the model's first prunable matrix. The bundle of the
 // model and those sets goes through Encode and deploy.Decode, as it would
 // on its way to a device, and the engine installs the decoded bundle on
-// `replicas` clones of the model. Every deployment outside the benchmark
-// comes from here; the benchmark times these stages one by one.
+// `replicas` replicas: the model itself, then clones of it. Every
+// deployment outside the benchmark comes from here; the benchmark times
+// these stages one by one.
 func Deploy[M interface {
 	Model
 	Clone() M
@@ -671,8 +693,12 @@ func Deploy[M interface {
 	if d.Bundle, err = deploy.Decode(data); err != nil {
 		return nil, fmt.Errorf("serve: decode bundle: %w", err)
 	}
-	for range replicas {
-		d.Replicas = append(d.Replicas, model.Clone())
+	for i := range replicas {
+		r := model
+		if i > 0 {
+			r = model.Clone()
+		}
+		d.Replicas = append(d.Replicas, r)
 	}
 	if d.Engine, err = NewEngineConfigured(d.Bundle, d.Replicas, rtswitch.DefaultSwitchCostModel(), cfg); err != nil {
 		return nil, err
