@@ -38,9 +38,6 @@ type clusterOpts struct {
 	adminAddr string
 	traceOut  string
 
-	// prefixCache sizes each node's radix prefix cache in KV rows.
-	prefixCache int
-
 	// vocab sizes the LM's token space (48 under -chaos, whose workload
 	// embeds GLUE examples; 24 otherwise).
 	vocab int
@@ -75,14 +72,13 @@ func runCluster(logger *obs.Logger, drain <-chan struct{}, o clusterOpts) {
 			first = d
 		}
 		srv := serve.New(d.Engine, serve.Config{
-			MaxBatch:        o.batch,
-			QueueCap:        8192,
-			SimDVFS:         o.simDVFS,
-			BatteryJ:        o.batteryJ,
-			Generate:        true,
-			MaxGenTokens:    o.genTok,
-			StepFloor:       o.stepFloor,
-			PrefixCacheRows: o.prefixCache,
+			MaxBatch:     o.batch,
+			QueueCap:     8192,
+			SimDVFS:      o.simDVFS,
+			BatteryJ:     o.batteryJ,
+			Generate:     true,
+			MaxGenTokens: o.genTok,
+			StepFloor:    o.stepFloor,
 		})
 		nodes[i] = cluster.NewNode(i, srv)
 	}
@@ -185,7 +181,6 @@ func runCluster(logger *obs.Logger, drain <-chan struct{}, o clusterOpts) {
 	fmt.Printf("affinity: %.1f%% hit rate (%d hits, %d re-pins, %d pins)  failovers %d  rollouts %d\n",
 		st.AffinityHitRate()*100, st.AffinityHits, st.AffinityMisses, st.SessionPins, st.Failovers, st.Rollouts)
 	printClusterNodes(r)
-	printClusterPrefixCache(r)
 	verifyRouterTrace(r)
 	if rep.Failed > 0 || rep.Mismatches > 0 {
 		log.Fatalf("cluster demo failed: %d failed responses, %d dense mismatches", rep.Failed, rep.Mismatches)
@@ -234,7 +229,6 @@ func runClusterChaos(logger *obs.Logger, drain <-chan struct{}, r *cluster.Route
 			f.Seq, f.Event.Kind, target, f.FiredAt.Seconds()*1000, f.Outcome)
 	}
 	printClusterNodes(r)
-	printClusterPrefixCache(r)
 	if rep.ReplayErr != "" {
 		log.Fatalf("chaos demo failed: decision replay: %s", rep.ReplayErr)
 	}
@@ -312,7 +306,6 @@ func clusterSmoke(r *cluster.Router, o clusterOpts) {
 	fmt.Printf("router: %d dispatches, %d session pins, %d affinity hits, %d re-pins (%.1f%% hit rate)\n",
 		st.Dispatches, st.SessionPins, st.AffinityHits, st.AffinityMisses, st.AffinityHitRate()*100)
 	printClusterNodes(r)
-	printClusterPrefixCache(r)
 	verifyRouterTrace(r)
 }
 
@@ -324,23 +317,6 @@ func printClusterNodes(r *cluster.Router) {
 		fmt.Printf("%-5d %-9s %-5s %11d %8d %8.0f%%\n",
 			nd.ID, nd.State(), nd.Server().Engine().LevelName(st.Level),
 			nd.Dispatches(), st.QueueDepth, nd.Server().BatteryFraction()*100)
-	}
-}
-
-// printClusterPrefixCache aggregates the fleet's prefix-cache counters;
-// silent when no split request ever looked a prefix up.
-func printClusterPrefixCache(r *cluster.Router) {
-	var lookups, hits, hitRows int64
-	for _, nd := range r.Nodes() {
-		if st, ok := nd.Server().PrefixCacheStats(); ok {
-			lookups += st.Lookups
-			hits += st.Hits
-			hitRows += st.HitRows
-		}
-	}
-	if lookups > 0 {
-		fmt.Printf("prefix cache (fleet): %d lookups, %d hits, %d rows served\n",
-			lookups, hits, hitRows)
 	}
 }
 

@@ -119,8 +119,6 @@ func main() {
 		genTok   = flag.Int("gen-tokens", 16, "generation mode: max tokens per request (load mode samples budgets in [max/2, max])")
 		genPrmpt = flag.Int("gen-prompt", 10, "generation mode: max prompt length (load mode samples lengths in [max/2, max])")
 
-		prefixCache = flag.Int("prefix-cache", 0, "generation mode: radix prefix cache capacity in KV rows for split prompts (0 disables, -1 unbounded)")
-
 		clusterN  = flag.Int("cluster", 0, "run N simulated nodes behind the session-affine cluster router (implies -gen)")
 		routerPol = flag.String("router", "hash", "cluster dispatch policy: hash (rendezvous on the session key), least-loaded, or p2c")
 		sessions  = flag.Int("sessions", 64, "cluster mode: distinct session keys in the generated load")
@@ -148,9 +146,6 @@ func main() {
 
 	if *chaosProf != "" && *clusterN == 0 {
 		log.Fatal("-chaos needs a fleet to fault: set -cluster N (N >= 2)")
-	}
-	if *prefixCache != 0 && !*gen && *clusterN == 0 {
-		log.Fatal("-prefix-cache needs incremental decoding: set -gen (or -cluster N)")
 	}
 	if *clusterN > 0 {
 		if *autotune {
@@ -195,8 +190,6 @@ func main() {
 			adminAddr: *adminAddr,
 			traceOut:  *traceOut,
 
-			prefixCache: *prefixCache,
-
 			vocab:         vocab,
 			chaos:         *chaosProf,
 			chaosWorkload: *chaosWork,
@@ -231,17 +224,16 @@ func main() {
 		}
 	}
 	srv := serve.New(eng, serve.Config{
-		MaxBatch:        *batch,
-		QueueCap:        4096,
-		Policy:          pol,
-		Autotune:        atCfg,
-		TargetMS:        *targetMS,
-		SimDVFS:         *simDVFS,
-		BatteryJ:        *batteryJ,
-		Generate:        *gen,
-		MaxGenTokens:    *genTok,
-		StepFloor:       *stepFloor,
-		PrefixCacheRows: *prefixCache,
+		MaxBatch:     *batch,
+		QueueCap:     4096,
+		Policy:       pol,
+		Autotune:     atCfg,
+		TargetMS:     *targetMS,
+		SimDVFS:      *simDVFS,
+		BatteryJ:     *batteryJ,
+		Generate:     *gen,
+		MaxGenTokens: *genTok,
+		StepFloor:    *stepFloor,
 		OnAutotuneDecision: func(d serve.AutotuneDecision) {
 			sw := "-"
 			if d.Switched {
@@ -319,7 +311,6 @@ func main() {
 	fmt.Printf("%s%s", report, sum)
 	printBatchStats(eng)
 	printDecodeStats(eng)
-	printPrefixCache(srv)
 	printAutotune(srv, *atLog)
 	if sum.Switches == 0 && !draining(drain) {
 		log.Fatal("demo expected at least one live level switch; raise -duration or lower -battery-j")
@@ -433,15 +424,6 @@ func printDecodeStats(eng *serve.Engine) {
 		st.Prefills, st.PrefillSeq, st.PrefillRows, st.Steps, st.Tokens)
 	fmt.Printf("  cache hits: %d prefix rows served from KV caches (%.1f rows/token not recomputed), %d states for %d sequences (free-list reuse)\n",
 		st.CachedRows, float64(st.CachedRows)/float64(st.Tokens), st.States, st.PrefillSeq)
-}
-
-// printPrefixCache reports radix prefix cache accounting: every cached
-// prefix row is a prefill row the server did not recompute.
-func printPrefixCache(srv *serve.Server) {
-	if st, ok := srv.PrefixCacheStats(); ok && st.Lookups > 0 {
-		fmt.Printf("prefix cache: %d lookups, %d hits, %d rows served, %d rows inserted, %d rows evicted (%d resident)\n",
-			st.Lookups, st.Hits, st.HitRows, st.InsertedRows, st.EvictedRows, st.UsedRows)
-	}
 }
 
 // printAutotune renders the closed-loop controller's run summary plus a
@@ -571,5 +553,4 @@ func smokeGen(srv *serve.Server, seed int64, maxPrompt, maxTokens int) {
 	}
 	fmt.Print(srv.Summary())
 	printDecodeStats(eng)
-	printPrefixCache(srv)
 }

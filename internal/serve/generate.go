@@ -37,8 +37,9 @@ type GenResponse struct {
 	// admitted in it). DecodeMS accumulates the fused decode steps this
 	// sequence was active in. TotalMS is admission to completion.
 	QueueMS, PrefillMS, DecodeMS, TotalMS float64
-	// CachedRows is the number of prefill K/V rows served from the radix
-	// prefix cache instead of being recomputed (split requests only).
+	// CachedRows is the number of prefill K/V rows served from the
+	// prefix cache instead of being recomputed: the split prefix's length
+	// on a hit, 0 otherwise (split requests only).
 	CachedRows int
 }
 
@@ -47,7 +48,7 @@ type GenResponse struct {
 // prompt, or its split prefix. The tail is teacher-forced through the
 // decoder after it: the split suffix, then the tokens a resumed
 // generation already committed (e.g. on a node that crashed). A split
-// request (split > 0) is eligible for the radix prefix cache.
+// request (split > 0) is eligible for the prefix cache.
 type genReq struct {
 	memory    []int
 	tail      []int
@@ -67,7 +68,7 @@ type GenOpts struct {
 	// a system prompt): the frozen cross-attention memory is the encoder
 	// over the prefix alone and the suffix is teacher-forced through the
 	// decoder — the split semantics under which decoder K/V rows are
-	// prefix-stable and shareable through the radix prefix cache. Split
+	// prefix-stable and shareable through the prefix cache. Split
 	// and whole-prompt requests condition on different memories, so their
 	// references are DenseGenReferenceSplit and DenseGenReference
 	// respectively. 0 keeps whole-prompt semantics.
@@ -197,7 +198,7 @@ type genSlot struct {
 	st     *transformer.DecodeState
 	tokens []int
 	steps  int
-	// cachedRows counts the prefill K/V rows the radix prefix cache
+	// cachedRows counts the prefill K/V rows the prefix cache
 	// served at admission (reported as GenResponse.CachedRows).
 	cachedRows int
 	queueMS    float64
@@ -394,7 +395,6 @@ func (s *Server) admitGen(replica, level int, admit []*genReq, free *[]*transfor
 		r          *genReq
 		st         *transformer.DecodeState
 		memory     []int // prefilled; nil when the prefix cache served it
-		tail       []int // the request's tail past its cached rows
 		cachedRows int
 		first      int // first token: argmax of the ending pass's last row
 	}
@@ -409,14 +409,12 @@ func (s *Server) admitGen(replica, level int, admit []*genReq, free *[]*transfor
 			continue
 		}
 		st.Reserve(len(r.memory) + r.split + r.maxTokens)
-		a := &adm{r: r, st: st, memory: r.memory, tail: r.tail}
+		a := &adm{r: r, st: st, memory: r.memory}
 		if r.split > 0 && s.prefixCache != nil {
-			// cap the match one token short of the suffix: the chunk
-			// always has a row left to compute
-			if h := s.prefixCache.Match(level, r.memory, r.tail[:r.split-1]); h != nil {
+			if h := s.prefixCache.Match(level, r.memory, nil); h != nil {
 				h.Load(st)
 				a.cachedRows = h.Rows()
-				a.memory, a.tail = nil, r.tail[h.Matched():]
+				a.memory = nil
 				h.Release()
 			}
 		}
@@ -444,7 +442,7 @@ func (s *Server) admitGen(replica, level int, admit []*genReq, free *[]*transfor
 	if len(states) > 0 {
 		if outs, err = s.eng.PrefillBatch(replica, states, seqs); err == nil {
 			for i, a := range ended {
-				if len(a.tail) == 0 {
+				if len(a.r.tail) == 0 {
 					a.first = outs[i].ArgmaxRow(outs[i].Rows - 1)
 				}
 			}
@@ -455,9 +453,9 @@ func (s *Server) admitGen(replica, level int, admit []*genReq, free *[]*transfor
 	// split suffixes, then the resumed tokens — against its memory
 	states, seqs, ended = states[:0], seqs[:0], ended[:0]
 	for _, a := range adms {
-		if len(a.tail) > 0 {
-			states, seqs, ended = append(states, a.st), append(seqs, a.tail), append(ended, a)
-			rows += len(a.tail)
+		if len(a.r.tail) > 0 {
+			states, seqs, ended = append(states, a.st), append(seqs, a.r.tail), append(ended, a)
+			rows += len(a.r.tail)
 		}
 	}
 	if err == nil && len(states) > 0 {
@@ -468,7 +466,7 @@ func (s *Server) admitGen(replica, level int, admit []*genReq, free *[]*transfor
 			if s.prefixCache != nil {
 				for _, a := range adms {
 					if a.r.split > 0 {
-						s.prefixCache.Insert(level, a.r.memory, a.r.tail[:a.r.split], a.st)
+						s.prefixCache.Insert(level, a.r.memory, nil, a.st)
 					}
 				}
 			}

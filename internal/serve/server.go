@@ -52,10 +52,12 @@ type Config struct {
 	// with ErrBadBudget (default 32). A resumed prefix counts toward it.
 	MaxGenTokens int
 
-	// PrefixCacheRows enables the cross-request radix prefix KV cache for
-	// split generation requests (GenOpts.SplitAt): > 0 bounds the cached
-	// K/V rows (coldest evicted first), < 0 is unbounded, 0 disables the cache
-	// (split requests still compute prefix+suffix, just without sharing).
+	// PrefixCacheRows enables the cross-request prefix KV cache for split
+	// generation requests (GenOpts.SplitAt): each cached split prefix
+	// holds its own rows, and a hit teacher-forces only the suffix. > 0
+	// bounds the cached K/V rows (coldest prefix evicted first), < 0 is
+	// unbounded, 0 disables the cache (split requests still compute
+	// prefix+suffix, just without sharing).
 	PrefixCacheRows int
 
 	// Policy, when set, is consulted every control tick (10ms) with the
@@ -184,7 +186,7 @@ type Server struct {
 	tracer *obs.Tracer // nil when Config.Trace.Disabled
 	tuner  *Autotuner  // non-nil when Config.Autotune is set
 
-	// prefixCache is the cross-request radix prefix KV cache, shared by
+	// prefixCache is the cross-request prefix KV cache, shared by
 	// every worker (nil unless Config.PrefixCacheRows != 0).
 	prefixCache *spec.Radix
 
@@ -278,7 +280,7 @@ func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 // Engine exposes the underlying execution engine.
 func (s *Server) Engine() *Engine { return s.eng }
 
-// PrefixCacheStats snapshots the radix prefix cache counters; ok is
+// PrefixCacheStats snapshots the prefix cache counters; ok is
 // false when the cache is disabled.
 func (s *Server) PrefixCacheStats() (st spec.RadixStats, ok bool) {
 	if s.prefixCache == nil {

@@ -12,9 +12,8 @@ import (
 	"rt3/internal/transformer"
 )
 
-// radixCfg is deliberately tiny: a narrow vocabulary forces dense
-// suffix overlap, so random workloads exercise edge splits, partial
-// matches, and shared runs rather than disjoint leaves.
+// radixCfg is deliberately tiny: a narrow vocabulary makes random
+// suffixes collide, so the same prompt is inserted under many suffixes.
 var radixCfg = transformer.Config{
 	Vocab: 12, Dim: 8, Heads: 2, FFHidden: 12, EncLayers: 1, DecLayers: 2, SeqLen: 10,
 }
@@ -79,107 +78,68 @@ func (f *freshKV) state(pi int, suffix []int) *transformer.DecodeState {
 	return st
 }
 
-// checkRadixInvariants walks the trie under the lock and asserts the
-// structural invariants every operation must preserve: per-node span
-// rows equal edge length, children are keyed by their edge's first
-// token and back-linked, accounted rows equal the sum of spans, and —
-// when the caller holds no hits — every refcount is zero.
+// checkRadixInvariants checks under the lock the invariants every
+// operation must preserve: each entry holds its cross span and exactly
+// one self row per prompt token, accounted rows equal the sum of the
+// entries' rows, refcounts are never negative and — when the caller
+// holds no hits — all zero.
 func checkRadixInvariants(t *testing.T, r *Radix, pinned bool) {
 	t.Helper()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rows := 0
-	var walk func(n *radixNode)
-	walk = func(n *radixNode) {
-		if n.parent != nil {
-			if len(n.edge) == 0 {
-				t.Fatal("non-root node with empty edge")
-			}
-			if n.span.Rows != len(n.edge) {
-				t.Fatalf("node owns %d rows for %d edge tokens", n.span.Rows, len(n.edge))
-			}
+	for key, e := range r.entries {
+		if e.cross == nil {
+			t.Fatal("entry without cross span")
 		}
-		if !pinned && n.refs != 0 {
-			t.Fatalf("refcount %d with no outstanding hits", n.refs)
+		if want := len(key)/8 - 1; e.self.Rows != want {
+			t.Fatalf("entry owns %d rows for a %d-token prompt", e.self.Rows, want)
 		}
-		if n.refs < 0 {
-			t.Fatalf("negative refcount %d", n.refs)
+		if e.refs < 0 {
+			t.Fatalf("negative refcount %d", e.refs)
 		}
-		rows += n.span.Rows
-		for tok, c := range n.children {
-			if c.edge[0] != tok {
-				t.Fatalf("child keyed %d but edge starts %d", tok, c.edge[0])
-			}
-			if c.parent != n {
-				t.Fatal("child parent back-link broken")
-			}
-			walk(c)
+		if !pinned && e.refs != 0 {
+			t.Fatalf("refcount %d with no outstanding hits", e.refs)
 		}
-	}
-	for _, root := range r.roots {
-		if root.cross == nil {
-			t.Fatal("root without cross span")
-		}
-		walk(root)
+		rows += e.self.Rows
 	}
 	if rows != r.used {
-		t.Fatalf("accounted %d rows, trie holds %d", r.used, rows)
+		t.Fatalf("accounted %d rows, entries hold %d", r.used, rows)
 	}
 }
 
-// trieCoverage recomputes the longest cached run for a query token by
-// token — an independent walk the Match result must equal for the
-// maximality property.
-func trieCoverage(r *Radix, level int, memory, suffix []int) int {
+// cached reports whether the cache holds an entry for (level, memory),
+// read straight from the map: what a Match must agree with.
+func cached(r *Radix, level int, memory []int) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	node := r.roots[rootKey(level, memory)]
-	if node == nil {
-		return -1
-	}
-	off := 0 // position within node.edge (root edge is empty)
-	matched := 0
-	for matched < len(suffix) {
-		if off == len(node.edge) {
-			next := node.children[suffix[matched]]
-			if next == nil {
-				return matched
-			}
-			node, off = next, 0
-		}
-		if node.edge[off] != suffix[matched] {
-			return matched
-		}
-		off++
-		matched++
-	}
-	return matched
+	return r.entries[entryKey(level, memory)] != nil
 }
 
 // verifyHit loads a pinned hit into a scratch state and checks the
-// rows bit-equal a fresh split prefill of the same tokens — the cache
+// rows bit-equal a fresh prefill of the prompt alone — the cache
 // soundness property: a hit is indistinguishable from recomputing.
-func verifyHit(t *testing.T, m *transformer.LMModel, h *Hit, fresh *freshKV, pi int, suffix []int) {
+func verifyHit(t *testing.T, m *transformer.LMModel, h *Hit, fresh *freshKV, pi int) {
 	t.Helper()
 	st := m.NewDecodeState()
 	h.Load(st)
-	if st.Pos() != h.Rows() {
-		t.Fatalf("hit loaded %d rows, reported %d", st.Pos(), h.Rows())
+	if st.Pos() != h.Rows() || h.Rows() != len(radixPrefixes[pi]) {
+		t.Fatalf("hit loaded %d rows, reported %d, prompt %d", st.Pos(), h.Rows(), len(radixPrefixes[pi]))
 	}
-	ref := fresh.state(pi, suffix[:h.Matched()])
+	ref := fresh.state(pi, nil)
 	if !st.ExportSelf(0, st.Pos()).Equal(ref.ExportSelf(0, ref.Pos())) {
-		t.Fatalf("hit self rows differ from fresh split prefill (prefix %d, matched %d)", pi, h.Matched())
+		t.Fatalf("hit self rows differ from a fresh prefill (prefix %d)", pi)
 	}
 	if !st.ExportCross().Equal(ref.ExportCross()) {
-		t.Fatalf("hit cross rows differ from fresh prefill (prefix %d)", pi)
+		t.Fatalf("hit cross rows differ from a fresh prefill (prefix %d)", pi)
 	}
 }
 
-// TestRadixProperty drives random insert/match/evict sequences against
-// shadow state and re-checks the three cache properties after every
-// operation: structural invariants hold, match lengths are maximal
-// (equal to an independent trie walk), and every hit's rows are
-// bit-equal to a fresh prefill of the covered tokens.
+// TestRadixProperty drives random insert/match/evict sequences and
+// re-checks the cache properties after every operation: the invariants
+// hold, the budget holds while nothing is pinned, a match hits exactly
+// when the prompt is cached, and every hit's rows are bit-equal to a
+// fresh prefill of the prompt.
 func TestRadixProperty(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -201,7 +161,7 @@ func randomScript(seed int64, ops int) []byte {
 // cache; the same interpreter backs the property seeds and FuzzRadix.
 func runRadixScript(t *testing.T, script []byte) {
 	m := newRadixModel(t)
-	const capRows = 48 // small enough that inserts routinely evict
+	const capRows = 8 // two of the four (level, prompt) entries: inserts routinely evict
 	r := NewRadix(capRows)
 	fresh := &freshKV{m: m, cache: map[string]*transformer.DecodeState{}}
 	var held []*Hit
@@ -218,36 +178,26 @@ func runRadixScript(t *testing.T, script []byte) {
 		level := int(op[1]) % 2
 
 		switch op[0] % 4 {
-		case 0, 1: // insert
-			st := fresh.state(pi, suffix)
-			r.Insert(level, radixPrefixes[pi], suffix, st)
-			// admission may refuse a cold root (-1) or the tail under
-			// pressure; anything cached must still be a prefix
-			if cov := trieCoverage(r, level, radixPrefixes[pi], suffix); cov > len(suffix) {
-				t.Fatalf("post-insert coverage %d for %d suffix tokens", cov, len(suffix))
-			}
+		case 0, 1: // insert from a state that also holds the suffix rows
+			r.Insert(level, radixPrefixes[pi], suffix, fresh.state(pi, suffix))
 		case 2: // match, verify, release
-			want := trieCoverage(r, level, radixPrefixes[pi], suffix)
+			want := cached(r, level, radixPrefixes[pi])
 			h := r.Match(level, radixPrefixes[pi], suffix)
-			if (h == nil) != (want < 0) {
-				t.Fatalf("match nil=%v but root coverage %d", h == nil, want)
+			if (h != nil) != want {
+				t.Fatalf("match hit=%v but cached=%v", h != nil, want)
 			}
 			if h != nil {
-				if h.Matched() != want {
-					t.Fatalf("matched %d, independent walk says %d", h.Matched(), want)
-				}
-				verifyHit(t, m, h, fresh, pi, suffix)
+				verifyHit(t, m, h, fresh, pi)
 				h.Release()
 				// counts never decide what a match returns: halve every
-				// one of them and the same lookup covers the same rows
+				// one of them and the same lookup hits the same rows
 				r.mu.Lock()
 				r.age()
 				r.mu.Unlock()
-				h = r.Match(level, radixPrefixes[pi], suffix)
-				if h == nil || h.Matched() != want {
-					t.Fatalf("after aging the counts the lookup changed: %v, want %d matched", h, want)
+				if h = r.Match(level, radixPrefixes[pi], suffix); h == nil {
+					t.Fatal("after aging the counts the lookup missed")
 				}
-				verifyHit(t, m, h, fresh, pi, suffix)
+				verifyHit(t, m, h, fresh, pi)
 				h.Release()
 			}
 		case 3: // match and hold the pin (evictions must respect it)
@@ -260,8 +210,10 @@ func runRadixScript(t *testing.T, script []byte) {
 			}
 		}
 		checkRadixInvariants(t, r, len(held) > 0)
-		if used := r.UsedRows(); len(held) == 0 && used > capRows {
-			t.Fatalf("unpinned cache holds %d rows over the %d budget", used, capRows)
+		// admission counts pinned rows as unfreeable, so the budget holds
+		// even while hits are held
+		if used := r.UsedRows(); used > capRows {
+			t.Fatalf("cache holds %d rows over the %d budget", used, capRows)
 		}
 	}
 	// pinned spans must still verify after all the eviction churn above
@@ -292,74 +244,79 @@ func FuzzRadix(f *testing.F) {
 }
 
 // TestRadixPinBlocksEviction pins the refcount contract directly: a
-// held hit's nodes survive arbitrary eviction pressure (the budget is
-// allowed to overshoot instead), and release makes them evictable.
+// held hit's entry survives the insert of a hotter prompt that would
+// evict it (the insert is refused instead), and release makes it
+// evictable.
 func TestRadixPinBlocksEviction(t *testing.T) {
 	m := newRadixModel(t)
-	r := NewRadix(8)
-	prefix := radixPrefixes[0]
-	suffix := []int{5, 6, 7, 8, 9}
-	r.Insert(0, prefix, suffix, splitPrefill(m, prefix, suffix))
+	fresh := &freshKV{m: m, cache: map[string]*transformer.DecodeState{}}
+	r := NewRadix(tracePrefixLen) // one prompt's rows
+	cold, hot := tracePrefix(0), tracePrefix(1)
+	r.Insert(0, radixPrefixes[cold], nil, fresh.state(cold, nil))
 
-	h := r.Match(0, prefix, suffix)
-	if h == nil || h.Matched() != len(suffix) {
-		t.Fatal("setup: full match expected")
+	h := r.Match(0, radixPrefixes[cold], nil)
+	if h == nil {
+		t.Fatal("setup: the inserted prompt missed")
 	}
-
-	// pressure: disjoint inserts that overflow the 8-row budget many
-	// times over — the pinned path must not be evicted
-	for i := 0; i < 6; i++ {
-		s := []int{10, (i * 2) % 10, (i*2 + 1) % 10}
-		r.Insert(0, prefix, s, splitPrefill(m, prefix, s))
+	// the hot prompt's misses lift its ghost count above the pinned
+	// entry's heat: unpinned, the pinned entry would be its victim
+	for i := 0; i < 3; i++ {
+		if r.Match(0, radixPrefixes[hot], nil) != nil {
+			t.Fatal("a prompt never inserted hit")
+		}
 	}
-	if cov := trieCoverage(r, 0, prefix, suffix); cov != len(suffix) {
-		t.Fatalf("pinned path lost coverage: %d of %d", cov, len(suffix))
+	r.Insert(0, radixPrefixes[hot], nil, fresh.state(hot, nil))
+	if !cached(r, 0, radixPrefixes[cold]) || cached(r, 0, radixPrefixes[hot]) {
+		t.Fatal("the insert evicted a pinned entry")
 	}
-	verifyHit(t, m, h, &freshKV{m: m, cache: map[string]*transformer.DecodeState{}}, 0, suffix)
+	if st := r.Stats(); st.Evictions != 0 || st.AdmissionRejects != 1 {
+		t.Fatalf("%+v, want the insert refused and nothing evicted", st)
+	}
+	verifyHit(t, m, h, fresh, cold)
 	h.Release()
 	checkRadixInvariants(t, r, false)
 
-	// after release one more insert must be able to evict it
-	s := []int{9, 9, 4, 4}
-	r.Insert(0, prefix, s, splitPrefill(m, prefix, s))
-	if used := r.UsedRows(); used > 8+len(prefix)+len(s) {
-		t.Fatalf("released rows not reclaimed: %d held", used)
+	// after release the same insert evicts it
+	r.Insert(0, radixPrefixes[hot], nil, fresh.state(hot, nil))
+	if cached(r, 0, radixPrefixes[cold]) || !cached(r, 0, radixPrefixes[hot]) {
+		t.Fatal("the released entry was not reclaimed for the hotter prompt")
+	}
+	if st := r.Stats(); st.Evictions != 1 || st.UsedRows != tracePrefixLen {
+		t.Fatalf("%+v, want one eviction and one prompt held", st)
 	}
 	checkRadixInvariants(t, r, false)
 }
 
-// TestRadixEdgeSplit pins the radix-compression path: inserting a
-// diverging suffix splits the stored run, and both branches then match
-// with sound rows.
-func TestRadixEdgeSplit(t *testing.T) {
+// TestRadixCachesPromptRowsOnly: an insert from a state holding prompt
+// and suffix copies the prompt's rows alone, and a match with the same
+// suffix loads exactly those rows, bit-equal to a fresh prefill of the
+// prompt.
+func TestRadixCachesPromptRowsOnly(t *testing.T) {
 	m := newRadixModel(t)
 	r := NewRadix(0)
 	prefix := radixPrefixes[0]
-	a := []int{5, 6, 7, 8}
-	b := []int{5, 6, 9} // diverges inside a's stored run
-	r.Insert(0, prefix, a, splitPrefill(m, prefix, a))
-	r.Insert(0, prefix, b, splitPrefill(m, prefix, b))
-	checkRadixInvariants(t, r, false)
-
-	fresh := &freshKV{m: m, cache: map[string]*transformer.DecodeState{}}
-	for _, q := range [][]int{a, b, {5, 6}, {5, 6, 7}, {5, 9}} {
-		h := r.Match(0, prefix, q)
-		if h == nil {
-			t.Fatalf("query %v: no hit", q)
-		}
-		if want := trieCoverage(r, 0, prefix, q); h.Matched() != want {
-			t.Fatalf("query %v matched %d, walk says %d", q, h.Matched(), want)
-		}
-		verifyHit(t, m, h, fresh, 0, q)
-		h.Release()
+	suffix := []int{5, 6, 7, 8}
+	r.Insert(0, prefix, suffix, splitPrefill(m, prefix, suffix))
+	if st := r.Stats(); r.UsedRows() != len(prefix) || st.InsertedRows != int64(len(prefix)) {
+		t.Fatalf("%+v: want the %d prompt rows alone cached", st, len(prefix))
 	}
-	// rows are stored once: prefix + a + the 1 unshared token of b
-	if want := len(prefix) + len(a) + 1; r.UsedRows() != want {
-		t.Fatalf("split trie holds %d rows, want %d", r.UsedRows(), want)
+	h := r.Match(0, prefix, suffix)
+	if h == nil {
+		t.Fatal("the inserted prompt missed")
+	}
+	defer h.Release()
+	if h.Rows() != len(prefix) {
+		t.Fatalf("hit covers %d rows, want the prompt's %d", h.Rows(), len(prefix))
+	}
+	st := m.NewDecodeState()
+	h.Load(st)
+	ref := splitPrefill(m, prefix, nil)
+	if !st.ExportSelf(0, st.Pos()).Equal(ref.ExportSelf(0, ref.Pos())) || !st.ExportCross().Equal(ref.ExportCross()) {
+		t.Fatal("loaded rows differ from a fresh prefill of the prompt")
 	}
 }
 
-// TestRadixLevelIsolation pins that roots are keyed by level: rows
+// TestRadixLevelIsolation pins that entries are keyed by level: rows
 // cached at one pruning level are never served to another (their
 // values differ — different kernels computed them).
 func TestRadixLevelIsolation(t *testing.T) {
@@ -379,8 +336,7 @@ func TestRadixLevelIsolation(t *testing.T) {
 // TestRadixConcurrentStress hammers one cache from 8 goroutines doing
 // match/load/insert against precomputed states (run under -race in
 // CI). Loaded rows are checked bit-equal to the precomputed reference
-// for the covered tokens — concurrency must never mix rows between
-// paths.
+// of the prompt — concurrency must never mix rows between entries.
 func TestRadixConcurrentStress(t *testing.T) {
 	m := newRadixModel(t)
 	const workers = 8
@@ -388,15 +344,15 @@ func TestRadixConcurrentStress(t *testing.T) {
 
 	// precompute the workload single-threaded: the model is not
 	// goroutine-safe, but DecodeState reads and KVSpan loads are
-	type entry struct {
+	type item struct {
 		pi     int
 		suffix []int
 		st     *transformer.DecodeState
-		whole  *transformer.KVSpan
+		prefix *transformer.KVSpan
 		cross  *transformer.KVSpan
 	}
 	rng := rand.New(rand.NewSource(11))
-	var pool []entry
+	var pool []item
 	for i := 0; i < 12; i++ {
 		pi := i % scriptPrefixes
 		suffix := make([]int, 1+rng.Intn(5))
@@ -404,10 +360,10 @@ func TestRadixConcurrentStress(t *testing.T) {
 			suffix[j] = rng.Intn(radixCfg.Vocab)
 		}
 		st := splitPrefill(m, radixPrefixes[pi], suffix)
-		pool = append(pool, entry{
+		pool = append(pool, item{
 			pi: pi, suffix: suffix, st: st,
-			whole: st.ExportSelf(0, st.Pos()),
-			cross: st.ExportCross(),
+			prefix: st.ExportSelf(0, len(radixPrefixes[pi])),
+			cross:  st.ExportCross(),
 		})
 	}
 	scratch := make([]*transformer.DecodeState, workers)
@@ -415,7 +371,7 @@ func TestRadixConcurrentStress(t *testing.T) {
 		scratch[w] = m.NewDecodeState()
 	}
 
-	r := NewRadix(40) // tight budget: eviction races with pinned loads
+	r := NewRadix(4) // one prompt at a time: eviction races with pinned loads
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
@@ -435,10 +391,10 @@ func TestRadixConcurrentStress(t *testing.T) {
 				}
 				st := scratch[w]
 				h.Load(st)
-				rows := h.Rows()
-				if st.Pos() != rows {
-					errs <- fmt.Errorf("worker %d: loaded %d rows, want %d", w, st.Pos(), rows)
-				} else if !st.ExportSelf(0, rows).Equal(e.whole.Slice(0, rows)) {
+				rows := e.prefix.Rows
+				if st.Pos() != rows || h.Rows() != rows {
+					errs <- fmt.Errorf("worker %d: loaded %d rows, reported %d, want %d", w, st.Pos(), h.Rows(), rows)
+				} else if !st.ExportSelf(0, rows).Equal(e.prefix) {
 					errs <- fmt.Errorf("worker %d: loaded rows differ from reference", w)
 				} else if !st.ExportCross().Equal(e.cross) {
 					errs <- fmt.Errorf("worker %d: cross rows differ from reference", w)
@@ -470,25 +426,18 @@ func newRetention(t *testing.T, capRows int) *retention {
 		fresh: &freshKV{m: m, cache: map[string]*transformer.DecodeState{}}}
 }
 
-// lookup is one split request for prompt k: match one suffix token short
-// (the last row is always computed live), then insert what the request
-// computed. It reports whether the prompt's rows were cached.
+// lookup is one split request for prompt k: match the prompt, then
+// insert from the state the request computed (prompt plus suffix). It
+// reports whether the prompt's rows were cached.
 func (c *retention) lookup(level, k int, suffix []int) bool {
 	c.t.Helper()
 	pi := tracePrefix(k)
-	probe := suffix
-	if len(probe) > 0 {
-		probe = probe[:len(probe)-1]
-	}
-	h := c.r.Match(level, radixPrefixes[pi], probe)
+	h := c.r.Match(level, radixPrefixes[pi], nil)
 	if h != nil {
-		if want := trieCoverage(c.r, level, radixPrefixes[pi], probe); h.Matched() != want {
-			c.t.Fatalf("matched %d, independent walk says %d", h.Matched(), want)
-		}
-		verifyHit(c.t, c.m, h, c.fresh, pi, probe)
+		verifyHit(c.t, c.m, h, c.fresh, pi)
 		h.Release()
 	}
-	c.r.Insert(level, radixPrefixes[pi], suffix, c.fresh.state(pi, suffix))
+	c.r.Insert(level, radixPrefixes[pi], nil, c.fresh.state(pi, suffix))
 	checkRadixInvariants(c.t, c.r, false)
 	if used := c.r.UsedRows(); used > c.r.capRows {
 		c.t.Fatalf("cache holds %d rows over the %d budget", used, c.r.capRows)
@@ -496,11 +445,11 @@ func (c *retention) lookup(level, k int, suffix []int) bool {
 	return h != nil
 }
 
-// resident lists the prompts among the first n that have a root at level.
+// resident lists the prompts among the first n cached at level.
 func (c *retention) resident(level, n int) []int {
 	var ks []int
 	for k := 0; k < n; k++ {
-		if trieCoverage(c.r, level, radixPrefixes[tracePrefix(k)], nil) >= 0 {
+		if cached(c.r, level, radixPrefixes[tracePrefix(k)]) {
 			ks = append(ks, k)
 		}
 	}
@@ -538,12 +487,12 @@ func weightedTrace(k, n int) []int {
 
 // TestRadixKeepsHotPrefixes replays the benchmark-shaped trace — six
 // prompts at weights 1/(k+1), evenly spaced, each request with its own
-// 2-token suffix — through a budget of four roots plus three suffix
-// leaves. The heat order keeps the hot prompts and turns the rare ones
+// 2-token suffix — through a budget of four prompts plus six spare
+// rows. The heat order keeps the hot prompts and turns the rare ones
 // away: 167 of 208 lookups hit (keeping the top four from their second
-// arrival on would hit 173). Recency alone lets the rare prompts and
-// the one-off leaves push hot roots out again and again: 99 of 208 on
-// this same trace at PR 23.
+// arrival on would hit 173). Recency alone lets the rare prompts push
+// hot ones out again and again: 99 of 208 on this same trace when the
+// order was LRU.
 func TestRadixKeepsHotPrefixes(t *testing.T) {
 	c := newRetention(t, 4*tracePrefixLen+3*2)
 	rng := rand.New(rand.NewSource(5))
@@ -565,9 +514,10 @@ func TestRadixKeepsHotPrefixes(t *testing.T) {
 }
 
 // TestRadixEqualHeatIsLRU pins the tie-break: under a uniform round-
-// robin over five prompts and four root slots no prompt is ever hotter
-// than another, so every lookup misses and every insert evicts the
-// least recently used root — the victim sequence recorded at PR 23.
+// robin over five prompts and four slots no prompt is ever hotter than
+// another, so every lookup misses and every insert evicts the least
+// recently used prompt — the victim sequence recorded when the order
+// was plain LRU.
 func TestRadixEqualHeatIsLRU(t *testing.T) {
 	c := newRetention(t, 4*tracePrefixLen)
 	want := []int{0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 0}
@@ -587,8 +537,8 @@ func TestRadixEqualHeatIsLRU(t *testing.T) {
 	if !slices.Equal(victims, want) {
 		t.Fatalf("victims %v, want the LRU order %v", victims, want)
 	}
-	if st := c.r.Stats(); st.RootEvictions != int64(len(want)) || st.AdmissionRejects != 0 {
-		t.Fatalf("%+v, want %d root evictions and no refusal", st, len(want))
+	if st := c.r.Stats(); st.Evictions != int64(len(want)) || st.AdmissionRejects != 0 {
+		t.Fatalf("%+v, want %d evictions and no refusal", st, len(want))
 	}
 }
 
@@ -693,17 +643,18 @@ func TestRadixLevelSwitch(t *testing.T) {
 }
 
 // TestRadixAdmissionBeforeExport is the regression test of the insert
-// that copied rows it could not keep: with a budget below one prefix
-// every Insert used to export the root, the cross span and the suffix
-// leaf and evict all three in the same call. Now it copies nothing; a
-// budget that holds the root but not the leaf copies the root alone.
+// that copied rows it could not keep: with a budget below one prompt
+// every Insert used to export the rows and the cross span and evict
+// both in the same call. Now it copies nothing and counts a refusal; a
+// budget that holds the prompt copies it once, and the suffix rows the
+// state also holds are never a candidate.
 func TestRadixAdmissionBeforeExport(t *testing.T) {
 	for _, tc := range []struct {
 		capRows, wantRows int
 		wantRejects       int64
 	}{
-		{tracePrefixLen - 2, 0, 3},              // the root never fits
-		{tracePrefixLen + 1, tracePrefixLen, 3}, // the root fits, no 2-row leaf does
+		{tracePrefixLen - 2, 0, 3},              // the prompt never fits
+		{tracePrefixLen + 1, tracePrefixLen, 0}, // the prompt fits
 	} {
 		c := newRetention(t, tc.capRows)
 		for i := 0; i < 3; i++ {

@@ -175,9 +175,8 @@ func (st *DecodeState) TruncateTo(pos int) {
 
 // KVSpan is one contiguous run of projected K/V rows copied out of a
 // DecodeState, one k/v pair per decoder layer — the immutable storage
-// unit of the radix prefix cache. Spans taken from a state rebuild a
-// bit-identical state through LoadKV, and Slice re-splits a span without
-// copying (the backing rows are shared and treated as read-only).
+// unit of the prefix cache. Spans taken from a state rebuild a
+// bit-identical state through LoadKV.
 type KVSpan struct {
 	K, V [][]float64 // per decoder layer, Rows x Dim packed row-major
 	Rows int
@@ -210,20 +209,6 @@ func exportSpan(caches []KVCache, r0, r1 int) *KVSpan {
 		sp.V = append(sp.V, append([]float64(nil), c.v[r0*dim:r1*dim]...))
 	}
 	return sp
-}
-
-// Slice returns rows [r0, r1) of the span as a view sharing the backing
-// storage — the radix tree's edge-split primitive.
-func (sp *KVSpan) Slice(r0, r1 int) *KVSpan {
-	if r0 < 0 || r1 < r0 || r1 > sp.Rows {
-		panic(fmt.Sprintf("transformer: KVSpan Slice [%d, %d) of %d rows", r0, r1, sp.Rows))
-	}
-	out := &KVSpan{Rows: r1 - r0, Dim: sp.Dim}
-	for li := range sp.K {
-		out.K = append(out.K, sp.K[li][r0*sp.Dim:r1*sp.Dim])
-		out.V = append(out.V, sp.V[li][r0*sp.Dim:r1*sp.Dim])
-	}
-	return out
 }
 
 // Equal reports exact (bitwise) equality of two spans.

@@ -208,9 +208,8 @@ func TestDecodeTruncateThenRecycle(t *testing.T) {
 }
 
 // TestKVSpanExportLoadRoundTrip pins the prefix-cache storage contract:
-// spans exported from a prefilled state and loaded into another state —
-// whole or re-split via Slice — rebuild a state that decodes bit-
-// identically to the original.
+// spans exported from a prefilled state and loaded into another state
+// rebuild a state that decodes bit-identically to the original.
 func TestKVSpanExportLoadRoundTrip(t *testing.T) {
 	prompts := raggedSeqs(decodeCfg.Vocab, []int{8}, 59)
 	m := newDecodeModel(t, true)
@@ -219,12 +218,8 @@ func TestKVSpanExportLoadRoundTrip(t *testing.T) {
 	cross := states[0].ExportCross()
 	whole := states[0].ExportSelf(0, pos)
 
-	// split export + Slice re-split: both load paths must agree
 	head := states[0].ExportSelf(0, 3)
 	tail := states[0].ExportSelf(3, pos)
-	if !whole.Slice(0, 3).Equal(head) || !whole.Slice(3, pos).Equal(tail) {
-		t.Fatal("Slice of whole span differs from direct sub-span export")
-	}
 
 	loaded := m.NewDecodeState()
 	loaded.LoadKV(cross, head, tail)
