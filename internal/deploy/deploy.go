@@ -144,17 +144,6 @@ func (b *Bundle) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// Read deserializes a bundle written by WriteTo from all of r: the
-// input grows as bytes arrive and is then decoded as one piece, so no
-// length field inside it sizes an allocation.
-func Read(r io.Reader) (*Bundle, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("deploy: %w", err)
-	}
-	return Decode(data)
-}
-
 // Decode parses bundle bytes. Every variable-length field is checked
 // against the bytes left before it is allocated, so a corrupt length
 // costs an error, never memory beyond a multiple of len(data). Values

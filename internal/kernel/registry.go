@@ -96,9 +96,6 @@ var defaultRegistry = func() *Registry {
 	return r
 }()
 
-// Default returns the package-level registry of built-in formats.
-func Default() *Registry { return defaultRegistry }
-
 // Register installs a builder in the default registry. The engine calls
 // it one build at a time from its own goroutine (see Builder).
 func Register(name string, b Builder) { defaultRegistry.Register(name, b) }

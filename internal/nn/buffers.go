@@ -2,13 +2,20 @@ package nn
 
 import "rt3/internal/mat"
 
-// reusableFloats resizes a scratch float slice, reallocating on growth
-// only when reuse is on (the slice analogue of mat.EnsureShape;
-// contents are unspecified).
-func reusableFloats(buf *[]float64, reuse bool, n int) []float64 {
-	if !reuse {
-		return make([]float64, n)
+// newSlot returns a module's own output slot when buffer reuse is on,
+// nil (reuse off) otherwise.
+func newSlot(on bool) **mat.Matrix {
+	if !on {
+		return nil
 	}
-	*buf = mat.GrowFloats(*buf, n)
-	return *buf
+	return new(*mat.Matrix)
+}
+
+// output returns a forward's destination: the matrix in slot, resized
+// in place (reallocating only on capacity growth, so alternating row
+// counts — a serving replica interleaving packed prefills with
+// single-row decode steps — do not thrash the allocator), or a fresh
+// matrix when slot is nil (reuse off).
+func output(slot **mat.Matrix, rows, cols int) *mat.Matrix {
+	return mat.EnsureShape(slot, slot != nil, rows, cols)
 }

@@ -19,12 +19,12 @@ type Linear struct {
 	// with a packed execution kernel (see internal/kernel).
 	kern kernel.Kernel
 
-	// out is the reusable destination buffer Forward writes through when
-	// reuse is on; nil or stale-shaped buffers are (re)allocated lazily.
-	out   *mat.Matrix
-	reuse bool
+	// out is the slot Forward writes through when buffer reuse is on, nil
+	// when it is off: the layer's own (SetBufferReuse) or one it shares
+	// (SetOutputSlot).
+	out **mat.Matrix
 
-	// cached forward input for the backward pass
+	// the input of a forward with buffer reuse off, for the backward pass
 	x *mat.Matrix
 }
 
@@ -64,24 +64,20 @@ func (l *Linear) Kernel() kernel.Kernel { return l.kern }
 
 // SetBufferReuse toggles the preallocated output buffer. With reuse on,
 // Forward writes into one reusable destination (reallocated only when
-// the batch size changes) and returns it: zero steady-state allocations,
+// the batch outgrows it) and returns it: zero steady-state allocations,
 // but the previous call's output is overwritten, so callers retaining
-// outputs across forward passes must copy them first. Off (the default)
-// preserves fresh-allocation semantics.
-func (l *Linear) SetBufferReuse(on bool) {
-	l.reuse = on
-	if !on {
-		l.out = nil
-	}
-}
+// outputs across forward passes must copy them first. Reuse on is the
+// serving mode, which is forward-only: Forward keeps no input for
+// Backward. Off (the default) preserves fresh-allocation semantics.
+func (l *Linear) SetBufferReuse(on bool) { l.SetOutputSlot(newSlot(on)) }
 
-// output returns the Forward destination for a batch of the given size:
-// the reusable buffer when reuse is on (resized in place, reallocating
-// only on capacity growth, so alternating row counts — a serving
-// replica interleaving packed prefills with single-row decode steps —
-// do not thrash the allocator), a fresh matrix otherwise.
-func (l *Linear) output(rows int) *mat.Matrix {
-	return mat.EnsureShape(&l.out, l.reuse, rows, l.Out)
+// SetOutputSlot turns buffer reuse on with Forward writing through slot,
+// which other modules may share: an output is then overwritten by the
+// next forward of any module on the same slot. A nil slot turns reuse
+// off.
+func (l *Linear) SetOutputSlot(slot **mat.Matrix) {
+	l.out = slot
+	l.x = nil
 }
 
 // Forward computes the affine map for a batch x In input.
@@ -89,8 +85,11 @@ func (l *Linear) Forward(x *mat.Matrix) *mat.Matrix {
 	if x.Cols != l.In {
 		panic(fmt.Sprintf("nn: Linear %s input cols %d != in %d", l.W.Name, x.Cols, l.In))
 	}
-	l.x = x
-	y := l.output(x.Rows)
+	l.x = nil
+	if l.out == nil {
+		l.x = x
+	}
+	y := output(l.out, x.Rows, l.Out)
 	if l.kern != nil {
 		l.kern.MulInto(y, x)
 	} else {
@@ -113,7 +112,7 @@ func (l *Linear) Backward(dy *mat.Matrix) *mat.Matrix {
 		panic(fmt.Sprintf("nn: Linear %s Backward with a packed kernel installed: Forward ran pruned weights but Backward would differentiate the dense W; call SetKernel(nil) before training", l.W.Name))
 	}
 	if l.x == nil {
-		panic("nn: Linear.Backward before Forward")
+		panic(fmt.Sprintf("nn: Linear %s Backward without its input: no Forward ran, or it ran with buffer reuse on (the serving mode, which is forward-only); call SetBufferReuse(false) before training", l.W.Name))
 	}
 	// dW += x^T @ dy
 	dw := mat.New(l.In, l.Out)

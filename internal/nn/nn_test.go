@@ -1,8 +1,10 @@
 package nn_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"rt3/internal/mat"
@@ -309,8 +311,11 @@ func TestGlobalSparsity(t *testing.T) {
 // forkMatchesInline drives a row-wise module that splits large batches
 // by row span across the mat.Fork helpers: every row count around its
 // fork threshold gives the bits of the inline run (GOMAXPROCS 1) — the
-// output and, through Backward, what Forward cached for it — with and
-// without buffer reuse, and only the rows from the threshold up fan out.
+// output and, through Backward, what a forward without buffer reuse
+// cached for it — with and without buffer reuse, and only the rows from
+// the threshold up fan out. With buffer reuse on (the forward-only
+// serving mode) Backward is refused by a panic naming it. A stateless
+// module passes a nil backward.
 func forkMatchesInline(t *testing.T, cols, threshold int, setReuse func(bool), forward func(x *mat.Matrix) *mat.Matrix, backward func(dy *mat.Matrix) *mat.Matrix) {
 	rng := rand.New(rand.NewSource(31))
 	for _, reuse := range []bool{false, true} {
@@ -320,19 +325,41 @@ func forkMatchesInline(t *testing.T, cols, threshold int, setReuse func(bool), f
 			x.Randomize(rng, 3)
 			testutil.Procs(t, 1)
 			inline := forward(x).Clone()
-			inlineGrad := backward(x)
+			var inlineGrad *mat.Matrix
+			if backward != nil && !reuse {
+				inlineGrad = backward(x)
+			}
 			testutil.Procs(t, 4)
 			before := mat.ForkStats().Regions
 			forked := forward(x)
 			after := mat.ForkStats().Regions
-			if !mat.Equal(forked, inline, 0) || !mat.Equal(backward(x), inlineGrad, 0) {
+			if !mat.Equal(forked, inline, 0) {
 				t.Fatalf("reuse=%v %d rows: forked forward differs from inline", reuse, rows)
+			}
+			switch {
+			case backward == nil:
+			case reuse:
+				servingBackwardPanics(t, fmt.Sprintf("%d rows", rows), func() { backward(x) })
+			case !mat.Equal(backward(x), inlineGrad, 0):
+				t.Fatalf("%d rows: backward after the forked forward differs from inline", rows)
 			}
 			if fanned := after > before; fanned != (rows >= threshold) {
 				t.Errorf("%d rows: fanned out = %v", rows, fanned)
 			}
 		}
 	}
+}
+
+// servingBackwardPanics asserts that backward, run after a forward with
+// buffer reuse on, is refused by a panic that names the serving mode.
+func servingBackwardPanics(t *testing.T, what string, backward func()) {
+	t.Helper()
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "serving mode") {
+			t.Fatalf("%s: Backward after a reusing forward: got panic %q, want one naming the serving mode", what, msg)
+		}
+	}()
+	backward()
 }
 
 // TestGELUForkMatchesInline: GELU fans out from 2048 elements (64
@@ -345,8 +372,7 @@ func TestGELUForkMatchesInline(t *testing.T) {
 // TestBiasForkMatchesInline: the bias add after every product
 // (Matrix.AddRowVector) fans out from 32768 elements (64 columns: 512
 // rows; a decode step's 8 x 768 stays inline, a prefill splits from 43
-// rows of 768 or 171 of 192). It has no state: "backward" is the
-// identity.
+// rows of 768 or 171 of 192). It has no state and no backward.
 func TestBiasForkMatchesInline(t *testing.T) {
 	const cols = 64
 	bias := mat.New(1, cols)
@@ -356,7 +382,7 @@ func TestBiasForkMatchesInline(t *testing.T) {
 		y.AddRowVector(bias.Data)
 		return y
 	}
-	forkMatchesInline(t, cols, mat.ForkMinWork/mat.WorkBias/cols, func(bool) {}, forward, func(dy *mat.Matrix) *mat.Matrix { return dy })
+	forkMatchesInline(t, cols, mat.ForkMinWork/mat.WorkBias/cols, func(bool) {}, forward, nil)
 }
 
 // TestLayerNormForkMatchesInline: the residual + layer norm fans out from
@@ -372,4 +398,18 @@ func TestLayerNormForkMatchesInline(t *testing.T) {
 	res.Randomize(rng, 3)
 	forward := func(x *mat.Matrix) *mat.Matrix { return ln.ForwardResidual(x, res.RowSpan(0, x.Rows)) }
 	forkMatchesInline(t, cols, 128, ln.SetBufferReuse, forward, ln.Backward)
+}
+
+// TestLinearBackwardRefusedInServingMode: a Linear forward with buffer
+// reuse on keeps no input, so Backward after it panics naming the
+// serving mode instead of differentiating a buffer another module may
+// have written since.
+func TestLinearBackwardRefusedInServingMode(t *testing.T) {
+	l := nn.NewLinear("l", 3, 2, rand.New(rand.NewSource(37)))
+	x := mat.New(4, 3)
+	l.Forward(x)
+	l.Backward(mat.New(4, 2)) // training mode: fine
+	l.SetBufferReuse(true)
+	l.Forward(x)
+	servingBackwardPanics(t, "Linear", func() { l.Backward(mat.New(4, 2)) })
 }

@@ -45,7 +45,8 @@ func TestGELUMatchesTanhForm(t *testing.T) {
 // reference row for row at tolerance 0 (serving widths, which the row
 // kernel's assembly takes, and widths it leaves to the portable loop),
 // leaves both inputs untouched, equals Forward of the explicit sum, and
-// feeds Backward the same normalised rows.
+// feeds Backward the same normalised rows — or, with buffer reuse on
+// (the forward-only serving mode), refuses Backward.
 func TestLayerNormResidualMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	for _, dim := range []int{4, 16, 40, 192} {
@@ -72,11 +73,21 @@ func TestLayerNormResidualMatchesNaive(t *testing.T) {
 				}
 				dy := mat.New(rows, dim)
 				dy.Randomize(rng, 1)
-				dx := ln.Backward(dy)
+				var dx *mat.Matrix
+				if reuse {
+					servingBackwardPanics(t, fmt.Sprintf("dim %d, %d rows", dim, rows), func() { ln.Backward(dy) })
+				} else {
+					dx = ln.Backward(dy)
+				}
 				sum := x.Clone()
 				sum.Add(res)
-				if !mat.Equal(ln.Forward(sum), want, 0) || !mat.Equal(ln.Backward(dy), dx, 0) {
+				if !mat.Equal(ln.Forward(sum), want, 0) {
 					t.Fatalf("dim %d, %d rows: Forward of the explicit sum differs from ForwardResidual", dim, rows)
+				}
+				if reuse {
+					servingBackwardPanics(t, fmt.Sprintf("dim %d, %d rows, explicit sum", dim, rows), func() { ln.Backward(dy) })
+				} else if !mat.Equal(ln.Backward(dy), dx, 0) {
+					t.Fatalf("dim %d, %d rows: Backward after Forward of the explicit sum differs from after ForwardResidual", dim, rows)
 				}
 			}
 		}

@@ -42,10 +42,10 @@ type MultiHeadAttention struct {
 	qOff, kvOff []int
 	causal      bool
 
-	// the packed context rows of the forward in flight, kept across
-	// calls when reuse is on
-	reuse  bool
-	concat *mat.Matrix
+	// the slot of the context rows when buffer reuse is on (nil when
+	// off), and the context rows of the forward in flight
+	concat **mat.Matrix
+	ctx    *mat.Matrix
 
 	// the cached attention of the decoder pass in flight (see decode.go):
 	// a fork body must live on the heap, so it lives here
@@ -78,18 +78,26 @@ func (a *MultiHeadAttention) PrunableLinears() []*nn.Linear {
 	return []*nn.Linear{a.WQ, a.WK, a.WV, a.WO}
 }
 
-// SetBufferReuse toggles preallocated projection and head-scratch
+// SetBufferReuse toggles preallocated projection and context-row
 // buffers on the whole block (see nn.Linear.SetBufferReuse for the
-// aliasing contract).
-func (a *MultiHeadAttention) SetBufferReuse(on bool) {
-	a.WQ.SetBufferReuse(on)
-	a.WK.SetBufferReuse(on)
-	a.WV.SetBufferReuse(on)
-	a.WO.SetBufferReuse(on)
-	a.reuse = on
-	if !on {
-		a.concat = nil
-	}
+// aliasing contract and the forward-only serving mode).
+func (a *MultiHeadAttention) SetBufferReuse(on bool) { a.useSlots(newSlots(on)) }
+
+// useSlots points the projections and the context rows at their roles
+// in s (nil: reuse off).
+func (a *MultiHeadAttention) useSlots(s *slots) {
+	a.WQ.SetOutputSlot(s.at(slotQ))
+	a.WK.SetOutputSlot(s.at(slotK))
+	a.WV.SetOutputSlot(s.at(slotV))
+	a.WO.SetOutputSlot(s.at(slotAttn))
+	a.concat = s.at(slotCtx)
+	a.q, a.k, a.v, a.attn = nil, nil, nil, nil
+}
+
+// context returns the context rows of a forward over rows query rows:
+// the slot's, resized, when buffer reuse is on, fresh ones otherwise.
+func (a *MultiHeadAttention) context(rows int) *mat.Matrix {
+	return mat.EnsureShape(a.concat, a.concat != nil, rows, a.Dim)
 }
 
 // Forward computes attention of queries (seqQ x dim) over keys/values
@@ -147,20 +155,23 @@ func (a *MultiHeadAttention) ForwardBatch(q, kv *mat.Matrix, qOff, kvOff []int, 
 	a.q = a.WQ.Forward(q)
 	a.k = a.WK.Forward(kv)
 	a.v = a.WV.Forward(kv)
-	concat := mat.EnsureShape(&a.concat, a.reuse, q.Rows, a.Dim)
-	a.concat = concat
+	a.ctx = a.context(q.Rows)
 
 	a.attn = nil
-	if !a.reuse {
+	if a.concat == nil {
 		a.attn = make([]*mat.Matrix, a.Heads*nSeq)
 	}
 	// per pair: a score and a value product over the head's features, and
 	// one exp
 	mat.Fork(a.Heads, a.Heads*pairs*(2*a.HeadDim+mat.WorkExp), (*attendHeads)(a))
-	if !a.reuse {
-		a.concat = nil
+	ctx := a.ctx
+	a.ctx = nil
+	if a.concat != nil {
+		// forward-only: the projections stay in their slots for the next
+		// writer, not here for a backward pass
+		a.q, a.k, a.v = nil, nil, nil
 	}
-	return a.WO.Forward(concat)
+	return a.WO.Forward(ctx)
 }
 
 // keyScratches lends each span of heads the feature-major key block
@@ -170,7 +181,7 @@ var keyScratches mat.FreeList[[]float64]
 func newKeyScratch() []float64 { return nil }
 
 // attendHeads is the attention of a ForwardBatch as a mat.Fork body:
-// heads [h0, h1) of the projected a.q, a.k, a.v into a.concat, and into
+// heads [h0, h1) of the projected a.q, a.k, a.v into a.ctx, and into
 // a.attn when the forward keeps probability blocks.
 type attendHeads MultiHeadAttention
 
@@ -208,7 +219,7 @@ func (a *attendHeads) Range(h0, h1 int) {
 					w = i + 1
 				}
 				r := (q0+i)*a.Dim + ho
-				mat.Attend(a.concat.Data[r:r+hd], a.q.Data[r:r+hd], kT[k0:], ld, vals, a.Dim, w, scale, p)
+				mat.Attend(a.ctx.Data[r:r+hd], a.q.Data[r:r+hd], kT[k0:], ld, vals, a.Dim, w, scale, p)
 			}
 		}
 	}

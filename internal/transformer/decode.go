@@ -471,8 +471,8 @@ func (a *MultiHeadAttention) attendCached(x *mat.Matrix, caches []*KVCache, off 
 		panic(fmt.Sprintf("transformer: cached attention with %d caches for %d sequences", len(caches), len(off)-1))
 	}
 	q := a.WQ.Forward(x)
-	concat := mat.EnsureShape(&a.concat, a.reuse, x.Rows, a.Dim)
-	a.cached = cachedAttend{a.Heads, a.HeadDim, concat, q, caches, off, causal}
+	ctx := a.context(x.Rows)
+	a.cached = cachedAttend{a.Heads, a.HeadDim, ctx, q, caches, off, causal}
 	pairs := 0 // (query row, key row) pairs one head attends
 	for s, c := range caches {
 		if c.rows == 0 {
@@ -485,7 +485,8 @@ func (a *MultiHeadAttention) attendCached(x *mat.Matrix, caches []*KVCache, off 
 		}
 	}
 	mat.Fork(len(caches)*a.Heads, a.Heads*pairs*(2*a.HeadDim+mat.WorkExp), &a.cached)
-	return a.WO.Forward(concat)
+	a.cached = cachedAttend{}
+	return a.WO.Forward(ctx)
 }
 
 // cachedAttend is attendCached's attention as a mat.Fork body over

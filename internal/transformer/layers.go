@@ -7,6 +7,61 @@ import (
 	"rt3/internal/nn"
 )
 
+// The activation slots of the serving mode (buffer reuse on), by role.
+// One slot set serves every layer of a model, of both stacks: each layer
+// writes each of its outputs through the slot of its role, so a model
+// holds one layer's worth of activations whatever its depth. That is
+// safe because no output is read after the next write to its role:
+//   - an attention's projections and context rows are read only inside
+//     it, and its output only by the norm after it (self- and
+//     cross-attention run one after the other, so they share);
+//   - a block reads its input only up to its first norm;
+//   - the output of a norm other than a block's last is read only
+//     inside the block;
+//   - the MLP's hidden rows are read only inside the MLP, and GELU
+//     writes over them in place;
+//   - a block's last norm writes its output over the MLP's, in place,
+//     and the next block's MLP writes that slot only after the block's
+//     first norm has read its input.
+//
+// The encoder's output is the exception: the decoder's cross-attention
+// reads it in every decoder block, so the LM gives it a slot of its own
+// (slotMemory). The embedding, an LM prefill's last rows and the logits
+// stay in the buffers of the modules that write them.
+const (
+	slotQ      = iota // an attention's query projection
+	slotK             // its key projection
+	slotV             // its value projection
+	slotCtx           // its context rows, before the output projection
+	slotAttn          // its output
+	slotNorm1         // a block's first norm
+	slotNorm2         // a decoder block's second norm
+	slotFF            // the MLP's output, then the block's
+	slotHidden        // the MLP's hidden rows, before and after GELU
+	slotMemory        // the encoder's output, under an LM's decoder
+	numSlots
+)
+
+// slots is one serving-mode slot set, indexed by role.
+type slots [numSlots]*mat.Matrix
+
+// newSlots returns a fresh slot set when buffer reuse is on, nil (reuse
+// off) otherwise.
+func newSlots(on bool) *slots {
+	if !on {
+		return nil
+	}
+	return new(slots)
+}
+
+// at returns the slot of a role, or nil (reuse off) when s is nil.
+func (s *slots) at(role int) **mat.Matrix {
+	if s == nil {
+		return nil
+	}
+	return &s[role]
+}
+
 // FeedForward is the position-wise two-layer MLP of a Transformer block.
 type FeedForward struct {
 	L1, L2 *nn.Linear
@@ -29,10 +84,15 @@ func (f *FeedForward) Params() []*nn.Parameter { return nn.CollectParams(f.L1, f
 func (f *FeedForward) PrunableLinears() []*nn.Linear { return []*nn.Linear{f.L1, f.L2} }
 
 // SetBufferReuse toggles preallocated activation buffers on the MLP.
-func (f *FeedForward) SetBufferReuse(on bool) {
-	f.L1.SetBufferReuse(on)
-	f.L2.SetBufferReuse(on)
-	f.Act.SetBufferReuse(on)
+func (f *FeedForward) SetBufferReuse(on bool) { f.useSlots(newSlots(on)) }
+
+// useSlots points the MLP's outputs at their roles in s (nil: reuse
+// off). GELU shares the hidden slot of the first projection, so it runs
+// in place.
+func (f *FeedForward) useSlots(s *slots) {
+	f.L1.SetOutputSlot(s.at(slotHidden))
+	f.Act.SetOutputSlot(s.at(slotHidden))
+	f.L2.SetOutputSlot(s.at(slotFF))
 }
 
 // Forward applies the MLP to every row of x — position-wise, so a
@@ -78,11 +138,15 @@ func (e *EncoderLayer) PrunableLinears() []*nn.Linear {
 
 // SetBufferReuse toggles preallocated activation buffers on every
 // sublayer of the block.
-func (e *EncoderLayer) SetBufferReuse(on bool) {
-	e.Attn.SetBufferReuse(on)
-	e.FF.SetBufferReuse(on)
-	e.LN1.SetBufferReuse(on)
-	e.LN2.SetBufferReuse(on)
+func (e *EncoderLayer) SetBufferReuse(on bool) { e.useSlots(newSlots(on)) }
+
+// useSlots points every sublayer's output at its role in s (nil: reuse
+// off).
+func (e *EncoderLayer) useSlots(s *slots) {
+	e.Attn.useSlots(s)
+	e.FF.useSlots(s)
+	e.LN1.SetOutputSlot(s.at(slotNorm1))
+	e.LN2.SetOutputSlot(s.at(slotFF))
 }
 
 // Forward runs the block on a single seq x dim sequence.
@@ -153,13 +217,17 @@ func (d *DecoderLayer) PrunableLinears() []*nn.Linear {
 
 // SetBufferReuse toggles preallocated activation buffers on every
 // sublayer of the block.
-func (d *DecoderLayer) SetBufferReuse(on bool) {
-	d.SelfAttn.SetBufferReuse(on)
-	d.CrossAttn.SetBufferReuse(on)
-	d.FF.SetBufferReuse(on)
-	d.LN1.SetBufferReuse(on)
-	d.LN2.SetBufferReuse(on)
-	d.LN3.SetBufferReuse(on)
+func (d *DecoderLayer) SetBufferReuse(on bool) { d.useSlots(newSlots(on)) }
+
+// useSlots points every sublayer's output at its role in s (nil: reuse
+// off).
+func (d *DecoderLayer) useSlots(s *slots) {
+	d.SelfAttn.useSlots(s)
+	d.CrossAttn.useSlots(s)
+	d.FF.useSlots(s)
+	d.LN1.SetOutputSlot(s.at(slotNorm1))
+	d.LN2.SetOutputSlot(s.at(slotNorm2))
+	d.LN3.SetOutputSlot(s.at(slotFF))
 }
 
 // Forward runs the block on a single sequence x (seq x dim) attending

@@ -146,21 +146,33 @@ func (m *LMModel) UnprunedLinears() []*nn.Linear { return []*nn.Linear{m.Proj} }
 func (m *LMModel) VocabSize() int { return m.Embed.Vocab }
 
 // SetBufferReuse toggles preallocated activation buffers through the
-// whole forward stack — every Linear (including the output projection),
-// embedding gather, LayerNorm, GELU, attention head scratch, and the
-// model-level packed-batch buffers. With reuse on, each layer's Forward
-// output is overwritten by its next call: the hot serving path runs a
+// whole forward stack. With reuse on — the serving mode — every layer of
+// both stacks writes its outputs through one shared set of slots, one
+// per role (query, key and value projections, context rows, attention
+// output, each norm, the MLP's output and its ffn-wide hidden rows), so
+// the model holds one layer's worth of activations however deep it is.
+// The encoder's output (the memory the decoder's cross-attention reads),
+// the embedding, a prefill's last rows and the logits keep buffers of
+// their own. So a layer's output is overwritten by the next pass through
+// any layer of either stack, the encoder's output by the next encoder
+// pass, and the logits by the next forward: the hot serving path runs a
 // whole packed batch without per-request activation allocations, but a
 // caller retaining model outputs across forward passes (e.g. a serving
-// engine handing responses to clients) must copy them first.
+// engine handing responses to clients) must copy them first. The serving
+// mode is forward-only: no module keeps a backward cache, and Backward
+// panics after a reusing forward.
 func (m *LMModel) SetBufferReuse(on bool) {
-	m.Embed.SetBufferReuse(on)
+	s := newSlots(on)
 	for _, e := range m.Enc {
-		e.SetBufferReuse(on)
+		e.useSlots(s)
+	}
+	if n := len(m.Enc); n > 0 {
+		m.Enc[n-1].LN2.SetOutputSlot(s.at(slotMemory))
 	}
 	for _, d := range m.Dec {
-		d.SetBufferReuse(on)
+		d.useSlots(s)
 	}
+	m.Embed.SetBufferReuse(on)
 	m.Proj.SetBufferReuse(on)
 	m.reuse = on
 	if !on {
@@ -207,8 +219,9 @@ func (m *LMModel) ForwardBatch(seqs [][]int) []*mat.Matrix {
 
 // encode packs seqs into m.flat and m.off, embeds them at positions from
 // 0 and runs the encoder stack over them: x is the embedded input, which
-// the decoder stack reads too (no layer writes its input, so both stacks
-// read the one buffer), and memory the encoder's output.
+// the decoder stack reads too (it is the embedding's own buffer, which no
+// layer writes, so both stacks read the one buffer), and memory the
+// encoder's output.
 func (m *LMModel) encode(seqs [][]int) (x, memory *mat.Matrix) {
 	m.flat, m.off = packIDs(seqs, m.flat, m.off)
 	x = m.Embed.Forward(m.flat)
@@ -322,13 +335,18 @@ func (c *Classifier) UnprunedLinears() []*nn.Linear { return []*nn.Linear{c.Head
 func (c *Classifier) VocabSize() int { return c.Embed.Vocab }
 
 // SetBufferReuse toggles preallocated activation buffers through the
-// whole forward stack, including the classification head and the pooled
-// batch buffer (see LMModel.SetBufferReuse for the aliasing contract).
+// whole forward stack. With reuse on — the serving mode — every encoder
+// layer writes its outputs through one shared set of slots by role (see
+// LMModel.SetBufferReuse), so a layer's output is overwritten by the
+// next pass through any layer of the stack; the embedding, the pooled
+// rows and the head's output keep buffers of their own, overwritten by
+// the next forward. The serving mode is forward-only.
 func (c *Classifier) SetBufferReuse(on bool) {
-	c.Embed.SetBufferReuse(on)
+	s := newSlots(on)
 	for _, e := range c.Enc {
-		e.SetBufferReuse(on)
+		e.useSlots(s)
 	}
+	c.Embed.SetBufferReuse(on)
 	c.Head.SetBufferReuse(on)
 	c.reuse = on
 	if !on {
