@@ -141,22 +141,3 @@ func PackKeys(kT []float64, ld int, src []float64, ss, rows, n int) {
 		}
 	}
 }
-
-// UnpackKeys is the inverse of PackKeys: dst[j*ds+c] = kT[c*ld+j] for
-// j < rows, c < n.
-func UnpackKeys(dst []float64, ds int, kT []float64, ld, rows, n int) {
-	j := 0
-	for ; j+4 <= rows; j += 4 {
-		d0, d1, d2, d3 := dst[j*ds:][:n], dst[(j+1)*ds:][:n], dst[(j+2)*ds:][:n], dst[(j+3)*ds:][:n]
-		for c := range d0 {
-			k := kT[c*ld+j:][:4:4]
-			d0[c], d1[c], d2[c], d3[c] = k[0], k[1], k[2], k[3]
-		}
-	}
-	for ; j < rows; j++ {
-		d := dst[j*ds:][:n]
-		for c := range d {
-			d[c] = kT[c*ld+j]
-		}
-	}
-}

@@ -170,9 +170,10 @@ func TestAttendZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestPackKeysRoundTrip: PackKeys and UnpackKeys are inverses at every
-// 4-row block edge, at an offset inside the feature rows, and touch
-// nothing outside the block.
+// TestPackKeysRoundTrip: PackKeys places every element where its
+// definition says, kT[c*ld+j] == src[j*ss+c], at every 4-row block edge
+// and at an offset inside the feature rows, and touches nothing outside
+// the block.
 func TestPackKeysRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(145))
 	for _, rows := range []int{1, 3, 4, 5, 8, 11} {
@@ -193,20 +194,6 @@ func TestPackKeysRoundTrip(t *testing.T) {
 				}
 				if x != want {
 					t.Fatalf("%d rows x %d: kT[%d][%d] = %v, want %v", rows, n, c, j+j0, x, want)
-				}
-			}
-			back := mat.New(rows, ss)
-			back.Fill(7)
-			mat.UnpackKeys(back.Data, ss, kT[j0:], ld, rows, n)
-			for j := 0; j < rows; j++ {
-				for c := 0; c < ss; c++ {
-					want := 7.0
-					if c < n {
-						want = src.At(j, c)
-					}
-					if back.At(j, c) != want {
-						t.Fatalf("%d rows x %d: round trip [%d][%d] = %v, want %v", rows, n, j, c, back.At(j, c), want)
-					}
 				}
 			}
 		}

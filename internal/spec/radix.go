@@ -5,7 +5,6 @@
 package spec
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,16 +14,17 @@ import (
 )
 
 // Radix is the cross-request prefix KV cache. Each entry is keyed by
-// (level, exact frozen-memory tokens) and owns immutable copies of the
-// memory's cross-attention projections and the prompt's decoder
-// self-attention rows [0, len(memory)). Under a frozen memory the
-// decoder rows of position i depend only on tokens 0..i, so requests
-// sharing a system prompt can load the cached rows and teacher-force
-// only their own suffix — bit-identical to a fresh prefill, the
-// invariant the property tests pin. A matched entry is pinned by
-// refcount while its rows are copied out, and a row budget evicts the
-// coldest unpinned entries: lowest heat first, least recently used
-// among equals (see heatWindow).
+// (level, exact frozen-memory tokens) and owns a frozen DecodeState
+// snapshot of the prompt's prefill: the memory's cross-attention
+// projections and the self rows [0, len(memory)), in the KV cache's own
+// layout, so a hit copies them without a transpose. Under a frozen
+// memory the decoder rows of position i depend only on tokens 0..i, so
+// requests sharing a system prompt can load the cached rows and
+// teacher-force only their own suffix — bit-identical to a fresh
+// prefill, the invariant the property tests pin. A matched entry is
+// pinned by refcount while its rows are copied out, and a row budget
+// evicts the coldest unpinned entries: lowest heat first, least
+// recently used among equals (see heatWindow).
 type Radix struct {
 	mu      sync.Mutex
 	entries map[string]*entry
@@ -61,9 +61,8 @@ const heatWindow = 64
 
 // entry is one cached prompt.
 type entry struct {
-	self  *transformer.KVSpan // the prompt's self rows [0, len(memory))
-	cross *transformer.KVSpan // frozen memory projections
-	refs  int
+	st   *transformer.DecodeState // frozen snapshot at Pos len(memory)
+	refs int
 	// heat counts the matches of the entry since it was inserted
 	// (starting from its prompt's ghost count), halved with the ghosts;
 	// tick is the clock of the last match or insert of it.
@@ -117,7 +116,7 @@ func prefixHash(memory []int) uint64 {
 }
 
 // Hit is a pinned match: the entry's refcount is held so eviction
-// cannot free its spans while the caller copies them into a state.
+// cannot free its snapshot while the caller copies it into a state.
 // Callers must Release exactly once.
 type Hit struct {
 	r *Radix
@@ -125,13 +124,13 @@ type Hit struct {
 }
 
 // Rows returns the cached rows a Load installs: the prompt's length.
-func (h *Hit) Rows() int { return h.e.self.Rows }
+func (h *Hit) Rows() int { return h.e.st.Pos() }
 
 // Load copies the hit's rows into st (resetting it): the frozen memory
 // plus the prompt's self rows, leaving Pos at Rows(). Safe outside the
-// cache lock — the pinned spans are immutable.
+// cache lock — the pinned snapshot is immutable.
 func (h *Hit) Load(st *transformer.DecodeState) {
-	st.LoadKV(h.e.cross, h.e.self)
+	st.CopyFrom(h.e.st)
 }
 
 // Release unpins the hit's entry.
@@ -162,7 +161,7 @@ func (r *Radix) Match(level int, memory, _ []int) *Hit {
 	e.heat++
 	e.tick = r.clock
 	r.hits.Add(1)
-	r.hitRows.Add(int64(e.self.Rows))
+	r.hitRows.Add(int64(e.st.Pos()))
 	return &Hit{r: r, e: e}
 }
 
@@ -196,18 +195,15 @@ func (r *Radix) age() {
 }
 
 // Insert copies the prompt's rows out of a freshly computed prefill: st
-// must hold at least len(memory) rows. The suffix argument is ignored:
-// the cache holds prompts only. A cached prompt is only touched; a new
-// one enters at its prompt's ghost count, and admission is decided
-// before any row is copied: an entry that would be the first victim of
-// its own insert, or that cannot fit the budget at all, is not
-// exported. Over-capacity rows are then evicted coldest first, unpinned
-// entries only.
+// must hold at least len(memory) rows, which Snapshot checks when it
+// copies them. The suffix argument is ignored: the cache holds prompts
+// only. A cached prompt is only touched; a new one enters at its
+// prompt's ghost count, and admission is decided before any row is
+// copied: an entry that would be the first victim of its own insert, or
+// that cannot fit the budget at all, is not copied. Over-capacity rows
+// are then evicted coldest first, unpinned entries only.
 func (r *Radix) Insert(level int, memory, _ []int, st *transformer.DecodeState) {
 	p := len(memory)
-	if st.Pos() < p {
-		panic(fmt.Sprintf("spec: Insert with %d state rows for prompt %d", st.Pos(), p))
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.clock++
@@ -220,12 +216,7 @@ func (r *Radix) Insert(level int, memory, _ []int, st *transformer.DecodeState) 
 	if !r.admits(p, heat) {
 		return
 	}
-	r.entries[key] = &entry{
-		self:  st.ExportSelf(0, p),
-		cross: st.ExportCross(),
-		heat:  heat,
-		tick:  r.clock,
-	}
+	r.entries[key] = &entry{st: st.Snapshot(p), heat: heat, tick: r.clock}
 	r.used += p
 	r.inserts.Add(1)
 	r.insertedRows.Add(int64(p))
@@ -245,7 +236,7 @@ func (r *Radix) admits(rows int, heat uint32) bool {
 	free := 0
 	for _, e := range r.entries {
 		if e.refs == 0 && e.colder(&probe) {
-			free += e.self.Rows
+			free += e.st.Pos()
 		}
 	}
 	if r.used+rows-free <= r.capRows {
@@ -270,9 +261,9 @@ func (r *Radix) evictOver() {
 			return
 		}
 		delete(r.entries, victimKey)
-		r.used -= victim.self.Rows
+		r.used -= victim.st.Pos()
 		r.evictions.Add(1)
-		r.evictedRows.Add(int64(victim.self.Rows))
+		r.evictedRows.Add(int64(victim.st.Pos()))
 	}
 }
 

@@ -79,8 +79,8 @@ func (f *freshKV) state(pi int, suffix []int) *transformer.DecodeState {
 }
 
 // checkRadixInvariants checks under the lock the invariants every
-// operation must preserve: each entry holds its cross span and exactly
-// one self row per prompt token, accounted rows equal the sum of the
+// operation must preserve: each entry holds a snapshot at exactly one
+// self row per prompt token, accounted rows equal the sum of the
 // entries' rows, refcounts are never negative and — when the caller
 // holds no hits — all zero.
 func checkRadixInvariants(t *testing.T, r *Radix, pinned bool) {
@@ -89,11 +89,11 @@ func checkRadixInvariants(t *testing.T, r *Radix, pinned bool) {
 	defer r.mu.Unlock()
 	rows := 0
 	for key, e := range r.entries {
-		if e.cross == nil {
-			t.Fatal("entry without cross span")
+		if e.st == nil {
+			t.Fatal("entry without a snapshot")
 		}
-		if want := len(key)/8 - 1; e.self.Rows != want {
-			t.Fatalf("entry owns %d rows for a %d-token prompt", e.self.Rows, want)
+		if want := len(key)/8 - 1; e.st.Pos() != want {
+			t.Fatalf("entry owns %d rows for a %d-token prompt", e.st.Pos(), want)
 		}
 		if e.refs < 0 {
 			t.Fatalf("negative refcount %d", e.refs)
@@ -101,7 +101,7 @@ func checkRadixInvariants(t *testing.T, r *Radix, pinned bool) {
 		if !pinned && e.refs != 0 {
 			t.Fatalf("refcount %d with no outstanding hits", e.refs)
 		}
-		rows += e.self.Rows
+		rows += e.st.Pos()
 	}
 	if rows != r.used {
 		t.Fatalf("accounted %d rows, entries hold %d", r.used, rows)
@@ -126,12 +126,8 @@ func verifyHit(t *testing.T, m *transformer.LMModel, h *Hit, fresh *freshKV, pi 
 	if st.Pos() != h.Rows() || h.Rows() != len(radixPrefixes[pi]) {
 		t.Fatalf("hit loaded %d rows, reported %d, prompt %d", st.Pos(), h.Rows(), len(radixPrefixes[pi]))
 	}
-	ref := fresh.state(pi, nil)
-	if !st.ExportSelf(0, st.Pos()).Equal(ref.ExportSelf(0, ref.Pos())) {
-		t.Fatalf("hit self rows differ from a fresh prefill (prefix %d)", pi)
-	}
-	if !st.ExportCross().Equal(ref.ExportCross()) {
-		t.Fatalf("hit cross rows differ from a fresh prefill (prefix %d)", pi)
+	if !st.Equal(fresh.state(pi, nil)) {
+		t.Fatalf("hit rows differ from a fresh prefill (prefix %d)", pi)
 	}
 }
 
@@ -310,8 +306,7 @@ func TestRadixCachesPromptRowsOnly(t *testing.T) {
 	}
 	st := m.NewDecodeState()
 	h.Load(st)
-	ref := splitPrefill(m, prefix, nil)
-	if !st.ExportSelf(0, st.Pos()).Equal(ref.ExportSelf(0, ref.Pos())) || !st.ExportCross().Equal(ref.ExportCross()) {
+	if !st.Equal(splitPrefill(m, prefix, nil)) {
 		t.Fatal("loaded rows differ from a fresh prefill of the prompt")
 	}
 }
@@ -343,13 +338,12 @@ func TestRadixConcurrentStress(t *testing.T) {
 	const itersPer = 60
 
 	// precompute the workload single-threaded: the model is not
-	// goroutine-safe, but DecodeState reads and KVSpan loads are
+	// goroutine-safe, but DecodeState reads and copies are
 	type item struct {
 		pi     int
 		suffix []int
 		st     *transformer.DecodeState
-		prefix *transformer.KVSpan
-		cross  *transformer.KVSpan
+		prefix *transformer.DecodeState // the prompt's rows alone
 	}
 	rng := rand.New(rand.NewSource(11))
 	var pool []item
@@ -362,8 +356,7 @@ func TestRadixConcurrentStress(t *testing.T) {
 		st := splitPrefill(m, radixPrefixes[pi], suffix)
 		pool = append(pool, item{
 			pi: pi, suffix: suffix, st: st,
-			prefix: st.ExportSelf(0, len(radixPrefixes[pi])),
-			cross:  st.ExportCross(),
+			prefix: st.Snapshot(len(radixPrefixes[pi])),
 		})
 	}
 	scratch := make([]*transformer.DecodeState, workers)
@@ -391,13 +384,11 @@ func TestRadixConcurrentStress(t *testing.T) {
 				}
 				st := scratch[w]
 				h.Load(st)
-				rows := e.prefix.Rows
+				rows := e.prefix.Pos()
 				if st.Pos() != rows || h.Rows() != rows {
 					errs <- fmt.Errorf("worker %d: loaded %d rows, reported %d, want %d", w, st.Pos(), h.Rows(), rows)
-				} else if !st.ExportSelf(0, rows).Equal(e.prefix) {
+				} else if !st.Equal(e.prefix) {
 					errs <- fmt.Errorf("worker %d: loaded rows differ from reference", w)
-				} else if !st.ExportCross().Equal(e.cross) {
-					errs <- fmt.Errorf("worker %d: cross rows differ from reference", w)
 				}
 				h.Release()
 			}

@@ -31,15 +31,15 @@ import (
 // capRows a multiple of mat.AttendBlock, so head h's keys are the block
 // k[h*hd*capRows:] at stride capRows and every score block is 16
 // contiguous floats per feature. Values stay row-major. The layout is
-// private to this file — reserve, appendFloats (under appendRows),
-// truncate and exportSpan are its only readers besides the attend call —
-// and KVSpan, the interchange form everything outside exchanges, is
-// row-major for both.
+// private to this file — reserve, appendRows, truncate, copyFrom and
+// equal are its only readers besides the attend call — and it is the one
+// form K/V rows take: the prefix cache holds frozen DecodeStates in it
+// (Snapshot, CopyFrom), not a copy in another layout.
 //
-// Key columns at and past Rows() — stale rows left by TruncateTo or
-// Reset, the padding up to the block edge — are read by the score kernel
-// as spare lanes and never stored: lanes do not mix, so whatever they
-// hold (NaN included) reaches no result.
+// Key columns at and past the cached rows — stale rows left by
+// TruncateTo or Reset, the padding up to the block edge — are read by
+// the score kernel as spare lanes and never stored: lanes do not mix, so
+// whatever they hold (NaN included) reaches no result.
 type KVCache struct {
 	k       []float64 // dim x capRows, feature-major
 	v       []float64 // rows x dim, row-major, capacity capRows rows
@@ -47,9 +47,6 @@ type KVCache struct {
 	rows    int
 	capRows int // multiple of mat.AttendBlock
 }
-
-// Rows returns the number of cached key/value rows.
-func (c *KVCache) Rows() int { return c.rows }
 
 // reserve grows the backing storage to hold at least rows rows (rounded
 // up to whole score blocks), preserving cached contents: every feature's
@@ -68,31 +65,16 @@ func (c *KVCache) reserve(rows int) {
 	c.k, c.v, c.capRows = k, v, grown
 }
 
-// grow makes room for n more rows, doubling the backing storage when it
-// runs out (an up-front reserve makes this allocation-free).
-func (c *KVCache) grow(n int) {
+// appendRows copies rows [r0, r1) of the packed projections k and v
+// (dim columns each) into the cache, doubling the backing storage when
+// it runs out (an up-front reserve makes this allocation-free).
+func (c *KVCache) appendRows(k, v *mat.Matrix, r0, r1 int) {
+	n := r1 - r0
 	if need := c.rows + n; c.capRows < need {
 		c.reserve(max(need, 2*c.rows))
 	}
-}
-
-// appendRows copies rows [r0, r1) of the packed projections k and v
-// into the cache.
-func (c *KVCache) appendRows(k, v *mat.Matrix, r0, r1 int) {
-	c.appendFloats(k.Data[r0*c.dim:r1*c.dim], v.Data[r0*c.dim:r1*c.dim])
-}
-
-// appendFloats copies packed row-major key/value data (len(k) == len(v)
-// == rows*dim) onto the cache — the import half of the KVSpan API the
-// prefix cache restores states through.
-func (c *KVCache) appendFloats(k, v []float64) {
-	if len(k) != len(v) || len(k)%c.dim != 0 {
-		panic(fmt.Sprintf("transformer: appendFloats with %d/%d floats at dim %d", len(k), len(v), c.dim))
-	}
-	n := len(k) / c.dim
-	c.grow(n)
-	mat.PackKeys(c.k[c.rows:], c.capRows, k, c.dim, n, c.dim)
-	c.v = append(c.v, v...)
+	mat.PackKeys(c.k[c.rows:], c.capRows, k.Data[r0*c.dim:], c.dim, n, c.dim)
+	c.v = append(c.v, v.Data[r0*c.dim:r1*c.dim]...)
 	c.rows += n
 }
 
@@ -100,6 +82,39 @@ func (c *KVCache) appendFloats(k, v []float64) {
 func (c *KVCache) truncate(rows int) {
 	c.rows = rows
 	c.v = c.v[:rows*c.dim]
+}
+
+// copyFrom replaces the cache's contents with src's rows [0, rows): one
+// copy per key feature, at each side's own row stride, and one for the
+// values. Storage is reused when it holds rows; otherwise it grows to
+// rows in whole score blocks.
+func (c *KVCache) copyFrom(src *KVCache, rows int) {
+	c.dim = src.dim
+	c.truncate(0)
+	c.reserve(rows)
+	for f := 0; f < c.dim; f++ {
+		copy(c.k[f*c.capRows:][:rows], src.k[f*src.capRows:][:rows])
+	}
+	c.v = append(c.v, src.v[:rows*c.dim]...)
+	c.rows = rows
+}
+
+// equal reports whether two caches hold bit for bit the same rows (-0
+// differs from 0, a NaN equals itself), whatever their capacity and
+// spare lanes hold.
+func (c *KVCache) equal(o *KVCache) bool {
+	if c.dim != o.dim || c.rows != o.rows {
+		return false
+	}
+	for j := 0; j < c.rows; j++ {
+		for f := 0; f < c.dim; f++ {
+			if math.Float64bits(c.k[f*c.capRows+j]) != math.Float64bits(o.k[f*o.capRows+j]) ||
+				math.Float64bits(c.v[j*c.dim+f]) != math.Float64bits(o.v[j*c.dim+f]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // DecodeState is one sequence's incremental-decoding cache: per decoder
@@ -173,89 +188,55 @@ func (st *DecodeState) TruncateTo(pos int) {
 	st.pos = pos
 }
 
-// KVSpan is one contiguous run of projected K/V rows copied out of a
-// DecodeState, one k/v pair per decoder layer — the immutable storage
-// unit of the prefix cache. Spans taken from a state rebuild a
-// bit-identical state through LoadKV.
-type KVSpan struct {
-	K, V [][]float64 // per decoder layer, Rows x Dim packed row-major
-	Rows int
-	Dim  int
-}
-
-// ExportSelf copies self-attention K/V rows [r0, r1) of every decoder
-// layer out of the state.
-func (st *DecodeState) ExportSelf(r0, r1 int) *KVSpan {
-	if r0 < 0 || r1 < r0 || r1 > st.pos {
-		panic(fmt.Sprintf("transformer: ExportSelf [%d, %d) of %d rows", r0, r1, st.pos))
+// Snapshot returns a new state holding a copy of the frozen memory and
+// of self rows [0, rows), at Pos rows (0 <= rows <= Pos()), in the
+// fewest whole score blocks that hold them. At the memory's length it is
+// the state a prefill of the prompt leaves: what the prefix cache keeps.
+func (st *DecodeState) Snapshot(rows int) *DecodeState {
+	if rows < 0 || rows > st.pos {
+		panic(fmt.Sprintf("transformer: Snapshot of %d rows outside [0, %d]", rows, st.pos))
 	}
-	return exportSpan(st.self, r0, r1)
+	snap := &DecodeState{self: make([]KVCache, len(st.self)), cross: make([]KVCache, len(st.cross))}
+	snap.copyFrom(st, rows)
+	return snap
 }
 
-// ExportCross copies the frozen cross-attention memory projections of
-// every decoder layer out of the state.
-func (st *DecodeState) ExportCross() *KVSpan {
-	return exportSpan(st.cross, 0, st.cross[0].Rows())
-}
-
-func exportSpan(caches []KVCache, r0, r1 int) *KVSpan {
-	dim := caches[0].dim
-	sp := &KVSpan{Rows: r1 - r0, Dim: dim}
-	for li := range caches {
-		c := &caches[li]
-		k := make([]float64, (r1-r0)*dim)
-		mat.UnpackKeys(k, dim, c.k[r0:], c.capRows, r1-r0, dim)
-		sp.K = append(sp.K, k)
-		sp.V = append(sp.V, append([]float64(nil), c.v[r0*dim:r1*dim]...))
+// CopyFrom replaces the state's contents with src's — frozen memory,
+// self rows and Pos — in the state's reserved storage, growing it only
+// where src holds more rows: the state then decodes exactly as src
+// does. src is only read, so one snapshot may be copied from
+// concurrently.
+func (st *DecodeState) CopyFrom(src *DecodeState) {
+	if len(src.self) != len(st.self) {
+		panic(fmt.Sprintf("transformer: CopyFrom a %d-layer state into a %d-layer one", len(src.self), len(st.self)))
 	}
-	return sp
+	st.copyFrom(src, src.pos)
 }
 
-// Equal reports exact (bitwise) equality of two spans.
-func (sp *KVSpan) Equal(other *KVSpan) bool {
-	if sp.Rows != other.Rows || sp.Dim != other.Dim || len(sp.K) != len(other.K) {
+// copyFrom replaces the state's contents with src's memory and self rows
+// [0, rows).
+func (st *DecodeState) copyFrom(src *DecodeState, rows int) {
+	for li := range st.self {
+		st.self[li].copyFrom(&src.self[li], rows)
+		st.cross[li].copyFrom(&src.cross[li], src.cross[li].rows)
+	}
+	st.pos = rows
+}
+
+// Equal reports whether two states hold bitwise the same Pos, self rows
+// below it and frozen memory, whatever their capacity and spare lanes
+// hold. It is the oracle the bit-identity tests compare states with
+// (cached == recompute, prefix-cached == uncached, forked == inline).
+func (st *DecodeState) Equal(o *DecodeState) bool {
+	if st.pos != o.pos || len(st.self) != len(o.self) {
 		return false
 	}
-	for li := range sp.K {
-		for i, v := range sp.K[li] {
-			if other.K[li][i] != v {
-				return false
-			}
-		}
-		for i, v := range sp.V[li] {
-			if other.V[li][i] != v {
-				return false
-			}
+	for li := range st.self {
+		if !st.self[li].equal(&o.self[li]) || !st.cross[li].equal(&o.cross[li]) {
+			return false
 		}
 	}
 	return true
-}
-
-// LoadKV replaces the state's contents with externally captured rows:
-// cross becomes the frozen memory and the self spans are appended in
-// order, leaving Pos at their total row count — after which the state is
-// indistinguishable from one whose first Pos rows were just prefilled
-// (the equivalence the prefix-cache tests pin). The state's reserved
-// storage is reused.
-func (st *DecodeState) LoadKV(cross *KVSpan, selfSpans ...*KVSpan) {
-	if len(cross.K) != len(st.self) {
-		panic(fmt.Sprintf("transformer: LoadKV cross has %d layers, state wants %d", len(cross.K), len(st.self)))
-	}
-	st.Reset()
-	for li := range st.cross {
-		st.cross[li].appendFloats(cross.K[li], cross.V[li])
-	}
-	total := 0
-	for _, sp := range selfSpans {
-		if len(sp.K) != len(st.self) {
-			panic(fmt.Sprintf("transformer: LoadKV span has %d layers, state wants %d", len(sp.K), len(st.self)))
-		}
-		for li := range st.self {
-			st.self[li].appendFloats(sp.K[li], sp.V[li])
-		}
-		total += sp.Rows
-	}
-	st.pos = total
 }
 
 // Prefill runs the prompt phase of incremental decoding: the prompts
@@ -336,7 +317,7 @@ func (m *LMModel) DecodeChunk(states []*DecodeState, chunks [][]int) []*mat.Matr
 		panic(fmt.Sprintf("transformer: DecodeChunk with %d states for %d chunks", len(states), len(chunks)))
 	}
 	for _, st := range states {
-		if st.cross[0].Rows() == 0 {
+		if st.cross[0].rows == 0 {
 			panic("transformer: DecodeChunk before Prefill (no frozen memory)")
 		}
 	}
@@ -373,7 +354,7 @@ func (m *LMModel) decode(x *mat.Matrix, states []*DecodeState, off []int, last b
 		x = dec.decode(x, off)
 	}
 	for _, st := range states {
-		st.pos = st.self[0].Rows()
+		st.pos = st.self[0].rows
 	}
 	return m.Proj.Forward(x)
 }
@@ -389,7 +370,8 @@ func (m *LMModel) identity(n int) []int {
 // EncodeBatch runs the embedding and encoder stack over the packed
 // prompts and returns an independent copy of the packed encoder memory
 // plus its offsets table — the frozen memory that Prefill computes
-// internally, exposed for the full-recompute reference path.
+// internally, exposed for the full-recompute reference path. It is a
+// test oracle beside DecodeFull, exported for serve's tests.
 func (m *LMModel) EncodeBatch(prompts [][]int) (*mat.Matrix, []int) {
 	_, memory := m.encode(prompts)
 	return memory.Clone(), append([]int(nil), m.off...)
@@ -402,7 +384,8 @@ func (m *LMModel) EncodeBatch(prompts [][]int) (*mat.Matrix, []int) {
 // EncodeBatch, returning per-sequence logits (views, per the
 // ForwardBatch aliasing contract). The last row of sequence i is
 // bit-identical to DecodeStep's row i at the same position — the
-// equivalence the decode tests and benchmarks pin.
+// equivalence the decode tests and benchmarks pin. It is a test oracle,
+// exported for the bit-identity tests of this package and of serve.
 func (m *LMModel) DecodeFull(seqs [][]int, memory *mat.Matrix, memOff []int) []*mat.Matrix {
 	if len(m.Dec) == 0 {
 		panic("transformer: DecodeFull requires at least one decoder layer")

@@ -75,13 +75,13 @@ func TestPrefillMatchesForwardBatch(t *testing.T) {
 
 			// self K/V through the chunk path over every row, cross K/V as
 			// each layer's WK/WV over the encoder memory
-			rebuilt := newStates(m, len(prompts))
-			for i, st := range rebuilt {
-				st.LoadKV(states[i].ExportCross())
+			rebuilt := make([]*transformer.DecodeState, len(prompts))
+			for i, st := range states {
+				rebuilt[i] = st.Snapshot(0)
 			}
 			m.DecodeChunk(rebuilt, prompts)
 			for i, st := range states {
-				if !st.ExportSelf(0, st.Pos()).Equal(rebuilt[i].ExportSelf(0, rebuilt[i].Pos())) {
+				if !st.Equal(rebuilt[i]) {
 					t.Fatalf("%s, prompt %d: self K/V differ from the chunk path's", what, i)
 				}
 			}
@@ -90,8 +90,8 @@ func TestPrefillMatchesForwardBatch(t *testing.T) {
 			for li, dec := range ref.Dec {
 				k, v := dec.CrossAttn.WK.Forward(memory), dec.CrossAttn.WV.Forward(memory)
 				for i, st := range states {
-					cross, r0, r1 := st.ExportCross(), memOff[i], memOff[i+1]
-					if !slices.Equal(cross.K[li], k.RowSpan(r0, r1).Data) || !slices.Equal(cross.V[li], v.RowSpan(r0, r1).Data) {
+					ck, cv := st.CrossRows(li)
+					if r0, r1 := memOff[i], memOff[i+1]; !slices.Equal(ck, k.RowSpan(r0, r1).Data) || !slices.Equal(cv, v.RowSpan(r0, r1).Data) {
 						t.Fatalf("%s, layer %d, prompt %d: cross K/V differ from WK/WV over the encoder memory", what, li, i)
 					}
 				}
@@ -150,8 +150,7 @@ func TestPrefillForkMatchesInline(t *testing.T) {
 			if !mat.Equal(got[i], want[i], 0) {
 				t.Fatalf("lens %v, prompt %d: forked prefill logits differ from inline", lens, i)
 			}
-			a, b := gotStates[i], wantStates[i]
-			if !a.ExportSelf(0, a.Pos()).Equal(b.ExportSelf(0, b.Pos())) || !a.ExportCross().Equal(b.ExportCross()) {
+			if !gotStates[i].Equal(wantStates[i]) {
 				t.Fatalf("lens %v, prompt %d: forked prefill K/V differ from inline", lens, i)
 			}
 		}
@@ -474,15 +473,15 @@ func newWideDecodeModel(t testing.TB) *transformer.LMModel {
 // sequence and its GELU by row across the mat.Fork helpers. Steps and a
 // ragged chunk replay over ragged caches, on a model wide enough for
 // every one of those regions to fan out, give at GOMAXPROCS 4 the logits
-// and the exported K/V rows of GOMAXPROCS 1, bit for bit.
+// and the cached K/V rows of GOMAXPROCS 1, bit for bit.
 func TestDecodeStepForkMatchesInline(t *testing.T) {
 	prompts := raggedSeqs(wideCfg.Vocab, widePrompts, 41)
 	chunkLens := []int{3, 1, 4, 2, 1, 5, 2, 3}
 	const steps = 4
 	type result struct {
-		logits      []*mat.Matrix
-		self, cross []*transformer.KVSpan
-		regions     int64
+		logits  []*mat.Matrix
+		states  []*transformer.DecodeState
+		regions int64
 	}
 	run := func(procs int) result {
 		testutil.Procs(t, procs)
@@ -509,10 +508,7 @@ func TestDecodeStepForkMatchesInline(t *testing.T) {
 			res.logits = append(res.logits, logits.Clone())
 		}
 		res.regions = mat.ForkStats().Regions - before
-		for _, st := range states {
-			res.self = append(res.self, st.ExportSelf(0, st.Pos()))
-			res.cross = append(res.cross, st.ExportCross())
-		}
+		res.states = states
 		return res
 	}
 	want, got := run(1), run(4)
@@ -527,8 +523,8 @@ func TestDecodeStepForkMatchesInline(t *testing.T) {
 		}
 	}
 	for i := range prompts {
-		if !got.self[i].Equal(want.self[i]) || !got.cross[i].Equal(want.cross[i]) {
-			t.Fatalf("sequence %d: exported K/V rows differ from the inline run", i)
+		if !got.states[i].Equal(want.states[i]) {
+			t.Fatalf("sequence %d: cached K/V rows differ from the inline run", i)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -38,21 +39,26 @@ func randRows(rng *rand.Rand, n, dim int) (k, v []float64) {
 	return k, v
 }
 
-// checkKVCache holds the cache to the model through both of its read
-// paths: exportSpan over every row, and the feature-major placement the
-// attention core indexes directly.
+// appendPacked appends the packed row-major rows k and v to the cache
+// through appendRows.
+func appendPacked(c *KVCache, k, v []float64) {
+	n := len(k) / c.dim
+	c.appendRows(mat.FromSlice(n, c.dim, k), mat.FromSlice(n, c.dim, v), 0, n)
+}
+
+// checkKVCache holds the cache to the model: the row-major values, and
+// the feature-major placement of the keys the attention core indexes
+// directly.
 func checkKVCache(t *testing.T, c *KVCache, m *kvModel, what string) {
 	t.Helper()
-	if c.Rows() != m.rows() {
-		t.Fatalf("%s: cache holds %d rows, model %d", what, c.Rows(), m.rows())
+	if c.rows != m.rows() {
+		t.Fatalf("%s: cache holds %d rows, model %d", what, c.rows, m.rows())
 	}
 	if c.capRows%mat.AttendBlock != 0 || c.capRows < c.rows || len(c.k) != c.dim*c.capRows {
 		t.Fatalf("%s: capacity %d rows (%d key floats) under %d rows at dim %d", what, c.capRows, len(c.k), c.rows, c.dim)
 	}
-	sp := exportSpan([]KVCache{*c}, 0, c.Rows())
-	want := &KVSpan{K: [][]float64{m.k}, V: [][]float64{m.v}, Rows: m.rows(), Dim: m.dim}
-	if !sp.Equal(want) {
-		t.Fatalf("%s: exported rows differ from the row-major model", what)
+	if !slices.Equal(c.v, m.v) {
+		t.Fatalf("%s: value rows differ from the row-major model", what)
 	}
 	for j := 0; j < m.rows(); j++ {
 		for f := 0; f < m.dim; f++ {
@@ -76,7 +82,7 @@ func TestKVCacheReserveMidSequencePreservesRows(t *testing.T) {
 			c.reserve(step.reserve)
 		}
 		k, v := randRows(rng, step.add, dim)
-		c.appendFloats(k, v)
+		appendPacked(c, k, v)
 		m.append(k, v)
 		checkKVCache(t, c, m, fmt.Sprintf("after +%d rows, reserve %d", step.add, step.reserve))
 	}
@@ -94,14 +100,14 @@ func TestKVCacheTruncateThenAppend(t *testing.T) {
 	const dim = 5
 	c, m := &KVCache{dim: dim}, &kvModel{dim: dim}
 	k, v := randRows(rng, 21, dim)
-	c.appendFloats(k, v)
+	appendPacked(c, k, v)
 	m.append(k, v)
 	for _, to := range []int{17, 16, 3, 0} {
 		c.truncate(to)
 		m.truncate(to)
 		checkKVCache(t, c, m, fmt.Sprintf("truncated to %d", to))
 		k, v := randRows(rng, 2, dim)
-		c.appendFloats(k, v)
+		appendPacked(c, k, v)
 		m.append(k, v)
 		checkKVCache(t, c, m, fmt.Sprintf("truncated to %d, +2 rows", to))
 	}
@@ -139,27 +145,94 @@ func kvTestPrompt(n int) []int {
 	return p
 }
 
-// TestKVSpanRaggedExportLoadRoundTrip: ExportSelf(r0, r1) -> LoadKV ->
-// ExportSelf is the identity for ranges that start and end off the
-// block width.
-func TestKVSpanRaggedExportLoadRoundTrip(t *testing.T) {
+// TestDecodeStateSnapshotCopyFrom pins the prefix-cache storage
+// contract. A snapshot of the first rows of a 37-row prefill, at row
+// counts that start, straddle and end score blocks, holds them in the
+// fewest whole blocks, and copies into a fresh state, into a larger one
+// holding stale rows and NaN spare lanes, and into a smaller one. Each
+// copy equals the snapshot, copies again (its storage now reserved)
+// without allocating, and feeds the next token to the logits of the
+// source rewound to those rows, at tolerance 0.
+func TestDecodeStateSnapshotCopyFrom(t *testing.T) {
 	m := kvTestModel(true)
-	st := m.NewDecodeState()
-	m.Prefill([]*DecodeState{st}, [][]int{kvTestPrompt(37)})
-	cross := st.ExportCross()
-	for _, r := range [][2]int{{0, 37}, {1, 16}, {3, 19}, {15, 17}, {16, 33}, {5, 5}, {36, 37}} {
-		sp := st.ExportSelf(r[0], r[1])
-		loaded := m.NewDecodeState()
-		loaded.LoadKV(cross, sp)
-		if loaded.Pos() != r[1]-r[0] || !loaded.ExportSelf(0, loaded.Pos()).Equal(sp) {
-			t.Fatalf("[%d, %d): export -> load -> export is not the identity", r[0], r[1])
+	prompt := kvTestPrompt(37)
+	prefill := func(p []int, reserve int) *DecodeState {
+		st := m.NewDecodeState()
+		st.Reserve(reserve)
+		m.Prefill([]*DecodeState{st}, [][]int{p})
+		return st
+	}
+	// next feeds one token: a step, or at Pos 0 the one-token chunk
+	next := func(st *DecodeState) *mat.Matrix {
+		if st.Pos() == 0 {
+			return m.DecodeChunk([]*DecodeState{st}, [][]int{{9}})[0].Clone()
+		}
+		return m.DecodeStep([]*DecodeState{st}, []int{9}).Clone()
+	}
+	other := make([]int, 45)
+	for i := range other {
+		other[i] = (11 + 5*i) % 30
+	}
+	src := prefill(prompt, 0)
+	for _, rows := range []int{0, 1, 15, 16, 17, 33, 37} {
+		snap := src.Snapshot(rows)
+		for li := range snap.self {
+			s, c := &snap.self[li], &snap.cross[li]
+			if snap.Pos() != rows || s.capRows != mat.AttendPadded(rows) || c.capRows != mat.AttendPadded(37) || cap(s.v) != s.capRows*s.dim {
+				t.Fatalf("%d rows, layer %d: snapshot at Pos %d holds %d self / %d memory rows of capacity", rows, li, snap.Pos(), s.capRows, c.capRows)
+			}
+		}
+		ref := prefill(prompt, 0)
+		ref.TruncateTo(rows)
+		want := next(ref)
+
+		larger := prefill(other, 80)
+		poisonSpareLanes(larger)
+		for _, target := range []struct {
+			name string
+			st   *DecodeState
+		}{{"fresh", m.NewDecodeState()}, {"larger", larger}, {"smaller", prefill(other[:3], 0)}} {
+			what := fmt.Sprintf("%d rows into a %s state", rows, target.name)
+			target.st.CopyFrom(snap)
+			if !target.st.Equal(snap) || !snap.Equal(target.st) {
+				t.Fatalf("%s: the copy differs from the snapshot", what)
+			}
+			if allocs := testing.AllocsPerRun(10, func() { target.st.CopyFrom(snap) }); allocs != 0 {
+				t.Fatalf("%s: %v allocs per CopyFrom into reserved storage, want 0", what, allocs)
+			}
+			if got := next(target.st); !mat.Equal(got, want, 0) {
+				t.Fatalf("%s: the next token's logits differ from the source's", what)
+			}
+		}
+		if !snap.Equal(src.Snapshot(rows)) {
+			t.Fatalf("%d rows: decoding a copy wrote through to the snapshot", rows)
+		}
+
+		cp := snap.Snapshot(rows)
+		poisonSpareLanes(cp)
+		if !cp.Equal(snap) {
+			t.Fatalf("%d rows: Equal read the poisoned spare lanes", rows)
+		}
+		mem := &cp.cross[1]
+		below := []*float64{&mem.k[(mem.dim-1)*mem.capRows+mem.rows-1], &mem.v[0]}
+		if rows > 0 {
+			s := &cp.self[1]
+			below = append(below, &s.k[(s.dim-1)*s.capRows+rows-1], &s.v[len(s.v)-1])
+		}
+		for i, x := range below {
+			old := *x
+			*x = math.Float64frombits(math.Float64bits(old) ^ 1)
+			if cp.Equal(snap) || snap.Equal(cp) {
+				t.Fatalf("%d rows: Equal missed a flipped bit (element %d)", rows, i)
+			}
+			*x = old
 		}
 	}
 }
 
-// poisonSpareLanes overwrites every key column at or past Rows() — stale
-// rows and block padding — with NaN in every self- and cross-attention
-// cache of the state.
+// poisonSpareLanes overwrites every key column at or past the rows held
+// — stale rows and block padding — with NaN in every self- and
+// cross-attention cache of the state.
 func poisonSpareLanes(st *DecodeState) {
 	for _, caches := range [][]KVCache{st.self, st.cross} {
 		for i := range caches {
@@ -219,7 +292,7 @@ func TestAttendEmptyCacheRejected(t *testing.T) {
 	a := NewMultiHeadAttention("attn", 8, 2, rand.New(rand.NewSource(165)))
 	full := &KVCache{dim: 8}
 	k, v := randRows(rand.New(rand.NewSource(166)), 3, 8)
-	full.appendFloats(k, v)
+	appendPacked(full, k, v)
 	defer func() {
 		msg := fmt.Sprint(recover())
 		if !strings.HasPrefix(msg, "transformer:") || !strings.Contains(msg, "sequence 1") {
@@ -282,28 +355,26 @@ func runKVCacheScript(t *testing.T, script []byte) {
 			c.reserve(arg % 70)
 		case 1: // append 1..8 rows (the decode step and the chunk)
 			k, v := randRows(rng, 1+arg%8, dim)
-			c.appendFloats(k, v)
+			appendPacked(c, k, v)
 			m.append(k, v)
 		case 2: // truncate
 			to := arg % (m.rows() + 1)
 			c.truncate(to)
 			m.truncate(to)
-		case 3: // export a range, compare with the model's rows
-			r0 := arg % (m.rows() + 1)
-			r1 := r0 + (arg/7)%(m.rows()-r0+1)
-			sp := exportSpan([]KVCache{*c}, r0, r1)
-			want := &KVSpan{K: [][]float64{m.k[r0*dim : r1*dim]}, V: [][]float64{m.v[r0*dim : r1*dim]}, Rows: r1 - r0, Dim: dim}
-			if !sp.Equal(want) {
-				t.Fatalf("%s: export [%d, %d) differs from the model", what, r0, r1)
-			}
-		case 4: // export a range and load it back behind a truncate
-			r0 := arg % (m.rows() + 1)
-			sp := exportSpan([]KVCache{*c}, r0, m.rows())
+		case 3: // copy rows [0, r) into a fresh cache, compare with the model's
+			r := arg % (m.rows() + 1)
+			cp := &KVCache{dim: dim}
+			cp.copyFrom(c, r)
+			checkKVCache(t, cp, &kvModel{dim: dim, k: m.k[:r*dim], v: m.v[:r*dim]}, what+", the copy")
+		case 4: // copy rows [0, r) out, truncate, and copy them back in
+			r := arg % (m.rows() + 1)
+			cp := &KVCache{dim: dim}
+			cp.copyFrom(c, r)
+			kept := &kvModel{dim: dim, k: slices.Clone(m.k[:r*dim]), v: slices.Clone(m.v[:r*dim])}
 			to := (arg / 3) % (m.rows() + 1)
 			c.truncate(to)
-			m.truncate(to)
-			c.appendFloats(sp.K[0], sp.V[0])
-			m.append(sp.K[0], sp.V[0])
+			c.copyFrom(cp, r)
+			m = kept
 		}
 		checkKVCache(t, c, m, what)
 	}
@@ -319,7 +390,7 @@ func TestKVCacheLayoutScripts(t *testing.T) {
 	}
 }
 
-// FuzzKVCacheLayout explores reserve/append/truncate/export/load
+// FuzzKVCacheLayout explores reserve/append/truncate/copy
 // interleavings of the feature-major cache against the row-major model
 // (`go test -fuzz=FuzzKVCacheLayout ./internal/transformer`).
 func FuzzKVCacheLayout(f *testing.F) {
