@@ -203,3 +203,35 @@ func TestDecodeTruncateThenRecycle(t *testing.T) {
 		tok = b.ArgmaxRow(0)
 	}
 }
+
+// TestKVSpanExportLoadRoundTrip pins the prefix-cache storage contract:
+// a snapshot of a prefilled state copied into another state rebuilds a
+// state that decodes bit-identically to the original.
+func TestKVSpanExportLoadRoundTrip(t *testing.T) {
+	prompts := raggedSeqs(decodeCfg.Vocab, []int{8}, 59)
+	m := newDecodeModel(t, true)
+	states, outs := prefillStates(m, prompts)
+	pos := states[0].Pos()
+	whole := states[0].Snapshot(pos)
+
+	loaded := m.NewDecodeState()
+	loaded.CopyFrom(whole)
+	if loaded.Pos() != pos {
+		t.Fatalf("loaded pos %d, want %d", loaded.Pos(), pos)
+	}
+	if !loaded.Equal(whole) || !loaded.Equal(states[0]) {
+		t.Fatal("loaded rows differ from the snapshot")
+	}
+
+	tok := greedyRow(outs[0])
+	tokens := []int{tok, tok}
+	both := []*transformer.DecodeState{states[0], loaded}
+	for step := 0; step < 6; step++ {
+		logits := m.DecodeStep(both, tokens)
+		if !mat.Equal(logits.RowSpan(0, 1), logits.RowSpan(1, 2), 0) {
+			t.Fatalf("step %d: loaded state diverged from original", step)
+		}
+		tokens[0] = logits.ArgmaxRow(0)
+		tokens[1] = tokens[0]
+	}
+}

@@ -145,6 +145,33 @@ func kvTestPrompt(n int) []int {
 	return p
 }
 
+// TestKVSpanRaggedExportLoadRoundTrip snapshots a 37-row prefill at row
+// counts off the 16-row block edge and copies each into a fresh state.
+// The copy equals the same prefill rewound to those rows with
+// TruncateTo, and snapshot -> copy -> snapshot is the identity.
+func TestKVSpanRaggedExportLoadRoundTrip(t *testing.T) {
+	m := kvTestModel(true)
+	prefill := func() *DecodeState {
+		st := m.NewDecodeState()
+		m.Prefill([]*DecodeState{st}, [][]int{kvTestPrompt(37)})
+		return st
+	}
+	st := prefill()
+	for _, rows := range []int{37, 16, 19, 17, 33, 5, 1, 0} {
+		sp := st.Snapshot(rows)
+		loaded := m.NewDecodeState()
+		loaded.CopyFrom(sp)
+		ref := prefill()
+		ref.TruncateTo(rows)
+		if loaded.Pos() != rows || !loaded.Equal(ref) {
+			t.Fatalf("%d rows: the copy differs from the prefill rewound to %d rows", rows, rows)
+		}
+		if !loaded.Snapshot(loaded.Pos()).Equal(sp) {
+			t.Fatalf("%d rows: snapshot -> copy -> snapshot is not the identity", rows)
+		}
+	}
+}
+
 // TestDecodeStateSnapshotCopyFrom pins the prefix-cache storage
 // contract. A snapshot of the first rows of a 37-row prefill, at row
 // counts that start, straddle and end score blocks, holds them in the
