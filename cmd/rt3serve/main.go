@@ -276,6 +276,7 @@ func main() {
 		} else {
 			smoke(srv, *seed)
 		}
+		printLevelBuilds(d, srv)
 		return
 	}
 
@@ -410,6 +411,23 @@ func printDeployment(d *serve.Deployment) {
 			costs.PatternSwitchMS(setBytes), costs.ModelSwitchMS(bundleBytes))
 	}
 	fmt.Println()
+}
+
+// printLevelBuilds prints each level's measured kernel build, read from
+// the server's registry, beside its modeled pattern swap. The engine
+// builds a level on its first switch, and the smoke visits every level.
+func printLevelBuilds(d *serve.Deployment, srv *serve.Server) {
+	snap := srv.Metrics().Snapshot()
+	costs := rtswitch.DefaultSwitchCostModel()
+	fmt.Println("level builds (measured, once per level) vs modeled swap:")
+	for i, name := range d.Bundle.LevelNames {
+		setBytes, err := d.Bundle.SetBytes(i)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("  %-3s build %7.3f ms  swap %6.3f ms\n", name,
+			1e3*snap[`rt3_level_build_seconds{level="`+name+`"}`], costs.PatternSwitchMS(setBytes))
+	}
 }
 
 // printDecodeStats reports the KV-cache accounting of incremental

@@ -77,7 +77,7 @@ func (c EngineConfig) withDefaults() EngineConfig {
 }
 
 // Engine owns a deployed bundle at run time: the dense backbone, one
-// pre-built kernel set per V/F level, and one model replica per worker.
+// kernel set per V/F level it has served, and one model replica per worker.
 // The backbone is in memory once: every replica's prunable weights are
 // the bundle's matrices, and replicas share the read-only packed kernels
 // but keep private layer caches and activation buffers, so workers can
@@ -93,8 +93,9 @@ type Engine struct {
 	weights []*mat.Matrix
 	// kernels[level][j] is the execution kernel every replica installs
 	// for linear j at level, built from the kernel registry per
-	// EngineConfig. Packed weights are read-only, so replicas share them
-	// and run forward passes concurrently.
+	// EngineConfig the first time the engine serves that level (nil
+	// until then) and kept. Packed weights are read-only, so replicas
+	// share them and run forward passes concurrently.
 	kernels [][]kernel.Kernel
 	// unpruned[i] is the all-kept pattern kernel every replica installs
 	// for its i-th unpruned linear (Model.UnprunedLinears order):
@@ -102,10 +103,11 @@ type Engine struct {
 	// a dense reference runs.
 	unpruned []kernel.Kernel
 	// buildSeconds is the wall time NewEngineConfigured took;
-	// levelBuild[level] is the part of it spent building that level's
-	// kernels.
+	// levelBuild[level] is the nanoseconds spent building that level's
+	// kernels, 0 until it is built (atomic: a switch writes it while
+	// /metrics may read it).
 	buildSeconds float64
-	levelBuild   []time.Duration
+	levelBuild   []atomic.Int64
 
 	// level mirrors recon.Current() for lock-free reads: monitoring code
 	// may call Level concurrently with a switch.
@@ -178,10 +180,11 @@ func (e *Engine) PrunableLinearCount() int { return len(e.weights) }
 // NewEngineConfigured deploys a bundle onto the given model replicas:
 // every replica's prunable projections point at the bundle's backbone
 // matrices (one copy in memory, never written), every replica parameter
-// drops its gradient, each level's kernels are built once through the
-// kernel registry, each unpruned linear gets one pattern kernel that
-// keeps every weight, shared by every replica, activation-buffer reuse is
-// enabled on every replica, and the first (fastest) level is activated.
+// drops its gradient, the first (fastest) level's kernels are built
+// through the kernel registry and activated (SwitchTo builds any other
+// level on its first switch), each unpruned linear gets one pattern
+// kernel that keeps every weight, shared by every replica, and
+// activation-buffer reuse is enabled on every replica.
 // All replicas must be clones of the same checkpoint, and from here on
 // serve only: every linear now reads packed copies of its weights, and
 // Backward refuses to run on them.
@@ -233,28 +236,10 @@ func NewEngineConfigured(bundle *deploy.Bundle, replicas []Model, costs rtswitch
 		}
 		r.SetBufferReuse(true)
 	}
-	// pack each (level, layer) once and share across replicas: packed
-	// weights are read-only, and any internal per-call scratch a format
-	// keeps (e.g. the Pattern kernel's lane-major free list) must be
-	// internally synchronized for concurrent MulInto calls. Weight-outer,
-	// so one matrix stays in cache across its levels' builds; one at a
-	// time, on this goroutine (the kernel.Builder contract).
 	e.kernels = make([][]kernel.Kernel, len(bundle.Sets))
-	e.levelBuild = make([]time.Duration, len(bundle.Sets))
-	for lvl := range bundle.Sets {
-		e.kernels[lvl] = make([]kernel.Kernel, len(e.weights))
-	}
-	for j, w := range e.weights {
-		for lvl, set := range bundle.Sets {
-			tb := time.Now()
-			k, err := kernel.Build(e.cfg.Format, w, kernel.Options{Set: set})
-			e.levelBuild[lvl] += time.Since(tb)
-			if err != nil {
-				return nil, fmt.Errorf("serve: building %s kernel for level %s weight %s: %w",
-					e.cfg.Format, bundle.LevelNames[lvl], lins[j].W.Name, err)
-			}
-			e.kernels[lvl][j] = k
-		}
+	e.levelBuild = make([]atomic.Int64, len(bundle.Sets))
+	if err := e.buildLevel(0); err != nil {
+		return nil, err
 	}
 	// the unpruned linears are the same at every level and, the replicas
 	// being clones of one checkpoint, on every replica: pack each once
@@ -284,6 +269,30 @@ func NewEngineConfigured(bundle *deploy.Bundle, replicas []Model, costs rtswitch
 // borrow the process-wide mat.Fork helpers). It stays so that callers
 // can pair it with NewEngineConfigured or Deploy.
 func (e *Engine) Close() {}
+
+// buildLevel packs level lvl's kernel for every prunable linear and
+// keeps them, shared across replicas: packed weights are read-only, and
+// any internal per-call scratch a format keeps (e.g. the Pattern
+// kernel's lane-major free list) must be internally synchronized for
+// concurrent MulInto calls. One build at a time, on the calling
+// goroutine (the kernel.Builder contract). A failed build keeps nothing.
+func (e *Engine) buildLevel(lvl int) error {
+	t0 := time.Now()
+	lins := e.replicas[0].PrunableLinears()
+	opts := kernel.Options{Set: e.bundle.Sets[lvl]}
+	ks := make([]kernel.Kernel, len(e.weights))
+	for j, w := range e.weights {
+		k, err := kernel.Build(e.cfg.Format, w, opts)
+		if err != nil {
+			return fmt.Errorf("serve: building %s kernel for level %s weight %s: %w",
+				e.cfg.Format, e.LevelName(lvl), lins[j].W.Name, err)
+		}
+		ks[j] = k
+	}
+	e.kernels[lvl] = ks
+	e.levelBuild[lvl].Store(int64(time.Since(t0)))
+	return nil
+}
 
 // install points every replica's prunable linears at its packed kernels
 // of the given level. Callers must ensure no forward pass is in flight.
@@ -319,14 +328,25 @@ func (e *Engine) VocabSize() int { return e.replicas[0].VocabSize() }
 func (e *Engine) Replicas() int { return len(e.replicas) }
 
 // SwitchTo activates level idx on every replica and returns the modeled
-// reconfiguration cost in milliseconds (0 when already active). The
+// reconfiguration cost in milliseconds (0 when already active), building
+// the level's kernels first if the engine has not served it yet. The
 // caller must guarantee no forward pass is in flight — the server drains
 // its workers before calling this. A rejected switch leaves the engine
-// serving the previous level: the reconfigurator validates before
-// mutating, and kernels are only re-installed on success.
+// serving the previous level: a failed build keeps nothing, the
+// reconfigurator validates before mutating, and kernels are only
+// re-installed on success. A fault injected by InjectSwitchError fires
+// after the build, so it leaves the level built but not installed.
 func (e *Engine) SwitchTo(idx int) (float64, error) {
+	if idx < 0 || idx >= e.NumLevels() {
+		return 0, fmt.Errorf("serve: level %d out of range %d", idx, e.NumLevels())
+	}
 	if idx == e.recon.Current() {
 		return 0, nil
+	}
+	if e.kernels[idx] == nil {
+		if err := e.buildLevel(idx); err != nil {
+			return 0, err
+		}
 	}
 	cost, err := e.recon.SwitchTo(idx)
 	if err != nil {
@@ -524,12 +544,12 @@ func (e *Engine) denseReference(idx int) (restore func()) {
 // accounting rides along.
 func (e *Engine) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("rt3_engine_build_seconds",
-		"Wall time of the engine build: every level's kernels and the unpruned linears'.",
+		"Wall time of the engine build: the first level's kernels and the unpruned linears'.",
 		func() float64 { return e.buildSeconds })
 	for lvl := range e.levelBuild {
 		reg.GaugeFunc("rt3_level_build_seconds",
-			"Wall time of the engine build spent on one level's kernels.",
-			func() float64 { return e.levelBuild[lvl].Seconds() }, obs.L("level", e.LevelName(lvl)))
+			"Wall time spent building one level's kernels, at construction or on its first switch; 0 until built.",
+			func() float64 { return time.Duration(e.levelBuild[lvl].Load()).Seconds() }, obs.L("level", e.LevelName(lvl)))
 	}
 	reg.CounterFunc("rt3_fused_batches_total",
 		"Fused packed forward passes (ForwardBatch calls).",
@@ -636,14 +656,15 @@ func (e *Engine) DenseGenerate(idx int, prefix, suffix []int, maxTokens, eos int
 
 // BundleFromModel builds a deployment bundle for a model: the dense
 // values of every prunable projection plus one pattern set per level.
-// sets and levelNames follow the fastest-first convention.
+// sets and levelNames follow the fastest-first convention. The bundle
+// borrows the model's weight storage instead of copying it, so a write
+// to either shows in the other: encode it before the model changes.
 func BundleFromModel(m Model, sets []*pattern.Set, levelNames []string) *deploy.Bundle {
 	b := &deploy.Bundle{Sets: sets, LevelNames: levelNames}
 	for _, l := range m.PrunableLinears() {
 		w := l.W.Value
 		b.Weights = append(b.Weights, deploy.WeightMatrix{
-			Name: l.W.Name, Rows: w.Rows, Cols: w.Cols,
-			Data: append([]float64(nil), w.Data...),
+			Name: l.W.Name, Rows: w.Rows, Cols: w.Cols, Data: w.Data,
 		})
 	}
 	return b

@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -9,6 +10,8 @@ import (
 	"rt3/internal/kernel"
 	"rt3/internal/mat"
 	"rt3/internal/nn"
+	"rt3/internal/obs"
+	"rt3/internal/pattern"
 	"rt3/internal/rtswitch"
 	"rt3/internal/serve"
 	"rt3/internal/sparse"
@@ -65,6 +68,91 @@ func TestEngineFailedSwitchRestoresKernels(t *testing.T) {
 	if eng.Level() != 2 {
 		t.Fatalf("level %d after recovery switch, want 2", eng.Level())
 	}
+}
+
+// TestEngineFirstSwitchFailures: a level's first switch builds it, and
+// a failure on that path leaves the engine serving the level it was on.
+// A build that fails keeps nothing, so the next switch to that level
+// builds again; a fault injected before a first switch fires after the
+// build, so the next switch installs the level without a second build.
+func TestEngineFirstSwitchFailures(t *testing.T) {
+	errBuild := errors.New("test: no kernel for this set")
+	var failSet *pattern.Set
+	kernel.Register("test-failing-level", func(w *mat.Matrix, opts kernel.Options) (kernel.Kernel, error) {
+		if opts.Set != nil && opts.Set == failSet {
+			return nil, errBuild
+		}
+		return kernel.Build("pattern", w, opts)
+	})
+	t.Cleanup(func() {
+		kernel.Register("test-failing-level", func(w *mat.Matrix, opts kernel.Options) (kernel.Kernel, error) {
+			return kernel.Build("pattern", w, opts)
+		})
+	})
+	deployFormat := func(format string) *serve.Deployment {
+		d, err := serve.Deploy(testSpec(3, 4), func(rng *rand.Rand) *transformer.Classifier {
+			return transformer.NewClassifier(transformer.Config{
+				Vocab: 24, Dim: 8, Heads: 2, FFHidden: 16, EncLayers: 2, SeqLen: 10, Classes: 3,
+			}, rng)
+		}, 1, serve.EngineConfig{Format: format})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	seqs := randSeqs(3, 10, 24, 47)
+	servesDense := func(eng *serve.Engine, lvl int) {
+		t.Helper()
+		if got := eng.Level(); got != lvl {
+			t.Fatalf("engine on level %d, want %d", got, lvl)
+		}
+		for i, ids := range seqs {
+			ref, err := eng.DenseForward(lvl, ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !mat.Equal(eng.Forward(0, ids), ref, 0) {
+				t.Fatalf("level %d request %d: packed output differs from the masked dense reference", lvl, i)
+			}
+		}
+	}
+	reg := obs.NewRegistry()
+	kernel.RegisterMetrics(reg)
+	builds := func() float64 { return reg.Snapshot()["rt3_kernel_builds_total"] }
+
+	d := deployFormat("test-failing-level")
+	eng := d.Engine
+	failSet = d.Bundle.Sets[2]
+	for try := 0; try < 2; try++ {
+		if _, err := eng.SwitchTo(2); !errors.Is(err, errBuild) {
+			t.Fatalf("switch %d to a level whose build fails returned %v, want the build error", try, err)
+		}
+		servesDense(eng, 0)
+	}
+	if _, err := eng.SwitchTo(1); err != nil {
+		t.Fatal(err)
+	}
+	servesDense(eng, 1)
+
+	eng = deployFormat("").Engine
+	errFault := errors.New("test: injected switch fault")
+	eng.InjectSwitchError(errFault)
+	before := builds()
+	if _, err := eng.SwitchTo(1); !errors.Is(err, errFault) {
+		t.Fatalf("switch with an injected fault returned %v, want the fault", err)
+	}
+	servesDense(eng, 0)
+	if got := builds() - before; got != float64(eng.PrunableLinearCount()) {
+		t.Fatalf("the faulted first switch built %v kernels, want %d", got, eng.PrunableLinearCount())
+	}
+	before = builds()
+	if _, err := eng.SwitchTo(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := builds() - before; got != 0 {
+		t.Fatalf("the switch after the fault built %v kernels, want 0: the level was already built", got)
+	}
+	servesDense(eng, 1)
 }
 
 // TestEngineAlternateFormats deploys the same bundle through the

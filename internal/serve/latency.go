@@ -66,7 +66,7 @@ type Recorder struct {
 	batchCap    *obs.Counter   // rt3_batch_capacity_total
 	switches    *obs.Counter   // rt3_switches_total
 	switchModel *obs.Counter   // rt3_switch_model_ms_total
-	switchStall *obs.Histogram // rt3_switch_stall_ms (wall install/drain)
+	switchStall *obs.Histogram // rt3_switch_stall_ms (wall build and install)
 }
 
 // NewRecorder sizes a recorder for the given level names on a private
@@ -103,7 +103,7 @@ func NewRecorderOn(reg *obs.Registry, levelNames []string) *Recorder {
 		switchModel: reg.Counter("rt3_switch_model_ms_total",
 			"Cumulative modeled pattern-swap cost."),
 		switchStall: reg.Histogram("rt3_switch_stall_ms",
-			"Measured per-switch kernel-install wall time (the drain stall).", obs.HistogramOpts{}),
+			"Measured per-switch wall time once the workers are drained: the kernel install, and a level's build on its first switch.", obs.HistogramOpts{}),
 	}
 	for _, name := range levelNames {
 		lbl := obs.L("level", name)
@@ -325,7 +325,7 @@ type Summary struct {
 
 	Switches      int
 	SwitchModelMS float64 // modeled pattern-swap cost, cumulative
-	SwitchWallMS  float64 // measured kernel-install time, cumulative
+	SwitchWallMS  float64 // measured switch wall time (first-switch builds and installs), cumulative
 
 	MeanBatch, FillRatio float64
 	BatteryFraction      float64
@@ -354,7 +354,7 @@ func (s Summary) String() string {
 		fmt.Fprintf(&b, "%-6s %8d %10.3f %10.3f %10.3f %10.3f %10.3f %10.3f\n",
 			l.Level, l.Count, l.MeanMS, l.MeanQueueMS, l.MeanExecMS, l.P50MS, l.P95MS, l.P99MS)
 	}
-	fmt.Fprintf(&b, "switches %d  modeled swap cost %.3f ms  kernel install %.3f ms\n",
+	fmt.Fprintf(&b, "switches %d  modeled swap cost %.3f ms  kernel build+install %.3f ms\n",
 		s.Switches, s.SwitchModelMS, s.SwitchWallMS)
 	fmt.Fprintf(&b, "mean batch %.1f  fill %.0f%%  battery %.0f%%\n",
 		s.MeanBatch, s.FillRatio*100, s.BatteryFraction*100)

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"rt3/internal/kernel"
 	"rt3/internal/obs"
 	"rt3/internal/serve"
 	"rt3/internal/transformer"
@@ -109,21 +110,27 @@ func TestReplicaHeapGrowth(t *testing.T) {
 	}
 }
 
-// TestLevelBuildSeconds: the engine exposes each level's share of its
-// build, one series per level, and the shares fit inside the whole.
+// TestLevelBuildSeconds: the engine builds a level's kernels the first
+// time it serves that level, then keeps them. After construction only the
+// first level's series reads a build time; a first switch builds one
+// kernel per prunable linear, a repeat switch builds none, and once every
+// level has been served every series reads its build.
 func TestLevelBuildSeconds(t *testing.T) {
 	eng, _ := newLMDeployment(t, 1, "")
 	reg := obs.NewRegistry()
 	eng.RegisterMetrics(reg)
-	snap := reg.Snapshot()
-	var sum float64
-	for lvl := 0; lvl < eng.NumLevels(); lvl++ {
-		s, ok := snap[`rt3_level_build_seconds{level="`+eng.LevelName(lvl)+`"}`]
-		if !ok || !(s > 0) {
-			t.Fatalf("rt3_level_build_seconds for level %s = %v (present %v), want the level's build time", eng.LevelName(lvl), s, ok)
+	kernel.RegisterMetrics(reg)
+	series := func(lvl int) float64 {
+		t.Helper()
+		s, ok := reg.Snapshot()[`rt3_level_build_seconds{level="`+eng.LevelName(lvl)+`"}`]
+		if !ok {
+			t.Fatalf("no rt3_level_build_seconds series for level %s", eng.LevelName(lvl))
 		}
-		sum += s
+		return s
 	}
+	builds := func() float64 { return reg.Snapshot()["rt3_kernel_builds_total"] }
+
+	snap := reg.Snapshot()
 	n := 0
 	for k := range snap {
 		if strings.HasPrefix(k, "rt3_level_build_seconds{") {
@@ -133,7 +140,37 @@ func TestLevelBuildSeconds(t *testing.T) {
 	if n != eng.NumLevels() {
 		t.Fatalf("%d rt3_level_build_seconds series, want one per level (%d)", n, eng.NumLevels())
 	}
-	if total := snap["rt3_engine_build_seconds"]; sum > total {
-		t.Fatalf("level build times sum to %v s, more than the engine build's %v s", sum, total)
+	if s := series(0); !(s > 0) || s > snap["rt3_engine_build_seconds"] {
+		t.Fatalf("level %s built in %v s after construction, want a build time inside the engine build's %v s",
+			eng.LevelName(0), s, snap["rt3_engine_build_seconds"])
+	}
+	for lvl := 1; lvl < eng.NumLevels(); lvl++ {
+		if s := series(lvl); s != 0 {
+			t.Fatalf("level %s reads %v s after construction, want 0: it is not built until its first switch", eng.LevelName(lvl), s)
+		}
+	}
+
+	for lvl := 1; lvl < eng.NumLevels(); lvl++ {
+		before := builds()
+		if _, err := eng.SwitchTo(lvl); err != nil {
+			t.Fatal(err)
+		}
+		if got := builds() - before; got != float64(eng.PrunableLinearCount()) {
+			t.Fatalf("first switch to level %s built %v kernels, want %d", eng.LevelName(lvl), got, eng.PrunableLinearCount())
+		}
+		before = builds()
+		for _, to := range []int{0, lvl} {
+			if _, err := eng.SwitchTo(to); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := builds() - before; got != 0 {
+			t.Fatalf("repeat switches to built levels built %v kernels, want 0", got)
+		}
+	}
+	for lvl := 0; lvl < eng.NumLevels(); lvl++ {
+		if s := series(lvl); !(s > 0) {
+			t.Fatalf("level %s reads %v s after every level was served, want its build time", eng.LevelName(lvl), s)
+		}
 	}
 }

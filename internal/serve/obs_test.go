@@ -153,9 +153,71 @@ func TestServerMetricsExposition(t *testing.T) {
 	if snap["rt3_switches_total"] != 1 {
 		t.Fatalf("rt3_switches_total = %v, want 1", snap["rt3_switches_total"])
 	}
-	// the build is timed once, and a switch does not rebuild
+	// the construction is timed once; a first switch's build is not in it
 	if b := snap["rt3_engine_build_seconds"]; !(b > 0 && b < 60) {
 		t.Fatalf("rt3_engine_build_seconds = %v, want the build's wall time", b)
+	}
+}
+
+// TestLevelBuildScrapedDuringFirstSwitches: a loaded server switches to
+// every level for the first time, each switch building that level, while
+// another goroutine scrapes the registry in a loop — the level-build
+// gauges a switch writes are read concurrently (run under -race).
+func TestLevelBuildScrapedDuringFirstSwitches(t *testing.T) {
+	eng, _ := newLMDeployment(t, 2, "")
+	srv := serve.New(eng, serve.Config{Generate: true, MaxBatch: 4, QueueCap: 64})
+	srv.Start()
+	defer srv.Stop()
+	stop, done := make(chan struct{}), make(chan struct{})
+	var scrapeErr error
+	go func() {
+		defer close(done)
+		var buf bytes.Buffer
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			buf.Reset()
+			if scrapeErr = srv.Metrics().WritePrometheus(&buf); scrapeErr != nil {
+				return
+			}
+			srv.Metrics().Snapshot()
+		}
+	}()
+	stopScraper := sync.OnceValue(func() error {
+		close(stop)
+		<-done
+		return scrapeErr
+	})
+	defer stopScraper()
+	var chans []<-chan serve.GenResponse
+	for i, p := range randSeqs(16, 6, lmCfg.Vocab, 53) {
+		ch, err := srv.SubmitGen(p, 4+i%4, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chans = append(chans, ch)
+		if lvl := i / 4; i%4 == 0 && lvl > 0 && lvl < eng.NumLevels() {
+			if _, err := srv.SwitchTo(lvl); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, ch := range chans {
+		if resp := <-ch; resp.Err != nil {
+			t.Fatal(resp.Err)
+		}
+	}
+	if err := stopScraper(); err != nil {
+		t.Fatal(err)
+	}
+	snap := srv.Metrics().Snapshot()
+	for lvl := 0; lvl < eng.NumLevels(); lvl++ {
+		if s := snap[`rt3_level_build_seconds{level="`+eng.LevelName(lvl)+`"}`]; !(s > 0) {
+			t.Fatalf("level %s reads %v s after its first switch, want its build time", eng.LevelName(lvl), s)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"rt3/internal/deploy"
+	"rt3/internal/pattern"
 	"rt3/internal/rtswitch"
 	"rt3/internal/serve"
 	"rt3/internal/transformer"
@@ -87,10 +88,29 @@ func TestReferenceBundleBytes(t *testing.T) {
 	}
 }
 
+// TestBundleFromModelSharesWeights: the bundle borrows the model's
+// weights instead of copying them, so building it allocates no second
+// backbone.
+func TestBundleFromModelSharesWeights(t *testing.T) {
+	m := transformer.NewLMModel(lmCfg, rand.New(rand.NewSource(7)))
+	set := pattern.RandomSet(4, 0.5, 3, rand.New(rand.NewSource(7)))
+	b := serve.BundleFromModel(m, []*pattern.Set{set}, []string{"l6"})
+	lins := m.PrunableLinears()
+	if len(b.Weights) != len(lins) {
+		t.Fatalf("bundle holds %d weights, model has %d prunable linears", len(b.Weights), len(lins))
+	}
+	for j, l := range lins {
+		w := b.Weights[j]
+		if w.Name != l.W.Name || len(w.Data) != len(l.W.Value.Data) || &w.Data[0] != &l.W.Value.Data[0] {
+			t.Fatalf("bundle weight %d (%s) is not linear %s's own storage", j, w.Name, l.W.Name)
+		}
+	}
+}
+
 // BenchmarkSetup times the deploy path of the reference deployment one
 // stage at a time: encoding the bundle, decoding it, and building the
-// engine (every level's kernels for every prunable linear, plus the
-// unpruned ones). Each stage reports the median of its iterations as
+// engine (the first level's kernels for every prunable linear, plus the
+// unpruned ones; SwitchTo builds the other levels on first use). Each stage reports the median of its iterations as
 // p50-ms beside the mean ns/op.
 func BenchmarkSetup(b *testing.B) {
 	model, bundle := referenceBundle()
