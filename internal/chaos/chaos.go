@@ -166,18 +166,6 @@ func NewSchedule(profile string, nodes int, duration time.Duration, seed int64) 
 	return s, nil
 }
 
-// LevelStable reports whether the schedule leaves every response
-// servable at one fixed level — no rollouts — which is the
-// precondition for cross-run response-hash comparison.
-func (s *Schedule) LevelStable() bool {
-	for _, ev := range s.Events {
-		if ev.Kind == FaultRollout {
-			return false
-		}
-	}
-	return true
-}
-
 // errInjected is the planted reconfiguration failure.
 var errInjected = errors.New("chaos: injected switch fault")
 

@@ -92,12 +92,6 @@ func TestNewScheduleDeterminism(t *testing.T) {
 	if s, _ := chaos.NewSchedule("none", 3, time.Second, 1); len(s.Events) != 0 {
 		t.Fatal("none profile has events")
 	}
-	if s, _ := chaos.NewSchedule("crash", 3, time.Second, 1); !s.LevelStable() {
-		t.Fatal("crash profile should be level-stable")
-	}
-	if s, _ := chaos.NewSchedule("all", 3, time.Second, 1); s.LevelStable() {
-		t.Fatal("all profile includes rollouts; not level-stable")
-	}
 	if _, err := chaos.NewSchedule("bogus", 3, time.Second, 1); err == nil {
 		t.Fatal("unknown profile should error")
 	}

@@ -211,8 +211,8 @@ func TestDrainRestoreRepins(t *testing.T) {
 	if st.AffinityMisses != 1 {
 		t.Fatalf("affinity misses %d, want 1 (forced re-pin)", st.AffinityMisses)
 	}
-	if err := r.Restore(home); err != nil {
-		t.Fatal(err)
+	if !r.Nodes()[home].Restore() {
+		t.Fatal("drained node refused Restore")
 	}
 	if !r.Nodes()[home].Ready() {
 		t.Fatal("restored node not ready")

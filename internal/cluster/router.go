@@ -131,9 +131,9 @@ func (s Stats) Sub(prev Stats) Stats {
 // the configured policy with session affinity for generations, watch
 // for crashed responses and fail them over (a generation resumes from
 // its committed tokens through serve.SubmitGenResume), and record every
-// policy decision in a replayable trace. Drain/Restore and RolloutSwitch
-// run zero-downtime maintenance; the rt3_cluster_* metric families live
-// on Metrics().
+// policy decision in a replayable trace. Drain, SwitchNode and
+// RolloutSwitch run zero-downtime maintenance; the rt3_cluster_* metric
+// families live on Metrics().
 type Router struct {
 	nodes []*Node
 	cfg   Config
@@ -565,16 +565,6 @@ func (r *Router) Drain(id int) (time.Duration, error) {
 	d := time.Since(t0)
 	r.drainMS.Observe(float64(d.Microseconds()) / 1000)
 	return d, nil
-}
-
-// Restore returns a draining or drained node to rotation.
-func (r *Router) Restore(id int) error {
-	nd, err := r.node(id)
-	if err != nil {
-		return err
-	}
-	nd.Restore()
-	return nil
 }
 
 // Crash kills node id mid-flight (simulated failure). Its in-flight

@@ -28,12 +28,6 @@ type MarkovConfig struct {
 	Seed      int64
 }
 
-// DefaultMarkovConfig returns the corpus settings used across the
-// reproduction's experiments.
-func DefaultMarkovConfig() MarkovConfig {
-	return MarkovConfig{Vocab: 64, Length: 20000, Branch: 3, ZipfS: 1.2, NoiseProb: 0.08, Seed: 1}
-}
-
 // GenerateMarkovCorpus synthesizes a corpus from cfg. Each token has
 // Branch fixed successors with Zipf-weighted transition probabilities,
 // plus a NoiseProb chance of a uniformly random token.

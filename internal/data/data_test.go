@@ -5,8 +5,10 @@ import (
 	"testing/quick"
 )
 
+var testMarkov = MarkovConfig{Vocab: 64, Length: 20000, Branch: 3, ZipfS: 1.2, NoiseProb: 0.08, Seed: 1}
+
 func TestMarkovCorpusLengthAndRange(t *testing.T) {
-	cfg := DefaultMarkovConfig()
+	cfg := testMarkov
 	c := GenerateMarkovCorpus(cfg)
 	if len(c.Tokens) != cfg.Length {
 		t.Fatalf("length %d != %d", len(c.Tokens), cfg.Length)
@@ -19,7 +21,7 @@ func TestMarkovCorpusLengthAndRange(t *testing.T) {
 }
 
 func TestMarkovCorpusDeterministic(t *testing.T) {
-	cfg := DefaultMarkovConfig()
+	cfg := testMarkov
 	a := GenerateMarkovCorpus(cfg)
 	b := GenerateMarkovCorpus(cfg)
 	for i := range a.Tokens {
@@ -44,7 +46,7 @@ func TestMarkovCorpusDeterministic(t *testing.T) {
 func TestMarkovCorpusIsPredictable(t *testing.T) {
 	// With Branch=3 and Zipf weighting, a bigram oracle should beat 40%
 	// accuracy — the structure the Transformer is supposed to learn.
-	cfg := DefaultMarkovConfig()
+	cfg := testMarkov
 	c := GenerateMarkovCorpus(cfg)
 	counts := make(map[[2]int]int)
 	best := make(map[int][2]int) // token -> (best successor, count)

@@ -15,7 +15,7 @@ import (
 // Exp below — a fixed polynomial in portable Go — IS the repository's
 // exp. Nothing under internal/mat or internal/nn calls math.Exp or
 // math.Tanh, so probabilities and activations are the same bits on every
-// host and build tag. The slice forms (ExpSub, GELU, NormRow) run AVX2
+// host and build tag. The slice forms (expSub, GELU, NormRow) run AVX2
 // twins of the portable loops on amd64 (exp_amd64.s) and the portable
 // loops everywhere else; the twins execute the same operations in the
 // same order with every product and sum separately rounded, so they
@@ -96,17 +96,9 @@ func Exp(x float64) float64 {
 // takes: two 4-lane vectors, two interleaved Horner chains.
 const expBlock = 8
 
-// ExpSub computes dst[i] = Exp(src[i] - shift); dst and src have equal
-// length and may be the same slice. A shift of 0 is exact.
-func ExpSub(dst, src []float64, shift float64) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("mat: ExpSub of %d elements into %d", len(src), len(dst)))
-	}
-	expSub(dst, src, shift, tailAsm)
-}
-
-// expSub is ExpSub with the kernel choice explicit, so tests can hold
-// the assembly kernel against the portable one.
+// expSub computes dst[i] = Exp(src[i] - shift) on the assembly kernel
+// (asm) or the portable loop; dst and src have equal length and may be
+// the same slice. A shift of 0 is exact.
 func expSub(dst, src []float64, shift float64, asm bool) {
 	if asm {
 		expBlocks(dst, src, shift, false)
@@ -142,7 +134,7 @@ func expKern(dst, src *float64, n int, shift float64, gelu bool) {
 }
 
 // Softmax writes the numerically stable softmax of src into dst (they
-// may be the same slice): the maximum, Exp(v - max) through ExpSub, the
+// may be the same slice): the maximum, Exp(v - max) through expSub, the
 // sum of those in ascending order, one multiply by its reciprocal. An
 // entry of -Inf beside a finite one comes out exactly 0. This is the one
 // softmax body: Matrix.SoftmaxRows and the attention core run it per

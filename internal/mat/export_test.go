@@ -26,6 +26,9 @@ func LaneWeightsOf(tb testing.TB, w *Matrix) *LaneWeights {
 	return lw
 }
 
+// ExpSub is expSub on the kernel this host runs.
+func ExpSub(dst, src []float64, shift float64) { expSub(dst, src, shift, tailAsm) }
+
 // ForkHelpers returns how many helper goroutines Fork has started.
 func ForkHelpers() int {
 	forker.mu.Lock()

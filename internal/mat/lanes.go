@@ -181,6 +181,9 @@ func (w *LaneWeights) Store(p, k int, v float64) {
 
 // Equal reports whether w and o are the same streams: the same column
 // order and steps, and the same entries, values compared by their bits.
+// No product path calls it: it is a test oracle, exported because
+// sparse's build tests compare the streams a kernel build stores with
+// it, and another package's tests cannot see mat's export_test.go.
 func (w *LaneWeights) Equal(o *LaneWeights) bool {
 	return w.K == o.K && w.N == o.N &&
 		slices.Equal(w.cols, o.cols) && slices.Equal(w.slot, o.slot) &&

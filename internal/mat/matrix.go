@@ -276,30 +276,11 @@ func MatMulTA(dst, a, b *Matrix) {
 	}
 }
 
-// Transpose returns a new matrix that is m^T.
-func (m *Matrix) Transpose() *Matrix {
-	out := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Data[j*m.Rows+i] = m.Data[i*m.Cols+j]
-		}
-	}
-	return out
-}
-
 // Add computes m += other element-wise.
 func (m *Matrix) Add(other *Matrix) {
 	checkSameShape("Add", m, other)
 	for i, v := range other.Data {
 		m.Data[i] += v
-	}
-}
-
-// Sub computes m -= other element-wise.
-func (m *Matrix) Sub(other *Matrix) {
-	checkSameShape("Sub", m, other)
-	for i, v := range other.Data {
-		m.Data[i] -= v
 	}
 }
 
@@ -358,35 +339,6 @@ func (m *Matrix) SoftmaxRows() {
 	for i := 0; i < m.Rows; i++ {
 		Softmax(m.Row(i), m.Row(i))
 	}
-}
-
-// Norm returns the Frobenius norm of m.
-func (m *Matrix) Norm() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// AbsSum returns the sum of |m_ij|.
-func (m *Matrix) AbsSum() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += math.Abs(v)
-	}
-	return s
-}
-
-// MaxAbs returns max |m_ij|, or 0 for an empty matrix.
-func (m *Matrix) MaxAbs() float64 {
-	var s float64
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > s {
-			s = a
-		}
-	}
-	return s
 }
 
 // NNZ returns the number of non-zero elements.

@@ -122,10 +122,19 @@ func TestMatMulTMatchesExplicitTranspose(t *testing.T) {
 	got := New(4, 3)
 	MatMulT(got, a, b)
 	want := New(4, 3)
-	MatMul(want, a, b.Transpose())
+	MatMul(want, a, transposed(b))
 	if !Equal(got, want, 1e-12) {
 		t.Fatal("MatMulT != a @ b^T")
 	}
+}
+
+// transposed returns a new matrix that is m^T.
+func transposed(m *Matrix) *Matrix {
+	out := New(m.Cols, m.Rows)
+	for i := range m.Data {
+		out.Data[i%m.Cols*m.Rows+i/m.Cols] = m.Data[i]
+	}
+	return out
 }
 
 func TestMatMulTAMatchesExplicitTranspose(t *testing.T) {
@@ -134,22 +143,9 @@ func TestMatMulTAMatchesExplicitTranspose(t *testing.T) {
 	got := New(4, 3)
 	MatMulTA(got, a, b)
 	want := New(4, 3)
-	MatMul(want, a.Transpose(), b)
+	MatMul(want, transposed(a), b)
 	if !Equal(got, want, 1e-12) {
 		t.Fatal("MatMulTA != a^T @ b")
-	}
-}
-
-func TestTransposeInvolution(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		rows, cols := 1+r.Intn(8), 1+r.Intn(8)
-		m := New(rows, cols)
-		m.Randomize(r, 1)
-		return Equal(m.Transpose().Transpose(), m, 0)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -165,8 +161,8 @@ func TestMatMulAssociatesWithTranspose(t *testing.T) {
 		ab := New(m, n)
 		MatMul(ab, a, b)
 		btat := New(n, m)
-		MatMul(btat, b.Transpose(), a.Transpose())
-		return Equal(ab.Transpose(), btat, 1e-9)
+		MatMul(btat, transposed(b), transposed(a))
+		return Equal(transposed(ab), btat, 1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -209,23 +205,19 @@ func TestSoftmaxRowsStableForLargeValues(t *testing.T) {
 	}
 }
 
-func TestAddSubScaleHadamard(t *testing.T) {
+func TestAddScaleHadamard(t *testing.T) {
 	a := FromSlice(1, 3, []float64{1, 2, 3})
 	b := FromSlice(1, 3, []float64{4, 5, 6})
 	a.Add(b)
 	if a.Data[0] != 5 || a.Data[2] != 9 {
 		t.Fatalf("Add: %v", a.Data)
 	}
-	a.Sub(b)
-	if a.Data[0] != 1 || a.Data[2] != 3 {
-		t.Fatalf("Sub: %v", a.Data)
-	}
 	a.Scale(2)
-	if a.Data[1] != 4 {
+	if a.Data[1] != 14 {
 		t.Fatalf("Scale: %v", a.Data)
 	}
 	a.Hadamard(b)
-	if a.Data[0] != 8 || a.Data[2] != 36 {
+	if a.Data[0] != 40 || a.Data[2] != 108 {
 		t.Fatalf("Hadamard: %v", a.Data)
 	}
 }
@@ -247,11 +239,8 @@ func TestAddRowVector(t *testing.T) {
 	}
 }
 
-func TestNormAndSparsity(t *testing.T) {
+func TestNNZAndSparsity(t *testing.T) {
 	m := FromSlice(1, 4, []float64{3, 0, 4, 0})
-	if math.Abs(m.Norm()-5) > 1e-12 {
-		t.Fatalf("Norm = %g", m.Norm())
-	}
 	if m.NNZ() != 2 {
 		t.Fatalf("NNZ = %d", m.NNZ())
 	}
@@ -281,16 +270,6 @@ func TestArgmaxRow(t *testing.T) {
 	}
 	if m.ArgmaxRow(1) != 0 { // first on ties
 		t.Fatalf("ArgmaxRow(1) = %d", m.ArgmaxRow(1))
-	}
-}
-
-func TestMaxAbsAndAbsSum(t *testing.T) {
-	m := FromSlice(1, 3, []float64{-5, 2, 3})
-	if m.MaxAbs() != 5 {
-		t.Fatalf("MaxAbs = %g", m.MaxAbs())
-	}
-	if m.AbsSum() != 10 {
-		t.Fatalf("AbsSum = %g", m.AbsSum())
 	}
 }
 

@@ -1,7 +1,5 @@
 package mat
 
-import "math"
-
 // Dot returns the inner product of a and b; the slices must have equal
 // length (enforced by panic, as a programming error).
 func Dot(a, b []float64) float64 {
@@ -15,15 +13,6 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// L2 returns the Euclidean norm of v.
-func L2(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
 // Argmax returns the index of the largest element of v (first on ties).
 func Argmax(v []float64) int {
 	best, bv := 0, v[0]
@@ -34,41 +23,4 @@ func Argmax(v []float64) int {
 		}
 	}
 	return best
-}
-
-// Mean returns the arithmetic mean of v (0 for empty input).
-func Mean(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s / float64(len(v))
-}
-
-// Variance returns the population variance of v (0 for empty input).
-func Variance(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	m := Mean(v)
-	var s float64
-	for _, x := range v {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(v))
-}
-
-// Clamp limits x to the interval [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }

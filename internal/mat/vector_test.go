@@ -22,15 +22,6 @@ func TestDotPanicsOnLength(t *testing.T) {
 	Dot([]float64{1}, []float64{1, 2})
 }
 
-func TestL2(t *testing.T) {
-	if math.Abs(L2([]float64{3, 4})-5) > 1e-12 {
-		t.Fatal("L2 wrong")
-	}
-	if L2(nil) != 0 {
-		t.Fatal("L2(nil) != 0")
-	}
-}
-
 func TestSoftmaxVector(t *testing.T) {
 	src := []float64{1, 2, 3}
 	dst := make([]float64, 3)
@@ -82,24 +73,5 @@ func TestArgmax(t *testing.T) {
 	}
 	if Argmax([]float64{5, 5}) != 0 {
 		t.Fatal("Argmax tie should pick first")
-	}
-}
-
-func TestMeanVariance(t *testing.T) {
-	v := []float64{1, 2, 3, 4}
-	if Mean(v) != 2.5 {
-		t.Fatalf("Mean = %g", Mean(v))
-	}
-	if math.Abs(Variance(v)-1.25) > 1e-12 {
-		t.Fatalf("Variance = %g", Variance(v))
-	}
-	if Mean(nil) != 0 || Variance(nil) != 0 {
-		t.Fatal("empty stats should be 0")
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
-		t.Fatal("Clamp wrong")
 	}
 }

@@ -2,7 +2,7 @@ package metrics
 
 // Window is a fixed-capacity sliding sample window: Push overwrites the
 // oldest sample once capacity is reached, and the digest methods
-// (Quantile, Mean, Sum) summarize whatever is currently held. It backs
+// (Quantile, Sum) summarize whatever is currently held. It backs
 // the serving path's live telemetry — the recorder keeps one window per
 // signal and the closed-loop controller reads digests of them every
 // control tick. Not safe for concurrent use; callers hold their own
@@ -38,28 +38,10 @@ func (w *Window) Push(v float64) {
 // Len returns the number of samples currently held.
 func (w *Window) Len() int { return len(w.buf) }
 
-// Cap returns the window capacity.
-func (w *Window) Cap() int { return w.cap }
-
-// Reset empties the window without releasing its storage.
-func (w *Window) Reset() {
-	w.buf = w.buf[:0]
-	w.pos = 0
-	w.full = false
-}
-
 // Quantile returns the q-quantile of the held samples (0 when empty),
 // with the same estimator as the package-level Quantile.
 func (w *Window) Quantile(q float64) float64 {
 	return Quantile(w.buf, q)
-}
-
-// Mean returns the arithmetic mean of the held samples (0 when empty).
-func (w *Window) Mean() float64 {
-	if len(w.buf) == 0 {
-		return 0
-	}
-	return w.Sum() / float64(len(w.buf))
 }
 
 // Sum returns the sum of the held samples.

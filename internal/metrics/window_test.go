@@ -4,14 +4,11 @@ import "testing"
 
 func TestWindowEmpty(t *testing.T) {
 	w := NewWindow(4)
-	if w.Len() != 0 || w.Cap() != 4 {
-		t.Fatalf("empty window: Len=%d Cap=%d", w.Len(), w.Cap())
+	if w.Len() != 0 {
+		t.Fatalf("empty window: Len=%d", w.Len())
 	}
 	if q := w.Quantile(0.99); q != 0 {
 		t.Fatalf("empty Quantile = %g, want 0", q)
-	}
-	if m := w.Mean(); m != 0 {
-		t.Fatalf("empty Mean = %g, want 0", m)
 	}
 	if s := w.Sum(); s != 0 {
 		t.Fatalf("empty Sum = %g, want 0", s)
@@ -29,8 +26,8 @@ func TestWindowSingleSample(t *testing.T) {
 			t.Fatalf("Quantile(%g) = %g, want 3.5", q, got)
 		}
 	}
-	if w.Mean() != 3.5 || w.Sum() != 3.5 {
-		t.Fatalf("Mean/Sum = %g/%g, want 3.5/3.5", w.Mean(), w.Sum())
+	if w.Sum() != 3.5 {
+		t.Fatalf("Sum = %g, want 3.5", w.Sum())
 	}
 }
 
@@ -46,29 +43,11 @@ func TestWindowEviction(t *testing.T) {
 	if s := w.Sum(); s != 12 {
 		t.Fatalf("Sum = %g, want 12 (oldest evicted)", s)
 	}
-	if m := w.Mean(); m != 4 {
-		t.Fatalf("Mean = %g, want 4", m)
-	}
 	if q := w.Quantile(0.5); q != 4 {
 		t.Fatalf("median = %g, want 4", q)
 	}
 	if lo, hi := w.Quantile(0), w.Quantile(1); lo != 3 || hi != 5 {
 		t.Fatalf("min/max = %g/%g, want 3/5", lo, hi)
-	}
-}
-
-func TestWindowReset(t *testing.T) {
-	w := NewWindow(2)
-	w.Push(1)
-	w.Push(2)
-	w.Push(3) // wraps
-	w.Reset()
-	if w.Len() != 0 || w.Sum() != 0 {
-		t.Fatalf("after Reset: Len=%d Sum=%g", w.Len(), w.Sum())
-	}
-	w.Push(7)
-	if w.Len() != 1 || w.Mean() != 7 {
-		t.Fatalf("after Reset+Push: Len=%d Mean=%g", w.Len(), w.Mean())
 	}
 }
 

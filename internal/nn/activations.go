@@ -6,34 +6,6 @@ import (
 	"rt3/internal/mat"
 )
 
-// ReLU is the rectified-linear activation with cached input sign.
-type ReLU struct {
-	mask *mat.Matrix
-}
-
-// Params implements Module (ReLU has none).
-func (r *ReLU) Params() []*Parameter { return nil }
-
-// Forward applies max(0, x) element-wise.
-func (r *ReLU) Forward(x *mat.Matrix) *mat.Matrix {
-	y := mat.New(x.Rows, x.Cols)
-	r.mask = mat.New(x.Rows, x.Cols)
-	for i, v := range x.Data {
-		if v > 0 {
-			y.Data[i] = v
-			r.mask.Data[i] = 1
-		}
-	}
-	return y
-}
-
-// Backward gates the upstream gradient by the forward activation mask.
-func (r *ReLU) Backward(dy *mat.Matrix) *mat.Matrix {
-	dx := dy.Clone()
-	dx.Hadamard(r.mask)
-	return dx
-}
-
 // GELU is the Gaussian-error linear unit using the tanh approximation,
 // matching the activation used in BERT-family models, computed in its
 // sigmoid form on the repository's exp (mat.GELU).

@@ -90,26 +90,6 @@ func TestEmbeddingOutOfRangePanics(t *testing.T) {
 	e.Forward([]int{3})
 }
 
-func TestReLUForwardBackward(t *testing.T) {
-	r := &nn.ReLU{}
-	x := mat.FromSlice(1, 4, []float64{-1, 2, -3, 4})
-	y := r.Forward(x)
-	want := []float64{0, 2, 0, 4}
-	for i, v := range want {
-		if y.Data[i] != v {
-			t.Fatalf("ReLU forward %v", y.Data)
-		}
-	}
-	dy := mat.FromSlice(1, 4, []float64{1, 1, 1, 1})
-	dx := r.Backward(dy)
-	wantDx := []float64{0, 1, 0, 1}
-	for i, v := range wantDx {
-		if dx.Data[i] != v {
-			t.Fatalf("ReLU backward %v", dx.Data)
-		}
-	}
-}
-
 func TestGELUGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	l1 := nn.NewLinear("l1", 2, 3, rng)
@@ -146,12 +126,15 @@ func TestLayerNormForwardStats(t *testing.T) {
 	x.Randomize(rand.New(rand.NewSource(7)), 5)
 	y := ln.Forward(x)
 	for i := 0; i < y.Rows; i++ {
-		row := y.Row(i)
-		if math.Abs(mat.Mean(row)) > 1e-9 {
-			t.Fatalf("row %d mean %g", i, mat.Mean(row))
+		var mean, variance float64
+		for _, v := range y.Row(i) {
+			mean += v / float64(y.Cols)
 		}
-		if math.Abs(mat.Variance(row)-1) > 1e-3 {
-			t.Fatalf("row %d var %g", i, mat.Variance(row))
+		for _, v := range y.Row(i) {
+			variance += (v - mean) * (v - mean) / float64(y.Cols)
+		}
+		if math.Abs(mean) > 1e-9 || math.Abs(variance-1) > 1e-3 {
+			t.Fatalf("row %d mean %g var %g", i, mean, variance)
 		}
 	}
 }
@@ -243,10 +226,6 @@ func TestSetMaskShapePanics(t *testing.T) {
 	l.W.SetMask(mat.New(3, 3))
 }
 
-func TestSGDReducesLoss(t *testing.T) {
-	testOptimizerReducesLoss(t, nn.NewSGD(0.1, 0.9))
-}
-
 func TestAdamReducesLoss(t *testing.T) {
 	testOptimizerReducesLoss(t, nn.NewAdam(0.01))
 }
@@ -283,8 +262,8 @@ func TestClipGrads(t *testing.T) {
 	if math.Abs(norm-5) > 1e-12 {
 		t.Fatalf("pre-clip norm %g", norm)
 	}
-	if math.Abs(mat.L2(p.Grad.Data)-1) > 1e-9 {
-		t.Fatalf("post-clip norm %g", mat.L2(p.Grad.Data))
+	if n := math.Hypot(p.Grad.Data[0], p.Grad.Data[1]); math.Abs(n-1) > 1e-9 {
+		t.Fatalf("post-clip norm %g", n)
 	}
 	// below the threshold: untouched
 	p.Grad.CopyFrom(mat.FromSlice(1, 2, []float64{0.1, 0}))

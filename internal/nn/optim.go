@@ -9,43 +9,6 @@ type Optimizer interface {
 	Step(params []*Parameter)
 }
 
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-
-	velocity map[*Parameter][]float64
-}
-
-// NewSGD returns an SGD optimizer with the given learning rate and
-// momentum (0 disables momentum).
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*Parameter][]float64)}
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step(params []*Parameter) {
-	for _, p := range params {
-		p.MaskGrad()
-		if s.Momentum == 0 {
-			for i, g := range p.Grad.Data {
-				p.Value.Data[i] -= s.LR * g
-			}
-		} else {
-			v := s.velocity[p]
-			if v == nil {
-				v = make([]float64, len(p.Grad.Data))
-				s.velocity[p] = v
-			}
-			for i, g := range p.Grad.Data {
-				v[i] = s.Momentum*v[i] - s.LR*g
-				p.Value.Data[i] += v[i]
-			}
-		}
-		p.ApplyMask()
-	}
-}
-
 // Adam implements the Adam optimizer (Kingma & Ba, 2015).
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64

@@ -67,14 +67,6 @@ func NewLogger(out io.Writer, prefix string, level LogLevel) *Logger {
 	return l
 }
 
-// SetLevel changes the threshold at runtime.
-func (l *Logger) SetLevel(level LogLevel) {
-	if l == nil {
-		return
-	}
-	l.level.Store(int32(level))
-}
-
 // Level returns the current threshold.
 func (l *Logger) Level() LogLevel {
 	if l == nil {
@@ -105,9 +97,6 @@ func (l *Logger) Debugf(format string, args ...any) { l.logf(LogDebug, format, a
 
 // Infof logs at info level (progress output, run summaries).
 func (l *Logger) Infof(format string, args ...any) { l.logf(LogInfo, format, args...) }
-
-// Warnf logs at warn level (dropped requests, degraded modes).
-func (l *Logger) Warnf(format string, args ...any) { l.logf(LogWarn, format, args...) }
 
 // Errorf logs at error level (failures the run continues past).
 func (l *Logger) Errorf(format string, args ...any) { l.logf(LogError, format, args...) }

@@ -29,20 +29,20 @@ func TestLoggerLevels(t *testing.T) {
 	l := NewLogger(&buf, "rt3serve: ", LogInfo)
 	l.Debugf("hidden %d", 1)
 	l.Infof("shown %d", 2)
-	l.Warnf("warned")
+	l.Errorf("failed")
 	out := buf.String()
 	if strings.Contains(out, "hidden") {
 		t.Fatalf("debug line emitted at info level:\n%s", out)
 	}
-	if !strings.Contains(out, "rt3serve: shown 2") || !strings.Contains(out, "warned") {
+	if !strings.Contains(out, "rt3serve: shown 2") || !strings.Contains(out, "failed") {
 		t.Fatalf("missing expected lines:\n%s", out)
 	}
 	if !l.Enabled(LogError) || l.Enabled(LogDebug) {
 		t.Fatalf("Enabled thresholds wrong at info level")
 	}
 
-	l.SetLevel(LogWarn)
 	buf.Reset()
+	l = NewLogger(&buf, "", LogWarn)
 	l.Infof("quieted")
 	if buf.Len() != 0 {
 		t.Fatalf("info line emitted at warn level: %q", buf.String())
@@ -56,9 +56,7 @@ func TestLoggerNilSafe(t *testing.T) {
 	var l *Logger
 	l.Debugf("a")
 	l.Infof("b")
-	l.Warnf("c")
 	l.Errorf("d")
-	l.SetLevel(LogDebug)
 	if l.Enabled(LogError) {
 		t.Fatalf("nil logger claims enabled")
 	}

@@ -110,8 +110,8 @@ func (o HistogramOpts) Bounds() []float64 {
 	return bounds
 }
 
-// Histogram is a mergeable log-linear histogram. Observe is a binary
-// search over ~55 precomputed bounds plus a short critical section — no
+// Histogram is a log-linear histogram. Observe is a binary search
+// over ~55 precomputed bounds plus a short critical section — no
 // allocation, cheap enough for per-request recording (but not for
 // per-kernel-op recording; hot inner loops use atomic counters and
 // expose rates instead).
@@ -164,44 +164,6 @@ func (h *Histogram) Buckets() []uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return append([]uint64(nil), h.counts...)
-}
-
-// Merge folds other into h. Both must share the same bucket layout —
-// merged histograms (e.g. per-replica shards rolled up per node) are
-// only meaningful bucket-for-bucket.
-func (h *Histogram) Merge(other *Histogram) error {
-	other.mu.Lock()
-	oc := append([]uint64(nil), other.counts...)
-	osum, ototal := other.sum, other.total
-	obounds := other.bounds
-	other.mu.Unlock()
-
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(obounds) != len(h.bounds) {
-		return fmt.Errorf("obs: merging histograms with %d vs %d bounds", len(obounds), len(h.bounds))
-	}
-	for i, b := range h.bounds {
-		if b != obounds[i] {
-			return fmt.Errorf("obs: merging histograms with mismatched bound %d: %g vs %g", i, b, obounds[i])
-		}
-	}
-	for i, c := range oc {
-		h.counts[i] += c
-	}
-	h.sum += osum
-	h.total += ototal
-	return nil
-}
-
-// reset zeroes the histogram.
-func (h *Histogram) reset() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.sum, h.total = 0, 0
 }
 
 type metricType int
@@ -398,30 +360,6 @@ func (r *Registry) Snapshot() map[string]float64 {
 		}
 	}
 	return out
-}
-
-// Reset zeroes every owned counter, gauge and histogram. Func-backed
-// series read external state and are left alone — resetting them is the
-// producer's business.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	fams := make([]*family, 0, len(r.order))
-	for _, n := range r.order {
-		fams = append(fams, r.families[n])
-	}
-	r.mu.Unlock()
-	for _, f := range fams {
-		for _, s := range f.series {
-			switch {
-			case s.counter != nil:
-				s.counter.bits.Store(0)
-			case s.gauge != nil:
-				s.gauge.bits.Store(0)
-			case s.hist != nil:
-				s.hist.reset()
-			}
-		}
-	}
 }
 
 // renderLabels renders a label set as `{k="v",...}` (keys validated,

@@ -1,7 +1,7 @@
 // Package obs is the observability substrate of the serving stack:
 // request-scoped tracing (free-listed span buffers, exportable as JSONL
 // or a Chrome trace_event file), a metrics registry of counters, gauges
-// and mergeable log-linear histograms with Prometheus text exposition,
+// and log-linear histograms with Prometheus text exposition,
 // a small leveled logger, and an admin HTTP mux serving /metrics,
 // /trace, /healthz and net/http/pprof. serve, kernel, rtswitch and the
 // autotuner register their instruments here; cmd/rt3serve exposes them

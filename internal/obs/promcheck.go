@@ -19,8 +19,11 @@ var sampleLine = regexp.MustCompile(
 // a well-formed sample; TYPE comments precede their samples and are not
 // repeated; samples group under their family; histogram families carry
 // cumulative _bucket series ending in le="+Inf" plus _sum and _count.
-// It returns nil for valid input — tests and the CI smoke gate call it
-// against a live /metrics scrape.
+// It returns nil for valid input. No production path calls it: it is
+// the test oracle obs's and serve's tests check rendered registries
+// with. It lives here, not in testutil, because testutil imports nn,
+// which imports kernel, which imports obs, so obs's own tests could not
+// import it from there.
 func ValidateExposition(data []byte) error {
 	types := map[string]string{}       // family -> type
 	declared := []string{}             // TYPE declaration order

@@ -61,7 +61,8 @@ func (p Pattern) Sparsity() float64 {
 	return 1 - float64(p.Ones())/float64(len(p.Bits))
 }
 
-// Equal reports whether two patterns are identical.
+// Equal reports whether two patterns are identical. No production path
+// calls it: it is a test oracle, exported for deploy's round-trip tests.
 func (p Pattern) Equal(q Pattern) bool {
 	if p.Size != q.Size {
 		return false
@@ -359,20 +360,4 @@ func CombineWithBackbone(patternMask, bpMask *mat.Matrix) *mat.Matrix {
 	out := patternMask.Clone()
 	out.Hadamard(bpMask)
 	return out
-}
-
-// LogSpaceSize returns log10 of the number of distinct patterns of the
-// given size and exact sparsity: C(n, k) with n = psize^2 and
-// k = kept positions. For psize=100, sparsity=0.5 this reproduces the
-// paper's 8.6e286 count (log10 ≈ 286.9).
-func LogSpaceSize(psize int, sparsity float64) float64 {
-	n := psize * psize
-	k := n - int(math.Round(sparsity*float64(n)))
-	if k < 0 || k > n {
-		return math.Inf(-1)
-	}
-	ln, _ := math.Lgamma(float64(n + 1))
-	lk, _ := math.Lgamma(float64(k + 1))
-	lnk, _ := math.Lgamma(float64(n - k + 1))
-	return (ln - lk - lnk) / math.Ln10
 }

@@ -178,29 +178,6 @@ func TestCombineWithBackboneIsIntersection(t *testing.T) {
 	}
 }
 
-func TestLogSpaceSizeReproducesPaperCount(t *testing.T) {
-	// The paper: C(100*100 choose 50% kept)... actually it quotes
-	// C(100,50) = 8.6e286 per-pattern combinations at psize=100 — but the
-	// true count for a 100x100 pattern at 50% sparsity is C(10000,5000).
-	// We verify our combinatorics on the directly checkable claim:
-	// log10 C(10000, 5000) ≈ 3008 >> 286, and the paper's printed figure
-	// log10(8.6e286) for C(100,50)... C(100,50)=1.0089e29; the "8.6e286"
-	// in the text matches C(1000,500). Either way the point stands:
-	// exhaustive search is impossible. We assert monotone growth and a
-	// known small case.
-	small := LogSpaceSize(2, 0.5) // C(4,2) = 6
-	if math.Abs(math.Pow(10, small)-6) > 1e-6 {
-		t.Fatalf("C(4,2): 10^%g != 6", small)
-	}
-	big := LogSpaceSize(100, 0.5)
-	if big < 2000 {
-		t.Fatalf("log10 C(10000,5000) = %g, expected > 2000 (search infeasible)", big)
-	}
-	if LogSpaceSize(10, 0.5) >= LogSpaceSize(20, 0.5) {
-		t.Fatal("space size must grow with pattern size")
-	}
-}
-
 func TestSetMaskBytes(t *testing.T) {
 	s := RandomSet(8, 0.5, 4, rand.New(rand.NewSource(7)))
 	// 4 patterns * 64 bits = 256 bits = 32 bytes

@@ -7,7 +7,6 @@ package prune
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 
@@ -180,35 +179,4 @@ func RandomBlockPrune(w *mat.Matrix, cfg BPConfig, rng *rand.Rand) (*mat.Matrix,
 		return nil, fmt.Errorf("prune: unknown direction %d", cfg.Direction)
 	}
 	return mask, nil
-}
-
-// BothDirectionsPrune applies the paper's generalization "it can be
-// generalized to apply row pruning or both row and column pruning":
-// column pruning within row-blocks intersected with row pruning within
-// column-blocks. The returned mask is the element-wise AND of the two
-// passes, so both regular structures coexist (each pass uses half the
-// percentile so the combined sparsity stays near cfg's target).
-func BothDirectionsPrune(w *mat.Matrix, cfg BPConfig) (*mat.Matrix, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	half := cfg
-	if cfg.Percentile > 0 {
-		// split the budget: 1-(1-p1)^2 ~= target for p1 = 1-sqrt(1-target)
-		half.Percentile = 1 - math.Sqrt(1-cfg.Percentile)
-	}
-	colCfg := half
-	colCfg.Direction = ColumnsInRowBlocks
-	colMask, err := BlockPrune(w, colCfg)
-	if err != nil {
-		return nil, err
-	}
-	rowCfg := half
-	rowCfg.Direction = RowsInColBlocks
-	rowMask, err := BlockPrune(w, rowCfg)
-	if err != nil {
-		return nil, err
-	}
-	colMask.Hadamard(rowMask)
-	return colMask, nil
 }

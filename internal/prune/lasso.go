@@ -73,23 +73,9 @@ func (g *GroupLasso) Reweight(w *mat.Matrix) {
 	g.weights[w] = ws
 }
 
-// Penalty returns lambda * sum_g w_g ||W_g||_2 for w. Unweighted (w_g=1)
-// if Reweight has not been called yet.
-func (g *GroupLasso) Penalty(w *mat.Matrix) float64 {
-	norms, _ := g.groupNorms(w)
-	ws := g.weights[w]
-	var s float64
-	for i, n := range norms {
-		wg := 1.0
-		if ws != nil {
-			wg = ws[i]
-		}
-		s += wg * n
-	}
-	return g.Lambda * s
-}
-
-// AddGrad accumulates d(Penalty)/dW into grad (same shape as w).
+// AddGrad accumulates into grad (same shape as w) the gradient of the
+// penalty lambda * sum_g w_g ||W_g||_2, unweighted (w_g = 1) until
+// Reweight has been called.
 func (g *GroupLasso) AddGrad(grad, w *mat.Matrix) {
 	norms, apply := g.groupNorms(w)
 	ws := g.weights[w]
@@ -106,21 +92,6 @@ func (g *GroupLasso) AddGrad(grad, w *mat.Matrix) {
 			grad.Set(i, j, grad.At(i, j)+coef*w.At(i, j))
 		})
 	}
-}
-
-// ShrinkSmallGroups hard-zeroes groups whose l2 norm is below thresh;
-// used after lasso-regularized training to realize the pruning decided
-// by the regularizer. Returns the number of groups zeroed.
-func (g *GroupLasso) ShrinkSmallGroups(w *mat.Matrix, thresh float64) int {
-	norms, apply := g.groupNorms(w)
-	n := 0
-	for gi, nv := range norms {
-		if nv < thresh {
-			apply(gi, func(i, j int) { w.Set(i, j, 0) })
-			n++
-		}
-	}
-	return n
 }
 
 // CompressionRatio converts a sparsity fraction into the paper's

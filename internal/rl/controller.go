@@ -128,40 +128,9 @@ func (c *Controller) Sample(rng *rand.Rand) *Episode {
 	return ep
 }
 
-// Greedy returns the argmax trajectory (used to extract the final best
-// architecture after search).
-func (c *Controller) Greedy() *Episode {
-	ep := &Episode{}
-	h := make([]float64, c.Cfg.Hidden)
-	prev := 0
-	for lvl := 0; lvl < c.Cfg.Levels; lvl++ {
-		h = c.stepArgmax(h, prev, true, ep)
-		set := ep.steps[len(ep.steps)-1].action
-		ep.SetChoices = append(ep.SetChoices, set)
-		prev = 1 + set
-		var pats []int
-		for k := 0; k < c.Cfg.K; k++ {
-			h = c.stepArgmax(h, prev, false, ep)
-			p := ep.steps[len(ep.steps)-1].action
-			pats = append(pats, p)
-			prev = 1 + p
-		}
-		ep.PatternChoices = append(ep.PatternChoices, pats)
-	}
-	return ep
-}
-
-// SampleSet draws a single set-head decision as a one-step episode.
-// The serving-time level policy uses this to pick one of NumSets actions
-// (one per V/F level) without unrolling pattern choices; the returned
-// episode feeds Reinforce like any other.
-func (c *Controller) SampleSet(rng *rand.Rand) *Episode {
-	return c.SampleSetFrom(-1, rng)
-}
-
 // stateInput maps a quantized context state to its embedding row; a
 // negative state (or an unconfigured controller) falls back to the start
-// token, making SampleSetFrom(-1, rng) identical to SampleSet(rng).
+// token, the input of the first step of Sample.
 func (c *Controller) stateInput(state int) int {
 	if state < 0 || c.Cfg.States == 0 {
 		return 0

@@ -104,15 +104,14 @@ func TestSampleSetFromLearnsPerState(t *testing.T) {
 }
 
 func TestSampleSetFromFallback(t *testing.T) {
-	// SampleSetFrom(-1) must behave exactly like SampleSet: same rng
-	// stream, same decisions
+	// SampleSetFrom(-1) starts from the start token, so it decides
+	// exactly like the first step of Sample on the same rng stream
 	cfg := Config{Hidden: 8, NumSets: 3, NumPatterns: 1, Levels: 1, K: 1, LR: 0.1}
-	a, _ := NewController(cfg, rand.New(rand.NewSource(3)))
-	b, _ := NewController(cfg, rand.New(rand.NewSource(3)))
-	ra, rb := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
-	for i := 0; i < 20; i++ {
-		if a.SampleSet(ra).SetChoices[0] != b.SampleSetFrom(-1, rb).SetChoices[0] {
-			t.Fatalf("SampleSetFrom(-1) diverged from SampleSet at step %d", i)
+	c, _ := NewController(cfg, rand.New(rand.NewSource(3)))
+	for seed := int64(0); seed < 20; seed++ {
+		full := c.Sample(rand.New(rand.NewSource(seed)))
+		if got := c.SampleSetFrom(-1, rand.New(rand.NewSource(seed))); got.SetChoices[0] != full.SetChoices[0] {
+			t.Fatalf("seed %d: SampleSetFrom(-1) picked %d, Sample's first step %d", seed, got.SetChoices[0], full.SetChoices[0])
 		}
 	}
 }

@@ -290,12 +290,6 @@ func (a *Autotuner) Trace() AutotuneTrace {
 	}
 }
 
-// LevelCosts exposes the hwsim cost table the reward reads (bundle
-// order) — the benchmark prints it next to the comparison.
-func (a *Autotuner) LevelCosts() []hwsim.LevelCost {
-	return append([]hwsim.LevelCost(nil), a.costs...)
-}
-
 // ReplayTrace re-runs a recorded decision trace through a fresh
 // controller built from the trace's seed, starting at the exploration
 // rate its first decision records, feeding each recorded telemetry
@@ -390,10 +384,6 @@ func (s *Server) controlLoop() {
 		}
 	}
 }
-
-// Autotuner returns the server's closed-loop controller (nil unless
-// Config.Autotune was set).
-func (s *Server) Autotuner() *Autotuner { return s.tuner }
 
 // AutotuneTrace snapshots the closed-loop decision record; ok is false
 // when autotuning is not configured.

@@ -9,6 +9,7 @@ import (
 	"rt3/internal/dvfs"
 	"rt3/internal/hwsim"
 	"rt3/internal/loadgen"
+	"rt3/internal/obs"
 	"rt3/internal/serve"
 )
 
@@ -55,7 +56,7 @@ func TestAutotunerTraceReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	costs := at.LevelCosts()
+	costs := hwsim.LevelCosts(levels, power, 2e6)
 
 	// drive a live-looking run: telemetry follows the controller's own
 	// level choices while the battery drains
@@ -92,7 +93,7 @@ func TestAutotunerTraceCapTruncationNotReplayable(t *testing.T) {
 		t.Fatal(err)
 	}
 	serve.SetAutotuneTraceCap(at, 16)
-	costs := at.LevelCosts()
+	costs := hwsim.LevelCosts(levels, power, 2e6)
 	for i := 0; i < 40; i++ {
 		at.Step(simTelemetry(costs, 0, 1, 15))
 	}
@@ -174,7 +175,7 @@ func TestAutotuneServerLiveTrace(t *testing.T) {
 		MaxBatch: 4, QueueCap: 1024,
 		TargetMS: 20, BatteryJ: 0.05, Autotune: &serve.AutotuneConfig{Seed: 5},
 	})
-	serve.SetAutotuneEpsilon(srv.Autotuner(), 0.9) // switch-happy: this test is about drains, not learning
+	serve.SetAutotuneEpsilon(srv, 0.9) // switch-happy: this test is about drains, not learning
 	srv.Start()
 	defer srv.Stop()
 
@@ -219,7 +220,7 @@ func TestAutotuneGenerateMode(t *testing.T) {
 		Generate: true, MaxBatch: 4, QueueCap: 256,
 		MaxGenTokens: 12, TargetMS: 20, BatteryJ: 0.05, Autotune: &serve.AutotuneConfig{Seed: 4},
 	})
-	serve.SetAutotuneEpsilon(srv.Autotuner(), 0.9)
+	serve.SetAutotuneEpsilon(srv, 0.9)
 	srv.Start()
 	defer srv.Stop()
 
@@ -255,7 +256,7 @@ func TestAutotuneGenerateMode(t *testing.T) {
 // TestRecorderWindowEdgeCases pins the telemetry window's empty and
 // single-sample behaviour — the states the controller sees at startup.
 func TestRecorderWindowEdgeCases(t *testing.T) {
-	rec := serve.NewRecorder([]string{"l6", "l3"})
+	rec := serve.NewRecorderOn(obs.NewRegistry(), []string{"l6", "l3"})
 
 	empty := rec.RecentStats()
 	if empty.Samples != 0 {

@@ -1,10 +1,11 @@
 package serve
 
-// SetAutotuneEpsilon sets the exploration rate a's next Step starts
-// from. Tests about drains rather than learning want a switch-happy
-// controller; ReplayTrace starts from the rate a trace's first decision
-// records, so such traces still replay.
-func SetAutotuneEpsilon(a *Autotuner, eps float64) {
+// SetAutotuneEpsilon sets the exploration rate s's controller's next
+// Step starts from. Tests about drains rather than learning want a
+// switch-happy controller; ReplayTrace starts from the rate a trace's
+// first decision records, so such traces still replay.
+func SetAutotuneEpsilon(s *Server, eps float64) {
+	a := s.tuner
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.eps = eps

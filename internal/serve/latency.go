@@ -69,13 +69,6 @@ type Recorder struct {
 	switchStall *obs.Histogram // rt3_switch_stall_ms (wall build and install)
 }
 
-// NewRecorder sizes a recorder for the given level names on a private
-// registry (reachable via Metrics) — the constructor tests and
-// benchmarks use. Servers share one registry via NewRecorderOn.
-func NewRecorder(levelNames []string) *Recorder {
-	return NewRecorderOn(obs.NewRegistry(), levelNames)
-}
-
 // NewRecorderOn sizes a recorder for the given level names, registering
 // its instruments on reg.
 func NewRecorderOn(reg *obs.Registry, levelNames []string) *Recorder {

@@ -176,8 +176,10 @@ func (st *DecodeState) Reset() {
 
 // TruncateTo rewinds the state to position pos (0 <= pos <= Pos()),
 // dropping the self-attention rows of later tokens while keeping the
-// frozen cross-attention memory — the rollback primitive for replaying
-// a committed stream from an earlier position.
+// frozen cross-attention memory. No serving path calls it (a failover
+// resumes with one DecodeChunk): it is the tests' rewind, exported for
+// this package's and serve's tests, which replay a stream from an
+// earlier position and compare the replay with the first pass.
 func (st *DecodeState) TruncateTo(pos int) {
 	if pos < 0 || pos > st.pos {
 		panic(fmt.Sprintf("transformer: TruncateTo(%d) outside [0, %d]", pos, st.pos))
@@ -225,8 +227,10 @@ func (st *DecodeState) copyFrom(src *DecodeState, rows int) {
 
 // Equal reports whether two states hold bitwise the same Pos, self rows
 // below it and frozen memory, whatever their capacity and spare lanes
-// hold. It is the oracle the bit-identity tests compare states with
-// (cached == recompute, prefix-cached == uncached, forked == inline).
+// hold. No serving path calls it: it is the oracle the bit-identity
+// tests compare states with (cached == recompute, prefix-cached ==
+// uncached, forked == inline), exported for this package's and spec's
+// tests.
 func (st *DecodeState) Equal(o *DecodeState) bool {
 	if st.pos != o.pos || len(st.self) != len(o.self) {
 		return false
@@ -370,8 +374,10 @@ func (m *LMModel) identity(n int) []int {
 // EncodeBatch runs the embedding and encoder stack over the packed
 // prompts and returns an independent copy of the packed encoder memory
 // plus its offsets table — the frozen memory that Prefill computes
-// internally, exposed for the full-recompute reference path. It is a
-// test oracle beside DecodeFull, exported for serve's tests.
+// internally, exposed for the full-recompute reference path. No serving
+// path calls it: it is a test oracle beside DecodeFull, exported for
+// serve's tests because testutil, which transformer's own tests import,
+// cannot import transformer.
 func (m *LMModel) EncodeBatch(prompts [][]int) (*mat.Matrix, []int) {
 	_, memory := m.encode(prompts)
 	return memory.Clone(), append([]int(nil), m.off...)
@@ -384,8 +390,10 @@ func (m *LMModel) EncodeBatch(prompts [][]int) (*mat.Matrix, []int) {
 // EncodeBatch, returning per-sequence logits (views, per the
 // ForwardBatch aliasing contract). The last row of sequence i is
 // bit-identical to DecodeStep's row i at the same position — the
-// equivalence the decode tests and benchmarks pin. It is a test oracle,
-// exported for the bit-identity tests of this package and of serve.
+// equivalence the decode tests and benchmarks pin. No serving path calls
+// it: it is a test oracle, exported for the bit-identity tests of this
+// package and of serve because testutil, which transformer's own tests
+// import, cannot import transformer.
 func (m *LMModel) DecodeFull(seqs [][]int, memory *mat.Matrix, memOff []int) []*mat.Matrix {
 	if len(m.Dec) == 0 {
 		panic("transformer: DecodeFull requires at least one decoder layer")
