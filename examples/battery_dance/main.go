@@ -38,21 +38,18 @@ func main() {
 		{Name: "M2 (70% sparse)", Cycles: 0.8e8, MaskBytes: 4096},
 		{Name: "M3 (80% sparse)", Cycles: 0.6e8, MaskBytes: 4096},
 	}
-	rec, err := rtswitch.NewReconfigurator(levels, subs, costs)
-	if err != nil {
-		log.Fatal(err)
-	}
+	current, switches, switchMS := 0, 0, 0.0
 	nextReport := 0.9
 	runs := 0
 	for {
-		idx := gov.PickIndex(bat.Fraction())
-		if idx != rec.Current() {
-			ms, _ := rec.SwitchTo(idx)
+		if idx := gov.PickIndex(bat.Fraction()); idx != current {
+			ms := costs.PatternSwitchMS(subs[idx].MaskBytes)
+			current, switches, switchMS = idx, switches+1, switchMS+ms
 			fmt.Printf("  %5.1f%% charge: switch to %s + %s (%.2f ms)\n",
 				bat.Fraction()*100, levels[idx].Name, subs[idx].Name, ms)
 		}
-		sub := subs[rec.Current()]
-		level := levels[rec.Current()]
+		sub := subs[current]
+		level := levels[current]
 		if !bat.Drain(power.InferenceEnergy(level, sub.Cycles)) {
 			break
 		}
@@ -64,7 +61,6 @@ func main() {
 			nextReport -= 0.1
 		}
 	}
-	switches, switchMS := rec.Stats()
 	fmt.Printf("battery empty after %d inferences, %d switches (%.2f ms total switch time)\n",
 		runs, switches, switchMS)
 	fmt.Println("\n(live version under real traffic: `go run ./cmd/rt3serve -load`;" +

@@ -49,20 +49,8 @@ func main() {
 	}
 
 	// 4. Run time: switching between pattern sets costs milliseconds.
-	costs := rtswitch.DefaultSwitchCostModel()
-	var subs []rtswitch.SubModel
-	for i, ls := range res.Best.Levels {
-		subs = append(subs, rtswitch.SubModel{
-			Name:      fmt.Sprintf("M%d", i+1),
-			MaskBytes: res.Best.Sets[i].MaskBytes(),
-			Metric:    ls.Metric,
-		})
-	}
-	rec, err := rtswitch.NewReconfigurator(cfg.Levels, subs, costs)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ms, _ := rec.SwitchTo(2) // battery low: jump to energy-saving mode
+	// Battery low: jump to energy-saving mode by swapping l3's set in.
+	ms := rtswitch.DefaultSwitchCostModel().PatternSwitchMS(res.Best.Sets[2].MaskBytes())
 	fmt.Printf("\nswitch l6 -> l3 took %.2f ms (pattern-set swap only)\n", ms)
 	fmt.Println("\n(next: `go run ./cmd/rt3serve -load` serves a deployment like this" +
 		" under live traffic; `-gen` for KV-cached generation, `-autotune` for the" +

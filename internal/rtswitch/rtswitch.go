@@ -1,18 +1,17 @@
-// Package rtswitch is the run-time system of RT3: it models the cost of
-// software reconfiguration (swapping lightweight pattern sets versus
-// reloading whole models) and simulates battery-driven execution with
-// DVFS, reproducing the paper's Table II comparison of
-// E1 (no reconfiguration), E2 (hardware-only) and E3 (hardware +
-// software reconfiguration).
+// Package rtswitch is RT3's reconfiguration cost model and Table II/III
+// simulator: it prices software reconfiguration (swapping lightweight
+// pattern sets versus reloading whole models) and simulates
+// battery-driven execution with DVFS, reproducing the paper's Table II
+// comparison of E1 (no reconfiguration), E2 (hardware-only) and E3
+// (hardware + software reconfiguration). The serving engine
+// (internal/serve) is the run-time system; it prices its switches with
+// this cost model.
 package rtswitch
 
 import (
 	"fmt"
-	"sync"
 
-	"rt3/internal/deploy"
 	"rt3/internal/dvfs"
-	"rt3/internal/obs"
 )
 
 // SwitchCostModel converts bytes moved into reconfiguration time.
@@ -142,113 +141,4 @@ func Simulate(cfg Config) (*Result, error) {
 		res.MeanLatencyMS = res.totalLatencyMS / float64(res.Runs)
 	}
 	return res, nil
-}
-
-// Reconfigurator is the on-device runtime object: it owns the deployed
-// sub-models and answers "switch to level i" requests, tracking the cost
-// of each switch. Switching and stat reads are safe for concurrent use:
-// the serving stack's metrics endpoint gathers Stats while the drain
-// path is mid-switch.
-type Reconfigurator struct {
-	Levels    []dvfs.Level
-	SubModels []SubModel
-	Switch    SwitchCostModel
-
-	mu           sync.Mutex
-	current      int
-	switches     int
-	switchTimeMS float64
-	fault        error // one-shot armed switch fault (chaos injection)
-}
-
-// NewReconfigurator deploys sub-models (one per level).
-func NewReconfigurator(levels []dvfs.Level, subs []SubModel, costs SwitchCostModel) (*Reconfigurator, error) {
-	if len(levels) != len(subs) || len(levels) == 0 {
-		return nil, fmt.Errorf("rtswitch: levels (%d) and sub-models (%d) must align and be non-empty", len(levels), len(subs))
-	}
-	return &Reconfigurator{Levels: levels, SubModels: subs, Switch: costs}, nil
-}
-
-// FromBundle builds a Reconfigurator straight from a deployment bundle:
-// one sub-model per pattern-set section, with the level resolved by name
-// against Table I and the switch cost charged on the section's serialized
-// size (the bytes a live swap actually moves).
-func FromBundle(b *deploy.Bundle, costs SwitchCostModel) (*Reconfigurator, error) {
-	if err := b.Validate(); err != nil {
-		return nil, err
-	}
-	levels := make([]dvfs.Level, len(b.LevelNames))
-	subs := make([]SubModel, len(b.LevelNames))
-	for i, name := range b.LevelNames {
-		lvl, err := dvfs.LevelByName(name)
-		if err != nil {
-			return nil, err
-		}
-		maskBytes, err := b.SetBytes(i)
-		if err != nil {
-			return nil, err
-		}
-		levels[i] = lvl
-		subs[i] = SubModel{Name: name, MaskBytes: maskBytes}
-	}
-	return NewReconfigurator(levels, subs, costs)
-}
-
-// Current returns the active level index.
-func (r *Reconfigurator) Current() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.current
-}
-
-// SwitchTo activates the sub-model for level idx, returning the switch
-// time in milliseconds (0 when already active).
-func (r *Reconfigurator) SwitchTo(idx int) (float64, error) {
-	if idx < 0 || idx >= len(r.SubModels) {
-		return 0, fmt.Errorf("rtswitch: level index %d out of range %d", idx, len(r.SubModels))
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if idx == r.current {
-		return 0, nil
-	}
-	if r.fault != nil {
-		err := r.fault
-		r.fault = nil
-		return 0, fmt.Errorf("rtswitch: switch to level %d failed: %w", idx, err)
-	}
-	cost := r.Switch.PatternSwitchMS(r.SubModels[idx].MaskBytes)
-	r.current = idx
-	r.switches++
-	r.switchTimeMS += cost
-	return cost, nil
-}
-
-// InjectSwitchError arms a one-shot fault: the next SwitchTo that would
-// actually move (same-level no-ops don't consume it) fails with err
-// before any state is mutated — the active sub-model, switch count, and
-// cost accounting are untouched, exactly the contract a failed DMA
-// pattern swap leaves behind. A nil err disarms. Chaos harness hook.
-func (r *Reconfigurator) InjectSwitchError(err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.fault = err
-}
-
-// Stats returns the cumulative switch count and time.
-func (r *Reconfigurator) Stats() (int, float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.switches, r.switchTimeMS
-}
-
-// RegisterMetrics exposes the reconfigurator's cumulative switch
-// accounting on an obs registry as read-callbacks.
-func (r *Reconfigurator) RegisterMetrics(reg *obs.Registry) {
-	reg.CounterFunc("rt3_reconfig_switches_total",
-		"Pattern-set switches applied by the reconfigurator.",
-		func() float64 { n, _ := r.Stats(); return float64(n) })
-	reg.CounterFunc("rt3_reconfig_modeled_ms_total",
-		"Cumulative modeled pattern-swap time.",
-		func() float64 { _, ms := r.Stats(); return ms })
 }

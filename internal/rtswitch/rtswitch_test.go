@@ -1,13 +1,9 @@
 package rtswitch
 
 import (
-	"errors"
-	"math/rand"
 	"testing"
 
-	"rt3/internal/deploy"
 	"rt3/internal/dvfs"
-	"rt3/internal/pattern"
 )
 
 func threeLevels() []dvfs.Level {
@@ -163,126 +159,5 @@ func TestSimulateEnergyConservation(t *testing.T) {
 	perInf := cfg.Power.InferenceEnergy(cfg.Levels[0], 1e8)
 	if cfg.BudgetJ-res.EnergyUsedJ > perInf {
 		t.Fatal("simulation stopped early")
-	}
-}
-
-func TestReconfigurator(t *testing.T) {
-	levels := threeLevels()
-	subs := []SubModel{
-		{Name: "M1", MaskBytes: 1024},
-		{Name: "M2", MaskBytes: 1024},
-		{Name: "M3", MaskBytes: 2048},
-	}
-	r, err := NewReconfigurator(levels, subs, DefaultSwitchCostModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Current() != 0 {
-		t.Fatal("initial level not 0")
-	}
-	cost, err := r.SwitchTo(0)
-	if err != nil || cost != 0 {
-		t.Fatalf("no-op switch cost %g err %v", cost, err)
-	}
-	cost, err = r.SwitchTo(2)
-	if err != nil || cost <= 0 {
-		t.Fatalf("switch cost %g err %v", cost, err)
-	}
-	if r.Current() != 2 {
-		t.Fatal("switch did not take effect")
-	}
-	n, ms := r.Stats()
-	if n != 1 || ms != cost {
-		t.Fatalf("stats %d %g", n, ms)
-	}
-	if _, err := r.SwitchTo(5); err == nil {
-		t.Fatal("out-of-range switch should error")
-	}
-}
-
-// TestInjectSwitchError: an armed fault fails exactly one real switch
-// attempt without mutating any reconfigurator state — same-level no-ops
-// don't consume it, and the next attempt after the fault succeeds.
-func TestInjectSwitchError(t *testing.T) {
-	levels := threeLevels()
-	subs := []SubModel{
-		{Name: "M1", MaskBytes: 1024},
-		{Name: "M2", MaskBytes: 1024},
-		{Name: "M3", MaskBytes: 2048},
-	}
-	r, err := NewReconfigurator(levels, subs, DefaultSwitchCostModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("dma abort")
-	r.InjectSwitchError(boom)
-	if cost, err := r.SwitchTo(0); err != nil || cost != 0 {
-		t.Fatalf("same-level no-op consumed the fault: cost %g err %v", cost, err)
-	}
-	if _, err := r.SwitchTo(1); !errors.Is(err, boom) {
-		t.Fatalf("armed fault not surfaced: %v", err)
-	}
-	if r.Current() != 0 {
-		t.Fatalf("failed switch mutated level: %d", r.Current())
-	}
-	if n, ms := r.Stats(); n != 0 || ms != 0 {
-		t.Fatalf("failed switch charged stats: %d switches %g ms", n, ms)
-	}
-	cost, err := r.SwitchTo(1)
-	if err != nil || cost <= 0 {
-		t.Fatalf("fault not one-shot: cost %g err %v", cost, err)
-	}
-	if r.Current() != 1 {
-		t.Fatal("post-fault switch did not take effect")
-	}
-	// nil disarms an armed fault
-	r.InjectSwitchError(errors.New("stale"))
-	r.InjectSwitchError(nil)
-	if _, err := r.SwitchTo(2); err != nil {
-		t.Fatalf("disarmed fault still fired: %v", err)
-	}
-}
-
-func TestReconfiguratorValidation(t *testing.T) {
-	if _, err := NewReconfigurator(nil, nil, DefaultSwitchCostModel()); err == nil {
-		t.Fatal("empty reconfigurator should error")
-	}
-	if _, err := NewReconfigurator(threeLevels(), []SubModel{{}}, DefaultSwitchCostModel()); err == nil {
-		t.Fatal("mismatched reconfigurator should error")
-	}
-}
-
-func TestFromBundle(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	b := &deploy.Bundle{
-		Weights: []deploy.WeightMatrix{{Name: "w", Rows: 4, Cols: 4, Data: make([]float64, 16)}},
-		Sets: []*pattern.Set{
-			pattern.RandomSet(4, 0.3, 2, rng),
-			pattern.RandomSet(4, 0.7, 2, rng),
-		},
-		LevelNames: []string{"l6", "l3"},
-	}
-	r, err := FromBundle(b, DefaultSwitchCostModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Levels) != 2 || r.Levels[0].Name != "l6" || r.Levels[1].Name != "l3" {
-		t.Fatalf("levels %+v", r.Levels)
-	}
-	setBytes, err := b.SetBytes(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cost, err := r.SwitchTo(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := DefaultSwitchCostModel().PatternSwitchMS(setBytes); cost != want {
-		t.Fatalf("switch cost %g want %g", cost, want)
-	}
-	// unknown level names must be rejected
-	b.LevelNames[0] = "l9"
-	if _, err := FromBundle(b, DefaultSwitchCostModel()); err == nil {
-		t.Fatal("expected error for unknown level")
 	}
 }

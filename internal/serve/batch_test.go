@@ -49,7 +49,7 @@ func TestEngineForwardBatchAllFormats(t *testing.T) {
 					t.Fatalf("%d outputs for %d sequences", len(outs), len(seqs))
 				}
 				for i, ids := range seqs {
-					want := eng.Forward(0, ids)
+					want := forward(eng, ids)
 					if !mat.Equal(outs[i], want, 0) {
 						t.Fatalf("level %d seq %d (len %d): fused output differs from per-sequence loop",
 							lvl, i, len(ids))

@@ -84,8 +84,12 @@ func (c EngineConfig) withDefaults() EngineConfig {
 // run forward passes concurrently.
 type Engine struct {
 	bundle *deploy.Bundle
-	recon  *rtswitch.Reconfigurator
 	cfg    EngineConfig
+	// levels[i] is section i's V/F operating point, resolved by name
+	// against Table I; switchMS[i] is the modeled cost of swapping its
+	// pattern set in, priced on the section's serialized size.
+	levels   []dvfs.Level
+	switchMS []float64
 
 	replicas []Model
 	// weights[j] is the dense backbone matrix feeding prunable linear j
@@ -109,9 +113,12 @@ type Engine struct {
 	buildSeconds float64
 	levelBuild   []atomic.Int64
 
-	// level mirrors recon.Current() for lock-free reads: monitoring code
+	// level is the active level index, atomic because monitoring code
 	// may call Level concurrently with a switch.
 	level atomic.Int32
+	// fault is the one-shot switch fault InjectSwitchError arms, atomic
+	// because a chaos injector arms it from its own goroutine.
+	fault atomic.Pointer[error]
 
 	// batched-execution counters (atomic: workers update them
 	// concurrently, monitoring reads them live).
@@ -193,11 +200,22 @@ func NewEngineConfigured(bundle *deploy.Bundle, replicas []Model, costs rtswitch
 	if len(replicas) == 0 {
 		return nil, fmt.Errorf("serve: need at least one model replica")
 	}
-	recon, err := rtswitch.FromBundle(bundle, costs)
-	if err != nil {
+	if err := bundle.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Engine{bundle: bundle, recon: recon, cfg: cfg.withDefaults(), replicas: replicas}
+	e := &Engine{bundle: bundle, cfg: cfg.withDefaults(), replicas: replicas}
+	for i, name := range bundle.LevelNames {
+		lvl, err := dvfs.LevelByName(name)
+		if err != nil {
+			return nil, err
+		}
+		setBytes, err := bundle.SetBytes(i)
+		if err != nil {
+			return nil, err
+		}
+		e.levels = append(e.levels, lvl)
+		e.switchMS = append(e.switchMS, costs.PatternSwitchMS(setBytes))
+	}
 	e.decModels = make([]DecodeModel, len(replicas))
 	for i, r := range replicas {
 		if dm, ok := r.(DecodeModel); ok {
@@ -318,7 +336,7 @@ func (e *Engine) Level() int { return int(e.level.Load()) }
 func (e *Engine) LevelName(i int) string { return e.bundle.LevelNames[i] }
 
 // Levels returns the resolved V/F operating points, bundle order.
-func (e *Engine) Levels() []dvfs.Level { return e.recon.Levels }
+func (e *Engine) Levels() []dvfs.Level { return e.levels }
 
 // VocabSize bounds the token ids the deployed model accepts:
 // [0, VocabSize()).
@@ -328,19 +346,20 @@ func (e *Engine) VocabSize() int { return e.replicas[0].VocabSize() }
 func (e *Engine) Replicas() int { return len(e.replicas) }
 
 // SwitchTo activates level idx on every replica and returns the modeled
-// reconfiguration cost in milliseconds (0 when already active), building
-// the level's kernels first if the engine has not served it yet. The
-// caller must guarantee no forward pass is in flight — the server drains
-// its workers before calling this. A rejected switch leaves the engine
-// serving the previous level: a failed build keeps nothing, the
-// reconfigurator validates before mutating, and kernels are only
-// re-installed on success. A fault injected by InjectSwitchError fires
-// after the build, so it leaves the level built but not installed.
+// cost of swapping its pattern set in, in milliseconds (0 when already
+// active). The caller must guarantee no forward pass is in flight — the
+// server drains its workers before calling this. The engine validates
+// and builds before it installs: an out-of-range index is refused, a
+// level it has not served yet has its kernels built first, and only then
+// are they installed and the level published. A rejected switch leaves
+// the engine serving the previous level: a failed build keeps nothing,
+// and a fault armed by InjectSwitchError fires after the build and
+// before the install, so it leaves the level built but not installed.
 func (e *Engine) SwitchTo(idx int) (float64, error) {
 	if idx < 0 || idx >= e.NumLevels() {
 		return 0, fmt.Errorf("serve: level %d out of range %d", idx, e.NumLevels())
 	}
-	if idx == e.recon.Current() {
+	if idx == e.Level() {
 		return 0, nil
 	}
 	if e.kernels[idx] == nil {
@@ -348,35 +367,35 @@ func (e *Engine) SwitchTo(idx int) (float64, error) {
 			return 0, err
 		}
 	}
-	cost, err := e.recon.SwitchTo(idx)
-	if err != nil {
-		return 0, err
+	if err := e.fault.Swap(nil); err != nil {
+		return 0, fmt.Errorf("serve: switch to level %d failed: %w", idx, *err)
 	}
 	e.install(idx)
 	e.level.Store(int32(idx))
-	return cost, nil
+	return e.switchMS[idx], nil
 }
 
-// InjectSwitchError arms a one-shot fault on the reconfigurator: the
-// next level change fails before mutating any state, so the engine
-// keeps serving the previous level with its kernels intact. Chaos
-// harness hook; a nil err disarms.
-func (e *Engine) InjectSwitchError(err error) { e.recon.InjectSwitchError(err) }
-
-// Forward runs one inference on the given replica at the active level.
-// The returned matrix is the caller's to keep: replicas reuse their
-// activation buffers, so the engine copies the output at the boundary.
-func (e *Engine) Forward(replica int, ids []int) *mat.Matrix {
-	return e.replicas[replica].Forward(ids).Clone()
+// InjectSwitchError arms a one-shot fault: the next SwitchTo that would
+// change the level fails after building the level and before installing
+// it, so the engine keeps serving the previous level with its kernels
+// intact. Same-level and out-of-range calls leave the fault armed. A nil
+// err disarms. Safe to call concurrently with a switch; it is the chaos
+// harness's hook.
+func (e *Engine) InjectSwitchError(err error) {
+	if err == nil {
+		e.fault.Store(nil)
+		return
+	}
+	e.fault.Store(&err)
 }
 
 // ForwardBatch runs a whole dynamic batch as one packed forward pass on
 // the given replica at the active level: per layer, one fused kernel
 // product over all packed rows instead of one sweep per sequence. The
 // returned matrices (one per sequence, order preserved) are the
-// caller's to keep — outputs are copied at the engine boundary, exactly
-// like Forward. Each output is bit-identical to Forward on that
-// sequence alone.
+// caller's to keep: replicas reuse their activation buffers, so outputs
+// are copied at the engine boundary. Each output is bit-identical to a
+// batch of that sequence alone.
 func (e *Engine) ForwardBatch(replica int, seqs [][]int) []*mat.Matrix {
 	outs := e.replicas[replica].ForwardBatch(seqs)
 	rows := 0
@@ -524,11 +543,11 @@ func (e *Engine) denseReference(idx int) (restore func()) {
 	for _, l := range unpruned {
 		l.SetKernel(nil)
 	}
+	active := e.kernels[e.Level()]
 	return func() {
-		cur := e.recon.Current()
 		for j, l := range lins {
 			l.W.Value = e.weights[j]
-			l.SetKernel(e.kernels[cur][j])
+			l.SetKernel(active[j])
 		}
 		for i, l := range unpruned {
 			l.SetKernel(e.unpruned[i])
@@ -540,8 +559,7 @@ func (e *Engine) denseReference(idx int) (restore func()) {
 // an obs registry as read-callbacks: the atomics the workers bump stay
 // plain atomics, and the registry reads them at gather time. The decode
 // families are registered unconditionally (zero in classification mode)
-// so scrapers see a stable series set, and the reconfigurator's switch
-// accounting rides along.
+// so scrapers see a stable series set.
 func (e *Engine) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("rt3_engine_build_seconds",
 		"Wall time of the engine build: the first level's kernels and the unpruned linears'.",
@@ -586,7 +604,6 @@ func (e *Engine) RegisterMetrics(reg *obs.Registry) {
 		func() float64 { return float64(e.decStates.Load()) })
 	reg.GaugeFunc("rt3_level", "Active V/F level index (bundle order, fastest first).",
 		func() float64 { return float64(e.Level()) })
-	e.recon.RegisterMetrics(reg)
 }
 
 // DecodeStats returns the cumulative incremental-decoding counters.

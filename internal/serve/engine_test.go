@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"rt3/internal/kernel"
@@ -27,10 +28,17 @@ func newTestModel() serve.Model {
 	}, rand.New(rand.NewSource(3)))
 }
 
-// TestEngineFailedSwitchRestoresKernels exercises the restore path: when
-// the reconfigurator rejects a switch, the engine must keep serving the
-// previously active level with consistent kernels — level unchanged,
-// packed output still element-identical to masked dense execution.
+// forward runs one sequence on replica 0 as a batch of one.
+func forward(eng *serve.Engine, ids []int) *mat.Matrix {
+	return eng.ForwardBatch(0, [][]int{ids})[0]
+}
+
+// TestEngineFailedSwitchRestoresKernels exercises the restore path: the
+// engine validates a switch before it builds or installs anything, so
+// when it refuses one (here an out-of-range level) it must keep serving
+// the previously active level with consistent kernels — level
+// unchanged, packed output still element-identical to masked dense
+// execution.
 func TestEngineFailedSwitchRestoresKernels(t *testing.T) {
 	eng, _ := newTestDeployment(t, 1)
 	if _, err := eng.SwitchTo(1); err != nil {
@@ -39,7 +47,7 @@ func TestEngineFailedSwitchRestoresKernels(t *testing.T) {
 	seqs := randSeqs(3, 10, 24, 41)
 	before := make([]*mat.Matrix, len(seqs))
 	for i, ids := range seqs {
-		before[i] = eng.Forward(0, ids)
+		before[i] = forward(eng, ids)
 	}
 
 	if _, err := eng.SwitchTo(eng.NumLevels()); err == nil {
@@ -49,7 +57,7 @@ func TestEngineFailedSwitchRestoresKernels(t *testing.T) {
 		t.Fatalf("level %d after failed switch, want 1", got)
 	}
 	for i, ids := range seqs {
-		got := eng.Forward(0, ids)
+		got := forward(eng, ids)
 		if !mat.Equal(got, before[i], 0) {
 			t.Fatalf("request %d: output changed after failed switch", i)
 		}
@@ -111,7 +119,7 @@ func TestEngineFirstSwitchFailures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !mat.Equal(eng.Forward(0, ids), ref, 0) {
+			if !mat.Equal(forward(eng, ids), ref, 0) {
 				t.Fatalf("level %d request %d: packed output differs from the masked dense reference", lvl, i)
 			}
 		}
@@ -155,6 +163,121 @@ func TestEngineFirstSwitchFailures(t *testing.T) {
 	servesDense(eng, 1)
 }
 
+// TestEngineRejectsBadBundles: construction validates the bundle and
+// resolves every level name against Table I before it builds anything.
+func TestEngineRejectsBadBundles(t *testing.T) {
+	_, bundle := newTestDeployment(t, 1)
+	unknown := *bundle
+	unknown.LevelNames = []string{"l6", "l9", "l3"}
+	short := *bundle
+	short.Sets = bundle.Sets[:2]
+	if _, err := serve.NewEngineConfigured(&unknown, []serve.Model{newTestModel()},
+		rtswitch.DefaultSwitchCostModel(), serve.EngineConfig{}); err == nil || !strings.Contains(err.Error(), `"l9"`) {
+		t.Fatalf("a bundle with level l9 returned %v, want the unknown-level error", err)
+	}
+	want := short.Validate()
+	if want == nil {
+		t.Fatal("a bundle with two sets for three levels passes Validate")
+	}
+	if _, err := serve.NewEngineConfigured(&short, []serve.Model{newTestModel()},
+		rtswitch.DefaultSwitchCostModel(), serve.EngineConfig{}); err == nil || err.Error() != want.Error() {
+		t.Fatalf("a bundle that fails Validate returned %v, want %v", err, want)
+	}
+}
+
+// TestEngineInjectSwitchError: an armed fault fails exactly one switch
+// that would change the level, and leaves the engine on the level it
+// was on. A same-level call and an out-of-range call leave it armed,
+// the switch after the faulted one lands at the modeled cost, and a nil
+// error disarms.
+func TestEngineInjectSwitchError(t *testing.T) {
+	eng, bundle := newTestDeployment(t, 1)
+	injected := errors.New("test: dma abort")
+	eng.InjectSwitchError(injected)
+	if cost, err := eng.SwitchTo(0); err != nil || cost != 0 {
+		t.Fatalf("same-level call: cost %g err %v, want 0 and no error", cost, err)
+	}
+	if _, err := eng.SwitchTo(eng.NumLevels()); err == nil || errors.Is(err, injected) {
+		t.Fatalf("out-of-range call returned %v, want the range error", err)
+	}
+	if _, err := eng.SwitchTo(1); !errors.Is(err, injected) {
+		t.Fatalf("armed fault not surfaced: %v", err)
+	}
+	if got := eng.Level(); got != 0 {
+		t.Fatalf("faulted switch moved the engine to level %d", got)
+	}
+	setBytes, err := bundle.SetBytes(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost, err := eng.SwitchTo(1)
+	if want := rtswitch.DefaultSwitchCostModel().PatternSwitchMS(setBytes); err != nil || cost != want {
+		t.Fatalf("switch after the fault: cost %g err %v, want %g: the fault is not one-shot", cost, err, want)
+	}
+	if got := eng.Level(); got != 1 {
+		t.Fatalf("engine on level %d after the switch, want 1", got)
+	}
+	eng.InjectSwitchError(errors.New("test: stale fault"))
+	eng.InjectSwitchError(nil)
+	if _, err := eng.SwitchTo(2); err != nil {
+		t.Fatalf("disarmed fault still fired: %v", err)
+	}
+}
+
+// TestServerSwitchFaultRace arms and disarms the switch fault from one
+// goroutine while another walks Server.SwitchTo along the level ladder,
+// the way the chaos injector meets a level policy on a live node. Every
+// switch lands or fails with the injected fault, the engine stays on the
+// last level that landed, and the recorder counts exactly the switches
+// that landed. Run under -race in CI.
+func TestServerSwitchFaultRace(t *testing.T) {
+	eng, _ := newTestDeployment(t, 1)
+	s := serve.New(eng, serve.Config{})
+	s.Start()
+	defer s.Stop()
+	injected := errors.New("test: injected switch fault")
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if i%2 == 0 {
+				eng.InjectSwitchError(injected)
+			} else {
+				eng.InjectSwitchError(nil)
+			}
+			runtime.Gosched()
+		}
+	}()
+	level, landed := 0, 0
+	for i := 0; i < 300; i++ {
+		target := (level + 1) % eng.NumLevels()
+		switch _, err := s.SwitchTo(target); {
+		case err == nil:
+			level, landed = target, landed+1
+		case !errors.Is(err, injected):
+			t.Fatalf("switch %d to level %d: %v", i, target, err)
+		}
+		if got := eng.Level(); got != level {
+			t.Fatalf("switch %d: engine on level %d, want %d", i, got, level)
+		}
+	}
+	close(stop)
+	<-done
+	eng.InjectSwitchError(nil)
+	if _, err := s.SwitchTo((level + 1) % eng.NumLevels()); err != nil {
+		t.Fatalf("switch after disarming: %v", err)
+	}
+	if n, _, _ := s.Recorder().Switches(); n != landed+1 {
+		t.Fatalf("recorder counts %d switches, %d landed", n, landed+1)
+	}
+	t.Logf("%d of 300 switches landed under the fault", landed)
+}
+
 // TestEngineAlternateFormats deploys the same bundle through the
 // non-default registry format: the unified kernel API means any format
 // serves an RT3 level with output identical to masked dense execution.
@@ -180,8 +303,8 @@ func TestEngineAlternateFormats(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, ids := range seqs {
-					got := alt.Forward(0, ids)
-					want := eng.Forward(0, ids)
+					got := forward(alt, ids)
+					want := forward(eng, ids)
 					if !mat.Equal(got, want, 1e-9) {
 						t.Fatalf("level %d: %s engine differs from pattern engine", lvl, format)
 					}
@@ -352,9 +475,9 @@ func TestEngineUnknownFormat(t *testing.T) {
 func TestEngineForwardOutputsIndependent(t *testing.T) {
 	eng, _ := newTestDeployment(t, 1)
 	seqs := randSeqs(2, 10, 24, 53)
-	a := eng.Forward(0, seqs[0])
+	a := forward(eng, seqs[0])
 	aCopy := a.Clone()
-	b := eng.Forward(0, seqs[1])
+	b := forward(eng, seqs[1])
 	if &a.Data[0] == &b.Data[0] {
 		t.Fatal("successive Forward outputs share storage")
 	}
@@ -421,9 +544,9 @@ func TestEngineUnprunedLinearsKeepPackedKernel(t *testing.T) {
 	check("a dense reference")
 
 	// exactness: the same forward with the projection forced dense
-	got := eng.Forward(0, prompt)
+	got := forward(eng, prompt)
 	lms[0].Proj.SetKernel(nil)
-	want := eng.Forward(0, prompt)
+	want := forward(eng, prompt)
 	lms[0].Proj.SetKernel(projs[0].k)
 	if !mat.Equal(got, want, 0) {
 		t.Fatal("packed output projection is not bit-identical to the dense product")
@@ -474,7 +597,7 @@ func TestDenseReferencesRunUnprunedLinearsDense(t *testing.T) {
 	for name, ref := range refs {
 		spy := &countingKernel{Kernel: packed}
 		proj.SetKernel(spy)
-		eng.Forward(0, prompt)
+		forward(eng, prompt)
 		if spy.calls == 0 {
 			t.Fatal("spy on the output projection saw no serving pass")
 		}

@@ -39,8 +39,6 @@ type LevelStats struct {
 // sliding telemetry windows the level policies and the closed-loop
 // autotuner decide on. All methods are safe for concurrent use.
 type Recorder struct {
-	reg *obs.Registry
-
 	mu         sync.Mutex
 	levelNames []string
 	perLevel   [][]float64 // total (queue + execution) latency ms
@@ -73,7 +71,6 @@ type Recorder struct {
 // its instruments on reg.
 func NewRecorderOn(reg *obs.Registry, levelNames []string) *Recorder {
 	r := &Recorder{
-		reg:         reg,
 		levelNames:  levelNames,
 		perLevel:    make([][]float64, len(levelNames)),
 		recent:      metrics.NewWindow(recentWindow),
@@ -108,9 +105,6 @@ func NewRecorderOn(reg *obs.Registry, levelNames []string) *Recorder {
 	}
 	return r
 }
-
-// Metrics returns the registry backing the recorder's instruments.
-func (r *Recorder) Metrics() *obs.Registry { return r.reg }
 
 // Observe records one completed request at the given level: queueMS is
 // the admission-to-dispatch wait, execMS the packed-forward execution
@@ -215,11 +209,6 @@ func (r *Recorder) RecentStats() WindowStats {
 		st.FillRatio = r.recentN.Sum() / c
 	}
 	return st
-}
-
-// Drops returns the rejected-request count.
-func (r *Recorder) Drops() int {
-	return int(r.drops.Value())
 }
 
 // Switches returns the switch count and cumulative (modeled, wall) ms.

@@ -20,8 +20,8 @@ import (
 // — the contract the admin scraper relies on while workers are
 // recording (run under -race).
 func TestRecorderFacadeConcurrent(t *testing.T) {
-	rec := serve.NewRecorderOn(obs.NewRegistry(), levelNames)
-	reg := rec.Metrics()
+	reg := obs.NewRegistry()
+	rec := serve.NewRecorderOn(reg, levelNames)
 	const (
 		workers = 8
 		iters   = 200

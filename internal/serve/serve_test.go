@@ -80,7 +80,7 @@ func TestEnginePackedMatchesDense(t *testing.T) {
 			}
 		}
 		for _, ids := range seqs {
-			got := eng.Forward(0, ids)
+			got := forward(eng, ids)
 			ref, err := eng.DenseForward(lvl, ids)
 			if err != nil {
 				t.Fatal(err)
@@ -153,8 +153,8 @@ func TestServerHotSwapMidTraffic(t *testing.T) {
 	if modelMS <= 0 {
 		t.Fatal("switch cost not charged")
 	}
-	if d := s.Recorder().Drops(); d != 0 {
-		t.Fatalf("%d requests dropped", d)
+	if d, ok := s.Metrics().Snapshot()["rt3_requests_dropped_total"]; !ok || d != 0 {
+		t.Fatalf("%g requests dropped", d)
 	}
 	// verify every response against dense execution at its level
 	refs := map[[2]int]*mat.Matrix{}
@@ -226,8 +226,8 @@ func TestSubmitAdmission(t *testing.T) {
 	if _, err := s.Submit(seq); err != serve.ErrQueueFull {
 		t.Fatalf("err %v, want ErrQueueFull", err)
 	}
-	if d := s.Recorder().Drops(); d != 1 {
-		t.Fatalf("drops %d, want 1", d)
+	if d := s.Metrics().Snapshot()["rt3_requests_dropped_total"]; d != 1 {
+		t.Fatalf("drops %g, want 1", d)
 	}
 	s.Stop()
 	// never-started server: queued requests are answered with ErrStopped

@@ -269,8 +269,10 @@ func New(eng *Engine, cfg Config) *Server {
 func (s *Server) Recorder() *Recorder { return s.rec }
 
 // Metrics exposes the server's metrics registry — every instrument the
-// recorder, engine, reconfigurator, tracer and autotuner register. The
-// admin endpoint serves it as /metrics.
+// recorder, engine, kernel layer, prefix cache, tracer and autotuner
+// register, and the server's own queue and battery gauges. The engine's
+// switches are counted once, by the recorder. The admin endpoint serves
+// it as /metrics.
 func (s *Server) Metrics() *obs.Registry { return s.reg }
 
 // Tracer exposes the server's request tracer (nil when tracing is
