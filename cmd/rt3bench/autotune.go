@@ -19,7 +19,9 @@ import (
 // autotuneRPS base) against the same autotuneBatteryJ battery, with
 // execution stretched to each level's modeled frequency (SimDVFS), and
 // is scored on the composite latency/energy reward against the
-// autotuneTargetMS objective.
+// autotuneTargetMS objective. Every arm's energy is priced at
+// serve.CyclesPerInference cycles per request, as the server's battery
+// and autotuner price it.
 const (
 	autotuneDuration = 2 * time.Second
 	autotuneRPS      = 600
@@ -27,10 +29,6 @@ const (
 	autotunePeriod   = 400 * time.Millisecond
 	autotuneBatteryJ = 0.6
 	autotuneTargetMS = 15
-
-	// autotuneCycles is the modeled per-request work, shared by every
-	// arm's energy accounting and by the trace replay (serve's default).
-	autotuneCycles = 2e6
 )
 
 // evalLevelNames / evalSparsities follow rt3serve's deployment
@@ -92,7 +90,7 @@ func runAutotune(seed int64) (*autotuneSection, error) {
 		}
 		levels[i] = l
 	}
-	costs := hwsim.LevelCosts(levels, dvfs.DefaultPowerModel(), autotuneCycles)
+	costs := hwsim.LevelCosts(levels, dvfs.DefaultPowerModel(), serve.CyclesPerInference)
 	s := &autotuneSection{TargetMS: autotuneTargetMS, Seed: seed}
 	for i, c := range costs {
 		s.Levels = append(s.Levels, levelRow{
@@ -132,7 +130,7 @@ func runAutotune(seed int64) (*autotuneSection, error) {
 	// the closed loop must be auditable: replay the recorded trace
 	// through a fresh controller and require identical decisions
 	tr, _ := srv.AutotuneTrace()
-	replayed, err := serve.ReplayTrace(levels, dvfs.DefaultPowerModel(), autotuneCycles, tr)
+	replayed, err := serve.ReplayTrace(levels, tr)
 	if err != nil {
 		return nil, fmt.Errorf("autotune trace replay: %w", err)
 	}
@@ -161,7 +159,6 @@ func runAutotuneArm(seed int64, name string, costs []hwsim.LevelCost, static int
 
 	cfg.MaxBatch, cfg.QueueCap = 8, 4096
 	cfg.TargetMS, cfg.BatteryJ, cfg.SimDVFS = autotuneTargetMS, autotuneBatteryJ, true
-	cfg.CyclesPerInference = autotuneCycles
 	srv := serve.New(d.Engine, cfg)
 	srv.Start()
 	defer srv.Stop()

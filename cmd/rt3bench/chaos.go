@@ -129,10 +129,9 @@ func runChaosArm(seed int64, profile, trace string, runSeed int64) (chaosArmRow,
 		MaxBatch: 8, QueueCap: 256, Generate: true, MaxGenTokens: 32,
 		StepFloor: chaosStepFloor, BatteryJ: 200, // the collapse fault needs a battery to drain
 	}, cluster.Config{
-		Seed:         seed,
-		MaxRetries:   200,
-		RetryBackoff: 500 * time.Microsecond,
-		Breaker:      cluster.BreakerConfig{Enabled: true, Threshold: 5, Cooldown: 5 * time.Millisecond},
+		Seed:       seed,
+		MaxRetries: 200,
+		Breaker:    cluster.BreakerConfig{Enabled: true, Threshold: 5, Cooldown: 5 * time.Millisecond},
 	})
 	if err != nil {
 		return chaosArmRow{}, nil, err

@@ -90,7 +90,6 @@ func runCluster(logger *obs.Logger, drain <-chan struct{}, o clusterOpts) {
 		// seeded-jitter retries absorb fault transients, breakers stop
 		// hammering a struggling node
 		rcfg.MaxRetries = 200
-		rcfg.RetryBackoff = 500 * time.Microsecond
 		rcfg.Breaker = cluster.BreakerConfig{Enabled: true, Threshold: 5, Cooldown: 5 * time.Millisecond}
 	}
 	r := cluster.New(nodes, rcfg)

@@ -310,7 +310,7 @@ func (in *Injector) apply(seq int, ev Event, at time.Duration) {
 
 // firePulse submits n chaff generations in one burst and tracks their
 // outcomes separately from the measured workload. Chaff responses may
-// be shed (queue full / no ready nodes / deadline) — that is the
+// be shed (queue full / no ready nodes) — that is the
 // pressure the pulse exists to create — but a chaff stream the router
 // accepted must still complete or the run records a chaff failure.
 func (in *Injector) firePulse(seq, n int) {

@@ -49,10 +49,9 @@ func newChaosCluster(t testing.TB, n int) *cluster.Router {
 		}))
 	}
 	r := cluster.New(nodes, cluster.Config{
-		Seed:         11,
-		MaxRetries:   100,
-		RetryBackoff: 500 * time.Microsecond,
-		Breaker:      cluster.BreakerConfig{Enabled: true, Threshold: 5, Cooldown: 5 * time.Millisecond},
+		Seed:       11,
+		MaxRetries: 100,
+		Breaker:    cluster.BreakerConfig{Enabled: true, Threshold: 5, Cooldown: 5 * time.Millisecond},
 	})
 	r.Start()
 	t.Cleanup(r.Stop)

@@ -54,8 +54,8 @@ func (r *ScenarioReport) String() string {
 			r.Injector.ChaffOffered, r.Injector.ChaffCompleted, r.Injector.ChaffShed, r.Injector.ChaffFailed)
 	}
 	fmt.Fprintf(&b, "\ntrace %s: %s", r.Trace, r.Workload)
-	fmt.Fprintf(&b, "router: %d failovers  %d retries  %d deadline-exceeded  %d breaker trips  %d drops  %d rollouts\n",
-		r.Stats.Failovers, r.Stats.Retries, r.Stats.DeadlineExceeded, r.Stats.BreakerTrips, r.Stats.Drops, r.Stats.Rollouts)
+	fmt.Fprintf(&b, "router: %d failovers  %d retries  %d breaker trips  %d drops  %d rollouts\n",
+		r.Stats.Failovers, r.Stats.Retries, r.Stats.BreakerTrips, r.Stats.Drops, r.Stats.Rollouts)
 	if r.ReplayErr != "" {
 		fmt.Fprintf(&b, "decision replay FAILED: %s\n", r.ReplayErr)
 	} else {

@@ -120,7 +120,7 @@ func TestNodeTransitionMatrix(t *testing.T) {
 // are configured, and every node stays in rotation and keeps serving.
 func TestRouterRejectsBadBudget(t *testing.T) {
 	r := newCluster(t, 2, serve.Config{QueueCap: 8},
-		cluster.Config{Seed: 4, MaxRetries: 50, RetryBackoff: time.Millisecond})
+		cluster.Config{Seed: 4, MaxRetries: 50})
 	prompt := []int{1, 2, 3}
 	for _, budget := range []int{33, 1 << 40} {
 		if _, err := r.SubmitGen(7, prompt, budget, -1); !errors.Is(err, serve.ErrBadBudget) {
@@ -151,7 +151,7 @@ func TestRouterRejectsBadBudget(t *testing.T) {
 func TestRouterRetriesAbsorbOverload(t *testing.T) {
 	r := newCluster(t, 1,
 		serve.Config{MaxBatch: 1, QueueCap: 1, StepFloor: 2 * time.Millisecond},
-		cluster.Config{Seed: 9, MaxRetries: 1000, RetryBackoff: 500 * time.Microsecond},
+		cluster.Config{Seed: 9, MaxRetries: 1000},
 	)
 	const reqs = 6
 	prompt := []int{1, 2, 3}
@@ -208,34 +208,6 @@ func occupyNode(t *testing.T, r *cluster.Router, budget int) (a, b <-chan serve.
 		t.Fatal(err)
 	}
 	return a, b
-}
-
-// TestRouterDeadlineExceeded: a request that cannot be admitted before
-// its RequestTimeout fails with ErrDeadlineExceeded instead of retrying
-// forever.
-func TestRouterDeadlineExceeded(t *testing.T) {
-	r := newCluster(t, 1,
-		serve.Config{MaxBatch: 1, QueueCap: 1, StepFloor: 30 * time.Millisecond},
-		cluster.Config{
-			Seed: 9, MaxRetries: 1000, RetryBackoff: time.Millisecond,
-			RequestTimeout: 10 * time.Millisecond,
-		},
-	)
-	a, b := occupyNode(t, r, 4)
-	c, err := r.SubmitGen(3, []int{3, 4}, 4, -1)
-	if err != nil {
-		t.Fatalf("deadline path must resolve asynchronously, got sync error %v", err)
-	}
-	resp := <-c
-	if !errors.Is(resp.Err, cluster.ErrDeadlineExceeded) {
-		t.Fatalf("blocked request: %v, want ErrDeadlineExceeded", resp.Err)
-	}
-	if st := r.Stats(); st.DeadlineExceeded == 0 {
-		t.Fatal("DeadlineExceeded counter not bumped")
-	}
-	if (<-a).Err != nil || (<-b).Err != nil {
-		t.Fatal("occupying requests should still complete")
-	}
 }
 
 // TestBreakerTripAndRecover drives the full circuit: consecutive

@@ -19,14 +19,21 @@ var (
 	// ErrNoReadyNodes means no node is accepting traffic — every member
 	// is cold, draining, down, battery-exhausted, or breaker-open.
 	ErrNoReadyNodes = errors.New("cluster: no ready nodes")
-	// ErrDeadlineExceeded means a request exhausted its RequestTimeout
-	// while waiting out backoff retries.
-	ErrDeadlineExceeded = errors.New("cluster: request deadline exceeded")
 )
 
-// maxBackoff caps one backoff wait so deep retry chains degrade into
-// steady polling instead of multi-second stalls.
-const maxBackoff = 250 * time.Millisecond
+// The router's fixed retry limits.
+const (
+	// failoverRetries caps how many times one request is re-dispatched
+	// after crashes before its ErrCrashed response is surfaced to the
+	// caller.
+	failoverRetries = 3
+	// retryBackoff is the wait before the first backoff retry; each
+	// further retry doubles it, with ±50% seeded jitter, capped at
+	// maxBackoff so deep retry chains degrade into steady polling
+	// instead of multi-second stalls.
+	retryBackoff = 500 * time.Microsecond
+	maxBackoff   = 250 * time.Millisecond
+)
 
 // Config tunes the router. Zero values pick the documented defaults.
 type Config struct {
@@ -39,24 +46,12 @@ type Config struct {
 	// is seeded from it too, but kept separate so jitter never perturbs
 	// policy replay.
 	Seed int64
-	// FailoverRetries caps how many times one request is re-dispatched
-	// after crashes before its ErrCrashed response is surfaced to the
-	// caller (default 3).
-	FailoverRetries int
 	// MaxRetries caps backoff re-dispatches after a retryable admission
 	// failure (queue full everywhere, or an empty ready set) before the
-	// error is surfaced. 0 disables retries — the request fails
-	// synchronously, the pre-chaos behavior.
+	// error is surfaced. The first retry waits 500µs; each further one
+	// doubles it, with ±50% seeded jitter, capped at 250ms. 0 disables
+	// retries — the request fails synchronously, the pre-chaos behavior.
 	MaxRetries int
-	// RetryBackoff is the wait before the first retry; each further
-	// retry doubles it, with ±50% seeded jitter, capped at 250ms.
-	// Default 1ms when MaxRetries > 0.
-	RetryBackoff time.Duration
-	// RequestTimeout, when > 0, bounds one request's total stay in the
-	// backoff-retry loop: once the deadline would pass, the request
-	// fails with ErrDeadlineExceeded even if retries remain. A response
-	// already executing on a node is always delivered.
-	RequestTimeout time.Duration
 	// Breaker tunes the per-node circuit breakers (disabled by default).
 	Breaker BreakerConfig
 }
@@ -64,12 +59,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Policy == nil {
 		c.Policy = HashPolicy{}
-	}
-	if c.FailoverRetries <= 0 {
-		c.FailoverRetries = 3
-	}
-	if c.MaxRetries > 0 && c.RetryBackoff <= 0 {
-		c.RetryBackoff = time.Millisecond
 	}
 	c.Breaker = c.Breaker.withDefaults()
 	return c
@@ -94,9 +83,6 @@ type Stats struct {
 	// Retries counts backoff re-dispatches after retryable admission
 	// failures.
 	Retries int64
-	// DeadlineExceeded counts requests failed on their RequestTimeout
-	// while retrying.
-	DeadlineExceeded int64
 	// BreakerTrips counts circuit-breaker opens.
 	BreakerTrips int64
 }
@@ -122,7 +108,6 @@ func (s Stats) Sub(prev Stats) Stats {
 	s.Drops -= prev.Drops
 	s.Rollouts -= prev.Rollouts
 	s.Retries -= prev.Retries
-	s.DeadlineExceeded -= prev.DeadlineExceeded
 	s.BreakerTrips -= prev.BreakerTrips
 	return s
 }
@@ -166,7 +151,6 @@ type Router struct {
 	drops          atomic.Int64
 	rollouts       atomic.Int64
 	retries        atomic.Int64
-	deadlines      atomic.Int64
 	breakerTrips   atomic.Int64
 
 	replayTokens *obs.Histogram
@@ -229,16 +213,15 @@ func (r *Router) ReadyNodes() int {
 // Stats snapshots the router counters.
 func (r *Router) Stats() Stats {
 	return Stats{
-		Dispatches:       r.dispatches.Load(),
-		AffinityHits:     r.affinityHits.Load(),
-		AffinityMisses:   r.affinityMisses.Load(),
-		SessionPins:      r.sessionPins.Load(),
-		Failovers:        r.failovers.Load(),
-		Drops:            r.drops.Load(),
-		Rollouts:         r.rollouts.Load(),
-		Retries:          r.retries.Load(),
-		DeadlineExceeded: r.deadlines.Load(),
-		BreakerTrips:     r.breakerTrips.Load(),
+		Dispatches:     r.dispatches.Load(),
+		AffinityHits:   r.affinityHits.Load(),
+		AffinityMisses: r.affinityMisses.Load(),
+		SessionPins:    r.sessionPins.Load(),
+		Failovers:      r.failovers.Load(),
+		Drops:          r.drops.Load(),
+		Rollouts:       r.rollouts.Load(),
+		Retries:        r.retries.Load(),
+		BreakerTrips:   r.breakerTrips.Load(),
 	}
 }
 
@@ -266,7 +249,7 @@ func (r *Router) Metrics() *obs.Registry { return r.reg }
 // response; a node crash mid-generation is handled inside — the
 // committed tokens fail over to a healthy node, which teacher-forces
 // them as one chunk and decodes on, and the caller only ever sees the
-// completed stream (or an error after FailoverRetries unlucky attempts).
+// completed stream (or an error after three unlucky failovers).
 // With MaxRetries > 0, retryable admission failures are absorbed too:
 // the request backs off and re-dispatches asynchronously instead of
 // failing synchronously. maxTokens and eos follow serve.SubmitGen
@@ -354,7 +337,7 @@ func submit[T any, J job[T]](r *Router, key uint64, j J) (<-chan T, error) {
 	}
 	out := make(chan T, 1)
 	r.wg.Add(1)
-	go await[T](r, key, j, out, nd, ch, err, time.Now())
+	go await[T](r, key, j, out, nd, ch, err)
 	return out, nil
 }
 
@@ -370,7 +353,7 @@ func retryable(err error) bool {
 // jitter rng (sharing the policy rng would perturb decision replay),
 // capped at maxBackoff.
 func (r *Router) backoff(n int) time.Duration {
-	d := float64(r.cfg.RetryBackoff) * math.Pow(2, float64(n-1))
+	d := float64(retryBackoff) * math.Pow(2, float64(n-1))
 	if d > float64(maxBackoff) {
 		d = float64(maxBackoff)
 	}
@@ -492,9 +475,9 @@ func (r *Router) commit(nd *Node) {
 // healthy node — a generation resumes there from its committed tokens,
 // teacher-forced as one chunk; queue-full and no-ready-node dispatch
 // errors back off exponentially with jitter and re-pick (recorded as
-// DecisionRetry) while MaxRetries and the request deadline allow. All
-// transparently to the caller; exactly one send on out.
-func await[T any, J job[T]](r *Router, key uint64, j J, out chan<- T, nd *Node, ch <-chan T, dispatchErr error, enq time.Time) {
+// DecisionRetry) while MaxRetries allows. All transparently to the
+// caller; exactly one send on out.
+func await[T any, J job[T]](r *Router, key uint64, j J, out chan<- T, nd *Node, ch <-chan T, dispatchErr error) {
 	defer r.wg.Done()
 	failovers, retries := 0, 0
 	for {
@@ -510,20 +493,14 @@ func await[T any, J job[T]](r *Router, key uint64, j J, out chan<- T, nd *Node, 
 				return
 			}
 			retries++
-			wait := r.backoff(retries)
-			if dl := r.cfg.RequestTimeout; dl > 0 && time.Since(enq)+wait > dl {
-				r.deadlines.Add(1)
-				out <- j.fail(fmt.Errorf("%w (key %d after %d retries: %v)", ErrDeadlineExceeded, key, retries-1, dispatchErr))
-				return
-			}
 			r.retries.Add(1)
-			time.Sleep(wait)
+			time.Sleep(r.backoff(retries))
 			nd, ch, dispatchErr = dispatch[T](r, key, j, DecisionRetry)
 			continue
 		}
 		resp := <-ch
 		nd.inflight.Add(-1)
-		if failovers < r.cfg.FailoverRetries && j.resume(r, resp) {
+		if failovers < failoverRetries && j.resume(r, resp) {
 			failovers++
 			r.failovers.Add(1)
 			r.noteCrash(nd.ID)
@@ -669,9 +646,6 @@ func (r *Router) registerMetrics() {
 	reg.CounterFunc("rt3_router_retries_total",
 		"Backoff re-dispatches after retryable admission failures.",
 		func() float64 { return float64(r.retries.Load()) })
-	reg.CounterFunc("rt3_router_deadline_exceeded_total",
-		"Requests failed on their per-request deadline while retrying.",
-		func() float64 { return float64(r.deadlines.Load()) })
 	reg.CounterFunc("rt3_breaker_trips_total",
 		"Circuit-breaker opens (closed or half-open to open).",
 		func() float64 { return float64(r.breakerTrips.Load()) })

@@ -195,8 +195,8 @@ type Report struct {
 	ClsOffered   int `json:"cls_offered"`
 	ClsCompleted int `json:"cls_completed"`
 
-	// Shed counts bounded load-shedding (queue full, no ready nodes,
-	// deadline exceeded) — visible, accounted rejections, at submission
+	// Shed counts bounded load-shedding (queue full, no ready nodes) —
+	// visible, accounted rejections, at submission
 	// or in the response. Failed counts everything else: responses the
 	// target accepted and then lost.
 	Shed   int `json:"shed"`
@@ -241,9 +241,7 @@ func (r *Report) String() string {
 // IsShed classifies an error as bounded load-shedding (accounted,
 // acceptable under pressure) rather than a lost response.
 func IsShed(err error) bool {
-	return errors.Is(err, serve.ErrQueueFull) ||
-		errors.Is(err, cluster.ErrNoReadyNodes) ||
-		errors.Is(err, cluster.ErrDeadlineExceeded)
+	return errors.Is(err, serve.ErrQueueFull) || errors.Is(err, cluster.ErrNoReadyNodes)
 }
 
 // result is one awaited response with its request identity: idx is the

@@ -172,27 +172,27 @@ func TestArrivalCounts(t *testing.T) {
 	}
 }
 
-// TestShedAndFailedClassification: queue-full, no-ready-nodes and
-// deadline-exceeded are shed wherever they surface — at submission or in
-// the response — and any other response error is a failure; a submission
+// TestShedAndFailedClassification: queue-full and no-ready-nodes are
+// shed wherever they surface — at submission or in the response — and
+// any other response error is a failure; a submission
 // refused for any other reason aborts the run once in-flight work has
 // drained.
 func TestShedAndFailedClassification(t *testing.T) {
 	lost := errors.New("lost")
 	f := &fake{
 		submitErr: func(n int) error {
-			return map[int]error{0: serve.ErrQueueFull, 1: cluster.ErrNoReadyNodes, 2: cluster.ErrDeadlineExceeded}[n]
+			return map[int]error{0: serve.ErrQueueFull, 1: cluster.ErrNoReadyNodes}[n]
 		},
 		respErr: func(n int) error {
-			return map[int]error{3: serve.ErrQueueFull, 4: cluster.ErrDeadlineExceeded, 5: lost, 6: serve.ErrStopped}[n]
+			return map[int]error{3: serve.ErrQueueFull, 4: cluster.ErrNoReadyNodes, 5: lost, 6: serve.ErrStopped}[n]
 		},
 	}
 	rep, err := loadgen.Run(f, mixed(flat(1000), 20*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Offered != 19 || rep.Shed != 5 || rep.Failed != 2 || rep.Completed() != 12 {
-		t.Fatalf("offered %d shed %d failed %d completed %d, want 19 / 5 / 2 / 12", rep.Offered, rep.Shed, rep.Failed, rep.Completed())
+	if rep.Offered != 19 || rep.Shed != 4 || rep.Failed != 2 || rep.Completed() != 13 {
+		t.Fatalf("offered %d shed %d failed %d completed %d, want 19 / 4 / 2 / 13", rep.Offered, rep.Shed, rep.Failed, rep.Completed())
 	}
 	_ = rep.String()
 

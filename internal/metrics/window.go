@@ -8,27 +8,24 @@ package metrics
 // control tick. Not safe for concurrent use; callers hold their own
 // lock (serve.Recorder guards its windows with the recorder mutex).
 type Window struct {
-	buf  []float64
-	cap  int
-	pos  int // next overwrite position once full
-	full bool
+	buf []float64
+	cap int
+	pos int // next overwrite position once full
 }
 
 // NewWindow returns an empty window holding at most capacity samples.
+// Its storage grows with the samples pushed, up to capacity.
 func NewWindow(capacity int) *Window {
 	if capacity < 1 {
 		panic("metrics: Window capacity must be positive")
 	}
-	return &Window{buf: make([]float64, 0, capacity), cap: capacity}
+	return &Window{cap: capacity}
 }
 
 // Push adds one sample, evicting the oldest when the window is full.
 func (w *Window) Push(v float64) {
-	if !w.full && len(w.buf) < w.cap {
+	if len(w.buf) < w.cap {
 		w.buf = append(w.buf, v)
-		if len(w.buf) == w.cap {
-			w.full = true
-		}
 		return
 	}
 	w.buf[w.pos] = v
@@ -42,6 +39,11 @@ func (w *Window) Len() int { return len(w.buf) }
 // with the same estimator as the package-level Quantile.
 func (w *Window) Quantile(q float64) float64 {
 	return Quantile(w.buf, q)
+}
+
+// AppendTo appends the held samples to dst, in no particular order.
+func (w *Window) AppendTo(dst []float64) []float64 {
+	return append(dst, w.buf...)
 }
 
 // Sum returns the sum of the held samples.

@@ -16,7 +16,7 @@ func newTestAdmin(t *testing.T, health, ready func() error) (*httptest.Server, *
 	reg := NewRegistry()
 	reg.Counter("rt3_requests_total", "Requests served.").Add(5)
 	reg.Histogram("rt3_request_latency_ms", "Latency.", HistogramOpts{}).Observe(1.5)
-	tr := NewTracer(TracerConfig{})
+	tr := NewTracer()
 	trace := tr.Start("req")
 	trace.Add("exec", time.Now(), time.Millisecond, "batch", 2, "", 0)
 	tr.Finish(trace)

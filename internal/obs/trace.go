@@ -26,8 +26,8 @@ type Span struct {
 // Trace accumulates the spans of a single request. Traces are leased
 // from a Tracer's free list by Start and returned by Finish/Abort, so a
 // warm Tracer records whole request lifecycles without allocating. All
-// methods are nil-safe: code paths instrumented with a nil *Trace (for
-// example when tracing is disabled) compile to cheap no-ops.
+// methods are nil-safe: code paths instrumented with a nil *Trace (what
+// a nil *Tracer leases) compile to cheap no-ops.
 type Trace struct {
 	ID      uint64
 	Kind    string
@@ -61,47 +61,26 @@ func (t *Trace) Add(name string, start time.Time, d time.Duration, k1 string, v1
 	})
 }
 
-// TracerConfig controls trace capture. The zero value enables tracing
-// with the defaults below; set Disabled to turn capture off entirely
-// (Start then returns nil and every downstream Add/Finish is a no-op).
-type TracerConfig struct {
-	Disabled bool
-	// SpanCap bounds spans per trace (default 64); overflow increments
-	// Trace.Dropped rather than growing the buffer.
-	SpanCap int
-	// SampleFirst and SampleEvery control decode-step span sampling:
-	// steps below SampleFirst (default 32) are always recorded, later
-	// steps only when step%SampleEvery == 0 (default 16). SampleEvery
-	// <= 0 disables the tail entirely.
-	SampleFirst int
-	SampleEvery int
-	// RingCap bounds retained finished traces (default 256); older
-	// traces recycle into the free list.
-	RingCap int
-}
-
-func (c TracerConfig) withDefaults() TracerConfig {
-	if c.SpanCap <= 0 {
-		c.SpanCap = 64
-	}
-	if c.SampleFirst <= 0 {
-		c.SampleFirst = 32
-	}
-	if c.SampleEvery == 0 {
-		c.SampleEvery = 16
-	}
-	if c.RingCap <= 0 {
-		c.RingCap = 256
-	}
-	return c
-}
+// The tracer's fixed limits.
+const (
+	// spanCap bounds spans per trace; overflow increments Trace.Dropped
+	// rather than growing the buffer.
+	spanCap = 64
+	// sampleFirst and sampleEvery sample decode-step spans: steps below
+	// sampleFirst are always recorded, later steps only when
+	// step%sampleEvery == 0.
+	sampleFirst = 32
+	sampleEvery = 16
+	// ringCap bounds retained finished traces; older traces recycle into
+	// the free list.
+	ringCap = 256
+)
 
 // Tracer hands out request traces and retains the most recent finished
 // ones in a fixed ring. Leasing and returning traces recycles buffers
 // through a free list, so the steady-state hot path performs no
 // allocation. A nil *Tracer is a valid no-op tracer.
 type Tracer struct {
-	cfg    TracerConfig
 	nextID atomic.Uint64
 
 	// switchNS accumulates wall time spent installing pattern sets with
@@ -123,17 +102,13 @@ type Tracer struct {
 	n    int      // retained count
 }
 
-// NewTracer builds a tracer; it returns nil when cfg.Disabled, so
-// instrumented code needs no separate enabled checks.
-func NewTracer(cfg TracerConfig) *Tracer {
-	if cfg.Disabled {
-		return nil
-	}
-	cfg = cfg.withDefaults()
+// NewTracer builds a tracer: 64 spans per trace, every decode step
+// below 32 and then every 16th, and a ring of the 256 most recent
+// finished traces.
+func NewTracer() *Tracer {
 	return &Tracer{
-		cfg:  cfg,
-		free: make([]*Trace, 0, cfg.RingCap+16),
-		ring: make([]*Trace, cfg.RingCap),
+		free: make([]*Trace, 0, ringCap+16),
+		ring: make([]*Trace, ringCap),
 	}
 }
 
@@ -160,7 +135,7 @@ func (tr *Tracer) StartAt(kind string, at time.Time) *Trace {
 	}
 	tr.mu.Unlock()
 	if t == nil {
-		t = &Trace{Spans: make([]Span, 0, tr.cfg.SpanCap)}
+		t = &Trace{Spans: make([]Span, 0, spanCap)}
 	}
 	t.ID = tr.nextID.Add(1)
 	t.Kind = kind
@@ -222,13 +197,7 @@ func (tr *Tracer) SampleStep(i int) bool {
 	if tr == nil {
 		return false
 	}
-	if i < tr.cfg.SampleFirst {
-		return true
-	}
-	if tr.cfg.SampleEvery <= 0 {
-		return false
-	}
-	return i%tr.cfg.SampleEvery == 0
+	return i < sampleFirst || i%sampleEvery == 0
 }
 
 // ObserveSwitch accrues the wall time of one pattern-set install; every

@@ -10,7 +10,7 @@ import (
 )
 
 func TestTraceSpansAndJSONL(t *testing.T) {
-	tr := NewTracer(TracerConfig{})
+	tr := NewTracer()
 	anchor := time.Now()
 	trace := tr.StartAt("req", anchor)
 	if trace == nil {
@@ -45,14 +45,14 @@ func TestTraceSpansAndJSONL(t *testing.T) {
 }
 
 func TestTraceSpanCapDrops(t *testing.T) {
-	tr := NewTracer(TracerConfig{SpanCap: 4})
+	tr := NewTracer()
 	trace := tr.Start("req")
 	now := time.Now()
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 66; i++ {
 		trace.Add("s", now, time.Millisecond, "", 0, "", 0)
 	}
-	if len(trace.Spans) != 4 || trace.Dropped != 2 {
-		t.Fatalf("spans=%d dropped=%d, want 4 and 2", len(trace.Spans), trace.Dropped)
+	if len(trace.Spans) != 64 || trace.Dropped != 2 {
+		t.Fatalf("spans=%d dropped=%d, want 64 and 2 (the 65th span on is dropped)", len(trace.Spans), trace.Dropped)
 	}
 	tr.Finish(trace)
 	if got := tr.droppedSpans.Load(); got != 2 {
@@ -61,21 +61,16 @@ func TestTraceSpanCapDrops(t *testing.T) {
 }
 
 func TestSampleStep(t *testing.T) {
-	tr := NewTracer(TracerConfig{SampleFirst: 4, SampleEvery: 8})
-	for i := 0; i < 4; i++ {
+	tr := NewTracer()
+	for i := 0; i < 32; i++ {
 		if !tr.SampleStep(i) {
-			t.Fatalf("step %d below SampleFirst not sampled", i)
+			t.Fatalf("step %d below 32 not sampled", i)
 		}
 	}
-	if tr.SampleStep(5) || tr.SampleStep(7) {
-		t.Fatalf("off-stride tail steps sampled")
-	}
-	if !tr.SampleStep(8) || !tr.SampleStep(16) {
-		t.Fatalf("stride tail steps not sampled")
-	}
-	none := NewTracer(TracerConfig{SampleFirst: 2, SampleEvery: -1})
-	if none.SampleStep(100) {
-		t.Fatalf("SampleEvery<0 still samples the tail")
+	for i := 32; i < 200; i++ {
+		if got, want := tr.SampleStep(i), i%16 == 0; got != want {
+			t.Fatalf("SampleStep(%d) = %v, want %v (every 16th step from 32 on)", i, got, want)
+		}
 	}
 	var nilTr *Tracer
 	if nilTr.SampleStep(0) {
@@ -84,34 +79,43 @@ func TestSampleStep(t *testing.T) {
 }
 
 func TestRingEvictionRecyclesBuffers(t *testing.T) {
-	tr := NewTracer(TracerConfig{RingCap: 4})
-	for i := 0; i < 10; i++ {
+	tr := NewTracer()
+	for i := 0; i < 256; i++ {
 		trace := tr.Start("req")
 		trace.Add("s", time.Now(), time.Millisecond, "", 0, "", 0)
 		tr.Finish(trace)
 	}
-	if tr.Len() != 4 {
-		t.Fatalf("ring len = %d, want 4", tr.Len())
+	freeLen := func() int {
+		tr.mu.Lock()
+		defer tr.mu.Unlock()
+		return len(tr.free)
+	}
+	if tr.Len() != 256 || freeLen() != 0 {
+		t.Fatalf("ring len = %d, free = %d after 256 traces, want 256 and 0", tr.Len(), freeLen())
+	}
+	// the 257th finished trace evicts the oldest (ID 1) into the free list
+	tr.Finish(tr.Start("req"))
+	if tr.Len() != 256 || freeLen() != 1 {
+		t.Fatalf("ring len = %d, free = %d after 257 traces, want 256 and 1", tr.Len(), freeLen())
 	}
 	traces := tr.snapshot(0)
 	for i, te := range traces {
-		if want := uint64(7 + i); te.ID != want {
+		if want := uint64(2 + i); te.ID != want {
 			t.Fatalf("retained trace %d has ID %d, want %d (oldest-first)", i, te.ID, want)
 		}
 	}
 	// sequential start/finish recycles each evicted trace into the next
-	// Start, so steady state keeps exactly one spare on the free list —
-	// ten traces flowed through five allocations.
-	tr.mu.Lock()
-	free := len(tr.free)
-	tr.mu.Unlock()
-	if free != 1 {
-		t.Fatalf("free list has %d traces, want 1 (evictions recycled into Start)", free)
+	// Start, so steady state keeps exactly one spare on the free list.
+	for i := 0; i < 10; i++ {
+		tr.Finish(tr.Start("req"))
+	}
+	if freeLen() != 1 {
+		t.Fatalf("free list has %d traces, want 1 (evictions recycled into Start)", freeLen())
 	}
 }
 
 func TestSwitchStallSpan(t *testing.T) {
-	tr := NewTracer(TracerConfig{})
+	tr := NewTracer()
 	tr.NoteAutotuneTick(9)
 	trace := tr.Start("req")
 	tr.ObserveSwitch(3 * time.Millisecond)
@@ -146,7 +150,7 @@ func TestSwitchStallSpan(t *testing.T) {
 }
 
 func TestWriteTraceEventsSchema(t *testing.T) {
-	tr := NewTracer(TracerConfig{})
+	tr := NewTracer()
 	trace := tr.Start("gen")
 	now := time.Now()
 	trace.Add("prefill", now, time.Millisecond, "rows", 8, "", 0)
@@ -194,10 +198,7 @@ func TestWriteTraceEventsSchema(t *testing.T) {
 	}
 }
 
-func TestDisabledAndNilTracer(t *testing.T) {
-	if tr := NewTracer(TracerConfig{Disabled: true}); tr != nil {
-		t.Fatalf("NewTracer(Disabled) = %v, want nil", tr)
-	}
+func TestNilTracer(t *testing.T) {
 	var tr *Tracer
 	trace := tr.Start("req") // nil
 	trace.Add("s", time.Now(), time.Millisecond, "", 0, "", 0)
@@ -222,9 +223,10 @@ func TestDisabledAndNilTracer(t *testing.T) {
 // allocation, which is what keeps tracing inside the decode loop's
 // 0 allocs/op budget.
 func TestTraceHotPathAllocs(t *testing.T) {
-	tr := NewTracer(TracerConfig{RingCap: 8})
-	// warm: populate the ring and free list
-	for i := 0; i < 32; i++ {
+	tr := NewTracer()
+	// warm: fill the ring past its 256 traces, so the free list holds
+	// the evicted ones
+	for i := 0; i < 300; i++ {
 		tr.Finish(tr.Start("warm"))
 	}
 	allocs := testing.AllocsPerRun(200, func() {

@@ -48,18 +48,14 @@ type AutotuneConfig struct {
 
 // Telemetry is one sampled snapshot of the live serving signals the
 // controller decides on: the recorder's sliding latency/fill window,
-// queue depth, simulated battery charge, throughput rates differenced
-// over the last tick, and the level the window ran at. The autotune
-// loop samples it from the running server; tests construct it directly,
-// so decisions are exercisable without wall-clock time.
+// simulated battery charge, and the level the window ran at. The
+// autotune loop samples it from the running server; tests construct it
+// directly, so decisions are exercisable without wall-clock time.
 type Telemetry struct {
 	Window          WindowStats
-	QueueDepth      int
 	BatteryFraction float64
 	Level           int     // active level when sampled
 	TargetMS        float64 // latency objective (0 disables the term)
-	CompletedPerSec float64 // completions/sec over the last tick
-	TokensPerSec    float64 // generated tokens/sec over the last tick
 }
 
 // AutotuneDecision records one control tick. Tick, Tel, State, Level,
@@ -139,14 +135,12 @@ type Autotuner struct {
 }
 
 // NewAutotuner builds a controller over the deployed levels (fastest
-// first, the bundle convention). cyclesPerInference feeds the hwsim
-// cost table the reward's relative-energy term reads.
-func NewAutotuner(levels []dvfs.Level, power dvfs.PowerModel, cyclesPerInference float64, cfg AutotuneConfig) (*Autotuner, error) {
+// first, the bundle convention). The reward's relative-energy term reads
+// the hwsim cost of CyclesPerInference cycles at each level under
+// dvfs.DefaultPowerModel.
+func NewAutotuner(levels []dvfs.Level, cfg AutotuneConfig) (*Autotuner, error) {
 	if len(levels) == 0 {
 		return nil, fmt.Errorf("serve: autotuner needs at least one level")
-	}
-	if cyclesPerInference <= 0 {
-		return nil, fmt.Errorf("serve: autotuner needs positive cyclesPerInference, got %g", cyclesPerInference)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	ctrl, err := rl.NewController(rl.Config{
@@ -160,7 +154,7 @@ func NewAutotuner(levels []dvfs.Level, power dvfs.PowerModel, cyclesPerInference
 	}
 	return &Autotuner{
 		seed:     cfg.Seed,
-		costs:    hwsim.LevelCosts(levels, power, cyclesPerInference),
+		costs:    hwsim.LevelCosts(levels, dvfs.DefaultPowerModel(), CyclesPerInference),
 		ctrl:     ctrl,
 		base:     rl.NewBaseline(baselineDecay),
 		rng:      rng,
@@ -298,11 +292,11 @@ func (a *Autotuner) Trace() AutotuneTrace {
 // mismatch (or an unreplayable truncated trace) is an error. This is the
 // audit path: any run's level choices can be reproduced and inspected
 // offline, without wall-clock time or a live server.
-func ReplayTrace(levels []dvfs.Level, power dvfs.PowerModel, cyclesPerInference float64, tr AutotuneTrace) ([]AutotuneDecision, error) {
+func ReplayTrace(levels []dvfs.Level, tr AutotuneTrace) ([]AutotuneDecision, error) {
 	if tr.Dropped > 0 {
 		return nil, fmt.Errorf("serve: trace dropped %d decisions (trace cap exceeded); not replayable", tr.Dropped)
 	}
-	a, err := NewAutotuner(levels, power, cyclesPerInference, AutotuneConfig{Seed: tr.Seed})
+	a, err := NewAutotuner(levels, AutotuneConfig{Seed: tr.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -326,17 +320,14 @@ const controlEvery = 10 * time.Millisecond
 
 // controlLoop is the server's level-selection loop: every controlEvery
 // it steps the closed-loop autotuner when one is configured — sampling
-// live telemetry (sliding latency/fill window, queue depth, battery
-// charge, throughput deltas) — and otherwise asks Config.Policy. A
-// differing level is applied as a guarded live switch through the same
-// drain path every reconfiguration takes, so it lands at step
-// granularity, mid-generation.
+// live telemetry (sliding latency/fill window, battery charge) — and
+// otherwise asks Config.Policy. A differing level is applied as a
+// guarded live switch through the same drain path every reconfiguration
+// takes, so it lands at step granularity, mid-generation.
 func (s *Server) controlLoop() {
 	defer s.wg.Done()
 	ticker := time.NewTicker(controlEvery)
 	defer ticker.Stop()
-	prevDone, prevTok := s.rec.Counters()
-	last := time.Now()
 	for {
 		select {
 		case <-s.done:
@@ -350,22 +341,12 @@ func (s *Server) controlLoop() {
 			}
 			continue
 		}
-		now := time.Now()
-		dt := now.Sub(last).Seconds()
-		last = now
-		done, tok := s.rec.Counters()
 		tel := Telemetry{
 			Window:          s.rec.RecentStats(),
-			QueueDepth:      st.QueueDepth,
 			BatteryFraction: st.BatteryFraction,
 			Level:           st.Level,
 			TargetMS:        s.cfg.TargetMS,
 		}
-		if dt > 0 {
-			tel.CompletedPerSec = float64(done-prevDone) / dt
-			tel.TokensPerSec = float64(tok-prevTok) / dt
-		}
-		prevDone, prevTok = done, tok
 		dec := s.tuner.Step(tel)
 		if dec.Level != tel.Level {
 			// a rejected switch (the engine validates and rolls back)

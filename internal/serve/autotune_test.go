@@ -9,6 +9,7 @@ import (
 	"rt3/internal/dvfs"
 	"rt3/internal/hwsim"
 	"rt3/internal/loadgen"
+	"rt3/internal/metrics"
 	"rt3/internal/obs"
 	"rt3/internal/serve"
 )
@@ -51,12 +52,11 @@ func simTelemetry(costs []hwsim.LevelCost, level int, battery, targetMS float64)
 // seed reproduces every decision exactly.
 func TestAutotunerTraceReplay(t *testing.T) {
 	levels := autotuneLevels(t)
-	power := dvfs.DefaultPowerModel()
-	at, err := serve.NewAutotuner(levels, power, 2e6, serve.AutotuneConfig{Seed: 11})
+	at, err := serve.NewAutotuner(levels, serve.AutotuneConfig{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	costs := hwsim.LevelCosts(levels, power, 2e6)
+	costs := hwsim.LevelCosts(levels, dvfs.DefaultPowerModel(), serve.CyclesPerInference)
 
 	// drive a live-looking run: telemetry follows the controller's own
 	// level choices while the battery drains
@@ -71,7 +71,7 @@ func TestAutotunerTraceReplay(t *testing.T) {
 		t.Fatalf("trace has %d decisions, want 300", len(tr.Decisions))
 	}
 
-	replayed, err := serve.ReplayTrace(levels, power, 2e6, tr)
+	replayed, err := serve.ReplayTrace(levels, tr)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -87,13 +87,12 @@ func TestAutotunerTraceReplay(t *testing.T) {
 // refuse.
 func TestAutotunerTraceCapTruncationNotReplayable(t *testing.T) {
 	levels := autotuneLevels(t)
-	power := dvfs.DefaultPowerModel()
-	at, err := serve.NewAutotuner(levels, power, 2e6, serve.AutotuneConfig{Seed: 3})
+	at, err := serve.NewAutotuner(levels, serve.AutotuneConfig{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	serve.SetAutotuneTraceCap(at, 16)
-	costs := hwsim.LevelCosts(levels, power, 2e6)
+	costs := hwsim.LevelCosts(levels, dvfs.DefaultPowerModel(), serve.CyclesPerInference)
 	for i := 0; i < 40; i++ {
 		at.Step(simTelemetry(costs, 0, 1, 15))
 	}
@@ -101,7 +100,7 @@ func TestAutotunerTraceCapTruncationNotReplayable(t *testing.T) {
 	if tr.Dropped != 24 || len(tr.Decisions) != 16 {
 		t.Fatalf("Dropped=%d len=%d, want 24/16", tr.Dropped, len(tr.Decisions))
 	}
-	if _, err := serve.ReplayTrace(levels, power, 2e6, tr); err == nil {
+	if _, err := serve.ReplayTrace(levels, tr); err == nil {
 		t.Fatal("truncated trace replayed without error")
 	}
 }
@@ -113,9 +112,8 @@ func TestAutotunerTraceCapTruncationNotReplayable(t *testing.T) {
 // and must end within reach of the best.
 func TestAutotunerBeatsWorstStaticLevel(t *testing.T) {
 	levels := autotuneLevels(t)
-	power := dvfs.DefaultPowerModel()
-	const ticks, targetMS, cycles = 500, 15.0, 2e6
-	costs := hwsim.LevelCosts(levels, power, cycles)
+	const ticks, targetMS = 500, 15.0
+	costs := hwsim.LevelCosts(levels, dvfs.DefaultPowerModel(), serve.CyclesPerInference)
 
 	// static arms: replaying the same environment at a pinned level
 	static := make([]float64, len(levels))
@@ -134,7 +132,7 @@ func TestAutotunerBeatsWorstStaticLevel(t *testing.T) {
 		}
 	}
 
-	at, err := serve.NewAutotuner(levels, power, cycles, serve.AutotuneConfig{Seed: 2})
+	at, err := serve.NewAutotuner(levels, serve.AutotuneConfig{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +204,7 @@ func TestAutotuneServerLiveTrace(t *testing.T) {
 	if srv.Summary().Switches == 0 {
 		t.Fatal("recorder saw no switches")
 	}
-	if _, err := serve.ReplayTrace(eng.Levels(), dvfs.DefaultPowerModel(), 2e6, tr); err != nil {
+	if _, err := serve.ReplayTrace(eng.Levels(), tr); err != nil {
 		t.Fatalf("live trace replay: %v", err)
 	}
 }
@@ -256,13 +254,14 @@ func TestAutotuneGenerateMode(t *testing.T) {
 // TestRecorderWindowEdgeCases pins the telemetry window's empty and
 // single-sample behaviour — the states the controller sees at startup.
 func TestRecorderWindowEdgeCases(t *testing.T) {
-	rec := serve.NewRecorderOn(obs.NewRegistry(), []string{"l6", "l3"})
+	reg := obs.NewRegistry()
+	rec := serve.NewRecorderOn(reg, []string{"l6", "l3"})
 
 	empty := rec.RecentStats()
 	if empty.Samples != 0 {
 		t.Fatalf("empty window Samples = %d", empty.Samples)
 	}
-	if empty.P50MS != 0 || empty.P99MS != 0 || empty.FillRatio != 0 {
+	if empty.P99MS != 0 || empty.FillRatio != 0 {
 		t.Fatalf("empty window not all-zero: %+v", empty)
 	}
 
@@ -271,11 +270,8 @@ func TestRecorderWindowEdgeCases(t *testing.T) {
 	if one.Samples != 1 {
 		t.Fatalf("Samples = %d, want 1", one.Samples)
 	}
-	if one.P50MS != 4 || one.P99MS != 4 {
-		t.Fatalf("single sample quantiles: p50 %g p99 %g, want 4/4", one.P50MS, one.P99MS)
-	}
-	if one.QueueP50MS != 1.5 || one.ExecP99MS != 2.5 {
-		t.Fatalf("component quantiles: %+v", one)
+	if one.P99MS != 4 {
+		t.Fatalf("single sample p99 %g, want 4", one.P99MS)
 	}
 	if one.FillRatio != 0 {
 		t.Fatalf("no batches dispatched but FillRatio = %g", one.FillRatio)
@@ -297,13 +293,44 @@ func TestRecorderWindowEdgeCases(t *testing.T) {
 		t.Fatalf("Overall mean = %g, want 3", all.MeanMS)
 	}
 
-	// counters
-	done, tokens := rec.Counters()
-	if done != 2 || tokens != 0 {
-		t.Fatalf("Counters = %d/%d, want 2/0", done, tokens)
-	}
 	rec.ObserveTokens(7)
-	if _, tokens = rec.Counters(); tokens != 7 {
-		t.Fatalf("tokens = %d, want 7", tokens)
+	snap := reg.Snapshot()
+	if got := snap[`rt3_requests_total{level="l6"}`] + snap[`rt3_requests_total{level="l3"}`]; got != 2 {
+		t.Fatalf("rt3_requests_total = %g, want 2", got)
+	}
+	if got := snap["rt3_gen_tokens_total"]; got != 7 {
+		t.Fatalf("rt3_gen_tokens_total = %g, want 7", got)
+	}
+}
+
+// TestRecorderLevelWindow: a level's count and mean cover every request
+// while its quantiles cover its last 65,536, so a long-lived server's
+// recorder stays bounded.
+func TestRecorderLevelWindow(t *testing.T) {
+	const capacity, extra = 1 << 16, 1000
+	rec := serve.NewRecorderOn(obs.NewRegistry(), []string{"l6", "l3"})
+	vals := make([]float64, capacity+extra)
+	var sum float64
+	for i := range vals {
+		vals[i] = float64(i)
+		sum += vals[i]
+		rec.Observe(0, vals[i], 0)
+	}
+	snap := rec.Snapshot()
+	if len(snap) != 1 {
+		t.Fatalf("Snapshot has %d levels, want 1", len(snap))
+	}
+	l6 := snap[0]
+	if l6.Count != capacity+extra {
+		t.Fatalf("Count = %d, want %d", l6.Count, capacity+extra)
+	}
+	if want := sum / float64(len(vals)); l6.MeanMS != want {
+		t.Fatalf("MeanMS = %g, want %g", l6.MeanMS, want)
+	}
+	if want := metrics.Quantile(vals[extra:], 0.5); l6.P50MS != want {
+		t.Fatalf("P50MS = %g, want %g (the last %d samples)", l6.P50MS, want, capacity)
+	}
+	if want := metrics.Quantile(vals[extra:], 0.99); rec.Overall().P99MS != want {
+		t.Fatalf("Overall P99MS = %g, want %g", rec.Overall().P99MS, want)
 	}
 }

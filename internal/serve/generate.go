@@ -57,7 +57,7 @@ type genReq struct {
 	eos       int
 	enq       time.Time
 	resp      chan GenResponse
-	tr        *obs.Trace // nil when tracing is disabled
+	tr        *obs.Trace
 }
 
 // GenOpts are per-request generation options beyond SubmitGen's.

@@ -12,10 +12,16 @@ import (
 // recentWindow bounds the sliding latency sample fed to the policy.
 const recentWindow = 256
 
+// levelWindow bounds the latency samples one level's quantiles are taken
+// over: its most recent 65,536 requests.
+const levelWindow = 1 << 16
+
 // LevelStats summarizes completed requests at one V/F level. Total
 // latency (queue wait + execution) feeds the quantiles; the queue-wait
 // and execution components are additionally tracked separately so
-// batching delay and kernel time are observable on their own.
+// batching delay and kernel time are observable on their own. Count and
+// the means cover every request; the quantiles cover the most recent
+// 65,536 at each level.
 type LevelStats struct {
 	Level  string
 	Count  int
@@ -34,21 +40,24 @@ type LevelStats struct {
 // ratios, queue drops, generated tokens, and reconfiguration events.
 // It is a façade over obs registry instruments — every counter and sum
 // lives in a Registry and is scraped via /metrics — plus two sample
-// stores the registry cannot carry losslessly: exact per-level latency
-// slices (Snapshot/Overall quantiles are exact, not bucketed) and the
-// sliding telemetry windows the level policies and the closed-loop
-// autotuner decide on. All methods are safe for concurrent use.
+// stores the registry cannot carry losslessly: per-level latency windows
+// (Snapshot/Overall quantiles are exact over each level's last
+// levelWindow requests, not bucketed) and the sliding telemetry windows
+// the closed-loop autotuner decides on. All methods are safe for
+// concurrent use.
 type Recorder struct {
 	mu         sync.Mutex
 	levelNames []string
-	perLevel   [][]float64 // total (queue + execution) latency ms
+	// each level's total (queue + execution) latency in ms: the sum
+	// over every request (rt3_requests_total{level} counts them) and the
+	// window of its last levelWindow
+	levelSum []float64
+	perLevel []*metrics.Window
 
 	// sliding telemetry windows across levels (recentWindow samples)
-	recent      *metrics.Window // total latency ms
-	recentQueue *metrics.Window // queue-wait component ms
-	recentExec  *metrics.Window // execution component ms
-	recentN     *metrics.Window // dispatched batch sizes
-	recentCap   *metrics.Window // dispatched batch capacities (MaxBatch)
+	recent    *metrics.Window // total latency ms
+	recentN   *metrics.Window // dispatched batch sizes
+	recentCap *metrics.Window // dispatched batch capacities (MaxBatch)
 
 	// registry-backed instruments (atomic; not guarded by mu)
 	reqs        []*obs.Counter // rt3_requests_total{level}
@@ -71,13 +80,11 @@ type Recorder struct {
 // its instruments on reg.
 func NewRecorderOn(reg *obs.Registry, levelNames []string) *Recorder {
 	r := &Recorder{
-		levelNames:  levelNames,
-		perLevel:    make([][]float64, len(levelNames)),
-		recent:      metrics.NewWindow(recentWindow),
-		recentQueue: metrics.NewWindow(recentWindow),
-		recentExec:  metrics.NewWindow(recentWindow),
-		recentN:     metrics.NewWindow(recentWindow),
-		recentCap:   metrics.NewWindow(recentWindow),
+		levelNames: levelNames,
+		levelSum:   make([]float64, len(levelNames)),
+		recent:     metrics.NewWindow(recentWindow),
+		recentN:    metrics.NewWindow(recentWindow),
+		recentCap:  metrics.NewWindow(recentWindow),
 
 		latencyH: reg.Histogram("rt3_request_latency_ms", "Admission-to-completion latency, all levels.", obs.HistogramOpts{}),
 		queueH:   reg.Histogram("rt3_queue_wait_ms", "Admission-to-dispatch wait, all levels.", obs.HistogramOpts{}),
@@ -96,6 +103,7 @@ func NewRecorderOn(reg *obs.Registry, levelNames []string) *Recorder {
 			"Measured per-switch wall time once the workers are drained: the kernel install, and a level's build on its first switch.", obs.HistogramOpts{}),
 	}
 	for _, name := range levelNames {
+		r.perLevel = append(r.perLevel, metrics.NewWindow(levelWindow))
 		lbl := obs.L("level", name)
 		r.reqs = append(r.reqs, reg.Counter("rt3_requests_total", "Requests completed.", lbl))
 		r.queueSum = append(r.queueSum, reg.Counter("rt3_queue_wait_ms_total",
@@ -121,10 +129,9 @@ func (r *Recorder) Observe(level int, queueMS, execMS float64) {
 	r.latencyH.Observe(totalMS)
 	r.queueH.Observe(queueMS)
 	r.execH.Observe(execMS)
-	r.perLevel[level] = append(r.perLevel[level], totalMS)
+	r.levelSum[level] += totalMS
+	r.perLevel[level].Push(totalMS)
 	r.recent.Push(totalMS)
-	r.recentQueue.Push(queueMS)
-	r.recentExec.Push(execMS)
 }
 
 // ObserveBatch records one dispatched batch of n requests against the
@@ -145,16 +152,6 @@ func (r *Recorder) ObserveTokens(n int) {
 	r.tokens.Add(float64(n))
 }
 
-// Counters returns the cumulative completed-request and generated-token
-// counts. The autotuner differences successive reads to derive
-// throughput rates per control tick.
-func (r *Recorder) Counters() (completed, tokens int64) {
-	for _, c := range r.reqs {
-		completed += int64(c.Value())
-	}
-	return completed, int64(r.tokens.Value())
-}
-
 // ObserveDrop records one request rejected at admission.
 func (r *Recorder) ObserveDrop() {
 	r.drops.Inc()
@@ -168,21 +165,16 @@ func (r *Recorder) ObserveSwitch(modelMS, wallMS float64) {
 	r.switchStall.Observe(wallMS)
 }
 
-// WindowStats digests the sliding telemetry window: latency quantiles of
-// the most recent completions, split into queue-wait and execution
-// components, plus the recent batch fill ratio. An empty window (no
-// completions yet, or none since the recorder was built) is all zeros
-// with Samples == 0 — consumers must treat that as "no signal", not as
-// zero latency.
+// WindowStats digests the sliding telemetry window: the p99 latency of
+// the most recent completions and the recent batch fill ratio. An empty
+// window (no completions yet, or none since the recorder was built) is
+// all zeros with Samples == 0 — consumers must treat that as "no
+// signal", not as zero latency.
 type WindowStats struct {
 	Samples int // completions currently in the window
 
-	// Total admission-to-completion latency quantiles, ms.
-	P50MS, P95MS, P99MS float64
-	// Queue-wait component quantiles, ms.
-	QueueP50MS, QueueP99MS float64
-	// Execution component quantiles, ms.
-	ExecP50MS, ExecP99MS float64
+	// P99MS is the admission-to-completion latency p99, ms.
+	P99MS float64
 
 	// FillRatio is recent dispatched requests over recent dispatched
 	// batch capacity, in [0, 1]; 0 when no batch is in the window.
@@ -197,13 +189,7 @@ func (r *Recorder) RecentStats() WindowStats {
 	defer r.mu.Unlock()
 	st := WindowStats{Samples: r.recent.Len()}
 	if st.Samples > 0 {
-		st.P50MS = r.recent.Quantile(0.50)
-		st.P95MS = r.recent.Quantile(0.95)
 		st.P99MS = r.recent.Quantile(0.99)
-		st.QueueP50MS = r.recentQueue.Quantile(0.50)
-		st.QueueP99MS = r.recentQueue.Quantile(0.99)
-		st.ExecP50MS = r.recentExec.Quantile(0.50)
-		st.ExecP99MS = r.recentExec.Quantile(0.99)
 	}
 	if c := r.recentCap.Sum(); c > 0 {
 		st.FillRatio = r.recentN.Sum() / c
@@ -243,22 +229,19 @@ func (r *Recorder) Snapshot() []LevelStats {
 	defer r.mu.Unlock()
 	var out []LevelStats
 	for i, lat := range r.perLevel {
-		if len(lat) == 0 {
+		n := r.reqs[i].Value()
+		if n == 0 {
 			continue
-		}
-		var sum float64
-		for _, v := range lat {
-			sum += v
 		}
 		out = append(out, LevelStats{
 			Level:       r.levelNames[i],
-			Count:       len(lat),
-			MeanMS:      sum / float64(len(lat)),
-			P50MS:       metrics.Quantile(lat, 0.50),
-			P95MS:       metrics.Quantile(lat, 0.95),
-			P99MS:       metrics.Quantile(lat, 0.99),
-			MeanQueueMS: r.queueSum[i].Value() / float64(len(lat)),
-			MeanExecMS:  r.execSum[i].Value() / float64(len(lat)),
+			Count:       int(n),
+			MeanMS:      r.levelSum[i] / n,
+			P50MS:       lat.Quantile(0.50),
+			P95MS:       lat.Quantile(0.95),
+			P99MS:       lat.Quantile(0.99),
+			MeanQueueMS: r.queueSum[i].Value() / n,
+			MeanExecMS:  r.execSum[i].Value() / n,
 		})
 	}
 	return out
@@ -267,28 +250,26 @@ func (r *Recorder) Snapshot() []LevelStats {
 // Overall returns the cumulative all-levels latency digest (Level is
 // "all"; the zero value when nothing has completed). Unlike Snapshot it
 // pools every request regardless of the level it ran at, so run-level
-// comparisons (e.g. the autotune benchmark's arms) read one number.
+// comparisons (e.g. the autotune benchmark's arms) read one number; its
+// quantiles pool the levels' windows.
 func (r *Recorder) Overall() LevelStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var all []float64
-	var queueSum, execSum float64
+	var n, sum, queueSum, execSum float64
 	for i, lat := range r.perLevel {
-		all = append(all, lat...)
+		all = lat.AppendTo(all)
+		n += r.reqs[i].Value()
+		sum += r.levelSum[i]
 		queueSum += r.queueSum[i].Value()
 		execSum += r.execSum[i].Value()
 	}
-	if len(all) == 0 {
+	if n == 0 {
 		return LevelStats{}
 	}
-	var sum float64
-	for _, v := range all {
-		sum += v
-	}
-	n := float64(len(all))
 	return LevelStats{
 		Level:       "all",
-		Count:       len(all),
+		Count:       int(n),
 		MeanMS:      sum / n,
 		P50MS:       metrics.Quantile(all, 0.50),
 		P95MS:       metrics.Quantile(all, 0.95),

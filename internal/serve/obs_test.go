@@ -48,7 +48,6 @@ func TestRecorderFacadeConcurrent(t *testing.T) {
 				case 4:
 					rec.RecentStats()
 				case 5:
-					rec.Counters()
 					rec.MeanBatch()
 					rec.FillRatio()
 				case 6:
@@ -448,6 +447,37 @@ func TestSubmitTraceStallSpan(t *testing.T) {
 	}
 }
 
+// TestDefaultServerTraces: a zero-Config server traces every request,
+// and its ring holds a finished one by the time its response arrives.
+func TestDefaultServerTraces(t *testing.T) {
+	eng, _ := newTestDeployment(t, 1)
+	defer eng.Close()
+	srv := serve.New(eng, serve.Config{})
+	tracer := srv.Tracer()
+	if tracer == nil {
+		t.Fatal("default-config server has no tracer")
+	}
+	srv.Start()
+	defer srv.Stop()
+	ch, err := srv.Submit(randSeqs(1, 10, 24, 91)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp := <-ch; resp.Err != nil {
+		t.Fatal(resp.Err)
+	}
+	if got := tracer.Len(); got != 1 {
+		t.Fatalf("ring holds %d traces, want 1", got)
+	}
+	var jsonl bytes.Buffer
+	if err := tracer.WriteJSONL(&jsonl, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(jsonl.String(), `"kind":"request"`) || !strings.Contains(jsonl.String(), `"name":"exec"`) {
+		t.Fatalf("finished trace = %s, want a request trace with an exec span", jsonl.String())
+	}
+}
+
 // TestDecodeTracingAllocs pins the acceptance criterion that tracing at
 // default sampling adds zero allocations to the steady-state decode
 // loop: a warmed tracer leases, records and finishes a trace around
@@ -459,7 +489,7 @@ func TestDecodeTracingAllocs(t *testing.T) {
 		steps     = 6
 	)
 	eng, _ := newLMDeployment(t, 1, "pattern")
-	tracer := obs.NewTracer(obs.TracerConfig{RingCap: 4})
+	tracer := obs.NewTracer()
 	prompts := make([][]int, batch)
 	for i := range prompts {
 		prompts[i] = randSeqs(1, promptLen, lmCfg.Vocab, int64(101+i))[0]
@@ -503,11 +533,12 @@ func TestDecodeTracingAllocs(t *testing.T) {
 		}
 		tracer.Finish(tr)
 	}
-	// warm past RingCap so Finish recycles evicted traces into the free
-	// list and StartAt stops allocating
-	for i := 0; i < 8; i++ {
-		pass()
+	// warm the ring past its 256 traces so Finish recycles evicted
+	// traces into the free list and StartAt stops allocating
+	for i := 0; i < 300; i++ {
+		tracer.Finish(tracer.Start("warm"))
 	}
+	pass()
 	if allocs := testing.AllocsPerRun(50, pass); allocs != 0 {
 		t.Fatalf("traced decode pass allocates %.1f times, want 0", allocs)
 	}

@@ -28,6 +28,9 @@ var (
 )
 
 // Config tunes the server. Zero values pick the documented defaults.
+// Energy pricing and tracing are not settings: every server prices
+// energy with dvfs.DefaultPowerModel at CyclesPerInference cycles and
+// traces every request (see Server.Tracer).
 type Config struct {
 	// MaxBatch bounds one step of a replica's loop (default 8): at most
 	// this many classification requests ride one fused forward pass, and
@@ -75,14 +78,6 @@ type Config struct {
 	// (see Autotuner). Supersedes Policy when both are set.
 	Autotune *AutotuneConfig
 
-	// Trace configures request-scoped tracing. The zero value enables
-	// capture with the obs defaults (free-listed span buffers, sampled
-	// decode steps, a 256-trace ring); set Trace.Disabled to opt out.
-	// Traces record queue wait, batch formation, prefill, sampled decode
-	// steps, and any switch/drain stall the request overlapped, and are
-	// exported via Server.Tracer (JSONL or Chrome trace_event).
-	Trace obs.TracerConfig
-
 	// OnAutotuneDecision, when set, is invoked from the control loop
 	// after every control tick with the decision as applied (Switched and
 	// SwitchCostMS filled in). Callers use it to stream decision lines
@@ -112,15 +107,16 @@ type Config struct {
 	SimDVFS bool
 
 	// BatteryJ, when > 0, enables the simulated battery: every request
-	// drains the modeled inference energy of the active level, so a
+	// drains the modeled inference energy of the active level
+	// (CyclesPerInference cycles under dvfs.DefaultPowerModel), so a
 	// battery-aware policy sees charge fall under load.
 	BatteryJ float64
-	// Power is the V/F power model (default dvfs.DefaultPowerModel).
-	Power dvfs.PowerModel
-	// CyclesPerInference is the modeled per-request work used for energy
-	// accounting (default 2e6 cycles).
-	CyclesPerInference float64
 }
+
+// CyclesPerInference is the modeled work of one classification request
+// or one generated token: the battery drain and the autotuner's
+// relative-energy term both price it at the active level.
+const CyclesPerInference = 2e6
 
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
@@ -131,12 +127,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxGenTokens <= 0 {
 		c.MaxGenTokens = 32
-	}
-	if c.Power == (dvfs.PowerModel{}) {
-		c.Power = dvfs.DefaultPowerModel()
-	}
-	if c.CyclesPerInference <= 0 {
-		c.CyclesPerInference = 2e6
 	}
 	return c
 }
@@ -163,7 +153,7 @@ type request struct {
 	ids  []int
 	enq  time.Time
 	resp chan Response
-	tr   *obs.Trace // nil when tracing is disabled
+	tr   *obs.Trace
 }
 
 // Status is the server state snapshot handed to the level policy.
@@ -183,8 +173,8 @@ type Server struct {
 	eng    *Engine
 	rec    *Recorder
 	reg    *obs.Registry
-	tracer *obs.Tracer // nil when Config.Trace.Disabled
-	tuner  *Autotuner  // non-nil when Config.Autotune is set
+	tracer *obs.Tracer
+	tuner  *Autotuner // non-nil when Config.Autotune is set
 
 	// prefixCache is the cross-request prefix KV cache, shared by
 	// every worker (nil unless Config.PrefixCacheRows != 0).
@@ -230,7 +220,7 @@ func New(eng *Engine, cfg Config) *Server {
 		eng:    eng,
 		rec:    NewRecorderOn(reg, eng.bundle.LevelNames),
 		reg:    reg,
-		tracer: obs.NewTracer(cfg.Trace),
+		tracer: obs.NewTracer(),
 		in:     make(chan *request, cfg.QueueCap),
 		genIn:  make(chan *genReq, cfg.QueueCap),
 		done:   make(chan struct{}),
@@ -248,7 +238,7 @@ func New(eng *Engine, cfg Config) *Server {
 		s.prefixCache.RegisterMetrics(reg)
 	}
 	if cfg.Autotune != nil {
-		tuner, err := NewAutotuner(eng.Levels(), cfg.Power, cfg.CyclesPerInference, *cfg.Autotune)
+		tuner, err := NewAutotuner(eng.Levels(), *cfg.Autotune)
 		if err != nil {
 			panic("serve: " + err.Error())
 		}
@@ -275,8 +265,11 @@ func (s *Server) Recorder() *Recorder { return s.rec }
 // it as /metrics.
 func (s *Server) Metrics() *obs.Registry { return s.reg }
 
-// Tracer exposes the server's request tracer (nil when tracing is
-// disabled); its ring holds the most recent finished request traces.
+// Tracer exposes the server's request tracer: every request is traced,
+// and its ring holds the 256 most recent finished request traces (queue
+// wait, batch formation, prefill, sampled decode steps, and any switch
+// stall the request overlapped), exported as JSONL or Chrome
+// trace_event.
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
 // Engine exposes the underlying execution engine.
@@ -620,7 +613,7 @@ func (s *Server) drainEnergy(level, n int) {
 	if s.battery == nil {
 		return
 	}
-	e := s.cfg.Power.InferenceEnergy(s.eng.Levels()[level], s.cfg.CyclesPerInference) * float64(n)
+	e := dvfs.DefaultPowerModel().InferenceEnergy(s.eng.Levels()[level], CyclesPerInference) * float64(n)
 	s.batMu.Lock()
 	defer s.batMu.Unlock()
 	if !s.battery.Drain(e) {
