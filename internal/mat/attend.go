@@ -17,8 +17,16 @@ import "fmt"
 // the features of 16 consecutive key rows as 16 contiguous floats. The
 // vector lane is the key row (for the value sum: the output column), so
 // the reduction order of every single score and context element is the
-// scalar loop's; the kernel only runs 16 such sums side by side, as four
-// independent 4-lane accumulator chains.
+// scalar loop's; the kernels only run such sums side by side: the ZMM
+// kernels up to 64 per pass, eight independent 8-lane accumulator
+// chains, the YMM kernel 16, four 4-lane chains.
+//
+// # Twins
+//
+// Three twins compute the same bits, picked once from CPUID/XCR0 by
+// attendGate: avx512 runs the ZMM kernels over the whole 16-column
+// blocks and the YMM kernel over a last partial one, avx the YMM kernel
+// alone, go the portable loops. Their sums need no FMA3.
 //
 // # Padding
 //
@@ -32,11 +40,11 @@ import "fmt"
 // # Bit identity
 //
 // Every score is one ascending-feature sum of separately rounded
-// products (VMULPD then VADDPD on amd64, no FMA) followed by one
-// multiply by scale; the softmax is Softmax (exp.go): the maximum, the
-// repository's Exp of every score minus it — a vector kernel with a
-// portable twin, equal at tolerance 0 — their ascending sum and one
-// multiply by its reciprocal; every context element is one
+// products (VMULPD then VADDPD on amd64, YMM and ZMM alike, no FMA)
+// followed by one multiply by scale; the softmax is Softmax (exp.go):
+// the maximum, the repository's Exp of every score minus it — a vector
+// kernel with a portable twin, equal at tolerance 0 — their ascending
+// sum and one multiply by its reciprocal; every context element is one
 // ascending-key-row sum. The naive reference (testutil.NaiveAttend)
 // restates all three, the polynomial of Exp included, and the core
 // equals it bit for bit. Against MatMulT + Scale + SoftmaxRows + MatMul
@@ -46,9 +54,19 @@ import "fmt"
 // zero probability now yields NaN where the skip hid it — values are
 // finite activations, and hiding an Inf was never a contract.
 
-// AttendBlock is the number of key rows (or output columns) the kernel
-// sums side by side; key storage is padded to a multiple of it.
+// AttendBlock is the number of key rows (or output columns) the YMM
+// kernel sums side by side and the ZMM kernels' pass widths are
+// multiples of; key storage is padded to a multiple of it.
 const AttendBlock = 16
+
+// attendKern is a choice of attention-core twin (see the file comment).
+type attendKern uint8
+
+const (
+	attendGo attendKern = iota
+	attendAVX
+	attendZ
+)
 
 // AttendPadded rounds a key-row count up to whole blocks: how far a key
 // block must be readable for a window of that many rows.
@@ -62,39 +80,44 @@ func AttendPadded(rows int) int { return (rows + AttendBlock - 1) / AttendBlock 
 // at row stride vs. On return p[:rows] holds the probabilities.
 // Allocation-free.
 func Attend(out, q, kT []float64, ld int, v []float64, vs, rows int, scale float64, p []float64) {
-	attend(out, q, kT, ld, v, vs, rows, scale, p, hasAVX)
+	attend(out, q, kT, ld, v, vs, rows, scale, p, attendHost)
 }
 
-// attend is Attend with the kernel choice explicit, so tests can hold
-// the assembly kernel against the portable one.
-func attend(out, q, kT []float64, ld int, v []float64, vs, rows int, scale float64, p []float64, asm bool) {
+// attend is Attend with the twin explicit, so tests can hold each twin
+// to the naive reference.
+func attend(out, q, kT []float64, ld int, v []float64, vs, rows int, scale float64, p []float64, kern attendKern) {
 	hd := len(q)
 	if rows < 1 || hd == 0 || len(out) != hd || len(p) < rows || len(kT) < (hd-1)*ld+AttendPadded(rows) || len(v) < (rows-1)*vs+hd {
 		panic(fmt.Sprintf("mat: Attend head dim %d/%d over %d rows: %d keys at stride %d, %d values at stride %d, %d scores",
 			hd, len(out), rows, len(kT), ld, len(v), vs, len(p)))
 	}
 	p = p[:rows]
-	vecMat(p, q, kT, ld, scale, true, asm)
-	softmax(p, p, asm && tailAsm)
-	vecMat(out, p, v, vs, 1, false, asm)
+	vecMat(p, q, kT, ld, scale, true, kern)
+	softmax(p, p, kern != attendGo && tailAsm)
+	vecMat(out, p, v, vs, 1, false, kern)
 }
 
 // vecMat computes dst = scale * (a @ B) for the row-major len(a) x
 // len(dst) matrix b at row stride stride, each dst element summing its
-// products in ascending row order. padded says every row of b is
-// readable up to len(dst) rounded up to AttendBlock, which lets the
-// assembly kernel take the last partial block too; otherwise the
-// portable loop runs the columns past the last full block. The multiply
-// by scale == 1 is exact.
-func vecMat(dst, a, b []float64, stride int, scale float64, padded, asm bool) {
-	done := 0
-	if asm {
-		done = len(dst)
-		if !padded {
-			done -= done % AttendBlock
+// products in ascending row order. The ZMM kernels take the whole
+// blocks. padded says every row of b is readable up to len(dst) rounded
+// up to AttendBlock, which lets the YMM kernel take the last partial
+// block too; otherwise the portable loop runs the columns past the last
+// full block. The multiply by scale == 1 is exact.
+func vecMat(dst, a, b []float64, stride int, scale float64, padded bool, kern attendKern) {
+	done, whole := 0, len(dst)-len(dst)%AttendBlock
+	if kern == attendZ && whole > 0 {
+		vecMatZ(&dst[0], &a[0], len(a), &b[0], stride, whole, scale)
+		done = whole
+	}
+	if kern != attendGo {
+		end := whole
+		if padded {
+			end = len(dst)
 		}
-		if done > 0 {
-			vecMat16AVX(&dst[0], &a[0], len(a), &b[0], stride, done, scale)
+		if done < end {
+			vecMat16AVX(&dst[done], &a[0], len(a), &b[done], stride, end-done, scale)
+			done = end
 		}
 	}
 	if done < len(dst) {
@@ -102,8 +125,8 @@ func vecMat(dst, a, b []float64, stride int, scale float64, padded, asm bool) {
 	}
 }
 
-// vecMatGo is the portable kernel, the loop nest the assembly kernel
-// replicates: AttendBlock columns at a time, one accumulator per column.
+// vecMatGo is the portable kernel, the loop nest the assembly kernels
+// replicate: AttendBlock columns at a time, one accumulator per column.
 // It reads only the len(dst) real columns. The attention core stays
 // unfused (VMULPD then VADDPD): the conversion keeps a port that fuses
 // x*y + z on its own (arm64 and others) to the same rounding.

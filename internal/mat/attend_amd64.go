@@ -10,3 +10,10 @@ package mat
 //
 //go:noescape
 func vecMat16AVX(dst, a *float64, n int, b *float64, stride, cols int, scale float64)
+
+// vecMatZ is vecMat16AVX in ZMM registers for cols a positive multiple
+// of AttendBlock: 64 columns per pass, then one pass of 48, 32 or 16.
+// Needs AVX-512F (attendGate).
+//
+//go:noescape
+func vecMatZ(dst, a *float64, n int, b *float64, stride, cols int, scale float64)

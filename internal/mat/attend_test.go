@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rt3/internal/mat"
@@ -104,6 +105,64 @@ func TestAttendBitIdenticalSweep(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestAttendTwins holds every twin of the core — the portable loops
+// (go), the YMM kernel (avx) and the ZMM kernels with the YMM kernel on
+// a last partial block (avx512) — to the naive reference bit for bit,
+// over the sweep of TestAttendBitIdenticalSweep widened so that every
+// ZMM pass width (64, 48, 32, 16) and remainder runs in both products:
+// windows of 48 to 192 rows and head dims of 17, 32 and 96. Everything
+// the window excludes holds NaN, and the probability and context
+// buffers hold a sentinel past their ends, so neither a padding lane
+// nor a store past the last column goes unseen. A twin the host cannot
+// run is an explicit SKIP.
+func TestAttendTwins(t *testing.T) {
+	heads := append(slices.Clone(attendHeadDims), 17, 32, 96)
+	windows := append(slices.Clone(attendRows), 48, 63, 64, 65, 80, 112, 128, 176, 192)
+	const sentinel = 7
+	guard := func(n int) []float64 {
+		s := make([]float64, n+mat.AttendBlock)
+		for i := range s {
+			s[i] = sentinel
+		}
+		return s
+	}
+	for _, isa := range []string{"go", "avx", "avx512"} {
+		t.Run(isa, func(t *testing.T) {
+			attend, ok := mat.AttendTwin(isa)
+			if !ok {
+				t.Skipf("this host (or build) cannot run the %s twin", isa)
+			}
+			rng := rand.New(rand.NewSource(147))
+			for _, hd := range heads {
+				for _, rows := range windows {
+					for _, extra := range []int{0, 1, 21} {
+						total := rows + extra
+						for _, ldPad := range []int{0, 16, 40} {
+							for _, vs := range []int{hd, hd + 3, 4 * hd} {
+								ld := mat.AttendPadded(total) + ldPad
+								c := newAttendCase(rng, hd, rows, total, ld, vs, 1, math.NaN())
+								what := fmt.Sprintf("%s: hd %d, %d of %d rows, ld %d, vs %d", isa, hd, rows, total, ld, vs)
+								out, p := guard(hd), guard(rows)
+								attend(out[:hd], c.q, c.kT, c.ld, c.v, c.vs, c.rows, c.scale, p[:rows])
+								for _, tail := range [][]float64{out[hd:], p[rows:]} {
+									for _, x := range tail {
+										if x != sentinel {
+											t.Fatalf("%s: stored past the end of a result", what)
+										}
+									}
+								}
+								copy(c.out, out)
+								copy(c.p, p)
+								c.check(t, what)
+							}
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

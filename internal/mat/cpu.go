@@ -34,13 +34,25 @@ func laneGate(f cpuFeatures) (laneKern, string) {
 	return laneKern{true, laneWidth}, "avx"
 }
 
+// attendGate picks the attention core's twin for a CPU: the ZMM kernels
+// with ZMM state, the YMM kernel with YMM state, else the portable
+// loops. None fuses, so none needs FMA3.
+func attendGate(f cpuFeatures) attendKern {
+	switch {
+	case f.zmm():
+		return attendZ
+	case f.ymm():
+		return attendAVX
+	}
+	return attendGo
+}
+
 var (
 	// laneHost is the twin GemmLanes runs on this host, laneISA its name.
 	laneHost, laneISA = laneGate(hostCPU)
-	// hasAVX gates the attention core's YMM kernel (no FMA: its sums stay
-	// separately rounded).
-	hasAVX = hostCPU.ymm()
+	// attendHost is the twin Attend runs on this host.
+	attendHost = attendGate(hostCPU)
 	// tailAsm gates the kernels of exp_amd64.s, whose exponent add needs
 	// AVX2's 256-bit integer shift and add.
-	tailAsm = hasAVX && hostCPU.avx2
+	tailAsm = hostCPU.ymm() && hostCPU.avx2
 )

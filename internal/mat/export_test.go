@@ -60,3 +60,12 @@ func GemmLanesTwin(dst, x *Matrix, w *LaneWeights, asm bool, width int) {
 // LaneBlockRows returns the rows of the blocks GemmLanes splits a
 // product into on this host: 16 where the ZMM kernels run, else 8.
 func LaneBlockRows() int { return laneHost.width }
+
+// AttendTwin returns Attend on the named twin ("go", "avx" or "avx512")
+// and whether this host (or build) can run it.
+func AttendTwin(isa string) (func(out, q, kT []float64, ld int, v []float64, vs, rows int, scale float64, p []float64), bool) {
+	kern := map[string]attendKern{"go": attendGo, "avx": attendAVX, "avx512": attendZ}[isa]
+	return func(out, q, kT []float64, ld int, v []float64, vs, rows int, scale float64, p []float64) {
+		attend(out, q, kT, ld, v, vs, rows, scale, p, kern)
+	}, kern <= attendHost
+}

@@ -160,33 +160,99 @@ func TestGrow(t *testing.T) {
 	}
 }
 
-// TestAttendAsmMatchesPortable pins the AVX kernel of the attention core
-// to vecMatGo bit for bit, through the shared nest, at every block edge:
-// probabilities and context equal, and nothing stored past either.
-func TestAttendAsmMatchesPortable(t *testing.T) {
-	rng := rand.New(rand.NewSource(94))
-	for _, hd := range []int{1, 3, 4, 5, 16, 17, 48, 64} {
-		for _, rows := range []int{1, 2, 7, 15, 16, 17, 31, 32, 33, 100, 208} {
-			ld := AttendPadded(rows) + 16
-			vs := hd + 5
-			q, kT, v := New(1, hd), New(hd, ld), New(rows, vs)
-			q.Randomize(rng, 1)
-			kT.Randomize(rng, 1)
-			v.Randomize(rng, 1)
-			scale := 1 / math.Sqrt(float64(hd))
-			// one guarded matrix per result: row 0 is the result, the
-			// rows behind it the sentinel
-			gotP, pIntact := guarded(t, 1, rows)
-			gotOut, outIntact := guarded(t, 1, hd)
-			wantP, wantOut := New(1, rows), New(1, hd)
-			attend(gotOut.Data, q.Data, kT.Data, ld, v.Data, vs, rows, scale, gotP.Data, hasAVX)
-			attend(wantOut.Data, q.Data, kT.Data, ld, v.Data, vs, rows, scale, wantP.Data, false)
-			what := fmt.Sprintf("head dim %d, %d rows", hd, rows)
-			pIntact(what + " probabilities")
-			outIntact(what + " context")
-			if !Equal(gotP, wantP, 0) || !Equal(gotOut, wantOut, 0) {
-				t.Fatalf("%s: attention asm differs from portable kernel", what)
+// TestAttendGate holds the attention core's gate to its table: ZMM
+// state runs the ZMM kernels, YMM state the YMM kernel, FMA3 plays no
+// part (no twin fuses), and the host runs the gate applied to its CPUID.
+func TestAttendGate(t *testing.T) {
+	const ymm, zmm = 0x6, 0xE6
+	for _, tc := range []struct {
+		what string
+		f    cpuFeatures
+		want attendKern
+	}{
+		{"no features (purego, other arches)", cpuFeatures{}, attendGo},
+		{"AVX without FMA3", cpuFeatures{avx: true, xcr0: ymm}, attendAVX},
+		{"AVX, YMM state not saved", cpuFeatures{avx: true, fma: true, xcr0: 0x2}, attendGo},
+		{"AVX-512F, ZMM state not saved", cpuFeatures{avx: true, avx512f: true, xcr0: ymm}, attendAVX},
+		{"AVX-512F with ZMM state, FMA3 clear", cpuFeatures{avx: true, avx512f: true, xcr0: zmm}, attendZ},
+		{"AVX-512F without AVX", cpuFeatures{avx512f: true, xcr0: zmm}, attendGo},
+	} {
+		if got := attendGate(tc.f); got != tc.want {
+			t.Errorf("%s: gate picks twin %d, want %d", tc.what, got, tc.want)
+		}
+	}
+	if attendHost != attendGate(hostCPU) {
+		t.Fatalf("host runs attention twin %d, the gate picks %d", attendHost, attendGate(hostCPU))
+	}
+}
+
+// TestPackLanesTwins holds each pack twin — the scalar stores of the
+// portable and AVX lane twins (go), the 8x8 register transpose of the
+// ZMM twin (avx512) — to the definition: xt[k*lanes+l] = x[min(l,
+// last)][k] and a zero row K, at K mod 8 of 0, 1 and 7 and for 1-16
+// rows, so 8 and 16 lanes. xt holds NaN before the pack, so every
+// element it must write is checked, the zero row and the repeated lanes
+// included; x is the head of rows whose successors hold Inf, so a pack
+// that read past the last row would show. A twin the host cannot run is
+// an explicit SKIP.
+func TestPackLanesTwins(t *testing.T) {
+	for _, twin := range []struct {
+		name string
+		z    bool
+		has  bool
+	}{
+		{"go", false, true},
+		{"avx512", true, laneHost.zmm()},
+	} {
+		t.Run(twin.name, func(t *testing.T) {
+			if !twin.has {
+				t.Skip("this host (or build) has no AVX-512F with FMA3")
 			}
+			rng := rand.New(rand.NewSource(95))
+			for _, K := range []int{1, 7, 8, 9, 15, 16, 17, 192, 193, 768} {
+				for rows := 1; rows <= 2*laneWidth; rows++ {
+					lanes := laneCount(rows)
+					full := New(rows+1, K)
+					full.Randomize(rng, 1)
+					full.RowSpan(rows, rows+1).Fill(math.Inf(1))
+					x := full.Data[:rows*K]
+					xt := make([]float64, (K+1)*lanes)
+					for i := range xt {
+						xt[i] = math.NaN()
+					}
+					packLanes(xt, x, K, lanes, twin.z)
+					for i, got := range xt {
+						k, l := i/lanes, i%lanes
+						want := 0.0
+						if k < K {
+							want = x[min(l, rows-1)*K+k]
+						}
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("K %d, %d rows: xt[%d][%d] = %v, want %v", K, rows, k, l, got, want)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPackLanes is the lane pack this host runs over one 8- and
+// one 16-lane block at the serving depths, in ns per element packed —
+// a rough guide (this host is noisy); read it at GOMAXPROCS 1.
+func BenchmarkPackLanes(b *testing.B) {
+	rng := rand.New(rand.NewSource(96))
+	for _, K := range []int{192, 768} {
+		for _, lanes := range []int{laneWidth, 2 * laneWidth} {
+			x := New(lanes, K)
+			x.Randomize(rng, 1)
+			xt := make([]float64, (K+1)*lanes)
+			b.Run(fmt.Sprintf("K%d/lanes%d", K, lanes), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					packLanes(xt, x.Data, K, lanes, laneHost.zmm())
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*K*lanes), "ns/elem")
+			})
 		}
 	}
 }

@@ -94,6 +94,9 @@ type laneKern struct {
 	width int
 }
 
+// zmm reports the ZMM twin, whose xt blocks packLanes8Z packs.
+func (k laneKern) zmm() bool { return k.asm && k.width == 2*laneWidth }
+
 // LaneISA names the twin GemmLanes runs ("avx512", "avx" or "go"), for
 // metrics and benchmark records.
 func LaneISA() string { return laneISA }
@@ -238,7 +241,7 @@ func gemmLanes(dst, x *Matrix, w *LaneWeights, kern laneKern) {
 		return
 	}
 	xt := GrowFloats(laneScratches.Get(newLaneScratch), (w.K+1)*padded)
-	packLanes(xt, x.Data, w.K, padded)
+	packLanes(xt, x.Data, w.K, padded, kern.zmm())
 	forkJob(&laneJobs, (w.N+LanePartition-1)/LanePartition, work, laneJob{dst, x, w, kern, xt})
 	laneScratches.Put(xt)
 }
@@ -263,7 +266,7 @@ func (j *laneJob) Range(lo, hi int) {
 	xt := GrowFloats(laneScratches.Get(newLaneScratch), (K+1)*width)
 	for m, m1 := lo*width, min(hi*width, x.Rows); m < m1; m += width {
 		rows := min(width, m1-m)
-		packLanes(xt, x.Data[m*K:(m+rows)*K], K, laneCount(rows))
+		packLanes(xt, x.Data[m*K:(m+rows)*K], K, laneCount(rows), j.kern.zmm())
 		j.groups(xt, j.dst.Data[m*N:(m+rows)*N], rows, 0, len(w.start)-1)
 	}
 	laneScratches.Put(xt)
@@ -293,18 +296,28 @@ func (j *laneJob) groups(xt, out []float64, rows, g0, g1 int) {
 // packLanes transposes the len(x)/K rows of x (at most lanes) into the
 // lane-major block xt, xt[k*lanes+l] = x[l][k], and zeroes the padding
 // row K. Lanes past the last row repeat it: their results are never
-// stored, and a repeated row costs no more than a zero one.
-func packLanes(xt, x []float64, K, lanes int) {
+// stored, and a repeated row costs no more than a zero one. With z (the
+// ZMM lane twin) packLanes8Z moves 8 lanes x 8 k at a time through an
+// 8x8 register transpose, one full 64-byte line of xt per store; the
+// other twins, and the last K mod 8 k, go 4 lanes at a time through
+// scalar stores.
+func packLanes(xt, x []float64, K, lanes int, z bool) {
 	clear(xt[K*lanes : (K+1)*lanes])
 	if K == 0 {
 		return
 	}
-	last := len(x)/K - 1
-	row := func(l int) []float64 { l = min(l, last); return x[l*K : (l+1)*K] }
+	last, k0 := len(x)/K-1, 0
+	if z && K >= 8 {
+		k0 = K - K%8
+		for l := 0; l < lanes; l += 8 {
+			packLanes8Z(&xt[l], &x[l*K], K, lanes, min(8, last+1-l), k0)
+		}
+	}
+	row := func(l int) []float64 { l = min(l, last); return x[l*K+k0 : (l+1)*K] }
 	for l := 0; l < lanes; l += 4 {
 		r0, r1, r2, r3 := row(l), row(l+1), row(l+2), row(l+3)
 		for k, v := range r0 {
-			o := xt[k*lanes+l:][:4:4]
+			o := xt[(k0+k)*lanes+l:][:4:4]
 			o[0], o[1], o[2], o[3] = v, r1[k], r2[k], r3[k]
 		}
 	}

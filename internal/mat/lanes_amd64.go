@@ -20,3 +20,10 @@ func laneKern16Z(idx *uint16, val *float64, steps int, xt, c *float64, ldc int, 
 
 //go:noescape
 func laneKern8Z(idx *uint16, val *float64, steps int, xt, c *float64, ldc int, cols *int32, rows int)
+
+// packLanes8Z writes lanes [0, 8) of the first kn rows of a lane-major
+// block, xt[k*lanes+l] = x[min(l, rows-1)*K+k], for kn a positive
+// multiple of 8 and 1 <= rows <= 8 (lanes_amd64.s). Needs AVX-512F.
+//
+//go:noescape
+func packLanes8Z(xt, x *float64, K, lanes, rows, kn int)

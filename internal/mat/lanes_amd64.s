@@ -188,3 +188,91 @@ loop:
 	VMOVUPD Z2, 128(SP)
 	VMOVUPD Z3, 192(SP)
 	SCATTER(64)
+
+// NEXTROW points r at the row after prev (row stride BX) while CX, the
+// rows left after prev, is positive, and at prev itself after: lanes
+// past the last row repeat it.
+#define NEXTROW(prev, r) \
+	LEAQ (prev)(BX*1), r; \
+	DECQ CX; \
+	CMOVQLT prev, r
+
+// func packLanes8Z(xt, x *float64, K, lanes, rows, kn int)
+//
+// xt[k*lanes+l] = x[min(l, rows-1)*K+k] for l < 8 and k < kn, a positive
+// multiple of 8: 8 lanes of a lane-major block (row stride lanes) from
+// 1-8 rows of x (row stride K). Per 8 k: 8 row loads, an 8x8 transpose
+// in registers and 8 full-line stores. The unpacks pair rows 2i and
+// 2i+1 per k in each 128-bit block (t0 = (r0,r1) at k 0,2,4,6, t1 at
+// k 1,3,5,7, ...); two stages of 128-bit block shuffles then gather the
+// four pairs of one k into one register.
+TEXT ·packLanes8Z(SB), NOSPLIT, $0-48
+	MOVQ xt+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ K+16(FP), BX
+	SHLQ $3, BX
+	MOVQ lanes+24(FP), DX
+	SHLQ $3, DX
+	MOVQ rows+32(FP), CX
+	MOVQ kn+40(FP), R12
+	DECQ CX
+	NEXTROW(SI, AX)
+	NEXTROW(AX, R8)
+	NEXTROW(R8, R9)
+	NEXTROW(R9, R10)
+	NEXTROW(R10, R11)
+	NEXTROW(R11, R13)
+	NEXTROW(R13, R14)
+	LEAQ (DX)(DX*2), R15
+	XORQ CX, CX
+
+pack:
+	VMOVUPD (SI)(CX*1), Z0
+	VMOVUPD (AX)(CX*1), Z1
+	VMOVUPD (R8)(CX*1), Z2
+	VMOVUPD (R9)(CX*1), Z3
+	VMOVUPD (R10)(CX*1), Z4
+	VMOVUPD (R11)(CX*1), Z5
+	VMOVUPD (R13)(CX*1), Z6
+	VMOVUPD (R14)(CX*1), Z7
+	VUNPCKLPD Z1, Z0, Z8
+	VUNPCKHPD Z1, Z0, Z9
+	VUNPCKLPD Z3, Z2, Z10
+	VUNPCKHPD Z3, Z2, Z11
+	VUNPCKLPD Z5, Z4, Z12
+	VUNPCKHPD Z5, Z4, Z13
+	VUNPCKLPD Z7, Z6, Z14
+	VUNPCKHPD Z7, Z6, Z15
+	// blocks (0, 2) and (1, 3) of (t0, t2), (t4, t6), (t1, t3), (t5, t7)
+	VSHUFF64X2 $0x88, Z10, Z8, Z0
+	VSHUFF64X2 $0xDD, Z10, Z8, Z1
+	VSHUFF64X2 $0x88, Z14, Z12, Z2
+	VSHUFF64X2 $0xDD, Z14, Z12, Z3
+	VSHUFF64X2 $0x88, Z11, Z9, Z4
+	VSHUFF64X2 $0xDD, Z11, Z9, Z5
+	VSHUFF64X2 $0x88, Z15, Z13, Z6
+	VSHUFF64X2 $0xDD, Z15, Z13, Z7
+	// the same again: Z8 .. Z15 hold k 0 .. 7, lanes 0 .. 7
+	VSHUFF64X2 $0x88, Z2, Z0, Z8
+	VSHUFF64X2 $0x88, Z6, Z4, Z9
+	VSHUFF64X2 $0x88, Z3, Z1, Z10
+	VSHUFF64X2 $0x88, Z7, Z5, Z11
+	VSHUFF64X2 $0xDD, Z2, Z0, Z12
+	VSHUFF64X2 $0xDD, Z6, Z4, Z13
+	VSHUFF64X2 $0xDD, Z3, Z1, Z14
+	VSHUFF64X2 $0xDD, Z7, Z5, Z15
+	VMOVUPD Z8, (DI)
+	VMOVUPD Z9, (DI)(DX*1)
+	VMOVUPD Z10, (DI)(DX*2)
+	VMOVUPD Z11, (DI)(R15*1)
+	LEAQ (DI)(DX*4), BX
+	VMOVUPD Z12, (BX)
+	VMOVUPD Z13, (BX)(DX*1)
+	VMOVUPD Z14, (BX)(DX*2)
+	VMOVUPD Z15, (BX)(R15*1)
+	LEAQ (BX)(DX*4), DI
+	ADDQ $64, CX
+	SUBQ $8, R12
+	JNZ  pack
+	VZEROUPPER
+	RET

@@ -26,6 +26,12 @@ func vecMat16AVX(dst, a *float64, n int, b *float64, stride, cols int, scale flo
 	panic("mat: vecMat16AVX without asm")
 }
 
+func vecMatZ(dst, a *float64, n int, b *float64, stride, cols int, scale float64) {
+	panic("mat: vecMatZ without asm")
+}
+
+func packLanes8Z(xt, x *float64, K, lanes, rows, kn int) { panic("mat: packLanes8Z without asm") }
+
 func expSub8AVX(dst, src *float64, n int, shift float64, tab *float64) {
 	panic("mat: expSub8AVX without asm")
 }
