@@ -79,8 +79,8 @@ type autotuneRow struct {
 const closedLoopArm = "rl-closed-loop"
 
 // runAutotune compares static levels, the battery governor, and the
-// closed-loop RL controller under the bursty profile, and verifies the
-// closed-loop decision trace replays deterministically.
+// closed-loop RL controller under the bursty profile, and verifies both
+// controllers' decision traces replay deterministically.
 func runAutotune(seed int64) (*autotuneSection, error) {
 	levels := make([]dvfs.Level, len(evalLevelNames))
 	for i, name := range evalLevelNames {
@@ -110,7 +110,7 @@ func runAutotune(seed int64) (*autotuneSection, error) {
 		s.Arms = append(s.Arms, row)
 	}
 	row, _, err := runAutotuneArm(seed, "governor", costs, -1, serve.Config{
-		Policy: serve.NewGovernorPolicy(levels, 64),
+		Autotune: &serve.AutotuneConfig{Seed: seed, Governor: true},
 	})
 	if err != nil {
 		return nil, err
@@ -124,27 +124,17 @@ func runAutotune(seed int64) (*autotuneSection, error) {
 	}
 	s.Arms = append(s.Arms, row)
 	s.Metrics = srv.Metrics().Snapshot()
+	tr, _ := srv.AutotuneTrace()
+	s.TraceTicks = len(tr.Decisions)
 	printRows(os.Stdout, s.Arms)
 	fmt.Printf("reward = (p95 <= %dms ? +1 : -1) + 0.8*(1-relE)*(1-battery+0.2) - dropped/offered\n\n", autotuneTargetMS)
-
-	// the closed loop must be auditable: replay the recorded trace
-	// through a fresh controller and require identical decisions
-	tr, _ := srv.AutotuneTrace()
-	replayed, err := serve.ReplayTrace(levels, tr)
-	if err != nil {
-		return nil, fmt.Errorf("autotune trace replay: %w", err)
-	}
-	s.TraceTicks = len(replayed)
-	fmt.Printf("decision trace: %d ticks, replay from seed %d reproduced all decisions\n", len(replayed), tr.Seed)
 	return s, nil
 }
 
-// runAutotuneArm builds a fresh deployment from seed (identical weights
-// and pattern sets per arm), serves the bursty profile under cfg's
-// controller, and scores the run; static >= 0 pins that level with no
-// controller. It returns the stopped server, whose trace and registry
-// stay readable.
-func runAutotuneArm(seed int64, name string, costs []hwsim.LevelCost, static int, cfg serve.Config) (autotuneRow, *serve.Server, error) {
+// newAutotuneServer builds an arm's server, not started: a fresh
+// deployment from seed (identical weights and pattern sets per arm)
+// under cfg's controller and the experiment's settings.
+func newAutotuneServer(seed int64, cfg serve.Config) (*serve.Server, error) {
 	d, err := serve.Deploy(serve.DeploySpec{
 		Seed: seed, Levels: evalLevelNames, Sparsities: evalSparsities, PSize: 4, Patterns: 3,
 	}, func(rng *rand.Rand) *transformer.Classifier {
@@ -153,13 +143,22 @@ func runAutotuneArm(seed int64, name string, costs []hwsim.LevelCost, static int
 		}, rng)
 	}, 1, serve.EngineConfig{})
 	if err != nil {
-		return autotuneRow{}, nil, err
+		return nil, err
 	}
-	defer d.Engine.Close()
-
 	cfg.MaxBatch, cfg.QueueCap = 8, 4096
 	cfg.TargetMS, cfg.BatteryJ, cfg.SimDVFS = autotuneTargetMS, autotuneBatteryJ, true
-	srv := serve.New(d.Engine, cfg)
+	return serve.New(d.Engine, cfg), nil
+}
+
+// runAutotuneArm serves the bursty profile on a fresh arm server under
+// cfg's controller, scores the run and replay-verifies the controller's
+// decision trace; static >= 0 pins that level with no controller. It
+// returns the stopped server, whose trace and registry stay readable.
+func runAutotuneArm(seed int64, name string, costs []hwsim.LevelCost, static int, cfg serve.Config) (autotuneRow, *serve.Server, error) {
+	srv, err := newAutotuneServer(seed, cfg)
+	if err != nil {
+		return autotuneRow{}, nil, err
+	}
 	srv.Start()
 	defer srv.Stop()
 	if static >= 0 {
@@ -184,6 +183,13 @@ func runAutotuneArm(seed int64, name string, costs []hwsim.LevelCost, static int
 		BatteryFraction: sum.BatteryFraction, Switches: sum.Switches,
 	}
 	row.Reward, row.RelEnergy = autotuneScore(sum, report, costs)
+	srv.Stop() // the trace is final once the control loop is gone
+	if tr, ok := srv.AutotuneTrace(); ok {
+		if _, err := serve.ReplayTrace(srv.Engine().Levels(), tr); err != nil {
+			return autotuneRow{}, nil, fmt.Errorf("%s trace replay: %w", name, err)
+		}
+		fmt.Printf("%s: decision trace of %d ticks replayed from seed %d, every decision reproduced\n", name, len(tr.Decisions), tr.Seed)
+	}
 	return row, srv, nil
 }
 

@@ -125,14 +125,7 @@ func runChaos(seed int64) (*chaosSection, error) {
 // verification, and replay-checks the decision trace. It returns the
 // arm's row and the fleet's router registry.
 func runChaosArm(seed int64, profile, trace string, runSeed int64) (chaosArmRow, map[string]float64, error) {
-	r, err := buildFleet(chaosModelCfg, seed, chaosNodes, serve.Config{
-		MaxBatch: 8, QueueCap: 256, Generate: true, MaxGenTokens: 32,
-		StepFloor: chaosStepFloor, BatteryJ: 200, // the collapse fault needs a battery to drain
-	}, cluster.Config{
-		Seed:       seed,
-		MaxRetries: 200,
-		Breaker:    cluster.BreakerConfig{Enabled: true, Threshold: 5, Cooldown: 5 * time.Millisecond},
-	})
+	r, err := buildChaosRouter(seed)
 	if err != nil {
 		return chaosArmRow{}, nil, err
 	}
@@ -175,6 +168,19 @@ func runChaosArm(seed int64, profile, trace string, runSeed int64) (chaosArmRow,
 		row.Fired = append(row.Fired, fmt.Sprintf("%d:%s:node%d:%g:%s", f.Seq, f.Event.Kind, f.Event.Node, f.Event.Param, f.Outcome))
 	}
 	return row, r.Metrics().Snapshot(), nil
+}
+
+// buildChaosRouter is the chaos matrix's fleet, started: chaosNodes
+// nodes built from seed behind a breaker-guarded, retrying router.
+func buildChaosRouter(seed int64) (*cluster.Router, error) {
+	return buildFleet(chaosModelCfg, seed, chaosNodes, serve.Config{
+		MaxBatch: 8, QueueCap: 256, Generate: true, MaxGenTokens: 32,
+		StepFloor: chaosStepFloor, BatteryJ: 200, // the collapse fault needs a battery to drain
+	}, cluster.Config{
+		Seed:       seed,
+		MaxRetries: 200,
+		Breaker:    cluster.BreakerConfig{Enabled: true, Threshold: 5, Cooldown: 5 * time.Millisecond},
+	})
 }
 
 // check holds one arm to the invariants every cell of the matrix must

@@ -6,6 +6,9 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"rt3/internal/cluster"
+	"rt3/internal/serve"
 )
 
 // floorCase is one table row of a floor test: a mutation of a section
@@ -186,8 +189,9 @@ func TestChaosDeterminismLineNamesTheHash(t *testing.T) {
 
 // TestBaselinesAreJSONOutput holds each BENCH_*.json at the repository
 // root to what -json writes: it decodes into jsonReport with no unknown
-// field, carries its experiment's section, and that section holds its
-// floors.
+// field, carries its experiment's section, that section holds its
+// floors, and every metric family it lists is one the experiment's
+// registry still registers.
 func TestBaselinesAreJSONOutput(t *testing.T) {
 	for _, file := range []string{"BENCH_autotune.json", "BENCH_cluster.json", "BENCH_chaos.json"} {
 		t.Run(file, func(t *testing.T) {
@@ -218,8 +222,67 @@ func TestBaselinesAreJSONOutput(t *testing.T) {
 			if _, err := s.floors(); err != nil {
 				t.Fatalf("the recorded run misses a floor: %v", err)
 			}
+			var recorded map[string]float64
+			switch {
+			case rep.Autotune != nil:
+				recorded = rep.Autotune.Metrics
+			case rep.Cluster != nil:
+				recorded = rep.Cluster.Metrics
+			default:
+				recorded = rep.Chaos.Metrics
+			}
+			registered := experimentFamilies(t, file)
+			for series := range recorded {
+				if fam := family(series); !registered[fam] {
+					t.Errorf("%s lists %s, which its experiment no longer registers: regenerate it", file, fam)
+				}
+			}
 		})
 	}
+}
+
+// experimentFamilies builds the registry file's experiment snapshots —
+// the closed-loop arm's server, the largest scaling arm's router, a
+// chaos arm's router — the way the experiment does, without load, and
+// returns its metric family names.
+func experimentFamilies(t *testing.T, file string) map[string]bool {
+	t.Helper()
+	var snap map[string]float64
+	switch file {
+	case "BENCH_autotune.json":
+		srv, err := newAutotuneServer(1, serve.Config{Autotune: &serve.AutotuneConfig{Seed: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap = srv.Metrics().Snapshot()
+		srv.Stop()
+	default:
+		build := buildChaosRouter
+		if file == "BENCH_cluster.json" {
+			build = func(seed int64) (*cluster.Router, error) {
+				return buildClusterRouter(seed, clusterNodes[len(clusterNodes)-1], clusterStepFloor)
+			}
+		}
+		r, err := build(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap = r.Metrics().Snapshot()
+		r.Stop()
+	}
+	fams := map[string]bool{}
+	for series := range snap {
+		fams[family(series)] = true
+	}
+	return fams
+}
+
+// family strips a snapshot key's label set: `name{k="v"}` is family name.
+func family(series string) string {
+	if i := strings.IndexByte(series, '{'); i >= 0 {
+		return series[:i]
+	}
+	return series
 }
 
 // TestPrintRowsHeadsColumnsByJSONName checks the one table printer:

@@ -21,13 +21,15 @@
 // [1, -gen-tokens]; the load path samples both uniformly from
 // [max/2, max].
 //
-// With -autotune (requires -load) the level is driven by the closed-loop
-// RL/DVFS controller instead of the battery governor: every 10ms
-// control tick it converts the live telemetry window into the
-// controller's state space, picks a level epsilon-greedily, learns
-// online from the observed reward, and prints its decision log after
-// the run. Works in both classification and generation mode — in the
-// latter, switches land mid-generation at decode-step granularity.
+// Under -load the battery governor drives the level every 10ms control
+// tick, and its decision log prints after the run. With -autotune
+// (requires -load) the closed-loop RL/DVFS controller drives it instead:
+// it converts the live telemetry window into the controller's state
+// space, picks a level epsilon-greedily, learns online from the
+// observed reward, and prints its decision log the same way. Both are
+// modes of one controller, serve.Autotuner. Works in both
+// classification and generation mode — in the latter, switches land
+// mid-generation at decode-step granularity.
 //
 // With -cluster N the deployment is replicated onto N simulated
 // in-process nodes behind the session-affine cluster router (generation
@@ -112,7 +114,7 @@ func main() {
 		atLog    = flag.Int("autotune-log", 12, "autotune: decision-log tail length printed after the run")
 		simDVFS  = flag.Bool("sim-dvfs", false, "stretch execution to the active level's modeled frequency (f_fastest/f_level), so slower levels show real latency pressure")
 		batteryJ = flag.Float64("battery-j", 0.25, "simulated battery capacity in joules (0 disables)")
-		targetMS = flag.Float64("target-ms", 50, "latency objective fed to the policy")
+		targetMS = flag.Float64("target-ms", 50, "latency objective the controller's reward reads (the governor's level choice ignores it)")
 		seed     = flag.Int64("seed", 1, "rng seed")
 		verify   = flag.Bool("verify", true, "check every response against dense execution (classification mode)")
 		gen      = flag.Bool("gen", false, "generation mode: KV-cached incremental decoding with continuous batching on the encoder-decoder LM")
@@ -210,23 +212,18 @@ func main() {
 		eng.Format(), eng.Replicas(), mode)
 
 	// smoke mode switches levels manually; only the load demo wants a
-	// policy (or the closed-loop controller) fighting for the level
-	var pol serve.Policy
+	// controller (the battery governor, or the closed loop) fighting for
+	// the level
 	var atCfg *serve.AutotuneConfig
 	if *autotune && !*load {
 		log.Fatal("-autotune requires -load (the smoke path switches levels manually)")
 	}
 	if *load {
-		if *autotune {
-			atCfg = &serve.AutotuneConfig{Seed: *seed}
-		} else {
-			pol = serve.NewGovernorPolicy(eng.Levels(), 64)
-		}
+		atCfg = &serve.AutotuneConfig{Seed: *seed, Governor: !*autotune}
 	}
 	srv := serve.New(eng, serve.Config{
 		MaxBatch:     *batch,
 		QueueCap:     4096,
-		Policy:       pol,
 		Autotune:     atCfg,
 		TargetMS:     *targetMS,
 		SimDVFS:      *simDVFS,
@@ -239,7 +236,7 @@ func main() {
 			if d.Switched {
 				sw = fmt.Sprintf("%.2fms", d.SwitchCostMS)
 			}
-			logger.Debugf("autotune tick %d: state %d level %d p99 %.2fms reward %.3f explore %v switch %s",
+			logger.Debugf("control tick %d: state %d level %d p99 %.2fms reward %.3f explore %v switch %s",
 				d.Tick, d.State, d.Level, d.Tel.Window.P99MS, d.Reward, d.Explore, sw)
 		},
 	})
@@ -444,8 +441,9 @@ func printDecodeStats(eng *serve.Engine) {
 		st.CachedRows, float64(st.CachedRows)/float64(st.Tokens), st.States, st.PrefillSeq)
 }
 
-// printAutotune renders the closed-loop controller's run summary plus a
-// tail of its live decision log (the full trace is replayable offline
+// printAutotune renders the level controller's run summary, headed by
+// the controller's name (battery governor or closed-loop autotune), plus
+// a tail of its live decision log (the full trace is replayable offline
 // via serve.ReplayTrace — see docs/BENCHMARKS.md).
 func printAutotune(srv *serve.Server, tail int) {
 	tr, ok := srv.AutotuneTrace()
@@ -470,8 +468,12 @@ func printAutotune(srv *serve.Server, tail int) {
 		rewardSum += d.Reward
 	}
 	n := len(tr.Decisions)
-	fmt.Printf("closed-loop autotune: %d control ticks (seed %d), %d explored, %d switches applied, %d window violations, mean reward %.3f\n",
-		n, tr.Seed, explored, switched, violations, rewardSum/float64(n))
+	controller := "closed-loop autotune"
+	if tr.Governor {
+		controller = "battery governor"
+	}
+	fmt.Printf("%s: %d control ticks (seed %d), %d explored, %d switches applied, %d window violations, mean reward %.3f\n",
+		controller, n, tr.Seed, explored, switched, violations, rewardSum/float64(n))
 	fmt.Print("  level decisions:")
 	for i, c := range perLevel {
 		fmt.Printf("  %s %d", eng.LevelName(i), c)

@@ -129,17 +129,8 @@ func NewGovernor(levels []Level) *Governor {
 	return &Governor{Levels: levels, Thresholds: th}
 }
 
-// Pick returns the level for the given state of charge.
-func (g *Governor) Pick(fraction float64) Level {
-	for i, th := range g.Thresholds {
-		if fraction > th {
-			return g.Levels[i]
-		}
-	}
-	return g.Levels[len(g.Levels)-1]
-}
-
-// PickIndex returns the index of the level Pick would select.
+// PickIndex returns the index in Levels of the level for the given
+// state of charge.
 func (g *Governor) PickIndex(fraction float64) int {
 	for i, th := range g.Thresholds {
 		if fraction > th {

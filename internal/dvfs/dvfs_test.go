@@ -116,11 +116,11 @@ func TestBatteryNeverNegative(t *testing.T) {
 func TestGovernorMonotone(t *testing.T) {
 	g := NewGovernor(OdroidXU3Levels[:3])
 	// full battery -> fastest; empty -> slowest
-	if g.Pick(1.0).Name != "l1" {
-		t.Fatalf("full battery picked %s", g.Pick(1.0).Name)
+	if name := g.Levels[g.PickIndex(1.0)].Name; name != "l1" {
+		t.Fatalf("full battery picked %s", name)
 	}
-	if g.Pick(0.0).Name != "l3" {
-		t.Fatalf("empty battery picked %s", g.Pick(0.0).Name)
+	if name := g.Levels[g.PickIndex(0.0)].Name; name != "l3" {
+		t.Fatalf("empty battery picked %s", name)
 	}
 	// index never decreases as fraction drops
 	prev := -1
@@ -135,7 +135,7 @@ func TestGovernorMonotone(t *testing.T) {
 
 func TestGovernorSingleLevel(t *testing.T) {
 	g := NewGovernor(OdroidXU3Levels[5:6])
-	if g.Pick(0.5).Name != "l6" {
+	if g.Levels[g.PickIndex(0.5)].Name != "l6" {
 		t.Fatal("single-level governor wrong")
 	}
 }

@@ -31,29 +31,37 @@ const (
 	// trace is no longer replayable — AutotuneTrace.Dropped records how
 	// many were lost.
 	traceCap = 65536
+	// governorHighWater is the queue depth at which the governor mode
+	// asks for one level faster than the battery alone would pick.
+	governorHighWater = 64
 )
 
-// AutotuneConfig configures the closed-loop runtime controller. Only the
-// seed varies; the rest is fixed: a 10ms control tick, exploration rate
-// 0.3 decaying by 0.995 per tick down to 0.02, online REINFORCE at
+// AutotuneConfig configures the runtime level controller. Only the seed
+// and the mode vary; the rest is fixed: a 10ms control tick, exploration
+// rate 0.3 decaying by 0.995 per tick down to 0.02, online REINFORCE at
 // learning rate 0.05 against an EMA reward baseline of decay 0.7, an
 // 8-wide controller RNN over rl.DefaultStateSpace, the online reward's
 // energy weight 0.8, and a trace of up to 65536 decisions.
 type AutotuneConfig struct {
 	// Seed seeds the controller weights and the exploration stream; the
-	// decision trace is a deterministic function of (seed, telemetry
+	// decision trace is a deterministic function of (config, telemetry
 	// sequence).
 	Seed int64
+	// Governor swaps the learned policy for the battery governor's rule:
+	// dvfs.Governor's level for the charge, one faster from 64 queued
+	// requests. The reward is still credited; nothing learns or explores.
+	Governor bool
 }
 
 // Telemetry is one sampled snapshot of the live serving signals the
 // controller decides on: the recorder's sliding latency/fill window,
-// simulated battery charge, and the level the window ran at. The
-// autotune loop samples it from the running server; tests construct it
-// directly, so decisions are exercisable without wall-clock time.
+// simulated battery charge, queue depth, and the level the window ran
+// at. The control loop samples it from the running server; tests
+// construct it directly, so decisions run without wall-clock time.
 type Telemetry struct {
 	Window          WindowStats
 	BatteryFraction float64
+	QueueDepth      int     // admitted-but-unserved requests
 	Level           int     // active level when sampled
 	TargetMS        float64 // latency objective (0 disables the term)
 }
@@ -66,7 +74,7 @@ type AutotuneDecision struct {
 	Tick    int
 	Tel     Telemetry
 	State   int     // encoded rl state the decision conditioned on
-	Level   int     // level the policy chose
+	Level   int     // level the controller chose
 	Explore bool    // exploration (sampled) vs exploitation (greedy)
 	Epsilon float64 // exploration rate at this tick
 	// Reward is the online reward credited to the previous decision from
@@ -89,30 +97,32 @@ func (d AutotuneDecision) SameAs(o AutotuneDecision) bool {
 }
 
 // AutotuneTrace is the auditable record of a controller run: the seed
-// plus every decision in tick order. Because Autotuner.Step is a pure
-// function of (config, seed, telemetry sequence), feeding the recorded
+// and mode plus every decision in tick order. Because Autotuner.Step is
+// a pure function of (config, telemetry sequence), feeding the recorded
 // telemetry back through a fresh controller reproduces the decisions
 // exactly — ReplayTrace is the auditor.
 type AutotuneTrace struct {
 	Seed      int64
+	Governor  bool
 	Decisions []AutotuneDecision
 	// Dropped counts decisions evicted past the trace cap; a trace with
 	// Dropped > 0 is not replayable (the learning history is incomplete).
 	Dropped int
 }
 
-// Autotuner is the per-replica-pool closed-loop controller: it converts
-// sampled serving telemetry into the RL state space, queries the
-// rl.Controller policy epsilon-greedily each control tick, credits the
+// Autotuner is the server's level controller: each tick it credits the
 // previous decision with the reward the observed window implies
-// (rl.OnlineReward), and folds that reward back into the policy with a
-// REINFORCE update. It never touches the clock or the server: the live
-// loop samples telemetry and applies switches, tests drive Step directly
-// with synthetic windows.
+// (rl.OnlineReward), then the closed loop queries the rl.Controller
+// policy epsilon-greedily over the RL state and folds the reward back
+// with a REINFORCE update, or governor mode applies the battery
+// governor's fixed rule. It never touches the clock or the server: the
+// live loop samples telemetry and applies switches, tests drive Step
+// directly with synthetic windows.
 type Autotuner struct {
 	mu    sync.Mutex
 	seed  int64
 	costs []hwsim.LevelCost
+	gov   *dvfs.Governor // non-nil in governor mode, which needs no ctrl, base or rng
 	ctrl  *rl.Controller
 	base  *rl.Baseline
 	rng   *rand.Rand
@@ -142,33 +152,34 @@ func NewAutotuner(levels []dvfs.Level, cfg AutotuneConfig) (*Autotuner, error) {
 	if len(levels) == 0 {
 		return nil, fmt.Errorf("serve: autotuner needs at least one level")
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	ctrl, err := rl.NewController(rl.Config{
+	a := &Autotuner{
+		seed:     cfg.Seed,
+		costs:    hwsim.LevelCosts(levels, dvfs.DefaultPowerModel(), CyclesPerInference),
+		traceCap: traceCap,
+	}
+	if cfg.Governor {
+		a.gov = dvfs.NewGovernor(levels)
+		return a, nil
+	}
+	a.rng, a.base, a.eps = rand.New(rand.NewSource(cfg.Seed)), rl.NewBaseline(baselineDecay), epsilonStart
+	var err error
+	if a.ctrl, err = rl.NewController(rl.Config{
 		Hidden:  ctrlHidden,
 		NumSets: len(levels), NumPatterns: 1, Levels: 1, K: 1,
 		LR:     learnRate,
 		States: rl.DefaultStateSpace().States(),
-	}, rng)
-	if err != nil {
+	}, a.rng); err != nil {
 		return nil, err
 	}
-	return &Autotuner{
-		seed:     cfg.Seed,
-		costs:    hwsim.LevelCosts(levels, dvfs.DefaultPowerModel(), CyclesPerInference),
-		ctrl:     ctrl,
-		base:     rl.NewBaseline(baselineDecay),
-		rng:      rng,
-		eps:      epsilonStart,
-		traceCap: traceCap,
-	}, nil
+	return a, nil
 }
 
 // Step runs one control tick on a telemetry snapshot and returns the
 // decision: first the previous decision is credited with the reward the
-// observed window implies (and reinforced), then the window is quantized
-// into the controller's state and the next level is chosen
-// epsilon-greedily. Deterministic given the construction
-// arguments and the telemetry sequence — no clock, no global state.
+// observed window implies (and, in the closed loop, reinforced), then
+// the window is quantized into the controller's state and the next level
+// is chosen, epsilon-greedily or by the governor's rule. Deterministic
+// given the construction arguments and the telemetry sequence.
 func (a *Autotuner) Step(tel Telemetry) AutotuneDecision {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -184,7 +195,7 @@ func (a *Autotuner) Step(tel Telemetry) AutotuneDecision {
 	if ranAt < 0 || ranAt >= len(a.costs) {
 		ranAt = a.prevLevel
 	}
-	if a.prev != nil {
+	if a.tick > 1 {
 		rr := rl.OnlineReward(rl.OnlineRewardInput{
 			Samples:         tel.Window.Samples,
 			P99MS:           tel.Window.P99MS,
@@ -198,7 +209,9 @@ func (a *Autotuner) Step(tel Telemetry) AutotuneDecision {
 		if !rr.TimingMet {
 			a.violations++
 		}
-		a.ctrl.Reinforce(a.prev, a.base.Update(rr.Reward))
+		if a.gov == nil {
+			a.ctrl.Reinforce(a.prev, a.base.Update(rr.Reward))
+		}
 	}
 
 	// 2. quantize the window into the controller's context state
@@ -208,21 +221,27 @@ func (a *Autotuner) Step(tel Telemetry) AutotuneDecision {
 	}
 	dec.State = rl.DefaultStateSpace().Encode(ratio, tel.BatteryFraction, tel.Window.FillRatio)
 
-	// 3. epsilon-greedy level choice conditioned on that state
+	// 3. the level: the governor's rule, or the epsilon-greedy choice
+	// conditioned on that state
 	dec.Epsilon = a.eps
-	var ep *rl.Episode
-	if a.rng.Float64() < a.eps {
-		dec.Explore = true
-		a.explores++
-		ep = a.ctrl.SampleSetFrom(dec.State, a.rng)
+	if a.gov != nil {
+		a.prevLevel = a.gov.PickIndex(tel.BatteryFraction)
+		if tel.QueueDepth >= governorHighWater && a.prevLevel > 0 {
+			a.prevLevel--
+		}
 	} else {
-		ep = a.ctrl.GreedySetFrom(dec.State)
+		if a.rng.Float64() < a.eps {
+			dec.Explore = true
+			a.explores++
+			a.prev = a.ctrl.SampleSetFrom(dec.State, a.rng)
+		} else {
+			a.prev = a.ctrl.GreedySetFrom(dec.State)
+		}
+		if a.eps *= epsilonDecay; a.eps < epsilonMin {
+			a.eps = epsilonMin
+		}
+		a.prevLevel = a.prev.SetChoices[0] % len(a.costs)
 	}
-	if a.eps *= epsilonDecay; a.eps < epsilonMin {
-		a.eps = epsilonMin
-	}
-	a.prev = ep
-	a.prevLevel = ep.SetChoices[0] % len(a.costs)
 	dec.Level = a.prevLevel
 
 	if len(a.trace) >= a.traceCap {
@@ -279,13 +298,14 @@ func (a *Autotuner) Trace() AutotuneTrace {
 	defer a.mu.Unlock()
 	return AutotuneTrace{
 		Seed:      a.seed,
+		Governor:  a.gov != nil,
 		Decisions: append([]AutotuneDecision(nil), a.trace...),
 		Dropped:   a.dropped,
 	}
 }
 
 // ReplayTrace re-runs a recorded decision trace through a fresh
-// controller built from the trace's seed, starting at the exploration
+// controller built from the trace's seed and mode, starting at the exploration
 // rate its first decision records, feeding each recorded telemetry
 // snapshot back through Step, and verifies every replayed decision
 // matches the recorded one. It returns the replayed decisions; a
@@ -296,7 +316,7 @@ func ReplayTrace(levels []dvfs.Level, tr AutotuneTrace) ([]AutotuneDecision, err
 	if tr.Dropped > 0 {
 		return nil, fmt.Errorf("serve: trace dropped %d decisions (trace cap exceeded); not replayable", tr.Dropped)
 	}
-	a, err := NewAutotuner(levels, AutotuneConfig{Seed: tr.Seed})
+	a, err := NewAutotuner(levels, AutotuneConfig{Seed: tr.Seed, Governor: tr.Governor})
 	if err != nil {
 		return nil, err
 	}
@@ -319,11 +339,11 @@ func ReplayTrace(levels []dvfs.Level, tr AutotuneTrace) ([]AutotuneDecision, err
 const controlEvery = 10 * time.Millisecond
 
 // controlLoop is the server's level-selection loop: every controlEvery
-// it steps the closed-loop autotuner when one is configured — sampling
-// live telemetry (sliding latency/fill window, battery charge) — and
-// otherwise asks Config.Policy. A differing level is applied as a
-// guarded live switch through the same drain path every reconfiguration
-// takes, so it lands at step granularity, mid-generation.
+// it samples live telemetry (sliding latency/fill window, battery
+// charge, queue depth) and steps the controller. A differing level is
+// applied as a guarded live switch through the same drain path every
+// reconfiguration takes, so it lands at step granularity,
+// mid-generation.
 func (s *Server) controlLoop() {
 	defer s.wg.Done()
 	ticker := time.NewTicker(controlEvery)
@@ -335,20 +355,14 @@ func (s *Server) controlLoop() {
 		case <-ticker.C:
 		}
 		st := s.Status()
-		if s.tuner == nil {
-			if want := s.cfg.Policy.Decide(st); want != st.Level {
-				s.SwitchTo(want) // a rejected switch keeps the level; the next tick asks again
-			}
-			continue
-		}
-		tel := Telemetry{
+		dec := s.tuner.Step(Telemetry{
 			Window:          s.rec.RecentStats(),
 			BatteryFraction: st.BatteryFraction,
+			QueueDepth:      st.QueueDepth,
 			Level:           st.Level,
 			TargetMS:        s.cfg.TargetMS,
-		}
-		dec := s.tuner.Step(tel)
-		if dec.Level != tel.Level {
+		})
+		if dec.Level != st.Level {
 			// a rejected switch (the engine validates and rolls back)
 			// leaves Switched false in the trace, and the next tick's
 			// Telemetry.Level shows the level the server actually
@@ -366,8 +380,8 @@ func (s *Server) controlLoop() {
 	}
 }
 
-// AutotuneTrace snapshots the closed-loop decision record; ok is false
-// when autotuning is not configured.
+// AutotuneTrace snapshots the controller's decision record; ok is false
+// when no controller is configured.
 func (s *Server) AutotuneTrace() (AutotuneTrace, bool) {
 	if s.tuner == nil {
 		return AutotuneTrace{}, false

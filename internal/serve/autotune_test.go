@@ -3,6 +3,7 @@ package serve_test
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -159,6 +160,118 @@ func TestAutotunerBeatsWorstStaticLevel(t *testing.T) {
 	}
 	if closed < 0.5*best {
 		t.Fatalf("closed loop (%.1f) ended far from the best static level (%.1f)", closed, best)
+	}
+}
+
+// TestGovernorModeDecisions drives the governor mode through Step: the
+// battery picks the level, a queue of 64 or more buys one level back,
+// never past the fastest, and the reward is credited from the second
+// tick on without exploration or an epsilon.
+func TestGovernorModeDecisions(t *testing.T) {
+	levels := []dvfs.Level{dvfs.OdroidXU3Levels[5], dvfs.OdroidXU3Levels[3], dvfs.OdroidXU3Levels[2]}
+	at, err := serve.NewAutotuner(levels, serve.AutotuneConfig{Seed: 1, Governor: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range []struct {
+		battery float64
+		queue   int
+		want    int
+	}{
+		{0.9, 0, 0},
+		{0.5, 0, 1},
+		{0.1, 0, 2},
+		{0.1, 63, 2}, // one short of the high-water mark
+		{0.1, 64, 1}, // at it: one level faster
+		{0.5, 64, 0},
+		{0.9, 64, 0}, // already the fastest: no escalation
+		{0.9, 4096, 0},
+	} {
+		dec := at.Step(serve.Telemetry{
+			Window:          serve.WindowStats{Samples: 8, P99MS: 5},
+			BatteryFraction: c.battery,
+			QueueDepth:      c.queue,
+			TargetMS:        15,
+		})
+		if dec.Level != c.want {
+			t.Fatalf("battery %.1f queue %d: level %d, want %d", c.battery, c.queue, dec.Level, c.want)
+		}
+		if dec.Explore || dec.Epsilon != 0 {
+			t.Fatalf("tick %d explored (%v) at epsilon %g", dec.Tick, dec.Explore, dec.Epsilon)
+		}
+		if (i > 0) != (dec.Reward != 0) {
+			t.Fatalf("tick %d: reward %g (credited from the second tick on)", dec.Tick, dec.Reward)
+		}
+	}
+}
+
+// TestGovernorTraceReplay: a governor trace records its mode and replays
+// through ReplayTrace, and the same trace with one level flipped fails.
+func TestGovernorTraceReplay(t *testing.T) {
+	levels := autotuneLevels(t)
+	at, err := serve.NewAutotuner(levels, serve.AutotuneConfig{Seed: 9, Governor: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	costs := hwsim.LevelCosts(levels, dvfs.DefaultPowerModel(), serve.CyclesPerInference)
+	battery, level := 1.0, 0
+	for i := 0; i < 200; i++ {
+		tel := simTelemetry(costs, level, battery, 15)
+		tel.QueueDepth = 16 * (i % 8) // crosses the high-water mark every eighth tick
+		level = at.Step(tel).Level
+		battery = math.Max(0, battery-costs[level].RelEnergy/100)
+	}
+	tr := at.Trace()
+	if !tr.Governor {
+		t.Fatal("governor trace does not record its mode")
+	}
+	seen := map[int]bool{}
+	for _, d := range tr.Decisions {
+		seen[d.Level] = true
+	}
+	if len(seen) != len(levels) {
+		t.Fatalf("the run visited levels %v, want all %d", seen, len(levels))
+	}
+	if _, err := serve.ReplayTrace(levels, tr); err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+
+	tr.Decisions[57].Level = (tr.Decisions[57].Level + 1) % len(levels)
+	if _, err := serve.ReplayTrace(levels, tr); err == nil {
+		t.Fatal("a trace with a flipped level replayed")
+	}
+}
+
+// TestStopEndsControlLoop: a started server runs its control loop (the
+// governor follows a collapsed battery to the slowest level), and Stop
+// ends it with the step loops, leaving no goroutine behind.
+func TestStopEndsControlLoop(t *testing.T) {
+	eng, _ := newTestDeployment(t, 2)
+	defer eng.Close()
+	// build every level now, so nothing the switch starts outlives it
+	for lvl := eng.NumLevels() - 1; lvl >= 0; lvl-- {
+		if _, err := eng.SwitchTo(lvl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := runtime.NumGoroutine()
+	srv := serve.New(eng, serve.Config{BatteryJ: 1, Autotune: &serve.AutotuneConfig{Governor: true}})
+	srv.Start()
+	srv.CollapseBattery(0.1)
+	deadline := time.Now().Add(2 * time.Second)
+	for srv.Status().Level != eng.NumLevels()-1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the control loop never moved the level")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	srv.Stop()
+	deadline = time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines leaked: %d before start, %d after stop", before, after)
 	}
 }
 

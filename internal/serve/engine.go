@@ -3,9 +3,10 @@
 // forward passes through packed sparse kernels and can be
 // hot-reconfigured — swapping the active pattern set and V/F level in
 // place, with in-flight batches drained first and the switch cost
-// charged through the rtswitch cost model. A policy hook (the battery
-// governor) or the closed-loop RL/DVFS autotuner drives level selection
-// from observed queue depth, latency and simulated battery state,
+// charged through the rtswitch cost model. One level controller, the
+// Autotuner — the closed-loop RL/DVFS policy or, in governor mode, the
+// battery governor's fixed rule — drives level selection from observed
+// queue depth, latency and simulated battery state,
 // exercising the paper's core claim (cheap pattern-set swaps enable live
 // reconfiguration) under load rather than in a scripted battery
 // simulation.

@@ -9,7 +9,8 @@ import (
 	"rt3/internal/obs"
 )
 
-// recentWindow bounds the sliding latency sample fed to the policy.
+// recentWindow bounds the sliding latency sample fed to the level
+// controller.
 const recentWindow = 256
 
 // levelWindow bounds the latency samples one level's quantiles are taken
@@ -43,7 +44,7 @@ type LevelStats struct {
 // stores the registry cannot carry losslessly: per-level latency windows
 // (Snapshot/Overall quantiles are exact over each level's last
 // levelWindow requests, not bucketed) and the sliding telemetry windows
-// the closed-loop autotuner decides on. All methods are safe for
+// the level controller decides on. All methods are safe for
 // concurrent use.
 type Recorder struct {
 	mu         sync.Mutex
@@ -182,8 +183,8 @@ type WindowStats struct {
 }
 
 // RecentStats snapshots the sliding telemetry window — the live signal
-// set the closed-loop autotuner converts into its RL state each control
-// tick.
+// set the level controller samples each control tick (the closed loop
+// converts it into its RL state; both modes score their reward on it).
 func (r *Recorder) RecentStats() WindowStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()

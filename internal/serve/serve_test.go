@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"rt3/internal/deploy"
-	"rt3/internal/dvfs"
 	"rt3/internal/loadgen"
 	"rt3/internal/mat"
 	"rt3/internal/rtswitch"
@@ -241,38 +240,16 @@ func TestSubmitAdmission(t *testing.T) {
 	}
 }
 
-// TestGovernorPolicyDecisions unit-tests the battery-driven policy with
-// queue-pressure escalation.
-func TestGovernorPolicyDecisions(t *testing.T) {
-	levels := []dvfs.Level{dvfs.OdroidXU3Levels[5], dvfs.OdroidXU3Levels[3], dvfs.OdroidXU3Levels[2]}
-	p := serve.NewGovernorPolicy(levels, 10)
-	if got := p.Decide(serve.Status{BatteryFraction: 0.9}); got != 0 {
-		t.Fatalf("full battery picked level %d", got)
-	}
-	if got := p.Decide(serve.Status{BatteryFraction: 0.5}); got != 1 {
-		t.Fatalf("half battery picked level %d", got)
-	}
-	if got := p.Decide(serve.Status{BatteryFraction: 0.1}); got != 2 {
-		t.Fatalf("low battery picked level %d", got)
-	}
-	// queue pressure buys one level back
-	if got := p.Decide(serve.Status{BatteryFraction: 0.1, QueueDepth: 12}); got != 1 {
-		t.Fatalf("pressured low battery picked level %d", got)
-	}
-	if got := p.Decide(serve.Status{BatteryFraction: 0.9, QueueDepth: 12}); got != 0 {
-		t.Fatalf("pressured full battery picked level %d", got)
-	}
-}
-
 // TestLoadWithGovernor replays an open-loop ramp against a server
 // whose simulated battery drains under load: the governor must perform
-// live switches and every response must verify against dense execution.
+// live switches, every response must verify against dense execution,
+// and every switch it applied must be counted on /metrics.
 func TestLoadWithGovernor(t *testing.T) {
 	eng, _ := newTestDeployment(t, 2)
 	s := serve.New(eng, serve.Config{
 		MaxBatch: 4,
 		QueueCap: 4096,
-		Policy:   serve.NewGovernorPolicy(eng.Levels(), 0),
+		Autotune: &serve.AutotuneConfig{Governor: true},
 		BatteryJ: 0.05,
 	})
 	s.Start()
@@ -320,6 +297,21 @@ func TestLoadWithGovernor(t *testing.T) {
 	}
 	if report.Verified == 0 || report.Mismatches != report.Verified {
 		t.Fatalf("tampered run: %d of %d verified responses flagged", report.Mismatches, report.Verified)
+	}
+
+	s.Stop() // the trace and the counter are final once the loop is gone
+	tr, ok := s.AutotuneTrace()
+	if !ok || !tr.Governor {
+		t.Fatalf("governor server recorded no governor trace (ok %v, governor %v)", ok, tr.Governor)
+	}
+	switched := 0
+	for _, d := range tr.Decisions {
+		if d.Switched {
+			switched++
+		}
+	}
+	if applied := s.Metrics().Snapshot()["rt3_autotune_applied_total"]; switched == 0 || float64(switched) != applied {
+		t.Fatalf("%d switched decisions in the trace, rt3_autotune_applied_total %g", switched, applied)
 	}
 }
 

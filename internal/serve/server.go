@@ -63,19 +63,17 @@ type Config struct {
 	// prefix+suffix, just without sharing).
 	PrefixCacheRows int
 
-	// Policy, when set, is consulted every control tick (10ms) with the
-	// current Status; a differing decision triggers a live level switch.
-	Policy Policy
-	// TargetMS is the latency objective the autotuner's reward reads.
+	// TargetMS is the latency objective the controller's reward reads.
 	TargetMS float64
 
-	// Autotune, when set, runs the closed-loop RL/DVFS controller
-	// instead of the Policy: every control tick it samples the
-	// sliding telemetry window, quantizes it into the rl state space,
-	// queries the controller policy epsilon-greedily, learns online from
-	// the observed reward, and drives hot pattern-set/V/F switches
-	// through the drain path — recording an auditable decision trace
-	// (see Autotuner). Supersedes Policy when both are set.
+	// Autotune, when set, runs the level controller: every control tick
+	// (10ms) it samples the sliding telemetry window, battery charge and
+	// queue depth, chooses a level — by the closed-loop RL/DVFS policy,
+	// learning online from the observed reward, or by the battery
+	// governor's fixed rule (AutotuneConfig.Governor) — and drives hot
+	// pattern-set/V/F switches through the drain path, recording an
+	// auditable decision trace (see Autotuner). Without it the level
+	// changes only by SwitchTo.
 	Autotune *AutotuneConfig
 
 	// OnAutotuneDecision, when set, is invoked from the control loop
@@ -109,7 +107,7 @@ type Config struct {
 	// BatteryJ, when > 0, enables the simulated battery: every request
 	// drains the modeled inference energy of the active level
 	// (CyclesPerInference cycles under dvfs.DefaultPowerModel), so a
-	// battery-aware policy sees charge fall under load.
+	// battery-aware controller sees charge fall under load.
 	BatteryJ float64
 }
 
@@ -156,7 +154,8 @@ type request struct {
 	tr   *obs.Trace
 }
 
-// Status is the server state snapshot handed to the level policy.
+// Status is the server state snapshot the control loop samples and the
+// cluster's probes read.
 type Status struct {
 	Level           int
 	QueueDepth      int
@@ -284,8 +283,8 @@ func (s *Server) PrefixCacheStats() (st spec.RadixStats, ok bool) {
 	return s.prefixCache.Stats(), true
 }
 
-// Start launches one step loop per engine replica and, when a policy or
-// the closed-loop autotuner is configured, the control loop.
+// Start launches one step loop per engine replica and, when a level
+// controller is configured, the control loop.
 func (s *Server) Start() {
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
@@ -297,7 +296,7 @@ func (s *Server) Start() {
 		s.wg.Add(1)
 		go s.worker(i)
 	}
-	if s.tuner != nil || s.cfg.Policy != nil {
+	if s.tuner != nil {
 		s.wg.Add(1)
 		go s.controlLoop()
 	}
@@ -417,7 +416,7 @@ func (s *Server) Stopped() bool {
 	return s.stopped
 }
 
-// Status snapshots the signals a level policy decides on.
+// Status snapshots the signals the level controller decides on.
 func (s *Server) Status() Status {
 	return Status{
 		Level:           s.eng.Level(),
