@@ -1,8 +1,9 @@
 // Package bench is the top-level benchmark harness: one benchmark per
 // table and figure of the paper's evaluation section (regenerating the
 // artifact and reporting its headline numbers as custom metrics), plus
-// ablation benches for the design choices called out in DESIGN.md and
-// micro-benchmarks of the hot kernels.
+// ablation benches for the choices RT3's method rests on (pattern size,
+// the search-space width theta, joint training, the storage formats
+// pattern is weighed against) and micro-benchmarks of the hot kernels.
 //
 // Regenerate everything with:
 //

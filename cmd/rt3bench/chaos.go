@@ -176,11 +176,7 @@ func buildChaosRouter(seed int64) (*cluster.Router, error) {
 	return buildFleet(chaosModelCfg, seed, chaosNodes, serve.Config{
 		MaxBatch: 8, QueueCap: 256, Generate: true, MaxGenTokens: 32,
 		StepFloor: chaosStepFloor, BatteryJ: 200, // the collapse fault needs a battery to drain
-	}, cluster.Config{
-		Seed:       seed,
-		MaxRetries: 200,
-		Breaker:    cluster.BreakerConfig{Enabled: true, Threshold: 5, Cooldown: 5 * time.Millisecond},
-	})
+	}, cluster.Config{Seed: seed, Resilient: true})
 }
 
 // check holds one arm to the invariants every cell of the matrix must

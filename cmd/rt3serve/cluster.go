@@ -26,7 +26,6 @@ type clusterOpts struct {
 	rps       float64
 	sessions  int
 	workers   int
-	format    string
 	batch     int
 	stepFloor time.Duration
 	simDVFS   bool
@@ -66,7 +65,7 @@ func runCluster(logger *obs.Logger, drain <-chan struct{}, o clusterOpts) {
 		// same seed on every node: identical weights and pattern sets,
 		// which is what makes cross-node failover replay and shared dense
 		// references meaningful
-		d := buildDeployment(o.seed, o.workers, true, o.vocab, serve.EngineConfig{Format: o.format})
+		d := buildDeployment(o.seed, o.workers, true, o.vocab)
 		defer d.Engine.Close()
 		if i == 0 {
 			first = d
@@ -84,15 +83,10 @@ func runCluster(logger *obs.Logger, drain <-chan struct{}, o clusterOpts) {
 	}
 	printDeployment(first)
 
-	rcfg := cluster.Config{Policy: pol, Seed: o.seed}
-	if o.chaos != "" {
-		// the resilient-router knobs the chaos contract assumes: bounded
-		// seeded-jitter retries absorb fault transients, breakers stop
-		// hammering a struggling node
-		rcfg.MaxRetries = 200
-		rcfg.Breaker = cluster.BreakerConfig{Enabled: true, Threshold: 5, Cooldown: 5 * time.Millisecond}
-	}
-	r := cluster.New(nodes, rcfg)
+	// the chaos contract assumes a resilient router: bounded seeded-jitter
+	// retries absorb fault transients, breakers stop hammering a
+	// struggling node
+	r := cluster.New(nodes, cluster.Config{Policy: pol, Seed: o.seed, Resilient: o.chaos != ""})
 	r.Start()
 	defer writeRouterTrace(logger, r, o.traceOut)
 	defer r.Stop()

@@ -79,11 +79,9 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"rt3/internal/kernel"
 	"rt3/internal/loadgen"
 	"rt3/internal/obs"
 	"rt3/internal/rtswitch"
@@ -108,7 +106,6 @@ func main() {
 		rpsStart = flag.Float64("rps-start", 200, "arrival rate at the start of the ramp")
 		rpsEnd   = flag.Float64("rps-end", 800, "arrival rate at the end of the ramp")
 		workers  = flag.Int("workers", 2, "worker pool width (model replicas)")
-		format   = flag.String("format", "pattern", "packed execution format from the kernel registry ("+strings.Join(kernel.Formats(), ", ")+")")
 		batch    = flag.Int("batch", 8, "max requests per fused step (classification batch, decode slots)")
 		autotune = flag.Bool("autotune", false, "closed-loop RL/DVFS controller: drive live level switches from the telemetry window, learning online (requires -load; replaces the battery governor)")
 		atLog    = flag.Int("autotune-log", 12, "autotune: decision-log tail length printed after the run")
@@ -180,7 +177,6 @@ func main() {
 			rps:       *rpsStart,
 			sessions:  *sessions,
 			workers:   *workers,
-			format:    *format,
 			batch:     *batch,
 			stepFloor: *stepFloor,
 			simDVFS:   *simDVFS,
@@ -200,7 +196,7 @@ func main() {
 		return
 	}
 
-	d := buildDeployment(*seed, *workers, *gen, 24, serve.EngineConfig{Format: *format})
+	d := buildDeployment(*seed, *workers, *gen, 24)
 	eng := d.Engine
 	defer eng.Close()
 	printDeployment(d)
@@ -367,8 +363,8 @@ func printBatchStats(eng *serve.Engine) {
 
 // buildDeployment deploys the DistilBERT-style classifier, or the
 // encoder-decoder LM in generation mode, onto cloned worker replicas
-// with the requested kernel format.
-func buildDeployment(seed int64, workers int, gen bool, vocab int, cfg serve.EngineConfig) *serve.Deployment {
+// running the default kernel format.
+func buildDeployment(seed int64, workers int, gen bool, vocab int) *serve.Deployment {
 	spec := serve.DeploySpec{Seed: seed, Levels: evalLevelNames, Sparsities: evalSparsities, PSize: 4, Patterns: 3}
 	var d *serve.Deployment
 	var err error
@@ -377,13 +373,13 @@ func buildDeployment(seed int64, workers int, gen bool, vocab int, cfg serve.Eng
 			return transformer.NewLMModel(transformer.Config{
 				Vocab: vocab, Dim: 16, Heads: 2, FFHidden: 32, EncLayers: 2, DecLayers: 1, SeqLen: 16,
 			}, rng)
-		}, workers, cfg)
+		}, workers, serve.EngineConfig{})
 	} else {
 		d, err = serve.Deploy(spec, func(rng *rand.Rand) *transformer.Classifier {
 			return transformer.NewClassifier(transformer.Config{
 				Vocab: vocab, Dim: 16, Heads: 2, FFHidden: 32, EncLayers: 2, SeqLen: 10, Classes: 3,
 			}, rng)
-		}, workers, cfg)
+		}, workers, serve.EngineConfig{})
 	}
 	if err != nil {
 		log.Fatal(err)

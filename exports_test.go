@@ -1,14 +1,20 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
+	"path"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -29,9 +35,15 @@ var testOnlyExports = map[string]string{
 	"internal/mat.LaneWeights.Equal":              "sparse's build tests compare lane streams with it, so mat's export_test.go cannot hold it",
 	"internal/pattern.Pattern.Equal":              "deploy's round-trip tests compare decoded patterns with it",
 	"internal/obs.ValidateExposition":             "exposition oracle for obs's and serve's tests; obs's own tests cannot import testutil (testutil -> nn -> kernel -> obs)",
-	"internal/obs.Registry.Gauge":                 "the registry's settable gauge; deleting the Gauge type drops its equality function from every binary that links obs, moving each later function of ./bench by 32 bytes, the host-speed reference unit included",
+	"internal/obs.Registry.Gauge":                 gaugeKept,
+	"internal/obs.Gauge.Set":                      gaugeKept,
+	"internal/obs.Gauge.Add":                      gaugeKept,
+	"internal/nn.Linear.Kernel":                   "serve's tests read which kernel the engine left on the output projection; nn's export_test.go cannot serve another package's tests",
 	"internal/deploy.Bundle.WriteTo":              "io.WriterTo form of Encode, pinned byte for byte by TestReferenceBundleBytes",
 }
+
+// gaugeKept is why the settable gauge and its methods stay.
+const gaugeKept = "the registry's settable gauge; deleting the Gauge type drops its equality function from every binary that links obs, moving each later function of ./bench by 32 bytes, the host-speed reference unit included"
 
 // TestNoTestOnlyExports fails when an exported function or method under
 // cmd/ or internal/ has no caller outside _test.go files and is not in
@@ -73,6 +85,30 @@ func helper()        {}
 func (T) Unique()    {}
 func (T) Selected()  {}
 func UsedInPackage() { T{}.Selected() }
+
+// P.Pick is called on a P; Q.Pick only shares its name.
+type P struct{}
+type Q struct{}
+
+func (P) Pick() int { return 0 }
+func (Q) Pick() int { return 1 }
+
+// Square.Area is reached only through Shape.
+type Shape interface{ Area() float64 }
+type Square struct{}
+
+func (Square) Area() float64 { return 1 }
+func Total(s Shape) float64  { return s.Area() }
+
+// Copy.Clone is reached only through Twice's constraint.
+type Copy struct{}
+
+func (Copy) Clone() Copy { return Copy{} }
+
+func Twice[M interface{ Clone() M }](m M) M { return m.Clone() }
+
+// T.String is reached only through fmt.
+func (T) String() string { return "t" }
 `,
 		"internal/a/b.go": "package a\n\nvar _ = UsedInPackage\n",
 		"internal/a/a_test.go": `package a
@@ -81,11 +117,25 @@ import "testing"
 
 func TestA(t *testing.T) { OnlyTested(); T{}.Unique(); Unused() }
 `,
+		"internal/b/b.go":      "//go:build !fixtwin\n\npackage b\n\nfunc Twin() {}\n",
+		"internal/b/b_twin.go": "//go:build fixtwin\n\npackage b\n\nfunc Twin() {}\n",
 		"cmd/c/main.go": `package main
 
-import x "fix/internal/a"
+import (
+	"fmt"
 
-func main() { x.Called() }
+	x "fix/internal/a"
+	"fix/internal/b"
+)
+
+func main() {
+	x.Called()
+	x.P{}.Pick()
+	x.Total(x.Square{})
+	x.Twice(x.Copy{})
+	b.Twin()
+	fmt.Println(x.T{})
+}
 `,
 	}
 	for name, src := range files {
@@ -97,7 +147,7 @@ func main() { x.Called() }
 			t.Fatal(err)
 		}
 	}
-	flagged := []string{"internal/a.OnlyTested", "internal/a.Recursive", "internal/a.T.Unique", "internal/a.Unused"}
+	flagged := []string{"internal/a.OnlyTested", "internal/a.Q.Pick", "internal/a.Recursive", "internal/a.T.Unique", "internal/a.Unused"}
 	for _, tc := range []struct {
 		name      string
 		allow     map[string]string
@@ -125,163 +175,126 @@ func main() { x.Called() }
 	}
 }
 
-// scanExports parses every non-test Go file under root's cmd/,
-// internal/, bench/ and examples/ and in root itself. It returns, sorted,
-// the exported functions and methods declared in cmd/ or internal/ that
-// nothing references and allow does not name, and the entries of allow
-// that name nothing declared or nothing unreferenced.
+// scanExports type-checks every non-test package under root's cmd/,
+// internal/, bench/ and examples/ and in root itself, in one type
+// universe: module packages from the files go/build selects for this
+// platform, the standard library from source. It returns, sorted, the
+// exported functions and methods declared in cmd/ or internal/ that no
+// code uses outside their own body and allow does not name, and the
+// entries of allow that name nothing declared or something used.
 //
-// A function is referenced by pkg.Name in a file importing its package,
-// or by its bare name in its own package outside its declaration. A
-// method is referenced by any selector x.Name outside its declaration
-// where x is not an imported package, whatever x is: a method that
-// satisfies an interface is never reported, and neither is one whose
-// name another type's method shares.
+// A method is used when it is selected on its own type, on an interface
+// its type implements, or on a type parameter that an instantiation
+// binds to its type; a String() string or Error() string is used, since
+// fmt calls it.
 func scanExports(root string, allow map[string]string) (unused, stale []string, err error) {
-	modBytes, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, nil, err
 	}
-	var module string
-	for _, line := range strings.Split(string(modBytes), "\n") {
-		if f := strings.Fields(line); len(f) == 2 && f[0] == "module" {
-			module = f[1]
-		}
-	}
-	if module == "" {
+	m := regexp.MustCompile(`(?m)^module\s+(\S+)\s*$`).FindSubmatch(mod)
+	if m == nil {
 		return nil, nil, fmt.Errorf("%s/go.mod: no module line", root)
 	}
-
-	fset := token.NewFileSet()
-	pkgs := map[string][]*ast.File{} // directory relative to root -> files
-	parseDir := func(dir string) error {
-		entries, err := os.ReadDir(filepath.Join(root, dir))
-		if err != nil {
+	l := &modLoader{root: root, module: string(m[1]), pkgs: map[string]*modPkg{}}
+	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
 			return err
 		}
-		for _, e := range entries {
-			name := e.Name()
-			if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-				continue
-			}
-			f, err := parser.ParseFile(fset, filepath.Join(root, dir, name), nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
-			}
-			pkgs[filepath.ToSlash(dir)] = append(pkgs[filepath.ToSlash(dir)], f)
+		rel, _ := filepath.Rel(root, path)
+		top, _, _ := strings.Cut(filepath.ToSlash(rel), "/")
+		if d.Name() == "testdata" || rel != "." && !slices.Contains([]string{"cmd", "internal", "bench", "examples"}, top) {
+			return filepath.SkipDir
 		}
-		return nil
-	}
-	if err := parseDir("."); err != nil {
+		if _, err = l.load(filepath.ToSlash(rel)); errors.As(err, new(*build.NoGoError)) {
+			return nil
+		}
+		return err
+	})
+	if err != nil {
 		return nil, nil, err
 	}
-	for _, top := range []string{"cmd", "internal", "bench", "examples"} {
-		err := filepath.WalkDir(filepath.Join(root, top), func(path string, d os.DirEntry, err error) error {
-			if os.IsNotExist(err) && path == filepath.Join(root, top) {
-				return filepath.SkipDir
-			}
-			if err != nil || !d.IsDir() {
-				return err
-			}
-			if d.Name() == "testdata" {
-				return filepath.SkipDir
-			}
-			rel, err := filepath.Rel(root, path)
-			if err != nil {
-				return err
-			}
-			return parseDir(rel)
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	pkgName := map[string]string{} // import path -> package name
-	for dir, files := range pkgs {
-		pkgName[module+"/"+dir] = files[0].Name.Name
-	}
 
-	// Every reference, keyed "dir.Name" for functions and ".Name" for
-	// methods, with its position.
-	refs := map[string][]token.Pos{}
-	type decl struct {
-		key, ref   string
-		start, end token.Pos
-	}
-	var decls []decl
-	for dir, files := range pkgs {
-		if _, ok := allow[dir]; ok {
-			continue // test support: not checked, and its calls do not count
+	decls := map[*types.Func]string{} // the checked declarations, keyed dir.Name or dir.Type.Method
+	used, ifaceMethods := map[*types.Func]bool{}, map[*types.Func]bool{}
+	viaParam := map[*types.TypeParam][]string{} // methods selected on a type parameter
+	args := map[*types.TypeParam][]types.Type{} // the type arguments bound to it
+	for dir, p := range l.pkgs {
+		if _, support := allow[dir]; support {
+			continue // test support: not checked, and its uses do not count
 		}
-		checked := dir == "cmd" || strings.HasPrefix(dir, "cmd/") || dir == "internal" || strings.HasPrefix(dir, "internal/")
-		for _, f := range files {
-			imports := map[string]string{} // local name -> directory, or import path outside the module
-			for _, imp := range f.Imports {
-				path, _ := strconv.Unquote(imp.Path.Value)
-				name, ok := pkgName[path]
-				if !ok {
-					name = path[strings.LastIndex(path, "/")+1:]
-				}
-				if imp.Name != nil {
-					name = imp.Name.Name
-				}
-				imports[name] = strings.TrimPrefix(path, module+"/")
-			}
-			sels := map[*ast.Ident]bool{}
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.SelectorExpr:
-					sels[n.Sel] = true
-					key := "." + n.Sel.Name
-					if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-						key = imports[x.Name] + key
+		if scope := p.pkg.Scope(); strings.HasPrefix(dir+"/", "cmd/") || strings.HasPrefix(dir+"/", "internal/") {
+			for _, name := range scope.Names() {
+				switch obj := scope.Lookup(name).(type) {
+				case *types.Func:
+					if obj.Exported() {
+						decls[obj] = dir + "." + name
 					}
-					refs[key] = append(refs[key], n.Sel.Pos())
-				case *ast.Ident:
-					if !sels[n] {
-						refs[dir+"."+n.Name] = append(refs[dir+"."+n.Name], n.Pos())
+				case *types.TypeName:
+					if t, ok := obj.Type().(*types.Named); ok && !obj.IsAlias() {
+						for i := range t.NumMethods() {
+							if m := t.Method(i); m.Exported() {
+								decls[m] = dir + "." + name + "." + m.Name()
+							}
+						}
 					}
 				}
-				return true
-			})
-			if !checked {
-				continue
 			}
-			for _, d := range f.Decls {
-				fn, ok := d.(*ast.FuncDecl)
-				if !ok || !fn.Name.IsExported() {
-					continue
+		}
+		for id, obj := range p.info.Uses {
+			fn, ok := obj.(*types.Func)
+			if !ok || fn.Origin().Scope() != nil && fn.Origin().Scope().Contains(id.Pos()) {
+				continue // not a function, or a recursive call
+			}
+			used[fn.Origin()] = true
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				ifaceMethods[fn] = true
+			}
+		}
+		for _, sel := range p.info.Selections {
+			if tp, ok := sel.Recv().(*types.TypeParam); ok {
+				viaParam[tp] = append(viaParam[tp], sel.Obj().Name())
+			}
+		}
+		for id, in := range p.info.Instances {
+			if fn, ok := p.info.Uses[id].(*types.Func); ok {
+				for i, tps := 0, fn.Origin().Type().(*types.Signature).TypeParams(); i < tps.Len(); i++ {
+					args[tps.At(i)] = append(args[tps.At(i)], in.TypeArgs.At(i))
 				}
-				key := dir + "." + fn.Name.Name
-				ref := key
-				if fn.Recv != nil {
-					key = dir + "." + recvName(fn.Recv.List[0].Type) + "." + fn.Name.Name
-					ref = "." + fn.Name.Name
+			}
+		}
+	}
+	for tp, names := range viaParam {
+		for _, arg := range args[tp] {
+			for _, name := range names {
+				obj, _, _ := types.LookupFieldOrMethod(arg, true, nil, name)
+				if fn, ok := obj.(*types.Func); ok {
+					used[fn.Origin()] = true
 				}
-				decls = append(decls, decl{key, ref, fn.Pos(), fn.End()})
 			}
 		}
 	}
 
 	declared := map[string]bool{}
-	for _, d := range decls {
-		declared[d.key] = true
-		used := false
-		for _, p := range refs[d.ref] {
-			if p < d.start || p >= d.end {
-				used = true
-				break
+	for fn, key := range decls {
+		declared[key] = true
+		isUsed := used[fn] || (fn.Name() == "String" || fn.Name() == "Error") && types.TypeString(fn.Type(), nil) == "func() string"
+		recv := fn.Type().(*types.Signature).Recv()
+		for im := range ifaceMethods {
+			if !isUsed && recv != nil && im.Name() == fn.Name() {
+				iface := im.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+				isUsed = types.Implements(recv.Type(), iface) || types.Implements(types.NewPointer(recv.Type()), iface)
 			}
 		}
-		switch _, ok := allow[d.key]; {
-		case !used && !ok:
-			unused = append(unused, d.key)
-		case used && ok:
-			stale = append(stale, d.key)
+		switch _, ok := allow[key]; {
+		case !isUsed && !ok:
+			unused = append(unused, key)
+		case isUsed && ok:
+			stale = append(stale, key)
 		}
 	}
 	for key := range allow {
-		if !declared[key] && pkgs[key] == nil {
+		if !declared[key] && l.pkgs[key] == nil {
 			stale = append(stale, key)
 		}
 	}
@@ -290,21 +303,57 @@ func scanExports(root string, allow map[string]string) (unused, stale []string, 
 	return unused, stale, nil
 }
 
-// recvName is the type name of a method receiver: T from T, *T, T[P]
-// or *T[P].
-func recvName(expr ast.Expr) string {
-	for {
-		switch e := expr.(type) {
-		case *ast.StarExpr:
-			expr = e.X
-		case *ast.IndexExpr:
-			expr = e.X
-		case *ast.IndexListExpr:
-			expr = e.X
-		case *ast.Ident:
-			return e.Name
-		default:
-			return fmt.Sprintf("%T", e)
-		}
+// scanFset and scanStd are shared by every scan, so a test binary
+// type-checks the standard library from source once.
+var (
+	scanFset = token.NewFileSet()
+	scanStd  = importer.ForCompiler(scanFset, "source", nil).(types.ImporterFrom)
+)
+
+// modPkg is one type-checked package of the module.
+type modPkg struct {
+	pkg  *types.Package
+	info *types.Info
+}
+
+// modLoader type-checks the module's packages, as their importer, and
+// hands every other import to scanStd.
+type modLoader struct {
+	root, module string
+	pkgs         map[string]*modPkg // by directory relative to root
+}
+
+func (l *modLoader) Import(path string) (*types.Package, error) { return l.ImportFrom(path, "", 0) }
+
+func (l *modLoader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	rel, ok := strings.CutPrefix(path, l.module+"/")
+	if !ok {
+		return scanStd.ImportFrom(path, dir, mode)
 	}
+	return l.load(rel)
+}
+
+// load type-checks the package in dir, relative to the module root, once,
+// from the non-test files go/build selects for this platform.
+func (l *modLoader) load(dir string) (*types.Package, error) {
+	if p := l.pkgs[dir]; p != nil {
+		return p.pkg, nil
+	}
+	bp, err := build.Default.ImportDir(filepath.Join(l.root, dir), 0)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(scanFset, filepath.Join(bp.Dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	p := &modPkg{info: &types.Info{Uses: map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{}, Instances: map[*ast.Ident]types.Instance{}}}
+	p.pkg, err = (&types.Config{Importer: l}).Check(path.Join(l.module, dir), scanFset, files, p.info)
+	l.pkgs[dir] = p
+	return p.pkg, err
 }

@@ -48,11 +48,7 @@ func newChaosCluster(t testing.TB, n int) *cluster.Router {
 			MaxBatch: 8, QueueCap: 64, StepFloor: 200 * time.Microsecond, BatteryJ: 200,
 		}))
 	}
-	r := cluster.New(nodes, cluster.Config{
-		Seed:       11,
-		MaxRetries: 100,
-		Breaker:    cluster.BreakerConfig{Enabled: true, Threshold: 5, Cooldown: 5 * time.Millisecond},
-	})
+	r := cluster.New(nodes, cluster.Config{Seed: 11, Resilient: true})
 	r.Start()
 	t.Cleanup(r.Stop)
 	return r

@@ -6,9 +6,9 @@ import "time"
 type BreakerState int32
 
 // Breaker state machine: Closed (node dispatchable) → Open after
-// Threshold consecutive admission failures (node excluded from every
-// ready set) → HalfOpen once the cooldown elapses (exactly one trial
-// dispatch is admitted) → Closed on trial success, back to Open on
+// breakerThreshold consecutive admission failures (node excluded from
+// every ready set) → HalfOpen once the cooldown elapses (exactly one
+// trial dispatch is admitted) → Closed on trial success, back to Open on
 // trial failure. Because admission outcomes resolve synchronously under
 // the router lock, the half-open window never spans more than one
 // attempt.
@@ -32,30 +32,14 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
-// BreakerConfig tunes the router's per-node circuit breakers. The zero
-// value leaves the breaker disabled (every node always dispatchable —
-// the pre-chaos behavior); set Enabled to turn it on.
-type BreakerConfig struct {
-	// Enabled turns the breaker on.
-	Enabled bool
-	// Threshold is the consecutive-failure count (queue-full or stopped
-	// admissions, crashed responses) that trips Closed → Open.
-	// Default 5.
-	Threshold int
-	// Cooldown is how long an open breaker excludes its node before
-	// admitting one half-open trial. Default 25ms.
-	Cooldown time.Duration
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.Threshold <= 0 {
-		c.Threshold = 5
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 25 * time.Millisecond
-	}
-	return c
-}
+// A resilient router's breakers: breakerThreshold consecutive failures
+// (queue-full or stopped admissions, crashed responses) trip Closed →
+// Open, and an open breaker excludes its node for breakerCooldown before
+// admitting one half-open trial.
+const (
+	breakerThreshold = 5
+	breakerCooldown  = 5 * time.Millisecond
+)
 
 // breaker is one node's circuit breaker. All fields are guarded by
 // Router.mu — breaker decisions are part of the serialized dispatch
@@ -71,13 +55,13 @@ type breaker struct {
 // moving an open breaker to half-open once its cooldown has elapsed.
 // Caller holds r.mu.
 func (r *Router) breakerAllow(id int, now time.Time) bool {
-	if !r.cfg.Breaker.Enabled {
+	if !r.cfg.Resilient {
 		return true
 	}
 	b := r.breakers[id]
 	switch b.state {
 	case BreakerOpen:
-		if now.Sub(b.openedAt) >= r.cfg.Breaker.Cooldown {
+		if now.Sub(b.openedAt) >= breakerCooldown {
 			r.setBreaker(id, BreakerHalfOpen)
 			return true
 		}
@@ -90,7 +74,7 @@ func (r *Router) breakerAllow(id int, now time.Time) bool {
 // breakerSuccess records a successful admission on node id: the failure
 // streak resets and a half-open breaker closes. Caller holds r.mu.
 func (r *Router) breakerSuccess(id int) {
-	if !r.cfg.Breaker.Enabled {
+	if !r.cfg.Resilient {
 		return
 	}
 	b := r.breakers[id]
@@ -102,9 +86,10 @@ func (r *Router) breakerSuccess(id int) {
 
 // breakerFailure records a failed admission (or crashed response) on
 // node id: a half-open trial failure reopens immediately, a closed
-// breaker opens once the streak reaches Threshold. Caller holds r.mu.
+// breaker opens once the streak reaches breakerThreshold. Caller holds
+// r.mu.
 func (r *Router) breakerFailure(id int, now time.Time) {
-	if !r.cfg.Breaker.Enabled {
+	if !r.cfg.Resilient {
 		return
 	}
 	b := r.breakers[id]
@@ -114,7 +99,7 @@ func (r *Router) breakerFailure(id int, now time.Time) {
 		r.setBreaker(id, BreakerOpen)
 	case BreakerClosed:
 		b.failures++
-		if b.failures >= r.cfg.Breaker.Threshold {
+		if b.failures >= breakerThreshold {
 			b.failures = 0
 			b.openedAt = now
 			r.setBreaker(id, BreakerOpen)
@@ -137,9 +122,10 @@ func (r *Router) setBreaker(id int, to BreakerState) {
 }
 
 // NodeBreakerState returns node id's current breaker position
-// (BreakerClosed when the breaker is disabled or id is out of range).
+// (BreakerClosed when the router is not resilient or id is out of
+// range).
 func (r *Router) NodeBreakerState(id int) BreakerState {
-	if !r.cfg.Breaker.Enabled || id < 0 || id >= len(r.breakers) {
+	if !r.cfg.Resilient || id < 0 || id >= len(r.breakers) {
 		return BreakerClosed
 	}
 	r.mu.Lock()

@@ -116,11 +116,11 @@ func TestNodeTransitionMatrix(t *testing.T) {
 
 // TestRouterRejectsBadBudget: a budget above the nodes' MaxGenTokens is
 // the request's fault, not the fleet's. The router returns
-// serve.ErrBadBudget synchronously, without a retry even when retries
-// are configured, and every node stays in rotation and keeps serving.
+// serve.ErrBadBudget synchronously, without a retry even on a resilient
+// router, and every node stays in rotation and keeps serving.
 func TestRouterRejectsBadBudget(t *testing.T) {
 	r := newCluster(t, 2, serve.Config{QueueCap: 8},
-		cluster.Config{Seed: 4, MaxRetries: 50})
+		cluster.Config{Seed: 4, Resilient: true})
 	prompt := []int{1, 2, 3}
 	for _, budget := range []int{33, 1 << 40} {
 		if _, err := r.SubmitGen(7, prompt, budget, -1); !errors.Is(err, serve.ErrBadBudget) {
@@ -144,14 +144,14 @@ func TestRouterRejectsBadBudget(t *testing.T) {
 	}
 }
 
-// TestRouterRetriesAbsorbOverload: with backoff retries enabled, a
+// TestRouterRetriesAbsorbOverload: on a resilient router, a
 // burst larger than the only node's queue completes in full — admission
 // failures turn into seeded-backoff retries instead of drops, and every
 // retry is recorded both in the counters and the decision trace.
 func TestRouterRetriesAbsorbOverload(t *testing.T) {
 	r := newCluster(t, 1,
 		serve.Config{MaxBatch: 1, QueueCap: 1, StepFloor: 2 * time.Millisecond},
-		cluster.Config{Seed: 9, MaxRetries: 1000},
+		cluster.Config{Seed: 9, Resilient: true},
 	)
 	const reqs = 6
 	prompt := []int{1, 2, 3}
@@ -210,71 +210,56 @@ func occupyNode(t *testing.T, r *cluster.Router, budget int) (a, b <-chan serve.
 	return a, b
 }
 
-// TestBreakerTripAndRecover drives the full circuit: consecutive
-// admission failures open the node's breaker (dispatch then fails fast
-// with ErrNoReadyNodes), the cooldown admits a half-open trial, and the
-// trial's success closes the circuit again — with every transition in
-// the trace's breaker log.
+// TestBreakerTripAndRecover drives the full circuit on a resilient
+// router: a request that finds the only node full retries, its failed
+// admissions open the node's breaker (the node then leaves every ready
+// set, and the retries back off on ErrNoReadyNodes), the cooldown admits
+// half-open trials, and once the node has room a trial's success closes
+// the circuit again. Every transition is in the trace's breaker log, in
+// an order the state machine allows, and every opening is a trip.
 func TestBreakerTripAndRecover(t *testing.T) {
-	const cooldown = 10 * time.Millisecond
 	r := newCluster(t, 1,
 		serve.Config{MaxBatch: 1, QueueCap: 1, StepFloor: 10 * time.Millisecond},
-		cluster.Config{
-			Seed:    9,
-			Breaker: cluster.BreakerConfig{Enabled: true, Threshold: 2, Cooldown: cooldown},
-		},
+		cluster.Config{Seed: 9, Resilient: true},
 	)
 	if st := r.NodeBreakerState(0); st != cluster.BreakerClosed {
 		t.Fatalf("initial breaker %v, want closed", st)
 	}
-	a, b := occupyNode(t, r, 3)
-	// two queue-full admissions trip the Threshold-2 breaker
-	for i := 0; i < 2; i++ {
-		if _, err := r.SubmitGen(uint64(10+i), []int{1}, 2, -1); !errors.Is(err, serve.ErrQueueFull) {
-			t.Fatalf("overload %d: %v, want ErrQueueFull", i, err)
+	a, b := occupyNode(t, r, 6)
+	c, err := r.SubmitGen(10, []int{1}, 2, -1)
+	if err != nil {
+		t.Fatalf("overload rejected synchronously: %v", err)
+	}
+	// five failed admissions within ~11 ms of backoff trip the breaker,
+	// well before the occupiers' 12 steps of at least 10 ms free the node
+	for deadline := time.Now().Add(time.Second); r.Stats().BreakerTrips == 0; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the full node's breaker never tripped")
 		}
 	}
 	if st := r.NodeBreakerState(0); st != cluster.BreakerOpen {
-		t.Fatalf("breaker after %d failures: %v, want open", 2, st)
+		t.Fatalf("breaker after the trip: %v, want open", st)
 	}
-	// while open, the node is out of every ready set
-	if _, err := r.SubmitGen(20, []int{1}, 2, -1); !errors.Is(err, cluster.ErrNoReadyNodes) {
-		t.Fatalf("open breaker: %v, want ErrNoReadyNodes", err)
-	}
-	if st := r.Stats(); st.BreakerTrips != 1 {
-		t.Fatalf("BreakerTrips %d, want 1", st.BreakerTrips)
-	}
-	// drain the occupiers, wait out the cooldown, and recover via the
-	// half-open trial
-	if (<-a).Err != nil || (<-b).Err != nil {
-		t.Fatal("occupying requests failed")
-	}
-	time.Sleep(cooldown + time.Millisecond)
-	ch, err := r.SubmitGen(30, []int{1, 2}, 2, -1)
-	if err != nil {
-		t.Fatalf("half-open trial rejected: %v", err)
-	}
-	if resp := <-ch; resp.Err != nil {
-		t.Fatalf("half-open trial failed: %v", resp.Err)
+	for name, ch := range map[string]<-chan serve.GenResponse{"occupier 1": a, "occupier 2": b, "overload": c} {
+		if resp := <-ch; resp.Err != nil {
+			t.Fatalf("%s failed: %v", name, resp.Err)
+		}
 	}
 	if st := r.NodeBreakerState(0); st != cluster.BreakerClosed {
-		t.Fatalf("breaker after successful trial: %v, want closed", st)
+		t.Fatalf("breaker after the overload completed: %v, want closed", st)
 	}
-	// the trace carries the full transition history, in order
-	var seq []string
+	legal := map[[2]string]bool{{"closed", "open"}: true, {"open", "half-open"}: true, {"half-open", "open"}: true, {"half-open", "closed"}: true}
+	from, opens := "closed", 0
 	for _, ev := range r.Trace().Breaker {
-		if ev.Node != 0 {
-			t.Fatalf("breaker event for unexpected node %d", ev.Node)
+		if ev.Node != 0 || ev.From != from || !legal[[2]string{ev.From, ev.To}] {
+			t.Fatalf("breaker event %+v after state %q", ev, from)
 		}
-		seq = append(seq, ev.To)
-	}
-	want := []string{"open", "half-open", "closed"}
-	if len(seq) != len(want) {
-		t.Fatalf("breaker log %v, want %v", seq, want)
-	}
-	for i := range want {
-		if seq[i] != want[i] {
-			t.Fatalf("breaker log %v, want %v", seq, want)
+		if ev.To == "open" {
+			opens++
 		}
+		from = ev.To
+	}
+	if from != "closed" || opens == 0 || int64(opens) != r.Stats().BreakerTrips {
+		t.Fatalf("breaker log ends %q with %d openings, %d trips counted", from, opens, r.Stats().BreakerTrips)
 	}
 }

@@ -46,21 +46,25 @@ type Config struct {
 	// is seeded from it too, but kept separate so jitter never perturbs
 	// policy replay.
 	Seed int64
-	// MaxRetries caps backoff re-dispatches after a retryable admission
-	// failure (queue full everywhere, or an empty ready set) before the
-	// error is surfaced. The first retry waits 500µs; each further one
-	// doubles it, with ±50% seeded jitter, capped at 250ms. 0 disables
-	// retries — the request fails synchronously, the pre-chaos behavior.
-	MaxRetries int
-	// Breaker tunes the per-node circuit breakers (disabled by default).
-	Breaker BreakerConfig
+	// Resilient turns on the fault handling the chaos fleets run under.
+	// A retryable admission failure (queue full everywhere, or an empty
+	// ready set) backs off and re-dispatches, up to maxRetries times,
+	// before the error is surfaced: the first retry waits 500µs, each
+	// further one doubles it, with ±50% seeded jitter, capped at 250ms.
+	// And every node gets a circuit breaker (see breaker.go). Off, a
+	// dispatch error fails the request synchronously and every node is
+	// always dispatchable, the pre-chaos behavior.
+	Resilient bool
 }
+
+// maxRetries caps a resilient router's backoff re-dispatches of one
+// request.
+const maxRetries = 200
 
 func (c Config) withDefaults() Config {
 	if c.Policy == nil {
 		c.Policy = HashPolicy{}
 	}
-	c.Breaker = c.Breaker.withDefaults()
 	return c
 }
 
@@ -250,7 +254,7 @@ func (r *Router) Metrics() *obs.Registry { return r.reg }
 // committed tokens fail over to a healthy node, which teacher-forces
 // them as one chunk and decodes on, and the caller only ever sees the
 // completed stream (or an error after three unlucky failovers).
-// With MaxRetries > 0, retryable admission failures are absorbed too:
+// On a resilient router, retryable admission failures are absorbed too:
 // the request backs off and re-dispatches asynchronously instead of
 // failing synchronously. maxTokens and eos follow serve.SubmitGen
 // conventions.
@@ -329,7 +333,7 @@ func (clsJob) fail(err error) serve.Response { return serve.Response{Err: err} }
 // (*Router, *serve.Server), which moves the layout of unrelated code.
 func submit[T any, J job[T]](r *Router, key uint64, j J) (<-chan T, error) {
 	nd, ch, err := dispatch[T](r, key, j, DecisionRoute)
-	if err != nil && (r.cfg.MaxRetries <= 0 || !retryable(err)) {
+	if err != nil && (!r.cfg.Resilient || !retryable(err)) {
 		if errors.Is(err, serve.ErrQueueFull) {
 			r.drops.Add(1)
 		}
@@ -475,14 +479,14 @@ func (r *Router) commit(nd *Node) {
 // healthy node — a generation resumes there from its committed tokens,
 // teacher-forced as one chunk; queue-full and no-ready-node dispatch
 // errors back off exponentially with jitter and re-pick (recorded as
-// DecisionRetry) while MaxRetries allows. All transparently to the
-// caller; exactly one send on out.
+// DecisionRetry) on a resilient router, up to maxRetries times. All
+// transparently to the caller; exactly one send on out.
 func await[T any, J job[T]](r *Router, key uint64, j J, out chan<- T, nd *Node, ch <-chan T, dispatchErr error) {
 	defer r.wg.Done()
 	failovers, retries := 0, 0
 	for {
 		if dispatchErr != nil {
-			if !retryable(dispatchErr) || retries >= r.cfg.MaxRetries {
+			if !r.cfg.Resilient || !retryable(dispatchErr) || retries >= maxRetries {
 				if errors.Is(dispatchErr, serve.ErrQueueFull) {
 					r.drops.Add(1)
 				}
@@ -515,7 +519,7 @@ func await[T any, J job[T]](r *Router, key uint64, j J, out chan<- T, nd *Node, 
 // noteCrash feeds a crashed response into the node's breaker: crash
 // failures count toward the trip threshold like admission failures.
 func (r *Router) noteCrash(id int) {
-	if !r.cfg.Breaker.Enabled {
+	if !r.cfg.Resilient {
 		return
 	}
 	r.mu.Lock()

@@ -1,6 +1,7 @@
 // Package data generates the synthetic workloads that stand in for the
-// paper's WikiText-2 and GLUE datasets (offline substitution; see
-// DESIGN.md). The language-modelling corpus is produced by a sparse
+// paper's WikiText-2 and GLUE datasets, so that the repository builds,
+// tests and reproduces every table without a download. The
+// language-modelling corpus is produced by a sparse
 // first-order Markov chain over a Zipfian vocabulary, which gives a
 // next-word-prediction task that a small Transformer can genuinely learn
 // and whose accuracy degrades smoothly under pruning — the property every

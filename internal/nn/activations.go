@@ -20,11 +20,6 @@ type GELU struct {
 // Params implements Module (GELU has none).
 func (g *GELU) Params() []*Parameter { return nil }
 
-// SetBufferReuse toggles the preallocated output buffer (see
-// Linear.SetBufferReuse for the aliasing contract and the forward-only
-// serving mode).
-func (g *GELU) SetBufferReuse(on bool) { g.SetOutputSlot(newSlot(on)) }
-
 // SetOutputSlot turns buffer reuse on with Forward writing through slot
 // (see Linear.SetOutputSlot). Given the slot its input was written
 // through, GELU writes over its input in place.
@@ -66,7 +61,7 @@ func (g *geluRows) Range(lo, hi int) {
 // off: the serving mode keeps none, and may have written over it.
 func (g *GELU) Backward(dy *mat.Matrix) *mat.Matrix {
 	if g.x == nil {
-		panic("nn: GELU.Backward without its input: no Forward ran, or it ran with buffer reuse on (the serving mode, which is forward-only and may write over the input); call SetBufferReuse(false) before training")
+		panic("nn: GELU.Backward without its input: no Forward ran, or it ran with buffer reuse on (the serving mode, which is forward-only and may write over the input); turn it off with the model's SetBufferReuse(false) before training")
 	}
 	dx := mat.New(dy.Rows, dy.Cols)
 	for i, v := range g.x.Data {
@@ -109,11 +104,6 @@ func NewLayerNorm(name string, dim int) *LayerNorm {
 // Params implements Module.
 func (ln *LayerNorm) Params() []*Parameter { return []*Parameter{ln.Gamma, ln.Beta} }
 
-// SetBufferReuse toggles the preallocated output buffer (see
-// Linear.SetBufferReuse for the aliasing contract and the forward-only
-// serving mode, which keeps no normalization cache).
-func (ln *LayerNorm) SetBufferReuse(on bool) { ln.SetOutputSlot(newSlot(on)) }
-
 // SetOutputSlot turns buffer reuse on with the forward writing through
 // slot (see Linear.SetOutputSlot). Given the slot of its x operand, the
 // norm writes over it in place.
@@ -121,9 +111,6 @@ func (ln *LayerNorm) SetOutputSlot(slot **mat.Matrix) {
 	ln.out = slot
 	ln.xhat, ln.invStd = nil, nil
 }
-
-// Forward normalizes each row of x.
-func (ln *LayerNorm) Forward(x *mat.Matrix) *mat.Matrix { return ln.ForwardResidual(x, nil) }
 
 // ForwardResidual normalizes each row of x + res (of x when res is nil)
 // without forming the sum as a matrix: the residual add, both reductions
@@ -182,7 +169,7 @@ func (ln *normRows) Range(lo, hi int) {
 // normalised rows a forward with buffer reuse off kept.
 func (ln *LayerNorm) Backward(dy *mat.Matrix) *mat.Matrix {
 	if ln.xhat == nil {
-		panic("nn: LayerNorm.Backward without the normalised rows: no Forward ran, or it ran with buffer reuse on (the serving mode, which is forward-only and keeps none); call SetBufferReuse(false) before training")
+		panic("nn: LayerNorm.Backward without the normalised rows: no Forward ran, or it ran with buffer reuse on (the serving mode, which is forward-only and keeps none); turn it off with the model's SetBufferReuse(false) before training")
 	}
 	dx := mat.New(dy.Rows, dy.Cols)
 	n := float64(ln.Dim)

@@ -124,7 +124,7 @@ func TestLayerNormForwardStats(t *testing.T) {
 	ln := nn.NewLayerNorm("ln", 8)
 	x := mat.New(3, 8)
 	x.Randomize(rand.New(rand.NewSource(7)), 5)
-	y := ln.Forward(x)
+	y := ln.ForwardResidual(x, nil)
 	for i := 0; i < y.Rows; i++ {
 		var mean, variance float64
 		for _, v := range y.Row(i) {
@@ -146,7 +146,7 @@ func TestLayerNormGradCheck(t *testing.T) {
 	x := mat.New(2, 4)
 	x.Randomize(rng, 1)
 	loss := func() float64 {
-		h := head.Forward(ln.Forward(x))
+		h := head.Forward(ln.ForwardResidual(x, nil))
 		v, grad := nn.SoftmaxCrossEntropy(h, []int{0, 1})
 		ln.Backward(head.Backward(grad))
 		return v
@@ -295,10 +295,10 @@ func TestGlobalSparsity(t *testing.T) {
 // the threshold up fan out. With buffer reuse on (the forward-only
 // serving mode) Backward is refused by a panic naming it. A stateless
 // module passes a nil backward.
-func forkMatchesInline(t *testing.T, cols, threshold int, setReuse func(bool), forward func(x *mat.Matrix) *mat.Matrix, backward func(dy *mat.Matrix) *mat.Matrix) {
+func forkMatchesInline(t *testing.T, cols, threshold int, setSlot func(**mat.Matrix), forward func(x *mat.Matrix) *mat.Matrix, backward func(dy *mat.Matrix) *mat.Matrix) {
 	rng := rand.New(rand.NewSource(31))
 	for _, reuse := range []bool{false, true} {
-		setReuse(reuse)
+		setSlot(reuseSlot(reuse))
 		for _, rows := range []int{1, 2, threshold - 1, threshold, threshold + 1, 384, 3001} {
 			x := mat.New(rows, cols)
 			x.Randomize(rng, 3)
@@ -329,6 +329,15 @@ func forkMatchesInline(t *testing.T, cols, threshold int, setReuse func(bool), f
 	}
 }
 
+// reuseSlot is the output slot that turns a module's buffer reuse on, or
+// nil, which turns it off.
+func reuseSlot(on bool) **mat.Matrix {
+	if !on {
+		return nil
+	}
+	return new(*mat.Matrix)
+}
+
 // servingBackwardPanics asserts that backward, run after a forward with
 // buffer reuse on, is refused by a panic that names the serving mode.
 func servingBackwardPanics(t *testing.T, what string, backward func()) {
@@ -345,7 +354,7 @@ func servingBackwardPanics(t *testing.T, what string, backward func()) {
 // columns: 32 rows; a decode step's 8 x 768 is three times that).
 func TestGELUForkMatchesInline(t *testing.T) {
 	gelu := &nn.GELU{}
-	forkMatchesInline(t, 64, 32, gelu.SetBufferReuse, gelu.Forward, gelu.Backward)
+	forkMatchesInline(t, 64, 32, gelu.SetOutputSlot, gelu.Forward, gelu.Backward)
 }
 
 // TestBiasForkMatchesInline: the bias add after every product
@@ -361,7 +370,7 @@ func TestBiasForkMatchesInline(t *testing.T) {
 		y.AddRowVector(bias.Data)
 		return y
 	}
-	forkMatchesInline(t, cols, mat.ForkMinWork/mat.WorkBias/cols, func(bool) {}, forward, nil)
+	forkMatchesInline(t, cols, mat.ForkMinWork/mat.WorkBias/cols, func(**mat.Matrix) {}, forward, nil)
 }
 
 // TestLayerNormForkMatchesInline: the residual + layer norm fans out from
@@ -376,7 +385,7 @@ func TestLayerNormForkMatchesInline(t *testing.T) {
 	res := mat.New(3001, cols)
 	res.Randomize(rng, 3)
 	forward := func(x *mat.Matrix) *mat.Matrix { return ln.ForwardResidual(x, res.RowSpan(0, x.Rows)) }
-	forkMatchesInline(t, cols, 128, ln.SetBufferReuse, forward, ln.Backward)
+	forkMatchesInline(t, cols, 128, ln.SetOutputSlot, forward, ln.Backward)
 }
 
 // TestLinearBackwardRefusedInServingMode: a Linear forward with buffer

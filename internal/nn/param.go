@@ -70,9 +70,6 @@ func (p *Parameter) ZeroGrad() { p.Grad.Zero() }
 // NumWeights returns the dense element count of the parameter.
 func (p *Parameter) NumWeights() int { return len(p.Value.Data) }
 
-// Sparsity returns the fraction of zero weights in Value.
-func (p *Parameter) Sparsity() float64 { return p.Value.Sparsity() }
-
 // Module is anything holding trainable parameters.
 type Module interface {
 	// Params returns the parameters of the module in a stable order.

@@ -44,15 +44,15 @@ func TestGELUMatchesTanhForm(t *testing.T) {
 // TestLayerNormResidualMatchesNaive: ForwardResidual is the naive
 // reference row for row at tolerance 0 (serving widths, which the row
 // kernel's assembly takes, and widths it leaves to the portable loop),
-// leaves both inputs untouched, equals Forward of the explicit sum, and
-// feeds Backward the same normalised rows — or, with buffer reuse on
-// (the forward-only serving mode), refuses Backward.
+// leaves both inputs untouched, equals ForwardResidual of the explicit
+// sum with no residual, and feeds Backward the same normalised rows — or,
+// with buffer reuse on (the forward-only serving mode), refuses Backward.
 func TestLayerNormResidualMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	for _, dim := range []int{4, 16, 40, 192} {
 		for _, reuse := range []bool{false, true} {
 			ln := nn.NewLayerNorm("ln", dim)
-			ln.SetBufferReuse(reuse)
+			ln.SetOutputSlot(reuseSlot(reuse))
 			ln.Gamma.Value.Randomize(rng, 2)
 			ln.Beta.Value.Randomize(rng, 1)
 			for _, rows := range []int{1, 8, 37} {
@@ -81,8 +81,8 @@ func TestLayerNormResidualMatchesNaive(t *testing.T) {
 				}
 				sum := x.Clone()
 				sum.Add(res)
-				if !mat.Equal(ln.Forward(sum), want, 0) {
-					t.Fatalf("dim %d, %d rows: Forward of the explicit sum differs from ForwardResidual", dim, rows)
+				if !mat.Equal(ln.ForwardResidual(sum, nil), want, 0) {
+					t.Fatalf("dim %d, %d rows: ForwardResidual(x+res, nil) differs from ForwardResidual(x, res)", dim, rows)
 				}
 				if reuse {
 					servingBackwardPanics(t, fmt.Sprintf("dim %d, %d rows, explicit sum", dim, rows), func() { ln.Backward(dy) })
@@ -121,13 +121,13 @@ func BenchmarkTail(b *testing.B) {
 	}
 	for _, rows := range []int{8, 256} {
 		g := &nn.GELU{}
-		g.SetBufferReuse(true)
+		g.SetOutputSlot(reuseSlot(true))
 		x := randMat(rows, 768)
 		cases = append(cases, tailCase{fmt.Sprintf("gelu/%dx768", rows), len(x.Data), func() { g.Forward(x) }})
 	}
 	for _, rows := range []int{8, 256} {
 		ln := nn.NewLayerNorm("ln", 192)
-		ln.SetBufferReuse(true)
+		ln.SetOutputSlot(reuseSlot(true))
 		x, res := randMat(rows, 192), randMat(rows, 192)
 		cases = append(cases, tailCase{fmt.Sprintf("residual+ln/%dx192", rows), len(x.Data), func() { ln.ForwardResidual(x, res) }})
 	}

@@ -17,7 +17,7 @@ func newTestAdmin(t *testing.T, health, ready func() error) (*httptest.Server, *
 	reg.Counter("rt3_requests_total", "Requests served.").Add(5)
 	reg.Histogram("rt3_request_latency_ms", "Latency.", HistogramOpts{}).Observe(1.5)
 	tr := NewTracer()
-	trace := tr.Start("req")
+	trace := tr.StartAt("req", time.Now())
 	trace.Add("exec", time.Now(), time.Millisecond, "batch", 2, "", 0)
 	tr.Finish(trace)
 	srv := httptest.NewServer(NewAdminMux(AdminOptions{

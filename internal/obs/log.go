@@ -67,14 +67,6 @@ func NewLogger(out io.Writer, prefix string, level LogLevel) *Logger {
 	return l
 }
 
-// Level returns the current threshold.
-func (l *Logger) Level() LogLevel {
-	if l == nil {
-		return LogError + 1
-	}
-	return LogLevel(l.level.Load())
-}
-
 // Enabled reports whether a message at level would be emitted, letting
 // callers skip expensive argument construction.
 func (l *Logger) Enabled(level LogLevel) bool {

@@ -47,8 +47,8 @@ func TestLoggerLevels(t *testing.T) {
 	if buf.Len() != 0 {
 		t.Fatalf("info line emitted at warn level: %q", buf.String())
 	}
-	if l.Level() != LogWarn {
-		t.Fatalf("Level = %v, want warn", l.Level())
+	if !l.Enabled(LogWarn) || l.Enabled(LogInfo) {
+		t.Fatalf("Enabled thresholds wrong at warn level")
 	}
 }
 

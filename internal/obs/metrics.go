@@ -153,19 +153,6 @@ func (h *Histogram) Sum() float64 {
 	return h.sum
 }
 
-// Bounds returns a copy of the bucket upper bounds.
-func (h *Histogram) Bounds() []float64 {
-	return append([]float64(nil), h.bounds...)
-}
-
-// Buckets returns a copy of the per-bucket counts (non-cumulative);
-// the final entry is the +Inf bucket.
-func (h *Histogram) Buckets() []uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]uint64(nil), h.counts...)
-}
-
 type metricType int
 
 const (

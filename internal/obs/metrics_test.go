@@ -54,39 +54,30 @@ func TestHistogramDefaultBounds(t *testing.T) {
 	}
 }
 
+// TestHistogramBucketBoundaries reads a histogram through its exposition:
+// le is an inclusive upper bound, so a sample exactly on a bound lands in
+// that bound's bucket, and one above the last bound only in +Inf.
 func TestHistogramBucketBoundaries(t *testing.T) {
-	h := NewHistogram(HistogramOpts{MinDecade: 0, Decades: 1, PerDecade: 3})
-	bounds := h.Bounds() // [1, 4, 7, 10]
-	want := []float64{1, 4, 7, 10}
-	if len(bounds) != len(want) {
-		t.Fatalf("bounds = %v, want %v", bounds, want)
+	reg := NewRegistry()
+	h := reg.Histogram("h", "", HistogramOpts{MinDecade: 0, Decades: 1, PerDecade: 3})
+	for _, v := range []float64{0.5, 1, 4, 4.1, 10, 11} {
+		h.Observe(v)
 	}
-	for i := range want {
-		if math.Abs(bounds[i]-want[i]) > 1e-12 {
-			t.Fatalf("bounds = %v, want %v", bounds, want)
-		}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
 	}
-
-	// le is an inclusive upper bound: a sample exactly on a bound lands
-	// in that bound's bucket; above the last bound lands in +Inf.
-	h.Observe(0.5) // below first bound -> bucket 0
-	h.Observe(1)   // exactly first bound -> bucket 0
-	h.Observe(4)   // exactly second bound -> bucket 1
-	h.Observe(4.1) // -> bucket 2
-	h.Observe(10)  // exactly last bound -> bucket 3
-	h.Observe(11)  // -> +Inf bucket
-	got := h.Buckets()
-	wantCounts := []uint64{2, 1, 1, 1, 1}
-	for i := range wantCounts {
-		if got[i] != wantCounts[i] {
-			t.Fatalf("buckets = %v, want %v", got, wantCounts)
-		}
-	}
-	if h.Count() != 6 {
-		t.Fatalf("Count = %d, want 6", h.Count())
-	}
-	if math.Abs(h.Sum()-30.6) > 1e-9 {
-		t.Fatalf("Sum = %v, want 30.6", h.Sum())
+	want := `# TYPE h histogram
+h_bucket{le="1"} 2
+h_bucket{le="4"} 3
+h_bucket{le="7"} 4
+h_bucket{le="10"} 5
+h_bucket{le="+Inf"} 6
+h_sum 30.6
+h_count 6
+`
+	if buf.String() != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", buf.String(), want)
 	}
 }
 

@@ -24,7 +24,7 @@ type Span struct {
 }
 
 // Trace accumulates the spans of a single request. Traces are leased
-// from a Tracer's free list by Start and returned by Finish/Abort, so a
+// from a Tracer's free list by StartAt and returned by Finish/Abort, so a
 // warm Tracer records whole request lifecycles without allocating. All
 // methods are nil-safe: code paths instrumented with a nil *Trace (what
 // a nil *Tracer leases) compile to cheap no-ops.
@@ -35,7 +35,7 @@ type Trace struct {
 	Spans   []Span
 
 	start   time.Time // monotonic anchor: span offsets are Sub() from here
-	switch0 int64     // tracer's cumulative switch-stall ns at Start
+	switch0 int64     // tracer's cumulative switch-stall ns at StartAt
 }
 
 // Add records a span beginning at start (a time.Time captured with
@@ -110,14 +110,6 @@ func NewTracer() *Tracer {
 		free: make([]*Trace, 0, ringCap+16),
 		ring: make([]*Trace, ringCap),
 	}
-}
-
-// Start leases a trace anchored at time.Now.
-func (tr *Tracer) Start(kind string) *Trace {
-	if tr == nil {
-		return nil
-	}
-	return tr.StartAt(kind, time.Now())
 }
 
 // StartAt leases a trace anchored at an already-captured timestamp
@@ -348,7 +340,7 @@ func (tr *Tracer) RegisterMetrics(reg *Registry) {
 	if tr == nil || reg == nil {
 		return
 	}
-	reg.CounterFunc("rt3_traces_started_total", "Traces leased by Start.",
+	reg.CounterFunc("rt3_traces_started_total", "Traces leased by StartAt.",
 		func() float64 { return float64(tr.started.Load()) })
 	reg.CounterFunc("rt3_traces_finished_total", "Traces retained by Finish.",
 		func() float64 { return float64(tr.finished.Load()) })

@@ -46,7 +46,7 @@ func TestTraceSpansAndJSONL(t *testing.T) {
 
 func TestTraceSpanCapDrops(t *testing.T) {
 	tr := NewTracer()
-	trace := tr.Start("req")
+	trace := tr.StartAt("req", time.Now())
 	now := time.Now()
 	for i := 0; i < 66; i++ {
 		trace.Add("s", now, time.Millisecond, "", 0, "", 0)
@@ -81,7 +81,7 @@ func TestSampleStep(t *testing.T) {
 func TestRingEvictionRecyclesBuffers(t *testing.T) {
 	tr := NewTracer()
 	for i := 0; i < 256; i++ {
-		trace := tr.Start("req")
+		trace := tr.StartAt("req", time.Now())
 		trace.Add("s", time.Now(), time.Millisecond, "", 0, "", 0)
 		tr.Finish(trace)
 	}
@@ -94,7 +94,7 @@ func TestRingEvictionRecyclesBuffers(t *testing.T) {
 		t.Fatalf("ring len = %d, free = %d after 256 traces, want 256 and 0", tr.Len(), freeLen())
 	}
 	// the 257th finished trace evicts the oldest (ID 1) into the free list
-	tr.Finish(tr.Start("req"))
+	tr.Finish(tr.StartAt("req", time.Now()))
 	if tr.Len() != 256 || freeLen() != 1 {
 		t.Fatalf("ring len = %d, free = %d after 257 traces, want 256 and 1", tr.Len(), freeLen())
 	}
@@ -107,7 +107,7 @@ func TestRingEvictionRecyclesBuffers(t *testing.T) {
 	// sequential start/finish recycles each evicted trace into the next
 	// Start, so steady state keeps exactly one spare on the free list.
 	for i := 0; i < 10; i++ {
-		tr.Finish(tr.Start("req"))
+		tr.Finish(tr.StartAt("req", time.Now()))
 	}
 	if freeLen() != 1 {
 		t.Fatalf("free list has %d traces, want 1 (evictions recycled into Start)", freeLen())
@@ -117,7 +117,7 @@ func TestRingEvictionRecyclesBuffers(t *testing.T) {
 func TestSwitchStallSpan(t *testing.T) {
 	tr := NewTracer()
 	tr.NoteAutotuneTick(9)
-	trace := tr.Start("req")
+	trace := tr.StartAt("req", time.Now())
 	tr.ObserveSwitch(3 * time.Millisecond)
 	tr.Finish(trace)
 
@@ -139,7 +139,7 @@ func TestSwitchStallSpan(t *testing.T) {
 	}
 
 	// a trace started after the switch observes no stall
-	after := tr.Start("req")
+	after := tr.StartAt("req", time.Now())
 	tr.Finish(after)
 	got = tr.snapshot(0)
 	for _, s := range got[1].Spans {
@@ -151,7 +151,7 @@ func TestSwitchStallSpan(t *testing.T) {
 
 func TestWriteTraceEventsSchema(t *testing.T) {
 	tr := NewTracer()
-	trace := tr.Start("gen")
+	trace := tr.StartAt("gen", time.Now())
 	now := time.Now()
 	trace.Add("prefill", now, time.Millisecond, "rows", 8, "", 0)
 	trace.Add("decode_step", now.Add(time.Millisecond), 500*time.Microsecond, "step", 0, "batch", 2)
@@ -200,7 +200,7 @@ func TestWriteTraceEventsSchema(t *testing.T) {
 
 func TestNilTracer(t *testing.T) {
 	var tr *Tracer
-	trace := tr.Start("req") // nil
+	trace := tr.StartAt("req", time.Now()) // nil
 	trace.Add("s", time.Now(), time.Millisecond, "", 0, "", 0)
 	tr.Finish(trace)
 	tr.Abort(trace)
@@ -227,7 +227,7 @@ func TestTraceHotPathAllocs(t *testing.T) {
 	// warm: fill the ring past its 256 traces, so the free list holds
 	// the evicted ones
 	for i := 0; i < 300; i++ {
-		tr.Finish(tr.Start("warm"))
+		tr.Finish(tr.StartAt("warm", time.Now()))
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		now := time.Now()

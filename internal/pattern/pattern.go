@@ -75,13 +75,6 @@ func (p Pattern) Equal(q Pattern) bool {
 	return true
 }
 
-// Clone returns a deep copy.
-func (p Pattern) Clone() Pattern {
-	out := Pattern{Size: p.Size, Bits: make([]uint8, len(p.Bits))}
-	copy(out.Bits, p.Bits)
-	return out
-}
-
 // String renders the pattern as rows of #/. (kept/pruned), matching the
 // purple-pixel visualization of the paper's Fig. 4.
 func (p Pattern) String() string {

@@ -3,6 +3,7 @@ package pattern
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -27,13 +28,13 @@ func TestPatternOnesAndSparsity(t *testing.T) {
 func TestPatternEqualAndClone(t *testing.T) {
 	p := NewPattern(3)
 	p.Bits[4] = 1
-	q := p.Clone()
+	q := Pattern{Size: p.Size, Bits: slices.Clone(p.Bits)}
 	if !p.Equal(q) {
-		t.Fatal("clone not equal")
+		t.Fatal("copy not equal")
 	}
 	q.Bits[0] = 1
 	if p.Equal(q) {
-		t.Fatal("mutated clone still equal")
+		t.Fatal("mutated copy still equal")
 	}
 	if p.Equal(NewPattern(4)) {
 		t.Fatal("different sizes equal")

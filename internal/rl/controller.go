@@ -25,7 +25,7 @@ type Config struct {
 	LR          float64
 	// States, when > 0, adds that many learned context embeddings: the
 	// serving-time closed-loop controller starts each one-step episode
-	// from the embedding of a quantized telemetry state (see StateSpace)
+	// from the embedding of a quantized telemetry state (see EncodeState)
 	// instead of the start token, so the policy can condition its level
 	// choice on what the live window looks like. 0 (the search-time
 	// default) keeps the unconditioned behaviour.
@@ -324,6 +324,3 @@ func (b *Baseline) Update(reward float64) float64 {
 	b.value = b.Decay*b.value + (1-b.Decay)*reward
 	return adv
 }
-
-// Value returns the current baseline estimate.
-func (b *Baseline) Value() float64 { return b.value }

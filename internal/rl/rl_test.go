@@ -126,8 +126,8 @@ func TestBaselineConvergesToMean(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		b.Update(2.0)
 	}
-	if math.Abs(b.Value()-2.0) > 1e-6 {
-		t.Fatalf("baseline %g, want 2.0", b.Value())
+	if adv := b.Update(2.0); math.Abs(adv) > 1e-6 {
+		t.Fatalf("advantage of the mean reward %g, want 0", adv)
 	}
 }
 

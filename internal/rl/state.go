@@ -1,99 +1,39 @@
 package rl
 
-import "fmt"
+// The state space quantizes continuous serving telemetry into the
+// discrete state index the closed-loop controller conditions on
+// (Config.States). Three signals drive the serving-time decision,
+// mirroring what the paper's runtime watches: how close the latency
+// window sits to the real-time constraint, how much battery charge
+// remains, and how full the dynamic batches run (a load proxy). Each is
+// binned independently and the bins are mixed-radix combined.
+const (
+	// latencyBins partitions the p99/target ratio: headroom (below
+	// lowLatency), approaching, violating (>= 1).
+	latencyBins = 3
+	lowLatency  = 0.5
+	batteryBins = 3 // the state of charge, evenly over [0, 1]
+	fillBins    = 2 // the recent batch fill ratio, evenly over [0, 1]
 
-// StateSpace quantizes continuous serving telemetry into the discrete
-// state index the closed-loop controller conditions on (Config.States).
-// Three signals drive the serving-time decision, mirroring what the
-// paper's runtime watches: how close the latency window sits to the
-// real-time constraint, how much battery charge remains, and how full
-// the dynamic batches run (a load proxy). Each is binned independently
-// and the bins are mixed-radix combined.
-type StateSpace struct {
-	// LatencyBins partitions the p99/target ratio: bin 0 is comfortable
-	// headroom (< LowLatency), the last bin is violation (>= 1), and the
-	// middle bins split the approach linearly. Minimum 2.
-	LatencyBins int
-	// LowLatency is the headroom threshold of latency bin 0 (default 0.5).
-	LowLatency float64
-	// BatteryBins partitions the state of charge evenly over [0, 1].
-	BatteryBins int
-	// FillBins partitions the recent batch fill ratio evenly over [0, 1].
-	FillBins int
-}
+	// States is the number of distinct encoded states: small enough that
+	// a few hundred control ticks visit the reachable ones.
+	States = latencyBins * batteryBins * fillBins
+)
 
-// DefaultStateSpace returns the serving default: 3 latency bins
-// (headroom / approaching / violating), 3 battery bins, 2 fill bins —
-// 18 states, small enough that a few hundred control ticks visit the
-// reachable ones.
-func DefaultStateSpace() StateSpace {
-	return StateSpace{LatencyBins: 3, LowLatency: 0.5, BatteryBins: 3, FillBins: 2}
-}
-
-func (s StateSpace) withDefaults() StateSpace {
-	if s.LatencyBins < 2 {
-		s.LatencyBins = 3
-	}
-	if s.LowLatency <= 0 || s.LowLatency >= 1 {
-		s.LowLatency = 0.5
-	}
-	if s.BatteryBins < 1 {
-		s.BatteryBins = 3
-	}
-	if s.FillBins < 1 {
-		s.FillBins = 2
-	}
-	return s
-}
-
-// States returns the number of distinct encoded states.
-func (s StateSpace) States() int {
-	s = s.withDefaults()
-	return s.LatencyBins * s.BatteryBins * s.FillBins
-}
-
-// Validate reports configuration errors on an explicit (non-zero) space.
-func (s StateSpace) Validate() error {
-	if s.LatencyBins < 2 {
-		return fmt.Errorf("rl: StateSpace.LatencyBins must be >= 2, got %d", s.LatencyBins)
-	}
-	if s.BatteryBins < 1 || s.FillBins < 1 {
-		return fmt.Errorf("rl: StateSpace bins must be positive: %+v", s)
-	}
-	return nil
-}
-
-// Encode maps one telemetry window to a state index in [0, States()).
+// EncodeState maps one telemetry window to a state index in [0, States).
 // latencyRatio is windowed p99 latency over the target (anything >= 1 is
 // a violation; pass 0 when the window is empty or no target is set),
 // battery is the state of charge in [0, 1] (1 when energy accounting is
 // off), and fill is the recent batch fill ratio in [0, 1].
-func (s StateSpace) Encode(latencyRatio, battery, fill float64) int {
-	s = s.withDefaults()
-	lat := s.latencyBin(latencyRatio)
-	bat := uniformBin(battery, s.BatteryBins)
-	fl := uniformBin(fill, s.FillBins)
-	return (lat*s.BatteryBins+bat)*s.FillBins + fl
-}
-
-// latencyBin places the p99/target ratio: 0 below LowLatency, the last
-// bin at >= 1, the rest splitting [LowLatency, 1) evenly.
-func (s StateSpace) latencyBin(ratio float64) int {
-	if ratio < s.LowLatency {
-		return 0
+func EncodeState(latencyRatio, battery, fill float64) int {
+	lat := 1 // approaching
+	switch {
+	case latencyRatio < lowLatency:
+		lat = 0
+	case latencyRatio >= 1:
+		lat = latencyBins - 1
 	}
-	if ratio >= 1 {
-		return s.LatencyBins - 1
-	}
-	mid := s.LatencyBins - 2 // interior bins between headroom and violation
-	if mid == 0 {
-		return s.LatencyBins - 1
-	}
-	b := 1 + int((ratio-s.LowLatency)/(1-s.LowLatency)*float64(mid))
-	if b > mid {
-		b = mid
-	}
-	return b
+	return (lat*batteryBins+uniformBin(battery, batteryBins))*fillBins + uniformBin(fill, fillBins)
 }
 
 // uniformBin places v in [0, 1] into one of n even bins, clamping

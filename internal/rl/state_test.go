@@ -1,54 +1,76 @@
 package rl
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
 
 func TestStateSpaceEncodeBounds(t *testing.T) {
-	s := DefaultStateSpace()
-	n := s.States()
-	if n != 18 {
-		t.Fatalf("default States() = %d, want 18 (3*3*2)", n)
+	if States != 18 {
+		t.Fatalf("States = %d, want 18 (3*3*2)", States)
 	}
 	seen := map[int]bool{}
 	for _, ratio := range []float64{-1, 0, 0.3, 0.6, 0.9, 1, 2.5} {
 		for _, bat := range []float64{-0.1, 0, 0.2, 0.5, 0.99, 1, 1.3} {
 			for _, fill := range []float64{0, 0.4, 0.9, 1} {
-				st := s.Encode(ratio, bat, fill)
-				if st < 0 || st >= n {
-					t.Fatalf("Encode(%g,%g,%g) = %d out of [0,%d)", ratio, bat, fill, st, n)
+				st := EncodeState(ratio, bat, fill)
+				if st < 0 || st >= States {
+					t.Fatalf("EncodeState(%g,%g,%g) = %d out of [0,%d)", ratio, bat, fill, st, States)
 				}
 				seen[st] = true
 			}
 		}
 	}
-	if len(seen) < n/2 {
-		t.Fatalf("sweep reached only %d/%d states", len(seen), n)
+	if len(seen) < States/2 {
+		t.Fatalf("sweep reached only %d/%d states", len(seen), States)
 	}
 }
 
 func TestStateSpaceLatencyBins(t *testing.T) {
-	s := DefaultStateSpace()
 	// same battery/fill: only the latency bin may differ
-	headroom := s.Encode(0.2, 1, 0)
-	approach := s.Encode(0.8, 1, 0)
-	violate := s.Encode(1.5, 1, 0)
+	headroom := EncodeState(0.2, 1, 0)
+	approach := EncodeState(0.8, 1, 0)
+	violate := EncodeState(1.5, 1, 0)
 	if headroom == approach || approach == violate || headroom == violate {
 		t.Fatalf("latency regimes not distinguished: %d %d %d", headroom, approach, violate)
 	}
 	// a violating window encodes identically regardless of magnitude
-	if s.Encode(1.0, 1, 0) != s.Encode(10, 1, 0) {
+	if EncodeState(1.0, 1, 0) != EncodeState(10, 1, 0) {
 		t.Fatal("violation bin should saturate")
 	}
 }
 
-func TestStateSpaceValidate(t *testing.T) {
-	if err := (StateSpace{LatencyBins: 1, BatteryBins: 1, FillBins: 1}).Validate(); err == nil {
-		t.Fatal("LatencyBins=1 should fail Validate")
+// TestEncodeStateMatchesMixedRadix holds EncodeState to the general
+// mixed-radix encoding it replaced, written out at the serving space's
+// sizes (3 latency bins splitting [0.5, 1) evenly between headroom and
+// violation, 3 battery bins, 2 fill bins) on every bin edge and between
+// them, so the state index a trace records keeps its meaning.
+func TestEncodeStateMatchesMixedRadix(t *testing.T) {
+	const latBins, low, batBins, fillBins = 3, 0.5, 3, 2
+	latencyBin := func(ratio float64) int {
+		if ratio < low {
+			return 0
+		}
+		if ratio >= 1 {
+			return latBins - 1
+		}
+		mid := latBins - 2
+		return min(1+int((ratio-low)/(1-low)*float64(mid)), mid)
 	}
-	if err := DefaultStateSpace().Validate(); err != nil {
-		t.Fatalf("default space invalid: %v", err)
+	var edges []float64
+	for _, v := range []float64{-1, 0, 1.0 / 3, 0.5, 2.0 / 3, 1, 7} {
+		edges = append(edges, math.Nextafter(v, -2), v, math.Nextafter(v, 8))
+	}
+	for _, ratio := range edges {
+		for _, bat := range edges {
+			for _, fill := range edges {
+				want := (latencyBin(ratio)*batBins+uniformBin(bat, batBins))*fillBins + uniformBin(fill, fillBins)
+				if got := EncodeState(ratio, bat, fill); got != want {
+					t.Fatalf("EncodeState(%v, %v, %v) = %d, want %d", ratio, bat, fill, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -40,7 +40,7 @@ const (
 // and the mode vary; the rest is fixed: a 10ms control tick, exploration
 // rate 0.3 decaying by 0.995 per tick down to 0.02, online REINFORCE at
 // learning rate 0.05 against an EMA reward baseline of decay 0.7, an
-// 8-wide controller RNN over rl.DefaultStateSpace, the online reward's
+// 8-wide controller RNN over rl.EncodeState's states, the online reward's
 // energy weight 0.8, and a trace of up to 65536 decisions.
 type AutotuneConfig struct {
 	// Seed seeds the controller weights and the exploration stream; the
@@ -167,7 +167,7 @@ func NewAutotuner(levels []dvfs.Level, cfg AutotuneConfig) (*Autotuner, error) {
 		Hidden:  ctrlHidden,
 		NumSets: len(levels), NumPatterns: 1, Levels: 1, K: 1,
 		LR:     learnRate,
-		States: rl.DefaultStateSpace().States(),
+		States: rl.States,
 	}, a.rng); err != nil {
 		return nil, err
 	}
@@ -219,7 +219,7 @@ func (a *Autotuner) Step(tel Telemetry) AutotuneDecision {
 	if tel.TargetMS > 0 && tel.Window.Samples > 0 {
 		ratio = tel.Window.P99MS / tel.TargetMS
 	}
-	dec.State = rl.DefaultStateSpace().Encode(ratio, tel.BatteryFraction, tel.Window.FillRatio)
+	dec.State = rl.EncodeState(ratio, tel.BatteryFraction, tel.Window.FillRatio)
 
 	// 3. the level: the governor's rule, or the epsilon-greedy choice
 	// conditioned on that state

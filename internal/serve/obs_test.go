@@ -513,7 +513,7 @@ func TestDecodeTracingAllocs(t *testing.T) {
 	}
 	tokens := make([]int, batch)
 	pass := func() {
-		tr := tracer.Start("bench")
+		tr := tracer.StartAt("bench", time.Now())
 		for i := range states {
 			states[i].TruncateTo(promptLen)
 			tokens[i] = first[i]
@@ -536,7 +536,7 @@ func TestDecodeTracingAllocs(t *testing.T) {
 	// warm the ring past its 256 traces so Finish recycles evicted
 	// traces into the free list and StartAt stops allocating
 	for i := 0; i < 300; i++ {
-		tracer.Finish(tracer.Start("warm"))
+		tracer.Finish(tracer.StartAt("warm", time.Now()))
 	}
 	pass()
 	if allocs := testing.AllocsPerRun(50, pass); allocs != 0 {

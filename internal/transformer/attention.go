@@ -10,11 +10,10 @@
 // block-diagonally (optionally causal) so no sequence attends across
 // batch boundaries. Each nn.Linear therefore issues one fused kernel
 // product over all ΣL rows per layer — the serving path's throughput
-// lever — while the single-sequence Forward methods remain as
-// one-sequence shims over the packed path, bit-identical to running
-// each sequence alone. Mini-batch training still accumulates gradients
-// across calls; the batched backward decomposes per sequence over the
-// same offsets.
+// lever — bit-identical to running each sequence alone as a batch of
+// one. Only the models keep a one-sequence Forward. Mini-batch training
+// still accumulates gradients across calls; the batched backward
+// decomposes per sequence over the same offsets.
 package transformer
 
 import (
@@ -78,11 +77,6 @@ func (a *MultiHeadAttention) PrunableLinears() []*nn.Linear {
 	return []*nn.Linear{a.WQ, a.WK, a.WV, a.WO}
 }
 
-// SetBufferReuse toggles preallocated projection and context-row
-// buffers on the whole block (see nn.Linear.SetBufferReuse for the
-// aliasing contract and the forward-only serving mode).
-func (a *MultiHeadAttention) SetBufferReuse(on bool) { a.useSlots(newSlots(on)) }
-
 // useSlots points the projections and the context rows at their roles
 // in s (nil: reuse off).
 func (a *MultiHeadAttention) useSlots(s *slots) {
@@ -100,14 +94,6 @@ func (a *MultiHeadAttention) context(rows int) *mat.Matrix {
 	return mat.EnsureShape(a.concat, a.concat != nil, rows, a.Dim)
 }
 
-// Forward computes attention of queries (seqQ x dim) over keys/values
-// (seqK x dim) as a one-sequence packed batch. Pass q == kv for
-// self-attention. When causal is true, position i may only attend to
-// positions <= i (requires seqQ == seqK).
-func (a *MultiHeadAttention) Forward(q, kv *mat.Matrix, causal bool) *mat.Matrix {
-	return a.ForwardBatch(q, kv, []int{0, q.Rows}, []int{0, kv.Rows}, causal)
-}
-
 // ForwardBatch computes attention over a packed multi-sequence batch:
 // q is (ΣLq x dim) and kv is (ΣLk x dim), with qOff and kvOff the
 // per-sequence row offsets (len n+1, starting at 0 and ending at the
@@ -115,7 +101,7 @@ func (a *MultiHeadAttention) Forward(q, kv *mat.Matrix, causal bool) *mat.Matrix
 // Attention is block-diagonal — sequence s's queries attend only to
 // sequence s's keys — and optionally causal within each block (query
 // row i attends a window of its first i+1 keys), so the result is
-// bit-identical to running every sequence through Forward alone while
+// bit-identical to running every sequence alone as a batch of one while
 // the four projections each execute as one fused kernel product over
 // all packed rows. A sequence with query rows must have key rows.
 //
@@ -237,7 +223,7 @@ func (a *attendHeads) Range(h0, h1 int) {
 // the probability blocks of a forward that ran with buffer reuse off.
 func (a *MultiHeadAttention) Backward(dy *mat.Matrix) (dq, dkv *mat.Matrix) {
 	if a.attn == nil {
-		panic("transformer: MultiHeadAttention.Backward without probability blocks: no forward ran, or it ran with buffer reuse on (the serving mode, which keeps none); call SetBufferReuse(false) before training")
+		panic("transformer: MultiHeadAttention.Backward without probability blocks: no forward ran, or it ran with buffer reuse on (the serving mode, which keeps none); turn it off with the model's SetBufferReuse(false) before training")
 	}
 	dconcat := a.WO.Backward(dy)
 	nSeq := len(a.qOff) - 1

@@ -112,7 +112,7 @@ func TestForwardBatchForkMatchesInline(t *testing.T) {
 				dy.Randomize(rng, 1)
 				what := fmt.Sprintf("%d heads, causal %v, %d rows", heads, causal, x.Rows)
 				for _, reuse := range []bool{false, true} {
-					a.SetBufferReuse(reuse)
+					transformer.SetAttentionReuse(a, reuse)
 					testutil.Procs(t, 1)
 					want := a.ForwardBatch(x, mem, qOff, kvOff, causal).Clone()
 					var wantQ, wantKV *mat.Matrix
@@ -165,7 +165,7 @@ func TestForwardBatchRejectsKeylessSequence(t *testing.T) {
 func TestForwardBatchSteadyStateZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(153))
 	a := transformer.NewMultiHeadAttention("attn", 16, 4, rng)
-	a.SetBufferReuse(true)
+	transformer.SetAttentionReuse(a, true)
 	big, small := mat.New(40, 16), mat.New(24, 16)
 	big.Randomize(rng, 1)
 	small.Randomize(rng, 1)
@@ -207,7 +207,7 @@ func TestForwardBatchSteadyStateZeroAllocs(t *testing.T) {
 func BenchmarkAttentionPrefill(b *testing.B) {
 	rng := rand.New(rand.NewSource(154))
 	a := transformer.NewMultiHeadAttention("attn", 192, 4, rng)
-	a.SetBufferReuse(true)
+	transformer.SetAttentionReuse(a, true)
 	off := offsetsOf([]int{128, 128, 128, 128})
 	x := mat.New(off[len(off)-1], 192)
 	x.Randomize(rng, 1)

@@ -193,7 +193,7 @@ func TestBackwardAfterReusingForwardPanics(t *testing.T) {
 	x, off := mat.New(5, 8), []int{0, 2, 5}
 	a.ForwardBatch(x, x, off, off, true)
 	a.Backward(mat.New(5, 8)) // training mode: fine
-	a.SetBufferReuse(true)
+	transformer.SetAttentionReuse(a, true)
 	a.ForwardBatch(x, x, off, off, true)
 	defer func() {
 		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "Backward") || !strings.Contains(msg, "buffer reuse") {

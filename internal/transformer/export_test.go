@@ -12,3 +12,7 @@ func (st *DecodeState) CrossRows(li int) (k, v []float64) {
 	}
 	return k, append([]float64(nil), c.v[:c.rows*c.dim]...)
 }
+
+// SetAttentionReuse turns buffer reuse on or off on a lone attention
+// block, as the models' SetBufferReuse does on every block.
+func SetAttentionReuse(a *MultiHeadAttention, on bool) { a.useSlots(newSlots(on)) }

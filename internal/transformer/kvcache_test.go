@@ -345,21 +345,21 @@ func TestDecodeStepsIntoReservedCacheAllocationFree(t *testing.T) {
 	}
 }
 
-// TestAttentionScratchDroppedWithoutReuse: SetBufferReuse(false) drops
+// TestAttentionScratchDroppedWithoutReuse: turning reuse off drops
 // the context rows a reusing forward kept, and a forward pass without
 // reuse keeps none. (The transposed-key scratch is borrowed per call
 // from a free list the block does not own.)
 func TestAttentionScratchDroppedWithoutReuse(t *testing.T) {
 	a := NewMultiHeadAttention("attn", 8, 2, rand.New(rand.NewSource(167)))
 	x, off := mat.New(5, 8), []int{0, 5}
-	a.SetBufferReuse(true)
+	a.useSlots(newSlots(true))
 	a.ForwardBatch(x, x, off, off, false)
 	if a.concat == nil {
 		t.Fatal("reuse on: no context rows kept")
 	}
-	a.SetBufferReuse(false)
+	a.useSlots(newSlots(false))
 	if a.concat != nil {
-		t.Fatal("SetBufferReuse(false) kept forward scratch")
+		t.Fatal("reuse off kept forward scratch")
 	}
 	a.ForwardBatch(x, x, off, off, false)
 	if a.concat != nil {

@@ -83,9 +83,6 @@ func (f *FeedForward) Params() []*nn.Parameter { return nn.CollectParams(f.L1, f
 // PrunableLinears returns the two MLP projections.
 func (f *FeedForward) PrunableLinears() []*nn.Linear { return []*nn.Linear{f.L1, f.L2} }
 
-// SetBufferReuse toggles preallocated activation buffers on the MLP.
-func (f *FeedForward) SetBufferReuse(on bool) { f.useSlots(newSlots(on)) }
-
 // useSlots points the MLP's outputs at their roles in s (nil: reuse
 // off). GELU shares the hidden slot of the first projection, so it runs
 // in place.
@@ -136,10 +133,6 @@ func (e *EncoderLayer) PrunableLinears() []*nn.Linear {
 	return append(e.Attn.PrunableLinears(), e.FF.PrunableLinears()...)
 }
 
-// SetBufferReuse toggles preallocated activation buffers on every
-// sublayer of the block.
-func (e *EncoderLayer) SetBufferReuse(on bool) { e.useSlots(newSlots(on)) }
-
 // useSlots points every sublayer's output at its role in s (nil: reuse
 // off).
 func (e *EncoderLayer) useSlots(s *slots) {
@@ -147,11 +140,6 @@ func (e *EncoderLayer) useSlots(s *slots) {
 	e.FF.useSlots(s)
 	e.LN1.SetOutputSlot(s.at(slotNorm1))
 	e.LN2.SetOutputSlot(s.at(slotFF))
-}
-
-// Forward runs the block on a single seq x dim sequence.
-func (e *EncoderLayer) Forward(x *mat.Matrix) *mat.Matrix {
-	return e.ForwardBatch(x, []int{0, x.Rows})
 }
 
 // ForwardBatch runs the block on a packed multi-sequence batch (ΣL x
@@ -215,10 +203,6 @@ func (d *DecoderLayer) PrunableLinears() []*nn.Linear {
 	return append(out, d.FF.PrunableLinears()...)
 }
 
-// SetBufferReuse toggles preallocated activation buffers on every
-// sublayer of the block.
-func (d *DecoderLayer) SetBufferReuse(on bool) { d.useSlots(newSlots(on)) }
-
 // useSlots points every sublayer's output at its role in s (nil: reuse
 // off).
 func (d *DecoderLayer) useSlots(s *slots) {
@@ -228,12 +212,6 @@ func (d *DecoderLayer) useSlots(s *slots) {
 	d.LN1.SetOutputSlot(s.at(slotNorm1))
 	d.LN2.SetOutputSlot(s.at(slotNorm2))
 	d.LN3.SetOutputSlot(s.at(slotFF))
-}
-
-// Forward runs the block on a single sequence x (seq x dim) attending
-// to memory.
-func (d *DecoderLayer) Forward(x, memory *mat.Matrix) *mat.Matrix {
-	return d.ForwardBatch(x, memory, []int{0, x.Rows}, []int{0, memory.Rows})
 }
 
 // ForwardBatch runs the block on a packed multi-sequence batch: causal

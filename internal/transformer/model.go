@@ -12,8 +12,9 @@ import (
 
 // Config describes a model instance. The paper's Transformer uses two
 // encoder and one decoder layers on WikiText-2; its DistilBERT has six
-// encoder layers. This reproduction keeps those topologies at laptop
-// scale (see DESIGN.md, decision 5).
+// encoder layers. This reproduction keeps those layer counts, which the
+// pattern sets and levels act on, and shrinks widths and vocabularies so
+// that every table and figure trains and evaluates on a laptop CPU.
 type Config struct {
 	Vocab     int // vocabulary size (LM) or input token space (classifier)
 	Dim       int // model width d_model

@@ -27,12 +27,17 @@ func TestPositionalEncodingShapeAndRange(t *testing.T) {
 	}
 }
 
+// attendOne runs a over one sequence: a packed batch of one.
+func attendOne(a *transformer.MultiHeadAttention, q, kv *mat.Matrix, causal bool) *mat.Matrix {
+	return a.ForwardBatch(q, kv, []int{0, q.Rows}, []int{0, kv.Rows}, causal)
+}
+
 func TestAttentionRowsSumToOneViaSoftmax(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := transformer.NewMultiHeadAttention("a", 8, 2, rng)
 	x := mat.New(4, 8)
 	x.Randomize(rng, 1)
-	y := a.Forward(x, x, false)
+	y := attendOne(a, x, x, false)
 	if y.Rows != 4 || y.Cols != 8 {
 		t.Fatalf("attention output %dx%d", y.Rows, y.Cols)
 	}
@@ -44,10 +49,10 @@ func TestAttentionCausalMaskZeroesFuture(t *testing.T) {
 	x := mat.New(3, 4)
 	x.Randomize(rng, 1)
 	// causal: output at position 0 must not change when later inputs do
-	y1 := a.Forward(x, x, true).Clone()
+	y1 := attendOne(a, x, x, true).Clone()
 	x2 := x.Clone()
 	x2.Set(2, 0, x2.At(2, 0)+5)
-	y2 := a.Forward(x2, x2, true)
+	y2 := attendOne(a, x2, x2, true)
 	for j := 0; j < y1.Cols; j++ {
 		if math.Abs(y1.At(0, j)-y2.At(0, j)) > 1e-9 {
 			t.Fatalf("causal attention leaked future information at col %d", j)
@@ -80,7 +85,7 @@ func TestSelfAttentionGradCheck(t *testing.T) {
 	x.Randomize(rng, 1)
 	targets := []int{0, 1, 0}
 	loss := func() float64 {
-		y := a.Forward(x, x, false)
+		y := attendOne(a, x, x, false)
 		logits := head.Forward(y)
 		v, grad := nn.SoftmaxCrossEntropy(logits, targets)
 		dq, _ := a.Backward(head.Backward(grad))
@@ -97,7 +102,7 @@ func TestCausalAttentionGradCheck(t *testing.T) {
 	x := mat.New(3, 4)
 	x.Randomize(rng, 1)
 	loss := func() float64 {
-		y := a.Forward(x, x, true)
+		y := attendOne(a, x, x, true)
 		logits := head.Forward(y)
 		v, grad := nn.SoftmaxCrossEntropy(logits, []int{1, 0, 1})
 		a.Backward(head.Backward(grad))
@@ -113,7 +118,7 @@ func TestEncoderLayerGradCheck(t *testing.T) {
 	x := mat.New(2, 4)
 	x.Randomize(rng, 1)
 	loss := func() float64 {
-		y := enc.Forward(x)
+		y := enc.ForwardBatch(x, []int{0, x.Rows})
 		logits := head.Forward(y)
 		v, grad := nn.SoftmaxCrossEntropy(logits, []int{0, 1})
 		enc.Backward(head.Backward(grad))
@@ -131,7 +136,7 @@ func TestDecoderLayerGradCheck(t *testing.T) {
 	mem := mat.New(3, 4)
 	mem.Randomize(rng, 1)
 	loss := func() float64 {
-		y := dec.Forward(x, mem)
+		y := dec.ForwardBatch(x, mem, []int{0, x.Rows}, []int{0, mem.Rows})
 		logits := head.Forward(y)
 		v, grad := nn.SoftmaxCrossEntropy(logits, []int{0, 1})
 		dec.Backward(head.Backward(grad))
