@@ -117,7 +117,7 @@ func (r *Router) setBreaker(id int, to BreakerState) {
 		r.breakerTrips.Add(1)
 	}
 	r.breakerLog = append(r.breakerLog, BreakerEvent{
-		Seq: len(r.breakerLog), Node: id, From: from.String(), To: to.String(),
+		Seq: len(r.trace), Node: id, From: from.String(), To: to.String(),
 	})
 }
 

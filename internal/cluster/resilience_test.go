@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -211,12 +212,14 @@ func occupyNode(t *testing.T, r *cluster.Router, budget int) (a, b <-chan serve.
 }
 
 // TestBreakerTripAndRecover drives the full circuit on a resilient
-// router: a request that finds the only node full retries, its failed
-// admissions open the node's breaker (the node then leaves every ready
-// set, and the retries back off on ErrNoReadyNodes), the cooldown admits
-// half-open trials, and once the node has room a trial's success closes
-// the circuit again. Every transition is in the trace's breaker log, in
-// an order the state machine allows, and every opening is a trip.
+// router. Three requests find the only node full and retry. Their
+// failed admissions open the node's breaker after exactly
+// BreakerThreshold of them; while it is open the node leaves every
+// ready set, so no decision picks it and the retries of the cooldown
+// find no node (and record no decision); the cooldown then admits a
+// half-open trial; and once the node has room a trial's success closes
+// the circuit again. The breaker log's Seq places every transition
+// among the decisions.
 func TestBreakerTripAndRecover(t *testing.T) {
 	r := newCluster(t, 1,
 		serve.Config{MaxBatch: 1, QueueCap: 1, StepFloor: 10 * time.Millisecond},
@@ -225,22 +228,20 @@ func TestBreakerTripAndRecover(t *testing.T) {
 	if st := r.NodeBreakerState(0); st != cluster.BreakerClosed {
 		t.Fatalf("initial breaker %v, want closed", st)
 	}
+	// the node has room again once occupier a's six steps of at least
+	// 10 ms are done; the overload's first failures, a few ms of
+	// backoff apart, trip the breaker well before that
 	a, b := occupyNode(t, r, 6)
-	c, err := r.SubmitGen(10, []int{1}, 2, -1)
-	if err != nil {
-		t.Fatalf("overload rejected synchronously: %v", err)
-	}
-	// five failed admissions within ~11 ms of backoff trip the breaker,
-	// well before the occupiers' 12 steps of at least 10 ms free the node
-	for deadline := time.Now().Add(time.Second); r.Stats().BreakerTrips == 0; time.Sleep(100 * time.Microsecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the full node's breaker never tripped")
+	chans := map[string]<-chan serve.GenResponse{"occupier 1": a, "occupier 2": b}
+	const overloadKey = 10
+	for i := 0; i < 3; i++ {
+		ch, err := r.SubmitGen(overloadKey+uint64(i), []int{1}, 2, -1)
+		if err != nil {
+			t.Fatalf("overload %d rejected synchronously: %v", i, err)
 		}
+		chans[fmt.Sprintf("overload %d", i)] = ch
 	}
-	if st := r.NodeBreakerState(0); st != cluster.BreakerOpen {
-		t.Fatalf("breaker after the trip: %v, want open", st)
-	}
-	for name, ch := range map[string]<-chan serve.GenResponse{"occupier 1": a, "occupier 2": b, "overload": c} {
+	for name, ch := range chans {
 		if resp := <-ch; resp.Err != nil {
 			t.Fatalf("%s failed: %v", name, resp.Err)
 		}
@@ -248,18 +249,43 @@ func TestBreakerTripAndRecover(t *testing.T) {
 	if st := r.NodeBreakerState(0); st != cluster.BreakerClosed {
 		t.Fatalf("breaker after the overload completed: %v, want closed", st)
 	}
+	tr, st := r.Trace(), r.Stats()
+	var retryDecisions int64
+	for _, d := range tr.Decisions {
+		if d.Kind == cluster.DecisionRetry {
+			retryDecisions++
+		}
+	}
+	if st.Retries <= retryDecisions {
+		t.Fatalf("%d retries, %d retry decisions: no retry found the node out of the ready set", st.Retries, retryDecisions)
+	}
 	legal := map[[2]string]bool{{"closed", "open"}: true, {"open", "half-open"}: true, {"half-open", "open"}: true, {"half-open", "closed"}: true}
 	from, opens := "closed", 0
-	for _, ev := range r.Trace().Breaker {
+	for i, ev := range tr.Breaker {
 		if ev.Node != 0 || ev.From != from || !legal[[2]string{ev.From, ev.To}] {
 			t.Fatalf("breaker event %+v after state %q", ev, from)
 		}
 		if ev.To == "open" {
+			if opens == 0 {
+				var failed int
+				for _, d := range tr.Decisions[:ev.Seq] {
+					if d.Key >= overloadKey {
+						failed++
+					}
+				}
+				if failed != cluster.BreakerThreshold {
+					t.Fatalf("breaker opened after %d failed admissions, want %d", failed, cluster.BreakerThreshold)
+				}
+			}
+			// legal order makes the next event the half-open one
+			if i+1 < len(tr.Breaker) && tr.Breaker[i+1].Seq != ev.Seq {
+				t.Fatalf("decisions %d..%d picked node 0 while its breaker was open", ev.Seq, tr.Breaker[i+1].Seq-1)
+			}
 			opens++
 		}
 		from = ev.To
 	}
-	if from != "closed" || opens == 0 || int64(opens) != r.Stats().BreakerTrips {
-		t.Fatalf("breaker log ends %q with %d openings, %d trips counted", from, opens, r.Stats().BreakerTrips)
+	if from != "closed" || opens == 0 || int64(opens) != st.BreakerTrips {
+		t.Fatalf("breaker log ends %q with %d openings, %d trips counted", from, opens, st.BreakerTrips)
 	}
 }

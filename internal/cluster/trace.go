@@ -43,6 +43,9 @@ type Decision struct {
 // them) — but the event log makes a chaos run's breaker behavior
 // auditable and replay-comparable.
 type BreakerEvent struct {
+	// Seq places the event in the decision sequence: it is the number
+	// of decisions recorded before it, so the event falls between
+	// decisions Seq-1 and Seq (events sharing a Seq keep log order).
 	Seq  int    `json:"seq"`
 	Node int    `json:"node"`
 	From string `json:"from"`

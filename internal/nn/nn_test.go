@@ -298,7 +298,7 @@ func TestGlobalSparsity(t *testing.T) {
 func forkMatchesInline(t *testing.T, cols, threshold int, setSlot func(**mat.Matrix), forward func(x *mat.Matrix) *mat.Matrix, backward func(dy *mat.Matrix) *mat.Matrix) {
 	rng := rand.New(rand.NewSource(31))
 	for _, reuse := range []bool{false, true} {
-		setSlot(reuseSlot(reuse))
+		setSlot(nn.NewSlot(reuse))
 		for _, rows := range []int{1, 2, threshold - 1, threshold, threshold + 1, 384, 3001} {
 			x := mat.New(rows, cols)
 			x.Randomize(rng, 3)
@@ -327,15 +327,6 @@ func forkMatchesInline(t *testing.T, cols, threshold int, setSlot func(**mat.Mat
 			}
 		}
 	}
-}
-
-// reuseSlot is the output slot that turns a module's buffer reuse on, or
-// nil, which turns it off.
-func reuseSlot(on bool) **mat.Matrix {
-	if !on {
-		return nil
-	}
-	return new(*mat.Matrix)
 }
 
 // servingBackwardPanics asserts that backward, run after a forward with

@@ -52,7 +52,7 @@ func TestLayerNormResidualMatchesNaive(t *testing.T) {
 	for _, dim := range []int{4, 16, 40, 192} {
 		for _, reuse := range []bool{false, true} {
 			ln := nn.NewLayerNorm("ln", dim)
-			ln.SetOutputSlot(reuseSlot(reuse))
+			ln.SetOutputSlot(nn.NewSlot(reuse))
 			ln.Gamma.Value.Randomize(rng, 2)
 			ln.Beta.Value.Randomize(rng, 1)
 			for _, rows := range []int{1, 8, 37} {
@@ -121,13 +121,13 @@ func BenchmarkTail(b *testing.B) {
 	}
 	for _, rows := range []int{8, 256} {
 		g := &nn.GELU{}
-		g.SetOutputSlot(reuseSlot(true))
+		g.SetOutputSlot(nn.NewSlot(true))
 		x := randMat(rows, 768)
 		cases = append(cases, tailCase{fmt.Sprintf("gelu/%dx768", rows), len(x.Data), func() { g.Forward(x) }})
 	}
 	for _, rows := range []int{8, 256} {
 		ln := nn.NewLayerNorm("ln", 192)
-		ln.SetOutputSlot(reuseSlot(true))
+		ln.SetOutputSlot(nn.NewSlot(true))
 		x, res := randMat(rows, 192), randMat(rows, 192)
 		cases = append(cases, tailCase{fmt.Sprintf("residual+ln/%dx192", rows), len(x.Data), func() { ln.ForwardResidual(x, res) }})
 	}
