@@ -59,15 +59,6 @@ import "fmt"
 // multiples of; key storage is padded to a multiple of it.
 const AttendBlock = 16
 
-// attendKern is a choice of attention-core twin (see the file comment).
-type attendKern uint8
-
-const (
-	attendGo attendKern = iota
-	attendAVX
-	attendZ
-)
-
 // AttendPadded rounds a key-row count up to whole blocks: how far a key
 // block must be readable for a window of that many rows.
 func AttendPadded(rows int) int { return (rows + AttendBlock - 1) / AttendBlock * AttendBlock }
@@ -84,8 +75,9 @@ func Attend(out, q, kT []float64, ld int, v []float64, vs, rows int, scale float
 }
 
 // attend is Attend with the twin explicit, so tests can hold each twin
-// to the naive reference.
-func attend(out, q, kT []float64, ld int, v []float64, vs, rows int, scale float64, p []float64, kern attendKern) {
+// to the naive reference. Its softmax runs the same twin of the vector
+// math, or the widest below it this host has.
+func attend(out, q, kT []float64, ld int, v []float64, vs, rows int, scale float64, p []float64, kern isa) {
 	hd := len(q)
 	if rows < 1 || hd == 0 || len(out) != hd || len(p) < rows || len(kT) < (hd-1)*ld+AttendPadded(rows) || len(v) < (rows-1)*vs+hd {
 		panic(fmt.Sprintf("mat: Attend head dim %d/%d over %d rows: %d keys at stride %d, %d values at stride %d, %d scores",
@@ -93,7 +85,7 @@ func attend(out, q, kT []float64, ld int, v []float64, vs, rows int, scale float
 	}
 	p = p[:rows]
 	vecMat(p, q, kT, ld, scale, true, kern)
-	softmax(p, p, kern != attendGo && tailAsm)
+	softmax(p, p, min(kern, tailHost))
 	vecMat(out, p, v, vs, 1, false, kern)
 }
 
@@ -104,13 +96,13 @@ func attend(out, q, kT []float64, ld int, v []float64, vs, rows int, scale float
 // up to AttendBlock, which lets the YMM kernel take the last partial
 // block too; otherwise the portable loop runs the columns past the last
 // full block. The multiply by scale == 1 is exact.
-func vecMat(dst, a, b []float64, stride int, scale float64, padded bool, kern attendKern) {
+func vecMat(dst, a, b []float64, stride int, scale float64, padded bool, kern isa) {
 	done, whole := 0, len(dst)-len(dst)%AttendBlock
-	if kern == attendZ && whole > 0 {
+	if kern == isaZ && whole > 0 {
 		vecMatZ(&dst[0], &a[0], len(a), &b[0], stride, whole, scale)
 		done = whole
 	}
-	if kern != attendGo {
+	if kern != isaGo {
 		end := whole
 		if padded {
 			end = len(dst)

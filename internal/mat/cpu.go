@@ -34,17 +34,46 @@ func laneGate(f cpuFeatures) (laneKern, string) {
 	return laneKern{true, laneWidth}, "avx"
 }
 
+// isa names a twin of the attention core and of the vector math: the
+// ZMM kernels, the YMM kernels, or the portable loops. The order is
+// width: a twin may run any kernel of a lower one.
+type isa uint8
+
+const (
+	isaGo isa = iota
+	isaAVX
+	isaZ
+)
+
+// isaNames are the twins' names as tests and logs print them.
+var isaNames = [...]string{isaGo: "go", isaAVX: "avx", isaZ: "avx512"}
+
 // attendGate picks the attention core's twin for a CPU: the ZMM kernels
 // with ZMM state, the YMM kernel with YMM state, else the portable
 // loops. None fuses, so none needs FMA3.
-func attendGate(f cpuFeatures) attendKern {
+func attendGate(f cpuFeatures) isa {
 	switch {
 	case f.zmm():
-		return attendZ
+		return isaZ
 	case f.ymm():
-		return attendAVX
+		return isaAVX
 	}
-	return attendGo
+	return isaGo
+}
+
+// tailGate picks the vector math's twin for a CPU (exp.go). Both
+// assembly twins need AVX2: the YMM exponent add is a 256-bit integer
+// shift and add, and the row norm, which the ZMM twin leaves to the YMM
+// kernel, broadcasts from a register. The ZMM twin needs ZMM state on
+// top. None fuses, so none needs FMA3.
+func tailGate(f cpuFeatures) isa {
+	switch {
+	case !f.ymm() || !f.avx2:
+		return isaGo
+	case f.zmm():
+		return isaZ
+	}
+	return isaAVX
 }
 
 var (
@@ -52,7 +81,7 @@ var (
 	laneHost, laneISA = laneGate(hostCPU)
 	// attendHost is the twin Attend runs on this host.
 	attendHost = attendGate(hostCPU)
-	// tailAsm gates the kernels of exp_amd64.s, whose exponent add needs
-	// AVX2's 256-bit integer shift and add.
-	tailAsm = hostCPU.ymm() && hostCPU.avx2
+	// tailHost is the twin the vector math of exp.go runs on this host:
+	// softmax (Attend's included), GELU and the row norm.
+	tailHost = tailGate(hostCPU)
 )

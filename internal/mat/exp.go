@@ -15,12 +15,15 @@ import (
 // Exp below — a fixed polynomial in portable Go — IS the repository's
 // exp. Nothing under internal/mat or internal/nn calls math.Exp or
 // math.Tanh, so probabilities and activations are the same bits on every
-// host and build tag. The slice forms (expSub, GELU, NormRow) run AVX2
-// twins of the portable loops on amd64 (exp_amd64.s) and the portable
-// loops everywhere else; the twins execute the same operations in the
-// same order with every product and sum separately rounded, so they
-// agree at tolerance 0, exactly as the lane kernels, which fuse, do with
-// laneKernGo.
+// host and build tag. The slice forms (Softmax, GELU, NormRow) have
+// three twins, picked once from CPUID/XCR0 by tailGate: avx512 runs the
+// ZMM kernels of exp_amd64.s (32 elements per iteration, four 8-lane
+// chains), avx the YMM kernels (8 per iteration, two 4-lane chains), go
+// the portable loops, which are what every other host runs. The row norm
+// and expSub have a YMM kernel only, which both assembly twins run. The
+// twins execute the same operations in the same order with every
+// product and sum separately rounded, so they agree at tolerance 0,
+// exactly as the lane kernels, which fuse, do with laneKernGo.
 //
 // # No fusion
 //
@@ -92,15 +95,18 @@ func Exp(x float64) float64 {
 	return math.Float64frombits(math.Float64bits(p) + math.Float64bits(t)<<52)
 }
 
-// expBlock is how many elements one iteration of the assembly kernels
-// takes: two 4-lane vectors, two interleaved Horner chains.
+// expBlock is how many elements one iteration of the YMM kernels takes:
+// two 4-lane vectors, two interleaved Horner chains. (The ZMM kernels
+// take 32, then 8 at a time, then a masked last block.)
 const expBlock = 8
 
-// expSub computes dst[i] = Exp(src[i] - shift) on the assembly kernel
-// (asm) or the portable loop; dst and src have equal length and may be
-// the same slice. A shift of 0 is exact.
-func expSub(dst, src []float64, shift float64, asm bool) {
-	if asm {
+// expSub computes dst[i] = Exp(src[i] - shift) on the given twin; dst
+// and src have equal length and may be the same slice. A shift of 0 is
+// exact. Both assembly twins run the YMM kernel: outside tests only the
+// softmax of the go and avx twins calls it (softmaxZ has its own exp
+// pass).
+func expSub(dst, src []float64, shift float64, kern isa) {
+	if kern != isaGo {
 		expBlocks(dst, src, shift, false)
 		return
 	}
@@ -109,8 +115,8 @@ func expSub(dst, src []float64, shift float64, asm bool) {
 	}
 }
 
-// expBlocks runs one of the two assembly kernels over src: whole blocks
-// in place, the last partial block through a block-sized copy (what the
+// expBlocks runs one of the two YMM kernels over src: whole blocks in
+// place, the last partial block through a block-sized copy (what the
 // padding lanes compute is dropped).
 func expBlocks(dst, src []float64, shift float64, gelu bool) {
 	n := len(src) &^ (expBlock - 1)
@@ -143,24 +149,42 @@ func Softmax(dst, src []float64) {
 	if len(dst) != len(src) || len(src) == 0 {
 		panic(fmt.Sprintf("mat: Softmax of %d elements into %d", len(src), len(dst)))
 	}
-	softmax(dst, src, tailAsm)
+	softmax(dst, src, tailHost)
 }
 
-func softmax(dst, src []float64, asm bool) {
+// softmax is Softmax on the given twin. The ZMM twin is one call of
+// three passes — a vector max, one exp pass that adds the ascending sum
+// as it stores, a vector scale — that compute the portable passes'
+// bits: a maximum is exact in any order but for the sign of a zero,
+// which no x - max can see, and the sum is the same serial chain.
+func softmax(dst, src []float64, kern isa) {
+	if kern == isaZ {
+		softmaxZ(&dst[0], &src[0], len(src), &expTab[0])
+		return
+	}
 	maxv := src[0]
 	for _, v := range src[1:] {
 		if v > maxv {
 			maxv = v
 		}
 	}
-	expSub(dst, src, maxv, asm)
+	expSub(dst, src, maxv, kern)
+	// Go leaves to the compiler which NaN an add or multiply of two NaNs
+	// returns (it may swap the operands of either), so neither loop makes
+	// one: a NaN sum keeps its first NaN, and where the reciprocal is
+	// NaN an entry that is NaN keeps its own bits — what the assembly's
+	// VADDSD and VMULPD give with the sum and the entry as first source.
 	var sum float64
 	for _, e := range dst {
-		sum += e
+		if sum += e; sum != sum {
+			break
+		}
 	}
 	inv := 1 / sum
-	for i := range dst {
-		dst[i] *= inv
+	for i, e := range dst {
+		if e == e || inv == inv {
+			dst[i] = e * inv
+		}
 	}
 }
 
@@ -174,16 +198,19 @@ func GELU(dst, src []float64) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("mat: GELU of %d elements into %d", len(src), len(dst)))
 	}
-	gelu(dst, src, tailAsm)
+	gelu(dst, src, tailHost)
 }
 
-func gelu(dst, src []float64, asm bool) {
-	if asm {
+func gelu(dst, src []float64, kern isa) {
+	switch {
+	case kern == isaZ && len(src) > 0:
+		geluZ(&dst[0], &src[0], len(src), &expTab[0])
+	case kern == isaAVX:
 		expBlocks(dst, src, 0, true)
-		return
-	}
-	for i, v := range src {
-		dst[i] = v / (1 + GELUExp(v))
+	case kern == isaGo:
+		for i, v := range src {
+			dst[i] = v / (1 + GELUExp(v))
+		}
 	}
 }
 
@@ -223,14 +250,15 @@ func NormRow(out, xhat, x, res, gamma, beta []float64, eps float64) float64 {
 		panic(fmt.Sprintf("mat: NormRow of %d elements: %d residual, %d/%d scale and shift, into %d and %d",
 			n, len(res), len(gamma), len(beta), len(out), len(xhat)))
 	}
-	return normRow(out, xhat, x, res, gamma, beta, eps, tailAsm)
+	return normRow(out, xhat, x, res, gamma, beta, eps, tailHost)
 }
 
-// normRow is NormRow with the kernel choice explicit. The assembly takes
-// rows of whole NormBlocks (every model width this repository serves).
-func normRow(out, xhat, x, res, gamma, beta []float64, eps float64, asm bool) float64 {
+// normRow is NormRow on the given twin. Both assembly twins run the YMM
+// kernel, which takes rows of whole NormBlocks (every model width this
+// repository serves).
+func normRow(out, xhat, x, res, gamma, beta []float64, eps float64, kern isa) float64 {
 	n := len(x)
-	if asm && n%NormBlock == 0 {
+	if kern != isaGo && n%NormBlock == 0 {
 		var r *float64
 		if res != nil {
 			r = &res[0]

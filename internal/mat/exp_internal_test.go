@@ -48,27 +48,41 @@ func expInput(rng *rand.Rand) float64 {
 	}
 }
 
-// checkTwins runs the three slice kernels over src with and without the
-// assembly, into a window of a sentinel-filled buffer at the given
-// offset (so the stores are misaligned and overruns show), and requires
-// equal bits.
-func checkTwins(t testing.TB, src []float64, shift float64, offset int) {
+// tailTwins runs body once per twin of the vector math (go, avx,
+// avx512) as a named subtest; a twin this host (or build) cannot run is
+// an explicit SKIP.
+func tailTwins(t *testing.T, body func(t *testing.T, kern isa)) {
+	for kern, name := range isaNames {
+		t.Run(name, func(t *testing.T) {
+			if isa(kern) > tailHost {
+				t.Skipf("this host (or build) runs the %q twin of the vector math", isaNames[tailHost])
+			}
+			body(t, isa(kern))
+		})
+	}
+}
+
+// checkTwins runs the three slice kernels over src on the twin kern and
+// on the portable loops, into a window of a sentinel-filled buffer at
+// the given offset (so the stores are misaligned and overruns show),
+// and requires equal bits.
+func checkTwins(t testing.TB, kern isa, src []float64, shift float64, offset int) {
 	t.Helper()
 	n := len(src)
 	const guard = 3
-	run := func(kern func(dst, src []float64, asm bool)) {
+	run := func(f func(dst, src []float64, kern isa)) {
 		t.Helper()
 		want := make([]float64, n)
-		kern(want, src, false)
+		f(want, src, isaGo)
 		buf := make([]float64, offset+n+guard)
 		for i := range buf {
 			buf[i] = 7
 		}
 		got := buf[offset : offset+n]
-		kern(got, src, tailAsm)
+		f(got, src, kern)
 		if i := sameBits(got, want); i >= 0 {
-			t.Fatalf("%d elements at offset %d: element %d of input %x (shift %v) is %x with the assembly, %x without",
-				n, offset, i, math.Float64bits(src[i]), shift, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			t.Fatalf("%d elements at offset %d: element %d of input %x (shift %v) is %x on the %s twin, %x on the portable loop",
+				n, offset, i, math.Float64bits(src[i]), shift, math.Float64bits(got[i]), isaNames[kern], math.Float64bits(want[i]))
 		}
 		for i, v := range buf {
 			if (i < offset || i >= offset+n) && v != 7 {
@@ -77,55 +91,75 @@ func checkTwins(t testing.TB, src []float64, shift float64, offset int) {
 		}
 		// in place, as softmax runs it
 		inPlace := append([]float64(nil), src...)
-		kern(inPlace, inPlace, tailAsm)
+		f(inPlace, inPlace, kern)
 		if i := sameBits(inPlace, want); i >= 0 {
 			t.Fatalf("%d elements in place: element %d differs", n, i)
 		}
 	}
-	run(func(dst, src []float64, asm bool) { expSub(dst, src, shift, asm) })
-	run(func(dst, src []float64, asm bool) { gelu(dst, src, asm) })
+	run(func(dst, src []float64, kern isa) { expSub(dst, src, shift, kern) })
+	run(func(dst, src []float64, kern isa) { gelu(dst, src, kern) })
 	if n > 0 {
-		run(func(dst, src []float64, asm bool) { softmax(dst, src, asm) })
+		run(func(dst, src []float64, kern isa) { softmax(dst, src, kern) })
 	}
 }
 
-// TestExpAsmMatchesPortable pins the AVX2 kernels of exp, GELU and
-// softmax to the portable loops bit for bit: every length 1..70 (every
-// tail of the 8-element block), misaligned destinations, the special
-// values in every lane position, and over a million random inputs.
-// (Without the assembly this compares the portable loops with
-// themselves.)
+// TestExpAsmMatchesPortable pins each twin of exp, GELU and softmax to
+// the portable loops bit for bit: every length 1..100 (every remainder
+// of the ZMM kernels' 32-element iteration and of the 8-element block),
+// misaligned destinations, the special values starting at every lane of
+// a 32-element block, and over a million random inputs. (The go twin
+// compares the portable loops with themselves.)
 func TestExpAsmMatchesPortable(t *testing.T) {
-	rng := rand.New(rand.NewSource(191))
-	for n := 1; n <= 70; n++ {
-		src := make([]float64, n)
-		for i := range src {
-			src[i] = expInput(rng)
+	tailTwins(t, func(t *testing.T, kern isa) {
+		rng := rand.New(rand.NewSource(191))
+		for n := 1; n <= 100; n++ {
+			src := make([]float64, n)
+			for i := range src {
+				src[i] = expInput(rng)
+			}
+			checkTwins(t, kern, src, -3+6*rng.Float64(), n%4)
 		}
-		checkTwins(t, src, -3+6*rng.Float64(), n%4)
-	}
-	for lane := 0; lane < expBlock; lane++ {
-		src := make([]float64, lane+len(expSpecials))
-		copy(src[lane:], expSpecials)
-		checkTwins(t, src, 0, 1)
-	}
-	total := 1 << 20
-	if testing.Short() {
-		total = 1 << 16
-	}
-	for done := 0; done < total; {
-		src := make([]float64, 1+rng.Intn(4096))
-		for i := range src {
-			src[i] = expInput(rng)
+		for lane := 0; lane < 32; lane++ {
+			src := make([]float64, lane+len(expSpecials))
+			copy(src[lane:], expSpecials)
+			checkTwins(t, kern, src, 0, 1)
 		}
-		checkTwins(t, src, 0, rng.Intn(4))
-		done += len(src)
-	}
+		// A NaN after the maximum must not displace it. Only a +Inf
+		// maximum shows that (Inf - Inf is NaN, Inf - x is not): +Inf at
+		// every position of a 77-element row (two 32-element iterations,
+		// one 8-element block, a partial one), a NaN 8 and 32 places
+		// after it, in the same lane of the same accumulator.
+		for i := 0; i < 77; i++ {
+			src := make([]float64, 77)
+			for j := range src {
+				src[j] = -40 + 50*rng.Float64()
+			}
+			src[i] = math.Inf(1)
+			for _, j := range []int{i + 8, i + 32} {
+				if j < len(src) {
+					src[j] = math.Float64frombits(0x7ff8000000000bad)
+				}
+			}
+			checkTwins(t, kern, src, 0, 0)
+		}
+		total := 1 << 20
+		if testing.Short() {
+			total = 1 << 16
+		}
+		for done := 0; done < total; {
+			src := make([]float64, 1+rng.Intn(4096))
+			for i := range src {
+				src[i] = expInput(rng)
+			}
+			checkTwins(t, kern, src, 0, rng.Intn(4))
+			done += len(src)
+		}
+	})
 }
 
 // FuzzExp is the differential fuzz of the slice kernels against the
 // portable scalar definition: arbitrary float64 bit patterns, lengths
-// and shifts, tolerance 0.
+// and shifts, tolerance 0, on every twin.
 func FuzzExp(f *testing.F) {
 	seed := make([]byte, 0, 8*len(expSpecials))
 	for _, v := range expSpecials {
@@ -139,7 +173,9 @@ func FuzzExp(f *testing.F) {
 		for i := range src {
 			src[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
-		checkTwins(t, src, shift, int(offset%4))
+		tailTwins(t, func(t *testing.T, kern isa) {
+			checkTwins(t, kern, src, shift, int(offset%4))
+		})
 	})
 }
 
@@ -170,13 +206,13 @@ func TestNormRowAsmMatchesPortable(t *testing.T) {
 					res = nil
 				}
 				wantOut, wantHat := make([]float64, n), make([]float64, n)
-				wantInv := normRow(wantOut, wantHat, x, res, gamma, beta, 1e-5, false)
+				wantInv := normRow(wantOut, wantHat, x, res, gamma, beta, 1e-5, isaGo)
 				buf := make([]float64, 2*n+2)
 				for i := range buf {
 					buf[i] = 7
 				}
 				gotOut, gotHat := buf[:n], buf[n+1:2*n+1]
-				gotInv := normRow(gotOut, gotHat, x, res, gamma, beta, 1e-5, tailAsm)
+				gotInv := normRow(gotOut, gotHat, x, res, gamma, beta, 1e-5, tailHost)
 				if gotInv != wantInv || sameBits(gotOut, wantOut) >= 0 || sameBits(gotHat, wantHat) >= 0 {
 					t.Fatalf("width %d, amplitude %g, residual %v: row norm assembly differs from the portable loop", n, amp, withRes)
 				}

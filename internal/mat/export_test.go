@@ -1,6 +1,9 @@
 package mat
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // LaneWeightsOf packs the nonzeros of w into column streams; shared by
 // the package's internal and external tests.
@@ -27,7 +30,7 @@ func LaneWeightsOf(tb testing.TB, w *Matrix) *LaneWeights {
 }
 
 // ExpSub is expSub on the kernel this host runs.
-func ExpSub(dst, src []float64, shift float64) { expSub(dst, src, shift, tailAsm) }
+func ExpSub(dst, src []float64, shift float64) { expSub(dst, src, shift, tailHost) }
 
 // ForkHelpers returns how many helper goroutines Fork has started.
 func ForkHelpers() int {
@@ -63,8 +66,8 @@ func LaneBlockRows() int { return laneHost.width }
 
 // AttendTwin returns Attend on the named twin ("go", "avx" or "avx512")
 // and whether this host (or build) can run it.
-func AttendTwin(isa string) (func(out, q, kT []float64, ld int, v []float64, vs, rows int, scale float64, p []float64), bool) {
-	kern := map[string]attendKern{"go": attendGo, "avx": attendAVX, "avx512": attendZ}[isa]
+func AttendTwin(name string) (func(out, q, kT []float64, ld int, v []float64, vs, rows int, scale float64, p []float64), bool) {
+	kern := isa(slices.Index(isaNames[:], name))
 	return func(out, q, kT []float64, ld int, v []float64, vs, rows int, scale float64, p []float64) {
 		attend(out, q, kT, ld, v, vs, rows, scale, p, kern)
 	}, kern <= attendHost

@@ -168,14 +168,14 @@ func TestAttendGate(t *testing.T) {
 	for _, tc := range []struct {
 		what string
 		f    cpuFeatures
-		want attendKern
+		want isa
 	}{
-		{"no features (purego, other arches)", cpuFeatures{}, attendGo},
-		{"AVX without FMA3", cpuFeatures{avx: true, xcr0: ymm}, attendAVX},
-		{"AVX, YMM state not saved", cpuFeatures{avx: true, fma: true, xcr0: 0x2}, attendGo},
-		{"AVX-512F, ZMM state not saved", cpuFeatures{avx: true, avx512f: true, xcr0: ymm}, attendAVX},
-		{"AVX-512F with ZMM state, FMA3 clear", cpuFeatures{avx: true, avx512f: true, xcr0: zmm}, attendZ},
-		{"AVX-512F without AVX", cpuFeatures{avx512f: true, xcr0: zmm}, attendGo},
+		{"no features (purego, other arches)", cpuFeatures{}, isaGo},
+		{"AVX without FMA3", cpuFeatures{avx: true, xcr0: ymm}, isaAVX},
+		{"AVX, YMM state not saved", cpuFeatures{avx: true, fma: true, xcr0: 0x2}, isaGo},
+		{"AVX-512F, ZMM state not saved", cpuFeatures{avx: true, avx512f: true, xcr0: ymm}, isaAVX},
+		{"AVX-512F with ZMM state, FMA3 clear", cpuFeatures{avx: true, avx512f: true, xcr0: zmm}, isaZ},
+		{"AVX-512F without AVX", cpuFeatures{avx512f: true, xcr0: zmm}, isaGo},
 	} {
 		if got := attendGate(tc.f); got != tc.want {
 			t.Errorf("%s: gate picks twin %d, want %d", tc.what, got, tc.want)
@@ -184,6 +184,36 @@ func TestAttendGate(t *testing.T) {
 	if attendHost != attendGate(hostCPU) {
 		t.Fatalf("host runs attention twin %d, the gate picks %d", attendHost, attendGate(hostCPU))
 	}
+}
+
+// TestTailGate holds the vector math's gate to its table: both assembly
+// twins need AVX2 with YMM state, the ZMM twin ZMM state on top, FMA3
+// plays no part (no twin fuses), and the host runs the gate applied to
+// its CPUID.
+func TestTailGate(t *testing.T) {
+	const ymm, zmm = 0x6, 0xE6
+	for _, tc := range []struct {
+		what string
+		f    cpuFeatures
+		want isa
+	}{
+		{"no features (purego, other arches)", cpuFeatures{}, isaGo},
+		{"AVX without AVX2", cpuFeatures{avx: true, fma: true, xcr0: ymm}, isaGo},
+		{"AVX2 without FMA3", cpuFeatures{avx: true, avx2: true, xcr0: ymm}, isaAVX},
+		{"AVX2, YMM state not saved", cpuFeatures{avx: true, avx2: true, xcr0: 0x2}, isaGo},
+		{"AVX-512F and AVX2, ZMM state not saved", cpuFeatures{avx: true, avx2: true, avx512f: true, xcr0: ymm}, isaAVX},
+		{"AVX-512F and AVX2 with ZMM state, FMA3 clear", cpuFeatures{avx: true, avx2: true, avx512f: true, xcr0: zmm}, isaZ},
+		{"AVX-512F with ZMM state, AVX2 clear", cpuFeatures{avx: true, avx512f: true, xcr0: zmm}, isaGo},
+		{"AVX-512F and AVX2 without AVX", cpuFeatures{avx2: true, avx512f: true, xcr0: zmm}, isaGo},
+	} {
+		if got := tailGate(tc.f); got != tc.want {
+			t.Errorf("%s: gate picks the %s twin, want %s", tc.what, isaNames[got], isaNames[tc.want])
+		}
+	}
+	if tailHost != tailGate(hostCPU) {
+		t.Fatalf("host runs the %s twin of the vector math, the gate picks %s", isaNames[tailHost], isaNames[tailGate(hostCPU)])
+	}
+	t.Logf("the vector math runs the %q twin", isaNames[tailHost])
 }
 
 // TestPackLanesTwins holds each pack twin — the scalar stores of the

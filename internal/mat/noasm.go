@@ -38,6 +38,10 @@ func expSub8AVX(dst, src *float64, n int, shift float64, tab *float64) {
 
 func gelu8AVX(dst, src *float64, n int, tab *float64) { panic("mat: gelu8AVX without asm") }
 
+func geluZ(dst, src *float64, n int, tab *float64) { panic("mat: geluZ without asm") }
+
+func softmaxZ(dst, src *float64, n int, tab *float64) { panic("mat: softmaxZ without asm") }
+
 func normRow16AVX(out, xhat, x, res, gamma, beta *float64, n int, eps float64) float64 {
 	panic("mat: normRow16AVX without asm")
 }

@@ -61,10 +61,11 @@ type Ranger interface {
 // above it.
 const ForkMinWork = 1 << 16
 
-// WorkExp is the work of one element that goes through Exp: 3 to 4 ns
+// WorkExp is the work of one element that goes through Exp: about 2 ns
 // for a GELU activation or a softmax entry with its share of the max,
-// sum and scale passes (BenchmarkTail in internal/nn).
-const WorkExp = 32
+// sum and scale passes on the ZMM kernels (1.9 and 2.1-2.8 ns,
+// BenchmarkTail in internal/nn), so GELU forks from about 6 µs.
+const WorkExp = 20
 
 // WorkNorm is the work of one element of a residual + layer-norm row
 // (mat.NormRow, 0.7 to 0.8 ns).

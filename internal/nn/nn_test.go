@@ -341,11 +341,13 @@ func servingBackwardPanics(t *testing.T, what string, backward func()) {
 	backward()
 }
 
-// TestGELUForkMatchesInline: GELU fans out from 2048 elements (64
-// columns: 32 rows; a decode step's 8 x 768 is three times that).
+// TestGELUForkMatchesInline: GELU fans out from ForkMinWork/WorkExp
+// elements (3277; 64 columns: 52 rows; a decode step's 8 x 768 is almost
+// twice that).
 func TestGELUForkMatchesInline(t *testing.T) {
 	gelu := &nn.GELU{}
-	forkMatchesInline(t, 64, 32, gelu.SetOutputSlot, gelu.Forward, gelu.Backward)
+	const cols = 64
+	forkMatchesInline(t, cols, (mat.ForkMinWork+cols*mat.WorkExp-1)/(cols*mat.WorkExp), gelu.SetOutputSlot, gelu.Forward, gelu.Backward)
 }
 
 // TestBiasForkMatchesInline: the bias add after every product

@@ -95,13 +95,15 @@ func TestLayerNormResidualMatchesNaive(t *testing.T) {
 }
 
 // BenchmarkTail times the scalar tail of a step at the shapes the
-// reference deployment runs — the softmax of one attention row, GELU
-// over a decode step's and a prefill's FFN activations, residual + layer
-// norm and the bias add over the same — inline (GOMAXPROCS 1) and forked
-// (2). It is where mat.WorkExp, mat.WorkNorm and mat.WorkBias come from
-// (docs/ARCHITECTURE.md, "Parallel execution"). Besides the mean it
-// reports the minimum over single calls, the figure to read on a noisy
-// host, and its cost per element.
+// reference deployment runs — the softmax of one attention row (16
+// entries: a decode step's; 130: a prefill's; 208: a shared-prefix
+// request's; 96 and 256 beside them), GELU over a decode step's and a
+// prefill's FFN activations, residual + layer norm and the bias add over
+// the same — inline (GOMAXPROCS 1) and forked (2). It is where
+// mat.WorkExp, mat.WorkNorm and mat.WorkBias come from
+// (docs/ARCHITECTURE.md, "Parallel execution"). Besides the mean and its
+// cost per element it reports the minimum over single calls, the figure
+// to read on a noisy host, and the minimum's cost per element.
 func BenchmarkTail(b *testing.B) {
 	rng := rand.New(rand.NewSource(35))
 	randMat := func(rows, cols int) *mat.Matrix {
@@ -115,7 +117,7 @@ func BenchmarkTail(b *testing.B) {
 		run   func()
 	}
 	var cases []tailCase
-	for _, n := range []int{96, 256} {
+	for _, n := range []int{16, 96, 130, 208, 256} {
 		src, dst := randMat(1, n).Data, make([]float64, n)
 		cases = append(cases, tailCase{fmt.Sprintf("softmax/%d", n), n, func() { mat.Softmax(dst, src) }})
 	}
@@ -149,6 +151,7 @@ func BenchmarkTail(b *testing.B) {
 						best = d
 					}
 				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.elems), "ns/elem")
 				b.ReportMetric(float64(best.Nanoseconds()), "min-ns")
 				b.ReportMetric(float64(best.Nanoseconds())/float64(c.elems), "min-ns/elem")
 			})

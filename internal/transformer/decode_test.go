@@ -448,7 +448,7 @@ func TestPositionalEncodingCached(t *testing.T) {
 // over widePrompts — the pattern products, the cached attentions, GELU,
 // the packed logits — reaches the fork threshold.
 var (
-	wideCfg     = transformer.Config{Vocab: 64, Dim: 128, Heads: 4, FFHidden: 256, EncLayers: 1, DecLayers: 2, SeqLen: 64}
+	wideCfg     = transformer.Config{Vocab: 64, Dim: 128, Heads: 4, FFHidden: 512, EncLayers: 1, DecLayers: 2, SeqLen: 64}
 	widePrompts = []int{18, 28, 40, 22, 50, 14, 32, 26}
 )
 
