@@ -1,9 +1,26 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// matchGolden holds a report to testdata/<name>.golden byte for byte:
+// the experiments are seeded end to end, so every refactor of the
+// pipeline must print the same numbers. A change that means to move a
+// number rewrites the file by hand and says why.
+func matchGolden(t *testing.T, name, got string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("report differs from testdata/%s.golden\n--- got:\n%s--- want:\n%s", name, got, want)
+	}
+}
 
 func TestTableIFormat(t *testing.T) {
 	s := TableI()
@@ -43,6 +60,7 @@ func TestTableIIShape(t *testing.T) {
 	if !strings.Contains(res.String(), "E3") {
 		t.Fatal("formatting lost E3")
 	}
+	matchGolden(t, "tab2", res.String())
 }
 
 func TestTableIIIWikiTextTiny(t *testing.T) {
@@ -72,7 +90,7 @@ func TestTableIIIWikiTextTiny(t *testing.T) {
 	if res.RTInterruptMS > 1000 {
 		t.Fatalf("RT3 interrupt %.2f ms should be sub-second", res.RTInterruptMS)
 	}
-	_ = res.String()
+	matchGolden(t, "tab3_wikitext", res.String())
 }
 
 func TestFigure3aFrontsDominate(t *testing.T) {
@@ -86,7 +104,7 @@ func TestFigure3aFrontsDominate(t *testing.T) {
 	if len(res.LooseFront) == 0 || len(res.TightFront) == 0 {
 		t.Fatal("empty Pareto fronts")
 	}
-	_ = res.String()
+	matchGolden(t, "fig3a", res.String())
 }
 
 func TestFigure3bcSeries(t *testing.T) {
@@ -103,7 +121,7 @@ func TestFigure3bcSeries(t *testing.T) {
 	if res.OriginalAcc <= 0 {
 		t.Fatal("original accuracy not positive")
 	}
-	_ = res.String()
+	matchGolden(t, "fig3bc", res.String())
 }
 
 func TestFigure4Patterns(t *testing.T) {
@@ -125,7 +143,7 @@ func TestFigure4Patterns(t *testing.T) {
 			t.Fatalf("sparsity %g", res.Sparsities[i])
 		}
 	}
-	_ = res.String()
+	matchGolden(t, "fig4", res.String())
 }
 
 func TestFigure5AllTasks(t *testing.T) {
@@ -144,7 +162,7 @@ func TestFigure5AllTasks(t *testing.T) {
 			t.Errorf("%s: compression %.2fx below the paper's band", row.Task, row.PruneRate)
 		}
 	}
-	_ = res.String()
+	matchGolden(t, "fig5", res.String())
 }
 
 func TestTableIVWikiTextTiny(t *testing.T) {
@@ -179,7 +197,7 @@ func TestTableIVWikiTextTiny(t *testing.T) {
 	if rt3Row.AvgSparsity <= bpOnly.AvgSparsity {
 		t.Fatalf("RT3 sparsity %.2f <= BP %.2f", rt3Row.AvgSparsity, bpOnly.AvgSparsity)
 	}
-	_ = res.String()
+	matchGolden(t, "tab4_wikitext", res.String())
 }
 
 func TestTableIVUnknownDataset(t *testing.T) {
