@@ -1,9 +1,9 @@
 // Package bench is the top-level benchmark harness: one benchmark per
 // table and figure of the paper's evaluation section (regenerating the
 // artifact and reporting its headline numbers as custom metrics), plus
-// ablation benches for the choices RT3's method rests on (pattern size,
-// the search-space width theta, joint training, the storage formats
-// pattern is weighed against) and micro-benchmarks of the hot kernels.
+// ablation benches for the choices RT3's method rests on (joint
+// training, the storage formats pattern is weighed against) and
+// micro-benchmarks of the hot kernels.
 //
 // Regenerate everything with:
 //
@@ -147,66 +147,13 @@ func BenchmarkFigure5(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPatternSize sweeps the pattern size (the paper fixes
-// psize=100 for the full model; here the trade-off between mask
-// granularity and achievable sparsity control is probed at 2/4/8).
-func BenchmarkAblationPatternSize(b *testing.B) {
-	task := experiments.NewLMTask(experiments.ScaleTiny, 7)
-	rng := rand.New(rand.NewSource(8))
-	l1, err := rt3.RunLevel1(task, experiments.DefaultLevel1(0.3), rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, psize := range []int{2, 4, 8} {
-		psize := psize
-		b.Run("psize"+itoa(psize), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := experiments.DefaultSearch(experiments.ScaleTiny, 104, 9)
-				cfg.CalibrateMS = 160
-				cfg.Space.PSize = psize
-				res, err := rt3.Search(task, l1, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.Best.TotalRuns, "total_runs")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationTheta sweeps the search-space width theta (candidates
-// per V/F level).
-func BenchmarkAblationTheta(b *testing.B) {
-	task := experiments.NewLMTask(experiments.ScaleTiny, 10)
-	rng := rand.New(rand.NewSource(11))
-	l1, err := rt3.RunLevel1(task, experiments.DefaultLevel1(0.3), rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, theta := range []int{1, 3, 5} {
-		theta := theta
-		b.Run("theta"+itoa(theta), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := experiments.DefaultSearch(experiments.ScaleTiny, 104, 12)
-				cfg.CalibrateMS = 160
-				cfg.Space.Theta = theta
-				res, err := rt3.Search(task, l1, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.Best.Reward, "best_reward")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationJointTraining compares joint (shared backbone, Fig 2)
 // against individual per-level training on identical masks, reporting
 // the metric gap that Table III quantifies.
 func BenchmarkAblationJointTraining(b *testing.B) {
 	task := experiments.NewLMTask(experiments.ScaleTiny, 13)
 	rng := rand.New(rand.NewSource(14))
-	l1, err := rt3.RunLevel1(task, experiments.DefaultLevel1(0.3), rng)
+	l1, err := rt3.RunLevel1(task, 0.3, rng)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -216,10 +163,9 @@ func BenchmarkAblationJointTraining(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	jt := rt3.JointTrainConfig{Epochs: 2, Batch: 8, LR: 2e-3}
 	for i := 0; i < b.N; i++ {
-		joint := rt3.JointTrain(task, res.Best.Masks, jt, rng)
-		indiv := rt3.IndividualTrain(task, res.Best.Masks, jt, rng)
+		joint := rt3.JointTrain(task, res.Best.Masks, rt3.FinalEpochs, rng)
+		indiv := rt3.IndividualTrain(task, res.Best.Masks, rt3.FinalEpochs, rng)
 		var gap float64
 		for j := range joint {
 			gap += indiv[j] - joint[j]
@@ -246,7 +192,7 @@ func BenchmarkAblationFormats(b *testing.B) {
 		format prune.Format
 		cost   prune.StorageCost
 	}{
-		{"dense", prune.FormatDense, prune.CostDense(mask)},
+		{"dense", prune.FormatDense, prune.CostDense(mask.Rows, mask.Cols)},
 		{"COO", prune.FormatCOO, prune.CostCOO(mask)},
 		{"block", prune.FormatBlockStructured, prune.CostBlockStructured(mask, prune.BPConfig{Blocks: 4})},
 		{"pattern", prune.FormatPattern, prune.CostPattern(mask, 8, 4)},

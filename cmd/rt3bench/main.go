@@ -31,13 +31,9 @@ func main() {
 	jsonPath := flag.String("json", "", "write the kernels, autotune, cluster and chaos result rows plus a metrics snapshot to this file")
 	flag.Parse()
 
-	scale := experiments.ScaleTiny
-	switch *scaleFlag {
-	case "tiny":
-	case "small":
-		scale = experiments.ScaleSmall
-	default:
-		log.Fatalf("unknown scale %q (want tiny or small)", *scaleFlag)
+	scale, err := experiments.ParseScale(*scaleFlag)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	ran := false

@@ -27,9 +27,9 @@ func main() {
 	scaleFlag := flag.String("scale", "tiny", "model scale: tiny or small")
 	flag.Parse()
 
-	scale := experiments.ScaleTiny
-	if *scaleFlag == "small" {
-		scale = experiments.ScaleSmall
+	scale, err := experiments.ParseScale(*scaleFlag)
+	if err != nil {
+		log.Fatal(err)
 	}
 	res, err := experiments.Figure4(scale)
 	if err != nil {

@@ -18,7 +18,6 @@ import (
 	"log"
 	"math/rand"
 
-	"rt3/internal/dvfs"
 	"rt3/internal/experiments"
 	"rt3/internal/rt3"
 	"rt3/internal/rtswitch"
@@ -30,7 +29,7 @@ func main() {
 	// Search once to obtain three sub-models of increasing sparsity.
 	task := experiments.NewLMTask(experiments.ScaleTiny, 5)
 	rng := rand.New(rand.NewSource(6))
-	l1, err := rt3.RunLevel1(task, experiments.DefaultLevel1(0.3), rng)
+	l1, err := rt3.RunLevel1(task, 0.3, rng)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,12 +39,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rt3.FinalizeSolution(task, res.Best, 1, cfg.Batch, cfg.LR, rng)
+	accs := rt3.JointTrain(task, res.Best.Masks, 1, rng)
 
 	// All sub-models execute at the same fixed level (no DVFS here);
 	// their latencies differ only through sparsity.
-	level := experiments.EvalLevels()[0] // l6
-	pr := experiments.CalibratedPredictor(task, 160, cfg.Space.PSize, cfg.Space.M)
+	level := rt3.EvalLevels()[0] // l6
+	pr := experiments.CalibratedPredictor(task, 160)
 	type subModel struct {
 		name  string
 		latMS float64
@@ -57,7 +56,7 @@ func main() {
 		lat, _ := pr.Measure(res.Best.Masks[i], level)
 		subs = append(subs, subModel{
 			name:  fmt.Sprintf("M%d (%.0f%% sparse)", i+1, ls.Sparsity*100),
-			latMS: lat, acc: ls.Metric,
+			latMS: lat, acc: accs[i],
 			bytes: res.Best.Sets[i].MaskBytes(),
 		})
 	}
@@ -90,5 +89,4 @@ func main() {
 			step, netMS, budget, subs[chosen].name, subs[chosen].latMS, switchMS)
 	}
 	fmt.Println("\nsoftware-only reconfiguration: the deadline holds through every bandwidth dip")
-	_ = dvfs.OdroidXU3Levels
 }

@@ -14,6 +14,7 @@ import (
 
 	"rt3/internal/dvfs"
 	"rt3/internal/experiments"
+	"rt3/internal/rt3"
 	"rt3/internal/rtswitch"
 )
 
@@ -28,7 +29,7 @@ func main() {
 
 	// Narrated drain: watch the governor step levels down.
 	fmt.Println("\nBattery trace (E3-style run, 1 report per 10% charge):")
-	levels := experiments.EvalLevels()
+	levels := rt3.EvalLevels()
 	gov := dvfs.NewGovernor(levels)
 	bat := dvfs.NewBattery(100) // a small battery so the trace is short
 	power := dvfs.DefaultPowerModel()

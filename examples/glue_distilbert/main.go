@@ -23,7 +23,7 @@ func main() {
 	for i, name := range tasks {
 		task := experiments.NewGLUETaskModel(experiments.ScaleTiny, name, int64(10+i))
 		orig := task.Evaluate()
-		l1, err := rt3.RunLevel1(task, experiments.DefaultLevel1(0.4), rand.New(rand.NewSource(int64(20+i))))
+		l1, err := rt3.RunLevel1(task, 0.4, rand.New(rand.NewSource(int64(20+i))))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -27,7 +27,7 @@ func main() {
 
 	// 2. Level 1: block-structured pruning to a fixed backbone.
 	rng := rand.New(rand.NewSource(2))
-	l1, err := rt3.RunLevel1(task, experiments.DefaultLevel1(0.3), rng)
+	l1, err := rt3.RunLevel1(task, 0.3, rng)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rt3.FinalizeSolution(task, res.Best, 2, cfg.Batch, cfg.LR, rng)
+	rt3.FinalizeSolution(task, res.Best, rng)
 
 	fmt.Printf("\ndeployment plan (T = %.0f ms):\n", cfg.TimingMS)
 	for _, ls := range res.Best.Levels {

@@ -40,6 +40,7 @@ var testOnlyExports = map[string]string{
 	"internal/obs.Gauge.Add":                      gaugeKept,
 	"internal/nn.Linear.Kernel":                   "serve's tests read which kernel the engine left on the output projection; nn's export_test.go cannot serve another package's tests",
 	"internal/deploy.Bundle.WriteTo":              "io.WriterTo form of Encode, pinned byte for byte by TestReferenceBundleBytes",
+	"internal/prune.CostCOO":                      "the COO footprint hwsim's tests and BenchmarkAblationFormats weigh BP and pattern storage against (the paper's hardware argument); the predictor prices only pattern and block layouts",
 }
 
 // gaugeKept is why the settable gauge and its methods stay.

@@ -6,20 +6,19 @@
 package experiments
 
 import (
+	"fmt"
 	"math/rand"
 
 	"rt3/internal/data"
-	"rt3/internal/dvfs"
 	"rt3/internal/mat"
 	"rt3/internal/pattern"
-	"rt3/internal/prune"
 	"rt3/internal/rt3"
 	"rt3/internal/transformer"
 )
 
-// Scale selects the experiment size. Benchmarks and the CLI default to
-// ScaleSmall so the whole suite finishes in minutes on one core; tests
-// use ScaleTiny.
+// Scale selects the experiment size. Every CLI, example, test and
+// benchmark runs ScaleTiny, so the whole suite finishes in minutes on
+// one core; the CLIs' -scale small selects ScaleSmall.
 type Scale int
 
 // Experiment scales.
@@ -28,37 +27,33 @@ const (
 	ScaleSmall
 )
 
-// EvalLevels are the three V/F levels the paper selects for evaluation:
-// {l3, l4, l6} of Table I, ordered fastest first as the governor expects.
-func EvalLevels() []dvfs.Level {
-	return []dvfs.Level{
-		dvfs.OdroidXU3Levels[5], // l6: F-Mode
-		dvfs.OdroidXU3Levels[3], // l4: N-Mode
-		dvfs.OdroidXU3Levels[2], // l3: E-Mode
+// ParseScale resolves a -scale flag: "tiny" or "small".
+func ParseScale(name string) (Scale, error) {
+	switch name {
+	case "tiny":
+		return ScaleTiny, nil
+	case "small":
+		return ScaleSmall, nil
 	}
+	return 0, fmt.Errorf("unknown scale %q (want tiny or small)", name)
 }
 
-// BatteryBudgetJ is the evaluation energy budget: a 10 Wh phone battery.
-const BatteryBudgetJ = 36000
-
-// lmParams returns the LM experiment knobs per scale.
+// lmScale holds the LM experiment knobs per scale.
 type lmScale struct {
 	vocab, dim, heads, ff, seq int
 	corpusLen                  int
 	pretrainEpochs             int
 	searchEpisodes             int
-	jointEpochs                int
-	finalEpochs                int
 }
 
 func lmScaleFor(s Scale) lmScale {
 	switch s {
 	case ScaleSmall:
 		return lmScale{vocab: 48, dim: 24, heads: 2, ff: 48, seq: 16,
-			corpusLen: 4000, pretrainEpochs: 10, searchEpisodes: 8, jointEpochs: 1, finalEpochs: 2}
+			corpusLen: 4000, pretrainEpochs: 10, searchEpisodes: 8}
 	default:
 		return lmScale{vocab: 32, dim: 16, heads: 2, ff: 32, seq: 12,
-			corpusLen: 1600, pretrainEpochs: 12, searchEpisodes: 6, jointEpochs: 1, finalEpochs: 2}
+			corpusLen: 1600, pretrainEpochs: 12, searchEpisodes: 6}
 	}
 }
 
@@ -100,42 +95,18 @@ func NewGLUETaskModel(s Scale, name string, seed int64) *rt3.GLUETask {
 	return task
 }
 
-// DefaultLevel1 is the Level-1 BP configuration used by the experiments.
-func DefaultLevel1(percentile float64) rt3.Level1Config {
-	return rt3.Level1Config{
-		BP:             prune.BPConfig{Blocks: 4, Direction: prune.ColumnsInRowBlocks, Percentile: percentile},
-		FinetuneEpochs: 2,
-		Batch:          8,
-		LR:             2e-3,
-	}
-}
-
-// DefaultSearch assembles the Level-2 search configuration. timingMS is
-// the real-time constraint T.
+// DefaultSearch assembles the Level-2 search configuration: the scale's
+// episode count under the real-time constraint T = timingMS.
 func DefaultSearch(s Scale, timingMS float64, seed int64) rt3.SearchConfig {
-	p := lmScaleFor(s)
-	return rt3.SearchConfig{
-		Levels:      EvalLevels(),
-		TimingMS:    timingMS,
-		Space:       rt3.SpaceConfig{PSize: 4, Theta: 3, M: 4, Step: 0.08},
-		K:           2,
-		Episodes:    p.searchEpisodes,
-		JointEpochs: p.jointEpochs,
-		Batch:       8,
-		LR:          2e-3,
-		BudgetJ:     BatteryBudgetJ,
-		AccMin:      0.1,
-		Penalty:     0.3,
-		Seed:        seed,
-	}
+	return rt3.SearchConfig{TimingMS: timingMS, Episodes: lmScaleFor(s).searchEpisodes, Seed: seed}
 }
 
 // CalibratedPredictor builds a predictor whose dense latency at l6
 // matches denseMSAtL6, echoing the paper's absolute regime (M1 at F-Mode
 // is 114.59 ms in Table II).
-func CalibratedPredictor(task rt3.TaskModel, denseMSAtL6 float64, psize, m int) *rt3.Predictor {
-	pr := rt3.NewPredictor(task, BatteryBudgetJ, psize, m)
-	pr.Calibrate(denseMSAtL6, EvalLevels()[0])
+func CalibratedPredictor(task rt3.TaskModel, denseMSAtL6 float64) *rt3.Predictor {
+	pr := rt3.NewPredictor(task)
+	pr.Calibrate(denseMSAtL6, rt3.EvalLevels()[0])
 	return pr
 }
 

@@ -22,6 +22,19 @@ func matchGolden(t *testing.T, name, got string) {
 	}
 }
 
+func TestParseScale(t *testing.T) {
+	for name, want := range map[string]Scale{"tiny": ScaleTiny, "small": ScaleSmall} {
+		if got, err := ParseScale(name); err != nil || got != want {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"", "foo", "Tiny", "large"} {
+		if _, err := ParseScale(name); err == nil {
+			t.Errorf("ParseScale(%q) accepted an unknown scale", name)
+		}
+	}
+}
+
 func TestTableIFormat(t *testing.T) {
 	s := TableI()
 	for _, want := range []string{"l1", "l6", "400", "1400", "916.25", "1240"} {

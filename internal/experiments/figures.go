@@ -25,7 +25,7 @@ type Figure3aResult struct {
 func Figure3a(s Scale) (*Figure3aResult, error) {
 	task := NewLMTask(s, 51)
 	rng := rand.New(rand.NewSource(52))
-	l1, err := rt3.RunLevel1(task, DefaultLevel1(0.3), rng)
+	l1, err := rt3.RunLevel1(task, 0.3, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +89,7 @@ func Figure3bc(s Scale, timingMS float64) (*Figure3bcResult, error) {
 	task := NewLMTask(s, 61)
 	rng := rand.New(rand.NewSource(62))
 	orig := task.Evaluate()
-	l1, err := rt3.RunLevel1(task, DefaultLevel1(0.3), rng)
+	l1, err := rt3.RunLevel1(task, 0.3, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -100,24 +100,23 @@ func Figure3bc(s Scale, timingMS float64) (*Figure3bcResult, error) {
 		return nil, err
 	}
 	sol := res.Best
-	p := lmScaleFor(s)
 
 	// Each strategy trains from the same backbone snapshot so the
 	// comparison is budget-fair.
 	backbone := rt3.SnapshotWeights(task.Params())
-	rt3.FinalizeSolution(task, sol, p.finalEpochs, cfg.Batch, cfg.LR, rng)
+	rt3.FinalizeSolution(task, sol, rng)
 	rt3Weights := rt3.SnapshotWeights(task.Params())
 
 	rt3.RestoreWeights(task.Params(), backbone)
-	ub := rt3.IndividualTrain(task, sol.Masks, rt3.JointTrainConfig{Epochs: p.finalEpochs, Batch: cfg.Batch, LR: cfg.LR}, rng)
+	ub := rt3.IndividualTrain(task, sol.Masks, rt3.FinalEpochs, rng)
 
-	pr := CalibratedPredictor(task, 160, cfg.Space.PSize, cfg.Space.M)
-	heuSol, err := rt3.HeuristicSolution(task, l1, res.Space, cfg, pr)
+	pr := CalibratedPredictor(task, 160)
+	heuSol, err := rt3.HeuristicSolution(task, l1, res.Space, timingMS, pr)
 	if err != nil {
 		return nil, err
 	}
 	rt3.RestoreWeights(task.Params(), backbone)
-	heuAccs := rt3.JointTrain(task, heuSol.Masks, rt3.JointTrainConfig{Epochs: p.finalEpochs, Batch: cfg.Batch, LR: cfg.LR}, rng)
+	heuAccs := rt3.JointTrain(task, heuSol.Masks, rt3.FinalEpochs, rng)
 	rt3.RestoreWeights(task.Params(), rt3Weights)
 
 	out := &Figure3bcResult{TimingMS: timingMS, OriginalAcc: orig, BackboneAcc: l1.Metric}
@@ -163,7 +162,7 @@ type Figure4Result struct {
 func Figure4(s Scale) (*Figure4Result, error) {
 	task := NewLMTask(s, 71)
 	rng := rand.New(rand.NewSource(72))
-	l1, err := rt3.RunLevel1(task, DefaultLevel1(0.3), rng)
+	l1, err := rt3.RunLevel1(task, 0.3, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +216,7 @@ func Figure5(s Scale) (*Figure5Result, error) {
 	for i, name := range tasks {
 		task := NewGLUETaskModel(s, name, int64(81+i))
 		orig := task.Evaluate()
-		l1, err := rt3.RunLevel1(task, DefaultLevel1(0.4), rand.New(rand.NewSource(int64(91+i))))
+		l1, err := rt3.RunLevel1(task, 0.4, rand.New(rand.NewSource(int64(91+i))))
 		if err != nil {
 			return nil, err
 		}
@@ -231,7 +230,7 @@ func Figure5(s Scale) (*Figure5Result, error) {
 	// WikiText-2 bar
 	lm := NewLMTask(s, 99)
 	orig := lm.Evaluate()
-	l1, err := rt3.RunLevel1(lm, DefaultLevel1(0.4), rand.New(rand.NewSource(100)))
+	l1, err := rt3.RunLevel1(lm, 0.4, rand.New(rand.NewSource(100)))
 	if err != nil {
 		return nil, err
 	}

@@ -61,7 +61,7 @@ func TableIII(s Scale, spec Table3Spec) (*Table3Result, error) {
 	}
 	rng := rand.New(rand.NewSource(spec.Seed + 100))
 
-	l1, err := rt3.RunLevel1(task, DefaultLevel1(0.3), rng)
+	l1, err := rt3.RunLevel1(task, 0.3, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -73,15 +73,13 @@ func TableIII(s Scale, spec Table3Spec) (*Table3Result, error) {
 	}
 	sol := res.Best
 
-	p := lmScaleFor(s)
 	// RT3: joint training of the shared backbone; UB: individual training
 	// per sub-model with the same per-model epoch budget.
-	rt3.FinalizeSolution(task, sol, p.finalEpochs, cfg.Batch, cfg.LR, rng)
-	ubCfg := rt3.JointTrainConfig{Epochs: p.finalEpochs, Batch: cfg.Batch, LR: cfg.LR}
-	ubMetrics := rt3.IndividualTrain(task, sol.Masks, ubCfg, rng)
+	rt3.FinalizeSolution(task, sol, rng)
+	ubMetrics := rt3.IndividualTrain(task, sol.Masks, rt3.FinalEpochs, rng)
 
 	// switch-time accounting
-	pr := CalibratedPredictor(task, spec.DenseMS, cfg.Space.PSize, cfg.Space.M)
+	pr := CalibratedPredictor(task, spec.DenseMS)
 	costs := rtswitch.DefaultSwitchCostModel()
 	modelBytes := ModelBytes(task, pr)
 	maskBytes := deployedMaskBytes(task, sol, pr)

@@ -55,8 +55,8 @@ type TableIIResult struct {
 // sub-models sized to always meet the constraint.
 func TableII(s Scale) (*TableIIResult, error) {
 	task := NewLMTask(s, 21)
-	pr := CalibratedPredictor(task, 160, 4, 4) // dense ≈160 ms at l6
-	levels := EvalLevels()
+	pr := CalibratedPredictor(task, 160) // dense ≈160 ms at l6
+	levels := rt3.EvalLevels()
 	prunable := task.PrunableParams()
 
 	// M1: light pruning so l6 meets 115 ms; M2/M3 sparser for l4/l3.
@@ -91,21 +91,21 @@ func TableII(s Scale) (*TableIIResult, error) {
 
 	e1, err := rtswitch.Simulate(rtswitch.Config{
 		Levels: levels, SubModels: subs[:1], Power: power, Switch: costs,
-		TimingMS: timing, BudgetJ: BatteryBudgetJ,
+		TimingMS: timing, BudgetJ: rt3.BatteryBudgetJ,
 	})
 	if err != nil {
 		return nil, err
 	}
 	e2, err := rtswitch.Simulate(rtswitch.Config{
 		Levels: levels, SubModels: subs[:1], Power: power, Switch: costs,
-		TimingMS: timing, BudgetJ: BatteryBudgetJ, HardwareReconfig: true,
+		TimingMS: timing, BudgetJ: rt3.BatteryBudgetJ, HardwareReconfig: true,
 	})
 	if err != nil {
 		return nil, err
 	}
 	e3, err := rtswitch.Simulate(rtswitch.Config{
 		Levels: levels, SubModels: subs, Power: power, Switch: costs,
-		TimingMS: timing, BudgetJ: BatteryBudgetJ,
+		TimingMS: timing, BudgetJ: rt3.BatteryBudgetJ,
 		HardwareReconfig: true, SoftwareReconfig: true,
 	})
 	if err != nil {
@@ -160,7 +160,7 @@ func TableIV(s Scale, dataset string) (*TableIVResult, error) {
 	search.CalibrateMS = 160 // dense ≈160 ms at l6; pruning must buy back 115
 	cfg := rt3.AblationConfig{
 		TaskFactory: factory,
-		Level1:      DefaultLevel1(0.4),
+		Percentile:  0.4,
 		Search:      search,
 	}
 	rows, err := rt3.RunAblation(cfg)

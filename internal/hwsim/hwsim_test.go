@@ -46,7 +46,7 @@ func TestFormatOrderingAtEqualSparsity(t *testing.T) {
 	pat := cm.LayerCycles(shape, sparsity, prune.FormatPattern, prune.CostPattern(mask, 8, 4))
 	blk := cm.LayerCycles(shape, sparsity, prune.FormatBlockStructured, prune.CostBlockStructured(mask, prune.BPConfig{Blocks: 4}))
 	coo := cm.LayerCycles(shape, sparsity, prune.FormatCOO, prune.CostCOO(mask))
-	dense := cm.LayerCycles(shape, 0, prune.FormatDense, prune.CostDense(mask))
+	dense := cm.LayerCycles(shape, 0, prune.FormatDense, prune.CostDense(mask.Rows, mask.Cols))
 	if !(pat < blk && blk < coo) {
 		t.Fatalf("format ordering violated: pattern %g block %g COO %g", pat, blk, coo)
 	}
@@ -62,7 +62,7 @@ func TestCOOCanLoseToDenseAtLowSparsity(t *testing.T) {
 	shape := LayerShape{Rows: 64, Cols: 64, Reuse: 16}
 	mask := maskWithSparsity(64, 64, 0.1, 3)
 	coo := cm.LayerCycles(shape, 0.1, prune.FormatCOO, prune.CostCOO(mask))
-	dense := cm.LayerCycles(shape, 0, prune.FormatDense, prune.CostDense(mask))
+	dense := cm.LayerCycles(shape, 0, prune.FormatDense, prune.CostDense(mask.Rows, mask.Cols))
 	if coo <= dense {
 		t.Fatalf("COO at 10%% sparsity (%g) should be slower than dense (%g)", coo, dense)
 	}

@@ -1,8 +1,7 @@
 // Package prune implements Level 1 of RT3: hardware-friendly
 // block-structured pruning (BP, Algorithm 1 of the paper), its random
-// baseline rBP, the reweighted group-lasso regularizer that orchestrates
-// BP during training, and the sparse-storage accounting (COO versus
-// block formats) that motivates BP's hardware efficiency argument.
+// baseline rBP, and the sparse-storage accounting (COO versus block
+// formats) that motivates BP's hardware efficiency argument.
 package prune
 
 import (

@@ -1,6 +1,10 @@
 package prune
 
-import "rt3/internal/mat"
+import (
+	"math"
+
+	"rt3/internal/mat"
+)
 
 // Format identifies a sparse weight storage layout. The paper's
 // hardware-efficiency argument for BP is that excluding whole
@@ -45,9 +49,10 @@ type StorageCost struct {
 	TotalWords int // Values + Indices
 }
 
-// CostDense returns the footprint of the dense layout.
-func CostDense(w *mat.Matrix) StorageCost {
-	n := w.Rows * w.Cols
+// CostDense returns the footprint of a rows x cols matrix in the dense
+// layout.
+func CostDense(rows, cols int) StorageCost {
+	n := rows * cols
 	return StorageCost{Format: FormatDense, Values: n, Indices: 0, TotalWords: n}
 }
 
@@ -94,4 +99,13 @@ func CostPattern(mask *mat.Matrix, psize, numPatterns int) StorageCost {
 	// pattern bitmasks: psize*psize bits each, 64 bits per word
 	setWords := numPatterns * ((psize*psize + 63) / 64)
 	return StorageCost{Format: FormatPattern, Values: nnz, Indices: ids + setWords, TotalWords: nnz + ids + setWords}
+}
+
+// CompressionRatio converts a sparsity fraction into the paper's
+// "x-fold compression" convention (e.g. 0.5 sparsity -> 2x).
+func CompressionRatio(sparsity float64) float64 {
+	if sparsity >= 1 {
+		return math.Inf(1)
+	}
+	return 1 / (1 - sparsity)
 }

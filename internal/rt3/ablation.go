@@ -59,7 +59,7 @@ type AblationRow struct {
 // mutates weights, so each method starts from an identical model).
 type AblationConfig struct {
 	TaskFactory func() TaskModel
-	Level1      Level1Config
+	Percentile  float64 // BP percentile of Level 1
 	Search      SearchConfig
 }
 
@@ -90,18 +90,19 @@ func RunAblation(cfg AblationConfig) ([]AblationRow, error) {
 
 func runMethod(m Method, cfg AblationConfig) (*AblationRow, error) {
 	task := cfg.TaskFactory()
-	sCfg := cfg.Search.withDefaults()
+	sCfg := cfg.Search
+	levels := EvalLevels()
 	rng := rand.New(rand.NewSource(sCfg.Seed + int64(m)*101))
-	pr := NewPredictor(task, sCfg.BudgetJ, sCfg.Space.PSize, sCfg.Space.M)
+	pr := NewPredictor(task)
 	if sCfg.CalibrateMS > 0 {
-		pr.Calibrate(sCfg.CalibrateMS, sCfg.Levels[0])
+		pr.Calibrate(sCfg.CalibrateMS, levels[0])
 	}
-	budgetPerLevel := sCfg.BudgetJ / float64(len(sCfg.Levels))
+	budgetPerLevel := BatteryBudgetJ / float64(len(levels))
 
 	switch m {
 	case MethodNoOpt:
 		runs := 0.0
-		for _, lvl := range sCfg.Levels {
+		for _, lvl := range levels {
 			cy := pr.Cycles(nil)
 			runs += budgetPerLevel / pr.Power.InferenceEnergy(lvl, cy)
 		}
@@ -111,37 +112,37 @@ func runMethod(m Method, cfg AblationConfig) (*AblationRow, error) {
 		var l1 *Level1Result
 		var err error
 		if m == MethodBPOnly {
-			l1, err = RunLevel1(task, cfg.Level1, rng)
+			l1, err = RunLevel1(task, cfg.Percentile, rng)
 		} else {
-			l1, err = RunRandomLevel1(task, cfg.Level1, rng)
+			l1, err = RunRandomLevel1(task, cfg.Percentile, rng)
 		}
 		if err != nil {
 			return nil, err
 		}
 		pr.Format = prune.FormatBlockStructured
 		runs := 0.0
-		for _, lvl := range sCfg.Levels {
+		for _, lvl := range levels {
 			cy := pr.Cycles(l1.Masks)
 			runs += budgetPerLevel / pr.Power.InferenceEnergy(lvl, cy)
 		}
 		return &AblationRow{Method: m, AvgSparsity: l1.Sparsity, Runs: runs, AvgMetric: l1.Metric}, nil
 
 	case MethodRBPRPP:
-		l1, err := RunRandomLevel1(task, cfg.Level1, rng)
+		l1, err := RunRandomLevel1(task, cfg.Percentile, rng)
 		if err != nil {
 			return nil, err
 		}
-		return patternMethod(task, l1, sCfg, pr, rng, true)
+		return patternMethod(task, l1, sCfg.TimingMS, pr, rng)
 
 	case MethodRBPPP:
-		l1, err := RunRandomLevel1(task, cfg.Level1, rng)
+		l1, err := RunRandomLevel1(task, cfg.Percentile, rng)
 		if err != nil {
 			return nil, err
 		}
 		return searchMethod(m, task, l1, sCfg, pr, rng)
 
 	case MethodRT3:
-		l1, err := RunLevel1(task, cfg.Level1, rng)
+		l1, err := RunLevel1(task, cfg.Percentile, rng)
 		if err != nil {
 			return nil, err
 		}
@@ -150,33 +151,28 @@ func runMethod(m Method, cfg AblationConfig) (*AblationRow, error) {
 	return nil, fmt.Errorf("rt3: unknown method %v", m)
 }
 
-// patternMethod realizes the rPP baselines: per level, random pattern
-// sets at the heuristically chosen sparsity, jointly trained.
-func patternMethod(task TaskModel, l1 *Level1Result, sCfg SearchConfig, pr *Predictor, rng *rand.Rand, random bool) (*AblationRow, error) {
+// patternMethod realizes the rBP+rPP baseline: per level, a random
+// K-pattern set at the sparsity of the level's first candidate whose
+// latency fits, jointly trained.
+func patternMethod(task TaskModel, l1 *Level1Result, timingMS float64, pr *Predictor, rng *rand.Rand) (*AblationRow, error) {
 	prunable := task.PrunableParams()
-	space, err := BuildSearchSpace(task, l1.Masks, pr, sCfg.Levels, sCfg.TimingMS, sCfg.Space, rng)
+	space, err := BuildSearchSpace(task, l1.Masks, pr, timingMS, rng)
 	if err != nil {
 		return nil, err
 	}
+	levels := EvalLevels()
 	var masks [][]*mat.Matrix
-	budgetPerLevel := sCfg.BudgetJ / float64(len(sCfg.Levels))
+	budgetPerLevel := BatteryBudgetJ / float64(len(levels))
 	runs := 0.0
 	var sparsSum float64
-	for li, lvl := range sCfg.Levels {
-		// heuristic: first candidate for this level whose latency fits
-		var chosen *pattern.Set
+	for li, lvl := range levels {
+		found := false
 		for _, ci := range space.PerLevel[li] {
-			cand := space.Candidates[ci]
-			set := cand.Set
-			if random {
-				set = pattern.RandomSet(sCfg.Space.PSize, cand.Sparsity, sCfg.K, rng)
-			} else {
-				set = &pattern.Set{Sparsity: cand.Sparsity, Patterns: cand.Set.Patterns[:min(sCfg.K, len(cand.Set.Patterns))]}
-			}
+			set := pattern.RandomSet(psize, space.Candidates[ci].Sparsity, pickK, rng)
 			lm := BuildMasks(prunable, l1.Masks, set)
 			lat, _ := pr.Measure(lm, lvl)
-			if lat <= sCfg.TimingMS {
-				chosen = set
+			if lat <= timingMS {
+				found = true
 				masks = append(masks, lm)
 				sparsSum += combinedSparsity(lm)
 				cy := pr.Cycles(lm)
@@ -184,18 +180,18 @@ func patternMethod(task TaskModel, l1 *Level1Result, sCfg SearchConfig, pr *Pred
 				break
 			}
 		}
-		if chosen == nil {
+		if !found {
 			return nil, fmt.Errorf("rt3: no feasible candidate at %s", lvl.Name)
 		}
 	}
-	accs := JointTrain(task, masks, JointTrainConfig{Epochs: sCfg.JointEpochs, Batch: sCfg.Batch, LR: sCfg.LR}, rng)
+	accs := JointTrain(task, masks, searchEpochs, rng)
 	var accSum float64
 	for _, a := range accs {
 		accSum += a
 	}
 	return &AblationRow{
 		Method:      MethodRBPRPP,
-		AvgSparsity: sparsSum / float64(len(sCfg.Levels)),
+		AvgSparsity: sparsSum / float64(len(levels)),
 		Runs:        runs,
 		AvgMetric:   accSum / float64(len(accs)),
 	}, nil
@@ -208,8 +204,8 @@ func searchMethod(m Method, task TaskModel, l1 *Level1Result, sCfg SearchConfig,
 		return nil, err
 	}
 	sol := res.Best
-	FinalizeSolution(task, sol, sCfg.JointEpochs+1, sCfg.Batch, sCfg.LR, rng)
-	budgetPerLevel := sCfg.BudgetJ / float64(len(sCfg.Levels))
+	FinalizeSolution(task, sol, rng)
+	budgetPerLevel := BatteryBudgetJ / float64(len(sol.Levels))
 	runs := 0.0
 	var sparsSum, accSum float64
 	for i, ls := range sol.Levels {

@@ -7,44 +7,26 @@ import (
 	"rt3/internal/nn"
 )
 
-// JointTrainConfig controls the shared-backbone training of Fig. 2.
-type JointTrainConfig struct {
-	Epochs int // xi in the paper
-	Batch  int
-	LR     float64
-	// Alphas weights the per-pattern-set sub-losses; uniform when nil.
-	Alphas []float64
-}
-
 // JointTrain trains the shared backbone through every pattern set
-// simultaneously (the off-line training of Fig. 2): for each mini-batch,
-// the forward pass goes through each pattern-set mask to obtain a
-// sub-loss, the weighted sub-losses accumulate into one gradient, and a
-// single backward update is applied to the shared weights. It returns
-// the per-level task metrics evaluated under each mask.
+// simultaneously (the off-line training of Fig. 2) for the given epochs
+// (ξ in the paper): for each mini-batch, the forward pass goes through
+// each pattern-set mask to obtain a sub-loss, the sub-losses accumulate
+// into one gradient with uniform weights, and a single backward update
+// is applied to the shared weights. It returns the per-level task
+// metrics evaluated under each mask.
 //
 // masks[level][param] aligns with task.PrunableParams(). The function
 // leaves the parameters holding the trained shared weights (dense values
 // restored, i.e. not masked by any single level).
-func JointTrain(task TaskModel, masks [][]*mat.Matrix, cfg JointTrainConfig, rng *rand.Rand) []float64 {
+func JointTrain(task TaskModel, masks [][]*mat.Matrix, epochs int, rng *rand.Rand) []float64 {
 	params := task.Params()
 	prunable := task.PrunableParams()
 	nLevels := len(masks)
 	if nLevels == 0 {
 		return nil
 	}
-	alphas := cfg.Alphas
-	if alphas == nil {
-		alphas = make([]float64, nLevels)
-		for i := range alphas {
-			alphas[i] = 1 / float64(nLevels)
-		}
-	}
-	optim := nn.NewAdam(cfg.LR)
-	batch := cfg.Batch
-	if batch < 1 {
-		batch = 1
-	}
+	alpha := 1 / float64(nLevels)
+	optim := nn.NewAdam(lr)
 	n := task.NumTrain()
 
 	// accumulator for the weighted multi-mask gradient
@@ -53,7 +35,7 @@ func JointTrain(task TaskModel, masks [][]*mat.Matrix, cfg JointTrainConfig, rng
 		acc[i] = mat.New(p.Grad.Rows, p.Grad.Cols)
 	}
 
-	for e := 0; e < cfg.Epochs; e++ {
+	for e := 0; e < epochs; e++ {
 		order := rng.Perm(n)
 		for b := 0; b < n; b += batch {
 			end := b + batch
@@ -79,7 +61,7 @@ func JointTrain(task TaskModel, masks [][]*mat.Matrix, cfg JointTrainConfig, rng
 				for pi, p := range prunable {
 					p.Grad.Hadamard(masks[lvl][pi])
 				}
-				w := alphas[lvl] / float64(len(ids))
+				w := alpha / float64(len(ids))
 				for i, p := range params {
 					acc[i].AddScaled(p.Grad, w)
 				}
@@ -88,7 +70,7 @@ func JointTrain(task TaskModel, masks [][]*mat.Matrix, cfg JointTrainConfig, rng
 			for i, p := range params {
 				p.Grad.CopyFrom(acc[i])
 			}
-			nn.ClipGrads(params, 5)
+			nn.ClipGrads(params, clipNorm)
 			optim.Step(params)
 		}
 	}
@@ -115,9 +97,10 @@ func EvaluateUnderMasks(task TaskModel, masks [][]*mat.Matrix) []float64 {
 
 // IndividualTrain is the accuracy upper bound (UB) of Table III: each
 // level's sub-model is trained separately from the backbone snapshot,
-// which at run time would require swapping whole models. It returns the
-// per-level metrics and restores the original weights afterwards.
-func IndividualTrain(task TaskModel, masks [][]*mat.Matrix, cfg JointTrainConfig, rng *rand.Rand) []float64 {
+// which at run time would require swapping whole models. Each trains for
+// the given epochs. It returns the per-level metrics and restores the
+// original weights afterwards.
+func IndividualTrain(task TaskModel, masks [][]*mat.Matrix, epochs int, rng *rand.Rand) []float64 {
 	allParams := task.Params()
 	prunable := task.PrunableParams()
 	snapAll := SnapshotWeights(allParams)
@@ -131,8 +114,7 @@ func IndividualTrain(task TaskModel, masks [][]*mat.Matrix, cfg JointTrainConfig
 		for pi, p := range prunable {
 			p.SetMask(masks[lvl][pi].Clone())
 		}
-		tr := NewTrainer(task, cfg.LR)
-		out[lvl] = tr.Fit(cfg.Epochs, cfg.Batch, rng)
+		out[lvl] = NewTrainer(task, lr).Fit(epochs, batch, rng)
 	}
 	for i, p := range prunable {
 		p.Mask = oldMasks[i]

@@ -8,18 +8,12 @@ import (
 	"rt3/internal/prune"
 )
 
-// Level1Config controls the first optimization level: block-structured
-// pruning followed by a short fine-tune of the surviving weights.
-type Level1Config struct {
-	BP             prune.BPConfig
-	FinetuneEpochs int
-	Batch          int
-	LR             float64
-	// Lasso, when > 0, enables reweighted group-lasso regularization
-	// for LassoEpochs before the hard prune (the paper's orchestration).
-	Lasso       float64
-	LassoEpochs int
-}
+// Level 1's fixed settings: BP prunes columns inside bpBlocks row-wise
+// blocks, then the surviving weights fine-tune for finetuneEpochs.
+const (
+	bpBlocks       = 4
+	finetuneEpochs = 2
+)
 
 // Level1Result is the fixed backbone model produced by Level 1.
 type Level1Result struct {
@@ -33,34 +27,32 @@ type Level1Result struct {
 	Metric float64
 }
 
-// RunLevel1 applies BP (Algorithm 1) to every prunable parameter of the
-// task, attaches the masks, fine-tunes, and returns the backbone result.
-// The masks stay attached to the parameters afterwards.
-func RunLevel1(task TaskModel, cfg Level1Config, rng *rand.Rand) (*Level1Result, error) {
-	return runLevel1(task, cfg, rng, false)
+// RunLevel1 applies BP (Algorithm 1) at the given column-norm percentile
+// to every prunable parameter of the task, attaches the masks,
+// fine-tunes, and returns the backbone result. The masks stay attached
+// to the parameters afterwards.
+func RunLevel1(task TaskModel, percentile float64, rng *rand.Rand) (*Level1Result, error) {
+	return runLevel1(task, percentile, rng, false)
 }
 
 // RunRandomLevel1 is the rBP ablation: identical pipeline but the pruned
 // groups are chosen uniformly at random.
-func RunRandomLevel1(task TaskModel, cfg Level1Config, rng *rand.Rand) (*Level1Result, error) {
-	return runLevel1(task, cfg, rng, true)
+func RunRandomLevel1(task TaskModel, percentile float64, rng *rand.Rand) (*Level1Result, error) {
+	return runLevel1(task, percentile, rng, true)
 }
 
-func runLevel1(task TaskModel, cfg Level1Config, rng *rand.Rand, random bool) (*Level1Result, error) {
+func runLevel1(task TaskModel, percentile float64, rng *rand.Rand, random bool) (*Level1Result, error) {
 	prunable := task.PrunableParams()
-
-	if cfg.Lasso > 0 && cfg.LassoEpochs > 0 {
-		runLassoPhase(task, cfg, rng)
-	}
+	bp := prune.BPConfig{Blocks: bpBlocks, Direction: prune.ColumnsInRowBlocks, Percentile: percentile}
 
 	res := &Level1Result{}
 	for _, p := range prunable {
 		var mask *mat.Matrix
 		var err error
 		if random {
-			mask, err = prune.RandomBlockPrune(p.Value, cfg.BP, rng)
+			mask, err = prune.RandomBlockPrune(p.Value, bp, rng)
 		} else {
-			mask, err = prune.BlockPrune(p.Value, cfg.BP)
+			mask, err = prune.BlockPrune(p.Value, bp)
 		}
 		if err != nil {
 			return nil, err
@@ -70,50 +62,6 @@ func runLevel1(task TaskModel, cfg Level1Config, rng *rand.Rand, random bool) (*
 	}
 	res.Sparsity = nn.GlobalSparsity(prunable)
 
-	if cfg.FinetuneEpochs > 0 {
-		tr := NewTrainer(task, cfg.LR)
-		tr.Fit(cfg.FinetuneEpochs, cfg.Batch, rng)
-	}
-	res.Metric = task.Evaluate()
+	res.Metric = NewTrainer(task, lr).Fit(finetuneEpochs, batch, rng)
 	return res, nil
-}
-
-// runLassoPhase trains with the reweighted group-lasso penalty added to
-// the prunable weight gradients, pushing low-importance groups toward
-// zero before the hard threshold is applied.
-func runLassoPhase(task TaskModel, cfg Level1Config, rng *rand.Rand) {
-	lasso := prune.NewGroupLasso(cfg.BP, cfg.Lasso)
-	prunable := task.PrunableParams()
-	params := task.Params()
-	optim := nn.NewAdam(cfg.LR)
-	n := task.NumTrain()
-	batch := cfg.Batch
-	if batch < 1 {
-		batch = 1
-	}
-	for e := 0; e < cfg.LassoEpochs; e++ {
-		for _, p := range prunable {
-			lasso.Reweight(p.Value)
-		}
-		order := rng.Perm(n)
-		for b := 0; b < n; b += batch {
-			nn.ZeroGrads(params)
-			end := b + batch
-			if end > n {
-				end = n
-			}
-			for _, i := range order[b:end] {
-				task.TrainStep(i)
-			}
-			scale := 1 / float64(end-b)
-			for _, p := range params {
-				p.Grad.Scale(scale)
-			}
-			for _, p := range prunable {
-				lasso.AddGrad(p.Grad, p.Value)
-			}
-			nn.ClipGrads(params, 5)
-			optim.Step(params)
-		}
-	}
 }

@@ -8,7 +8,6 @@ import (
 	"rt3/internal/data"
 	"rt3/internal/dvfs"
 	"rt3/internal/nn"
-	"rt3/internal/prune"
 	"rt3/internal/rt3"
 	"rt3/internal/transformer"
 )
@@ -82,10 +81,7 @@ func TestTrainerImprovesLM(t *testing.T) {
 func TestRunLevel1ProducesSparseBackbone(t *testing.T) {
 	task := tinyLMTask(t, 2)
 	dense := task.Evaluate()
-	l1, err := rt3.RunLevel1(task, rt3.Level1Config{
-		BP:             prune.BPConfig{Blocks: 2, Direction: prune.ColumnsInRowBlocks, Percentile: 0.4},
-		FinetuneEpochs: 2, Batch: 8, LR: 2e-3,
-	}, rand.New(rand.NewSource(2)))
+	l1, err := rt3.RunLevel1(task, 0.4, rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,17 +102,13 @@ func TestRunLevel1ProducesSparseBackbone(t *testing.T) {
 }
 
 func TestBPBeatsRandomBP(t *testing.T) {
-	cfg := rt3.Level1Config{
-		BP:             prune.BPConfig{Blocks: 2, Direction: prune.ColumnsInRowBlocks, Percentile: 0.5},
-		FinetuneEpochs: 1, Batch: 8, LR: 2e-3,
-	}
 	bpTask := tinyLMTask(t, 2)
-	bp, err := rt3.RunLevel1(bpTask, cfg, rand.New(rand.NewSource(3)))
+	bp, err := rt3.RunLevel1(bpTask, 0.5, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	rbpTask := tinyLMTask(t, 2)
-	rbp, err := rt3.RunRandomLevel1(rbpTask, cfg, rand.New(rand.NewSource(3)))
+	rbp, err := rt3.RunRandomLevel1(rbpTask, 0.5, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +123,7 @@ func TestBPBeatsRandomBP(t *testing.T) {
 
 func TestPredictorLatencyMonotoneInSparsity(t *testing.T) {
 	task := tinyLMTask(t, 0)
-	pr := rt3.NewPredictor(task, 1000, 4, 4)
+	pr := rt3.NewPredictor(task)
 	level := dvfs.OdroidXU3Levels[2]
 	prunable := task.PrunableParams()
 	var prev float64 = math.Inf(1)
@@ -161,9 +153,7 @@ func TestJointTrainSharedBackbone(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	masksA := rt3.BuildMasks(prunable, nil, newPatternSet(0.3, rng))
 	masksB := rt3.BuildMasks(prunable, nil, newPatternSet(0.7, rng))
-	accs := rt3.JointTrain(task, [][]*matMatrix{masksA, masksB}, rt3.JointTrainConfig{
-		Epochs: 1, Batch: 8, LR: 2e-3,
-	}, rng)
+	accs := rt3.JointTrain(task, [][]*matMatrix{masksA, masksB}, 1, rng)
 	if len(accs) != 2 {
 		t.Fatalf("got %d accs", len(accs))
 	}
@@ -199,20 +189,11 @@ func TestEvaluateUnderMasksRestoresWeights(t *testing.T) {
 
 func TestSearchEndToEnd(t *testing.T) {
 	task := tinyLMTask(t, 2)
-	l1, err := rt3.RunLevel1(task, rt3.Level1Config{
-		BP:             prune.BPConfig{Blocks: 2, Direction: prune.ColumnsInRowBlocks, Percentile: 0.3},
-		FinetuneEpochs: 1, Batch: 8, LR: 2e-3,
-	}, rand.New(rand.NewSource(7)))
+	l1, err := rt3.RunLevel1(task, 0.3, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := rt3.SearchConfig{
-		Levels:   []dvfs.Level{dvfs.OdroidXU3Levels[5], dvfs.OdroidXU3Levels[3], dvfs.OdroidXU3Levels[2]},
-		TimingMS: 60,
-		Space:    rt3.SpaceConfig{PSize: 4, Theta: 2, M: 3, Step: 0.1},
-		K:        2, Episodes: 4, JointEpochs: 1, Batch: 8, LR: 2e-3,
-		BudgetJ: 500, AccMin: 0.1, Seed: 8,
-	}
+	cfg := rt3.SearchConfig{TimingMS: 60, Episodes: 4, Seed: 8}
 	res, err := rt3.Search(task, l1, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -248,31 +229,23 @@ func TestSearchEndToEnd(t *testing.T) {
 
 func TestHeuristicSolutionFeasible(t *testing.T) {
 	task := tinyLMTask(t, 1)
-	l1, err := rt3.RunLevel1(task, rt3.Level1Config{
-		BP:             prune.BPConfig{Blocks: 2, Direction: prune.ColumnsInRowBlocks, Percentile: 0.3},
-		FinetuneEpochs: 0,
-	}, rand.New(rand.NewSource(9)))
+	l1, err := rt3.RunLevel1(task, 0.3, rand.New(rand.NewSource(9)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := rt3.SearchConfig{
-		Levels:   []dvfs.Level{dvfs.OdroidXU3Levels[5], dvfs.OdroidXU3Levels[2]},
-		TimingMS: 60,
-		Space:    rt3.SpaceConfig{PSize: 4, Theta: 2, M: 3, Step: 0.1},
-		BudgetJ:  500, Seed: 10,
-	}
-	pr := rt3.NewPredictor(task, cfg.BudgetJ, 4, 3)
+	const timingMS = 60
+	pr := rt3.NewPredictor(task)
 	rng := rand.New(rand.NewSource(10))
-	space, err := rt3.BuildSearchSpace(task, l1.Masks, pr, cfg.Levels, cfg.TimingMS, cfg.Space, rng)
+	space, err := rt3.BuildSearchSpace(task, l1.Masks, pr, timingMS, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := rt3.HeuristicSolution(task, l1, space, cfg, pr)
+	sol, err := rt3.HeuristicSolution(task, l1, space, timingMS, pr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, ls := range sol.Levels {
-		if ls.LatencyMS > cfg.TimingMS {
+		if ls.LatencyMS > timingMS {
 			t.Fatalf("heuristic violates timing: %g", ls.LatencyMS)
 		}
 	}
@@ -291,10 +264,7 @@ func TestGLUETaskPipelines(t *testing.T) {
 			if math.IsNaN(m) {
 				t.Fatal("metric is NaN")
 			}
-			l1, err := rt3.RunLevel1(task, rt3.Level1Config{
-				BP:             prune.BPConfig{Blocks: 2, Direction: prune.ColumnsInRowBlocks, Percentile: 0.3},
-				FinetuneEpochs: 1, Batch: 8, LR: 2e-3,
-			}, rand.New(rand.NewSource(12)))
+			l1, err := rt3.RunLevel1(task, 0.3, rand.New(rand.NewSource(12)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -314,7 +284,7 @@ func TestIndividualTrainRestoresState(t *testing.T) {
 		rt3.BuildMasks(prunable, nil, newPatternSet(0.6, rng)),
 	}
 	before := rt3.SnapshotWeights(task.Params())
-	accs := rt3.IndividualTrain(task, masks, rt3.JointTrainConfig{Epochs: 1, Batch: 8, LR: 2e-3}, rng)
+	accs := rt3.IndividualTrain(task, masks, 1, rng)
 	if len(accs) != 2 {
 		t.Fatalf("accs %v", accs)
 	}

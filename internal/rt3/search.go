@@ -11,26 +11,47 @@ import (
 	"rt3/internal/rl"
 )
 
-// SearchConfig parameterizes the Level-2 AutoML search.
+// The Level-2 hyperparameters, at the one value every table, figure and
+// CLI of the reproduction runs.
+const (
+	psize        = 4    // pattern edge: psize x psize weight blocks
+	theta        = 3    // θ: candidate pattern sets per V/F level
+	numPatterns  = 4    // m: patterns per candidate set
+	sparsityStep = 0.08 // sparsity increment when tightening T per level
+	maxSparsity  = 0.95 // highest sparsity a candidate may reach
+	pickK        = 2    // K: patterns the controller picks per set
+	searchEpochs = 1    // ξ: joint-training epochs per episode
+	batch        = 8    // mini-batch of the fine-tune, joint and individual training
+	lr           = 2e-3 // their Adam learning rate
+	rlWidth      = 24   // controller hidden width
+	rlLR         = 0.05 // controller learning rate
+	accMin       = 0.1  // A_m of Eq. (1)
+	penalty      = 0.3  // pen of Eq. (1)
+)
+
+// FinalEpochs is the joint-training budget FinalizeSolution commits a
+// solution with; the experiments give the upper bound and the
+// heuristic baseline the same budget.
+const FinalEpochs = 2
+
+// BatteryBudgetJ is the evaluation energy budget: a 10 Wh phone battery.
+const BatteryBudgetJ = 36000
+
+// EvalLevels are the three V/F levels the paper selects for evaluation:
+// {l3, l4, l6} of Table I, ordered fastest first as the governor expects.
+func EvalLevels() []dvfs.Level {
+	return []dvfs.Level{
+		dvfs.OdroidXU3Levels[5], // l6: F-Mode
+		dvfs.OdroidXU3Levels[3], // l4: N-Mode
+		dvfs.OdroidXU3Levels[2], // l3: E-Mode
+	}
+}
+
+// SearchConfig holds what a caller of the Level-2 search sets; the
+// paper's hyperparameters are the constants above.
 type SearchConfig struct {
-	Levels   []dvfs.Level // V/F levels, fastest first (paper uses {l6,l4,l3})
-	TimingMS float64      // real-time constraint T
-
-	Space SpaceConfig // search-space generation (psize, theta, m, step)
-	K     int         // patterns the controller picks per set
-
-	Episodes    int
-	JointEpochs int // xi: fine-tune epochs per episode
-	Batch       int
-	LR          float64 // model fine-tune learning rate
-
-	RLHidden float64 // unused placeholder to keep config flat; see RLWidth
-	RLWidth  int     // controller hidden width
-	RLLR     float64
-
-	BudgetJ float64 // battery energy budget for number-of-runs
-	AccMin  float64 // A_m of Eq. (1)
-	Penalty float64 // pen of Eq. (1)
+	TimingMS float64 // real-time constraint T
+	Episodes int
 
 	// CalibrateMS, when > 0, rescales the latency model so the dense
 	// model takes this many milliseconds at the fastest level — placing
@@ -39,47 +60,6 @@ type SearchConfig struct {
 	CalibrateMS float64
 
 	Seed int64
-}
-
-// withDefaults fills unset fields with the reproduction's defaults.
-func (c SearchConfig) withDefaults() SearchConfig {
-	if c.K == 0 {
-		c.K = 2
-	}
-	if c.Episodes == 0 {
-		c.Episodes = 20
-	}
-	if c.JointEpochs == 0 {
-		c.JointEpochs = 1
-	}
-	if c.Batch == 0 {
-		c.Batch = 8
-	}
-	if c.LR == 0 {
-		c.LR = 1e-3
-	}
-	if c.RLWidth == 0 {
-		c.RLWidth = 24
-	}
-	if c.RLLR == 0 {
-		c.RLLR = 0.05
-	}
-	if c.BudgetJ == 0 {
-		c.BudgetJ = 1000
-	}
-	if c.Penalty == 0 {
-		c.Penalty = 0.3
-	}
-	if c.Space.PSize == 0 {
-		c.Space.PSize = 8
-	}
-	if c.Space.Theta == 0 {
-		c.Space.Theta = 3
-	}
-	if c.Space.M == 0 {
-		c.Space.M = 4
-	}
-	return c
 }
 
 // LevelSolution is the configuration chosen for one V/F level.
@@ -145,28 +125,25 @@ func (r *SearchResult) ParetoFront() []ExplorationPoint {
 // backbone weights in the task are left unchanged (each episode trains a
 // scratch copy); call FinalizeSolution to commit the winner.
 func Search(task TaskModel, level1 *Level1Result, cfg SearchConfig) (*SearchResult, error) {
-	cfg = cfg.withDefaults()
-	if len(cfg.Levels) == 0 {
-		return nil, fmt.Errorf("rt3: SearchConfig.Levels is empty")
-	}
+	levels := EvalLevels()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	pr := NewPredictor(task, cfg.BudgetJ, cfg.Space.PSize, cfg.Space.M)
+	pr := NewPredictor(task)
 	if cfg.CalibrateMS > 0 {
-		pr.Calibrate(cfg.CalibrateMS, cfg.Levels[0])
+		pr.Calibrate(cfg.CalibrateMS, levels[0])
 	}
 
-	space, err := BuildSearchSpace(task, level1.Masks, pr, cfg.Levels, cfg.TimingMS, cfg.Space, rng)
+	space, err := BuildSearchSpace(task, level1.Masks, pr, cfg.TimingMS, rng)
 	if err != nil {
 		return nil, err
 	}
 
 	ctrl, err := rl.NewController(rl.Config{
-		Hidden:      cfg.RLWidth,
-		NumSets:     cfg.Space.Theta,
-		NumPatterns: cfg.Space.M,
-		Levels:      len(cfg.Levels),
-		K:           cfg.K,
-		LR:          cfg.RLLR,
+		Hidden:      rlWidth,
+		NumSets:     theta,
+		NumPatterns: numPatterns,
+		Levels:      len(levels),
+		K:           pickK,
+		LR:          rlLR,
 	}, rng)
 	if err != nil {
 		return nil, err
@@ -176,7 +153,7 @@ func Search(task TaskModel, level1 *Level1Result, cfg SearchConfig) (*SearchResu
 	// normalization for R_runs: the dense model's total runs across the
 	// chosen levels, times a headroom factor for what sparsity can buy
 	runsNorm := 0.0
-	for _, lvl := range cfg.Levels {
+	for _, lvl := range levels {
 		_, r := pr.Measure(nil, lvl)
 		runsNorm += r * 8
 	}
@@ -186,13 +163,13 @@ func Search(task TaskModel, level1 *Level1Result, cfg SearchConfig) (*SearchResu
 
 	for ep := 0; ep < cfg.Episodes; ep++ {
 		episode := ctrl.Sample(rng)
-		sol := assembleSolution(task, level1, space, cfg, episode, pr)
+		sol := assembleSolution(task, level1, space, episode, pr)
 
 		in := rl.RewardInput{
 			TimingConstraintMS: cfg.TimingMS,
 			AccOriginal:        level1.Metric,
-			AccMin:             cfg.AccMin,
-			Penalty:            cfg.Penalty,
+			AccMin:             accMin,
+			Penalty:            penalty,
 			RunsNorm:           runsNorm,
 		}
 		for _, ls := range sol.Levels {
@@ -210,9 +187,7 @@ func Search(task TaskModel, level1 *Level1Result, cfg SearchConfig) (*SearchResu
 		if feasible {
 			// fine-tune a scratch copy of the shared backbone
 			RestoreWeights(task.Params(), snapAll)
-			accs := JointTrain(task, sol.Masks, JointTrainConfig{
-				Epochs: cfg.JointEpochs, Batch: cfg.Batch, LR: cfg.LR,
-			}, rng)
+			accs := JointTrain(task, sol.Masks, searchEpochs, rng)
 			for i := range sol.Levels {
 				sol.Levels[i].Metric = accs[i]
 			}
@@ -242,7 +217,7 @@ func Search(task TaskModel, level1 *Level1Result, cfg SearchConfig) (*SearchResu
 	RestoreWeights(task.Params(), snapAll)
 	if result.Best == nil {
 		// fall back to the heuristic choice so callers always get a plan
-		sol, err := HeuristicSolution(task, level1, space, cfg, pr)
+		sol, err := HeuristicSolution(task, level1, space, cfg.TimingMS, pr)
 		if err != nil {
 			return nil, err
 		}
@@ -253,11 +228,11 @@ func Search(task TaskModel, level1 *Level1Result, cfg SearchConfig) (*SearchResu
 
 // assembleSolution realizes an RL episode into masks and predictions.
 func assembleSolution(task TaskModel, level1 *Level1Result, space *SearchSpace,
-	cfg SearchConfig, episode *rl.Episode, pr *Predictor) *Solution {
+	episode *rl.Episode, pr *Predictor) *Solution {
 
 	prunable := task.PrunableParams()
 	sol := &Solution{}
-	for li, lvl := range cfg.Levels {
+	for li, lvl := range EvalLevels() {
 		ci := space.CandidateFor(li, episode.SetChoices[li])
 		cand := space.Candidates[ci]
 		sub := subset(cand.Set, episode.PatternChoices[li])
@@ -316,19 +291,18 @@ func combinedSparsity(masks []*mat.Matrix) float64 {
 // pick the candidate whose sparsity just satisfies the timing constraint
 // and use its first K patterns, then joint-train.
 func HeuristicSolution(task TaskModel, level1 *Level1Result, space *SearchSpace,
-	cfg SearchConfig, pr *Predictor) (*Solution, error) {
+	timingMS float64, pr *Predictor) (*Solution, error) {
 
-	cfg = cfg.withDefaults()
 	prunable := task.PrunableParams()
 	sol := &Solution{}
-	for li, lvl := range cfg.Levels {
+	for li, lvl := range EvalLevels() {
 		found := false
 		for _, ci := range space.PerLevel[li] { // ascending sparsity
 			cand := space.Candidates[ci]
-			sub := &pattern.Set{Sparsity: cand.Sparsity, Patterns: cand.Set.Patterns[:min(cfg.K, len(cand.Set.Patterns))]}
+			sub := &pattern.Set{Sparsity: cand.Sparsity, Patterns: cand.Set.Patterns[:min(pickK, len(cand.Set.Patterns))]}
 			masks := BuildMasks(prunable, level1.Masks, sub)
 			lat, runs := pr.Measure(masks, lvl)
-			if lat <= cfg.TimingMS {
+			if lat <= timingMS {
 				sol.Levels = append(sol.Levels, LevelSolution{
 					Level: lvl, Candidate: ci, Sparsity: combinedSparsity(masks),
 					LatencyMS: lat, Runs: runs,
@@ -350,20 +324,13 @@ func HeuristicSolution(task TaskModel, level1 *Level1Result, space *SearchSpace,
 }
 
 // FinalizeSolution commits a solution: joint-trains the task's backbone
-// through the solution's masks for the given epochs and fills in the
-// final per-level metrics.
-func FinalizeSolution(task TaskModel, sol *Solution, epochs, batch int, lr float64, rng *rand.Rand) {
-	accs := JointTrain(task, sol.Masks, JointTrainConfig{Epochs: epochs, Batch: batch, LR: lr}, rng)
+// through the solution's masks for FinalEpochs and fills in the final
+// per-level metrics.
+func FinalizeSolution(task TaskModel, sol *Solution, rng *rand.Rand) {
+	accs := JointTrain(task, sol.Masks, FinalEpochs, rng)
 	sol.WeightedAcc = 0
 	for i := range sol.Levels {
 		sol.Levels[i].Metric = accs[i]
 		sol.WeightedAcc += accs[i] / float64(len(accs))
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -20,19 +20,17 @@ type Predictor struct {
 	Cost   hwsim.CostModel
 	Power  dvfs.PowerModel
 	Shapes []hwsim.LayerShape
-	// BudgetJ is the battery energy budget used for number-of-runs.
-	BudgetJ float64
-	// Format is the sparse execution layout (FormatPattern for RT3).
+	// Format is the sparse execution layout: FormatPattern for RT3,
+	// FormatBlockStructured for the BP-only ablations.
 	Format prune.Format
-	// PSize and NumPatterns parameterize pattern-storage accounting.
-	PSize, NumPatterns int
 	// ScaleFactor accumulates Calibrate rescalings; experiments use it to
 	// scale deployed model bytes into the paper's size class.
 	ScaleFactor float64
 }
 
-// NewPredictor builds a predictor for the prunable parameters of a task.
-func NewPredictor(task TaskModel, budgetJ float64, psize, numPatterns int) *Predictor {
+// NewPredictor builds a predictor for the prunable parameters of a task,
+// counting runs within BatteryBudgetJ.
+func NewPredictor(task TaskModel) *Predictor {
 	var shapes []hwsim.LayerShape
 	for _, p := range task.PrunableParams() {
 		shapes = append(shapes, hwsim.LayerShape{
@@ -43,10 +41,7 @@ func NewPredictor(task TaskModel, budgetJ float64, psize, numPatterns int) *Pred
 		Cost:        hwsim.DefaultCostModel(),
 		Power:       dvfs.DefaultPowerModel(),
 		Shapes:      shapes,
-		BudgetJ:     budgetJ,
 		Format:      prune.FormatPattern,
-		PSize:       psize,
-		NumPatterns: numPatterns,
 		ScaleFactor: 1,
 	}
 }
@@ -78,7 +73,7 @@ func (pr *Predictor) Calibrate(targetMS float64, level dvfs.Level) float64 {
 func (pr *Predictor) Measure(masks []*mat.Matrix, level dvfs.Level) (float64, float64) {
 	cycles := pr.Cycles(masks)
 	lat := hwsim.LatencyMS(cycles, level)
-	runs := hwsim.NumRuns(pr.BudgetJ, pr.Power, level, cycles)
+	runs := hwsim.NumRuns(BatteryBudgetJ, pr.Power, level, cycles)
 	return lat, runs
 }
 
@@ -86,26 +81,19 @@ func (pr *Predictor) Measure(masks []*mat.Matrix, level dvfs.Level) (float64, fl
 func (pr *Predictor) Cycles(masks []*mat.Matrix) float64 {
 	sparsities := make([]float64, len(pr.Shapes))
 	costs := make([]prune.StorageCost, len(pr.Shapes))
-	format := pr.Format
 	for i, s := range pr.Shapes {
 		if masks == nil || masks[i] == nil {
-			sparsities[i] = 0
-			costs[i] = prune.StorageCost{Format: prune.FormatDense, Values: s.Rows * s.Cols, TotalWords: s.Rows * s.Cols}
+			costs[i] = prune.CostDense(s.Rows, s.Cols)
 			continue
 		}
 		sparsities[i] = masks[i].Sparsity()
-		switch format {
-		case prune.FormatCOO:
-			costs[i] = prune.CostCOO(masks[i])
-		case prune.FormatPattern:
-			costs[i] = prune.CostPattern(masks[i], pr.PSize, pr.NumPatterns)
-		case prune.FormatBlockStructured:
-			costs[i] = prune.CostBlockStructured(masks[i], prune.BPConfig{Blocks: 4})
-		default:
-			costs[i] = prune.CostDense(masks[i])
+		if pr.Format == prune.FormatBlockStructured {
+			costs[i] = prune.CostBlockStructured(masks[i], prune.BPConfig{Blocks: bpBlocks})
+		} else {
+			costs[i] = prune.CostPattern(masks[i], psize, numPatterns)
 		}
 	}
-	f := format
+	f := pr.Format
 	if masks == nil {
 		f = prune.FormatDense
 	}
@@ -121,52 +109,37 @@ type Candidate struct {
 
 // SearchSpace is the Level-2 pattern-pruning search space (component ③):
 // theta * N candidate pattern sets with diverse sparsity, built from the
-// Level-1 backbone. PerLevel[i] indexes the Theta candidates offered to
+// Level-1 backbone. PerLevel[i] indexes the θ candidates offered to
 // V/F level i (its just-feasible sparsity plus progressively tighter
 // ratios), which is what makes the space "shrunken": the controller
 // never considers a set that is hopeless for the level it serves.
 type SearchSpace struct {
-	PSize      int
 	Candidates []Candidate
 	PerLevel   [][]int
 }
 
-// SpaceConfig controls search-space generation.
-type SpaceConfig struct {
-	PSize       int
-	Theta       int     // candidates per V/F level
-	M           int     // patterns per candidate set
-	Step        float64 // sparsity increment when tightening constraints
-	MaxSparsity float64
-}
-
-// BuildSearchSpace predicts, for each V/F level, the smallest sparsity
-// whose pattern-pruned model meets the timing constraint T, then
-// tightens in Step increments to collect Theta ratios per level
-// ("we gradually tight the constraints to involve theta*N sparsity
-// ratios in total"), generating an m-pattern set for each ratio from the
-// backbone weights.
+// BuildSearchSpace predicts, for each V/F level of EvalLevels, the
+// smallest sparsity whose pattern-pruned model meets the timing
+// constraint T, then tightens in sparsityStep increments to collect θ
+// ratios per level ("we gradually tight the constraints to involve
+// theta*N sparsity ratios in total"), generating an m-pattern set for
+// each ratio from the backbone weights.
 func BuildSearchSpace(task TaskModel, bpMasks []*mat.Matrix, pr *Predictor,
-	levels []dvfs.Level, timingMS float64, cfg SpaceConfig, rng *rand.Rand) (*SearchSpace, error) {
+	timingMS float64, rng *rand.Rand) (*SearchSpace, error) {
 
-	if cfg.MaxSparsity == 0 {
-		cfg.MaxSparsity = 0.95
-	}
-	if cfg.Step == 0 {
-		cfg.Step = 0.05
-	}
+	levels := EvalLevels()
 	prunable := task.PrunableParams()
 	ratioSet := map[int]bool{} // sparsity in integer percent, deduplicated
 	perLevelRatios := make([][]int, len(levels))
 	for li, lvl := range levels {
-		base, err := minSparsityForConstraint(prunable, bpMasks, pr, lvl, timingMS, cfg, rng)
+		base, err := minSparsityForConstraint(prunable, bpMasks, pr, lvl, timingMS, rng)
 		if err != nil {
 			return nil, err
 		}
-		for t := 0; t < cfg.Theta; t++ {
-			s := base + float64(t)*cfg.Step
-			if s > cfg.MaxSparsity {
-				s = cfg.MaxSparsity
+		for t := 0; t < theta; t++ {
+			s := base + float64(t)*sparsityStep
+			if s > maxSparsity {
+				s = maxSparsity
 			}
 			key := int(s*100 + 0.5)
 			ratioSet[key] = true
@@ -180,11 +153,11 @@ func BuildSearchSpace(task TaskModel, bpMasks []*mat.Matrix, pr *Predictor,
 	sort.Ints(keys)
 	keyIndex := make(map[int]int, len(keys))
 
-	space := &SearchSpace{PSize: cfg.PSize}
+	space := &SearchSpace{}
 	ref := referenceMatrix(prunable)
 	for i, r := range keys {
 		keyIndex[r] = i
-		set := pattern.GenerateSet(ref, cfg.PSize, float64(r)/100, cfg.M, rng)
+		set := pattern.GenerateSet(ref, psize, float64(r)/100, numPatterns, rng)
 		space.Candidates = append(space.Candidates, Candidate{Sparsity: float64(r) / 100, Set: set})
 	}
 	if len(space.Candidates) == 0 {
@@ -218,21 +191,22 @@ func referenceMatrix(prunable []*nn.Parameter) *mat.Matrix {
 	return best
 }
 
-// minSparsityForConstraint scans sparsity upward in Step increments until
-// the pattern-pruned model's predicted latency at the level meets T.
+// minSparsityForConstraint scans sparsity upward in sparsityStep
+// increments until the pattern-pruned model's predicted latency at the
+// level meets T.
 func minSparsityForConstraint(prunable []*nn.Parameter, bpMasks []*mat.Matrix, pr *Predictor,
-	level dvfs.Level, timingMS float64, cfg SpaceConfig, rng *rand.Rand) (float64, error) {
+	level dvfs.Level, timingMS float64, rng *rand.Rand) (float64, error) {
 
 	ref := referenceMatrix(prunable)
-	for s := 0.0; s <= cfg.MaxSparsity+1e-9; s += cfg.Step {
-		set := pattern.GenerateSet(ref, cfg.PSize, s, 1, rng)
+	for s := 0.0; s <= maxSparsity+1e-9; s += sparsityStep {
+		set := pattern.GenerateSet(ref, psize, s, 1, rng)
 		masks := BuildMasks(prunable, bpMasks, set)
 		lat, _ := pr.Measure(masks, level)
 		if lat <= timingMS {
 			return s, nil
 		}
 	}
-	return 0, fmt.Errorf("rt3: no sparsity <= %.2f meets %.1fms at %s", cfg.MaxSparsity, timingMS, level.Name)
+	return 0, fmt.Errorf("rt3: no sparsity <= %.2f meets %.1fms at %s", maxSparsity, timingMS, level.Name)
 }
 
 // BuildMasks applies a pattern set to every prunable parameter of the

@@ -53,9 +53,7 @@ type LMTask struct {
 
 // NewLMTask wires a language model to its corpus splits.
 func NewLMTask(model *transformer.LMModel, train, eval []data.LMExample) *LMTask {
-	t := &LMTask{Model: model, Train: train, Eval: eval}
-	t.prunable = selectPrunable(model.Params())
-	return t
+	return &LMTask{Model: model, Train: train, Eval: eval, prunable: linearWeights(model.PrunableLinears())}
 }
 
 // Params implements TaskModel.
@@ -103,9 +101,7 @@ type GLUETask struct {
 
 // NewGLUETask wires a classifier to a generated GLUE-style task.
 func NewGLUETask(model *transformer.Classifier, task *data.Task) *GLUETask {
-	t := &GLUETask{Model: model, Task: task}
-	t.prunable = selectPrunable(model.Params())
-	return t
+	return &GLUETask{Model: model, Task: task, prunable: linearWeights(model.PrunableLinears())}
 }
 
 // Params implements TaskModel.
@@ -168,58 +164,43 @@ func (t *GLUETask) Evaluate() float64 {
 	}
 }
 
-// selectPrunable picks the Linear weight matrices of attention and
-// feed-forward blocks (names containing ".w" projections or ".ff").
-func selectPrunable(params []*nn.Parameter) []*nn.Parameter {
-	var out []*nn.Parameter
-	for _, p := range params {
-		if p.Value.Rows < 2 || p.Value.Cols < 2 {
-			continue // biases, LayerNorm vectors
-		}
-		switch {
-		case contains(p.Name, ".wq.W"), contains(p.Name, ".wk.W"),
-			contains(p.Name, ".wv.W"), contains(p.Name, ".wo.W"),
-			contains(p.Name, ".ff1.W"), contains(p.Name, ".ff2.W"):
-			out = append(out, p)
-		}
+// linearWeights returns the weight matrix of each linear, in order: the
+// models' PrunableLinears (attention and feed-forward projections) are
+// what BP and PP prune, as in serving.
+func linearWeights(lins []*nn.Linear) []*nn.Parameter {
+	out := make([]*nn.Parameter, len(lins))
+	for i, l := range lins {
+		out[i] = l.W
 	}
 	return out
 }
 
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}
+// clipNorm is the global gradient-norm clip of every training phase.
+const clipNorm = 5
 
 // Trainer runs plain (dense or masked) training on a TaskModel.
 type Trainer struct {
-	Task     TaskModel
-	Optim    nn.Optimizer
-	ClipNorm float64
+	task  TaskModel
+	optim nn.Optimizer
 }
 
 // NewTrainer returns a Trainer with Adam and gradient clipping.
 func NewTrainer(task TaskModel, lr float64) *Trainer {
-	return &Trainer{Task: task, Optim: nn.NewAdam(lr), ClipNorm: 5}
+	return &Trainer{task: task, optim: nn.NewAdam(lr)}
 }
 
-// Epoch runs one pass over the training set with the given batch size
-// (gradient accumulation across batch examples) and returns mean loss.
-func (tr *Trainer) Epoch(batch int, rng *rand.Rand) float64 {
-	n := tr.Task.NumTrain()
+// epoch runs one pass over the training set with the given batch size
+// (gradient accumulation across batch examples).
+func (tr *Trainer) epoch(batch int, rng *rand.Rand) {
+	n := tr.task.NumTrain()
 	if n == 0 {
-		return 0
+		return
 	}
 	if batch < 1 {
 		batch = 1
 	}
 	order := rng.Perm(n)
-	params := tr.Task.Params()
-	var total float64
+	params := tr.task.Params()
 	for b := 0; b < n; b += batch {
 		nn.ZeroGrads(params)
 		end := b + batch
@@ -227,24 +208,23 @@ func (tr *Trainer) Epoch(batch int, rng *rand.Rand) float64 {
 			end = n
 		}
 		for _, i := range order[b:end] {
-			total += tr.Task.TrainStep(i)
+			tr.task.TrainStep(i)
 		}
 		scale := 1 / float64(end-b)
 		for _, p := range params {
 			p.Grad.Scale(scale)
 		}
-		nn.ClipGrads(params, tr.ClipNorm)
-		tr.Optim.Step(params)
+		nn.ClipGrads(params, clipNorm)
+		tr.optim.Step(params)
 	}
-	return total / float64(n)
 }
 
 // Fit runs epochs passes and returns the final evaluation metric.
 func (tr *Trainer) Fit(epochs, batch int, rng *rand.Rand) float64 {
 	for e := 0; e < epochs; e++ {
-		tr.Epoch(batch, rng)
+		tr.epoch(batch, rng)
 	}
-	return tr.Task.Evaluate()
+	return tr.task.Evaluate()
 }
 
 // SnapshotWeights deep-copies the current values of params.
