@@ -37,6 +37,14 @@ import "fmt"
 // sequence's keys, NaN — never reaches a stored result: lanes do not
 // mix, and only the window's scores are stored.
 //
+// # Pages
+//
+// A KV cache stores its rows in fixed pages (AttendPaged); the batched
+// path's one scratch block is a single page (Attend). A page's scores
+// are a product of their own, and the value pass runs page by page, each
+// call starting its sums from the context the last one stored, so every
+// sum is the one ascending chain a single block would run.
+//
 // # Bit identity
 //
 // Every score is one ascending-feature sum of separately rounded
@@ -69,24 +77,46 @@ func AttendPadded(rows int) int { return (rows + AttendBlock - 1) / AttendBlock 
 // feature-major key block (kT[c*ld+j], readable to rows rounded up to
 // AttendBlock — see the file comment); v is the row-major value block
 // at row stride vs. On return p[:rows] holds the probabilities.
-// Allocation-free.
+// Allocation-free. It is AttendPaged over one page of ld >= rows rows.
 func Attend(out, q, kT []float64, ld int, v []float64, vs, rows int, scale float64, p []float64) {
-	attend(out, q, kT, ld, v, vs, rows, scale, p, attendHost)
+	attend(out, q, [][]float64{kT}, 0, [][]float64{v}, 0, ld, vs, rows, scale, p, attendHost)
 }
 
-// attend is Attend with the twin explicit, so tests can hold each twin
-// to the naive reference. Its softmax runs the same twin of the vector
-// math, or the widest below it this host has.
-func attend(out, q, kT []float64, ld int, v []float64, vs, rows int, scale float64, p []float64, kern isa) {
+// AttendPaged is Attend over key and value rows stored in pages of ld
+// rows each, ld a multiple of AttendBlock: page i holds rows
+// [i*ld, (i+1)*ld), its keys feature-major from pages[i][ko] (feature c
+// of its row j at pages[i][ko+c*ld+j]) and its values row-major from
+// pages[i][vo] at row stride vs. Each page's scores are independent
+// sums, the softmax runs over the whole window, and each context
+// element's ascending sum carries on from page to page, so the result
+// is Attend's over the same rows, bit for bit.
+func AttendPaged(out, q []float64, pages [][]float64, ko, vo, ld, vs, rows int, scale float64, p []float64) {
+	attend(out, q, pages, ko, pages, vo, ld, vs, rows, scale, p, attendHost)
+}
+
+// attend is AttendPaged with the key and value pages apart and the twin
+// explicit, so tests can hold each twin to the naive reference. Its
+// softmax runs the same twin of the vector math, or the widest below it
+// this host has.
+func attend(out, q []float64, k [][]float64, ko int, v [][]float64, vo, ld, vs, rows int, scale float64, p []float64, kern isa) {
 	hd := len(q)
-	if rows < 1 || hd == 0 || len(out) != hd || len(p) < rows || len(kT) < (hd-1)*ld+AttendPadded(rows) || len(v) < (rows-1)*vs+hd {
-		panic(fmt.Sprintf("mat: Attend head dim %d/%d over %d rows: %d keys at stride %d, %d values at stride %d, %d scores",
-			hd, len(out), rows, len(kT), ld, len(v), vs, len(p)))
+	ok := rows >= 1 && hd > 0 && len(out) == hd && len(p) >= rows && ld >= 1 && len(k) >= (rows+ld-1)/ld && len(v) >= (rows+ld-1)/ld
+	for i, j0 := 0, 0; ok && j0 < rows; i, j0 = i+1, j0+ld {
+		n := min(ld, rows-j0)
+		ok = len(k[i]) >= ko+(hd-1)*ld+AttendPadded(n) && len(v[i]) >= vo+(n-1)*vs+hd
+	}
+	if !ok {
+		panic(fmt.Sprintf("mat: Attend head dim %d/%d over %d rows in %d-row pages: %d key and %d value pages, %d scores",
+			hd, len(out), rows, ld, len(k), len(v), len(p)))
 	}
 	p = p[:rows]
-	vecMat(p, q, kT, ld, scale, true, kern)
+	for i, j0 := 0, 0; j0 < rows; i, j0 = i+1, j0+ld {
+		vecMat(p[j0:min(j0+ld, rows)], q, k[i][ko:], ld, scale, true, false, kern)
+	}
 	softmax(p, p, min(kern, tailHost))
-	vecMat(out, p, v, vs, 1, false, kern)
+	for i, j0 := 0, 0; j0 < rows; i, j0 = i+1, j0+ld {
+		vecMat(out, p[j0:min(j0+ld, rows)], v[i][vo:], vs, 1, false, i > 0, kern)
+	}
 }
 
 // vecMat computes dst = scale * (a @ B) for the row-major len(a) x
@@ -95,11 +125,14 @@ func attend(out, q, kT []float64, ld int, v []float64, vs, rows int, scale float
 // blocks. padded says every row of b is readable up to len(dst) rounded
 // up to AttendBlock, which lets the YMM kernel take the last partial
 // block too; otherwise the portable loop runs the columns past the last
-// full block. The multiply by scale == 1 is exact.
-func vecMat(dst, a, b []float64, stride int, scale float64, padded bool, kern isa) {
+// full block. With acc set each sum starts from dst instead of 0, which
+// carries a sum stored at scale 1 on over more rows unchanged (a stored
+// float64 reloads exactly, and the multiply by 1 is exact); the value
+// pass, which is never padded, is its only user.
+func vecMat(dst, a, b []float64, stride int, scale float64, padded, acc bool, kern isa) {
 	done, whole := 0, len(dst)-len(dst)%AttendBlock
 	if kern == isaZ && whole > 0 {
-		vecMatZ(&dst[0], &a[0], len(a), &b[0], stride, whole, scale)
+		vecMatZ(&dst[0], &a[0], len(a), &b[0], stride, whole, scale, acc)
 		done = whole
 	}
 	if kern != isaGo {
@@ -108,12 +141,12 @@ func vecMat(dst, a, b []float64, stride int, scale float64, padded bool, kern is
 			end = len(dst)
 		}
 		if done < end {
-			vecMat16AVX(&dst[done], &a[0], len(a), &b[done], stride, end-done, scale)
+			vecMat16AVX(&dst[done], &a[0], len(a), &b[done], stride, end-done, scale, acc)
 			done = end
 		}
 	}
 	if done < len(dst) {
-		vecMatGo(dst[done:], a, b[done:], stride, scale)
+		vecMatGo(dst[done:], a, b[done:], stride, scale, acc)
 	}
 }
 
@@ -122,16 +155,19 @@ func vecMat(dst, a, b []float64, stride int, scale float64, padded bool, kern is
 // It reads only the len(dst) real columns. The attention core stays
 // unfused (VMULPD then VADDPD): the conversion keeps a port that fuses
 // x*y + z on its own (arm64 and others) to the same rounding.
-func vecMatGo(dst, a, b []float64, stride int, scale float64) {
+func vecMatGo(dst, a, b []float64, stride int, scale float64, acc bool) {
 	for j0 := 0; j0 < len(dst); j0 += AttendBlock {
-		var acc [AttendBlock]float64
+		var sum [AttendBlock]float64
 		w := min(AttendBlock, len(dst)-j0)
+		if acc {
+			copy(sum[:w], dst[j0:])
+		}
 		for i, av := range a {
 			for l, bv := range b[i*stride+j0:][:w] {
-				acc[l] += float64(av * bv)
+				sum[l] += float64(av * bv)
 			}
 		}
-		for l, s := range acc[:w] {
+		for l, s := range sum[:w] {
 			dst[j0+l] = s * scale
 		}
 	}

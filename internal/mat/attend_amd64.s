@@ -18,11 +18,16 @@
 // accumulators: the whole core on an AVX host, and on an AVX-512 host
 // the last partial block of a padded product, whose accumulators it
 // spills to store only the real columns.
+//
+// With acc set both start each column's accumulator from dst instead
+// of 0 (vecMatZ by a zero-masking load whose mask K1 is all ones only
+// then), so a sum the value pass stored after one KV page carries on
+// over the next page's rows.
 
 #include "textflag.h"
 
-// func vecMat16AVX(dst, a *float64, n int, b *float64, stride, cols int, scale float64)
-TEXT ·vecMat16AVX(SB), NOSPLIT, $128-56
+// func vecMat16AVX(dst, a *float64, n int, b *float64, stride, cols int, scale float64, acc bool)
+TEXT ·vecMat16AVX(SB), NOSPLIT, $128-57
 	MOVQ dst+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ n+16(FP), CX
@@ -31,12 +36,24 @@ TEXT ·vecMat16AVX(SB), NOSPLIT, $128-56
 	SHLQ $3, BX
 	MOVQ cols+40(FP), AX
 	VBROADCASTSD scale+48(FP), Y12
+	MOVBLZX acc+56(FP), R11
 
 block:
+	TESTQ R11, R11
+	JNZ  load
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
 	VXORPS Y3, Y3, Y3
+	JMP  start
+
+load:
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+
+start:
 	MOVQ SI, R8
 	MOVQ DX, R9
 	MOVQ CX, R10
@@ -95,6 +112,11 @@ copy:
 	JNZ  copy
 	RET
 
+// ZINIT starts acc at dst's 8 columns at byte offset off where K1 is
+// set, at 0 where it is clear.
+#define ZINIT(acc, off) \
+	VMOVUPD.Z off(DI), K1, acc
+
 // ZTERM multiplies the broadcast a[i] in Z8 by 8 columns of row i at
 // byte offset off and adds the products into acc, through t.
 #define ZTERM(off, t, acc) \
@@ -120,8 +142,8 @@ copy:
 	VMULPD Z31, acc, acc; \
 	VMOVUPD acc, off(DI)
 
-// func vecMatZ(dst, a *float64, n int, b *float64, stride, cols int, scale float64)
-TEXT ·vecMatZ(SB), NOSPLIT, $0-56
+// func vecMatZ(dst, a *float64, n int, b *float64, stride, cols int, scale float64, acc bool)
+TEXT ·vecMatZ(SB), NOSPLIT, $0-57
 	MOVQ dst+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ n+16(FP), CX
@@ -130,18 +152,21 @@ TEXT ·vecMatZ(SB), NOSPLIT, $0-56
 	SHLQ $3, BX
 	MOVQ cols+40(FP), AX
 	VBROADCASTSD scale+48(FP), Z31
+	MOVBLZX acc+56(FP), R11
+	NEGQ R11
+	KMOVW R11, K1
 	CMPQ AX, $64
 	JLT  rest
 
 pass64:
-	VPXORQ Z0, Z0, Z0
-	VPXORQ Z1, Z1, Z1
-	VPXORQ Z2, Z2, Z2
-	VPXORQ Z3, Z3, Z3
-	VPXORQ Z4, Z4, Z4
-	VPXORQ Z5, Z5, Z5
-	VPXORQ Z6, Z6, Z6
-	VPXORQ Z7, Z7, Z7
+	ZINIT(Z0, 0)
+	ZINIT(Z1, 64)
+	ZINIT(Z2, 128)
+	ZINIT(Z3, 192)
+	ZINIT(Z4, 256)
+	ZINIT(Z5, 320)
+	ZINIT(Z6, 384)
+	ZINIT(Z7, 448)
 	ZROWS
 
 row64:
@@ -181,12 +206,12 @@ rest:
 	RET
 
 pass48:
-	VPXORQ Z0, Z0, Z0
-	VPXORQ Z1, Z1, Z1
-	VPXORQ Z2, Z2, Z2
-	VPXORQ Z3, Z3, Z3
-	VPXORQ Z4, Z4, Z4
-	VPXORQ Z5, Z5, Z5
+	ZINIT(Z0, 0)
+	ZINIT(Z1, 64)
+	ZINIT(Z2, 128)
+	ZINIT(Z3, 192)
+	ZINIT(Z4, 256)
+	ZINIT(Z5, 320)
 	ZROWS
 
 row48:
@@ -209,10 +234,10 @@ row48:
 	RET
 
 pass32:
-	VPXORQ Z0, Z0, Z0
-	VPXORQ Z1, Z1, Z1
-	VPXORQ Z2, Z2, Z2
-	VPXORQ Z3, Z3, Z3
+	ZINIT(Z0, 0)
+	ZINIT(Z1, 64)
+	ZINIT(Z2, 128)
+	ZINIT(Z3, 192)
 	ZROWS
 
 row32:
@@ -231,8 +256,8 @@ row32:
 	RET
 
 pass16:
-	VPXORQ Z0, Z0, Z0
-	VPXORQ Z1, Z1, Z1
+	ZINIT(Z0, 0)
+	ZINIT(Z1, 64)
 	ZROWS
 
 row16:

@@ -166,6 +166,73 @@ func TestAttendTwins(t *testing.T) {
 	}
 }
 
+// TestAttendTwinsPaged holds every twin of AttendPaged to the naive
+// reference bit for bit. Its value pass carries each context element's
+// sum from page to page through the kernels' start-from-dst mode, so
+// windows end inside, at and one past a page edge and run over several
+// pages, at every page height from one block to four, for the last head
+// of a one- and a three-head page (a head offset inside the key and the
+// value block), at head dims that run every ZMM pass width, the YMM
+// blocks and the portable remainder. Everything outside the window holds
+// NaN, and the probability and context buffers hold a sentinel past
+// their ends. A twin the host cannot run is an explicit SKIP.
+func TestAttendTwinsPaged(t *testing.T) {
+	const sentinel = 7
+	guard := func(n int) []float64 {
+		s := make([]float64, n+mat.AttendBlock)
+		for i := range s {
+			s[i] = sentinel
+		}
+		return s
+	}
+	for _, isa := range []string{"go", "avx", "avx512"} {
+		t.Run(isa, func(t *testing.T) {
+			attend, ok := mat.AttendPagedTwin(isa)
+			if !ok {
+				t.Skipf("this host (or build) cannot run the %s twin", isa)
+			}
+			rng := rand.New(rand.NewSource(148))
+			for _, hd := range []int{1, 5, 16, 17, 48, 64, 96} {
+				for _, ld := range []int{16, 32, 64} {
+					for _, rows := range []int{1, ld - 1, ld, ld + 1, 2*ld + 17, 208} {
+						for _, heads := range []int{1, 3} {
+							dim, ho := heads*hd, (heads-1)*hd
+							c := newAttendCase(rng, hd, rows, rows, mat.AttendPadded(rows), hd, 1, math.NaN())
+							pages := make([][]float64, (rows+ld-1)/ld)
+							for i := range pages {
+								pages[i] = make([]float64, 2*dim*ld)
+								for j := range pages[i] {
+									pages[i][j] = math.NaN()
+								}
+							}
+							for j := 0; j < rows; j++ {
+								pg, r := pages[j/ld], j%ld
+								for f := 0; f < hd; f++ {
+									pg[(ho+f)*ld+r] = c.refK.At(j, f)
+									pg[dim*ld+r*dim+ho+f] = c.refV.At(j, f)
+								}
+							}
+							what := fmt.Sprintf("%s: hd %d, %d rows in %d-row pages, head %d of %d", isa, hd, rows, ld, heads-1, heads)
+							out, p := guard(hd), guard(rows)
+							attend(out[:hd], c.q, pages, ho*ld, dim*ld+ho, ld, dim, rows, c.scale, p[:rows])
+							for _, tail := range [][]float64{out[hd:], p[rows:]} {
+								for _, x := range tail {
+									if x != sentinel {
+										t.Fatalf("%s: stored past the end of a result", what)
+									}
+								}
+							}
+							copy(c.out, out)
+							copy(c.p, p)
+							c.check(t, what)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestAttendUnderflowedProbabilities pins the zero-probability policy:
 // with a score spread wide enough that exp underflows to exactly 0
 // inside the window, the core adds the 0*v products MatMul used to skip,

@@ -69,6 +69,15 @@ func LaneBlockRows() int { return laneHost.width }
 func AttendTwin(name string) (func(out, q, kT []float64, ld int, v []float64, vs, rows int, scale float64, p []float64), bool) {
 	kern := isa(slices.Index(isaNames[:], name))
 	return func(out, q, kT []float64, ld int, v []float64, vs, rows int, scale float64, p []float64) {
-		attend(out, q, kT, ld, v, vs, rows, scale, p, kern)
+		attend(out, q, [][]float64{kT}, 0, [][]float64{v}, 0, ld, vs, rows, scale, p, kern)
+	}, kern <= attendHost
+}
+
+// AttendPagedTwin returns AttendPaged on the named twin and whether this
+// host (or build) can run it.
+func AttendPagedTwin(name string) (func(out, q []float64, pages [][]float64, ko, vo, ld, vs, rows int, scale float64, p []float64), bool) {
+	kern := isa(slices.Index(isaNames[:], name))
+	return func(out, q []float64, pages [][]float64, ko, vo, ld, vs, rows int, scale float64, p []float64) {
+		attend(out, q, pages, ko, pages, vo, ld, vs, rows, scale, p, kern)
 	}, kern <= attendHost
 }

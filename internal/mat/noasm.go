@@ -22,11 +22,11 @@ func laneKern8Z(idx *uint16, val *float64, steps int, xt, c *float64, ldc int, c
 	panic("mat: laneKern8Z without asm")
 }
 
-func vecMat16AVX(dst, a *float64, n int, b *float64, stride, cols int, scale float64) {
+func vecMat16AVX(dst, a *float64, n int, b *float64, stride, cols int, scale float64, acc bool) {
 	panic("mat: vecMat16AVX without asm")
 }
 
-func vecMatZ(dst, a *float64, n int, b *float64, stride, cols int, scale float64) {
+func vecMatZ(dst, a *float64, n int, b *float64, stride, cols int, scale float64, acc bool) {
 	panic("mat: vecMatZ without asm")
 }
 

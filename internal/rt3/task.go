@@ -28,8 +28,8 @@ type TaskModel interface {
 	// LayerNorm parameters are kept dense, as in the paper's setup).
 	PrunableParams() []*nn.Parameter
 	// TrainStep runs forward+backward on training example i,
-	// accumulating gradients, and returns the loss.
-	TrainStep(i int) float64
+	// accumulating gradients.
+	TrainStep(i int)
 	// NumTrain returns the number of training examples.
 	NumTrain() int
 	// Evaluate returns the task metric on the held-out split
@@ -72,11 +72,10 @@ func (t *LMTask) SeqLen() int { return t.Model.Cfg.SeqLen }
 func (t *LMTask) MetricName() string { return "accuracy" }
 
 // TrainStep implements TaskModel.
-func (t *LMTask) TrainStep(i int) float64 {
+func (t *LMTask) TrainStep(i int) {
 	ex := t.Train[i%len(t.Train)]
-	loss, dlogits := t.Model.Loss(ex.Input, ex.Targets)
+	_, dlogits := t.Model.Loss(ex.Input, ex.Targets)
 	t.Model.Backward(dlogits)
-	return loss
 }
 
 // Evaluate implements TaskModel: next-word prediction accuracy.
@@ -120,17 +119,16 @@ func (t *GLUETask) SeqLen() int { return t.Task.Spec.SeqLen }
 func (t *GLUETask) MetricName() string { return t.Task.Spec.Kind.String() }
 
 // TrainStep implements TaskModel.
-func (t *GLUETask) TrainStep(i int) float64 {
+func (t *GLUETask) TrainStep(i int) {
 	ex := t.Task.Train[i%len(t.Task.Train)]
 	out := t.Model.Forward(ex.Tokens)
 	if t.Task.Spec.Classes == 1 {
-		loss, grad := nn.MSELoss(out, []float64{ex.Score})
+		_, grad := nn.MSELoss(out, []float64{ex.Score})
 		t.Model.Backward(grad)
-		return loss
+		return
 	}
-	loss, grad := nn.SoftmaxCrossEntropy(out, []int{ex.Label})
+	_, grad := nn.SoftmaxCrossEntropy(out, []int{ex.Label})
 	t.Model.Backward(grad)
-	return loss
 }
 
 // Evaluate implements TaskModel, scoring with the task's GLUE metric.

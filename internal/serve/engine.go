@@ -603,6 +603,9 @@ func (e *Engine) RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("rt3_decode_states_total",
 		"DecodeStates built (stays at the slot count under free-list reuse).",
 		func() float64 { return float64(e.decStates.Load()) })
+	reg.CounterFunc("rt3_kv_page_allocs_total",
+		"KV-cache pages the process-wide pool had to make (flat once serving is warm: finished sequences and evicted prefix-cache entries give theirs back).",
+		func() float64 { made, _ := transformer.KVPages(); return float64(made) })
 	reg.GaugeFunc("rt3_level", "Active V/F level index (bundle order, fastest first).",
 		func() float64 { return float64(e.Level()) })
 }
@@ -659,7 +662,7 @@ func (e *Engine) DenseGenerate(idx int, prefix, suffix []int, maxTokens, eos int
 	}
 	defer e.denseReference(idx)()
 	st := dm.NewDecodeState()
-	st.Reserve(len(prefix) + len(suffix) + maxTokens)
+	defer st.Reset()
 	sts := []*transformer.DecodeState{st}
 	out := dm.Prefill(sts, [][]int{prefix})[0]
 	if len(suffix) > 0 {

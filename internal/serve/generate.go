@@ -216,9 +216,10 @@ func (sl *genSlot) done() bool {
 // replica: every iteration it admits queued requests into free decode
 // slots (prefilling them as one fused packed pass), advances all active
 // sequences by one fused decode step, and evicts sequences that hit EOS
-// or their token budget — their responses are delivered and their KV
-// caches recycled through a free-list, so steady-state decoding
-// allocates nothing. Queued classification requests ride the same loop:
+// or their token budget — their responses are delivered, their KV pages
+// go back to the process-wide pool and their states to a free-list, so
+// once the pool holds a working set's pages decoding allocates no KV
+// storage. Queued classification requests ride the same loop:
 // each iteration drains up to MaxBatch of them and executes the batch
 // as one fused forward pass between decode steps (mixed traffic, one
 // level per iteration). The execMu read lock spans one admission +
@@ -358,7 +359,7 @@ func (s *Server) worker(replica int) {
 				sl.steps++
 				sl.decodeMS += stepMS
 				if err != nil {
-					free = append(free, sl.st)
+					recycle(&free, sl.st)
 					s.tracer.Abort(sl.req.tr)
 					sl.req.resp <- GenResponse{Err: err}
 					continue
@@ -376,7 +377,7 @@ func (s *Server) worker(replica int) {
 		s.execMu.RUnlock()
 
 		for _, sl := range finished {
-			free = append(free, sl.st)
+			recycle(&free, sl.st)
 			s.finishGen(sl, level)
 		}
 	}
@@ -408,7 +409,6 @@ func (s *Server) admitGen(replica, level int, admit []*genReq, free *[]*transfor
 			r.resp <- GenResponse{Err: err}
 			continue
 		}
-		st.Reserve(len(r.memory) + r.split + r.maxTokens)
 		a := &adm{r: r, st: st, memory: r.memory}
 		if r.split > 0 && s.prefixCache != nil {
 			if h := s.prefixCache.Match(level, r.memory, nil); h != nil {
@@ -482,7 +482,7 @@ func (s *Server) admitGen(replica, level int, admit []*genReq, free *[]*transfor
 	for _, a := range adms {
 		r := a.r
 		if err != nil {
-			*free = append(*free, a.st)
+			recycle(free, a.st)
 			s.tracer.Abort(r.tr)
 			r.resp <- GenResponse{Err: err}
 			continue
@@ -504,6 +504,13 @@ func (s *Server) admitGen(replica, level int, admit []*genReq, free *[]*transfor
 		}
 	}
 	return started
+}
+
+// recycle gives a finished sequence's KV pages back to the pool and its
+// state to the worker's free-list.
+func recycle(free *[]*transformer.DecodeState, st *transformer.DecodeState) {
+	st.Reset()
+	*free = append(*free, st)
 }
 
 // takeState pops a recycled DecodeState off the worker's free-list or

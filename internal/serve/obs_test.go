@@ -261,6 +261,56 @@ func TestPrefixCacheMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestKVPageAllocsFlatOnRepeatedLoad: rt3_kv_page_allocs_total counts
+// the KV pages the pool had to make. A second run of the same load —
+// split generations whose prompts evict each other from the prefix
+// cache, then plain ones whose caches take a second page — takes every
+// page from the pool, so the counter stays flat across it.
+func TestKVPageAllocsFlatOnRepeatedLoad(t *testing.T) {
+	cfg := lmCfg
+	cfg.SeqLen = 160
+	eng, _ := newLMDeploymentCfg(t, cfg, 1, "pattern")
+	const prefixLen = 70
+	srv := serve.New(eng, serve.Config{
+		Generate: true, MaxBatch: 4, QueueCap: 64, MaxGenTokens: 96,
+		PrefixCacheRows: prefixLen, // one prompt: every insert evicts the other
+	})
+	srv.Start()
+	defer srv.Stop()
+	prefixes := randSeqs(2, prefixLen, cfg.Vocab, 811)
+	prompts := randSeqs(3, 20, cfg.Vocab, 812)
+	load := func() {
+		for i := 0; i < 4; i++ {
+			splitGen(t, srv, prefixes[i%2], prompts[i%3][:5], serve.GenOpts{MaxTokens: 8, EOS: -1})
+		}
+		for i, p := range prompts {
+			ch, err := srv.SubmitGenOpts(p, serve.GenOpts{MaxTokens: 30 * (i + 1), EOS: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp := <-ch; resp.Err != nil {
+				t.Fatal(resp.Err)
+			}
+		}
+	}
+	made := func() float64 {
+		v, ok := srv.Metrics().Snapshot()["rt3_kv_page_allocs_total"]
+		if !ok {
+			t.Fatal("rt3_kv_page_allocs_total is not exposed")
+		}
+		return v
+	}
+	load()
+	first := made()
+	load()
+	if again := made(); again != first {
+		t.Fatalf("rt3_kv_page_allocs_total rose from %v to %v over a repeat of the same load", first, again)
+	}
+	if st, _ := srv.PrefixCacheStats(); st.Evictions == 0 {
+		t.Fatalf("%+v: no prefix-cache entry was evicted, the load does not give pages back through eviction", st)
+	}
+}
+
 // TestGenServerTraceSpans runs generations through the continuous-
 // batching server and asserts the retained request traces carry the
 // queue/prefill/decode_step/finish span sequence, export as JSONL, and
@@ -500,7 +550,6 @@ func TestDecodeTracingAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st.Reserve(promptLen + steps + 1)
 		states[i] = st
 	}
 	outs, err := eng.PrefillBatch(0, states, prompts)

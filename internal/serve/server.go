@@ -24,7 +24,12 @@ var (
 	ErrNotGenerating = errors.New("serve: SubmitGen requires Config.Generate")
 	ErrBadSplit      = errors.New("serve: GenOpts.SplitAt must cut the prompt into non-empty prefix and suffix")
 	ErrBadToken      = errors.New("serve: token id outside the model's vocabulary")
-	ErrBadBudget     = errors.New("serve: token budget above Config.MaxGenTokens")
+	// ErrBadBudget refuses a generation whose token budget (a resumed
+	// prefix included) exceeds Config.MaxGenTokens. The budget bounds the
+	// generation's length only: admission reserves no KV storage for it,
+	// since a sequence takes KV pages from the shared pool as its rows
+	// fill them.
+	ErrBadBudget = errors.New("serve: token budget above Config.MaxGenTokens")
 )
 
 // Config tunes the server. Zero values pick the documented defaults.

@@ -194,9 +194,9 @@ func (r *Radix) age() {
 	}
 }
 
-// Insert copies the prompt's rows out of a freshly computed prefill: st
-// must hold at least len(memory) rows, which Snapshot checks when it
-// copies them. The suffix argument is ignored: the cache holds prompts
+// Insert copies the prompt's rows out of a freshly computed prefill, into
+// KV pages from the pool that eviction gives back: st must hold at least
+// len(memory) rows, which Snapshot checks when it copies them. The suffix argument is ignored: the cache holds prompts
 // only. A cached prompt is only touched; a new one enters at its
 // prompt's ghost count, and admission is decided before any row is
 // copied: an entry that would be the first victim of its own insert, or
@@ -260,11 +260,18 @@ func (r *Radix) evictOver() {
 		if victim == nil {
 			return
 		}
-		delete(r.entries, victimKey)
-		r.used -= victim.st.Pos()
-		r.evictions.Add(1)
-		r.evictedRows.Add(int64(victim.st.Pos()))
+		r.evict(victimKey, victim)
 	}
+}
+
+// evict drops an unpinned entry and gives its snapshot's KV pages back
+// to the pool. Called with the lock held.
+func (r *Radix) evict(key string, e *entry) {
+	delete(r.entries, key)
+	r.used -= e.st.Pos()
+	r.evictions.Add(1)
+	r.evictedRows.Add(int64(e.st.Pos()))
+	e.st.Reset()
 }
 
 // RadixStats is a cache accounting snapshot.

@@ -53,7 +53,6 @@ func tracePrefix(k int) int { return scriptPrefixes + k }
 // suffix teacher-forced through DecodeChunk.
 func splitPrefill(m *transformer.LMModel, prefix, suffix []int) *transformer.DecodeState {
 	st := m.NewDecodeState()
-	st.Reserve(len(prefix) + len(suffix) + 1)
 	m.Prefill([]*transformer.DecodeState{st}, [][]int{prefix})
 	if len(suffix) > 0 {
 		m.DecodeChunk([]*transformer.DecodeState{st}, [][]int{suffix})
@@ -122,6 +121,7 @@ func cached(r *Radix, level int, memory []int) bool {
 func verifyHit(t *testing.T, m *transformer.LMModel, h *Hit, fresh *freshKV, pi int) {
 	t.Helper()
 	st := m.NewDecodeState()
+	defer st.Reset()
 	h.Load(st)
 	if st.Pos() != h.Rows() || h.Rows() != len(radixPrefixes[pi]) {
 		t.Fatalf("hit loaded %d rows, reported %d, prompt %d", st.Pos(), h.Rows(), len(radixPrefixes[pi]))
@@ -155,7 +155,10 @@ func randomScript(seed int64, ops int) []byte {
 
 // runRadixScript interprets an op stream against a capacity-bounded
 // cache; the same interpreter backs the property seeds and FuzzRadix.
+// Once every entry is evicted and every state Reset, the KV pool has
+// every page back.
 func runRadixScript(t *testing.T, script []byte) {
+	_, pagesOut := transformer.KVPages()
 	m := newRadixModel(t)
 	const capRows = 8 // two of the four (level, prompt) entries: inserts routinely evict
 	r := NewRadix(capRows)
@@ -219,9 +222,22 @@ func runRadixScript(t *testing.T, script []byte) {
 		if st.Pos() != h.Rows() {
 			t.Fatalf("held hit loads %d rows, want %d", st.Pos(), h.Rows())
 		}
+		st.Reset()
 		h.Release()
 	}
 	checkRadixInvariants(t, r, false)
+
+	r.mu.Lock()
+	for key, e := range r.entries {
+		r.evict(key, e)
+	}
+	r.mu.Unlock()
+	for _, st := range fresh.cache {
+		st.Reset()
+	}
+	if _, out := transformer.KVPages(); out != pagesOut {
+		t.Fatalf("%d KV pages out once every entry was evicted and every state Reset, %d before", out, pagesOut)
+	}
 }
 
 // FuzzRadix feeds arbitrary op streams through the same interpreter as

@@ -235,9 +235,6 @@ func BenchmarkPrefill(b *testing.B) {
 	m.SetBufferReuse(true)
 	prompts := raggedSeqs(cfg.Vocab, []int{128, 128, 128, 128}, 157)
 	states := newStates(m, len(prompts))
-	for _, st := range states {
-		st.Reserve(cfg.SeqLen)
-	}
 	m.Prefill(states, prompts)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

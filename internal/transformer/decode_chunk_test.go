@@ -133,26 +133,26 @@ func TestDecodeTruncateToZeroChunkMatchesPrefill(t *testing.T) {
 }
 
 // TestDecodeTruncateAcrossGrowBoundary fills the second TruncateTo gap:
-// a cache that crossed mat.GrowFloats doubling boundaries mid-generation
-// is rewound back below the boundary and replayed; every replayed step
-// must match both the recorded logits and a fresh prefill's replay.
+// a cache that took a second page mid-generation is rewound back below
+// the page edge (the page goes back to the pool) and replayed; every
+// replayed step must match both the recorded logits and a fresh
+// prefill's replay.
 func TestDecodeTruncateAcrossGrowBoundary(t *testing.T) {
 	prompts := raggedSeqs(decodeCfg.Vocab, []int{3}, 43)
 	m := newDecodeModel(t, true)
 	states, outs := prefillStates(m, prompts)
-	states[0].Reserve(1) // no-op (prefill already holds 3 rows): growth happens mid-decode
 
 	fed := []int{greedyRow(outs[0])}
 	var want []*mat.Matrix
-	const genLen = 24 // several doublings past the 3-row prefill
+	const genLen = 70 // past the 64-row page edge
 	for step := 0; step < genLen; step++ {
 		logits := m.DecodeStep(states, []int{fed[len(fed)-1]})
 		want = append(want, logits.Clone())
 		fed = append(fed, logits.ArgmaxRow(0))
 	}
 
-	// rewind to just past the prompt — below every doubling boundary the
-	// generation crossed — and replay
+	// rewind to just past the prompt — below the page edge the generation
+	// crossed — and replay
 	rewind := len(prompts[0]) + 1
 	states[0].TruncateTo(rewind)
 

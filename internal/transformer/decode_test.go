@@ -158,9 +158,10 @@ func TestPrefillForkMatchesInline(t *testing.T) {
 }
 
 // TestPrefillSteadyStateAllocs: a serving-mode prefill keeps no
-// probability blocks, so alternating two prompt-length sets on reserved
+// probability blocks, so alternating two prompt-length sets on recycled
 // states allocates, after warm-up, only the views it returns: no buffer
-// of it is sized by a shape it cannot re-slice.
+// of it is sized by a shape it cannot re-slice, and the KV pages come
+// back from the pool.
 func TestPrefillSteadyStateAllocs(t *testing.T) {
 	m := newDecodeModel(t, true)
 	sets := [][][]int{
@@ -168,9 +169,6 @@ func TestPrefillSteadyStateAllocs(t *testing.T) {
 		raggedSeqs(decodeCfg.Vocab, []int{3, 11, 5}, 17),
 	}
 	states := newStates(m, 3)
-	for _, st := range states {
-		st.Reserve(decodeCfg.SeqLen)
-	}
 	for i := 0; i < 4; i++ {
 		m.Prefill(states, sets[i%2])
 	}
@@ -182,6 +180,88 @@ func TestPrefillSteadyStateAllocs(t *testing.T) {
 	// the slice of views and one header per sequence
 	if want := float64(1 + len(states)); allocs > want {
 		t.Fatalf("%v allocs per steady-state prefill across shape changes, want <= %v", allocs, want)
+	}
+}
+
+// TestRecycledStateServingOrderAllocs replays what a serving slot does
+// over decode_heavy's range of lengths: one recycled state is Reset,
+// prefilled with a 16-token prompt and stepped to a row budget that rises
+// from 80 to 208 from run to run. After one warm-up pass at the longest
+// length, by another state whose pages went back to the pool, a run
+// allocates no more than TestPrefillSteadyStateAllocs allows one
+// sequence's prefill: its pages come from the pool, and nothing regrows
+// when the next request is longer than any the state served before.
+func TestRecycledStateServingOrderAllocs(t *testing.T) {
+	cfg := decodeCfg
+	cfg.SeqLen = 256
+	m := transformer.NewLMModel(cfg, rand.New(rand.NewSource(8)))
+	m.SetBufferReuse(true)
+	prompt := raggedSeqs(cfg.Vocab, []int{16}, 34)
+	serve := func(st *transformer.DecodeState, rows int) {
+		st.Reset()
+		states := []*transformer.DecodeState{st}
+		tok := []int{greedyRow(m.Prefill(states, prompt)[0])}
+		for st.Pos() < rows {
+			tok[0] = m.DecodeStep(states, tok).ArgmaxRow(0)
+		}
+	}
+	budgets := []int{80, 112, 144, 176, 208}
+	warm := m.NewDecodeState()
+	serve(warm, budgets[len(budgets)-1])
+	warm.Reset()
+	st, i := m.NewDecodeState(), 0
+	allocs := testing.AllocsPerRun(len(budgets)-1, func() {
+		serve(st, budgets[i])
+		i++
+	})
+	// the slice of views and one header per sequence
+	if want := 2.0; allocs > want {
+		t.Fatalf("%v allocs per recycled request over rising budgets %v, want <= %v", allocs, budgets, want)
+	}
+}
+
+// TestKVPagesReturnToPool: every page a state takes — prefill, steps
+// across page edges, a chunk, a snapshot and a copy of it — is back in
+// the pool once every state is Reset, TruncateTo gives back the pages
+// past the rows it keeps, and a second round of the same work makes no
+// page.
+func TestKVPagesReturnToPool(t *testing.T) {
+	cfg := decodeCfg
+	cfg.SeqLen = 256
+	m := transformer.NewLMModel(cfg, rand.New(rand.NewSource(9)))
+	m.SetBufferReuse(true)
+	prompts := raggedSeqs(cfg.Vocab, []int{70, 5, 130}, 35)
+	_, start := transformer.KVPages()
+	round := func() {
+		states := newStates(m, len(prompts))
+		tokens := make([]int, len(prompts))
+		for i, out := range m.Prefill(states, prompts) {
+			tokens[i] = greedyRow(out)
+		}
+		for step := 0; step < 70; step++ {
+			m.DecodeStep(states, tokens)
+		}
+		m.DecodeChunk(states, [][]int{{1, 2}, {3}, {4, 5, 6}})
+		_, before := transformer.KVPages()
+		states[0].TruncateTo(10)
+		if _, after := transformer.KVPages(); before-after != 2*2 { // two self pages in each of two layers
+			t.Fatalf("TruncateTo from %d to 10 rows gave back %d pages, want 4", 70+70+2, before-after)
+		}
+		snap := states[2].Snapshot(100)
+		copied := m.NewDecodeState()
+		copied.CopyFrom(snap)
+		for _, st := range append(states, snap, copied) {
+			st.Reset()
+		}
+		if _, out := transformer.KVPages(); out != start {
+			t.Fatalf("%d pages out after every state was Reset, %d before", out, start)
+		}
+	}
+	round()
+	made, _ := transformer.KVPages()
+	round()
+	if again, _ := transformer.KVPages(); again != made {
+		t.Fatalf("the second round made %d pages; the pool held them all", again-made)
 	}
 }
 
@@ -292,10 +372,10 @@ func TestDecodeStateRecycle(t *testing.T) {
 	}
 }
 
-// TestDecodeCacheGrowth decodes far past the initial reservation so the
-// KV caches cross the mat.GrowFloats reallocation boundary mid-
-// generation; cached contents must survive the move (logits keep
-// matching the full-recompute reference).
+// TestDecodeCacheGrowth decodes past a page edge so the KV caches take a
+// second page mid-generation; the rows of the first must stay where the
+// attention core reads them (logits keep matching the full-recompute
+// reference).
 func TestDecodeCacheGrowth(t *testing.T) {
 	prompts := raggedSeqs(decodeCfg.Vocab, []int{4, 2}, 23)
 	m := newDecodeModel(t, true)
@@ -303,15 +383,13 @@ func TestDecodeCacheGrowth(t *testing.T) {
 
 	memory, memOff := ref.EncodeBatch(prompts)
 	states := []*transformer.DecodeState{m.NewDecodeState(), m.NewDecodeState()}
-	// deliberately tiny reservation: growth must happen during decode
-	states[0].Reserve(1)
 	outs := m.Prefill(states, prompts)
 	tokens := []int{greedyRow(outs[0]), greedyRow(outs[1])}
 	seqs := [][]int{
 		append(append([]int(nil), prompts[0]...), tokens[0]),
 		append(append([]int(nil), prompts[1]...), tokens[1]),
 	}
-	const genLen = 40 // well past any doubling boundary
+	const genLen = 70 // past the 64-row page edge
 	for step := 0; step < genLen; step++ {
 		logits := m.DecodeStep(states, tokens)
 		refs := ref.DecodeFull(seqs, memory, memOff)
@@ -357,8 +435,7 @@ func TestDecodeTruncateReplay(t *testing.T) {
 }
 
 // TestDecodeStepAllocationFree is the steady-state allocation contract:
-// with buffer reuse on and the caches reserved, a fused decode step
-// allocates nothing (the step is truncated away after each run so the
+// with buffer reuse on, a fused decode step allocates nothing (the step is truncated away after each run so the
 // measured state never grows past its reservation).
 func TestDecodeStepAllocationFree(t *testing.T) {
 	t.Run("inline", func(t *testing.T) {
@@ -381,9 +458,6 @@ func decodeStepAllocationFree(t *testing.T, m *transformer.LMModel, prompts [][]
 	tokens := make([]int, len(prompts))
 	for i := range states {
 		states[i] = m.NewDecodeState()
-	}
-	for i, st := range states {
-		st.Reserve(len(prompts[i]) + 4)
 	}
 	outs := m.Prefill(states, prompts)
 	for i := range tokens {

@@ -4,13 +4,13 @@ package transformer
 // values of the state as row-major copies, rows x dim each.
 func (st *DecodeState) CrossRows(li int) (k, v []float64) {
 	c := &st.cross[li]
-	k = make([]float64, c.rows*c.dim)
+	k, v = make([]float64, c.rows*c.dim), make([]float64, c.rows*c.dim)
 	for j := 0; j < c.rows; j++ {
 		for f := 0; f < c.dim; f++ {
-			k[j*c.dim+f] = c.k[f*c.capRows+j]
+			k[j*c.dim+f], v[j*c.dim+f] = c.key(j, f), c.value(j, f)
 		}
 	}
-	return k, append([]float64(nil), c.v[:c.rows*c.dim]...)
+	return k, v
 }
 
 // SetAttentionReuse turns buffer reuse on or off on a lone attention

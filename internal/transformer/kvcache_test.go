@@ -46,63 +46,79 @@ func appendPacked(c *KVCache, k, v []float64) {
 	c.appendRows(mat.FromSlice(n, c.dim, k), mat.FromSlice(n, c.dim, v), 0, n)
 }
 
-// checkKVCache holds the cache to the model: the row-major values, and
-// the feature-major placement of the keys the attention core indexes
-// directly.
+// checkKVCache holds the cache to the model: exactly the pages its rows
+// need, each one page wide, and in them the feature-major keys and the
+// row-major values of every row at the places the attention core
+// indexes directly.
 func checkKVCache(t *testing.T, c *KVCache, m *kvModel, what string) {
 	t.Helper()
 	if c.rows != m.rows() {
 		t.Fatalf("%s: cache holds %d rows, model %d", what, c.rows, m.rows())
 	}
-	if c.capRows%mat.AttendBlock != 0 || c.capRows < c.rows || len(c.k) != c.dim*c.capRows {
-		t.Fatalf("%s: capacity %d rows (%d key floats) under %d rows at dim %d", what, c.capRows, len(c.k), c.rows, c.dim)
+	if want := (c.rows + kvPage - 1) / kvPage; len(c.pages) != want {
+		t.Fatalf("%s: %d pages under %d rows, want %d", what, len(c.pages), c.rows, want)
 	}
-	if !slices.Equal(c.v, m.v) {
-		t.Fatalf("%s: value rows differ from the row-major model", what)
+	for i, pg := range c.pages {
+		if len(pg) != 2*c.dim*kvPage {
+			t.Fatalf("%s: page %d holds %d floats at dim %d", what, i, len(pg), c.dim)
+		}
 	}
 	for j := 0; j < m.rows(); j++ {
+		pg, r := c.pages[j/kvPage], j%kvPage
 		for f := 0; f < m.dim; f++ {
-			if got := c.k[f*c.capRows+j]; got != m.k[j*m.dim+f] {
+			if got := pg[f*kvPage+r]; got != m.k[j*m.dim+f] {
 				t.Fatalf("%s: key row %d feature %d = %v, model %v", what, j, f, got, m.k[j*m.dim+f])
+			}
+			if got := pg[m.dim*kvPage+r*m.dim+f]; got != m.v[j*m.dim+f] {
+				t.Fatalf("%s: value row %d feature %d = %v, model %v", what, j, f, got, m.v[j*m.dim+f])
 			}
 		}
 	}
 }
 
-// TestKVCacheReserveMidSequencePreservesRows: growing the storage moves
-// every feature's run of keys under the new stride; starting from a row
-// count that is not a multiple of the block, by explicit reserve and by
-// append's own doubling.
-func TestKVCacheReserveMidSequencePreservesRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(161))
-	const dim = 6
-	c, m := &KVCache{dim: dim}, &kvModel{dim: dim}
-	for _, step := range []struct{ add, reserve int }{{5, 0}, {0, 40}, {13, 0}, {30, 0}, {0, 200}, {1, 0}} {
-		if step.reserve > 0 {
-			c.reserve(step.reserve)
-		}
-		k, v := randRows(rng, step.add, dim)
-		appendPacked(c, k, v)
-		m.append(k, v)
-		checkKVCache(t, c, m, fmt.Sprintf("after +%d rows, reserve %d", step.add, step.reserve))
+// poisonFreePages fills every page the pool holds with NaN, so a page it
+// hands out again carries no zeros a stale lane could hide behind.
+func poisonFreePages() {
+	var free [][]float64
+	for pg := kvPages.Get(noPage); pg != nil; pg = kvPages.Get(noPage) {
+		free = append(free, pg)
 	}
-	before := c.capRows
-	c.reserve(3) // never shrinks
-	if c.capRows != before {
-		t.Fatalf("reserve below capacity changed it: %d -> %d", before, c.capRows)
+	for _, pg := range free {
+		for i := range pg {
+			pg[i] = math.NaN()
+		}
+		kvPages.Put(pg)
 	}
 }
 
+// TestKVCacheAppendAcrossPagesPreservesRows: appends that start off a
+// score-block edge, end on a page edge and straddle several pages place
+// every row where the layout says, over pages the pool poisoned.
+func TestKVCacheAppendAcrossPagesPreservesRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(161))
+	const dim = 6
+	c, m := &KVCache{dim: dim}, &kvModel{dim: dim}
+	poisonFreePages()
+	for _, add := range []int{5, 13, kvPage - 18, 1, 2*kvPage + 3, kvPage - 3, 1} {
+		k, v := randRows(rng, add, dim)
+		appendPacked(c, k, v)
+		m.append(k, v)
+		checkKVCache(t, c, m, fmt.Sprintf("after +%d rows", add))
+	}
+	c.truncate(0)
+}
+
 // TestKVCacheTruncateThenAppend: rows appended after a rollback land on
-// the rolled-back positions, not behind the stale ones.
+// the rolled-back positions, not behind the stale ones, and a rollback
+// below a page edge gives the pages past it back.
 func TestKVCacheTruncateThenAppend(t *testing.T) {
 	rng := rand.New(rand.NewSource(162))
 	const dim = 5
 	c, m := &KVCache{dim: dim}, &kvModel{dim: dim}
-	k, v := randRows(rng, 21, dim)
+	k, v := randRows(rng, kvPage+21, dim)
 	appendPacked(c, k, v)
 	m.append(k, v)
-	for _, to := range []int{17, 16, 3, 0} {
+	for _, to := range []int{kvPage + 17, kvPage, kvPage - 1, 16, 3, 0} {
 		c.truncate(to)
 		m.truncate(to)
 		checkKVCache(t, c, m, fmt.Sprintf("truncated to %d", to))
@@ -132,7 +148,7 @@ func TestKVCacheAppendRowsOfPackedBatch(t *testing.T) {
 // kvTestModel is a two-decoder-layer LM small enough to prefill in a
 // test and wide enough (head dim 4, 2 heads) to have a head offset.
 func kvTestModel(reuse bool) *LMModel {
-	m := NewLMModel(Config{Vocab: 30, Dim: 8, Heads: 2, FFHidden: 12, EncLayers: 1, DecLayers: 2, SeqLen: 64}, rand.New(rand.NewSource(164)))
+	m := NewLMModel(Config{Vocab: 30, Dim: 8, Heads: 2, FFHidden: 12, EncLayers: 1, DecLayers: 2, SeqLen: 160}, rand.New(rand.NewSource(164)))
 	m.SetBufferReuse(reuse)
 	return m
 }
@@ -145,19 +161,20 @@ func kvTestPrompt(n int) []int {
 	return p
 }
 
-// TestKVSpanRaggedExportLoadRoundTrip snapshots a 37-row prefill at row
-// counts off the 16-row block edge and copies each into a fresh state.
-// The copy equals the same prefill rewound to those rows with
-// TruncateTo, and snapshot -> copy -> snapshot is the identity.
+// TestKVSpanRaggedExportLoadRoundTrip snapshots a 101-row prefill at row
+// counts off the 16-row block edge and at and around the page edge, and
+// copies each into a fresh state. The copy equals the same prefill
+// rewound to those rows with TruncateTo, and snapshot -> copy ->
+// snapshot is the identity.
 func TestKVSpanRaggedExportLoadRoundTrip(t *testing.T) {
 	m := kvTestModel(true)
 	prefill := func() *DecodeState {
 		st := m.NewDecodeState()
-		m.Prefill([]*DecodeState{st}, [][]int{kvTestPrompt(37)})
+		m.Prefill([]*DecodeState{st}, [][]int{kvTestPrompt(101)})
 		return st
 	}
 	st := prefill()
-	for _, rows := range []int{37, 16, 19, 17, 33, 5, 1, 0} {
+	for _, rows := range []int{101, 65, 64, 63, 16, 19, 17, 33, 5, 1, 0} {
 		sp := st.Snapshot(rows)
 		loaded := m.NewDecodeState()
 		loaded.CopyFrom(sp)
@@ -173,19 +190,19 @@ func TestKVSpanRaggedExportLoadRoundTrip(t *testing.T) {
 }
 
 // TestDecodeStateSnapshotCopyFrom pins the prefix-cache storage
-// contract. A snapshot of the first rows of a 37-row prefill, at row
-// counts that start, straddle and end score blocks, holds them in the
-// fewest whole blocks, and copies into a fresh state, into a larger one
-// holding stale rows and NaN spare lanes, and into a smaller one. Each
-// copy equals the snapshot, copies again (its storage now reserved)
-// without allocating, and feeds the next token to the logits of the
-// source rewound to those rows, at tolerance 0.
+// contract. A snapshot of the first rows of a 101-row prefill, at row
+// counts that start, straddle and end score blocks and pages, holds them
+// in the fewest pages, and copies into a fresh state, into a larger one
+// holding more pages with NaN spare lanes, and into a smaller one. Each
+// copy equals the snapshot, copies again (its pages now held) without
+// allocating, and feeds the next token to the logits of the source
+// rewound to those rows, at tolerance 0.
 func TestDecodeStateSnapshotCopyFrom(t *testing.T) {
 	m := kvTestModel(true)
-	prompt := kvTestPrompt(37)
-	prefill := func(p []int, reserve int) *DecodeState {
+	const promptLen = 101
+	prompt := kvTestPrompt(promptLen)
+	prefill := func(p []int) *DecodeState {
 		st := m.NewDecodeState()
-		st.Reserve(reserve)
 		m.Prefill([]*DecodeState{st}, [][]int{p})
 		return st
 	}
@@ -196,36 +213,38 @@ func TestDecodeStateSnapshotCopyFrom(t *testing.T) {
 		}
 		return m.DecodeStep([]*DecodeState{st}, []int{9}).Clone()
 	}
-	other := make([]int, 45)
+	other := make([]int, 140)
 	for i := range other {
 		other[i] = (11 + 5*i) % 30
 	}
-	src := prefill(prompt, 0)
-	for _, rows := range []int{0, 1, 15, 16, 17, 33, 37} {
+	pages := func(rows int) int { return (rows + kvPage - 1) / kvPage }
+	src := prefill(prompt)
+	for _, rows := range []int{0, 1, 15, 16, 17, 33, 63, 64, 65, promptLen} {
 		snap := src.Snapshot(rows)
 		for li := range snap.self {
 			s, c := &snap.self[li], &snap.cross[li]
-			if snap.Pos() != rows || s.capRows != mat.AttendPadded(rows) || c.capRows != mat.AttendPadded(37) || cap(s.v) != s.capRows*s.dim {
-				t.Fatalf("%d rows, layer %d: snapshot at Pos %d holds %d self / %d memory rows of capacity", rows, li, snap.Pos(), s.capRows, c.capRows)
+			if snap.Pos() != rows || len(s.pages) != pages(rows) || len(c.pages) != pages(promptLen) {
+				t.Fatalf("%d rows, layer %d: snapshot at Pos %d holds %d self / %d memory pages", rows, li, snap.Pos(), len(s.pages), len(c.pages))
 			}
 		}
-		ref := prefill(prompt, 0)
+		ref := prefill(prompt)
 		ref.TruncateTo(rows)
 		want := next(ref)
 
-		larger := prefill(other, 80)
+		larger := prefill(other)
 		poisonSpareLanes(larger)
+		poisonFreePages()
 		for _, target := range []struct {
 			name string
 			st   *DecodeState
-		}{{"fresh", m.NewDecodeState()}, {"larger", larger}, {"smaller", prefill(other[:3], 0)}} {
+		}{{"fresh", m.NewDecodeState()}, {"larger", larger}, {"smaller", prefill(other[:3])}} {
 			what := fmt.Sprintf("%d rows into a %s state", rows, target.name)
 			target.st.CopyFrom(snap)
 			if !target.st.Equal(snap) || !snap.Equal(target.st) {
 				t.Fatalf("%s: the copy differs from the snapshot", what)
 			}
 			if allocs := testing.AllocsPerRun(10, func() { target.st.CopyFrom(snap) }); allocs != 0 {
-				t.Fatalf("%s: %v allocs per CopyFrom into reserved storage, want 0", what, allocs)
+				t.Fatalf("%s: %v allocs per CopyFrom into the pages it holds, want 0", what, allocs)
 			}
 			if got := next(target.st); !mat.Equal(got, want, 0) {
 				t.Fatalf("%s: the next token's logits differ from the source's", what)
@@ -240,11 +259,19 @@ func TestDecodeStateSnapshotCopyFrom(t *testing.T) {
 		if !cp.Equal(snap) {
 			t.Fatalf("%d rows: Equal read the poisoned spare lanes", rows)
 		}
+		// the last key and the first value of the memory, and the last
+		// key and value of the self rows
+		at := func(c *KVCache, j, f int, value bool) *float64 {
+			if value {
+				return &c.pages[j/kvPage][(kvPage+j%kvPage)*c.dim+f]
+			}
+			return &c.pages[j/kvPage][f*kvPage+j%kvPage]
+		}
 		mem := &cp.cross[1]
-		below := []*float64{&mem.k[(mem.dim-1)*mem.capRows+mem.rows-1], &mem.v[0]}
+		below := []*float64{at(mem, mem.rows-1, mem.dim-1, false), at(mem, 0, 0, true)}
 		if rows > 0 {
 			s := &cp.self[1]
-			below = append(below, &s.k[(s.dim-1)*s.capRows+rows-1], &s.v[len(s.v)-1])
+			below = append(below, at(s, rows-1, s.dim-1, false), at(s, rows-1, s.dim-1, true))
 		}
 		for i, x := range below {
 			old := *x
@@ -257,16 +284,21 @@ func TestDecodeStateSnapshotCopyFrom(t *testing.T) {
 	}
 }
 
-// poisonSpareLanes overwrites every key column at or past the rows held
-// — stale rows and block padding — with NaN in every self- and
-// cross-attention cache of the state.
+// poisonSpareLanes overwrites every key and value row past the rows held
+// in the last page of every self- and cross-attention cache of the state
+// with NaN.
 func poisonSpareLanes(st *DecodeState) {
 	for _, caches := range [][]KVCache{st.self, st.cross} {
 		for i := range caches {
 			c := &caches[i]
-			for f := 0; f < c.dim; f++ {
-				for j := c.rows; j < c.capRows; j++ {
-					c.k[f*c.capRows+j] = math.NaN()
+			if c.rows%kvPage == 0 {
+				continue
+			}
+			pg := c.pages[len(c.pages)-1]
+			for j := c.rows % kvPage; j < kvPage; j++ {
+				for f := 0; f < c.dim; f++ {
+					pg[f*kvPage+j] = math.NaN()
+					pg[(kvPage+j)*c.dim+f] = math.NaN()
 				}
 			}
 		}
@@ -274,9 +306,11 @@ func poisonSpareLanes(st *DecodeState) {
 }
 
 // TestKVCacheSpareLanesNeverReachResults: the score kernel reads whole
-// blocks, so it reads key columns past the window — padding, and rows a
-// TruncateTo left behind. Poisoning all of them with NaN before every
-// step and chunk must not change one bit of the logits.
+// blocks, so it reads key columns past the window — the rest of the last
+// page, rows a TruncateTo left behind, whatever a page held when the
+// pool handed it out. Poisoning all of them with NaN, and every page the
+// pool holds, before the prefill and every step and chunk must not
+// change one bit of the logits.
 func TestKVCacheSpareLanesNeverReachResults(t *testing.T) {
 	run := func(poison bool) []*mat.Matrix {
 		m := kvTestModel(false)
@@ -285,15 +319,17 @@ func TestKVCacheSpareLanesNeverReachResults(t *testing.T) {
 		touch := func() {
 			if poison {
 				poisonSpareLanes(st)
+				poisonFreePages()
 			}
 		}
 		var outs []*mat.Matrix
-		outs = append(outs, m.Prefill(states, [][]int{kvTestPrompt(13)})[0].Clone())
-		for i := 0; i < 6; i++ { // grows through the 16-row block edge
+		touch()
+		outs = append(outs, m.Prefill(states, [][]int{kvTestPrompt(61)})[0].Clone())
+		for i := 0; i < 6; i++ { // grows through the 64-row page edge
 			touch()
 			outs = append(outs, m.DecodeStep(states, []int{(5 + i) % 30}).Clone())
 		}
-		st.TruncateTo(14) // rows 14..18 are now stale
+		st.TruncateTo(62) // rows 62..66 are now stale, and the second page is back in the pool
 		touch()
 		outs = append(outs, m.DecodeChunk(states, [][]int{{1, 2, 3}})[0].Clone())
 		touch()
@@ -329,19 +365,23 @@ func TestAttendEmptyCacheRejected(t *testing.T) {
 	a.attendCached(mat.New(2, 8), []*KVCache{full, {dim: 8}}, []int{0, 1, 2}, false)
 }
 
-// TestDecodeStepsIntoReservedCacheAllocationFree: a reserved cache that
-// grows a row per step (no truncation between steps) allocates nothing —
-// the score scratch is sized by capacity, not by the rows held so far.
-func TestDecodeStepsIntoReservedCacheAllocationFree(t *testing.T) {
+// TestDecodeStepsAcrossPagesAllocationFree: once the pool holds the
+// pages, a cache that grows a row per step (no truncation between steps)
+// across a page edge allocates nothing — the page comes from the pool,
+// and the score scratch is sized by whole pages.
+func TestDecodeStepsAcrossPagesAllocationFree(t *testing.T) {
 	m := kvTestModel(true)
 	st := m.NewDecodeState()
-	st.Reserve(5 + 40)
 	states := []*DecodeState{st}
-	m.Prefill(states, [][]int{kvTestPrompt(5)})
-	tok := []int{7}
-	m.DecodeStep(states, tok) // settles the decode-shaped buffers
-	if allocs := testing.AllocsPerRun(30, func() { m.DecodeStep(states, tok) }); allocs != 0 {
-		t.Fatalf("%v allocs per step into a reserved cache, want 0", allocs)
+	prompt, tok := [][]int{kvTestPrompt(40)}, []int{7}
+	m.Prefill(states, prompt)
+	for st.Pos() < 2*kvPage {
+		m.DecodeStep(states, tok)
+	}
+	m.Prefill(states, prompt) // resets the state: its pages go back to the pool
+	m.DecodeStep(states, tok)
+	if allocs := testing.AllocsPerRun(30, func() { m.DecodeStep(states, tok) }); allocs != 0 || st.Pos() <= kvPage {
+		t.Fatalf("%v allocs per step up to %d rows, want 0 across the %d-row page edge", allocs, st.Pos(), kvPage)
 	}
 }
 
@@ -378,8 +418,8 @@ func runKVCacheScript(t *testing.T, script []byte) {
 		kind, arg := script[0]%5, int(script[1])
 		what := fmt.Sprintf("op %d arg %d", kind, arg)
 		switch kind {
-		case 0: // reserve
-			c.reserve(arg % 70)
+		case 0: // stale pages: the next page an append takes holds NaN
+			poisonFreePages()
 		case 1: // append 1..8 rows (the decode step and the chunk)
 			k, v := randRows(rng, 1+arg%8, dim)
 			appendPacked(c, k, v)
@@ -393,6 +433,7 @@ func runKVCacheScript(t *testing.T, script []byte) {
 			cp := &KVCache{dim: dim}
 			cp.copyFrom(c, r)
 			checkKVCache(t, cp, &kvModel{dim: dim, k: m.k[:r*dim], v: m.v[:r*dim]}, what+", the copy")
+			cp.truncate(0)
 		case 4: // copy rows [0, r) out, truncate, and copy them back in
 			r := arg % (m.rows() + 1)
 			cp := &KVCache{dim: dim}
@@ -401,6 +442,7 @@ func runKVCacheScript(t *testing.T, script []byte) {
 			to := (arg / 3) % (m.rows() + 1)
 			c.truncate(to)
 			c.copyFrom(cp, r)
+			cp.truncate(0)
 			m = kept
 		}
 		checkKVCache(t, c, m, what)
@@ -417,8 +459,9 @@ func TestKVCacheLayoutScripts(t *testing.T) {
 	}
 }
 
-// FuzzKVCacheLayout explores reserve/append/truncate/copy
-// interleavings of the feature-major cache against the row-major model
+// FuzzKVCacheLayout explores append/truncate/copy interleavings of the
+// paged feature-major cache, over pages the pool may hand out holding
+// NaN, against the row-major model
 // (`go test -fuzz=FuzzKVCacheLayout ./internal/transformer`).
 func FuzzKVCacheLayout(f *testing.F) {
 	f.Add([]byte{1, 4, 0, 40, 1, 7, 3, 9, 2, 3, 1, 0, 4, 5})
