@@ -157,9 +157,7 @@ func BenchmarkAblationJointTraining(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := experiments.DefaultSearch(experiments.ScaleTiny, 104, 15)
-	cfg.CalibrateMS = 160
-	res, err := rt3.Search(task, l1, cfg)
+	res, err := rt3.Search(task, l1, experiments.DefaultSearch(experiments.ScaleTiny, 104, 160, 15))
 	if err != nil {
 		b.Fatal(err)
 	}

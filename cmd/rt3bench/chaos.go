@@ -33,6 +33,11 @@ const (
 	chaosDeterminismProfile    = "crash"
 	chaosDeterminismTrace      = "diurnal"
 	chaosDeterminismSeedOffset = 100
+
+	// chaosSeed1ResponseHash is the double run's response-set hash at
+	// seed 1, the one BENCH_chaos.json records: at that seed the two runs
+	// must agree with each other and with it.
+	chaosSeed1ResponseHash = "4a3a105de2bdb27f"
 )
 
 // chaosProfiles is the benchmark matrix's fault axis: a fault-free
@@ -203,7 +208,8 @@ func (a chaosArmRow) check() error {
 }
 
 // floors checks every arm, the double run's agreement (which needs zero
-// shed, so the comparison covers every response), the crash arms'
+// shed, so the comparison covers every response) and, at seed 1, its
+// hash against the recorded one, the crash arms'
 // failovers, the rollout arms' rollouts, and the per-trace p99 inflation
 // bound, and returns one PASS line per floor (CI greps the first and the
 // third).
@@ -234,6 +240,8 @@ func (s *chaosSection) floors() ([]string, error) {
 		return nil, fmt.Errorf("determinism: offered %d vs %d — the arrival sequence is not a pure function of the seed", a.Offered, b.Offered)
 	case a.ResponseHash != b.ResponseHash:
 		return nil, fmt.Errorf("determinism: response hashes differ (%s vs %s)", a.ResponseHash, b.ResponseHash)
+	case s.Seed == 1 && a.ResponseHash != chaosSeed1ResponseHash:
+		return nil, fmt.Errorf("determinism: seed-1 response hash %s, want the recorded %s", a.ResponseHash, chaosSeed1ResponseHash)
 	}
 
 	var failovers, rollouts int64

@@ -171,7 +171,34 @@ func TestChaosFloors(t *testing.T) {
 		{"fault schedules diverged", func(s *chaosSection) { s.Determinism[1].Fired = nil }, "fault schedules diverged"},
 		{"offered counts diverged", func(s *chaosSection) { s.Determinism[1].Offered = 202 }, "offered 201 vs 202"},
 		{"response hashes diverged", func(s *chaosSection) { s.Determinism[1].ResponseHash = "0" }, "response hashes differ"},
+		{"seed-1 hash moved", func(s *chaosSection) { s.Determinism[0].ResponseHash, s.Determinism[1].ResponseHash = "0", "0" },
+			"seed-1 response hash 0, want the recorded 4a3a105de2bdb27f"},
+		{"another seed, another hash", func(s *chaosSection) {
+			s.Seed = 2
+			s.Determinism[0].ResponseHash, s.Determinism[1].ResponseHash = "0", "0"
+		}, ""},
 	})
+}
+
+// TestChaosPinnedHashIsRecorded holds the seed-1 hash the floors pin to
+// BENCH_chaos.json's determinism rows.
+func TestChaosPinnedHashIsRecorded(t *testing.T) {
+	b, err := os.ReadFile("../../BENCH_chaos.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep jsonReport
+	if err := json.Unmarshal(b, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Chaos == nil || rep.Chaos.Seed != 1 || len(rep.Chaos.Determinism) != 2 {
+		t.Fatalf("BENCH_chaos.json holds no seed-1 double run: %+v", rep.Chaos)
+	}
+	for i, run := range rep.Chaos.Determinism {
+		if run.ResponseHash != chaosSeed1ResponseHash {
+			t.Errorf("determinism row %d records hash %s, the floors pin %s", i, run.ResponseHash, chaosSeed1ResponseHash)
+		}
+	}
 }
 
 // TestChaosDeterminismLineNamesTheHash pins the PASS line CI greps and

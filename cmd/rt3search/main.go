@@ -66,8 +66,7 @@ func main() {
 	}
 	fmt.Printf("Level 1 (BP): sparsity %.2f%%, %s = %.4f\n", l1.Sparsity*100, task.MetricName(), l1.Metric)
 
-	cfg := experiments.DefaultSearch(scale, spec.TimingMS, *seed+13)
-	cfg.CalibrateMS = spec.DenseMS
+	cfg := experiments.DefaultSearch(scale, spec.TimingMS, spec.DenseMS, *seed+13)
 	if *episodes > 0 {
 		cfg.Episodes = *episodes
 	}

@@ -211,7 +211,11 @@ func runClusterChaos(logger *obs.Logger, drain <-chan struct{}, r *cluster.Route
 	if err != nil {
 		log.Fatal(err)
 	}
-	writeInjectorTrace(logger, rep.Injector, o.chaosTraceOut)
+	// the injector's fired-fault record — which fault landed when,
+	// against whom, with what outcome — beside the -trace-out decisions
+	if o.chaosTraceOut != "" && writeJSON(logger, "chaos-trace-out", o.chaosTraceOut, rep.Injector) {
+		logger.Infof("wrote %d fired fault(s) to %s", len(rep.Injector.Fired), o.chaosTraceOut)
+	}
 	fmt.Print(rep)
 	for _, f := range rep.Injector.Fired {
 		target := fmt.Sprintf("node %d", f.Event.Node)
@@ -245,26 +249,22 @@ func loadChaosTrace(name string) (*chaos.TraceSpec, error) {
 	return chaos.ParseTrace(b)
 }
 
-// writeInjectorTrace dumps the injector's fired-fault record as JSON —
-// which fault landed when, against whom, with what outcome — alongside
-// the router decision trace a -trace-out run writes.
-func writeInjectorTrace(logger *obs.Logger, tr *chaos.InjectorTrace, path string) {
-	if path == "" {
-		return
-	}
+// writeJSON writes v to path as indented JSON and reports whether it
+// did; a failure is logged under flag, the option that named the path.
+func writeJSON(logger *obs.Logger, flag, path string, v any) bool {
 	f, err := os.Create(path)
 	if err != nil {
-		logger.Errorf("chaos-trace-out: %v", err)
-		return
+		logger.Errorf("%s: %v", flag, err)
+		return false
 	}
 	defer f.Close()
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(tr); err != nil {
-		logger.Errorf("chaos-trace-out: %v", err)
-		return
+	if err := enc.Encode(v); err != nil {
+		logger.Errorf("%s: %v", flag, err)
+		return false
 	}
-	logger.Infof("wrote %d fired fault(s) to %s", len(tr.Fired), path)
+	return true
 }
 
 // clusterSmoke pushes a few generations per session through the router
@@ -332,18 +332,7 @@ func writeRouterTrace(logger *obs.Logger, r *cluster.Router, path string) {
 	if path == "" {
 		return
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		logger.Errorf("trace-out: %v", err)
-		return
+	if tr := r.Trace(); writeJSON(logger, "trace-out", path, tr) {
+		logger.Infof("wrote %d router decisions to %s", len(tr.Decisions), path)
 	}
-	defer f.Close()
-	tr := r.Trace()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(tr); err != nil {
-		logger.Errorf("trace-out: %v", err)
-		return
-	}
-	logger.Infof("wrote %d router decisions to %s", len(tr.Decisions), path)
 }

@@ -33,9 +33,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := experiments.DefaultSearch(experiments.ScaleTiny, 104, 7)
-	cfg.CalibrateMS = 160
-	res, err := rt3.Search(task, l1, cfg)
+	res, err := rt3.Search(task, l1, experiments.DefaultSearch(experiments.ScaleTiny, 104, 160, 7))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -34,8 +34,8 @@ func main() {
 	fmt.Printf("backbone after BP: sparsity %.1f%%, accuracy %.4f\n", l1.Sparsity*100, l1.Metric)
 
 	// 3. Level 2: RL search for one pattern set per V/F level.
-	cfg := experiments.DefaultSearch(experiments.ScaleTiny, 104, 3)
-	cfg.CalibrateMS = 160 // place the dense model at ~160 ms @ l6 (paper regime)
+	// T = 104 ms; the dense model sits at ~160 ms @ l6 (the paper's regime).
+	cfg := experiments.DefaultSearch(experiments.ScaleTiny, 104, 160, 3)
 	res, err := rt3.Search(task, l1, cfg)
 	if err != nil {
 		log.Fatal(err)

@@ -2,7 +2,8 @@
 // evaluation section as a reusable function, shared by the bench harness
 // (bench_test.go), the rt3bench CLI and the examples. Each experiment
 // returns a typed result plus a formatted report echoing the paper's
-// layout; EXPERIMENTS.md records paper-vs-measured for each.
+// layout; testdata/*.golden holds seven of those reports byte for byte,
+// and the package's tests compare against them.
 package experiments
 
 import (
@@ -10,8 +11,6 @@ import (
 	"math/rand"
 
 	"rt3/internal/data"
-	"rt3/internal/mat"
-	"rt3/internal/pattern"
 	"rt3/internal/rt3"
 	"rt3/internal/transformer"
 )
@@ -96,9 +95,10 @@ func NewGLUETaskModel(s Scale, name string, seed int64) *rt3.GLUETask {
 }
 
 // DefaultSearch assembles the Level-2 search configuration: the scale's
-// episode count under the real-time constraint T = timingMS.
-func DefaultSearch(s Scale, timingMS float64, seed int64) rt3.SearchConfig {
-	return rt3.SearchConfig{TimingMS: timingMS, Episodes: lmScaleFor(s).searchEpisodes, Seed: seed}
+// episode count under the real-time constraint T = timingMS, with the
+// dense model's latency at l6 calibrated to denseMS.
+func DefaultSearch(s Scale, timingMS, denseMS float64, seed int64) rt3.SearchConfig {
+	return rt3.SearchConfig{TimingMS: timingMS, Episodes: lmScaleFor(s).searchEpisodes, CalibrateMS: denseMS, Seed: seed}
 }
 
 // CalibratedPredictor builds a predictor whose dense latency at l6
@@ -123,16 +123,3 @@ func ModelBytes(task rt3.TaskModel, pr *rt3.Predictor) int {
 
 // ReportSeparator is the horizontal rule shared by all report printers.
 const ReportSeparator = "--------------------------------------------------------------------------"
-
-// newSetForSparsity builds a pattern set at the given sparsity from the
-// task's largest prunable weight matrix (the backbone-driven generation
-// of component ③).
-func newSetForSparsity(task rt3.TaskModel, sparsity float64, rng *rand.Rand) *pattern.Set {
-	var ref *mat.Matrix
-	for _, p := range task.PrunableParams() {
-		if ref == nil || p.Value.Rows*p.Value.Cols > ref.Rows*ref.Cols {
-			ref = p.Value
-		}
-	}
-	return pattern.GenerateSet(ref, 4, sparsity, 2, rng)
-}

@@ -31,15 +31,12 @@ func Figure3a(s Scale) (*Figure3aResult, error) {
 	}
 	out := &Figure3aResult{LooseMS: 104, TightMS: 94}
 
-	loose := DefaultSearch(s, out.LooseMS, 53)
-	loose.CalibrateMS = 160
-	resLoose, err := rt3.Search(task, l1, loose)
+	resLoose, err := rt3.Search(task, l1, DefaultSearch(s, out.LooseMS, 160, 53))
 	if err != nil {
 		return nil, err
 	}
-	tight := DefaultSearch(s, out.TightMS, 53) // same seed: same candidates
-	tight.CalibrateMS = 160
-	resTight, err := rt3.Search(task, l1, tight)
+	// same seed: same candidates
+	resTight, err := rt3.Search(task, l1, DefaultSearch(s, out.TightMS, 160, 53))
 	if err != nil {
 		return nil, err
 	}
@@ -93,9 +90,7 @@ func Figure3bc(s Scale, timingMS float64) (*Figure3bcResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := DefaultSearch(s, timingMS, 63)
-	cfg.CalibrateMS = 160
-	res, err := rt3.Search(task, l1, cfg)
+	res, err := rt3.Search(task, l1, DefaultSearch(s, timingMS, 160, 63))
 	if err != nil {
 		return nil, err
 	}
@@ -166,9 +161,7 @@ func Figure4(s Scale) (*Figure4Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := DefaultSearch(s, 104, 73)
-	cfg.CalibrateMS = 160
-	res, err := rt3.Search(task, l1, cfg)
+	res, err := rt3.Search(task, l1, DefaultSearch(s, 104, 160, 73))
 	if err != nil {
 		return nil, err
 	}
@@ -212,13 +205,11 @@ type Figure5Result struct {
 // the achieved compression rate.
 func Figure5(s Scale) (*Figure5Result, error) {
 	out := &Figure5Result{}
-	tasks := append([]string{}, glueNames...)
-	for i, name := range tasks {
-		task := NewGLUETaskModel(s, name, int64(81+i))
+	bar := func(name string, task rt3.TaskModel, seed int64) error {
 		orig := task.Evaluate()
-		l1, err := rt3.RunLevel1(task, 0.4, rand.New(rand.NewSource(int64(91+i))))
+		l1, err := rt3.RunLevel1(task, 0.4, rand.New(rand.NewSource(seed)))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		out.Rows = append(out.Rows, Figure5Row{
 			Task: name, Metric: task.MetricName(),
@@ -226,20 +217,16 @@ func Figure5(s Scale) (*Figure5Result, error) {
 			PruneRate: prune.CompressionRatio(l1.Sparsity),
 			ScoreLoss: orig - l1.Metric,
 		})
+		return nil
 	}
-	// WikiText-2 bar
-	lm := NewLMTask(s, 99)
-	orig := lm.Evaluate()
-	l1, err := rt3.RunLevel1(lm, 0.4, rand.New(rand.NewSource(100)))
-	if err != nil {
+	for i, name := range glueNames {
+		if err := bar(name, NewGLUETaskModel(s, name, int64(81+i)), int64(91+i)); err != nil {
+			return nil, err
+		}
+	}
+	if err := bar("WikiText-2", NewLMTask(s, 99), 100); err != nil {
 		return nil, err
 	}
-	out.Rows = append(out.Rows, Figure5Row{
-		Task: "WikiText-2", Metric: "accuracy",
-		Original: orig, AfterBP: l1.Metric,
-		PruneRate: prune.CompressionRatio(l1.Sparsity),
-		ScoreLoss: orig - l1.Metric,
-	})
 	return out, nil
 }
 

@@ -65,9 +65,7 @@ func TableIII(s Scale, spec Table3Spec) (*Table3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := DefaultSearch(s, spec.TimingMS, spec.Seed+200)
-	cfg.CalibrateMS = spec.DenseMS
-	res, err := rt3.Search(task, l1, cfg)
+	res, err := rt3.Search(task, l1, DefaultSearch(s, spec.TimingMS, spec.DenseMS, spec.Seed+200))
 	if err != nil {
 		return nil, err
 	}

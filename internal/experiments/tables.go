@@ -59,63 +59,47 @@ func TableII(s Scale) (*TableIIResult, error) {
 	levels := rt3.EvalLevels()
 	prunable := task.PrunableParams()
 
-	// M1: light pruning so l6 meets 115 ms; M2/M3 sparser for l4/l3.
+	// M1..M3: each level's just-feasible sub-model, the anchor the
+	// search's space is built from (no BP masks here)
 	rng := rand.New(rand.NewSource(22))
 	timing := 115.0
 	var subs []rtswitch.SubModel
 	for i, lvl := range levels {
-		sp := 0.0
-		var cy float64
-		for ; sp <= 0.95; sp += 0.05 {
-			set := newSetForSparsity(task, sp, rng)
-			masks := rt3.BuildMasks(prunable, nil, set)
-			lat, _ := pr.Measure(masks, lvl)
-			if lat <= timing {
-				cy = pr.Cycles(masks)
-				break
-			}
-		}
-		if cy == 0 {
-			return nil, fmt.Errorf("experiments: no sparsity meets %v ms at %s", timing, lvl.Name)
+		_, masks, err := rt3.MinFeasibleSparsity(prunable, nil, pr, lvl, timing, rng)
+		if err != nil {
+			return nil, err
 		}
 		subs = append(subs, rtswitch.SubModel{
 			Name:      fmt.Sprintf("M%d", i+1),
-			Cycles:    cy,
+			Cycles:    pr.Cycles(masks),
 			MaskBytes: 4096,
 		})
 	}
 
-	power := dvfs.DefaultPowerModel()
-	costs := rtswitch.DefaultSwitchCostModel()
+	// E1 runs M1 at l6 throughout, E2 lets DVFS scale M1 with the
+	// battery, E3 switches to each level's sub-model as well
 	res := &TableIIResult{TimingMS: timing}
-
-	e1, err := rtswitch.Simulate(rtswitch.Config{
-		Levels: levels, SubModels: subs[:1], Power: power, Switch: costs,
-		TimingMS: timing, BudgetJ: rt3.BatteryBudgetJ,
-	})
-	if err != nil {
-		return nil, err
+	for i, e := range []struct {
+		models int
+		hw, sw bool
+	}{{1, false, false}, {1, true, false}, {3, true, true}} {
+		sim, err := rtswitch.Simulate(rtswitch.Config{
+			Levels: levels, SubModels: subs[:e.models],
+			Power: dvfs.DefaultPowerModel(), Switch: rtswitch.DefaultSwitchCostModel(),
+			TimingMS: timing, BudgetJ: rt3.BatteryBudgetJ,
+			HardwareReconfig: e.hw, SoftwareReconfig: e.sw,
+		})
+		if err != nil {
+			return nil, err
+		}
+		row := TableIIRow{Approach: fmt.Sprintf("E%d", i+1), Runs: sim.Runs, Satisfied: sim.SatisfiedAll, Violations: sim.Violations}
+		for _, m := range subs[:e.models] {
+			row.Models = append(row.Models, m.Name)
+		}
+		res.Rows = append(res.Rows, row)
 	}
-	e2, err := rtswitch.Simulate(rtswitch.Config{
-		Levels: levels, SubModels: subs[:1], Power: power, Switch: costs,
-		TimingMS: timing, BudgetJ: rt3.BatteryBudgetJ, HardwareReconfig: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	e3, err := rtswitch.Simulate(rtswitch.Config{
-		Levels: levels, SubModels: subs, Power: power, Switch: costs,
-		TimingMS: timing, BudgetJ: rt3.BatteryBudgetJ,
-		HardwareReconfig: true, SoftwareReconfig: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	base := float64(e1.Runs)
-	res.Rows = []TableIIRow{
-		{Approach: "E1", Models: []string{"M1"}, Runs: e1.Runs, Improvement: 1, Satisfied: e1.SatisfiedAll, Violations: e1.Violations},
-		{Approach: "E2", Models: []string{"M1"}, Runs: e2.Runs, Improvement: float64(e2.Runs) / base, Satisfied: e2.SatisfiedAll, Violations: e2.Violations},
-		{Approach: "E3", Models: []string{"M1", "M2", "M3"}, Runs: e3.Runs, Improvement: float64(e3.Runs) / base, Satisfied: e3.SatisfiedAll, Violations: e3.Violations},
+	for i := range res.Rows {
+		res.Rows[i].Improvement = float64(res.Rows[i].Runs) / float64(res.Rows[0].Runs)
 	}
 	return res, nil
 }
@@ -156,12 +140,11 @@ func TableIV(s Scale, dataset string) (*TableIVResult, error) {
 		return nil, fmt.Errorf("experiments: unknown ablation dataset %q", dataset)
 	}
 	timing := 115.0
-	search := DefaultSearch(s, timing, 33)
-	search.CalibrateMS = 160 // dense ≈160 ms at l6; pruning must buy back 115
 	cfg := rt3.AblationConfig{
 		TaskFactory: factory,
 		Percentile:  0.4,
-		Search:      search,
+		// dense ≈160 ms at l6; pruning must buy back 115
+		Search: DefaultSearch(s, timing, 160, 33),
 	}
 	rows, err := rt3.RunAblation(cfg)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"rt3/internal/mat"
 	"rt3/internal/pattern"
 	"rt3/internal/prune"
 )
@@ -155,46 +154,20 @@ func runMethod(m Method, cfg AblationConfig) (*AblationRow, error) {
 // K-pattern set at the sparsity of the level's first candidate whose
 // latency fits, jointly trained.
 func patternMethod(task TaskModel, l1 *Level1Result, timingMS float64, pr *Predictor, rng *rand.Rand) (*AblationRow, error) {
-	prunable := task.PrunableParams()
 	space, err := BuildSearchSpace(task, l1.Masks, pr, timingMS, rng)
 	if err != nil {
 		return nil, err
 	}
-	levels := EvalLevels()
-	var masks [][]*mat.Matrix
-	budgetPerLevel := BatteryBudgetJ / float64(len(levels))
-	runs := 0.0
-	var sparsSum float64
-	for li, lvl := range levels {
-		found := false
-		for _, ci := range space.PerLevel[li] {
-			set := pattern.RandomSet(psize, space.Candidates[ci].Sparsity, pickK, rng)
-			lm := BuildMasks(prunable, l1.Masks, set)
-			lat, _ := pr.Measure(lm, lvl)
-			if lat <= timingMS {
-				found = true
-				masks = append(masks, lm)
-				sparsSum += combinedSparsity(lm)
-				cy := pr.Cycles(lm)
-				runs += budgetPerLevel / pr.Power.InferenceEnergy(lvl, cy)
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("rt3: no feasible candidate at %s", lvl.Name)
-		}
+	sol, err := candidateSolution(task, l1, space, timingMS, pr, func(c Candidate) *pattern.Set {
+		return pattern.RandomSet(psize, c.Sparsity, pickK, rng)
+	})
+	if err != nil {
+		return nil, err
 	}
-	accs := JointTrain(task, masks, searchEpochs, rng)
-	var accSum float64
-	for _, a := range accs {
-		accSum += a
+	for i, acc := range JointTrain(task, sol.Masks, searchEpochs, rng) {
+		sol.Levels[i].Metric = acc
 	}
-	return &AblationRow{
-		Method:      MethodRBPRPP,
-		AvgSparsity: sparsSum / float64(len(levels)),
-		Runs:        runs,
-		AvgMetric:   accSum / float64(len(accs)),
-	}, nil
+	return solutionRow(MethodRBPRPP, sol, pr), nil
 }
 
 // searchMethod runs the full Level-2 RL search on the given backbone.
@@ -203,8 +176,14 @@ func searchMethod(m Method, task TaskModel, l1 *Level1Result, sCfg SearchConfig,
 	if err != nil {
 		return nil, err
 	}
-	sol := res.Best
-	FinalizeSolution(task, sol, rng)
+	FinalizeSolution(task, res.Best, rng)
+	return solutionRow(m, res.Best, pr), nil
+}
+
+// solutionRow is a solution's Table IV row: the runs each level's equal
+// share of the budget buys, summed, and the levels' mean sparsity and
+// metric.
+func solutionRow(m Method, sol *Solution, pr *Predictor) *AblationRow {
 	budgetPerLevel := BatteryBudgetJ / float64(len(sol.Levels))
 	runs := 0.0
 	var sparsSum, accSum float64
@@ -215,5 +194,5 @@ func searchMethod(m Method, task TaskModel, l1 *Level1Result, sCfg SearchConfig,
 		accSum += ls.Metric
 	}
 	n := float64(len(sol.Levels))
-	return &AblationRow{Method: m, AvgSparsity: sparsSum / n, Runs: runs, AvgMetric: accSum / n}, nil
+	return &AblationRow{Method: m, AvgSparsity: sparsSum / n, Runs: runs, AvgMetric: accSum / n}
 }

@@ -1,7 +1,6 @@
 package rt3
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 
@@ -196,9 +195,6 @@ func Search(task TaskModel, level1 *Level1Result, cfg SearchConfig) (*SearchResu
 		res := rl.Reward(in)
 		sol.Reward = res.Reward
 		sol.WeightedAcc = res.WeightedAcc
-		for _, ls := range sol.Levels {
-			sol.TotalRuns += ls.Runs
-		}
 
 		adv := baseline.Update(res.Reward)
 		ctrl.Reinforce(episode, adv)
@@ -238,18 +234,20 @@ func assembleSolution(task TaskModel, level1 *Level1Result, space *SearchSpace,
 		sub := subset(cand.Set, episode.PatternChoices[li])
 		masks := BuildMasks(prunable, level1.Masks, sub)
 		lat, runs := pr.Measure(masks, lvl)
-		sp := combinedSparsity(masks)
-		sol.Levels = append(sol.Levels, LevelSolution{
-			Level:     lvl,
-			Candidate: ci,
-			Sparsity:  sp,
-			LatencyMS: lat,
-			Runs:      runs,
-		})
-		sol.Masks = append(sol.Masks, masks)
-		sol.Sets = append(sol.Sets, sub)
+		sol.addLevel(lvl, ci, sub, masks, lat, runs)
 	}
 	return sol
+}
+
+// addLevel appends one level's chosen set, its masks and their
+// prediction to the solution.
+func (sol *Solution) addLevel(lvl dvfs.Level, ci int, set *pattern.Set, masks []*mat.Matrix, lat, runs float64) {
+	sol.Levels = append(sol.Levels, LevelSolution{
+		Level: lvl, Candidate: ci, Sparsity: combinedSparsity(masks), LatencyMS: lat, Runs: runs,
+	})
+	sol.Masks = append(sol.Masks, masks)
+	sol.Sets = append(sol.Sets, set)
+	sol.TotalRuns += runs
 }
 
 // subset picks the K chosen patterns out of a candidate set (dedup,
@@ -289,36 +287,32 @@ func combinedSparsity(masks []*mat.Matrix) float64 {
 
 // HeuristicSolution is the baseline of Fig. 3(b)-(c): for each V/F level
 // pick the candidate whose sparsity just satisfies the timing constraint
-// and use its first K patterns, then joint-train.
+// and use its first K patterns.
 func HeuristicSolution(task TaskModel, level1 *Level1Result, space *SearchSpace,
 	timingMS float64, pr *Predictor) (*Solution, error) {
+
+	return candidateSolution(task, level1, space, timingMS, pr, func(c Candidate) *pattern.Set {
+		return &pattern.Set{Sparsity: c.Sparsity, Patterns: c.Set.Patterns[:min(pickK, len(c.Set.Patterns))]}
+	})
+}
+
+// candidateSolution walks each level's candidates in ascending sparsity,
+// realizing each as setFor's set over the backbone, and keeps the first
+// that meets T.
+func candidateSolution(task TaskModel, level1 *Level1Result, space *SearchSpace, timingMS float64,
+	pr *Predictor, setFor func(Candidate) *pattern.Set) (*Solution, error) {
 
 	prunable := task.PrunableParams()
 	sol := &Solution{}
 	for li, lvl := range EvalLevels() {
-		found := false
-		for _, ci := range space.PerLevel[li] { // ascending sparsity
-			cand := space.Candidates[ci]
-			sub := &pattern.Set{Sparsity: cand.Sparsity, Patterns: cand.Set.Patterns[:min(pickK, len(cand.Set.Patterns))]}
-			masks := BuildMasks(prunable, level1.Masks, sub)
-			lat, runs := pr.Measure(masks, lvl)
-			if lat <= timingMS {
-				sol.Levels = append(sol.Levels, LevelSolution{
-					Level: lvl, Candidate: ci, Sparsity: combinedSparsity(masks),
-					LatencyMS: lat, Runs: runs,
-				})
-				sol.Masks = append(sol.Masks, masks)
-				sol.Sets = append(sol.Sets, sub)
-				found = true
-				break
-			}
+		opts := space.PerLevel[li]
+		f, err := pr.firstFeasible(prunable, level1.Masks, lvl, timingMS, len(opts), func(i int) *pattern.Set {
+			return setFor(space.Candidates[opts[i]])
+		})
+		if err != nil {
+			return nil, err
 		}
-		if !found {
-			return nil, fmt.Errorf("rt3: heuristic found no feasible candidate for %s", lvl.Name)
-		}
-	}
-	for _, ls := range sol.Levels {
-		sol.TotalRuns += ls.Runs
+		sol.addLevel(lvl, opts[f.i], f.set, f.masks, f.lat, f.runs)
 	}
 	return sol, nil
 }

@@ -2,6 +2,7 @@ package rt3
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -132,7 +133,7 @@ func BuildSearchSpace(task TaskModel, bpMasks []*mat.Matrix, pr *Predictor,
 	ratioSet := map[int]bool{} // sparsity in integer percent, deduplicated
 	perLevelRatios := make([][]int, len(levels))
 	for li, lvl := range levels {
-		base, err := minSparsityForConstraint(prunable, bpMasks, pr, lvl, timingMS, rng)
+		base, _, err := MinFeasibleSparsity(prunable, bpMasks, pr, lvl, timingMS, rng)
 		if err != nil {
 			return nil, err
 		}
@@ -191,22 +192,51 @@ func referenceMatrix(prunable []*nn.Parameter) *mat.Matrix {
 	return best
 }
 
-// minSparsityForConstraint scans sparsity upward in sparsityStep
-// increments until the pattern-pruned model's predicted latency at the
-// level meets T.
-func minSparsityForConstraint(prunable []*nn.Parameter, bpMasks []*mat.Matrix, pr *Predictor,
-	level dvfs.Level, timingMS float64, rng *rand.Rand) (float64, error) {
+// MinFeasibleSparsity is a V/F level's just-feasible point, the anchor
+// of its θ candidates: the lowest sparsity, scanned upward from 0 in
+// sparsityStep increments, whose one-pattern set from the largest
+// prunable matrix (intersected with bpMasks, when given) meets T at the
+// level. It returns that sparsity and the masks that meet T.
+func MinFeasibleSparsity(prunable []*nn.Parameter, bpMasks []*mat.Matrix, pr *Predictor,
+	level dvfs.Level, timingMS float64, rng *rand.Rand) (float64, []*mat.Matrix, error) {
 
 	ref := referenceMatrix(prunable)
-	for s := 0.0; s <= maxSparsity+1e-9; s += sparsityStep {
-		set := pattern.GenerateSet(ref, psize, s, 1, rng)
+	steps := int(math.Floor(maxSparsity/sparsityStep)) + 1 // 0, sparsityStep, ... up to maxSparsity
+	f, err := pr.firstFeasible(prunable, bpMasks, level, timingMS, steps, func(i int) *pattern.Set {
+		return pattern.GenerateSet(ref, psize, float64(i)*sparsityStep, 1, rng)
+	})
+	if err != nil {
+		return 0, nil, err
+	}
+	return f.set.Sparsity, f.masks, nil
+}
+
+// feasibleSet is the set a feasibility walk stopped at: its index in the
+// walk, its masks and their predicted latency and runs.
+type feasibleSet struct {
+	i         int
+	set       *pattern.Set
+	masks     []*mat.Matrix
+	lat, runs float64
+}
+
+// firstFeasible is the one walk behind every "first set that meets T at
+// a level" of the module: the search space's anchors, the heuristic
+// baseline and the rPP ablation. It builds the masks of setAt(0),
+// setAt(1), ... in turn, at most n of them, and stops at the first whose
+// predicted latency at the level meets T. setAt is called once per
+// index, in order, so a caller drawing from an rng keeps its draw order.
+func (pr *Predictor) firstFeasible(prunable []*nn.Parameter, bpMasks []*mat.Matrix, level dvfs.Level,
+	timingMS float64, n int, setAt func(i int) *pattern.Set) (feasibleSet, error) {
+
+	for i := 0; i < n; i++ {
+		set := setAt(i)
 		masks := BuildMasks(prunable, bpMasks, set)
-		lat, _ := pr.Measure(masks, level)
-		if lat <= timingMS {
-			return s, nil
+		if lat, runs := pr.Measure(masks, level); lat <= timingMS {
+			return feasibleSet{i, set, masks, lat, runs}, nil
 		}
 	}
-	return 0, fmt.Errorf("rt3: no sparsity <= %.2f meets %.1fms at %s", maxSparsity, timingMS, level.Name)
+	return feasibleSet{}, fmt.Errorf("rt3: no candidate meets %.1fms at %s", timingMS, level.Name)
 }
 
 // BuildMasks applies a pattern set to every prunable parameter of the

@@ -2,6 +2,7 @@ package rt3_test
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"rt3/internal/dvfs"
@@ -86,6 +87,48 @@ func TestBuildSearchSpaceUnreachableTiming(t *testing.T) {
 	_, err = rt3.BuildSearchSpace(task, l1.Masks, pr, 0.0001, rand.New(rand.NewSource(34)))
 	if err == nil {
 		t.Fatal("impossible timing constraint accepted")
+	}
+}
+
+// TestMinFeasibleSparsity runs the exported scan on Table II's inputs:
+// no BP masks, the dense model calibrated to 160 ms at l6.
+func TestMinFeasibleSparsity(t *testing.T) {
+	task := tinyLMTask(t, 1)
+	levels := rt3.EvalLevels()
+	pr := rt3.NewPredictor(task)
+	pr.Calibrate(160, levels[0])
+	prunable := task.PrunableParams()
+	for _, tc := range []struct {
+		name     string
+		timingMS float64
+		wantErr  bool
+	}{
+		{"table II constraint", 115, false},
+		{"unreachable", 0.0001, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(22))
+			prev := 0.0
+			for _, lvl := range levels { // l6, l4, l3
+				sp, masks, err := rt3.MinFeasibleSparsity(prunable, nil, pr, lvl, tc.timingMS, rng)
+				if tc.wantErr {
+					if err == nil || !strings.Contains(err.Error(), lvl.Name) {
+						t.Fatalf("%s: err = %v, want one naming the level", lvl.Name, err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", lvl.Name, err)
+				}
+				if lat, _ := pr.Measure(masks, lvl); lat > tc.timingMS {
+					t.Fatalf("%s: masks at sparsity %g take %.2f ms, above T = %g ms", lvl.Name, sp, lat, tc.timingMS)
+				}
+				if sp < prev {
+					t.Fatalf("%s: sparsity %g falls below the faster level's %g", lvl.Name, sp, prev)
+				}
+				prev = sp
+			}
+		})
 	}
 }
 
