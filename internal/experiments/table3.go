@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"strings"
 
+	"rt3/internal/nn"
+	"rt3/internal/pattern"
 	"rt3/internal/rt3"
 	"rt3/internal/rtswitch"
 )
@@ -80,7 +82,7 @@ func TableIII(s Scale, spec Table3Spec) (*Table3Result, error) {
 	pr := CalibratedPredictor(task, spec.DenseMS)
 	costs := rtswitch.DefaultSwitchCostModel()
 	modelBytes := ModelBytes(task, pr)
-	maskBytes := deployedMaskBytes(task, sol, pr)
+	maskBytes := deployedMaskBytes(task.PrunableParams(), sol.Sets[0], pr)
 
 	out := &Table3Result{
 		Spec:          spec,
@@ -101,17 +103,14 @@ func TableIII(s Scale, spec Table3Spec) (*Table3Result, error) {
 	return out, nil
 }
 
-// deployedMaskBytes estimates the run-time bytes of one pattern-set
-// switch: the pattern bitmasks plus one pattern-id byte per block of
-// every prunable matrix, scaled into the paper's model-size class.
-func deployedMaskBytes(task rt3.TaskModel, sol *rt3.Solution, pr *rt3.Predictor) int {
-	if len(sol.Sets) == 0 {
-		return 0
-	}
-	set := sol.Sets[0]
+// deployedMaskBytes estimates the run-time bytes of one switch to a
+// pattern set: its bitmasks plus one pattern-id byte per block of every
+// prunable matrix, scaled into the paper's model-size class. Table II
+// prices each sub-model's switch with it, Table III the deployed set's.
+func deployedMaskBytes(prunable []*nn.Parameter, set *pattern.Set, pr *rt3.Predictor) int {
 	psize := set.PSize()
 	blocks := 0
-	for _, p := range task.PrunableParams() {
+	for _, p := range prunable {
 		blocks += ((p.Value.Rows + psize - 1) / psize) * ((p.Value.Cols + psize - 1) / psize)
 	}
 	raw := set.MaskBytes() + blocks

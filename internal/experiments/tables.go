@@ -65,14 +65,14 @@ func TableII(s Scale) (*TableIIResult, error) {
 	timing := 115.0
 	var subs []rtswitch.SubModel
 	for i, lvl := range levels {
-		_, masks, err := rt3.MinFeasibleSparsity(prunable, nil, pr, lvl, timing, rng)
+		set, masks, err := rt3.MinFeasibleSparsity(prunable, nil, pr, lvl, timing, rng)
 		if err != nil {
 			return nil, err
 		}
 		subs = append(subs, rtswitch.SubModel{
 			Name:      fmt.Sprintf("M%d", i+1),
 			Cycles:    pr.Cycles(masks),
-			MaskBytes: 4096,
+			MaskBytes: deployedMaskBytes(prunable, set, pr),
 		})
 	}
 

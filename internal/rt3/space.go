@@ -133,10 +133,11 @@ func BuildSearchSpace(task TaskModel, bpMasks []*mat.Matrix, pr *Predictor,
 	ratioSet := map[int]bool{} // sparsity in integer percent, deduplicated
 	perLevelRatios := make([][]int, len(levels))
 	for li, lvl := range levels {
-		base, _, err := MinFeasibleSparsity(prunable, bpMasks, pr, lvl, timingMS, rng)
+		set, _, err := MinFeasibleSparsity(prunable, bpMasks, pr, lvl, timingMS, rng)
 		if err != nil {
 			return nil, err
 		}
+		base := set.Sparsity
 		for t := 0; t < theta; t++ {
 			s := base + float64(t)*sparsityStep
 			if s > maxSparsity {
@@ -196,9 +197,10 @@ func referenceMatrix(prunable []*nn.Parameter) *mat.Matrix {
 // of its θ candidates: the lowest sparsity, scanned upward from 0 in
 // sparsityStep increments, whose one-pattern set from the largest
 // prunable matrix (intersected with bpMasks, when given) meets T at the
-// level. It returns that sparsity and the masks that meet T.
+// level. It returns that set (its Sparsity is the point) and the masks
+// that meet T.
 func MinFeasibleSparsity(prunable []*nn.Parameter, bpMasks []*mat.Matrix, pr *Predictor,
-	level dvfs.Level, timingMS float64, rng *rand.Rand) (float64, []*mat.Matrix, error) {
+	level dvfs.Level, timingMS float64, rng *rand.Rand) (*pattern.Set, []*mat.Matrix, error) {
 
 	ref := referenceMatrix(prunable)
 	steps := int(math.Floor(maxSparsity/sparsityStep)) + 1 // 0, sparsityStep, ... up to maxSparsity
@@ -206,9 +208,9 @@ func MinFeasibleSparsity(prunable []*nn.Parameter, bpMasks []*mat.Matrix, pr *Pr
 		return pattern.GenerateSet(ref, psize, float64(i)*sparsityStep, 1, rng)
 	})
 	if err != nil {
-		return 0, nil, err
+		return nil, nil, err
 	}
-	return f.set.Sparsity, f.masks, nil
+	return f.set, f.masks, nil
 }
 
 // feasibleSet is the set a feasibility walk stopped at: its index in the

@@ -110,7 +110,7 @@ func TestMinFeasibleSparsity(t *testing.T) {
 			rng := rand.New(rand.NewSource(22))
 			prev := 0.0
 			for _, lvl := range levels { // l6, l4, l3
-				sp, masks, err := rt3.MinFeasibleSparsity(prunable, nil, pr, lvl, tc.timingMS, rng)
+				set, masks, err := rt3.MinFeasibleSparsity(prunable, nil, pr, lvl, tc.timingMS, rng)
 				if tc.wantErr {
 					if err == nil || !strings.Contains(err.Error(), lvl.Name) {
 						t.Fatalf("%s: err = %v, want one naming the level", lvl.Name, err)
@@ -120,6 +120,7 @@ func TestMinFeasibleSparsity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", lvl.Name, err)
 				}
+				sp := set.Sparsity
 				if lat, _ := pr.Measure(masks, lvl); lat > tc.timingMS {
 					t.Fatalf("%s: masks at sparsity %g take %.2f ms, above T = %g ms", lvl.Name, sp, lat, tc.timingMS)
 				}

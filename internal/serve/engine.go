@@ -604,8 +604,11 @@ func (e *Engine) RegisterMetrics(reg *obs.Registry) {
 		"DecodeStates built (stays at the slot count under free-list reuse).",
 		func() float64 { return float64(e.decStates.Load()) })
 	reg.CounterFunc("rt3_kv_page_allocs_total",
-		"KV-cache pages the process-wide pool had to make (flat once serving is warm: finished sequences and evicted prefix-cache entries give theirs back).",
+		"KV-cache pages the process-wide pool had to make (flat once serving is warm: a page goes back when its last holder, a sequence or a prefix-cache entry, lets go).",
 		func() float64 { made, _ := transformer.KVPages(); return float64(made) })
+	reg.GaugeFunc("rt3_kv_pages_held",
+		"Distinct KV-cache pages held now; a page a prefix-cache entry shares with the sequences loaded from it counts once.",
+		func() float64 { _, held := transformer.KVPages(); return float64(held) })
 	reg.GaugeFunc("rt3_level", "Active V/F level index (bundle order, fastest first).",
 		func() float64 { return float64(e.Level()) })
 }

@@ -265,7 +265,9 @@ func TestPrefixCacheMetricsExposition(t *testing.T) {
 // the KV pages the pool had to make. A second run of the same load —
 // split generations whose prompts evict each other from the prefix
 // cache, then plain ones whose caches take a second page — takes every
-// page from the pool, so the counter stays flat across it.
+// page from the pool, so the counter stays flat across it. Once every
+// reply is in, rt3_kv_pages_held has risen by the pages of the one
+// cached prompt alone: every slot let go of the pages it shared with it.
 func TestKVPageAllocsFlatOnRepeatedLoad(t *testing.T) {
 	cfg := lmCfg
 	cfg.SeqLen = 160
@@ -293,18 +295,24 @@ func TestKVPageAllocsFlatOnRepeatedLoad(t *testing.T) {
 			}
 		}
 	}
-	made := func() float64 {
-		v, ok := srv.Metrics().Snapshot()["rt3_kv_page_allocs_total"]
+	metric := func(name string) float64 {
+		v, ok := srv.Metrics().Snapshot()[name]
 		if !ok {
-			t.Fatal("rt3_kv_page_allocs_total is not exposed")
+			t.Fatalf("%s is not exposed", name)
 		}
 		return v
 	}
+	made := func() float64 { return metric("rt3_kv_page_allocs_total") }
+	held := metric("rt3_kv_pages_held")
 	load()
 	first := made()
 	load()
 	if again := made(); again != first {
 		t.Fatalf("rt3_kv_page_allocs_total rose from %v to %v over a repeat of the same load", first, again)
+	}
+	// a 70-row prompt: 2 self and 2 memory pages in each decoder layer
+	if got, want := metric("rt3_kv_pages_held")-held, float64(4*cfg.DecLayers); got != want {
+		t.Fatalf("rt3_kv_pages_held rose by %v over the load, want the cached prompt's %v pages", got, want)
 	}
 	if st, _ := srv.PrefixCacheStats(); st.Evictions == 0 {
 		t.Fatalf("%+v: no prefix-cache entry was evicted, the load does not give pages back through eviction", st)

@@ -14,17 +14,18 @@ import (
 )
 
 // Radix is the cross-request prefix KV cache. Each entry is keyed by
-// (level, exact frozen-memory tokens) and owns a frozen DecodeState
+// (level, exact frozen-memory tokens) and holds a frozen DecodeState
 // snapshot of the prompt's prefill: the memory's cross-attention
 // projections and the self rows [0, len(memory)), in the KV cache's own
-// layout, so a hit copies them without a transpose. Under a frozen
-// memory the decoder rows of position i depend only on tokens 0..i, so
+// pages, which a hit shares instead of copying. Under a frozen memory
+// the decoder rows of position i depend only on tokens 0..i, so
 // requests sharing a system prompt can load the cached rows and
 // teacher-force only their own suffix — bit-identical to a fresh
 // prefill, the invariant the property tests pin. A matched entry is
-// pinned by refcount while its rows are copied out, and a row budget
+// pinned by refcount while a state takes its pages, and a row budget
 // evicts the coldest unpinned entries: lowest heat first, least
-// recently used among equals (see heatWindow).
+// recently used among equals (see heatWindow). Evicting an entry lets go
+// of its pages; states loaded from it keep theirs.
 type Radix struct {
 	mu      sync.Mutex
 	entries map[string]*entry
@@ -116,7 +117,7 @@ func prefixHash(memory []int) uint64 {
 }
 
 // Hit is a pinned match: the entry's refcount is held so eviction
-// cannot free its snapshot while the caller copies it into a state.
+// cannot Reset its snapshot while the caller loads it into a state.
 // Callers must Release exactly once.
 type Hit struct {
 	r *Radix
@@ -126,9 +127,11 @@ type Hit struct {
 // Rows returns the cached rows a Load installs: the prompt's length.
 func (h *Hit) Rows() int { return h.e.st.Pos() }
 
-// Load copies the hit's rows into st (resetting it): the frozen memory
-// plus the prompt's self rows, leaving Pos at Rows(). Safe outside the
-// cache lock — the pinned snapshot is immutable.
+// Load makes st (resetting it) share the hit's pages: the frozen memory
+// plus the prompt's self rows, leaving Pos at Rows(). No row is copied
+// here; st copies the one partial self page per layer it writes into
+// when it first appends. Safe outside the cache lock — the pinned
+// snapshot is immutable.
 func (h *Hit) Load(st *transformer.DecodeState) {
 	st.CopyFrom(h.e.st)
 }
@@ -194,14 +197,15 @@ func (r *Radix) age() {
 	}
 }
 
-// Insert copies the prompt's rows out of a freshly computed prefill, into
-// KV pages from the pool that eviction gives back: st must hold at least
-// len(memory) rows, which Snapshot checks when it copies them. The suffix argument is ignored: the cache holds prompts
-// only. A cached prompt is only touched; a new one enters at its
-// prompt's ghost count, and admission is decided before any row is
-// copied: an entry that would be the first victim of its own insert, or
-// that cannot fit the budget at all, is not copied. Over-capacity rows
-// are then evicted coldest first, unpinned entries only.
+// Insert keeps the prompt's rows of a freshly computed prefill by sharing
+// st's pages under them (st copies the partial one before its next
+// append): st must hold at least len(memory) rows, which Snapshot
+// checks. The suffix argument is ignored: the cache holds prompts only.
+// A cached prompt is only touched; a new one enters at its prompt's
+// ghost count, and admission is decided before any page is shared: an
+// entry that would be the first victim of its own insert, or that
+// cannot fit the budget at all, is not taken. Over-capacity rows are
+// then evicted coldest first, unpinned entries only.
 func (r *Radix) Insert(level int, memory, _ []int, st *transformer.DecodeState) {
 	p := len(memory)
 	r.mu.Lock()
@@ -264,8 +268,9 @@ func (r *Radix) evictOver() {
 	}
 }
 
-// evict drops an unpinned entry and gives its snapshot's KV pages back
-// to the pool. Called with the lock held.
+// evict drops an unpinned entry and lets go of its snapshot's KV pages;
+// each goes back to the pool unless a state loaded from the entry still
+// holds it. Called with the lock held.
 func (r *Radix) evict(key string, e *entry) {
 	delete(r.entries, key)
 	r.used -= e.st.Pos()
@@ -279,7 +284,7 @@ type RadixStats struct {
 	Lookups, Hits, HitRows int64
 	Inserts, InsertedRows  int64
 	// Evictions counts whole prompts evicted; AdmissionRejects counts
-	// prompts Insert did not copy because they would have been the first
+	// prompts Insert did not take because they would have been the first
 	// victims of their own insert.
 	Evictions, EvictedRows int64
 	AdmissionRejects       int64
@@ -317,7 +322,7 @@ func (r *Radix) RegisterMetrics(reg *obs.Registry) {
 		"K/V rows served from the prefix cache instead of recomputed.",
 		func() float64 { return float64(r.hitRows.Load()) })
 	reg.CounterFunc("rt3_prefix_inserted_rows_total",
-		"K/V rows copied into the prefix cache.",
+		"K/V rows inserted into the prefix cache (their pages shared, not copied).",
 		func() float64 { return float64(r.insertedRows.Load()) })
 	reg.CounterFunc("rt3_prefix_evicted_rows_total",
 		"K/V rows evicted from the prefix cache.",

@@ -155,8 +155,11 @@ func randomScript(seed int64, ops int) []byte {
 
 // runRadixScript interprets an op stream against a capacity-bounded
 // cache; the same interpreter backs the property seeds and FuzzRadix.
-// Once every entry is evicted and every state Reset, the KV pool has
-// every page back.
+// A state loaded from a hit shares the entry's pages and may outlive the
+// entry's eviction: it must still equal a fresh prefill of the prompt,
+// and decode its next token as one, without writing through to the
+// states the entries were inserted from. Once every entry is evicted and
+// every state Reset, the KV pool has every page back.
 func runRadixScript(t *testing.T, script []byte) {
 	_, pagesOut := transformer.KVPages()
 	m := newRadixModel(t)
@@ -164,6 +167,12 @@ func runRadixScript(t *testing.T, script []byte) {
 	r := NewRadix(capRows)
 	fresh := &freshKV{m: m, cache: map[string]*transformer.DecodeState{}}
 	var held []*Hit
+	type source struct {
+		pi     int
+		suffix []int
+	}
+	var inserted []source
+	var loaded []loadedState
 
 	for len(script) >= 8 {
 		op, script2 := script[:8], script[8:]
@@ -179,6 +188,7 @@ func runRadixScript(t *testing.T, script []byte) {
 		switch op[0] % 4 {
 		case 0, 1: // insert from a state that also holds the suffix rows
 			r.Insert(level, radixPrefixes[pi], suffix, fresh.state(pi, suffix))
+			inserted = append(inserted, source{pi, suffix})
 		case 2: // match, verify, release
 			want := cached(r, level, radixPrefixes[pi])
 			h := r.Match(level, radixPrefixes[pi], suffix)
@@ -199,8 +209,15 @@ func runRadixScript(t *testing.T, script []byte) {
 				verifyHit(t, m, h, fresh, pi)
 				h.Release()
 			}
-		case 3: // match and hold the pin (evictions must respect it)
+		case 3: // match and hold the pin (evictions must respect it), and
+			// load the hit into a state that outlives the pin
 			if h := r.Match(level, radixPrefixes[pi], suffix); h != nil {
+				ls := loadedState{st: m.NewDecodeState(), pi: pi, tok: suffix[0]}
+				h.Load(ls.st)
+				if loaded = append(loaded, ls); len(loaded) > 3 {
+					loaded[0].check(t, m, fresh)
+					loaded = loaded[1:]
+				}
 				held = append(held, h)
 				if len(held) > 3 {
 					held[0].Release()
@@ -232,12 +249,46 @@ func runRadixScript(t *testing.T, script []byte) {
 		r.evict(key, e)
 	}
 	r.mu.Unlock()
+	for _, ls := range loaded {
+		ls.check(t, m, fresh)
+	}
+	for _, src := range inserted {
+		again := splitPrefill(m, radixPrefixes[src.pi], src.suffix)
+		if !fresh.state(src.pi, src.suffix).Equal(again) {
+			t.Fatalf("prefix %d suffix %v: a loaded state's decode wrote through to the state its entry was inserted from", src.pi, src.suffix)
+		}
+		again.Reset()
+	}
 	for _, st := range fresh.cache {
 		st.Reset()
 	}
 	if _, out := transformer.KVPages(); out != pagesOut {
 		t.Fatalf("%d KV pages out once every entry was evicted and every state Reset, %d before", out, pagesOut)
 	}
+}
+
+// loadedState is a hit of prompt pi loaded into a state of its own,
+// which decodes tok when checked.
+type loadedState struct {
+	st  *transformer.DecodeState
+	pi  int
+	tok int
+}
+
+// check holds the loaded state to a fresh prefill of its prompt, feeds it
+// its token and holds it to a fresh split prefill of the prompt and that
+// token (a chunk of one row is bit-identical to the step), then Resets
+// it.
+func (ls loadedState) check(t *testing.T, m *transformer.LMModel, fresh *freshKV) {
+	t.Helper()
+	if !ls.st.Equal(fresh.state(ls.pi, nil)) {
+		t.Fatalf("prefix %d: a loaded state differs from a fresh prefill", ls.pi)
+	}
+	m.DecodeStep([]*transformer.DecodeState{ls.st}, []int{ls.tok})
+	if !ls.st.Equal(fresh.state(ls.pi, []int{ls.tok})) {
+		t.Fatalf("prefix %d: a loaded state decoded %d unlike a fresh prefill", ls.pi, ls.tok)
+	}
+	ls.st.Reset()
 }
 
 // FuzzRadix feeds arbitrary op streams through the same interpreter as

@@ -31,13 +31,19 @@ import (
 // every score block is 16 contiguous floats per feature, the form
 // mat.AttendPaged reads — then its values row-major from
 // pg[dim*kvPage]. Appending takes a page from the pool when the last
-// one is full; truncating gives the pages past the rows back. No cache
+// one is full; truncating lets go of the pages past the rows. No cache
 // re-strides or regrows, and once the pool holds a working set's pages
 // no append allocates. The layout is private to this file — resize,
-// appendRows, copyFrom, key, value and the attend call are its only
+// appendRows, share, key, value and the attend call are its only
 // readers — and it is the one form K/V rows take: the prefix cache holds
 // frozen DecodeStates in it (Snapshot, CopyFrom), not a copy in another
 // layout.
+//
+// A page may be held by several caches at once: a snapshot and every
+// state copied from it share the pages under their rows, and holds[i]
+// counts the caches holding pages[i]. appendRows, the one writer, first
+// gives a cache its own copy of a page someone else holds too; a page
+// goes back to the pool when its last holder lets go.
 //
 // Key columns past the cached rows of the last page — its unused rows,
 // and whatever a page held when it came back from the pool — are read by
@@ -45,6 +51,7 @@ import (
 // whatever they hold (NaN included) reaches no result.
 type KVCache struct {
 	pages [][]float64
+	holds []*atomic.Int32
 	dim   int
 	rows  int
 }
@@ -56,52 +63,87 @@ type KVCache struct {
 // reads about 5% more out_tok_s at 64 for 2.4 MB more peak RSS.
 const kvPage = 64
 
+// kvPageBuf is a page and its holder count, atomic because replicas
+// share a snapshot's pages and let go of them concurrently.
+type kvPageBuf struct {
+	pg    []float64
+	holds *atomic.Int32
+}
+
 // kvPages is the pool every KVCache takes its pages from and gives them
 // back to; pagesMade counts the pages it had to make, pagesOut the pages
-// caches hold.
+// at least one cache holds.
 var (
-	kvPages             mat.FreeList[[]float64]
+	kvPages             mat.FreeList[kvPageBuf]
 	pagesMade, pagesOut atomic.Int64
 )
 
 // KVPages reports how many KV pages the process has made and how many
-// caches hold now. Once serving is warm the first stays flat: every
-// cache, prefix-cache entries included, takes its pages back from the
-// pool.
+// distinct pages caches hold now. Once serving is warm the first stays
+// flat: every cache, prefix-cache entries included, takes its pages back
+// from the pool.
 func KVPages() (made, out int64) { return pagesMade.Load(), pagesOut.Load() }
 
-func noPage() []float64 { return nil }
+func noPage() kvPageBuf { return kvPageBuf{} }
 
-// resize makes the cache hold the pages rows rows need: pages past them
-// go back to the pool, missing ones come from it (a pooled page too
-// narrow for the cache's dim is dropped and a new one made). The caller
+// newPage takes a page for dim-wide rows from the pool, held once (a
+// pooled page too narrow for dim is dropped and a new one made).
+func newPage(dim int) kvPageBuf {
+	size := 2 * dim * kvPage
+	p := kvPages.Get(noPage)
+	if cap(p.pg) < size {
+		pagesMade.Add(1)
+		p = kvPageBuf{make([]float64, size), new(atomic.Int32)}
+	}
+	p.pg = p.pg[:size]
+	p.holds.Store(1)
+	pagesOut.Add(1)
+	return p
+}
+
+// release lets go of one hold on a page; the last gives it to the pool.
+func release(pg []float64, holds *atomic.Int32) {
+	if holds.Add(-1) == 0 {
+		pagesOut.Add(-1)
+		kvPages.Put(kvPageBuf{pg, holds})
+	}
+}
+
+// resize makes the cache hold the pages rows rows need: it lets go of
+// the pages past them and takes missing ones from the pool. The caller
 // sets the row count.
 func (c *KVCache) resize(rows int) {
 	n := (rows + kvPage - 1) / kvPage
-	pagesOut.Add(int64(n - len(c.pages)))
 	for len(c.pages) > n {
 		last := len(c.pages) - 1
-		kvPages.Put(c.pages[last])
-		c.pages[last] = nil
-		c.pages = c.pages[:last]
+		release(c.pages[last], c.holds[last])
+		c.pages[last], c.holds[last] = nil, nil
+		c.pages, c.holds = c.pages[:last], c.holds[:last]
 	}
-	size := 2 * c.dim * kvPage
 	for len(c.pages) < n {
-		pg := kvPages.Get(noPage)
-		if cap(pg) < size {
-			pagesMade.Add(1)
-			pg = make([]float64, size)
-		}
-		c.pages = append(c.pages, pg[:size])
+		p := newPage(c.dim)
+		c.pages, c.holds = append(c.pages, p.pg), append(c.holds, p.holds)
 	}
 }
 
 // appendRows copies rows [r0, r1) of the packed projections k and v
-// (dim columns each) into the cache, page by page.
+// (dim columns each) into the cache, page by page. A page another cache
+// also holds is copied first — its rows below the write — so the others
+// never see the write.
 func (c *KVCache) appendRows(k, v *mat.Matrix, r0, r1 int) {
 	c.resize(c.rows + r1 - r0)
 	for r0 < r1 {
-		pg, j := c.pages[c.rows/kvPage], c.rows%kvPage
+		i, j := c.rows/kvPage, c.rows%kvPage
+		pg := c.pages[i]
+		if c.holds[i].Load() > 1 {
+			own := newPage(c.dim)
+			for f := 0; f < c.dim; f++ {
+				copy(own.pg[f*kvPage:][:j], pg[f*kvPage:])
+			}
+			copy(own.pg[kvPage*c.dim:][:j*c.dim], pg[kvPage*c.dim:])
+			release(pg, c.holds[i])
+			c.pages[i], c.holds[i], pg = own.pg, own.holds, own.pg
+		}
 		n := min(r1-r0, kvPage-j)
 		mat.PackKeys(pg[j:], kvPage, k.Data[r0*c.dim:], c.dim, n, c.dim)
 		copy(pg[(kvPage+j)*c.dim:], v.Data[r0*c.dim:(r0+n)*c.dim])
@@ -109,28 +151,24 @@ func (c *KVCache) appendRows(k, v *mat.Matrix, r0, r1 int) {
 	}
 }
 
-// truncate drops cached rows beyond rows, returning the pages past them.
+// truncate drops cached rows beyond rows, letting go of the pages past
+// them.
 func (c *KVCache) truncate(rows int) {
 	c.resize(rows)
 	c.rows = rows
 }
 
-// copyFrom replaces the cache's contents with src's rows [0, rows): per
-// page one copy per key feature and one for the values, into pages the
-// cache keeps or takes from the pool.
-func (c *KVCache) copyFrom(src *KVCache, rows int) {
-	if c.dim != src.dim {
-		c.truncate(0)
-		c.dim = src.dim
+// share replaces the cache's contents with src's rows [0, rows): it lets
+// go of its own pages and holds src's pages under the rows. No row is
+// copied; src is only read.
+func (c *KVCache) share(src *KVCache, rows int) {
+	n := (rows + kvPage - 1) / kvPage
+	for _, h := range src.holds[:n] {
+		h.Add(1)
 	}
-	c.truncate(rows)
-	for i, pg := range c.pages {
-		n, from := min(kvPage, rows-i*kvPage), src.pages[i]
-		for f := 0; f < c.dim; f++ {
-			copy(pg[f*kvPage:][:n], from[f*kvPage:])
-		}
-		copy(pg[kvPage*c.dim:][:n*c.dim], from[kvPage*c.dim:])
-	}
+	c.truncate(0)
+	c.pages, c.holds = append(c.pages, src.pages[:n]...), append(c.holds, src.holds[:n]...)
+	c.dim, c.rows = src.dim, rows
 }
 
 // key returns feature f of cached row j, value the value's.
@@ -158,9 +196,9 @@ func (c *KVCache) equal(o *KVCache) bool {
 // DecodeState is one sequence's incremental-decoding cache: per decoder
 // layer, the growing causal self-attention K/V rows (prompt + generated
 // tokens) and the cross-attention K/V of the prompt's frozen encoder
-// memory. States are cheap to recycle: Reset gives every page back to
-// the pool and keeps the page lists, so a recycled state decodes
-// without allocating once the pool holds the pages it needs.
+// memory. States are cheap to recycle: Reset lets go of every page and
+// keeps the page lists, so a recycled state decodes without allocating
+// once the pool holds the pages it needs.
 type DecodeState struct {
 	self  []KVCache // per decoder layer, one row appended per token
 	cross []KVCache // per decoder layer, frozen at prefill
@@ -179,13 +217,15 @@ func (m *LMModel) NewDecodeState() *DecodeState {
 		self:  make([]KVCache, len(m.Dec)),
 		cross: make([]KVCache, len(m.Dec)),
 	}
-	// page lists for SeqLen rows, in one block: longer sequences grow
-	// theirs
+	// page lists for SeqLen rows, in one block each: longer sequences
+	// grow theirs
 	n := (m.Cfg.SeqLen + kvPage - 1) / kvPage
-	lists := make([][]float64, 2*len(m.Dec)*n)
+	lists, holds := make([][]float64, 2*len(m.Dec)*n), make([]*atomic.Int32, 2*len(m.Dec)*n)
+	span := func(k int) KVCache {
+		return KVCache{pages: lists[k*n : k*n : (k+1)*n], holds: holds[k*n : k*n : (k+1)*n], dim: m.Cfg.Dim}
+	}
 	for i := range st.self {
-		st.self[i] = KVCache{pages: lists[2*i*n : 2*i*n : (2*i+1)*n], dim: m.Cfg.Dim}
-		st.cross[i] = KVCache{pages: lists[(2*i+1)*n : (2*i+1)*n : (2*i+2)*n], dim: m.Cfg.Dim}
+		st.self[i], st.cross[i] = span(2*i), span(2*i+1)
 	}
 	return st
 }
@@ -194,9 +234,9 @@ func (m *LMModel) NewDecodeState() *DecodeState {
 // (prompt plus generated tokens) currently cached.
 func (st *DecodeState) Pos() int { return st.pos }
 
-// Reset empties the state for reuse (free-list recycling) and gives
-// its pages back to the pool; a prefix-cache entry's snapshot is Reset
-// when it is evicted.
+// Reset empties the state for reuse (free-list recycling) and lets go
+// of its pages, each back to the pool unless another state still holds
+// it; a prefix-cache entry's snapshot is Reset when it is evicted.
 func (st *DecodeState) Reset() {
 	for i := range st.self {
 		st.self[i].truncate(0)
@@ -222,38 +262,39 @@ func (st *DecodeState) TruncateTo(pos int) {
 	st.pos = pos
 }
 
-// Snapshot returns a new state holding a copy of the frozen memory and
-// of self rows [0, rows), at Pos rows (0 <= rows <= Pos()), in the
-// fewest pages that hold them. At the memory's length it is the state a
-// prefill of the prompt leaves: what the prefix cache keeps, until
-// eviction Resets it.
+// Snapshot returns a new state sharing the frozen memory and self rows
+// [0, rows), at Pos rows (0 <= rows <= Pos()): it holds the pages under
+// them, the fewest that hold them, and copies no row. Neither side sees
+// the other's later writes (see KVCache). At the memory's length it is
+// the state a prefill of the prompt leaves: what the prefix cache keeps,
+// until eviction Resets it.
 func (st *DecodeState) Snapshot(rows int) *DecodeState {
 	if rows < 0 || rows > st.pos {
 		panic(fmt.Sprintf("transformer: Snapshot of %d rows outside [0, %d]", rows, st.pos))
 	}
 	snap := &DecodeState{self: make([]KVCache, len(st.self)), cross: make([]KVCache, len(st.cross))}
-	snap.copyFrom(st, rows)
+	snap.share(st, rows)
 	return snap
 }
 
 // CopyFrom replaces the state's contents with src's — frozen memory,
-// self rows and Pos — in the pages the state holds, taking more from
-// the pool or giving some back as src's rows need: the state then
-// decodes exactly as src does. src is only read, so one snapshot may be
+// self rows and Pos — by letting go of its own pages and sharing src's:
+// the state then decodes exactly as src does, copying a shared page only
+// when it first writes into it. src is only read, so one snapshot may be
 // copied from concurrently.
 func (st *DecodeState) CopyFrom(src *DecodeState) {
 	if len(src.self) != len(st.self) {
 		panic(fmt.Sprintf("transformer: CopyFrom a %d-layer state into a %d-layer one", len(src.self), len(st.self)))
 	}
-	st.copyFrom(src, src.pos)
+	st.share(src, src.pos)
 }
 
-// copyFrom replaces the state's contents with src's memory and self rows
-// [0, rows).
-func (st *DecodeState) copyFrom(src *DecodeState, rows int) {
+// share replaces the state's contents with src's memory and self rows
+// [0, rows), sharing src's pages.
+func (st *DecodeState) share(src *DecodeState, rows int) {
 	for li := range st.self {
-		st.self[li].copyFrom(&src.self[li], rows)
-		st.cross[li].copyFrom(&src.cross[li], src.cross[li].rows)
+		st.self[li].share(&src.self[li], rows)
+		st.cross[li].share(&src.cross[li], src.cross[li].rows)
 	}
 	st.pos = rows
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"rt3/internal/mat"
@@ -55,8 +56,8 @@ func checkKVCache(t *testing.T, c *KVCache, m *kvModel, what string) {
 	if c.rows != m.rows() {
 		t.Fatalf("%s: cache holds %d rows, model %d", what, c.rows, m.rows())
 	}
-	if want := (c.rows + kvPage - 1) / kvPage; len(c.pages) != want {
-		t.Fatalf("%s: %d pages under %d rows, want %d", what, len(c.pages), c.rows, want)
+	if want := (c.rows + kvPage - 1) / kvPage; len(c.pages) != want || len(c.holds) != want {
+		t.Fatalf("%s: %d pages and %d holder counts under %d rows, want %d", what, len(c.pages), len(c.holds), c.rows, want)
 	}
 	for i, pg := range c.pages {
 		if len(pg) != 2*c.dim*kvPage {
@@ -79,15 +80,15 @@ func checkKVCache(t *testing.T, c *KVCache, m *kvModel, what string) {
 // poisonFreePages fills every page the pool holds with NaN, so a page it
 // hands out again carries no zeros a stale lane could hide behind.
 func poisonFreePages() {
-	var free [][]float64
-	for pg := kvPages.Get(noPage); pg != nil; pg = kvPages.Get(noPage) {
-		free = append(free, pg)
+	var free []kvPageBuf
+	for p := kvPages.Get(noPage); p.pg != nil; p = kvPages.Get(noPage) {
+		free = append(free, p)
 	}
-	for _, pg := range free {
-		for i := range pg {
-			pg[i] = math.NaN()
+	for _, p := range free {
+		for i := range p.pg {
+			p.pg[i] = math.NaN()
 		}
-		kvPages.Put(pg)
+		kvPages.Put(p)
 	}
 }
 
@@ -192,11 +193,13 @@ func TestKVSpanRaggedExportLoadRoundTrip(t *testing.T) {
 // TestDecodeStateSnapshotCopyFrom pins the prefix-cache storage
 // contract. A snapshot of the first rows of a 101-row prefill, at row
 // counts that start, straddle and end score blocks and pages, holds them
-// in the fewest pages, and copies into a fresh state, into a larger one
-// holding more pages with NaN spare lanes, and into a smaller one. Each
-// copy equals the snapshot, copies again (its pages now held) without
-// allocating, and feeds the next token to the logits of the source
-// rewound to those rows, at tolerance 0.
+// in the fewest pages, and is copied into a fresh state, into a larger
+// one holding more pages with NaN spare lanes, and into a smaller one.
+// Each copy equals the snapshot, copies again (its pages now held)
+// without allocating, and feeds the next token to the logits of the
+// source rewound to those rows, at tolerance 0; neither the snapshot nor
+// the source sees the copies' writes. Equal ignores spare lanes and
+// catches one flipped bit, on a state that shares no page.
 func TestDecodeStateSnapshotCopyFrom(t *testing.T) {
 	m := kvTestModel(true)
 	const promptLen = 101
@@ -250,11 +253,14 @@ func TestDecodeStateSnapshotCopyFrom(t *testing.T) {
 				t.Fatalf("%s: the next token's logits differ from the source's", what)
 			}
 		}
-		if !snap.Equal(src.Snapshot(rows)) {
-			t.Fatalf("%d rows: decoding a copy wrote through to the snapshot", rows)
+		if !snap.Equal(src.Snapshot(rows)) || !src.Equal(prefill(prompt)) {
+			t.Fatalf("%d rows: decoding a copy wrote through to the snapshot or its source", rows)
 		}
 
-		cp := snap.Snapshot(rows)
+		// a snapshot shares its pages, so the poison and the flipped bits
+		// go into a prefill of its own, rewound to the same rows
+		cp := prefill(prompt)
+		cp.TruncateTo(rows)
 		poisonSpareLanes(cp)
 		if !cp.Equal(snap) {
 			t.Fatalf("%d rows: Equal read the poisoned spare lanes", rows)
@@ -282,6 +288,121 @@ func TestDecodeStateSnapshotCopyFrom(t *testing.T) {
 			*x = old
 		}
 	}
+}
+
+// TestSnapshotSharedCopyOnWrite pins the sharing lifetime of a prefix-
+// cache snapshot. A 150-row prompt's snapshot holds 12 pages (3 self and
+// 3 memory pages in each of two layers); three states copied from it
+// take no page, and each one's first step copies only the partial self
+// page of each layer, so the pages held rise by 2 per state, not by 12;
+// the snapshot's Reset gives back only the 2 pages no state shares.
+// Every step's logits and every state equal an uncached prefill fed the
+// same tokens at tolerance 0, also after the snapshot is Reset under the
+// decoding states; two goroutines, each with its own model, load and
+// decode from one snapshot at once while it is Reset; and once every
+// state is Reset the pages held are back at the start.
+func TestSnapshotSharedCopyOnWrite(t *testing.T) {
+	const promptLen, steps, copies = 150, 6, 3
+	prompt := kvTestPrompt(promptLen)
+	tokens := func(i int) []int { return []int{(5 + 7*i) % 30} }
+	// want[i] is step i's logits after an uncached prefill, ref the state
+	// after every step
+	m := kvTestModel(true)
+	ref := m.NewDecodeState()
+	m.Prefill([]*DecodeState{ref}, [][]int{prompt})
+	var want []*mat.Matrix
+	for i := 0; i < steps; i++ {
+		want = append(want, m.DecodeStep([]*DecodeState{ref}, tokens(i)).Clone())
+	}
+	step := func(m *LMModel, st *DecodeState, i int) error {
+		if got := m.DecodeStep([]*DecodeState{st}, tokens(i)); !mat.Equal(got, want[i], 0) {
+			return fmt.Errorf("step %d: the logits differ from the uncached prefill's", i)
+		}
+		return nil
+	}
+
+	_, start := KVPages()
+	src := m.NewDecodeState()
+	m.Prefill([]*DecodeState{src}, [][]int{prompt})
+	snap := src.Snapshot(promptLen)
+	src.Reset()
+	held := func() int64 { _, out := KVPages(); return out - start }
+	if got := held(); got != 12 {
+		t.Fatalf("the snapshot holds %d pages alone, want 12", got)
+	}
+	states := make([]*DecodeState, copies)
+	for i := range states {
+		states[i] = m.NewDecodeState()
+		states[i].CopyFrom(snap)
+	}
+	if got := held(); got != 12 {
+		t.Fatalf("%d pages held after %d copies, want the snapshot's 12", got, copies)
+	}
+	for i := 0; i < steps; i++ {
+		if i == steps/2 {
+			// the states keep the 10 pages they share; only the snapshot's
+			// partial self pages go back
+			snap.Reset()
+			if got := held(); got != 10+2*copies {
+				t.Fatalf("%d pages held after the snapshot's Reset, want %d", got, 10+2*copies)
+			}
+		}
+		for s, st := range states {
+			if err := step(m, st, i); err != nil {
+				t.Fatalf("state %d: %v", s, err)
+			}
+		}
+		if got := held(); i == 0 && got != 12+2*copies {
+			t.Fatalf("%d pages held after every state's first step, want %d (one per self layer per state)", got, 12+2*copies)
+		}
+	}
+	for s, st := range states {
+		if !st.Equal(ref) {
+			t.Fatalf("state %d differs from the uncached prefill's", s)
+		}
+		st.Reset()
+	}
+	if got := held(); got != 0 {
+		t.Fatalf("%d pages held once every state was Reset", got)
+	}
+
+	// two replicas load one snapshot and decode at once, and the
+	// snapshot is Reset (evicted) while their first writes copy its pages
+	m.Prefill([]*DecodeState{src}, [][]int{prompt})
+	snap = src.Snapshot(promptLen)
+	src.Reset()
+	var wg, loaded sync.WaitGroup
+	errs := make([]error, 2)
+	for g := range errs {
+		wg.Add(1)
+		loaded.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			m := kvTestModel(true)
+			st := m.NewDecodeState()
+			st.CopyFrom(snap)
+			loaded.Done()
+			for i := 0; i < steps && errs[g] == nil; i++ {
+				errs[g] = step(m, st, i)
+			}
+			if errs[g] == nil && !st.Equal(ref) {
+				errs[g] = fmt.Errorf("the state differs from the uncached prefill's")
+			}
+			st.Reset()
+		}(g)
+	}
+	loaded.Wait()
+	snap.Reset()
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("goroutine %d: %v", g, err)
+		}
+	}
+	if got := held(); got != 0 {
+		t.Fatalf("%d pages held once both goroutines' states and the snapshot were Reset", got)
+	}
+	ref.Reset()
 }
 
 // poisonSpareLanes overwrites every key and value row past the rows held
@@ -409,11 +530,15 @@ func TestAttentionScratchDroppedWithoutReuse(t *testing.T) {
 
 // runKVCacheScript interprets an op stream against one cache and its
 // row-major model, re-checking the whole layout after every op. Each op
-// is 2 bytes: kind and argument.
+// is 2 bytes: kind and argument. The last copy op 3 made is kept, sharing
+// the cache's pages, and must hold its rows through every later append
+// and truncate of the cache.
 func runKVCacheScript(t *testing.T, script []byte) {
 	const dim = 3
 	rng := rand.New(rand.NewSource(168))
 	c, m := &KVCache{dim: dim}, &kvModel{dim: dim}
+	kept, keptM := &KVCache{dim: dim}, &kvModel{dim: dim}
+	defer kept.truncate(0)
 	for ; len(script) >= 2; script = script[2:] {
 		kind, arg := script[0]%5, int(script[1])
 		what := fmt.Sprintf("op %d arg %d", kind, arg)
@@ -428,24 +553,23 @@ func runKVCacheScript(t *testing.T, script []byte) {
 			to := arg % (m.rows() + 1)
 			c.truncate(to)
 			m.truncate(to)
-		case 3: // copy rows [0, r) into a fresh cache, compare with the model's
+		case 3: // copy rows [0, r) into the kept cache, which shares them
 			r := arg % (m.rows() + 1)
-			cp := &KVCache{dim: dim}
-			cp.copyFrom(c, r)
-			checkKVCache(t, cp, &kvModel{dim: dim, k: m.k[:r*dim], v: m.v[:r*dim]}, what+", the copy")
-			cp.truncate(0)
+			kept.share(c, r)
+			keptM = &kvModel{dim: dim, k: slices.Clone(m.k[:r*dim]), v: slices.Clone(m.v[:r*dim])}
 		case 4: // copy rows [0, r) out, truncate, and copy them back in
 			r := arg % (m.rows() + 1)
 			cp := &KVCache{dim: dim}
-			cp.copyFrom(c, r)
+			cp.share(c, r)
 			kept := &kvModel{dim: dim, k: slices.Clone(m.k[:r*dim]), v: slices.Clone(m.v[:r*dim])}
 			to := (arg / 3) % (m.rows() + 1)
 			c.truncate(to)
-			c.copyFrom(cp, r)
+			c.share(cp, r)
 			cp.truncate(0)
 			m = kept
 		}
 		checkKVCache(t, c, m, what)
+		checkKVCache(t, kept, keptM, what+", the kept copy")
 	}
 }
 
@@ -460,8 +584,8 @@ func TestKVCacheLayoutScripts(t *testing.T) {
 }
 
 // FuzzKVCacheLayout explores append/truncate/copy interleavings of the
-// paged feature-major cache, over pages the pool may hand out holding
-// NaN, against the row-major model
+// paged feature-major cache, beside a copy sharing its pages and over
+// pages the pool may hand out holding NaN, against the row-major model
 // (`go test -fuzz=FuzzKVCacheLayout ./internal/transformer`).
 func FuzzKVCacheLayout(f *testing.F) {
 	f.Add([]byte{1, 4, 0, 40, 1, 7, 3, 9, 2, 3, 1, 0, 4, 5})
