@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"net"
-	"net/http"
 	"os"
 	"time"
 
@@ -17,66 +15,40 @@ import (
 	"rt3/internal/serve"
 )
 
-// clusterOpts carries the flag surface into cluster mode.
-type clusterOpts struct {
-	nodes     int
-	policy    string
-	load      bool
-	duration  time.Duration
-	rps       float64
-	sessions  int
-	workers   int
-	batch     int
-	stepFloor time.Duration
-	simDVFS   bool
-	batteryJ  float64
-	seed      int64
-	verify    bool
-	genTok    int
-	genPrmpt  int
-	adminAddr string
-	traceOut  string
-
-	// vocab sizes the LM's token space (48 under -chaos, whose workload
-	// embeds GLUE examples; 24 otherwise).
-	vocab int
-	// chaos, when non-empty, fires that fault profile against the
-	// -chaos-workload trace instead of running the bursty ramp.
-	chaos         string
-	chaosWorkload string
-	chaosTraceOut string
-}
-
 // runCluster stands up N simulated nodes — each a full generation server
 // with its own queue, replicas, battery, and V/F level — behind the
 // session-affine router, then either smokes a few sessions through it
 // (default) or replays the bursty session-tagged load with a mid-run
 // zero-downtime rollout (-load). Every routing decision is replay-
 // verified before exit; -verify dense-checks every generation.
-func runCluster(logger *obs.Logger, drain <-chan struct{}, o clusterOpts) {
-	pol, err := cluster.NewPolicy(o.policy)
+func runCluster(logger *obs.Logger, drain <-chan struct{}, o options) {
+	pol, err := cluster.NewPolicy(o.router)
 	if err != nil {
 		log.Fatal(err)
 	}
+	// the chaos workload embeds GLUE classification examples, whose
+	// vocabulary (48 tokens) exceeds the demo LM's default 24
+	battery, vocab := 0.0, 24
+	if o.chaos != "" {
+		battery, vocab = chaosBatteryJ, 48
+	}
 
-	nodes := make([]*cluster.Node, o.nodes)
+	nodes := make([]*cluster.Node, o.cluster)
 	var first *serve.Deployment
 	for i := range nodes {
 		// same seed on every node: identical weights and pattern sets,
 		// which is what makes cross-node failover replay and shared dense
 		// references meaningful
-		d := buildDeployment(o.seed, o.workers, true, o.vocab)
+		d := buildDeployment(o.seed, o.workers, true, vocab)
 		defer d.Engine.Close()
 		if i == 0 {
 			first = d
 		}
 		srv := serve.New(d.Engine, serve.Config{
-			MaxBatch:     o.batch,
 			QueueCap:     8192,
-			SimDVFS:      o.simDVFS,
-			BatteryJ:     o.batteryJ,
+			BatteryJ:     battery,
 			Generate:     true,
-			MaxGenTokens: o.genTok,
+			MaxGenTokens: o.genTokens,
 			StepFloor:    o.stepFloor,
 		})
 		nodes[i] = cluster.NewNode(i, srv)
@@ -91,30 +63,14 @@ func runCluster(logger *obs.Logger, drain <-chan struct{}, o clusterOpts) {
 	defer writeRouterTrace(logger, r, o.traceOut)
 	defer r.Stop()
 	logger.Infof("cluster: %d node(s) behind %s router, %d sessions, step floor %s",
-		o.nodes, r.Policy().Name(), o.sessions, o.stepFloor)
-
-	if o.adminAddr != "" {
-		ln, err := net.Listen("tcp", o.adminAddr)
-		if err != nil {
-			log.Fatal(err)
+		o.cluster, r.Policy().Name(), clusterSessions, o.stepFloor)
+	closeAdmin := serveAdmin(logger, o.adminAddr, drain, r.Metrics(), nodes[0].Server().Tracer(), func() error {
+		if r.ReadyNodes() == 0 {
+			return cluster.ErrNoReadyNodes
 		}
-		defer ln.Close()
-		mux := obs.NewAdminMux(obs.AdminOptions{
-			Registries: []*obs.Registry{r.Metrics()},
-			Tracer:     nodes[0].Server().Tracer(),
-			Ready: func() error {
-				if draining(drain) {
-					return fmt.Errorf("draining: shutdown in progress")
-				}
-				if r.ReadyNodes() == 0 {
-					return cluster.ErrNoReadyNodes
-				}
-				return nil
-			},
-		})
-		go func() { _ = http.Serve(ln, mux) }()
-		logger.Infof("admin endpoint on http://%s (/metrics /healthz /readyz /debug/pprof)", ln.Addr())
-	}
+		return nil
+	})
+	defer closeAdmin()
 
 	if o.chaos != "" {
 		runClusterChaos(logger, drain, r, o)
@@ -129,7 +85,7 @@ func runCluster(logger *obs.Logger, drain <-chan struct{}, o clusterOpts) {
 	// mid-run zero-downtime rollout: node by node, drain -> switch ->
 	// restore, while the load keeps flowing through the rest of the fleet
 	rolloutDone := make(chan error, 1)
-	if o.nodes > 1 {
+	if o.cluster > 1 {
 		level := nodes[0].Server().Engine().NumLevels() - 1
 		go func() {
 			select {
@@ -146,17 +102,17 @@ func runCluster(logger *obs.Logger, drain <-chan struct{}, o clusterOpts) {
 		rolloutDone <- nil
 	}
 
-	logger.Infof("replaying %.0f req/s (3x bursts) over %s across %d sessions", o.rps, o.duration, o.sessions)
+	logger.Infof("replaying %.0f req/s (3x bursts) over %s across %d sessions", o.rpsStart, o.duration, clusterSessions)
 	spec := loadgen.Spec{
 		Duration:  o.duration,
-		Rate:      loadgen.SquareWave(loadgen.Ramp(o.rps, o.rps, o.duration), 400*time.Millisecond, 3),
+		Rate:      loadgen.SquareWave(loadgen.Ramp(o.rpsStart, o.rpsStart, o.duration), 400*time.Millisecond, 3),
 		Seed:      o.seed,
 		Cancel:    drain,
-		Sessions:  o.sessions,
-		PromptMin: (o.genPrmpt + 1) / 2,
-		PromptMax: o.genPrmpt,
-		OutMin:    (o.genTok + 1) / 2,
-		OutMax:    o.genTok,
+		Sessions:  clusterSessions,
+		PromptMin: (o.genPrompt + 1) / 2,
+		PromptMax: o.genPrompt,
+		OutMin:    (o.genTokens + 1) / 2,
+		OutMax:    o.genTokens,
 		Vocab:     24,
 	}
 	if o.verify {
@@ -188,12 +144,12 @@ func runCluster(logger *obs.Logger, drain <-chan struct{}, o clusterOpts) {
 // faults, and the router's decision trace is replay-checked before
 // exit. A SIGTERM drain stops arrivals, cancels unfired faults, and
 // still flushes -chaos-trace-out and -trace-out.
-func runClusterChaos(logger *obs.Logger, drain <-chan struct{}, r *cluster.Router, o clusterOpts) {
+func runClusterChaos(logger *obs.Logger, drain <-chan struct{}, r *cluster.Router, o options) {
 	spec, err := loadChaosTrace(o.chaosWorkload)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sched, err := chaos.NewSchedule(o.chaos, o.nodes, spec.Duration(), o.seed)
+	sched, err := chaos.NewSchedule(o.chaos, o.cluster, spec.Duration(), o.seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -267,23 +223,19 @@ func writeJSON(logger *obs.Logger, flag, path string, v any) bool {
 	return true
 }
 
-// clusterSmoke pushes a few generations per session through the router
-// and prints where they landed — the affinity pins are visible as each
-// session's repeat dispatches on one node.
-func clusterSmoke(r *cluster.Router, o clusterOpts) {
+// clusterSmoke pushes a few generations for each of a dozen sessions
+// through the router and prints where they landed — the affinity pins
+// are visible as each session's repeat dispatches on one node.
+func clusterSmoke(r *cluster.Router, o options) {
 	rng := rand.New(rand.NewSource(o.seed + 1))
-	sessions := o.sessions
-	if sessions > 12 {
-		sessions = 12
-	}
 	var chans []<-chan serve.GenResponse
-	for s := 0; s < sessions; s++ {
-		prompt := make([]int, 1+rng.Intn(o.genPrmpt))
+	for s := 0; s < 12; s++ {
+		prompt := make([]int, 1+rng.Intn(o.genPrompt))
 		for j := range prompt {
 			prompt[j] = rng.Intn(24)
 		}
 		for i := 0; i < 3; i++ {
-			ch, err := r.SubmitGen(uint64(s), prompt, 1+rng.Intn(o.genTok), -1)
+			ch, err := r.SubmitGen(uint64(s), prompt, 1+rng.Intn(o.genTokens), -1)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -29,7 +29,10 @@
 // observed reward, and prints its decision log the same way. Both are
 // modes of one controller, serve.Autotuner. Works in both
 // classification and generation mode — in the latter, switches land
-// mid-generation at decode-step granularity.
+// mid-generation at decode-step granularity. The battery (0.25 J, sized
+// so that the default 2s ramp drains it through the levels), the
+// controller's 50ms latency objective and the batch of 8 are fixed, not
+// flags.
 //
 // With -cluster N the deployment is replicated onto N simulated
 // in-process nodes behind the session-affine cluster router (generation
@@ -39,7 +42,8 @@
 // decision lands in a seeded trace that is replay-verified before exit.
 // In cluster mode -trace-out writes that decision trace (JSON,
 // replayable via cluster.Replay) instead of the Chrome trace dump, and
-// -verify dense-checks every generation.
+// -verify dense-checks every generation. The load spreads over 64
+// sessions, and the nodes run without a battery outside -chaos.
 //
 // With -chaos <profile> (cluster mode) the bursty ramp is replaced by a
 // seeded chaos scenario: a deterministic fault schedule — crashes,
@@ -60,6 +64,7 @@
 //	rt3serve
 //	rt3serve -load
 //	rt3serve -load -autotune
+//	rt3serve -load -duration 10s -admin-addr 127.0.0.1:8080 -trace-out trace.json
 //	rt3serve -gen
 //	rt3serve -gen -load -gen-tokens 24 -rps-start 100 -rps-end 400
 //	rt3serve -gen -load -autotune -duration 3s
@@ -97,111 +102,98 @@ var (
 	evalSparsities = []float64{0.3, 0.5, 0.7}
 )
 
+// The demo's fixed settings. A server also batches at most
+// serve.Config's default of 8 requests per step and runs at host speed
+// (no SimDVFS).
+const (
+	// the single server's battery: a 2s -load ramp drains it far enough
+	// that the governor must switch levels
+	batteryJ = 0.25
+	// a fleet node's battery under -chaos, for the collapse fault to force
+	// down; outside -chaos a fleet runs without one, since batteryJ would
+	// empty its rotation mid-load
+	chaosBatteryJ   = 200
+	targetMS        = 50 // latency objective of the controller's reward
+	autotuneLogTail = 12 // decisions printed after a -load run
+	clusterSessions = 64 // distinct session keys in a fleet's load
+)
+
+// options is the command line, parsed once; the single server and the
+// fleet read the same set.
+type options struct {
+	load, autotune, verify, gen, quiet, verbose bool
+	duration, stepFloor                         time.Duration
+	rpsStart, rpsEnd                            float64
+	workers, genTokens, genPrompt, cluster      int
+	seed                                        int64
+	router, adminAddr, traceOut                 string
+	chaos, chaosWorkload, chaosTraceOut         string
+}
+
+// parseFlags defines the 21 flags and parses the command line once.
+func parseFlags() options {
+	var o options
+	flag.BoolVar(&o.load, "load", false, "replay an open-loop traffic ramp and report latency/switching")
+	flag.DurationVar(&o.duration, "duration", 2*time.Second, "load-generator duration")
+	flag.Float64Var(&o.rpsStart, "rps-start", 200, "arrival rate at the start of the ramp")
+	flag.Float64Var(&o.rpsEnd, "rps-end", 800, "arrival rate at the end of the ramp")
+	flag.IntVar(&o.workers, "workers", 2, "worker pool width (model replicas)")
+	flag.BoolVar(&o.autotune, "autotune", false, "closed-loop RL/DVFS controller: drive live level switches from the telemetry window, learning online (requires -load; replaces the battery governor)")
+	flag.Int64Var(&o.seed, "seed", 1, "rng seed")
+	flag.BoolVar(&o.verify, "verify", true, "check every response against dense execution (classification mode)")
+	flag.BoolVar(&o.gen, "gen", false, "generation mode: KV-cached incremental decoding with continuous batching on the encoder-decoder LM")
+	flag.IntVar(&o.genTokens, "gen-tokens", 16, "generation mode: max tokens per request (load mode samples budgets in [max/2, max])")
+	flag.IntVar(&o.genPrompt, "gen-prompt", 10, "generation mode: max prompt length (load mode samples lengths in [max/2, max])")
+
+	flag.IntVar(&o.cluster, "cluster", 0, "run N simulated nodes behind the session-affine cluster router (implies -gen)")
+	flag.StringVar(&o.router, "router", "hash", "cluster dispatch policy: hash (rendezvous on the session key), least-loaded, or p2c")
+	flag.DurationVar(&o.stepFloor, "step-floor", 0, "minimum wall time per fused execution step (models per-node compute capacity; cluster scaling demos rely on it)")
+
+	flag.StringVar(&o.chaos, "chaos", "", "cluster mode: fire this seeded fault profile against a trace-driven workload instead of the bursty ramp (none, crash, collapse, switchfail, slowdown, pulse, rollout, all)")
+	flag.StringVar(&o.chaosWorkload, "chaos-workload", "diurnal", "chaos mode: builtin workload trace (diurnal, flashcrowd) or a path to a versioned trace JSON")
+	flag.StringVar(&o.chaosTraceOut, "chaos-trace-out", "", "chaos mode: write the injector's fired-fault trace as JSON on exit (flushed on SIGTERM drain too)")
+
+	flag.StringVar(&o.adminAddr, "admin-addr", "", "serve /metrics, /trace, /healthz and /debug/pprof on this address (e.g. 127.0.0.1:8080)")
+	flag.StringVar(&o.traceOut, "trace-out", "", "write retained request traces as Chrome trace_event JSON to this file on exit")
+	flag.BoolVar(&o.quiet, "quiet", false, "suppress progress logging (warnings and errors only)")
+	flag.BoolVar(&o.verbose, "v", false, "debug logging, including live autotune decision lines")
+	flag.Parse()
+	return o
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("rt3serve: ")
-	var (
-		load     = flag.Bool("load", false, "replay an open-loop traffic ramp and report latency/switching")
-		duration = flag.Duration("duration", 2*time.Second, "load-generator duration")
-		rpsStart = flag.Float64("rps-start", 200, "arrival rate at the start of the ramp")
-		rpsEnd   = flag.Float64("rps-end", 800, "arrival rate at the end of the ramp")
-		workers  = flag.Int("workers", 2, "worker pool width (model replicas)")
-		batch    = flag.Int("batch", 8, "max requests per fused step (classification batch, decode slots)")
-		autotune = flag.Bool("autotune", false, "closed-loop RL/DVFS controller: drive live level switches from the telemetry window, learning online (requires -load; replaces the battery governor)")
-		atLog    = flag.Int("autotune-log", 12, "autotune: decision-log tail length printed after the run")
-		simDVFS  = flag.Bool("sim-dvfs", false, "stretch execution to the active level's modeled frequency (f_fastest/f_level), so slower levels show real latency pressure")
-		batteryJ = flag.Float64("battery-j", 0.25, "simulated battery capacity in joules (0 disables)")
-		targetMS = flag.Float64("target-ms", 50, "latency objective the controller's reward reads (the governor's level choice ignores it)")
-		seed     = flag.Int64("seed", 1, "rng seed")
-		verify   = flag.Bool("verify", true, "check every response against dense execution (classification mode)")
-		gen      = flag.Bool("gen", false, "generation mode: KV-cached incremental decoding with continuous batching on the encoder-decoder LM")
-		genTok   = flag.Int("gen-tokens", 16, "generation mode: max tokens per request (load mode samples budgets in [max/2, max])")
-		genPrmpt = flag.Int("gen-prompt", 10, "generation mode: max prompt length (load mode samples lengths in [max/2, max])")
-
-		clusterN  = flag.Int("cluster", 0, "run N simulated nodes behind the session-affine cluster router (implies -gen)")
-		routerPol = flag.String("router", "hash", "cluster dispatch policy: hash (rendezvous on the session key), least-loaded, or p2c")
-		sessions  = flag.Int("sessions", 64, "cluster mode: distinct session keys in the generated load")
-		stepFloor = flag.Duration("step-floor", 0, "minimum wall time per fused execution step (models per-node compute capacity; cluster scaling demos rely on it)")
-
-		chaosProf  = flag.String("chaos", "", "cluster mode: fire this seeded fault profile against a trace-driven workload instead of the bursty ramp (none, crash, collapse, switchfail, slowdown, pulse, rollout, all)")
-		chaosWork  = flag.String("chaos-workload", "diurnal", "chaos mode: builtin workload trace (diurnal, flashcrowd) or a path to a versioned trace JSON")
-		chaosTrace = flag.String("chaos-trace-out", "", "chaos mode: write the injector's fired-fault trace as JSON on exit (flushed on SIGTERM drain too)")
-
-		adminAddr = flag.String("admin-addr", "", "serve /metrics, /trace, /healthz and /debug/pprof on this address (e.g. 127.0.0.1:8080)")
-		traceOut  = flag.String("trace-out", "", "write retained request traces as Chrome trace_event JSON to this file on exit")
-		quiet     = flag.Bool("quiet", false, "suppress progress logging (warnings and errors only)")
-		verbose   = flag.Bool("v", false, "debug logging, including live autotune decision lines")
-	)
-	flag.Parse()
+	o := parseFlags()
 	// checked before any deployment is built, for every mode that reads them
-	if *genPrmpt < 1 {
-		log.Fatalf("-gen-prompt %d: a prompt needs at least one token", *genPrmpt)
+	if o.genPrompt < 1 {
+		log.Fatalf("-gen-prompt %d: a prompt needs at least one token", o.genPrompt)
 	}
-	if *genTok < 1 {
-		log.Fatalf("-gen-tokens %d: a generation needs a budget of at least one token", *genTok)
+	if o.genTokens < 1 {
+		log.Fatalf("-gen-tokens %d: a generation needs a budget of at least one token", o.genTokens)
 	}
-	logger := obs.NewLogger(os.Stderr, "rt3serve: ", obs.LevelFromFlags(*quiet, *verbose))
-	drain := installDrainHandler(logger)
-
-	if *chaosProf != "" && *clusterN == 0 {
+	if o.chaos != "" && o.cluster == 0 {
 		log.Fatal("-chaos needs a fleet to fault: set -cluster N (N >= 2)")
 	}
-	if *clusterN > 0 {
-		if *autotune {
-			log.Fatal("-autotune drives a single server's level; cluster mode rolls levels out via drained switches instead")
-		}
-		// the single-server default battery (sized to force switches in a
-		// 2s demo) would knock every node out of rotation mid-load; in
-		// cluster mode the battery only drains when asked for explicitly —
-		// except under -chaos, where the battery-collapse fault needs one
-		clusterBattery := 0.0
-		if *chaosProf != "" {
-			clusterBattery = 200
-		}
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "battery-j" {
-				clusterBattery = *batteryJ
-			}
-		})
-		// the chaos workload embeds GLUE classification examples, whose
-		// vocabulary (48 tokens) exceeds the demo LM's default 24
-		vocab := 24
-		if *chaosProf != "" {
-			vocab = 48
-		}
-		runCluster(logger, drain, clusterOpts{
-			nodes:     *clusterN,
-			policy:    *routerPol,
-			load:      *load,
-			duration:  *duration,
-			rps:       *rpsStart,
-			sessions:  *sessions,
-			workers:   *workers,
-			batch:     *batch,
-			stepFloor: *stepFloor,
-			simDVFS:   *simDVFS,
-			batteryJ:  clusterBattery,
-			seed:      *seed,
-			verify:    *verify,
-			genTok:    *genTok,
-			genPrmpt:  *genPrmpt,
-			adminAddr: *adminAddr,
-			traceOut:  *traceOut,
-
-			vocab:         vocab,
-			chaos:         *chaosProf,
-			chaosWorkload: *chaosWork,
-			chaosTraceOut: *chaosTrace,
-		})
+	if o.autotune && o.cluster > 0 {
+		log.Fatal("-autotune drives a single server's level; cluster mode rolls levels out via drained switches instead")
+	}
+	if o.autotune && !o.load {
+		log.Fatal("-autotune requires -load (the smoke path switches levels manually)")
+	}
+	logger := obs.NewLogger(os.Stderr, "rt3serve: ", obs.LevelFromFlags(o.quiet, o.verbose))
+	drain := installDrainHandler(logger)
+	if o.cluster > 0 {
+		runCluster(logger, drain, o)
 		return
 	}
 
-	d := buildDeployment(*seed, *workers, *gen, 24)
+	d := buildDeployment(o.seed, o.workers, o.gen, 24)
 	eng := d.Engine
 	defer eng.Close()
 	printDeployment(d)
 	mode := "classification"
-	if *gen {
+	if o.gen {
 		mode = "incremental decoding"
 	}
 	logger.Infof("execution: %s kernels, %d replica(s), %s mode",
@@ -211,22 +203,17 @@ func main() {
 	// controller (the battery governor, or the closed loop) fighting for
 	// the level
 	var atCfg *serve.AutotuneConfig
-	if *autotune && !*load {
-		log.Fatal("-autotune requires -load (the smoke path switches levels manually)")
-	}
-	if *load {
-		atCfg = &serve.AutotuneConfig{Seed: *seed, Governor: !*autotune}
+	if o.load {
+		atCfg = &serve.AutotuneConfig{Seed: o.seed, Governor: !o.autotune}
 	}
 	srv := serve.New(eng, serve.Config{
-		MaxBatch:     *batch,
 		QueueCap:     4096,
 		Autotune:     atCfg,
-		TargetMS:     *targetMS,
-		SimDVFS:      *simDVFS,
-		BatteryJ:     *batteryJ,
-		Generate:     *gen,
-		MaxGenTokens: *genTok,
-		StepFloor:    *stepFloor,
+		TargetMS:     targetMS,
+		BatteryJ:     batteryJ,
+		Generate:     o.gen,
+		MaxGenTokens: o.genTokens,
+		StepFloor:    o.stepFloor,
 		OnAutotuneDecision: func(d serve.AutotuneDecision) {
 			sw := "-"
 			if d.Switched {
@@ -237,63 +224,47 @@ func main() {
 		},
 	})
 	srv.Start()
-	defer writeTraceFile(logger, srv, *traceOut)
+	defer writeTraceFile(logger, srv, o.traceOut)
 	defer srv.Stop()
-
-	if *adminAddr != "" {
-		ln, err := net.Listen("tcp", *adminAddr)
-		if err != nil {
-			log.Fatal(err)
+	closeAdmin := serveAdmin(logger, o.adminAddr, drain, srv.Metrics(), srv.Tracer(), func() error {
+		if srv.Stopped() {
+			return errors.New("server stopped: admission closed")
 		}
-		defer ln.Close()
-		mux := obs.NewAdminMux(obs.AdminOptions{
-			Registries: []*obs.Registry{srv.Metrics()},
-			Tracer:     srv.Tracer(),
-			Ready: func() error {
-				if draining(drain) {
-					return errors.New("draining: shutdown in progress")
-				}
-				if srv.Stopped() {
-					return errors.New("server stopped: admission closed")
-				}
-				return nil
-			},
-		})
-		go func() { _ = http.Serve(ln, mux) }()
-		logger.Infof("admin endpoint on http://%s (/metrics /trace /healthz /readyz /debug/pprof)", ln.Addr())
-	}
+		return nil
+	})
+	defer closeAdmin()
 
-	if !*load {
-		if *gen {
-			smokeGen(srv, *seed, *genPrmpt, *genTok)
+	if !o.load {
+		if o.gen {
+			smokeGen(srv, o.seed, o.genPrompt, o.genTokens)
 		} else {
-			smoke(srv, *seed)
+			smoke(srv, o.seed)
 		}
 		printLevelBuilds(d, srv)
 		return
 	}
 
 	controller := "governor"
-	if *autotune {
+	if o.autotune {
 		controller = "closed-loop autotune"
 	}
 	logger.Infof("replaying %.0f->%.0f req/s over %s (policy %s, battery %.2f J)",
-		*rpsStart, *rpsEnd, *duration, controller, *batteryJ)
+		o.rpsStart, o.rpsEnd, o.duration, controller, batteryJ)
 	spec := loadgen.Spec{
-		Duration: *duration,
-		Rate:     loadgen.Ramp(*rpsStart, *rpsEnd, *duration),
-		Seed:     *seed,
+		Duration: o.duration,
+		Rate:     loadgen.Ramp(o.rpsStart, o.rpsEnd, o.duration),
+		Seed:     o.seed,
 		Cancel:   drain,
 	}
-	if *gen {
+	if o.gen {
 		spec.Sessions = 32
-		spec.PromptMin, spec.PromptMax = (*genPrmpt+1)/2, *genPrmpt
-		spec.OutMin, spec.OutMax = (*genTok+1)/2, *genTok
+		spec.PromptMin, spec.PromptMax = (o.genPrompt+1)/2, o.genPrompt
+		spec.OutMin, spec.OutMax = (o.genTokens+1)/2, o.genTokens
 		spec.Vocab = 24
 	} else {
 		spec.ClassifyFraction = 1
-		spec.Pool = loadgen.TokenPool(*seed, 10, 24)
-		if *verify {
+		spec.Pool = loadgen.TokenPool(o.seed, 10, 24)
+		if o.verify {
 			spec.Verify = srv
 		}
 	}
@@ -305,13 +276,40 @@ func main() {
 	fmt.Printf("%s%s", report, sum)
 	printBatchStats(eng)
 	printDecodeStats(eng)
-	printAutotune(srv, *atLog)
+	printAutotune(srv)
 	if sum.Switches == 0 && !draining(drain) {
-		log.Fatal("demo expected at least one live level switch; raise -duration or lower -battery-j")
+		log.Fatal("demo expected at least one live level switch; raise -duration")
 	}
 	if report.Shed > 0 || report.Failed > 0 || report.Mismatches > 0 {
 		log.Fatalf("demo failed: %d shed, %d failed, %d incorrect", report.Shed, report.Failed, report.Mismatches)
 	}
+}
+
+// serveAdmin serves /metrics, /trace, /healthz, /readyz and /debug/pprof
+// on addr, when it is set, and returns the function that closes its
+// listener. /readyz fails from the moment the drain begins, and
+// otherwise with ready's error.
+func serveAdmin(logger *obs.Logger, addr string, drain <-chan struct{}, reg *obs.Registry, tr *obs.Tracer, ready func() error) func() {
+	if addr == "" {
+		return func() {}
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	mux := obs.NewAdminMux(obs.AdminOptions{
+		Registries: []*obs.Registry{reg},
+		Tracer:     tr,
+		Ready: func() error {
+			if draining(drain) {
+				return errors.New("draining: shutdown in progress")
+			}
+			return ready()
+		},
+	})
+	go func() { _ = http.Serve(ln, mux) }()
+	logger.Infof("admin endpoint on http://%s (/metrics /trace /healthz /readyz /debug/pprof)", ln.Addr())
+	return func() { _ = ln.Close() }
 }
 
 // installDrainHandler arms graceful shutdown: the first SIGINT/SIGTERM
@@ -439,9 +437,10 @@ func printDecodeStats(eng *serve.Engine) {
 
 // printAutotune renders the level controller's run summary, headed by
 // the controller's name (battery governor or closed-loop autotune), plus
-// a tail of its live decision log (the full trace is replayable offline
-// via serve.ReplayTrace — see docs/BENCHMARKS.md).
-func printAutotune(srv *serve.Server, tail int) {
+// the last autotuneLogTail entries of its live decision log (the full
+// trace is replayable offline via serve.ReplayTrace — see
+// docs/BENCHMARKS.md).
+func printAutotune(srv *serve.Server) {
 	tr, ok := srv.AutotuneTrace()
 	if !ok || len(tr.Decisions) == 0 {
 		return
@@ -475,12 +474,7 @@ func printAutotune(srv *serve.Server, tail int) {
 		fmt.Printf("  %s %d", eng.LevelName(i), c)
 	}
 	fmt.Println()
-	if tail > n {
-		tail = n
-	}
-	if tail < 0 {
-		tail = 0
-	}
+	tail := min(autotuneLogTail, n)
 	fmt.Printf("  last %d decisions:\n", tail)
 	fmt.Printf("  %6s %6s %-4s %8s %8s %9s %8s %5s %7s\n",
 		"tick", "state", "lvl", "p99_ms", "battery", "fill", "reward", "expl", "switch")

@@ -34,10 +34,16 @@ func main() {
 	bat := dvfs.NewBattery(100) // a small battery so the trace is short
 	power := dvfs.DefaultPowerModel()
 	costs := rtswitch.DefaultSwitchCostModel()
-	subs := []rtswitch.SubModel{
-		{Name: "M1 (47% sparse)", Cycles: 1.1e8, MaskBytes: 4096},
-		{Name: "M2 (70% sparse)", Cycles: 0.8e8, MaskBytes: 4096},
-		{Name: "M3 (80% sparse)", Cycles: 0.6e8, MaskBytes: 4096},
+	// each level's sub-model, with the pattern-set bytes a switch to it
+	// moves
+	subs := []struct {
+		Name      string
+		Cycles    float64
+		MaskBytes int
+	}{
+		{"M1 (47% sparse)", 1.1e8, 4096},
+		{"M2 (70% sparse)", 0.8e8, 4096},
+		{"M3 (80% sparse)", 0.6e8, 4096},
 	}
 	current, switches, switchMS := 0, 0, 0.0
 	nextReport := 0.9

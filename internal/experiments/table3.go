@@ -105,8 +105,8 @@ func TableIII(s Scale, spec Table3Spec) (*Table3Result, error) {
 
 // deployedMaskBytes estimates the run-time bytes of one switch to a
 // pattern set: its bitmasks plus one pattern-id byte per block of every
-// prunable matrix, scaled into the paper's model-size class. Table II
-// prices each sub-model's switch with it, Table III the deployed set's.
+// prunable matrix, scaled into the paper's model-size class. Table III
+// prices the deployed set's switch with it.
 func deployedMaskBytes(prunable []*nn.Parameter, set *pattern.Set, pr *rt3.Predictor) int {
 	psize := set.PSize()
 	blocks := 0

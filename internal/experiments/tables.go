@@ -65,15 +65,11 @@ func TableII(s Scale) (*TableIIResult, error) {
 	timing := 115.0
 	var subs []rtswitch.SubModel
 	for i, lvl := range levels {
-		set, masks, err := rt3.MinFeasibleSparsity(prunable, nil, pr, lvl, timing, rng)
+		_, masks, err := rt3.MinFeasibleSparsity(prunable, nil, pr, lvl, timing, rng)
 		if err != nil {
 			return nil, err
 		}
-		subs = append(subs, rtswitch.SubModel{
-			Name:      fmt.Sprintf("M%d", i+1),
-			Cycles:    pr.Cycles(masks),
-			MaskBytes: deployedMaskBytes(prunable, set, pr),
-		})
+		subs = append(subs, rtswitch.SubModel{Name: fmt.Sprintf("M%d", i+1), Cycles: pr.Cycles(masks)})
 	}
 
 	// E1 runs M1 at l6 throughout, E2 lets DVFS scale M1 with the
@@ -85,8 +81,7 @@ func TableII(s Scale) (*TableIIResult, error) {
 	}{{1, false, false}, {1, true, false}, {3, true, true}} {
 		sim, err := rtswitch.Simulate(rtswitch.Config{
 			Levels: levels, SubModels: subs[:e.models],
-			Power: dvfs.DefaultPowerModel(), Switch: rtswitch.DefaultSwitchCostModel(),
-			TimingMS: timing, BudgetJ: rt3.BatteryBudgetJ,
+			Power: dvfs.DefaultPowerModel(), TimingMS: timing, BudgetJ: rt3.BatteryBudgetJ,
 			HardwareReconfig: e.hw, SoftwareReconfig: e.sw,
 		})
 		if err != nil {

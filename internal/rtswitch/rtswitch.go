@@ -3,9 +3,11 @@
 // pattern sets versus reloading whole models) and simulates
 // battery-driven execution with DVFS, reproducing the paper's Table II
 // comparison of E1 (no reconfiguration), E2 (hardware-only) and E3
-// (hardware + software reconfiguration). The serving engine
-// (internal/serve) is the run-time system; it prices its switches with
-// this cost model.
+// (hardware + software reconfiguration). Table II models no switch
+// time: Simulate counts runs, energy and timing violations only. The
+// serving engine (internal/serve) is the run-time system, and a switch's
+// measured cost belongs to it; it prices its switches with this cost
+// model.
 package rtswitch
 
 import (
@@ -56,10 +58,8 @@ func (m SwitchCostModel) ModelSwitchMS(modelBytes int) float64 {
 
 // SubModel describes one deployable configuration at a V/F level.
 type SubModel struct {
-	Name      string
-	Cycles    float64 // per-inference execution cycles
-	MaskBytes int     // pattern-set size for software switching
-	Metric    float64 // task metric of the sub-model
+	Name   string
+	Cycles float64 // per-inference execution cycles
 }
 
 // Config assembles a run-time simulation.
@@ -67,7 +67,6 @@ type Config struct {
 	Levels    []dvfs.Level // fastest first; Governor thresholds derive from order
 	SubModels []SubModel   // aligned with Levels; len 1 replicates one model
 	Power     dvfs.PowerModel
-	Switch    SwitchCostModel
 	TimingMS  float64
 	BudgetJ   float64
 	// HardwareReconfig enables DVFS (level follows the governor);
@@ -79,22 +78,18 @@ type Config struct {
 
 // Result summarizes a battery-lifetime simulation.
 type Result struct {
-	Runs           int     // completed inferences within the budget
-	Violations     int     // inferences exceeding the timing constraint
-	Switches       int     // reconfiguration events
-	SwitchTimeMS   float64 // total time spent switching
-	EnergyUsedJ    float64
-	SatisfiedAll   bool
-	PerLevelRuns   []int
-	MeanLatencyMS  float64
-	totalLatencyMS float64
+	Runs         int // completed inferences within the budget
+	Violations   int // inferences exceeding the timing constraint
+	EnergyUsedJ  float64
+	SatisfiedAll bool
+	PerLevelRuns []int
 }
 
 // Simulate drains the battery budget with repeated inferences, letting
 // the governor scale the V/F level as charge falls, and (optionally)
-// switching sub-models along with it. Switching costs time but is
-// assumed amortized against energy (mask swaps are DMA transfers whose
-// energy is negligible next to an inference).
+// switching sub-models along with it. A switch costs no time and no
+// energy here (mask swaps are DMA transfers whose energy is negligible
+// next to an inference).
 func Simulate(cfg Config) (*Result, error) {
 	if len(cfg.Levels) == 0 {
 		return nil, fmt.Errorf("rtswitch: no levels")
@@ -105,19 +100,11 @@ func Simulate(cfg Config) (*Result, error) {
 	bat := dvfs.NewBattery(cfg.BudgetJ)
 	gov := dvfs.NewGovernor(cfg.Levels)
 	res := &Result{SatisfiedAll: true, PerLevelRuns: make([]int, len(cfg.Levels))}
-	curIdx := 0
-
 	for {
 		idx := 0
 		if cfg.HardwareReconfig {
 			idx = gov.PickIndex(bat.Fraction())
 		}
-		if idx != curIdx && cfg.SoftwareReconfig && len(cfg.SubModels) > 1 {
-			res.Switches++
-			res.SwitchTimeMS += cfg.Switch.PatternSwitchMS(cfg.SubModels[idx].MaskBytes)
-		}
-		curIdx = idx
-
 		sub := cfg.SubModels[0]
 		if cfg.SoftwareReconfig && len(cfg.SubModels) > 1 {
 			sub = cfg.SubModels[idx]
@@ -130,15 +117,11 @@ func Simulate(cfg Config) (*Result, error) {
 		lat := sub.Cycles / level.FreqHz() * 1000
 		res.Runs++
 		res.PerLevelRuns[idx]++
-		res.totalLatencyMS += lat
 		if lat > cfg.TimingMS {
 			res.Violations++
 			res.SatisfiedAll = false
 		}
 		res.EnergyUsedJ += energy
-	}
-	if res.Runs > 0 {
-		res.MeanLatencyMS = res.totalLatencyMS / float64(res.Runs)
 	}
 	return res, nil
 }
