@@ -144,14 +144,9 @@ func runChaosArm(seed int64, profile, trace string, runSeed int64) (chaosArmRow,
 	if err != nil {
 		return chaosArmRow{}, nil, err
 	}
-	rep, err := chaos.Scenario{
-		Router:    r,
-		Schedule:  sched,
-		Spec:      ts,
-		Seed:      runSeed,
-		TimeScale: chaosScale,
-		Verify:    true, // on node 0, which schedules never fault
-	}.Run()
+	load := ts.Spec(runSeed, chaosScale)
+	load.Verify = r.Nodes()[0].Server() // node 0: schedules never fault it
+	rep, err := chaos.Scenario{Router: r, Schedule: sched, Load: load}.Run()
 	if err != nil {
 		return chaosArmRow{}, nil, fmt.Errorf("%s x %s: %w", profile, trace, err)
 	}

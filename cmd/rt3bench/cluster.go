@@ -6,6 +6,7 @@ import (
 	"os"
 	"time"
 
+	"rt3/internal/chaos"
 	"rt3/internal/cluster"
 	"rt3/internal/loadgen"
 	"rt3/internal/serve"
@@ -20,7 +21,8 @@ import (
 // host jitter — without the floor host kernels outrun the queue and one
 // node never saturates. A rollout phase then switches levels under load
 // with dense verification, and a failover phase crashes a node
-// mid-generation.
+// mid-generation. Every arm and phase is one chaos.Scenario, whose
+// injector fires the phases' faults.
 const (
 	clusterDuration  = 1200 * time.Millisecond
 	clusterRPS       = 700
@@ -175,128 +177,96 @@ func clusterLoad(seed int64, rps float64, verify *serve.Server) loadgen.Spec {
 	}
 }
 
-// runClusterArm replays the profile against an n-node fleet and
-// replay-verifies its router trace; it returns the arm's row and its
-// router registry.
+// runClusterArm plays the profile against an n-node fleet with no
+// faults; it returns the arm's row and its router registry.
 func runClusterArm(seed int64, n int) (clusterArmRow, map[string]float64, error) {
 	r, err := buildClusterRouter(seed, n, clusterStepFloor)
 	if err != nil {
 		return clusterArmRow{}, nil, err
 	}
 	defer r.Stop()
-	rep, err := loadgen.Run(r, clusterLoad(seed, clusterRPS, nil))
-	if err != nil {
-		return clusterArmRow{}, nil, fmt.Errorf("%d nodes: %w", n, err)
-	}
-	decisions, err := replayClusterTrace(r, fmt.Sprintf("%d-node arm", n))
+	rep, err := playCluster(fmt.Sprintf("%d-node arm", n), r, nil, clusterLoad(seed, clusterRPS, nil))
 	if err != nil {
 		return clusterArmRow{}, nil, err
 	}
+	wl := rep.Workload
 	return clusterArmRow{
-		Nodes: n, Offered: rep.Offered, Completed: rep.Completed(), Dropped: rep.Shed, Failed: rep.Failed,
-		TokensPerSec: rep.TokensPerSec, P50MS: rep.P50MS, P99MS: rep.P99MS,
-		AffinityRate: r.Stats().AffinityHitRate(), Decisions: decisions,
+		Nodes: n, Offered: wl.Offered, Completed: wl.Completed(), Dropped: wl.Shed, Failed: wl.Failed,
+		TokensPerSec: wl.TokensPerSec, P50MS: wl.P50MS, P99MS: wl.P99MS,
+		AffinityRate: rep.Stats.AffinityHitRate(), Decisions: rep.Replayed,
 	}, r.Metrics().Snapshot(), nil
 }
 
-// runClusterRollout drives the zero-downtime maintenance story: under
-// live load the fleet is drained node by node and switched to the
+// runClusterRollout drives the zero-downtime maintenance story: at a
+// third of the run the fleet is drained node by node and switched to the
 // slowest level, and every delivered generation must dense-verify at the
 // level it was served on — possible precisely because a drain quiesces a
-// node before its switch, so no generation spans one.
+// node before its switch, so no generation spans one. Half the rate
+// leaves headroom: one node is always draining.
 func runClusterRollout(seed int64, n int) (clusterPhaseRow, error) {
-	r, err := buildClusterRouter(seed, n, clusterStepFloor)
-	if err != nil {
-		return clusterPhaseRow{}, err
-	}
-	defer r.Stop()
-
-	level := r.Nodes()[0].Server().Engine().NumLevels() - 1
-	rolloutDone := make(chan error, 1)
-	go func() {
-		time.Sleep(clusterDuration / 3)
-		rolloutDone <- r.RolloutSwitch(level)
-	}()
-	// half the rate for headroom: one node is always draining
-	rep, err := loadgen.Run(r, clusterLoad(seed, clusterRPS/2, r.Nodes()[0].Server()))
-	if err != nil {
-		return clusterPhaseRow{}, fmt.Errorf("rollout phase: %w", err)
-	}
-	st := r.Stats()
-	if err := <-rolloutDone; err != nil {
-		return clusterPhaseRow{}, fmt.Errorf("rollout phase: %w", err)
-	}
-	if _, err := replayClusterTrace(r, "rollout phase"); err != nil {
-		return clusterPhaseRow{}, err
-	}
-	for _, nd := range r.Nodes() {
-		if got := nd.Server().Engine().Level(); got != level {
-			return clusterPhaseRow{}, fmt.Errorf("rollout phase left node %d at level %d, want %d", nd.ID, got, level)
-		}
-	}
-	return clusterPhaseRow{
-		Phase: "rollout", Nodes: n, Completed: rep.Completed(), Failed: rep.Failed,
-		Failovers: st.Failovers, Rollouts: st.Rollouts, Verified: rep.Verified, Mismatches: rep.Mismatches,
-		AffinityRate: st.AffinityHitRate(),
-	}, nil
+	return runClusterPhase(seed, "rollout", n, clusterStepFloor, clusterRPS/2, chaos.Event{
+		At: clusterDuration / 3, Kind: chaos.FaultRollout, Node: -1, Param: float64(len(clusterLevelNames) - 1),
+	})
 }
 
 // runClusterFailover crashes one of two nodes mid-load: its in-flight
 // generations must resume on the survivor from their committed tokens and
 // every delivered stream must still dense-verify — the bit-identical
-// recovery contract.
+// recovery contract. The crash fires from 2/5 of the run on, once node 1
+// holds five unfinished requests: one is not enough, since Kill aborts at
+// the next step boundary and a generation whose last token is in the
+// step in flight completes normally. Steps twice as slow as the scaling
+// arms' keep generations in flight; a quarter of the rate lets the
+// survivor (node 0, whose engine also computes the references) absorb
+// the whole fleet's load.
 func runClusterFailover(seed int64) (clusterPhaseRow, error) {
-	// slower steps than the scaling arms so the crash reliably lands
-	// mid-generation with committed prefixes to replay
-	r, err := buildClusterRouter(seed, 2, 2*clusterStepFloor)
+	return runClusterPhase(seed, "failover", 2, 2*clusterStepFloor, clusterRPS/4, chaos.Event{
+		At: clusterDuration * 2 / 5, Kind: chaos.FaultCrash, Node: 1, Param: 5,
+	})
+}
+
+// runClusterPhase plays the profile at rps on a fresh n-node fleet whose
+// steps take at least stepFloor while ev fires, dense-verifying every
+// delivery on node 0, prints what the fault did, and fails a rollout
+// that left a node off its level.
+func runClusterPhase(seed int64, phase string, n int, stepFloor time.Duration, rps float64, ev chaos.Event) (clusterPhaseRow, error) {
+	r, err := buildClusterRouter(seed, n, stepFloor)
 	if err != nil {
 		return clusterPhaseRow{}, err
 	}
 	defer r.Stop()
-
-	// crash node 1 at the first poll from 2/5 of the run on that finds a
-	// generation in flight there, so the crash always has work to fail
-	// over
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		time.Sleep(clusterDuration * 2 / 5)
-		poll := time.NewTicker(time.Millisecond)
-		defer poll.Stop()
-		for r.Nodes()[1].Inflight() == 0 {
-			select {
-			case <-done:
-				return
-			case <-poll.C:
-			}
-		}
-		_ = r.Crash(1)
-	}()
-	// a quarter of the rate: the survivor (node 0, whose engine also
-	// computes the references) must absorb the whole fleet's load
-	rep, err := loadgen.Run(r, clusterLoad(seed, clusterRPS/4, r.Nodes()[0].Server()))
+	sched := &chaos.Schedule{Profile: phase, Events: []chaos.Event{ev}}
+	rep, err := playCluster(phase+" phase", r, sched, clusterLoad(seed, rps, r.Nodes()[0].Server()))
 	if err != nil {
-		return clusterPhaseRow{}, fmt.Errorf("failover phase: %w", err)
-	}
-	st := r.Stats()
-	if _, err := replayClusterTrace(r, "failover phase"); err != nil {
 		return clusterPhaseRow{}, err
 	}
+	for _, f := range rep.Injector.Fired {
+		fmt.Printf("%s phase: %s at %.0fms: %s\n", phase, f.Event.Kind, f.FiredAt.Seconds()*1000, f.Outcome)
+	}
+	for _, nd := range r.Nodes() {
+		if got := nd.Server().Engine().Level(); ev.Kind == chaos.FaultRollout && got != int(ev.Param) {
+			return clusterPhaseRow{}, fmt.Errorf("rollout phase left node %d at level %d, want %d", nd.ID, got, int(ev.Param))
+		}
+	}
+	wl, st := rep.Workload, rep.Stats
 	return clusterPhaseRow{
-		Phase: "failover", Nodes: 2, Completed: rep.Completed(), Failed: rep.Failed,
-		Failovers: st.Failovers, Rollouts: st.Rollouts, Verified: rep.Verified, Mismatches: rep.Mismatches,
+		Phase: phase, Nodes: n, Completed: wl.Completed(), Failed: wl.Failed,
+		Failovers: st.Failovers, Rollouts: st.Rollouts, Verified: wl.Verified, Mismatches: wl.Mismatches,
 		AffinityRate: st.AffinityHitRate(),
 	}, nil
 }
 
-// replayClusterTrace re-picks every recorded routing decision from the
-// trace's seed and requires bit-identical choices.
-func replayClusterTrace(r *cluster.Router, phase string) (int, error) {
-	n, err := cluster.Replay(r.Trace())
+// playCluster runs one fleet scenario, named for its errors, and fails
+// it when the router's decision trace does not replay bit-identically.
+func playCluster(name string, r *cluster.Router, sched *chaos.Schedule, load loadgen.Spec) (*chaos.ScenarioReport, error) {
+	rep, err := chaos.Scenario{Router: r, Schedule: sched, Load: load}.Run()
 	if err != nil {
-		return 0, fmt.Errorf("%s: trace replay: %w", phase, err)
+		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	return n, nil
+	if rep.ReplayErr != "" {
+		return nil, fmt.Errorf("%s: trace replay: %s", name, rep.ReplayErr)
+	}
+	return rep, nil
 }
 
 // floors holds every scaling arm to zero failed responses and

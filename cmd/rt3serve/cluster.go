@@ -6,6 +6,7 @@ import (
 	"log"
 	"math/rand"
 	"os"
+	"strings"
 	"time"
 
 	"rt3/internal/chaos"
@@ -18,9 +19,8 @@ import (
 // runCluster stands up N simulated nodes — each a full generation server
 // with its own queue, replicas, battery, and V/F level — behind the
 // session-affine router, then either smokes a few sessions through it
-// (default) or replays the bursty session-tagged load with a mid-run
-// zero-downtime rollout (-load). Every routing decision is replay-
-// verified before exit; -verify dense-checks every generation.
+// (default) or plays the fleet's load (-load or -chaos, runClusterLoad).
+// Every routing decision is replay-verified before exit.
 func runCluster(logger *obs.Logger, drain <-chan struct{}, o options) {
 	pol, err := cluster.NewPolicy(o.router)
 	if err != nil {
@@ -72,98 +72,65 @@ func runCluster(logger *obs.Logger, drain <-chan struct{}, o options) {
 	})
 	defer closeAdmin()
 
-	if o.chaos != "" {
-		runClusterChaos(logger, drain, r, o)
-		return
-	}
-
-	if !o.load {
+	if !o.load && o.chaos == "" {
 		clusterSmoke(r, o)
 		return
 	}
-
-	// mid-run zero-downtime rollout: node by node, drain -> switch ->
-	// restore, while the load keeps flowing through the rest of the fleet
-	rolloutDone := make(chan error, 1)
-	if o.cluster > 1 {
-		level := nodes[0].Server().Engine().NumLevels() - 1
-		go func() {
-			select {
-			case <-time.After(o.duration / 3):
-			case <-drain:
-				rolloutDone <- nil
-				return
-			}
-			logger.Infof("rolling the fleet to level %s (drain -> switch -> restore per node)",
-				nodes[0].Server().Engine().LevelName(level))
-			rolloutDone <- r.RolloutSwitch(level)
-		}()
-	} else {
-		rolloutDone <- nil
-	}
-
-	logger.Infof("replaying %.0f req/s (3x bursts) over %s across %d sessions", o.rpsStart, o.duration, clusterSessions)
-	spec := loadgen.Spec{
-		Duration:  o.duration,
-		Rate:      loadgen.SquareWave(loadgen.Ramp(o.rpsStart, o.rpsStart, o.duration), 400*time.Millisecond, 3),
-		Seed:      o.seed,
-		Cancel:    drain,
-		Sessions:  clusterSessions,
-		PromptMin: (o.genPrompt + 1) / 2,
-		PromptMax: o.genPrompt,
-		OutMin:    (o.genTokens + 1) / 2,
-		OutMax:    o.genTokens,
-		Vocab:     24,
-	}
-	if o.verify {
-		spec.Verify = nodes[0].Server()
-	}
-	rep, err := loadgen.Run(r, spec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := <-rolloutDone; err != nil {
-		log.Fatal(err)
-	}
-	st := r.Stats()
-	fmt.Print(rep)
-	fmt.Printf("affinity: %.1f%% hit rate (%d hits, %d re-pins, %d pins)  failovers %d  rollouts %d\n",
-		st.AffinityHitRate()*100, st.AffinityHits, st.AffinityMisses, st.SessionPins, st.Failovers, st.Rollouts)
-	printClusterNodes(r)
-	verifyRouterTrace(r)
-	if rep.Failed > 0 || rep.Mismatches > 0 {
-		log.Fatalf("cluster demo failed: %d failed responses, %d dense mismatches", rep.Failed, rep.Mismatches)
-	}
+	runClusterLoad(logger, drain, r, o)
 }
 
-// runClusterChaos fires the -chaos fault profile against the trace-
-// driven workload: the injector's schedule and the workload's arrival
-// sequence both derive from -seed, so the same invocation replays the
-// same faults against the same requests. Every completed response is
-// dense-verified (with -verify) on node 0, which the schedule never
-// faults, and the router's decision trace is replay-checked before
-// exit. A SIGTERM drain stops arrivals, cancels unfired faults, and
-// still flushes -chaos-trace-out and -trace-out.
-func runClusterChaos(logger *obs.Logger, drain <-chan struct{}, r *cluster.Router, o options) {
-	spec, err := loadChaosTrace(o.chaosWorkload)
-	if err != nil {
-		log.Fatal(err)
+// runClusterLoad plays the fleet's load as one chaos scenario. Under
+// -chaos the -chaos-workload trace replays while the profile's seeded
+// schedule fires: the schedule and the arrival sequence both derive from
+// -seed, so the same invocation replays the same faults against the same
+// requests. Under -load the bursty ramp replays while the fleet rolls out
+// the slowest level at a third of the run (drain -> switch -> restore per
+// node; a one-node fleet has nothing to roll around). With -verify every
+// completed response is dense-checked on node 0, which no schedule
+// faults, and the router's decision trace is replay-checked before exit.
+// A SIGTERM drain stops arrivals, cancels unfired faults, and still
+// flushes -chaos-trace-out and -trace-out. The run fails on a failed
+// response, a dense mismatch, a lost chaff response, a failed replay, an
+// UNEXPECTED fault outcome, or a rollout that did not complete outside a
+// drain.
+func runClusterLoad(logger *obs.Logger, drain <-chan struct{}, r *cluster.Router, o options) {
+	var sched *chaos.Schedule
+	var load loadgen.Spec
+	if o.chaos != "" {
+		ts, err := loadChaosTrace(o.chaosWorkload)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if sched, err = chaos.NewSchedule(o.chaos, o.cluster, ts.Duration(), o.seed); err != nil {
+			log.Fatal(err)
+		}
+		load = ts.Spec(o.seed, 1)
+		logger.Infof("chaos: profile %s over trace %s — %d fault(s) scheduled across %s, seed %d",
+			sched.Profile, ts.Name, len(sched.Events), ts.Duration(), o.seed)
+	} else {
+		load = loadgen.Spec{
+			Duration:  o.duration,
+			Rate:      loadgen.SquareWave(loadgen.Ramp(o.rpsStart, o.rpsStart, o.duration), 400*time.Millisecond, 3),
+			Seed:      o.seed,
+			Sessions:  clusterSessions,
+			PromptMin: (o.genPrompt + 1) / 2,
+			PromptMax: o.genPrompt,
+			OutMin:    (o.genTokens + 1) / 2,
+			OutMax:    o.genTokens,
+			Vocab:     24,
+		}
+		if o.cluster > 1 {
+			level := r.Nodes()[0].Server().Engine().NumLevels() - 1
+			sched = &chaos.Schedule{Profile: "rollout", Seed: o.seed,
+				Events: []chaos.Event{{At: o.duration / 3, Kind: chaos.FaultRollout, Node: -1, Param: float64(level)}}}
+		}
+		logger.Infof("replaying %.0f req/s (3x bursts) over %s across %d sessions", o.rpsStart, o.duration, clusterSessions)
 	}
-	sched, err := chaos.NewSchedule(o.chaos, o.cluster, spec.Duration(), o.seed)
-	if err != nil {
-		log.Fatal(err)
+	load.Cancel = drain
+	if o.verify {
+		load.Verify = r.Nodes()[0].Server()
 	}
-	logger.Infof("chaos: profile %s over trace %s — %d fault(s) scheduled across %s, seed %d",
-		sched.Profile, spec.Name, len(sched.Events), spec.Duration(), o.seed)
-	rep, err := chaos.Scenario{
-		Router:   r,
-		Schedule: sched,
-		Spec:     spec,
-		Seed:     o.seed,
-		Verify:   o.verify,
-		Cancel:   drain,
-		Metrics:  r.Metrics(),
-	}.Run()
+	rep, err := chaos.Scenario{Router: r, Schedule: sched, Load: load, Metrics: r.Metrics()}.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -173,21 +140,20 @@ func runClusterChaos(logger *obs.Logger, drain <-chan struct{}, r *cluster.Route
 		logger.Infof("wrote %d fired fault(s) to %s", len(rep.Injector.Fired), o.chaosTraceOut)
 	}
 	fmt.Print(rep)
-	for _, f := range rep.Injector.Fired {
-		target := fmt.Sprintf("node %d", f.Event.Node)
-		if f.Event.Node < 0 {
-			target = "fleet"
-		}
-		fmt.Printf("  fault %d %-10s %-7s at %6.0fms: %s\n",
-			f.Seq, f.Event.Kind, target, f.FiredAt.Seconds()*1000, f.Outcome)
-	}
 	printClusterNodes(r)
 	if rep.ReplayErr != "" {
-		log.Fatalf("chaos demo failed: decision replay: %s", rep.ReplayErr)
+		log.Fatalf("cluster run failed: decision replay: %s", rep.ReplayErr)
 	}
-	if rep.Workload.Failed > 0 || rep.Workload.Mismatches > 0 || rep.Injector.ChaffFailed > 0 {
-		log.Fatalf("chaos demo failed: %d failed responses, %d dense mismatches, %d chaff failures",
-			rep.Workload.Failed, rep.Workload.Mismatches, rep.Injector.ChaffFailed)
+	if wl := rep.Workload; wl.Failed > 0 || wl.Mismatches > 0 || rep.Injector.ChaffFailed > 0 {
+		log.Fatalf("cluster run failed: %d failed responses, %d dense mismatches, %d chaff failures",
+			wl.Failed, wl.Mismatches, rep.Injector.ChaffFailed)
+	}
+	for _, f := range rep.Injector.Fired {
+		unexpected := strings.HasPrefix(f.Outcome, "UNEXPECTED")
+		unrolled := f.Event.Kind == chaos.FaultRollout && !strings.HasPrefix(f.Outcome, "rolled out") && !draining(drain)
+		if unexpected || unrolled {
+			log.Fatalf("cluster run failed: fault %d (%s): %s", f.Seq, f.Event.Kind, f.Outcome)
+		}
 	}
 }
 

@@ -37,13 +37,15 @@
 // With -cluster N the deployment is replicated onto N simulated
 // in-process nodes behind the session-affine cluster router (generation
 // mode implied): requests carry session keys, the -router policy places
-// unpinned sessions, a mid-run rollout drains each node in turn and
-// switches its level with zero failed responses, and every routing
-// decision lands in a seeded trace that is replay-verified before exit.
-// In cluster mode -trace-out writes that decision trace (JSON,
-// replayable via cluster.Replay) instead of the Chrome trace dump, and
-// -verify dense-checks every generation. The load spreads over 64
-// sessions, and the nodes run without a battery outside -chaos.
+// unpinned sessions, and every routing decision lands in a seeded trace
+// that is replay-verified before exit. A fleet's -load is a flat
+// -rps-start rate with 3x bursts every 400ms over 64 sessions (-rps-end
+// is read by the single server only), and at a third of -duration the
+// chaos injector rolls the fleet out to the slowest level, draining each
+// node in turn, with zero failed responses. In cluster mode -trace-out
+// writes the decision trace (JSON, replayable via cluster.Replay)
+// instead of the Chrome trace dump, and -verify dense-checks every
+// generation. The nodes run without a battery outside -chaos.
 //
 // With -chaos <profile> (cluster mode) the bursty ramp is replaced by a
 // seeded chaos scenario: a deterministic fault schedule — crashes,
@@ -51,9 +53,11 @@
 // pulses, rollouts — fires at virtual-time offsets against the
 // -chaos-workload trace (builtin diurnal/flashcrowd or a trace JSON)
 // while the router absorbs the damage with retries, failover, and
-// per-node breakers. Every completed response dense-verifies against
-// node 0 (never faulted), the decision trace is replay-checked, and
-// -chaos-trace-out records which fault landed when with what outcome.
+// per-node breakers. The trace sets the traffic and its length, so
+// -load, -duration, -rps-start and -rps-end are unused. Every completed
+// response dense-verifies against node 0 (never faulted), the decision
+// trace is replay-checked, and -chaos-trace-out records which fault
+// landed when with what outcome.
 //
 // SIGINT/SIGTERM drain gracefully in every -load mode: arrivals stop,
 // in-flight requests finish, reports print, and -trace-out flushes. The
@@ -134,13 +138,13 @@ type options struct {
 func parseFlags() options {
 	var o options
 	flag.BoolVar(&o.load, "load", false, "replay an open-loop traffic ramp and report latency/switching")
-	flag.DurationVar(&o.duration, "duration", 2*time.Second, "load-generator duration")
-	flag.Float64Var(&o.rpsStart, "rps-start", 200, "arrival rate at the start of the ramp")
-	flag.Float64Var(&o.rpsEnd, "rps-end", 800, "arrival rate at the end of the ramp")
+	flag.DurationVar(&o.duration, "duration", 2*time.Second, "load-generator duration (unused under -chaos, whose trace sets it)")
+	flag.Float64Var(&o.rpsStart, "rps-start", 200, "arrival rate at the start of the ramp; a fleet's flat base rate under its 3x bursts (unused under -chaos)")
+	flag.Float64Var(&o.rpsEnd, "rps-end", 800, "arrival rate at the end of the ramp (single server only)")
 	flag.IntVar(&o.workers, "workers", 2, "worker pool width (model replicas)")
 	flag.BoolVar(&o.autotune, "autotune", false, "closed-loop RL/DVFS controller: drive live level switches from the telemetry window, learning online (requires -load; replaces the battery governor)")
 	flag.Int64Var(&o.seed, "seed", 1, "rng seed")
-	flag.BoolVar(&o.verify, "verify", true, "check every response against dense execution (classification mode)")
+	flag.BoolVar(&o.verify, "verify", true, "check every response against masked dense execution (a single server in generation mode skips it: a generation may span a live switch)")
 	flag.BoolVar(&o.gen, "gen", false, "generation mode: KV-cached incremental decoding with continuous batching on the encoder-decoder LM")
 	flag.IntVar(&o.genTokens, "gen-tokens", 16, "generation mode: max tokens per request (load mode samples budgets in [max/2, max])")
 	flag.IntVar(&o.genPrompt, "gen-prompt", 10, "generation mode: max prompt length (load mode samples lengths in [max/2, max])")
@@ -149,9 +153,9 @@ func parseFlags() options {
 	flag.StringVar(&o.router, "router", "hash", "cluster dispatch policy: hash (rendezvous on the session key), least-loaded, or p2c")
 	flag.DurationVar(&o.stepFloor, "step-floor", 0, "minimum wall time per fused execution step (models per-node compute capacity; cluster scaling demos rely on it)")
 
-	flag.StringVar(&o.chaos, "chaos", "", "cluster mode: fire this seeded fault profile against a trace-driven workload instead of the bursty ramp (none, crash, collapse, switchfail, slowdown, pulse, rollout, all)")
+	flag.StringVar(&o.chaos, "chaos", "", "cluster mode: fire this seeded fault profile against a trace-driven workload instead of the bursty ramp (none, crash, collapse, switchfail, slowdown, pulse, rollout, all); the trace sets the traffic and its length, so -load, -duration and both rates are unused")
 	flag.StringVar(&o.chaosWorkload, "chaos-workload", "diurnal", "chaos mode: builtin workload trace (diurnal, flashcrowd) or a path to a versioned trace JSON")
-	flag.StringVar(&o.chaosTraceOut, "chaos-trace-out", "", "chaos mode: write the injector's fired-fault trace as JSON on exit (flushed on SIGTERM drain too)")
+	flag.StringVar(&o.chaosTraceOut, "chaos-trace-out", "", "cluster load or chaos mode: write the injector's fired-fault trace as JSON on exit (flushed on SIGTERM drain too)")
 
 	flag.StringVar(&o.adminAddr, "admin-addr", "", "serve /metrics, /trace, /healthz and /debug/pprof on this address (e.g. 127.0.0.1:8080)")
 	flag.StringVar(&o.traceOut, "trace-out", "", "write retained request traces as Chrome trace_event JSON to this file on exit")

@@ -58,6 +58,21 @@ func TestClusterSmokeGolden(t *testing.T) {
 	}
 }
 
+// TestClusterLoad: the fleet's -load run rolls the two nodes out to the
+// slowest level mid-run through the chaos injector, fails nothing, and
+// replays its decision trace.
+func TestClusterLoad(t *testing.T) {
+	out, errOut, status := rt3serve(t, "-cluster", "2", "-load", "-duration", "300ms", "-quiet")
+	if status != 0 {
+		t.Fatalf("rt3serve -cluster 2 -load exited %d: %s\n%s", status, errOut, out)
+	}
+	for _, want := range []string{"rolled out level 2", "decision replay:"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("rt3serve -cluster 2 -load printed no %q:\n%s", want, out)
+		}
+	}
+}
+
 // TestRefusals: a flag combination that cannot run exits 1, names the
 // flag at fault and builds nothing first.
 func TestRefusals(t *testing.T) {

@@ -31,8 +31,9 @@ type FaultKind string
 
 // Fault kinds. Each maps to one concrete hook on the cluster stack.
 const (
-	// FaultCrash kills a node mid-generation (Node.Crash); in-flight
-	// generations surface as crashed responses the router fails over.
+	// FaultCrash kills a node mid-generation (Node.Crash) once it holds
+	// at least max(Param, 1) unfinished requests; in-flight generations
+	// surface as crashed responses the router fails over.
 	FaultCrash FaultKind = "crash"
 	// FaultCollapse forces a node's battery to Param fraction of its
 	// capacity; at ~0 the readiness probe fails and the router routes
@@ -219,24 +220,54 @@ func NewInjector(r *cluster.Router, sched *Schedule) *Injector {
 // chaffKeyBase keeps pulse sessions disjoint from any workload session.
 const chaffKeyBase uint64 = 1 << 32
 
-// Run fires every scheduled event at its virtual-time offset from now,
-// blocking until the last event has been applied (and all chaff pulses
-// have resolved) or cancel closes. Safe to run concurrently with a
-// workload player — that is the point.
+// Run fires every scheduled event once it is due (see due), blocking
+// until the last event has been applied (and all chaff pulses have
+// resolved) or cancel closes; an event cancel overtakes is recorded as
+// cancelled. Safe to run concurrently with a workload player — that is
+// the point.
 func (in *Injector) Run(cancel <-chan struct{}) {
 	start := time.Now()
 	for i, ev := range in.sched.Events {
-		if d := time.Until(start.Add(ev.At)); d > 0 {
-			select {
-			case <-time.After(d):
-			case <-cancel:
-				in.record(i, ev, time.Since(start), "cancelled before firing")
-				continue
-			}
+		if !in.due(ev, start, cancel) {
+			in.record(i, ev, time.Since(start), "cancelled before firing")
+			continue
 		}
 		in.apply(i, ev, time.Since(start))
 	}
 	in.chaffWG.Wait()
+}
+
+// due blocks until ev may fire and reports false if cancel closes
+// first. An event is due at its offset from start; a crash is due once
+// its victim's server also holds at least max(Param, 1) unfinished
+// requests, so it always has work to fail over.
+func (in *Injector) due(ev Event, start time.Time, cancel <-chan struct{}) bool {
+	wait := time.After(time.Until(start.Add(ev.At)))
+	for {
+		select {
+		case <-cancel:
+			return false
+		case <-wait:
+		}
+		if ev.Kind != FaultCrash {
+			return true
+		}
+		nd, err := in.node(ev.Node)
+		if err != nil || held(nd) >= max(int(ev.Param), 1) {
+			return true // apply records a bad target
+		}
+		wait = time.After(time.Millisecond)
+	}
+}
+
+// held counts the requests nd's server has admitted and neither
+// delivered nor aborted, from its tracer's counters: every admission
+// starts a trace, which ends in one Finish or one Abort. The router's
+// in-flight count would overstate it: it still counts responses the
+// server has already sent.
+func held(nd *cluster.Node) int {
+	m := nd.Server().Metrics().Snapshot()
+	return int(m["rt3_traces_started_total"] - m["rt3_traces_finished_total"] - m["rt3_traces_aborted_total"])
 }
 
 // apply fires one event and records its outcome.

@@ -157,14 +157,9 @@ func runScenario(t *testing.T, profile, trace string, seed int64) *chaos.Scenari
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := chaos.Scenario{
-		Router:    r,
-		Schedule:  sched,
-		Spec:      spec,
-		Seed:      seed,
-		TimeScale: scale,
-		Verify:    true,
-	}.Run()
+	load := spec.Spec(seed, scale)
+	load.Verify = r.Nodes()[0].Server()
+	rep, err := chaos.Scenario{Router: r, Schedule: sched, Load: load}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,6 +204,32 @@ func TestScenarioCrashDiurnal(t *testing.T) {
 	}
 	if rep.Workload.Completed() == 0 {
 		t.Fatal("no completed responses")
+	}
+}
+
+// TestCrashWaitsForWork: a crash due at offset 0 against a fleet with
+// no load does not fire while its victim holds nothing; cancel records
+// it as cancelled, and the victim stays in rotation.
+func TestCrashWaitsForWork(t *testing.T) {
+	r := newChaosCluster(t, 2)
+	inj := chaos.NewInjector(r, &chaos.Schedule{Profile: "crash", Events: []chaos.Event{{Kind: chaos.FaultCrash, Node: 1}}})
+	cancel, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		inj.Run(cancel)
+	}()
+	time.Sleep(50 * time.Millisecond)
+	if st := r.Nodes()[1].State(); st != cluster.Active {
+		t.Fatalf("node 1 is %s before any work reached it, want active", st)
+	}
+	close(cancel)
+	<-done
+	fired := inj.Trace().Fired
+	if len(fired) != 1 || fired[0].Outcome != "cancelled before firing" {
+		t.Fatalf("fired %+v, want the crash cancelled before firing", fired)
+	}
+	if st := r.Nodes()[1].State(); st != cluster.Active {
+		t.Fatalf("node 1 is %s after the cancelled crash, want active", st)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"rt3/internal/data"
 	"rt3/internal/prune"
 	"rt3/internal/rt3"
 )
@@ -219,7 +220,7 @@ func Figure5(s Scale) (*Figure5Result, error) {
 		})
 		return nil
 	}
-	for i, name := range glueNames {
+	for i, name := range data.GLUETaskNames {
 		if err := bar(name, NewGLUETaskModel(s, name, int64(81+i)), int64(91+i)); err != nil {
 			return nil, err
 		}
@@ -229,8 +230,6 @@ func Figure5(s Scale) (*Figure5Result, error) {
 	}
 	return out, nil
 }
-
-var glueNames = []string{"MNLI", "QQP", "QNLI", "SST-2", "CoLA", "STS-B", "MRPC", "RTE", "WNLI"}
 
 // String renders Fig. 5 as a table (original vs BP bars with rates).
 func (r *Figure5Result) String() string {

@@ -64,15 +64,9 @@ func Ramp(start, end float64, over time.Duration) Rate {
 
 // SquareWave multiplies base by factor during the second half of every
 // period — alternating calm and pressured phases, the regime a closed-
-// loop controller has to ride. A factor in (0, 1) is an anti-burst; a
-// non-positive one means 3, and a non-positive period means no bursts.
+// loop controller has to ride. A factor in (0, 1) is an anti-burst.
+// Period and factor must be positive.
 func SquareWave(base Rate, period time.Duration, factor float64) Rate {
-	if period <= 0 {
-		return base
-	}
-	if factor <= 0 {
-		factor = 3
-	}
 	return func(at time.Duration) float64 {
 		rps := base(at)
 		if at%period >= period/2 {
