@@ -157,10 +157,10 @@ func runChaosArm(seed int64, profile, trace string, runSeed int64) (chaosArmRow,
 		TokensPerSec: wl.TokensPerSec, P50MS: wl.P50MS, P99MS: wl.P99MS,
 		Verified: wl.Verified, Mismatches: wl.Mismatches,
 		Failovers: st.Failovers, Retries: st.Retries, BreakerTrips: st.BreakerTrips, Rollouts: st.Rollouts,
-		FaultsFired: len(rep.Injector.Fired), ChaffFailed: rep.Injector.ChaffFailed,
-		Replayed: rep.Replayed, ReplayErr: rep.ReplayErr,
+		ChaffFailed: rep.Injector.ChaffFailed, Replayed: rep.Replayed, ReplayErr: rep.ReplayErr,
 		ResponseHash: fmt.Sprintf("%016x", wl.ResponseHash),
 	}
+	row.FaultsFired, _ = rep.Injector.Counts()
 	for _, f := range rep.Injector.Fired {
 		if strings.HasPrefix(f.Outcome, "UNEXPECTED") {
 			row.Unexpected++

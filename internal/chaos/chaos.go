@@ -170,6 +170,10 @@ func NewSchedule(profile string, nodes int, duration time.Duration, seed int64) 
 // errInjected is the planted reconfiguration failure.
 var errInjected = errors.New("chaos: injected switch fault")
 
+// outcomeCancelled is the outcome the injector records for an event
+// the run ended before it was due; every other outcome is a fired one's.
+const outcomeCancelled = "cancelled before firing"
+
 // Fired is one applied fault in the injector's trace: the event, the
 // wall offset it actually fired at, and what happened.
 type Fired struct {
@@ -192,6 +196,18 @@ type InjectorTrace struct {
 	ChaffCompleted int `json:"chaff_completed"`
 	ChaffShed      int `json:"chaff_shed"`
 	ChaffFailed    int `json:"chaff_failed"`
+}
+
+// Counts returns how many of the trace's events fired, whatever their
+// outcome (what rt3_chaos_events_total counts), and how many were
+// cancelled before firing.
+func (t *InjectorTrace) Counts() (fired, cancelled int) {
+	for _, f := range t.Fired {
+		if f.Outcome == outcomeCancelled {
+			cancelled++
+		}
+	}
+	return len(t.Fired) - cancelled, cancelled
 }
 
 // Injector owns a schedule and fires it against a router. One injector
@@ -229,7 +245,7 @@ func (in *Injector) Run(cancel <-chan struct{}) {
 	start := time.Now()
 	for i, ev := range in.sched.Events {
 		if !in.due(ev, start, cancel) {
-			in.record(i, ev, time.Since(start), "cancelled before firing")
+			in.record(i, ev, time.Since(start), outcomeCancelled)
 			continue
 		}
 		in.apply(i, ev, time.Since(start))

@@ -3,11 +3,14 @@ package chaos_test
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"rt3/internal/chaos"
 	"rt3/internal/cluster"
+	"rt3/internal/loadgen"
+	"rt3/internal/obs"
 	"rt3/internal/serve"
 	"rt3/internal/transformer"
 )
@@ -230,6 +233,34 @@ func TestCrashWaitsForWork(t *testing.T) {
 	}
 	if st := r.Nodes()[1].State(); st != cluster.Active {
 		t.Fatalf("node 1 is %s after the cancelled crash, want active", st)
+	}
+}
+
+// TestScenarioReportCountsCancelledApart: a scenario whose only event
+// is a crash that never becomes due (a 1 req/s load offers nothing in
+// its 50 ms, so no work reaches the victim) reports 0 faults fired and
+// 1 cancelled, as rt3_chaos_events_total counts it.
+func TestScenarioReportCountsCancelledApart(t *testing.T) {
+	r := newChaosCluster(t, 2)
+	reg := obs.NewRegistry()
+	rep, err := chaos.Scenario{
+		Router:   r,
+		Schedule: &chaos.Schedule{Profile: "crash", Events: []chaos.Event{{Kind: chaos.FaultCrash, Node: 1}}},
+		Load: loadgen.Spec{Duration: 50 * time.Millisecond, Rate: loadgen.Ramp(1, 1, time.Second),
+			Sessions: 1, PromptMin: 1, PromptMax: 1, OutMin: 1, OutMax: 1, Vocab: 2},
+		Metrics: reg,
+	}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fired := rep.Injector.Fired; len(fired) != 1 || fired[0].Outcome != "cancelled before firing" {
+		t.Fatalf("fired %+v, want the crash cancelled before firing", fired)
+	}
+	if out := rep.String(); !strings.Contains(out, "profile crash: 0 faults fired, 1 cancelled\n") {
+		t.Fatalf("report header does not count the crash as cancelled:\n%s", out)
+	}
+	if got := reg.Snapshot()["rt3_chaos_events_total"]; got != 0 {
+		t.Fatalf("rt3_chaos_events_total = %v, want 0", got)
 	}
 }
 

@@ -40,11 +40,14 @@ type ScenarioReport struct {
 }
 
 // String renders the report in the repo's table style: the faults and
-// their outcomes, the workload, the router's counters and the replay.
+// their outcomes (a header counting the fired ones, as
+// rt3_chaos_events_total does, apart from those cancelled before
+// firing), the workload, the router's counters and the replay.
 func (r *ScenarioReport) String() string {
 	var b strings.Builder
 	if r.Profile != "" {
-		fmt.Fprintf(&b, "profile %s: %d faults fired", r.Profile, len(r.Injector.Fired))
+		fired, cancelled := r.Injector.Counts()
+		fmt.Fprintf(&b, "profile %s: %d faults fired, %d cancelled", r.Profile, fired, cancelled)
 		if r.Injector.ChaffOffered > 0 {
 			fmt.Fprintf(&b, "  chaff %d offered / %d completed / %d shed / %d failed",
 				r.Injector.ChaffOffered, r.Injector.ChaffCompleted, r.Injector.ChaffShed, r.Injector.ChaffFailed)

@@ -17,33 +17,35 @@ import "fmt"
 // the features of 16 consecutive key rows as 16 contiguous floats. The
 // vector lane is the key row (for the value sum: the output column), so
 // the reduction order of every single score and context element is the
-// scalar loop's; the kernels only run such sums side by side: the ZMM
-// kernels up to 64 per pass, eight independent 8-lane accumulator
-// chains, the YMM kernel 16, four 4-lane chains.
+// scalar loop's; the kernels only run such sums side by side, eight
+// independent accumulator chains of 8 (ZMM) or 4 (YMM) lanes.
+//
+// # Pages
+//
+// Keys and values live in pages of ld rows (AttendPaged): a KV cache's
+// fixed pages, or the batched path's one scratch block (Attend, one
+// page of ld >= rows rows). A head-row is two kernel calls, each walking
+// the page table itself. The score pass takes the window as a list of
+// AttendBlock-key blocks, wherever their pages are, and sums up to four
+// of them per feature loop, so a page of one block costs what a longer
+// one does. The value pass keeps each context sum in a register from
+// the window's first page to its last.
 //
 // # Twins
 //
 // Three twins compute the same bits, picked once from CPUID/XCR0 by
-// attendGate: avx512 runs the ZMM kernels over the whole 16-column
-// blocks and the YMM kernel over a last partial one, avx the YMM kernel
-// alone, go the portable loops. Their sums need no FMA3.
+// attendGate: avx512 runs the ZMM kernels, avx the YMM kernels, go the
+// portable loops (vecMatGo, page by page). Their sums need no FMA3.
 //
 // # Padding
 //
-// The score product always reads whole blocks of AttendBlock key rows:
-// kT must be readable up to the window rounded up to a block (a KV cache
-// rounds its capacity, the batched path pads its scratch). What the
-// lanes past the window hold — stale rows of a truncated cache, the next
-// sequence's keys, NaN — never reaches a stored result: lanes do not
-// mix, and only the window's scores are stored.
-//
-// # Pages
-//
-// A KV cache stores its rows in fixed pages (AttendPaged); the batched
-// path's one scratch block is a single page (Attend). A page's scores
-// are a product of their own, and the value pass runs page by page, each
-// call starting its sums from the context the last one stored, so every
-// sum is the one ascending chain a single block would run.
+// The score pass always reads whole blocks of AttendBlock key rows: a
+// page must be readable up to its rows rounded up to a block (a KV page
+// is a whole number of blocks, the batched path pads its scratch). What
+// the lanes past the window hold — stale rows of a truncated cache, the
+// next sequence's keys, NaN — never reaches a stored result: lanes do
+// not mix, and only the window's scores are stored. The value pass
+// reads only the head's columns.
 //
 // # Bit identity
 //
@@ -62,9 +64,9 @@ import "fmt"
 // zero probability now yields NaN where the skip hid it — values are
 // finite activations, and hiding an Inf was never a contract.
 
-// AttendBlock is the number of key rows (or output columns) the YMM
-// kernel sums side by side and the ZMM kernels' pass widths are
-// multiples of; key storage is padded to a multiple of it.
+// AttendBlock is the number of key rows a score block holds; key
+// storage is padded to a multiple of it, and a page of several holds a
+// whole number of blocks.
 const AttendBlock = 16
 
 // AttendPadded rounds a key-row count up to whole blocks: how far a key
@@ -83,13 +85,13 @@ func Attend(out, q, kT []float64, ld int, v []float64, vs, rows int, scale float
 }
 
 // AttendPaged is Attend over key and value rows stored in pages of ld
-// rows each, ld a multiple of AttendBlock: page i holds rows
-// [i*ld, (i+1)*ld), its keys feature-major from pages[i][ko] (feature c
-// of its row j at pages[i][ko+c*ld+j]) and its values row-major from
-// pages[i][vo] at row stride vs. Each page's scores are independent
-// sums, the softmax runs over the whole window, and each context
-// element's ascending sum carries on from page to page, so the result
-// is Attend's over the same rows, bit for bit.
+// rows each, ld a multiple of AttendBlock when the window spans more
+// than one page: page i holds rows [i*ld, (i+1)*ld), its keys
+// feature-major from pages[i][ko] (feature c of its row j at
+// pages[i][ko+c*ld+j]) and its values row-major from pages[i][vo] at
+// row stride vs. Every score and context element is the one ascending
+// sum a single block would run, so the result is Attend's over the same
+// rows, bit for bit.
 func AttendPaged(out, q []float64, pages [][]float64, ko, vo, ld, vs, rows int, scale float64, p []float64) {
 	attend(out, q, pages, ko, pages, vo, ld, vs, rows, scale, p, attendHost)
 }
@@ -100,61 +102,51 @@ func AttendPaged(out, q []float64, pages [][]float64, ko, vo, ld, vs, rows int, 
 // this host has.
 func attend(out, q []float64, k [][]float64, ko int, v [][]float64, vo, ld, vs, rows int, scale float64, p []float64, kern isa) {
 	hd := len(q)
-	ok := rows >= 1 && hd > 0 && len(out) == hd && len(p) >= rows && ld >= 1 && len(k) >= (rows+ld-1)/ld && len(v) >= (rows+ld-1)/ld
+	n := (rows + ld - 1) / max(ld, 1) // pages the window spans
+	ok := rows >= 1 && hd > 0 && len(out) == hd && len(p) >= rows && ld >= 1 && (n == 1 || ld%AttendBlock == 0) &&
+		len(k) >= n && len(v) >= n
 	for i, j0 := 0, 0; ok && j0 < rows; i, j0 = i+1, j0+ld {
-		n := min(ld, rows-j0)
-		ok = len(k[i]) >= ko+(hd-1)*ld+AttendPadded(n) && len(v[i]) >= vo+(n-1)*vs+hd
+		r := min(ld, rows-j0)
+		ok = ko >= 0 && vo >= 0 && len(k[i]) >= ko+(hd-1)*ld+AttendPadded(r) && len(v[i]) >= vo+(r-1)*vs+hd
 	}
 	if !ok {
 		panic(fmt.Sprintf("mat: Attend head dim %d/%d over %d rows in %d-row pages: %d key and %d value pages, %d scores",
 			hd, len(out), rows, ld, len(k), len(v), len(p)))
 	}
 	p = p[:rows]
-	for i, j0 := 0, 0; j0 < rows; i, j0 = i+1, j0+ld {
-		vecMat(p[j0:min(j0+ld, rows)], q, k[i][ko:], ld, scale, true, false, kern)
+	switch kern {
+	case isaZ:
+		attendScoresZ(&p[0], &q[0], hd, &k[0], ko, ld, rows, scale)
+	case isaAVX:
+		attendScoresAVX(&p[0], &q[0], hd, &k[0], ko, ld, rows, scale)
+	default:
+		for i, j0 := 0, 0; j0 < rows; i, j0 = i+1, j0+ld {
+			vecMatGo(p[j0:min(j0+ld, rows)], q, k[i][ko:], ld, scale, false)
+		}
 	}
 	softmax(p, p, min(kern, tailHost))
-	for i, j0 := 0, 0; j0 < rows; i, j0 = i+1, j0+ld {
-		vecMat(out, p[j0:min(j0+ld, rows)], v[i][vo:], vs, 1, false, i > 0, kern)
-	}
-}
-
-// vecMat computes dst = scale * (a @ B) for the row-major len(a) x
-// len(dst) matrix b at row stride stride, each dst element summing its
-// products in ascending row order. The ZMM kernels take the whole
-// blocks. padded says every row of b is readable up to len(dst) rounded
-// up to AttendBlock, which lets the YMM kernel take the last partial
-// block too; otherwise the portable loop runs the columns past the last
-// full block. With acc set each sum starts from dst instead of 0, which
-// carries a sum stored at scale 1 on over more rows unchanged (a stored
-// float64 reloads exactly, and the multiply by 1 is exact); the value
-// pass, which is never padded, is its only user.
-func vecMat(dst, a, b []float64, stride int, scale float64, padded, acc bool, kern isa) {
-	done, whole := 0, len(dst)-len(dst)%AttendBlock
-	if kern == isaZ && whole > 0 {
-		vecMatZ(&dst[0], &a[0], len(a), &b[0], stride, whole, scale, acc)
-		done = whole
-	}
-	if kern != isaGo {
-		end := whole
-		if padded {
-			end = len(dst)
+	switch kern {
+	case isaZ:
+		attendValuesZ(&out[0], &p[0], hd, &v[0], vo, ld, vs, rows)
+	case isaAVX:
+		attendValuesAVX(&out[0], &p[0], hd, &v[0], vo, ld, vs, rows)
+	default:
+		for i, j0 := 0, 0; j0 < rows; i, j0 = i+1, j0+ld {
+			vecMatGo(out, p[j0:min(j0+ld, rows)], v[i][vo:], vs, 1, i > 0)
 		}
-		if done < end {
-			vecMat16AVX(&dst[done], &a[0], len(a), &b[done], stride, end-done, scale, acc)
-			done = end
-		}
-	}
-	if done < len(dst) {
-		vecMatGo(dst[done:], a, b[done:], stride, scale, acc)
 	}
 }
 
 // vecMatGo is the portable kernel, the loop nest the assembly kernels
-// replicate: AttendBlock columns at a time, one accumulator per column.
-// It reads only the len(dst) real columns. The attention core stays
-// unfused (VMULPD then VADDPD): the conversion keeps a port that fuses
-// x*y + z on its own (arm64 and others) to the same rounding.
+// replicate: dst = scale * (a @ B) for the row-major len(a) x len(dst)
+// matrix b at row stride stride, AttendBlock columns at a time, one
+// accumulator per column summing in ascending row order. It reads only
+// the len(dst) real columns. With acc set each sum starts from dst
+// instead of 0, which carries a sum stored at scale 1 on over the next
+// page's rows unchanged (a stored float64 reloads exactly, and the
+// multiply by 1 is exact). The attention core stays unfused (VMULPD
+// then VADDPD): the conversion keeps a port that fuses x*y + z on its
+// own (arm64 and others) to the same rounding.
 func vecMatGo(dst, a, b []float64, stride int, scale float64, acc bool) {
 	for j0 := 0; j0 < len(dst); j0 += AttendBlock {
 		var sum [AttendBlock]float64

@@ -2,20 +2,29 @@
 
 package mat
 
-// vecMat16AVX computes dst[j] = scale * Σ_i a[i]*b[i*stride+j] for
-// j < cols, i ascending over n >= 1 rows, AttendBlock columns at a time
-// (attend_amd64.s). It loads whole blocks — b must be readable to cols
-// rounded up to AttendBlock in every row — and stores only cols
-// results. With acc set each sum starts from dst[j], and cols must be a
-// multiple of AttendBlock (the partial block loads no partial dst).
-// Bit-identical to vecMatGo.
+// attendScoresZ stores p[j] = scale * Σ_c q[c]*key(j, c) for the j <
+// rows of a window in pages of ld rows: page i is the slice k points
+// at plus i, its keys feature-major from element ko at stride ld (see
+// AttendPaged). It loads whole 16-key blocks — every page must be
+// readable to its rows rounded up to AttendBlock — and stores only the
+// rows scores (attend_amd64.s). Needs AVX-512F (attendGate).
 //
 //go:noescape
-func vecMat16AVX(dst, a *float64, n int, b *float64, stride, cols int, scale float64, acc bool)
+func attendScoresZ(p, q *float64, hd int, k *[]float64, ko, ld, rows int, scale float64)
 
-// vecMatZ is vecMat16AVX in ZMM registers for cols a positive multiple
-// of AttendBlock: 64 columns per pass, then one pass of 48, 32 or 16.
-// With acc set each sum starts from dst[j]. Needs AVX-512F (attendGate).
+// attendValuesZ stores out[c] = Σ_j p[j]*value(j, c) for the hd columns
+// c, j ascending over the window's rows in pages of ld rows: page i's
+// values row-major from element vo at row stride vs. It loads and
+// stores nothing outside the head's columns. Needs AVX-512F.
 //
 //go:noescape
-func vecMatZ(dst, a *float64, n int, b *float64, stride, cols int, scale float64, acc bool)
+func attendValuesZ(out, p *float64, hd int, v *[]float64, vo, ld, vs, rows int)
+
+// attendScoresAVX and attendValuesAVX are the two passes in YMM
+// registers. Need AVX.
+//
+//go:noescape
+func attendScoresAVX(p, q *float64, hd int, k *[]float64, ko, ld, rows int, scale float64)
+
+//go:noescape
+func attendValuesAVX(out, p *float64, hd int, v *[]float64, vo, ld, vs, rows int)

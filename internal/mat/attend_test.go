@@ -64,6 +64,41 @@ func (c *attendCase) run() {
 	mat.Attend(c.out, c.q, c.kT, c.ld, c.v, c.vs, c.rows, c.scale, c.p)
 }
 
+// pagedAttend is a case's window stored as a KV cache stores it: pages
+// of ld rows, each 2*dim*ld floats holding heads heads of the case's
+// head dim, keys feature-major then values row-major; the case is the
+// last head (a head offset inside the key and the value block). Every
+// element outside the window holds pad. The pages are carved from
+// arena in order when it is non-nil, else each is its own allocation.
+type pagedAttend struct {
+	pages      [][]float64
+	ko, vo, vs int
+}
+
+func (c *attendCase) paged(arena []float64, ld, heads int, pad float64) pagedAttend {
+	hd := len(c.q)
+	dim, ho := heads*hd, (heads-1)*hd
+	pg := pagedAttend{pages: make([][]float64, (c.rows+ld-1)/ld), ko: ho * ld, vo: dim*ld + ho, vs: dim}
+	for i := range pg.pages {
+		if size := 2 * dim * ld; arena != nil {
+			pg.pages[i] = arena[i*size : (i+1)*size : (i+1)*size]
+		} else {
+			pg.pages[i] = make([]float64, size)
+		}
+		for j := range pg.pages[i] {
+			pg.pages[i][j] = pad
+		}
+	}
+	for j := 0; j < c.rows; j++ {
+		page, r := pg.pages[j/ld], j%ld
+		for f := 0; f < hd; f++ {
+			page[(ho+f)*ld+r] = c.refK.At(j, f)
+			page[dim*ld+r*dim+ho+f] = c.refV.At(j, f)
+		}
+	}
+	return pg
+}
+
 func (c *attendCase) check(t *testing.T, what string) {
 	t.Helper()
 	for i, w := range c.wantProbs {
@@ -326,19 +361,119 @@ func TestPackKeysRoundTrip(t *testing.T) {
 	}
 }
 
-// BenchmarkAttendRow is one head-row at the serving head dim over a
-// short, a medium and a full-length window, beside the naive scalar
-// reference — a rough guide (this host is noisy); the enforced
-// comparison is the repository benchmark.
-func BenchmarkAttendRow(b *testing.B) {
-	rng := rand.New(rand.NewSource(146))
-	for _, rows := range []int{16, 64, 208} {
-		c := newAttendCase(rng, 48, rows, rows, mat.AttendPadded(rows), 192, 1, 0)
-		b.Run(fmt.Sprintf("kernel/%d", rows), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				c.run()
+// FuzzAttendPaged holds every twin of AttendPaged to the naive reference
+// at tolerance 0 on arbitrary shapes: a window of 1-300 rows in pages of
+// 16, 32 or 64 rows, head dims 1-70 as the last of one or three heads
+// per page, any finite scale up to 1e3 (underflowed probabilities
+// included), and NaN, ±Inf or a large finite value in every element
+// outside the window — the spare key lanes the score pass loads
+// included. The probability and context buffers hold a sentinel past
+// their ends.
+func FuzzAttendPaged(f *testing.F) {
+	f.Add(uint16(1), uint8(0), uint8(0), 1.0, uint8(0), int64(1))
+	f.Add(uint16(129), uint8(1), uint8(47), 0.125, uint8(1), int64(2))
+	f.Add(uint16(207), uint8(5), uint8(69), 1e3, uint8(2), int64(3))
+	f.Add(uint16(63), uint8(2), uint8(16), -0.5, uint8(3), int64(4))
+	const sentinel = 7
+	spares := [...]float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300}
+	type twin struct {
+		name   string
+		attend func(out, q []float64, pages [][]float64, ko, vo, ld, vs, rows int, scale float64, p []float64)
+	}
+	var twins []twin
+	for _, name := range []string{"go", "avx", "avx512"} {
+		if attend, ok := mat.AttendPagedTwin(name); ok {
+			twins = append(twins, twin{name, attend})
+		}
+	}
+	f.Fuzz(func(t *testing.T, window uint16, shape, hdIn uint8, scale float64, spare uint8, seed int64) {
+		rows, hd := 1+int(window)%300, 1+int(hdIn)%70
+		ld, heads := 16<<(shape%3), 1+2*int(shape/3%2)
+		rng := rand.New(rand.NewSource(seed))
+		c := newAttendCase(rng, hd, rows, rows, mat.AttendPadded(rows), hd, 1, 0)
+		if math.Abs(scale) <= 1e3 {
+			c.scale = scale
+			c.wantProbs = testutil.NaiveAttend(c.wantOut, c.q, c.refK, c.refV, c.scale)
+		}
+		pg := c.paged(nil, ld, heads, spares[spare%4])
+		for _, tw := range twins {
+			out, p := make([]float64, hd+mat.AttendBlock), make([]float64, rows+mat.AttendBlock)
+			for i := range out {
+				out[i] = sentinel
 			}
-		})
+			for i := range p {
+				p[i] = sentinel
+			}
+			tw.attend(out[:hd], c.q, pg.pages, pg.ko, pg.vo, ld, pg.vs, rows, c.scale, p[:rows])
+			what := fmt.Sprintf("%s: hd %d, %d rows in %d-row pages, head %d of %d, scale %v",
+				tw.name, hd, rows, ld, heads-1, heads, c.scale)
+			for _, x := range append(out[hd:], p[rows:]...) {
+				if x != sentinel {
+					t.Fatalf("%s: stored past the end of a result", what)
+				}
+			}
+			for i, w := range c.wantProbs {
+				if math.Float64bits(p[i]) != math.Float64bits(w) {
+					t.Fatalf("%s: probability %d = %v, naive reference %v", what, i, p[i], w)
+				}
+			}
+			for i, w := range c.wantOut {
+				if math.Float64bits(out[i]) != math.Float64bits(w) {
+					t.Fatalf("%s: context %d = %v, naive reference %v", what, i, out[i], w)
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkAttendRow is one head-row at the serving head dim (48 of a
+// 192-wide row) on each twin this host runs, beside the naive scalar
+// reference: over a 16- and a 64-row window in one block, and over 80,
+// 130 and 208 rows in one block and in pages of 16, 32 and 64 rows, the
+// last head of a KV cache's page. Every layout of a window is written
+// into the same memory before its timing, so the rows compare layouts,
+// not where the allocator put them (which alone moved a row by up to
+// 1.4x between runs). Each paged row should sit within a few percent of
+// its one block. A rough guide (this host is noisy): run it at
+// GOMAXPROCS 1 with -count, so the rows interleave, and read medians;
+// the enforced comparison is the repository benchmark.
+func BenchmarkAttendRow(b *testing.B) {
+	const hd, heads = 48, 4
+	rng := rand.New(rand.NewSource(146))
+	for _, name := range []string{"go", "avx", "avx512"} {
+		block, ok := mat.AttendTwin(name)
+		paged, _ := mat.AttendPagedTwin(name)
+		if !ok {
+			continue
+		}
+		for _, rows := range []int{16, 64, 80, 130, 208} {
+			c := newAttendCase(rng, hd, rows, rows, mat.AttendPadded(rows), hd*heads, 1, 0)
+			arena := make([]float64, 2*hd*heads*mat.AttendPadded(rows)+2*hd*heads*64)
+			b.Run(fmt.Sprintf("%s/%d/block", name, rows), func(b *testing.B) {
+				kT, v := arena[:len(c.kT)], arena[len(c.kT):][:len(c.v)]
+				copy(kT, c.kT)
+				copy(v, c.v)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					block(c.out, c.q, kT, c.ld, v, c.vs, rows, c.scale, c.p)
+				}
+			})
+			if rows < 80 {
+				continue
+			}
+			for _, ld := range []int{16, 32, 64} {
+				b.Run(fmt.Sprintf("%s/%d/page%d", name, rows, ld), func(b *testing.B) {
+					pg := c.paged(arena, ld, heads, 0)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						paged(c.out, c.q, pg.pages, pg.ko, pg.vo, ld, pg.vs, rows, c.scale, c.p)
+					}
+				})
+			}
+		}
+	}
+	for _, rows := range []int{16, 64, 208} {
+		c := newAttendCase(rng, hd, rows, rows, mat.AttendPadded(rows), hd*heads, 1, 0)
 		b.Run(fmt.Sprintf("naive/%d", rows), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				testutil.NaiveAttend(c.wantOut, c.q, c.refK, c.refV, c.scale)

@@ -22,12 +22,20 @@ func laneKern8Z(idx *uint16, val *float64, steps int, xt, c *float64, ldc int, c
 	panic("mat: laneKern8Z without asm")
 }
 
-func vecMat16AVX(dst, a *float64, n int, b *float64, stride, cols int, scale float64, acc bool) {
-	panic("mat: vecMat16AVX without asm")
+func attendScoresZ(p, q *float64, hd int, k *[]float64, ko, ld, rows int, scale float64) {
+	panic("mat: attendScoresZ without asm")
 }
 
-func vecMatZ(dst, a *float64, n int, b *float64, stride, cols int, scale float64, acc bool) {
-	panic("mat: vecMatZ without asm")
+func attendValuesZ(out, p *float64, hd int, v *[]float64, vo, ld, vs, rows int) {
+	panic("mat: attendValuesZ without asm")
+}
+
+func attendScoresAVX(p, q *float64, hd int, k *[]float64, ko, ld, rows int, scale float64) {
+	panic("mat: attendScoresAVX without asm")
+}
+
+func attendValuesAVX(out, p *float64, hd int, v *[]float64, vo, ld, vs, rows int) {
+	panic("mat: attendValuesAVX without asm")
 }
 
 func packLanes8Z(xt, x *float64, K, lanes, rows, kn int) { panic("mat: packLanes8Z without asm") }

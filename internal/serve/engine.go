@@ -609,6 +609,11 @@ func (e *Engine) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("rt3_kv_pages_held",
 		"Distinct KV-cache pages held now; a page a prefix-cache entry shares with the sequences loaded from it counts once.",
 		func() float64 { _, held := transformer.KVPages(); return float64(held) })
+	for i, component := range [...]string{"kv_pages_held", "kv_pages_free"} {
+		reg.GaugeFunc("rt3_memory_bytes",
+			"Bytes one component of the process's memory holds, read at scrape from the structure that owns them: kv_pages_held, the KV pages caches hold (a page shared with a prefix-cache entry counted once); kv_pages_free, the KV pages the pool keeps for reuse.",
+			func() float64 { return float64(transformer.KVPageMemory()[i]) }, obs.L("component", component))
+	}
 	reg.GaugeFunc("rt3_level", "Active V/F level index (bundle order, fastest first).",
 		func() float64 { return float64(e.Level()) })
 }

@@ -264,7 +264,7 @@ func TestPrefixCacheMetricsExposition(t *testing.T) {
 // TestKVPageAllocsFlatOnRepeatedLoad: rt3_kv_page_allocs_total counts
 // the KV pages the pool had to make. A second run of the same load —
 // split generations whose prompts evict each other from the prefix
-// cache, then plain ones whose caches take a second page — takes every
+// cache, then plain ones whose caches take further pages — takes every
 // page from the pool, so the counter stays flat across it. Once every
 // reply is in, rt3_kv_pages_held has risen by the pages of the one
 // cached prompt alone: every slot let go of the pages it shared with it.
@@ -310,12 +310,50 @@ func TestKVPageAllocsFlatOnRepeatedLoad(t *testing.T) {
 	if again := made(); again != first {
 		t.Fatalf("rt3_kv_page_allocs_total rose from %v to %v over a repeat of the same load", first, again)
 	}
-	// a 70-row prompt: 2 self and 2 memory pages in each decoder layer
-	if got, want := metric("rt3_kv_pages_held")-held, float64(4*cfg.DecLayers); got != want {
+	// a 70-row prompt: its self and its memory pages in each decoder layer
+	pages := (prefixLen + transformer.KVPageRows - 1) / transformer.KVPageRows
+	if got, want := metric("rt3_kv_pages_held")-held, float64(2*pages*cfg.DecLayers); got != want {
 		t.Fatalf("rt3_kv_pages_held rose by %v over the load, want the cached prompt's %v pages", got, want)
 	}
 	if st, _ := srv.PrefixCacheStats(); st.Evictions == 0 {
 		t.Fatalf("%+v: no prefix-cache entry was evicted, the load does not give pages back through eviction", st)
+	}
+}
+
+// TestMemoryBytesKVPages: rt3_memory_bytes prices the KV pool at
+// scrape. After a warm one-model load the held component is the pages
+// held times one page's bytes — 2·dim·KVPageRows float64s — and the free
+// component prices the pages made and not held the same way: with one
+// model dim the pool drops no page.
+func TestMemoryBytesKVPages(t *testing.T) {
+	cfg := lmCfg
+	cfg.SeqLen = 64
+	eng, _ := newLMDeploymentCfg(t, cfg, 1, "pattern")
+	srv := serve.New(eng, serve.Config{Generate: true, MaxBatch: 4, QueueCap: 64, MaxGenTokens: 40, PrefixCacheRows: 20})
+	srv.Start()
+	defer srv.Stop()
+	for round := 0; round < 2; round++ {
+		for _, p := range randSeqs(6, 10, cfg.Vocab, 813) {
+			ch, err := srv.SubmitGenOpts(p, serve.GenOpts{MaxTokens: 40, EOS: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp := <-ch; resp.Err != nil {
+				t.Fatal(resp.Err)
+			}
+		}
+	}
+	snap := srv.Metrics().Snapshot()
+	page := float64(2 * cfg.Dim * transformer.KVPageRows * 8)
+	held, made := snap["rt3_kv_pages_held"], snap["rt3_kv_page_allocs_total"]
+	if held == 0 || made == held {
+		t.Fatalf("%v pages made, %v held: the load leaves no page both held and free", made, held)
+	}
+	for component, pages := range map[string]float64{"kv_pages_held": held, "kv_pages_free": made - held} {
+		series := `rt3_memory_bytes{component="` + component + `"}`
+		if got, ok := snap[series]; !ok || got != pages*page {
+			t.Errorf("%s = %v (present %v), want %v pages x %v bytes", series, got, ok, pages, page)
+		}
 	}
 }
 

@@ -57,11 +57,20 @@ type KVCache struct {
 }
 
 // kvPage is the rows one KV page holds, a multiple of mat.AttendBlock;
-// at the benchmark's dim 192 a page is 192 KiB. Against 32, measured on
-// a 2-vCPU AVX-512 host: one head-row of attention over 80-208 rows runs
-// 3-7% over one unpaged block at 64 and 8-13% at 32, and decode_heavy
-// reads about 5% more out_tok_s at 64 for 2.4 MB more peak RSS.
-const kvPage = 64
+// at the benchmark's dim 192 a page is 96 KiB. It is sized by
+// measurement on a 2-vCPU AVX-512 host, the attention core walking the
+// pages inside its kernels: against one unpaged block, one head-row
+// over 80-208 rows runs its score pass at parity at any page height and
+// its value pass 2-3% over at 32 rows, 4-10% over at 16 (each page's
+// values start a new hardware prefetch stream). The whole head-row
+// reads 1.00-1.03x at 32 and 1.025-1.055x at 16, five of six rows over
+// the 1.03x the page had to meet. A 16-row page (48 KiB) would save
+// decode_heavy's 16-row prompts another 16 rows per cross cache.
+const kvPage = 32
+
+// KVPageRows is kvPage, for tests outside this package that count
+// pages.
+const KVPageRows = kvPage
 
 // kvPageBuf is a page and its holder count, atomic because replicas
 // share a snapshot's pages and let go of them concurrently.
@@ -72,10 +81,12 @@ type kvPageBuf struct {
 
 // kvPages is the pool every KVCache takes its pages from and gives them
 // back to; pagesMade counts the pages it had to make, pagesOut the pages
-// at least one cache holds.
+// at least one cache holds, bytesMade and bytesOut the bytes of the
+// pages made (less those dropped) and of the pages held.
 var (
 	kvPages             mat.FreeList[kvPageBuf]
 	pagesMade, pagesOut atomic.Int64
+	bytesMade, bytesOut atomic.Int64
 )
 
 // KVPages reports how many KV pages the process has made and how many
@@ -83,6 +94,13 @@ var (
 // flat: every cache, prefix-cache entries included, takes its pages back
 // from the pool.
 func KVPages() (made, out int64) { return pagesMade.Load(), pagesOut.Load() }
+
+// KVPageMemory reports the bytes of the KV pages caches hold now and of
+// the pages the pool keeps for reuse, in that order.
+func KVPageMemory() [2]int64 {
+	held := bytesOut.Load()
+	return [2]int64{held, bytesMade.Load() - held}
+}
 
 func noPage() kvPageBuf { return kvPageBuf{} }
 
@@ -93,11 +111,13 @@ func newPage(dim int) kvPageBuf {
 	p := kvPages.Get(noPage)
 	if cap(p.pg) < size {
 		pagesMade.Add(1)
+		bytesMade.Add(8 * int64(size-cap(p.pg)))
 		p = kvPageBuf{make([]float64, size), new(atomic.Int32)}
 	}
 	p.pg = p.pg[:size]
 	p.holds.Store(1)
 	pagesOut.Add(1)
+	bytesOut.Add(8 * int64(cap(p.pg)))
 	return p
 }
 
@@ -105,6 +125,7 @@ func newPage(dim int) kvPageBuf {
 func release(pg []float64, holds *atomic.Int32) {
 	if holds.Add(-1) == 0 {
 		pagesOut.Add(-1)
+		bytesOut.Add(-8 * int64(cap(pg)))
 		kvPages.Put(kvPageBuf{pg, holds})
 	}
 }

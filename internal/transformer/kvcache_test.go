@@ -100,7 +100,10 @@ func TestKVCacheAppendAcrossPagesPreservesRows(t *testing.T) {
 	const dim = 6
 	c, m := &KVCache{dim: dim}, &kvModel{dim: dim}
 	poisonFreePages()
-	for _, add := range []int{5, 13, kvPage - 18, 1, 2*kvPage + 3, kvPage - 3, 1} {
+	// 5 and 5+first rows end inside the first page, the third append at
+	// its edge
+	first := min(13, kvPage/2)
+	for _, add := range []int{5, first, kvPage - 5 - first, 1, 2*kvPage + 3, kvPage - 3, 1} {
 		k, v := randRows(rng, add, dim)
 		appendPacked(c, k, v)
 		m.append(k, v)
@@ -291,11 +294,12 @@ func TestDecodeStateSnapshotCopyFrom(t *testing.T) {
 }
 
 // TestSnapshotSharedCopyOnWrite pins the sharing lifetime of a prefix-
-// cache snapshot. A 150-row prompt's snapshot holds 12 pages (3 self and
-// 3 memory pages in each of two layers); three states copied from it
-// take no page, and each one's first step copies only the partial self
-// page of each layer, so the pages held rise by 2 per state, not by 12;
-// the snapshot's Reset gives back only the 2 pages no state shares.
+// cache snapshot. A 150-row prompt's snapshot holds the self and the
+// memory pages of 150 rows in each of two layers (12 pages at 64 rows a
+// page); three states copied from it take no page, and each one's first
+// step copies only the partial self page of each layer, so the pages
+// held rise by 2 per state, not by the snapshot's count; the snapshot's
+// Reset gives back only the 2 pages no state shares.
 // Every step's logits and every state equal an uncached prefill fed the
 // same tokens at tolerance 0, also after the snapshot is Reset under the
 // decoding states; two goroutines, each with its own model, load and
@@ -303,6 +307,12 @@ func TestDecodeStateSnapshotCopyFrom(t *testing.T) {
 // state is Reset the pages held are back at the start.
 func TestSnapshotSharedCopyOnWrite(t *testing.T) {
 	const promptLen, steps, copies = 150, 6, 3
+	// the snapshot's pages: a self and a memory list of 150 rows per layer,
+	// the last self page partial
+	const snapPages = 2 * 2 * ((promptLen + kvPage - 1) / kvPage)
+	if promptLen%kvPage == 0 {
+		t.Fatalf("a %d-row prompt fills its last %d-row page: no partial self page to copy", promptLen, kvPage)
+	}
 	prompt := kvTestPrompt(promptLen)
 	tokens := func(i int) []int { return []int{(5 + 7*i) % 30} }
 	// want[i] is step i's logits after an uncached prefill, ref the state
@@ -327,24 +337,24 @@ func TestSnapshotSharedCopyOnWrite(t *testing.T) {
 	snap := src.Snapshot(promptLen)
 	src.Reset()
 	held := func() int64 { _, out := KVPages(); return out - start }
-	if got := held(); got != 12 {
-		t.Fatalf("the snapshot holds %d pages alone, want 12", got)
+	if got := held(); got != snapPages {
+		t.Fatalf("the snapshot holds %d pages alone, want %d", got, snapPages)
 	}
 	states := make([]*DecodeState, copies)
 	for i := range states {
 		states[i] = m.NewDecodeState()
 		states[i].CopyFrom(snap)
 	}
-	if got := held(); got != 12 {
-		t.Fatalf("%d pages held after %d copies, want the snapshot's 12", got, copies)
+	if got := held(); got != snapPages {
+		t.Fatalf("%d pages held after %d copies, want the snapshot's %d", got, copies, snapPages)
 	}
 	for i := 0; i < steps; i++ {
 		if i == steps/2 {
-			// the states keep the 10 pages they share; only the snapshot's
+			// the states keep the pages they share; only the snapshot's
 			// partial self pages go back
 			snap.Reset()
-			if got := held(); got != 10+2*copies {
-				t.Fatalf("%d pages held after the snapshot's Reset, want %d", got, 10+2*copies)
+			if got := held(); got != snapPages-2+2*copies {
+				t.Fatalf("%d pages held after the snapshot's Reset, want %d", got, snapPages-2+2*copies)
 			}
 		}
 		for s, st := range states {
@@ -352,8 +362,8 @@ func TestSnapshotSharedCopyOnWrite(t *testing.T) {
 				t.Fatalf("state %d: %v", s, err)
 			}
 		}
-		if got := held(); i == 0 && got != 12+2*copies {
-			t.Fatalf("%d pages held after every state's first step, want %d (one per self layer per state)", got, 12+2*copies)
+		if got := held(); i == 0 && got != snapPages+2*copies {
+			t.Fatalf("%d pages held after every state's first step, want %d (one per self layer per state)", got, snapPages+2*copies)
 		}
 	}
 	for s, st := range states {
