@@ -171,12 +171,12 @@ func runChaosArm(seed int64, profile, trace string, runSeed int64) (chaosArmRow,
 }
 
 // buildChaosRouter is the chaos matrix's fleet, started: chaosNodes
-// nodes built from seed behind a breaker-guarded, retrying router.
+// nodes built from seed behind the router.
 func buildChaosRouter(seed int64) (*cluster.Router, error) {
 	return buildFleet(chaosModelCfg, seed, chaosNodes, serve.Config{
 		MaxBatch: 8, QueueCap: 256, Generate: true, MaxGenTokens: 32,
 		StepFloor: chaosStepFloor, BatteryJ: 200, // the collapse fault needs a battery to drain
-	}, cluster.Config{Seed: seed, Resilient: true})
+	}, cluster.Config{Seed: seed})
 }
 
 // check holds one arm to the invariants every cell of the matrix must

@@ -24,7 +24,7 @@ import (
 func runCluster(logger *obs.Logger, drain <-chan struct{}, o options) {
 	pol, err := cluster.NewPolicy(o.router)
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("-router: %v", err)
 	}
 	// the chaos workload embeds GLUE classification examples, whose
 	// vocabulary (48 tokens) exceeds the demo LM's default 24
@@ -55,10 +55,7 @@ func runCluster(logger *obs.Logger, drain <-chan struct{}, o options) {
 	}
 	printDeployment(first)
 
-	// the chaos contract assumes a resilient router: bounded seeded-jitter
-	// retries absorb fault transients, breakers stop hammering a
-	// struggling node
-	r := cluster.New(nodes, cluster.Config{Policy: pol, Seed: o.seed, Resilient: o.chaos != ""})
+	r := cluster.New(nodes, cluster.Config{Policy: pol, Seed: o.seed})
 	r.Start()
 	defer writeRouterTrace(logger, r, o.traceOut)
 	defer r.Stop()
@@ -232,7 +229,7 @@ func printClusterNodes(r *cluster.Router) {
 }
 
 // verifyRouterTrace replays the decision log through a fresh policy and
-// rng from the recorded seed and requires every pick to reproduce.
+// requires every pick to reproduce.
 func verifyRouterTrace(r *cluster.Router) {
 	tr := r.Trace()
 	n, err := cluster.Replay(tr)

@@ -36,9 +36,11 @@
 //
 // With -cluster N the deployment is replicated onto N simulated
 // in-process nodes behind the session-affine cluster router (generation
-// mode implied): requests carry session keys, the -router policy places
-// unpinned sessions, and every routing decision lands in a seeded trace
-// that is replay-verified before exit. A fleet's -load is a flat
+// mode implied): requests carry session keys, the -router policy (hash
+// or least-loaded) places unpinned sessions, and every routing decision
+// lands in a seeded trace that is replay-verified before exit. Every
+// fleet's router backs off and retries a request no node can admit and
+// keeps a circuit breaker per node. A fleet's -load is a flat
 // -rps-start rate with 3x bursts every 400ms over 64 sessions (-rps-end
 // is read by the single server only), and at a third of -duration the
 // chaos injector rolls the fleet out to the slowest level, draining each
@@ -150,7 +152,7 @@ func parseFlags() options {
 	flag.IntVar(&o.genPrompt, "gen-prompt", 10, "generation mode: max prompt length (load mode samples lengths in [max/2, max])")
 
 	flag.IntVar(&o.cluster, "cluster", 0, "run N simulated nodes behind the session-affine cluster router (implies -gen)")
-	flag.StringVar(&o.router, "router", "hash", "cluster dispatch policy: hash (rendezvous on the session key), least-loaded, or p2c")
+	flag.StringVar(&o.router, "router", "hash", "cluster dispatch policy: hash (rendezvous on the session key) or least-loaded")
 	flag.DurationVar(&o.stepFloor, "step-floor", 0, "minimum wall time per fused execution step (models per-node compute capacity; cluster scaling demos rely on it)")
 
 	flag.StringVar(&o.chaos, "chaos", "", "cluster mode: fire this seeded fault profile against a trace-driven workload instead of the bursty ramp (none, crash, collapse, switchfail, slowdown, pulse, rollout, all); the trace sets the traffic and its length, so -load, -duration and both rates are unused")

@@ -83,6 +83,7 @@ func TestRefusals(t *testing.T) {
 		{[]string{"-chaos", "crash"}, "-chaos"},
 		{[]string{"-cluster", "2", "-autotune"}, "-autotune"},
 		{[]string{"-autotune"}, "-autotune"},
+		{[]string{"-cluster", "2", "-router", "p2c"}, "-router"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			out, errOut, status := rt3serve(t, tc.args...)

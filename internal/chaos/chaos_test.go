@@ -41,8 +41,8 @@ func newChaosServer(t testing.TB, cfg serve.Config) *serve.Server {
 	return serve.New(d.Engine, cfg)
 }
 
-// newChaosCluster builds and starts an n-node resilient router: retries
-// with backoff, per-node breakers, batteries on every node.
+// newChaosCluster builds and starts an n-node router, with batteries on
+// every node.
 func newChaosCluster(t testing.TB, n int) *cluster.Router {
 	t.Helper()
 	nodes := make([]*cluster.Node, n)
@@ -51,7 +51,7 @@ func newChaosCluster(t testing.TB, n int) *cluster.Router {
 			MaxBatch: 8, QueueCap: 64, StepFloor: 200 * time.Microsecond, BatteryJ: 200,
 		}))
 	}
-	r := cluster.New(nodes, cluster.Config{Seed: 11, Resilient: true})
+	r := cluster.New(nodes, cluster.Config{Seed: 11})
 	r.Start()
 	t.Cleanup(r.Stop)
 	return r

@@ -32,7 +32,7 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
-// A resilient router's breakers: breakerThreshold consecutive failures
+// Every node's breaker: breakerThreshold consecutive failures
 // (queue-full or stopped admissions, crashed responses) trip Closed →
 // Open, and an open breaker excludes its node for breakerCooldown before
 // admitting one half-open trial.
@@ -55,9 +55,6 @@ type breaker struct {
 // moving an open breaker to half-open once its cooldown has elapsed.
 // Caller holds r.mu.
 func (r *Router) breakerAllow(id int, now time.Time) bool {
-	if !r.cfg.Resilient {
-		return true
-	}
 	b := r.breakers[id]
 	switch b.state {
 	case BreakerOpen:
@@ -74,9 +71,6 @@ func (r *Router) breakerAllow(id int, now time.Time) bool {
 // breakerSuccess records a successful admission on node id: the failure
 // streak resets and a half-open breaker closes. Caller holds r.mu.
 func (r *Router) breakerSuccess(id int) {
-	if !r.cfg.Resilient {
-		return
-	}
 	b := r.breakers[id]
 	b.failures = 0
 	if b.state != BreakerClosed {
@@ -89,9 +83,6 @@ func (r *Router) breakerSuccess(id int) {
 // breaker opens once the streak reaches breakerThreshold. Caller holds
 // r.mu.
 func (r *Router) breakerFailure(id int, now time.Time) {
-	if !r.cfg.Resilient {
-		return
-	}
 	b := r.breakers[id]
 	switch b.state {
 	case BreakerHalfOpen:
@@ -122,10 +113,9 @@ func (r *Router) setBreaker(id int, to BreakerState) {
 }
 
 // NodeBreakerState returns node id's current breaker position
-// (BreakerClosed when the router is not resilient or id is out of
-// range).
+// (BreakerClosed when id is out of range).
 func (r *Router) NodeBreakerState(id int) BreakerState {
-	if !r.cfg.Resilient || id < 0 || id >= len(r.breakers) {
+	if id < 0 || id >= len(r.breakers) {
 		return BreakerClosed
 	}
 	r.mu.Lock()

@@ -89,40 +89,26 @@ func TestPolicyDeterminismAndShape(t *testing.T) {
 	loads := []float64{5, 1, 3, 9}
 
 	ll := cluster.LeastLoadedPolicy{}
-	if got := ll.Pick(42, ready, loads, nil); got != 1 {
+	if got := ll.Pick(42, ready, loads); got != 1 {
 		t.Fatalf("least-loaded picked %d, want 1", got)
 	}
 
 	h := cluster.HashPolicy{}
-	first := h.Pick(42, ready, loads, nil)
+	first := h.Pick(42, ready, loads)
 	for i := 0; i < 10; i++ {
-		if got := h.Pick(42, ready, loads, nil); got != first {
+		if got := h.Pick(42, ready, loads); got != first {
 			t.Fatalf("hash pick unstable: %d then %d", first, got)
 		}
 	}
 	// rendezvous property: removing one node only remaps the keys that
 	// lived on it
 	for key := uint64(0); key < 200; key++ {
-		full := h.Pick(key, ready, loads, nil)
+		full := h.Pick(key, ready, loads)
 		reduced := []int{0, 1, 3} // node 2 leaves
-		got := h.Pick(key, reduced, []float64{5, 1, 9}, nil)
+		got := h.Pick(key, reduced, []float64{5, 1, 9})
 		if full != 2 && got != full {
 			t.Fatalf("key %d moved from %d to %d though node 2 leaving should not affect it", key, full, got)
 		}
-	}
-
-	p2c := cluster.P2CPolicy{}
-	rngA := rand.New(rand.NewSource(9))
-	rngB := rand.New(rand.NewSource(9))
-	for i := 0; i < 50; i++ {
-		a := p2c.Pick(uint64(i), ready, loads, rngA)
-		b := p2c.Pick(uint64(i), ready, loads, rngB)
-		if a != b {
-			t.Fatalf("p2c diverged at %d: %d vs %d", i, a, b)
-		}
-	}
-	if got := p2c.Pick(1, []int{5}, []float64{3}, rand.New(rand.NewSource(1))); got != 5 {
-		t.Fatalf("p2c with one ready node picked %d, want 5", got)
 	}
 }
 
@@ -352,10 +338,10 @@ func TestRolloutZeroDowntime(t *testing.T) {
 }
 
 // TestTraceReplay pins router auditability: for every policy, the
-// recorded decision trace replays identically from its seed, and a
+// recorded decision trace replays identically, and a
 // tampered trace is detected.
 func TestTraceReplay(t *testing.T) {
-	for _, polName := range []string{"hash", "least-loaded", "p2c"} {
+	for _, polName := range []string{"hash", "least-loaded"} {
 		pol, err := cluster.NewPolicy(polName)
 		if err != nil {
 			t.Fatal(err)

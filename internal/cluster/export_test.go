@@ -1,5 +1,5 @@
 package cluster
 
 // BreakerThreshold is the run of failed admissions that opens a
-// resilient router's breaker.
+// node's breaker.
 const BreakerThreshold = breakerThreshold

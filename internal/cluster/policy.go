@@ -1,36 +1,29 @@
 package cluster
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // Policy picks the node a request without a live session pin is
 // dispatched to. Pick receives the session key, the IDs of the nodes
-// currently accepting traffic (ascending, never empty), a load score
-// per entry of ready (same order), and the router's seeded rng; it
-// returns one element of ready. Implementations must be deterministic
-// functions of exactly these inputs — the router serializes Pick calls
-// and records them, so a trace replay with a fresh rng from the same
-// seed must reproduce every decision.
+// currently accepting traffic (ascending, never empty) and a load
+// score per entry of ready (same order); it returns one element of
+// ready. Implementations must be pure functions of exactly these inputs
+// — the router serializes Pick calls and records them, so a trace
+// replay through a fresh policy must reproduce every decision.
 type Policy interface {
 	Name() string
-	Pick(key uint64, ready []int, loads []float64, rng *rand.Rand) int
+	Pick(key uint64, ready []int, loads []float64) int
 }
 
 // NewPolicy resolves a policy by its flag name: "hash" (session-keyed
-// rendezvous hashing, the default), "least-loaded", or "p2c"
-// (power-of-two-choices).
+// rendezvous hashing, the default) or "least-loaded".
 func NewPolicy(name string) (Policy, error) {
 	switch name {
 	case "", "hash":
 		return HashPolicy{}, nil
 	case "least-loaded":
 		return LeastLoadedPolicy{}, nil
-	case "p2c":
-		return P2CPolicy{}, nil
 	}
-	return nil, fmt.Errorf("cluster: unknown router policy %q (want hash, least-loaded or p2c)", name)
+	return nil, fmt.Errorf("cluster: unknown router policy %q (want hash or least-loaded)", name)
 }
 
 // HashPolicy is rendezvous (highest-random-weight) hashing on the
@@ -44,9 +37,9 @@ type HashPolicy struct{}
 // Name implements Policy.
 func (HashPolicy) Name() string { return "hash" }
 
-// Pick implements Policy. No rng is consumed: the decision is a pure
-// function of the key and the ready set.
-func (HashPolicy) Pick(key uint64, ready []int, loads []float64, rng *rand.Rand) int {
+// Pick implements Policy: the decision is a function of the key and
+// the ready set alone.
+func (HashPolicy) Pick(key uint64, ready []int, loads []float64) int {
 	best, bestW := -1, uint64(0)
 	for _, id := range ready {
 		w := mix64(key ^ mix64(uint64(id)+0x9e3779b97f4a7c15))
@@ -65,8 +58,8 @@ type LeastLoadedPolicy struct{}
 // Name implements Policy.
 func (LeastLoadedPolicy) Name() string { return "least-loaded" }
 
-// Pick implements Policy. No rng is consumed.
-func (LeastLoadedPolicy) Pick(key uint64, ready []int, loads []float64, rng *rand.Rand) int {
+// Pick implements Policy.
+func (LeastLoadedPolicy) Pick(key uint64, ready []int, loads []float64) int {
 	best := 0
 	for i := 1; i < len(ready); i++ {
 		if loads[i] < loads[best] {
@@ -74,32 +67,6 @@ func (LeastLoadedPolicy) Pick(key uint64, ready []int, loads []float64, rng *ran
 		}
 	}
 	return ready[best]
-}
-
-// P2CPolicy is power-of-two-choices: sample two distinct ready nodes
-// uniformly and keep the less loaded — near-least-loaded balancing
-// without global coordination, the classic randomized load-balancing
-// result. Consumes the router rng, so replay depends on the recorded
-// decision order (which the router's lock already fixes).
-type P2CPolicy struct{}
-
-// Name implements Policy.
-func (P2CPolicy) Name() string { return "p2c" }
-
-// Pick implements Policy.
-func (P2CPolicy) Pick(key uint64, ready []int, loads []float64, rng *rand.Rand) int {
-	if len(ready) == 1 {
-		return ready[0]
-	}
-	a := rng.Intn(len(ready))
-	b := rng.Intn(len(ready) - 1)
-	if b >= a {
-		b++
-	}
-	if loads[b] < loads[a] {
-		return ready[b]
-	}
-	return ready[a]
 }
 
 // mix64 is the splitmix64 finalizer — the stateless avalanche mix

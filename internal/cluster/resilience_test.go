@@ -117,11 +117,11 @@ func TestNodeTransitionMatrix(t *testing.T) {
 
 // TestRouterRejectsBadBudget: a budget above the nodes' MaxGenTokens is
 // the request's fault, not the fleet's. The router returns
-// serve.ErrBadBudget synchronously, without a retry even on a resilient
-// router, and every node stays in rotation and keeps serving.
+// serve.ErrBadBudget synchronously, without a retry, and every node
+// stays in rotation and keeps serving.
 func TestRouterRejectsBadBudget(t *testing.T) {
 	r := newCluster(t, 2, serve.Config{QueueCap: 8},
-		cluster.Config{Seed: 4, Resilient: true})
+		cluster.Config{Seed: 4})
 	prompt := []int{1, 2, 3}
 	for _, budget := range []int{33, 1 << 40} {
 		if _, err := r.SubmitGen(7, prompt, budget, -1); !errors.Is(err, serve.ErrBadBudget) {
@@ -145,14 +145,14 @@ func TestRouterRejectsBadBudget(t *testing.T) {
 	}
 }
 
-// TestRouterRetriesAbsorbOverload: on a resilient router, a
-// burst larger than the only node's queue completes in full — admission
-// failures turn into seeded-backoff retries instead of drops, and every
-// retry is recorded both in the counters and the decision trace.
+// TestRouterRetriesAbsorbOverload: a burst larger than the only node's
+// queue completes in full — admission failures turn into seeded-backoff
+// retries instead of drops, and every retry is recorded both in the
+// counters and the decision trace.
 func TestRouterRetriesAbsorbOverload(t *testing.T) {
 	r := newCluster(t, 1,
 		serve.Config{MaxBatch: 1, QueueCap: 1, StepFloor: 2 * time.Millisecond},
-		cluster.Config{Seed: 9, Resilient: true},
+		cluster.Config{Seed: 9},
 	)
 	const reqs = 6
 	prompt := []int{1, 2, 3}
@@ -191,6 +191,34 @@ func TestRouterRetriesAbsorbOverload(t *testing.T) {
 	}
 }
 
+// TestFullQueueRetries: a router at the default config, in front of
+// one node whose queue is full, hands SubmitGen's caller a channel
+// instead of serve.ErrQueueFull, and the request completes once the
+// queue drains, after at least one backoff retry.
+func TestFullQueueRetries(t *testing.T) {
+	r := newCluster(t, 1,
+		serve.Config{MaxBatch: 1, QueueCap: 1, StepFloor: 2 * time.Millisecond},
+		cluster.Config{Seed: 3},
+	)
+	a, b := occupyNode(t, r, 4)
+	ch, err := r.SubmitGen(3, []int{3, 4}, 2, -1)
+	if err != nil {
+		t.Fatalf("full queue: SubmitGen returned %v, want a channel", err)
+	}
+	for i, c := range []<-chan serve.GenResponse{a, b, ch} {
+		if resp := <-c; resp.Err != nil {
+			t.Fatalf("request %d failed: %v", i, resp.Err)
+		}
+	}
+	snap := r.Metrics().Snapshot()
+	if n := snap["rt3_router_retries_total"]; n < 1 {
+		t.Fatalf("rt3_router_retries_total %v, want >= 1", n)
+	}
+	if n := snap["rt3_cluster_dropped_total"]; n != 0 {
+		t.Fatalf("rt3_cluster_dropped_total %v, want 0", n)
+	}
+}
+
 // occupyNode fills a MaxBatch-1/QueueCap-1 node: one generation
 // decoding, one queued. It waits for the worker to dequeue the first
 // submission before enqueueing the second, so both land deterministically.
@@ -211,8 +239,8 @@ func occupyNode(t *testing.T, r *cluster.Router, budget int) (a, b <-chan serve.
 	return a, b
 }
 
-// TestBreakerTripAndRecover drives the full circuit on a resilient
-// router. Three requests find the only node full and retry. Their
+// TestBreakerTripAndRecover drives the full circuit at the default
+// config. Three requests find the only node full and retry. Their
 // failed admissions open the node's breaker after exactly
 // BreakerThreshold of them; while it is open the node leaves every
 // ready set, so no decision picks it and the retries of the cooldown
@@ -223,7 +251,7 @@ func occupyNode(t *testing.T, r *cluster.Router, budget int) (a, b <-chan serve.
 func TestBreakerTripAndRecover(t *testing.T) {
 	r := newCluster(t, 1,
 		serve.Config{MaxBatch: 1, QueueCap: 1, StepFloor: 10 * time.Millisecond},
-		cluster.Config{Seed: 9, Resilient: true},
+		cluster.Config{Seed: 9},
 	)
 	if st := r.NodeBreakerState(0); st != cluster.BreakerClosed {
 		t.Fatalf("initial breaker %v, want closed", st)

@@ -40,25 +40,17 @@ type Config struct {
 	// Policy places requests without a live session pin (default
 	// HashPolicy — rendezvous hashing on the session key).
 	Policy Policy
-	// Seed feeds the router rng (consumed only by randomized policies)
-	// and stamps the decision trace; the same seed over the same request
-	// sequence reproduces every routing decision. The retry-jitter rng
-	// is seeded from it too, but kept separate so jitter never perturbs
-	// policy replay.
+	// Seed seeds the retry-jitter rng and stamps the decision trace.
+	// Policies are pure functions of their inputs, so the trace replays
+	// from the recorded picks alone.
 	Seed int64
-	// Resilient turns on the fault handling the chaos fleets run under.
-	// A retryable admission failure (queue full everywhere, or an empty
-	// ready set) backs off and re-dispatches, up to maxRetries times,
-	// before the error is surfaced: the first retry waits 500µs, each
-	// further one doubles it, with ±50% seeded jitter, capped at 250ms.
-	// And every node gets a circuit breaker (see breaker.go). Off, a
-	// dispatch error fails the request synchronously and every node is
-	// always dispatchable, the pre-chaos behavior.
-	Resilient bool
 }
 
-// maxRetries caps a resilient router's backoff re-dispatches of one
-// request.
+// maxRetries caps the backoff re-dispatches of one request. A retryable
+// admission failure (queue full everywhere, or an empty ready set) backs
+// off and re-dispatches up to maxRetries times before the error is
+// surfaced: the first retry waits 500µs, each further one doubles it,
+// with ±50% seeded jitter, capped at 250ms.
 const maxRetries = 200
 
 func (c Config) withDefaults() Config {
@@ -80,7 +72,8 @@ type Stats struct {
 	// Failovers counts crash recoveries — generations re-submitted with
 	// their committed prefix onto a healthy node.
 	Failovers int64
-	// Drops counts requests shed with ErrQueueFull.
+	// Drops counts requests shed with ErrQueueFull once their retries
+	// ran out.
 	Drops int64
 	// Rollouts counts completed RolloutSwitch sweeps.
 	Rollouts int64
@@ -129,19 +122,16 @@ type Router struct {
 	pol   Policy
 	reg   *obs.Registry
 
-	// mu serializes routing: session-pin resolution, the policy pick
-	// (and its rng consumption), the trace append, and the admission
-	// attempt happen atomically per dispatch, which is what makes the
-	// decision trace replayable.
+	// mu serializes routing: session-pin resolution, the policy pick,
+	// the trace append, and the admission attempt happen atomically per
+	// dispatch, which is what makes the decision trace replayable.
 	mu         sync.Mutex
-	rng        *rand.Rand
 	sessions   map[uint64]int // session key -> node ID holding its pin
 	trace      []Decision
 	breakers   []*breaker
 	breakerLog []BreakerEvent
 
-	// jmu/jrng feed retry-backoff jitter from a seed-derived stream kept
-	// apart from the policy rng, so retries never shift decision replay.
+	// jmu/jrng feed retry-backoff jitter from a seed-derived stream.
 	jmu  sync.Mutex
 	jrng *rand.Rand
 
@@ -178,7 +168,6 @@ func New(nodes []*Node, cfg Config) *Router {
 		nodes:    nodes,
 		cfg:      cfg,
 		pol:      cfg.Policy,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		jrng:     rand.New(rand.NewSource(cfg.Seed ^ 0x5deece66d)),
 		sessions: make(map[uint64]int),
 		breakers: make([]*breaker, len(nodes)),
@@ -254,10 +243,9 @@ func (r *Router) Metrics() *obs.Registry { return r.reg }
 // committed tokens fail over to a healthy node, which teacher-forces
 // them as one chunk and decodes on, and the caller only ever sees the
 // completed stream (or an error after three unlucky failovers).
-// On a resilient router, retryable admission failures are absorbed too:
-// the request backs off and re-dispatches asynchronously instead of
-// failing synchronously. maxTokens and eos follow serve.SubmitGen
-// conventions.
+// Retryable admission failures are absorbed too: the request backs off
+// and re-dispatches asynchronously instead of failing synchronously.
+// maxTokens and eos follow serve.SubmitGen conventions.
 func (r *Router) SubmitGen(key uint64, prompt []int, maxTokens, eos int) (<-chan serve.GenResponse, error) {
 	return submit[serve.GenResponse](r, key, &genJob{prompt: prompt, maxTokens: maxTokens, eos: eos})
 }
@@ -333,10 +321,7 @@ func (clsJob) fail(err error) serve.Response { return serve.Response{Err: err} }
 // (*Router, *serve.Server), which moves the layout of unrelated code.
 func submit[T any, J job[T]](r *Router, key uint64, j J) (<-chan T, error) {
 	nd, ch, err := dispatch[T](r, key, j, DecisionRoute)
-	if err != nil && (!r.cfg.Resilient || !retryable(err)) {
-		if errors.Is(err, serve.ErrQueueFull) {
-			r.drops.Add(1)
-		}
+	if err != nil && !retryable(err) {
 		return nil, err
 	}
 	out := make(chan T, 1)
@@ -353,9 +338,8 @@ func retryable(err error) bool {
 }
 
 // backoff returns the wait before backoff retry n (1-based): the base
-// doubles per attempt and is scaled by ±50% jitter from the dedicated
-// jitter rng (sharing the policy rng would perturb decision replay),
-// capped at maxBackoff.
+// doubles per attempt, capped at maxBackoff, and is scaled by ±50%
+// jitter from the router's seeded jitter rng.
 func (r *Router) backoff(n int) time.Duration {
 	d := float64(retryBackoff) * math.Pow(2, float64(n-1))
 	if d > float64(maxBackoff) {
@@ -387,9 +371,9 @@ func dispatch[T any, J job[T]](r *Router, key uint64, j J, kind string) (*Node, 
 				r.commit(nd)
 				return nd, ch, nil
 			case errors.Is(err, serve.ErrQueueFull):
-				// load-shed (or back off and come here again) rather
-				// than silently migrating the session for transient
-				// pressure: the pin survives, the caller sees the error
+				// back off and come here again rather than silently
+				// migrating the session for transient pressure: the
+				// pin survives
 				r.breakerFailure(id, time.Now())
 				return nil, nil, err
 			case nd.srv.Stopped():
@@ -418,7 +402,7 @@ func dispatch[T any, J job[T]](r *Router, key uint64, j J, kind string) (*Node, 
 			}
 			return nil, nil, ErrNoReadyNodes
 		}
-		id := r.pol.Pick(key, ready, loads, r.rng)
+		id := r.pol.Pick(key, ready, loads)
 		r.record(kind, key, ready, loads, id)
 		nd := r.nodes[id]
 		ch, err := j.admit(nd.srv)
@@ -479,14 +463,14 @@ func (r *Router) commit(nd *Node) {
 // healthy node — a generation resumes there from its committed tokens,
 // teacher-forced as one chunk; queue-full and no-ready-node dispatch
 // errors back off exponentially with jitter and re-pick (recorded as
-// DecisionRetry) on a resilient router, up to maxRetries times. All
-// transparently to the caller; exactly one send on out.
+// DecisionRetry), up to maxRetries times. All transparently to the
+// caller; exactly one send on out.
 func await[T any, J job[T]](r *Router, key uint64, j J, out chan<- T, nd *Node, ch <-chan T, dispatchErr error) {
 	defer r.wg.Done()
 	failovers, retries := 0, 0
 	for {
 		if dispatchErr != nil {
-			if !r.cfg.Resilient || !retryable(dispatchErr) || retries >= maxRetries {
+			if !retryable(dispatchErr) || retries >= maxRetries {
 				if errors.Is(dispatchErr, serve.ErrQueueFull) {
 					r.drops.Add(1)
 				}
@@ -507,24 +491,17 @@ func await[T any, J job[T]](r *Router, key uint64, j J, out chan<- T, nd *Node, 
 		if failovers < failoverRetries && j.resume(r, resp) {
 			failovers++
 			r.failovers.Add(1)
-			r.noteCrash(nd.ID)
+			// a crash counts toward the node's breaker like a failed
+			// admission
+			r.mu.Lock()
+			r.breakerFailure(nd.ID, time.Now())
+			r.mu.Unlock()
 			nd, ch, dispatchErr = dispatch[T](r, key, j, DecisionFailover)
 			continue
 		}
 		out <- resp
 		return
 	}
-}
-
-// noteCrash feeds a crashed response into the node's breaker: crash
-// failures count toward the trip threshold like admission failures.
-func (r *Router) noteCrash(id int) {
-	if !r.cfg.Resilient {
-		return
-	}
-	r.mu.Lock()
-	r.breakerFailure(id, time.Now())
-	r.mu.Unlock()
 }
 
 // Drain takes node id out of rotation and blocks until its in-flight

@@ -1,9 +1,6 @@
 package cluster
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // Decision kinds recorded in the router trace. Affinity hits are not
 // decisions — a pinned session bypasses the policy entirely — so the
@@ -53,11 +50,10 @@ type BreakerEvent struct {
 }
 
 // Trace is the router's auditable decision log: every policy pick in
-// dispatch order, with the policy name and rng seed that produced it,
-// plus the circuit-breaker transitions observed along the way. Like the
-// autotune decision trace, it replays deterministically — Replay
-// re-runs the recorded inputs through a fresh policy and rng and
-// requires identical picks.
+// dispatch order, with the policy name and the router's seed, plus the
+// circuit-breaker transitions observed along the way. Like the autotune
+// decision trace, it replays deterministically — Replay re-runs the
+// recorded inputs through a fresh policy and requires identical picks.
 type Trace struct {
 	Policy    string         `json:"policy"`
 	Seed      int64          `json:"seed"`
@@ -65,23 +61,22 @@ type Trace struct {
 	Breaker   []BreakerEvent `json:"breaker,omitempty"`
 }
 
-// Replay re-executes the trace from its seed: a fresh policy instance
-// and a fresh rng walk the recorded decisions in order, and every
-// re-picked node must match the recorded one. Returns the number of
-// replayed decisions, or an error naming the first divergence — which,
-// given deterministic policies, can only mean the trace was edited or
-// the policy implementation changed.
+// Replay re-executes the trace: a fresh policy instance walks the
+// recorded decisions in order, and every re-picked node must match the
+// recorded one. Returns the number of replayed decisions, or an error
+// naming the first divergence — which, given deterministic policies,
+// can only mean the trace was edited or the policy implementation
+// changed.
 func Replay(tr Trace) (int, error) {
 	pol, err := NewPolicy(tr.Policy)
 	if err != nil {
 		return 0, err
 	}
-	rng := rand.New(rand.NewSource(tr.Seed))
 	for i, d := range tr.Decisions {
 		if len(d.Ready) == 0 {
 			return i, fmt.Errorf("cluster: decision %d has an empty ready set", d.Seq)
 		}
-		if got := pol.Pick(d.Key, d.Ready, d.Loads, rng); got != d.Node {
+		if got := pol.Pick(d.Key, d.Ready, d.Loads); got != d.Node {
 			return i, fmt.Errorf("cluster: replay diverged at decision %d (%s key=%d): picked node %d, trace says %d",
 				d.Seq, d.Kind, d.Key, got, d.Node)
 		}

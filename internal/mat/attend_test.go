@@ -203,7 +203,8 @@ func TestAttendTwins(t *testing.T) {
 
 // TestAttendTwinsPaged holds every twin of AttendPaged to the naive
 // reference bit for bit. Its value pass carries each context element's
-// sum from page to page through the kernels' start-from-dst mode, so
+// sum from page to page (the assembly twins inside one page-walking
+// call, the portable vecMatGo by starting each page's sums from dst), so
 // windows end inside, at and one past a page edge and run over several
 // pages, at every page height from one block to four, for the last head
 // of a one- and a three-head page (a head offset inside the key and the
