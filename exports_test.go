@@ -34,6 +34,7 @@ var testOnlyExports = map[string]string{
 	"internal/transformer.DecodeState.Equal":      "state oracle of the bit-identity suites, in transformer's and spec's tests",
 	"internal/mat.LaneWeights.Equal":              "sparse's build tests compare lane streams with it, so mat's export_test.go cannot hold it",
 	"internal/pattern.Pattern.Equal":              "deploy's round-trip tests compare decoded patterns with it",
+	"internal/pattern.Pattern.Kept":               "sparse's build tests derive the reference dictionary from it",
 	"internal/obs.ValidateExposition":             "exposition oracle for obs's and serve's tests; obs's own tests cannot import testutil (testutil -> nn -> kernel -> obs)",
 	"internal/obs.Registry.Gauge":                 gaugeKept,
 	"internal/obs.Gauge.Set":                      gaugeKept,

@@ -76,6 +76,16 @@ func tailGate(f cpuFeatures) isa {
 	return isaAVX
 }
 
+// chooseGate picks ChooseTiles' twin for a CPU: the ZMM kernel with ZMM
+// state, else the portable loop. Its sums do not fuse, so it needs no
+// FMA3.
+func chooseGate(f cpuFeatures) isa {
+	if f.zmm() {
+		return isaZ
+	}
+	return isaGo
+}
+
 var (
 	// laneHost is the twin GemmLanes runs on this host, laneISA its name.
 	laneHost, laneISA = laneGate(hostCPU)
@@ -84,4 +94,6 @@ var (
 	// tailHost is the twin the vector math of exp.go runs on this host:
 	// softmax (Attend's included), GELU and the row norm.
 	tailHost = tailGate(hostCPU)
+	// chooseHost is the twin ChooseTiles runs on this host.
+	chooseHost = chooseGate(hostCPU)
 )

@@ -81,3 +81,12 @@ func AttendPagedTwin(name string) (func(out, q []float64, pages [][]float64, ko,
 		attend(out, q, pages, ko, pages, vo, ld, vs, rows, scale, p, kern)
 	}, kern <= attendHost
 }
+
+// ChooseTilesTwin returns ChooseTiles on the named twin ("go" or
+// "avx512") and whether this host (or build) can run it.
+func ChooseTilesTwin(name string) (func(choices []int, w *Matrix, psize int, kept, ends []int32), bool) {
+	kern := isa(slices.Index(isaNames[:], name))
+	return func(choices []int, w *Matrix, psize int, kept, ends []int32) {
+		chooseTiles(choices, w, psize, kept, ends, kern)
+	}, kern == isaGo || kern == chooseHost
+}

@@ -186,6 +186,32 @@ func TestAttendGate(t *testing.T) {
 	}
 }
 
+// TestChooseGate holds ChooseTiles' gate to its table: the ZMM twin
+// needs AVX-512F with ZMM state, FMA3 plays no part, there is no YMM
+// twin, and the host runs the gate applied to its CPUID.
+func TestChooseGate(t *testing.T) {
+	const ymm, zmm = 0x6, 0xE6
+	for _, tc := range []struct {
+		what string
+		f    cpuFeatures
+		want isa
+	}{
+		{"no features (purego, other arches)", cpuFeatures{}, isaGo},
+		{"AVX2 and FMA3", cpuFeatures{avx: true, fma: true, avx2: true, xcr0: ymm}, isaGo},
+		{"AVX-512F, ZMM state not saved", cpuFeatures{avx: true, avx512f: true, xcr0: ymm}, isaGo},
+		{"AVX-512F with ZMM state, FMA3 clear", cpuFeatures{avx: true, avx512f: true, xcr0: zmm}, isaZ},
+		{"AVX-512F without AVX", cpuFeatures{avx512f: true, xcr0: zmm}, isaGo},
+	} {
+		if got := chooseGate(tc.f); got != tc.want {
+			t.Errorf("%s: gate picks twin %d, want %d", tc.what, got, tc.want)
+		}
+	}
+	t.Logf("ChooseTiles runs the %q twin", isaNames[chooseHost])
+	if chooseHost != chooseGate(hostCPU) {
+		t.Fatalf("host runs choose twin %d, the gate picks %d", chooseHost, chooseGate(hostCPU))
+	}
+}
+
 // TestTailGate holds the vector math's gate to its table: both assembly
 // twins need AVX2 with YMM state, the ZMM twin ZMM state on top, FMA3
 // plays no part (no twin fuses), and the host runs the gate applied to

@@ -25,6 +25,7 @@
 // They share the signature, the spill layout and the scatter.
 
 #include "textflag.h"
+#include "pack_amd64.h"
 
 // LANE2 consumes one stored weight of column j against an xt row of two
 // registers, half bytes each (row stride 1<<sh bytes): broadcast into b,
@@ -189,14 +190,6 @@ loop:
 	VMOVUPD Z3, 192(SP)
 	SCATTER(64)
 
-// NEXTROW points r at the row after prev (row stride BX) while CX, the
-// rows left after prev, is positive, and at prev itself after: lanes
-// past the last row repeat it.
-#define NEXTROW(prev, r) \
-	LEAQ (prev)(BX*1), r; \
-	DECQ CX; \
-	CMOVQLT prev, r
-
 // func packLanes8Z(xt, x *float64, K, lanes, rows, kn int)
 //
 // xt[k*lanes+l] = x[min(l, rows-1)*K+k] for l < 8 and k < kn, a positive
@@ -235,32 +228,7 @@ pack:
 	VMOVUPD (R11)(CX*1), Z5
 	VMOVUPD (R13)(CX*1), Z6
 	VMOVUPD (R14)(CX*1), Z7
-	VUNPCKLPD Z1, Z0, Z8
-	VUNPCKHPD Z1, Z0, Z9
-	VUNPCKLPD Z3, Z2, Z10
-	VUNPCKHPD Z3, Z2, Z11
-	VUNPCKLPD Z5, Z4, Z12
-	VUNPCKHPD Z5, Z4, Z13
-	VUNPCKLPD Z7, Z6, Z14
-	VUNPCKHPD Z7, Z6, Z15
-	// blocks (0, 2) and (1, 3) of (t0, t2), (t4, t6), (t1, t3), (t5, t7)
-	VSHUFF64X2 $0x88, Z10, Z8, Z0
-	VSHUFF64X2 $0xDD, Z10, Z8, Z1
-	VSHUFF64X2 $0x88, Z14, Z12, Z2
-	VSHUFF64X2 $0xDD, Z14, Z12, Z3
-	VSHUFF64X2 $0x88, Z11, Z9, Z4
-	VSHUFF64X2 $0xDD, Z11, Z9, Z5
-	VSHUFF64X2 $0x88, Z15, Z13, Z6
-	VSHUFF64X2 $0xDD, Z15, Z13, Z7
-	// the same again: Z8 .. Z15 hold k 0 .. 7, lanes 0 .. 7
-	VSHUFF64X2 $0x88, Z2, Z0, Z8
-	VSHUFF64X2 $0x88, Z6, Z4, Z9
-	VSHUFF64X2 $0x88, Z3, Z1, Z10
-	VSHUFF64X2 $0x88, Z7, Z5, Z11
-	VSHUFF64X2 $0xDD, Z2, Z0, Z12
-	VSHUFF64X2 $0xDD, Z6, Z4, Z13
-	VSHUFF64X2 $0xDD, Z3, Z1, Z14
-	VSHUFF64X2 $0xDD, Z7, Z5, Z15
+	TRANSPOSE8
 	VMOVUPD Z8, (DI)
 	VMOVUPD Z9, (DI)(DX*1)
 	VMOVUPD Z10, (DI)(DX*2)

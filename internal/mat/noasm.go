@@ -5,8 +5,8 @@ package mat
 // The asm fast paths have no implementation off amd64 (or under the
 // purego tag, which CI uses to run the portable kernels on an amd64
 // runner): with no CPU features every gate of cpu.go is off, and
-// GemmLanes, Attend and the vector math of exp.go run the portable
-// kernels instead.
+// GemmLanes, Attend, ChooseTiles and the vector math of exp.go run the
+// portable kernels instead.
 
 var hostCPU cpuFeatures
 
@@ -36,6 +36,10 @@ func attendScoresAVX(p, q *float64, hd int, k *[]float64, ko, ld, rows int, scal
 
 func attendValuesAVX(out, p *float64, hd int, v *[]float64, vo, ld, vs, rows int) {
 	panic("mat: attendValuesAVX without asm")
+}
+
+func chooseRunZ(best *[chooseLanes]int, w *float64, ld, psize, n, mask int, kept, rounds *int32, npat int, sq *float64) {
+	panic("mat: chooseRunZ without asm")
 }
 
 func packLanes8Z(xt, x *float64, K, lanes, rows, kn int) { panic("mat: packLanes8Z without asm") }

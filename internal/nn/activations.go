@@ -173,13 +173,14 @@ func (ln *LayerNorm) Backward(dy *mat.Matrix) *mat.Matrix {
 	}
 	dx := mat.New(dy.Rows, dy.Cols)
 	n := float64(ln.Dim)
+	dgamma, dbeta := ln.Gamma.Gradient().Data, ln.Beta.Gradient().Data
 	for i := 0; i < dy.Rows; i++ {
 		dyr := dy.Row(i)
 		xh := ln.xhat.Row(i)
 		// parameter grads
 		for j, v := range dyr {
-			ln.Gamma.Grad.Data[j] += v * xh[j]
-			ln.Beta.Grad.Data[j] += v
+			dgamma[j] += v * xh[j]
+			dbeta[j] += v
 		}
 		// input grad: dx = invStd/n * (n*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat))
 		var sumD, sumDX float64

@@ -28,7 +28,8 @@ type Linear struct {
 	x *mat.Matrix
 }
 
-// NewLinear creates a Linear layer with Xavier-initialized weights.
+// NewLinear creates a Linear layer with Xavier-initialized weights, or
+// zero ones when rng is nil (a model whose weights are copied in).
 func NewLinear(name string, in, out int, rng *rand.Rand) *Linear {
 	l := &Linear{
 		In:  in,
@@ -36,7 +37,9 @@ func NewLinear(name string, in, out int, rng *rand.Rand) *Linear {
 		W:   NewParameter(name+".W", in, out),
 		B:   NewParameter(name+".b", 1, out),
 	}
-	l.W.Value.RandomizeXavier(rng, in, out)
+	if rng != nil {
+		l.W.Value.RandomizeXavier(rng, in, out)
+	}
 	return l
 }
 
@@ -117,12 +120,13 @@ func (l *Linear) Backward(dy *mat.Matrix) *mat.Matrix {
 	// dW += x^T @ dy
 	dw := mat.New(l.In, l.Out)
 	mat.MatMulTA(dw, l.x, dy)
-	l.W.Grad.Add(dw)
+	l.W.Gradient().Add(dw)
 	// db += column sums of dy
+	db := l.B.Gradient().Data
 	for i := 0; i < dy.Rows; i++ {
 		row := dy.Row(i)
 		for j, v := range row {
-			l.B.Grad.Data[j] += v
+			db[j] += v
 		}
 	}
 	// dx = dy @ W^T
@@ -142,10 +146,13 @@ type Embedding struct {
 	reuse bool
 }
 
-// NewEmbedding creates an embedding table with small random init.
+// NewEmbedding creates an embedding table with small random init, or a
+// zero one when rng is nil (see NewLinear).
 func NewEmbedding(name string, vocab, dim int, rng *rand.Rand) *Embedding {
 	e := &Embedding{Vocab: vocab, Dim: dim, W: NewParameter(name+".W", vocab, dim)}
-	e.W.Value.Randomize(rng, 0.1)
+	if rng != nil {
+		e.W.Value.Randomize(rng, 0.1)
+	}
 	return e
 }
 
@@ -176,8 +183,9 @@ func (e *Embedding) Forward(ids []int) *mat.Matrix {
 
 // Backward scatters the upstream gradient back into the table rows.
 func (e *Embedding) Backward(dy *mat.Matrix) {
+	g := e.W.Gradient()
 	for i, id := range e.ids {
-		grow := e.W.Grad.Row(id)
+		grow := g.Row(id)
 		drow := dy.Row(i)
 		for j, v := range drow {
 			grow[j] += v

@@ -257,7 +257,7 @@ func testOptimizerReducesLoss(t *testing.T, opt nn.Optimizer) {
 
 func TestClipGrads(t *testing.T) {
 	p := nn.NewParameter("p", 1, 2)
-	p.Grad.CopyFrom(mat.FromSlice(1, 2, []float64{3, 4}))
+	p.Gradient().CopyFrom(mat.FromSlice(1, 2, []float64{3, 4}))
 	norm := nn.ClipGrads([]*nn.Parameter{p}, 1)
 	if math.Abs(norm-5) > 1e-12 {
 		t.Fatalf("pre-clip norm %g", norm)

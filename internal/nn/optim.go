@@ -34,15 +34,16 @@ func (a *Adam) Step(params []*Parameter) {
 	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
 	for _, p := range params {
 		p.MaskGrad()
+		grad := p.Gradient()
 		m := a.m[p]
 		v := a.v[p]
 		if m == nil {
-			m = make([]float64, len(p.Grad.Data))
-			v = make([]float64, len(p.Grad.Data))
+			m = make([]float64, len(grad.Data))
+			v = make([]float64, len(grad.Data))
 			a.m[p] = m
 			a.v[p] = v
 		}
-		for i, g := range p.Grad.Data {
+		for i, g := range grad.Data {
 			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
 			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
 			mh := m[i] / c1
@@ -58,7 +59,7 @@ func (a *Adam) Step(params []*Parameter) {
 func ClipGrads(params []*Parameter, maxNorm float64) float64 {
 	var total float64
 	for _, p := range params {
-		for _, g := range p.Grad.Data {
+		for _, g := range p.Gradient().Data {
 			total += g * g
 		}
 	}

@@ -21,19 +21,27 @@ import (
 type Parameter struct {
 	Name  string
 	Value *mat.Matrix
-	Grad  *mat.Matrix
+	// Grad is nil until something accumulates into it (Gradient): a
+	// parameter that only serves never holds one, and a nil Grad reads
+	// as zeros.
+	Grad *mat.Matrix
 	// Mask holds 0/1 entries; nil means dense (no pruning).
 	Mask *mat.Matrix
 }
 
-// NewParameter allocates a named rows x cols parameter with a zeroed
-// gradient and no mask.
+// NewParameter allocates a named rows x cols parameter with no gradient
+// and no mask.
 func NewParameter(name string, rows, cols int) *Parameter {
-	return &Parameter{
-		Name:  name,
-		Value: mat.New(rows, cols),
-		Grad:  mat.New(rows, cols),
+	return &Parameter{Name: name, Value: mat.New(rows, cols)}
+}
+
+// Gradient returns the gradient accumulator, allocating it zeroed on
+// first use.
+func (p *Parameter) Gradient() *mat.Matrix {
+	if p.Grad == nil {
+		p.Grad = mat.New(p.Value.Rows, p.Value.Cols)
 	}
+	return p.Grad
 }
 
 // SetMask attaches mask (0/1 entries, same shape as Value) and applies it.
@@ -61,11 +69,16 @@ func (p *Parameter) MaskGrad() {
 	if p.Mask == nil {
 		return
 	}
-	p.Grad.Hadamard(p.Mask)
+	p.Gradient().Hadamard(p.Mask)
 }
 
-// ZeroGrad clears the gradient accumulator.
-func (p *Parameter) ZeroGrad() { p.Grad.Zero() }
+// ZeroGrad clears the gradient accumulator; one not yet allocated is
+// already zero.
+func (p *Parameter) ZeroGrad() {
+	if p.Grad != nil {
+		p.Grad.Zero()
+	}
+}
 
 // NumWeights returns the dense element count of the parameter.
 func (p *Parameter) NumWeights() int { return len(p.Value.Data) }

@@ -40,7 +40,8 @@ func (p Pattern) Ones() int {
 }
 
 // Kept lists the kept (i, j) positions in row-major order, so the kept
-// rows of any one column come up ascending.
+// rows of any one column come up ascending. No production path calls
+// it: it is a test oracle, exported for sparse's build tests.
 func (p Pattern) Kept() [][2]int {
 	var out [][2]int
 	for i := 0; i < p.Size; i++ {
@@ -218,83 +219,40 @@ func RandomSet(psize int, sparsity float64, m int, rng *rand.Rand) *Set {
 	return s
 }
 
-// chooseLanes is the number of adjacent interior tiles Choose scores
-// side by side: each pattern's norm is one sequential sum per tile, and
-// running the sums of several tiles in one loop lets them overlap.
-const chooseLanes = 8
-
 // Choose tiles w with psize blocks and, per block, selects the pattern
 // of the set that retains the largest l2 norm of the block's weights
 // (the paper's training rule: "choose the pattern with the largest
 // l2-norm for each block"). It returns the chosen pattern index per
 // block, in row-major block order. A norm sums the squares of the kept
 // weights in row-major order within the block, and ties go to the
-// lower index.
+// lower index. mat.ChooseTiles scores the blocks that end inside w,
+// eight side by side.
 func (s *Set) Choose(w *mat.Matrix) []int {
 	psize := s.PSize()
 	if psize == 0 {
 		panic("pattern: Choose on empty set")
 	}
-	// kept[pi] lists pattern pi's kept positions in row-major order, as
-	// offsets into the squares of a run of chooseLanes tiles (psize rows
-	// of chooseLanes*psize weights): the order every norm is summed in
-	span := chooseLanes * psize
-	kept := make([][]int, len(s.Patterns))
+	var kept []int32
+	ends := make([]int32, len(s.Patterns))
 	for pi, p := range s.Patterns {
 		for o, b := range p.Bits {
 			if b != 0 {
-				kept[pi] = append(kept[pi], o/psize*span+o%psize)
+				kept = append(kept, int32(o))
 			}
 		}
+		ends[pi] = int32(len(kept))
 	}
 	tileCols := (w.Cols + psize - 1) / psize
 	choices := make([]int, ((w.Rows+psize-1)/psize)*tileCols)
+	mat.ChooseTiles(choices, w, psize, kept, ends)
 	full := w.Cols / psize // tiles of a band that end inside w
-	sq := make([]float64, psize*span)
 	for r, t := 0, 0; r < w.Rows; r, t = r+psize, t+tileCols {
+		tc := full
 		if r+psize > w.Rows {
-			for tc := range tileCols {
-				choices[t+tc] = s.chooseEdge(w, r, tc*psize)
-			}
-			continue
+			tc = 0
 		}
-		for tc := 0; tc < full; tc += chooseLanes {
-			// square the run's weights once; a run cut short by the
-			// edge of w leaves stale squares in lanes it never reads
-			n := min(chooseLanes, full-tc)
-			for i := 0; i < psize; i++ {
-				row := w.Data[(r+i)*w.Cols+tc*psize:][:n*psize]
-				dst := sq[i*span:][:len(row)]
-				for j, v := range row {
-					dst[j] = float64(v * v)
-				}
-			}
-			var best [chooseLanes]int
-			bestNorm := [chooseLanes]float64{-1, -1, -1, -1, -1, -1, -1, -1}
-			for pi, offs := range kept {
-				var n0, n1, n2, n3, n4, n5, n6, n7 float64
-				for _, o := range offs {
-					q := sq[o:][:7*psize+1]
-					n0 += q[0]
-					n1 += q[psize]
-					n2 += q[2*psize]
-					n3 += q[3*psize]
-					n4 += q[4*psize]
-					n5 += q[5*psize]
-					n6 += q[6*psize]
-					n7 += q[7*psize]
-				}
-				for l, norm := range [chooseLanes]float64{n0, n1, n2, n3, n4, n5, n6, n7} {
-					if norm > bestNorm[l] {
-						bestNorm[l] = norm
-						best[l] = pi
-					}
-				}
-			}
-			copy(choices[t+tc:], best[:n])
-		}
-		if full < tileCols {
-			choices[t+full] = s.chooseEdge(w, r, full*psize)
+		for ; tc < tileCols; tc++ {
+			choices[t+tc] = s.chooseEdge(w, r, tc*psize)
 		}
 	}
 	return choices

@@ -32,7 +32,7 @@ func JointTrain(task TaskModel, masks [][]*mat.Matrix, epochs int, rng *rand.Ran
 	// accumulator for the weighted multi-mask gradient
 	acc := make([]*mat.Matrix, len(params))
 	for i, p := range params {
-		acc[i] = mat.New(p.Grad.Rows, p.Grad.Cols)
+		acc[i] = mat.New(p.Value.Rows, p.Value.Cols)
 	}
 
 	for e := 0; e < epochs; e++ {
@@ -59,16 +59,16 @@ func JointTrain(task TaskModel, masks [][]*mat.Matrix, epochs int, rng *rand.Ran
 				}
 				// mask this level's gradient to its support and weight it
 				for pi, p := range prunable {
-					p.Grad.Hadamard(masks[lvl][pi])
+					p.Gradient().Hadamard(masks[lvl][pi])
 				}
 				w := alpha / float64(len(ids))
 				for i, p := range params {
-					acc[i].AddScaled(p.Grad, w)
+					acc[i].AddScaled(p.Gradient(), w)
 				}
 			}
 			RestoreWeights(prunable, snap)
 			for i, p := range params {
-				p.Grad.CopyFrom(acc[i])
+				p.Gradient().CopyFrom(acc[i])
 			}
 			nn.ClipGrads(params, clipNorm)
 			optim.Step(params)

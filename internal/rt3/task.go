@@ -210,7 +210,7 @@ func (tr *Trainer) epoch(batch int, rng *rand.Rand) {
 		}
 		scale := 1 / float64(end-b)
 		for _, p := range params {
-			p.Grad.Scale(scale)
+			p.Gradient().Scale(scale)
 		}
 		nn.ClipGrads(params, clipNorm)
 		tr.optim.Step(params)

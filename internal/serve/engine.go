@@ -15,6 +15,7 @@ package serve
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -48,8 +49,9 @@ type Model interface {
 	// through the pattern kernel too, with every weight kept, and no level
 	// switch touches it.
 	UnprunedLinears() []*nn.Linear
-	// Params lists every parameter; the engine drops their gradients,
-	// since a replica only serves.
+	// Params lists every parameter. A replica only serves: the engine
+	// drops any gradient a training pass left on one (a fresh model
+	// holds none).
 	Params() []*nn.Parameter
 	// VocabSize bounds the token ids the model accepts, [0, VocabSize());
 	// the server rejects anything else at admission, because the model
@@ -187,12 +189,13 @@ func (e *Engine) PrunableLinearCount() int { return len(e.weights) }
 
 // NewEngineConfigured deploys a bundle onto the given model replicas:
 // every replica's prunable projections point at the bundle's backbone
-// matrices (one copy in memory, never written), every replica parameter
-// drops its gradient, the first (fastest) level's kernels are built
-// through the kernel registry and activated (SwitchTo builds any other
-// level on its first switch), each unpruned linear gets one pattern
-// kernel that keeps every weight, shared by every replica, and
-// activation-buffer reuse is enabled on every replica.
+// matrices (one copy in memory, never written), any gradient a training
+// pass left on a replica parameter is dropped, the first (fastest)
+// level's kernels are built through the kernel registry and activated
+// (SwitchTo builds any other level on its first switch), each unpruned
+// linear gets one pattern kernel that keeps every weight, shared by
+// every replica, and activation-buffer reuse is enabled on every
+// replica.
 // All replicas must be clones of the same checkpoint, and from here on
 // serve only: every linear now reads packed copies of its weights, and
 // Backward refuses to run on them.
@@ -255,6 +258,11 @@ func NewEngineConfigured(bundle *deploy.Bundle, replicas []Model, costs rtswitch
 		}
 		r.SetBufferReuse(true)
 	}
+	// the replicas' own copies of the prunable weights are garbage now
+	// (16.5 MB a replica at the reference shape): collected here, they
+	// give the first level's streams (14 MB at l6) pages the process
+	// already touched, where a fresh heap would fault each one in
+	runtime.GC()
 	e.kernels = make([][]kernel.Kernel, len(bundle.Sets))
 	e.levelBuild = make([]atomic.Int64, len(bundle.Sets))
 	if err := e.buildLevel(0); err != nil {

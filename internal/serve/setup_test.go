@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -107,11 +108,44 @@ func TestBundleFromModelSharesWeights(t *testing.T) {
 	}
 }
 
+// TestModelAllocatesNoGradients: drawing the reference model allocates
+// its parameters' values and little else (at most 1.05x their bytes),
+// and no parameter holds a gradient until a backward pass accumulates
+// into it.
+func TestModelAllocatesNoGradients(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m := transformer.NewLMModel(refConfig, rand.New(rand.NewSource(refSeed)))
+	runtime.ReadMemStats(&after)
+	values := 0
+	for _, p := range m.Params() {
+		values += 8 * len(p.Value.Data)
+		if p.Grad != nil {
+			t.Fatalf("fresh parameter %s holds a gradient", p.Name)
+		}
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("NewLMModel allocated %d bytes for %d bytes of values (%.3fx)", alloc, values, float64(alloc)/float64(values))
+	if float64(alloc) > 1.05*float64(values) {
+		t.Fatalf("NewLMModel allocated %d bytes, over 1.05x its %d bytes of values", alloc, values)
+	}
+	_, grad := m.Loss([]int{5, 3, 8}, []int{3, 8, 2})
+	m.Backward(grad)
+	for _, p := range m.Params() {
+		if p.Grad == nil {
+			t.Fatalf("parameter %s holds no gradient after a backward pass", p.Name)
+		}
+	}
+}
+
 // BenchmarkSetup times the deploy path of the reference deployment one
-// stage at a time: encoding the bundle, decoding it, and building the
-// engine (the first level's kernels for every prunable linear, plus the
-// unpruned ones; SwitchTo builds the other levels on first use). Each stage reports the median of its iterations as
-// p50-ms beside the mean ns/op.
+// stage at a time: drawing the model, encoding the bundle, decoding it,
+// building the engine (the first level's kernels for every prunable
+// linear, plus the unpruned ones), and a fresh engine's first switch to
+// l3 (that level's build, which SwitchTo runs on first use; the engine's
+// own build is outside the timed region). Each stage reports the median
+// of its iterations as p50-ms beside the mean ns/op.
 func BenchmarkSetup(b *testing.B) {
 	model, bundle := referenceBundle()
 	data, err := bundle.Encode()
@@ -122,17 +156,28 @@ func BenchmarkSetup(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	newEngine := func() (*serve.Engine, error) {
+		return serve.NewEngineConfigured(decoded, []serve.Model{model}, rtswitch.DefaultSwitchCostModel(), serve.EngineConfig{})
+	}
+	var fresh *serve.Engine
 	stages := []struct {
-		name string
-		run  func() error
+		name  string
+		setup func() error // before the timed region, when not nil
+		run   func() error
 	}{
-		{"encode", func() error { _, err := bundle.Encode(); return err }},
-		{"decode", func() error { _, err := deploy.Decode(data); return err }},
-		{"engine", func() error {
-			eng, err := serve.NewEngineConfigured(decoded, []serve.Model{model}, rtswitch.DefaultSwitchCostModel(), serve.EngineConfig{})
+		{"model", nil, func() error { transformer.NewLMModel(refConfig, rand.New(rand.NewSource(refSeed))); return nil }},
+		{"encode", nil, func() error { _, err := bundle.Encode(); return err }},
+		{"decode", nil, func() error { _, err := deploy.Decode(data); return err }},
+		{"engine", nil, func() error {
+			eng, err := newEngine()
 			if err == nil {
 				eng.Close()
 			}
+			return err
+		}},
+		{"switch", func() (err error) { fresh, err = newEngine(); return err }, func() error {
+			defer fresh.Close()
+			_, err := fresh.SwitchTo(2)
 			return err
 		}},
 	}
@@ -140,6 +185,11 @@ func BenchmarkSetup(b *testing.B) {
 		b.Run(st.name, func(b *testing.B) {
 			ms := make([]float64, 0, b.N)
 			for i := 0; i < b.N; i++ {
+				if st.setup != nil {
+					if err := st.setup(); err != nil {
+						b.Fatal(err)
+					}
+				}
 				t0 := time.Now()
 				if err := st.run(); err != nil {
 					b.Fatal(err)

@@ -16,7 +16,7 @@ import (
 // the same kernel as the pruned ones.
 func PackSet(w *mat.Matrix, s *pattern.Set) (*Pattern, error) {
 	if s == nil {
-		return NewPattern(w, 1, [][]uint8{{1}}, make([]int, w.Rows*w.Cols))
+		return packAll(w)
 	}
 	choices := s.Choose(w)
 	bits := make([][]uint8, len(s.Patterns))

@@ -16,9 +16,9 @@ package sparse
 
 import (
 	"fmt"
+	"math"
 
 	"rt3/internal/mat"
-	"rt3/internal/pattern"
 )
 
 // Pattern is the PP execution format. Its storage model is the paper's:
@@ -49,18 +49,29 @@ func NewPattern(w *mat.Matrix, psize int, bits [][]uint8, choices []int) (*Patte
 	if psize <= 0 {
 		return nil, fmt.Errorf("sparse: pattern size %d", psize)
 	}
+	if psize*w.Cols > math.MaxInt32 {
+		return nil, fmt.Errorf("sparse: pattern size %d over %d columns", psize, w.Cols)
+	}
 	p := &Pattern{Rows: w.Rows, Cols: w.Cols, PSize: psize}
-	// dict[i] lists the kept (r, c) offsets of pattern i within a tile,
-	// row-major, so a column's kept rows come up in ascending order.
-	dict := make([][][2]int, len(bits))
+	// dict[id] lists the kept positions of pattern id within a tile,
+	// row-major, so a column's kept rows come up in ascending order;
+	// colKept[id*psize+j] counts column j's
+	dict, colKept := make([][]keptPos, len(bits)), make([]int32, len(bits)*psize)
 	for id, bm := range bits {
 		if len(bm) != psize*psize {
 			return nil, fmt.Errorf("sparse: pattern bitmap len %d != %d", len(bm), psize*psize)
 		}
-		dict[id] = pattern.Pattern{Size: psize, Bits: bm}.Kept()
+		for o, b := range bm {
+			if b != 0 {
+				i, j := o/psize, o%psize
+				dict[id] = append(dict[id], keptPos{off: int32(i*w.Cols + j), i: uint16(i), j: uint16(j)})
+				colKept[id*psize+j]++
+			}
+		}
 		p.indexWords += len(dict[id])
 	}
-	tiles := ((w.Rows + psize - 1) / psize) * ((w.Cols + psize - 1) / psize)
+	tileCols := (w.Cols + psize - 1) / psize
+	tiles := ((w.Rows + psize - 1) / psize) * tileCols
 	if len(choices) != tiles {
 		return nil, fmt.Errorf("sparse: %d choices for %d tiles", len(choices), tiles)
 	}
@@ -74,28 +85,19 @@ func NewPattern(w *mat.Matrix, psize int, bits [][]uint8, choices []int) (*Patte
 
 	// count: an interior tile adds its pattern's per-column kept counts,
 	// a tile cut short by the bottom edge counts its in-range positions
-	colKept := make([][]int32, len(dict))
-	for id, offs := range dict {
-		colKept[id] = make([]int32, psize)
-		for _, o := range offs {
-			colKept[id][o[1]]++
-		}
-	}
 	counts := make([]int32, w.Cols)
-	t := 0
-	for r0 := 0; r0 < w.Rows; r0 += psize {
-		for c0 := 0; c0 < w.Cols; c0 += psize {
-			id := choices[t]
-			t++
+	for r0, t := 0, 0; r0 < w.Rows; r0, t = r0+psize, t+tileCols {
+		for tc, id := range choices[t : t+tileCols] {
+			c0 := tc * psize
 			if r0+psize <= w.Rows {
-				for j, n := range counts[c0:min(c0+psize, w.Cols)] {
-					counts[c0+j] = n + colKept[id][j]
+				for j, n := range colKept[id*psize:][:min(psize, w.Cols-c0)] {
+					counts[c0+j] += n
 				}
 				continue
 			}
 			for _, o := range dict[id] {
-				if r0+o[0] < w.Rows && c0+o[1] < w.Cols {
-					counts[c0+o[1]]++
+				if r0+int(o.i) < w.Rows && c0+int(o.j) < w.Cols {
+					counts[c0+int(o.j)]++
 				}
 			}
 		}
@@ -105,24 +107,60 @@ func NewPattern(w *mat.Matrix, psize int, bits [][]uint8, choices []int) (*Patte
 		return nil, fmt.Errorf("sparse: %w", err)
 	}
 	// fill: tile by tile, so every column sees its rows in ascending
-	// order, each through its own cursor
+	// order, each through its own cursor; only a tile that runs past an
+	// edge checks its positions
 	cur := lw.Cursors()
-	t = 0
-	for r0 := 0; r0 < w.Rows; r0 += psize {
-		for c0 := 0; c0 < w.Cols; c0 += psize {
-			for _, o := range dict[choices[t]] {
-				r, c := r0+o[0], c0+o[1]
-				if r >= w.Rows || c >= w.Cols {
-					continue
+	for r0, t := 0, 0; r0 < w.Rows; r0, t = r0+psize, t+tileCols {
+		for tc, id := range choices[t : t+tileCols] {
+			c0 := tc * psize
+			tile, cs := w.Data[r0*w.Cols+c0:], cur[c0:]
+			if r0+psize > w.Rows || c0+psize > w.Cols {
+				for _, o := range dict[id] {
+					if r := r0 + int(o.i); r < w.Rows && c0+int(o.j) < w.Cols {
+						lw.Store(cs[o.j], r, tile[o.off])
+						cs[o.j] += mat.LaneGroup
+					}
 				}
-				lw.Store(cur[c], r, w.Data[r*w.Cols+c])
-				cur[c] += mat.LaneGroup
+				continue
 			}
-			t++
+			for _, o := range dict[id] {
+				at := cs[o.j]
+				lw.Store(at, r0+int(o.i), tile[o.off])
+				cs[o.j] = at + mat.LaneGroup
+			}
 		}
 	}
 	p.w = lw
 	return p, nil
+}
+
+// keptPos is a kept position (i, j) of a pattern, with its offset
+// i*cols+j in the matrix being packed.
+type keptPos struct {
+	off  int32
+	i, j uint16
+}
+
+// packAll is NewPattern(w, 1, [][]uint8{{1}}, every tile choosing
+// pattern 0) without the tiles: every column keeps every row.
+func packAll(w *mat.Matrix) (*Pattern, error) {
+	counts := make([]int32, w.Cols)
+	for c := range counts {
+		counts[c] = int32(w.Rows)
+	}
+	lw, err := mat.NewLaneWeights(w.Rows, w.Cols, counts)
+	if err != nil {
+		return nil, fmt.Errorf("sparse: %w", err)
+	}
+	cur := lw.Cursors()
+	for r := 0; r < w.Rows; r++ {
+		for c, v := range w.Data[r*w.Cols:][:w.Cols] {
+			lw.Store(cur[c], r, v)
+			cur[c] += mat.LaneGroup
+		}
+	}
+	n := w.Rows * w.Cols
+	return &Pattern{Rows: w.Rows, Cols: w.Cols, PSize: 1, nnz: n, indexWords: n + 1, w: lw}, nil
 }
 
 // Dims returns the logical (rows, cols) of the stored weight matrix.

@@ -21,7 +21,7 @@ func GradCheck(t *testing.T, params []*nn.Parameter, loss func() float64, tol fl
 	loss()
 	analytic := make([][]float64, len(params))
 	for i, p := range params {
-		analytic[i] = append([]float64(nil), p.Grad.Data...)
+		analytic[i] = append([]float64(nil), p.Gradient().Data...)
 	}
 	const h = 1e-5
 	for pi, p := range params {

@@ -89,7 +89,8 @@ type LMModel struct {
 	refFlat   []int
 }
 
-// NewLMModel builds the language model described by cfg.
+// NewLMModel builds the language model described by cfg; a nil rng
+// leaves its weights zero (Clone copies them in).
 func NewLMModel(cfg Config, rng *rand.Rand) *LMModel {
 	m := &LMModel{
 		Cfg:   cfg,
@@ -183,9 +184,10 @@ func (m *LMModel) SetBufferReuse(on bool) {
 
 // Clone returns an independent model with identical weights — the way a
 // serving worker pool replicates one checkpoint so concurrent forward
-// passes do not share layer caches.
+// passes do not share layer caches. It draws no weights of its own: they
+// are copied in.
 func (m *LMModel) Clone() *LMModel {
-	c := NewLMModel(m.Cfg, rand.New(rand.NewSource(0)))
+	c := NewLMModel(m.Cfg, nil)
 	copyParams(c.nparams, m.nparams)
 	return c
 }
@@ -296,7 +298,8 @@ type Classifier struct {
 	reuse  bool
 }
 
-// NewClassifier builds the classifier/regressor described by cfg.
+// NewClassifier builds the classifier/regressor described by cfg (a nil
+// rng as for NewLMModel).
 func NewClassifier(cfg Config, rng *rand.Rand) *Classifier {
 	c := &Classifier{
 		Cfg:   cfg,
@@ -358,7 +361,7 @@ func (c *Classifier) SetBufferReuse(on bool) {
 // Clone returns an independent classifier with identical weights (see
 // LMModel.Clone).
 func (c *Classifier) Clone() *Classifier {
-	out := NewClassifier(c.Cfg, rand.New(rand.NewSource(0)))
+	out := NewClassifier(c.Cfg, nil)
 	copyParams(out.nparams, c.nparams)
 	return out
 }
